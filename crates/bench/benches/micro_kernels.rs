@@ -1,7 +1,8 @@
-//! Criterion micro-benchmarks — ablations for the design decisions in
-//! DESIGN.md §2: crack kernels (branchy vs vectorized out-of-place vs
-//! parallel), AVL vs `BTreeMap` cracker-index lookups, weight-heap updates,
-//! and Ripple insertion vs naive re-cracking.
+//! Criterion micro-benchmarks — ablations for the design decisions
+//! PAPER.md's design summary records: crack kernels (in-place reference vs
+//! vectorized out-of-place vs parallel), scalar vs block-at-a-time segment
+//! decode ("Batched decode kernels"), AVL vs `BTreeMap` cracker-index
+//! lookups, weight-heap updates, and Ripple insertion vs naive re-cracking.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use holix_core::weight_heap::WeightHeap;
@@ -11,7 +12,7 @@ use holix_cracking::index::CrackerIndex;
 use holix_cracking::kernels::{self, pack_bits, ScalarUnpacker};
 use holix_cracking::updates::ripple_insert;
 use holix_cracking::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
-use holix_parallel::{concentric_partition, parallel_partition};
+use holix_parallel::parallel_partition;
 use rand::prelude::*;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -68,13 +69,6 @@ fn bench_crack_kernels(c: &mut Criterion) {
             b.iter_batched(
                 || (vals.clone(), rows.clone()),
                 |(mut v, mut r)| black_box(parallel_partition(&mut v, &mut r, 500_000, t)),
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_function(format!("concentric_x{t}"), |b| {
-            b.iter_batched(
-                || (vals.clone(), rows.clone()),
-                |(mut v, mut r)| black_box(concentric_partition(&mut v, &mut r, 500_000, t)),
                 BatchSize::LargeInput,
             )
         });

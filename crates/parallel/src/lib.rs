@@ -7,8 +7,6 @@
 //!   parallel vectorized cracking (Fig 4, from [44]). A piece is sliced,
 //!   every slice is partitioned by its own thread, and a parallel merge
 //!   swaps the misplaced middle regions into place.
-//! - [`concentric`] — the literal concentric-slice layout of Fig 4, for
-//!   measuring the contiguous-slice substitution documented in DESIGN.md.
 //! - [`pvdc`] — **P**arallel **V**ectorized **D**atabase **C**racking:
 //!   a [`holix_cracking::CrackerColumn`] whose crack kernel is the parallel
 //!   partition.
@@ -18,13 +16,11 @@
 //!   from [8] extended with result consolidation as §5.2 describes).
 
 pub mod ccgi;
-pub mod concentric;
 pub mod partition;
 pub mod pvdc;
 pub mod pvsdc;
 
 pub use ccgi::ChunkedCrackerColumn;
-pub use concentric::concentric_partition;
 pub use partition::parallel_partition;
 pub use pvdc::pvdc_column;
 pub use pvsdc::select_pvsdc;
