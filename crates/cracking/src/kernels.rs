@@ -16,10 +16,13 @@
 //!   equivalence-test baseline;
 //! - portable block kernels — width-specialised (`const BITS` dispatched
 //!   over 0..=64) fully-unrolled inner loops the compiler autovectorises;
-//! - explicit AVX2 kernels (`core::arch::x86_64`) — per-width gather /
-//!   variable-shift tables for unpack, compare/blend lanes for the fused
-//!   filter — selected once per process by [`active_isa`]
-//!   (`is_x86_feature_detected!`), with the portable kernels as fallback.
+//! - explicit AVX2 kernel (`core::arch::x86_64`) — compare/blend lanes for
+//!   the fused filter — selected once per process by [`active_isa`]
+//!   (`is_x86_feature_detected!`), with the portable kernel as fallback.
+//!   Block *unpack* is always portable: a gather-based AVX2 unpack measured
+//!   ~3x slower than the const-folded unroll at every width (`vpgatherqq`
+//!   serialises what the straight-line shift/or/mask stream pipelines) and
+//!   was removed.
 //!
 //! On top of the unpack sit fused consumers that never materialise a
 //! decoded copy: [`sum_range`] (block unpack + lane accumulate),
@@ -227,91 +230,7 @@ pub fn active_isa() -> Isa {
 /// `#[target_feature]` bodies hold the intrinsics.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::BLOCK;
     use core::arch::x86_64::*;
-
-    /// Per-width gather/shift tables for block unpack. Because every block
-    /// is word-aligned, the 64 (word-index, bit-offset) pairs are identical
-    /// for all blocks of a stream — computed once per width, reused per
-    /// block: gather low words, variable-shift right, gather spill words,
-    /// variable-shift left, OR, mask.
-    pub struct Avx2Unpacker {
-        word: [i64; BLOCK],
-        shift: [i64; BLOCK],
-        spill: [i64; BLOCK],
-        spill_shift: [i64; BLOCK],
-        mask: u64,
-        bits: u32,
-    }
-
-    impl Avx2Unpacker {
-        /// Builds the tables for one width. Panics when AVX2 is missing or
-        /// `bits` is 0 (a zero-width stream has no packed words to read).
-        pub fn new(bits: u32) -> Self {
-            assert!(
-                std::is_x86_feature_detected!("avx2"),
-                "AVX2 unavailable on this CPU"
-            );
-            assert!((1..=64).contains(&bits));
-            let b = bits as usize;
-            let mut t = Avx2Unpacker {
-                word: [0; BLOCK],
-                shift: [0; BLOCK],
-                spill: [0; BLOCK],
-                spill_shift: [0; BLOCK],
-                mask: if bits == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << bits) - 1
-                },
-                bits,
-            };
-            for i in 0..BLOCK {
-                let bit = i * b;
-                let (w, off) = (bit >> 6, bit & 63);
-                t.word[i] = w as i64;
-                t.shift[i] = off as i64;
-                // The spill gather must stay inside the block's `bits`
-                // words even for lanes that need no spill: clamp to the
-                // last word — a lane that needs the spill always has
-                // w + 1 <= bits - 1, and a lane that does not shifts the
-                // gathered word to positions >= bits, where the mask
-                // erases it (off == 0 shifts left by 64, which `sllv`
-                // defines as zero).
-                t.spill[i] = (w + 1).min(b - 1) as i64;
-                t.spill_shift[i] = (64 - off) as i64;
-            }
-            t
-        }
-
-        /// Unpacks one full 64-value block (`bits` packed words) into
-        /// `out`.
-        #[inline]
-        pub fn unpack(&self, block_words: &[u64], out: &mut [u64; BLOCK]) {
-            assert!(block_words.len() >= self.bits as usize);
-            // SAFETY: the constructor verified AVX2; every gather index is
-            // < `bits` (see table construction), so all reads stay inside
-            // `block_words[..bits]`.
-            unsafe { self.unpack_inner(block_words.as_ptr(), out) }
-        }
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn unpack_inner(&self, p: *const u64, out: &mut [u64; BLOCK]) {
-            let p = p as *const i64;
-            let mask = _mm256_set1_epi64x(self.mask as i64);
-            for i in (0..BLOCK).step_by(4) {
-                let wi = _mm256_loadu_si256(self.word.as_ptr().add(i) as *const __m256i);
-                let sh = _mm256_loadu_si256(self.shift.as_ptr().add(i) as *const __m256i);
-                let si = _mm256_loadu_si256(self.spill.as_ptr().add(i) as *const __m256i);
-                let ss = _mm256_loadu_si256(self.spill_shift.as_ptr().add(i) as *const __m256i);
-                let lo = _mm256_i64gather_epi64::<8>(p, wi);
-                let hi = _mm256_i64gather_epi64::<8>(p, si);
-                let v = _mm256_or_si256(_mm256_srlv_epi64(lo, sh), _mm256_sllv_epi64(hi, ss));
-                let v = _mm256_and_si256(v, mask);
-                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, v);
-            }
-        }
-    }
 
     /// AVX2 fused filter over unsorted i64 lanes: branchless two-sided
     /// compare, movemask popcount for the count, masked split-lane (low
@@ -384,33 +303,6 @@ pub mod avx2 {
 // Dispatched block decoding
 // ---------------------------------------------------------------------------
 
-/// Per-stream unpack state hoisted out of the per-block loop.
-///
-/// Dispatch policy, measured on this codebase's container class: the
-/// const-folded unrolled portable kernel decodes ~3x faster than the
-/// gather-based AVX2 unpack at *every* width (`vpgatherqq` throughput
-/// dominates; the straight-line shift/or/mask stream keeps 4 scalar ports
-/// busy instead), so block *unpack* always takes the portable kernel. The
-/// AVX2 unpack stays available in [`avx2`] — the dispatch-agreement test
-/// exercises it, and the lane *filter* (where AVX2 wins ~4x) still
-/// dispatches on [`active_isa`].
-struct BlockReader {
-    bits: u32,
-}
-
-impl BlockReader {
-    fn new(bits: u32, _blocks: usize) -> Self {
-        BlockReader { bits }
-    }
-
-    /// Decodes full block `block` of `words` into `out`.
-    #[inline]
-    fn read(&self, words: &[u64], block: usize, out: &mut [u64; BLOCK]) {
-        let w = &words[block * self.bits as usize..];
-        unpack_block_portable(w, self.bits, out);
-    }
-}
-
 /// Visits packed values `a..b` (of `n` total) in order, decoding
 /// block-at-a-time; the final partial block (if any) falls back to
 /// per-value [`get`].
@@ -433,7 +325,6 @@ pub fn decode_range(
         return;
     }
     let full_blocks = n / BLOCK;
-    let rd = BlockReader::new(bits, (b - a) / BLOCK);
     let mut buf = [0u64; BLOCK];
     let mut i = a;
     while i < b {
@@ -444,7 +335,7 @@ pub fn decode_range(
             }
             return;
         }
-        rd.read(words, blk, &mut buf);
+        unpack_block_portable(&words[blk * bits as usize..], bits, &mut buf);
         let s = i - blk * BLOCK;
         let e = (b - blk * BLOCK).min(BLOCK);
         for &v in &buf[s..e] {
@@ -473,10 +364,9 @@ pub fn decode_blocks(words: &[u64], bits: u32, n: usize, mut f: impl FnMut(&[u64
         return;
     }
     let full_blocks = n / BLOCK;
-    let rd = BlockReader::new(bits, full_blocks);
     let mut buf = [0u64; BLOCK];
     for blk in 0..full_blocks {
-        rd.read(words, blk, &mut buf);
+        unpack_block_portable(&words[blk * bits as usize..], bits, &mut buf);
         if !f(&buf) {
             return;
         }
@@ -499,7 +389,6 @@ pub fn sum_range(words: &[u64], bits: u32, n: usize, a: usize, b: usize) -> u128
         return 0;
     }
     let full_blocks = n / BLOCK;
-    let rd = BlockReader::new(bits, (b - a) / BLOCK);
     let mut buf = [0u64; BLOCK];
     let mut total = 0u128;
     let mut i = a;
@@ -511,7 +400,7 @@ pub fn sum_range(words: &[u64], bits: u32, n: usize, a: usize, b: usize) -> u128
             }
             return total;
         }
-        rd.read(words, blk, &mut buf);
+        unpack_block_portable(&words[blk * bits as usize..], bits, &mut buf);
         let s = i - blk * BLOCK;
         let e = (b - blk * BLOCK).min(BLOCK);
         if bits <= 57 {
@@ -775,20 +664,6 @@ mod tests {
         if !std::is_x86_feature_detected!("avx2") {
             eprintln!("skipping: no AVX2 on this CPU");
             return;
-        }
-        // Block unpack: every width, several blocks, both paths.
-        for bits in 1..=64u32 {
-            let vals = masked_values(bits, 4 * BLOCK, 0xD15 + bits as u64);
-            let packed = pack_bits(vals.iter().copied(), vals.len(), bits);
-            let t = avx2::Avx2Unpacker::new(bits);
-            for blk in 0..4 {
-                let words = &packed[blk * bits as usize..];
-                let mut a = [0u64; BLOCK];
-                let mut b = [0u64; BLOCK];
-                unpack_block_portable(words, bits, &mut a);
-                t.unpack(words, &mut b);
-                assert_eq!(a, b, "bits={bits} block={blk}");
-            }
         }
         // Lane filter: random + adversarial lanes, random bounds.
         let mut s = 0xF00Du64;
