@@ -1,7 +1,7 @@
-//! A tiny, fast integer hasher for join and group-by keys.
+//! A tiny, fast integer hasher for integer-keyed maps.
 //!
 //! The standard library's SipHash is collision-resistant but slow for the
-//! integer keys that dominate column-store joins. Rather than pulling in an
+//! integer keys a column store hashes. Rather than pulling in an
 //! external hasher crate, we implement the well-known Fibonacci/multiply-xor
 //! mix (the same family as `fxhash`) in a dozen lines. HashDoS is not a
 //! concern: keys come from our own generators, not from untrusted input.

@@ -1,44 +1,33 @@
 //! # holix-storage — main-memory column-store substrate
 //!
 //! This crate is the MonetDB stand-in for the holistic-indexing reproduction:
-//! a minimal but complete main-memory column-store kernel following the
-//! Decomposition Storage Model. Relational tables are vertically fragmented
-//! into dense, fixed-width arrays ([`Column`]); values of one tuple share the
-//! same position across all columns, which enables late tuple reconstruction
-//! through positional [`project`] operators.
+//! the slice of a main-memory column-store kernel the engines actually run
+//! on, following the Decomposition Storage Model. An attribute is a dense,
+//! fixed-width array ([`Column`]); values of one tuple share the same
+//! position ([`RowId`]) across all columns.
 //!
 //! Operators are implemented in an array-processing, bulk style with tight
 //! loops over slices:
 //!
 //! - [`select`] / [`pscan`] — (parallel) range selection over a column,
-//! - [`project`] — positional gather for late tuple reconstruction,
-//! - [`aggregate`] — scalar and grouped aggregation,
-//! - [`join`] — hash join on integer keys,
 //! - [`sort`] / [`psort`] — (parallel) order-preserving sort with row ids,
 //!   plus binary-search selection over sorted columns (the "full indexing"
-//!   baseline of the paper).
+//!   baseline of the paper),
+//! - [`hash`] — a fast integer hasher and the `IntMap` the weight heap keys
+//!   its positions with.
 //!
 //! The adaptive-indexing crates build on these primitives; nothing in this
 //! crate knows about cracking or holistic tuning.
 
-pub mod aggregate;
 pub mod column;
-pub mod error;
 pub mod hash;
-pub mod join;
-pub mod predicate;
-pub mod project;
 pub mod pscan;
 pub mod psort;
 pub mod select;
 pub mod sort;
-pub mod table;
 pub mod types;
 
 pub use column::Column;
-pub use error::StorageError;
-pub use predicate::ValuePredicate;
 pub use select::{Predicate, RangeStats};
 pub use sort::SortedColumn;
-pub use table::{AnyColumn, Table};
 pub use types::{CrackValue, RowId};
