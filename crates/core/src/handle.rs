@@ -7,8 +7,8 @@
 
 use holix_cracking::{CrackScratch, CrackerColumn, RefineOutcome};
 use holix_storage::types::CrackValue;
-use parking_lot::Mutex;
 use rand::RngCore;
+use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,6 +21,27 @@ pub enum RefineResult {
     AlreadyBound,
     /// All attempted pieces were latched.
     Busy,
+}
+
+/// The crack scratch of one executing thread, erased over the value type
+/// like the indices it serves. A worker activation owns one for its `x`
+/// refinements; it is dropped with the activation, so idle workers hold no
+/// buffers.
+#[derive(Default)]
+pub struct WorkerScratch(Option<Box<dyn Any>>);
+
+impl WorkerScratch {
+    /// The scratch typed for `V` (replaced by an empty one when the last
+    /// user had a different value type).
+    fn typed<V: CrackValue>(&mut self) -> &mut CrackScratch<V> {
+        if !self.0.as_ref().is_some_and(|s| s.is::<CrackScratch<V>>()) {
+            self.0 = Some(Box::new(CrackScratch::<V>::new()));
+        }
+        self.0
+            .as_mut()
+            .and_then(|s| s.downcast_mut())
+            .expect("scratch was just typed for V")
+    }
 }
 
 /// What holistic tuning needs from an adaptive index, independent of the
@@ -42,7 +63,12 @@ pub trait RefinableIndex: Send + Sync {
     fn payload_bytes(&self) -> usize;
     /// One refinement at a random pivot; tries up to `attempts` pivots when
     /// pieces are latched. Also merges pending updates for the target piece.
-    fn refine_random(&self, rng: &mut dyn RngCore, attempts: usize) -> RefineResult;
+    fn refine_random(
+        &self,
+        rng: &mut dyn RngCore,
+        attempts: usize,
+        scratch: &mut WorkerScratch,
+    ) -> RefineResult;
     /// Republishes the index's plan-time statistics if stale (the holistic
     /// daemon forces this once per worker activation, so `holix-planner`
     /// summaries never lag an idle period). Default: no planner surface.
@@ -80,12 +106,8 @@ pub trait RefinableIndex: Send + Sync {
 }
 
 /// [`RefinableIndex`] adapter around a [`CrackerColumn`].
-///
-/// Keeps a small pool of crack scratch buffers so concurrent workers do not
-/// re-allocate per refinement.
 pub struct CrackerHandle<V> {
     col: Arc<CrackerColumn<V>>,
-    scratch_pool: Mutex<Vec<CrackScratch<V>>>,
     morph_tick: AtomicU64,
 }
 
@@ -102,7 +124,6 @@ impl<V: CrackValue> CrackerHandle<V> {
     pub fn new(col: Arc<CrackerColumn<V>>) -> Self {
         CrackerHandle {
             col,
-            scratch_pool: Mutex::new(Vec::new()),
             morph_tick: AtomicU64::new(0),
         }
     }
@@ -110,17 +131,6 @@ impl<V: CrackValue> CrackerHandle<V> {
     /// The underlying column.
     pub fn column(&self) -> &Arc<CrackerColumn<V>> {
         &self.col
-    }
-
-    fn take_scratch(&self) -> CrackScratch<V> {
-        self.scratch_pool.lock().pop().unwrap_or_default()
-    }
-
-    fn return_scratch(&self, s: CrackScratch<V>) {
-        let mut pool = self.scratch_pool.lock();
-        if pool.len() < 64 {
-            pool.push(s);
-        }
     }
 }
 
@@ -145,11 +155,13 @@ impl<V: CrackValue> RefinableIndex for CrackerHandle<V> {
         self.col.payload_bytes()
     }
 
-    fn refine_random(&self, mut rng: &mut dyn RngCore, attempts: usize) -> RefineResult {
-        let mut scratch = self.take_scratch();
-        let outcome = self.col.refine_random(&mut rng, &mut scratch, attempts);
-        self.return_scratch(scratch);
-        match outcome {
+    fn refine_random(
+        &self,
+        mut rng: &mut dyn RngCore,
+        attempts: usize,
+        scratch: &mut WorkerScratch,
+    ) -> RefineResult {
+        match self.col.refine_random(&mut rng, scratch.typed(), attempts) {
             RefineOutcome::Refined { piece_len } => RefineResult::Refined { piece_len },
             RefineOutcome::AlreadyBound => RefineResult::AlreadyBound,
             RefineOutcome::Busy => RefineResult::Busy,
@@ -218,10 +230,11 @@ mod tests {
         let h = handle(10_000);
         let mut rng = StdRng::seed_from_u64(1);
         let dyn_ref: &dyn RefinableIndex = &h;
+        let mut scratch = WorkerScratch::default();
         let mut refined = 0;
         for _ in 0..50 {
             if matches!(
-                dyn_ref.refine_random(&mut rng, 4),
+                dyn_ref.refine_random(&mut rng, 4, &mut scratch),
                 RefineResult::Refined { .. }
             ) {
                 refined += 1;
@@ -238,8 +251,9 @@ mod tests {
         let d0 = distance_to_optimal(&h, l1);
         assert_eq!(d0, 100_000 - 4096);
         let mut rng = StdRng::seed_from_u64(2);
+        let mut scratch = WorkerScratch::default();
         for _ in 0..200 {
-            h.refine_random(&mut rng, 8);
+            h.refine_random(&mut rng, 8, &mut scratch);
         }
         let d1 = distance_to_optimal(&h, l1);
         assert!(d1 < d0 / 10, "d1={d1}");
@@ -249,15 +263,5 @@ mod tests {
     fn distance_zero_when_pieces_fit_l1() {
         let h = handle(1_000); // 1000 values < 4096-value L1 budget
         assert_eq!(distance_to_optimal(&h, 32 * 1024), 0);
-    }
-
-    #[test]
-    fn scratch_pool_reuses_buffers() {
-        let h = handle(1_000);
-        let s1 = h.take_scratch();
-        h.return_scratch(s1);
-        assert_eq!(h.scratch_pool.lock().len(), 1);
-        let _s2 = h.take_scratch();
-        assert_eq!(h.scratch_pool.lock().len(), 0);
     }
 }

@@ -509,7 +509,7 @@ fn rng_compat<'a>(rng: &'a mut dyn RngCore) -> impl rand::Rng + 'a {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::CrackerHandle;
+    use crate::handle::{CrackerHandle, WorkerScratch};
     use holix_cracking::CrackerColumn;
     use rand::prelude::*;
     use std::time::Duration;
@@ -559,7 +559,7 @@ mod tests {
         while space.membership(id) == Some(Membership::Actual) {
             let (pid, h) = space.pick(&mut rng).expect("pickable");
             assert_eq!(pid, id);
-            let res = h.refine_random(&mut rng, 8);
+            let res = h.refine_random(&mut rng, 8, &mut WorkerScratch::default());
             space.record_worker_outcome(pid, res);
             steps += 1;
             assert!(steps < 10_000, "did not converge");
@@ -654,7 +654,7 @@ mod tests {
         assert_eq!(space.total_pieces(), 2);
         let (_, h) = space.get(id).map(|(h, s)| (s, h)).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        h.refine_random(&mut rng, 8);
+        h.refine_random(&mut rng, 8, &mut WorkerScratch::default());
         assert_eq!(space.total_pieces(), 3);
     }
 
@@ -805,7 +805,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(9);
                 for _ in 0..200 {
                     if let Some((id, h)) = space.pick(&mut rng) {
-                        let res = h.refine_random(&mut rng, 4);
+                        let res = h.refine_random(&mut rng, 4, &mut WorkerScratch::default());
                         space.record_worker_outcome(id, res);
                     }
                 }

@@ -6,7 +6,7 @@
 //! […] are updated. When an index reaches the optimal status, it is moved
 //! into the optimal configuration."
 
-use crate::handle::RefineResult;
+use crate::handle::{RefineResult, WorkerScratch};
 use crate::index_space::{IndexSpace, Membership};
 use rand::RngCore;
 use std::time::{Duration, Instant};
@@ -62,8 +62,9 @@ pub fn idle_function(
     };
     report.picked = true;
 
+    let mut scratch = WorkerScratch::default();
     for _ in 0..refinements_per_worker {
-        let result = handle.refine_random(rng, latch_attempts);
+        let result = handle.refine_random(rng, latch_attempts, &mut scratch);
         space.record_worker_outcome(id, result);
         match result {
             RefineResult::Refined { .. } => report.refinements += 1,

@@ -39,33 +39,22 @@
 //! reader drops. For these readers the structure lock shrinks to a
 //! writer-writer ordering concern.
 
-use crate::crack::{crack_in_three, crack_in_two, CrackKernel};
 use crate::epoch::{
     EpochCell, EpochGuard, PieceSnapshot, Segment, SnapPiece, SnapshotCell, SnapshotScan,
 };
 use crate::filter::PointFilter;
 use crate::index::{BoundLookup, CrackerIndex};
+use crate::partition::{partition_three, partition_two};
 use crate::piece_stats::{build_stats, PieceStats, SnapPieceStat};
 use crate::range_cell::RangeCell;
 use crate::updates::{ripple_delete, ripple_insert, PendingUpdates, UnmergedKind};
-use crate::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
+use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
 use parking_lot::{Mutex, RwLock};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::Arc;
-
-/// A pluggable two-way partition kernel: partitions `vals`/`rows` around
-/// `pivot` and returns the split point. Multi-core cracking (PVDC, [44])
-/// installs a parallel partition through this hook.
-pub type PartitionFn<V> = Arc<dyn Fn(&mut [V], &mut [RowId], V) -> usize + Send + Sync>;
-
-enum KernelImpl<V> {
-    Branchy,
-    Vectorized,
-    Custom(PartitionFn<V>),
-}
 
 /// `true` when a splice span starting at anchor `a` begins at or before
 /// `prev_b`, the end anchor of the previous span (anchors are snapshot
@@ -145,12 +134,13 @@ pub struct CrackerColumn<V> {
     /// Observed value domain (base ∪ pending inserts); random pivots are
     /// drawn from it.
     domain: Mutex<Option<(V, V)>>,
-    /// Kernel for query-driven cracks (select bounds, stochastic auxiliary
-    /// cracks) — the paper's user queries may gang multiple threads here.
-    select_kernel: KernelImpl<V>,
-    /// Kernel for background (holistic-worker) refinements — typically
-    /// single-threaded, one worker per idle context.
-    refine_kernel: KernelImpl<V>,
+    /// Thread budget of query-driven cracks (select bounds, stochastic
+    /// auxiliary cracks) — the paper's user queries may gang multiple
+    /// threads on one big piece.
+    select_threads: usize,
+    /// Thread budget of background (holistic-worker) refinements —
+    /// typically 1, one worker per idle context.
+    refine_threads: usize,
     /// Published piece snapshot + per-shard epoch domain (lock-free reads).
     snap: SnapshotCell<V>,
     /// Live bytes held by snapshot segments (rises on copy-out, falls only
@@ -184,56 +174,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// "first time an attribute is required, a copy of the base column is
     /// created").
     pub fn from_base(name: impl Into<String>, base: &[V]) -> Self {
-        Self::with_kernel(name, base, CrackKernel::default())
-    }
-
-    /// Like [`CrackerColumn::from_base`] with an explicit crack kernel.
-    pub fn with_kernel(name: impl Into<String>, base: &[V], kernel: CrackKernel) -> Self {
-        let kernel = match kernel {
-            CrackKernel::Branchy => KernelImpl::Branchy,
-            CrackKernel::Vectorized => KernelImpl::Vectorized,
-        };
-        let refine = match kernel {
-            KernelImpl::Branchy => KernelImpl::Branchy,
-            _ => KernelImpl::Vectorized,
-        };
-        let rows = (0..base.len() as RowId).collect();
-        Self::build(name, base.to_vec(), rows, kernel, refine)
-    }
-
-    /// Builds a cracker column with a custom partition kernel for
-    /// query-driven cracks (multi-core cracking installs its parallel
-    /// partition here); background refinements stay single-threaded.
-    pub fn with_partition_fn(
-        name: impl Into<String>,
-        base: &[V],
-        partition: PartitionFn<V>,
-    ) -> Self {
-        Self::build(
-            name,
-            base.to_vec(),
-            (0..base.len() as RowId).collect(),
-            KernelImpl::Custom(partition),
-            KernelImpl::Vectorized,
-        )
-    }
-
-    /// Builds a cracker column with distinct query-path and worker-path
-    /// partition kernels (the thread-split experiments of §5.1 give user
-    /// queries and holistic workers different thread budgets).
-    pub fn with_partition_fns(
-        name: impl Into<String>,
-        base: &[V],
-        select_partition: PartitionFn<V>,
-        refine_partition: PartitionFn<V>,
-    ) -> Self {
-        Self::build(
-            name,
-            base.to_vec(),
-            (0..base.len() as RowId).collect(),
-            KernelImpl::Custom(select_partition),
-            KernelImpl::Custom(refine_partition),
-        )
+        Self::from_base_offset(name, base, 0)
     }
 
     /// Builds a cracker column whose row ids start at `offset` — chunked
@@ -241,13 +182,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// global base-table positions.
     pub fn from_base_offset(name: impl Into<String>, base: &[V], offset: RowId) -> Self {
         let rows = (offset..offset + base.len() as RowId).collect();
-        Self::build(
-            name,
-            base.to_vec(),
-            rows,
-            KernelImpl::Vectorized,
-            KernelImpl::Vectorized,
-        )
+        Self::from_parts(name, base.to_vec(), rows)
     }
 
     /// Builds a cracker column from pre-partitioned values with explicit
@@ -255,41 +190,6 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// subset of base tuples whose values fall in its range while keeping
     /// global base-table positions.
     pub fn from_parts(name: impl Into<String>, vals: Vec<V>, rows: Vec<RowId>) -> Self {
-        Self::build(
-            name,
-            vals,
-            rows,
-            KernelImpl::Vectorized,
-            KernelImpl::Vectorized,
-        )
-    }
-
-    /// [`CrackerColumn::from_parts`] with distinct query-path and
-    /// worker-path partition kernels (mirrors
-    /// [`CrackerColumn::with_partition_fns`] for sharded columns).
-    pub fn from_parts_with_partition_fns(
-        name: impl Into<String>,
-        vals: Vec<V>,
-        rows: Vec<RowId>,
-        select_partition: PartitionFn<V>,
-        refine_partition: PartitionFn<V>,
-    ) -> Self {
-        Self::build(
-            name,
-            vals,
-            rows,
-            KernelImpl::Custom(select_partition),
-            KernelImpl::Custom(refine_partition),
-        )
-    }
-
-    fn build(
-        name: impl Into<String>,
-        vals: Vec<V>,
-        rows: Vec<RowId>,
-        select_kernel: KernelImpl<V>,
-        refine_kernel: KernelImpl<V>,
-    ) -> Self {
         assert_eq!(vals.len(), rows.len(), "values/row-ids length mismatch");
         let mut lo_hi = None;
         for &v in &vals {
@@ -307,8 +207,8 @@ impl<V: CrackValue> CrackerColumn<V> {
             index: RwLock::new(CrackerIndex::new(n)),
             pending: Mutex::new(PendingUpdates::new()),
             domain: Mutex::new(lo_hi),
-            select_kernel,
-            refine_kernel,
+            select_threads: 1,
+            refine_threads: 1,
             snap: SnapshotCell::new(),
             snap_bytes: Arc::new(AtomicUsize::new(0)),
             stats: EpochCell::new(),
@@ -322,6 +222,22 @@ impl<V: CrackValue> CrackerColumn<V> {
         // Cold columns still plan: publish the initial one-piece summary.
         col.publish_stats();
         col
+    }
+
+    /// Sets the thread budgets of query-driven cracks and of background
+    /// refinements (both default to 1). A crack gangs its budget only on
+    /// pieces long enough for it to pay off
+    /// ([`crate::partition::DEFAULT_MIN_PARALLEL`]); the thread-split
+    /// experiments of §5.1 give user queries and holistic workers different
+    /// budgets.
+    pub fn with_threads(mut self, select: usize, refine: usize) -> Self {
+        self.set_threads(select, refine);
+        self
+    }
+
+    pub(crate) fn set_threads(&mut self, select: usize, refine: usize) {
+        self.select_threads = select.max(1);
+        self.refine_threads = refine.max(1);
     }
 
     /// Column name.
@@ -587,18 +503,14 @@ impl<V: CrackValue> CrackerColumn<V> {
             // vectors cannot move.
             let mut vg = unsafe { self.vals.range_mut(start, end) };
             let mut rg = unsafe { self.rows.range_mut(start, end) };
-            match &self.select_kernel {
-                KernelImpl::Branchy => crack_in_three(vg.slice(), rg.slice(), pred.lo, pred.hi),
-                KernelImpl::Vectorized => {
-                    crack_in_three_oop(vg.slice(), rg.slice(), pred.lo, pred.hi, scratch)
-                }
-                KernelImpl::Custom(f) => {
-                    let (vals, rows) = (vg.slice(), rg.slice());
-                    let a = f(vals, rows, pred.lo);
-                    let b = a + f(&mut vals[a..], &mut rows[a..], pred.hi);
-                    (a, b)
-                }
-            }
+            partition_three(
+                vg.slice(),
+                rg.slice(),
+                pred.lo,
+                pred.hi,
+                self.select_threads,
+                scratch,
+            )
         };
         {
             let mut idx = self.index.write();
@@ -626,21 +538,11 @@ impl<V: CrackValue> CrackerColumn<V> {
         scratch: &mut CrackScratch<V>,
         blocking: bool,
     ) -> Option<(usize, bool, usize)> {
-        let kernel = if blocking {
-            &self.select_kernel
+        let threads = if blocking {
+            self.select_threads
         } else {
-            &self.refine_kernel
+            self.refine_threads
         };
-        self.crack_bound_with(v, scratch, blocking, kernel)
-    }
-
-    fn crack_bound_with(
-        &self,
-        v: V,
-        scratch: &mut CrackScratch<V>,
-        blocking: bool,
-        kernel: &KernelImpl<V>,
-    ) -> Option<(usize, bool, usize)> {
         loop {
             let lookup = self.index.read().locate(v);
             let latch = match lookup {
@@ -681,11 +583,7 @@ impl<V: CrackValue> CrackerColumn<V> {
                 // shared prevents vector moves.
                 let mut vg = unsafe { self.vals.range_mut(start, end) };
                 let mut rg = unsafe { self.rows.range_mut(start, end) };
-                match kernel {
-                    KernelImpl::Branchy => crack_in_two(vg.slice(), rg.slice(), v),
-                    KernelImpl::Vectorized => crack_in_two_oop(vg.slice(), rg.slice(), v, scratch),
-                    KernelImpl::Custom(f) => f(vg.slice(), rg.slice(), v),
-                }
+                partition_two(vg.slice(), rg.slice(), v, threads, scratch)
             };
             let pos = start + split;
             self.index.write().insert_bound(v, pos);
@@ -2642,25 +2540,5 @@ mod tests {
             "rebuild left {fp}/{} stale keys probing present",
             n - n / 4
         );
-    }
-
-    #[test]
-    fn branchy_and_vectorized_kernels_agree() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let base: Vec<i64> = (0..20_000).map(|_| rng.random_range(0..1_000)).collect();
-        let a = CrackerColumn::with_kernel("a", &base, CrackKernel::Branchy);
-        let b = CrackerColumn::with_kernel("b", &base, CrackKernel::Vectorized);
-        let mut scratch = CrackScratch::new();
-        for _ in 0..50 {
-            let x = rng.random_range(0..1_000);
-            let y = rng.random_range(0..1_000);
-            let pred = Predicate::range(x.min(y), x.max(y));
-            let (sa, ra) = a.select_verified(pred, &mut scratch);
-            let (sb, rb) = b.select_verified(pred, &mut scratch);
-            assert_eq!(ra, rb);
-            assert_eq!(sa.count(), sb.count());
-        }
-        a.check_invariants(Some(&base));
-        b.check_invariants(Some(&base));
     }
 }

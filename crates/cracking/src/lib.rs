@@ -4,8 +4,13 @@
 //! the paper:
 //!
 //! - [`avl`] — the AVL tree that serves as the *cracker index*,
-//! - [`crack`] / [`vectorized`] — in-place and out-of-place (vectorized)
-//!   crack kernels that partition a piece of a column around pivots,
+//! - [`crack`] / [`vectorized`] — in-place (reference) and out-of-place
+//!   (vectorized) crack kernels that partition a piece of a column around
+//!   pivots,
+//! - [`partition`] — the one entry point every crack goes through:
+//!   sequential vectorized kernel on the caller's scratch for short pieces
+//!   or a thread budget of one, parallel partition-and-merge (Fig 4)
+//!   otherwise,
 //! - [`index`] — piece bookkeeping: boundary positions, per-piece latches,
 //! - [`range_cell`] — the single `unsafe` building block: disjoint-range
 //!   mutable access into one shared vector, guarded by piece latches,
@@ -47,6 +52,7 @@ pub mod filter;
 pub mod index;
 pub mod kernels;
 pub mod latch;
+pub mod partition;
 pub mod piece_stats;
 pub mod range_cell;
 pub mod sharding;
@@ -54,8 +60,7 @@ pub mod stochastic;
 pub mod updates;
 pub mod vectorized;
 
-pub use column::{CrackerColumn, PartitionFn, RefineOutcome, Selection};
-pub use crack::CrackKernel;
+pub use column::{CrackerColumn, RefineOutcome, Selection};
 pub use epoch::{EpochCell, EpochDomain, EpochGuard, PieceSnapshot, SnapshotScan};
 pub use filter::PointFilter;
 pub use index::{BoundLookup, CrackerIndex};

@@ -1,24 +1,66 @@
-//! Parallel partition-and-merge — the multi-threaded crack kernel (Fig 4 of
-//! the paper, after [44]).
+//! The one partition entry point every crack goes through, and the
+//! multi-threaded kernel behind it (Fig 4 of the paper, after [44]).
 //!
-//! Phase 1 slices the piece into `threads` contiguous slices; each thread
-//! partitions its slice independently (branch-free out-of-place kernel).
-//! Phase 2 computes the global split point and swaps the misplaced regions —
-//! high values stranded left of the split with low values stranded right of
-//! it — using disjoint swap jobs executed in parallel.
+//! [`partition_two`] / [`partition_three`] pick the kernel from what they
+//! observe — the piece length and the caller's thread budget — never from
+//! an option: a short piece or a budget of one runs the branch-free
+//! out-of-place kernel of [`crate::vectorized`] on the **caller's**
+//! scratch; a long piece with threads to spare runs
+//! [`parallel_partition`].
 //!
-//! The paper arranges its slices as rings around the centre of the piece,
-//! which only balances the merge work statistically; contiguous slices with
-//! a parallel misplaced-region swap produce the same output layout at the
-//! same O(N/n + misplaced) cost, and measured 1.65–2.1× faster than the
-//! literal ring layout at 2 and 4 threads.
+//! Parallel partition-and-merge: phase 1 slices the piece into `threads`
+//! contiguous slices and each thread partitions its slice independently
+//! (same branch-free kernel); phase 2 computes the global split point and
+//! swaps the misplaced regions — high values stranded left of the split
+//! with low values stranded right of it — as disjoint swap jobs executed in
+//! parallel. The paper arranges its slices as rings around the centre of
+//! the piece, which only balances the merge work statistically; contiguous
+//! slices with a parallel misplaced-region swap produce the same output
+//! layout at the same O(N/n + misplaced) cost, and measured 1.65–2.1×
+//! faster than the literal ring layout at 2 and 4 threads.
 
-use holix_cracking::vectorized::{crack_in_two_oop, CrackScratch};
+use crate::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
 use holix_storage::types::{CrackValue, RowId};
 
-/// Below this piece size the sequential kernel wins; used as the default
-/// threshold by [`crate::pvdc`].
+/// Below this piece size the sequential kernel wins.
 pub const DEFAULT_MIN_PARALLEL: usize = 1 << 16;
+
+/// Partitions `vals`/`rows` around `pivot`; returns the split point (count
+/// of values `< pivot`). Sequential on `scratch` when `threads == 1` or the
+/// piece is shorter than [`DEFAULT_MIN_PARALLEL`], ganged otherwise.
+pub fn partition_two<V: CrackValue>(
+    vals: &mut [V],
+    rows: &mut [RowId],
+    pivot: V,
+    threads: usize,
+    scratch: &mut CrackScratch<V>,
+) -> usize {
+    if threads <= 1 || vals.len() < DEFAULT_MIN_PARALLEL {
+        crack_in_two_oop(vals, rows, pivot, scratch)
+    } else {
+        parallel_partition(vals, rows, pivot, threads)
+    }
+}
+
+/// Partitions `vals`/`rows` into `[< lo | lo <= v < hi | >= hi]`; returns
+/// `(a, b)` bounding the middle region. Sequential pieces take the fused
+/// single-pass kernel on `scratch`; ganged pieces take two parallel
+/// two-way passes (the second over the upper part only).
+pub fn partition_three<V: CrackValue>(
+    vals: &mut [V],
+    rows: &mut [RowId],
+    lo: V,
+    hi: V,
+    threads: usize,
+    scratch: &mut CrackScratch<V>,
+) -> (usize, usize) {
+    if threads <= 1 || vals.len() < DEFAULT_MIN_PARALLEL {
+        return crack_in_three_oop(vals, rows, lo, hi, scratch);
+    }
+    let a = parallel_partition(vals, rows, lo, threads);
+    let b = a + partition_two(&mut vals[a..], &mut rows[a..], hi, threads, scratch);
+    (a, b)
+}
 
 /// Partitions `vals`/`rows` around `pivot` with up to `threads` threads.
 /// Returns the split point (count of values `< pivot`).
@@ -195,7 +237,7 @@ unsafe impl<T> Send for SendPtr<T> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holix_cracking::crack::is_partitioned;
+    use crate::crack::{crack_in_three, crack_in_two, is_partitioned};
     use proptest::prelude::*;
     use rand::prelude::*;
 
@@ -244,6 +286,63 @@ mod tests {
         let mut rev: Vec<i64> = vec![9; 100_000];
         rev.extend(vec![1i64; 100_000]);
         check(&rev, 5, 4);
+    }
+
+    fn sorted(vals: &[i64]) -> Vec<i64> {
+        let mut v = vals.to_vec();
+        v.sort_unstable();
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // The unified entry points against the in-place reference kernels:
+        // same split points, same multiset on each side, rows permuted in
+        // lockstep — on both sides of the sequential/ganged threshold, for
+        // every thread budget, down to empty and all-equal pieces.
+        #[test]
+        fn prop_entry_points_match_inplace_reference(
+            long in any::<bool>(),
+            off in 0usize..24,
+            domain in 0usize..3,
+            threads in 0usize..3,
+            seed in any::<u64>(),
+            p1 in 0i64..1_002,
+            p2 in 0i64..1_002,
+        ) {
+            // Short lengths straddle `2 * threads`, long ones the threshold.
+            let len = if long { DEFAULT_MIN_PARALLEL - 12 + off } else { off };
+            // All-equal, duplicate-heavy, spread.
+            let domain = [1i64, 3, 1_000][domain];
+            let threads = [1usize, 2, 4][threads];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base: Vec<i64> = (0..len).map(|_| rng.random_range(0..domain)).collect();
+            let ids: Vec<RowId> = (0..len as RowId).collect();
+            // Pivots from below the domain's minimum to above its maximum.
+            let (p1, p2) = (p1 % (domain + 2), p2 % (domain + 2));
+            let (lo, hi) = (p1.min(p2), p1.max(p2));
+            let mut scratch = CrackScratch::new();
+
+            let (mut v, mut r) = (base.clone(), ids.clone());
+            let split = partition_two(&mut v, &mut r, hi, threads, &mut scratch);
+            let (mut rv, mut rr) = (base.clone(), ids.clone());
+            let want = crack_in_two(&mut rv, &mut rr, hi);
+            prop_assert_eq!(split, want);
+            prop_assert_eq!(sorted(&v[..split]), sorted(&rv[..want]));
+            prop_assert_eq!(sorted(&v[split..]), sorted(&rv[want..]));
+            prop_assert!(v.iter().zip(&r).all(|(&x, &row)| base[row as usize] == x));
+
+            let (mut v, mut r) = (base.clone(), ids.clone());
+            let (a, b) = partition_three(&mut v, &mut r, lo, hi, threads, &mut scratch);
+            let (mut rv, mut rr) = (base.clone(), ids);
+            let (wa, wb) = crack_in_three(&mut rv, &mut rr, lo, hi);
+            prop_assert_eq!((a, b), (wa, wb));
+            prop_assert_eq!(sorted(&v[..a]), sorted(&rv[..wa]));
+            prop_assert_eq!(sorted(&v[a..b]), sorted(&rv[wa..wb]));
+            prop_assert_eq!(sorted(&v[b..]), sorted(&rv[wb..]));
+            prop_assert!(v.iter().zip(&r).all(|(&x, &row)| base[row as usize] == x));
+        }
     }
 
     proptest! {

@@ -26,7 +26,7 @@
 //! that raced into a sealed predecessor shard are rejected (`false` from
 //! the queue ops) and re-routed through the successor plan.
 
-use crate::column::{CrackerColumn, PartitionFn, Selection};
+use crate::column::{CrackerColumn, Selection};
 use crate::epoch::SnapshotScan;
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
@@ -172,9 +172,9 @@ pub struct ShardedColumn<V> {
     /// Base name; rebuilt shards of plan version `v` are named
     /// `{name}/v{v}/s{k}`.
     name: String,
-    /// Kernels to install on shards rebuilt by a replan (the build-time
-    /// choice carries over to successors).
-    kernels: Option<(PartitionFn<V>, PartitionFn<V>)>,
+    /// `(select, refine)` crack thread budgets; shards rebuilt by a replan
+    /// inherit them.
+    threads: (usize, usize),
     /// Plan version (0 at build; +1 per applied replan).
     version: u64,
 }
@@ -183,27 +183,6 @@ impl<V: CrackValue> ShardedColumn<V> {
     /// Builds shards from a base column with a precomputed plan. Each base
     /// tuple lands in exactly one shard, keeping its global row id.
     pub fn from_base_with_plan(name: &str, base: &[V], plan: ShardPlan<V>) -> Self {
-        Self::build(name, base, plan, None)
-    }
-
-    /// [`ShardedColumn::from_base_with_plan`] with distinct query-path and
-    /// worker-path partition kernels installed on every shard.
-    pub fn with_partition_fns(
-        name: &str,
-        base: &[V],
-        plan: ShardPlan<V>,
-        select_partition: PartitionFn<V>,
-        refine_partition: PartitionFn<V>,
-    ) -> Self {
-        Self::build(name, base, plan, Some((select_partition, refine_partition)))
-    }
-
-    fn build(
-        name: &str,
-        base: &[V],
-        plan: ShardPlan<V>,
-        kernels: Option<(PartitionFn<V>, PartitionFn<V>)>,
-    ) -> Self {
         let s = plan.shards();
         // Single shard (the default): straight memcpy, no per-tuple
         // routing — this path sits on first-touch column construction.
@@ -227,27 +206,28 @@ impl<V: CrackValue> ShardedColumn<V> {
             .into_iter()
             .zip(rows)
             .enumerate()
-            .map(|(k, (v, r))| {
-                let shard_name = format!("{name}/s{k}");
-                Arc::new(match &kernels {
-                    Some((sel, refi)) => CrackerColumn::from_parts_with_partition_fns(
-                        shard_name,
-                        v,
-                        r,
-                        Arc::clone(sel),
-                        Arc::clone(refi),
-                    ),
-                    None => CrackerColumn::from_parts(shard_name, v, r),
-                })
-            })
+            .map(|(k, (v, r))| Arc::new(CrackerColumn::from_parts(format!("{name}/s{k}"), v, r)))
             .collect();
         ShardedColumn {
             plan,
             shards,
             name: name.to_string(),
-            kernels,
+            threads: (1, 1),
             version: 0,
         }
+    }
+
+    /// Sets every shard's crack thread budgets (see
+    /// [`CrackerColumn::with_threads`]). A build-time choice: call it on
+    /// the freshly built column, before any shard is shared.
+    pub fn with_threads(mut self, select: usize, refine: usize) -> Self {
+        self.threads = (select, refine);
+        for shard in &mut self.shards {
+            Arc::get_mut(shard)
+                .expect("with_threads runs before shards are shared")
+                .set_threads(select, refine);
+        }
+        self
     }
 
     /// The partitioning plan.
@@ -394,7 +374,7 @@ impl<V: CrackValue> ShardedColumn<V> {
     }
 
     /// A fresh shard column for the successor plan, carrying over the
-    /// build-time kernel choice.
+    /// build-time thread budgets.
     fn rebuilt(
         &self,
         k: usize,
@@ -403,16 +383,8 @@ impl<V: CrackValue> ShardedColumn<V> {
         version: u64,
     ) -> Arc<CrackerColumn<V>> {
         let shard_name = format!("{}/v{version}/s{k}", self.name);
-        Arc::new(match &self.kernels {
-            Some((sel, refi)) => CrackerColumn::from_parts_with_partition_fns(
-                shard_name,
-                vals,
-                rows,
-                Arc::clone(sel),
-                Arc::clone(refi),
-            ),
-            None => CrackerColumn::from_parts(shard_name, vals, rows),
-        })
+        let (select, refine) = self.threads;
+        Arc::new(CrackerColumn::from_parts(shard_name, vals, rows).with_threads(select, refine))
     }
 
     /// Split shard `k` at its median value (falling back to the smallest
@@ -465,7 +437,7 @@ impl<V: CrackValue> ShardedColumn<V> {
             plan: ShardPlan::from_cuts(cuts),
             shards,
             name: self.name.clone(),
-            kernels: self.kernels.clone(),
+            threads: self.threads,
             version,
         })
     }
@@ -490,7 +462,7 @@ impl<V: CrackValue> ShardedColumn<V> {
             plan: ShardPlan::from_cuts(cuts),
             shards,
             name: self.name.clone(),
-            kernels: self.kernels.clone(),
+            threads: self.threads,
             version,
         })
     }

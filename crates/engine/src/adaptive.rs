@@ -6,7 +6,6 @@
 
 use crate::api::{Capabilities, Dataset, QueryEngine};
 use holix_cracking::{CrackScratch, CrackerColumn, Selection};
-use holix_parallel::pvdc::pvdc_column;
 use holix_parallel::pvsdc::select_pvsdc;
 use holix_storage::select::Predicate;
 use holix_workloads::QuerySpec;
@@ -71,15 +70,14 @@ impl AdaptiveEngine {
         if let Some(c) = guard.as_ref() {
             return Arc::clone(c);
         }
-        let name = format!("attr{attr}");
-        let col = match self.mode {
-            CrackMode::Sequential => {
-                Arc::new(CrackerColumn::from_base(name, self.data.column(attr)))
-            }
-            CrackMode::Pvdc { threads } | CrackMode::Pvsdc { threads } => {
-                Arc::new(pvdc_column(name, self.data.column(attr), threads))
-            }
+        let threads = match self.mode {
+            CrackMode::Sequential => 1,
+            CrackMode::Pvdc { threads } | CrackMode::Pvsdc { threads } => threads,
         };
+        let col = Arc::new(
+            CrackerColumn::from_base(format!("attr{attr}"), self.data.column(attr))
+                .with_threads(threads, 1),
+        );
         *guard = Some(Arc::clone(&col));
         col
     }

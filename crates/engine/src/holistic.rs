@@ -42,7 +42,6 @@ use holix_core::{CpuMonitor, CycleRecord, HolisticConfig, HolisticDaemon};
 use holix_cracking::{
     CrackScratch, CrackerColumn, EpochCell, PlanEpoch, ReplanAction, ShardPlan, ShardedColumn,
 };
-use holix_parallel::pvdc::parallel_partition_fn;
 use holix_planner::{propose_replan, PlanCost, ReplanPolicy, ShardLoad};
 use holix_storage::select::{Predicate, RangeStats};
 use holix_workloads::QuerySpec;
@@ -238,17 +237,17 @@ impl HolisticEngine {
     }
 
     fn build_column(&self, attr: usize) -> Arc<ShardedColumn<i64>> {
-        let refine_threads = self.cfg.holistic.worker_threads.max(1);
-        Arc::new(ShardedColumn::with_partition_fns(
-            &format!("attr{attr}"),
-            self.data.column(attr),
-            // The *published* plan, not the construction plan: an
-            // attribute evicted after a replan must rebuild with the
-            // revised cuts or its routing would silently regress.
-            self.plan_epoch(attr).plan.clone(),
-            parallel_partition_fn(self.cfg.user_threads),
-            parallel_partition_fn(refine_threads),
-        ))
+        Arc::new(
+            ShardedColumn::from_base_with_plan(
+                &format!("attr{attr}"),
+                self.data.column(attr),
+                // The *published* plan, not the construction plan: an
+                // attribute evicted after a replan must rebuild with the
+                // revised cuts or its routing would silently regress.
+                self.plan_epoch(attr).plan.clone(),
+            )
+            .with_threads(self.cfg.user_threads, self.cfg.holistic.worker_threads),
+        )
     }
 
     /// Registers all of an attribute's shards as ONE admission batch, so
@@ -1138,6 +1137,46 @@ mod tests {
         // One IndexSpace slot per (attr, shard) that was touched.
         let (a, p, o, d) = e.space().membership_counts();
         assert_eq!(a + p + o + d, 2 * 4);
+        e.stop();
+    }
+
+    #[test]
+    fn engine_cracks_exactly_like_a_bare_column() {
+        // One shard, one user thread, no workers: the engine is a cracker
+        // column behind an API. It must go through the same crack path as
+        // `CrackerColumn::from_base` — fused three-way kernel on the
+        // caller's scratch — so the Selections *and* the cracker arrays
+        // come out identical, not merely the counts.
+        let rows = 50_000;
+        let data = Dataset::new(uniform_table(1, rows, 1_000_000, 3));
+        let bare = CrackerColumn::from_base("bare", data.column(0));
+        let mut cfg = HolisticEngineConfig {
+            shards: 1,
+            user_threads: 1,
+            ..HolisticEngineConfig::split_half(2)
+        };
+        cfg.holistic.max_workers = Some(0);
+        let e = HolisticEngine::new(data, cfg);
+        let mut scratch = CrackScratch::new();
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..200 {
+            let a = rng.random_range(0..1_000_000);
+            let b = rng.random_range(0..1_000_000);
+            let (lo, hi) = (a.min(b), a.max(b));
+            let mut got = None;
+            e.fan_out(
+                &QuerySpec { attr: 0, lo, hi },
+                |col, pred, s| {
+                    let sel = col.select(pred, s);
+                    (sel, sel)
+                },
+                |sel| got = Some(sel),
+            );
+            let want = bare.select(Predicate::range(lo, hi), &mut scratch);
+            assert_eq!(got, Some(want), "selection for [{lo}, {hi})");
+        }
+        let (col, _) = e.column(0);
+        assert_eq!(col.snapshot_range(0, rows), bare.snapshot_range(0, rows));
         e.stop();
     }
 

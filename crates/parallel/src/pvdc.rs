@@ -1,46 +1,24 @@
 //! PVDC — Parallel Vectorized Database Cracking ([44], the strongest
 //! query-driven baseline in §5.1–5.3 of the paper).
 //!
-//! A PVDC column is an ordinary [`CrackerColumn`] whose crack kernel
-//! partitions large pieces with [`crate::partition::parallel_partition`]:
-//! all user-query threads gang up on the one piece the query must crack.
+//! A PVDC column is an ordinary [`CrackerColumn`] with a query-path thread
+//! budget above one, so large pieces are partitioned with
+//! [`crate::partition::parallel_partition`]: all user-query threads gang up
+//! on the one piece the query must crack.
 //! Holistic indexing instead spreads those threads across *many* pieces of
 //! many indices — §5.1 (Fig 7) measures exactly this trade-off.
 
-use crate::partition::{parallel_partition, DEFAULT_MIN_PARALLEL};
-use holix_cracking::column::PartitionFn;
 use holix_cracking::CrackerColumn;
-use holix_storage::types::{CrackValue, RowId};
-use std::sync::Arc;
-
-/// Returns the parallel partition kernel used by PVDC columns.
-pub fn parallel_partition_fn<V: CrackValue>(threads: usize) -> PartitionFn<V> {
-    parallel_partition_fn_with_threshold(threads, DEFAULT_MIN_PARALLEL)
-}
-
-/// Parallel partition kernel with an explicit sequential-fallback threshold.
-pub fn parallel_partition_fn_with_threshold<V: CrackValue>(
-    threads: usize,
-    min_parallel: usize,
-) -> PartitionFn<V> {
-    Arc::new(move |vals: &mut [V], rows: &mut [RowId], pivot: V| {
-        let t = if vals.len() >= min_parallel {
-            threads
-        } else {
-            1
-        };
-        parallel_partition(vals, rows, pivot, t)
-    })
-}
+use holix_storage::types::CrackValue;
 
 /// Builds a PVDC cracker column over `base` that cracks large pieces with
-/// `threads` threads.
+/// `threads` threads; background refinements stay single-threaded.
 pub fn pvdc_column<V: CrackValue>(
     name: impl Into<String>,
     base: &[V],
     threads: usize,
 ) -> CrackerColumn<V> {
-    CrackerColumn::with_partition_fn(name, base, parallel_partition_fn(threads))
+    CrackerColumn::from_base(name, base).with_threads(threads, 1)
 }
 
 #[cfg(test)]
@@ -84,13 +62,9 @@ mod tests {
     }
 
     #[test]
-    fn threshold_forces_sequential_path() {
+    fn one_thread_takes_the_sequential_path() {
         let base: Vec<i64> = (0..1_000).rev().collect();
-        let col = CrackerColumn::with_partition_fn(
-            "t",
-            &base,
-            parallel_partition_fn_with_threshold(8, usize::MAX),
-        );
+        let col = pvdc_column("t", &base, 1);
         let mut scratch = CrackScratch::new();
         let (_, stats) = col.select_verified(Predicate::range(100, 500), &mut scratch);
         assert_eq!(stats, scan_stats(&base, Predicate::range(100, 500)));
