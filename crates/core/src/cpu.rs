@@ -5,8 +5,8 @@
 //!
 //! - [`LoadAccountant`] — deterministic logical accounting: the engine
 //!   registers every running user-query task; idle = total − busy. This is
-//!   the default for reproducible experiments (substitution documented in
-//!   DESIGN.md §2.6).
+//!   the default for reproducible experiments (PAPER.md, "The tuning
+//!   daemon").
 //! - [`ProcStatMonitor`] — kernel statistics from `/proc/stat`, like the
 //!   paper's MonetDB load-checker (Linux only; parsing is unit-tested on
 //!   fixtures).

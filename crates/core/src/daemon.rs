@@ -189,10 +189,6 @@ fn daemon_loop(
             holix_telemetry::counter!("engine_cycles_total").inc();
             holix_telemetry::counter!("engine_refinements_total").add(record.refinements);
             holix_telemetry::counter!("engine_busy_aborts_total").add(record.busy);
-            holix_telemetry::counter!("engine_snapshot_refreshes_total")
-                .add(record.snapshot_refreshes);
-            holix_telemetry::counter!("engine_filter_rebuilds_total").add(record.filter_rebuilds);
-            holix_telemetry::counter!("engine_segment_morphs_total").add(record.segment_morphs);
             holix_telemetry::counter!("engine_worker_ns_total")
                 .add(record.worker_time_total.as_nanos() as u64);
             holix_telemetry::gauge!("engine_cycle_workers").set(record.workers as i64);

@@ -8,11 +8,10 @@
 //! tuples are one contiguous multi-column range — no random-access tuple
 //! reconstruction.
 //!
-//! Simplification (documented in DESIGN.md): this map uses one coarse lock
-//! instead of piece latches. TPC-H queries run one at a time per map; the
-//! background refiner competes for the same lock with `try_lock` and one
-//! crack per acquisition, which keeps query wait times to a single piece
-//! partition.
+//! Simplification: this map uses one coarse lock instead of piece latches.
+//! TPC-H queries run one at a time per map; the background refiner competes
+//! for the same lock with `try_lock` and one crack per acquisition, which
+//! keeps query wait times to a single piece partition.
 
 use parking_lot::Mutex;
 use rand::Rng;

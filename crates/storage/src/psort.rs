@@ -3,8 +3,8 @@
 //!
 //! Strategy: split into `threads` chunks, sort each chunk in its own thread,
 //! then merge pairs of sorted runs in parallel passes (log₂ passes over a
-//! scratch buffer). The substitution is documented in DESIGN.md: baselines
-//! only require "a fast parallel sort whose cost lands on one query".
+//! scratch buffer). The substitution is safe because the baselines only
+//! require "a fast parallel sort whose cost lands on one query".
 
 use crate::sort::SortedColumn;
 use crate::types::{CrackValue, RowId};

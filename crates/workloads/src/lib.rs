@@ -9,7 +9,7 @@
 //!   schema experiments of §5.4.
 //! - [`skyserver`] — a synthetic trace reproducing the SkyServer access
 //!   shape of Fig 10(e): exploration dwells on one region of the sky, then
-//!   jumps (substitution documented in DESIGN.md).
+//!   jumps (the logged trace is not redistributable).
 //! - [`tpch`] — an SF-parameterised generator for the `lineitem`/`orders`
 //!   columns touched by TPC-H Q1, Q6 and Q12, plus the random query-variant
 //!   generators of §5.6.

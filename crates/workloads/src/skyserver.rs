@@ -4,7 +4,7 @@
 //! attribute and observes that "the queries follow non-random patterns, i.e.,
 //! they focus on a specific part of the sky before moving to a different
 //! part". The logged trace is not redistributable, so we synthesise exactly
-//! that access shape (substitution documented in DESIGN.md): the query
+//! that access shape (PAPER.md, "Everything below the daemon"): the query
 //! stream *dwells* on one region — drifting slowly with small jitter — then
 //! *jumps* to another region, producing the staircase of Fig 10(e).
 

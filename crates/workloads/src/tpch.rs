@@ -2,8 +2,8 @@
 //! the paper; SF is a parameter here).
 //!
 //! The official `dbgen` tool is replaced by a generator that reproduces the
-//! value distributions the three queries are sensitive to (substitution
-//! documented in DESIGN.md): date arithmetic (`shipdate`/`commitdate`/
+//! value distributions the three queries are sensitive to (PAPER.md,
+//! "Everything below the daemon"): date arithmetic (`shipdate`/`commitdate`/
 //! `receiptdate` derived from `orderdate` with the spec's offsets), the
 //! discrete `discount`/`tax`/`quantity` domains, the date-correlated
 //! `returnflag`/`linestatus` flags, and uniform ship modes and priorities.

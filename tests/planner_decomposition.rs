@@ -12,7 +12,7 @@ use holix::workloads::QuerySpec;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const ROWS: usize = 12_000;
 const DOMAIN: i64 = 100_000;
@@ -152,6 +152,21 @@ fn decomposed_service_answers_race_two_ripple_updaters() {
     let base_wide = oracle(&sorted, wide.lo, wide.hi);
     let base_narrow = oracle(&sorted, narrow.lo, narrow.hi);
     let stop = AtomicBool::new(false);
+    let failed = AtomicBool::new(false);
+    // A client that panics must not leave anyone waiting for its answers:
+    // its guard tells the main loop to give up and the updaters to stop.
+    struct PanicGuard<'a> {
+        failed: &'a AtomicBool,
+        stop: &'a AtomicBool,
+    }
+    impl Drop for PanicGuard<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.failed.store(true, Ordering::Relaxed);
+                self.stop.store(true, Ordering::Relaxed);
+            }
+        }
+    }
     std::thread::scope(|s| {
         for t in 0..2u32 {
             let engine = &engine;
@@ -171,33 +186,56 @@ fn decomposed_service_answers_race_two_ripple_updaters() {
                 }
             });
         }
-        for _ in 0..2 {
-            let service = &service;
-            let sorted = &sorted;
-            s.spawn(move || {
-                let session = service.session();
-                for _ in 0..150 {
-                    let got = session.execute(wide).unwrap().count;
-                    assert!(
-                        (base_wide..=base_wide + 2).contains(&got),
-                        "decomposed spanning count {got} outside churn band \
-                         [{base_wide}, {}]",
-                        base_wide + 2
-                    );
-                    let got = session.execute(narrow).unwrap().count;
-                    assert_eq!(got, base_narrow, "control range diverged");
-                }
-                let _ = sorted;
-            });
-        }
-        // Let the clients finish, then stop the churn.
-        // (Scope join order: spawn order doesn't matter — clients count to
-        // 150 and exit; we flip the stop flag from the main thread after
-        // they are done by joining via scope end.)
-        while service.stats().completed < 2 * 300 {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                let service = &service;
+                let (failed, stop) = (&failed, &stop);
+                s.spawn(move || {
+                    let _guard = PanicGuard { failed, stop };
+                    let session = service.session();
+                    for _ in 0..150 {
+                        if failed.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        let got = session.execute(wide).unwrap().count;
+                        assert!(
+                            (base_wide..=base_wide + 2).contains(&got),
+                            "decomposed spanning count {got} outside churn band \
+                             [{base_wide}, {}]",
+                            base_wide + 2
+                        );
+                        let got = session.execute(narrow).unwrap().count;
+                        assert_eq!(got, base_narrow, "control range diverged");
+                    }
+                })
+            })
+            .collect();
+        // Let the clients finish (or one of them fail), then stop the
+        // churn. No wait without a deadline: a wedged service fails the
+        // test in a minute instead of hanging the suite.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut timed_out = false;
+        while service.stats().completed < 2 * 300 && !failed.load(Ordering::Relaxed) {
+            if Instant::now() >= deadline {
+                timed_out = true;
+                failed.store(true, Ordering::Relaxed); // clients leave too
+                break;
+            }
             std::thread::sleep(Duration::from_millis(5));
         }
         stop.store(true, Ordering::Relaxed);
+        for client in clients {
+            // Re-raise a client's own panic (with its message) rather than
+            // the scope's generic "a scoped thread panicked".
+            if let Err(panic) = client.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        assert!(
+            !timed_out,
+            "clients completed only {} of 600 queries in 60 s",
+            service.stats().completed
+        );
     });
     // Quiesce: drain every remaining pending op through a locked merge,
     // then all three paths must agree exactly.
