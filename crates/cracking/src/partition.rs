@@ -74,60 +74,35 @@ pub fn parallel_partition<V: CrackValue>(
     let n = vals.len();
     let threads = threads.max(1);
     if threads == 1 || n < 2 * threads {
-        let mut scratch = CrackScratch::new();
-        return crack_in_two_oop(vals, rows, pivot, &mut scratch);
+        return crack_in_two_oop(vals, rows, pivot, &mut CrackScratch::new());
     }
 
-    // Phase 1: partition contiguous slices independently.
+    // Phase 1: partition contiguous slices independently; `splits[i]` is
+    // the local split point of slice `i`, which starts at `i * chunk`.
     let chunk = n.div_ceil(threads);
-    let mut splits: Vec<(usize, usize)> = Vec::with_capacity(threads); // (slice_start, local_split)
-    {
-        let mut jobs: Vec<(usize, &mut [V], &mut [RowId])> = Vec::with_capacity(threads);
-        let mut vrest: &mut [V] = vals;
-        let mut rrest: &mut [RowId] = rows;
-        let mut off = 0usize;
-        while !vrest.is_empty() {
-            let take = chunk.min(vrest.len());
-            let (va, vb) = vrest.split_at_mut(take);
-            let (ra, rb) = rrest.split_at_mut(take);
-            jobs.push((off, va, ra));
-            vrest = vb;
-            rrest = rb;
-            off += take;
-        }
-        let results = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(off, v, r)| {
-                    s.spawn(move |_| {
-                        let mut scratch = CrackScratch::new();
-                        (off, crack_in_two_oop(v, r, pivot, &mut scratch))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("partition worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("partition scope panicked");
-        splits.extend(results);
-    }
-    splits.sort_unstable_by_key(|&(off, _)| off);
+    let splits: Vec<usize> = crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = vals
+            .chunks_mut(chunk)
+            .zip(rows.chunks_mut(chunk))
+            .map(|(v, r)| s.spawn(move |_| crack_in_two_oop(v, r, pivot, &mut CrackScratch::new())))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("partition worker panicked"))
+            .collect()
+    })
+    .expect("partition scope panicked");
 
     // Global boundary.
-    let boundary: usize = splits.iter().map(|&(_, s)| s).sum();
+    let boundary: usize = splits.iter().sum();
 
     // Phase 2: collect misplaced segments. Slice i occupies
-    // [off, off+len) = lows [off, off+s) then highs [off+s, off+len).
+    // [off, end) = lows [off, off+s) then highs [off+s, end).
     let mut high_left: Vec<(usize, usize)> = Vec::new(); // highs at positions < boundary
     let mut low_right: Vec<(usize, usize)> = Vec::new(); // lows at positions >= boundary
-    for (i, &(off, s)) in splits.iter().enumerate() {
-        let end = if i + 1 < splits.len() {
-            splits[i + 1].0
-        } else {
-            n
-        };
+    for (i, &s) in splits.iter().enumerate() {
+        let off = i * chunk;
+        let end = (off + chunk).min(n);
         let (lo_s, lo_e) = (off, off + s);
         let (hi_s, hi_e) = (off + s, end);
         // Portion of the high segment lying left of the boundary.

@@ -14,20 +14,27 @@ use holix_storage::types::{CrackValue, RowId};
 /// scratch per worker/query thread.
 #[derive(Debug)]
 pub struct CrackScratch<V> {
+    main: Buf<V>,
+    /// Middle-region staging for the fused three-way kernel.
+    mid: Buf<V>,
+}
+
+/// One values + row-ids buffer pair.
+#[derive(Debug)]
+struct Buf<V> {
     vals: Vec<V>,
     rows: Vec<RowId>,
-    /// Middle-region staging for the fused three-way kernel.
-    mid_vals: Vec<V>,
-    mid_rows: Vec<RowId>,
 }
 
 impl<V> Default for CrackScratch<V> {
     fn default() -> Self {
-        CrackScratch {
+        let empty = || Buf {
             vals: Vec::new(),
             rows: Vec::new(),
-            mid_vals: Vec::new(),
-            mid_rows: Vec::new(),
+        };
+        CrackScratch {
+            main: empty(),
+            mid: empty(),
         }
     }
 }
@@ -37,37 +44,18 @@ impl<V: CrackValue> CrackScratch<V> {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Buffers only ever grow (monotone high-water mark): the kernels write
-    /// every slot of the window they use before reading it back, so slots
-    /// are *not* re-initialised per call — the old `clear()` + full
-    /// `resize(len, MIN_VALUE)` re-filled the whole scratch on every crack.
-    fn prepare(&mut self, len: usize) -> (&mut [V], &mut [RowId]) {
+impl<V: CrackValue> Buf<V> {
+    /// The first `len` slots. Buffers only ever grow (monotone high-water
+    /// mark): the kernels write every slot of the window they use before
+    /// reading it back, so slots are *not* re-initialised per call.
+    fn window(&mut self, len: usize) -> (&mut [V], &mut [RowId]) {
         if self.vals.len() < len {
             self.vals.resize(len, V::MIN_VALUE);
             self.rows.resize(len, 0);
         }
         (&mut self.vals[..len], &mut self.rows[..len])
-    }
-
-    /// Like [`CrackScratch::prepare`] plus the middle-region staging buffers
-    /// for the fused three-way kernel.
-    #[allow(clippy::type_complexity)]
-    fn prepare3(&mut self, len: usize) -> (&mut [V], &mut [RowId], &mut [V], &mut [RowId]) {
-        if self.vals.len() < len {
-            self.vals.resize(len, V::MIN_VALUE);
-            self.rows.resize(len, 0);
-        }
-        if self.mid_vals.len() < len {
-            self.mid_vals.resize(len, V::MIN_VALUE);
-            self.mid_rows.resize(len, 0);
-        }
-        (
-            &mut self.vals[..len],
-            &mut self.rows[..len],
-            &mut self.mid_vals[..len],
-            &mut self.mid_rows[..len],
-        )
     }
 }
 
@@ -85,7 +73,7 @@ pub fn crack_in_two_oop<V: CrackValue>(
     if n == 0 {
         return 0;
     }
-    let (sv, sr) = scratch.prepare(n);
+    let (sv, sr) = scratch.main.window(n);
 
     // Partition from the source into the scratch from both ends.
     let mut lo = 0usize;
@@ -134,7 +122,8 @@ pub fn crack_in_three_oop<V: CrackValue>(
     if n == 0 {
         return (0, 0);
     }
-    let (sv, sr, mv, mr) = scratch.prepare3(n);
+    let (sv, sr) = scratch.main.window(n);
+    let (mv, mr) = scratch.mid.window(n);
 
     let mut l = 0usize;
     let mut h = n;
