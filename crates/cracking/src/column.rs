@@ -5,12 +5,15 @@
 //!
 //! Three layers, always acquired in this order and never re-entrantly:
 //!
-//! 1. `pending` mutex — pending-update queue (short critical sections).
-//! 2. `structure` RwLock — *shared* by every piece operation (cracks,
+//! 1. `structure` RwLock — *shared* by every piece operation (cracks,
 //!    refinements, range reads), *exclusive* for Ripple updates that move
 //!    piece boundaries or grow the underlying vectors.
-//! 3. `index` RwLock — guards piece metadata (AVL + latch table); held only
+//! 2. `index` RwLock — guards piece metadata (AVL + latch table); held only
 //!    for lookups and boundary insertion, never across data movement.
+//! 3. `pending` mutex — pending-update queue (short critical sections);
+//!    taken on its own or under `structure`, never around either lock. A
+//!    Ripple merge takes its batch *under* `structure` exclusive, so
+//!    batches are applied in the order they leave the queue.
 //!
 //! Piece latches sit outside this order: an operation holds at most **one**
 //! piece latch at a time (range queries crack their two bounds one after the
@@ -720,10 +723,19 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// publish, so lock-free readers racing the merge see every update in
     /// either the pending set or the new snapshot — never neither.
     pub fn merge_pending_range(&self, lo: V, hi: V) {
+        if !self.pending.lock().has_in_range(lo, hi) {
+            return;
+        }
+        // The batch is taken only once the column is exclusively ours, so
+        // batches are applied in the order they were taken. A merge that
+        // took {insert x} and then lost the race for the structure lock to
+        // a later merge holding {delete x} would find nothing to delete,
+        // drop the delete, and then insert x for good.
+        let _exclusive = self.structure.write();
         let (token, ins, del) = {
             let mut p = self.pending.lock();
             if !p.has_in_range(lo, hi) {
-                return;
+                return; // a racing merge applied it while we waited
             }
             p.take_range_tracked(lo, hi)
         };
@@ -732,7 +744,6 @@ impl<V: CrackValue> CrackerColumn<V> {
             holix_telemetry::counter!("cracking_ripple_merged_values_total")
                 .add((ins.len() + del.len()) as u64);
         }
-        let _exclusive = self.structure.write();
         {
             let mut idx = self.index.write();
             // SAFETY: `structure` held exclusively — no piece guard can be
@@ -864,62 +875,48 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// but accepts no new updates.
     pub fn extract_for_migration(&self) -> (Vec<V>, Vec<RowId>) {
         self.seal_for_migration();
-        loop {
-            let _exclusive = self.structure.write();
-            let taken = {
-                let mut p = self.pending.lock();
-                if p.has_in_flight() {
-                    // A concurrent merge took its batch before we won the
-                    // structure lock and is parked right behind us; let it
-                    // finish its splice, then retry.
-                    None
-                } else if p.is_empty() {
-                    Some(None)
-                } else {
-                    Some(Some(p.take_all_tracked()))
-                }
-            };
-            let Some(taken) = taken else {
-                drop(_exclusive);
-                std::thread::yield_now();
-                continue;
-            };
-            if let Some((token, ins, del)) = taken {
-                {
-                    let mut idx = self.index.write();
-                    // SAFETY: `structure` held exclusively — no piece guard
-                    // can be live and no reader observes the vectors while
-                    // they move.
-                    unsafe {
-                        self.vals.with_vec_mut(|vals| {
-                            self.rows.with_vec_mut(|rows| {
-                                for &(v, r) in del.iter() {
-                                    ripple_delete(vals, rows, &mut idx, v, r);
-                                }
-                                for &(v, r) in ins.iter() {
-                                    ripple_insert(vals, rows, &mut idx, v, r);
-                                }
-                            })
-                        });
-                    }
-                }
-                // Old-plan snapshot readers must stay exact: the batch
-                // leaves the pending overlay only together with a
-                // republished snapshot that already contains it.
-                if self.snap.is_published() {
-                    let pieces = self.copy_live_pieces(None, None, false, false);
-                    self.splice_and_publish(None, None, pieces, Some(token));
-                } else {
-                    self.pending.lock().finish_merge(token);
+        // Every merge takes its batch under this lock, so none is in
+        // flight once it is ours.
+        let _exclusive = self.structure.write();
+        let taken = {
+            let mut p = self.pending.lock();
+            (!p.is_empty()).then(|| p.take_all_tracked())
+        };
+        if let Some((token, ins, del)) = taken {
+            {
+                let mut idx = self.index.write();
+                // SAFETY: `structure` held exclusively — no piece guard
+                // can be live and no reader observes the vectors while
+                // they move.
+                unsafe {
+                    self.vals.with_vec_mut(|vals| {
+                        self.rows.with_vec_mut(|rows| {
+                            for &(v, r) in del.iter() {
+                                ripple_delete(vals, rows, &mut idx, v, r);
+                            }
+                            for &(v, r) in ins.iter() {
+                                ripple_insert(vals, rows, &mut idx, v, r);
+                            }
+                        })
+                    });
                 }
             }
-            let n = self.index.read().len();
-            // SAFETY: exclusive structure lock — no live mutators.
-            let vals = unsafe { self.vals.read_range(0, n) }.to_vec();
-            let rows = unsafe { self.rows.read_range(0, n) }.to_vec();
-            self.bump_stats();
-            return (vals, rows);
+            // Old-plan snapshot readers must stay exact: the batch
+            // leaves the pending overlay only together with a
+            // republished snapshot that already contains it.
+            if self.snap.is_published() {
+                let pieces = self.copy_live_pieces(None, None, false, false);
+                self.splice_and_publish(None, None, pieces, Some(token));
+            } else {
+                self.pending.lock().finish_merge(token);
+            }
         }
+        let n = self.index.read().len();
+        // SAFETY: exclusive structure lock — no live mutators.
+        let vals = unsafe { self.vals.read_range(0, n) }.to_vec();
+        let rows = unsafe { self.rows.read_range(0, n) }.to_vec();
+        self.bump_stats();
+        (vals, rows)
     }
 
     // ------------------------------------------------------------------

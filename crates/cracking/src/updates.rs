@@ -78,12 +78,6 @@ impl<V: CrackValue> PendingUpdates<V> {
         self.sealed = false;
     }
 
-    /// Any merge batch taken but not yet published? Migration must wait
-    /// these out: their items live in neither the column nor the queues.
-    pub fn has_in_flight(&self) -> bool {
-        !self.in_flight.is_empty()
-    }
-
     /// Queues an insertion.
     pub fn queue_insert(&mut self, v: V, row: RowId) {
         self.inserts.push((v, row));
@@ -412,14 +406,18 @@ mod tests {
         q.queue_insert(i64::MAX, 1); // excluded by any half-open take_range
         q.queue_insert(5, 2);
         q.queue_delete(7, 3);
-        assert!(!q.has_in_flight());
+        let unmerged = |q: &PendingUpdates<i64>| {
+            let mut n = 0;
+            q.for_each_unmerged(|_| true, |_, _| n += 1);
+            n
+        };
         let (token, ins, del) = q.take_all_tracked();
         assert_eq!(ins.len(), 2, "sentinel insert must be taken too");
         assert_eq!(del.len(), 1);
         assert!(q.is_empty());
-        assert!(q.has_in_flight());
+        assert_eq!(unmerged(&q), 3, "taken batch stays visible in flight");
         q.finish_merge(token);
-        assert!(!q.has_in_flight());
+        assert_eq!(unmerged(&q), 0);
     }
 
     #[test]
