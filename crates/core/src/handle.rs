@@ -27,20 +27,22 @@ pub enum RefineResult {
 /// like the indices it serves. A worker activation owns one for its `x`
 /// refinements; it is dropped with the activation, so idle workers hold no
 /// buffers.
-#[derive(Default)]
-pub struct WorkerScratch(Option<Box<dyn Any>>);
+pub struct WorkerScratch(Box<dyn Any>);
+
+impl Default for WorkerScratch {
+    fn default() -> Self {
+        WorkerScratch(Box::new(())) // no buffers until the first refinement
+    }
+}
 
 impl WorkerScratch {
     /// The scratch typed for `V` (replaced by an empty one when the last
     /// user had a different value type).
     fn typed<V: CrackValue>(&mut self) -> &mut CrackScratch<V> {
-        if !self.0.as_ref().is_some_and(|s| s.is::<CrackScratch<V>>()) {
-            self.0 = Some(Box::new(CrackScratch::<V>::new()));
+        if !self.0.is::<CrackScratch<V>>() {
+            self.0 = Box::new(CrackScratch::<V>::new());
         }
-        self.0
-            .as_mut()
-            .and_then(|s| s.downcast_mut())
-            .expect("scratch was just typed for V")
+        self.0.downcast_mut().expect("scratch was just typed for V")
     }
 }
 

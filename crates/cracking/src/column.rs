@@ -744,23 +744,8 @@ impl<V: CrackValue> CrackerColumn<V> {
             holix_telemetry::counter!("cracking_ripple_merged_values_total")
                 .add((ins.len() + del.len()) as u64);
         }
-        {
-            let mut idx = self.index.write();
-            // SAFETY: `structure` held exclusively — no piece guard can be
-            // live and no reader observes the vectors while they move.
-            unsafe {
-                self.vals.with_vec_mut(|vals| {
-                    self.rows.with_vec_mut(|rows| {
-                        for &(v, r) in del.iter() {
-                            ripple_delete(vals, rows, &mut idx, v, r);
-                        }
-                        for &(v, r) in ins.iter() {
-                            ripple_insert(vals, rows, &mut idx, v, r);
-                        }
-                    })
-                });
-            }
-        }
+        // SAFETY: `structure` is held exclusively.
+        unsafe { self.ripple_apply(&ins, &del) };
         // Still under `structure` exclusive: nothing else can publish (or
         // build) a snapshot, so the anchor/copy/splice triple is atomic and
         // the in-flight batch is cleared before any snapshot that already
@@ -812,6 +797,26 @@ impl<V: CrackValue> CrackerColumn<V> {
             self.pending.lock().finish_merge(token);
         }
         self.bump_stats();
+    }
+
+    /// Ripple-merges one taken batch into the cracked column: deletes
+    /// first, then inserts.
+    ///
+    /// # Safety
+    /// The caller holds `structure` exclusively — no piece guard can be
+    /// live and no reader observes the vectors while they move.
+    unsafe fn ripple_apply(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) {
+        let mut idx = self.index.write();
+        self.vals.with_vec_mut(|vals| {
+            self.rows.with_vec_mut(|rows| {
+                for &(v, r) in del {
+                    ripple_delete(vals, rows, &mut idx, v, r);
+                }
+                for &(v, r) in ins {
+                    ripple_insert(vals, rows, &mut idx, v, r);
+                }
+            })
+        });
     }
 
     /// The value just above `v` in predicate space (`MAX_VALUE` saturates
@@ -883,24 +888,8 @@ impl<V: CrackValue> CrackerColumn<V> {
             (!p.is_empty()).then(|| p.take_all_tracked())
         };
         if let Some((token, ins, del)) = taken {
-            {
-                let mut idx = self.index.write();
-                // SAFETY: `structure` held exclusively — no piece guard
-                // can be live and no reader observes the vectors while
-                // they move.
-                unsafe {
-                    self.vals.with_vec_mut(|vals| {
-                        self.rows.with_vec_mut(|rows| {
-                            for &(v, r) in del.iter() {
-                                ripple_delete(vals, rows, &mut idx, v, r);
-                            }
-                            for &(v, r) in ins.iter() {
-                                ripple_insert(vals, rows, &mut idx, v, r);
-                            }
-                        })
-                    });
-                }
-            }
+            // SAFETY: `structure` is held exclusively.
+            unsafe { self.ripple_apply(&ins, &del) };
             // Old-plan snapshot readers must stay exact: the batch
             // leaves the pending overlay only together with a
             // republished snapshot that already contains it.
