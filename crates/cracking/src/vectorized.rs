@@ -14,27 +14,15 @@ use holix_storage::types::{CrackValue, RowId};
 /// scratch per worker/query thread.
 #[derive(Debug)]
 pub struct CrackScratch<V> {
-    main: Buf<V>,
-    /// Middle-region staging for the fused three-way kernel.
-    mid: Buf<V>,
-}
-
-/// One values + row-ids buffer pair.
-#[derive(Debug)]
-struct Buf<V> {
     vals: Vec<V>,
     rows: Vec<RowId>,
 }
 
 impl<V> Default for CrackScratch<V> {
     fn default() -> Self {
-        let empty = || Buf {
+        CrackScratch {
             vals: Vec::new(),
             rows: Vec::new(),
-        };
-        CrackScratch {
-            main: empty(),
-            mid: empty(),
         }
     }
 }
@@ -44,9 +32,7 @@ impl<V: CrackValue> CrackScratch<V> {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl<V: CrackValue> Buf<V> {
     /// The first `len` slots. Buffers only ever grow (monotone high-water
     /// mark): the kernels write every slot of the window they use before
     /// reading it back, so slots are *not* re-initialised per call.
@@ -73,7 +59,7 @@ pub fn crack_in_two_oop<V: CrackValue>(
     if n == 0 {
         return 0;
     }
-    let (sv, sr) = scratch.main.window(n);
+    let (sv, sr) = scratch.window(n);
 
     // Partition from the source into the scratch from both ends.
     let mut lo = 0usize;
@@ -102,10 +88,11 @@ pub fn crack_in_two_oop<V: CrackValue>(
 /// Out-of-place three-way partition `[< lo | lo <= v < hi | >= hi]` in a
 /// **single** branch-free pass. Three cursors advance through one scan:
 /// lows fill the scratch from the left, highs from the right, and middles
-/// stage in a side buffer that is copied into the remaining gap at the end
-/// — every element is written to all three frontier slots and exactly one
-/// cursor moves, so the loop carries no data-dependent branch. Returns
-/// `(a, b)` bounding the middle region.
+/// stage at the front of the piece itself (the slots the scan has already
+/// read) until they move into the remaining gap at the end — every element
+/// is written to all three frontier slots and exactly one cursor moves, so
+/// the loop carries no data-dependent branch. Returns `(a, b)` bounding
+/// the middle region.
 ///
 /// (The previous implementation composed two full two-way passes; the
 /// fused form reads the piece once instead of ~twice.)
@@ -122,8 +109,7 @@ pub fn crack_in_three_oop<V: CrackValue>(
     if n == 0 {
         return (0, 0);
     }
-    let (sv, sr) = scratch.main.window(n);
-    let (mv, mr) = scratch.mid.window(n);
+    let (sv, sr) = scratch.window(n);
 
     let mut l = 0usize;
     let mut h = n;
@@ -134,13 +120,13 @@ pub fn crack_in_three_oop<V: CrackValue>(
         // Write to the low, middle and high frontier slots; exactly one
         // survives. While k elements are placed, `l + (n - h) <= k < n`, so
         // `l < h` and both scratch indices stay inside the unfilled window;
-        // `m <= k` keeps the middle buffer in bounds.
+        // `m <= k = i`, so the middle slot is one the scan has consumed.
         sv[l] = v;
         sr[l] = r;
         sv[h - 1] = v;
         sr[h - 1] = r;
-        mv[m] = v;
-        mr[m] = r;
+        vals[m] = v;
+        rows[m] = r;
         let is_low = (v < lo) as usize;
         let is_high = (v >= hi) as usize;
         l += is_low;
@@ -148,11 +134,13 @@ pub fn crack_in_three_oop<V: CrackValue>(
         m += 1 - is_low - is_high;
     }
     debug_assert_eq!(h - l, m);
-    sv[l..h].copy_from_slice(&mv[..m]);
-    sr[l..h].copy_from_slice(&mr[..m]);
-
-    vals.copy_from_slice(sv);
-    rows.copy_from_slice(sr);
+    // Middles first (they sit in `[..m]`, which the lows may overlap).
+    vals.copy_within(..m, l);
+    rows.copy_within(..m, l);
+    vals[..l].copy_from_slice(&sv[..l]);
+    rows[..l].copy_from_slice(&sr[..l]);
+    vals[h..].copy_from_slice(&sv[h..]);
+    rows[h..].copy_from_slice(&sr[h..]);
     (l, h)
 }
 
