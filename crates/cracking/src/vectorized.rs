@@ -8,7 +8,15 @@
 //! hard-to-predict branch of the in-place swap loop, which is what makes it
 //! the most CPU-efficient single-threaded cracking kernel reported in [44].
 
+use crate::partition::DEFAULT_MIN_PARALLEL;
 use holix_storage::types::{CrackValue, RowId};
+
+/// Most slots a scratch keeps between calls. A scratch lives as long as
+/// its thread, and without a bound every thread that ever cracked a whole
+/// shard would hold a buffer that size for good (`service_steady` peak RSS
+/// read 155 MB, once 212 MB, against the parent's 142 MB). Pieces long
+/// enough to gang threads on are rare; they borrow a transient buffer.
+const RETAIN: usize = DEFAULT_MIN_PARALLEL;
 
 /// Reusable scratch buffers so repeated cracks do not re-allocate. One
 /// scratch per worker/query thread.
@@ -28,20 +36,28 @@ impl<V> Default for CrackScratch<V> {
 }
 
 impl<V: CrackValue> CrackScratch<V> {
-    /// Creates an empty scratch; buffers grow to the largest piece cracked.
+    /// Creates an empty scratch; buffers grow with the pieces cracked, up
+    /// to [`RETAIN`] slots between calls.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The first `len` slots. Buffers only ever grow (monotone high-water
-    /// mark): the kernels write every slot of the window they use before
-    /// reading it back, so slots are *not* re-initialised per call.
+    /// The first `len` slots. The kernels write every slot of the window
+    /// they use before reading it back, so slots are *not* re-initialised
+    /// per call.
     fn window(&mut self, len: usize) -> (&mut [V], &mut [RowId]) {
         if self.vals.len() < len {
             self.vals.resize(len, V::MIN_VALUE);
             self.rows.resize(len, 0);
         }
         (&mut self.vals[..len], &mut self.rows[..len])
+    }
+
+    /// Frees buffers that grew past [`RETAIN`] slots.
+    fn trim(&mut self) {
+        if self.vals.len() > RETAIN {
+            *self = Self::default();
+        }
     }
 }
 
@@ -82,6 +98,7 @@ pub fn crack_in_two_oop<V: CrackValue>(
 
     vals.copy_from_slice(sv);
     rows.copy_from_slice(sr);
+    scratch.trim();
     lo
 }
 
@@ -141,6 +158,7 @@ pub fn crack_in_three_oop<V: CrackValue>(
     rows[..l].copy_from_slice(&sr[..l]);
     vals[h..].copy_from_slice(&sv[h..]);
     rows[h..].copy_from_slice(&sr[h..]);
+    scratch.trim();
     (l, h)
 }
 
