@@ -37,7 +37,7 @@ impl<V> Default for CrackScratch<V> {
 
 impl<V: CrackValue> CrackScratch<V> {
     /// Creates an empty scratch; buffers grow with the pieces cracked, up
-    /// to [`RETAIN`] slots between calls.
+    /// to `RETAIN` slots between calls.
     pub fn new() -> Self {
         Self::default()
     }
@@ -53,7 +53,7 @@ impl<V: CrackValue> CrackScratch<V> {
         (&mut self.vals[..len], &mut self.rows[..len])
     }
 
-    /// Frees buffers that grew past [`RETAIN`] slots.
+    /// Frees buffers that grew past `RETAIN` slots.
     fn trim(&mut self) {
         if self.vals.len() > RETAIN {
             *self = Self::default();
