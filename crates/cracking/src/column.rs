@@ -1600,6 +1600,21 @@ impl<V: CrackValue> CrackerColumn<V> {
                         None => pieces.len(),
                         Some(bv) => pieces.partition_point(|q| q.hi_key.is_some_and(|k| k <= bv)),
                     };
+                    // Both anchors must still be boundaries of *this*
+                    // snapshot: a piece straddling one would be dropped
+                    // whole and only its part inside `[a, b)` put back. A
+                    // morph republishes a span as one piece, so a refresh
+                    // that took interior anchors before it can arrive
+                    // stale; it gives up (the next scan refreshes again).
+                    // Merges hold `structure` exclusively between anchor
+                    // lookup and splice and cannot be stale.
+                    let is_bound = |key: Option<V>, end: usize| {
+                        key.is_none() || (end > 0 && pieces[end - 1].hi_key == key)
+                    };
+                    if !(is_bound(a, i) && is_bound(b, j)) {
+                        debug_assert!(finish.is_none(), "a merge's anchors went stale");
+                        return;
+                    }
                     let i = i.max(cursor);
                     v.extend(pieces[cursor..i].iter().cloned());
                     v.extend(mid);
@@ -2356,6 +2371,46 @@ mod tests {
         let scan = col.snapshot_scan(full, &mut scratch);
         let oracle = scan_stats(&base, full);
         assert_eq!((scan.count, scan.sum), (oracle.count + 1, oracle.sum + 500));
+    }
+
+    #[test]
+    fn stale_refresh_after_a_coarsening_morph_loses_nothing() {
+        // The three-step race, replayed in order: a morph loads a piece and
+        // encodes it (slow) while a refresh refines that piece; a second
+        // refresh takes its anchors from the refined table; the morph then
+        // splices its one coarse piece back, and the second refresh lands
+        // on anchors that are no longer snapshot boundaries.
+        let (base, col) = column(60_000, 91);
+        let mut scratch = CrackScratch::new();
+        let full = Predicate::range(0, 1_000);
+        col.select(Predicate::range(200, 800), &mut scratch);
+        col.snapshot_scan(full, &mut scratch); // publish [..200) [200,800) [800..)
+        let morphed = {
+            let guard = col.snap.epochs().pin();
+            let snap = col.snap.load(&guard).unwrap();
+            let piece = &snap.pieces()[1];
+            assert_eq!(piece.hi_key, Some(800));
+            let vals = piece.plain_values().unwrap().to_vec();
+            let n = vals.len();
+            let seg = Segment::encoded(vals, Arc::clone(&col.snap_bytes));
+            SnapPiece::new(Some(800), Arc::new(seg), 0, n)
+        };
+        col.refresh_bound(500, &mut scratch); // [200,800) -> [200,500) [500,800)
+        col.refine_at_blocking(650, &mut scratch);
+        let (a, b, _) = col.snapshot_anchors(650, 651);
+        assert_eq!((a, b), (Some(500), Some(800)));
+        let mid = col.copy_live_pieces(a, b, true, false);
+        col.splice_and_publish(Some(200), Some(800), vec![morphed], None);
+        col.splice_and_publish(a, b, mid, None);
+        for pred in [full, Predicate::range(300, 700), Predicate::less_than(450)] {
+            let scan = col.snapshot_scan(pred, &mut scratch);
+            let oracle = scan_stats(&base, pred);
+            assert_eq!(
+                (scan.count, scan.sum),
+                (oracle.count, oracle.sum),
+                "{pred:?}"
+            );
+        }
     }
 
     #[test]
