@@ -151,7 +151,7 @@ impl IndexSpace {
     }
 
     /// Registers several indices as one admission unit in `C_actual` — the
-    /// shards of one attribute. The storage budget is sized once for the
+    /// shards one operation builds. The storage budget is sized once for the
     /// batch's total bytes and eviction only considers *pre-existing*
     /// entries, so the budget can never evict one sibling shard while its
     /// brothers register (which would leave the owner's slot born-dead and
@@ -217,15 +217,15 @@ impl IndexSpace {
         let Some(budget) = self.config.storage_budget else {
             return;
         };
-        loop {
-            let used: usize = entries
-                .iter()
-                .filter(|e| e.membership() != Membership::Dropped)
-                .filter_map(|e| e.handle.read().as_ref().map(|h| h.payload_bytes()))
-                .sum();
-            if used + incoming <= budget {
-                return;
-            }
+        // Summed once: every victim's bytes are subtracted as it goes, so
+        // one registration reads each live payload once however many
+        // victims it takes.
+        let mut used: usize = entries
+            .iter()
+            .filter(|e| e.membership() != Membership::Dropped)
+            .filter_map(|e| e.handle.read().as_ref().map(|h| h.payload_bytes()))
+            .sum();
+        while used + incoming > budget {
             // LFU victim among all live entries.
             let victim = entries
                 .iter()
@@ -238,7 +238,8 @@ impl IndexSpace {
                 .membership
                 .store(Membership::Dropped.tag(), Ordering::Release);
             // Release the column payload; the tombstone keeps only stats.
-            *entries[v].handle.write() = None;
+            let evicted = entries[v].handle.write().take();
+            used = used.saturating_sub(evicted.map_or(0, |h| h.payload_bytes()));
             self.heap.lock().remove(v);
         }
     }
@@ -248,11 +249,10 @@ impl IndexSpace {
     }
 
     /// Tombstones a slot the owner no longer references — e.g. an engine
-    /// retiring the *surviving* shards of a partially evicted attribute
-    /// before re-registering the whole attribute, so live entries never
-    /// become unreachable orphans that pin payload bytes against the
-    /// budget and feed the daemon dead columns. Maintenance side; same
-    /// effect as a budget eviction.
+    /// retiring the shards a replan migrated into their successors — so
+    /// live entries never become unreachable orphans that pin payload
+    /// bytes against the budget and feed the daemon dead columns.
+    /// Maintenance side; same effect as a budget eviction.
     pub fn retire(&self, id: IndexId) {
         let Some(e) = self.entry(id) else {
             return;
@@ -512,6 +512,7 @@ mod tests {
     use crate::handle::{CrackerHandle, WorkerScratch};
     use holix_cracking::CrackerColumn;
     use rand::prelude::*;
+    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     fn space_with(strategy: Strategy, budget: Option<usize>) -> IndexSpace {
@@ -625,6 +626,66 @@ mod tests {
         assert_eq!(space.membership(c), Some(Membership::Actual));
         assert!(space.get(b).is_none());
         assert!(space.bytes_used() <= 300 * 1024);
+    }
+
+    /// A fixed-size index that counts how often its payload is read.
+    struct CountingIndex {
+        bytes: usize,
+        payload_reads: Arc<AtomicUsize>,
+    }
+
+    impl RefinableIndex for CountingIndex {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn len(&self) -> usize {
+            1 << 20
+        }
+        fn piece_count(&self) -> usize {
+            1
+        }
+        fn value_width(&self) -> usize {
+            8
+        }
+        fn payload_bytes(&self) -> usize {
+            self.payload_reads.fetch_add(1, Ordering::Relaxed);
+            self.bytes
+        }
+        fn refine_random(
+            &self,
+            _rng: &mut dyn RngCore,
+            _attempts: usize,
+            _scratch: &mut WorkerScratch,
+        ) -> RefineResult {
+            RefineResult::Busy
+        }
+    }
+
+    #[test]
+    fn one_registration_reads_each_payload_once_however_many_victims() {
+        let (live, victims) = (10, 5);
+        let space = space_with(Strategy::W4Random, Some(live * 100));
+        let payload_reads = Arc::new(AtomicUsize::new(0));
+        let index = |bytes| -> Arc<dyn RefinableIndex> {
+            Arc::new(CountingIndex {
+                bytes,
+                payload_reads: Arc::clone(&payload_reads),
+            })
+        };
+        for _ in 0..live {
+            space.register_actual(index(100));
+        }
+        assert_eq!(space.membership_counts().3, 0, "the budget fits them all");
+        payload_reads.store(0, Ordering::Relaxed);
+        space.register_actual(index(victims * 100));
+        assert_eq!(space.membership_counts().3, victims);
+        // The incoming index, every live payload once, every victim once
+        // more as it goes — not a fresh sum of the table per victim.
+        assert!(
+            payload_reads.load(Ordering::Relaxed) <= 1 + live + victims,
+            "{} payload reads to evict {victims} of {live}",
+            payload_reads.load(Ordering::Relaxed)
+        );
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! with *no crack at all* (their whole value range qualifies), and
 //! updates route to exactly one shard's pending buffer.
 //!
+//! The shard is also the unit of **residency**: a [`ShardedColumn`] holds
+//! its base column by `Arc` and one cell per shard, empty until
+//! [`ShardedColumn::admit`] builds it. All S shards are built with one
+//! routing pass over the base; any smaller set with one branch-free filter
+//! pass per shard, so an owner under storage pressure materialises (and
+//! after an eviction re-materialises, through [`ShardedColumn::vacated`])
+//! exactly the value ranges its queries touch.
+//!
 //! The *initial* shard plan is chosen from the base data: cut values at
 //! equi-depth quantiles of a sorted sample, so skewed bases still get
 //! balanced shards. A plan is an immutable value, but it is no longer
@@ -31,7 +39,8 @@ use crate::epoch::SnapshotScan;
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::{Arc, OnceLock};
 
 /// Maximum base values sampled for the quantile cuts.
 const PLAN_SAMPLE: usize = 1 << 16;
@@ -164,53 +173,140 @@ pub enum ReplanAction {
     },
 }
 
+impl ReplanAction {
+    /// The predecessor shards this action seals, drains and replaces.
+    pub fn replaced(&self) -> std::ops::RangeInclusive<usize> {
+        match *self {
+            ReplanAction::Split { shard } => shard..=shard,
+            ReplanAction::Merge { left } => left..=left + 1,
+        }
+    }
+}
+
+/// One shard's residency: empty, or a built cracker column together with
+/// the owner's tag for it (the engine's `IndexSpace` id). Column and tag
+/// are published in one step, so nobody ever sees a built shard without
+/// its tag. Cells are write-once; an evicted shard is replaced by a fresh
+/// cell in a successor column ([`ShardedColumn::vacated`]) that shares
+/// every other cell.
+struct ShardCell<V, T> {
+    /// Serialises builders of this shard (never taken by readers): build,
+    /// tag and publish happen under it, so racing touchers yield one
+    /// column and one tag.
+    build: Mutex<()>,
+    built: OnceLock<(Arc<CrackerColumn<V>>, T)>,
+}
+
+impl<V, T> ShardCell<V, T> {
+    fn empty() -> Arc<Self> {
+        Arc::new(ShardCell {
+            build: Mutex::new(()),
+            built: OnceLock::new(),
+        })
+    }
+}
+
 /// One attribute split into S range shards, each an independent
 /// [`CrackerColumn`] with its own index, latches and pending updates.
-pub struct ShardedColumn<V> {
+///
+/// The shard is the unit of residency: the column keeps an `Arc` of its
+/// base column and S cells, each empty or built. [`ShardedColumn::admit`]
+/// builds the empty cells of a shard range — all S at once with one
+/// routing pass over the base, or any smaller set with one filter pass
+/// per shard — and hands the fresh columns to the caller to tag before
+/// they are published. `T` is that tag; standalone use takes `()`.
+pub struct ShardedColumn<V, T = ()> {
     plan: ShardPlan<V>,
-    shards: Vec<Arc<CrackerColumn<V>>>,
-    /// Base name; rebuilt shards of plan version `v` are named
+    /// The base column every shard is a value-range filter of.
+    base: Arc<Vec<V>>,
+    cells: Vec<Arc<ShardCell<V, T>>>,
+    /// Base rows per shard under `plan`: a pure function of the two,
+    /// counted once and shared with every successor of the same plan, so
+    /// a one-shard build is a single pass.
+    counts: Arc<OnceLock<Box<[usize]>>>,
+    /// Base name; shards built under plan version `v > 0` are named
     /// `{name}/v{v}/s{k}`.
     name: String,
-    /// `(select, refine)` crack thread budgets; shards rebuilt by a replan
-    /// inherit them.
+    /// `(select, refine)` crack thread budgets of every shard built here.
     threads: (usize, usize),
     /// Plan version (0 at build; +1 per applied replan).
     version: u64,
 }
 
-impl<V: CrackValue> ShardedColumn<V> {
-    /// Builds shards from a base column with a precomputed plan. Each base
-    /// tuple lands in exactly one shard, keeping its global row id.
-    pub fn from_base_with_plan(name: &str, base: &[V], plan: ShardPlan<V>) -> Self {
-        let s = plan.shards();
-        // Single shard (the default): straight memcpy, no per-tuple
-        // routing — this path sits on first-touch column construction.
-        let (vals, rows): (Vec<Vec<V>>, Vec<Vec<RowId>>) = if s == 1 {
-            (
-                vec![base.to_vec()],
-                vec![(0..base.len() as RowId).collect()],
-            )
-        } else {
-            let cap = base.len() / s + base.len() / (s * 4) + 1;
-            let mut vals: Vec<Vec<V>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
-            let mut rows: Vec<Vec<RowId>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
-            for (r, &v) in base.iter().enumerate() {
-                let k = plan.shard_of(v);
-                vals[k].push(v);
-                rows[k].push(r as RowId);
-            }
-            (vals, rows)
-        };
-        let shards = vals
-            .into_iter()
-            .zip(rows)
-            .enumerate()
-            .map(|(k, (v, r))| Arc::new(CrackerColumn::from_parts(format!("{name}/s{k}"), v, r)))
-            .collect();
+/// Routes every base tuple to its shard, keeping its global row id.
+fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>) -> (Vec<Vec<V>>, Vec<Vec<RowId>>) {
+    let s = plan.shards();
+    // Single shard (the default): straight memcpy, no per-tuple
+    // routing — this path sits on first-touch column construction.
+    if s == 1 {
+        (
+            vec![base.to_vec()],
+            vec![(0..base.len() as RowId).collect()],
+        )
+    } else {
+        let cap = base.len() / s + base.len() / (s * 4) + 1;
+        let mut vals: Vec<Vec<V>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
+        let mut rows: Vec<Vec<RowId>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
+        for (r, &v) in base.iter().enumerate() {
+            let k = plan.shard_of(v);
+            vals[k].push(v);
+            rows[k].push(r as RowId);
+        }
+        (vals, rows)
+    }
+}
+
+/// Base rows per shard of `plan` (branch-free: a value's shard is the
+/// number of cuts at or below it).
+fn count_shards<V: CrackValue>(base: &[V], plan: &ShardPlan<V>) -> Box<[usize]> {
+    let mut counts = vec![0usize; plan.shards()];
+    for &v in base {
+        let k: usize = plan.cuts.iter().map(|&c| (c <= v) as usize).sum();
+        counts[k] += 1;
+    }
+    counts.into()
+}
+
+/// The `count` base tuples `keep` accepts, with their global row ids: one
+/// branch-free pass (every tuple is written at the cursor, the cursor only
+/// advances past a kept one) into vectors with the 25 % headroom the
+/// whole-attribute build leaves for the first Ripple inserts.
+fn filter_pass<V: CrackValue>(
+    base: &[V],
+    count: usize,
+    keep: impl Fn(V) -> bool,
+) -> (Vec<V>, Vec<RowId>) {
+    let cap = count + count / 4 + 1;
+    let mut vals = Vec::with_capacity(cap);
+    let mut rows = Vec::with_capacity(cap);
+    let Some(&fill) = base.first() else {
+        return (vals, rows);
+    };
+    // One slot past `count` takes the writes of rejected tuples that
+    // follow the last kept one.
+    vals.resize(count + 1, fill);
+    rows.resize(count + 1, 0);
+    let mut c = 0;
+    for (r, &v) in base.iter().enumerate() {
+        vals[c] = v;
+        rows[c] = r as RowId;
+        c += keep(v) as usize;
+    }
+    assert_eq!(c, count, "shard counts disagree with the base column");
+    vals.truncate(count);
+    rows.truncate(count);
+    (vals, rows)
+}
+
+impl<V: CrackValue, T: Copy> ShardedColumn<V, T> {
+    /// A column over `base` with every cell empty: nothing is copied until
+    /// [`ShardedColumn::admit`] builds a shard.
+    pub fn lazy(name: &str, base: Arc<Vec<V>>, plan: ShardPlan<V>) -> Self {
         ShardedColumn {
+            cells: (0..plan.shards()).map(|_| ShardCell::empty()).collect(),
             plan,
-            shards,
+            base,
+            counts: Arc::default(),
             name: name.to_string(),
             threads: (1, 1),
             version: 0,
@@ -219,13 +315,16 @@ impl<V: CrackValue> ShardedColumn<V> {
 
     /// Sets every shard's crack thread budgets (see
     /// [`CrackerColumn::with_threads`]). A build-time choice: call it on
-    /// the freshly built column, before any shard is shared.
+    /// the freshly made column, before any shard is shared.
     pub fn with_threads(mut self, select: usize, refine: usize) -> Self {
         self.threads = (select, refine);
-        for shard in &mut self.shards {
-            Arc::get_mut(shard)
-                .expect("with_threads runs before shards are shared")
-                .set_threads(select, refine);
+        for cell in &mut self.cells {
+            let built = Arc::get_mut(cell).and_then(|c| c.built.get_mut());
+            if let Some((shard, _)) = built {
+                Arc::get_mut(shard)
+                    .expect("with_threads runs before shards are shared")
+                    .set_threads(select, refine);
+            }
         }
         self
     }
@@ -237,12 +336,126 @@ impl<V: CrackValue> ShardedColumn<V> {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.cells.len()
     }
 
-    /// One shard's cracker column.
+    /// Shard `k`'s cracker column and tag, `None` while the cell is empty.
+    /// Lock-free.
+    pub fn resident(&self, k: usize) -> Option<(&Arc<CrackerColumn<V>>, T)> {
+        self.cells[k].built.get().map(|(shard, tag)| (shard, *tag))
+    }
+
+    /// Shard `k`'s cracker column. Panics on an empty cell: callers either
+    /// built the column eagerly or admitted `k` first.
     pub fn shard(&self, k: usize) -> &Arc<CrackerColumn<V>> {
-        &self.shards[k]
+        self.resident(k).expect("shard is not resident").0
+    }
+
+    /// Base rows shard `k` holds under this plan, once some build has
+    /// counted them (`None` before). Never counts by itself.
+    pub fn shard_rows(&self, k: usize) -> Option<usize> {
+        self.counts.get().map(|c| c[k])
+    }
+
+    /// The resident shards' cracker columns, in shard order.
+    pub fn resident_shards(&self) -> impl Iterator<Item = &Arc<CrackerColumn<V>>> {
+        self.cells
+            .iter()
+            .filter_map(|c| c.built.get().map(|(shard, _)| shard))
+    }
+
+    fn new_shard(&self, k: usize, vals: Vec<V>, rows: Vec<RowId>) -> Arc<CrackerColumn<V>> {
+        let name = match self.version {
+            0 => format!("{}/s{k}", self.name),
+            v => format!("{}/v{v}/s{k}", self.name),
+        };
+        let (select, refine) = self.threads;
+        Arc::new(CrackerColumn::from_parts(name, vals, rows).with_threads(select, refine))
+    }
+
+    /// Shard `k`'s tuples alone, filtered out of the base in one pass.
+    fn filter_parts(&self, k: usize) -> (Vec<V>, Vec<RowId>) {
+        let base = &self.base[..];
+        let count = self.counts.get_or_init(|| count_shards(base, &self.plan))[k];
+        let cuts = self.plan.cuts();
+        match (k.checked_sub(1).map(|i| cuts[i]), cuts.get(k).copied()) {
+            (None, None) => filter_pass(base, count, |_| true),
+            (Some(lo), None) => filter_pass(base, count, |v| lo <= v),
+            (None, Some(hi)) => filter_pass(base, count, |v| v < hi),
+            (Some(lo), Some(hi)) => filter_pass(base, count, |v| (lo <= v) & (v < hi)),
+        }
+    }
+
+    /// Makes shards `first..=last` resident. The empty cells among them
+    /// are built — all S at once with the one-pass routing loop, a smaller
+    /// set with one filter pass each — then `tag` sees the fresh columns
+    /// as one batch (ascending shard order) and returns one tag per
+    /// column, and column and tag are published together. All of it runs
+    /// under the build locks of the touched cells, so two racing callers
+    /// build, tag and publish each shard exactly once.
+    pub fn admit(
+        &self,
+        first: usize,
+        last: usize,
+        tag: impl FnOnce(&[Arc<CrackerColumn<V>>]) -> Vec<T>,
+    ) {
+        // Ascending order on every path: multi-cell admissions never
+        // deadlock against each other.
+        let _builders: Vec<_> = self.cells[first..=last]
+            .iter()
+            .map(|c| c.build.lock())
+            .collect();
+        let missing: Vec<usize> = (first..=last)
+            .filter(|&k| self.cells[k].built.get().is_none())
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        let fresh: Vec<Arc<CrackerColumn<V>>> = if missing.len() == self.cells.len() {
+            let (vals, rows) = route_all(&self.base, &self.plan);
+            self.counts
+                .get_or_init(|| vals.iter().map(Vec::len).collect());
+            vals.into_iter()
+                .zip(rows)
+                .enumerate()
+                .map(|(k, (v, r))| self.new_shard(k, v, r))
+                .collect()
+        } else {
+            missing
+                .iter()
+                .map(|&k| {
+                    let (vals, rows) = self.filter_parts(k);
+                    self.new_shard(k, vals, rows)
+                })
+                .collect()
+        };
+        let tags = tag(&fresh);
+        assert_eq!(tags.len(), fresh.len(), "one tag per admitted shard");
+        for ((k, shard), tag) in missing.into_iter().zip(fresh).zip(tags) {
+            let published = self.cells[k].built.set((shard, tag));
+            assert!(published.is_ok(), "cell filled under its own build lock");
+        }
+    }
+
+    /// The successor that has fresh empty cells for `shards` and shares
+    /// every other cell — what an owner swaps in when those shards were
+    /// evicted. Survivors keep their cracks, tags, snapshots and filters;
+    /// an admission racing the swap in a shared empty cell lands in both.
+    pub fn vacated(&self, shards: &[usize]) -> Self {
+        ShardedColumn {
+            plan: self.plan.clone(),
+            base: Arc::clone(&self.base),
+            cells: (0..self.cells.len())
+                .map(|k| match shards.contains(&k) {
+                    true => ShardCell::empty(),
+                    false => Arc::clone(&self.cells[k]),
+                })
+                .collect(),
+            counts: Arc::clone(&self.counts),
+            name: self.name.clone(),
+            threads: self.threads,
+            version: self.version,
+        }
     }
 
     /// Shard indices intersecting `pred`, each with the predicate clamped
@@ -256,12 +469,18 @@ impl<V: CrackValue> ShardedColumn<V> {
             .collect()
     }
 
+    // ------------------------------------------------------------------
+    // Fan-out over resident shards. Production query paths live in
+    // `holix_engine::HolisticEngine` (which fans out inline to record
+    // per-shard index statistics and admits the shards it routes to);
+    // these wrappers are the crate-level correctness surface for columns
+    // built eagerly or admitted by the caller — like
+    // [`ShardedColumn::shard`] they panic on an empty cell.
+    // ------------------------------------------------------------------
+
     /// Fan-out verified select: counts plus checksums across shards.
-    /// Production query paths live in `holix_engine::HolisticEngine`
-    /// (which fans out inline to record per-shard index statistics); this
-    /// wrapper is the crate-level correctness surface for standalone use
-    /// and the sharding tests. Concurrent updates between per-shard select
-    /// and checksum are the caller's responsibility, exactly as for
+    /// Concurrent updates between per-shard select and checksum are the
+    /// caller's responsibility, exactly as for
     /// [`CrackerColumn::select_verified`].
     pub fn select_verified(
         &self,
@@ -271,7 +490,7 @@ impl<V: CrackValue> ShardedColumn<V> {
         let mut sels = Vec::new();
         let mut stats = RangeStats::default();
         for (k, p) in self.intersecting(pred) {
-            let (sel, s) = self.shards[k].select_verified(p, scratch);
+            let (sel, s) = self.shard(k).select_verified(p, scratch);
             stats.merge(s);
             sels.push((k, sel));
         }
@@ -286,7 +505,7 @@ impl<V: CrackValue> ShardedColumn<V> {
     pub fn snapshot_scan(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> SnapshotScan {
         let mut out = SnapshotScan::default();
         for (k, p) in self.intersecting(pred) {
-            let scan = self.shards[k].snapshot_scan(p, scratch);
+            let scan = self.shard(k).snapshot_scan(p, scratch);
             out.count += scan.count;
             out.sum += scan.sum;
             out.filtered += scan.filtered;
@@ -304,7 +523,7 @@ impl<V: CrackValue> ShardedColumn<V> {
     ) -> SnapshotScan {
         let mut total = SnapshotScan::default();
         for (k, p) in self.intersecting(pred) {
-            let scan = self.shards[k].snapshot_collect(p, scratch, out);
+            let scan = self.shard(k).snapshot_collect(p, scratch, out);
             total.count += scan.count;
             total.sum += scan.sum;
             total.filtered += scan.filtered;
@@ -318,27 +537,27 @@ impl<V: CrackValue> ShardedColumn<V> {
     /// no filter yet (callers fall back or pay
     /// [`ShardedColumn::ensure_point_filter`] on that shard).
     pub fn probe_point(&self, v: V) -> Option<bool> {
-        self.shards[self.plan.shard_of(v)].probe_point(v)
+        self.shard(self.plan.shard_of(v)).probe_point(v)
     }
 
     /// Builds the point filter of the shard owning `v` (no-op once built).
     /// Lazy by value, not per-column: a point probe only pays the build on
     /// the single shard it routes to, cold shards stay untouched.
     pub fn ensure_point_filter(&self, v: V) {
-        self.shards[self.plan.shard_of(v)].ensure_point_filter();
+        self.shard(self.plan.shard_of(v)).ensure_point_filter();
     }
 
     /// Routes an insertion to the shard owning `v`'s value range. `false`
     /// when that shard is sealed for migration — the caller retries
     /// against the successor plan.
     pub fn queue_insert(&self, v: V, row: RowId) -> bool {
-        self.shards[self.plan.shard_of(v)].queue_insert(v, row)
+        self.shard(self.plan.shard_of(v)).queue_insert(v, row)
     }
 
     /// Routes a deletion to the shard owning `v`'s value range. `false`
     /// when that shard is sealed for migration.
     pub fn queue_delete(&self, v: V, row: RowId) -> bool {
-        self.shards[self.plan.shard_of(v)].queue_delete(v, row)
+        self.shard(self.plan.shard_of(v)).queue_delete(v, row)
     }
 
     // ------------------------------------------------------------------
@@ -356,45 +575,88 @@ impl<V: CrackValue> ShardedColumn<V> {
     }
 
     /// Builds the successor column for one replan action. Shards the
-    /// action does not name keep their `Arc`s — indices, latches,
+    /// action does not name keep their cells — indices, latches,
     /// snapshots and point filters survive untouched — while the named
     /// shard(s) are sealed, drained via
     /// [`CrackerColumn::extract_for_migration`] and rebuilt under the
-    /// successor plan. The predecessor stays fully readable (in-flight
-    /// old-plan queries finish against it) but its migrated shards reject
-    /// updates. Returns `None` when the action cannot produce a valid
-    /// plan (splitting a shard whose values are all equal, or an
-    /// out-of-range index); an aborted split unseals its shard so the
-    /// predecessor keeps accepting updates.
-    pub fn apply_replan(&self, action: ReplanAction) -> Option<ShardedColumn<V>> {
-        match action {
-            ReplanAction::Split { shard } => self.split_shard(shard),
-            ReplanAction::Merge { left } => self.merge_shards(left),
-        }
-    }
-
-    /// A fresh shard column for the successor plan, carrying over the
-    /// build-time thread budgets.
-    fn rebuilt(
+    /// successor plan; `tag` then tags the rebuilt shards (ascending) or
+    /// abandons the cutover with `None`. The predecessor stays fully
+    /// readable (in-flight old-plan queries finish against it) but its
+    /// migrated shards reject updates. Returns `None` when the action
+    /// cannot produce a valid plan (splitting a shard whose values are all
+    /// equal, an out-of-range index, a named shard that is not resident)
+    /// or was abandoned; a split that comes to nothing unseals its shard
+    /// so the predecessor keeps accepting updates.
+    pub fn apply_replan_with(
         &self,
-        k: usize,
-        vals: Vec<V>,
-        rows: Vec<RowId>,
-        version: u64,
-    ) -> Arc<CrackerColumn<V>> {
-        let shard_name = format!("{}/v{version}/s{k}", self.name);
-        let (select, refine) = self.threads;
-        Arc::new(CrackerColumn::from_parts(shard_name, vals, rows).with_threads(select, refine))
-    }
-
-    /// Split shard `k` at its median value (falling back to the smallest
-    /// value above the shard minimum under heavy duplication, so both
-    /// halves stay non-empty).
-    fn split_shard(&self, k: usize) -> Option<ShardedColumn<V>> {
-        if k >= self.shards.len() {
+        action: ReplanAction,
+        tag: impl FnOnce(&[Arc<CrackerColumn<V>>]) -> Option<Vec<T>>,
+    ) -> Option<Self> {
+        let replaced = action.replaced();
+        if *replaced.end() >= self.cells.len()
+            || replaced.clone().any(|k| self.resident(k).is_none())
+        {
             return None;
         }
-        let (vals, rows) = self.shards[k].extract_for_migration();
+        let k = *replaced.start();
+        let version = self.version + 1;
+        let mut cuts = self.plan.cuts().to_vec();
+        let parts = match action {
+            ReplanAction::Split { .. } => {
+                let (left, cut, right) = self.split_shard(k)?;
+                cuts.insert(k, cut);
+                vec![left, right]
+            }
+            ReplanAction::Merge { .. } => {
+                let (mut vals, mut rows) = self.shard(k).extract_for_migration();
+                let (rv, rr) = self.shard(k + 1).extract_for_migration();
+                vals.extend(rv);
+                rows.extend(rr);
+                cuts.remove(k);
+                vec![(vals, rows)]
+            }
+        };
+        let mut successor = ShardedColumn {
+            plan: ShardPlan::from_cuts(cuts),
+            base: Arc::clone(&self.base),
+            cells: Vec::with_capacity(self.cells.len() + 1),
+            // A different plan: the base is recounted by its first
+            // one-shard build.
+            counts: Arc::default(),
+            name: self.name.clone(),
+            threads: self.threads,
+            version,
+        };
+        let fresh: Vec<Arc<CrackerColumn<V>>> = parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, (vals, rows))| successor.new_shard(k + i, vals, rows))
+            .collect();
+        let Some(tags) = tag(&fresh) else {
+            for k in replaced {
+                self.shard(k).unseal_after_aborted_migration();
+            }
+            return None;
+        };
+        assert_eq!(tags.len(), fresh.len(), "one tag per rebuilt shard");
+        successor.cells.extend(self.cells[..k].iter().cloned());
+        for built in fresh.into_iter().zip(tags) {
+            let cell = ShardCell::empty();
+            let _ = cell.built.set(built);
+            successor.cells.push(cell);
+        }
+        successor
+            .cells
+            .extend(self.cells[replaced.end() + 1..].iter().cloned());
+        Some(successor)
+    }
+
+    /// Drains shard `k` and splits it at its median value (falling back to
+    /// the smallest value above the shard minimum under heavy duplication,
+    /// so both halves stay non-empty): `(left, cut, right)`.
+    #[allow(clippy::type_complexity)]
+    fn split_shard(&self, k: usize) -> Option<((Vec<V>, Vec<RowId>), V, (Vec<V>, Vec<RowId>))> {
+        let (vals, rows) = self.shard(k).extract_for_migration();
         let mut sorted = vals.clone();
         sorted.sort_unstable();
         let cut = sorted.first().and_then(|&min| {
@@ -408,13 +670,12 @@ impl<V: CrackValue> ShardedColumn<V> {
         let Some(cut) = cut else {
             // All values equal (or the shard is empty): no interior cut
             // exists. Reopen the shard — no successor will be published.
-            self.shards[k].unseal_after_aborted_migration();
+            self.shard(k).unseal_after_aborted_migration();
             return None;
         };
         // `cut` lies strictly between the shard's neighbouring plan cuts
         // (it is a shard value above the shard minimum), so the new cut
         // vector stays strictly increasing.
-        let version = self.version + 1;
         let (mut lv, mut lr) = (Vec::new(), Vec::new());
         let (mut rv, mut rr) = (Vec::new(), Vec::new());
         for (v, r) in vals.into_iter().zip(rows) {
@@ -426,72 +687,51 @@ impl<V: CrackValue> ShardedColumn<V> {
                 rr.push(r);
             }
         }
-        let mut cuts = self.plan.cuts().to_vec();
-        cuts.insert(k, cut);
-        let mut shards = Vec::with_capacity(self.shards.len() + 1);
-        shards.extend(self.shards[..k].iter().cloned());
-        shards.push(self.rebuilt(k, lv, lr, version));
-        shards.push(self.rebuilt(k + 1, rv, rr, version));
-        shards.extend(self.shards[k + 1..].iter().cloned());
-        Some(ShardedColumn {
-            plan: ShardPlan::from_cuts(cuts),
-            shards,
-            name: self.name.clone(),
-            threads: self.threads,
-            version,
-        })
+        Some(((lv, lr), cut, (rv, rr)))
     }
 
-    /// Merge shards `left` and `left + 1` into one.
-    fn merge_shards(&self, left: usize) -> Option<ShardedColumn<V>> {
-        if left + 1 >= self.shards.len() {
-            return None;
-        }
-        let version = self.version + 1;
-        let (mut vals, mut rows) = self.shards[left].extract_for_migration();
-        let (rv, rr) = self.shards[left + 1].extract_for_migration();
-        vals.extend(rv);
-        rows.extend(rr);
-        let mut cuts = self.plan.cuts().to_vec();
-        cuts.remove(left);
-        let mut shards = Vec::with_capacity(self.shards.len() - 1);
-        shards.extend(self.shards[..left].iter().cloned());
-        shards.push(self.rebuilt(left, vals, rows, version));
-        shards.extend(self.shards[left + 2..].iter().cloned());
-        Some(ShardedColumn {
-            plan: ShardPlan::from_cuts(cuts),
-            shards,
-            name: self.name.clone(),
-            threads: self.threads,
-            version,
-        })
-    }
-
-    /// Merged tuples across shards (excludes pending inserts).
+    /// Merged tuples across resident shards (excludes pending inserts).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.resident_shards().map(|s| s.len()).sum()
     }
 
-    /// `true` when no merged tuples exist in any shard.
+    /// `true` when no merged tuples exist in any resident shard.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total pieces across shards.
+    /// Total pieces across resident shards.
     pub fn piece_count(&self) -> usize {
-        self.shards.iter().map(|s| s.piece_count()).sum()
+        self.resident_shards().map(|s| s.piece_count()).sum()
     }
 
-    /// Unmerged pending operations across shards.
+    /// Unmerged pending operations across resident shards.
     pub fn pending_len(&self) -> usize {
-        self.shards.iter().map(|s| s.pending_len()).sum()
+        self.resident_shards().map(|s| s.pending_len()).sum()
     }
 }
 
-impl<V: CrackValue> std::fmt::Debug for ShardedColumn<V> {
+/// The untagged column, for standalone use and the sharding tests.
+impl<V: CrackValue> ShardedColumn<V> {
+    /// Builds every shard from a base column with a precomputed plan. Each
+    /// base tuple lands in exactly one shard, keeping its global row id.
+    pub fn from_base_with_plan(name: &str, base: &[V], plan: ShardPlan<V>) -> Self {
+        let col = Self::lazy(name, Arc::new(base.to_vec()), plan);
+        col.admit(0, col.shard_count() - 1, |fresh| vec![(); fresh.len()]);
+        col
+    }
+
+    /// [`ShardedColumn::apply_replan_with`] for the untagged column.
+    pub fn apply_replan(&self, action: ReplanAction) -> Option<ShardedColumn<V>> {
+        self.apply_replan_with(action, |fresh| Some(vec![(); fresh.len()]))
+    }
+}
+
+impl<V: CrackValue, T: Copy> std::fmt::Debug for ShardedColumn<V, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedColumn")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.cells.len())
+            .field("resident", &self.resident_shards().count())
             .field("len", &self.len())
             .field("pieces", &self.piece_count())
             .finish()
@@ -502,6 +742,7 @@ impl<V: CrackValue> std::fmt::Debug for ShardedColumn<V> {
 mod tests {
     use super::*;
     use holix_storage::select::scan_stats;
+    use proptest::prelude::*;
     use rand::prelude::*;
 
     fn base(n: usize, domain: i64, seed: u64) -> Vec<i64> {
@@ -751,6 +992,101 @@ mod tests {
                 col.ensure_point_filter(v);
                 assert_eq!(col.probe_point(v), Some(true), "racing insert {v} dropped");
             }
+        }
+    }
+
+    /// A shard's merged tuples as sorted `(value, row id)` pairs (seals the
+    /// shard: for the end of a test).
+    fn tuples(shard: &CrackerColumn<i64>) -> Vec<(i64, RowId)> {
+        let (vals, rows) = shard.extract_for_migration();
+        let mut pairs: Vec<_> = vals.into_iter().zip(rows).collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn lazy_column_shares_its_base_and_builds_only_what_is_touched() {
+        let base = Arc::new(base(20_000, 1_000, 30));
+        let plan = ShardPlan::from_values(&base, 4);
+        let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan);
+        assert_eq!(Arc::strong_count(&base), 2, "the column copied its base");
+        assert!((0..4).all(|k| col.resident(k).is_none()));
+        assert_eq!(col.shard_rows(2), None, "nothing counted before a build");
+        // One admitted shard answers the narrow select routed to it.
+        let mut scratch = CrackScratch::new();
+        let pred = Predicate::range(10, 20);
+        col.admit(0, 0, |fresh| vec![(); fresh.len()]);
+        let (sels, stats) = col.select_verified(pred, &mut scratch);
+        assert_eq!(stats, scan_stats(&base, pred));
+        assert_eq!(sels.len(), 1);
+        assert!(col.resident(0).is_some());
+        assert!((1..4).all(|k| col.resident(k).is_none()));
+        assert_eq!(col.len(), col.shard_rows(0).unwrap());
+        assert_eq!(
+            (0..4).map(|k| col.shard_rows(k).unwrap()).sum::<usize>(),
+            20_000
+        );
+        // The successor without shard 0 shares the base, the counts and
+        // every other cell: a build in a shared cell lands in both.
+        let next = col.vacated(&[0]);
+        assert_eq!(Arc::strong_count(&base), 3);
+        assert!(next.resident(0).is_none());
+        assert_eq!(next.shard_rows(0), col.shard_rows(0));
+        next.admit(3, 3, |fresh| vec![(); fresh.len()]);
+        assert!(Arc::ptr_eq(col.shard(3), next.shard(3)));
+        // Rebuilt from the base, the vacated shard answers alike.
+        next.admit(0, 0, |fresh| vec![(); fresh.len()]);
+        let (_, again) = next.select_verified(pred, &mut scratch);
+        assert_eq!(again, stats);
+        assert!(!Arc::ptr_eq(col.shard(0), next.shard(0)));
+    }
+
+    // Shards built one at a time, in any order, are the eager build's
+    // shards; together they hold every base row once; and each keeps the
+    // 25 % headroom the eager build leaves for Ripple inserts.
+    proptest! {
+        #[test]
+        fn prop_shards_built_one_by_one_equal_the_eager_build(
+            seed in any::<u64>(),
+            n in 0usize..600,
+            domain in 0usize..3,
+            shards in 0usize..4,
+            cut_adjacent in any::<bool>(),
+        ) {
+            let (domain, shards) = ([3i64, 17, 1_000][domain], [1usize, 2, 4, 7][shards]);
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Small domains are duplicate-heavy (and collapse the plan).
+            let spread: Vec<i64> = (0..n).map(|_| rng.random_range(0..domain)).collect();
+            let plan = ShardPlan::from_values(&spread, shards);
+            // Cut-adjacent: every value sits on a cut or right beside one.
+            let base: Vec<i64> = match plan.cuts() {
+                cuts if cut_adjacent && !cuts.is_empty() => (0..n)
+                    .map(|_| cuts[rng.random_range(0..cuts.len())] + rng.random_range(-1..=1))
+                    .collect(),
+                _ => spread,
+            };
+            let eager = ShardedColumn::from_base_with_plan("eager", &base, plan.clone());
+            let lazy: ShardedColumn<i64> =
+                ShardedColumn::lazy("lazy", Arc::new(base.clone()), plan.clone());
+            let mut order: Vec<usize> = (0..plan.shards()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
+            let mut seen = vec![0u32; n];
+            for k in order {
+                let (vals, rows) = lazy.filter_parts(k);
+                prop_assert!(vals.capacity() >= vals.len() + vals.len() / 4);
+                prop_assert!(rows.capacity() >= rows.len() + rows.len() / 4);
+                lazy.admit(k, k, |fresh| vec![(); fresh.len()]);
+                let built = tuples(lazy.shard(k));
+                prop_assert_eq!(built.len(), vals.len());
+                prop_assert_eq!(&built, &tuples(eager.shard(k)), "shard {}", k);
+                for (v, row) in built {
+                    prop_assert_eq!(base[row as usize], v);
+                    seen[row as usize] += 1;
+                }
+            }
+            prop_assert!(seen.iter().all(|&c| c == 1), "a row is missing or doubled");
         }
     }
 

@@ -4,17 +4,19 @@ use holix_planner::PlanCost;
 use holix_workloads::QuerySpec;
 use std::sync::Arc;
 
-/// The microbenchmark dataset: a table of `i64` attributes.
+/// The microbenchmark dataset: a table of `i64` attributes. One `Arc` per
+/// column: clones share the storage, and a lazily built sharded column
+/// holds its source column without copying it.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    columns: Arc<Vec<Vec<i64>>>,
+    columns: Arc<[Arc<Vec<i64>>]>,
 }
 
 impl Dataset {
     /// Wraps generated columns.
     pub fn new(columns: Vec<Vec<i64>>) -> Self {
         Dataset {
-            columns: Arc::new(columns),
+            columns: columns.into_iter().map(Arc::new).collect(),
         }
     }
 
@@ -25,12 +27,17 @@ impl Dataset {
 
     /// Rows per attribute.
     pub fn rows(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Borrow one attribute's values.
     pub fn column(&self, attr: usize) -> &[i64] {
         &self.columns[attr]
+    }
+
+    /// A shared handle to one attribute's storage.
+    pub fn shared_column(&self, attr: usize) -> Arc<Vec<i64>> {
+        Arc::clone(&self.columns[attr])
     }
 }
 
@@ -202,6 +209,19 @@ mod tests {
         assert_eq!(d.attrs(), 2);
         assert_eq!(d.rows(), 3);
         assert_eq!(d.column(1), &[4, 5, 6]);
+    }
+
+    #[test]
+    fn clones_and_column_handles_share_the_original_storage() {
+        let d = Dataset::new(vec![vec![1, 2, 3], vec![4, 5, 6]]);
+        let storage = d.column(1).as_ptr();
+        let clone = d.clone();
+        assert_eq!(clone.column(1).as_ptr(), storage, "clone copied a column");
+        let handle = clone.shared_column(1);
+        assert_eq!(handle.as_ptr(), storage, "handle copied the column");
+        // Two datasets share one table; the handle is the only other owner.
+        assert_eq!(Arc::strong_count(&d.columns), 2);
+        assert_eq!(Arc::strong_count(&handle), 2);
     }
 
     #[test]

@@ -18,6 +18,19 @@
 //! A query fans out to the shards its predicate intersects and merges
 //! counts/sums; fully-covered interior shards answer without cracking.
 //!
+//! ## Shard-grain residency
+//!
+//! The `(attr, shard)` slot is also the unit the engine builds, admits,
+//! evicts and rebuilds. Every attribute has a [`ShardedColumn`] from
+//! construction, its cells empty. The first touch of an attribute builds
+//! all of its shards in one routing pass **when that evicts nothing** (no
+//! storage budget, or the whole attribute fits the free budget); otherwise
+//! an operation builds exactly the shards it routes to, one filter pass
+//! each, registered as one batch — the engine never evicts something to
+//! materialise data nobody asked for. A shard the budget dropped is
+//! rebuilt alone: the slot swaps in a successor column that shares every
+//! other cell, so survivors keep their cracks, ids, snapshots and filters.
+//!
 //! ## Versioned shard plans
 //!
 //! With [`HolisticEngineConfig::replan`] the shard plan stops being a
@@ -38,12 +51,15 @@ use crate::api::{Capabilities, Dataset, QueryEngine, SnapshotCollect};
 use holix_core::cpu::LoadAccountant;
 use holix_core::handle::CrackerHandle;
 use holix_core::index_space::{IndexId, IndexSpace, Membership};
-use holix_core::{CpuMonitor, CycleRecord, HolisticConfig, HolisticDaemon};
+use holix_core::{
+    CpuMonitor, CycleRecord, HolisticConfig, HolisticDaemon, IndexStats, RefinableIndex,
+};
 use holix_cracking::{
     CrackScratch, CrackerColumn, EpochCell, PlanEpoch, ReplanAction, ShardPlan, ShardedColumn,
 };
 use holix_planner::{propose_replan, PlanCost, ReplanPolicy, ShardLoad};
 use holix_storage::select::{Predicate, RangeStats};
+use holix_storage::types::RowId;
 use holix_workloads::QuerySpec;
 use parking_lot::RwLock;
 use std::cell::RefCell;
@@ -103,20 +119,46 @@ impl HolisticEngineConfig {
     }
 }
 
-struct AttrSlot {
-    col: Arc<ShardedColumn<i64>>,
-    /// One `IndexSpace` slot per shard, parallel to `col`'s shard order.
-    /// Shared so the per-query path clones a pointer, not a vector.
-    ids: Arc<[IndexId]>,
+/// An attribute's sharded column; every resident shard is tagged with the
+/// id of its `IndexSpace` slot.
+pub type Shards = ShardedColumn<i64, IndexId>;
+
+/// The shards of an attribute an operation routes to.
+#[derive(Clone, Copy)]
+enum Route {
+    /// Every shard the range `[lo, hi)` intersects.
+    Range(i64, i64),
+    /// The one shard owning a value.
+    Owner(i64),
+    /// All of them.
+    All,
+}
+
+impl Route {
+    /// Inclusive shard range under `plan`; `None` for an empty range.
+    fn shards(self, plan: &ShardPlan<i64>) -> Option<(usize, usize)> {
+        match self {
+            Route::Range(lo, hi) => plan.shard_range(lo, hi),
+            Route::Owner(v) => {
+                let k = plan.shard_of(v);
+                Some((k, k))
+            }
+            Route::All => Some((0, plan.shards() - 1)),
+        }
+    }
 }
 
 /// The plan-versioned state a replan mutates, shared with the replanner
 /// thread. Lock discipline: `plan_cells` is published *before* the slot
 /// in `cols` swaps, so a reader that routed by the new epoch always
 /// finds a column at least as new (in-flight readers keep their old
-/// `(col, ids)` Arcs and finish against the plan they started with).
+/// column `Arc` and finish against the plan they started with).
 struct PlanShared {
-    cols: Vec<RwLock<Option<AttrSlot>>>,
+    /// One column per attribute from construction on; a cold attribute's
+    /// cells are all empty. The lock guards the pointer only — it is
+    /// written to swap in a successor (replan cutover, vacated cells),
+    /// never held across a build.
+    cols: Vec<RwLock<Arc<Shards>>>,
     /// Per-attribute published plan epoch. Always published (version 0 at
     /// construction); routing and decomposition read it lock-free.
     plan_cells: Vec<EpochCell<PlanEpoch<i64>>>,
@@ -188,8 +230,21 @@ impl HolisticEngine {
                 cell
             })
             .collect();
+        let cols = plans
+            .iter()
+            .enumerate()
+            .map(|(attr, plan)| {
+                let col = ShardedColumn::lazy(
+                    &format!("attr{attr}"),
+                    data.shared_column(attr),
+                    plan.clone(),
+                )
+                .with_threads(cfg.user_threads, cfg.holistic.worker_threads);
+                RwLock::new(Arc::new(col))
+            })
+            .collect();
         let shared = Arc::new(PlanShared {
-            cols: (0..data.attrs()).map(|_| RwLock::new(None)).collect(),
+            cols,
             plan_cells,
             replans: AtomicU64::new(0),
         });
@@ -236,92 +291,112 @@ impl HolisticEngine {
         self.shared.replans.load(Ordering::Relaxed)
     }
 
-    fn build_column(&self, attr: usize) -> Arc<ShardedColumn<i64>> {
-        Arc::new(
-            ShardedColumn::from_base_with_plan(
-                &format!("attr{attr}"),
-                self.data.column(attr),
-                // The *published* plan, not the construction plan: an
-                // attribute evicted after a replan must rebuild with the
-                // revised cuts or its routing would silently regress.
-                self.plan_epoch(attr).plan.clone(),
-            )
-            .with_threads(self.cfg.user_threads, self.cfg.holistic.worker_threads),
-        )
-    }
-
-    /// Registers all of an attribute's shards as ONE admission batch, so
-    /// the storage budget can evict other attributes but never a sibling
-    /// shard of the batch being registered (which would leave this slot
-    /// born-dead and rebuilt on every query).
-    fn register_shards(
+    /// Shard `k` of `col` when it is resident and the storage budget has
+    /// not dropped it.
+    fn live<'a>(
         &self,
-        col: &Arc<ShardedColumn<i64>>,
-        register_batch: impl FnOnce(
-            Vec<Arc<dyn holix_core::RefinableIndex>>,
-        ) -> Vec<(IndexId, Arc<holix_core::IndexStats>)>,
-    ) -> Arc<[IndexId]> {
-        let handles: Vec<Arc<dyn holix_core::RefinableIndex>> = (0..col.shard_count())
-            .map(|k| {
-                Arc::new(CrackerHandle::new(Arc::clone(col.shard(k))))
-                    as Arc<dyn holix_core::RefinableIndex>
-            })
-            .collect();
-        register_batch(handles)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
+        col: &'a Shards,
+        k: usize,
+    ) -> Option<(&'a Arc<CrackerColumn<i64>>, IndexId)> {
+        col.resident(k).filter(|&(_, id)| {
+            // Without a storage budget nothing is ever evicted — skip the
+            // membership probe on the hot path.
+            self.cfg.holistic.storage_budget.is_none()
+                || self.space.membership(id) != Some(Membership::Dropped)
+        })
     }
 
-    fn slot_live(&self, slot: &AttrSlot) -> bool {
-        // Without a storage budget nothing is ever evicted — skip the
-        // per-shard membership probes on the hot path.
-        if self.cfg.holistic.storage_budget.is_none() {
+    /// `true` when no shard of `col` is resident and live.
+    fn cold(&self, col: &Shards) -> bool {
+        (0..col.shard_count()).all(|k| self.live(col, k).is_none())
+    }
+
+    /// The attribute's column with the shards `route` picks under its
+    /// plan resident, and that shard range (`None` for an empty range).
+    /// Builds what is missing; see [`HolisticEngine::admit`].
+    fn touch(&self, attr: usize, route: Route) -> Option<(Arc<Shards>, usize, usize)> {
+        let col = Arc::clone(&self.shared.cols[attr].read());
+        let (first, last) = route.shards(col.plan())?;
+        if (first..=last).all(|k| self.live(&col, k).is_some()) {
+            return Some((col, first, last));
+        }
+        self.admit(attr, route, |hs| self.space.register_actual_batch(hs))
+    }
+
+    /// [`HolisticEngine::touch`] for the one shard owning `v`.
+    fn touch_owner(&self, attr: usize, v: i64) -> (Arc<Shards>, usize) {
+        let (col, k, _) = self
+            .touch(attr, Route::Owner(v))
+            .expect("every value has an owner");
+        (col, k)
+    }
+
+    /// `true` when materialising all of an attribute evicts nothing.
+    fn whole_attribute_fits(&self) -> bool {
+        let Some(budget) = self.cfg.holistic.storage_budget else {
             return true;
-        }
-        slot.ids
-            .iter()
-            .all(|&id| self.space.membership(id) != Some(Membership::Dropped))
+        };
+        let tuple = std::mem::size_of::<i64>() + std::mem::size_of::<RowId>();
+        budget.saturating_sub(self.space.bytes_used()) >= self.data.rows() * tuple
     }
 
-    /// Gets (or creates / re-creates after eviction) the sharded column for
-    /// an attribute; creation registers every shard in `C_actual`.
-    /// Eviction granularity is the whole attribute: when any shard slot was
-    /// dropped by the storage budget, all of the attribute's shards are
-    /// rebuilt and re-registered.
-    pub fn sharded(&self, attr: usize) -> (Arc<ShardedColumn<i64>>, Arc<[IndexId]>) {
-        {
-            let guard = self.shared.cols[attr].read();
-            if let Some(slot) = guard.as_ref() {
-                if self.slot_live(slot) {
-                    return (Arc::clone(&slot.col), Arc::clone(&slot.ids));
+    /// The slow path of [`HolisticEngine::touch`]: builds and registers
+    /// the picked shards that are empty or were dropped by the budget.
+    ///
+    /// Admission rule: an attribute with no live shard whose whole payload
+    /// fits the free budget (always, without a budget) is built whole —
+    /// one routing pass, one registration batch, nothing evicted, the
+    /// daemon sees every shard at once. Otherwise only the picked shards
+    /// are built, one filter pass each, again as one batch so siblings of
+    /// one operation never evict each other. The cells of dropped shards
+    /// are first replaced by empty ones in a successor column that shares
+    /// every other cell; the build itself runs under the cells' own locks
+    /// (see [`ShardedColumn::admit`]), not under the attribute lock.
+    fn admit(
+        &self,
+        attr: usize,
+        route: Route,
+        register_batch: impl FnOnce(Vec<Arc<dyn RefinableIndex>>) -> Vec<(IndexId, Arc<IndexStats>)>,
+    ) -> Option<(Arc<Shards>, usize, usize)> {
+        loop {
+            let mut col = Arc::clone(&self.shared.cols[attr].read());
+            let (first, last) = route.shards(col.plan())?;
+            let build = if self.cold(&col) && self.whole_attribute_fits() {
+                0..=col.shard_count() - 1
+            } else {
+                first..=last
+            };
+            // Every dropped shard of the attribute goes, wanted now or
+            // not: the cell is all that keeps its column allocated.
+            let dropped: Vec<usize> = (0..col.shard_count())
+                .filter(|&k| col.resident(k).is_some() && self.live(&col, k).is_none())
+                .collect();
+            if !dropped.is_empty() {
+                let mut slot = self.shared.cols[attr].write();
+                if !Arc::ptr_eq(&slot, &col) {
+                    continue; // a replan or a racing admission swapped the column
                 }
+                col = Arc::new(col.vacated(&dropped));
+                *slot = Arc::clone(&col);
             }
+            col.admit(*build.start(), *build.end(), |fresh| {
+                register_shards(fresh, register_batch)
+            });
+            return Some((col, first, last));
         }
-        let mut guard = self.shared.cols[attr].write();
-        if let Some(slot) = guard.as_ref() {
-            if self.slot_live(slot) {
-                return (Arc::clone(&slot.col), Arc::clone(&slot.ids));
-            }
-            // Partial eviction: the budget dropped some shard(s). The
-            // survivors must be retired before the rebuild, or their live
-            // registry entries become unreachable orphans double-counting
-            // the budget and feeding the daemon dead columns.
-            self.retire_slot(slot);
-        }
-        let col = self.build_column(attr);
-        let ids = self.register_shards(&col, |hs| self.space.register_actual_batch(hs));
-        *guard = Some(AttrSlot {
-            col: Arc::clone(&col),
-            ids: Arc::clone(&ids),
-        });
-        (col, ids)
     }
 
-    fn retire_slot(&self, slot: &AttrSlot) {
-        for &id in slot.ids.iter() {
-            self.space.retire(id);
-        }
+    /// The attribute's column with every shard resident, and the shards'
+    /// slot ids in shard order (tests, harnesses and forced replans; query
+    /// paths build only the shards they route to).
+    pub fn sharded(&self, attr: usize) -> (Arc<Shards>, Arc<[IndexId]>) {
+        let (col, ..) = self
+            .touch(attr, Route::All)
+            .expect("a plan has at least one shard");
+        let ids = (0..col.shard_count())
+            .map(|k| col.resident(k).expect("touched above").1)
+            .collect();
+        (col, ids)
     }
 
     /// The first shard's cracker column and slot id. With `shards == 1`
@@ -336,22 +411,15 @@ impl HolisticEngine {
     /// scenario: "holistic indexing chooses random indexes to insert in
     /// C_potential and refines them until the first query arrives").
     ///
-    /// A slot whose index was evicted by the storage budget
-    /// ([`Membership::Dropped`]) is re-registered, mirroring
-    /// [`HolisticEngine::sharded`] — an occupied-but-dead slot must not
-    /// block re-speculation.
+    /// Shards that are already live are left alone; empty cells and
+    /// shards the storage budget dropped ([`Membership::Dropped`]) are
+    /// (re)built and registered — an evicted shard must not block
+    /// re-speculation.
     pub fn add_potential(&self, attrs: &[usize]) {
         for &attr in attrs {
-            let mut guard = self.shared.cols[attr].write();
-            if let Some(slot) = guard.as_ref() {
-                if self.slot_live(slot) {
-                    continue;
-                }
-                self.retire_slot(slot);
-            }
-            let col = self.build_column(attr);
-            let ids = self.register_shards(&col, |hs| self.space.register_potential_batch(hs));
-            *guard = Some(AttrSlot { col, ids });
+            self.admit(attr, Route::All, |hs| {
+                self.space.register_potential_batch(hs)
+            });
         }
     }
 
@@ -405,26 +473,25 @@ impl HolisticEngine {
         };
         let records = daemon.stop();
         for slot in &self.shared.cols {
-            if let Some(slot) = slot.read().as_ref() {
-                for k in 0..slot.col.shard_count() {
-                    slot.col.shard(k).maybe_publish_stats(1);
-                }
+            for shard in slot.read().resident_shards() {
+                shard.maybe_publish_stats(1);
             }
         }
         records
     }
 
     /// Queues an insertion of `v` for base row `row` on `attr`; it lands in
-    /// the pending buffer of exactly the shard owning `v`'s value range and
-    /// is merged when a query or worker touches that range (Ripple).
+    /// the pending buffer of exactly the shard owning `v`'s value range
+    /// (built first when it is not resident) and is merged when a query or
+    /// worker touches that range (Ripple).
     ///
     /// A shard sealed for migration rejects the enqueue; the update
     /// retries against the successor plan once its cutover publishes (or
     /// against the reopened shard if the migration aborted) — updates are
     /// never silently dropped across a replan.
-    pub fn queue_insert(&self, attr: usize, v: i64, row: holix_storage::types::RowId) {
+    pub fn queue_insert(&self, attr: usize, v: i64, row: RowId) {
         loop {
-            let (col, _) = self.sharded(attr);
+            let (col, _) = self.touch_owner(attr, v);
             if col.queue_insert(v, row) {
                 return;
             }
@@ -434,9 +501,9 @@ impl HolisticEngine {
 
     /// Queues a deletion of the value previously inserted for `row`
     /// (same sealed-shard retry discipline as [`Self::queue_insert`]).
-    pub fn queue_delete(&self, attr: usize, v: i64, row: holix_storage::types::RowId) {
+    pub fn queue_delete(&self, attr: usize, v: i64, row: RowId) {
         loop {
-            let (col, _) = self.sharded(attr);
+            let (col, _) = self.touch_owner(attr, v);
             if col.queue_delete(v, row) {
                 return;
             }
@@ -446,21 +513,20 @@ impl HolisticEngine {
 
     /// Evaluates the replan policy for one attribute and, when it fires,
     /// migrates and publishes the successor plan. Returns the applied
-    /// action. Cold (never-materialised) attributes are never replanned.
+    /// action. Attributes with a shard that is not resident and live are
+    /// never replanned.
     pub fn maybe_replan(&self, attr: usize) -> Option<ReplanAction> {
         maybe_replan_attr(&self.shared, &self.space, &self.replan_policy, attr)
     }
 
     /// Applies a specific split/merge unconditionally (tests and the
     /// `fig_replan` harness force migrations the policy would pace).
-    /// Returns `false` when the attribute is cold, the action is out of
-    /// range, or the migration aborted (e.g. an unsplittable
+    /// Builds the attribute first. Returns `false` when the action is out
+    /// of range or the migration aborted (e.g. an unsplittable
     /// constant-valued shard).
     pub fn force_replan(&self, attr: usize, action: ReplanAction) -> bool {
-        let Some((col, ids)) = peek_slot(&self.shared, attr) else {
-            return false;
-        };
-        apply_replan_action(&self.shared, &self.space, attr, &col, &ids, action)
+        let (col, _) = self.sharded(attr);
+        apply_replan_action(&self.shared, &self.space, attr, &col, action)
     }
 
     /// Fans a predicate out to the intersecting shards, records per-shard
@@ -476,20 +542,19 @@ impl HolisticEngine {
         mut merge: impl FnMut(T),
     ) {
         let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let (col, ids) = self.sharded(q.attr);
         let pred = Predicate::range(q.lo, q.hi);
-        let plan = col.plan();
-        let Some((first, last)) = plan.shard_range(pred.lo, pred.hi) else {
+        let Some((col, first, last)) = self.touch(q.attr, Route::Range(pred.lo, pred.hi)) else {
             return;
         };
+        let plan = col.plan();
         SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();
             // Inline fan-out (no intermediate Vec: this runs per query).
             for k in first..=last {
-                let (sel, out) = fold(col.shard(k), plan.clamp(k, pred), scratch);
+                let (shard, id) = col.resident(k).expect("touched above");
+                let (sel, out) = fold(shard, plan.clamp(k, pred), scratch);
                 let cracked = (!sel.hit_lo) as u64 + (!sel.hit_hi) as u64;
-                self.space
-                    .record_user_query(ids[k], sel.exact_hit(), cracked);
+                self.space.record_user_query(id, sel.exact_hit(), cracked);
                 merge(out);
             }
         });
@@ -514,12 +579,11 @@ impl HolisticEngine {
         if !self.cfg.point_filters {
             return None;
         }
-        let (col, ids) = self.sharded(attr);
-        let k = col.plan().shard_of(v);
-        let shard = col.shard(k);
+        let (col, k) = self.touch_owner(attr, v);
+        let (shard, id) = col.resident(k).expect("touched above");
         shard.ensure_point_filter();
         if shard.probe_point(v) == Some(false) {
-            self.space.record_user_query(ids[k], true, 0);
+            self.space.record_user_query(id, true, 0);
             return Some(0);
         }
         None
@@ -600,25 +664,25 @@ impl QueryEngine for HolisticEngine {
 
     fn estimate_cost(&self, q: &QuerySpec) -> Option<PlanCost> {
         let pred = Predicate::range(q.lo, q.hi);
-        // Read-only peek at the attribute slot: a cold attribute must NOT
-        // be materialised here (admission control prices queries before
-        // anything commits to paying the O(N) column copy) — its price is
-        // exactly that copy-and-crack.
-        let guard = self.shared.cols[q.attr].read();
-        let Some(slot) = guard.as_ref().filter(|s| self.slot_live(s)) else {
+        // Read-only peek at the attribute's column: nothing is built here
+        // (admission control prices queries before anything commits to
+        // paying the O(N) pass over the base) — a cold attribute's price
+        // is exactly that copy-and-crack.
+        let col = Arc::clone(&self.shared.cols[q.attr].read());
+        if self.cold(&col) {
             return Some(PlanCost::cold(self.data.rows()));
-        };
-        let col = &slot.col;
+        }
         let plan = col.plan();
         // Point screening at plan time, from the *published* filter only —
         // a lock-free epoch load plus k bit probes; `ensure_point_filter`
         // (which takes locks) is never called here. A negative probe
         // prices the query Screened: admission executes it inline instead
-        // of spending a queue slot. Probes on unbuilt filters fall through
-        // to normal range pricing.
+        // of spending a queue slot. Probes on unbuilt filters (or shards)
+        // fall through to normal range pricing.
         if self.cfg.point_filters {
             if let Some(v) = pred.as_point() {
-                if col.shard(plan.shard_of(v)).probe_point(v) == Some(false) {
+                let owner = self.live(&col, plan.shard_of(v));
+                if owner.is_some_and(|(shard, _)| shard.probe_point(v) == Some(false)) {
                     return Some(PlanCost::screened_point());
                 }
             }
@@ -635,12 +699,16 @@ impl QueryEngine for HolisticEngine {
             // `piece_stats` is a lock-free Arc load out of the shard's
             // epoch-published cell; `estimate` is a pure function of it —
             // no structure lock, no index lock, no maintenance lock.
-            let shard_cost = match col.shard(k).piece_stats() {
+            // A shard that is empty or was dropped costs its own rebuild,
+            // not the attribute's: the base rows it holds (counted by the
+            // attribute's first build; `data.rows()` keeps the fallback
+            // free of index locks). Resident columns publish at build.
+            let stats = self
+                .live(&col, k)
+                .and_then(|(shard, _)| shard.piece_stats());
+            let shard_cost = match stats {
                 Some(stats) => holix_planner::estimate(&stats, plan.clamp(k, pred)),
-                // Columns publish at build, so this is unreachable in
-                // practice — and `data.rows()` keeps even the fallback free
-                // of index locks.
-                None => PlanCost::cold(self.data.rows()),
+                None => PlanCost::cold(col.shard_rows(k).unwrap_or(self.data.rows())),
             };
             cost.merge(shard_cost);
         }
@@ -658,23 +726,23 @@ impl QueryEngine for HolisticEngine {
 
     fn execute_snapshot(&self, q: &QuerySpec) -> Option<(u64, i128)> {
         let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let (col, ids) = self.sharded(q.attr);
         let pred = Predicate::range(q.lo, q.hi);
-        let plan = col.plan();
-        let Some((first, last)) = plan.shard_range(pred.lo, pred.hi) else {
+        let Some((col, first, last)) = self.touch(q.attr, Route::Range(pred.lo, pred.hi)) else {
             return Some((0, 0));
         };
+        let plan = col.plan();
         SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();
             let mut count = 0u64;
             let mut sum = 0i128;
             for k in first..=last {
-                let scan = col.shard(k).snapshot_scan(plan.clamp(k, pred), scratch);
+                let (shard, id) = col.resident(k).expect("touched above");
+                let scan = shard.snapshot_scan(plan.clamp(k, pred), scratch);
                 // Snapshot reads never crack; a scan that needed no edge
                 // filtering hit snapshot boundaries exactly (the `f_Ih`
                 // analogue). Recording keeps the weight heap hot so the
                 // daemon still refines what snapshot traffic touches.
-                self.space.record_user_query(ids[k], scan.filtered == 0, 0);
+                self.space.record_user_query(id, scan.filtered == 0, 0);
                 count += scan.count;
                 sum += scan.sum;
             }
@@ -691,12 +759,11 @@ impl QueryEngine for HolisticEngine {
         // the shard locks.
         const COLLECT_CAP: usize = 1 << 16;
         let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let (col, ids) = self.sharded(q.attr);
         let pred = Predicate::range(q.lo, q.hi);
-        let plan = col.plan();
-        let Some((first, last)) = plan.shard_range(pred.lo, pred.hi) else {
+        let Some((col, first, last)) = self.touch(q.attr, Route::Range(pred.lo, pred.hi)) else {
             return SnapshotCollect::Values(Vec::new());
         };
+        let plan = col.plan();
         SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();
             // Pre-count with the O(pieces + edges) aggregate scan before
@@ -706,8 +773,9 @@ impl QueryEngine for HolisticEngine {
             // collect path.
             let mut total = 0u64;
             for k in first..=last {
-                let scan = col.shard(k).snapshot_scan(plan.clamp(k, pred), scratch);
-                self.space.record_user_query(ids[k], scan.filtered == 0, 0);
+                let (shard, id) = col.resident(k).expect("touched above");
+                let scan = shard.snapshot_scan(plan.clamp(k, pred), scratch);
+                self.space.record_user_query(id, scan.filtered == 0, 0);
                 total += scan.count;
                 if total > COLLECT_CAP as u64 {
                     return SnapshotCollect::CapExceeded;
@@ -828,7 +896,7 @@ impl QueryEngine for HolisticEngine {
         // (select cracks the bounds, the positional copy re-locates them
         // under the shard's exclusive lock — same protocol as
         // `execute_collect`).
-        let mut rows: Option<Vec<holix_storage::types::RowId>> = Some(Vec::new());
+        let mut rows: Option<Vec<RowId>> = Some(Vec::new());
         let mut total = 0u64;
         let mut doomed = false;
         self.fan_out(
@@ -844,7 +912,7 @@ impl QueryEngine for HolisticEngine {
                 doomed |= ids.is_none();
                 (sel, ids)
             },
-            |ids: Option<Vec<holix_storage::types::RowId>>| match ids {
+            |ids: Option<Vec<RowId>>| match ids {
                 Some(ids) => {
                     if let Some(rows) = rows.as_mut() {
                         rows.extend(ids);
@@ -889,15 +957,22 @@ impl Drop for HolisticEngine {
     }
 }
 
-/// An attribute's published sharded column and its per-shard index ids.
-type SlotPair = (Arc<ShardedColumn<i64>>, Arc<[IndexId]>);
-
-/// Clones the live `(column, ids)` pair for an attribute without
-/// materialising anything — `None` for cold attributes.
-fn peek_slot(shared: &PlanShared, attr: usize) -> Option<SlotPair> {
-    let guard = shared.cols[attr].read();
-    let slot = guard.as_ref()?;
-    Some((Arc::clone(&slot.col), Arc::clone(&slot.ids)))
+/// Registers freshly built shards as ONE admission batch, so the storage
+/// budget can evict other shards but never a sibling of the batch being
+/// registered (which would be born dead and rebuilt by the same query).
+/// Returns the slot ids in shard order.
+fn register_shards(
+    fresh: &[Arc<CrackerColumn<i64>>],
+    register_batch: impl FnOnce(Vec<Arc<dyn RefinableIndex>>) -> Vec<(IndexId, Arc<IndexStats>)>,
+) -> Vec<IndexId> {
+    let handles = fresh
+        .iter()
+        .map(|shard| Arc::new(CrackerHandle::new(Arc::clone(shard))) as Arc<dyn RefinableIndex>)
+        .collect();
+    register_batch(handles)
+        .into_iter()
+        .map(|(id, _)| id)
+        .collect()
 }
 
 /// Row-equivalents charged per recorded query when converting a shard's
@@ -917,26 +992,32 @@ fn maybe_replan_attr(
     policy: &ReplanPolicy,
     attr: usize,
 ) -> Option<ReplanAction> {
-    let (col, ids) = peek_slot(shared, attr)?;
+    let col = Arc::clone(&shared.cols[attr].read());
+    // The policy weighs an attribute's shards against each other, so all
+    // of them must be resident and live (`get` is `None` for a shard the
+    // budget dropped): cold and partially resident attributes wait.
+    let shards: Vec<_> = (0..col.shard_count())
+        .map(|k| {
+            let (shard, id) = col.resident(k)?;
+            Some((shard, space.get(id)?.1))
+        })
+        .collect::<Option<_>>()?;
     // Refresh before reading: the daemon republishes the shards it
     // refines each cycle, but a pure pending pile-up (updates with no
     // queries) advances no refinement — the policy must not starve on
     // stale summaries. `maybe_publish_stats(1)` is a no-op when nothing
     // changed.
-    for k in 0..col.shard_count() {
-        col.shard(k).maybe_publish_stats(1);
+    for (shard, _) in &shards {
+        shard.maybe_publish_stats(1);
     }
-    let loads: Vec<ShardLoad> = (0..col.shard_count())
-        .map(|k| {
+    let loads: Vec<ShardLoad> = shards
+        .iter()
+        .map(|(shard, stats)| {
             // Access heat: the shard's registry `f_I` (queries routed to
             // it) in row-equivalents, so a small shard every query hammers
             // can out-weigh a large cold one and trip the split skew.
-            let access = ids
-                .get(k)
-                .and_then(|&id| space.get(id))
-                .map(|(_, stats)| (stats.queries().saturating_mul(ACCESS_ROW_EQUIV)) as usize)
-                .unwrap_or(0);
-            match col.shard(k).piece_stats() {
+            let access = stats.queries().saturating_mul(ACCESS_ROW_EQUIV) as usize;
+            match shard.piece_stats() {
                 Some(s) => ShardLoad {
                     rows: s.len,
                     pending: s.pending,
@@ -945,8 +1026,8 @@ fn maybe_replan_attr(
                 // Columns publish at build; the fallback reads the live
                 // lengths so a stats-less shard is not mistaken for empty.
                 None => ShardLoad {
-                    rows: col.shard(k).len(),
-                    pending: col.shard(k).pending_len(),
+                    rows: shard.len(),
+                    pending: shard.pending_len(),
                     access,
                 },
             }
@@ -956,90 +1037,57 @@ fn maybe_replan_attr(
     if holix_telemetry::metrics_enabled() {
         holix_telemetry::counter!("planner_replan_proposals_total").inc();
     }
-    apply_replan_action(shared, space, attr, &col, &ids, action).then_some(action)
+    apply_replan_action(shared, space, attr, &col, action).then_some(action)
 }
 
 /// Migrates `action` against `col` and publishes the successor plan.
 ///
 /// Readers are never blocked: the migration seals and drains only the
 /// replaced shard(s) while queries keep executing against the predecessor
-/// `(col, ids)` they already cloned. The cutover order is
-/// plan-epoch-then-slot, so any query routed by the new epoch finds a
-/// column at least that new; the replaced shards' registry entries are
-/// retired and the rebuilt shards registered, untouched shards keep their
-/// identity (and their accumulated daemon weights) by `Arc` sharing.
+/// column they already cloned. The cutover order is plan-epoch-then-slot,
+/// so any query routed by the new epoch finds a column at least that new;
+/// the rebuilt shards are registered and the replaced shards' registry
+/// entries retired, untouched shards keep their identity (and their
+/// accumulated daemon weights) by sharing their cells.
 fn apply_replan_action(
     shared: &PlanShared,
     space: &IndexSpace,
     attr: usize,
-    col: &Arc<ShardedColumn<i64>>,
-    ids: &Arc<[IndexId]>,
+    col: &Arc<Shards>,
     action: ReplanAction,
 ) -> bool {
-    let Some(successor) = col.apply_replan(action) else {
+    // The slot's write lock, taken once the migration has drained the
+    // replaced shards and held through the cutover.
+    let mut slot = None;
+    let successor = col.apply_replan_with(action, |fresh| {
+        let guard = shared.cols[attr].write();
+        // An eviction swapped the column while we migrated: the successor
+        // would resurrect cells the slot has vacated since — abandon it
+        // (the migrated shards reopen, nothing was registered).
+        if !Arc::ptr_eq(&guard, col) {
+            return None;
+        }
+        slot = Some(guard);
+        Some(register_shards(fresh, |hs| space.register_actual_batch(hs)))
+    });
+    let (Some(successor), Some(mut slot)) = (successor, slot) else {
         return false;
     };
-    let successor = Arc::new(successor);
-    let mut guard = shared.cols[attr].write();
-    match guard.as_ref() {
-        // The slot was evicted and rebuilt while we migrated: our
-        // predecessor is defunct, the successor is based on stale shards —
-        // abandon it (its fresh shards were never registered; updates the
-        // sealed shards rejected retry against the rebuilt slot).
-        Some(slot) if !Arc::ptr_eq(&slot.col, col) => return false,
-        None => return false,
-        Some(_) => {}
-    }
-    // Identity-diff the shard lists: untouched shards were shared by
-    // `Arc` into the successor and keep their registry ids.
-    let mut new_ids: Vec<Option<IndexId>> = vec![None; successor.shard_count()];
-    let mut reused = vec![false; col.shard_count()];
-    for (j, slot_id) in new_ids.iter_mut().enumerate() {
-        for i in 0..col.shard_count() {
-            if !reused[i] && Arc::ptr_eq(successor.shard(j), col.shard(i)) {
-                *slot_id = Some(ids[i]);
-                reused[i] = true;
-                break;
-            }
-        }
-    }
-    let fresh: Vec<Arc<dyn holix_core::RefinableIndex>> = (0..successor.shard_count())
-        .filter(|&j| new_ids[j].is_none())
-        .map(|j| {
-            Arc::new(CrackerHandle::new(Arc::clone(successor.shard(j))))
-                as Arc<dyn holix_core::RefinableIndex>
-        })
-        .collect();
-    let mut registered = space.register_actual_batch(fresh).into_iter();
-    for slot_id in new_ids.iter_mut() {
-        if slot_id.is_none() {
-            *slot_id = registered.next().map(|(id, _)| id);
-        }
-    }
-    let new_ids: Arc<[IndexId]> = new_ids
-        .into_iter()
-        .map(|id| id.expect("one registration per rebuilt shard"))
-        .collect();
-    for i in 0..col.shard_count() {
-        if !reused[i] {
-            space.retire(ids[i]);
-        }
+    for k in action.replaced() {
+        space.retire(col.resident(k).expect("migrated shards are resident").1);
     }
     // Seed the successor's rebuilt shards with fresh statistics so the
     // next policy evaluation (and plan-priced admission) sees them.
-    for k in 0..successor.shard_count() {
-        successor.shard(k).maybe_publish_stats(1);
+    for shard in successor.resident_shards() {
+        shard.maybe_publish_stats(1);
     }
     let version = shared.plan_cells[attr].load().map_or(1, |e| e.version + 1);
     shared.plan_cells[attr].publish(Arc::new(PlanEpoch {
         version,
         plan: successor.plan().clone(),
     }));
-    *guard = Some(AttrSlot {
-        col: successor,
-        ids: new_ids,
-    });
-    drop(guard);
+    *slot = Arc::new(successor);
+    drop(slot);
     shared.replans.fetch_add(1, Ordering::Relaxed);
     if holix_telemetry::metrics_enabled() {
         holix_telemetry::counter!("planner_replan_applies_total").inc();
@@ -1094,6 +1142,48 @@ mod tests {
         let mut cfg = HolisticEngineConfig::split_half_sharded(4, shards);
         cfg.holistic.monitor_interval = Duration::from_millis(1);
         HolisticEngine::new(data, cfg)
+    }
+
+    /// Two 50k-row attributes in four shards under a budget of 1.3
+    /// attributes (a 50k-row attribute is 600 KB of values and row ids, a
+    /// shard 150 KB), no daemon workers. Attribute 0 was touched first and
+    /// is resident whole; the narrow query on attribute 1 found room for
+    /// a shard but not for an attribute, so only shard 0 of it was built.
+    fn partially_resident_engine() -> HolisticEngine {
+        let data = Dataset::new(uniform_table(2, 50_000, 1_000_000, 6));
+        let mut cfg = HolisticEngineConfig::split_half_sharded(2, 4);
+        cfg.holistic.max_workers = Some(0);
+        cfg.holistic.storage_budget = Some(780_000);
+        let e = HolisticEngine::new(data, cfg);
+        for attr in 0..2 {
+            let q = QuerySpec {
+                attr,
+                lo: 10_000,
+                hi: 20_000,
+            };
+            let oracle = scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi));
+            assert_eq!(e.execute(&q), oracle.count);
+        }
+        e
+    }
+
+    /// The attribute's current column, nothing built.
+    fn peek(e: &HolisticEngine, attr: usize) -> Arc<Shards> {
+        Arc::clone(&e.shared.cols[attr].read())
+    }
+
+    /// Resident shards the budget has not dropped, over all attributes —
+    /// what `space.live_ids()` must count too, or a registry entry is an
+    /// orphan (or a cell lost its entry).
+    fn live_cells(e: &HolisticEngine) -> usize {
+        (0..e.data.attrs())
+            .map(|attr| {
+                let col = peek(e, attr);
+                (0..col.shard_count())
+                    .filter(|&k| e.live(&col, k).is_some())
+                    .count()
+            })
+            .sum()
     }
 
     #[test]
@@ -1502,6 +1592,32 @@ mod tests {
         assert!(warm.shards_touched >= 2, "spanning estimate folds shards");
         assert!(cold.crack_values > warm.crack_values);
         e.stop();
+
+        // A partially resident attribute: the built shard is priced from
+        // its statistics, each empty one as its own rebuild — its base
+        // rows, not the attribute's — and still nothing is built.
+        let e = partially_resident_engine();
+        let col = peek(&e, 1);
+        let empty_rows: usize = (1..4).map(|k| col.shard_rows(k).unwrap()).sum();
+        let registered = e.space().membership_counts();
+        let all = QuerySpec {
+            attr: 1,
+            lo: 0,
+            hi: 1_000_000,
+        };
+        let cost = e.estimate_cost(&all).unwrap();
+        assert_eq!(cost.shards_touched, 4);
+        assert!(
+            (empty_rows as u64..=50_000).contains(&cost.crack_values),
+            "three empty shards of {empty_rows} rows priced {}",
+            cost.crack_values
+        );
+        assert_eq!(e.space().membership_counts(), registered);
+        assert!(
+            (1..4).all(|k| peek(&e, 1).resident(k).is_none()),
+            "estimate_cost built a shard"
+        );
+        e.stop();
     }
 
     #[test]
@@ -1529,6 +1645,26 @@ mod tests {
         let cost = rx
             .recv_timeout(Duration::from_secs(10))
             .expect("estimate_cost blocked on a structure/maintenance lock")
+            .expect("holistic engine keeps plan statistics");
+        assert_eq!(cost.shards_touched, 4);
+        drop(_structure);
+        drop(_heap);
+        e.stop();
+
+        // The same on one built and three empty cells, under a budget
+        // (liveness is a registry membership load, not a lock on the heap).
+        let e = Arc::new(partially_resident_engine());
+        let col = peek(&e, 1);
+        let _structure = col.shard(0).hold_structure_write_for_test();
+        let _heap = e.space().hold_maintenance_lock_for_test();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probe = Arc::clone(&e);
+        std::thread::spawn(move || {
+            let _ = tx.send(probe.estimate_cost(&QuerySpec { attr: 1, ..q }));
+        });
+        let cost = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("estimate_cost blocked on a partially resident attribute")
             .expect("holistic engine keeps plan statistics");
         assert_eq!(cost.shards_touched, 4);
         drop(_structure);
@@ -1636,67 +1772,238 @@ mod tests {
     }
 
     #[test]
-    fn partial_shard_eviction_retires_surviving_orphans() {
-        // Budget fits ~1.5 of the two 600 KiB attribute columns, so
-        // registering the second attribute evicts one of the first's two
-        // shards. The rebuild of the first attribute must retire the
-        // surviving shard's entry — a live orphan would double-count the
-        // budget and feed the daemon a dead column.
+    fn narrow_query_under_pressure_admits_one_shard_not_the_attribute() {
+        let e = partially_resident_engine();
+        let shard_bytes = 50_000 / 4 * 12;
+        // Attribute 0 went in whole (nothing had to go for it) ...
+        let col0 = peek(&e, 0);
+        assert!((0..4).all(|k| e.live(&col0, k).is_some()));
+        // ... attribute 1 as the one shard its query touched.
+        let col1 = peek(&e, 1);
+        assert!(e.live(&col1, 0).is_some());
+        assert!((1..4).all(|k| col1.resident(k).is_none()));
+        assert_eq!(e.space().live_ids().len(), 5);
+        assert_eq!(e.space().membership_counts().3, 0, "nothing was evicted");
+        // The next narrow query, on another cold shard, costs the budget
+        // about one shard — not the four of its attribute.
+        let before = e.space().bytes_used();
+        let q = QuerySpec {
+            attr: 1,
+            lo: 900_000,
+            hi: 910_000,
+        };
+        let oracle = scan_stats(e.data.column(1), Predicate::range(q.lo, q.hi));
+        assert_eq!(e.execute(&q), oracle.count);
+        // (Making room for it may have evicted an untouched shard.)
+        let evicted = e.space().membership_counts().3 * shard_bytes;
+        let grown = e.space().bytes_used() + evicted - before;
+        assert!(
+            (shard_bytes * 3 / 4..shard_bytes * 3 / 2).contains(&grown),
+            "one {shard_bytes}-byte shard admitted, {grown} bytes charged"
+        );
+        assert_eq!(e.space().live_ids().len(), live_cells(&e));
+        e.stop();
+    }
+
+    #[test]
+    fn partial_eviction_rebuilds_only_the_dropped_shard() {
+        // Two 600 KB attributes in two shards under a budget of 1.4 of
+        // them. Attribute 0 goes in whole; the narrow read on attribute 1
+        // finds room for neither the attribute nor its 300 KB shard, so
+        // one shard is admitted and the least-queried entry — attribute
+        // 0's never-queried upper shard — is evicted for it.
         let data = Dataset::new(uniform_table(2, 50_000, 1_000_000, 6));
         let mut cfg = HolisticEngineConfig::split_half_sharded(2, 2);
-        cfg.holistic.monitor_interval = Duration::from_millis(50);
-        cfg.holistic.storage_budget = Some(900 * 1024);
+        cfg.holistic.max_workers = Some(0);
+        cfg.holistic.storage_budget = Some(850 * 1024);
         let e = HolisticEngine::new(data, cfg);
-        let narrow = |attr| QuerySpec {
-            attr,
+        let exact = |q: QuerySpec| {
+            let oracle = scan_stats(e.data.column(q.attr), Predicate::range(q.lo, q.hi));
+            assert_eq!(e.execute(&q), oracle.count, "{q:?}");
+        };
+        // Three reads crack attribute 0's lower shard and make it hot.
+        for lo in [10_000, 30_000, 50_000] {
+            exact(QuerySpec {
+                attr: 0,
+                lo,
+                hi: lo + 10_000,
+            });
+        }
+        exact(QuerySpec {
+            attr: 1,
             lo: 10_000,
             hi: 20_000,
-        };
-        let oracle = |attr| scan_stats(e.data.column(attr), Predicate::range(10_000, 20_000)).count;
-        assert_eq!(e.execute(&narrow(0)), oracle(0));
-        assert_eq!(e.execute(&narrow(1)), oracle(1));
-        let (_, _, _, dropped) = e.space().membership_counts();
-        assert!(dropped >= 1, "budget never evicted (dropped={dropped})");
-        // Rebuild of attr 0 (some shard was evicted) + more churn.
-        for _ in 0..3 {
-            assert_eq!(e.execute(&narrow(0)), oracle(0));
-            assert_eq!(e.execute(&narrow(1)), oracle(1));
+        });
+        let before = peek(&e, 0);
+        let (survivor, survivor_id) = e.live(&before, 0).expect("the hot shard survives");
+        let (_, dropped_id) = before.resident(1).expect("attribute 0 was built whole");
+        assert_eq!(
+            e.space().membership(dropped_id),
+            Some(Membership::Dropped),
+            "the never-queried shard is the LFU victim"
+        );
+        let pieces = survivor.piece_count();
+        assert!(pieces > 1);
+        // A read of the dropped range rebuilds that shard alone: the
+        // survivor keeps its column (cracks, snapshots, filters), its id
+        // and its pieces; only the dropped shard gets a new column and a
+        // new registry entry.
+        exact(QuerySpec {
+            attr: 0,
+            lo: 900_000,
+            hi: 910_000,
+        });
+        let after = peek(&e, 0);
+        let (kept, kept_id) = e.live(&after, 0).expect("survivor still live");
+        assert!(Arc::ptr_eq(kept, survivor), "the survivor was rebuilt");
+        assert_eq!(kept_id, survivor_id);
+        assert_eq!(kept.piece_count(), pieces);
+        let (rebuilt, rebuilt_id) = e.live(&after, 1).expect("dropped shard is back");
+        assert!(!Arc::ptr_eq(rebuilt, before.shard(1)));
+        assert_ne!(rebuilt_id, dropped_id);
+        // More churn across both attributes stays exact, and every live
+        // registry entry is a cell the engine holds: no orphan pins bytes
+        // the budget cannot see, no cell feeds the daemon a dead column.
+        for i in 0..6 {
+            for attr in 0..2 {
+                let lo = 100_000 + ((i * 450_007 + attr as i64 * 200_003) % 800_000);
+                exact(QuerySpec {
+                    attr,
+                    lo,
+                    hi: lo + 5_000,
+                });
+            }
         }
-        // Every live entry must be referenced by a current attr slot: at
-        // most attrs × shards live ids; an orphaned survivor would exceed
-        // this and pin payload bytes the budget no longer sees.
-        let live = e.space().live_ids().len();
-        assert!(live <= 4, "orphaned registry entries: {live} live ids");
+        assert_eq!(e.space().live_ids().len(), live_cells(&e));
         assert!(
-            e.space().bytes_used() <= 2 * 900 * 1024,
-            "orphans pin payload past any eviction bound"
+            e.space().bytes_used() <= 850 * 1024 + 64 * 1024,
+            "live bytes exceed the budget by more than index growth"
         );
         e.stop();
     }
 
     #[test]
-    fn add_potential_reregisters_evicted_slots() {
-        let data = Dataset::new(uniform_table(3, 50_000, 1_000_000, 5));
-        let mut cfg = HolisticEngineConfig::split_half(2);
+    fn shard_admissions_race_without_orphans() {
+        // Four threads, each on its own shard of three cold attributes,
+        // under a budget of one attribute: admissions, evictions and
+        // vacated-cell swaps of one attribute race each other all the
+        // time. Every answer must be exact, and at quiesce the registry's
+        // live entries are exactly the cells the engine holds.
+        const QUERIES: usize = 2_000;
+        let rows = 20_000;
+        let data = Dataset::new(uniform_table(3, rows, 1_000_000, 9));
+        let sorted: Vec<Vec<i64>> = (0..3)
+            .map(|a| {
+                let mut c = data.column(a).to_vec();
+                c.sort_unstable();
+                c
+            })
+            .collect();
+        let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
         cfg.holistic.monitor_interval = Duration::from_millis(1);
-        // Budget fits roughly one 50k-row column, forcing evictions.
-        cfg.holistic.storage_budget = Some(700 * 1024);
+        cfg.holistic.storage_budget = Some(rows * 12);
+        let e = HolisticEngine::new(data, cfg);
+        let failed = AtomicBool::new(false);
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        // A thread that panics must not leave the others (or the main
+        // loop) running to the deadline.
+        struct PanicGuard<'a>(&'a AtomicBool);
+        impl Drop for PanicGuard<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        std::thread::scope(|s| {
+            let clients: Vec<_> = (0..4i64)
+                .map(|t| {
+                    let (e, sorted, failed, done) = (&e, &sorted, &failed, &done);
+                    s.spawn(move || {
+                        let _guard = PanicGuard(failed);
+                        let mut rng = StdRng::seed_from_u64(40 + t as u64);
+                        for i in 0..QUERIES {
+                            if failed.load(Ordering::Relaxed) {
+                                return;
+                            }
+                            // Well inside shard `t` of every attribute
+                            // (the equi-depth cuts of a uniform column
+                            // sit near the quarter points).
+                            let lo = t * 250_000 + rng.random_range(20_000..200_000);
+                            let q = QuerySpec {
+                                attr: i % 3,
+                                lo,
+                                hi: lo + rng.random_range(1..20_000),
+                            };
+                            let col = &sorted[q.attr];
+                            let want = (col.partition_point(|&v| v < q.hi)
+                                - col.partition_point(|&v| v < q.lo))
+                                as u64;
+                            let got = match i % 4 {
+                                0 => e.execute_snapshot(&q).unwrap().0,
+                                _ => e.execute(&q),
+                            };
+                            assert_eq!(got, want, "thread {t} query {i} {q:?}");
+                        }
+                        done.fetch_add(1, Ordering::Relaxed);
+                    })
+                })
+                .collect();
+            // No wait without a deadline: a wedged admission fails the
+            // test instead of hanging the suite.
+            let deadline = std::time::Instant::now() + Duration::from_secs(120);
+            while done.load(Ordering::Relaxed) < 4
+                && !failed.load(Ordering::Relaxed)
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let finished = done.load(Ordering::Relaxed);
+            failed.store(true, Ordering::Relaxed); // a thread still running leaves
+            for client in clients {
+                // Re-raise a client's own panic (with its message).
+                if let Err(panic) = client.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+            assert_eq!(finished, 4, "only {finished} of 4 threads done in 120 s");
+        });
+        assert!(e.space().membership_counts().3 > 0, "the budget never bit");
+        assert_eq!(e.space().live_ids().len(), live_cells(&e));
+        e.stop();
+    }
+
+    #[test]
+    fn add_potential_rebuilds_dropped_shards_and_leaves_live_ones() {
+        // Three 600 KB attributes in two shards, a budget of two of them.
+        let data = Dataset::new(uniform_table(3, 50_000, 1_000_000, 5));
+        let mut cfg = HolisticEngineConfig::split_half_sharded(2, 2);
+        cfg.holistic.max_workers = Some(0);
+        cfg.holistic.storage_budget = Some(1_300 * 1024);
         let e = HolisticEngine::new(data, cfg);
         e.add_potential(&[0, 1, 2]);
-        let (a0, p0, o0, d0) = e.space().membership_counts();
-        assert!(d0 >= 2, "budget never evicted (dropped={d0})");
-        // The dropped slots are still `Some`, but add_potential must see
-        // through them and re-register instead of skipping. Entries are
-        // never removed from the space, so the total strictly grows iff
-        // re-registration happened (the daemon can only flip memberships).
-        e.add_potential(&[0, 1, 2]);
-        let (a1, p1, o1, d1) = e.space().membership_counts();
+        // Speculating on the third attribute evicted the oldest entries:
+        // attribute 0's shards. Attributes 1 and 2 are live.
+        let dropped = peek(&e, 0);
+        assert!((0..2).all(|k| dropped.resident(k).is_some() && e.live(&dropped, k).is_none()));
+        let live_before = peek(&e, 2);
+        assert_eq!(e.space().membership_counts().3, 2);
+        assert_eq!(e.space().live_ids().len(), live_cells(&e));
+        // Speculating again must see through the occupied-but-dead cells
+        // of attribute 0 and rebuild them under new ids, and must not
+        // touch an attribute whose shards are all live.
+        e.add_potential(&[2, 0]);
+        let rebuilt = peek(&e, 0);
+        for k in 0..2 {
+            let (shard, id) = e.live(&rebuilt, k).expect("dropped shard re-registered");
+            assert!(!Arc::ptr_eq(shard, dropped.shard(k)));
+            assert_ne!(id, dropped.resident(k).unwrap().1);
+        }
         assert!(
-            a1 + p1 + o1 + d1 > a0 + p0 + o0 + d0,
-            "dropped slots were not re-registered \
-             (before: {a0}+{p0}+{o0}+{d0}, after: {a1}+{p1}+{o1}+{d1})"
+            Arc::ptr_eq(&peek(&e, 2), &live_before),
+            "a live attribute was rebuilt"
         );
-        assert!(a1 + p1 + o1 >= 1, "no live index after re-registration");
+        assert_eq!(e.space().live_ids().len(), live_cells(&e));
         // And every attribute still answers queries correctly.
         for attr in 0..3 {
             let q = QuerySpec {
