@@ -56,7 +56,7 @@ fn churn_value(domain: i64, phases: usize, phase: usize, k: usize) -> i64 {
 
 /// Current shard loads (live lengths + pending backlog) of attribute 0.
 fn loads_of(eng: &HolisticEngine) -> Vec<ShardLoad> {
-    let (col, _) = eng.sharded(0);
+    let col = eng.sharded(0);
     (0..col.shard_count())
         .map(|k| ShardLoad {
             rows: col.shard(k).len(),
@@ -179,7 +179,7 @@ fn main() {
                 "{label},{phase},{},{},{},{skew:.3},{:.3},{:.3},{:.3}",
                 stats.completed,
                 eng.replan_count(),
-                eng.sharded(0).0.shard_count(),
+                eng.sharded(0).shard_count(),
                 stats.p50.as_secs_f64() * 1e3,
                 stats.p95.as_secs_f64() * 1e3,
                 stats.p99.as_secs_f64() * 1e3,

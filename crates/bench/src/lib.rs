@@ -19,7 +19,6 @@
 //! | `HOLIX_POINTS` | distinct hot keys in the point-probe mix (filter harness) | `64` |
 //! | `HOLIX_POINT_PROB` | equality-probe fraction of the point-heavy mix | `0.8` |
 //! | `HOLIX_PHASES` | drift phases — distinct hot regions the workload visits in turn (replan harness) | `3` |
-//! | `HOLIX_BUDGET_COLS` | attributes competing for one storage budget (compression harness) | `8` |
 //! | `HOLIX_METRICS` | process-wide metrics registry on/off (`0`/`false`/`off`/`no` disable; harnesses may override programmatically) | on |
 //! | `HOLIX_TRACE` | per-query lifecycle tracing into the bounded ring (same off values) | off |
 //!
@@ -49,7 +48,6 @@ pub struct BenchEnv {
     pub points: usize,
     pub point_prob: f64,
     pub phases: usize,
-    pub budget_cols: usize,
 }
 
 /// Resolves an integer knob; a set-but-unparsable value panics with the
@@ -112,7 +110,6 @@ impl BenchEnv {
             points: env_usize("HOLIX_POINTS", 64).max(1),
             point_prob: env_f64("HOLIX_POINT_PROB", 0.8).clamp(0.0, 1.0),
             phases: env_usize("HOLIX_PHASES", 3).max(1),
-            budget_cols: env_usize("HOLIX_BUDGET_COLS", 8).max(2),
         }
     }
 
@@ -120,7 +117,7 @@ impl BenchEnv {
     pub fn banner(&self, figure: &str, notes: &str) {
         println!("# {figure}");
         println!(
-            "# scale: N={} queries={} attrs={} threads={} domain={} tpch_sf={} idle_ms={} clients={} shards={} reps={} updaters={} points={} point_prob={} phases={} budget_cols={}",
+            "# scale: N={} queries={} attrs={} threads={} domain={} tpch_sf={} idle_ms={} clients={} shards={} reps={} updaters={} points={} point_prob={} phases={}",
             self.n,
             self.queries,
             self.attrs,
@@ -134,8 +131,7 @@ impl BenchEnv {
             self.updaters,
             self.points,
             self.point_prob,
-            self.phases,
-            self.budget_cols
+            self.phases
         );
         if !notes.is_empty() {
             println!("# {notes}");

@@ -205,6 +205,7 @@ mod tests {
     use super::*;
     use crate::cpu::LoadAccountant;
     use crate::handle::CrackerHandle;
+    use crate::index_space::Membership;
     use holix_cracking::CrackerColumn;
 
     fn space_with_columns(cols: usize, n: usize) -> Arc<IndexSpace> {
@@ -218,7 +219,7 @@ mod tests {
                 format!("c{c}"),
                 &base,
             ))));
-            space.register_actual(h);
+            space.register(vec![h], Membership::Actual);
         }
         Arc::new(space)
     }

@@ -129,11 +129,6 @@ impl<V: CrackValue> CrackerHandle<V> {
             morph_tick: AtomicU64::new(0),
         }
     }
-
-    /// The underlying column.
-    pub fn column(&self) -> &Arc<CrackerColumn<V>> {
-        &self.col
-    }
 }
 
 impl<V: CrackValue> RefinableIndex for CrackerHandle<V> {

@@ -35,6 +35,6 @@ pub use config::HolisticConfig;
 pub use cpu::{CpuMonitor, LoadAccountant, ProcStatMonitor};
 pub use daemon::{CycleRecord, HolisticDaemon};
 pub use handle::{CrackerHandle, RefinableIndex, RefineResult, WorkerScratch};
-pub use index_space::{IndexId, IndexSpace, Membership};
+pub use index_space::{IndexSlot, IndexSpace, Membership};
 pub use stats::IndexStats;
 pub use strategy::Strategy;

@@ -56,7 +56,7 @@ pub fn idle_function(
     let start = Instant::now();
     let mut report = WorkerReport::default();
 
-    let Some((id, handle)) = space.pick(rng) else {
+    let Some((slot, handle)) = space.pick(rng) else {
         report.duration = start.elapsed();
         return report;
     };
@@ -65,13 +65,13 @@ pub fn idle_function(
     let mut scratch = WorkerScratch::default();
     for _ in 0..refinements_per_worker {
         let result = handle.refine_random(rng, latch_attempts, &mut scratch);
-        space.record_worker_outcome(id, result);
+        space.record_worker_outcome(&slot, handle.as_ref(), result);
         match result {
             RefineResult::Refined { .. } => report.refinements += 1,
             RefineResult::Busy => report.busy += 1,
             RefineResult::AlreadyBound => report.already_bound += 1,
         }
-        if space.membership(id) == Some(Membership::Optimal) {
+        if slot.membership() == Membership::Optimal {
             break;
         }
     }
@@ -94,7 +94,7 @@ pub fn idle_function(
     // skips the usual every-Nth-activation pacing. Below the threshold it
     // stays the picked handle's paced coldness-order morph.
     if space.budget_pressure() >= BUDGET_PRESSURE_MORPH {
-        for (_, victim) in space.eviction_candidates(EVICTION_MORPH_CANDIDATES) {
+        for victim in space.eviction_candidates(EVICTION_MORPH_CANDIDATES) {
             if victim.morph_cold_segments_now() {
                 report.segment_morphs += 1;
                 break;
@@ -118,19 +118,26 @@ pub fn idle_function(
 mod tests {
     use super::*;
     use crate::config::HolisticConfig;
-    use crate::handle::CrackerHandle;
+    use crate::handle::{CrackerHandle, RefinableIndex};
+    use crate::index_space::IndexSlot;
     use holix_cracking::CrackerColumn;
     use rand::prelude::*;
     use std::sync::Arc;
 
-    fn space_with_column(n: usize) -> IndexSpace {
+    /// Registers `col` into `C_actual`.
+    fn register(space: &IndexSpace, col: &Arc<CrackerColumn<i64>>) -> Arc<IndexSlot> {
+        let handle: Arc<dyn RefinableIndex> = Arc::new(CrackerHandle::new(Arc::clone(col)));
+        space
+            .register(vec![handle], Membership::Actual)
+            .pop()
+            .expect("batch of one")
+    }
+
+    fn space_with_column(n: usize) -> (IndexSpace, Arc<IndexSlot>) {
         let space = IndexSpace::new(HolisticConfig::default());
         let base: Vec<i64> = (0..n as i64).rev().collect();
-        let handle = Arc::new(CrackerHandle::new(Arc::new(CrackerColumn::from_base(
-            "a", &base,
-        ))));
-        space.register_actual(handle);
-        space
+        let slot = register(&space, &Arc::new(CrackerColumn::from_base("a", &base)));
+        (space, slot)
     }
 
     #[test]
@@ -144,7 +151,7 @@ mod tests {
 
     #[test]
     fn performs_x_refinements() {
-        let space = space_with_column(100_000);
+        let (space, _) = space_with_column(100_000);
         let mut rng = StdRng::seed_from_u64(2);
         let r = idle_function(&space, 16, 8, &mut rng);
         assert!(r.picked);
@@ -156,7 +163,7 @@ mod tests {
     #[test]
     fn stops_at_optimal() {
         // Column small enough that a handful of cracks reaches |L1| pieces.
-        let space = space_with_column(8_192);
+        let (space, _) = space_with_column(8_192);
         let mut rng = StdRng::seed_from_u64(3);
         let mut total = 0;
         for _ in 0..50 {
@@ -190,7 +197,7 @@ mod tests {
             &mut scratch,
         );
         let coarse = col.snapshot_piece_count();
-        space.register_actual(Arc::new(CrackerHandle::new(Arc::clone(&col))));
+        register(&space, &col);
         let mut rng = StdRng::seed_from_u64(9);
         let mut refreshes = 0;
         for _ in 0..50 {
@@ -223,7 +230,7 @@ mod tests {
             col.queue_delete(v, v as u32);
         }
         assert!(col.point_filter_staleness() >= 30_000);
-        space.register_actual(Arc::new(CrackerHandle::new(Arc::clone(&col))));
+        register(&space, &col);
         let mut rng = StdRng::seed_from_u64(11);
         let mut rebuilds = 0;
         for _ in 0..50 {
@@ -257,7 +264,7 @@ mod tests {
             &mut scratch,
         );
         let plain_bytes = col.snapshot_bytes();
-        space.register_actual(Arc::new(CrackerHandle::new(Arc::clone(&col))));
+        register(&space, &col);
         let mut rng = StdRng::seed_from_u64(13);
         let mut morphs = 0;
         for _ in 0..200 {
@@ -303,18 +310,15 @@ mod tests {
                 &mut scratch,
             );
         }
-        let cold_handle = Arc::new(CrackerHandle::new(Arc::clone(&cold)));
-        let hot_handle = Arc::new(CrackerHandle::new(Arc::clone(&hot)));
-        use crate::handle::RefinableIndex;
-        let used = cold_handle.payload_bytes() + hot_handle.payload_bytes();
+        let used = cold.payload_bytes() + hot.payload_bytes();
         let space = IndexSpace::new(HolisticConfig {
             storage_budget: Some(used * 100 / 95),
             ..HolisticConfig::default()
         });
-        space.register_actual(cold_handle);
-        let (hot_id, _) = space.register_actual(hot_handle);
+        register(&space, &cold);
+        let hot_slot = register(&space, &hot);
         for _ in 0..10 {
-            space.record_user_query(hot_id, false, 1);
+            hot_slot.record_user_query(false, 1);
         }
         let pressure = space.budget_pressure();
         assert!(pressure >= 0.9, "setup not under pressure: {pressure}");
@@ -339,12 +343,10 @@ mod tests {
 
     #[test]
     fn stats_recorded_per_outcome() {
-        let space = space_with_column(100_000);
+        let (space, slot) = space_with_column(100_000);
         let mut rng = StdRng::seed_from_u64(4);
         idle_function(&space, 8, 8, &mut rng);
-        let id = space.live_ids()[0];
-        let (_, stats) = space.get(id).unwrap();
-        assert!(stats.worker_refinements() > 0);
-        assert_eq!(stats.queries(), 0);
+        assert!(slot.stats().worker_refinements() > 0);
+        assert_eq!(slot.stats().queries(), 0);
     }
 }

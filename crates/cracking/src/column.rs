@@ -1666,45 +1666,15 @@ impl<V: CrackValue> CrackerColumn<V> {
         unsafe { self.vals.read_range(start, end) }.to_vec()
     }
 
-    /// Atomically copies the values currently in `[pred.lo, pred.hi)`.
-    /// Both bounds must already be boundaries (run `select` first to crack
-    /// them); the bounds are re-located *under the exclusive structure
-    /// lock*, so the copy is a consistent snapshot of the merged state at
-    /// one instant even when Ripple merges shifted positions since the
-    /// select. `None` when a non-sentinel bound is not an exact boundary —
-    /// callers fall back to per-query execution.
-    pub fn collect_range(&self, pred: Predicate<V>) -> Option<Vec<V>> {
-        if pred.is_empty() {
-            return Some(Vec::new());
-        }
-        let _exclusive = self.structure.write();
-        let idx = self.index.read();
-        let start = if pred.lo == V::MIN_VALUE {
-            0
-        } else {
-            match idx.locate(pred.lo) {
-                BoundLookup::Exact(p) => p,
-                BoundLookup::Piece { .. } => return None,
-            }
-        };
-        let end = if pred.hi == V::MAX_VALUE {
-            idx.len()
-        } else {
-            match idx.locate(pred.hi) {
-                BoundLookup::Exact(p) => p,
-                BoundLookup::Piece { .. } => return None,
-            }
-        };
-        // SAFETY: exclusive structure lock — no live mutators.
-        Some(unsafe { self.vals.read_range(start, end.max(start)) }.to_vec())
-    }
-
     /// Atomically copies the *base-table row ids* currently in
-    /// `[pred.lo, pred.hi)`. Same boundary contract and locking as
-    /// [`CrackerColumn::collect_range`] (run `select` first; `None` when a
-    /// non-sentinel bound is not an exact boundary). Conjunction execution
-    /// collects the driver term's row ids here and probes the remaining
-    /// attributes positionally in the base table.
+    /// `[pred.lo, pred.hi)`. Both bounds must already be boundaries (run
+    /// `select` first to crack them); the bounds are re-located *under the
+    /// exclusive structure lock*, so the copy is a consistent snapshot of
+    /// the merged state at one instant even when Ripple merges shifted
+    /// positions since the select. `None` when a non-sentinel bound is not
+    /// an exact boundary — callers fall back to per-term execution.
+    /// Conjunction execution collects the driver term's row ids here and
+    /// probes the remaining attributes positionally in the base table.
     pub fn collect_row_ids(&self, pred: Predicate<V>) -> Option<Vec<RowId>> {
         if pred.is_empty() {
             return Some(Vec::new());

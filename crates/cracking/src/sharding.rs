@@ -184,7 +184,7 @@ impl ReplanAction {
 }
 
 /// One shard's residency: empty, or a built cracker column together with
-/// the owner's tag for it (the engine's `IndexSpace` id). Column and tag
+/// the owner's tag for it (the engine's `IndexSpace` record). Column and tag
 /// are published in one step, so nobody ever sees a built shard without
 /// its tag. Cells are write-once; an evicted shard is replaced by a fresh
 /// cell in a successor column ([`ShardedColumn::vacated`]) that shares
@@ -298,7 +298,7 @@ fn filter_pass<V: CrackValue>(
     (vals, rows)
 }
 
-impl<V: CrackValue, T: Copy> ShardedColumn<V, T> {
+impl<V: CrackValue, T> ShardedColumn<V, T> {
     /// A column over `base` with every cell empty: nothing is copied until
     /// [`ShardedColumn::admit`] builds a shard.
     pub fn lazy(name: &str, base: Arc<Vec<V>>, plan: ShardPlan<V>) -> Self {
@@ -341,8 +341,8 @@ impl<V: CrackValue, T: Copy> ShardedColumn<V, T> {
 
     /// Shard `k`'s cracker column and tag, `None` while the cell is empty.
     /// Lock-free.
-    pub fn resident(&self, k: usize) -> Option<(&Arc<CrackerColumn<V>>, T)> {
-        self.cells[k].built.get().map(|(shard, tag)| (shard, *tag))
+    pub fn resident(&self, k: usize) -> Option<(&Arc<CrackerColumn<V>>, &T)> {
+        self.cells[k].built.get().map(|(shard, tag)| (shard, tag))
     }
 
     /// Shard `k`'s cracker column. Panics on an empty cell: callers either
@@ -727,7 +727,7 @@ impl<V: CrackValue> ShardedColumn<V> {
     }
 }
 
-impl<V: CrackValue, T: Copy> std::fmt::Debug for ShardedColumn<V, T> {
+impl<V: CrackValue, T> std::fmt::Debug for ShardedColumn<V, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedColumn")
             .field("shards", &self.cells.len())

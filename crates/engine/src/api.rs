@@ -97,18 +97,6 @@ pub trait QueryEngine: Send + Sync {
         0
     }
 
-    /// Executes the query and returns the qualifying *values* when the
-    /// engine can produce them without a full rescan (`None` otherwise).
-    /// The service layer uses this for containment coalescing: a batched
-    /// superset query executes once and contained predicates are answered
-    /// by post-filtering its values. Callers own the same consistency
-    /// caveat as `execute_verified`: concurrent updates between crack and
-    /// copy are not serialised.
-    fn execute_collect(&self, q: &QuerySpec) -> Option<Vec<i64>> {
-        let _ = q;
-        None
-    }
-
     /// Lock-free snapshot execution: `(count, sum)` served from the
     /// engine's published piece snapshots — pinning one epoch per touched
     /// shard and taking **no structure lock** — so a long analytical scan
@@ -125,16 +113,16 @@ pub trait QueryEngine: Send + Sync {
         None
     }
 
-    /// Lock-free variant of [`QueryEngine::execute_collect`]: qualifying
-    /// values copied out of the piece snapshots under epoch pins instead
-    /// of each shard's exclusive structure lock — the service's batched
-    /// superset runs stop blocking writers for the duration of the copy.
+    /// The qualifying *values* of `q`, copied out of the piece snapshots
+    /// under epoch pins — no structure lock, so the copy never blocks
+    /// writers. The service layer uses this for containment coalescing: a
+    /// batched superset query executes once and contained predicates are
+    /// answered by post-filtering its values. Same per-shard consistency
+    /// as [`QueryEngine::execute_snapshot`].
     ///
-    /// The three-way result matters to callers: `Unsupported` invites a
-    /// retry through the locked [`QueryEngine::execute_collect`], while
-    /// `CapExceeded` means the predicate qualifies more values than any
-    /// collect path will materialise — retrying the locked collect would
-    /// pay the same doomed copy again, under every shard's structure lock.
+    /// `Unsupported` and `CapExceeded` both send the caller back to
+    /// per-query execution: the engine has no snapshot read path, or the
+    /// predicate qualifies more values than are worth materialising.
     fn execute_collect_snapshot(&self, q: &QuerySpec) -> SnapshotCollect {
         let _ = q;
         SnapshotCollect::Unsupported
@@ -188,12 +176,10 @@ pub trait QueryEngine: Send + Sync {
 /// Outcome of [`QueryEngine::execute_collect_snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotCollect {
-    /// The engine has no snapshot read path — fall back to the locked
-    /// collect.
+    /// The engine has no snapshot read path — answer the run per query.
     Unsupported,
-    /// The qualifying set exceeds the engine's copy cap; the locked
-    /// collect shares the cap, so callers should skip materialisation
-    /// entirely.
+    /// The qualifying set exceeds the engine's copy cap; callers should
+    /// skip materialisation entirely.
     CapExceeded,
     /// The qualifying values, served lock-free.
     Values(Vec<i64>),

@@ -29,7 +29,8 @@
 //!
 //! Under crack-aware scheduling a batch is sorted widest-range-first within
 //! each `(attr, lo)` group; a run of predicates contained in the head's
-//! range executes the head *once* via [`QueryEngine::execute_collect`] and
+//! range executes the head *once* via
+//! [`QueryEngine::execute_collect_snapshot`] and
 //! answers the rest by post-filtering the returned values (exact duplicates
 //! fan the count out directly, as before).
 //!
@@ -775,26 +776,17 @@ fn dispatch_loop(
             };
             // Strict subsets behind the head: worth one collect call that
             // answers the whole containment run by post-filter. The
-            // dispatcher issues a *snapshot ticket* first — the engine's
-            // lock-free snapshot collect pins one epoch per touched shard,
-            // so materialising the superset no longer holds any shard's
-            // structure lock against concurrent cracks and Ripple merges.
-            // Only `Unsupported` retries through the locked collect; a
-            // `CapExceeded` superset would blow the identical cap there
-            // too, so the run goes straight to per-query execution.
+            // engine's lock-free snapshot collect pins one epoch per
+            // touched shard, so materialising the superset holds no
+            // shard's structure lock against concurrent cracks and Ripple
+            // merges. An engine without that path, or a superset past its
+            // copy cap, sends the run to per-query execution.
             if contained > dup {
                 let t0 = Instant::now();
-                let (values, via_snapshot) = match engine.execute_collect_snapshot(&head) {
-                    SnapshotCollect::Values(v) => (Some(v), true),
-                    SnapshotCollect::Unsupported => (engine.execute_collect(&head), false),
-                    SnapshotCollect::CapExceeded => (None, false),
-                };
-                if let Some(values) = values {
+                if let SnapshotCollect::Values(values) = engine.execute_collect_snapshot(&head) {
                     let service_time = t0.elapsed();
                     stats.record_executed();
-                    if via_snapshot {
-                        stats.record_snapshot_run();
-                    }
+                    stats.record_snapshot_run();
                     let superset_count = values.len() as u64;
                     for q in &rest[..contained] {
                         if q.spec != head {
@@ -817,20 +809,15 @@ fn dispatch_loop(
                         service_time,
                     );
                     if holix_telemetry::trace_enabled() {
-                        let (route, taken) = if via_snapshot {
-                            (TraceRoute::Snapshot, Route::Snapshot)
-                        } else {
-                            (TraceRoute::Locked, Route::Locked)
-                        };
                         trace_run(
                             engine,
                             calibrator,
                             &rest[..contained],
                             batch_len,
                             drained,
-                            route,
+                            TraceRoute::Snapshot,
                             engine.estimate_cost(&head).as_ref(),
-                            taken,
+                            Route::Snapshot,
                             service_time,
                             CoalesceKind::Containment,
                         );
@@ -1001,9 +988,9 @@ mod tests {
 
     #[test]
     fn containment_coalescing_answers_subsets_from_the_superset() {
-        // Holistic engine: supports execute_collect. One worker, one batch:
-        // a superset plus strict subsets must produce containment hits and
-        // exact answers.
+        // Holistic engine: supports execute_collect_snapshot. One worker,
+        // one batch: a superset plus strict subsets must produce
+        // containment hits and exact answers.
         let data = Dataset::new(uniform_table(1, 30_000, 10_000, 9));
         let mut cfg = HolisticEngineConfig::split_half(2);
         cfg.holistic.monitor_interval = Duration::from_millis(50);
@@ -1164,7 +1151,7 @@ mod tests {
         };
         // Warm the hot window so its bounds are exact hits in the stats.
         eng.execute(&hot);
-        let (col, _) = eng.sharded(0);
+        let col = eng.sharded(0);
         for k in 0..col.shard_count() {
             col.shard(k).publish_stats();
         }
@@ -1364,7 +1351,7 @@ mod tests {
         for i in 0..600u32 {
             eng.queue_insert(0, 300_000 + i as i64 % 50, 1_000_000 + i);
         }
-        let (col, _) = eng.sharded(0);
+        let col = eng.sharded(0);
         for k in 0..col.shard_count() {
             col.shard(k).publish_stats();
         }
@@ -1575,6 +1562,51 @@ mod tests {
             .find(|t| t.admit == AdmitOutcome::Queued && t.actual_ns > 0 && t.batch_len >= 1)
             .expect("no queued lifecycle trace was recorded");
         assert_eq!(t.coalesce, CoalesceKind::Solo);
+    }
+
+    #[test]
+    fn one_exposition_carries_series_from_all_four_layers() {
+        // A served, calibrated workload on a holistic engine touches every
+        // instrumented layer — cracks (`cracking_`), calibrator
+        // observations (`planner_`), daemon cycles (`engine_`), service
+        // counters (`server_`) — and one text dump of the process-wide
+        // registry must show them all.
+        let data = Dataset::new(uniform_table(1, 50_000, 10_000, 61));
+        let mut cfg = HolisticEngineConfig::split_half(2);
+        cfg.holistic.monitor_interval = Duration::from_millis(1);
+        let eng = Arc::new(HolisticEngine::new(data.clone(), cfg));
+        let service = QueryService::start(
+            Arc::clone(&eng) as Arc<dyn QueryEngine>,
+            None,
+            ServiceConfig {
+                workers: 1,
+                calibration: true,
+                ..ServiceConfig::default()
+            },
+        );
+        let session = service.session();
+        for i in 0..32 {
+            let q = QuerySpec {
+                attr: 0,
+                lo: i * 300,
+                hi: i * 300 + 200,
+            };
+            assert_eq!(session.execute(q).unwrap().count, oracle(&data, &q));
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while eng.cycles().is_empty() {
+            assert!(Instant::now() < deadline, "the daemon never ran a cycle");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        service.shutdown();
+        eng.stop();
+        let exposition = holix_telemetry::registry().expose();
+        for layer in ["cracking_", "planner_", "engine_", "server_"] {
+            assert!(
+                exposition.lines().any(|l| l.starts_with(layer)),
+                "exposition is missing the `{layer}` layer:\n{exposition}"
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! instrumentation, `HOLIX_TRACE` (default **off**) gates the trace ring.
 //! Both are a single relaxed atomic load on the hot path and can be flipped
 //! programmatically ([`set_metrics_enabled`], [`set_trace_enabled`]) so one
-//! process can benchmark enabled-vs-disabled beds (`fig_observe`).
+//! process can measure enabled-vs-disabled runs (the benchmark suite's
+//! `trace.overhead_ratio`).
 //!
 //! Registration is the cold path (a mutex-guarded map); hot paths cache
 //! `Arc` handles — the [`counter!`]/[`gauge!`]/[`float_gauge!`]/
@@ -77,9 +78,8 @@ pub fn trace_enabled() -> bool {
     trace_flag().load(Ordering::Relaxed)
 }
 
-/// Programmatic override of `HOLIX_METRICS` — `fig_observe` runs the
-/// enabled and disabled beds in one process, so the env knob alone is not
-/// enough.
+/// Programmatic override of `HOLIX_METRICS` — a harness that measures
+/// enabled and disabled runs in one process cannot use the env knob.
 pub fn set_metrics_enabled(on: bool) {
     metrics_flag().store(on, Ordering::Relaxed);
 }

@@ -45,7 +45,7 @@ fn multi_client_holistic_stress_returns_correct_counts() {
 
     // Invariants on the final cracked state.
     for attr in 0..attrs {
-        let (col, _) = engine.column(attr);
+        let col = engine.column(attr);
         col.check_invariants(Some(data.column(attr)));
     }
 }
@@ -97,6 +97,6 @@ fn same_hot_range_from_all_clients() {
     })
     .unwrap();
     engine.stop();
-    let (col, _) = engine.column(0);
+    let col = engine.column(0);
     col.check_invariants(Some(data.column(0)));
 }

@@ -122,7 +122,7 @@ fn concurrent_queries_updates_and_daemon_match_scan_oracle() {
     cfg.holistic.monitor_interval = Duration::from_millis(1);
     let engine = HolisticEngine::new(data.clone(), cfg);
     // Materialise the cracker column so updaters and the daemon share it.
-    let (col, _) = engine.column(0);
+    let col = engine.column(0);
 
     let net_inserted: i64 = std::thread::scope(|s| {
         // Query threads: random ranges inside the base domain, verified

@@ -24,12 +24,14 @@ fn fast_config(strategy: Strategy) -> HolisticConfig {
 fn daemon_converges_every_strategy_to_optimal() {
     for strategy in Strategy::ALL {
         let space = Arc::new(IndexSpace::new(fast_config(strategy)));
-        for c in 0..3 {
-            let base: Vec<i64> = (0..60_000).map(|i| (i * 37) % 100_000).collect();
-            space.register_actual(Arc::new(CrackerHandle::new(Arc::new(
-                CrackerColumn::from_base(format!("c{c}"), &base),
-            ))));
-        }
+        let handles = (0..3)
+            .map(|c| {
+                let base: Vec<i64> = (0..60_000).map(|i| (i * 37) % 100_000).collect();
+                let col = CrackerColumn::from_base(format!("c{c}"), &base);
+                Arc::new(CrackerHandle::new(Arc::new(col))) as _
+            })
+            .collect();
+        let slots = space.register(handles, Membership::Actual);
         let monitor = LoadAccountant::new(4);
         let daemon = HolisticDaemon::spawn(
             Arc::clone(&space),
@@ -52,12 +54,8 @@ fn daemon_converges_every_strategy_to_optimal() {
         }
         daemon.stop();
         // Optimal means avg piece ≤ |L1| for every index.
-        for id in space.live_ids() {
-            assert_eq!(
-                space.membership(id),
-                Some(Membership::Optimal),
-                "{strategy}"
-            );
+        for slot in &slots {
+            assert_eq!(slot.membership(), Membership::Optimal, "{strategy}");
         }
     }
 }
@@ -136,8 +134,8 @@ fn exact_hit_statistics_accumulate() {
     for _ in 0..5 {
         engine.execute(&q);
     }
-    let id = engine.space().live_ids()[0];
-    let (_, stats) = engine.space().get(id).unwrap();
+    let col = engine.sharded(0);
+    let stats = col.resident(0).expect("built above").1.stats();
     assert_eq!(stats.queries(), 5);
     // First execution cracks, the other four are exact hits.
     assert_eq!(stats.exact_hits(), 4);

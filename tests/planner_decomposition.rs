@@ -59,7 +59,7 @@ proptest! {
     ) {
         let fx = fixture();
         for (s, engine) in &fx.engines {
-            let (col, _) = engine.sharded(0);
+            let col = engine.sharded(0);
             let cuts = col.plan().cuts();
             // Optionally snap a bound to an exact shard cut — the
             // boundary case where a part's range starts/ends exactly on

@@ -149,7 +149,7 @@ fn a_reader_pinned_to_the_old_plan_stays_exact_after_the_new_plan_publishes() {
     // Pin what an in-flight query would have loaded: the epoch and the
     // sharded column it started against.
     let old_epoch = eng.plan_epoch(0);
-    let (old_col, _) = eng.sharded(0);
+    let old_col = eng.sharded(0);
     assert_eq!(old_epoch.version, 0);
 
     assert!(
@@ -158,7 +158,7 @@ fn a_reader_pinned_to_the_old_plan_stays_exact_after_the_new_plan_publishes() {
     );
     assert!(eng.plan_version(0) >= 1, "no new plan version published");
     assert!(
-        !Arc::ptr_eq(&old_col, &eng.sharded(0).0),
+        !Arc::ptr_eq(&old_col, &eng.sharded(0)),
         "the published column did not change"
     );
 

@@ -26,7 +26,7 @@ fn boundary_queries(
     domain: i64,
     seed: u64,
 ) -> Vec<QuerySpec> {
-    let (col, _) = engine.sharded(attr);
+    let col = engine.sharded(attr);
     let cuts: Vec<i64> = col.plan().cuts().to_vec();
     let mut queries = Vec::new();
     for &c in &cuts {
@@ -119,7 +119,7 @@ fn updates_route_to_distinct_shards_and_merge_correctly() {
     let domain = 1 << 20;
     let data = Dataset::new(uniform_table(1, 40_000, domain, 72));
     let engine = sharded_engine(&data, 4);
-    let (col, _) = engine.sharded(0);
+    let col = engine.sharded(0);
     let cuts = col.plan().cuts().to_vec();
     assert_eq!(cuts.len(), 3, "plan did not produce 4 shards");
 
@@ -164,7 +164,7 @@ fn concurrent_cross_shard_queries_race_rippling_updaters() {
     let rows = 60_000usize;
     let data = Dataset::new(uniform_table(1, rows, domain, 73));
     let engine = Arc::new(sharded_engine(&data, 4));
-    let (col, _) = engine.sharded(0);
+    let col = engine.sharded(0);
     let cuts = col.plan().cuts().to_vec();
     let base_count = rows as u64;
     // Each updater thread owns one shard's value region and inserts a fixed
@@ -247,7 +247,7 @@ fn concurrent_cross_shard_queries_race_rippling_updaters() {
     });
     engine.stop();
     // Invariants hold on every shard after the melee.
-    let (col, _) = engine.sharded(0);
+    let col = engine.sharded(0);
     for k in 0..col.shard_count() {
         col.shard(k).check_invariants(None);
     }
