@@ -2,7 +2,9 @@
 //! PAPER.md's design summary records: crack kernels (in-place reference vs
 //! vectorized out-of-place vs parallel), scalar vs block-at-a-time segment
 //! decode ("Batched decode kernels"), AVL vs `BTreeMap` cracker-index
-//! lookups, weight-heap updates, and Ripple insertion vs naive re-cracking.
+//! lookups, weight-heap updates, Ripple insertion vs naive re-cracking, and
+//! the whole-attribute first touch (push routing + first crack vs the
+//! coarse-granular build).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use holix_core::weight_heap::WeightHeap;
@@ -12,10 +14,13 @@ use holix_cracking::index::CrackerIndex;
 use holix_cracking::kernels::{self, pack_bits, ScalarUnpacker};
 use holix_cracking::updates::ripple_insert;
 use holix_cracking::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
+use holix_cracking::{ShardPlan, ShardedColumn};
 use holix_parallel::parallel_partition;
+use holix_storage::select::Predicate;
 use rand::prelude::*;
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::Arc;
 
 const N: usize = 1 << 17;
 
@@ -250,8 +255,76 @@ fn bench_ripple_vs_rebuild(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_first_touch(c: &mut Criterion) {
+    // One cold attribute at the benchmark suite's size, 2^21 rows in 4
+    // shards, up to its first range query. Divide by 2^21 for ns/value,
+    // beside `parallel.partition_ns_per_value` and
+    // `storage.scan_ns_per_value`.
+    const ROWS: usize = 1 << 21;
+    let mut rng = StdRng::seed_from_u64(5);
+    let base: Arc<Vec<i64>> = Arc::new(
+        (0..ROWS)
+            .map(|_| rng.random_range(0..4 * ROWS as i64))
+            .collect(),
+    );
+    let plan = ShardPlan::from_values(&base, 4);
+    let (lo, hi) = (ROWS as i64, ROWS as i64 + 40_000);
+    let mut g = c.benchmark_group("first_touch");
+    g.sample_size(10);
+
+    // What a first touch did before the coarse build: every tuple pushed
+    // to its shard in base order, a branchy fold for each shard's domain,
+    // then the query's three-way crack of one whole shard.
+    g.bench_function("push_routing_then_crack", |b| {
+        let mut scratch = CrackScratch::new();
+        b.iter(|| {
+            let s = plan.shards();
+            let cap = ROWS / s + ROWS / (s * 4) + 1;
+            let mut vals: Vec<Vec<i64>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
+            let mut rows: Vec<Vec<u32>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
+            for (r, &v) in base.iter().enumerate() {
+                let k = plan.shard_of(v);
+                vals[k].push(v);
+                rows[k].push(r as u32);
+            }
+            for shard in &vals {
+                let mut lo_hi = None;
+                for &v in shard {
+                    lo_hi = Some(match lo_hi {
+                        None => (v, v),
+                        Some((lo, hi)) => {
+                            (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+                        }
+                    });
+                }
+                black_box(lo_hi);
+            }
+            let k = plan.shard_of(lo);
+            black_box(crack_in_three_oop(
+                &mut vals[k],
+                &mut rows[k],
+                lo,
+                hi,
+                &mut scratch,
+            ));
+            (vals, rows)
+        })
+    });
+    g.bench_function("coarse_build_then_crack", |b| {
+        let mut scratch = CrackScratch::new();
+        b.iter(|| {
+            let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
+            col.admit(0, col.shard_count() - 1, |fresh| vec![(); fresh.len()]);
+            black_box(col.select_verified(Predicate::range(lo, hi), &mut scratch));
+            col
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_first_touch,
     bench_crack_kernels,
     bench_cracker_index,
     bench_weight_heap,

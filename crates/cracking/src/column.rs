@@ -193,23 +193,48 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// subset of base tuples whose values fall in its range while keeping
     /// global base-table positions.
     pub fn from_parts(name: impl Into<String>, vals: Vec<V>, rows: Vec<RowId>) -> Self {
+        let domain = vals.first().map(|&first| {
+            vals.iter()
+                .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
+        });
+        Self::from_pieces(name, vals, rows, &[], domain)
+    }
+
+    /// [`CrackerColumn::from_parts`] for tuples that arrive range-partitioned:
+    /// `bounds` are the boundaries (`key → position`, keys strictly
+    /// increasing) the layout already satisfies — every value before a
+    /// boundary's position is below its key, every value from it on is at
+    /// or above — and `domain` the smallest and largest value (`None` for
+    /// an empty column). The column is born with `bounds.len() + 1` pieces
+    /// and publishes their statistics once.
+    pub fn from_pieces(
+        name: impl Into<String>,
+        vals: Vec<V>,
+        rows: Vec<RowId>,
+        bounds: &[(V, usize)],
+        domain: Option<(V, V)>,
+    ) -> Self {
         assert_eq!(vals.len(), rows.len(), "values/row-ids length mismatch");
-        let mut lo_hi = None;
-        for &v in &vals {
-            lo_hi = Some(match lo_hi {
-                None => (v, v),
-                Some((lo, hi)) => (if v < lo { v } else { lo }, if v > hi { v } else { hi }),
-            });
-        }
         let n = vals.len();
+        assert!(
+            bounds
+                .windows(2)
+                .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1)
+                && bounds.last().is_none_or(|b| b.1 <= n),
+            "boundaries must ascend in key and position inside the column"
+        );
+        let mut index = CrackerIndex::new(n);
+        for &(key, pos) in bounds {
+            index.insert_bound(key, pos);
+        }
         let col = CrackerColumn {
             name: name.into(),
             vals: RangeCell::new(vals),
             rows: RangeCell::new(rows),
             structure: RwLock::new(()),
-            index: RwLock::new(CrackerIndex::new(n)),
+            index: RwLock::new(index),
             pending: Mutex::new(PendingUpdates::new()),
-            domain: Mutex::new(lo_hi),
+            domain: Mutex::new(domain),
             select_threads: 1,
             refine_threads: 1,
             snap: SnapshotCell::new(),
@@ -222,7 +247,8 @@ impl<V: CrackValue> CrackerColumn<V> {
             filter_build: Mutex::new(()),
             filter_deletes: AtomicUsize::new(0),
         };
-        // Cold columns still plan: publish the initial one-piece summary.
+        // Cold columns still plan: publish the summary of the pieces the
+        // column is born with.
         col.publish_stats();
         col
     }

@@ -14,10 +14,13 @@
 //! The shard is also the unit of **residency**: a [`ShardedColumn`] holds
 //! its base column by `Arc` and one cell per shard, empty until
 //! [`ShardedColumn::admit`] builds it. All S shards are built with one
-//! routing pass over the base; any smaller set with one branch-free filter
-//! pass per shard, so an owner under storage pressure materialises (and
-//! after an eviction re-materialises, through [`ShardedColumn::vacated`])
-//! exactly the value ranges its queries touch.
+//! two-level range partition of the base — by the plan's cuts into shards
+//! and, inside each shard, by power-of-two-wide value ranges into coarse
+//! buckets laid out in key order, so every shard is born with its buckets
+//! as pieces and no query ever cracks a whole shard; any smaller set with
+//! one branch-free filter pass per shard, so an owner under storage
+//! pressure materialises (and after an eviction re-materialises, through
+//! [`ShardedColumn::vacated`]) exactly the value ranges its queries touch.
 //!
 //! The *initial* shard plan is chosen from the base data: cut values at
 //! equi-depth quantiles of a sorted sample, so skewed bases still get
@@ -40,10 +43,19 @@ use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 /// Maximum base values sampled for the quantile cuts.
 const PLAN_SAMPLE: usize = 1 << 16;
+
+/// Most coarse buckets a whole-attribute build makes, over all shards: a
+/// tuple's bucket id fits a byte.
+const MAX_BUCKETS: usize = 256;
+
+/// L1 data cache assumed for the piece floor of a column nobody handed one
+/// to ([`ShardedColumn::with_piece_floor`]): the paper's 32 KiB.
+const L1_BYTES: usize = 32 * 1024;
 
 /// Immutable range-partitioning plan: `cuts` are the S−1 interior
 /// boundaries, ascending and strictly increasing. Shard `k` holds values
@@ -52,12 +64,16 @@ const PLAN_SAMPLE: usize = 1 << 16;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan<V> {
     cuts: Vec<V>,
+    /// Smallest and largest value of the sample the cuts came from; `None`
+    /// for a plan made without one. Only sizes the coarse buckets of the
+    /// two edge shards — routing never reads it.
+    extremes: Option<(V, V)>,
 }
 
 impl<V: CrackValue> ShardPlan<V> {
     /// Single-shard plan (no cuts) — the unsharded degenerate case.
     pub fn single() -> Self {
-        ShardPlan { cuts: Vec::new() }
+        Self::from_cuts(Vec::new())
     }
 
     /// Plan with explicit interior cut values (must be strictly
@@ -69,22 +85,25 @@ impl<V: CrackValue> ShardPlan<V> {
             cuts.windows(2).all(|w| w[0] < w[1]),
             "shard cuts must be strictly increasing"
         );
-        ShardPlan { cuts }
+        ShardPlan {
+            cuts,
+            extremes: None,
+        }
     }
 
     /// Equi-depth plan with up to `shards` shards, from a sorted sample of
     /// `values`. Duplicate quantiles collapse (a domain with fewer distinct
     /// values than shards yields fewer shards), so the cuts are always
-    /// strictly increasing.
+    /// strictly increasing. The plan remembers the sample's extremes.
     pub fn from_values(values: &[V], shards: usize) -> Self {
-        let shards = shards.max(1);
-        if shards == 1 || values.is_empty() {
+        if values.is_empty() {
             return Self::single();
         }
+        let shards = shards.max(1);
         let stride = (values.len() / PLAN_SAMPLE).max(1);
         let mut sample: Vec<V> = values.iter().step_by(stride).copied().collect();
         sample.sort_unstable();
-        let min = sample[0];
+        let (min, max) = (sample[0], sample[sample.len() - 1]);
         let mut cuts = Vec::with_capacity(shards - 1);
         for k in 1..shards {
             let cut = sample[(k * sample.len() / shards).min(sample.len() - 1)];
@@ -94,7 +113,10 @@ impl<V: CrackValue> ShardPlan<V> {
                 cuts.push(cut);
             }
         }
-        ShardPlan { cuts }
+        ShardPlan {
+            cuts,
+            extremes: Some((min, max)),
+        }
     }
 
     /// Number of shards this plan produces.
@@ -229,31 +251,221 @@ pub struct ShardedColumn<V, T = ()> {
     name: String,
     /// `(select, refine)` crack thread budgets of every shard built here.
     threads: (usize, usize),
+    /// Piece size (in values) below which nobody refines further; sizes
+    /// the coarse buckets of a whole build.
+    piece_floor: usize,
     /// Plan version (0 at build; +1 per applied replan).
     version: u64,
 }
 
-/// Routes every base tuple to its shard, keeping its global row id.
-fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>) -> (Vec<Vec<V>>, Vec<Vec<RowId>>) {
-    let s = plan.shards();
-    // Single shard (the default): straight memcpy, no per-tuple
-    // routing — this path sits on first-touch column construction.
-    if s == 1 {
-        (
-            vec![base.to_vec()],
-            vec![(0..base.len() as RowId).collect()],
-        )
-    } else {
-        let cap = base.len() / s + base.len() / (s * 4) + 1;
-        let mut vals: Vec<Vec<V>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
-        let mut rows: Vec<Vec<RowId>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
-        for (r, &v) in base.iter().enumerate() {
-            let k = plan.shard_of(v);
-            vals[k].push(v);
-            rows[k].push(r as RowId);
-        }
-        (vals, rows)
+/// One shard's coarse buckets: bucket `b` holds the values `v` with
+/// `(max(v, lo) - lo) >> shift == b`, and the last bucket every larger
+/// value too, so the arithmetic is total on `i64` and a value outside the
+/// sampled extremes lands in an edge bucket.
+#[derive(Debug, Clone, Copy)]
+struct Buckets {
+    /// Lower edge of bucket 0.
+    lo: i64,
+    /// log2 of the bucket width.
+    shift: u32,
+    /// Index of the last bucket.
+    last: u64,
+    /// Id of bucket 0 among the attribute's buckets (shards in order).
+    first_id: usize,
+}
+
+impl Buckets {
+    /// Attribute-wide id of `v`'s bucket.
+    #[inline(always)]
+    fn id_of(&self, v: i64) -> usize {
+        let d = (v.max(self.lo).wrapping_sub(self.lo) as u64) >> self.shift;
+        self.first_id + d.min(self.last) as usize
     }
+
+    /// The shard's attribute-wide bucket ids.
+    fn ids(&self) -> std::ops::RangeInclusive<usize> {
+        self.first_id..=self.first_id + self.last as usize
+    }
+
+    /// Lower key of bucket `b`, `0 < b <= last`: at most the shard's
+    /// largest planned value, so it neither wraps nor leaves `V`.
+    fn key<V: CrackValue>(&self, b: u64) -> V {
+        V::from_i64(self.lo.wrapping_add((b << self.shift) as i64))
+    }
+}
+
+/// Bucket geometry of every shard for a whole build of `rows` base rows.
+/// Buckets per shard: the largest power of two that keeps the average
+/// bucket at two `piece_floor`s or more — one crack above the size at
+/// which the tuning daemon stops refining — within [`MAX_BUCKETS`] for the
+/// attribute. A shard's range runs from its lower cut to just below its
+/// upper one, the plan's sampled extremes standing in at the two edges; a
+/// range narrower than the bucket count gets fewer buckets, an edge shard
+/// of a plan without a sample gets one.
+fn coarse_buckets<V: CrackValue>(
+    plan: &ShardPlan<V>,
+    rows: usize,
+    piece_floor: usize,
+) -> Vec<Buckets> {
+    let s = plan.shards();
+    let per_shard = (rows / s / (2 * piece_floor.max(1))).clamp(1, (MAX_BUCKETS / s).max(1));
+    let log2 = per_shard.ilog2();
+    let cut = |i: usize| plan.cuts[i].as_i64();
+    let mut first_id = 0;
+    (0..s)
+        .map(|k| {
+            let lo = match k {
+                0 => plan.extremes.map(|e| e.0.as_i64()),
+                k => Some(cut(k - 1)),
+            };
+            let top = match k + 1 == s {
+                true => plan.extremes.map(|e| e.1.as_i64()),
+                // Wraps only under a cut at `MIN`, whose shard is empty.
+                false => Some(cut(k).wrapping_sub(1)),
+            };
+            let (lo, span) = match (lo, top) {
+                (Some(lo), Some(top)) => (lo, top.max(lo).wrapping_sub(lo) as u64),
+                _ => (0, 0),
+            };
+            // Smallest shift that maps the span below `2^log2` buckets.
+            let bits = u64::BITS - span.leading_zeros();
+            let shift = bits.saturating_sub(log2).min(u64::BITS - 1);
+            let last = (span >> shift).min((1u64 << log2) - 1);
+            let buckets = Buckets {
+                lo,
+                shift,
+                last,
+                first_id,
+            };
+            first_id += last as usize + 1;
+            buckets
+        })
+        .collect()
+}
+
+/// One shard of a whole build: its tuples with each coarse bucket
+/// contiguous, buckets in key order; the bucket boundaries (`key →
+/// position`, none with an empty side); its smallest and largest value.
+struct Routed<V> {
+    vals: Vec<V>,
+    rows: Vec<RowId>,
+    bounds: Vec<(V, usize)>,
+    domain: Option<(V, V)>,
+}
+
+impl<V: CrackValue> Routed<V> {
+    /// The cracker column born with the buckets as its pieces.
+    fn into_column(self, name: String) -> CrackerColumn<V> {
+        CrackerColumn::from_pieces(name, self.vals, self.rows, &self.bounds, self.domain)
+    }
+}
+
+thread_local! {
+    /// Bucket id per base tuple, between the two passes of [`route_all`]:
+    /// kept per thread so a build neither zero-fills nor page-faults a
+    /// fresh buffer (one byte per row of the longest base routed here).
+    static BUCKET_IDS: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Range-partitions the whole base two levels deep in two passes: every
+/// tuple goes to its shard by the plan's cuts and, inside the shard, to its
+/// coarse bucket ([`coarse_buckets`]), keeping its global row id. The first
+/// pass counts the buckets, the second writes each tuple straight to its
+/// place in exactly-sized shard vectors (with the 25 % headroom of
+/// [`filter_pass`]). At most [`MAX_BUCKETS`] shards.
+fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize) -> Vec<Routed<V>> {
+    let geometry = coarse_buckets(plan, base.len(), piece_floor);
+    let buckets = geometry.last().map_or(0, |g| g.ids().end() + 1);
+    assert!(buckets <= MAX_BUCKETS, "bucket ids must fit a byte");
+    let cuts: Vec<i64> = plan.cuts.iter().map(|c| c.as_i64()).collect();
+    BUCKET_IDS.with_borrow_mut(|ids| {
+        if ids.len() < base.len() {
+            ids.resize(base.len(), 0);
+        }
+        let ids = &mut ids[..base.len()];
+
+        // Pass 1, branch-free: a value's shard is the number of cuts at or
+        // below it, its bucket a subtraction and a shift.
+        let mut hist = [0usize; MAX_BUCKETS];
+        for (&v, id) in base.iter().zip(ids.iter_mut()) {
+            let v = v.as_i64();
+            let k: usize = cuts.iter().map(|&c| (c <= v) as usize).sum();
+            *id = geometry[k].id_of(v) as u8;
+            hist[*id as usize] += 1;
+        }
+
+        // Exactly-sized vectors, and per bucket the shard arrays it lives
+        // in and the position it starts at.
+        let mut out: Vec<Routed<V>> = Vec::with_capacity(geometry.len());
+        let mut vals_of = [std::ptr::null_mut::<V>(); MAX_BUCKETS];
+        let mut rows_of = [std::ptr::null_mut::<RowId>(); MAX_BUCKETS];
+        let mut cursor = [0usize; MAX_BUCKETS];
+        for g in &geometry {
+            let count: usize = hist[g.ids()].iter().sum();
+            let cap = count + count / 4 + 1;
+            let mut shard = Routed {
+                vals: Vec::with_capacity(cap),
+                rows: Vec::with_capacity(cap),
+                bounds: Vec::with_capacity(g.last as usize),
+                domain: None,
+            };
+            let mut pos = 0;
+            for id in g.ids() {
+                // A boundary with an empty side would only add an empty
+                // piece.
+                let left = shard.bounds.last().map_or(0, |b: &(V, usize)| b.1);
+                if left < pos && pos < count {
+                    shard.bounds.push((g.key((id - g.first_id) as u64), pos));
+                }
+                vals_of[id] = shard.vals.as_mut_ptr();
+                rows_of[id] = shard.rows.as_mut_ptr();
+                cursor[id] = pos;
+                pos += hist[id];
+            }
+            out.push(shard);
+        }
+
+        // Pass 2: every tuple to its bucket's cursor.
+        for (r, (&v, &id)) in base.iter().zip(ids.iter()).enumerate() {
+            let id = id as usize;
+            let pos = cursor[id];
+            cursor[id] = pos + 1;
+            // SAFETY: this pass reads back the ids pass 1 counted, so the
+            // cursor of bucket `id` has advanced fewer than `hist[id]`
+            // times: `pos` lies inside the bucket's own range of its
+            // shard's first `count` slots, which are allocated (capacity
+            // above `count`), written by no other bucket, and hold `Copy`
+            // values, so nothing is dropped. Ids that no tuple has (null
+            // pointers) are never read back.
+            unsafe {
+                vals_of[id].add(pos).write(v);
+                rows_of[id].add(pos).write(r as RowId);
+            }
+        }
+
+        for (g, shard) in geometry.iter().zip(&mut out) {
+            let mut count = 0;
+            for id in g.ids() {
+                count += hist[id];
+                assert_eq!(cursor[id], count, "bucket {id} was not filled exactly");
+            }
+            // SAFETY: the buckets of this shard tile `0..count` and each
+            // cursor stopped at its bucket's end (just asserted), so pass
+            // 2 initialised every one of the first `count` slots.
+            unsafe {
+                shard.vals.set_len(count);
+                shard.rows.set_len(count);
+            }
+            // Pieces are in key order and none is empty: the extremes sit
+            // in the first and the last.
+            let first = shard.bounds.first().map_or(count, |b| b.1);
+            let last = shard.bounds.last().map_or(0, |b| b.1);
+            let min = shard.vals[..first].iter().copied().reduce(V::min);
+            let max = shard.vals[last..].iter().copied().reduce(V::max);
+            shard.domain = min.zip(max);
+        }
+        out
+    })
 }
 
 /// Base rows per shard of `plan` (branch-free: a value's shard is the
@@ -309,6 +521,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             counts: Arc::default(),
             name: name.to_string(),
             threads: (1, 1),
+            piece_floor: (L1_BYTES / V::width()).max(1),
             version: 0,
         }
     }
@@ -326,6 +539,15 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
                     .set_threads(select, refine);
             }
         }
+        self
+    }
+
+    /// Sets the piece size, in values, at which refinement stops paying
+    /// (the owner's `|L1|`; defaults to 32 KiB worth): a whole build makes
+    /// its coarse buckets about twice that. A build-time choice like
+    /// [`ShardedColumn::with_threads`].
+    pub fn with_piece_floor(mut self, values: usize) -> Self {
+        self.piece_floor = values.max(1);
         self
     }
 
@@ -364,13 +586,23 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             .filter_map(|c| c.built.get().map(|(shard, _)| shard))
     }
 
-    fn new_shard(&self, k: usize, vals: Vec<V>, rows: Vec<RowId>) -> Arc<CrackerColumn<V>> {
+    /// Shard `k`'s cracker column, built by `make` from the shard's name.
+    fn new_shard(
+        &self,
+        k: usize,
+        make: impl FnOnce(String) -> CrackerColumn<V>,
+    ) -> Arc<CrackerColumn<V>> {
         let name = match self.version {
             0 => format!("{}/s{k}", self.name),
             v => format!("{}/v{v}/s{k}", self.name),
         };
         let (select, refine) = self.threads;
-        Arc::new(CrackerColumn::from_parts(name, vals, rows).with_threads(select, refine))
+        Arc::new(make(name).with_threads(select, refine))
+    }
+
+    /// Shard `k` over tuples in no particular order: one piece.
+    fn one_piece_shard(&self, k: usize, vals: Vec<V>, rows: Vec<RowId>) -> Arc<CrackerColumn<V>> {
+        self.new_shard(k, |name| CrackerColumn::from_parts(name, vals, rows))
     }
 
     /// Shard `k`'s tuples alone, filtered out of the base in one pass.
@@ -387,10 +619,11 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     }
 
     /// Makes shards `first..=last` resident. The empty cells among them
-    /// are built — all S at once with the one-pass routing loop, a smaller
-    /// set with one filter pass each — then `tag` sees the fresh columns
-    /// as one batch (ascending shard order) and returns one tag per
-    /// column, and column and tag are published together. All of it runs
+    /// are built — all S at once with the two-level range partition
+    /// (each shard born with its coarse buckets as pieces), a smaller set
+    /// with one filter pass each (one piece) — then `tag` sees the fresh
+    /// columns as one batch (ascending shard order) and returns one tag
+    /// per column, and column and tag are published together. All of it runs
     /// under the build locks of the touched cells, so two racing callers
     /// build, tag and publish each shard exactly once.
     pub fn admit(
@@ -411,21 +644,23 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         if missing.is_empty() {
             return;
         }
-        let fresh: Vec<Arc<CrackerColumn<V>>> = if missing.len() == self.cells.len() {
-            let (vals, rows) = route_all(&self.base, &self.plan);
+        // (More shards than bucket ids: shard by shard as well.)
+        let whole = missing.len() == self.cells.len() && self.cells.len() <= MAX_BUCKETS;
+        let fresh: Vec<Arc<CrackerColumn<V>>> = if whole {
+            let routed = route_all(&self.base, &self.plan, self.piece_floor);
             self.counts
-                .get_or_init(|| vals.iter().map(Vec::len).collect());
-            vals.into_iter()
-                .zip(rows)
+                .get_or_init(|| routed.iter().map(|shard| shard.vals.len()).collect());
+            routed
+                .into_iter()
                 .enumerate()
-                .map(|(k, (v, r))| self.new_shard(k, v, r))
+                .map(|(k, shard)| self.new_shard(k, |name| shard.into_column(name)))
                 .collect()
         } else {
             missing
                 .iter()
                 .map(|&k| {
                     let (vals, rows) = self.filter_parts(k);
-                    self.new_shard(k, vals, rows)
+                    self.one_piece_shard(k, vals, rows)
                 })
                 .collect()
         };
@@ -454,6 +689,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             counts: Arc::clone(&self.counts),
             name: self.name.clone(),
             threads: self.threads,
+            piece_floor: self.piece_floor,
             version: self.version,
         }
     }
@@ -617,7 +853,10 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             }
         };
         let mut successor = ShardedColumn {
-            plan: ShardPlan::from_cuts(cuts),
+            plan: ShardPlan {
+                extremes: self.plan.extremes,
+                ..ShardPlan::from_cuts(cuts)
+            },
             base: Arc::clone(&self.base),
             cells: Vec::with_capacity(self.cells.len() + 1),
             // A different plan: the base is recounted by its first
@@ -625,12 +864,13 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             counts: Arc::default(),
             name: self.name.clone(),
             threads: self.threads,
+            piece_floor: self.piece_floor,
             version,
         };
         let fresh: Vec<Arc<CrackerColumn<V>>> = parts
             .into_iter()
             .enumerate()
-            .map(|(i, (vals, rows))| successor.new_shard(k + i, vals, rows))
+            .map(|(i, (vals, rows))| successor.one_piece_shard(k + i, vals, rows))
             .collect();
         let Some(tags) = tag(&fresh) else {
             for k in replaced {
@@ -778,9 +1018,7 @@ mod tests {
 
     #[test]
     fn shard_of_and_range_agree_with_cuts() {
-        let plan = ShardPlan {
-            cuts: vec![100i64, 200, 300],
-        };
+        let plan = ShardPlan::from_cuts(vec![100i64, 200, 300]);
         assert_eq!(plan.shard_of(0), 0);
         assert_eq!(plan.shard_of(99), 0);
         assert_eq!(plan.shard_of(100), 1);
@@ -795,9 +1033,7 @@ mod tests {
 
     #[test]
     fn clamp_widens_covered_bounds_to_sentinels() {
-        let plan = ShardPlan {
-            cuts: vec![100i64, 200],
-        };
+        let plan = ShardPlan::from_cuts(vec![100i64, 200]);
         let pred = Predicate::range(50, 250);
         // Shard 0 [MIN,100): lower bound inside, upper covered.
         assert_eq!(plan.clamp(0, pred), Predicate::range(50, i64::MAX));
@@ -1041,53 +1277,310 @@ mod tests {
         assert!(!Arc::ptr_eq(col.shard(0), next.shard(0)));
     }
 
+    /// The whole-attribute routing the two-level partition replaced, kept
+    /// as the reference: every tuple to its shard by `shard_of`. Sorted
+    /// `(value, row id)` pairs per shard.
+    fn push_routing(base: &[i64], plan: &ShardPlan<i64>) -> Vec<Vec<(i64, RowId)>> {
+        let mut shards = vec![Vec::new(); plan.shards()];
+        for (r, &v) in base.iter().enumerate() {
+            shards[plan.shard_of(v)].push((v, r as RowId));
+        }
+        for shard in &mut shards {
+            shard.sort_unstable();
+        }
+        shards
+    }
+
+    /// `n` values of one of the domains the builds must agree on.
+    fn column_of(kind: usize, n: usize, rng: &mut StdRng) -> Vec<i64> {
+        match kind {
+            0 => vec![5; n],
+            1 => (0..n).map(|_| [-7, 0, 7][rng.random_range(0..3)]).collect(),
+            2 => (0..n).map(|_| rng.random_range(0..17)).collect(),
+            3 => (0..n).map(|_| rng.random_range(0..1_000)).collect(),
+            4 => (0..n)
+                .map(|_| rng.random_range(-1_000_000..-1_000))
+                .collect(),
+            _ => {
+                // All of `i64`, both ends present.
+                let mut vals: Vec<i64> = (0..n).map(|_| rng.random()).collect();
+                for end in [i64::MIN, i64::MAX] {
+                    if n > 0 {
+                        vals[rng.random_range(0..n)] = end;
+                    }
+                }
+                vals
+            }
+        }
+    }
+    const DOMAINS: usize = 6;
+
+    /// The whole build (coarse buckets of about `2 * floor` values), the
+    /// push routing it replaced and shards filtered one by one in a random
+    /// order hold the same tuples shard for shard and answer alike; every
+    /// base row lands once; every bucket's values lie inside its piece;
+    /// and both builds leave the 25 % headroom for Ripple inserts.
+    fn check_builds_agree(
+        seed: u64,
+        n: usize,
+        domain: usize,
+        shards: usize,
+        floor: usize,
+        cut_adjacent: bool,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Small domains are duplicate-heavy (and collapse the plan).
+        let spread = column_of(domain, n, &mut rng);
+        let plan = ShardPlan::from_values(&spread, shards);
+        // Cut-adjacent: every value sits on a cut or right beside one.
+        let base: Vec<i64> = match plan.cuts() {
+            cuts if cut_adjacent && !cuts.is_empty() => (0..n)
+                .map(|_| {
+                    cuts[rng.random_range(0..cuts.len())].saturating_add(rng.random_range(-1..=1))
+                })
+                .collect(),
+            _ => spread,
+        };
+        let reference = push_routing(&base, &plan);
+        let routed = route_all(&base, &plan, floor);
+        assert_eq!(routed.len(), plan.shards());
+        for shard in &routed {
+            assert!(shard.vals.capacity() >= shard.vals.len() + shard.vals.len() / 4);
+            assert!(shard.rows.capacity() >= shard.rows.len() + shard.rows.len() / 4);
+        }
+        let shared = Arc::new(base.clone());
+        let eager: ShardedColumn<i64> =
+            ShardedColumn::lazy("eager", Arc::clone(&shared), plan.clone()).with_piece_floor(floor);
+        eager.admit(0, plan.shards() - 1, |fresh| vec![(); fresh.len()]);
+        let lazy: ShardedColumn<i64> =
+            ShardedColumn::lazy("lazy", shared, plan.clone()).with_piece_floor(floor);
+        let mut order: Vec<usize> = (0..plan.shards()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+        for &k in &order {
+            let (vals, rows) = lazy.filter_parts(k);
+            assert!(vals.capacity() >= vals.len() + vals.len() / 4);
+            assert!(rows.capacity() >= rows.len() + rows.len() / 4);
+            lazy.admit(k, k, |fresh| vec![(); fresh.len()]);
+        }
+
+        let mut scratch = CrackScratch::new();
+        for k in 0..plan.shards() {
+            let (shard, parts) = (eager.shard(k), &routed[k]);
+            // Born with its buckets as pieces, each value inside its own.
+            assert_eq!(shard.piece_count(), parts.bounds.len() + 1);
+            shard.check_invariants((plan.shards() == 1).then_some(&base[..]));
+            let values = reference[k].iter().map(|&(v, _)| v);
+            assert_eq!(
+                shard.domain(),
+                values.clone().min().zip(values.max()),
+                "shard {k}"
+            );
+        }
+        for _ in 0..8 {
+            let (x, y): (i64, i64) = match base.is_empty() {
+                true => (rng.random(), rng.random()),
+                false => (
+                    base[rng.random_range(0..n)],
+                    base[rng.random_range(0..n)].saturating_add(rng.random_range(-1..=1)),
+                ),
+            };
+            // (An upper bound of `MAX` is the unbounded sentinel.)
+            let pred = Predicate::range(x.min(y), x.max(y).min(i64::MAX - 1));
+            let oracle = scan_stats(&base, pred);
+            assert_eq!(eager.select_verified(pred, &mut scratch).1, oracle);
+            assert_eq!(lazy.select_verified(pred, &mut scratch).1, oracle);
+        }
+        let mut seen = vec![0u32; n];
+        for (k, pushed) in reference.iter().enumerate() {
+            eager.shard(k).check_invariants(None);
+            let built = tuples(eager.shard(k));
+            assert_eq!(&built, pushed, "whole build, shard {k}");
+            assert_eq!(tuples(lazy.shard(k)), built, "one by one, shard {k}");
+            for (v, row) in built {
+                assert_eq!(base[row as usize], v);
+                seen[row as usize] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&c| c == 1), "a row is missing or doubled");
+    }
+
     // Shards built one at a time, in any order, are the eager build's
-    // shards; together they hold every base row once; and each keeps the
-    // 25 % headroom the eager build leaves for Ripple inserts.
+    // shards and the push routing's; many small columns, piece floors small
+    // enough that they still get buckets.
     proptest! {
         #[test]
         fn prop_shards_built_one_by_one_equal_the_eager_build(
             seed in any::<u64>(),
             n in 0usize..600,
-            domain in 0usize..3,
+            domain in 0usize..DOMAINS,
+            shards in 0usize..4,
+            floor in 0usize..3,
+            cut_adjacent in any::<bool>(),
+        ) {
+            let (shards, floor) = ([1usize, 2, 4, 7][shards], [1usize, 4, 4096][floor]);
+            check_builds_agree(seed, n, domain, shards, floor, cut_adjacent);
+        }
+    }
+
+    // The same at sizes where the derived bucket count is above one with
+    // the default piece floor.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn prop_coarse_build_equals_push_routing_at_size(
+            seed in any::<u64>(),
+            n in (1usize << 15)..=(1 << 17),
+            domain in 0usize..DOMAINS,
             shards in 0usize..4,
             cut_adjacent in any::<bool>(),
         ) {
-            let (domain, shards) = ([3i64, 17, 1_000][domain], [1usize, 2, 4, 7][shards]);
-            let mut rng = StdRng::seed_from_u64(seed);
-            // Small domains are duplicate-heavy (and collapse the plan).
-            let spread: Vec<i64> = (0..n).map(|_| rng.random_range(0..domain)).collect();
-            let plan = ShardPlan::from_values(&spread, shards);
-            // Cut-adjacent: every value sits on a cut or right beside one.
-            let base: Vec<i64> = match plan.cuts() {
-                cuts if cut_adjacent && !cuts.is_empty() => (0..n)
-                    .map(|_| cuts[rng.random_range(0..cuts.len())] + rng.random_range(-1..=1))
-                    .collect(),
-                _ => spread,
-            };
-            let eager = ShardedColumn::from_base_with_plan("eager", &base, plan.clone());
-            let lazy: ShardedColumn<i64> =
-                ShardedColumn::lazy("lazy", Arc::new(base.clone()), plan.clone());
-            let mut order: Vec<usize> = (0..plan.shards()).collect();
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.random_range(0..=i));
-            }
-            let mut seen = vec![0u32; n];
-            for k in order {
-                let (vals, rows) = lazy.filter_parts(k);
-                prop_assert!(vals.capacity() >= vals.len() + vals.len() / 4);
-                prop_assert!(rows.capacity() >= rows.len() + rows.len() / 4);
-                lazy.admit(k, k, |fresh| vec![(); fresh.len()]);
-                let built = tuples(lazy.shard(k));
-                prop_assert_eq!(built.len(), vals.len());
-                prop_assert_eq!(&built, &tuples(eager.shard(k)), "shard {}", k);
-                for (v, row) in built {
-                    prop_assert_eq!(base[row as usize], v);
-                    seen[row as usize] += 1;
+            let shards = [1usize, 2, 4, 7][shards];
+            check_builds_agree(seed, n, domain, shards, 4096, cut_adjacent);
+        }
+    }
+
+    /// `(shard, bucket-in-shard)` of `v` under `geometry`.
+    fn bucket_of(plan: &ShardPlan<i64>, geometry: &[Buckets], v: i64) -> (usize, u64) {
+        let k = plan.shard_of(v);
+        let id = geometry[k].id_of(v);
+        assert!(id >= geometry[k].first_id, "id below the shard's first");
+        let b = (id - geometry[k].first_id) as u64;
+        assert!(b <= geometry[k].last, "id beyond the shard's last");
+        (k, b)
+    }
+
+    #[test]
+    fn bucket_count_is_derived_from_rows_shards_and_piece_floor() {
+        let per_shard = |rows: usize, shards: usize| -> Vec<u64> {
+            let base: Vec<i64> = (0..rows as i64).collect();
+            let geometry = coarse_buckets(&ShardPlan::from_values(&base, shards), rows, 4096);
+            assert_eq!(geometry.len(), shards);
+            geometry.iter().map(|g| g.last + 1).collect()
+        };
+        // The benchmark's attribute: 2^19 rows a shard in buckets of 2^13.
+        assert_eq!(per_shard(1 << 21, 4), [64; 4]);
+        assert_eq!(per_shard(1 << 21, 1), [256]);
+        // A bucket never goes below two piece floors.
+        assert_eq!(per_shard(1 << 17, 4), [4; 4]);
+        assert_eq!(per_shard(1 << 17, 1), [16]);
+        assert_eq!(per_shard(1 << 15, 4), [1; 4]);
+        // Seven shards share 256 ids, at most 32 each; a range that is not
+        // a power of two wide fills more than half of them.
+        let sevenths = per_shard(1 << 22, 7);
+        assert!(
+            sevenths.iter().all(|c| (17..=32).contains(c)),
+            "{sevenths:?}"
+        );
+    }
+
+    #[test]
+    fn bucket_arithmetic_is_total_and_order_preserving_on_i64() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let columns: Vec<Vec<i64>> = vec![
+            column_of(5, 50_000, &mut rng), // all of i64, MIN and MAX present
+            column_of(4, 50_000, &mut rng), // negative
+            column_of(3, 50_000, &mut rng), // 1000 values
+            (0..50_000)
+                .map(|_| rng.random_range(i64::MAX - 50..=i64::MAX))
+                .collect(),
+            (0..50_000)
+                .map(|_| rng.random_range(i64::MIN..=i64::MIN + 50))
+                .collect(),
+        ];
+        for base in &columns {
+            for shards in [1usize, 2, 4, 7] {
+                let plan = ShardPlan::from_values(base, shards);
+                // Rows as if every shard could fill all its ids.
+                let geometry = coarse_buckets(&plan, 1 << 26, 4096);
+                let total: usize = geometry.iter().map(|g| g.last as usize + 1).sum();
+                assert!(total <= MAX_BUCKETS);
+                let mut probes: Vec<i64> = base.iter().copied().take(2_000).collect();
+                probes.extend([i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX]);
+                for &c in plan.cuts() {
+                    probes.extend([c.saturating_sub(1), c, c.saturating_add(1)]);
+                }
+                probes.sort_unstable();
+                let mut prev = (0usize, 0u64);
+                for &v in &probes {
+                    let (k, b) = bucket_of(&plan, &geometry, v);
+                    assert!((k, b) >= prev, "bucket order breaks value order at {v}");
+                    prev = (k, b);
+                    // Inside the key range its bucket will be registered
+                    // with (edge buckets are open outwards).
+                    let g = &geometry[k];
+                    if b > 0 {
+                        assert!(v >= g.key::<i64>(b), "{v} below its bucket");
+                    }
+                    if b < g.last {
+                        assert!(v < g.key::<i64>(b + 1), "{v} above its bucket");
+                    }
                 }
             }
-            prop_assert!(seen.iter().all(|&c| c == 1), "a row is missing or doubled");
         }
+    }
+
+    #[test]
+    fn narrow_ranges_get_fewer_buckets_and_unsampled_edges_one() {
+        // Three distinct values: no shard's range spans more than three.
+        let base: Vec<i64> = (0..60_000).map(|i| [-7, 0, 7][i % 3]).collect();
+        for shards in [1usize, 2, 4] {
+            let plan = ShardPlan::from_values(&base, shards);
+            for g in coarse_buckets(&plan, 1 << 26, 4096) {
+                assert!(g.last < 15, "{g:?}");
+            }
+        }
+        // All equal: one shard, one bucket.
+        let plan = ShardPlan::from_values(&[5i64; 1_000], 4);
+        let geometry = coarse_buckets(&plan, 1 << 26, 4096);
+        assert_eq!((geometry.len(), geometry[0].last), (1, 0));
+        // No sample, no extremes: the edge shards cannot size their
+        // buckets, interior ones can.
+        let plan = ShardPlan::from_cuts(vec![0i64, 1 << 20, 1 << 21]);
+        let lasts: Vec<u64> = coarse_buckets(&plan, 1 << 26, 4096)
+            .iter()
+            .map(|g| g.last)
+            .collect();
+        assert_eq!(lasts, [0, 63, 63, 0]);
+        assert_eq!(
+            coarse_buckets(&ShardPlan::<i64>::single(), 1 << 26, 4096)[0].last,
+            0
+        );
+        // A cut at the very bottom leaves an empty first shard.
+        let plan = ShardPlan::from_cuts(vec![i64::MIN, 0]);
+        assert_eq!(coarse_buckets(&plan, 1 << 26, 4096).len(), 3);
+    }
+
+    #[test]
+    fn whole_build_gives_every_shard_its_buckets_and_skips_empty_sides() {
+        // 2^17 rows in 4 shards: up to 4 buckets a shard with the default
+        // floor, more than half of them used.
+        let b = base(1 << 17, 1 << 20, 41);
+        let col = ShardedColumn::from_base_with_plan("a", &b, ShardPlan::from_values(&b, 4));
+        for k in 0..4 {
+            let pieces = col.shard(k).piece_count();
+            assert!((3..=4).contains(&pieces), "shard {k}: {pieces} pieces");
+            col.shard(k).check_invariants(None);
+            let stats = col.shard(k).piece_stats().expect("published at birth");
+            assert_eq!(stats.piece_count, pieces);
+        }
+        // Values outside the sampled extremes clamp into the edge buckets,
+        // and a bucket range nobody falls into makes no empty piece: all
+        // the mass sits in the top quarter of the sampled range.
+        let mut skewed: Vec<i64> = (0..1 << 16).map(|i| 3_000 + (i % 1_000)).collect();
+        let plan = ShardPlan::from_values(&skewed, 1);
+        skewed.extend([i64::MIN, -5, 0, 5_000, i64::MAX]);
+        let col = ShardedColumn::from_base_with_plan("a", &skewed, plan);
+        let shard = col.shard(0);
+        shard.check_invariants(Some(&skewed));
+        assert_eq!(shard.domain(), Some((i64::MIN, i64::MAX)));
+        let mut scratch = CrackScratch::new();
+        let pred = Predicate::range(-10, 3_500);
+        assert_eq!(
+            col.select_verified(pred, &mut scratch).1,
+            scan_stats(&skewed, pred)
+        );
     }
 
     #[test]

@@ -238,7 +238,8 @@ impl HolisticEngine {
                     data.shared_column(attr),
                     plan.clone(),
                 )
-                .with_threads(cfg.user_threads, cfg.holistic.worker_threads);
+                .with_threads(cfg.user_threads, cfg.holistic.worker_threads)
+                .with_piece_floor(cfg.holistic.l1_values(std::mem::size_of::<i64>()));
                 RwLock::new(Arc::new(col))
             })
             .collect();
@@ -1067,6 +1068,15 @@ mod tests {
         HolisticEngine::new(data, cfg)
     }
 
+    /// [`sharded_engine`] whose daemon activates no worker: every piece is
+    /// a build's or a query's.
+    fn quiet_engine(attrs: usize, rows: usize, shards: usize) -> HolisticEngine {
+        let data = Dataset::new(uniform_table(attrs, rows, 1_000_000, 3));
+        let mut cfg = HolisticEngineConfig::split_half_sharded(4, shards);
+        cfg.holistic.max_workers = Some(0);
+        HolisticEngine::new(data, cfg)
+    }
+
     /// Two 50k-row attributes in four shards under a budget of 1.3
     /// attributes (a 50k-row attribute is 600 KB of values and row ids, a
     /// shard 150 KB), no daemon workers. Attribute 0 was touched first and
@@ -1178,20 +1188,24 @@ mod tests {
     #[test]
     fn engine_cracks_exactly_like_a_bare_column() {
         // One shard, one user thread, no workers: the engine is a cracker
-        // column behind an API. It must go through the same crack path as
-        // `CrackerColumn::from_base` — fused three-way kernel on the
+        // column behind an API. It must go through the same build and crack
+        // path as a bare one-shard `ShardedColumn` under the same plan —
+        // coarse buckets at first touch, fused three-way kernel on the
         // caller's scratch — so the Selections *and* the cracker arrays
         // come out identical, not merely the counts.
         let rows = 50_000;
         let data = Dataset::new(uniform_table(1, rows, 1_000_000, 3));
-        let bare = CrackerColumn::from_base("bare", data.column(0));
         let mut cfg = HolisticEngineConfig {
             shards: 1,
             user_threads: 1,
             ..HolisticEngineConfig::split_half(2)
         };
         cfg.holistic.max_workers = Some(0);
-        let e = HolisticEngine::new(data, cfg);
+        let e = HolisticEngine::new(data.clone(), cfg);
+        let plan = e.plan_epoch(0).plan.clone();
+        let bare = ShardedColumn::from_base_with_plan("bare", data.column(0), plan);
+        let bare = bare.shard(0);
+        assert!(bare.piece_count() > 1, "big enough for coarse buckets");
         let mut scratch = CrackScratch::new();
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..200 {
@@ -1216,12 +1230,64 @@ mod tests {
     }
 
     #[test]
+    fn first_touch_builds_every_shard_with_its_coarse_buckets() {
+        // 2^17 rows in 4 shards with |L1| = 4096 values: up to four buckets
+        // of two piece floors a shard. No workers, so the pieces counted
+        // are the build's and the queries' own.
+        let rows = 1 << 17;
+        let data = Dataset::new(uniform_table(1, rows, 1_000_000, 9));
+        let base = data.column(0).to_vec();
+        let mut cfg = HolisticEngineConfig::split_half_sharded(2, 4);
+        cfg.holistic.max_workers = Some(0);
+        let e = HolisticEngine::new(data, cfg);
+        // The same plan and piece floor built bare give the derived counts.
+        let plan = e.plan_epoch(0).plan.clone();
+        let bare = ShardedColumn::from_base_with_plan("bare", &base, plan);
+        let born: Vec<usize> = (0..4).map(|k| bare.shard(k).piece_count()).collect();
+        assert!(born.iter().all(|p| (3..=4).contains(p)), "{born:?}");
+
+        // A narrow first query inside shard 0 cracks one bucket in three.
+        let first = QuerySpec {
+            attr: 0,
+            lo: 1_000,
+            hi: 2_000,
+        };
+        let oracle = |q: &QuerySpec| scan_stats(&base, Predicate::range(q.lo, q.hi)).count;
+        assert_eq!(e.execute(&first), oracle(&first));
+        let col = peek(&e, 0);
+        for (k, &born) in born.iter().enumerate() {
+            let (shard, _) = col.resident(k).expect("first touch builds every shard");
+            assert_eq!(
+                shard.piece_count(),
+                born + 2 * (k == 0) as usize,
+                "shard {k}"
+            );
+            shard.check_invariants(None);
+        }
+        assert_eq!(e.total_pieces(), born.iter().sum::<usize>() + 2);
+
+        let mut rng = StdRng::seed_from_u64(10);
+        for _ in 0..200 {
+            let a = rng.random_range(0..1_000_000);
+            let b = rng.random_range(0..1_000_000);
+            let q = QuerySpec {
+                attr: 0,
+                lo: a.min(b),
+                hi: a.max(b),
+            };
+            assert_eq!(e.execute(&q), oracle(&q), "[{}, {})", q.lo, q.hi);
+        }
+        e.stop();
+    }
+
+    #[test]
     fn point_probes_match_oracle_and_absent_values_crack_nothing() {
         // Even values only: every odd probe is provably absent.
         let base: Vec<i64> = (0..40_000).map(|i| (i % 10_000) * 2).collect();
         let data = Dataset::new(vec![base.clone()]);
+        // No workers: the piece counts compared below are the probes' own.
         let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
-        cfg.holistic.monitor_interval = Duration::from_millis(1);
+        cfg.holistic.max_workers = Some(0);
         let e = HolisticEngine::new(data, cfg);
         // Warm the filters with one probe per shard region, then snapshot
         // the piece count: further absent probes must not crack.
@@ -1503,7 +1569,9 @@ mod tests {
 
     #[test]
     fn estimate_cost_prices_hits_and_cold_attrs_without_building() {
-        let e = sharded_engine(2, 50_000, 4);
+        // No workers: a refinement republishing the stride-sampled boundary
+        // table between the query and the estimate would unprice the hit.
+        let e = quiet_engine(2, 50_000, 4);
         let q = QuerySpec {
             attr: 1,
             lo: 200_000,
@@ -1609,14 +1677,21 @@ mod tests {
 
     #[test]
     fn daemon_refines_beyond_query_driven_cracks() {
-        let e = engine(2, 200_000);
-        // One query creates the index; then let the daemon work.
-        e.execute(&QuerySpec {
+        let q = QuerySpec {
             attr: 0,
             lo: 100,
             hi: 200_000,
-        });
-        let after_query = e.total_pieces();
+        };
+        // What the query makes by itself (first-touch buckets plus its two
+        // cracks), read where no worker can add to it: the bound must not
+        // depend on whether the daemon or this thread ran first.
+        let alone = quiet_engine(2, 200_000, 1);
+        alone.execute(&q);
+        let after_query = alone.total_pieces();
+        alone.stop();
+        // One query creates the index; then let the daemon work.
+        let e = engine(2, 200_000);
+        e.execute(&q);
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while e.total_pieces() <= after_query + 10 {
             assert!(
