@@ -12,7 +12,7 @@ use holix_cracking::avl::Avl;
 use holix_cracking::crack::crack_in_two;
 use holix_cracking::index::CrackerIndex;
 use holix_cracking::kernels::{self, pack_bits, ScalarUnpacker};
-use holix_cracking::updates::ripple_insert;
+use holix_cracking::updates::{ripple_batch, ripple_insert};
 use holix_cracking::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
 use holix_cracking::{ShardPlan, ShardedColumn};
 use holix_parallel::parallel_partition;
@@ -201,8 +201,10 @@ fn bench_weight_heap(c: &mut Criterion) {
 
 fn bench_ripple_vs_rebuild(c: &mut Criterion) {
     // Insert 64 values into a column cracked into 256 pieces: Ripple moves
-    // one element per downstream piece; the naive alternative re-sorts the
-    // touched suffix.
+    // one element per downstream piece and value (`ripple_insert_64`, the
+    // per-value reference) or `min(k, len)` per piece for the whole batch
+    // (`ripple_batch_64`, what a merge runs); the naive alternative
+    // re-sorts the touched suffix.
     let (vals, rows) = data(3);
     let mut index = CrackerIndex::new(N);
     let mut cvals = vals.clone();
@@ -234,6 +236,20 @@ fn bench_ripple_vs_rebuild(c: &mut Criterion) {
                 for k in 0..64u32 {
                     ripple_insert(&mut v, &mut r, &mut idx, (k as i64) * 13_337, N as u32 + k);
                 }
+                black_box(v.len())
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // The same 64 values as one batch: the boundary table walked once.
+    let batch: Vec<(i64, u32)> = (0..64u32)
+        .map(|k| ((k as i64) * 13_337, N as u32 + k))
+        .collect();
+    g.bench_function("ripple_batch_64", |b| {
+        b.iter_batched(
+            || (cvals.clone(), crows.clone(), index.clone()),
+            |(mut v, mut r, mut idx)| {
+                ripple_batch(&mut v, &mut r, &mut idx, &batch, &[]);
                 black_box(v.len())
             },
             BatchSize::LargeInput,

@@ -9,9 +9,17 @@
 //! Besides exact lookup the cracker index needs *floor*/*ceiling*-style
 //! searches to find the piece a pivot falls into; these are provided as
 //! [`Avl::floor`], [`Avl::ceil`], [`Avl::pred_strict`] and
-//! [`Avl::succ_strict`].
+//! [`Avl::succ_strict`]. The Ripple batch merge walks a key range of the
+//! tree with mutable access to the values and an early stop —
+//! [`Avl::walk_above_mut`] forwards from a key, [`Avl::walk_rev_mut`]
+//! backwards from the largest key.
 
 const NIL: u32 = u32::MAX;
+
+/// Upper bound on the height of any tree the `u32` arena can hold
+/// (an AVL tree of height `h` has more than `1.618^h` nodes, so 2³² nodes
+/// stay below height 47): the fixed path stack of the range walks.
+const MAX_HEIGHT: usize = 48;
 
 #[derive(Debug, Clone)]
 struct Node<K, V> {
@@ -371,6 +379,66 @@ impl<K: Ord + Copy, V> Avl<K, V> {
         }
     }
 
+    /// In-order visit of the entries with key `> bound`, smallest first,
+    /// until `f` returns `false`. Allocation-free: the path stack is a
+    /// fixed array ([`MAX_HEIGHT`]).
+    pub fn walk_above_mut(&mut self, bound: &K, mut f: impl FnMut(K, &mut V) -> bool) {
+        let mut stack = [NIL; MAX_HEIGHT];
+        let mut top = 0usize;
+        // Seed with the search path's left turns: exactly the ancestors
+        // still to be visited, the successor of `bound` on top.
+        let mut h = self.root;
+        while h != NIL {
+            let n = self.node(h);
+            if n.key > *bound {
+                stack[top] = h;
+                top += 1;
+                h = n.left;
+            } else {
+                h = n.right;
+            }
+        }
+        while top > 0 {
+            top -= 1;
+            let n = self.node_mut(stack[top]);
+            let (key, right) = (n.key, n.right);
+            if !f(key, n.val.as_mut().expect("live node")) {
+                return;
+            }
+            let mut h = right;
+            while h != NIL {
+                stack[top] = h;
+                top += 1;
+                h = self.node(h).left;
+            }
+        }
+    }
+
+    /// Reverse in-order visit (largest key first) until `f` returns
+    /// `false`. Allocation-free like [`Avl::walk_above_mut`].
+    pub fn walk_rev_mut(&mut self, mut f: impl FnMut(K, &mut V) -> bool) {
+        let mut stack = [NIL; MAX_HEIGHT];
+        let mut top = 0usize;
+        let mut h = self.root;
+        loop {
+            while h != NIL {
+                stack[top] = h;
+                top += 1;
+                h = self.node(h).right;
+            }
+            if top == 0 {
+                return;
+            }
+            top -= 1;
+            let n = self.node_mut(stack[top]);
+            let (key, left) = (n.key, n.left);
+            if !f(key, n.val.as_mut().expect("live node")) {
+                return;
+            }
+            h = left;
+        }
+    }
+
     /// In-order iterator over `(key, &value)`.
     pub fn iter(&self) -> AvlIter<'_, K, V> {
         let mut stack = Vec::with_capacity(self.height(self.root) as usize + 1);
@@ -621,6 +689,49 @@ mod tests {
         }
         let keys: Vec<i32> = t.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![1, 2, 3, 7, 8, 9]);
+    }
+
+    #[test]
+    fn range_walks_visit_the_right_keys_in_order_and_stop_early() {
+        let mut t = Avl::new();
+        for k in (0..200).map(|k| k * 3 % 200) {
+            t.insert(k, k);
+        }
+        for bound in [-1, 0, 57, 198, 199, 500] {
+            let mut seen = Vec::new();
+            t.walk_above_mut(&bound, |k, v| {
+                *v += 1000;
+                seen.push(k);
+                true
+            });
+            let want: Vec<i32> = (0..200).filter(|&k| k > bound).collect();
+            assert_eq!(seen, want, "forward from {bound}");
+            t.walk_above_mut(&bound, |_, v| {
+                *v -= 1000;
+                true
+            });
+        }
+        let mut seen = Vec::new();
+        t.walk_above_mut(&10, |k, _| {
+            seen.push(k);
+            k < 14
+        });
+        assert_eq!(seen, vec![11, 12, 13, 14], "forward stops when told");
+        let mut seen = Vec::new();
+        t.walk_rev_mut(|k, v| {
+            *v = -*v;
+            seen.push(k);
+            k > 150
+        });
+        let want: Vec<i32> = (150..200).rev().collect();
+        assert_eq!(seen, want, "reverse from the top with an early stop");
+        for k in 0..200 {
+            let want = if k >= 150 { -k } else { k };
+            assert_eq!(t.get(&k), Some(&want));
+        }
+        let mut empty: Avl<i32, i32> = Avl::new();
+        empty.walk_above_mut(&0, |_, _| panic!("empty tree"));
+        empty.walk_rev_mut(|_, _| panic!("empty tree"));
     }
 
     #[test]

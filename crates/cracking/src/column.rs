@@ -44,13 +44,14 @@
 
 use crate::epoch::{
     EpochCell, EpochGuard, PieceSnapshot, Segment, SnapPiece, SnapshotCell, SnapshotScan,
+    SpliceSpan,
 };
 use crate::filter::PointFilter;
 use crate::index::{BoundLookup, CrackerIndex};
 use crate::partition::{partition_three, partition_two};
 use crate::piece_stats::{build_stats, PieceStats, SnapPieceStat};
 use crate::range_cell::RangeCell;
-use crate::updates::{ripple_delete, ripple_insert, PendingUpdates, UnmergedKind};
+use crate::updates::{ripple_batch, PendingUpdates, UnmergedKind};
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
@@ -78,10 +79,6 @@ fn anchor_max<V: Ord>(x: Option<V>, y: Option<V>) -> Option<V> {
         (Some(x), Some(y)) => Some(x.max(y)),
     }
 }
-
-/// One splice span: `(lower anchor, upper anchor, replacement pieces)` —
-/// the snapshot pieces covering `[a, b)` are replaced by the fresh copies.
-type SpliceSpan<V> = (Option<V>, Option<V>, Vec<SnapPiece<V>>);
 
 /// Result of one range select over a cracker column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,7 +365,6 @@ impl<V: CrackValue> CrackerColumn<V> {
             let guard = self.snap.epochs().pin();
             self.snap.load(&guard).map(|s| {
                 s.pieces()
-                    .iter()
                     .map(|p| SnapPieceStat {
                         hi_key: p.hi_key,
                         len: p.len(),
@@ -712,7 +708,7 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Queues a deletion of the value previously inserted for `row`. The
     /// target must be a tuple that is merged or has a matching pending
-    /// insert (which the queue cancels): `ripple_delete` silently drops a
+    /// insert (which the queue cancels): a Ripple merge silently drops a
     /// delete whose target is absent, and until that happens the snapshot
     /// overlay counts the delete against the aggregates. Returns `false` —
     /// queueing nothing — once the column is sealed for shard migration.
@@ -758,20 +754,12 @@ impl<V: CrackValue> CrackerColumn<V> {
         // a later merge holding {delete x} would find nothing to delete,
         // drop the delete, and then insert x for good.
         let _exclusive = self.structure.write();
-        let (token, ins, del) = {
-            let mut p = self.pending.lock();
-            if !p.has_in_range(lo, hi) {
-                return; // a racing merge applied it while we waited
-            }
-            p.take_range_tracked(lo, hi)
+        let Some((token, ins, del)) = self.pending.lock().take_range_tracked(lo, hi) else {
+            return; // a racing merge applied it while we waited
         };
-        if holix_telemetry::metrics_enabled() {
-            holix_telemetry::counter!("cracking_ripple_merges_total").inc();
-            holix_telemetry::counter!("cracking_ripple_merged_values_total")
-                .add((ins.len() + del.len()) as u64);
-        }
+        let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
         // SAFETY: `structure` is held exclusively.
-        unsafe { self.ripple_apply(&ins, &del) };
+        let walked = unsafe { self.ripple_apply(&ins, &del) };
         // Still under `structure` exclusive: nothing else can publish (or
         // build) a snapshot, so the anchor/copy/splice triple is atomic and
         // the in-flight batch is cleared before any snapshot that already
@@ -795,10 +783,9 @@ impl<V: CrackValue> CrackerColumn<V> {
                 match self.snap.load_publisher() {
                     None => Vec::new(),
                     Some(snap) => {
-                        let pieces = snap.pieces();
                         let mut spans: Vec<(Option<V>, Option<V>)> = Vec::new();
                         for &v in &vs {
-                            let (a, b) = Self::anchors_in(pieces, v, Self::succ(v));
+                            let (a, b) = snap.anchors(v, Self::succ(v));
                             match spans.last_mut() {
                                 // Values ascend, so anchors do too: the new
                                 // span either falls inside / touches the
@@ -823,26 +810,29 @@ impl<V: CrackValue> CrackerColumn<V> {
             self.pending.lock().finish_merge(token);
         }
         self.bump_stats();
+        if let Some(t0) = timed {
+            holix_telemetry::counter!("cracking_ripple_merges_total").inc();
+            holix_telemetry::counter!("cracking_ripple_merged_values_total")
+                .add((ins.len() + del.len()) as u64);
+            holix_telemetry::counter!("cracking_ripple_bounds_walked_total").add(walked as u64);
+            holix_telemetry::histogram!("cracking_ripple_merge_ns")
+                .record(t0.elapsed().as_nanos() as u64);
+        }
     }
 
-    /// Ripple-merges one taken batch into the cracked column: deletes
-    /// first, then inserts.
+    /// Ripple-merges one taken batch into the cracked column — deletes
+    /// first, then inserts ([`ripple_batch`]); returns the boundaries the
+    /// merge walked.
     ///
     /// # Safety
     /// The caller holds `structure` exclusively — no piece guard can be
     /// live and no reader observes the vectors while they move.
-    unsafe fn ripple_apply(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) {
+    unsafe fn ripple_apply(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) -> usize {
         let mut idx = self.index.write();
         self.vals.with_vec_mut(|vals| {
-            self.rows.with_vec_mut(|rows| {
-                for &(v, r) in del {
-                    ripple_delete(vals, rows, &mut idx, v, r);
-                }
-                for &(v, r) in ins {
-                    ripple_insert(vals, rows, &mut idx, v, r);
-                }
-            })
-        });
+            self.rows
+                .with_vec_mut(|rows| ripple_batch(vals, rows, &mut idx, ins, del))
+        })
     }
 
     /// The value just above `v` in predicate space (`MAX_VALUE` saturates
@@ -915,7 +905,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         };
         if let Some((token, ins, del)) = taken {
             // SAFETY: `structure` is held exclusively.
-            unsafe { self.ripple_apply(&ins, &del) };
+            let _ = unsafe { self.ripple_apply(&ins, &del) };
             // Old-plan snapshot readers must stay exact: the batch
             // leaves the pending overlay only together with a
             // republished snapshot that already contains it.
@@ -950,7 +940,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// states: a pending delete targets a tuple that is merged (or has a
     /// matching pending insert, which the queue cancels). A delete of a
     /// tuple that never existed is counted here until a Ripple merge
-    /// silently drops it — the same tolerance `ripple_delete` has.
+    /// silently drops it.
     ///
     /// Adaptivity: when the edge pieces forced more than
     /// [`CrackerColumn::REFRESH_FILTER_MIN`] element-wise checks, the call
@@ -1095,7 +1085,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Pieces in the currently published snapshot (0 when unpublished).
     pub fn snapshot_piece_count(&self) -> usize {
         let guard = self.snap.epochs().pin();
-        self.snap.load(&guard).map_or(0, |s| s.pieces().len())
+        self.snap.load(&guard).map_or(0, PieceSnapshot::piece_count)
     }
 
     /// Pins the column's snapshot epoch; while the guard lives, every
@@ -1412,16 +1402,19 @@ impl<V: CrackValue> CrackerColumn<V> {
         let Some(snap) = self.snap.load(&guard) else {
             return false;
         };
-        let pieces = snap.pieces();
-        let mut order: Vec<usize> = (0..pieces.len())
-            .filter(|&i| pieces[i].is_plain() && pieces[i].len() >= Self::MORPH_MIN)
-            .collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(pieces[i].len()));
+        let mut lo_key = None;
+        let mut order: Vec<(Option<V>, &SnapPiece<V>)> = Vec::new();
+        for piece in snap.pieces() {
+            if piece.is_plain() && piece.len() >= Self::MORPH_MIN {
+                order.push((lo_key, piece));
+            }
+            lo_key = piece.hi_key;
+        }
+        order.sort_by_key(|&(_, piece)| std::cmp::Reverse(piece.len()));
         let mut morphed = false;
-        for i in order {
-            let a = if i == 0 { None } else { pieces[i - 1].hi_key };
-            let b = pieces[i].hi_key;
-            let vals = pieces[i]
+        for (a, piece) in order {
+            let b = piece.hi_key;
+            let vals = piece
                 .plain_values()
                 .expect("candidate piece is plain")
                 .to_vec();
@@ -1469,43 +1462,8 @@ impl<V: CrackValue> CrackerColumn<V> {
         let Some(snap) = self.snap.load_publisher() else {
             return (None, None, false);
         };
-        let (a, b) = Self::anchors_in(snap.pieces(), lo, hi);
-        (a, b, Self::span_has_encoded(snap.pieces(), lo, hi))
-    }
-
-    /// `true` when any snapshot piece intersecting `[lo, hi)` is encoded.
-    fn span_has_encoded(pieces: &[SnapPiece<V>], lo: V, hi: V) -> bool {
-        let i = pieces.partition_point(|p| p.hi_key.is_some_and(|k| k <= lo));
-        for p in &pieces[i..] {
-            if !p.is_plain() {
-                return true;
-            }
-            match p.hi_key {
-                None => break,
-                Some(k) if k >= hi => break,
-                _ => {}
-            }
-        }
-        false
-    }
-
-    /// [`CrackerColumn::snapshot_anchors`] over an already-loaded piece
-    /// table — batch callers (the multi-cluster merge splice) resolve all
-    /// their anchors in one pending-mutex critical section.
-    fn anchors_in(pieces: &[SnapPiece<V>], lo: V, hi: V) -> (Option<V>, Option<V>) {
-        let i = pieces.partition_point(|p| p.hi_key.is_some_and(|k| k <= lo));
-        let a = if i == 0 { None } else { pieces[i - 1].hi_key };
-        let b = if hi == V::MAX_VALUE {
-            None
-        } else {
-            let j = pieces.partition_point(|p| p.hi_key.is_some_and(|k| k < hi));
-            if j >= pieces.len() {
-                None
-            } else {
-                pieces[j].hi_key
-            }
-        };
-        (a, b)
+        let (a, b) = snap.anchors(lo, hi);
+        (a, b, snap.span_has_encoded(lo, hi))
     }
 
     /// Copies the live pieces covering `[a, b)` (both anchors are live
@@ -1586,12 +1544,13 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Publishes a new snapshot that replaces, for each span `(a, b, mid)`
     /// (ascending, disjoint), every piece covering the value range `[a, b)`
-    /// with `mid` — sharing the segments of every untouched piece,
-    /// including interior pieces *between* the spans of one sparse wide
-    /// merge. Runs under the pending mutex (the reader linearisation
-    /// point); `finish` clears an in-flight merge batch in the same
-    /// critical section, so readers switch from "old snapshot + in-flight
-    /// items" to "new snapshot" atomically. The replaced snapshot is
+    /// with `mid` — sharing every run of the piece table no span reaches
+    /// into ([`PieceSnapshot::splice`]) and the segments of every
+    /// untouched piece, including interior pieces *between* the spans of
+    /// one sparse wide merge. Runs under the pending mutex (the reader
+    /// linearisation point); `finish` clears an in-flight merge batch in
+    /// the same critical section, so readers switch from "old snapshot +
+    /// in-flight items" to "new snapshot" atomically. The replaced snapshot is
     /// retired into the epoch domain.
     ///
     /// Caller holds a structure lock (exclusive for merges/builds, shared
@@ -1612,43 +1571,19 @@ impl<V: CrackValue> CrackerColumn<V> {
                         .unwrap_or_default(),
                 )
             }
-            Some(old) => {
-                let pieces = old.pieces();
-                let mid_total: usize = spans.iter().map(|(_, _, m)| m.len()).sum();
-                let mut v = Vec::with_capacity(pieces.len() + mid_total);
-                let mut cursor = 0usize;
-                for (a, b, mid) in spans {
-                    let i = match a {
-                        None => 0,
-                        Some(av) => pieces.partition_point(|q| q.hi_key.is_some_and(|k| k <= av)),
-                    };
-                    let j = match b {
-                        None => pieces.len(),
-                        Some(bv) => pieces.partition_point(|q| q.hi_key.is_some_and(|k| k <= bv)),
-                    };
-                    // Both anchors must still be boundaries of *this*
-                    // snapshot: a piece straddling one would be dropped
-                    // whole and only its part inside `[a, b)` put back. A
-                    // morph republishes a span as one piece, so a refresh
-                    // that took interior anchors before it can arrive
-                    // stale; it gives up (the next scan refreshes again).
-                    // Merges hold `structure` exclusively between anchor
-                    // lookup and splice and cannot be stale.
-                    let is_bound = |key: Option<V>, end: usize| {
-                        key.is_none() || (end > 0 && pieces[end - 1].hi_key == key)
-                    };
-                    if !(is_bound(a, i) && is_bound(b, j)) {
-                        debug_assert!(finish.is_none(), "a merge's anchors went stale");
-                        return;
-                    }
-                    let i = i.max(cursor);
-                    v.extend(pieces[cursor..i].iter().cloned());
-                    v.extend(mid);
-                    cursor = j.max(i);
+            // Both anchors of every span must still be boundaries of
+            // *this* snapshot. A morph republishes a span as one piece, so
+            // a refresh that took interior anchors before it can arrive
+            // stale; it gives up (the next scan refreshes again). Merges
+            // hold `structure` exclusively between anchor lookup and
+            // splice and cannot be stale.
+            Some(old) => match old.splice(spans) {
+                Some(new) => new,
+                None => {
+                    debug_assert!(finish.is_none(), "a merge's anchors went stale");
+                    return;
                 }
-                v.extend(pieces[cursor..].iter().cloned());
-                PieceSnapshot::new(v)
-            }
+            },
         };
         let old = self.snap.swap(Arc::new(new));
         if let Some(token) = finish {
@@ -2384,7 +2319,7 @@ mod tests {
         let morphed = {
             let guard = col.snap.epochs().pin();
             let snap = col.snap.load(&guard).unwrap();
-            let piece = &snap.pieces()[1];
+            let piece = snap.pieces().nth(1).expect("three pieces");
             assert_eq!(piece.hi_key, Some(800));
             let vals = piece.plain_values().unwrap().to_vec();
             let n = vals.len();

@@ -903,25 +903,99 @@ pub struct SnapshotScan {
     pub filtered: usize,
 }
 
+/// Pieces per [`Run`] of a freshly built (or rebuilt) stretch of a
+/// snapshot's piece table.
+const RUN_PIECES: usize = 64;
+
+/// A stretch of consecutive snapshot pieces shared between the snapshot
+/// versions that did not change it, with what a walk or a splice needs to
+/// pass over it without touching the pieces. `Clone` shares the pieces.
+#[derive(Clone)]
+struct Run<V> {
+    /// `hi_key` of the run's last piece.
+    hi_key: Option<V>,
+    /// Values in the run's pieces, and their sum (widened).
+    len: usize,
+    sum: i128,
+    /// Never empty.
+    pieces: Arc<[SnapPiece<V>]>,
+}
+
+/// What [`PieceSnapshot::walk`] hands its visitor.
+enum Reached<'a, V> {
+    /// A run whose every piece lies wholly inside the range.
+    Run(&'a Run<V>),
+    /// One piece; `true` when its whole value range qualifies.
+    Piece(&'a SnapPiece<V>, bool),
+}
+
+/// One splice span: the snapshot pieces covering the value range between
+/// the lower and the upper anchor (snapshot boundary keys; `None` = the
+/// column edge on that side) are replaced by the given pieces.
+pub type SpliceSpan<V> = (Option<V>, Option<V>, Vec<SnapPiece<V>>);
+
+/// A position in a run table: `(run, piece within the run)`; the table's
+/// end is `(runs.len(), 0)`. Ordered as the pieces are.
+type Cursor = (usize, usize);
+
 /// An immutable snapshot of one column: pieces in ascending value order,
 /// jointly covering the whole domain. Piece `i` covers
 /// `[pieces[i-1].hi_key, pieces[i].hi_key)`.
+///
+/// The piece table is held as runs of at most [`RUN_PIECES`] pieces, each
+/// run `Arc`-shared: [`PieceSnapshot::splice`] builds the next version by
+/// rebuilding the runs its spans touch and sharing every other one, so
+/// publishing after a merge costs a refcount per *run* it left alone
+/// rather than a clone (and later a drop) per *piece*. Runs only ever
+/// shrink when a span's replacement is shorter than what it replaces
+/// (emptied pieces are not copied back); a table whose runs have all
+/// withered to a piece each costs a splice what the flat table did.
 pub struct PieceSnapshot<V> {
-    pieces: Vec<SnapPiece<V>>,
+    runs: Vec<Run<V>>,
     len: usize,
 }
 
 impl<V: CrackValue> PieceSnapshot<V> {
     /// Wraps an ordered piece list.
     pub fn new(pieces: Vec<SnapPiece<V>>) -> Self {
+        let mut runs = Vec::with_capacity(pieces.len().div_ceil(RUN_PIECES));
+        Self::push_runs(&mut runs, pieces);
+        Self::from_runs(runs)
+    }
+
+    fn from_runs(runs: Vec<Run<V>>) -> Self {
+        debug_assert!(
+            runs.windows(2)
+                .all(|w| w[0].hi_key.is_some()
+                    && (w[1].hi_key.is_none() || w[1].hi_key > w[0].hi_key))
+        );
+        let len = runs.iter().map(|r| r.len).sum();
+        PieceSnapshot { runs, len }
+    }
+
+    /// Appends `pieces` to `runs` as runs of near-equal size, none longer
+    /// than [`RUN_PIECES`].
+    fn push_runs(runs: &mut Vec<Run<V>>, pieces: Vec<SnapPiece<V>>) {
         debug_assert!(
             pieces
                 .windows(2)
                 .all(|w| w[0].hi_key.is_some()
                     && (w[1].hi_key.is_none() || w[1].hi_key > w[0].hi_key))
         );
-        let len = pieces.iter().map(SnapPiece::len).sum();
-        PieceSnapshot { pieces, len }
+        let n = pieces.len();
+        let count = n.div_ceil(RUN_PIECES);
+        let mut pieces = pieces.into_iter();
+        for r in 0..count {
+            // Run `r` ends at piece `(r + 1) * n / count`.
+            let size = (r + 1) * n / count - r * n / count;
+            let run: Arc<[SnapPiece<V>]> = pieces.by_ref().take(size).collect();
+            runs.push(Run {
+                hi_key: run[size - 1].hi_key,
+                len: run.iter().map(SnapPiece::len).sum(),
+                sum: run.iter().map(|p| p.sum).sum(),
+                pieces: run,
+            });
+        }
     }
 
     /// Total values in the snapshot.
@@ -934,21 +1008,125 @@ impl<V: CrackValue> PieceSnapshot<V> {
         self.len == 0
     }
 
-    /// The ordered pieces.
-    pub fn pieces(&self) -> &[SnapPiece<V>] {
-        &self.pieces
+    /// The pieces in ascending value order.
+    pub fn pieces(&self) -> impl Iterator<Item = &SnapPiece<V>> {
+        self.runs.iter().flat_map(|r| r.pieces.iter())
     }
 
-    /// Count + sum of values in `[lo, hi)`. Interior pieces fully covered
-    /// by the range contribute their precomputed aggregates; only the edge
-    /// pieces are filtered element-wise.
+    /// Number of pieces.
+    pub fn piece_count(&self) -> usize {
+        self.runs.iter().map(|r| r.pieces.len()).sum()
+    }
+
+    /// Position of the first piece whose `hi_key` is not below-or-at
+    /// `key`, by binary search over the run summaries and then inside one
+    /// run. With `strict`, pieces whose `hi_key` *equals* `key` are not
+    /// skipped either.
+    fn seek(&self, key: V, strict: bool) -> Cursor {
+        let before = |k: Option<V>| k.is_some_and(|k| if strict { k < key } else { k <= key });
+        let r = self.runs.partition_point(|run| before(run.hi_key));
+        match self.runs.get(r) {
+            None => (r, 0),
+            Some(run) => (r, run.pieces.partition_point(|p| before(p.hi_key))),
+        }
+    }
+
+    /// `hi_key` of the piece just before `at` (`None` at the table's head
+    /// — which a first piece with an unbounded `hi_key` cannot be confused
+    /// with: it is the last piece too).
+    fn key_before(&self, at: Cursor) -> Option<V> {
+        match at {
+            (0, 0) => None,
+            (r, 0) => self.runs[r - 1].hi_key,
+            (r, o) => self.runs[r].pieces[o - 1].hi_key,
+        }
+    }
+
+    /// The pieces from `from` to the table's end.
+    fn pieces_from(&self, (r, o): Cursor) -> impl Iterator<Item = &SnapPiece<V>> {
+        let head = self.runs.get(r).map_or(&[][..], |run| &run.pieces[o..]);
+        let tail = self.runs.get(r + 1..).unwrap_or(&[]);
+        head.iter()
+            .chain(tail.iter().flat_map(|run| run.pieces.iter()))
+    }
+
+    /// The snapshot's boundary keys bracketing `[lo, hi)`: the greatest
+    /// boundary `<= lo` (`None` = column-min side) and the least boundary
+    /// `>= hi` (`None` = column-max side).
+    pub fn anchors(&self, lo: V, hi: V) -> (Option<V>, Option<V>) {
+        let a = self.key_before(self.seek(lo, false));
+        let b = if hi == V::MAX_VALUE {
+            None
+        } else {
+            self.pieces_from(self.seek(hi, true))
+                .next()
+                .and_then(|p| p.hi_key)
+        };
+        (a, b)
+    }
+
+    /// `true` when any piece intersecting `[lo, hi)` is encoded.
+    pub fn span_has_encoded(&self, lo: V, hi: V) -> bool {
+        for p in self.pieces_from(self.seek(lo, false)) {
+            if !p.is_plain() {
+                return true;
+            }
+            match p.hi_key {
+                None => break,
+                Some(k) if k >= hi => break,
+                _ => {}
+            }
+        }
+        false
+    }
+
+    /// The next version of this snapshot: for each span `(a, b, mid)`
+    /// (ascending, disjoint), every piece covering the value range
+    /// `[a, b)` replaced by `mid`. Only the runs a span reaches into are
+    /// rebuilt (from what the span leaves of them plus `mid`); every other
+    /// run is shared with `self`.
+    ///
+    /// `None` when an anchor is not (or no longer) a boundary of this
+    /// snapshot: a piece straddling it would be dropped whole and only its
+    /// part inside `[a, b)` put back.
+    pub fn splice(&self, spans: Vec<SpliceSpan<V>>) -> Option<Self> {
+        let mut out = Splicer {
+            old: &self.runs,
+            runs: Vec::with_capacity(self.runs.len() + spans.len()),
+            open: Vec::new(),
+            at: (0, 0),
+        };
+        for (a, b, mid) in spans {
+            let i = a.map_or((0, 0), |k| self.seek(k, false));
+            let j = b.map_or((self.runs.len(), 0), |k| self.seek(k, false));
+            let is_bound = |key: Option<V>, at: Cursor| key.is_none() || self.key_before(at) == key;
+            if !(is_bound(a, i) && is_bound(b, j)) {
+                return None;
+            }
+            out.keep_until(i.max(out.at));
+            out.open.extend(mid);
+            out.at = out.at.max(j); // the replaced pieces are passed over
+        }
+        out.keep_until((self.runs.len(), 0));
+        out.close();
+        Some(Self::from_runs(out.runs))
+    }
+
+    /// Count + sum of values in `[lo, hi)`. Interior runs and pieces fully
+    /// covered by the range contribute their precomputed aggregates; only
+    /// the edge pieces are filtered element-wise.
     pub fn stats(&self, lo: V, hi: V) -> SnapshotScan {
         let mut out = SnapshotScan::default();
-        self.walk(lo, hi, |piece, covered| {
-            if covered {
+        self.walk(lo, hi, |reached| match reached {
+            Reached::Run(run) => {
+                out.count += run.len as u64;
+                out.sum += run.sum;
+            }
+            Reached::Piece(piece, true) => {
                 out.count += piece.len() as u64;
                 out.sum += piece.sum;
-            } else {
+            }
+            Reached::Piece(piece, false) => {
                 out.filtered += piece.len();
                 let (c, s) = piece.scan_range(lo, hi);
                 out.count += c;
@@ -961,15 +1139,22 @@ impl<V: CrackValue> PieceSnapshot<V> {
     /// Appends every value in `[lo, hi)` to `out`; returns the scan record.
     pub fn collect_into(&self, lo: V, hi: V, out: &mut Vec<V>) -> SnapshotScan {
         let mut scan = SnapshotScan::default();
-        self.walk(lo, hi, |piece, covered| {
-            if covered {
-                match piece.plain_values() {
-                    Some(vals) => out.extend_from_slice(vals),
-                    None => piece.for_each(|v| out.push(v)),
-                }
+        let whole = |piece: &SnapPiece<V>, out: &mut Vec<V>| match piece.plain_values() {
+            Some(vals) => out.extend_from_slice(vals),
+            None => piece.for_each(|v| out.push(v)),
+        };
+        self.walk(lo, hi, |reached| match reached {
+            Reached::Run(run) => {
+                run.pieces.iter().for_each(|piece| whole(piece, out));
+                scan.count += run.len as u64;
+                scan.sum += run.sum;
+            }
+            Reached::Piece(piece, true) => {
+                whole(piece, out);
                 scan.count += piece.len() as u64;
                 scan.sum += piece.sum;
-            } else {
+            }
+            Reached::Piece(piece, false) => {
                 scan.filtered += piece.len();
                 let (c, s) = piece.collect_range(lo, hi, out);
                 scan.count += c;
@@ -979,34 +1164,86 @@ impl<V: CrackValue> PieceSnapshot<V> {
         scan
     }
 
-    /// Visits every piece intersecting `[lo, hi)`; `covered` is `true` when
-    /// the piece's whole value range qualifies.
-    fn walk(&self, lo: V, hi: V, mut visit: impl FnMut(&SnapPiece<V>, bool)) {
+    /// Visits what intersects `[lo, hi)` in ascending order: a run lying
+    /// wholly inside the range as one, every other piece by itself.
+    fn walk(&self, lo: V, hi: V, mut visit: impl FnMut(Reached<'_, V>)) {
         // Degenerate predicates are empty everywhere — including the
         // sentinel-valued forms `[MIN, MIN)` / `[MAX, MAX)`, which the old
         // sentinel-exception guard let through to visit edge pieces.
         if lo >= hi {
             return;
         }
+        // A piece (or run) with lower key `from` and upper key `to` lies
+        // inside the range when both hold; the walk is over once a lower
+        // key is at or past the upper bound.
+        let from_lo = |from: Option<V>| lo == V::MIN_VALUE || from.is_some_and(|k| k >= lo);
+        let to_hi = |to: Option<V>| hi == V::MAX_VALUE || to.is_some_and(|k| k <= hi);
+        let past = |from: Option<V>| hi != V::MAX_VALUE && from.is_some_and(|k| k >= hi);
         // First piece that can contain values >= lo: the first whose
         // hi_key exceeds lo.
-        let first = self
-            .pieces
-            .partition_point(|p| p.hi_key.is_some_and(|k| k <= lo));
-        let mut piece_lo: Option<V> = if first == 0 {
-            None
-        } else {
-            self.pieces[first - 1].hi_key
-        };
-        for piece in &self.pieces[first..] {
-            // Stop once the piece's lower key is at or past the upper bound.
-            if hi != V::MAX_VALUE && piece_lo.is_some_and(|k| k >= hi) {
-                break;
+        let (first, mut skip) = self.seek(lo, false);
+        let mut piece_lo = self.key_before((first, skip));
+        for run in &self.runs[first..] {
+            if past(piece_lo) {
+                return;
             }
-            let lo_covered = lo == V::MIN_VALUE || piece_lo.is_some_and(|k| k >= lo);
-            let hi_covered = hi == V::MAX_VALUE || piece.hi_key.is_some_and(|k| k <= hi);
-            visit(piece, lo_covered && hi_covered);
-            piece_lo = piece.hi_key;
+            if skip == 0 && from_lo(piece_lo) && to_hi(run.hi_key) {
+                visit(Reached::Run(run));
+                piece_lo = run.hi_key;
+                continue;
+            }
+            for piece in &run.pieces[std::mem::take(&mut skip)..] {
+                if past(piece_lo) {
+                    return;
+                }
+                visit(Reached::Piece(
+                    piece,
+                    from_lo(piece_lo) && to_hi(piece.hi_key),
+                ));
+                piece_lo = piece.hi_key;
+            }
+        }
+    }
+}
+
+/// Builds the run table of [`PieceSnapshot::splice`]: a cursor over the
+/// old table that keeps what it passes (a whole run by sharing it, part
+/// of a run by cloning the pieces into the stretch being rebuilt) unless
+/// the caller moves `at` past it.
+struct Splicer<'a, V> {
+    old: &'a [Run<V>],
+    runs: Vec<Run<V>>,
+    /// The stretch being rebuilt: pieces kept from partly replaced runs
+    /// and the replacements, not yet cut into runs.
+    open: Vec<SnapPiece<V>>,
+    /// Everything before this position is in `runs` or `open`, or skipped.
+    at: Cursor,
+}
+
+impl<V: CrackValue> Splicer<'_, V> {
+    /// Cuts the open stretch into runs.
+    fn close(&mut self) {
+        if !self.open.is_empty() {
+            PieceSnapshot::push_runs(&mut self.runs, std::mem::take(&mut self.open));
+        }
+    }
+
+    /// Advances to `to`, keeping every piece on the way.
+    fn keep_until(&mut self, to: Cursor) {
+        while self.at.0 < to.0 {
+            let run = &self.old[self.at.0];
+            if self.at.1 == 0 {
+                self.close();
+                self.runs.push(run.clone());
+            } else {
+                self.open.extend_from_slice(&run.pieces[self.at.1..]);
+            }
+            self.at = (self.at.0 + 1, 0);
+        }
+        if to.1 > self.at.1 {
+            self.open
+                .extend_from_slice(&self.old[to.0].pieces[self.at.1..to.1]);
+            self.at = to;
         }
     }
 }
@@ -1014,7 +1251,7 @@ impl<V: CrackValue> PieceSnapshot<V> {
 impl<V: CrackValue> std::fmt::Debug for PieceSnapshot<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PieceSnapshot")
-            .field("pieces", &self.pieces.len())
+            .field("pieces", &self.piece_count())
             .field("len", &self.len)
             .finish()
     }
@@ -1300,6 +1537,158 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// A table of `n` pieces with boundary keys 100, 200, … (the last
+    /// unbounded), piece `i` holding `i % 3 + 1` values of its range.
+    fn table(n: usize, bytes: &Arc<AtomicUsize>) -> Vec<SnapPiece<i64>> {
+        (0..n)
+            .map(|i| {
+                let vals: Vec<i64> = (0..i % 3 + 1).map(|t| (i * 100 + t * 7) as i64).collect();
+                let hi = (i + 1 < n).then_some((i as i64 + 1) * 100);
+                let len = vals.len();
+                SnapPiece::new(hi, Arc::new(Segment::new(vals, Arc::clone(bytes))), 0, len)
+            })
+            .collect()
+    }
+
+    /// Replacement for table pieces `i..j`: `m` pieces (`m == 0` only when
+    /// asked for) splitting the span's key range, the last one ending on
+    /// the span's upper anchor.
+    fn replacement(
+        i: usize,
+        j: usize,
+        n: usize,
+        m: usize,
+        bytes: &Arc<AtomicUsize>,
+    ) -> SpliceSpan<i64> {
+        let a = (i > 0).then_some(i as i64 * 100);
+        let b = (j < n).then_some(j as i64 * 100);
+        let mid = (0..m)
+            .map(|t| {
+                let hi = if t + 1 == m {
+                    b
+                } else {
+                    Some(i as i64 * 100 + 1 + t as i64)
+                };
+                let vals = vec![i as i64 * 100 + t as i64; t + 2];
+                let len = vals.len();
+                SnapPiece::new(hi, Arc::new(Segment::new(vals, Arc::clone(bytes))), 0, len)
+            })
+            .collect();
+        (a, b, mid)
+    }
+
+    /// The same splice on a flat piece list — what the snapshot did before
+    /// it kept runs.
+    fn flat_splice(
+        old: &PieceSnapshot<i64>,
+        spans: &[(usize, usize, SpliceSpan<i64>)],
+    ) -> PieceSnapshot<i64> {
+        let pieces: Vec<SnapPiece<i64>> = old.pieces().cloned().collect();
+        let mut out = Vec::new();
+        let mut cursor = 0;
+        for (i, j, (_, _, mid)) in spans {
+            out.extend_from_slice(&pieces[cursor..*i]);
+            out.extend(mid.iter().cloned());
+            cursor = *j;
+        }
+        out.extend_from_slice(&pieces[cursor..]);
+        PieceSnapshot::new(out)
+    }
+
+    /// Same pieces (key, length, aggregate, backing segment), same totals,
+    /// same answers.
+    fn assert_same_snapshot(got: &PieceSnapshot<i64>, want: &PieceSnapshot<i64>) {
+        assert_eq!(got.len(), want.len());
+        assert_eq!(got.piece_count(), want.piece_count());
+        for (g, w) in got.pieces().zip(want.pieces()) {
+            assert_eq!((g.hi_key, g.len, g.sum), (w.hi_key, w.len, w.sum));
+            assert!(Arc::ptr_eq(&g.seg, &w.seg), "piece below {:?}", g.hi_key);
+        }
+        assert!(got
+            .runs
+            .iter()
+            .all(|r| (1..=RUN_PIECES).contains(&r.pieces.len())
+                && r.hi_key == r.pieces[r.pieces.len() - 1].hi_key
+                && r.len == r.pieces.iter().map(SnapPiece::len).sum::<usize>()
+                && r.sum == r.pieces.iter().map(|p| p.sum).sum::<i128>()));
+        let top = want.piece_count() as i64 * 100 + 50;
+        for (lo, hi) in [
+            (i64::MIN, i64::MAX),
+            (0, top),
+            (150, 250),
+            (6_400, 6_500),
+            (6_399, 12_801),
+            (top / 2, i64::MAX),
+            (i64::MIN, top / 3),
+        ] {
+            assert_eq!(got.stats(lo, hi), want.stats(lo, hi), "[{lo},{hi})");
+            assert_eq!(got.anchors(lo, hi), want.anchors(lo, hi), "[{lo},{hi})");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            assert_eq!(
+                got.collect_into(lo, hi, &mut a),
+                want.collect_into(lo, hi, &mut b)
+            );
+            assert_eq!(a, b, "[{lo},{hi})");
+        }
+    }
+
+    #[test]
+    fn splice_shares_every_run_it_does_not_reach_into() {
+        let bytes = counter();
+        let n = 300;
+        let old = PieceSnapshot::new(table(n, &bytes));
+        assert_eq!(old.runs.len(), 5, "300 pieces in runs of 60");
+        assert!(old.runs.iter().all(|r| r.pieces.len() == 60));
+        // One piece split in two inside run 1, two pieces merged into one
+        // across the seam of runs 3 and 4 — as one merge's two clusters.
+        let spans = vec![
+            (70, 71, replacement(70, 71, n, 2, &bytes)),
+            (239, 241, replacement(239, 241, n, 1, &bytes)),
+        ];
+        let new = old
+            .splice(spans.iter().map(|(_, _, s)| s.clone()).collect())
+            .expect("anchors are boundaries");
+        assert_same_snapshot(&new, &flat_splice(&old, &spans));
+        let shared = |run: &Run<i64>| old.runs.iter().any(|o| Arc::ptr_eq(&o.pieces, &run.pieces));
+        let kept: Vec<bool> = new.runs.iter().map(shared).collect();
+        assert_eq!(
+            kept,
+            vec![true, false, true, false, false],
+            "runs 0 and 2 shared; run 1 rebuilt as 61 pieces, runs 3 + 4 as 119 in two"
+        );
+        assert_eq!(new.runs[1].pieces.len(), 61);
+        assert_eq!(
+            (new.runs[3].pieces.len(), new.runs[4].pieces.len()),
+            (59, 60)
+        );
+        // A span that ends on a run seam leaves the run behind it alone; a
+        // whole-table span shares nothing; an emptied span only shrinks.
+        let head = vec![(0, 60, replacement(0, 60, n, 3, &bytes))];
+        let new = old.splice(vec![head[0].2.clone()]).unwrap();
+        assert_same_snapshot(&new, &flat_splice(&old, &head));
+        assert_eq!(new.runs.iter().filter(|r| shared(r)).count(), 4);
+        let all = vec![(0, n, replacement(0, n, n, 1, &bytes))];
+        let new = old.splice(vec![all[0].2.clone()]).unwrap();
+        assert_same_snapshot(&new, &flat_splice(&old, &all));
+        assert_eq!(new.piece_count(), 1);
+        let gone = vec![(100, 130, replacement(100, 130, n, 0, &bytes))];
+        let new = old.splice(vec![gone[0].2.clone()]).unwrap();
+        assert_same_snapshot(&new, &flat_splice(&old, &gone));
+        assert_eq!(new.runs.iter().filter(|r| shared(r)).count(), 3);
+        // An anchor that is not a boundary of this table: no splice.
+        assert!(old
+            .splice(vec![(Some(150), Some(200), Vec::new())])
+            .is_none());
+        assert!(old
+            .splice(vec![(Some(100), Some(31_000), Vec::new())])
+            .is_none());
+        assert!(old.splice(Vec::new()).is_some_and(|same| same
+            .runs
+            .iter()
+            .zip(&old.runs)
+            .all(|(a, b)| Arc::ptr_eq(&a.pieces, &b.pieces))));
+    }
+
     /// Decode-everything helper: the segment's multiset in sorted order.
     fn decoded<V: CrackValue>(seg: &Segment<V>) -> Vec<V> {
         let mut out = Vec::with_capacity(seg.len());
@@ -1486,7 +1875,7 @@ mod tests {
         };
         let plain = mk(false);
         let enc = mk(true);
-        assert!(enc.pieces().iter().all(|p| !p.is_plain()));
+        assert!(enc.pieces().all(|p| !p.is_plain()));
         for (lo, hi) in [
             (i64::MIN, i64::MAX),
             (0, 300),
@@ -1514,6 +1903,56 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            // Random tables × random ascending disjoint spans, each
+            // replaced by 0–3 pieces, applied as a chain of three versions:
+            // the run table always answers like the flat rebuild.
+            #[test]
+            fn splice_matches_a_flat_rebuild(
+                n in 1usize..400,
+                rounds in proptest::collection::vec(
+                    proptest::collection::vec((0usize..80, 1usize..70, 0usize..4), 0..6),
+                    3..4,
+                ),
+            ) {
+                let bytes = counter();
+                let mut snap = PieceSnapshot::new(table(n, &bytes));
+                for cuts in rounds {
+                    // Spans are cut against the original key grid, which
+                    // only the first round is sure to still have; later
+                    // rounds keep the spans whose anchors survived.
+                    let mut spans = Vec::new();
+                    let mut from = 0;
+                    for (gap, width, m) in cuts {
+                        let i = from + gap;
+                        let j = (i + width).min(n);
+                        if i >= j {
+                            break;
+                        }
+                        from = j;
+                        spans.push((i, j, m));
+                    }
+                    let keys: Vec<Option<i64>> = snap.pieces().map(|p| p.hi_key).collect();
+                    let pos = |k: Option<i64>| match k {
+                        None => None,
+                        Some(k) => keys.iter().position(|&q| q == Some(k)).map(|p| p + 1),
+                    };
+                    let spans: Vec<(usize, usize, SpliceSpan<i64>)> = spans
+                        .into_iter()
+                        .filter_map(|(i, j, m)| {
+                            let span = replacement(i, j, n, m, &bytes);
+                            let at = if i == 0 { Some(0) } else { pos(span.0) };
+                            let to = if j == n { Some(keys.len()) } else { pos(span.1) };
+                            Some((at?, to?, span))
+                        })
+                        .collect();
+                    let next = snap
+                        .splice(spans.iter().map(|(_, _, s)| s.clone()).collect())
+                        .expect("anchors are boundaries");
+                    assert_same_snapshot(&next, &flat_splice(&snap, &spans));
+                    snap = next;
+                }
+            }
 
             #[test]
             fn encode_decode_roundtrip_i64(

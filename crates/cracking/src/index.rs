@@ -7,8 +7,13 @@
 //! piece starting at position 0 owns `first_latch`.
 //!
 //! Boundaries never move once created — cracking only permutes values
-//! strictly inside one piece — except under the exclusive Ripple-update path,
-//! which shifts boundary positions via [`CrackerIndex::shift_bounds`].
+//! strictly inside one piece — except under the exclusive Ripple-update
+//! path. A batch merge ([`crate::updates::ripple_batch`]) rewrites the
+//! positions of exactly the boundaries downstream of its smallest value,
+//! each by its own delta, in two range walks: [`CrackerIndex::walk_above`]
+//! ascending from a value (the delete pass) and [`CrackerIndex::walk_rev`]
+//! descending from the last boundary until the kernel stops it (the insert
+//! pass). Both hand out the stored position mutably and allocate nothing.
 
 use crate::avl::Avl;
 use crate::latch::PieceLatch;
@@ -147,23 +152,33 @@ impl<V: CrackValue> CrackerIndex<V> {
         assert!(prev.is_none(), "duplicate boundary inserted");
     }
 
-    /// Shifts every boundary at position `>= from_pos` by `delta` (Ripple
-    /// updates only; caller holds the column exclusively).
-    pub fn shift_bounds(&mut self, from_pos: usize, delta: isize) {
-        self.bounds.for_each_mut(|_, e| {
-            if e.pos >= from_pos {
-                e.pos = e.pos.checked_add_signed(delta).expect("bound underflow");
-            }
-        });
-        self.len = self.len.checked_add_signed(delta).expect("len underflow");
+    /// First position of the piece that holds value `v`: the position of
+    /// the greatest boundary with key `<= v`, or 0.
+    pub fn piece_start(&self, v: V) -> usize {
+        self.bounds.floor(&v).map_or(0, |(_, e)| e.pos)
+    }
+
+    /// Visits the boundaries with key `> after` in ascending key order as
+    /// `(key, &mut position)` until `f` returns `false` (Ripple batch
+    /// merges only; caller holds the column exclusively and leaves the
+    /// positions non-decreasing in key order).
+    pub fn walk_above(&mut self, after: V, mut f: impl FnMut(V, &mut usize) -> bool) {
+        self.bounds.walk_above_mut(&after, |k, e| f(k, &mut e.pos));
+    }
+
+    /// [`CrackerIndex::walk_above`] in descending key order from the last
+    /// boundary.
+    pub fn walk_rev(&mut self, mut f: impl FnMut(V, &mut usize) -> bool) {
+        self.bounds.walk_rev_mut(|k, e| f(k, &mut e.pos));
     }
 
     /// Shifts every boundary whose *key* is strictly greater than `key` by
-    /// `delta`, and the tracked length with it. This is the shift the Ripple
-    /// algorithm needs: inserting a value `v` moves exactly the pieces to the
-    /// right of `v`'s piece, i.e. the boundaries with key `> v` — a purely
-    /// positional shift would also catch same-position boundaries of empty
-    /// pieces on the left of `v`.
+    /// `delta`, and the tracked length with it — the per-value shift of the
+    /// in-place [`crate::updates::ripple_insert`] /
+    /// [`crate::updates::ripple_delete`] oracle: inserting a value `v`
+    /// moves exactly the pieces to the right of `v`'s piece, i.e. the
+    /// boundaries with key `> v` (a positional shift would also catch
+    /// same-position boundaries of empty pieces on the left of `v`).
     pub fn shift_bounds_key_gt(&mut self, key: V, delta: isize) {
         self.bounds.for_each_mut(|k, e| {
             if k > key {
@@ -367,16 +382,28 @@ mod tests {
     }
 
     #[test]
-    fn shift_bounds_moves_suffix() {
+    fn range_walks_rewrite_downstream_positions() {
         let mut idx = CrackerIndex::<i64>::new(100);
-        idx.insert_bound(30, 25);
-        idx.insert_bound(70, 80);
-        idx.shift_bounds(80, 1); // insert into the middle piece
-        assert_eq!(idx.bounds_in_order(), vec![(30, 25), (70, 81)]);
-        assert_eq!(idx.len(), 101);
-        idx.shift_bounds(25, -1);
-        assert_eq!(idx.bounds_in_order(), vec![(30, 24), (70, 80)]);
-        assert_eq!(idx.len(), 100);
+        for (k, p) in [(30, 25), (50, 60), (70, 80)] {
+            idx.insert_bound(k, p);
+        }
+        assert_eq!(idx.piece_start(29), 0);
+        assert_eq!(idx.piece_start(30), 25, "a boundary key starts its piece");
+        assert_eq!(idx.piece_start(69), 60);
+        // Ascending from value 30: the bounds above it, each by its delta.
+        let mut delta = 0;
+        idx.walk_above(30, |_, pos| {
+            delta += 1;
+            *pos -= delta;
+            true
+        });
+        assert_eq!(idx.bounds_in_order(), vec![(30, 25), (50, 59), (70, 78)]);
+        // Descending, stopped after the bound the walk ends on.
+        idx.walk_rev(|k, pos| {
+            *pos += 2;
+            k > 50
+        });
+        assert_eq!(idx.bounds_in_order(), vec![(30, 25), (50, 61), (70, 80)]);
     }
 
     #[test]

@@ -2062,6 +2062,251 @@ mod tests {
         );
     }
 
+    /// Count and sum of a multiset over `0..domain` under inserts and
+    /// deletes: the write soak's oracle.
+    struct Fenwick {
+        count: Vec<i64>,
+        sum: Vec<i64>,
+    }
+
+    impl Fenwick {
+        fn new(domain: i64) -> Self {
+            Fenwick {
+                count: vec![0; domain as usize + 1],
+                sum: vec![0; domain as usize + 1],
+            }
+        }
+
+        fn add(&mut self, v: i64, sign: i64) {
+            let mut i = v as usize + 1;
+            while i < self.count.len() {
+                self.count[i] += sign;
+                self.sum[i] += sign * v;
+                i += i & i.wrapping_neg();
+            }
+        }
+
+        /// Count and sum of the values below `v`.
+        fn below(&self, v: i64) -> (i64, i64) {
+            let (mut i, mut count, mut sum) = (v as usize, 0, 0);
+            while i > 0 {
+                count += self.count[i];
+                sum += self.sum[i];
+                i &= i - 1;
+            }
+            (count, sum)
+        }
+
+        fn in_range(&self, lo: i64, hi: i64) -> (u64, i128) {
+            let ((c1, s1), (c0, s0)) = (self.below(hi), self.below(lo));
+            ((c1 - c0) as u64, (s1 - s0) as i128)
+        }
+    }
+
+    /// ROADMAP direction 1(a), the write half of the soak above. One engine
+    /// takes 3 × 10⁵ operations of the benchmark's `update_churn` mix —
+    /// narrow range reads around fresh writes, IN-lists, snapshot scans,
+    /// inserts, deletes and a 500-insert burst every 2 000 operations —
+    /// with **unquantised** read bounds, so the piece table never
+    /// converges: every read may add two boundaries (12.9k pieces after the
+    /// first 10⁴ operations, 264k at the end). Every read is checked
+    /// against a Fenwick oracle.
+    ///
+    /// What it pins is the price of a read that merges pending writes. A
+    /// Ripple merge moves one element per merged value in every piece
+    /// downstream of the value, so that price cannot be flat in the piece
+    /// count; what can be held is its slope. The floor (first quartile) of
+    /// a merging read over the last 10⁴ operations, against the first 10⁴,
+    /// may grow at most twice as fast as the piece table did in between.
+    /// Measured on the 2-vCPU reference box: 30 → 590–670 µs over a
+    /// 20.5-fold piece growth (20–22×, about once the piece growth, ≈ 19 ns
+    /// per boundary of the shard) with the batch kernel; 32 → 2 690 µs
+    /// (84×, four times the piece growth, ≈ 85 ns per boundary) at its
+    /// parent, which walked every boundary once per merged value.
+    ///
+    /// The point filters' rebuild cadence rides along: a shard rebuilds
+    /// its filter once the deletes queued since the last build reach a
+    /// quarter of its length, so rebuilds are at most linear in deletes.
+    /// (On this mix — two inserts per delete and the bursts — no shard
+    /// ever gets there: the bound holds at zero rebuilds.)
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing assertion: run with --release")]
+    fn write_soak_merging_reads_grow_no_faster_than_the_piece_table() {
+        const OPS: usize = 300_000;
+        const WINDOW: usize = 10_000;
+        /// How much faster than the piece table the floor may grow.
+        const SLOPE: u64 = 2;
+        let (attrs, rows, shards) = (2, 1 << 18, 4);
+        let domain = 2 * rows as i64;
+        let data = Dataset::new(uniform_table(attrs, rows, domain, 29));
+        let base: Vec<Vec<i64>> = (0..attrs).map(|a| data.column(a).to_vec()).collect();
+        let mut cfg = HolisticEngineConfig::split_half_sharded(2, shards);
+        cfg.holistic.monitor_interval = Duration::from_millis(1);
+        let e = HolisticEngine::new(data, cfg);
+        let mut rng = StdRng::seed_from_u64(31);
+
+        let mut oracle: Vec<Fenwick> = (0..attrs).map(|_| Fenwick::new(domain)).collect();
+        for (tree, col) in oracle.iter_mut().zip(&base) {
+            col.iter().for_each(|&v| tree.add(v, 1));
+        }
+        let hot: Vec<i64> = (0..2048).map(|_| rng.random_range(0..domain)).collect();
+        let mut base_deleted = vec![vec![false; rows]; attrs];
+        let mut inserted: Vec<Vec<(i64, RowId)>> = vec![Vec::new(); attrs];
+        let mut recent: Vec<Vec<i64>> = vec![Vec::new(); attrs];
+        let mut next_row = rows as RowId;
+        let mut deletes = 0usize;
+
+        let pending = |e: &HolisticEngine, attr: usize| -> usize {
+            peek(e, attr)
+                .resident_shards()
+                .map(|shard| shard.pending_len())
+                .sum()
+        };
+        // The published filter of every shard, by address: a change after
+        // the first is a rebuild.
+        let mut filters: Vec<Option<Arc<holix_cracking::PointFilter>>> = vec![None; attrs * shards];
+        let mut rebuilds = 0usize;
+        let mut merging_ns: Vec<Vec<u64>> = vec![Vec::new(); OPS / WINDOW];
+        let mut first_pieces = 0;
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(600);
+        let mut i = 0;
+        while i < OPS {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "soak at op {i} of {OPS} after 600 s"
+            );
+            let attr = rng.random_range(0..attrs);
+            let mut insert = |e: &HolisticEngine, rng: &mut StdRng| {
+                let v = rng.random_range(0..domain);
+                oracle[attr].add(v, 1);
+                inserted[attr].push((v, next_row));
+                if recent[attr].len() == 64 {
+                    recent[attr].remove(0);
+                }
+                recent[attr].push(v);
+                e.queue_insert(attr, v, next_row);
+                next_row += 1;
+            };
+            if i > 0 && i % 2_000 == 0 {
+                for _ in 0..500 {
+                    insert(&e, &mut rng);
+                }
+            }
+            match rng.random_range(0..100) {
+                0..=49 => {
+                    let centre = if !recent[attr].is_empty() && rng.random_bool(0.7) {
+                        recent[attr][rng.random_range(0..recent[attr].len())]
+                    } else {
+                        rng.random_range(0..domain)
+                    };
+                    let width = rng.random_range(1..=domain / 512);
+                    let lo = (centre - rng.random_range(0..width)).clamp(0, domain - width);
+                    let q = QuerySpec {
+                        attr,
+                        lo,
+                        hi: lo + width,
+                    };
+                    let want = oracle[attr].in_range(q.lo, q.hi).0;
+                    let queued = pending(&e, attr);
+                    let t0 = std::time::Instant::now();
+                    let got = e.execute(&q);
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    assert_eq!(got, want, "op {i} {q:?}");
+                    if pending(&e, attr) < queued {
+                        merging_ns[i / WINDOW].push(ns);
+                    }
+                }
+                50..=64 => {
+                    let keys: Vec<i64> = (0..rng.random_range(1..=8))
+                        .map(|_| hot[rng.random_range(0..hot.len())])
+                        .collect();
+                    let mut distinct = keys.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    let want: u64 = distinct
+                        .iter()
+                        .map(|&k| oracle[attr].in_range(k, k + 1).0)
+                        .sum();
+                    assert_eq!(e.execute_points(attr, &keys), Some(want), "op {i} {keys:?}");
+                }
+                65..=69 => {
+                    let width = rng.random_range(domain / 20..domain / 5);
+                    let lo = rng.random_range(0..domain - width);
+                    let q = QuerySpec {
+                        attr,
+                        lo,
+                        hi: lo + width,
+                    };
+                    let want = oracle[attr].in_range(q.lo, q.hi);
+                    assert_eq!(e.execute_snapshot(&q), Some(want), "op {i} {q:?}");
+                }
+                70..=89 => insert(&e, &mut rng),
+                _ => {
+                    let (v, row) = if !inserted[attr].is_empty() && rng.random_bool(0.5) {
+                        let k = rng.random_range(0..inserted[attr].len());
+                        inserted[attr].swap_remove(k)
+                    } else {
+                        let mut row = rng.random_range(0..rows);
+                        while std::mem::replace(&mut base_deleted[attr][row], true) {
+                            row = (row + 1) % rows;
+                        }
+                        (base[attr][row], row as RowId)
+                    };
+                    oracle[attr].add(v, -1);
+                    e.queue_delete(attr, v, row);
+                    deletes += 1;
+                }
+            }
+            i += 1;
+            if i % 64 == 0 {
+                for a in 0..attrs {
+                    let col = peek(&e, a);
+                    for k in 0..col.shard_count() {
+                        let now = col.resident(k).and_then(|(shard, _)| shard.point_filter());
+                        let seen = &mut filters[a * shards + k];
+                        if let (Some(old), Some(new)) = (seen.as_ref(), now.as_ref()) {
+                            rebuilds += usize::from(!Arc::ptr_eq(old, new));
+                        }
+                        *seen = now;
+                    }
+                }
+            }
+            if i == WINDOW {
+                first_pieces = e.total_pieces();
+            }
+        }
+        let last_pieces = e.total_pieces();
+        e.stop();
+
+        let merges: usize = merging_ns.iter().map(Vec::len).sum();
+        assert!(merges * 4 > OPS, "only {merges} of {OPS} operations merged");
+        assert!(
+            last_pieces >= 8 * first_pieces,
+            "the piece table grew from {first_pieces} to {last_pieces} only"
+        );
+        let mut floors = merging_ns.iter_mut().map(|w| {
+            w.sort_unstable();
+            w[w.len() / 4]
+        });
+        let first = floors.next().expect("at least one window");
+        // The cheapest of the last three windows, as in the soak above: a
+        // neighbour's burst comes back down, growth with uptime does not.
+        let last = floors.skip(OPS / WINDOW - 4).min().expect("three more");
+        assert!(
+            last * first_pieces as u64 <= SLOPE * first * last_pieces as u64,
+            "a merging read costs {last} ns after {OPS} ops, {first} ns in the first {WINDOW} \
+             (pieces {first_pieces} -> {last_pieces})"
+        );
+        // A rebuild needs a quarter of its shard's length in deletes, and
+        // no shard ever holds less than half of what it was born with.
+        let born = rows / shards;
+        assert!(
+            rebuilds * (born / 2 / 4) <= deletes,
+            "{rebuilds} filter rebuilds for {deletes} deletes on shards of {born}"
+        );
+    }
+
     #[test]
     fn add_potential_rebuilds_dropped_shards_and_leaves_live_ones() {
         // Three 600 KB attributes in two shards, a budget of two of them.
