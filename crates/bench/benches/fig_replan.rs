@@ -12,8 +12,8 @@
 //!   per-shard loads (rows + pending backlog), splits hot shards and
 //!   merges cold neighbours, migrating values through the snapshot
 //!   COW-splice so readers never block, and publishes each successor
-//!   plan through the epoch cell (in-flight queries finish against the
-//!   plan they started with).
+//!   plan by swapping in its column (in-flight queries finish against
+//!   the plan they started with).
 //!
 //! Every live answer is band-checked against the sorted-column oracle
 //! (base ≤ got ≤ base + two phases of churn — deletes only ever remove

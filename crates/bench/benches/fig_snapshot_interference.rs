@@ -12,7 +12,7 @@
 //!   merge mid-scan stalls it (the "index maintenance blocks queries"
 //!   overhead the paper's daemon design wants off the query path).
 //! - **snapshot** bed: scans run through `QueryEngine::execute_snapshot` —
-//!   one pinned epoch per touched shard, no structure lock; merges replace
+//!   one published snapshot per touched shard, no structure lock; merges replace
 //!   pieces copy-on-write and never wait for the scans.
 //!
 //! Repetitions are interleaved bed-by-bed so machine drift hits both

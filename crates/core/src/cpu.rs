@@ -1,15 +1,10 @@
 //! CPU-utilisation monitoring (§4.1 "CPU Utilization").
 //!
 //! The tuning cycle consumes a single signal: *how many hardware contexts
-//! were idle over the last sampling window*. Two sources are provided:
-//!
-//! - [`LoadAccountant`] — deterministic logical accounting: the engine
-//!   registers every running user-query task; idle = total − busy. This is
-//!   the default for reproducible experiments (PAPER.md, "The tuning
-//!   daemon").
-//! - [`ProcStatMonitor`] — kernel statistics from `/proc/stat`, like the
-//!   paper's MonetDB load-checker (Linux only; parsing is unit-tested on
-//!   fixtures).
+//! were idle over the last sampling window*. [`LoadAccountant`] provides
+//! it by deterministic logical accounting: the engine registers every
+//! running user-query task; idle = total − busy (PAPER.md, "The tuning
+//! daemon"). Tests substitute other sources through [`CpuMonitor`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -203,87 +198,6 @@ impl Drop for TaskGuard {
     }
 }
 
-/// Kernel-statistics monitor reading `/proc/stat` deltas.
-pub struct ProcStatMonitor {
-    total: usize,
-}
-
-impl ProcStatMonitor {
-    /// Monitor sized to the machine.
-    pub fn new() -> Self {
-        ProcStatMonitor {
-            total: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-
-    /// Monitor for an explicit context count.
-    pub fn with_total(total: usize) -> Self {
-        ProcStatMonitor {
-            total: total.max(1),
-        }
-    }
-
-    fn sample() -> Option<CpuTimes> {
-        let text = std::fs::read_to_string("/proc/stat").ok()?;
-        parse_proc_stat(&text)
-    }
-}
-
-impl Default for ProcStatMonitor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CpuMonitor for ProcStatMonitor {
-    fn total_contexts(&self) -> usize {
-        self.total
-    }
-
-    fn idle_contexts(&self, window: Duration) -> usize {
-        let Some(a) = Self::sample() else { return 0 };
-        std::thread::sleep(window);
-        let Some(b) = Self::sample() else { return 0 };
-        let d_busy = b.busy.saturating_sub(a.busy);
-        let d_idle = b.idle.saturating_sub(a.idle);
-        let denom = d_busy + d_idle;
-        if denom == 0 {
-            return 0;
-        }
-        ((d_idle as f64 / denom as f64) * self.total as f64).round() as usize
-    }
-}
-
-/// Aggregate jiffies from the `cpu ` summary line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuTimes {
-    /// Non-idle jiffies (user+nice+system+irq+softirq+steal).
-    pub busy: u64,
-    /// Idle jiffies (idle+iowait).
-    pub idle: u64,
-}
-
-/// Parses the aggregate `cpu ` line of `/proc/stat`.
-pub fn parse_proc_stat(text: &str) -> Option<CpuTimes> {
-    let line = text.lines().find(|l| {
-        l.starts_with("cpu ") || (l.starts_with("cpu") && l.as_bytes().get(3) == Some(&b'\t'))
-    })?;
-    let fields: Vec<u64> = line
-        .split_whitespace()
-        .skip(1)
-        .filter_map(|f| f.parse().ok())
-        .collect();
-    if fields.len() < 4 {
-        return None;
-    }
-    let get = |i: usize| fields.get(i).copied().unwrap_or(0);
-    let idle = get(3) + get(4); // idle + iowait
-    let busy = get(0) + get(1) + get(2) + get(5) + get(6) + get(7);
-    Some(CpuTimes { busy, idle })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,30 +309,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(idle, 1, "expected exactly one idle context");
-    }
-
-    #[test]
-    fn parse_proc_stat_fixture() {
-        let fixture = "cpu  4705 150 1120 16250856 30 0 25 12 0 0\n\
-                       cpu0 1200 38 280 4062714 7 0 6 3 0 0\n\
-                       intr 12345\n";
-        let t = parse_proc_stat(fixture).unwrap();
-        assert_eq!(t.idle, 16_250_856 + 30);
-        assert_eq!(t.busy, (4705 + 150 + 1120) + 25 + 12);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(parse_proc_stat(""), None);
-        assert_eq!(parse_proc_stat("cpu x y z"), None);
-        assert_eq!(parse_proc_stat("intr 5\nctxt 7\n"), None);
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn proc_stat_monitor_reads_live_kernel() {
-        let m = ProcStatMonitor::with_total(4);
-        let idle = m.idle_contexts(Duration::from_millis(30));
-        assert!(idle <= 4);
     }
 }

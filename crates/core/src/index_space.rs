@@ -413,7 +413,7 @@ impl IndexSpace {
     }
 
     /// Test-only: parks the caller on the maintenance weight-heap mutex so
-    /// lock-freedom tests can assert that plan-time reads (the planner's
+    /// tests can assert that plan-time reads (the planner's
     /// `estimate()`) complete while the daemon's maintenance side is busy.
     /// Releases when the returned guard drops.
     #[doc(hidden)]
@@ -790,7 +790,6 @@ mod tests {
                     col.snapshot_scan(Predicate::range(0, 1_000), &mut scratch);
                     while col.refresh_stale_snapshot() {}
                     while morph && col.morph_cold_segments() {}
-                    col.snapshot_gc();
                     Arc::new(CrackerHandle::new(col)) as Arc<dyn RefinableIndex>
                 })
                 .collect()

@@ -15,8 +15,8 @@
 //!   index space can hold cracker columns of any value type.
 //! - [`index_space`] — `C_actual` / `C_potential` / `C_optimal` membership,
 //!   weight maintenance, storage budget with LFU eviction.
-//! - [`cpu`] — CPU-utilisation monitors: deterministic load accounting and a
-//!   `/proc/stat` reader.
+//! - [`cpu`] — the CPU-utilisation signal: deterministic load accounting
+//!   behind the [`CpuMonitor`] trait.
 //! - [`worker`] — the IdleFunction a holistic worker runs (Fig 2).
 //! - [`daemon`] — the holistic indexing thread: monitor → activate workers →
 //!   wait → repeat, with per-cycle records (Fig 6d).
@@ -32,7 +32,7 @@ pub mod weight_heap;
 pub mod worker;
 
 pub use config::HolisticConfig;
-pub use cpu::{CpuMonitor, LoadAccountant, ProcStatMonitor};
+pub use cpu::{CpuMonitor, LoadAccountant};
 pub use daemon::{CycleRecord, HolisticDaemon};
 pub use handle::{CrackerHandle, RefinableIndex, RefineResult, WorkerScratch};
 pub use index_space::{IndexSlot, IndexSpace, Membership};

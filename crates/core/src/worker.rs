@@ -279,7 +279,6 @@ mod tests {
             }
         }
         assert!(morphs > 0, "workers never morphed a segment");
-        col.snapshot_gc();
         assert!(
             col.snapshot_bytes() < plain_bytes,
             "morphing did not shrink snapshot bytes: {} vs {plain_bytes}",
@@ -333,7 +332,6 @@ mod tests {
             }
         }
         assert!(morphs > 0, "pressure never forced a morph");
-        cold.snapshot_gc();
         assert!(
             cold.snapshot_bytes() < cold_bytes,
             "the eviction victim was not the morph target: {} vs {cold_bytes}",

@@ -10,10 +10,16 @@
 //!    piece boundaries or grow the underlying vectors.
 //! 2. `index` RwLock — guards piece metadata (AVL + latch table); held only
 //!    for lookups and boundary insertion, never across data movement.
-//! 3. `pending` mutex — pending-update queue (short critical sections);
-//!    taken on its own or under `structure`, never around either lock. A
-//!    Ripple merge takes its batch *under* `structure` exclusive, so
-//!    batches are applied in the order they leave the queue.
+//! 3. `pending` mutex — pending-update queue and the published snapshot
+//!    pointer (short critical sections); taken on its own or under
+//!    `structure`, never around either lock. A Ripple merge takes its batch
+//!    *under* `structure` exclusive, so batches are applied in the order
+//!    they leave the queue.
+//!
+//! Below all three sit the two `PublishedCell`s (plan-time statistics,
+//! point filter): *leaf* locks, taken under `pending`, under `structure` or
+//! under neither, held for one pointer copy, with nothing ever acquired
+//! while one is held.
 //!
 //! Piece latches sit outside this order: an operation holds at most **one**
 //! piece latch at a time (range queries crack their two bounds one after the
@@ -25,32 +31,32 @@
 //! locator runs again under the latch; holding the latch of the piece that
 //! *currently* contains the pivot makes the partition race-free.
 //!
-//! ## Snapshot reads (per-shard snapshot epochs)
+//! ## Snapshot reads
 //!
 //! [`CrackerColumn::snapshot_scan`] / [`CrackerColumn::snapshot_collect`]
 //! answer count/sum/collect queries from an immutable
-//! [`crate::epoch::PieceSnapshot`] **without the structure lock**: the
-//! reader pins an epoch, loads the published snapshot pointer and copies
-//! the unmerged pending values under the short `pending` mutex (the
-//! linearisation point), then scans entirely lock-free. Cracks only
-//! permute values inside pieces, so the snapshot stays correct under
-//! concurrent cracking; Ripple merges — the only multiset-changing
-//! writers — splice fresh copies of exactly the affected value range into
-//! a new snapshot (copy-on-write at piece granularity, untouched pieces
-//! share their `Arc`'d segments) and retire the old version into the
-//! column's epoch domain, which frees it only after the last pinned
-//! reader drops. For these readers the structure lock shrinks to a
+//! [`crate::snapshot::PieceSnapshot`] **without the structure lock**: the
+//! reader clones the published `Arc` and folds the unmerged pending values
+//! in one critical section of the short `pending` mutex (the linearisation
+//! point), then scans holding no lock at all. Cracks only permute values
+//! inside pieces, so the snapshot stays correct under concurrent cracking;
+//! Ripple merges — the only multiset-changing writers — splice fresh
+//! copies of exactly the affected value range into a new snapshot
+//! (copy-on-write at piece granularity, untouched pieces share their
+//! `Arc`'d segments) and swap the pointer under the same mutex; the
+//! replaced version is freed when the last reader holding it lets go.
+//! Publication and pointer loads under the pending mutex are the whole
+//! protocol: `read_snapshot` is the one load, `splice_multi_and_publish`
+//! the one store. For these readers the structure lock shrinks to a
 //! writer-writer ordering concern.
 
-use crate::epoch::{
-    EpochCell, EpochGuard, PieceSnapshot, Segment, SnapPiece, SnapshotCell, SnapshotScan,
-    SpliceSpan,
-};
+use crate::cell::PublishedCell;
 use crate::filter::PointFilter;
 use crate::index::{BoundLookup, CrackerIndex};
 use crate::partition::{partition_three, partition_two};
 use crate::piece_stats::{build_stats, PieceStats, SnapPieceStat};
 use crate::range_cell::RangeCell;
+use crate::snapshot::{PieceSnapshot, Segment, SnapPiece, SnapshotScan, SpliceSpan};
 use crate::updates::{ripple_batch, PendingUpdates, UnmergedKind};
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
@@ -122,6 +128,15 @@ pub enum RefineOutcome {
     },
 }
 
+/// What the `pending` mutex guards: the update queue and the published
+/// snapshot it overlays. One critical section reads (or replaces) both, so
+/// a reader sees every update in exactly one of the two.
+struct Pending<V> {
+    queue: PendingUpdates<V>,
+    /// `None` until the first snapshot read builds one; never withdrawn.
+    snap: Option<Arc<PieceSnapshot<V>>>,
+}
+
 /// A cracker column: copy of a base column (values + row ids) that is
 /// incrementally reorganised by queries and holistic workers.
 pub struct CrackerColumn<V> {
@@ -130,7 +145,7 @@ pub struct CrackerColumn<V> {
     rows: RangeCell<RowId>,
     structure: RwLock<()>,
     index: RwLock<CrackerIndex<V>>,
-    pending: Mutex<PendingUpdates<V>>,
+    pending: Mutex<Pending<V>>,
     /// Observed value domain (base ∪ pending inserts); random pivots are
     /// drawn from it.
     domain: Mutex<Option<(V, V)>>,
@@ -141,14 +156,12 @@ pub struct CrackerColumn<V> {
     /// Thread budget of background (holistic-worker) refinements —
     /// typically 1, one worker per idle context.
     refine_threads: usize,
-    /// Published piece snapshot + per-shard epoch domain (lock-free reads).
-    snap: SnapshotCell<V>,
-    /// Live bytes held by snapshot segments (rises on copy-out, falls only
-    /// when epoch reclamation frees the last snapshot referencing them).
+    /// Live bytes held by snapshot segments (rises on copy-out, falls when
+    /// the last snapshot version referencing them is dropped).
     snap_bytes: Arc<AtomicUsize>,
-    /// Published plan-time piece statistics (lock-free loads; the planner's
-    /// `estimate()` reads exclusively from here).
-    stats: EpochCell<PieceStats<V>>,
+    /// Published plan-time piece statistics (the planner's `estimate()`
+    /// reads exclusively from here).
+    stats: PublishedCell<PieceStats<V>>,
     /// Bumped whenever the piece table, pending backlog or snapshot piece
     /// table changes; drives amortised stats republication.
     stats_version: AtomicU64,
@@ -157,9 +170,9 @@ pub struct CrackerColumn<V> {
     /// Serialises publishers (never touched by stats *readers*): prevents
     /// a slow publisher from overwriting a newer summary last.
     stats_publish: Mutex<()>,
-    /// Lazily built point-membership filter (lock-free probes; `None` until
-    /// the first equality/IN query pays the build).
-    filter: EpochCell<PointFilter>,
+    /// Lazily built point-membership filter (`None` until the first
+    /// equality/IN query pays the build).
+    filter: PublishedCell<PointFilter>,
     /// Serialises filter builders so racing point probes don't each pay the
     /// O(N) snapshot walk.
     filter_build: Mutex<()>,
@@ -230,17 +243,19 @@ impl<V: CrackValue> CrackerColumn<V> {
             rows: RangeCell::new(rows),
             structure: RwLock::new(()),
             index: RwLock::new(index),
-            pending: Mutex::new(PendingUpdates::new()),
+            pending: Mutex::new(Pending {
+                queue: PendingUpdates::new(),
+                snap: None,
+            }),
             domain: Mutex::new(domain),
             select_threads: 1,
             refine_threads: 1,
-            snap: SnapshotCell::new(),
             snap_bytes: Arc::new(AtomicUsize::new(0)),
-            stats: EpochCell::new(),
+            stats: PublishedCell::new(),
             stats_version: AtomicU64::new(1),
             stats_published: AtomicU64::new(0),
             stats_publish: Mutex::new(()),
-            filter: EpochCell::new(),
+            filter: PublishedCell::new(),
             filter_build: Mutex::new(()),
             filter_deletes: AtomicUsize::new(0),
         };
@@ -317,9 +332,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     // Plan-time piece statistics (holix-planner's input)
     // ------------------------------------------------------------------
 
-    /// The currently published plan-time summary. Lock-free: no structure
-    /// lock, no index lock, no pending mutex — safe to call from admission
-    /// control while writers hold every column lock.
+    /// The currently published plan-time summary. Takes no structure lock,
+    /// no index lock and no pending mutex (only the cell's leaf lock) —
+    /// safe to call from admission control while writers hold every column
+    /// lock.
     pub fn piece_stats(&self) -> Option<Arc<PieceStats<V>>> {
         self.stats.load()
     }
@@ -345,7 +361,7 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Unconditionally rebuilds and publishes the plan-time summary. Takes
     /// the pending mutex and the index read lock *sequentially* (never
-    /// nested) and publishes through the lock-free stats cell. Publishers
+    /// nested) and publishes through the stats cell. Publishers
     /// are serialised by a try-lock: without it, a slow publisher that
     /// gathered an old state could overwrite a newer summary *after* the
     /// newer version was marked covered, leaving stale stats no forced
@@ -356,35 +372,33 @@ impl<V: CrackValue> CrackerColumn<V> {
             return;
         };
         let v = self.stats_version.load(SeqCst);
-        let pending = self.pending.lock().len();
+        let pending = self.pending.lock().queue.len();
         let (len, bounds) = {
             let idx = self.index.read();
             (idx.len(), idx.bounds_in_order())
         };
-        let snap_pieces = {
-            let guard = self.snap.epochs().pin();
-            self.snap.load(&guard).map(|s| {
-                s.pieces()
-                    .map(|p| SnapPieceStat {
-                        hi_key: p.hi_key,
-                        len: p.len(),
-                        plain: p.is_plain(),
-                    })
-                    .collect()
-            })
-        };
+        let snap_pieces = self.snapshot().map(|s| {
+            s.pieces()
+                .map(|p| SnapPieceStat {
+                    hi_key: p.hi_key,
+                    len: p.len(),
+                    plain: p.is_plain(),
+                })
+                .collect()
+        });
         self.stats
             .publish(Arc::new(build_stats(len, bounds, pending, snap_pieces)));
         self.stats_published.fetch_max(v, SeqCst);
     }
 
-    /// Test-only: parks the caller on the column's exclusive structure
-    /// lock so lock-freedom tests can assert that plan-time reads
-    /// ([`CrackerColumn::piece_stats`]) still complete while a writer
-    /// holds every piece hostage.
+    /// Test-only: holds the column's structure lock exclusively *and* its
+    /// pending mutex, so tests can assert that plan-time reads
+    /// ([`CrackerColumn::piece_stats`], [`CrackerColumn::probe_point`])
+    /// still complete while a writer holds every piece, the update queue
+    /// and the published snapshot hostage.
     #[doc(hidden)]
-    pub fn hold_structure_write_for_test(&self) -> impl Drop + '_ {
-        self.structure.write()
+    pub fn hold_locks_for_test(&self) -> impl Sized + '_ {
+        (self.structure.write(), self.pending.lock())
     }
 
     /// Draws a uniform random pivot from the observed domain.
@@ -684,10 +698,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     pub fn queue_insert(&self, v: V, row: RowId) -> bool {
         {
             let mut p = self.pending.lock();
-            if p.is_sealed() {
+            if p.queue.is_sealed() {
                 return false;
             }
-            p.queue_insert(v, row);
+            p.queue.queue_insert(v, row);
             // Same critical section that the filter build's catch-up +
             // publish runs in, so this insert lands in the filter exactly
             // once: either the build's `for_each_unmerged` pass sees it
@@ -715,10 +729,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     pub fn queue_delete(&self, v: V, row: RowId) -> bool {
         {
             let mut p = self.pending.lock();
-            if p.is_sealed() {
+            if p.queue.is_sealed() {
                 return false;
             }
-            p.queue_delete(v, row);
+            p.queue.queue_delete(v, row);
         }
         // Deletes never leave a Bloom filter: account the churn so idle
         // workers can rebuild once it overwhelms the published filter.
@@ -731,7 +745,7 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Number of unmerged pending operations.
     pub fn pending_len(&self) -> usize {
-        self.pending.lock().len()
+        self.pending.lock().queue.len()
     }
 
     /// Merges every pending update with value in `[lo, hi)` into the cracked
@@ -740,12 +754,12 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// When a snapshot is published, the merge is the *only* operation that
     /// changes per-piece multisets, so it finishes by splicing fresh copies
     /// of exactly the affected value range into the snapshot (copy-on-write
-    /// at piece granularity) and retiring the old one through the epoch
-    /// domain. The taken batch stays registered as in-flight until the
-    /// publish, so lock-free readers racing the merge see every update in
-    /// either the pending set or the new snapshot — never neither.
+    /// at piece granularity) and publishing that in place of the old one.
+    /// The taken batch stays registered as in-flight until the publish, so
+    /// snapshot readers racing the merge see every update in either the
+    /// pending set or the new snapshot — never neither.
     pub fn merge_pending_range(&self, lo: V, hi: V) {
-        if !self.pending.lock().has_in_range(lo, hi) {
+        if !self.pending.lock().queue.has_in_range(lo, hi) {
             return;
         }
         // The batch is taken only once the column is exclusively ours, so
@@ -754,7 +768,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         // a later merge holding {delete x} would find nothing to delete,
         // drop the delete, and then insert x for good.
         let _exclusive = self.structure.write();
-        let Some((token, ins, del)) = self.pending.lock().take_range_tracked(lo, hi) else {
+        let Some((token, ins, del)) = self.pending.lock().queue.take_range_tracked(lo, hi) else {
             return; // a racing merge applied it while we waited
         };
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
@@ -768,46 +782,34 @@ impl<V: CrackValue> CrackerColumn<V> {
         // are sparse only copies the snapshot pieces the values actually
         // land in — every untouched interior piece of the anchor span
         // keeps sharing its segment.
-        if self.snap.is_published() {
+        let spans = self.snapshot().map(|snap| {
             let mut vs: Vec<V> = ins.iter().chain(del.iter()).map(|&(v, _)| v).collect();
             vs.sort_unstable();
             vs.dedup();
-            // One pending-mutex critical section computes every cluster's
-            // anchors (the snapshot cannot change under the exclusive
-            // structure lock held here) — a per-value `snapshot_anchors`
-            // call would re-lock the mutex and re-load the publisher
-            // pointer once per merged value inside the writer's critical
-            // section.
-            let spans: Vec<(Option<V>, Option<V>)> = {
-                let _p = self.pending.lock();
-                match self.snap.load_publisher() {
-                    None => Vec::new(),
-                    Some(snap) => {
-                        let mut spans: Vec<(Option<V>, Option<V>)> = Vec::new();
-                        for &v in &vs {
-                            let (a, b) = snap.anchors(v, Self::succ(v));
-                            match spans.last_mut() {
-                                // Values ascend, so anchors do too: the new
-                                // span either falls inside / touches the
-                                // previous one (extend it) or starts a
-                                // fresh cluster strictly to the right.
-                                Some((_, pb)) if anchor_starts_within(a, *pb) => {
-                                    *pb = anchor_max(*pb, b);
-                                }
-                                _ => spans.push((a, b)),
-                            }
-                        }
-                        spans
+            let mut spans: Vec<(Option<V>, Option<V>)> = Vec::new();
+            for &v in &vs {
+                let (a, b) = snap.anchors(v, Self::succ(v));
+                match spans.last_mut() {
+                    // Values ascend, so anchors do too: the new span either
+                    // falls inside / touches the previous one (extend it)
+                    // or starts a fresh cluster strictly to the right.
+                    Some((_, pb)) if anchor_starts_within(a, *pb) => {
+                        *pb = anchor_max(*pb, b);
                     }
+                    _ => spans.push((a, b)),
                 }
-            };
-            let spans: Vec<SpliceSpan<V>> = spans
-                .into_iter()
-                .map(|(a, b)| (a, b, self.copy_live_pieces(a, b, false, false)))
-                .collect();
-            self.splice_multi_and_publish(spans, Some(token));
-        } else {
-            self.pending.lock().finish_merge(token);
+            }
+            spans
+        });
+        match spans {
+            Some(spans) => {
+                let spans: Vec<SpliceSpan<V>> = spans
+                    .into_iter()
+                    .map(|(a, b)| (a, b, self.copy_live_pieces(a, b, false, false)))
+                    .collect();
+                self.splice_multi_and_publish(spans, Some(token));
+            }
+            None => self.pending.lock().queue.finish_merge(token),
         }
         self.bump_stats();
         if let Some(t0) = timed {
@@ -849,7 +851,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Merges pending updates for the piece that currently contains `pivot`
     /// (the holistic-worker merge of §4.2 "Updates").
     fn merge_pending_for_piece_of(&self, pivot: V) {
-        if self.pending.lock().is_empty() {
+        if self.pending.lock().queue.is_empty() {
             return;
         }
         let (lo_key, hi_key) = match self.index.read().locate(pivot) {
@@ -871,12 +873,12 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// scans, point probes — keep working; sealing freezes only the
     /// pending queue's intake.
     pub fn seal_for_migration(&self) {
-        self.pending.lock().seal();
+        self.pending.lock().queue.seal();
     }
 
     /// `true` once [`CrackerColumn::seal_for_migration`] ran.
     pub fn is_sealed(&self) -> bool {
-        self.pending.lock().is_sealed()
+        self.pending.lock().queue.is_sealed()
     }
 
     /// Reopens the update ingress after an *aborted* migration (no
@@ -884,13 +886,13 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// values all equal). Updates rejected during the sealed window are
     /// retried by the shard router and land here again.
     pub fn unseal_after_aborted_migration(&self) {
-        self.pending.lock().unseal();
+        self.pending.lock().queue.unseal();
     }
 
     /// Drains the column for a shard replan: seals the update ingress,
     /// Ripple-merges **every** pending update — republishing the snapshot
-    /// in the same critical section, so readers still pinned to the old
-    /// plan keep answering exactly — and returns a copy of the merged
+    /// in the same critical section, so readers still holding the old
+    /// plan's column keep answering exactly — and returns a copy of the merged
     /// values and row ids in cracked order. The column stays fully
     /// readable afterwards (in-flight old-plan queries finish against it)
     /// but accepts no new updates.
@@ -901,7 +903,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         let _exclusive = self.structure.write();
         let taken = {
             let mut p = self.pending.lock();
-            (!p.is_empty()).then(|| p.take_all_tracked())
+            (!p.queue.is_empty()).then(|| p.queue.take_all_tracked())
         };
         if let Some((token, ins, del)) = taken {
             // SAFETY: `structure` is held exclusively.
@@ -909,11 +911,11 @@ impl<V: CrackValue> CrackerColumn<V> {
             // Old-plan snapshot readers must stay exact: the batch
             // leaves the pending overlay only together with a
             // republished snapshot that already contains it.
-            if self.snap.is_published() {
+            if self.snapshot_published() {
                 let pieces = self.copy_live_pieces(None, None, false, false);
                 self.splice_and_publish(None, None, pieces, Some(token));
             } else {
-                self.pending.lock().finish_merge(token);
+                self.pending.lock().queue.finish_merge(token);
             }
         }
         let n = self.index.read().len();
@@ -925,16 +927,65 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     // ------------------------------------------------------------------
-    // Snapshot reads (per-shard snapshot epochs)
+    // Snapshot reads
     // ------------------------------------------------------------------
 
+    /// The one load of the published snapshot: clones its `Arc` and hands
+    /// the update queue to `fold`, both inside one critical section of the
+    /// pending mutex — the reader linearisation point, so what `fold` reads
+    /// is exactly what the returned snapshot lacks. `fold` must stay short
+    /// (no allocation proportional to the column): every queue operation
+    /// and every publish waits for it. `None` while nothing is published.
+    fn read_snapshot<R>(
+        &self,
+        fold: impl FnOnce(&PendingUpdates<V>) -> R,
+    ) -> Option<(Arc<PieceSnapshot<V>>, R)> {
+        let p = self.pending.lock();
+        let snap = Arc::clone(p.snap.as_ref()?);
+        if holix_telemetry::metrics_enabled() {
+            holix_telemetry::counter!("cracking_epoch_pins_total").inc();
+        }
+        Some((snap, fold(&p.queue)))
+    }
+
+    /// [`CrackerColumn::read_snapshot`] that builds and publishes the first
+    /// snapshot when there is none (one-time O(N) copy at current live
+    /// granularity, under `structure` exclusive).
+    fn read_or_build_snapshot<R>(
+        &self,
+        fold: impl Fn(&PendingUpdates<V>) -> R,
+    ) -> (Arc<PieceSnapshot<V>>, R) {
+        if let Some(read) = self.read_snapshot(&fold) {
+            return read;
+        }
+        {
+            let _exclusive = self.structure.write();
+            // Unless a racing reader built it while this one waited.
+            if !self.snapshot_published() {
+                let pieces = self.copy_live_pieces(None, None, false, false);
+                self.splice_and_publish(None, None, pieces, None);
+            }
+        }
+        self.read_snapshot(&fold)
+            .expect("a published snapshot is never withdrawn")
+    }
+
+    /// The currently published snapshot (`None` until a snapshot read has
+    /// built one). Whoever holds the returned `Arc` keeps that version —
+    /// and the segments only it references — allocated and charged to
+    /// [`CrackerColumn::snapshot_bytes`] across any number of later
+    /// publishes.
+    pub fn snapshot(&self) -> Option<Arc<PieceSnapshot<V>>> {
+        self.read_snapshot(|_| ()).map(|(snap, ())| snap)
+    }
+
     /// Count + sum of values in `pred`, served from the published piece
-    /// snapshot **without taking the structure lock**: the reader pins one
-    /// epoch, linearises `(snapshot pointer, unmerged updates)` on the
-    /// short pending mutex (folding the overlay deltas allocation-free
-    /// inside it), scans the immutable snapshot, and applies the deltas.
-    /// Writers (cracks, Ripple merges, piece splits) never wait for this
-    /// reader and this reader never waits for them.
+    /// snapshot **without taking the structure lock**: the reader
+    /// linearises `(snapshot, unmerged updates)` on the short pending mutex
+    /// (folding the overlay deltas allocation-free inside it), scans the
+    /// immutable snapshot, and applies the deltas. Writers (cracks, Ripple
+    /// merges, piece splits) never wait for this reader and this reader
+    /// never waits for them.
     ///
     /// The overlay assumes the contract [`CrackerColumn::queue_delete`]
     /// states: a pending delete targets a tuple that is merged (or has a
@@ -953,43 +1004,37 @@ impl<V: CrackValue> CrackerColumn<V> {
         if pred.is_empty() {
             return SnapshotScan::default();
         }
-        self.ensure_snapshot();
-        let scan = {
-            let guard = self.snap.epochs().pin();
+        let (snap, (count_delta, sum_delta)) = self.read_or_build_snapshot(|queue| {
             let mut count_delta = 0i64;
             let mut sum_delta = 0i128;
-            let snap = {
-                let p = self.pending.lock();
-                let snap = self.snap.load(&guard).expect("snapshot was ensured");
-                p.for_each_unmerged(
-                    |v| pred.matches_unbounded(v),
-                    |v, kind| {
-                        let sign = match kind {
-                            UnmergedKind::Insert => 1,
-                            UnmergedKind::Delete => -1,
-                        };
-                        count_delta += sign;
-                        sum_delta += sign as i128 * v.as_i64() as i128;
-                    },
-                );
-                snap
-            };
-            let mut scan = snap.stats(pred.lo, pred.hi);
-            scan.count = (scan.count as i64 + count_delta).max(0) as u64;
-            scan.sum += sum_delta;
-            scan
-        };
+            queue.for_each_unmerged(
+                |v| pred.matches_unbounded(v),
+                |v, kind| {
+                    let sign = match kind {
+                        UnmergedKind::Insert => 1,
+                        UnmergedKind::Delete => -1,
+                    };
+                    count_delta += sign;
+                    sum_delta += sign as i128 * v.as_i64() as i128;
+                },
+            );
+            (count_delta, sum_delta)
+        });
+        let mut scan = snap.stats(pred.lo, pred.hi);
+        drop(snap);
+        scan.count = (scan.count as i64 + count_delta).max(0) as u64;
+        scan.sum += sum_delta;
         if scan.filtered >= Self::REFRESH_FILTER_MIN {
             self.refresh_snapshot(pred, scratch);
         }
         scan
     }
 
-    /// Appends every value qualifying under `pred` to `out` (lock-free,
-    /// same protocol as [`CrackerColumn::snapshot_scan`]); unmerged pending
-    /// inserts are appended and pending deletes remove one matching
-    /// occurrence each from the values this call produced (a delete whose
-    /// target is genuinely absent removes nothing — see
+    /// Appends every value qualifying under `pred` to `out` (same protocol
+    /// as [`CrackerColumn::snapshot_scan`]); unmerged pending inserts are
+    /// appended and pending deletes remove one matching occurrence each
+    /// from the values this call produced (a delete whose target is
+    /// genuinely absent removes nothing — see
     /// [`CrackerColumn::snapshot_scan`] on the delete contract).
     pub fn snapshot_collect(
         &self,
@@ -1000,62 +1045,56 @@ impl<V: CrackValue> CrackerColumn<V> {
         if pred.is_empty() {
             return SnapshotScan::default();
         }
-        self.ensure_snapshot();
         let base = out.len();
-        let scan = {
-            let guard = self.snap.epochs().pin();
-            // Overlay values buffer into small locals under the lock; the
-            // (potentially large, reallocating) `out` buffer is only
-            // touched after the pending mutex is released, keeping the
-            // writer linearisation point short.
+        // Overlay values buffer into small locals under the lock; the
+        // (potentially large, reallocating) `out` buffer is only touched
+        // after the pending mutex is released, keeping the writer
+        // linearisation point short.
+        let (snap, (ins, del)) = self.read_or_build_snapshot(|queue| {
             let mut ins: Vec<V> = Vec::new();
             let mut del: Vec<V> = Vec::new();
-            let snap = {
-                let p = self.pending.lock();
-                let snap = self.snap.load(&guard).expect("snapshot was ensured");
-                p.for_each_unmerged(
-                    |v| pred.matches_unbounded(v),
-                    |v, kind| match kind {
-                        UnmergedKind::Insert => ins.push(v),
-                        UnmergedKind::Delete => del.push(v),
-                    },
-                );
-                snap
-            };
-            let mut scan = snap.collect_into(pred.lo, pred.hi, out);
-            for v in ins {
-                out.push(v);
-                scan.count += 1;
-                scan.sum += v.as_i64() as i128;
+            queue.for_each_unmerged(
+                |v| pred.matches_unbounded(v),
+                |v, kind| match kind {
+                    UnmergedKind::Insert => ins.push(v),
+                    UnmergedKind::Delete => del.push(v),
+                },
+            );
+            (ins, del)
+        });
+        let mut scan = snap.collect_into(pred.lo, pred.hi, out);
+        drop(snap);
+        for v in ins {
+            out.push(v);
+            scan.count += 1;
+            scan.sum += v.as_i64() as i128;
+        }
+        if !del.is_empty() {
+            // Single compaction pass over this call's values with a delete
+            // multiset — O(collected + deletes), not a linear re-scan per
+            // delete. Unmatched deletes (absent targets) remove nothing, as
+            // on the Ripple path.
+            let mut remaining: std::collections::BTreeMap<V, usize> =
+                std::collections::BTreeMap::new();
+            for v in del {
+                *remaining.entry(v).or_insert(0) += 1;
             }
-            if !del.is_empty() {
-                // Single compaction pass over this call's values with a
-                // delete multiset — O(collected + deletes), not a linear
-                // re-scan per delete. Unmatched deletes (absent targets)
-                // remove nothing, as on the Ripple path.
-                let mut remaining: std::collections::BTreeMap<V, usize> =
-                    std::collections::BTreeMap::new();
-                for v in del {
-                    *remaining.entry(v).or_insert(0) += 1;
-                }
-                let mut kept = base;
-                for i in base..out.len() {
-                    let v = out[i];
-                    if let Some(c) = remaining.get_mut(&v) {
-                        if *c > 0 {
-                            *c -= 1;
-                            scan.count = scan.count.saturating_sub(1);
-                            scan.sum -= v.as_i64() as i128;
-                            continue;
-                        }
+            let mut kept = base;
+            for i in base..out.len() {
+                let v = out[i];
+                if let Some(c) = remaining.get_mut(&v) {
+                    if *c > 0 {
+                        *c -= 1;
+                        scan.count = scan.count.saturating_sub(1);
+                        scan.sum -= v.as_i64() as i128;
+                        continue;
                     }
-                    out[kept] = v;
-                    kept += 1;
                 }
-                out.truncate(kept);
+                out[kept] = v;
+                kept += 1;
             }
-            scan
-        };
+            out.truncate(kept);
+        }
         if scan.filtered >= Self::REFRESH_FILTER_MIN {
             self.refresh_snapshot(pred, scratch);
         }
@@ -1073,32 +1112,19 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Has a snapshot been published for this column?
     pub fn snapshot_published(&self) -> bool {
-        self.snap.is_published()
+        self.snapshot().is_some()
     }
 
-    /// Live bytes held by snapshot segments (including retired segments
-    /// not yet reclaimed — the number a pinned reader keeps elevated).
+    /// Live bytes held by snapshot segments: those of the published
+    /// snapshot plus the segments a still-running reader holds through a
+    /// replaced version.
     pub fn snapshot_bytes(&self) -> usize {
         self.snap_bytes.load(SeqCst)
     }
 
     /// Pieces in the currently published snapshot (0 when unpublished).
     pub fn snapshot_piece_count(&self) -> usize {
-        let guard = self.snap.epochs().pin();
-        self.snap.load(&guard).map_or(0, PieceSnapshot::piece_count)
-    }
-
-    /// Pins the column's snapshot epoch; while the guard lives, every
-    /// snapshot version retired after the pin stays allocated (tests and
-    /// long multi-column readers).
-    pub fn snapshot_pin(&self) -> EpochGuard<'_> {
-        self.snap.epochs().pin()
-    }
-
-    /// Runs one reclamation cycle; returns how many retired snapshot
-    /// versions were freed.
-    pub fn snapshot_gc(&self) -> usize {
-        self.snap.collect()
+        self.snapshot().map_or(0, |s| s.piece_count())
     }
 
     // ------------------------------------------------------------------
@@ -1110,12 +1136,12 @@ impl<V: CrackValue> CrackerColumn<V> {
         self.filter.is_published()
     }
 
-    /// The published point filter, if any (lock-free load).
+    /// The published point filter, if any.
     pub fn point_filter(&self) -> Option<Arc<PointFilter>> {
         self.filter.load()
     }
 
-    /// Lock-free point-membership probe. `Some(false)` **proves** no tuple
+    /// Point-membership probe (no column lock). `Some(false)` **proves** no tuple
     /// with value `v` exists in this column — merged, pending, or queued
     /// concurrently — so an equality probe can answer "empty" without
     /// cracking anything. `Some(true)` means "maybe present" (Bloom false
@@ -1188,30 +1214,29 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// The shared filter (re)build: walks the published snapshot plus the
     /// unmerged pending inserts into a fresh filter and publishes it
-    /// (replacing any previous filter through the epoch cell). Caller
-    /// holds `filter_build`.
+    /// (replacing any previous filter). Caller holds `filter_build`.
     fn build_and_publish_filter(&self) {
         if holix_telemetry::metrics_enabled() {
             holix_telemetry::counter!("cracking_filter_builds_total").inc();
         }
         // Deletes queued from here on count against the *new* filter.
         self.filter_deletes.store(0, Relaxed);
-        self.ensure_snapshot();
+        // Built before `structure` is taken shared: the first build takes
+        // it exclusively.
+        self.read_or_build_snapshot(|_| ());
         let _shared = self.structure.read();
-        let guard = self.snap.epochs().pin();
-        let Some(snap) = self.snap.load(&guard) else {
-            return; // unreachable: ensure_snapshot just published
-        };
+        let (snap, backlog) = self
+            .read_snapshot(PendingUpdates::len)
+            .expect("a published snapshot is never withdrawn");
         // Slack covers the pending backlog plus a churn allowance; a filter
         // overwhelmed by delete churn is replaced wholesale by
         // [`CrackerColumn::maybe_rebuild_point_filter`], never resized.
-        let expected = snap.len() + self.pending.lock().len() + 1024;
-        let filter = Arc::new(PointFilter::with_capacity(expected));
+        let filter = Arc::new(PointFilter::with_capacity(snap.len() + backlog + 1024));
         for piece in snap.pieces() {
             piece.for_each(|v| filter.insert(v.as_i64()));
         }
         let p = self.pending.lock();
-        p.for_each_unmerged(
+        p.queue.for_each_unmerged(
             |_| true,
             |v, kind| {
                 if matches!(kind, UnmergedKind::Insert) {
@@ -1220,26 +1245,6 @@ impl<V: CrackValue> CrackerColumn<V> {
             },
         );
         self.filter.publish(filter);
-    }
-
-    /// Runs one reclamation cycle on retired point filters (a filter is
-    /// only retired if a future rebuild republishes; harmless otherwise).
-    pub fn point_filter_gc(&self) -> usize {
-        self.filter.collect()
-    }
-
-    /// Builds and publishes the first snapshot (one-time O(N) copy at
-    /// current live granularity). No-op once published.
-    fn ensure_snapshot(&self) {
-        if self.snap.is_published() {
-            return;
-        }
-        let _exclusive = self.structure.write();
-        if self.snap.is_published() {
-            return; // lost the build race
-        }
-        let pieces = self.copy_live_pieces(None, None, false, false);
-        self.splice_and_publish(None, None, pieces, None);
     }
 
     /// Amortised snapshot maintenance after an expensive edge filter: for
@@ -1269,7 +1274,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         // cannot grow the queue without bound, but a snapshot reader does
         // not queue behind the exclusive merge lock for a handful of
         // updates some locked query will merge anyway.
-        if self.pending.lock().len() > Self::REFRESH_MERGE_BACKLOG {
+        if self.pending.lock().queue.len() > Self::REFRESH_MERGE_BACKLOG {
             self.merge_pending_for_piece_of(v);
         }
         let _shared = self.structure.read();
@@ -1388,18 +1393,12 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// worst overwrite this morph's piece with finer plain copies of the
     /// *same* multiset (granularity lost, never correctness).
     pub fn morph_cold_segments(&self) -> bool {
-        if !self.snap.is_published() {
-            return false;
-        }
         let _shared = self.structure.read();
         // Candidate plain pieces, largest first. Values are copied and
         // encoded LAZILY, one candidate at a time — most calls stop at the
         // first (largest) piece, so a call never materialises more than
         // one piece's values even over a snapshot full of plain pieces.
-        // The pin stays held across the encode + splice: it only delays
-        // reclamation of retired segments until the next gc.
-        let guard = self.snap.epochs().pin();
-        let Some(snap) = self.snap.load(&guard) else {
+        let Some(snap) = self.snapshot() else {
             return false;
         };
         let mut lo_key = None;
@@ -1428,7 +1427,10 @@ impl<V: CrackValue> CrackerColumn<V> {
             morphed = true;
             break;
         }
-        drop(guard);
+        // The version the candidates borrow from goes before the byte
+        // count is read again: the plain segment just replaced is freed
+        // with it.
+        drop(snap);
         drop(_shared);
         if morphed {
             // Republish stats so the planner's decode-cost term and the
@@ -1450,16 +1452,12 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// publishes only ever *refine* piece tables, anchors stay valid
     /// splice points even if another refresh lands in between.
     ///
-    /// Caller holds a structure lock (any mode) so merges cannot run. The
-    /// snapshot is read under the pending mutex *without* an epoch pin
-    /// (publishers must never spin on reader-held pin slots while holding
-    /// the structure lock — see [`SnapshotCell::load_publisher`]).
+    /// Caller holds a structure lock (any mode) so merges cannot run.
     /// Besides the anchors, reports whether any replaced piece of the span
     /// is encoded — the refresh then re-encodes its copies instead of
     /// spilling them plain ([`CrackerColumn::copy_live_pieces`]).
     fn snapshot_anchors(&self, lo: V, hi: V) -> (Option<V>, Option<V>, bool) {
-        let _p = self.pending.lock();
-        let Some(snap) = self.snap.load_publisher() else {
+        let Some(snap) = self.snapshot() else {
             return (None, None, false);
         };
         let (a, b) = snap.anchors(lo, hi);
@@ -1547,17 +1545,18 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// with `mid` — sharing every run of the piece table no span reaches
     /// into ([`PieceSnapshot::splice`]) and the segments of every
     /// untouched piece, including interior pieces *between* the spans of
-    /// one sparse wide merge. Runs under the pending mutex (the reader
-    /// linearisation point); `finish` clears an in-flight merge batch in
-    /// the same critical section, so readers switch from "old snapshot +
-    /// in-flight items" to "new snapshot" atomically. The replaced snapshot is
-    /// retired into the epoch domain.
+    /// one sparse wide merge. The one store of the published pointer: it
+    /// runs under the pending mutex (the reader linearisation point), and
+    /// `finish` clears an in-flight merge batch in the same critical
+    /// section, so readers switch from "old snapshot + in-flight items" to
+    /// "new snapshot" atomically. The replaced version is let go after the
+    /// mutex; its memory goes when the last reader holding it does.
     ///
     /// Caller holds a structure lock (exclusive for merges/builds, shared
     /// for refreshes).
     fn splice_multi_and_publish(&self, spans: Vec<SpliceSpan<V>>, finish: Option<u64>) {
         let mut p = self.pending.lock();
-        let new = match self.snap.load_publisher() {
+        let new = match &p.snap {
             None => {
                 debug_assert!(
                     spans.len() <= 1,
@@ -1585,16 +1584,14 @@ impl<V: CrackValue> CrackerColumn<V> {
                 }
             },
         };
-        let old = self.snap.swap(Arc::new(new));
+        let old = p.snap.replace(Arc::new(new));
         if let Some(token) = finish {
-            p.finish_merge(token);
+            p.queue.finish_merge(token);
         }
-        // Retire (and possibly free O(column) bytes of) the replaced
-        // snapshot only after the reader linearisation lock is released.
+        // Freeing the replaced version can free O(column) bytes of
+        // segments: not under the reader linearisation lock.
         drop(p);
-        if let Some(old) = old {
-            self.snap.retire(old);
-        }
+        drop(old);
         self.bump_stats();
     }
 
@@ -2036,15 +2033,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reclamation_frees_retired_segments() {
+    fn a_held_snapshot_keeps_its_multiset_and_its_bytes_across_merges() {
         let (base, col) = column(20_000, 23);
         let mut scratch = CrackScratch::new();
         let full = Predicate::range(0, 1_000);
         col.snapshot_scan(full, &mut scratch);
         let base_bytes = base.len() * std::mem::size_of::<i64>();
-        // Crack-heavy loop with Ripple merges: every merge retires a
-        // snapshot version. Live snapshot bytes must stay bounded by the
-        // column size (plus transient garbage), not grow with iterations.
+        // Crack-heavy loop with Ripple merges: every merge replaces the
+        // snapshot. With no reader holding a replaced version, live
+        // snapshot bytes stay bounded by the column size, not by the
+        // number of versions.
         let mut rng = StdRng::seed_from_u64(77);
         for i in 0..60 {
             let v = rng.random_range(0..1_000);
@@ -2053,31 +2051,38 @@ mod tests {
             col.refine_random(&mut rng, &mut scratch, 4);
             col.snapshot_scan(full, &mut scratch);
         }
-        col.snapshot_gc();
         let settled = col.snapshot_bytes();
         assert!(
             settled <= 2 * base_bytes,
             "snapshot bytes grew unbounded: {settled} vs column {base_bytes}"
         );
-        // A pinned reader keeps retired versions alive …
-        let guard = col.snapshot_pin();
+        // A reader that holds a version open …
+        let held = col.snapshot().expect("published above");
+        let before = held.stats(full.lo, full.hi);
         for i in 0..20 {
             let v = rng.random_range(0..1_000);
             col.queue_insert(v, (base.len() + 100 + i) as RowId);
             col.select(Predicate::range(v.saturating_sub(5), v + 5), &mut scratch);
         }
-        let pinned_bytes = col.snapshot_bytes();
+        // … still scans the multiset it started with, while the column
+        // has moved on,
+        let again = held.stats(full.lo, full.hi);
+        assert_eq!((again.count, again.sum), (before.count, before.sum));
+        let now = col.snapshot_scan(full, &mut scratch);
+        assert_eq!(now.count, before.count + 20);
+        // keeps the segments only its version references charged,
+        let held_bytes = col.snapshot_bytes();
         assert!(
-            pinned_bytes > settled,
-            "pinned epoch should hold retired segments ({pinned_bytes} vs {settled})"
+            held_bytes > settled,
+            "a held version's segments stay charged ({held_bytes} vs {settled})"
         );
-        // … and dropping the pin lets reclamation free them.
-        drop(guard);
-        assert!(col.snapshot_gc() > 0, "dropping the pin frees garbage");
+        // and frees them by letting go — nothing else has to run.
+        drop(held);
+        let after = col.snapshot_bytes();
+        assert!(after < held_bytes, "bytes after the reader left: {after}");
         assert!(
-            col.snapshot_bytes() <= 2 * base_bytes,
-            "bytes after unpin: {}",
-            col.snapshot_bytes()
+            after <= 2 * base_bytes,
+            "bytes after the reader left: {after}"
         );
     }
 
@@ -2161,13 +2166,13 @@ mod tests {
         }
         let full = Predicate::range(0, 1_000);
         col.snapshot_scan(full, &mut scratch);
-        col.snapshot_gc();
         let pieces = col.snapshot_piece_count();
         assert!(pieces > 20, "setup failed to produce a fine snapshot");
-        // Pin an epoch so retired versions stay charged: the byte delta
-        // below then measures exactly what the merge splice *copied*.
+        // Hold the current version so what it alone references stays
+        // charged: the byte delta below then measures exactly what the
+        // merge splice *copied*.
         let before = col.snapshot_bytes();
-        let _pin = col.snapshot_pin();
+        let _held = col.snapshot();
         let n = base.len() as RowId;
         col.queue_insert(2, n);
         col.queue_insert(997, n + 1);
@@ -2255,15 +2260,13 @@ mod tests {
         }
         col.publish_stats();
         while col.refresh_stale_snapshot() {}
-        col.snapshot_gc();
         let plain_bytes = col.snapshot_bytes();
         assert!(plain_bytes >= base.len() * 8, "snapshot not at full width");
-        // Satellite regression: each morph strictly decreases
-        // `snapshot_bytes` once the retired plain segment is reclaimed.
+        // Each morph strictly decreases `snapshot_bytes`: the replaced
+        // plain segment goes with the version that held it.
         let mut last = plain_bytes;
         let mut morphs = 0;
         while col.morph_cold_segments() {
-            col.snapshot_gc();
             let now = col.snapshot_bytes();
             assert!(now < last, "morph {morphs} did not shrink: {last} -> {now}");
             last = now;
@@ -2317,8 +2320,7 @@ mod tests {
         col.select(Predicate::range(200, 800), &mut scratch);
         col.snapshot_scan(full, &mut scratch); // publish [..200) [200,800) [800..)
         let morphed = {
-            let guard = col.snap.epochs().pin();
-            let snap = col.snap.load(&guard).unwrap();
+            let snap = col.snapshot().unwrap();
             let piece = snap.pieces().nth(1).expect("three pieces");
             assert_eq!(piece.hi_key, Some(800));
             let vals = piece.plain_values().unwrap().to_vec();
@@ -2359,7 +2361,6 @@ mod tests {
         col.publish_stats();
         while col.refresh_stale_snapshot() {}
         while col.morph_cold_segments() {}
-        col.snapshot_gc();
         let encoded_bytes = col.snapshot_bytes();
         let encoded_pieces = |col: &CrackerColumn<i64>| {
             let stats = col.piece_stats().unwrap();
@@ -2380,7 +2381,6 @@ mod tests {
             assert!(rounds < 10_000, "refresh loop did not converge");
         }
         assert!(rounds >= 1, "nothing was stale after re-cracking");
-        col.snapshot_gc();
         assert!(
             encoded_pieces(&col) >= 1,
             "refresh re-plained every morphed piece"
@@ -2418,8 +2418,8 @@ mod tests {
         let (edge, exact) = s1.edge(450);
         assert!(!exact && edge > 0);
         // Reads stay available while a writer holds the structure lock
-        // exclusively (the planner's lock-freedom requirement).
-        let guard = col.hold_structure_write_for_test();
+        // exclusively (the planner prices queries while writers work).
+        let guard = col.hold_locks_for_test();
         let s2 = col.piece_stats().expect("stats readable under writer");
         assert_eq!(s2.piece_count, 3);
         drop(guard);

@@ -1,7 +1,7 @@
 //! Block-at-a-time unpack / scan kernels for bit-packed segment data.
 //!
 //! The snapshot layer stores encoded segments as little-endian bit-packed
-//! word arrays (FOR offsets, delta gaps — see [`crate::epoch::Segment`]).
+//! word arrays (FOR offsets, delta gaps — see [`crate::snapshot::Segment`]).
 //! PR 8 decoded them with a scalar cursor ([`ScalarUnpacker`]): one shift,
 //! one conditional cross-word OR and one mask *per value*. This module
 //! replaces that with block kernels built on one layout property: a block

@@ -27,17 +27,19 @@
 //! - [`sharding`] — horizontal range shards: one attribute split into S
 //!   independently crackable [`CrackerColumn`]s with per-shard Ripple
 //!   buffers, predicate fan-out, value-routed updates and versioned
-//!   replans ([`PlanEpoch`] / [`ReplanAction`]) that rebuild only the
-//!   split or merged shards,
-//! - [`epoch`] — per-shard snapshot epochs: immutable piece-table
-//!   snapshots published copy-on-write at piece granularity and reclaimed
-//!   with epoch-based GC, so count/sum/collect scans run without the
-//!   structure lock while cracks and Ripple merges race,
-//! - [`piece_stats`] — plan-time piece statistics: a lock-free
-//!   [`PieceStats`] summary (boundary table, pending backlog, snapshot
-//!   piece sizes) each column publishes for `holix-planner`'s cost model,
+//!   replans ([`ReplanAction`]) that rebuild only the split or merged
+//!   shards,
+//! - [`snapshot`] — immutable piece-table snapshots, replaced copy-on-write
+//!   at piece granularity and handed to readers as `Arc`s from inside the
+//!   column's pending mutex (a replaced version lives as long as its last
+//!   reader), so count/sum/collect scans run without the structure lock
+//!   while cracks and Ripple merges race,
+//! - [`piece_stats`] — plan-time piece statistics: the [`PieceStats`]
+//!   summary (boundary table, pending backlog, snapshot piece sizes) each
+//!   column publishes for `holix-planner`'s cost model, read without any
+//!   column lock,
 //! - [`filter`] — per-shard point-membership Bloom filters: a lazily built
-//!   [`PointFilter`] published through the same epoch machinery as the
+//!   [`PointFilter`] published through the same kind of cell as the
 //!   plan-time statistics, so equality/IN probes on non-containing shards
 //!   answer "empty" without cracking anything,
 //! - [`kernels`] — block-at-a-time unpack / fused scan kernels for the
@@ -45,9 +47,9 @@
 //!   with explicit AVX2 paths behind one-time runtime dispatch.
 
 pub mod avl;
+mod cell;
 pub mod column;
 pub mod crack;
-pub mod epoch;
 pub mod filter;
 pub mod index;
 pub mod kernels;
@@ -56,15 +58,16 @@ pub mod partition;
 pub mod piece_stats;
 pub mod range_cell;
 pub mod sharding;
+pub mod snapshot;
 pub mod stochastic;
 pub mod updates;
 pub mod vectorized;
 
 pub use column::{CrackerColumn, RefineOutcome, Selection};
-pub use epoch::{EpochCell, EpochDomain, EpochGuard, PieceSnapshot, SnapshotScan};
 pub use filter::PointFilter;
 pub use index::{BoundLookup, CrackerIndex};
 pub use latch::PieceLatch;
 pub use piece_stats::{PieceStats, SnapPieceStat};
-pub use sharding::{PlanEpoch, ReplanAction, ShardPlan, ShardedColumn};
+pub use sharding::{ReplanAction, ShardPlan, ShardedColumn};
+pub use snapshot::{PieceSnapshot, SnapshotScan};
 pub use vectorized::CrackScratch;

@@ -6,10 +6,10 @@
 //! statistic: piece boundaries and sizes describe exactly how much work a
 //! predicate will cause. This module packages a column's piece table into
 //! an immutable [`PieceStats`] snapshot that `holix-planner` prices
-//! queries against **without any lock**: the column publishes a fresh
-//! summary through an [`crate::epoch::EpochCell`] whenever its structure
-//! version has drifted (amortised on the query path, forced once per
-//! daemon cycle), and plan-time `estimate()` merely clones the `Arc` out.
+//! queries against **without any column lock**: the column publishes a
+//! fresh summary into a leaf-locked cell whenever its structure version
+//! has drifted (amortised on the query path, forced once per daemon
+//! cycle), and plan-time `estimate()` merely clones the `Arc` out.
 //!
 //! The boundary table is capped at [`MAX_STATS_BOUNDS`] entries by stride
 //! sampling: positions are kept, so a "piece" seen through a sampled

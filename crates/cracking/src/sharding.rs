@@ -32,13 +32,14 @@
 //! only the split or merged shards, draining them through
 //! [`CrackerColumn::extract_for_migration`] (seal ingress → Ripple-merge
 //! everything with a snapshot republish → copy out). The engine publishes
-//! the successor through an epoch cell ([`PlanEpoch`]), so in-flight
-//! queries finish against the plan version they started with; updates
+//! the successor by swapping one `Arc` (the column carries its plan and
+//! [`ShardedColumn::version`]), so in-flight queries finish against the
+//! plan version they started with; updates
 //! that raced into a sealed predecessor shard are rejected (`false` from
 //! the queue ops) and re-routed through the successor plan.
 
 use crate::column::{CrackerColumn, Selection};
-use crate::epoch::SnapshotScan;
+use crate::snapshot::SnapshotScan;
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
@@ -165,17 +166,6 @@ impl<V: CrackValue> ShardPlan<V> {
         };
         Predicate { lo, hi }
     }
-}
-
-/// A versioned shard plan, published through an epoch cell: readers load
-/// one `Arc<PlanEpoch>` and use `plan` + `version` consistently for the
-/// whole query, even while a replan publishes a successor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanEpoch<V> {
-    /// Monotonic plan version (0 = the build-time plan).
-    pub version: u64,
-    /// The partitioning in force at this version.
-    pub plan: ShardPlan<V>,
 }
 
 /// One shard-plan change, proposed by the planner from published
@@ -733,9 +723,9 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         (sels, stats)
     }
 
-    /// Lock-free snapshot scan across the shards `pred` intersects: each
-    /// touched shard pins **one epoch** for the duration of its scan (the
-    /// paper-scale property: a Ripple merge in one value range never
+    /// Snapshot scan across the shards `pred` intersects: each touched
+    /// shard hands out **its own snapshot** and takes no structure lock
+    /// (the paper-scale property: a Ripple merge in one value range never
     /// stalls readers of any other shard, and with snapshots not even
     /// readers of the same shard). Aggregates are merged across shards.
     pub fn snapshot_scan(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> SnapshotScan {
@@ -749,8 +739,8 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         out
     }
 
-    /// Lock-free collect of qualifying values across intersecting shards
-    /// (same epoch protocol as [`ShardedColumn::snapshot_scan`]).
+    /// Collect of qualifying values across intersecting shards (same
+    /// protocol as [`ShardedColumn::snapshot_scan`]).
     pub fn snapshot_collect(
         &self,
         pred: Predicate<V>,
@@ -767,7 +757,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         total
     }
 
-    /// Lock-free point-membership probe, routed to the one shard owning
+    /// Point-membership probe (no column lock), routed to the one shard owning
     /// `v`'s value range. `Some(false)` proves no tuple with value `v`
     /// exists anywhere in the attribute; `None` means the owning shard has
     /// no filter yet (callers fall back or pay

@@ -1,5 +1,5 @@
-//! Per-shard snapshot epochs: an immutable piece-table snapshot published
-//! through an atomic pointer, reclaimed with epoch-based garbage collection.
+//! Immutable piece-table snapshots of one column (shard): what a snapshot
+//! scan reads instead of the cracked vectors.
 //!
 //! ## Why snapshots can be cheap here
 //!
@@ -13,253 +13,22 @@
 //! [`Segment`]s of every untouched piece, and readers run with **no
 //! structure lock at all**.
 //!
-//! ## Reclamation
+//! ## Publication and reclamation
 //!
-//! Readers cannot safely clone an `Arc` out of a bare `AtomicPtr` (the
-//! pointee may die between load and refcount bump), so each column owns an
-//! [`EpochDomain`]: readers *pin* the current epoch into a slot, dereference
-//! the published pointer while pinned, and unpin. Writers swap the pointer
-//! and *retire* the old snapshot stamped with the current epoch; retired
-//! snapshots (and through their `Arc`s, the segments only they reference)
-//! free once every pinned slot has moved past the stamp — i.e. only after
-//! the last pinned reader drops. Publication and pointer loads are both
-//! performed under the column's short pending-updates mutex, which doubles
-//! as the linearisation point between a snapshot and its not-yet-merged
-//! pending updates; the epoch machinery only has to protect the
-//! *dereference* after that mutex is released.
+//! Nothing here is shared mutably. The owning column keeps the current
+//! `Arc<PieceSnapshot>` inside the state its pending-updates mutex guards
+//! (the linearisation point between a snapshot and its not-yet-merged
+//! updates): a reader clones the `Arc` there, a writer swaps it there. A
+//! replaced snapshot — and through its `Arc`s the runs and segments only it
+//! references — is freed when the last reader still holding it lets go.
 
-use holix_storage::select::Predicate;
-use holix_storage::types::CrackValue;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
-
-/// Pin slots per domain. Readers pin one slot for the duration of a scan;
-/// with per-shard domains the concurrent-reader count per domain is small,
-/// so a fixed array with CAS claiming suffices (an overfull domain spins —
-/// see [`EpochDomain::pin`]).
-const SLOTS: usize = 64;
-
-/// Slot value meaning "not pinned".
-const EMPTY: u64 = u64::MAX;
-
-#[repr(align(64))]
-struct Slot(AtomicU64);
-
-/// One column's (shard's) epoch-reclamation domain.
-pub struct EpochDomain {
-    /// Monotone global epoch; bumped on every retire.
-    global: AtomicU64,
-    slots: Box<[Slot; SLOTS]>,
-    /// Retired garbage stamped with the epoch at retirement.
-    garbage: Mutex<Vec<(u64, Box<dyn std::any::Any + Send>)>>,
-}
-
-impl Default for EpochDomain {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EpochDomain {
-    /// Fresh domain: epoch 0, no pins, no garbage.
-    pub fn new() -> Self {
-        EpochDomain {
-            global: AtomicU64::new(0),
-            slots: Box::new(std::array::from_fn(|_| Slot(AtomicU64::new(EMPTY)))),
-            garbage: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Pins the current epoch; the returned guard keeps every object
-    /// retired at-or-after the pinned epoch alive until it drops.
-    ///
-    /// Lock-free in the common case (one CAS on a free slot). When all
-    /// slots are simultaneously pinned the caller spins until one frees —
-    /// with per-shard domains and short scans this is effectively
-    /// unreachable, and spinning (rather than blocking reclamation
-    /// forever) keeps the safety argument trivial.
-    pub fn pin(&self) -> EpochGuard<'_> {
-        if holix_telemetry::metrics_enabled() {
-            holix_telemetry::counter!("cracking_epoch_pins_total").inc();
-        }
-        loop {
-            let epoch = self.global.load(SeqCst);
-            for (i, slot) in self.slots.iter().enumerate() {
-                if slot.0.load(SeqCst) == EMPTY
-                    && slot
-                        .0
-                        .compare_exchange(EMPTY, epoch, SeqCst, SeqCst)
-                        .is_ok()
-                {
-                    return EpochGuard {
-                        domain: self,
-                        slot: i,
-                    };
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Retires an object: it is dropped by a later [`EpochDomain::collect`]
-    /// once every epoch pinned at retirement time has been released.
-    /// Advances the global epoch and opportunistically collects.
-    pub fn retire(&self, object: Box<dyn std::any::Any + Send>) {
-        let stamp = self.global.fetch_add(1, SeqCst);
-        self.garbage.lock().push((stamp, object));
-        self.collect();
-    }
-
-    /// Drops every retired object whose stamp precedes all currently
-    /// pinned epochs; returns how many were freed.
-    pub fn collect(&self) -> usize {
-        let min_pinned = self
-            .slots
-            .iter()
-            .map(|s| s.0.load(SeqCst))
-            .filter(|&e| e != EMPTY)
-            .min()
-            .unwrap_or(u64::MAX);
-        let mut garbage = self.garbage.lock();
-        let before = garbage.len();
-        // Safe to free at stamp `s` only when every pinned reader pinned
-        // *after* the retirement: min_pinned > s.
-        garbage.retain(|&(stamp, _)| stamp >= min_pinned);
-        let freed = before - garbage.len();
-        if freed > 0 && holix_telemetry::metrics_enabled() {
-            holix_telemetry::counter!("cracking_epoch_gc_freed_total").add(freed as u64);
-        }
-        freed
-    }
-
-    /// Retired-but-not-yet-freed objects (tests / introspection).
-    pub fn garbage_len(&self) -> usize {
-        self.garbage.lock().len()
-    }
-
-    /// Number of currently pinned slots (tests / introspection).
-    pub fn pinned(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.0.load(SeqCst) != EMPTY)
-            .count()
-    }
-}
-
-impl std::fmt::Debug for EpochDomain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochDomain")
-            .field("epoch", &self.global.load(SeqCst))
-            .field("pinned", &self.pinned())
-            .field("garbage", &self.garbage_len())
-            .finish()
-    }
-}
-
-/// A pinned epoch; dropping it releases the slot.
-pub struct EpochGuard<'a> {
-    domain: &'a EpochDomain,
-    slot: usize,
-}
-
-impl Drop for EpochGuard<'_> {
-    fn drop(&mut self) {
-        self.domain.slots[self.slot].0.store(EMPTY, SeqCst);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Generic epoch-published cell
-// ---------------------------------------------------------------------------
-
-/// A lock-free publish/load cell for an arbitrary immutable value: an atomic
-/// pointer to the current `Arc<T>` plus a private [`EpochDomain`] reclaiming
-/// replaced versions. Unlike [`SnapshotCell`] (whose loads are linearised
-/// under the column's pending mutex), this cell is self-contained: `load`
-/// pins an epoch, clones the `Arc` out while pinned, and unpins — so readers
-/// and the single/multiple publishers need no external lock at all. The
-/// plan-time [`crate::piece_stats::PieceStats`] summaries are published
-/// through it: `estimate()` must complete while a shard's structure write
-/// lock and the daemon's maintenance mutex are both held.
-pub struct EpochCell<T> {
-    ptr: AtomicPtr<T>,
-    epochs: EpochDomain,
-}
-
-impl<T: Send + Sync + 'static> Default for EpochCell<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Send + Sync + 'static> EpochCell<T> {
-    /// Empty cell: nothing published yet.
-    pub fn new() -> Self {
-        EpochCell {
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-            epochs: EpochDomain::new(),
-        }
-    }
-
-    /// Has a value ever been published?
-    pub fn is_published(&self) -> bool {
-        !self.ptr.load(SeqCst).is_null()
-    }
-
-    /// Clones the current value's `Arc` out of the cell (no locks; one epoch
-    /// pin for the duration of the refcount bump).
-    pub fn load(&self) -> Option<Arc<T>> {
-        let _guard = self.epochs.pin();
-        let p = self.ptr.load(SeqCst);
-        if p.is_null() {
-            return None;
-        }
-        // SAFETY: non-null pointers originate from `Arc::into_raw` in
-        // `publish`; a replaced pointer is retired into `epochs` and freed
-        // only after every epoch pinned at retirement drops — the pin above
-        // precedes this load, so the pointee (and its refcount word) is
-        // alive for the `increment_strong_count` below.
-        unsafe {
-            Arc::increment_strong_count(p);
-            Some(Arc::from_raw(p))
-        }
-    }
-
-    /// Publishes a new value, retiring the replaced one into the epoch
-    /// domain. Concurrent publishers are safe (atomic swap); last wins.
-    pub fn publish(&self, new: Arc<T>) {
-        let raw = Arc::into_raw(new) as *mut T;
-        let old = self.ptr.swap(raw, SeqCst);
-        if !old.is_null() {
-            // SAFETY: `old` came from `Arc::into_raw` in a previous publish.
-            let old = unsafe { Arc::from_raw(old) };
-            self.epochs.retire(Box::new(old));
-        }
-    }
-
-    /// Runs a reclamation cycle (tests / quiesce).
-    pub fn collect(&self) -> usize {
-        self.epochs.collect()
-    }
-}
-
-impl<T> Drop for EpochCell<T> {
-    fn drop(&mut self) {
-        let p = self.ptr.load(SeqCst);
-        if !p.is_null() {
-            // SAFETY: pointer originates from `Arc::into_raw`; the cell is
-            // being dropped, so no reader can be pinned on it.
-            drop(unsafe { Arc::from_raw(p) });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Segments and piece snapshots
-// ---------------------------------------------------------------------------
+#![forbid(unsafe_code)]
 
 use crate::kernels::{self, bits_for, pack_bits, packed_words};
+use holix_storage::select::Predicate;
+use holix_storage::types::CrackValue;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::Arc;
 
 /// Walks a delta stream (`first` + `n - 1` packed gaps) in position order,
 /// decoding gaps block-at-a-time through the [`kernels`] layer; `f`
@@ -345,8 +114,8 @@ enum Repr<V> {
 /// one of four encodings (see [`Repr`]). The byte counter (shared with the
 /// owning column) tracks live snapshot memory: it rises by the **encoded
 /// backing size** when a segment is created and falls in `Drop` — i.e.
-/// only once epoch reclamation actually frees the last snapshot
-/// referencing the segment. Scans and collects run directly on the
+/// only once the last snapshot referencing the segment is gone, which a
+/// reader still holding a replaced version delays. Scans and collects run directly on the
 /// compressed form; nothing ever materialises a decoded copy.
 pub struct Segment<V> {
     repr: Repr<V>,
@@ -1257,124 +1026,6 @@ impl<V: CrackValue> std::fmt::Debug for PieceSnapshot<V> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Published snapshot cell
-// ---------------------------------------------------------------------------
-
-/// The column's published-snapshot slot: an atomic pointer to the current
-/// [`PieceSnapshot`] plus the epoch domain that reclaims replaced ones.
-///
-/// Protocol (enforced by `CrackerColumn`): all `swap`s and all `load`s run
-/// under the column's pending-updates mutex; readers pin an epoch *before*
-/// taking that mutex and keep the guard alive for as long as they use the
-/// returned reference.
-pub struct SnapshotCell<V> {
-    ptr: AtomicPtr<PieceSnapshot<V>>,
-    epochs: EpochDomain,
-}
-
-impl<V: CrackValue> Default for SnapshotCell<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<V: CrackValue> SnapshotCell<V> {
-    /// Empty cell: no snapshot published yet.
-    pub fn new() -> Self {
-        SnapshotCell {
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-            epochs: EpochDomain::new(),
-        }
-    }
-
-    /// The reclamation domain (pin before loading).
-    pub fn epochs(&self) -> &EpochDomain {
-        &self.epochs
-    }
-
-    /// Has a snapshot ever been published?
-    pub fn is_published(&self) -> bool {
-        !self.ptr.load(SeqCst).is_null()
-    }
-
-    /// Dereferences the current snapshot under a pinned epoch. The
-    /// reference lives as long as the guard.
-    pub fn load<'g>(&self, _guard: &'g EpochGuard<'_>) -> Option<&'g PieceSnapshot<V>> {
-        let p = self.ptr.load(SeqCst);
-        // SAFETY: non-null pointers in the cell are live `Arc` allocations;
-        // a swap retires the old value into `epochs`, and retired memory is
-        // only freed once every epoch pinned at retirement drops — `_guard`
-        // was pinned before this load, so the pointee outlives it.
-        unsafe { p.as_ref() }
-    }
-
-    /// Reads the current snapshot from inside a critical section of the
-    /// column's pending mutex — the lock every [`SnapshotCell::swap`] runs
-    /// under. The *currently published* pointer can never be in the
-    /// garbage list (only replaced pointers are retired), so it stays live
-    /// for as long as the mutex is held: publishers therefore need **no
-    /// epoch pin**, which keeps writers free of the pin-slot spin and its
-    /// reader-induced stall while they hold the structure lock.
-    ///
-    /// Crate-private on purpose: the returned reference must not outlive
-    /// the caller's pending-mutex guard, and only `CrackerColumn` can
-    /// uphold that.
-    pub(crate) fn load_publisher(&self) -> Option<&PieceSnapshot<V>> {
-        let p = self.ptr.load(SeqCst);
-        // SAFETY: see doc comment — the caller's pending-mutex guard
-        // excludes every swap, and the current pointer is never retired.
-        unsafe { p.as_ref() }
-    }
-
-    /// Publishes `new` and returns the replaced snapshot, which the caller
-    /// must hand to [`SnapshotCell::retire`] — *after* releasing the
-    /// pending mutex: retirement runs an eager collection that can free
-    /// O(column) bytes of segments, and that must not lengthen the reader
-    /// linearisation lock. Deferring only moves the retirement stamp
-    /// later, which delays freeing and can never unfree. Caller holds the
-    /// pending mutex for the swap itself (and a structure lock for
-    /// splice-building — see `CrackerColumn`).
-    #[must_use = "hand the replaced snapshot to retire() outside the pending lock"]
-    pub fn swap(&self, new: Arc<PieceSnapshot<V>>) -> Option<Arc<PieceSnapshot<V>>> {
-        let raw = Arc::into_raw(new) as *mut PieceSnapshot<V>;
-        let old = self.ptr.swap(raw, SeqCst);
-        if old.is_null() {
-            None
-        } else {
-            // SAFETY: `old` came from `Arc::into_raw` in a previous swap.
-            Some(unsafe { Arc::from_raw(old) })
-        }
-    }
-
-    /// Retires a snapshot returned by [`SnapshotCell::swap`] into the
-    /// epoch domain (stamps, then opportunistically collects).
-    pub fn retire(&self, old: Arc<PieceSnapshot<V>>) {
-        self.epochs.retire(Box::new(old));
-    }
-
-    /// Runs a collection cycle on the domain (tests / quiesce).
-    pub fn collect(&self) -> usize {
-        self.epochs.collect()
-    }
-}
-
-impl<V> Drop for SnapshotCell<V> {
-    fn drop(&mut self) {
-        let p = self.ptr.load(SeqCst);
-        if !p.is_null() {
-            // SAFETY: pointer originates from `Arc::into_raw`; the cell is
-            // being dropped, so no reader can be pinned on it.
-            drop(unsafe { Arc::from_raw(p) });
-        }
-    }
-}
-
-// SAFETY: the cell shares `PieceSnapshot`s (themselves `Send + Sync` for
-// `V: CrackValue`) across threads under the epoch protocol above.
-unsafe impl<V: CrackValue> Send for SnapshotCell<V> {}
-unsafe impl<V: CrackValue> Sync for SnapshotCell<V> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1398,86 +1049,35 @@ mod tests {
     }
 
     #[test]
-    fn pin_blocks_collection_until_dropped() {
-        let d = EpochDomain::new();
-        let guard = d.pin();
-        d.retire(Box::new(vec![1u8; 16]));
-        assert_eq!(d.garbage_len(), 1, "pinned epoch must hold garbage");
-        d.collect();
-        assert_eq!(d.garbage_len(), 1);
-        drop(guard);
-        assert_eq!(d.collect(), 1);
-        assert_eq!(d.garbage_len(), 0);
-    }
-
-    #[test]
-    fn late_pin_does_not_block_older_garbage() {
-        let d = EpochDomain::new();
-        let early = d.pin(); // epoch 0
-        d.retire(Box::new(0u8)); // stamp 0, blocked by `early`
-        assert_eq!(d.garbage_len(), 1);
-        // A reader pinning *after* the retire pins a later epoch …
-        let late = d.pin();
-        drop(early);
-        // … so it does not keep the stamp-0 garbage alive.
-        assert_eq!(d.collect(), 1);
-        assert_eq!(d.garbage_len(), 0);
-        drop(late);
-    }
-
-    #[test]
-    fn retire_with_no_pins_collects_immediately() {
-        let d = EpochDomain::new();
-        d.retire(Box::new(0u8));
-        assert_eq!(d.garbage_len(), 0);
-    }
-
-    #[test]
-    fn slots_are_reusable_and_concurrent() {
-        let d = EpochDomain::new();
-        crossbeam::thread::scope(|s| {
-            for _ in 0..8 {
-                let d = &d;
-                s.spawn(move |_| {
-                    for _ in 0..200 {
-                        let g = d.pin();
-                        std::hint::black_box(&g);
-                    }
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(d.pinned(), 0);
-        d.retire(Box::new(1u32));
-        assert_eq!(d.garbage_len(), 0, "no pins: retire collects immediately");
-    }
-
-    #[test]
-    fn segment_bytes_rise_and_fall_with_reclamation() {
+    fn segment_bytes_stay_charged_until_the_last_holder_drops() {
         let bytes = counter();
-        let cell = SnapshotCell::<i64>::new();
-        let publish = |cell: &SnapshotCell<i64>, snap: PieceSnapshot<i64>| {
-            if let Some(old) = cell.swap(Arc::new(snap)) {
-                cell.retire(old);
-            }
-        };
-        publish(&cell, snapshot_of(vec![(None, vec![1, 2, 3])], &bytes));
-        assert_eq!(bytes.load(SeqCst), 3 * 8);
-        let guard = cell.epochs().pin();
-        let old = cell.load(&guard).unwrap();
-        assert_eq!(old.len(), 3);
-        // Replace while a reader is pinned: both snapshots' bytes live.
-        publish(&cell, snapshot_of(vec![(None, vec![4, 5])], &bytes));
-        assert_eq!(bytes.load(SeqCst), 3 * 8 + 2 * 8);
-        assert_eq!(old.len(), 3, "pinned reader still sees the old snapshot");
-        drop(guard);
-        cell.collect();
+        let v1 = Arc::new(snapshot_of(
+            vec![(Some(10), vec![1, 2, 3]), (None, vec![11, 12])],
+            &bytes,
+        ));
+        assert_eq!(bytes.load(SeqCst), 5 * 8);
+        // A reader holds version 1 while the next version replaces its
+        // second piece and shares the first.
+        let reader = Arc::clone(&v1);
+        let fresh = Arc::new(Segment::new(vec![13], Arc::clone(&bytes)));
+        let v2 = v1
+            .splice(vec![(
+                Some(10),
+                None,
+                vec![SnapPiece::new(None, fresh, 0, 1)],
+            )])
+            .expect("10 is a boundary");
+        drop(v1); // the published pointer moves on
+        assert_eq!(bytes.load(SeqCst), 5 * 8 + 8, "both versions' bytes live");
+        let old = reader.stats(i64::MIN, i64::MAX);
+        assert_eq!((old.count, old.sum), (5, 29), "the reader's multiset");
+        drop(reader);
         assert_eq!(
             bytes.load(SeqCst),
-            2 * 8,
-            "retired segment freed after unpin"
+            3 * 8 + 8,
+            "only the segment no version references any more is freed"
         );
-        drop(cell);
+        drop(v2);
         assert_eq!(bytes.load(SeqCst), 0);
     }
 

@@ -29,7 +29,7 @@ pub type UpdateList<V> = Vec<(V, RowId)>;
 ///
 /// Besides the queued inserts/deletes, the structure tracks *in-flight
 /// merge batches*: a Ripple merge takes its items out of the queues long
-/// before the post-merge snapshot is published, and a lock-free snapshot
+/// before the post-merge snapshot is published, and a snapshot
 /// reader linearising on this structure's mutex must still see those items
 /// somewhere — otherwise a scan racing the merge would observe them in
 /// neither the (old) snapshot nor the pending queue. The merge registers

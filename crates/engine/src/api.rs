@@ -97,14 +97,14 @@ pub trait QueryEngine: Send + Sync {
         0
     }
 
-    /// Lock-free snapshot execution: `(count, sum)` served from the
-    /// engine's published piece snapshots — pinning one epoch per touched
-    /// shard and taking **no structure lock** — so a long analytical scan
+    /// Snapshot execution: `(count, sum)` served from the engine's
+    /// published piece snapshots — one per touched shard, taking **no
+    /// structure lock** — so a long analytical scan
     /// never serialises against cracks or Ripple merges, and a merge in
     /// one value range never stalls readers anywhere else. Consistency is
     /// **per shard** (per value range): each shard contributes a
     /// point-in-time view including updates the engine has accepted but
-    /// not yet merged, but shards are pinned sequentially, so a
+    /// not yet merged, but shards are read one after the other, so a
     /// shard-spanning scan is not one global instant — the same semantics
     /// the locked fan-out has. `None` when the engine has no snapshot
     /// read path (callers fall back to [`QueryEngine::execute`]).
@@ -114,8 +114,7 @@ pub trait QueryEngine: Send + Sync {
     }
 
     /// The qualifying *values* of `q`, copied out of the piece snapshots
-    /// under epoch pins — no structure lock, so the copy never blocks
-    /// writers. The service layer uses this for containment coalescing: a
+    /// — no structure lock, so the copy never blocks writers. The service layer uses this for containment coalescing: a
     /// batched superset query executes once and contained predicates are
     /// answered by post-filtering its values. Same per-shard consistency
     /// as [`QueryEngine::execute_snapshot`].
@@ -181,7 +180,7 @@ pub enum SnapshotCollect {
     /// The qualifying set exceeds the engine's copy cap; callers should
     /// skip materialisation entirely.
     CapExceeded,
-    /// The qualifying values, served lock-free.
+    /// The qualifying values, served from snapshots.
     Values(Vec<i64>),
 }
 

@@ -42,20 +42,19 @@
 //! affected values through [`ShardedColumn::apply_replan`] — sealed
 //! predecessor shards drain their Ripple backlog and republish their
 //! snapshots, untouched shards are shared by `Arc` into the successor.
-//! The new plan is published as a [`PlanEpoch`] through an epoch cell:
-//! in-flight queries finish against the `(column, plan)` pair they
-//! started with, new queries route by the published epoch, and updates
-//! rejected by a sealed predecessor retry against the successor. Readers
-//! never block mid-replan.
+//! The successor column carries its own plan and version, so swapping the
+//! attribute's one `Arc<Shards>` publishes all three at once: in-flight
+//! queries finish against the column (and so the plan) they started with,
+//! new queries route by the column they find, and updates rejected by a
+//! sealed predecessor retry against the successor. Readers never block
+//! mid-replan.
 
 use crate::api::{Capabilities, Dataset, QueryEngine, SnapshotCollect};
 use holix_core::cpu::LoadAccountant;
 use holix_core::handle::CrackerHandle;
 use holix_core::index_space::{IndexSlot, IndexSpace, Membership};
 use holix_core::{CpuMonitor, CycleRecord, HolisticConfig, HolisticDaemon, RefinableIndex};
-use holix_cracking::{
-    CrackScratch, CrackerColumn, EpochCell, PlanEpoch, ReplanAction, ShardPlan, ShardedColumn,
-};
+use holix_cracking::{CrackScratch, CrackerColumn, ReplanAction, ShardPlan, ShardedColumn};
 use holix_planner::{propose_replan, PlanCost, ReplanPolicy, ShardLoad};
 use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::RowId;
@@ -85,7 +84,7 @@ pub struct HolisticEngineConfig {
     /// anything (the `f_Ih` exact-hit analogue for point traffic).
     pub point_filters: bool,
     /// Run the replanner thread: watch per-shard load skew and publish
-    /// split/merge plan revisions through the attribute's epoch cell.
+    /// split/merge plan revisions as successor columns.
     /// Off by default — the paper's layout is a fixed plan, and frozen
     /// plans are the baseline every `fig_replan` bed compares against.
     pub replan: bool,
@@ -148,19 +147,17 @@ impl Route {
 }
 
 /// The plan-versioned state a replan mutates, shared with the replanner
-/// thread. Lock discipline: `plan_cells` is published *before* the slot
-/// in `cols` swaps, so a reader that routed by the new epoch always
-/// finds a column at least as new (in-flight readers keep their old
-/// column `Arc` and finish against the plan they started with).
+/// thread.
 struct PlanShared {
     /// One column per attribute from construction on; a cold attribute's
-    /// cells are all empty. The lock guards the pointer only — it is
+    /// cells are all empty. The column is the one source of the
+    /// attribute's shard plan and plan version: routing, decomposition and
+    /// execution read both off whichever column they find here (in-flight
+    /// readers keep their old column `Arc` and finish against the plan
+    /// they started with). The lock guards the pointer only — it is
     /// written to swap in a successor (replan cutover, vacated cells),
     /// never held across a build.
     cols: Vec<RwLock<Arc<Shards>>>,
-    /// Per-attribute published plan epoch. Always published (version 0 at
-    /// construction); routing and decomposition read it lock-free.
-    plan_cells: Vec<EpochCell<PlanEpoch<i64>>>,
     /// Total split/merge cutovers published across all attributes.
     replans: AtomicU64,
 }
@@ -177,7 +174,7 @@ pub struct HolisticEngine {
     space: Arc<IndexSpace>,
     accountant: Arc<LoadAccountant>,
     daemon: parking_lot::Mutex<Option<HolisticDaemon>>,
-    /// Columns + published plan epochs, shared with the replanner thread.
+    /// The attributes' columns, shared with the replanner thread.
     shared: Arc<PlanShared>,
     /// Uniform multiplier for [`QueryEngine::routing_key`] — at least the
     /// maximum shard count across attributes, so no two attributes' keys
@@ -218,17 +215,6 @@ impl HolisticEngine {
         if cfg.replan {
             routing_stride = routing_stride.max(replan_policy.max_shards as u64);
         }
-        let plan_cells: Vec<EpochCell<PlanEpoch<i64>>> = plans
-            .iter()
-            .map(|plan| {
-                let cell = EpochCell::new();
-                cell.publish(Arc::new(PlanEpoch {
-                    version: 0,
-                    plan: plan.clone(),
-                }));
-                cell
-            })
-            .collect();
         let cols = plans
             .iter()
             .enumerate()
@@ -245,7 +231,6 @@ impl HolisticEngine {
             .collect();
         let shared = Arc::new(PlanShared {
             cols,
-            plan_cells,
             replans: AtomicU64::new(0),
         });
         let replanner = cfg.replan.then(|| {
@@ -269,21 +254,10 @@ impl HolisticEngine {
         }
     }
 
-    /// The published plan epoch for an attribute: the lock-free routing
-    /// authority. A query that loaded this epoch is *pinned* to it — the
-    /// column it fans out over is at least as new as the epoch's plan,
-    /// and a concurrent replan publishes a fresh epoch without disturbing
-    /// the loaded `Arc`.
-    pub fn plan_epoch(&self, attr: usize) -> Arc<PlanEpoch<i64>> {
-        self.shared.plan_cells[attr]
-            .load()
-            .expect("plan epochs are published at construction")
-    }
-
     /// Version of the currently published plan for `attr` (0 until the
     /// first replan cutover).
     pub fn plan_version(&self, attr: usize) -> u64 {
-        self.plan_epoch(attr).version
+        self.shared.cols[attr].read().version()
     }
 
     /// Total replan cutovers (splits + merges) published so far.
@@ -614,15 +588,16 @@ impl QueryEngine for HolisticEngine {
     }
 
     fn routing_key(&self, q: &QuerySpec) -> u64 {
-        // Home shard of the lower bound under the *published* plan epoch:
-        // narrow hot-set queries land whole on one shard, so per-key
+        // Home shard of the lower bound under the *published* plan (read
+        // off the column in place: nothing is cloned or built): narrow
+        // hot-set queries land whole on one shard, so per-key
         // pinning keeps workers off each other's latches for the dominant
         // traffic. The stride is uniform across attributes so keys of
         // different attributes never collide; the clamp covers a plan
         // that split past the stride (pinning is a contention
         // optimisation, never a safety invariant, so key aliasing in that
         // tail is acceptable).
-        let shard = self.plan_epoch(q.attr).plan.shard_of(q.lo) as u64;
+        let shard = self.shared.cols[q.attr].read().plan().shard_of(q.lo) as u64;
         q.attr as u64 * self.routing_stride + shard.min(self.routing_stride - 1)
     }
 
@@ -638,7 +613,7 @@ impl QueryEngine for HolisticEngine {
         }
         let plan = col.plan();
         // Point screening at plan time, from the *published* filter only —
-        // a lock-free epoch load plus k bit probes; `ensure_point_filter`
+        // one `Arc` load plus k bit probes; `ensure_point_filter`
         // (which takes locks) is never called here. A negative probe
         // prices the query Screened: admission executes it inline instead
         // of spending a queue slot. Probes on unbuilt filters (or shards)
@@ -660,9 +635,9 @@ impl QueryEngine for HolisticEngine {
         };
         let mut cost = PlanCost::default();
         for k in first..=last {
-            // `piece_stats` is a lock-free Arc load out of the shard's
-            // epoch-published cell; `estimate` is a pure function of it —
-            // no structure lock, no index lock, no maintenance lock.
+            // `piece_stats` is an `Arc` load out of the shard's published
+            // cell; `estimate` is a pure function of it — no structure,
+            // index, pending or maintenance lock.
             // A shard that is empty or was dropped costs its own rebuild,
             // not the attribute's: the base rows it holds (counted by the
             // attribute's first build; `data.rows()` keeps the fallback
@@ -678,12 +653,12 @@ impl QueryEngine for HolisticEngine {
     }
 
     fn decompose(&self, q: &QuerySpec) -> Option<Vec<QuerySpec>> {
-        // Derives from the published plan epoch only (like routing_key):
-        // stable across eviction and never materialises a column. Parts
+        // Derives from the published plan only (like routing_key): stable
+        // across eviction and never materialises a column. Parts
         // cut at a replanned boundary stay correct even if another replan
         // publishes before they execute — each part is a plain range
         // query; boundary cuts only lose their single-shard affinity.
-        holix_planner::decompose_spanning(&self.plan_epoch(q.attr).plan, q)
+        holix_planner::decompose_spanning(self.shared.cols[q.attr].read().plan(), q)
     }
 
     fn execute_snapshot(&self, q: &QuerySpec) -> Option<(u64, i128)> {
@@ -912,7 +887,7 @@ fn register_shards(
 const ACCESS_ROW_EQUIV: u64 = 64;
 
 /// One policy evaluation for one attribute: read per-shard loads from the
-/// published statistics (lock-free), propose, migrate, publish.
+/// published statistics (no column lock), propose, migrate, publish.
 fn maybe_replan_attr(
     shared: &PlanShared,
     space: &IndexSpace,
@@ -968,11 +943,11 @@ fn maybe_replan_attr(
 ///
 /// Readers are never blocked: the migration seals and drains only the
 /// replaced shard(s) while queries keep executing against the predecessor
-/// column they already cloned. The cutover order is plan-epoch-then-slot,
-/// so any query routed by the new epoch finds a column at least that new;
-/// the rebuilt shards are registered and the replaced shards' registry
-/// records retired, untouched shards keep their identity (and their
-/// accumulated daemon weights) by sharing their cells.
+/// column they already cloned. The cutover is one pointer swap — plan,
+/// version and shards change together; the rebuilt shards are registered
+/// and the replaced shards' registry records retired, untouched shards
+/// keep their identity (and their accumulated daemon weights) by sharing
+/// their cells.
 fn apply_replan_action(
     shared: &PlanShared,
     space: &IndexSpace,
@@ -1005,11 +980,6 @@ fn apply_replan_action(
     for shard in successor.resident_shards() {
         shard.maybe_publish_stats(1);
     }
-    let version = shared.plan_cells[attr].load().map_or(1, |e| e.version + 1);
-    shared.plan_cells[attr].publish(Arc::new(PlanEpoch {
-        version,
-        plan: successor.plan().clone(),
-    }));
     *slot = Arc::new(successor);
     drop(slot);
     shared.replans.fetch_add(1, Ordering::Relaxed);
@@ -1163,7 +1133,7 @@ mod tests {
     #[test]
     fn sharded_queries_match_scan_oracle_while_daemon_runs() {
         let e = sharded_engine(2, 100_000, 4);
-        assert_eq!(e.plan_epoch(0).plan.shards(), 4);
+        assert_eq!(peek(&e, 0).plan().shards(), 4);
         let mut rng = StdRng::seed_from_u64(88);
         for _ in 0..80 {
             let attr = rng.random_range(0..2);
@@ -1202,7 +1172,7 @@ mod tests {
         };
         cfg.holistic.max_workers = Some(0);
         let e = HolisticEngine::new(data.clone(), cfg);
-        let plan = e.plan_epoch(0).plan.clone();
+        let plan = peek(&e, 0).plan().clone();
         let bare = ShardedColumn::from_base_with_plan("bare", data.column(0), plan);
         let bare = bare.shard(0);
         assert!(bare.piece_count() > 1, "big enough for coarse buckets");
@@ -1241,7 +1211,7 @@ mod tests {
         cfg.holistic.max_workers = Some(0);
         let e = HolisticEngine::new(data, cfg);
         // The same plan and piece floor built bare give the derived counts.
-        let plan = e.plan_epoch(0).plan.clone();
+        let plan = peek(&e, 0).plan().clone();
         let bare = ShardedColumn::from_base_with_plan("bare", &base, plan);
         let born: Vec<usize> = (0..4).map(|k| bare.shard(k).piece_count()).collect();
         assert!(born.iter().all(|p| (3..=4).contains(p)), "{born:?}");
@@ -1558,7 +1528,8 @@ mod tests {
                 }
                 None => {
                     // Single-shard range: nothing to decompose.
-                    let (first, last) = e.plan_epoch(q.attr).plan.shard_range(q.lo, q.hi).unwrap();
+                    let col = peek(&e, q.attr);
+                    let (first, last) = col.plan().shard_range(q.lo, q.hi).unwrap();
                     assert_eq!(first, last, "spanning {q:?} was not decomposed");
                 }
             }
@@ -1625,9 +1596,9 @@ mod tests {
 
     #[test]
     fn estimate_cost_takes_no_structure_or_maintenance_lock() {
-        // The acceptance bar: plan-time estimates complete while BOTH the
-        // daemon's weight-heap mutex and a shard's structure write lock
-        // are held by another thread.
+        // The acceptance bar: plan-time estimates complete while the
+        // daemon's weight-heap mutex, a shard's structure write lock and
+        // that shard's pending mutex are all held by another thread.
         let e = Arc::new(sharded_engine(1, 40_000, 4));
         let q = QuerySpec {
             attr: 0,
@@ -1636,7 +1607,7 @@ mod tests {
         };
         e.execute(&q); // build + publish stats
         let col = e.sharded(0);
-        let _structure = col.shard(1).hold_structure_write_for_test();
+        let _structure = col.shard(1).hold_locks_for_test();
         let _heap = e.space().hold_maintenance_lock_for_test();
         let (tx, rx) = std::sync::mpsc::channel();
         let probe = Arc::clone(&e);
@@ -1647,7 +1618,7 @@ mod tests {
         });
         let cost = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("estimate_cost blocked on a structure/maintenance lock")
+            .expect("estimate_cost blocked on a structure, pending or maintenance lock")
             .expect("holistic engine keeps plan statistics");
         assert_eq!(cost.shards_touched, 4);
         drop(_structure);
@@ -1658,7 +1629,7 @@ mod tests {
         // (liveness is a registry membership load, not a lock on the heap).
         let e = Arc::new(partially_resident_engine());
         let col = peek(&e, 1);
-        let _structure = col.shard(0).hold_structure_write_for_test();
+        let _structure = col.shard(0).hold_locks_for_test();
         let _heap = e.space().hold_maintenance_lock_for_test();
         let (tx, rx) = std::sync::mpsc::channel();
         let probe = Arc::clone(&e);
@@ -2371,7 +2342,6 @@ mod tests {
         let oracle = scan_stats(e.data.column(0), Predicate::range(q.lo, q.hi)).count;
         assert_eq!(e.execute(&q), oracle);
         assert_eq!(e.plan_version(0), 0);
-        let old_epoch = e.plan_epoch(0);
         let old_col = e.sharded(0);
 
         assert!(e.force_replan(0, ReplanAction::Split { shard: 1 }));
@@ -2380,10 +2350,10 @@ mod tests {
         assert_eq!(e.sharded(0).shard_count(), 5);
         assert_eq!(e.execute(&q), oracle, "results survive the split");
 
-        // A query pinned to the old plan (it loaded the epoch and cloned
-        // the column before the cutover) still completes correctly: the
-        // sealed predecessor drained its backlog and stays readable.
-        assert_eq!(old_epoch.version, 0);
+        // A query holding the old plan (it cloned the column before the
+        // cutover) still completes correctly: the sealed predecessor
+        // drained its backlog and stays readable.
+        assert_eq!(old_col.version(), 0);
         SCRATCH.with(|s| {
             let (_, stats) =
                 old_col.select_verified(Predicate::range(q.lo, q.hi), &mut s.borrow_mut());

@@ -31,7 +31,7 @@
 //! Readers take a `Copy` of the whole model ([`Calibrator::model`]), so
 //! a query prices itself against one consistent constant set even while
 //! the calibrator republishes — the same publish-then-read discipline as
-//! the shard plan's epoch cell.
+//! a column's published statistics.
 
 use std::sync::{Mutex, RwLock};
 

@@ -16,7 +16,7 @@ use holix_storage::types::CrackValue;
 
 /// Cost-model constants. One merged pending update moves a boundary element
 /// per downstream piece (Ripple), so it is weighted well above a scanned
-/// value; the fixed snapshot term covers the epoch pin + overlay fold.
+/// value; the fixed snapshot term covers the snapshot load + overlay fold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Touched-value equivalents charged per pending update the locked
@@ -217,7 +217,7 @@ impl PlanCost {
 pub enum Route {
     /// Query-driven cracking under the structure lock (refines the index).
     Locked,
-    /// Lock-free epoch-pinned snapshot read (never cracks).
+    /// Snapshot read: no structure lock (never cracks).
     Snapshot,
 }
 

@@ -9,13 +9,13 @@
 //! only have to read it without perturbing the execute path.
 //!
 //! - [`cost`] — [`PlanCost`]: price a predicate against a shard's
-//!   published [`holix_cracking::PieceStats`] (lock-free: the summaries
-//!   are `Arc`s out of an epoch-published cell). Prices crack work (edge
+//!   published [`holix_cracking::PieceStats`] (no column lock: the
+//!   summaries are `Arc`s out of a leaf-locked cell). Prices crack work (edge
 //!   pieces to partition) vs scan work (positional row span) vs
 //!   snapshot-refresh debt (edge-piece filter + staleness), and derives
 //!   the three decisions the service layer needs:
 //!   * the **snapshot/locked cutover** ([`PlanCost::preferred_route`]):
-//!     read-only queries route through the lock-free snapshot path exactly
+//!     read-only queries route through the snapshot path exactly
 //!     when its edge pieces are fresh enough to beat the locked crack;
 //!   * the **admission price** ([`PlanCost::price`]): exact-hit /
 //!     near-optimal queries are [`QueryPrice::Cheap`] and must never be

@@ -3,9 +3,9 @@
 //!
 //! The input is the same published statistic the cost model prices
 //! queries against — per-shard `PieceStats` reduced to a [`ShardLoad`]
-//! (merged rows + pending backlog) — so the decision is lock-free and
-//! pure. The *mechanism* (sealing, draining, rebuilding, epoch-publishing
-//! the successor plan) lives in
+//! (merged rows + pending backlog) — so the decision takes no column lock
+//! and is pure. The *mechanism* (sealing, draining, rebuilding, swapping
+//! in the successor column) lives in
 //! [`holix_cracking::ShardedColumn::apply_replan`]; this module only
 //! decides **whether** and **where**, mirroring how the paper's holistic
 //! daemon separates deciding (Equation 1 weights) from doing (worker

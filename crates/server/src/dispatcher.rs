@@ -776,7 +776,7 @@ fn dispatch_loop(
             };
             // Strict subsets behind the head: worth one collect call that
             // answers the whole containment run by post-filter. The
-            // engine's lock-free snapshot collect pins one epoch per
+            // engine's snapshot collect reads one published snapshot per
             // touched shard, so materialising the superset holds no
             // shard's structure lock against concurrent cracks and Ripple
             // merges. An engine without that path, or a superset past its

@@ -3,9 +3,9 @@
 //!
 //! Live answers are band-checked (base oracle ± total in-flight churn); at
 //! quiesce every window is checked *exactly* against the sorted-scan
-//! oracle; and a reader pinned to the old plan version must stay exact
+//! oracle; and a reader holding the old plan's column must stay exact
 //! after the new plan publishes (the migration republishes the retiring
-//! shards' snapshots before the epoch cutover).
+//! shards' snapshots before the cutover).
 
 use holix::cracking::{CrackScratch, ReplanAction};
 use holix::engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
@@ -70,7 +70,7 @@ fn forced_splits_and_merges_race_queries_and_ripple_updaters() {
         // every application races the readers and updaters above.
         let replan = s.spawn(|_| {
             for round in 0..12u64 {
-                let shards = eng.plan_epoch(0).plan.shards();
+                let shards = eng.sharded(0).shard_count();
                 let action = if shards < 6 {
                     ReplanAction::Split {
                         shard: (round as usize) % shards,
@@ -146,25 +146,50 @@ fn a_reader_pinned_to_the_old_plan_stays_exact_after_the_new_plan_publishes() {
     };
     let expect = scan_stats(data.column(0), Predicate::range(q.lo, q.hi)).count;
 
-    // Pin what an in-flight query would have loaded: the epoch and the
-    // sharded column it started against.
-    let old_epoch = eng.plan_epoch(0);
+    // Hold what an in-flight query would have loaded: the sharded column
+    // it started against, which carries its plan and version.
     let old_col = eng.sharded(0);
-    assert_eq!(old_epoch.version, 0);
+    assert_eq!(old_col.version(), 0);
 
     assert!(
         eng.force_replan(0, ReplanAction::Split { shard: 1 }),
         "forced split did not apply"
     );
     assert!(eng.plan_version(0) >= 1, "no new plan version published");
+    let new_col = eng.sharded(0);
     assert!(
-        !Arc::ptr_eq(&old_col, &eng.sharded(0)),
+        !Arc::ptr_eq(&old_col, &new_col),
         "the published column did not change"
     );
+    assert_eq!(new_col.version(), eng.plan_version(0));
 
-    // The pinned reader finishes against the plan it started with and is
-    // still exact: migration merged the retiring shards' pending updates
-    // and republished their snapshots before the epoch cutover.
+    // Routing and decomposition read that one published plan. (The key
+    // stride is the build-time shard count; a plan split past it clamps.)
+    let new_plan = new_col.plan();
+    let stride = old_col.plan().shards() as u64;
+    assert_eq!(new_plan.shards() as u64, stride + 1);
+    for lo in (0..DOMAIN).step_by(1 << 12) {
+        let probe = QuerySpec {
+            attr: 0,
+            lo,
+            hi: lo + 1,
+        };
+        let home = new_plan.shard_of(lo) as u64;
+        assert_eq!(eng.routing_key(&probe), home.min(stride - 1), "{lo}");
+    }
+    assert_eq!(
+        eng.decompose(&q),
+        holix::planner::decompose_spanning(new_plan, &q)
+    );
+    assert_ne!(
+        eng.decompose(&q),
+        holix::planner::decompose_spanning(old_col.plan(), &q),
+        "the split moved no cut inside the range"
+    );
+
+    // The old column's reader finishes against the plan it started with
+    // and is still exact: migration merged the retiring shards' pending
+    // updates and republished their snapshots before the cutover.
     let mut scratch = CrackScratch::new();
     let (_, stats) = old_col.select_verified(Predicate::range(q.lo, q.hi), &mut scratch);
     assert_eq!(stats.count, expect, "old-plan reader went stale");

@@ -1,10 +1,10 @@
-//! Snapshot-epoch consistency under full interference (§5.7 grown to the
-//! lock-free read path): concurrent snapshot scans must observe the exact
+//! Snapshot consistency under full interference (§5.7 grown to the
+//! snapshot read path): concurrent snapshot scans must observe the exact
 //! base multiset plus the net applied inserts/deletes — never a torn
 //! intermediate — while query-driven cracks, background refinements
-//! (piece splits) and Ripple merges run against the same shards; and
-//! retired snapshot segments must actually be reclaimed once the last
-//! pinned epoch drops.
+//! (piece splits) and Ripple merges run against the same shards; and a
+//! replaced snapshot's segments must be freed with the last reader that
+//! holds it, not before and not later.
 //!
 //! The mid-race oracle uses constant-value update streams: one updater
 //! inserts only `VA`, another deletes only pre-merged `VB` tuples. Any
@@ -72,6 +72,12 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
         }
         col.select_verified(Predicate::range(VB - 1, VB + 1), &mut scratch);
         assert_eq!(col.pending_len(), 0, "VB seed tuples must be merged");
+        // Publish every shard's snapshot while its pieces are still
+        // shard-sized: the morpher then has an encodable piece on its
+        // first pass whatever the schedule. (Left to the scanners, a fast
+        // run publishes only after the crackers have cut everything below
+        // the morph floor, and no scan ever meets a compressed piece.)
+        col.snapshot_scan(Predicate::range(0, DOMAIN), &mut scratch);
     }
 
     let inserted = AtomicUsize::new(0); // updater A progress (applied VA inserts)
@@ -289,7 +295,8 @@ fn retired_segments_are_reclaimed_after_last_pin_drops() {
             .sum()
     };
 
-    // Crack-heavy update loop: every merge splices + retires a snapshot.
+    // Crack-heavy update loop: every merge splices and replaces a
+    // snapshot. Nobody holds a replaced version, so nothing accumulates.
     let mut rng = StdRng::seed_from_u64(0xF0);
     for i in 0..150 {
         let v = rng.random_range(0..DOMAIN);
@@ -300,41 +307,36 @@ fn retired_segments_are_reclaimed_after_last_pin_drops() {
         }
         col.snapshot_scan(full, &mut scratch);
     }
-    for k in 0..col.shard_count() {
-        col.shard(k).snapshot_gc();
-    }
     let settled = bytes(&col);
     assert!(
         settled <= 2 * column_bytes,
         "snapshot memory grew without bound: {settled} B vs {column_bytes} B column"
     );
 
-    // A pinned epoch on shard 0 holds every snapshot version retired after
-    // it — memory climbs while the pin lives …
-    let guard = col.shard(0).snapshot_pin();
+    // A reader that holds shard 0's snapshot open keeps scanning the
+    // multiset it started with, and keeps the segments only that version
+    // references charged — memory climbs while it lives …
+    let held = col.shard(0).snapshot().expect("published above");
+    let before = held.stats(i64::MIN, i64::MAX);
     for i in 0..60 {
         let v = rng.random_range(0..DOMAIN / 2); // land updates in shard 0's range
         col.queue_insert(v, (N + 1_000 + i) as RowId);
         col.select_verified(Predicate::range(v - 2, v + 2), &mut scratch);
     }
-    for k in 0..col.shard_count() {
-        col.shard(k).snapshot_gc();
-    }
-    let pinned = bytes(&col);
+    let after = held.stats(i64::MIN, i64::MAX);
+    assert_eq!((after.count, after.sum), (before.count, before.sum));
+    let held_bytes = bytes(&col);
     assert!(
-        pinned > settled,
-        "pinned epoch did not retain retired segments ({pinned} vs {settled})"
+        held_bytes > settled,
+        "a held snapshot did not retain its segments ({held_bytes} vs {settled})"
     );
-    // … and falls back once the pin drops and a collection runs.
-    drop(guard);
-    let freed: usize = (0..col.shard_count())
-        .map(|k| col.shard(k).snapshot_gc())
-        .sum();
-    assert!(freed > 0, "nothing reclaimed after the last pin dropped");
-    let after = bytes(&col);
+    // … and falls back the moment the reader lets go: no collection pass
+    // exists to wait for.
+    drop(held);
+    let freed = bytes(&col);
     assert!(
-        after <= 2 * column_bytes,
-        "retired segments not freed after unpin: {after} B"
+        freed <= 2 * column_bytes,
+        "replaced segments not freed with their last reader: {freed} B"
     );
-    assert!(after < pinned);
+    assert!(freed < held_bytes);
 }
