@@ -2413,10 +2413,13 @@ mod tests {
         let s1 = col.piece_stats().unwrap();
         assert_eq!(s1.piece_count, 3);
         assert_eq!(s1.pending, 1);
-        let (edge, exact) = s1.edge(200);
-        assert!(exact && edge == 0, "cracked bound must be an exact hit");
-        let (edge, exact) = s1.edge(450);
-        assert!(!exact && edge > 0);
+        let hit = s1.locate(200, true);
+        assert!(
+            hit.exact && hit.end == hit.start,
+            "cracked bound must be an exact hit"
+        );
+        let miss = s1.locate(450, true);
+        assert!(!miss.exact && miss.end > miss.start);
         // Reads stay available while a writer holds the structure lock
         // exclusively (the planner prices queries while writers work).
         let guard = col.hold_locks_for_test();

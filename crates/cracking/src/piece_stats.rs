@@ -16,6 +16,13 @@
 //! summary is the union of up to `stride` live pieces — every size the
 //! planner reads is a conservative **over**-estimate of the work, never an
 //! under-estimate.
+//!
+//! Reading is one lookup per table per predicate bound: [`PieceStats::locate`]
+//! answers exact-hit, crack size and interpolated position from a single
+//! binary search of the boundary table, [`PieceStats::snapshot_edge`] the
+//! filter and decode rows from a single one of the snapshot piece table —
+//! a summary earns its keep only while consulting it stays far cheaper
+//! than the access it steers (Hippo).
 
 use holix_storage::types::CrackValue;
 
@@ -55,174 +62,89 @@ pub struct PieceStats<V> {
     pub snap_pieces: Option<Vec<SnapPieceStat<V>>>,
 }
 
+/// Where one predicate bound sits in a published boundary table
+/// ([`PieceStats::locate`]). An exact bound has `start == end == pos`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Located {
+    /// The bound already is a piece boundary, or a sentinel: zero crack
+    /// work (the paper's `f_Ih` hit).
+    pub exact: bool,
+    /// Start of the (possibly sampled) piece containing the bound.
+    pub start: usize,
+    /// End of that piece: `end - start` values are what a crack at the
+    /// bound would partition.
+    pub end: usize,
+    /// Position of the bound in cracked-position space, reading the
+    /// boundary table as a free equi-depth sketch: interpolated linearly
+    /// across the piece's key range, or the conservative piece edge (start
+    /// for a lower bound, end for an upper one) when a column-edge piece
+    /// has no outer key. Best-effort selectivity, never a safety bound.
+    pub pos: f64,
+}
+
 impl<V: CrackValue> PieceStats<V> {
-    /// The edge work a bound `v` causes on the locked path: `(piece_len,
-    /// exact)` where `piece_len` is the size of the (possibly sampled)
-    /// piece containing `v` — the values a crack would partition — and
-    /// `exact` is `true` when `v` already is a boundary (zero crack work,
-    /// the paper's `f_Ih` hit). Sentinels are always exact.
-    pub fn edge(&self, v: V) -> (usize, bool) {
-        if v == V::MIN_VALUE || v == V::MAX_VALUE {
-            return (0, true);
-        }
-        let i = self.bounds.partition_point(|&(k, _)| k <= v);
-        if i > 0 && self.bounds[i - 1].0 == v {
-            return (0, true);
-        }
-        let start = if i == 0 { 0 } else { self.bounds[i - 1].1 };
-        let end = if i < self.bounds.len() {
-            self.bounds[i].1
-        } else {
-            self.len
+    /// Everything the planner reads about a bound `v`, from one binary
+    /// search of the boundary table. `low_side` says which end of a
+    /// predicate `v` is (it only picks the fallback edge of `pos`).
+    pub fn locate(&self, v: V, low_side: bool) -> Located {
+        let boundary = |p: usize| Located {
+            exact: true,
+            start: p,
+            end: p,
+            pos: p as f64,
         };
-        (end.saturating_sub(start), false)
-    }
-
-    /// Conservative estimate of rows in `[lo, hi)`: the positional span
-    /// between the pieces bracketing the bounds (includes the full edge
-    /// pieces, so it over-estimates by at most the two edge sizes).
-    pub fn range_rows(&self, lo: V, hi: V) -> u64 {
-        // Degenerate predicates (`lo >= hi`, sentinel-valued or not) are
-        // empty on every execution path, so the estimate must be exactly
-        // zero — `[MIN, MIN)` used to fall through and report the first
-        // piece's size.
-        if lo >= hi {
-            return 0;
-        }
-        let start = if lo == V::MIN_VALUE {
-            0
-        } else {
-            let i = self.bounds.partition_point(|&(k, _)| k <= lo);
-            if i == 0 {
-                0
-            } else {
-                self.bounds[i - 1].1
-            }
-        };
-        let end = if hi == V::MAX_VALUE {
-            self.len
-        } else {
-            let j = self.bounds.partition_point(|&(k, _)| k < hi);
-            if j < self.bounds.len() {
-                self.bounds[j].1
-            } else {
-                self.len
-            }
-        };
-        end.saturating_sub(start) as u64
-    }
-
-    /// Equi-depth cardinality estimate of rows in `[lo, hi)`: like
-    /// [`PieceStats::range_rows`] but interpolating *within* the two edge
-    /// pieces under a uniform-within-piece assumption — the boundary
-    /// table is a free equi-depth sketch, piece sizes are its depths.
-    /// Unlike `range_rows` this is a best-effort selectivity estimate,
-    /// not a conservative bound; the planner uses it for driver-term
-    /// election and admission pricing, never for safety decisions. Edge
-    /// pieces whose outer key is unknown (the column-edge pieces) fall
-    /// back to the conservative full-piece span.
-    pub fn estimated_rows(&self, lo: V, hi: V) -> u64 {
-        if lo >= hi {
-            return 0;
-        }
-        let est = self.interpolated_pos(hi, false) - self.interpolated_pos(lo, true);
-        est.max(0.0).round() as u64
-    }
-
-    /// The interpolated position of `v` in cracked-position space:
-    /// boundary keys map to their exact position, interior values to a
-    /// linear interpolation across their piece's key range. `low_side`
-    /// picks the conservative fallback edge (piece start for a lower
-    /// bound, piece end for an upper bound) when the piece has no known
-    /// outer key to interpolate against.
-    fn interpolated_pos(&self, v: V, low_side: bool) -> f64 {
         if v == V::MIN_VALUE {
-            return 0.0;
+            return boundary(0);
         }
         if v == V::MAX_VALUE {
-            return self.len as f64;
+            return boundary(self.len);
         }
         let i = self.bounds.partition_point(|&(k, _)| k <= v);
-        if i > 0 && self.bounds[i - 1].0 == v {
-            return self.bounds[i - 1].1 as f64;
+        let below = i.checked_sub(1).map(|i| self.bounds[i]);
+        let above = self.bounds.get(i).copied();
+        if let Some((_, p)) = below.filter(|&(k, _)| k == v) {
+            return boundary(p);
         }
-        let (a_key, start) = if i == 0 {
-            (None, 0)
-        } else {
-            (Some(self.bounds[i - 1].0), self.bounds[i - 1].1)
-        };
-        let (b_key, end) = if i < self.bounds.len() {
-            (Some(self.bounds[i].0), self.bounds[i].1)
-        } else {
-            (None, self.len)
-        };
-        match (a_key, b_key) {
-            (Some(a), Some(b)) if b > a => {
+        let start = below.map_or(0, |(_, p)| p);
+        let end = above.map_or(self.len, |(_, p)| p).max(start);
+        let pos = match (below, above) {
+            (Some((a, _)), Some((b, _))) if b > a => {
                 let num = (v.as_i64() as i128 - a.as_i64() as i128) as f64;
                 let den = (b.as_i64() as i128 - a.as_i64() as i128) as f64;
                 start as f64 + (end - start) as f64 * (num / den).clamp(0.0, 1.0)
             }
-            // Column-edge piece with an unknown outer key: no basis to
-            // interpolate — degrade to the `range_rows` full-piece span.
             _ if low_side => start as f64,
             _ => end as f64,
+        };
+        Located {
+            exact: false,
+            start,
+            end,
+            pos,
         }
     }
 
-    /// The edge-filter work a snapshot scan of `[lo, hi)` would pay: the
-    /// summed sizes of the snapshot pieces containing the two bounds
-    /// (interior pieces answer O(1) from their aggregates). `None` when no
-    /// snapshot is published — the first reader would pay the O(N) build.
-    pub fn snapshot_edge_filter(&self, lo: V, hi: V) -> Option<usize> {
+    /// What a snapshot scan pays at a bound `v`, from one binary search of
+    /// the snapshot piece table: `(filter, decode)` — the rows of the
+    /// snapshot piece `v` falls *inside* (filtered element-wise; interior
+    /// pieces answer O(1) from their aggregates), and how many of those
+    /// sit in an *encoded* piece and pay a bit-unpack on top (plain pieces
+    /// filter at memcmp speed). Both zero when `v` is a sentinel, an exact
+    /// snapshot boundary, or past the last piece. `None` when no snapshot
+    /// is published — the first reader would pay the O(N) build.
+    pub fn snapshot_edge(&self, v: V) -> Option<(u64, u64)> {
         let pieces = self.snap_pieces.as_ref()?;
-        let mut cost = 0usize;
-        for v in [lo, hi] {
-            if let Some(p) = Self::edge_piece(pieces, v) {
-                cost += p.len;
-            }
-        }
-        Some(cost)
-    }
-
-    /// The edge-filter rows of a `[lo, hi)` snapshot scan that additionally
-    /// pay a per-value bit-unpack because their piece is *encoded* (FOR /
-    /// delta / RLE). A subset of [`PieceStats::snapshot_edge_filter`]:
-    /// plain edge pieces filter at memcmp speed and cost nothing here.
-    /// `None` when no snapshot is published.
-    pub fn snapshot_edge_decode(&self, lo: V, hi: V) -> Option<u64> {
-        let pieces = self.snap_pieces.as_ref()?;
-        let mut cost = 0u64;
-        for v in [lo, hi] {
-            if let Some(p) = Self::edge_piece(pieces, v) {
-                if !p.plain {
-                    cost += p.len as u64;
-                }
-            }
-        }
-        Some(cost)
-    }
-
-    /// The snapshot piece a non-sentinel bound `v` falls *inside* (element-
-    /// wise edge filtering) — `None` when `v` is a sentinel, an exact
-    /// snapshot boundary, or past the last piece.
-    fn edge_piece(pieces: &[SnapPieceStat<V>], v: V) -> Option<&SnapPieceStat<V>> {
         if v == V::MIN_VALUE || v == V::MAX_VALUE {
-            return None; // sentinel: the edge piece is fully covered
+            return Some((0, 0));
         }
         let i = pieces.partition_point(|p| p.hi_key.is_some_and(|k| k <= v));
-        // Exact snapshot boundary: no filtering on this edge.
         if i > 0 && pieces[i - 1].hi_key == Some(v) {
-            return None;
+            return Some((0, 0));
         }
-        pieces.get(i)
-    }
-
-    /// Snapshot staleness: live pieces per snapshot piece (1.0 = fresh,
-    /// large = the snapshot piece table lags the live index). `None` when
-    /// no snapshot is published.
-    pub fn snapshot_staleness(&self) -> Option<f64> {
-        let pieces = self.snap_pieces.as_ref()?;
-        Some(self.piece_count as f64 / pieces.len().max(1) as f64)
+        Some(pieces.get(i).map_or((0, 0), |p| {
+            let rows = p.len as u64;
+            (rows, if p.plain { 0 } else { rows })
+        }))
     }
 }
 
@@ -267,63 +189,76 @@ mod tests {
         build_stats(len, bounds, 0, snap)
     }
 
+    /// `(values a crack at v partitions, exact?)`.
+    fn edge(s: &PieceStats<i64>, v: i64) -> (usize, bool) {
+        let l = s.locate(v, true);
+        (l.end - l.start, l.exact)
+    }
+
+    /// Conservative positional span between the pieces bracketing `[lo, hi)`.
+    fn span(s: &PieceStats<i64>, lo: i64, hi: i64) -> usize {
+        s.locate(hi, false).end - s.locate(lo, true).start
+    }
+
+    /// Equi-depth row estimate of `[lo, hi)`, as the planner forms it.
+    fn rows(s: &PieceStats<i64>, lo: i64, hi: i64) -> u64 {
+        let est = s.locate(hi, false).pos - s.locate(lo, true).pos;
+        est.max(0.0).round() as u64
+    }
+
+    /// `(filter, decode)` rows of a `[lo, hi)` snapshot scan, both edges.
+    fn snap_edges(s: &PieceStats<i64>, lo: i64, hi: i64) -> Option<(u64, u64)> {
+        let (l, h) = s.snapshot_edge(lo).zip(s.snapshot_edge(hi))?;
+        Some((l.0 + h.0, l.1 + h.1))
+    }
+
     #[test]
     fn edge_sizes_and_exact_hits() {
         // Pieces: [min,10)@[0,25), [10,20)@[25,60), [20,max)@[60,100).
         let s = stats(100, vec![(10, 25), (20, 60)], None);
         assert_eq!(s.piece_count, 3);
-        assert_eq!(s.edge(5), (25, false));
-        assert_eq!(s.edge(10), (0, true));
-        assert_eq!(s.edge(15), (35, false));
-        assert_eq!(s.edge(20), (0, true));
-        assert_eq!(s.edge(25), (40, false));
-        assert_eq!(s.edge(i64::MIN), (0, true));
-        assert_eq!(s.edge(i64::MAX), (0, true));
+        assert_eq!(edge(&s, 5), (25, false));
+        assert_eq!(edge(&s, 10), (0, true));
+        assert_eq!(edge(&s, 15), (35, false));
+        assert_eq!(edge(&s, 20), (0, true));
+        assert_eq!(edge(&s, 25), (40, false));
+        assert_eq!(edge(&s, i64::MIN), (0, true));
+        assert_eq!(edge(&s, i64::MAX), (0, true));
     }
 
     #[test]
-    fn range_rows_spans_bracketing_pieces() {
+    fn located_span_covers_the_bracketing_pieces() {
         let s = stats(100, vec![(10, 25), (20, 60)], None);
-        assert_eq!(s.range_rows(10, 20), 35); // exact piece
-        assert_eq!(s.range_rows(5, 15), 60); // both edges included
-        assert_eq!(s.range_rows(i64::MIN, i64::MAX), 100);
-        assert_eq!(s.range_rows(12, 12), 0);
-        assert_eq!(s.range_rows(25, i64::MAX), 40);
+        assert_eq!(span(&s, 10, 20), 35); // exact piece
+        assert_eq!(span(&s, 5, 15), 60); // both edges included
+        assert_eq!(span(&s, i64::MIN, i64::MAX), 100);
+        assert_eq!(span(&s, 25, i64::MAX), 40);
     }
 
     #[test]
-    fn estimated_rows_interpolates_within_edge_pieces() {
+    fn located_position_interpolates_within_edge_pieces() {
         // Pieces: [min,10)@[0,25), [10,20)@[25,60), [20,max)@[60,100).
         let s = stats(100, vec![(10, 25), (20, 60)], None);
         // Exact boundaries reproduce the positional span.
-        assert_eq!(s.estimated_rows(10, 20), 35);
-        assert_eq!(s.estimated_rows(i64::MIN, i64::MAX), 100);
+        assert_eq!(rows(&s, 10, 20), 35);
+        assert_eq!(rows(&s, i64::MIN, i64::MAX), 100);
         // Interior bound: half the keys of [10,20) → half its depth.
-        let half = s.estimated_rows(10, 15);
+        let half = rows(&s, 10, 15);
         assert!((17..=18).contains(&half), "est {half}");
-        assert!(half < s.range_rows(10, 15), "estimate must beat the span");
+        assert!(
+            half < span(&s, 10, 15) as u64,
+            "estimate must beat the span"
+        );
         // Unknown-key column-edge piece: conservative full-span fallback.
-        let edged = s.estimated_rows(5, 15);
+        let edged = rows(&s, 5, 15);
         assert!((42..=43).contains(&edged), "est {edged}");
         // Degenerate predicates estimate zero.
-        assert_eq!(s.estimated_rows(15, 5), 0);
-        assert_eq!(s.estimated_rows(i64::MIN, i64::MIN), 0);
+        assert_eq!(rows(&s, 15, 5), 0);
+        assert_eq!(rows(&s, i64::MIN, i64::MIN), 0);
     }
 
     #[test]
-    fn degenerate_ranges_estimate_zero_rows() {
-        // Regression: the old guard excepted sentinel-valued bounds, so
-        // `[MIN, MIN)` — an empty predicate on every execution path —
-        // reported the first piece's size.
-        let s = stats(100, vec![(10, 25), (20, 60)], None);
-        assert_eq!(s.range_rows(i64::MIN, i64::MIN), 0);
-        assert_eq!(s.range_rows(i64::MAX, i64::MAX), 0);
-        assert_eq!(s.range_rows(15, 5), 0);
-        assert_eq!(s.range_rows(i64::MAX, i64::MIN), 0);
-    }
-
-    #[test]
-    fn snapshot_edge_filter_counts_only_edge_pieces() {
+    fn snapshot_edges_filter_only_the_pieces_a_bound_falls_inside() {
         let snap = vec![
             sp(Some(10), 30, true),
             sp(Some(20), 40, true),
@@ -331,16 +266,16 @@ mod tests {
         ];
         let s = stats(100, vec![(10, 30), (20, 70)], Some(snap));
         // Exact snapshot boundaries: no filtering.
-        assert_eq!(s.snapshot_edge_filter(10, 20), Some(0));
+        assert_eq!(snap_edges(&s, 10, 20), Some((0, 0)));
         // Interior bounds: both edge pieces filtered.
-        assert_eq!(s.snapshot_edge_filter(5, 15), Some(70));
+        assert_eq!(snap_edges(&s, 5, 15), Some((70, 0)));
         // Sentinels cover their edge.
-        assert_eq!(s.snapshot_edge_filter(i64::MIN, 15), Some(40));
-        assert_eq!(stats(100, vec![], None).snapshot_edge_filter(0, 1), None);
+        assert_eq!(snap_edges(&s, i64::MIN, 15), Some((40, 0)));
+        assert_eq!(snap_edges(&stats(100, vec![], None), 0, 1), None);
     }
 
     #[test]
-    fn snapshot_edge_decode_counts_only_encoded_edge_pieces() {
+    fn snapshot_edges_decode_only_encoded_pieces() {
         // Middle piece encoded, neighbours plain.
         let snap = vec![
             sp(Some(10), 30, true),
@@ -349,14 +284,12 @@ mod tests {
         ];
         let s = stats(100, vec![(10, 30), (20, 70)], Some(snap));
         // Both bounds filter, but only the encoded middle piece decodes.
-        assert_eq!(s.snapshot_edge_filter(5, 15), Some(70));
-        assert_eq!(s.snapshot_edge_decode(5, 15), Some(40));
+        assert_eq!(snap_edges(&s, 5, 15), Some((70, 40)));
         // Exact snapshot boundaries never decode.
-        assert_eq!(s.snapshot_edge_decode(10, 20), Some(0));
+        assert_eq!(snap_edges(&s, 10, 20), Some((0, 0)));
         // Sentinel bound covers its edge: only the hi edge decodes.
-        assert_eq!(s.snapshot_edge_decode(i64::MIN, 15), Some(40));
-        assert_eq!(s.snapshot_edge_decode(5, 25), Some(0));
-        assert_eq!(stats(100, vec![], None).snapshot_edge_decode(0, 1), None);
+        assert_eq!(snap_edges(&s, i64::MIN, 15), Some((40, 40)));
+        assert_eq!(snap_edges(&s, 5, 25).map(|e| e.1), Some(0));
     }
 
     #[test]
@@ -370,9 +303,9 @@ mod tests {
         // sampled "piece" containing it spans the whole stride — a
         // conservative over-estimate, never an under-estimate.
         assert!(!s.bounds.iter().any(|&(k, _)| k == 3), "stride kept key 3");
-        let (size, exact) = s.edge(3);
+        let (size, exact) = edge(&s, 3);
         assert!(!exact);
         assert!(size >= 1, "sampled sizes must never under-estimate");
-        assert!(s.snapshot_staleness().is_none());
+        assert!(s.snapshot_edge(3).is_none());
     }
 }

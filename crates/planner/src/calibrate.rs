@@ -297,7 +297,6 @@ mod tests {
     fn locked_cost(crack_values: u64, merge_backlog: u64) -> PlanCost {
         PlanCost {
             crack_values,
-            scan_rows: crack_values,
             merge_backlog,
             shards_touched: 1,
             ..PlanCost::default()
@@ -343,7 +342,6 @@ mod tests {
         let seed = cal.seed();
         let cost = PlanCost {
             crack_values: 500_000,
-            scan_rows: 500_000,
             snapshot_filter: Some(20_000),
             shards_touched: 1,
             ..PlanCost::default()

@@ -59,9 +59,6 @@ pub struct PlanCost {
     /// Values the locked path would partition: the sizes of the edge
     /// pieces each non-exact bound falls into.
     pub crack_values: u64,
-    /// Conservative qualifying-row estimate (positional span between the
-    /// bracketing pieces) — sizes collects and decomposition decisions.
-    pub scan_rows: u64,
     /// Equi-depth cardinality estimate (interpolated within the edge
     /// pieces of the free histogram the boundary table forms): the
     /// selectivity number behind driver-term election and the
@@ -97,7 +94,6 @@ impl PlanCost {
     pub fn cold(len: usize) -> Self {
         PlanCost {
             crack_values: len as u64,
-            scan_rows: len as u64,
             est_rows: len as u64,
             merge_backlog: 0,
             snapshot_filter: None,
@@ -133,7 +129,6 @@ impl PlanCost {
             return;
         }
         self.crack_values = self.crack_values.saturating_add(other.crack_values);
-        self.scan_rows = self.scan_rows.saturating_add(other.scan_rows);
         self.est_rows = self.est_rows.saturating_add(other.est_rows);
         self.merge_backlog = self.merge_backlog.saturating_add(other.merge_backlog);
         self.snapshot_filter = match (self.snapshot_filter, other.snapshot_filter) {
@@ -184,10 +179,9 @@ impl PlanCost {
     /// Admission price class (see [`QueryPrice`]). Exact hits are always
     /// cheap (the paper's `f_Ih` queries touch only index bounds);
     /// everything else is charged its crack + merge work **plus its
-    /// estimated result cardinality** — the equi-depth `est_rows`, not
-    /// the conservative `scan_rows` span — so a selective query over
-    /// coarse pieces stays cheap while a low-crack-cost query returning
-    /// half the column does not.
+    /// estimated result cardinality** (the equi-depth `est_rows`), so a
+    /// selective query over coarse pieces stays cheap while a
+    /// low-crack-cost query returning half the column does not.
     pub fn price(&self, model: &CostModel) -> QueryPrice {
         if self.screened {
             QueryPrice::Screened
@@ -246,20 +240,20 @@ pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> Pla
             ..PlanCost::default()
         };
     }
-    let (lo_edge, lo_exact) = stats.edge(pred.lo);
-    let (hi_edge, hi_exact) = stats.edge(pred.hi);
+    // One boundary-table lookup and one snapshot-table lookup per bound;
+    // every field below is read off those four results.
+    let lo = stats.locate(pred.lo, true);
+    let hi = stats.locate(pred.hi, false);
+    let snap = stats
+        .snapshot_edge(pred.lo)
+        .zip(stats.snapshot_edge(pred.hi));
     PlanCost {
-        crack_values: (lo_edge as u64).saturating_add(hi_edge as u64),
-        scan_rows: stats.range_rows(pred.lo, pred.hi),
-        est_rows: stats.estimated_rows(pred.lo, pred.hi),
+        crack_values: ((lo.end - lo.start) + (hi.end - hi.start)) as u64,
+        est_rows: (hi.pos - lo.pos).max(0.0).round() as u64,
         merge_backlog: stats.pending as u64,
-        snapshot_filter: stats
-            .snapshot_edge_filter(pred.lo, pred.hi)
-            .map(|f| f as u64),
-        decode_rows: stats
-            .snapshot_edge_decode(pred.lo, pred.hi)
-            .unwrap_or_default(),
-        exact_hit: lo_exact && hi_exact,
+        snapshot_filter: snap.map(|(l, h)| l.0 + h.0),
+        decode_rows: snap.map_or(0, |(l, h)| l.1 + h.1),
+        exact_hit: lo.exact && hi.exact,
         screened: false,
         shards_touched: 1,
     }
@@ -303,7 +297,7 @@ mod tests {
         assert_eq!(c.locked_cost(&model), 0);
         assert_eq!(c.price(&model), QueryPrice::Cheap);
         assert_eq!(c.preferred_route(&model), Route::Locked);
-        assert_eq!(c.scan_rows, 35_000);
+        assert_eq!(c.est_rows, 35_000);
     }
 
     #[test]
@@ -429,10 +423,10 @@ mod tests {
         let model = CostModel::default();
         // One piece of 1000 rows spanning keys [0, 100) with both outer
         // keys known: a selective sub-range interpolates to a fraction of
-        // the depth while the positional span stays conservative.
+        // the depth while the crack work stays the whole piece per bound.
         let s = stats(1_000, vec![(0, 0), (100, 1_000)], 0, None);
         let c = estimate(&s, Predicate::range(10, 20));
-        assert_eq!(c.scan_rows, 1_000, "span stays conservative");
+        assert_eq!(c.crack_values, 2_000, "crack work stays conservative");
         assert!((90..=110).contains(&c.est_rows), "est {}", c.est_rows);
         // Exact-boundary bounds reproduce exact positions.
         let e = estimate(&s, Predicate::range(0, 100));
@@ -457,7 +451,6 @@ mod tests {
         let model = CostModel::default();
         let huge = PlanCost {
             crack_values: u64::MAX - 1,
-            scan_rows: u64::MAX - 1,
             est_rows: u64::MAX - 1,
             merge_backlog: u64::MAX / 4,
             snapshot_filter: Some(u64::MAX - 1),
@@ -469,7 +462,7 @@ mod tests {
         let mut folded = huge;
         folded.merge(huge);
         assert_eq!(folded.crack_values, u64::MAX);
-        assert_eq!(folded.scan_rows, u64::MAX);
+        assert_eq!(folded.est_rows, u64::MAX);
         assert_eq!(folded.snapshot_filter, Some(u64::MAX));
         assert_eq!(folded.shards_touched, u32::MAX);
         assert_eq!(folded.locked_cost(&model), u64::MAX);
@@ -477,29 +470,202 @@ mod tests {
         assert_eq!(folded.price(&model), QueryPrice::Expensive);
     }
 
+    #[test]
+    fn degenerate_ranges_price_zero_rows_and_zero_cracks() {
+        // Regression: an old guard excepted sentinel-valued bounds, so
+        // `[MIN, MIN)` — an empty predicate on every execution path —
+        // reported the first piece's size.
+        let s = stats(100, vec![(10, 25), (20, 60)], 0, None);
+        for (lo, hi) in [
+            (i64::MIN, i64::MIN),
+            (i64::MAX, i64::MAX),
+            (15, 5),
+            (12, 12),
+            (i64::MAX, i64::MIN),
+        ] {
+            let c = estimate(&s, Predicate::range(lo, hi));
+            assert_eq!((c.est_rows, c.crack_values), (0, 0), "[{lo}, {hi})");
+            assert!(c.exact_hit);
+        }
+    }
+
+    /// Linear-scan reference for [`estimate`], written from the field
+    /// definitions: walks both tables front to back, shares no lookup
+    /// with the code under test.
+    fn reference(stats: &PieceStats<i64>, pred: Predicate<i64>) -> PlanCost {
+        if pred.lo >= pred.hi {
+            return PlanCost {
+                exact_hit: true,
+                shards_touched: 1,
+                ..PlanCost::default()
+            };
+        }
+        // One bound against the boundary table: (crack size, exact, position).
+        let bound = |v: i64, low_side: bool| -> (u64, bool, f64) {
+            if v == i64::MIN {
+                return (0, true, 0.0);
+            }
+            if v == i64::MAX {
+                return (0, true, stats.len as f64);
+            }
+            let below = stats.bounds.iter().rev().find(|b| b.0 <= v);
+            let above = stats.bounds.iter().find(|b| b.0 > v);
+            if let Some(&(k, p)) = below {
+                if k == v {
+                    return (0, true, p as f64);
+                }
+            }
+            let start = below.map_or(0, |b| b.1);
+            let end = above.map_or(stats.len, |b| b.1);
+            let pos = match (below, above) {
+                (Some(a), Some(b)) => {
+                    let frac = (v - a.0) as f64 / (b.0 - a.0) as f64;
+                    start as f64 + (end - start) as f64 * frac
+                }
+                _ if low_side => start as f64,
+                _ => end as f64,
+            };
+            ((end - start) as u64, false, pos)
+        };
+        // One bound against the snapshot piece table: (filter, decode) rows
+        // of the piece the bound falls strictly inside.
+        let snap_edge = |pieces: &[SnapPieceStat<i64>], v: i64| -> (u64, u64) {
+            if v == i64::MIN || v == i64::MAX {
+                return (0, 0);
+            }
+            let mut lo_key = None;
+            for p in pieces {
+                if lo_key.is_none_or(|k| k < v) && p.hi_key.is_none_or(|k| v < k) {
+                    let rows = p.len as u64;
+                    return (rows, if p.plain { 0 } else { rows });
+                }
+                lo_key = p.hi_key;
+            }
+            (0, 0)
+        };
+        let (lo, hi) = (bound(pred.lo, true), bound(pred.hi, false));
+        let snap = stats
+            .snap_pieces
+            .as_deref()
+            .map(|p| (snap_edge(p, pred.lo), snap_edge(p, pred.hi)));
+        PlanCost {
+            crack_values: lo.0 + hi.0,
+            est_rows: (hi.2 - lo.2).max(0.0).round() as u64,
+            merge_backlog: stats.pending as u64,
+            snapshot_filter: snap.map(|(l, h)| l.0 + h.0),
+            decode_rows: snap.map_or(0, |(l, h)| l.1 + h.1),
+            exact_hit: lo.1 && hi.1,
+            screened: false,
+            shards_touched: 1,
+        }
+    }
+
     mod prop {
         use super::*;
+        use holix_cracking::piece_stats::MAX_STATS_BOUNDS;
         use proptest::prelude::*;
+
+        /// A boundary table of `n` entries cycling through `(key gap, piece
+        /// length)` steps — strictly increasing keys, non-decreasing
+        /// positions — stride-sampled past the cap as the column publishes
+        /// it. Returns `(len, bounds)`.
+        fn table(steps: &[(i64, usize)], n: usize) -> (usize, Vec<(i64, usize)>) {
+            let (mut key, mut pos) = (-50i64, 0usize);
+            let mut bounds = Vec::with_capacity(n);
+            for i in 0..n {
+                let (gap, len) = steps[i % steps.len()];
+                key += gap;
+                pos += len;
+                bounds.push((key, pos));
+            }
+            let stride = n.div_ceil(MAX_STATS_BOUNDS).max(1);
+            (pos + 7, bounds.into_iter().step_by(stride).collect())
+        }
+
+        proptest! {
+            // `estimate` (two binary searches per table) against the
+            // linear-scan reference, on empty, one-bound, small and
+            // stride-sampled tables, with and without a snapshot piece
+            // table, at sentinel bounds, bounds equal to a key, bounds
+            // between keys, bounds outside the table and `lo >= hi`.
+            #[test]
+            fn estimate_matches_the_linear_scan_reference(
+                size in 0..5u8,
+                steps in proptest::collection::vec((1..=4i64, 0..40usize), 1..24),
+                snap in (
+                    any::<bool>(),
+                    proptest::collection::vec((1..=9i64, 0..60usize, any::<bool>()), 0..10),
+                    any::<bool>(),
+                ),
+                picks in proptest::collection::vec(
+                    ((0..5u8, any::<u16>()), (0..5u8, any::<u16>())),
+                    12,
+                ),
+            ) {
+                let n = match size {
+                    0 => 0,
+                    1 => 1,
+                    2 | 3 => steps.len() * 2,
+                    _ => MAX_STATS_BOUNDS + 1 + steps.len() * 97,
+                };
+                let (len, bounds) = table(&steps, n);
+                prop_assert!(bounds.len() <= MAX_STATS_BOUNDS);
+                let (published, pieces, open_end) = snap;
+                let snap_pieces = published.then(|| {
+                    let mut key = -40i64;
+                    let mut out: Vec<_> = pieces
+                        .iter()
+                        .map(|&(gap, len, plain)| {
+                            key += gap;
+                            SnapPieceStat { hi_key: Some(key), len, plain }
+                        })
+                        .collect();
+                    if open_end {
+                        out.push(SnapPieceStat { hi_key: None, len: 33, plain: false });
+                    }
+                    out
+                });
+                let s = PieceStats {
+                    len,
+                    piece_count: n + 1,
+                    bounds,
+                    pending: 3,
+                    snap_pieces,
+                };
+                let value = |(kind, r): (u8, u16)| -> i64 {
+                    let key = |r: u16| s.bounds.get(r as usize % s.bounds.len().max(1)).map_or(0, |b| b.0);
+                    match kind {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        2 => key(r),
+                        3 => key(r) + (r % 3) as i64 - 1,
+                        _ => r as i64 % 400 - 120,
+                    }
+                };
+                for (lo, hi) in picks {
+                    let pred = Predicate::range(value(lo), value(hi));
+                    let (got, want) = (estimate(&s, pred), reference(&s, pred));
+                    prop_assert_eq!(got, want, "{:?}", pred);
+                }
+            }
+        }
 
         fn arb_cost() -> impl Strategy<Value = PlanCost> {
             (
-                (any::<u64>(), any::<u64>(), any::<u64>()),
+                (any::<u64>(), any::<u64>()),
                 (any::<u64>(), any::<u64>()),
                 (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v)),
                 any::<bool>(),
             )
-                .prop_map(|((crack, scan, est), (backlog, decode), snap, exact)| {
-                    PlanCost {
-                        crack_values: crack,
-                        scan_rows: scan,
-                        est_rows: est,
-                        merge_backlog: backlog,
-                        snapshot_filter: snap,
-                        decode_rows: decode,
-                        exact_hit: exact,
-                        screened: false,
-                        shards_touched: 1,
-                    }
+                .prop_map(|((crack, est), (backlog, decode), snap, exact)| PlanCost {
+                    crack_values: crack,
+                    est_rows: est,
+                    merge_backlog: backlog,
+                    snapshot_filter: snap,
+                    decode_rows: decode,
+                    exact_hit: exact,
+                    screened: false,
+                    shards_touched: 1,
                 })
         }
 
@@ -515,18 +681,18 @@ mod tests {
                 let model = CostModel::default();
                 let mut folded = PlanCost::default();
                 let mut prev_locked = 0u64;
-                let mut prev_scan = 0u64;
+                let mut prev_est = 0u64;
                 for (i, shard) in shards.into_iter().enumerate() {
                     folded.merge(shard);
                     prop_assert_eq!(folded.shards_touched as usize, i + 1);
                     let locked = folded.locked_cost(&model);
                     prop_assert!(locked >= prev_locked, "locked cost shrank");
-                    prop_assert!(folded.scan_rows >= prev_scan, "scan rows shrank");
+                    prop_assert!(folded.est_rows >= prev_est, "estimated rows shrank");
                     if let Some(snap) = folded.snapshot_cost(&model) {
                         prop_assert!(snap >= folded.snapshot_filter.unwrap_or(0));
                     }
                     prev_locked = locked;
-                    prev_scan = folded.scan_rows;
+                    prev_est = folded.est_rows;
                 }
             }
         }

@@ -10,10 +10,11 @@
 //!
 //! - [`cost`] — [`PlanCost`]: price a predicate against a shard's
 //!   published [`holix_cracking::PieceStats`] (no column lock: the
-//!   summaries are `Arc`s out of a leaf-locked cell). Prices crack work (edge
-//!   pieces to partition) vs scan work (positional row span) vs
-//!   snapshot-refresh debt (edge-piece filter + staleness), and derives
-//!   the three decisions the service layer needs:
+//!   summaries are `Arc`s out of a leaf-locked cell) — one lookup per
+//!   bound per table, four binary searches in all. Prices crack work (edge
+//!   pieces to partition) and result size (equi-depth row estimate) vs
+//!   snapshot-refresh debt (edge-piece filter + decode), and derives the
+//!   decisions the service layer needs:
 //!   * the **snapshot/locked cutover** ([`PlanCost::preferred_route`]):
 //!     read-only queries route through the snapshot path exactly
 //!     when its edge pieces are fresh enough to beat the locked crack;
@@ -21,8 +22,7 @@
 //!     near-optimal queries are [`QueryPrice::Cheap`] and must never be
 //!     shed, cold wide cracks are [`QueryPrice::Expensive`] and may be
 //!     shed — or served inline from the snapshot when
-//!     [`PlanCost::downgradable`];
-//!   * collect sizing (`scan_rows`) for containment coalescing.
+//!     [`PlanCost::downgradable`].
 //! - [`decompose`] — [`decompose_spanning`]: cut a multi-shard range at
 //!   the shard plan's boundaries into per-shard sub-queries so wide scans
 //!   never break shard/worker affinity; `holix-server` completes them

@@ -9,6 +9,10 @@
 //! directly behind its superset: the dispatcher executes the superset once
 //! and answers exact duplicates by fan-out and strict subsets by
 //! post-filtering the superset's values (containment coalescing).
+//!
+//! Ordering is also where a batch is *priced*: a price is a function of
+//! the predicate, so [`order_batch`] asks for one per distinct predicate,
+//! ranks the runs by price class and hands the prices back.
 
 use holix_workloads::QuerySpec;
 
@@ -33,50 +37,52 @@ impl Scheduling {
     }
 }
 
-/// Reorders `batch` in place according to the scheduling policy. `spec`
-/// projects each item onto its query. FIFO leaves arrival order untouched;
-/// crack-aware performs a stable sort by `(attr, lo, descending hi)` so
-/// ties keep their arrival order and a superset precedes the predicates it
-/// contains.
-pub fn order_batch<T>(batch: &mut [T], scheduling: Scheduling, spec: impl Fn(&T) -> QuerySpec) {
-    match scheduling {
-        Scheduling::Fifo => {}
-        Scheduling::CrackAware => {
-            batch.sort_by_key(|item| {
-                let q = spec(item);
-                (q.attr, q.lo, std::cmp::Reverse(q.hi))
-            });
-        }
-    }
-}
-
-/// Crack-aware ordering with price classes: cheapest work drains first.
-/// Items are ranked by `price` (0 = screened probes and cheap
-/// exact-hits, 1 = expensive cracks — any `u8` ladder works), then by the
-/// crack-aware `(attr, lo, descending hi)` key *within* each class. The
-/// sort is stable, so duplicate and containment runs inside a class are
-/// exactly what [`order_batch`] would produce; across classes a contained
-/// subset can separate from an expensive superset — deliberately: an
-/// exact-hit must not wait behind a cold crack that happens to contain
-/// it, and whatever shares its class still coalesces. FIFO ignores
-/// pricing entirely (the closure is never called).
-pub fn order_batch_priced<T>(
-    batch: &mut [T],
+/// Reorders `batch` in place and prices it, once per *distinct* predicate.
+/// `spec` projects each item onto its query; `price` returns a predicate's
+/// price class (0 = screened probes and cheap exact-hits, 1 = expensive
+/// cracks — any `u8` ladder works) beside whatever the caller keeps of the
+/// pricing, which comes back per item, aligned with the reordered batch.
+///
+/// Crack-aware: a stable sort by `(attr, lo, descending hi)` lines every
+/// duplicate up behind its first arrival and every contained predicate
+/// behind its superset; each run of equal predicates is priced at its
+/// head, and a stable sort by class then drains the cheapest work first —
+/// the order of the key `(class, attr, lo, descending hi)`, ties in arrival
+/// order. Across classes a contained subset can separate from an expensive
+/// superset — deliberately: an exact-hit must not wait behind a cold crack
+/// that happens to contain it, and whatever shares its class still
+/// coalesces. FIFO leaves arrival order untouched, never calls `price` and
+/// returns nothing: whoever needs a price there reads it at the head.
+pub fn order_batch<T, P: Clone>(
+    batch: &mut Vec<T>,
     scheduling: Scheduling,
     spec: impl Fn(&T) -> QuerySpec,
-    price: impl Fn(&QuerySpec) -> u8,
-) {
-    match scheduling {
-        Scheduling::Fifo => {}
-        Scheduling::CrackAware => {
-            // Cached: pricing reads the engine's published piece stats —
-            // pay it once per item, not once per comparison.
-            batch.sort_by_cached_key(|item| {
-                let q = spec(item);
-                (price(&q), q.attr, q.lo, std::cmp::Reverse(q.hi))
-            });
-        }
+    mut price: impl FnMut(&QuerySpec) -> (u8, P),
+) -> Vec<P> {
+    if scheduling == Scheduling::Fifo {
+        return Vec::new();
     }
+    batch.sort_by_key(|item| {
+        let q = spec(item);
+        (q.attr, q.lo, std::cmp::Reverse(q.hi))
+    });
+    let mut priced: Vec<(u8, P, T)> = Vec::with_capacity(batch.len());
+    for item in batch.drain(..) {
+        let q = spec(&item);
+        let (class, payload) = match priced.last() {
+            Some((class, payload, prev)) if spec(prev) == q => (*class, payload.clone()),
+            _ => price(&q),
+        };
+        priced.push((class, payload, item));
+    }
+    priced.sort_by_key(|&(class, ..)| class);
+    priced
+        .into_iter()
+        .map(|(_, payload, item)| {
+            batch.push(item);
+            payload
+        })
+        .collect()
 }
 
 /// Length of the run of items at the front of `batch` sharing the first
@@ -121,11 +127,16 @@ mod tests {
         QuerySpec { attr, lo, hi }
     }
 
+    /// One price class for everything: the plain crack-aware order.
+    fn flat(_: &QuerySpec) -> (u8, ()) {
+        (0, ())
+    }
+
     #[test]
     fn fifo_preserves_arrival_order() {
         let mut batch = vec![q(1, 5, 9), q(0, 3, 4), q(1, 1, 2)];
         let orig = batch.clone();
-        order_batch(&mut batch, Scheduling::Fifo, |x| *x);
+        order_batch(&mut batch, Scheduling::Fifo, |x| *x, flat);
         assert_eq!(batch, orig);
     }
 
@@ -138,7 +149,7 @@ mod tests {
             q(0, 100, 150),
             q(1, 100, 120),
         ];
-        order_batch(&mut batch, Scheduling::CrackAware, |x| *x);
+        order_batch(&mut batch, Scheduling::CrackAware, |x| *x, flat);
         assert_eq!(
             batch,
             vec![
@@ -157,7 +168,7 @@ mod tests {
     fn crack_aware_sort_is_stable_for_duplicates() {
         // Items carry a payload so we can observe tie order.
         let mut batch = vec![(q(0, 1, 2), 'a'), (q(0, 1, 2), 'b'), (q(0, 1, 2), 'c')];
-        order_batch(&mut batch, Scheduling::CrackAware, |x| x.0);
+        order_batch(&mut batch, Scheduling::CrackAware, |x| x.0, flat);
         assert_eq!(
             batch.iter().map(|x| x.1).collect::<Vec<_>>(),
             vec!['a', 'b', 'c']
@@ -167,7 +178,7 @@ mod tests {
     #[test]
     fn duplicate_runs_detected_after_sort() {
         let mut batch = vec![q(0, 1, 2), q(1, 1, 2), q(0, 1, 2), q(0, 5, 6)];
-        order_batch(&mut batch, Scheduling::CrackAware, |x| *x);
+        order_batch(&mut batch, Scheduling::CrackAware, |x| *x, flat);
         assert_eq!(duplicate_run_len(&batch, |x| *x), 2); // two copies of (0,1,2)
         assert_eq!(duplicate_run_len(&batch[2..], |x| *x), 1);
         assert_eq!(duplicate_run_len(&batch[3..], |x| *x), 1);
@@ -184,7 +195,7 @@ mod tests {
             q(0, 60, 70), // disjoint — ends the run
             q(1, 10, 50), // other attribute — never in the run
         ];
-        order_batch(&mut batch, Scheduling::CrackAware, |x| *x);
+        order_batch(&mut batch, Scheduling::CrackAware, |x| *x, flat);
         assert_eq!(batch[0], q(0, 10, 50));
         let run = containment_run_len(&batch, |x| *x);
         assert_eq!(run, 4, "{batch:?}");
@@ -208,7 +219,12 @@ mod tests {
             q(1, 0, 100_000), // expensive
             q(0, 50, 50),     // cheap, contained in (0,50,60)
         ];
-        order_batch_priced(&mut batch, Scheduling::CrackAware, |x| *x, price);
+        order_batch(
+            &mut batch,
+            Scheduling::CrackAware,
+            |x| *x,
+            |q| (price(q), ()),
+        );
         assert_eq!(
             batch,
             vec![
@@ -233,7 +249,12 @@ mod tests {
             (q(0, 7, 7), 'b'),
             (q(0, 7, 7), 'c'),
         ];
-        order_batch_priced(&mut batch, Scheduling::CrackAware, |x| x.0, price);
+        order_batch(
+            &mut batch,
+            Scheduling::CrackAware,
+            |x| x.0,
+            |q| (price(q), ()),
+        );
         assert_eq!(duplicate_run_len(&batch, |x| x.0), 3);
         assert_eq!(
             batch.iter().map(|x| x.1).collect::<Vec<_>>(),
@@ -246,19 +267,79 @@ mod tests {
     fn priced_order_ignores_pricing_under_fifo() {
         let mut batch = vec![q(1, 0, 100_000), q(0, 3, 3)];
         let orig = batch.clone();
-        order_batch_priced(
+        let prices: Vec<()> = order_batch(
             &mut batch,
             Scheduling::Fifo,
             |x| *x,
             |_| panic!("FIFO must not price"),
         );
         assert_eq!(batch, orig);
+        assert!(prices.is_empty(), "FIFO hands no prices back");
+    }
+
+    #[test]
+    fn priced_order_is_the_keyed_permutation_and_prices_each_predicate_once() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::cmp::Reverse;
+        // Any function of the predicate will do as a price.
+        let class = |q: &QuerySpec| ((q.lo + 3 * q.hi + q.attr as i64) % 3) as u8;
+        let mut rng = SmallRng::seed_from_u64(23);
+        for round in 0..200 {
+            // A small domain, so duplicates and containment are common.
+            let arrived: Vec<(QuerySpec, usize)> = (0..rng.random_range(0..64))
+                .map(|i| {
+                    let lo = rng.random_range(0..6);
+                    (
+                        q(rng.random_range(0..3), lo, lo + rng.random_range(0..5)),
+                        i,
+                    )
+                })
+                .collect();
+            let mut want = arrived.clone();
+            want.sort_by_key(|(q, _)| (class(q), q.attr, q.lo, Reverse(q.hi)));
+            let mut got = arrived.clone();
+            let mut priced = Vec::new();
+            let prices = order_batch(
+                &mut got,
+                Scheduling::CrackAware,
+                |x| x.0,
+                |q| {
+                    priced.push(*q);
+                    (class(q), *q)
+                },
+            );
+            // The stable keyed sort: runs adjacent, arrival order inside.
+            assert_eq!(got, want, "round {round}");
+            // Every item got the price of its own predicate …
+            let specs: Vec<QuerySpec> = got.iter().map(|x| x.0).collect();
+            assert_eq!(prices, specs, "round {round}");
+            // … and each distinct predicate was asked for exactly once.
+            let asked = priced.len();
+            priced.sort_by_key(|q| (q.attr, q.lo, q.hi));
+            priced.dedup();
+            assert_eq!(asked, priced.len(), "a predicate was priced twice");
+            let mut distinct = specs;
+            distinct.sort_by_key(|q| (q.attr, q.lo, q.hi));
+            distinct.dedup();
+            assert_eq!(priced, distinct, "round {round}");
+            // FIFO: untouched and unpriced.
+            let mut fifo = arrived.clone();
+            let none: Vec<()> = order_batch(
+                &mut fifo,
+                Scheduling::Fifo,
+                |x| x.0,
+                |_| unreachable!("FIFO must not price"),
+            );
+            assert!(none.is_empty());
+            assert_eq!(fifo, arrived);
+        }
     }
 
     #[test]
     fn containment_run_is_at_least_the_duplicate_run() {
         let mut batch = vec![q(0, 1, 9), q(0, 1, 9), q(0, 2, 5), q(0, 1, 9)];
-        order_batch(&mut batch, Scheduling::CrackAware, |x| *x);
+        order_batch(&mut batch, Scheduling::CrackAware, |x| *x, flat);
         let dup = duplicate_run_len(&batch, |x| *x);
         let cont = containment_run_len(&batch, |x| *x);
         assert_eq!(dup, 3);

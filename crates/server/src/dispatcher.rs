@@ -58,11 +58,27 @@
 //! [`Calibrator`] seeded from [`ServiceConfig::cost`], and with
 //! [`ServiceConfig::calibration`] each dispatcher feeds its plain-path
 //! service times back so the knobs track the actual machine (inside
-//! `[seed/4, seed*4]` guard rails). Crack-aware batches additionally
-//! drain cheapest-first: members are priced and exact-hits/screened
-//! probes execute ahead of expensive cold cracks.
+//! `[seed/4, seed*4]` guard rails).
+//!
+//! **Where a price is computed, and how long it is trusted.** A session
+//! prices a submission only where it decides something (a spanning range
+//! under `CostBased`, a full queue under `CostAware`, a FIFO rejection
+//! being classified); the common admitted submission is never priced. A
+//! dispatcher prices a crack-aware batch once, while ordering it
+//! ([`order_batch`]): one estimate per *distinct* predicate, exact-hits
+//! and screened probes draining ahead of expensive cold cracks. That price
+//! is trusted until the run's head executes and serves the cutover, the
+//! calibrator observation and the trace record alike — with one exception:
+//! a price that promised cracking (neither an exact hit nor screened) is
+//! read again just before its head executes, because an earlier member of
+//! the same batch may have cracked the very piece and the calibrator must
+//! not learn from `crack_values` the execution never paid. An exact hit
+//! cannot go stale that way: boundaries are never removed. A FIFO batch is
+//! not ordered, so its heads arrive unpriced and are priced there exactly
+//! when the cutover, the calibrator or the trace reads the price — a
+//! cost-blind, untraced bed prices nothing.
 
-use crate::batcher::{containment_run_len, duplicate_run_len, order_batch_priced, Scheduling};
+use crate::batcher::{containment_run_len, duplicate_run_len, order_batch, Scheduling};
 use crate::queue::{AdmissionPolicy, BoundedQueue, SubmitError};
 use crate::session::{MergeState, QueryResult, SessionHandle, SessionRegistry, Ticket};
 use crate::stats::{PlanDecision, ServiceStats, StatsSummary};
@@ -182,13 +198,7 @@ impl Sink {
     /// Delivers one count. A direct sink completes its ticket and records
     /// the completion; a part sink folds into the merge, recording the
     /// parent's single completion when the last part lands.
-    fn complete(
-        &self,
-        stats: &ServiceStats,
-        enqueued: Instant,
-        count: u64,
-        service: std::time::Duration,
-    ) {
+    fn complete(&self, stats: &ServiceStats, enqueued: Instant, count: u64, service: Duration) {
         match self {
             Sink::Direct(ticket) => {
                 let latency = enqueued.elapsed();
@@ -215,18 +225,92 @@ struct QueuedQuery {
     enqueued: Instant,
 }
 
+/// What the service, its sessions and its dispatcher threads all read,
+/// behind one `Arc`.
+struct Shared {
+    /// One queue in shared mode; one per worker in affinity mode.
+    queues: Vec<BoundedQueue<QueuedQuery>>,
+    engine: Arc<dyn QueryEngine>,
+    stats: ServiceStats,
+    /// Seeded from `config.cost`; when calibration is off nothing ever
+    /// observes, so `model()` is exactly the seed and behaviour matches
+    /// the fixed-constant service.
+    calibrator: Calibrator,
+    accountant: Option<Arc<LoadAccountant>>,
+    config: ServiceConfig,
+}
+
+impl Shared {
+    fn new(
+        engine: Arc<dyn QueryEngine>,
+        accountant: Option<Arc<LoadAccountant>>,
+        config: ServiceConfig,
+    ) -> Self {
+        let queue_count = if config.affinity {
+            config.workers.max(1)
+        } else {
+            1
+        };
+        Shared {
+            queues: (0..queue_count)
+                .map(|_| BoundedQueue::new(config.queue_capacity, config.admission))
+                .collect(),
+            engine,
+            stats: ServiceStats::new(),
+            calibrator: Calibrator::new(config.cost),
+            accountant,
+            config,
+        }
+    }
+
+    /// Plan-time price of `spec` under the calibrated model (`None`: the
+    /// engine keeps no plan statistics).
+    fn price(&self, spec: &QuerySpec) -> Option<QueryPrice> {
+        let cost = self.engine.estimate_cost(spec)?;
+        Some(cost.price(&self.calibrator.model()))
+    }
+
+    /// The one place a lifecycle record is assembled. `cost` is the price
+    /// the execution was decided on (`None` on a cost-blind path: the
+    /// prediction and work columns read 0) and the predicted time is for
+    /// the path `route` names. The record is that of a query nobody
+    /// batched — [`trace_run`] fills in the columns a drained run adds.
+    fn trace(
+        &self,
+        spec: &QuerySpec,
+        admit: AdmitOutcome,
+        route: TraceRoute,
+        cost: Option<&PlanCost>,
+        service: Duration,
+    ) -> QueryTrace {
+        let taken = match route {
+            TraceRoute::Snapshot => Route::Snapshot,
+            TraceRoute::Locked | TraceRoute::Screened => Route::Locked,
+        };
+        QueryTrace {
+            seq: 0,
+            attr: spec.attr as u32,
+            admit,
+            queue_wait_ns: 0,
+            // Shed: in no batch. Executed inline: a batch of one.
+            batch_len: u32::from(admit != AdmitOutcome::Shed),
+            coalesce: CoalesceKind::Solo,
+            route,
+            plan_version: self.engine.plan_version(spec),
+            predicted_ns: cost.map_or(0, |c| self.calibrator.predicted_ns(c, taken)),
+            actual_ns: service.as_nanos() as u64,
+            crack_values: cost.map_or(0, |c| c.crack_values),
+            decode_rows: cost.map_or(0, |c| c.decode_rows),
+        }
+    }
+}
+
 /// A running query service over one engine.
 pub struct QueryService {
-    /// One queue in shared mode; one per worker in affinity mode.
-    queues: Vec<Arc<BoundedQueue<QueuedQuery>>>,
-    engine: Arc<dyn QueryEngine>,
-    stats: Arc<ServiceStats>,
+    shared: Arc<Shared>,
     registry: Arc<SessionRegistry>,
     workers: Vec<std::thread::JoinHandle<()>>,
     started: Instant,
-    admission: AdmissionPolicy,
-    decompose: DecomposePolicy,
-    calibrator: Arc<Calibrator>,
 }
 
 impl QueryService {
@@ -238,70 +322,29 @@ impl QueryService {
         accountant: Option<Arc<LoadAccountant>>,
         config: ServiceConfig,
     ) -> Self {
-        let worker_count = config.workers.max(1);
-        let queue_count = if config.affinity { worker_count } else { 1 };
-        let queues: Vec<Arc<BoundedQueue<QueuedQuery>>> = (0..queue_count)
-            .map(|_| Arc::new(BoundedQueue::new(config.queue_capacity, config.admission)))
-            .collect();
-        let stats = Arc::new(ServiceStats::new());
-        // Seeded from the configured constants; when calibration is off
-        // nothing ever observes, so `model()` is exactly the seed and
-        // behaviour matches the fixed-constant service.
-        let calibrator = Arc::new(Calibrator::new(config.cost));
-        let workers = (0..worker_count)
+        let shared = Arc::new(Shared::new(engine, accountant, config));
+        let workers = (0..shared.config.workers.max(1))
             .map(|w| {
-                let queue = Arc::clone(&queues[w % queue_count]);
-                let stats = Arc::clone(&stats);
-                let engine = Arc::clone(&engine);
-                let accountant = accountant.clone();
-                let scheduling = config.scheduling;
-                let batch_max = config.batch_max.max(1);
-                let contexts = config.contexts_per_worker;
-                let calibrator = Arc::clone(&calibrator);
-                let calibration = config.calibration;
-                let cutover = config.cutover;
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("holix-dispatch-{w}"))
-                    .spawn(move || {
-                        dispatch_loop(
-                            &queue,
-                            &stats,
-                            engine.as_ref(),
-                            accountant.as_ref(),
-                            scheduling,
-                            batch_max,
-                            contexts,
-                            cutover,
-                            &calibrator,
-                            calibration,
-                        )
-                    })
+                    .spawn(move || dispatch_loop(&shared, &shared.queues[w % shared.queues.len()]))
                     .expect("failed to spawn dispatcher")
             })
             .collect();
         QueryService {
-            queues,
-            engine,
-            stats,
+            shared,
             registry: Arc::new(SessionRegistry::new()),
             workers,
             started: Instant::now(),
-            admission: config.admission,
-            decompose: config.decompose,
-            calibrator,
         }
     }
 
     /// Opens a client session.
     pub fn session(&self) -> Session {
         Session {
-            queues: self.queues.clone(),
-            engine: Arc::clone(&self.engine),
-            stats: Arc::clone(&self.stats),
+            shared: Arc::clone(&self.shared),
             handle: self.registry.open(),
-            admission: self.admission,
-            decompose: self.decompose,
-            calibrator: Arc::clone(&self.calibrator),
         }
     }
 
@@ -312,18 +355,18 @@ impl QueryService {
 
     /// The shared cost-model calibrator (its `model()` is the seed until
     /// [`ServiceConfig::calibration`] feeds it observations).
-    pub fn calibrator(&self) -> &Arc<Calibrator> {
-        &self.calibrator
+    pub fn calibrator(&self) -> &Calibrator {
+        &self.shared.calibrator
     }
 
     /// Queries currently waiting for a dispatcher (summed over queues).
     pub fn queue_depth(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.shared.queues.iter().map(|q| q.len()).sum()
     }
 
     /// Metrics snapshot over the service's lifetime so far.
     pub fn stats(&self) -> StatsSummary {
-        self.stats.summary(self.started.elapsed())
+        self.shared.stats.summary(self.started.elapsed())
     }
 
     /// Starts a fresh measurement window: every counter rebases and the
@@ -331,26 +374,26 @@ impl QueryService {
     /// harnesses call this per interleaved rep so per-bed comparisons are
     /// never cumulative.
     pub fn reset_window(&self) {
-        self.stats.reset_window();
+        self.shared.stats.reset_window();
     }
 
     /// Stops admission, drains every queued query, joins the dispatchers
     /// and returns the final metrics. Every ticket issued before shutdown
     /// is completed.
     pub fn shutdown(mut self) -> StatsSummary {
-        for q in &self.queues {
+        for q in &self.shared.queues {
             q.close();
         }
         for w in self.workers.drain(..) {
             w.join().expect("dispatcher panicked");
         }
-        self.stats.summary(self.started.elapsed())
+        self.shared.stats.summary(self.started.elapsed())
     }
 }
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        for q in &self.queues {
+        for q in &self.shared.queues {
             q.close();
         }
         for w in self.workers.drain(..) {
@@ -362,13 +405,8 @@ impl Drop for QueryService {
 /// A client's connection to the service. Cheap to create, `Send`, and safe
 /// to use from its own thread.
 pub struct Session {
-    queues: Vec<Arc<BoundedQueue<QueuedQuery>>>,
-    engine: Arc<dyn QueryEngine>,
-    stats: Arc<ServiceStats>,
+    shared: Arc<Shared>,
     handle: SessionHandle,
-    admission: AdmissionPolicy,
-    decompose: DecomposePolicy,
-    calibrator: Arc<Calibrator>,
 }
 
 impl Session {
@@ -384,11 +422,12 @@ impl Session {
     /// into per-shard sub-queries, each on its pinned worker's queue,
     /// completed under one merge ticket.
     pub fn submit(&self, spec: QuerySpec) -> Result<Ticket, SubmitError> {
+        let shared = &*self.shared;
         // Spanning check first (two partition-point lookups on the
         // immutable shard plan), cost estimate only for ranges that
         // actually span — narrow traffic must not pay plan pricing twice.
-        if self.queues.len() > 1 && self.decompose != DecomposePolicy::Off {
-            if let Some(parts) = self.engine.decompose(&spec) {
+        if shared.queues.len() > 1 && shared.config.decompose != DecomposePolicy::Off {
+            if let Some(parts) = shared.engine.decompose(&spec) {
                 if self.should_decompose(&spec) {
                     return self.submit_decomposed(parts);
                 }
@@ -397,28 +436,30 @@ impl Session {
         let ticket = Ticket::new();
         match self.submit_part(spec, Sink::Direct(ticket.clone()), true) {
             Ok(()) => {
-                self.stats.record_submitted();
+                shared.stats.record_submitted();
                 Ok(ticket)
             }
             Err(e) => {
                 if e == SubmitError::Rejected {
-                    self.stats.record_rejected();
-                    self.trace_shed(&spec);
+                    shared.stats.record_rejected();
+                    // Rejections never reach a dispatcher, so the shed
+                    // site is the only place that can trace them.
+                    if holix_telemetry::trace_enabled() {
+                        let (admit, route) = (AdmitOutcome::Shed, TraceRoute::Locked);
+                        let shed = shared.trace(&spec, admit, route, None, Duration::ZERO);
+                        holix_telemetry::registry().trace().record(shed);
+                    }
                     // Classify what FIFO shedding turned away so beds can
                     // be compared: price-aware admission records its own
                     // (finer) decisions at the shed site instead.
-                    if self.admission != AdmissionPolicy::CostAware {
-                        let decision = match self
-                            .engine
-                            .estimate_cost(&spec)
-                            .map(|c| c.price(&self.calibrator.model()))
-                        {
+                    if shared.config.admission != AdmissionPolicy::CostAware {
+                        let decision = match shared.price(&spec) {
                             Some(QueryPrice::Cheap) | Some(QueryPrice::Screened) => {
                                 PlanDecision::ShedCheap
                             }
                             _ => PlanDecision::ShedExpensive,
                         };
-                        self.stats.record_decision(decision);
+                        shared.stats.record_decision(decision);
                     }
                 }
                 Err(e)
@@ -435,22 +476,20 @@ impl Session {
     /// consults the plan: only spans the model prices Expensive carry
     /// enough per-shard work to pay for the merge ticket.)
     fn should_decompose(&self, spec: &QuerySpec) -> bool {
-        match self.decompose {
+        match self.shared.config.decompose {
             DecomposePolicy::Off => false,
             DecomposePolicy::Always => true,
-            DecomposePolicy::CostBased => self
-                .engine
-                .estimate_cost(spec)
-                .is_some_and(|c| c.price(&self.calibrator.model()) == QueryPrice::Expensive),
+            DecomposePolicy::CostBased => self.shared.price(spec) == Some(QueryPrice::Expensive),
         }
     }
 
     /// The queue `spec` routes to (its home shard's pinned worker).
     fn queue_for(&self, spec: &QuerySpec) -> &BoundedQueue<QueuedQuery> {
-        if self.queues.len() > 1 {
-            &self.queues[(self.engine.routing_key(spec) % self.queues.len() as u64) as usize]
+        let queues = &self.shared.queues;
+        if queues.len() > 1 {
+            &queues[(self.shared.engine.routing_key(spec) % queues.len() as u64) as usize]
         } else {
-            &self.queues[0]
+            &queues[0]
         }
     }
 
@@ -470,11 +509,11 @@ impl Session {
             sink,
             enqueued: Instant::now(),
         };
-        match self.admission {
+        match self.shared.config.admission {
             AdmissionPolicy::Block | AdmissionPolicy::Reject => {
                 let res = self.queue_for(&spec).push(queued);
                 if res.is_ok() {
-                    self.stats.queue_enqueued(1);
+                    self.shared.stats.queue_enqueued(1);
                 }
                 res
             }
@@ -491,79 +530,64 @@ impl Session {
     /// the workers entirely. Only expensive queries with no viable
     /// snapshot are shed.
     fn cost_aware_submit(&self, queued: QueuedQuery, record_shed: bool) -> Result<(), SubmitError> {
+        let stats = &self.shared.stats;
         let queue = self.queue_for(&queued.spec);
-        let queued = match queue.try_push(queued) {
+        let mut queued = match queue.try_push(queued) {
             Ok(()) => {
-                self.stats.queue_enqueued(1);
+                stats.queue_enqueued(1);
                 return Ok(());
             }
             Err((_, SubmitError::Closed)) => return Err(SubmitError::Closed),
             Err((q, _)) => q,
         };
-        let model = self.calibrator.model();
-        let cost = self.engine.estimate_cost(&queued.spec);
-        let price = cost
-            .as_ref()
-            .map(|c| c.price(&model))
-            .unwrap_or(QueryPrice::Expensive);
-        match price {
-            QueryPrice::Screened => {
-                // The membership filter already proved the probe's shard
-                // non-containing: execution is a lock-free filter probe
-                // plus bookkeeping, cheaper than any queue handoff — so a
-                // screened probe never spends a queue slot, even when the
-                // queue has room for it on retry. Near-free by
-                // construction, never shed.
-                self.stats.record_decision(PlanDecision::ScreenedInline);
-                self.execute_inline(
-                    queued,
-                    TraceRoute::Screened,
-                    AdmitOutcome::Inline,
-                    cost.as_ref(),
-                );
-                Ok(())
-            }
-            QueryPrice::Cheap => {
-                let slack = (queue.capacity() / 4).max(1);
-                match queue.push_with_slack(queued, slack) {
-                    Ok(()) => {
-                        self.stats.queue_enqueued(1);
-                        self.stats.record_decision(PlanDecision::CheapAdmitted);
-                        Ok(())
-                    }
-                    Err((_, SubmitError::Closed)) => Err(SubmitError::Closed),
-                    Err((queued, _)) => {
-                        // Even the reserve is full: an exact hit is cheap
-                        // enough to answer right here.
-                        self.stats.record_decision(PlanDecision::CheapAdmitted);
-                        self.execute_inline(
-                            queued,
-                            TraceRoute::Locked,
-                            AdmitOutcome::Inline,
-                            cost.as_ref(),
-                        );
-                        Ok(())
-                    }
+        let model = self.shared.calibrator.model();
+        let cost = self.shared.engine.estimate_cost(&queued.spec);
+        let price = cost.map_or(QueryPrice::Expensive, |c| c.price(&model));
+        let slack = (queue.capacity() / 4).max(1);
+        let (decision, route, admit) = match price {
+            // The membership filter already proved the probe's shard
+            // non-containing: execution is a lock-free filter probe plus
+            // bookkeeping, cheaper than any queue handoff — so a screened
+            // probe never spends a queue slot, even when the queue has
+            // room for it on retry. Near-free by construction, never shed.
+            QueryPrice::Screened => (
+                PlanDecision::ScreenedInline,
+                TraceRoute::Screened,
+                AdmitOutcome::Inline,
+            ),
+            QueryPrice::Cheap => match queue.push_with_slack(queued, slack) {
+                Ok(()) => {
+                    stats.queue_enqueued(1);
+                    stats.record_decision(PlanDecision::CheapAdmitted);
+                    return Ok(());
                 }
-            }
+                Err((_, SubmitError::Closed)) => return Err(SubmitError::Closed),
+                // Even the reserve is full: an exact hit is cheap enough
+                // to answer right here.
+                Err((back, _)) => {
+                    queued = back;
+                    (
+                        PlanDecision::CheapAdmitted,
+                        TraceRoute::Locked,
+                        AdmitOutcome::Inline,
+                    )
+                }
+            },
+            QueryPrice::Expensive if cost.is_some_and(|c| c.downgradable(&model)) => (
+                PlanDecision::DowngradedSnapshot,
+                TraceRoute::Snapshot,
+                AdmitOutcome::Downgraded,
+            ),
             QueryPrice::Expensive => {
-                if cost.as_ref().is_some_and(|c| c.downgradable(&model)) {
-                    self.stats.record_decision(PlanDecision::DowngradedSnapshot);
-                    self.execute_inline(
-                        queued,
-                        TraceRoute::Snapshot,
-                        AdmitOutcome::Downgraded,
-                        cost.as_ref(),
-                    );
-                    Ok(())
-                } else {
-                    if record_shed {
-                        self.stats.record_decision(PlanDecision::ShedExpensive);
-                    }
-                    Err(SubmitError::Rejected)
+                if record_shed {
+                    stats.record_decision(PlanDecision::ShedExpensive);
                 }
+                return Err(SubmitError::Rejected);
             }
-        }
+        };
+        stats.record_decision(decision);
+        self.execute_inline(queued, route, admit, cost.as_ref());
+        Ok(())
     }
 
     /// Spanning-query decomposition: one merge ticket over per-shard
@@ -575,14 +599,14 @@ impl Session {
     /// The parent ticket therefore always completes.
     fn submit_decomposed(&self, parts: Vec<QuerySpec>) -> Result<Ticket, SubmitError> {
         let (state, ticket) = MergeState::new(parts.len());
-        self.stats.record_decomposed(parts.len());
-        self.stats.record_submitted();
+        self.shared.stats.record_decomposed(parts.len());
+        self.shared.stats.record_submitted();
         for spec in parts {
             if self
                 .submit_part(spec, Sink::Part(Arc::clone(&state)), false)
                 .is_err()
             {
-                self.stats.record_decomp_inline();
+                self.shared.stats.record_decomp_inline();
                 self.execute_inline(
                     QueuedQuery {
                         spec,
@@ -609,63 +633,24 @@ impl Session {
         admit: AdmitOutcome,
         cost: Option<&PlanCost>,
     ) {
+        let shared = &*self.shared;
         let t0 = Instant::now();
         let count = match route {
-            TraceRoute::Snapshot => match self.engine.execute_snapshot(&queued.spec) {
+            TraceRoute::Snapshot => match shared.engine.execute_snapshot(&queued.spec) {
                 Some((count, _)) => count,
-                None => self.engine.execute(&queued.spec),
+                None => shared.engine.execute(&queued.spec),
             },
-            TraceRoute::Locked | TraceRoute::Screened => self.engine.execute(&queued.spec),
+            TraceRoute::Locked | TraceRoute::Screened => shared.engine.execute(&queued.spec),
         };
         let service = t0.elapsed();
-        self.stats.record_executed();
+        shared.stats.record_executed();
         if holix_telemetry::trace_enabled() {
-            let planner_route = match route {
-                TraceRoute::Snapshot => Route::Snapshot,
-                _ => Route::Locked,
-            };
-            holix_telemetry::registry().trace().record(QueryTrace {
-                seq: 0,
-                attr: queued.spec.attr as u32,
-                admit,
-                queue_wait_ns: 0, // inline: never queued
-                batch_len: 1,
-                coalesce: CoalesceKind::Solo,
-                route,
-                plan_version: self.engine.plan_version(&queued.spec),
-                predicted_ns: cost
-                    .map(|c| self.calibrator.predicted_ns(c, planner_route))
-                    .unwrap_or(0),
-                actual_ns: service.as_nanos() as u64,
-                crack_values: cost.map_or(0, |c| c.crack_values),
-                decode_rows: cost.map_or(0, |c| c.decode_rows),
-            });
+            let inline = shared.trace(&queued.spec, admit, route, cost, service);
+            holix_telemetry::registry().trace().record(inline);
         }
         queued
             .sink
-            .complete(&self.stats, queued.enqueued, count, service);
-    }
-
-    /// Records a load-shed lifecycle in the trace ring (rejections never
-    /// reach a dispatcher, so the shed site is the only place that sees
-    /// them).
-    fn trace_shed(&self, spec: &QuerySpec) {
-        if holix_telemetry::trace_enabled() {
-            holix_telemetry::registry().trace().record(QueryTrace {
-                seq: 0,
-                attr: spec.attr as u32,
-                admit: AdmitOutcome::Shed,
-                queue_wait_ns: 0,
-                batch_len: 0,
-                coalesce: CoalesceKind::Solo,
-                route: TraceRoute::Locked,
-                plan_version: self.engine.plan_version(spec),
-                predicted_ns: 0,
-                actual_ns: 0,
-                crack_values: 0,
-                decode_rows: 0,
-            });
-        }
+            .complete(&shared.stats, queued.enqueued, count, service);
     }
 }
 
@@ -674,7 +659,7 @@ fn complete_run(
     stats: &ServiceStats,
     run: &[QueuedQuery],
     count_of: impl Fn(&QuerySpec) -> u64,
-    service_time: std::time::Duration,
+    service_time: Duration,
 ) {
     for q in run {
         q.sink
@@ -682,92 +667,70 @@ fn complete_run(
     }
 }
 
-/// Records one lifecycle trace per member of a completed dispatch run.
-/// The head (the spec that actually executed) is `Solo`; every coalesced
-/// member behind it carries `kind`. Only called with tracing enabled.
-#[allow(clippy::too_many_arguments)]
-fn trace_run(
-    engine: &dyn QueryEngine,
-    calibrator: &Calibrator,
-    run: &[QueuedQuery],
-    batch_len: u32,
-    drained: Instant,
-    route: TraceRoute,
-    est: Option<&PlanCost>,
-    taken: Route,
-    service_time: Duration,
-    kind: CoalesceKind,
-) {
+/// Records `record` — the head's execution — once per member of a
+/// completed dispatch run, marked by position: the first member is the
+/// execution (`Solo`), later members equal to it rode along as
+/// `Duplicate`s, strict subsets were answered from its values
+/// (`Containment`). Only called with tracing enabled.
+fn trace_run(run: &[QueuedQuery], batch_len: u32, drained: Instant, mut record: QueryTrace) {
     let ring = holix_telemetry::registry().trace();
     let head = run[0].spec;
-    let plan_version = engine.plan_version(&head);
-    let predicted_ns = est.map_or(0, |c| calibrator.predicted_ns(c, taken));
-    let actual_ns = service_time.as_nanos() as u64;
-    let (crack_values, decode_rows) = est.map_or((0, 0), |c| (c.crack_values, c.decode_rows));
-    for q in run {
-        ring.record(QueryTrace {
-            seq: 0,
-            attr: q.spec.attr as u32,
-            admit: AdmitOutcome::Queued,
-            queue_wait_ns: drained.saturating_duration_since(q.enqueued).as_nanos() as u64,
-            batch_len,
-            coalesce: if q.spec == head {
-                CoalesceKind::Solo
-            } else {
-                kind
-            },
-            route,
-            plan_version,
-            predicted_ns,
-            actual_ns,
-            crack_values,
-            decode_rows,
-        });
+    record.batch_len = batch_len;
+    for (i, q) in run.iter().enumerate() {
+        record.queue_wait_ns = drained.saturating_duration_since(q.enqueued).as_nanos() as u64;
+        record.coalesce = match i {
+            0 => CoalesceKind::Solo,
+            _ if q.spec == head => CoalesceKind::Duplicate,
+            _ => CoalesceKind::Containment,
+        };
+        ring.record(record);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch_loop(
-    queue: &BoundedQueue<QueuedQuery>,
-    stats: &ServiceStats,
-    engine: &dyn QueryEngine,
-    accountant: Option<&Arc<LoadAccountant>>,
-    scheduling: Scheduling,
-    batch_max: usize,
-    contexts: usize,
-    cutover: bool,
-    calibrator: &Calibrator,
-    calibration: bool,
-) {
-    while let Some(mut batch) = queue.drain_up_to(batch_max) {
+fn dispatch_loop(shared: &Shared, queue: &BoundedQueue<QueuedQuery>) {
+    use AdmitOutcome::Queued;
+    let (stats, calibrator, config) = (&shared.stats, &shared.calibrator, &shared.config);
+    let engine = shared.engine.as_ref();
+    while let Some(mut batch) = queue.drain_up_to(config.batch_max) {
         let drained = Instant::now();
         stats.queue_drained(batch.len());
         let batch_len = batch.len() as u32;
         // Busy from drain to last completion; dropped while blocked on an
         // empty queue so an idle service leaves its contexts to the daemon.
-        let _busy = accountant.map(|a| a.begin_task(contexts));
+        let _busy = shared
+            .accountant
+            .as_ref()
+            .map(|a| a.begin_task(config.contexts_per_worker));
         // One model copy per batch: every member is priced against the
         // same constants even while the calibrator republishes.
         let model = calibrator.model();
-        // Cheapest-first crack-aware ordering: the plan prices each
-        // member, exact-hits and screened probes (class 0) drain ahead of
-        // expensive cold cracks (class 1). Duplicates share a spec, hence
-        // a price — coalescing runs survive the class split intact.
-        order_batch_priced(
+        // The batch's pricing step: one estimate per distinct predicate.
+        // Exact-hits and screened probes (class 0) drain ahead of
+        // expensive cold cracks (class 1); `prices[i]` is `batch[i]`'s.
+        let prices = order_batch(
             &mut batch,
-            scheduling,
+            config.scheduling,
             |q| q.spec,
-            |spec| match engine.estimate_cost(spec).map(|c| c.price(&model)) {
-                Some(QueryPrice::Screened) | Some(QueryPrice::Cheap) => 0,
-                _ => 1,
+            |spec| {
+                let cost = engine.estimate_cost(spec);
+                let class = match cost.map(|c| c.price(&model)) {
+                    Some(QueryPrice::Screened) | Some(QueryPrice::Cheap) => 0,
+                    _ => 1,
+                };
+                (class, cost)
             },
         );
-        let mut rest = batch.as_slice();
-        while !rest.is_empty() {
+        let mut at = 0;
+        while at < batch.len() {
+            let rest = &batch[at..];
             let head = rest[0].spec;
+            // Outer `None`: FIFO, nobody priced the batch. Inner `None`:
+            // priced, but the engine keeps no plan statistics.
+            let priced: Option<Option<PlanCost>> = prices.get(at).copied();
+            let tracing = holix_telemetry::trace_enabled();
             // Under crack-aware ordering the widest predicate of a group
             // leads; FIFO keeps run length 1 unless clients aligned.
-            let (dup, contained) = match scheduling {
+            let (dup, contained) = match config.scheduling {
                 Scheduling::Fifo => (1, 1),
                 Scheduling::CrackAware => (
                     duplicate_run_len(rest, |q| q.spec),
@@ -808,41 +771,33 @@ fn dispatch_loop(
                         },
                         service_time,
                     );
-                    if holix_telemetry::trace_enabled() {
-                        trace_run(
-                            engine,
-                            calibrator,
-                            &rest[..contained],
-                            batch_len,
-                            drained,
-                            TraceRoute::Snapshot,
-                            engine.estimate_cost(&head).as_ref(),
-                            Route::Snapshot,
-                            service_time,
-                            CoalesceKind::Containment,
-                        );
+                    if tracing {
+                        let (cost, route) = (priced.flatten(), TraceRoute::Snapshot);
+                        let record =
+                            shared.trace(&head, Queued, route, cost.as_ref(), service_time);
+                        trace_run(&rest[..contained], batch_len, drained, record);
                     }
-                    rest = &rest[contained..];
+                    at += contained;
                     continue;
                 }
             }
             // Plain path: execute the head once, fan the count out to the
-            // exact-duplicate run. The snapshot/locked cutover consults
-            // the plan first — a read-only query routes through the
-            // lock-free snapshot path exactly when the model prices its
-            // refreshed edge pieces below the locked crack.
+            // exact-duplicate run. The price the batch was ordered by is
+            // the price here, unless it promised cracking — then an earlier
+            // run may have cracked its piece and it is read again (module
+            // header). FIFO heads arrive unpriced and pay only when read.
             let t0 = Instant::now();
-            let est = if cutover || calibration {
-                engine.estimate_cost(&head)
-            } else {
-                None
+            let est = match priced {
+                Some(p) if p.is_none_or(|c| c.exact_hit || c.screened) => p,
+                _ if config.cutover || config.calibration || tracing => engine.estimate_cost(&head),
+                _ => None,
             };
-            let route = if cutover {
-                est.as_ref()
-                    .map(|c| c.preferred_route(&model))
-                    .unwrap_or(Route::Locked)
-            } else {
-                Route::Locked
+            // The snapshot/locked cutover: a read-only query routes
+            // through the lock-free snapshot path exactly when the model
+            // prices its refreshed edge pieces below the locked crack.
+            let route = match est.as_ref() {
+                Some(cost) if config.cutover => cost.preferred_route(&model),
+                _ => Route::Locked,
             };
             // `taken` is the path actually executed: a snapshot route can
             // fall back to the locked crack, and the calibrator must
@@ -858,41 +813,23 @@ fn dispatch_loop(
                 Route::Locked => (engine.execute(&head), Route::Locked),
             };
             let service_time = t0.elapsed();
-            if calibration {
+            if config.calibration {
                 if let Some(est) = est.as_ref() {
                     calibrator.observe(est, taken, service_time.as_nanos() as u64);
                 }
             }
             stats.record_executed();
             complete_run(stats, &rest[..dup], |_| count, service_time);
-            if holix_telemetry::trace_enabled() {
-                // Cost-blind beds compute no estimate on the hot path;
-                // tracing pays for its own (plan pricing is lock-free).
-                let owned = if est.is_none() {
-                    engine.estimate_cost(&head)
-                } else {
-                    None
-                };
-                let tcost = est.as_ref().or(owned.as_ref());
+            if tracing {
                 let route = match taken {
                     Route::Snapshot => TraceRoute::Snapshot,
-                    Route::Locked if tcost.is_some_and(|c| c.screened) => TraceRoute::Screened,
+                    Route::Locked if est.is_some_and(|c| c.screened) => TraceRoute::Screened,
                     Route::Locked => TraceRoute::Locked,
                 };
-                trace_run(
-                    engine,
-                    calibrator,
-                    &rest[..dup],
-                    batch_len,
-                    drained,
-                    route,
-                    tcost,
-                    taken,
-                    service_time,
-                    CoalesceKind::Duplicate,
-                );
+                let record = shared.trace(&head, Queued, route, est.as_ref(), service_time);
+                trace_run(&rest[..dup], batch_len, drained, record);
             }
-            rest = &rest[dup..];
+            at += dup;
         }
         stats.record_busy(drained.elapsed());
     }
@@ -1400,7 +1337,7 @@ mod tests {
         for q in &queries {
             assert_eq!(session.execute(*q).unwrap().count, oracle(&data, q));
         }
-        let cal = Arc::clone(service.calibrator());
+        let cal = service.calibrator();
         assert!(
             cal.observations() >= Calibrator::REPUBLISH_EVERY,
             "dispatchers observed only {} executions",
@@ -1521,9 +1458,23 @@ mod tests {
         assert_eq!(accountant.busy(), 0, "task guards leaked");
     }
 
+    /// Serialises the tests that switch the process-wide trace flag on or
+    /// assert on what runs while it is off. Tests outside this lock only
+    /// touch attributes 0 and 1; the ones inside mark their queries with a
+    /// higher attribute and read the ring from a watermark.
+    static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Records of `attr` written since `watermark`, oldest first.
+    fn traces_since(watermark: u64, attr: u32) -> Vec<QueryTrace> {
+        let mut traces = holix_telemetry::registry().trace().snapshot();
+        traces.retain(|t| t.seq >= watermark && t.attr == attr);
+        traces
+    }
+
     #[test]
     fn trace_ring_records_query_lifecycles() {
-        let data = Dataset::new(uniform_table(1, 20_000, 10_000, 51));
+        let _serial = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+        let data = Dataset::new(uniform_table(3, 20_000, 10_000, 51));
         let mut cfg = HolisticEngineConfig::split_half(2);
         cfg.holistic.monitor_interval = Duration::from_millis(50);
         let eng = Arc::new(HolisticEngine::new(data.clone(), cfg));
@@ -1536,10 +1487,11 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
+        let watermark = holix_telemetry::registry().trace().recorded();
         holix_telemetry::set_trace_enabled(true);
         let session = service.session();
         let marker = QuerySpec {
-            attr: 0,
+            attr: 2,
             lo: 777,
             hi: 4_777,
         };
@@ -1553,15 +1505,272 @@ mod tests {
         service.shutdown();
         holix_telemetry::set_trace_enabled(false);
         eng.stop();
-        // The ring is global; other concurrently-running tests leave
-        // tracing off, so our marker predicate's record must be present
-        // with a full lifecycle attached.
-        let traces = holix_telemetry::registry().trace().recent(256);
+        // The ring is global, but the marker's attribute is ours alone:
+        // its record must be present with a full lifecycle attached.
+        let traces = traces_since(watermark, 2);
         let t = traces
             .iter()
             .find(|t| t.admit == AdmitOutcome::Queued && t.actual_ns > 0 && t.batch_len >= 1)
             .expect("no queued lifecycle trace was recorded");
         assert_eq!(t.coalesce, CoalesceKind::Solo);
+    }
+
+    /// Forwards to a holistic engine and counts the plan-time estimates
+    /// the service asks it for.
+    struct Counting {
+        inner: Arc<HolisticEngine>,
+        estimates: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Counting {
+        fn over(data: &Dataset) -> Arc<Counting> {
+            let mut cfg = HolisticEngineConfig::split_half(2);
+            cfg.holistic.monitor_interval = Duration::from_millis(50);
+            Arc::new(Counting {
+                inner: Arc::new(HolisticEngine::new(data.clone(), cfg)),
+                estimates: Default::default(),
+            })
+        }
+
+        /// Cracks `specs` into the index and publishes the statistics, so
+        /// every one of them prices as an exact hit from here on.
+        fn converge(&self, specs: &[QuerySpec]) {
+            for q in specs {
+                self.inner.execute(q);
+                let col = self.inner.sharded(q.attr);
+                for k in 0..col.shard_count() {
+                    col.shard(k).publish_stats();
+                }
+            }
+            for q in specs {
+                assert!(self.inner.estimate_cost(q).unwrap().exact_hit, "{q:?}");
+            }
+        }
+
+        fn estimates(&self) -> usize {
+            self.estimates.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl QueryEngine for Counting {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn capabilities(&self) -> holix_engine::api::Capabilities {
+            self.inner.capabilities()
+        }
+        fn execute(&self, q: &QuerySpec) -> u64 {
+            self.inner.execute(q)
+        }
+        fn execute_verified(&self, q: &QuerySpec) -> (u64, i128) {
+            self.inner.execute_verified(q)
+        }
+        fn plan_version(&self, q: &QuerySpec) -> u64 {
+            QueryEngine::plan_version(self.inner.as_ref(), q)
+        }
+        fn execute_snapshot(&self, q: &QuerySpec) -> Option<(u64, i128)> {
+            self.inner.execute_snapshot(q)
+        }
+        fn execute_collect_snapshot(&self, q: &QuerySpec) -> SnapshotCollect {
+            self.inner.execute_collect_snapshot(q)
+        }
+        fn estimate_cost(&self, q: &QuerySpec) -> Option<PlanCost> {
+            self.estimates
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.estimate_cost(q)
+        }
+    }
+
+    /// Queues `specs` on a fresh service's one queue, closes it and runs a
+    /// dispatcher on this thread: exactly one drained batch, whatever the
+    /// scheduler does. Returns the counts, in submission order.
+    fn dispatch_one_batch(
+        engine: Arc<dyn QueryEngine>,
+        config: ServiceConfig,
+        specs: &[QuerySpec],
+    ) -> Vec<u64> {
+        assert!(specs.len() <= config.batch_max.min(config.queue_capacity));
+        let shared = Shared::new(engine, None, config);
+        let tickets: Vec<Ticket> = specs
+            .iter()
+            .map(|&spec| {
+                let ticket = Ticket::new();
+                let queued = QueuedQuery {
+                    spec,
+                    sink: Sink::Direct(ticket.clone()),
+                    enqueued: Instant::now(),
+                };
+                assert!(shared.queues[0].push(queued).is_ok());
+                ticket
+            })
+            .collect();
+        shared.queues[0].close();
+        dispatch_loop(&shared, &shared.queues[0]);
+        tickets
+            .iter()
+            .map(|t| t.try_result().expect("dispatcher left a ticket open").count)
+            .collect()
+    }
+
+    fn window(attr: usize, lo: i64) -> QuerySpec {
+        QuerySpec {
+            attr,
+            lo,
+            hi: lo + 500,
+        }
+    }
+
+    #[test]
+    fn a_converged_batch_is_priced_once_per_distinct_predicate() {
+        let data = Dataset::new(uniform_table(1, 30_000, 10_000, 71));
+        let eng = Counting::over(&data);
+        let hot = [window(0, 1_000), window(0, 4_000), window(0, 7_000)];
+        eng.converge(&hot);
+        let specs: Vec<QuerySpec> = (0..48).map(|i| hot[i % 3]).collect();
+        let counts = dispatch_one_batch(
+            Arc::clone(&eng) as Arc<dyn QueryEngine>,
+            ServiceConfig::default(),
+            &specs,
+        );
+        eng.inner.stop();
+        for (q, count) in specs.iter().zip(counts) {
+            assert_eq!(count, oracle(&data, q), "{q:?}");
+        }
+        // One estimate per distinct predicate orders the batch, and each
+        // exact-hit head reuses it for the cutover: not one per member
+        // plus one per head.
+        assert_eq!(eng.estimates(), 3);
+    }
+
+    #[test]
+    fn a_cracking_head_is_priced_again_before_it_executes() {
+        let data = Dataset::new(uniform_table(1, 30_000, 10_000, 73));
+        let eng = Counting::over(&data);
+        let hot = [window(0, 1_000), window(0, 4_000)];
+        eng.converge(&hot);
+        // Three disjoint windows no query has cracked yet.
+        let cold = [window(0, 2_000), window(0, 5_000), window(0, 8_000)];
+        for q in &cold {
+            assert!(!eng.inner.estimate_cost(q).unwrap().exact_hit, "{q:?}");
+        }
+        let specs: Vec<QuerySpec> = (0..20)
+            .map(|i| {
+                if i % 5 < 2 {
+                    hot[i % 5]
+                } else {
+                    cold[i % 5 - 2]
+                }
+            })
+            .collect();
+        let counts = dispatch_one_batch(
+            Arc::clone(&eng) as Arc<dyn QueryEngine>,
+            ServiceConfig::default(),
+            &specs,
+        );
+        eng.inner.stop();
+        for (q, count) in specs.iter().zip(counts) {
+            assert_eq!(count, oracle(&data, q), "{q:?}");
+        }
+        // Five distinct predicates order the batch; the three whose price
+        // promised cracking are read again at their heads.
+        assert_eq!(eng.estimates(), 5 + 3);
+    }
+
+    #[test]
+    fn a_fifo_bed_prices_only_when_someone_reads_the_price() {
+        let _serial = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+        let data = Dataset::new(uniform_table(1, 30_000, 10_000, 79));
+        let specs: Vec<QuerySpec> = (0..6).map(|i| window(0, 1_000 * (i % 3 + 1))).collect();
+        for (cutover, want) in [(false, 0), (true, specs.len())] {
+            let eng = Counting::over(&data);
+            let counts = dispatch_one_batch(
+                Arc::clone(&eng) as Arc<dyn QueryEngine>,
+                ServiceConfig {
+                    scheduling: Scheduling::Fifo,
+                    cutover,
+                    calibration: false,
+                    ..ServiceConfig::default()
+                },
+                &specs,
+            );
+            eng.inner.stop();
+            for (q, count) in specs.iter().zip(counts) {
+                assert_eq!(count, oracle(&data, q), "{q:?}");
+            }
+            // Cost-blind and untraced: nobody reads a price, none is
+            // computed. With the cutover on, each head pays for its own.
+            assert_eq!(eng.estimates(), want, "cutover={cutover}");
+        }
+    }
+
+    #[test]
+    fn coalesced_members_are_traced_by_their_position_in_the_run() {
+        let _serial = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+        let data = Dataset::new(uniform_table(4, 20_000, 10_000, 83));
+        let eng = Counting::over(&data);
+        let engine = || Arc::clone(&eng) as Arc<dyn QueryEngine>;
+        let superset = QuerySpec {
+            attr: 3,
+            lo: 2_000,
+            hi: 6_000,
+        };
+        let subset = QuerySpec {
+            attr: 3,
+            lo: 3_000,
+            hi: 5_000,
+        };
+        let ring = holix_telemetry::registry().trace();
+        holix_telemetry::set_trace_enabled(true);
+
+        // Four identical submissions, one batch: one execution, three
+        // members riding along.
+        let watermark = ring.recorded();
+        let counts = dispatch_one_batch(engine(), ServiceConfig::default(), &[superset; 4]);
+        assert_eq!(counts, vec![oracle(&data, &superset); 4]);
+        let traces = traces_since(watermark, 3);
+        let kinds: Vec<CoalesceKind> = traces.iter().map(|t| t.coalesce).collect();
+        assert_eq!(
+            kinds,
+            [
+                CoalesceKind::Solo,
+                CoalesceKind::Duplicate,
+                CoalesceKind::Duplicate,
+                CoalesceKind::Duplicate
+            ]
+        );
+        assert!(traces[0].actual_ns > 0);
+        assert!(traces.iter().all(|t| t.actual_ns == traces[0].actual_ns));
+
+        // A superset, a strict subset and a repeat of the superset: the
+        // repeat is a duplicate of the head, the subset was post-filtered.
+        let watermark = ring.recorded();
+        let counts = dispatch_one_batch(
+            engine(),
+            ServiceConfig::default(),
+            &[superset, subset, superset],
+        );
+        holix_telemetry::set_trace_enabled(false);
+        eng.inner.stop();
+        assert_eq!(
+            counts,
+            [
+                oracle(&data, &superset),
+                oracle(&data, &subset),
+                oracle(&data, &superset)
+            ]
+        );
+        let kinds: Vec<CoalesceKind> = traces_since(watermark, 3)
+            .iter()
+            .map(|t| t.coalesce)
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                CoalesceKind::Solo,
+                CoalesceKind::Duplicate,
+                CoalesceKind::Containment
+            ]
+        );
     }
 
     #[test]
@@ -1632,10 +1841,10 @@ mod tests {
         for t in &tickets {
             assert_eq!(t.wait().count, expect);
         }
-        let stats = Arc::clone(&service.stats);
+        let shared = Arc::clone(&service.shared);
         let summary = service.shutdown();
         assert_eq!(
-            stats.queue_depth(),
+            shared.stats.queue_depth(),
             0,
             "every enqueued query must be drained"
         );
