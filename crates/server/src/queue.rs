@@ -63,6 +63,12 @@ impl std::error::Error for SubmitError {}
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Threads asleep on `not_empty` / `not_full`: std's futex `Condvar`
+    /// keeps no waiter count, so a `notify` is a system call even with
+    /// nobody asleep. Both change only under the mutex a waiter gives up
+    /// atomically with going to sleep: a notifier reading 0 misses no one.
+    parked_consumers: usize,
+    parked_producers: usize,
 }
 
 /// MPMC bounded FIFO with close semantics.
@@ -81,6 +87,8 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
+                parked_consumers: 0,
+                parked_producers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -93,61 +101,51 @@ impl<T> BoundedQueue<T> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The one admission sequence: fail when closed, enqueue (waking a
+    /// parked consumer) while fewer than `capacity + slack` items wait,
+    /// otherwise sleep for space if `block`, else hand the item back.
+    fn admit(&self, item: T, slack: usize, block: bool) -> Result<(), (T, SubmitError)> {
+        let mut inner = self.lock();
+        loop {
+            if inner.closed {
+                return Err((item, SubmitError::Closed));
+            }
+            if inner.items.len() < self.capacity + slack {
+                inner.items.push_back(item);
+                if inner.parked_consumers > 0 {
+                    self.not_empty.notify_one();
+                }
+                return Ok(());
+            }
+            if !block {
+                return Err((item, SubmitError::Rejected));
+            }
+            inner.parked_producers += 1;
+            inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
+            inner.parked_producers -= 1;
+        }
+    }
+
     /// Submits one item under the admission policy. (`CostAware` degrades
     /// to `Reject` here — the price-aware part lives in the session layer,
     /// which retries through [`BoundedQueue::push_with_slack`] or serves
     /// the query inline.)
     pub fn push(&self, item: T) -> Result<(), SubmitError> {
-        let mut inner = self.lock();
-        loop {
-            if inner.closed {
-                return Err(SubmitError::Closed);
-            }
-            if inner.items.len() < self.capacity {
-                inner.items.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            match self.policy {
-                AdmissionPolicy::Reject | AdmissionPolicy::CostAware => {
-                    return Err(SubmitError::Rejected)
-                }
-                AdmissionPolicy::Block => {
-                    inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
+        self.admit(item, 0, self.policy == AdmissionPolicy::Block)
+            .map_err(|(_, e)| e)
     }
 
     /// Non-blocking submission regardless of policy: rejects on a full
     /// queue, handing the item back so the caller can price it.
     pub fn try_push(&self, item: T) -> Result<(), (T, SubmitError)> {
-        let mut inner = self.lock();
-        if inner.closed {
-            return Err((item, SubmitError::Closed));
-        }
-        if inner.items.len() < self.capacity {
-            inner.items.push_back(item);
-            self.not_empty.notify_one();
-            return Ok(());
-        }
-        Err((item, SubmitError::Rejected))
+        self.admit(item, 0, false)
     }
 
     /// Admits past the nominal capacity into a bounded overflow reserve of
     /// `slack` extra slots — the "cheap queries are never shed" lane of
     /// cost-aware admission. Rejects only when even the reserve is full.
     pub fn push_with_slack(&self, item: T, slack: usize) -> Result<(), (T, SubmitError)> {
-        let mut inner = self.lock();
-        if inner.closed {
-            return Err((item, SubmitError::Closed));
-        }
-        if inner.items.len() < self.capacity + slack {
-            inner.items.push_back(item);
-            self.not_empty.notify_one();
-            return Ok(());
-        }
-        Err((item, SubmitError::Rejected))
+        self.admit(item, slack, false)
     }
 
     /// Blocks until at least one item is available, then takes up to `max`
@@ -162,21 +160,26 @@ impl<T> BoundedQueue<T> {
                 let batch: Vec<T> = inner.items.drain(..take).collect();
                 // Space freed: wake every blocked producer (batch drains can
                 // free more than one slot).
-                self.not_full.notify_all();
+                if inner.parked_producers > 0 {
+                    self.not_full.notify_all();
+                }
                 return Some(batch);
             }
             if inner.closed {
                 return None;
             }
+            inner.parked_consumers += 1;
             inner = self
                 .not_empty
                 .wait(inner)
                 .unwrap_or_else(|e| e.into_inner());
+            inner.parked_consumers -= 1;
         }
     }
 
     /// Marks the queue closed: submissions fail from now on, consumers keep
-    /// draining until empty, blocked producers and consumers wake up.
+    /// draining until empty, blocked producers and consumers wake up
+    /// (notified unconditionally: shutdown is rare).
     pub fn close(&self) {
         let mut inner = self.lock();
         inner.closed = true;
@@ -201,10 +204,32 @@ impl<T> BoundedQueue<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
+
+    /// Runs `f` on its own thread and fails once `secs` have passed: a lost
+    /// wake-up is a failed test, not a hung suite.
+    pub(crate) fn within<T: Send + 'static>(
+        secs: u64,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        let body = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(out) => {
+                body.join().unwrap();
+                out
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(body.join().unwrap_err())
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("still blocked after {secs} s: lost wake-up"),
+        }
+    }
 
     #[test]
     fn fifo_order_and_batch_drain() {
@@ -267,43 +292,112 @@ mod tests {
         assert_eq!(q.drain_up_to(4), None);
     }
 
-    #[test]
-    fn block_policy_waits_for_space() {
-        let q = Arc::new(BoundedQueue::new(1, AdmissionPolicy::Block));
-        q.push(0u32).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(1))
-        };
-        // The producer is blocked on the full queue; free a slot.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.drain_up_to(1), Some(vec![0]));
-        producer.join().unwrap().unwrap();
-        assert_eq!(q.drain_up_to(1), Some(vec![1]));
+    /// Spins (under `within`'s deadline) until `n` threads sleep on the
+    /// queue: consumers on an empty one, producers on a full one.
+    fn await_parked<T>(q: &BoundedQueue<T>, consumers: usize, producers: usize) {
+        loop {
+            let inner = q.lock();
+            if (inner.parked_consumers, inner.parked_producers) == (consumers, producers) {
+                return;
+            }
+            drop(inner);
+            std::thread::yield_now();
+        }
     }
 
     #[test]
-    fn consumer_wakes_on_close() {
-        let q = Arc::new(BoundedQueue::<u32>::new(1, AdmissionPolicy::Block));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.drain_up_to(1))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert_eq!(consumer.join().unwrap(), None);
+    fn one_push_wakes_a_parked_consumer() {
+        within(20, || {
+            let q = Arc::new(BoundedQueue::new(4, AdmissionPolicy::Block));
+            let consumer = {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.drain_up_to(4))
+            };
+            await_parked(&q, 1, 0);
+            q.push(7u32).unwrap();
+            assert_eq!(consumer.join().unwrap(), Some(vec![7]));
+            assert_eq!(q.lock().parked_consumers, 0);
+        });
     }
 
     #[test]
-    fn close_wakes_blocked_producer() {
-        let q = Arc::new(BoundedQueue::new(1, AdmissionPolicy::Block));
-        q.push(0u32).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(1))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert_eq!(producer.join().unwrap(), Err(SubmitError::Closed));
+    fn one_multi_slot_drain_wakes_every_parked_producer() {
+        within(20, || {
+            let q = Arc::new(BoundedQueue::new(2, AdmissionPolicy::Block));
+            q.push(0u32).unwrap();
+            q.push(1).unwrap();
+            let producers: Vec<_> = [2, 3]
+                .into_iter()
+                .map(|item| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || q.push(item))
+                })
+                .collect();
+            // Both producers are blocked on the full queue; one drain
+            // frees both slots and must wake both.
+            await_parked(&q, 0, 2);
+            assert_eq!(q.drain_up_to(2), Some(vec![0, 1]));
+            for p in producers {
+                p.join().unwrap().unwrap();
+            }
+            let mut rest = q.drain_up_to(2).unwrap();
+            rest.sort_unstable();
+            assert_eq!(rest, vec![2, 3]);
+        });
+    }
+
+    #[test]
+    fn close_wakes_a_parked_consumer_and_a_parked_producer() {
+        within(20, || {
+            let empty = Arc::new(BoundedQueue::<u32>::new(1, AdmissionPolicy::Block));
+            let consumer = {
+                let q = Arc::clone(&empty);
+                std::thread::spawn(move || q.drain_up_to(1))
+            };
+            let full = Arc::new(BoundedQueue::new(1, AdmissionPolicy::Block));
+            full.push(0u32).unwrap();
+            let producer = {
+                let q = Arc::clone(&full);
+                std::thread::spawn(move || q.push(1))
+            };
+            await_parked(&empty, 1, 0);
+            await_parked(&full, 0, 1);
+            empty.close();
+            full.close();
+            assert_eq!(consumer.join().unwrap(), None);
+            assert_eq!(producer.join().unwrap(), Err(SubmitError::Closed));
+        });
+    }
+
+    #[test]
+    fn hand_offs_through_a_tiny_queue_lose_no_item_and_no_wake_up() {
+        // Capacity 2 under four producers: both sides park all the time,
+        // so every push and every drain decides whether to notify.
+        const PER_PRODUCER: u32 = 25_000;
+        within(120, || {
+            let q = Arc::new(BoundedQueue::new(2, AdmissionPolicy::Block));
+            let producers: Vec<_> = (0..4u32)
+                .map(|p| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || {
+                        for i in 0..PER_PRODUCER {
+                            q.push(p * PER_PRODUCER + i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            let mut seen = vec![false; 4 * PER_PRODUCER as usize];
+            let mut taken = 0;
+            while taken < seen.len() {
+                for item in q.drain_up_to(2).expect("queue is never closed") {
+                    assert!(!std::mem::replace(&mut seen[item as usize], true));
+                    taken += 1;
+                }
+            }
+            for p in producers {
+                p.join().unwrap();
+            }
+            assert!(q.is_empty());
+        });
     }
 }

@@ -87,14 +87,30 @@ pub struct QueryResult {
 
 #[derive(Debug, Default)]
 pub(crate) struct TicketState {
-    slot: Mutex<Option<QueryResult>>,
+    slot: Mutex<Slot>,
     done: Condvar,
 }
 
+#[derive(Debug, Default)]
+struct Slot {
+    result: Option<QueryResult>,
+    /// Someone sleeps on `done`. Set under the mutex the waiter gives up
+    /// atomically with going to sleep, so a completer reading `false` has
+    /// nobody to wake and skips the `notify` system call (see `queue.rs`).
+    waiting: bool,
+}
+
 impl TicketState {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     pub(crate) fn complete(&self, result: QueryResult) {
-        *self.slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-        self.done.notify_all();
+        let mut slot = self.lock();
+        slot.result = Some(result);
+        if slot.waiting {
+            self.done.notify_all();
+        }
     }
 }
 
@@ -116,11 +132,12 @@ impl Ticket {
 
     /// Blocks until the dispatcher answers this query.
     pub fn wait(&self) -> QueryResult {
-        let mut slot = self.state.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = self.state.lock();
         loop {
-            if let Some(r) = *slot {
+            if let Some(r) = slot.result {
                 return r;
             }
+            slot.waiting = true;
             slot = self
                 .state
                 .done
@@ -131,7 +148,7 @@ impl Ticket {
 
     /// Non-blocking probe for the result.
     pub fn try_result(&self) -> Option<QueryResult> {
-        *self.state.slot.lock().unwrap_or_else(|e| e.into_inner())
+        self.state.lock().result
     }
 }
 
@@ -223,6 +240,39 @@ mod tests {
         assert_eq!(r.count, 13, "counts fold across parts");
         assert_eq!(r.latency, latency);
         assert_eq!(r.service_time, Duration::from_millis(6));
+    }
+
+    #[test]
+    fn tickets_wake_early_waiters_and_answer_late_ones() {
+        // One completer, two waiters per ticket: the first is asleep when
+        // the result lands (the completer holds back until it is) and must
+        // be woken, the second arrives after completion and must not sleep.
+        const TICKETS: u64 = 100_000;
+        crate::queue::tests::within(120, || {
+            let (to_early, early_rx) = std::sync::mpsc::channel::<Ticket>();
+            let (to_late, late_rx) = std::sync::mpsc::sync_channel::<Ticket>(64);
+            let early =
+                std::thread::spawn(move || early_rx.iter().map(|t| t.wait().count).sum::<u64>());
+            let late =
+                std::thread::spawn(move || late_rx.iter().map(|t| t.wait().count).sum::<u64>());
+            for count in 0..TICKETS {
+                let t = Ticket::new();
+                to_early.send(t.clone()).unwrap();
+                while !t.state.lock().waiting {
+                    std::thread::yield_now();
+                }
+                t.state.complete(QueryResult {
+                    count,
+                    latency: Duration::ZERO,
+                    service_time: Duration::ZERO,
+                });
+                to_late.send(t).unwrap();
+            }
+            drop((to_early, to_late));
+            let want = TICKETS * (TICKETS - 1) / 2;
+            assert_eq!(early.join().unwrap(), want);
+            assert_eq!(late.join().unwrap(), want);
+        });
     }
 
     #[test]
