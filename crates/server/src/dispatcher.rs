@@ -1801,11 +1801,14 @@ mod tests {
                 hi: i * 300 + 200,
             };
             assert_eq!(session.execute(q).unwrap().count, oracle(&data, &q));
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while eng.cycles().is_empty() {
-            assert!(Instant::now() < deadline, "the daemon never ran a cycle");
-            std::thread::sleep(Duration::from_millis(5));
+            // The daemon's cycle must come while the first query's pieces
+            // are still coarse: an optimised build answers all 32 before
+            // the daemon's first tick and leaves it nothing to refine.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while i == 0 && eng.cycles().is_empty() {
+                assert!(Instant::now() < deadline, "the daemon never ran a cycle");
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
         service.shutdown();
         eng.stop();

@@ -549,10 +549,16 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         const TOTAL: u64 = 200_000;
 
+        // Half way through, the writer holds until a summary has raced it:
+        // an optimised build otherwise finishes before the first one.
+        let summarised = Arc::new(AtomicBool::new(false));
         let writer = {
-            let stats = Arc::clone(&stats);
+            let (stats, summarised) = (Arc::clone(&stats), Arc::clone(&summarised));
             std::thread::spawn(move || {
-                for _ in 0..TOTAL {
+                for i in 0..TOTAL {
+                    while i == TOTAL / 2 && !summarised.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
                     stats.record_submitted();
                     stats.record_executed();
                 }
@@ -574,6 +580,7 @@ mod tests {
                 "windowed count exceeds lifetime total (wrapped subtraction): {s:?}"
             );
             summaries += 1;
+            summarised.store(true, Ordering::Relaxed);
         }
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();
