@@ -2,9 +2,10 @@
 //! PAPER.md's design summary records: crack kernels (in-place reference vs
 //! vectorized out-of-place vs parallel), scalar vs block-at-a-time segment
 //! decode ("Batched decode kernels"), AVL vs `BTreeMap` cracker-index
-//! lookups, weight-heap updates, Ripple insertion vs naive re-cracking, and
-//! the whole-attribute first touch (push routing + first crack vs the
-//! coarse-granular build).
+//! lookups, weight-heap updates, Ripple insertion vs naive re-cracking, the
+//! whole-attribute first touch (push routing + first crack vs the
+//! coarse-granular build), and what row ids cost: the two-way crack kernel
+//! with and without them, and building a shard's ids on demand.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use holix_core::weight_heap::WeightHeap;
@@ -271,6 +272,99 @@ fn bench_ripple_vs_rebuild(c: &mut Criterion) {
     g.finish();
 }
 
+/// The sequential two-way kernel over a piece of 2^13 / 2^16 / 2^19 values,
+/// moving row ids beside the values (`ids_*`) or values alone (`no_ids_*`,
+/// what a shard born without row ids runs). Divide by the piece length for
+/// ns/value.
+fn bench_crack_two(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crack_two");
+    g.sample_size(30);
+    for log in [13u32, 16, 19] {
+        let n = 1usize << log;
+        let mut rng = StdRng::seed_from_u64(log as u64);
+        let vals: Vec<i64> = (0..n).map(|_| rng.random_range(0..1_000_000)).collect();
+        let rows: Vec<u32> = (0..n as u32).collect();
+        g.bench_function(format!("ids_2e{log}"), |b| {
+            let mut scratch = CrackScratch::new();
+            b.iter_batched(
+                || (vals.clone(), rows.clone()),
+                |(mut v, mut r)| {
+                    black_box(crack_in_two_oop(&mut v, &mut r, 500_000, &mut scratch));
+                    (v, r)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+        g.bench_function(format!("no_ids_2e{log}"), |b| {
+            let mut scratch = CrackScratch::new();
+            b.iter_batched(
+                || vals.clone(),
+                |mut v| {
+                    black_box(crack_in_two_oop(
+                        &mut v,
+                        &mut vec![(); n],
+                        500_000,
+                        &mut scratch,
+                    ));
+                    v
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
+/// Building the row ids of one 2^18-row shard of a 2^20-row base (one pass
+/// over the base, a binary search of the boundary table per tuple in range)
+/// once queries have cracked it into 64 and into 1,024 pieces: what the
+/// first conjunction, Ripple merge or migration on a shard pays.
+fn bench_row_ids(c: &mut Criterion) {
+    const ROWS: usize = 1 << 20;
+    let mut rng = StdRng::seed_from_u64(9);
+    let base: Arc<Vec<i64>> = Arc::new(
+        (0..ROWS)
+            .map(|_| rng.random_range(0..4 * ROWS as i64))
+            .collect(),
+    );
+    let plan = ShardPlan::from_values(&base, 4);
+    let (lo, hi) = (plan.cuts()[0], plan.cuts()[1]);
+    let mut g = c.benchmark_group("row_ids");
+    g.sample_size(10);
+    for pieces in [64i64, 1_024] {
+        g.bench_function(format!("build_{pieces}"), |b| {
+            let mut scratch = CrackScratch::new();
+            b.iter_batched(
+                || {
+                    let col: ShardedColumn<i64> =
+                        ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
+                    col.admit(1, 1, |fresh| vec![(); fresh.len()]);
+                    // Equi-width pivots, halving: every crack splits a piece
+                    // in two.
+                    let mut step = pieces;
+                    while step > 1 {
+                        for i in (step / 2..pieces).step_by(step as usize) {
+                            let pivot = lo + (hi - lo) / pieces * i;
+                            col.shard(1).refine_at_blocking(pivot, &mut scratch);
+                        }
+                        step /= 2;
+                    }
+                    assert_eq!(col.shard(1).piece_count(), pieces as usize);
+                    col
+                },
+                |col| {
+                    // The build, and a copy of the last piece's ids.
+                    let top = Predicate::range(lo + (hi - lo) / pieces * (pieces - 1), i64::MAX);
+                    black_box(col.shard(1).collect_row_ids(top));
+                    col
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 fn bench_first_touch(c: &mut Criterion) {
     // One cold attribute at the benchmark suite's size, 2^21 rows in 4
     // shards, up to its first range query. Divide by 2^21 for ns/value,
@@ -341,6 +435,8 @@ fn bench_first_touch(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_first_touch,
+    bench_crack_two,
+    bench_row_ids,
     bench_crack_kernels,
     bench_cracker_index,
     bench_weight_heap,

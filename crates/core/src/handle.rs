@@ -219,7 +219,8 @@ mod tests {
         assert_eq!(h.piece_count(), 1);
         assert_eq!(h.value_width(), 8);
         assert_eq!(h.name(), "a");
-        assert!(h.payload_bytes() >= 10_000 * 12);
+        // (`from_base` columns store their row ids from birth.)
+        assert!(h.payload_bytes() >= 10_000 * CrackerColumn::<i64>::tuple_bytes(true));
     }
 
     #[test]

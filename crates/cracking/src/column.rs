@@ -49,13 +49,33 @@
 //! protocol: `read_snapshot` is the one load, `splice_multi_and_publish`
 //! the one store. For these readers the structure lock shrinks to a
 //! writer-writer ordering concern.
+//!
+//! ## Row ids on demand
+//!
+//! The paper's cracker column is an array of (value, rowid) pairs. A
+//! column built by [`CrackerColumn::from_base`] / [`CrackerColumn::from_parts`]
+//! stores both from birth; a shard of a [`crate::ShardedColumn`]
+//! (`CrackerColumn::from_source`) stores **values only** and keeps what
+//! its row ids can be re-derived from — its base and its value range
+//! (`row_ids::RowSource`). Every crack of such a column moves
+//! values alone (the partition kernels are generic over the row lane,
+//! [`crate::RowLane`]). The three operations that read a row id —
+//! [`CrackerColumn::collect_row_ids`], the Ripple merge and
+//! [`CrackerColumn::extract_for_migration`] — already hold `structure`
+//! exclusively; the first of them to run builds the array there, against
+//! the boundary table of the moment (same multiset in every piece, so the
+//! index, the published statistics, the snapshot and the point filter stay
+//! valid). The state flips once and never back; a merge builds the ids
+//! *before* it applies its first batch, so an id-less column is by
+//! construction still a permutation of its source.
 
 use crate::cell::PublishedCell;
 use crate::filter::PointFilter;
 use crate::index::{BoundLookup, CrackerIndex};
 use crate::partition::{partition_three, partition_two};
 use crate::piece_stats::{build_stats, PieceStats, SnapPieceStat};
-use crate::range_cell::RangeCell;
+use crate::range_cell::{RangeCell, RangeGuard};
+use crate::row_ids::RowSource;
 use crate::snapshot::{PieceSnapshot, Segment, SnapPiece, SnapshotScan, SpliceSpan};
 use crate::updates::{ripple_batch, PendingUpdates, UnmergedKind};
 use crate::vectorized::CrackScratch;
@@ -63,7 +83,10 @@ use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
 use parking_lot::{Mutex, RwLock};
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
+use std::sync::atomic::{
+    AtomicBool, AtomicU64, AtomicUsize, Ordering::Acquire, Ordering::Relaxed, Ordering::Release,
+    Ordering::SeqCst,
+};
 use std::sync::Arc;
 
 /// `true` when a splice span starting at anchor `a` begins at or before
@@ -84,6 +107,12 @@ fn anchor_max<V: Ord>(x: Option<V>, y: Option<V>) -> Option<V> {
         (None, _) | (_, None) => None,
         (Some(x), Some(y)) => Some(x.max(y)),
     }
+}
+
+/// The row lane of a crack over `len` values of a column without row ids:
+/// a slice of `()` (a length, no memory — see [`crate::RowLane`]).
+fn no_rows(len: usize) -> Vec<()> {
+    vec![(); len]
 }
 
 /// Result of one range select over a cracker column.
@@ -142,7 +171,15 @@ struct Pending<V> {
 pub struct CrackerColumn<V> {
     name: String,
     vals: RangeCell<V>,
+    /// Row ids beside `vals`, slot for slot — or empty, for a column born
+    /// from a [`RowSource`] that nobody has asked for an id yet.
     rows: RangeCell<RowId>,
+    /// Where the row ids of a column born without them come from.
+    row_source: Option<RowSource<V>>,
+    /// `rows` is filled. Set at most once, under `structure` exclusive
+    /// ([`CrackerColumn::ensure_row_ids`]), and never cleared; everything
+    /// that touches `rows` reads it under `structure` in either mode.
+    has_rows: AtomicBool,
     structure: RwLock<()>,
     index: RwLock<CrackerIndex<V>>,
     pending: Mutex<Pending<V>>,
@@ -203,28 +240,49 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// subset of base tuples whose values fall in its range while keeping
     /// global base-table positions.
     pub fn from_parts(name: impl Into<String>, vals: Vec<V>, rows: Vec<RowId>) -> Self {
-        let domain = vals.first().map(|&first| {
-            vals.iter()
-                .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
-        });
-        Self::from_pieces(name, vals, rows, &[], domain)
+        assert_eq!(vals.len(), rows.len(), "values/row-ids length mismatch");
+        let domain = Self::domain_of(&vals);
+        Self::build(name, vals, Some(rows), None, &[], domain)
     }
 
-    /// [`CrackerColumn::from_parts`] for tuples that arrive range-partitioned:
-    /// `bounds` are the boundaries (`key → position`, keys strictly
-    /// increasing) the layout already satisfies — every value before a
-    /// boundary's position is below its key, every value from it on is at
-    /// or above — and `domain` the smallest and largest value (`None` for
-    /// an empty column). The column is born with `bounds.len() + 1` pieces
-    /// and publishes their statistics once.
-    pub fn from_pieces(
+    /// Smallest and largest of `vals` (`None` when empty).
+    fn domain_of(vals: &[V]) -> Option<(V, V)> {
+        vals.first().map(|&first| {
+            vals.iter()
+                .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
+        })
+    }
+
+    /// A column over exactly the tuples of `source`, in any order inside
+    /// the range partition `bounds` describes — boundaries (`key →
+    /// position`, keys strictly increasing) the layout already satisfies:
+    /// every value before a boundary's position is below its key, every
+    /// value from it on is at or above. `domain` is the smallest and
+    /// largest value (`None` computes it). The column is born with
+    /// `bounds.len() + 1` pieces, publishes their statistics once, and
+    /// stores **no row ids**: they are built from `source` against the
+    /// boundary table of the moment when a conjunction
+    /// ([`CrackerColumn::collect_row_ids`]), a Ripple merge or a migration
+    /// first needs them, and every crack until then moves values alone.
+    pub(crate) fn from_source(
         name: impl Into<String>,
         vals: Vec<V>,
-        rows: Vec<RowId>,
+        source: RowSource<V>,
         bounds: &[(V, usize)],
         domain: Option<(V, V)>,
     ) -> Self {
-        assert_eq!(vals.len(), rows.len(), "values/row-ids length mismatch");
+        let domain = domain.or_else(|| Self::domain_of(&vals));
+        Self::build(name, vals, None, Some(source), bounds, domain)
+    }
+
+    fn build(
+        name: impl Into<String>,
+        vals: Vec<V>,
+        rows: Option<Vec<RowId>>,
+        row_source: Option<RowSource<V>>,
+        bounds: &[(V, usize)],
+        domain: Option<(V, V)>,
+    ) -> Self {
         let n = vals.len();
         assert!(
             bounds
@@ -240,7 +298,18 @@ impl<V: CrackValue> CrackerColumn<V> {
         let col = CrackerColumn {
             name: name.into(),
             vals: RangeCell::new(vals),
-            rows: RangeCell::new(rows),
+            has_rows: AtomicBool::new(rows.is_some()),
+            // A column without row ids still makes a one-slot allocation
+            // for them, from the thread that builds it: glibc grows a block
+            // in the arena it was first allocated in, so the array
+            // `ensure_row_ids` grows this into comes out of the builder's
+            // arena — where an eagerly built one came from — not out of
+            // the arena of whichever thread runs the first merge. Same
+            // bytes either way, but the merging threads' arenas hold no
+            // freed pages to reuse: `update_churn/rss_peak_mb` read 92 MB
+            // with an empty vector here, 81 MB with this (the parent: 79).
+            rows: RangeCell::new(rows.unwrap_or_else(|| Vec::with_capacity(1))),
+            row_source,
             structure: RwLock::new(()),
             index: RwLock::new(index),
             pending: Mutex::new(Pending {
@@ -311,15 +380,80 @@ impl<V: CrackValue> CrackerColumn<V> {
         *self.domain.lock()
     }
 
-    /// Bytes held by values + row ids + index + live snapshot segments
-    /// (storage-budget accounting; the snapshot term is zero until a
-    /// snapshot read publishes one).
+    /// Bytes one resident tuple costs: its value, and its row id once the
+    /// column stores them (`ids`). The one definition
+    /// [`CrackerColumn::payload_bytes`] and every budget computed ahead of
+    /// a build share.
+    pub const fn tuple_bytes(ids: bool) -> usize {
+        std::mem::size_of::<V>() + if ids { std::mem::size_of::<RowId>() } else { 0 }
+    }
+
+    /// Bytes held by values + row ids (once built) + index + live snapshot
+    /// segments (storage-budget accounting; the snapshot term is zero until
+    /// a snapshot read publishes one).
     pub fn payload_bytes(&self) -> usize {
-        let n = self.len();
-        n * V::width()
-            + n * std::mem::size_of::<RowId>()
+        self.len() * Self::tuple_bytes(self.has_row_ids())
             + self.index.read().approx_bytes()
             + self.snapshot_bytes()
+    }
+
+    /// Does the column store a row id per value? Always, unless it is a
+    /// shard of a [`crate::ShardedColumn`] built from the base and neither
+    /// a conjunction, a Ripple merge nor a migration has asked for one
+    /// since.
+    pub fn has_row_ids(&self) -> bool {
+        // Pairs with the `Release` store of `ensure_row_ids`; callers that
+        // go on to touch `rows` hold `structure`, which orders them too.
+        self.has_rows.load(Acquire)
+    }
+
+    /// The row ids of piece `[start, end)` for a crack to move, `None`
+    /// while the column has none.
+    ///
+    /// # Safety
+    /// As [`RangeCell::range_mut`]: the caller holds the piece's write
+    /// latch and `structure` shared.
+    unsafe fn piece_rows(&self, start: usize, end: usize) -> Option<RangeGuard<'_, RowId>> {
+        // SAFETY: the caller's contract.
+        self.has_row_ids()
+            .then(|| unsafe { self.rows.range_mut(start, end) })
+    }
+
+    /// Builds the row-id array of a column born without one; no-op on any
+    /// other. One pass over the base re-derives the column's (value, row)
+    /// pairs and scatters them into the pieces of the current boundary
+    /// table ([`RowSource::scatter`]): `vals` is rewritten with the same
+    /// multiset in every piece, so the boundary table, the published
+    /// statistics, the snapshot (it owns its copies) and the point filter
+    /// all stay valid.
+    ///
+    /// # Safety
+    /// The caller holds `structure` exclusively, and no Ripple merge has
+    /// been applied to an id-less column (every merge calls this first), so
+    /// the column still is a permutation of its source.
+    unsafe fn ensure_row_ids(&self) {
+        if self.has_row_ids() {
+            return;
+        }
+        let source = self
+            .row_source
+            .as_ref()
+            .expect("a column without row ids was born from a source");
+        let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
+        let bounds = self.index.read().bounds_in_order();
+        // SAFETY: `structure` is held exclusively.
+        unsafe {
+            self.vals.with_vec_mut(|vals| {
+                self.rows
+                    .with_vec_mut(|rows| source.scatter(&bounds, vals, rows))
+            });
+        }
+        self.has_rows.store(true, Release);
+        if let Some(t0) = timed {
+            holix_telemetry::counter!("cracking_row_id_builds_total").inc();
+            holix_telemetry::histogram!("cracking_row_id_build_ns")
+                .record(t0.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Index lookup for a bound value (exposed for stochastic cracking,
@@ -541,15 +675,18 @@ impl<V: CrackValue> CrackerColumn<V> {
             // `structure` shared, so the range is exclusively ours and the
             // vectors cannot move.
             let mut vg = unsafe { self.vals.range_mut(start, end) };
-            let mut rg = unsafe { self.rows.range_mut(start, end) };
-            partition_three(
-                vg.slice(),
-                rg.slice(),
-                pred.lo,
-                pred.hi,
-                self.select_threads,
-                scratch,
-            )
+            let (lo, hi, threads) = (pred.lo, pred.hi, self.select_threads);
+            match unsafe { self.piece_rows(start, end) } {
+                Some(mut rg) => partition_three(vg.slice(), rg.slice(), lo, hi, threads, scratch),
+                None => partition_three(
+                    vg.slice(),
+                    &mut no_rows(piece_len),
+                    lo,
+                    hi,
+                    threads,
+                    scratch,
+                ),
+            }
         };
         {
             let mut idx = self.index.write();
@@ -621,8 +758,12 @@ impl<V: CrackValue> CrackerColumn<V> {
                 // SAFETY: write latch on piece [start, end) held; `structure`
                 // shared prevents vector moves.
                 let mut vg = unsafe { self.vals.range_mut(start, end) };
-                let mut rg = unsafe { self.rows.range_mut(start, end) };
-                partition_two(vg.slice(), rg.slice(), v, threads, scratch)
+                match unsafe { self.piece_rows(start, end) } {
+                    Some(mut rg) => partition_two(vg.slice(), rg.slice(), v, threads, scratch),
+                    None => {
+                        partition_two(vg.slice(), &mut no_rows(end - start), v, threads, scratch)
+                    }
+                }
             };
             let pos = start + split;
             self.index.write().insert_bound(v, pos);
@@ -824,12 +965,17 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Ripple-merges one taken batch into the cracked column — deletes
     /// first, then inserts ([`ripple_batch`]); returns the boundaries the
-    /// merge walked.
+    /// merge walked. A column still without row ids builds them first: a
+    /// delete names its tuple by row, and past this point the column is no
+    /// longer a permutation of its source to build them from.
     ///
     /// # Safety
     /// The caller holds `structure` exclusively — no piece guard can be
     /// live and no reader observes the vectors while they move.
     unsafe fn ripple_apply(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) -> usize {
+        // SAFETY: the caller's contract; no merge has been applied before
+        // the first one.
+        unsafe { self.ensure_row_ids() };
         let mut idx = self.index.write();
         self.vals.with_vec_mut(|vals| {
             self.rows
@@ -901,6 +1047,11 @@ impl<V: CrackValue> CrackerColumn<V> {
         // Every merge takes its batch under this lock, so none is in
         // flight once it is ours.
         let _exclusive = self.structure.write();
+        // The successor is built from (value, row) pairs: a column still
+        // without row ids builds them now.
+        // SAFETY: `structure` is held exclusively, and every merge builds
+        // the ids before it applies anything.
+        unsafe { self.ensure_row_ids() };
         let taken = {
             let mut p = self.pending.lock();
             (!p.queue.is_empty()).then(|| p.queue.take_all_tracked())
@@ -1632,7 +1783,9 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// positions since the select. `None` when a non-sentinel bound is not
     /// an exact boundary — callers fall back to per-term execution.
     /// Conjunction execution collects the driver term's row ids here and
-    /// probes the remaining attributes positionally in the base table.
+    /// probes the remaining attributes positionally in the base table. The
+    /// first call on a column born without row ids builds them (one pass
+    /// over its base, under the lock this call holds anyway).
     pub fn collect_row_ids(&self, pred: Predicate<V>) -> Option<Vec<RowId>> {
         if pred.is_empty() {
             return Some(Vec::new());
@@ -1655,22 +1808,29 @@ impl<V: CrackValue> CrackerColumn<V> {
                 BoundLookup::Piece { .. } => return None,
             }
         };
-        // SAFETY: exclusive structure lock — no live mutators.
+        drop(idx);
+        // SAFETY: exclusive structure lock — no live mutators, and every
+        // merge builds the ids before it applies anything.
+        unsafe { self.ensure_row_ids() };
         Some(unsafe { self.rows.read_range(start, end.max(start)) }.to_vec())
     }
 
     /// Panics unless every cracking invariant holds. When `base` is given
-    /// (and no updates ran), also checks value/rowid alignment and that the
-    /// stored multiset is a permutation of the base.
+    /// (and no updates ran), also checks that the column is a permutation
+    /// of the base tuples it was built from — all of `base`, or those in
+    /// its shard's value range: value/rowid alignment and distinct row
+    /// ids once the column stores them, the sorted values against the
+    /// sorted base filter while it does not.
     pub fn check_invariants(&self, base: Option<&[V]>) {
         let _exclusive = self.structure.write();
         let idx = self.index.read();
         let n = idx.len();
+        let has_rows = self.has_row_ids();
         // SAFETY: exclusive structure lock.
         let vals = unsafe { self.vals.read_range(0, n) };
-        let rows = unsafe { self.rows.read_range(0, n) };
+        let rows = unsafe { self.rows.read_range(0, if has_rows { n } else { 0 }) };
         assert_eq!(vals.len(), n);
-        assert_eq!(rows.len(), n);
+        assert_eq!(self.rows.len(), rows.len(), "row ids beyond the column");
 
         let bounds = idx.bounds_in_order();
         for w in bounds.windows(2) {
@@ -1694,15 +1854,27 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
 
         if let Some(base) = base {
-            assert_eq!(base.len(), n);
-            let mut seen = vec![false; n];
-            for (i, (&v, &r)) in vals.iter().zip(rows).enumerate() {
-                assert_eq!(
-                    base[r as usize], v,
-                    "misaligned rowid at cracked position {i}"
-                );
-                assert!(!seen[r as usize], "duplicate rowid {r}");
-                seen[r as usize] = true;
+            let of_column = |v: V| self.row_source.as_ref().is_none_or(|s| s.holds(v));
+            let mut expected: Vec<V> = base.iter().copied().filter(|&v| of_column(v)).collect();
+            assert_eq!(expected.len(), n, "column length vs its base tuples");
+            if has_rows {
+                // `n` distinct rows, each holding its slot's value, out of
+                // the `n` base rows the column covers: a permutation.
+                let mut seen = vec![false; base.len()];
+                for (i, (&v, &r)) in vals.iter().zip(rows).enumerate() {
+                    assert_eq!(
+                        base[r as usize], v,
+                        "misaligned rowid at cracked position {i}"
+                    );
+                    assert!(of_column(v), "value {v:?} outside the column's source");
+                    assert!(!seen[r as usize], "duplicate rowid {r}");
+                    seen[r as usize] = true;
+                }
+            } else {
+                let mut stored = vals.to_vec();
+                stored.sort_unstable();
+                expected.sort_unstable();
+                assert!(stored == expected, "stored values are not the base's");
             }
         }
     }

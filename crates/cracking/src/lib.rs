@@ -6,7 +6,8 @@
 //! - [`avl`] — the AVL tree that serves as the *cracker index*,
 //! - [`crack`] / [`vectorized`] — in-place (reference) and out-of-place
 //!   (vectorized) crack kernels that partition a piece of a column around
-//!   pivots,
+//!   pivots; the out-of-place ones move row ids beside the values or values
+//!   alone ([`RowLane`]),
 //! - [`partition`] — the one entry point every crack goes through:
 //!   sequential vectorized kernel on the caller's scratch for short pieces
 //!   or a thread budget of one, parallel partition-and-merge (Fig 4)
@@ -20,6 +21,9 @@
 //! - [`column`] — [`CrackerColumn`]: the cracker column `ACRK` plus its
 //!   cracker index, supporting concurrent query-driven cracking and
 //!   background refinement,
+//! - `row_ids` (crate-private) — what a shard keeps instead of a row-id
+//!   array (its base and value range) and the pass that builds the array
+//!   when a conjunction, a Ripple merge or a migration first asks for it,
 //! - [`stochastic`] — stochastic cracking (auxiliary random crack inside the
 //!   piece a query is about to crack, [21]),
 //! - [`updates`] — pending insertions/deletions merged on-the-fly with the
@@ -57,6 +61,7 @@ pub mod latch;
 pub mod partition;
 pub mod piece_stats;
 pub mod range_cell;
+mod row_ids;
 pub mod sharding;
 pub mod snapshot;
 pub mod stochastic;
@@ -70,4 +75,4 @@ pub use latch::PieceLatch;
 pub use piece_stats::{PieceStats, SnapPieceStat};
 pub use sharding::{ReplanAction, ShardPlan, ShardedColumn};
 pub use snapshot::{PieceSnapshot, SnapshotScan};
-pub use vectorized::CrackScratch;
+pub use vectorized::{CrackScratch, RowLane};

@@ -21,6 +21,12 @@
 //! one branch-free filter pass per shard, so an owner under storage
 //! pressure materialises (and after an eviction re-materialises, through
 //! [`ShardedColumn::vacated`]) exactly the value ranges its queries touch.
+//! Either way a shard is born holding **values only**: its row ids are a
+//! function of the base, its value range and its boundary table, and it
+//! builds them (`row_ids.rs`) when a conjunction, a Ripple merge or
+//! a migration first reads one — a shard that only ever answers range
+//! counts and sums costs 8 bytes a tuple, not 12. (Successors of a replan
+//! are built from migrated pairs and store their ids from birth.)
 //!
 //! The *initial* shard plan is chosen from the base data: cut values at
 //! equi-depth quantiles of a sorted sample, so skewed bases still get
@@ -39,6 +45,7 @@
 //! the queue ops) and re-routed through the successor plan.
 
 use crate::column::{CrackerColumn, Selection};
+use crate::row_ids::RowSource;
 use crate::snapshot::SnapshotScan;
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
@@ -333,21 +340,13 @@ fn coarse_buckets<V: CrackValue>(
         .collect()
 }
 
-/// One shard of a whole build: its tuples with each coarse bucket
+/// One shard of a whole build: its values with each coarse bucket
 /// contiguous, buckets in key order; the bucket boundaries (`key →
 /// position`, none with an empty side); its smallest and largest value.
 struct Routed<V> {
     vals: Vec<V>,
-    rows: Vec<RowId>,
     bounds: Vec<(V, usize)>,
     domain: Option<(V, V)>,
-}
-
-impl<V: CrackValue> Routed<V> {
-    /// The cracker column born with the buckets as its pieces.
-    fn into_column(self, name: String) -> CrackerColumn<V> {
-        CrackerColumn::from_pieces(name, self.vals, self.rows, &self.bounds, self.domain)
-    }
 }
 
 thread_local! {
@@ -358,11 +357,12 @@ thread_local! {
 }
 
 /// Range-partitions the whole base two levels deep in two passes: every
-/// tuple goes to its shard by the plan's cuts and, inside the shard, to its
-/// coarse bucket ([`coarse_buckets`]), keeping its global row id. The first
-/// pass counts the buckets, the second writes each tuple straight to its
-/// place in exactly-sized shard vectors (with the 25 % headroom of
-/// [`filter_pass`]). At most [`MAX_BUCKETS`] shards.
+/// value goes to its shard by the plan's cuts and, inside the shard, to its
+/// coarse bucket ([`coarse_buckets`]). The first pass counts the buckets,
+/// the second writes each value straight to its place in exactly-sized
+/// shard vectors (with the 25 % headroom of [`filter_pass`]). Values only:
+/// a shard re-derives its row ids from the base when something first reads
+/// one ([`crate::row_ids`]). At most [`MAX_BUCKETS`] shards.
 fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize) -> Vec<Routed<V>> {
     let geometry = coarse_buckets(plan, base.len(), piece_floor);
     let buckets = geometry.last().map_or(0, |g| g.ids().end() + 1);
@@ -384,18 +384,16 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
             hist[*id as usize] += 1;
         }
 
-        // Exactly-sized vectors, and per bucket the shard arrays it lives
+        // Exactly-sized vectors, and per bucket the shard array it lives
         // in and the position it starts at.
         let mut out: Vec<Routed<V>> = Vec::with_capacity(geometry.len());
         let mut vals_of = [std::ptr::null_mut::<V>(); MAX_BUCKETS];
-        let mut rows_of = [std::ptr::null_mut::<RowId>(); MAX_BUCKETS];
         let mut cursor = [0usize; MAX_BUCKETS];
         for g in &geometry {
             let count: usize = hist[g.ids()].iter().sum();
             let cap = count + count / 4 + 1;
             let mut shard = Routed {
                 vals: Vec::with_capacity(cap),
-                rows: Vec::with_capacity(cap),
                 bounds: Vec::with_capacity(g.last as usize),
                 domain: None,
             };
@@ -408,15 +406,14 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
                     shard.bounds.push((g.key((id - g.first_id) as u64), pos));
                 }
                 vals_of[id] = shard.vals.as_mut_ptr();
-                rows_of[id] = shard.rows.as_mut_ptr();
                 cursor[id] = pos;
                 pos += hist[id];
             }
             out.push(shard);
         }
 
-        // Pass 2: every tuple to its bucket's cursor.
-        for (r, (&v, &id)) in base.iter().zip(ids.iter()).enumerate() {
+        // Pass 2: every value to its bucket's cursor.
+        for (&v, &id) in base.iter().zip(ids.iter()) {
             let id = id as usize;
             let pos = cursor[id];
             cursor[id] = pos + 1;
@@ -427,10 +424,7 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
             // above `count`), written by no other bucket, and hold `Copy`
             // values, so nothing is dropped. Ids that no tuple has (null
             // pointers) are never read back.
-            unsafe {
-                vals_of[id].add(pos).write(v);
-                rows_of[id].add(pos).write(r as RowId);
-            }
+            unsafe { vals_of[id].add(pos).write(v) };
         }
 
         for (g, shard) in geometry.iter().zip(&mut out) {
@@ -442,10 +436,7 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
             // SAFETY: the buckets of this shard tile `0..count` and each
             // cursor stopped at its bucket's end (just asserted), so pass
             // 2 initialised every one of the first `count` slots.
-            unsafe {
-                shard.vals.set_len(count);
-                shard.rows.set_len(count);
-            }
+            unsafe { shard.vals.set_len(count) };
             // Pieces are in key order and none is empty: the extremes sit
             // in the first and the last.
             let first = shard.bounds.first().map_or(count, |b| b.1);
@@ -469,35 +460,26 @@ fn count_shards<V: CrackValue>(base: &[V], plan: &ShardPlan<V>) -> Box<[usize]> 
     counts.into()
 }
 
-/// The `count` base tuples `keep` accepts, with their global row ids: one
-/// branch-free pass (every tuple is written at the cursor, the cursor only
-/// advances past a kept one) into vectors with the 25 % headroom the
-/// whole-attribute build leaves for the first Ripple inserts.
-fn filter_pass<V: CrackValue>(
-    base: &[V],
-    count: usize,
-    keep: impl Fn(V) -> bool,
-) -> (Vec<V>, Vec<RowId>) {
-    let cap = count + count / 4 + 1;
-    let mut vals = Vec::with_capacity(cap);
-    let mut rows = Vec::with_capacity(cap);
+/// The `count` base values `keep` accepts: one branch-free pass (every
+/// value is written at the cursor, the cursor only advances past a kept
+/// one) into a vector with the 25 % headroom the whole-attribute build
+/// leaves for the first Ripple inserts.
+fn filter_pass<V: CrackValue>(base: &[V], count: usize, keep: impl Fn(V) -> bool) -> Vec<V> {
+    let mut vals = Vec::with_capacity(count + count / 4 + 1);
     let Some(&fill) = base.first() else {
-        return (vals, rows);
+        return vals;
     };
-    // One slot past `count` takes the writes of rejected tuples that
+    // One slot past `count` takes the writes of rejected values that
     // follow the last kept one.
     vals.resize(count + 1, fill);
-    rows.resize(count + 1, 0);
     let mut c = 0;
-    for (r, &v) in base.iter().enumerate() {
+    for &v in base {
         vals[c] = v;
-        rows[c] = r as RowId;
         c += keep(v) as usize;
     }
     assert_eq!(c, count, "shard counts disagree with the base column");
     vals.truncate(count);
-    rows.truncate(count);
-    (vals, rows)
+    vals
 }
 
 impl<V: CrackValue, T> ShardedColumn<V, T> {
@@ -590,17 +572,41 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         Arc::new(make(name).with_threads(select, refine))
     }
 
-    /// Shard `k` over tuples in no particular order: one piece.
+    /// Shard `k` over migrated tuples in no particular order: one piece,
+    /// row ids stored (after updates a shard is no filter of the base).
     fn one_piece_shard(&self, k: usize, vals: Vec<V>, rows: Vec<RowId>) -> Arc<CrackerColumn<V>> {
         self.new_shard(k, |name| CrackerColumn::from_parts(name, vals, rows))
     }
 
-    /// Shard `k`'s tuples alone, filtered out of the base in one pass.
-    fn filter_parts(&self, k: usize) -> (Vec<V>, Vec<RowId>) {
+    /// Shard `k` over `vals`, the base values of its range laid out in the
+    /// pieces of `bounds`: born without row ids, which it re-derives from
+    /// the base when something first reads one.
+    fn base_shard(
+        &self,
+        k: usize,
+        vals: Vec<V>,
+        bounds: &[(V, usize)],
+        domain: Option<(V, V)>,
+    ) -> Arc<CrackerColumn<V>> {
+        let (lo, hi) = self.shard_range(k);
+        let source = RowSource::new(Arc::clone(&self.base), lo, hi);
+        self.new_shard(k, |name| {
+            CrackerColumn::from_source(name, vals, source, bounds, domain)
+        })
+    }
+
+    /// Shard `k`'s value range `[lo, hi)` under the plan (`None` =
+    /// unbounded).
+    fn shard_range(&self, k: usize) -> (Option<V>, Option<V>) {
+        let cuts = self.plan.cuts();
+        (k.checked_sub(1).map(|i| cuts[i]), cuts.get(k).copied())
+    }
+
+    /// Shard `k`'s values alone, filtered out of the base in one pass.
+    fn filter_parts(&self, k: usize) -> Vec<V> {
         let base = &self.base[..];
         let count = self.counts.get_or_init(|| count_shards(base, &self.plan))[k];
-        let cuts = self.plan.cuts();
-        match (k.checked_sub(1).map(|i| cuts[i]), cuts.get(k).copied()) {
+        match self.shard_range(k) {
             (None, None) => filter_pass(base, count, |_| true),
             (Some(lo), None) => filter_pass(base, count, |v| lo <= v),
             (None, Some(hi)) => filter_pass(base, count, |v| v < hi),
@@ -643,15 +649,12 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             routed
                 .into_iter()
                 .enumerate()
-                .map(|(k, shard)| self.new_shard(k, |name| shard.into_column(name)))
+                .map(|(k, shard)| self.base_shard(k, shard.vals, &shard.bounds, shard.domain))
                 .collect()
         } else {
             missing
                 .iter()
-                .map(|&k| {
-                    let (vals, rows) = self.filter_parts(k);
-                    self.one_piece_shard(k, vals, rows)
-                })
+                .map(|&k| self.base_shard(k, self.filter_parts(k), &[], None))
                 .collect()
         };
         let tags = tag(&fresh);
@@ -1255,7 +1258,9 @@ mod tests {
         // The successor without shard 0 shares the base, the counts and
         // every other cell: a build in a shared cell lands in both.
         let next = col.vacated(&[0]);
-        assert_eq!(Arc::strong_count(&base), 3);
+        // (This handle, the two columns, and resident shard 0 — it derives
+        // its row ids from the base.)
+        assert_eq!(Arc::strong_count(&base), 4);
         assert!(next.resident(0).is_none());
         assert_eq!(next.shard_rows(0), col.shard_rows(0));
         next.admit(3, 3, |fresh| vec![(); fresh.len()]);
@@ -1336,7 +1341,6 @@ mod tests {
         assert_eq!(routed.len(), plan.shards());
         for shard in &routed {
             assert!(shard.vals.capacity() >= shard.vals.len() + shard.vals.len() / 4);
-            assert!(shard.rows.capacity() >= shard.rows.len() + shard.rows.len() / 4);
         }
         let shared = Arc::new(base.clone());
         let eager: ShardedColumn<i64> =
@@ -1349,9 +1353,8 @@ mod tests {
             order.swap(i, rng.random_range(0..=i));
         }
         for &k in &order {
-            let (vals, rows) = lazy.filter_parts(k);
+            let vals = lazy.filter_parts(k);
             assert!(vals.capacity() >= vals.len() + vals.len() / 4);
-            assert!(rows.capacity() >= rows.len() + rows.len() / 4);
             lazy.admit(k, k, |fresh| vec![(); fresh.len()]);
         }
 
@@ -1360,7 +1363,9 @@ mod tests {
             let (shard, parts) = (eager.shard(k), &routed[k]);
             // Born with its buckets as pieces, each value inside its own.
             assert_eq!(shard.piece_count(), parts.bounds.len() + 1);
-            shard.check_invariants((plan.shards() == 1).then_some(&base[..]));
+            // (Still without row ids: the multiset against the base filter.)
+            assert!(!shard.has_row_ids());
+            shard.check_invariants(Some(&base));
             let values = reference[k].iter().map(|&(v, _)| v);
             assert_eq!(
                 shard.domain(),
@@ -1428,6 +1433,220 @@ mod tests {
         ) {
             let shards = [1usize, 2, 4, 7][shards];
             check_builds_agree(seed, n, domain, shards, 4096, cut_adjacent);
+        }
+    }
+
+    /// A column's whole boundary table (complete below
+    /// [`crate::piece_stats::MAX_STATS_BOUNDS`] pieces).
+    fn bounds_of(col: &CrackerColumn<i64>) -> Vec<(i64, usize)> {
+        col.publish_stats();
+        let stats = col.piece_stats().expect("published at birth");
+        assert_eq!(stats.piece_count, stats.bounds.len() + 1, "sampled table");
+        stats.bounds.clone()
+    }
+
+    /// Sorted values of each piece of `col` under `bounds`.
+    fn piece_multisets(col: &CrackerColumn<i64>, bounds: &[(i64, usize)]) -> Vec<Vec<i64>> {
+        let starts = std::iter::once(0).chain(bounds.iter().map(|b| b.1));
+        let ends = bounds.iter().map(|b| b.1).chain([col.len()]);
+        starts
+            .zip(ends)
+            .map(|(start, end)| {
+                let mut piece = col.snapshot_range(start, end);
+                piece.sort_unstable();
+                piece
+            })
+            .collect()
+    }
+
+    /// Shards born without row ids, cracked at random, then asked for their
+    /// ids, against twins that stored ids from birth and took the same
+    /// cracks: the boundary table does not move (key for key, position for
+    /// position) and is the twin's; every piece holds the twin's multiset;
+    /// every slot's id names a base row holding the slot's value and the
+    /// ids are the shard's base rows, each once; the statistics and a
+    /// snapshot published before the build still answer exactly after it;
+    /// and the two go on agreeing under later cracks and a Ripple merge.
+    fn check_row_ids_on_demand(seed: u64, n: usize, domain: usize, shards: usize, whole: bool) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = column_of(domain, n, &mut rng);
+        let plan = ShardPlan::from_values(&base, shards);
+        let reference = push_routing(&base, &plan);
+        let col: ShardedColumn<i64> =
+            ShardedColumn::lazy("lazy", Arc::new(base.clone()), plan.clone()).with_piece_floor(4);
+        match whole {
+            true => col.admit(0, plan.shards() - 1, |fresh| vec![(); fresh.len()]),
+            false => (0..plan.shards()).for_each(|k| col.admit(k, k, |_| vec![()])),
+        }
+        let mut scratch = CrackScratch::new();
+        // A pivot on or beside a value of the column: duplicates of a
+        // boundary key are the common case in the small domains.
+        let pivot = |rng: &mut StdRng| match base.is_empty() {
+            true => rng.random_range(-3..3),
+            false => base[rng.random_range(0..n)].saturating_add(rng.random_range(-1..=1)),
+        };
+        for (k, pairs) in reference.iter().enumerate() {
+            let shard = col.shard(k);
+            let (vals, rows): (Vec<i64>, Vec<RowId>) = pairs.iter().copied().unzip();
+            let twin = CrackerColumn::from_parts("twin", vals, rows.clone());
+            for (key, _) in bounds_of(shard) {
+                twin.refine_at_blocking(key, &mut scratch);
+            }
+            let crack_both = |rng: &mut StdRng, scratch: &mut CrackScratch<i64>| {
+                let (x, y) = (pivot(rng), pivot(rng));
+                match rng.random_range(0..3) {
+                    0 => {
+                        let pred = plan.clamp(k, Predicate::range(x.min(y), x.max(y)));
+                        let want = twin.select(pred, scratch).count();
+                        assert_eq!(shard.select(pred, scratch).count(), want);
+                    }
+                    _ => {
+                        shard.refine_at_blocking(x, scratch);
+                        twin.refine_at_blocking(x, scratch);
+                    }
+                }
+            };
+            for _ in 0..rng.random_range(0..12) {
+                crack_both(&mut rng, &mut scratch);
+            }
+            assert!(!shard.has_row_ids(), "a crack built row ids");
+            shard.check_invariants(Some(&base));
+            let before = bounds_of(shard);
+            assert_eq!(
+                before,
+                bounds_of(&twin),
+                "shard {k}: boundary tables differ"
+            );
+            let all = Predicate::range(i64::MIN, i64::MAX);
+            shard.snapshot_scan(all, &mut scratch);
+            let snap = shard.snapshot().expect("the scan published one");
+
+            let ids = shard.collect_row_ids(all).expect("sentinel bounds");
+            assert!(shard.has_row_ids());
+            assert_eq!(
+                bounds_of(shard),
+                before,
+                "shard {k}: the build moved a boundary"
+            );
+            assert_eq!(
+                piece_multisets(shard, &before),
+                piece_multisets(&twin, &before),
+                "shard {k}: a piece changed its values"
+            );
+            let vals = shard.snapshot_range(0, shard.len());
+            assert_eq!(vals.len(), ids.len());
+            assert!(vals.iter().zip(&ids).all(|(&v, &r)| base[r as usize] == v));
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            let mut base_rows = rows;
+            base_rows.sort_unstable();
+            assert_eq!(sorted, base_rows, "shard {k}: ids are not its base rows");
+            shard.check_invariants(Some(&base));
+            for _ in 0..4 {
+                let (x, y) = (pivot(&mut rng), pivot(&mut rng));
+                let pred = plan.clamp(k, Predicate::range(x.min(y), x.max(y)));
+                let want = twin.select_verified(pred, &mut scratch).1;
+                let old = snap.stats(pred.lo, pred.hi);
+                assert_eq!((old.count, old.sum), (want.count, want.sum), "snapshot");
+                assert_eq!(shard.select_verified(pred, &mut scratch).1, want);
+                let scan = shard.snapshot_scan(pred, &mut scratch);
+                assert_eq!((scan.count, scan.sum), (want.count, want.sum));
+            }
+            // With ids the shard is a column like its twin: more cracks,
+            // one delete of a base tuple and one insert, merged by a select.
+            for _ in 0..rng.random_range(0..6) {
+                crack_both(&mut rng, &mut scratch);
+            }
+            for c in [shard.as_ref(), &twin] {
+                if let Some(&(v, row)) = pairs.first() {
+                    assert!(c.queue_delete(v, row));
+                    assert!(c.queue_insert(v, n as RowId));
+                }
+                c.select(all, &mut scratch);
+                c.check_invariants(None);
+            }
+            assert_eq!(tuples(shard), tuples(&twin), "shard {k} after the merge");
+        }
+    }
+
+    // Many small columns of every shape, shard counts that collapse, the
+    // empty column, shards built whole (coarse buckets) or one by one.
+    proptest! {
+        #[test]
+        fn prop_row_ids_built_on_demand_match_an_eager_twin(
+            seed in any::<u64>(),
+            n in 0usize..600,
+            domain in 0usize..DOMAINS,
+            shards in 0usize..4,
+            whole in any::<bool>(),
+        ) {
+            check_row_ids_on_demand(seed, n, domain, [1usize, 2, 4, 7][shards], whole);
+        }
+    }
+
+    // The same at sizes where a release build's scatter sees real pieces.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn prop_row_ids_built_on_demand_at_size(
+            seed in any::<u64>(),
+            n in (1usize << 14)..=(1 << 16),
+            domain in 0usize..DOMAINS,
+            shards in 0usize..4,
+            whole in any::<bool>(),
+        ) {
+            check_row_ids_on_demand(seed, n, domain, [1usize, 2, 4, 7][shards], whole);
+        }
+    }
+
+    #[test]
+    fn a_merge_builds_the_row_ids_a_delete_names_its_tuple_by() {
+        let b = base(8_000, 500, 31);
+        let col = ShardedColumn::from_base_with_plan("a", &b, ShardPlan::from_values(&b, 2));
+        let mut scratch = CrackScratch::new();
+        col.select_verified(Predicate::range(100, 300), &mut scratch);
+        assert!(col.resident_shards().all(|s| !s.has_row_ids()));
+        // Queueing needs no ids; the merge that applies the delete does.
+        let k = col.plan().shard_of(b[17]);
+        assert!(col.queue_delete(b[17], 17));
+        assert!(!col.shard(k).has_row_ids());
+        let all = Predicate::range(i64::MIN, i64::MAX);
+        let (_, stats) = col.select_verified(all, &mut scratch);
+        let mut left = b.clone();
+        left.swap_remove(17);
+        assert_eq!(stats, scan_stats(&left, all));
+        assert!(col.shard(k).has_row_ids());
+        assert!(
+            !col.shard(1 - k).has_row_ids(),
+            "the untouched shard paid too"
+        );
+        assert!(tuples(col.shard(k)).iter().all(|&(_, row)| row != 17));
+    }
+
+    #[test]
+    fn replans_of_shards_without_row_ids_keep_every_pair() {
+        let b = base(30_000, 1_000, 22);
+        let col = ShardedColumn::from_base_with_plan("a", &b, ShardPlan::from_values(&b, 4));
+        let mut scratch = CrackScratch::new();
+        col.select_verified(Predicate::range(200, 700), &mut scratch);
+        assert!(col.resident_shards().all(|s| !s.has_row_ids()));
+        // The migration builds the ids of the shards it drains — and of no
+        // other; successors store theirs from birth.
+        let split = col.apply_replan(ReplanAction::Split { shard: 1 }).unwrap();
+        assert!(col.shard(1).has_row_ids() && !col.shard(0).has_row_ids());
+        assert!(split.shard(1).has_row_ids() && split.shard(2).has_row_ids());
+        let merged = split.apply_replan(ReplanAction::Merge { left: 3 }).unwrap();
+        assert!(split.shard(3).has_row_ids() && split.shard(4).has_row_ids());
+        for next in [&split, &merged] {
+            let pushed = push_routing(&b, next.plan());
+            for (k, want) in pushed.iter().enumerate() {
+                assert_eq!(
+                    &tuples(next.shard(k)),
+                    want,
+                    "plan v{}, shard {k}",
+                    next.version()
+                );
+            }
         }
     }
 

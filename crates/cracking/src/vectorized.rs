@@ -18,12 +18,37 @@ use holix_storage::types::{CrackValue, RowId};
 /// enough to gang threads on are rare; they borrow a transient buffer.
 const RETAIN: usize = DEFAULT_MIN_PARALLEL;
 
+/// What a crack moves beside each value: the tuple's [`RowId`], or nothing
+/// — `()`, for a column that has not built its row ids yet. Every kernel
+/// has one body over `&mut [R]`; a slice of `()` occupies no memory, so its
+/// loads, stores and copies compile to no code and an id-less crack moves
+/// values alone.
+pub trait RowLane: Copy + Default + Send + 'static {
+    /// This lane's buffer among a scratch's two.
+    #[doc(hidden)]
+    fn buffer<'a>(rows: &'a mut Vec<RowId>, none: &'a mut Vec<()>) -> &'a mut Vec<Self>;
+}
+
+impl RowLane for RowId {
+    fn buffer<'a>(rows: &'a mut Vec<RowId>, _: &'a mut Vec<()>) -> &'a mut Vec<RowId> {
+        rows
+    }
+}
+
+impl RowLane for () {
+    fn buffer<'a>(_: &'a mut Vec<RowId>, none: &'a mut Vec<()>) -> &'a mut Vec<()> {
+        none
+    }
+}
+
 /// Reusable scratch buffers so repeated cracks do not re-allocate. One
 /// scratch per worker/query thread.
 #[derive(Debug)]
 pub struct CrackScratch<V> {
     vals: Vec<V>,
     rows: Vec<RowId>,
+    /// The row lane of id-less cracks: a length, no memory.
+    none: Vec<()>,
 }
 
 impl<V> Default for CrackScratch<V> {
@@ -31,6 +56,7 @@ impl<V> Default for CrackScratch<V> {
         CrackScratch {
             vals: Vec::new(),
             rows: Vec::new(),
+            none: Vec::new(),
         }
     }
 }
@@ -45,12 +71,15 @@ impl<V: CrackValue> CrackScratch<V> {
     /// The first `len` slots. The kernels write every slot of the window
     /// they use before reading it back, so slots are *not* re-initialised
     /// per call.
-    fn window(&mut self, len: usize) -> (&mut [V], &mut [RowId]) {
+    fn window<R: RowLane>(&mut self, len: usize) -> (&mut [V], &mut [R]) {
         if self.vals.len() < len {
             self.vals.resize(len, V::MIN_VALUE);
-            self.rows.resize(len, 0);
         }
-        (&mut self.vals[..len], &mut self.rows[..len])
+        let rows = R::buffer(&mut self.rows, &mut self.none);
+        if rows.len() < len {
+            rows.resize(len, R::default());
+        }
+        (&mut self.vals[..len], &mut rows[..len])
     }
 
     /// Frees buffers that grew past `RETAIN` slots.
@@ -63,10 +92,11 @@ impl<V: CrackValue> CrackScratch<V> {
 
 /// Out-of-place, branch-free two-way partition: after the call, `vals` holds
 /// all elements `< pivot` before all elements `>= pivot` (rows permuted in
-/// lockstep). Returns the split point.
-pub fn crack_in_two_oop<V: CrackValue>(
+/// lockstep; pass a slice of `()` to move values alone). Returns the split
+/// point.
+pub fn crack_in_two_oop<V: CrackValue, R: RowLane>(
     vals: &mut [V],
-    rows: &mut [RowId],
+    rows: &mut [R],
     pivot: V,
     scratch: &mut CrackScratch<V>,
 ) -> usize {
@@ -113,9 +143,9 @@ pub fn crack_in_two_oop<V: CrackValue>(
 ///
 /// (The previous implementation composed two full two-way passes; the
 /// fused form reads the piece once instead of ~twice.)
-pub fn crack_in_three_oop<V: CrackValue>(
+pub fn crack_in_three_oop<V: CrackValue, R: RowLane>(
     vals: &mut [V],
-    rows: &mut [RowId],
+    rows: &mut [R],
     lo: V,
     hi: V,
     scratch: &mut CrackScratch<V>,

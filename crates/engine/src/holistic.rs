@@ -290,7 +290,8 @@ impl HolisticEngine {
         let Some(budget) = self.cfg.holistic.storage_budget else {
             return true;
         };
-        let tuple = std::mem::size_of::<i64>() + std::mem::size_of::<RowId>();
+        // A fresh shard stores values only.
+        let tuple = CrackerColumn::<i64>::tuple_bytes(false);
         budget.saturating_sub(self.space.bytes_used()) >= self.data.rows() * tuple
     }
 
@@ -1047,16 +1048,20 @@ mod tests {
         HolisticEngine::new(data, cfg)
     }
 
+    /// What a tuple of a freshly built shard costs the budget: its value
+    /// (the row ids come with the first conjunction, write or migration).
+    const TUPLE: usize = CrackerColumn::<i64>::tuple_bytes(false);
+
     /// Two 50k-row attributes in four shards under a budget of 1.3
-    /// attributes (a 50k-row attribute is 600 KB of values and row ids, a
-    /// shard 150 KB), no daemon workers. Attribute 0 was touched first and
+    /// attributes (a 50k-row attribute is 400 KB of values, a shard
+    /// 100 KB), no daemon workers. Attribute 0 was touched first and
     /// is resident whole; the narrow query on attribute 1 found room for
     /// a shard but not for an attribute, so only shard 0 of it was built.
     fn partially_resident_engine() -> HolisticEngine {
         let data = Dataset::new(uniform_table(2, 50_000, 1_000_000, 6));
         let mut cfg = HolisticEngineConfig::split_half_sharded(2, 4);
         cfg.holistic.max_workers = Some(0);
-        cfg.holistic.storage_budget = Some(780_000);
+        cfg.holistic.storage_budget = Some(50_000 * TUPLE * 13 / 10);
         let e = HolisticEngine::new(data, cfg);
         for attr in 0..2 {
             let q = QuerySpec {
@@ -1721,8 +1726,8 @@ mod tests {
         let data = Dataset::new(uniform_table(3, 50_000, 1_000_000, 4));
         let mut cfg = HolisticEngineConfig::split_half(2);
         cfg.holistic.monitor_interval = Duration::from_millis(1);
-        // Budget fits roughly one 50k-row column (600 KiB payload each).
-        cfg.holistic.storage_budget = Some(700 * 1024);
+        // Room for one 50k-row column and three quarters of another.
+        cfg.holistic.storage_budget = Some(50_000 * TUPLE * 7 / 4);
         let e = HolisticEngine::new(data, cfg);
         for attr in 0..3 {
             let q = QuerySpec {
@@ -1755,7 +1760,7 @@ mod tests {
     #[test]
     fn narrow_query_under_pressure_admits_one_shard_not_the_attribute() {
         let e = partially_resident_engine();
-        let shard_bytes = 50_000 / 4 * 12;
+        let shard_bytes = 50_000 / 4 * TUPLE;
         // Attribute 0 went in whole (nothing had to go for it) ...
         let col0 = peek(&e, 0);
         assert!((0..4).all(|k| live(&col0, k).is_some()));
@@ -1788,15 +1793,16 @@ mod tests {
 
     #[test]
     fn partial_eviction_rebuilds_only_the_dropped_shard() {
-        // Two 600 KB attributes in two shards under a budget of 1.4 of
+        // Two 400 KB attributes in two shards under a budget of 1.4 of
         // them. Attribute 0 goes in whole; the narrow read on attribute 1
-        // finds room for neither the attribute nor its 300 KB shard, so
+        // finds room for neither the attribute nor its 200 KB shard, so
         // one shard is admitted and the least-queried entry — attribute
         // 0's never-queried upper shard — is evicted for it.
+        let budget = 50_000 * TUPLE * 14 / 10;
         let data = Dataset::new(uniform_table(2, 50_000, 1_000_000, 6));
         let mut cfg = HolisticEngineConfig::split_half_sharded(2, 2);
         cfg.holistic.max_workers = Some(0);
-        cfg.holistic.storage_budget = Some(850 * 1024);
+        cfg.holistic.storage_budget = Some(budget);
         let e = HolisticEngine::new(data, cfg);
         let exact = |q: QuerySpec| {
             let oracle = scan_stats(e.data.column(q.attr), Predicate::range(q.lo, q.hi));
@@ -1856,9 +1862,89 @@ mod tests {
         }
         assert_eq!(records(&e), live_cells(&e));
         assert!(
-            e.space().bytes_used() <= 850 * 1024 + 64 * 1024,
+            e.space().bytes_used() <= budget + 64 * 1024,
             "live bytes exceed the budget by more than index growth"
         );
+        e.stop();
+    }
+
+    #[test]
+    fn evicted_driver_shard_rebuilds_its_row_ids_for_the_next_conjunction() {
+        // Two 400 KB attributes in two shards under a budget of 1.4 of
+        // them, no daemon workers.
+        let data = Dataset::new(uniform_table(2, 50_000, 1_000_000, 8));
+        let mut cfg = HolisticEngineConfig::split_half_sharded(2, 2);
+        cfg.holistic.max_workers = Some(0);
+        cfg.holistic.storage_budget = Some(50_000 * TUPLE * 14 / 10);
+        let e = HolisticEngine::new(data, cfg);
+        let read = |attr: usize, lo: i64| {
+            let q = QuerySpec {
+                attr,
+                lo,
+                hi: lo + 5_000,
+            };
+            let oracle = scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi));
+            assert_eq!(e.execute(&q), oracle.count, "{q:?}");
+        };
+        // Driven by its first, narrow term: attribute 0's lower shard.
+        let conjunction = || {
+            let terms = [
+                QuerySpec {
+                    attr: 0,
+                    lo: 10_000,
+                    hi: 15_000,
+                },
+                QuerySpec {
+                    attr: 1,
+                    lo: 0,
+                    hi: 600_000,
+                },
+            ];
+            let want = (0..e.data.rows())
+                .filter(|&r| {
+                    terms
+                        .iter()
+                        .all(|t| (t.lo..t.hi).contains(&e.data.column(t.attr)[r]))
+                })
+                .count() as u64;
+            assert_eq!(e.execute_conjunction(&terms), Some(want));
+        };
+        // Attribute 0 goes in whole and without row ids; the conjunction
+        // builds those of the shard it drives from, and the budget sees
+        // them without being told.
+        read(0, 900_000);
+        let whole = peek(&e, 0);
+        assert!(whole.resident_shards().all(|s| !s.has_row_ids()));
+        let charged = e.space().bytes_used();
+        conjunction();
+        let (driver, _) = live(&whole, 0).expect("resident");
+        assert!(driver.has_row_ids() && !whole.shard(1).has_row_ids());
+        assert!(
+            e.space().bytes_used() >= charged + driver.len() * std::mem::size_of::<RowId>(),
+            "the row ids are not charged"
+        );
+        let old_driver = Arc::downgrade(driver);
+        drop(whole);
+        // Attribute 1 shard by shard, its lower shard hot: the two
+        // admissions evict attribute 0's two once-read shards.
+        for lo in [10_000, 30_000, 50_000, 70_000] {
+            read(1, lo);
+        }
+        read(1, 900_000);
+        assert!(live(&peek(&e, 0), 0).is_none(), "the driver shard survived");
+        // The next conjunction rebuilds the shard from the base — values
+        // only — and then its row ids, and is exact; the evicted column
+        // went with its cell, ids and all.
+        conjunction();
+        let after = peek(&e, 0);
+        let (rebuilt, _) = live(&after, 0).expect("the driver shard is back");
+        assert!(rebuilt.has_row_ids());
+        assert!(
+            old_driver.upgrade().is_none(),
+            "the evicted column lives on"
+        );
+        conjunction();
+        assert_eq!(records(&e), live_cells(&e));
         e.stop();
     }
 
@@ -1875,7 +1961,7 @@ mod tests {
         let sorted = sorted_columns(&data);
         let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
         cfg.holistic.monitor_interval = Duration::from_millis(1);
-        cfg.holistic.storage_budget = Some(rows * 12);
+        cfg.holistic.storage_budget = Some(rows * TUPLE);
         let e = HolisticEngine::new(data, cfg);
         let failed = AtomicBool::new(false);
         let done = std::sync::atomic::AtomicUsize::new(0);
@@ -1961,8 +2047,8 @@ mod tests {
         let sorted = sorted_columns(&data);
         let mut cfg = HolisticEngineConfig::split_half_sharded(2, shards);
         cfg.holistic.monitor_interval = Duration::from_millis(1);
-        // Half the base data: a third of the shards at 12 bytes a tuple.
-        cfg.holistic.storage_budget = Some(attrs * rows * 8 / 2);
+        // A third of the shards.
+        cfg.holistic.storage_budget = Some(attrs * rows * TUPLE / 3);
         let e = HolisticEngine::new(data, cfg);
         let deadline = std::time::Instant::now() + Duration::from_secs(300);
         let mut rng = StdRng::seed_from_u64(23);
@@ -2280,11 +2366,12 @@ mod tests {
 
     #[test]
     fn add_potential_rebuilds_dropped_shards_and_leaves_live_ones() {
-        // Three 600 KB attributes in two shards, a budget of two of them.
+        // Three 400 KB attributes in two shards, a budget of two of them
+        // and a fifth.
         let data = Dataset::new(uniform_table(3, 50_000, 1_000_000, 5));
         let mut cfg = HolisticEngineConfig::split_half_sharded(2, 2);
         cfg.holistic.max_workers = Some(0);
-        cfg.holistic.storage_budget = Some(1_300 * 1024);
+        cfg.holistic.storage_budget = Some(50_000 * TUPLE * 22 / 10);
         let e = HolisticEngine::new(data, cfg);
         e.add_potential(&[0, 1, 2]);
         // Speculating on the third attribute evicted the oldest entries:
