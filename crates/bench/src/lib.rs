@@ -1,8 +1,10 @@
-//! # holix-bench — shared infrastructure for the figure/table harnesses
+//! # holix-bench — shared infrastructure for the figure bed
 //!
-//! Every bench target under `benches/` regenerates one table or figure of
-//! the paper's evaluation (§5) at laptop scale and prints the same
-//! rows/series as CSV. Scale knobs come from the environment:
+//! `benches/figures.rs` regenerates the tables and figures of the paper's
+//! evaluation (§5) at laptop scale, one row of its figure table each,
+//! selected by name (`cargo bench -p holix-bench --bench figures --
+//! fig06a_cumulative`; no name runs them all in paper order), and prints
+//! the same rows/series as CSV. Scale knobs come from the environment:
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
@@ -12,15 +14,9 @@
 //! | `HOLIX_THREADS` | hardware contexts to model | machine |
 //! | `HOLIX_TPCH_SF` | TPC-H scale factor | `0.02` |
 //! | `HOLIX_IDLE_MS` | scaled idle period (Fig 9/16) | `500` |
-//! | `HOLIX_CLIENTS` | concurrent client sessions (service harness) | `16` |
-//! | `HOLIX_SHARDS` | horizontal shards per attribute (shard sweeps) | `4` |
-//! | `HOLIX_REPS` | measured repetitions (service harness; CI smoke uses 1) | `6` |
-//! | `HOLIX_UPDATERS` | Ripple updater threads (snapshot-interference harness sweeps this and 2×it) | `2` |
-//! | `HOLIX_POINTS` | distinct hot keys in the point-probe mix (filter harness) | `64` |
-//! | `HOLIX_POINT_PROB` | equality-probe fraction of the point-heavy mix | `0.8` |
-//! | `HOLIX_PHASES` | drift phases — distinct hot regions the workload visits in turn (replan harness) | `3` |
-//! | `HOLIX_METRICS` | process-wide metrics registry on/off (`0`/`false`/`off`/`no` disable; harnesses may override programmatically) | on |
-//! | `HOLIX_TRACE` | per-query lifecycle tracing into the bounded ring (same off values) | off |
+//! | `HOLIX_SHARDS` | horizontal shards per attribute (Fig 11's sharded series) | `4` |
+//! | `HOLIX_METRICS` | process-wide metrics registry on/off (`0`/`false`/`off`/`no` disable; read by `holix-telemetry`) | on |
+//! | `HOLIX_TRACE` | per-query lifecycle tracing into the bounded ring (same off values; read by `holix-telemetry`) | off |
 //!
 //! The paper's sizes (2³⁰ rows, 32 contexts, 1 s monitor interval) are
 //! reachable by setting the variables accordingly. A knob that is set but
@@ -41,13 +37,7 @@ pub struct BenchEnv {
     pub domain: i64,
     pub tpch_sf: f64,
     pub idle_ms: u64,
-    pub clients: usize,
     pub shards: usize,
-    pub reps: usize,
-    pub updaters: usize,
-    pub points: usize,
-    pub point_prob: f64,
-    pub phases: usize,
 }
 
 /// Resolves an integer knob; a set-but-unparsable value panics with the
@@ -103,13 +93,7 @@ impl BenchEnv {
             domain: (n as i64).max(1 << 20),
             tpch_sf: env_f64("HOLIX_TPCH_SF", 0.02),
             idle_ms: env_usize("HOLIX_IDLE_MS", 500) as u64,
-            clients: env_usize("HOLIX_CLIENTS", 16),
             shards: env_usize("HOLIX_SHARDS", 4).max(1),
-            reps: env_usize("HOLIX_REPS", 6).max(1),
-            updaters: env_usize("HOLIX_UPDATERS", 2).max(1),
-            points: env_usize("HOLIX_POINTS", 64).max(1),
-            point_prob: env_f64("HOLIX_POINT_PROB", 0.8).clamp(0.0, 1.0),
-            phases: env_usize("HOLIX_PHASES", 3).max(1),
         }
     }
 
@@ -117,7 +101,7 @@ impl BenchEnv {
     pub fn banner(&self, figure: &str, notes: &str) {
         println!("# {figure}");
         println!(
-            "# scale: N={} queries={} attrs={} threads={} domain={} tpch_sf={} idle_ms={} clients={} shards={} reps={} updaters={} points={} point_prob={} phases={}",
+            "# scale: N={} queries={} attrs={} threads={} domain={} tpch_sf={} idle_ms={} shards={}",
             self.n,
             self.queries,
             self.attrs,
@@ -125,13 +109,7 @@ impl BenchEnv {
             self.domain,
             self.tpch_sf,
             self.idle_ms,
-            self.clients,
-            self.shards,
-            self.reps,
-            self.updaters,
-            self.points,
-            self.point_prob,
-            self.phases
+            self.shards
         );
         if !notes.is_empty() {
             println!("# {notes}");
@@ -194,6 +172,24 @@ pub fn sample_indices(len: usize, points: usize) -> Vec<usize> {
     idx
 }
 
+/// The paper's Fig 6(b)/9 breakdown of a workload: the first query, the
+/// next 9, the next 90, … — buckets ending at query 1, 10, 100, 1,000, …
+/// and the last one at `times.len()` — as `first..last` labels (1-based,
+/// inclusive) with the seconds spent in each.
+pub fn buckets(times: &[Duration]) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    let (mut start, mut end) = (0, 1);
+    while start < times.len() {
+        let stop = end.min(times.len());
+        out.push((
+            format!("{}..{stop}", start + 1),
+            secs(total(&times[start..stop])),
+        ));
+        (start, end) = (stop, end * 10);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,13 +212,33 @@ mod tests {
     }
 
     #[test]
+    fn buckets_end_at_powers_of_ten() {
+        let labels = |n: usize| -> Vec<String> {
+            buckets(&vec![Duration::from_millis(1); n])
+                .into_iter()
+                .map(|(label, _)| label)
+                .collect()
+        };
+        assert_eq!(labels(1_000), ["1..1", "2..10", "11..100", "101..1000"]);
+        assert_eq!(labels(512), ["1..1", "2..10", "11..100", "101..512"]);
+        assert_eq!(labels(1), ["1..1"]);
+        assert!(labels(0).is_empty());
+        // Each bucket sums exactly its own queries: 1 + 9 + 90 + 900 ms.
+        let seconds: Vec<f64> = buckets(&vec![Duration::from_millis(1); 1_000])
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect();
+        for (got, want) in seconds.iter().zip([0.001, 0.009, 0.090, 0.900]) {
+            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        }
+    }
+
+    #[test]
     fn env_defaults() {
         let e = BenchEnv::from_env();
         assert!(e.threads >= 2);
         assert!(e.n > 0);
-        assert!(e.clients > 0);
         assert!(e.shards >= 1);
-        assert!(e.reps >= 1);
     }
 
     // Knob parsing is tested through the pure cores: mutating the process

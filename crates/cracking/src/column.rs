@@ -1929,6 +1929,40 @@ mod tests {
     }
 
     #[test]
+    fn threaded_select_matches_scan_oracle() {
+        // PVDC: query-path cracks gang four threads on one piece.
+        let mut rng = StdRng::seed_from_u64(1);
+        let base: Vec<i64> = (0..300_000).map(|_| rng.random_range(0..100_000)).collect();
+        let col = CrackerColumn::from_base("a", &base).with_threads(4, 1);
+        let mut scratch = CrackScratch::new();
+        for _ in 0..30 {
+            let a = rng.random_range(0..100_000);
+            let b = rng.random_range(0..100_000);
+            let pred = Predicate::range(a.min(b), a.max(b));
+            let (_, stats) = col.select_verified(pred, &mut scratch);
+            assert_eq!(stats, scan_stats(&base, pred));
+        }
+        col.check_invariants(Some(&base));
+    }
+
+    #[test]
+    fn threaded_cracks_agree_with_sequential_cracking() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let base: Vec<i64> = (0..200_000).map(|_| rng.random_range(0..50_000)).collect();
+        let par = CrackerColumn::from_base("p", &base).with_threads(8, 1);
+        let seq = CrackerColumn::from_base("s", &base);
+        let mut scratch = CrackScratch::new();
+        for i in 0..20 {
+            let lo = i * 2_000;
+            let pred = Predicate::range(lo, lo + 10_000);
+            let sp = par.select(pred, &mut scratch);
+            let ss = seq.select(pred, &mut scratch);
+            assert_eq!(sp.count(), ss.count());
+        }
+        assert_eq!(par.piece_count(), seq.piece_count());
+    }
+
+    #[test]
     fn successive_queries_touch_less() {
         let (base, col) = column(50_000, 3);
         let mut scratch = CrackScratch::new();

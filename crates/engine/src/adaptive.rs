@@ -5,8 +5,8 @@
 //! stochastic cracking (PVSDC).
 
 use crate::api::{Capabilities, Dataset, QueryEngine};
+use holix_cracking::stochastic::select_stochastic;
 use holix_cracking::{CrackScratch, CrackerColumn, Selection};
-use holix_parallel::pvsdc::select_pvsdc;
 use holix_storage::select::Predicate;
 use holix_workloads::QuerySpec;
 use parking_lot::RwLock;
@@ -92,7 +92,7 @@ impl AdaptiveEngine {
             match self.mode {
                 CrackMode::Sequential | CrackMode::Pvdc { .. } => col.select(pred, scratch),
                 CrackMode::Pvsdc { .. } => {
-                    RNG.with(|r| select_pvsdc(&col, pred, &mut *r.borrow_mut(), scratch))
+                    RNG.with(|r| select_stochastic(&col, pred, &mut *r.borrow_mut(), scratch))
                 }
             }
         })

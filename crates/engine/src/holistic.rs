@@ -85,8 +85,7 @@ pub struct HolisticEngineConfig {
     pub point_filters: bool,
     /// Run the replanner thread: watch per-shard load skew and publish
     /// split/merge plan revisions as successor columns.
-    /// Off by default — the paper's layout is a fixed plan, and frozen
-    /// plans are the baseline every `fig_replan` bed compares against.
+    /// Off by default — the paper's layout is a fixed plan.
     pub replan: bool,
     /// Core tuning configuration (x, interval, strategy, budget,
     /// worker_threads …).
@@ -458,8 +457,8 @@ impl HolisticEngine {
         maybe_replan_attr(&self.shared, &self.space, &self.replan_policy, attr)
     }
 
-    /// Applies a specific split/merge unconditionally (tests and the
-    /// `fig_replan` harness force migrations the policy would pace).
+    /// Applies a specific split/merge unconditionally (tests force
+    /// migrations the policy would pace).
     /// Builds the attribute first. Returns `false` when the action is out
     /// of range or the migration aborted (e.g. an unsplittable
     /// constant-valued shard).
@@ -2499,10 +2498,27 @@ mod tests {
     #[test]
     fn replanner_thread_rebalances_under_drift() {
         let data = Dataset::new(uniform_table(1, 40_000, 1_000_000, 11));
-        let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
-        cfg.holistic.monitor_interval = Duration::from_millis(1);
-        cfg.replan = true;
-        let e = HolisticEngine::new(data, cfg);
+        // The replanning engine and a frozen twin, fed the same drift.
+        let engine = |replan: bool| {
+            let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
+            cfg.holistic.monitor_interval = Duration::from_millis(1);
+            cfg.replan = replan;
+            HolisticEngine::new(data.clone(), cfg)
+        };
+        let (e, frozen) = (engine(true), engine(false));
+        // Max/mean shard weight over `len + pending`, read once the
+        // engine has stopped (no merge moves tuples between the two reads).
+        let skew = |e: &HolisticEngine| {
+            let col = e.sharded(0);
+            let loads: Vec<ShardLoad> = (0..col.shard_count())
+                .map(|k| ShardLoad {
+                    rows: col.shard(k).len(),
+                    pending: col.shard(k).pending_len(),
+                    access: 0,
+                })
+                .collect();
+            holix_planner::load_skew(&loads)
+        };
         let q = QuerySpec {
             attr: 0,
             lo: 0,
@@ -2510,12 +2526,17 @@ mod tests {
         };
         let oracle = scan_stats(e.data.column(0), Predicate::range(q.lo, q.hi)).count;
         assert_eq!(e.execute(&q), oracle);
+        assert_eq!(frozen.execute(&q), oracle);
         // Drifted hot region: a pending pile-up in the last shard.
         let col = e.sharded(0);
         let lowest = *col.plan().cuts().last().unwrap();
         for i in 0..90_000u64 {
-            e.queue_insert(0, lowest + (i as i64 % 1_000), 1_000_000 + i as u32);
+            for e in [&e, &frozen] {
+                e.queue_insert(0, lowest + (i as i64 % 1_000), 1_000_000 + i as u32);
+            }
         }
+        frozen.stop();
+        let frozen_skew = skew(&frozen);
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while e.replan_count() == 0 {
             assert!(
@@ -2528,5 +2549,11 @@ mod tests {
         assert_eq!(e.execute(&q), oracle + 90_000, "exact under live replans");
         e.stop();
         e.stop(); // idempotent with the replanner too
+        let replan_skew = skew(&e);
+        assert!(
+            replan_skew <= frozen_skew + 0.05,
+            "replanning left skew {replan_skew:.3} against the frozen plan's {frozen_skew:.3}"
+        );
+        assert_eq!(frozen.replan_count(), 0, "a frozen plan never replans");
     }
 }

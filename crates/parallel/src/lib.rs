@@ -9,20 +9,17 @@
 //!   swaps the misplaced middle regions into place. The module lives in
 //!   `holix-cracking` (every cracker column reaches it through the one
 //!   partition entry point) and is re-exported here under its old path.
-//! - [`pvdc`] — **P**arallel **V**ectorized **D**atabase **C**racking:
-//!   a [`holix_cracking::CrackerColumn`] whose query-path cracks gang
-//!   several threads on the parallel partition.
-//! - [`pvsdc`] — Parallel Vectorized **S**tochastic Database Cracking:
-//!   PVDC plus one auxiliary random crack per query bound.
+//! - PVDC (**P**arallel **V**ectorized **D**atabase **C**racking) is a
+//!   plain [`holix_cracking::CrackerColumn`] built with a query-path
+//!   thread budget above one (`from_base(..).with_threads(t, 1)`): all
+//!   user-query threads gang up on the one piece a query cracks. PVSDC
+//!   adds one auxiliary random crack per query bound
+//!   ([`holix_cracking::stochastic::select_stochastic`]).
 //! - [`ccgi`] — modified Parallel Chunked Coarse-Granular Index (mP-CCGI,
 //!   from [8] extended with result consolidation as §5.2 describes).
 
 pub mod ccgi;
-pub mod pvdc;
-pub mod pvsdc;
 
 pub use ccgi::ChunkedCrackerColumn;
 pub use holix_cracking::partition;
 pub use partition::parallel_partition;
-pub use pvdc::pvdc_column;
-pub use pvsdc::select_pvsdc;

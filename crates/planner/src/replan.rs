@@ -71,8 +71,9 @@ impl Default for ReplanPolicy {
     }
 }
 
-/// Shard-weight skew `max/mean` — the balance number `fig_replan`
-/// reports. 1.0 is perfectly balanced; 0.0 for an empty plan.
+/// Shard-weight skew `max/mean` — the balance number a replan must not
+/// leave worse than a frozen plan. 1.0 is perfectly balanced; 0.0 for an
+/// empty plan.
 pub fn load_skew(loads: &[ShardLoad]) -> f64 {
     if loads.is_empty() {
         return 0.0;

@@ -14,9 +14,8 @@
 //!   columns touched by TPC-H Q1, Q6 and Q12, plus the random query-variant
 //!   generators of §5.6.
 //! - [`updates`] — the HFLV/LFHV mixed read/write streams of §5.7.
-//! - [`traffic`] — multi-client traffic mixes for the service layer:
-//!   open-/closed-loop arrival processes and per-client skew (§5.8 scaled
-//!   to many sessions).
+//! - [`traffic`] — multi-client traffic for the service layer: closed-loop
+//!   sessions over per-client hot regions (§5.8 scaled to many sessions).
 
 pub mod data;
 pub mod patterns;

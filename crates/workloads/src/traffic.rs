@@ -1,13 +1,12 @@
 //! Multi-client traffic generators for the service layer (§5.8 scaled to
-//! "heavy traffic": many sessions, arrival distributions, per-client skew).
+//! "heavy traffic": many sessions, per-client skew).
 //!
-//! A [`TrafficSpec`] describes a fleet of client sessions. Each client gets
-//! its own deterministic query stream ([`TrafficSpec::client_stream`]):
-//! open-loop streams carry absolute arrival offsets (the client fires at
-//! those times regardless of completions), closed-loop streams carry think
-//! times (the client waits that long after each answer). Per-client skew
-//! models real fleets where every client hammers its own slice of the data
-//! — the regime where crack-aware batching pays off.
+//! A [`TrafficSpec`] describes a fleet of closed-loop client sessions. Each
+//! client gets its own deterministic query stream
+//! ([`TrafficSpec::client_stream`]) carrying think times (the client waits
+//! that long after each answer). Per-client skew models real fleets where
+//! every client hammers its own slice of the data — the regime where
+//! crack-aware batching pays off.
 
 use crate::patterns::QuerySpec;
 use rand::prelude::*;
@@ -21,88 +20,30 @@ pub enum ArrivalProcess {
         /// Think time between completion and next submission.
         think: Duration,
     },
-    /// Open loop, deterministic spacing at `qps` per client.
-    OpenUniform {
-        /// Offered queries per second, per client.
-        qps: f64,
-    },
-    /// Open loop, Poisson process: exponential inter-arrivals at `qps`.
-    OpenPoisson {
-        /// Mean offered queries per second, per client.
-        qps: f64,
-    },
-    /// Open loop, bursty: `burst` back-to-back queries, then a gap sized so
-    /// the long-run rate is `qps`.
-    OpenBursty {
-        /// Mean offered queries per second, per client.
-        qps: f64,
-        /// Queries per burst.
-        burst: usize,
-    },
 }
 
 /// Which slice of the data each client focuses on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClientFocus {
-    /// All clients draw uniformly over all attributes and the full domain.
-    Shared,
-    /// Client `c` only queries attribute `c % n_attrs` (per-client column
-    /// affinity).
-    PerClientAttr,
-    /// Clients draw from a fixed set of hot predicate windows with a
-    /// Zipf-like preference rotated per client, so every client has its own
-    /// favourite windows but the fleet shares the hot set. Produces many
-    /// repeated predicates — the skewed regime of the service experiments.
-    HotWindows {
-        /// Number of distinct hot windows in the fleet-wide set.
-        windows: usize,
-    },
-    /// Like [`ClientFocus::HotWindows`], but each hot entry is a *region*:
-    /// with probability `exact_prob` a query repeats the region's canonical
-    /// window verbatim (a cached dashboard query), otherwise its bounds are
-    /// jittered inside the region (a parameterised variant). Sustains fresh
-    /// cracking work concentrated on the hot regions.
+    /// Clients draw from a fixed set of hot regions with a Zipf-like
+    /// preference rotated per client, so every client has its own
+    /// favourite regions but the fleet shares the hot set. With probability
+    /// `exact_prob` a query repeats the region's canonical window verbatim
+    /// (a cached dashboard query), otherwise its bounds are jittered inside
+    /// the region (a parameterised variant). Sustains fresh cracking work
+    /// concentrated on the hot regions.
     HotRegions {
         /// Number of distinct hot regions in the fleet-wide set.
         regions: usize,
         /// Probability of an exact repeat of the canonical window.
         exact_prob: f64,
     },
-    /// The planner harness's serving mix: [`ClientFocus::HotRegions`]
-    /// traffic (cheap narrow repeats + jittered variants) interleaved
-    /// with *wide spanning scans* — with probability `wide_prob` a query
-    /// covers at least half the domain at a fresh random offset, so it
-    /// crosses every shard plan's cuts (exercising decomposition) and its
-    /// cold bounds price Expensive (exercising cost-based shedding).
-    SpanningMix {
-        /// Number of distinct hot regions in the fleet-wide set.
-        regions: usize,
-        /// Probability of an exact repeat of a region's canonical window.
-        exact_prob: f64,
-        /// Probability that a query is a wide spanning scan instead.
-        wide_prob: f64,
-    },
-    /// The point-filter harness's serving mix: with probability
-    /// `point_prob` a query is a unit-range equality probe on a
-    /// Zipf-ranked hot key (key-value-style exact-match lookups — the
-    /// traffic the per-shard membership filters screen), the remainder
-    /// is [`ClientFocus::HotRegions`]-style range traffic over the same
-    /// hot set. Probes repeat heavily across the fleet, so duplicate
-    /// coalescing and filter screening both engage.
-    PointHeavy {
-        /// Number of distinct hot keys (and regions) in the fleet-wide
-        /// set.
-        points: usize,
-        /// Probability that a query is an equality probe.
-        point_prob: f64,
-    },
 }
 
 /// One entry of a client's stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedQuery {
-    /// Open loop: offset of the arrival from stream start. Closed loop:
-    /// think time to wait before submitting this query.
+    /// Think time to wait before submitting this query.
     pub at: Duration,
     /// The query itself.
     pub spec: QuerySpec,
@@ -157,22 +98,14 @@ impl TrafficSpec {
         }
     }
 
-    /// The fleet-wide hot-window (or hot-region canonical-window) set for
-    /// [`ClientFocus::HotWindows`] / [`ClientFocus::HotRegions`] — shared by
+    /// The fleet-wide set of the hot regions' canonical windows — shared by
     /// all clients; depends only on the spec's seed and shape.
     pub fn hot_windows(&self) -> Vec<QuerySpec> {
-        let n = match self.focus {
-            ClientFocus::HotWindows { windows } => windows,
-            ClientFocus::HotRegions { regions, .. } | ClientFocus::SpanningMix { regions, .. } => {
-                regions
-            }
-            ClientFocus::PointHeavy { points, .. } => points,
-            _ => return Vec::new(),
-        };
+        let ClientFocus::HotRegions { regions, .. } = self.focus;
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x9077_F00D);
         let domain = self.domain.max(2);
         let width = (domain / self.window_denom.max(1)).max(1);
-        (0..n.max(1))
+        (0..regions.max(1))
             .map(|_| {
                 let attr = rng.random_range(0..self.n_attrs.max(1));
                 let lo = rng.random_range(0..(domain - width).max(1));
@@ -193,127 +126,27 @@ impl TrafficSpec {
                 .wrapping_add(client as u64),
         );
         let hot = self.hot_windows();
+        let ClientFocus::HotRegions {
+            regions,
+            exact_prob,
+        } = self.focus;
+        let ArrivalProcess::Closed { think } = self.arrival;
         // Harmonic normaliser for the Zipf draws, hoisted out of the
         // per-query loop (it only depends on the hot-set size).
-        let harmonic = |n: usize| -> f64 { (1..=n.max(1)).map(|k| 1.0 / k as f64).sum() };
-        let hot_h = match self.focus {
-            ClientFocus::HotWindows { windows } => harmonic(windows),
-            ClientFocus::HotRegions { regions, .. } | ClientFocus::SpanningMix { regions, .. } => {
-                harmonic(regions)
-            }
-            ClientFocus::PointHeavy { points, .. } => harmonic(points),
-            _ => 0.0,
-        };
+        let h: f64 = (1..=regions.max(1)).map(|k| 1.0 / k as f64).sum();
         let domain = self.domain.max(2);
-        let width = (domain / self.window_denom.max(1)).max(1);
-        let mut clock = Duration::ZERO;
         (0..self.queries_per_client)
-            .map(|i| {
-                let spec = match self.focus {
-                    ClientFocus::Shared => {
-                        let attr = rng.random_range(0..self.n_attrs.max(1));
-                        let a = rng.random_range(0..domain);
-                        let b = rng.random_range(0..domain);
-                        QuerySpec {
-                            attr,
-                            lo: a.min(b),
-                            hi: a.max(b).max(a.min(b) + 1),
-                        }
-                    }
-                    ClientFocus::PerClientAttr => {
-                        let attr = client % self.n_attrs.max(1);
-                        let lo = rng.random_range(0..(domain - width).max(1));
-                        QuerySpec {
-                            attr,
-                            lo,
-                            hi: (lo + width).min(domain),
-                        }
-                    }
-                    ClientFocus::HotWindows { windows } => {
-                        // Zipf-like rank preference, rotated so client c's
-                        // hottest window is window c mod |set|.
-                        let n = windows.max(1);
-                        let rank = zipf_rank(&mut rng, n, hot_h);
-                        hot[(rank + client) % n]
-                    }
-                    ClientFocus::HotRegions {
-                        regions,
-                        exact_prob,
-                    } => region_query(&mut rng, &hot, client, regions, exact_prob, hot_h, domain),
-                    ClientFocus::SpanningMix {
-                        regions,
-                        exact_prob,
-                        wide_prob,
-                    } => {
-                        if rng.random_range(0.0..1.0) < wide_prob {
-                            // Wide spanning scan: at least half the domain
-                            // at a fresh random offset — crosses every
-                            // shard plan's cuts and never repeats exactly.
-                            let width = domain / 2 + rng.random_range(0..(domain / 4).max(1));
-                            let lo = rng.random_range(0..(domain - width).max(1));
-                            QuerySpec {
-                                attr: rng.random_range(0..self.n_attrs.max(1)),
-                                lo,
-                                hi: (lo + width).min(domain),
-                            }
-                        } else {
-                            region_query(&mut rng, &hot, client, regions, exact_prob, hot_h, domain)
-                        }
-                    }
-                    ClientFocus::PointHeavy { points, point_prob } => {
-                        if rng.random_range(0.0..1.0) < point_prob {
-                            // Equality probe on a Zipf-ranked hot key
-                            // (the canonical window's low bound), lowered
-                            // to the unit range the engine screens.
-                            let n = points.max(1);
-                            let rank = zipf_rank(&mut rng, n, hot_h);
-                            let w = hot[(rank + client) % n];
-                            QuerySpec {
-                                attr: w.attr,
-                                lo: w.lo,
-                                hi: w.lo + 1,
-                            }
-                        } else {
-                            region_query(&mut rng, &hot, client, points, 0.5, hot_h, domain)
-                        }
-                    }
-                };
-                let at = match self.arrival {
-                    ArrivalProcess::Closed { think } => think,
-                    ArrivalProcess::OpenUniform { qps } => {
-                        clock += secs_f64(1.0 / qps.max(f64::MIN_POSITIVE));
-                        clock
-                    }
-                    ArrivalProcess::OpenPoisson { qps } => {
-                        let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-                        clock += secs_f64(-u.ln() / qps.max(f64::MIN_POSITIVE));
-                        clock
-                    }
-                    ArrivalProcess::OpenBursty { qps, burst } => {
-                        let burst = burst.max(1);
-                        if i % burst == 0 && i > 0 {
-                            clock += secs_f64(burst as f64 / qps.max(f64::MIN_POSITIVE));
-                        }
-                        clock
-                    }
-                };
-                TimedQuery { at, spec }
+            .map(|_| TimedQuery {
+                at: think,
+                spec: region_query(&mut rng, &hot, client, regions, exact_prob, h, domain),
             })
-            .collect()
-    }
-
-    /// Every client's queries flattened (oracle precomputation).
-    pub fn all_queries(&self) -> Vec<QuerySpec> {
-        (0..self.clients)
-            .flat_map(|c| self.client_stream(c).into_iter().map(|t| t.spec))
             .collect()
     }
 }
 
-/// One [`ClientFocus::HotRegions`]-style draw: a Zipf-ranked region,
-/// repeated exactly with probability `exact_prob`, otherwise jittered
-/// inside a region spanning a few window widths around the canonical
-/// window.
+/// One [`ClientFocus::HotRegions`] draw: a Zipf-ranked region, repeated
+/// exactly with probability `exact_prob`, otherwise jittered inside a
+/// region spanning a few window widths around the canonical window.
 fn region_query(
     rng: &mut StdRng,
     hot: &[QuerySpec],
@@ -356,35 +189,24 @@ fn zipf_rank(rng: &mut StdRng, n: usize, h: f64) -> usize {
     n - 1
 }
 
-fn secs_f64(s: f64) -> Duration {
-    Duration::from_secs_f64(s.clamp(0.0, 3600.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn spec(arrival: ArrivalProcess, focus: ClientFocus) -> TrafficSpec {
+    fn spec(think: Duration) -> TrafficSpec {
         TrafficSpec {
-            clients: 4,
-            queries_per_client: 200,
-            n_attrs: 3,
-            domain: 1 << 20,
-            arrival,
-            focus,
-            window_denom: 100,
-            seed: 7,
+            arrival: ArrivalProcess::Closed { think },
+            focus: ClientFocus::HotRegions {
+                regions: 8,
+                exact_prob: 0.5,
+            },
+            ..TrafficSpec::saturating(4, 200, 3, 1 << 20, 7)
         }
     }
 
     #[test]
     fn streams_are_deterministic_and_valid() {
-        let s = spec(
-            ArrivalProcess::Closed {
-                think: Duration::ZERO,
-            },
-            ClientFocus::Shared,
-        );
+        let s = spec(Duration::ZERO);
         assert_eq!(s.client_stream(2), s.client_stream(2));
         for c in 0..s.clients {
             let stream = s.client_stream(c);
@@ -395,67 +217,11 @@ mod tests {
                 assert!(t.spec.attr < 3);
             }
         }
-        assert_eq!(s.all_queries().len(), 800);
-    }
-
-    #[test]
-    fn per_client_attr_pins_each_client_to_one_column() {
-        let s = spec(
-            ArrivalProcess::Closed {
-                think: Duration::ZERO,
-            },
-            ClientFocus::PerClientAttr,
-        );
-        for c in 0..s.clients {
-            let stream = s.client_stream(c);
-            assert!(stream.iter().all(|t| t.spec.attr == c % 3), "client {c}");
-        }
-    }
-
-    #[test]
-    fn hot_windows_repeat_predicates_and_skew_per_client() {
-        let s = spec(
-            ArrivalProcess::Closed {
-                think: Duration::ZERO,
-            },
-            ClientFocus::HotWindows { windows: 8 },
-        );
-        let hot = s.hot_windows();
-        assert_eq!(hot.len(), 8);
-        let stream = s.client_stream(0);
-        // Every query is one of the hot windows.
-        assert!(stream.iter().all(|t| hot.contains(&t.spec)));
-        // With 200 draws over 8 windows, duplicates are guaranteed.
-        let mut uniq: Vec<QuerySpec> = stream.iter().map(|t| t.spec).collect();
-        uniq.sort_by_key(|q| (q.attr, q.lo, q.hi));
-        uniq.dedup();
-        assert!(uniq.len() <= 8);
-        // Zipf rotation: client 0's modal window differs from client 1's.
-        let modal = |c: usize| -> QuerySpec {
-            let stream = s.client_stream(c);
-            let mut best = (0usize, stream[0].spec);
-            for w in &hot {
-                let n = stream.iter().filter(|t| t.spec == *w).count();
-                if n > best.0 {
-                    best = (n, *w);
-                }
-            }
-            best.1
-        };
-        assert_ne!(modal(0), modal(1));
     }
 
     #[test]
     fn hot_regions_mix_exact_repeats_and_jittered_variants() {
-        let s = spec(
-            ArrivalProcess::Closed {
-                think: Duration::ZERO,
-            },
-            ClientFocus::HotRegions {
-                regions: 8,
-                exact_prob: 0.5,
-            },
-        );
+        let s = spec(Duration::ZERO);
         let hot = s.hot_windows();
         assert_eq!(hot.len(), 8);
         let stream = s.client_stream(0);
@@ -481,141 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn spanning_mix_interleaves_wide_scans_with_hot_regions() {
-        let s = spec(
-            ArrivalProcess::Closed {
-                think: Duration::ZERO,
-            },
-            ClientFocus::SpanningMix {
-                regions: 8,
-                exact_prob: 0.6,
-                wide_prob: 0.25,
-            },
-        );
-        let stream = s.client_stream(0);
-        let wide: Vec<_> = stream
-            .iter()
-            .filter(|t| t.spec.hi - t.spec.lo >= s.domain / 2)
-            .collect();
-        // ~a quarter wide scans (loose band over 200 draws).
-        assert!(
-            (20..=90).contains(&wide.len()),
-            "wide scans: {}",
-            wide.len()
-        );
-        // Wide scans are fresh (distinct offsets), valid, and at least
-        // half-domain — guaranteed to cross any equi-depth shard plan.
-        let mut lows: Vec<i64> = wide.iter().map(|t| t.spec.lo).collect();
-        lows.sort_unstable();
-        lows.dedup();
-        assert!(lows.len() > wide.len() / 2, "wide scans repeat too much");
-        for t in &stream {
-            assert!(t.spec.lo < t.spec.hi);
-            assert!(t.spec.lo >= 0 && t.spec.hi <= s.domain);
-        }
-        // The narrow remainder still repeats hot windows (cheap traffic).
-        let hot = s.hot_windows();
-        let exact = stream.iter().filter(|t| hot.contains(&t.spec)).count();
-        assert!(exact > 40, "exact hot repeats: {exact}");
-    }
-
-    #[test]
-    fn point_heavy_mixes_repeated_unit_probes_with_ranges() {
-        let s = spec(
-            ArrivalProcess::Closed {
-                think: Duration::ZERO,
-            },
-            ClientFocus::PointHeavy {
-                points: 8,
-                point_prob: 0.6,
-            },
-        );
-        let hot = s.hot_windows();
-        assert_eq!(hot.len(), 8);
-        let stream = s.client_stream(0);
-        let probes: Vec<_> = stream
-            .iter()
-            .filter(|t| t.spec.hi == t.spec.lo + 1)
-            .collect();
-        // ~60% equality probes (loose band over 200 draws).
-        assert!(
-            (80..=160).contains(&probes.len()),
-            "probes: {}",
-            probes.len()
-        );
-        // Every probe hits one of the 8 hot keys, so duplicates abound.
-        for t in &probes {
-            assert!(
-                hot.iter()
-                    .any(|w| w.attr == t.spec.attr && w.lo == t.spec.lo),
-                "{:?} not a hot key",
-                t.spec
-            );
-        }
-        let mut uniq: Vec<QuerySpec> = probes.iter().map(|t| t.spec).collect();
-        uniq.sort_by_key(|q| (q.attr, q.lo));
-        uniq.dedup();
-        assert!(uniq.len() <= 8);
-        // The range remainder is valid HotRegions-style traffic.
-        for t in &stream {
-            assert!(t.spec.lo < t.spec.hi);
-            assert!(t.spec.lo >= 0 && t.spec.hi <= s.domain);
-        }
-    }
-
-    #[test]
-    fn open_uniform_spacing_is_monotone_and_even() {
-        let s = spec(
-            ArrivalProcess::OpenUniform { qps: 100.0 },
-            ClientFocus::Shared,
-        );
-        let stream = s.client_stream(0);
-        for w in stream.windows(2) {
-            let gap = w[1].at - w[0].at;
-            assert_eq!(gap, Duration::from_millis(10));
-        }
-    }
-
-    #[test]
-    fn open_poisson_arrivals_are_monotone_with_right_mean() {
-        let s = spec(
-            ArrivalProcess::OpenPoisson { qps: 1000.0 },
-            ClientFocus::Shared,
-        );
-        let stream = s.client_stream(1);
-        for w in stream.windows(2) {
-            assert!(w[1].at >= w[0].at);
-        }
-        let total = stream.last().unwrap().at.as_secs_f64();
-        let mean_gap = total / stream.len() as f64;
-        // 200 exponential draws at 1 ms mean: loose 3x band.
-        assert!((0.0003..0.003).contains(&mean_gap), "mean gap {mean_gap}");
-    }
-
-    #[test]
-    fn open_bursty_groups_arrivals() {
-        let s = spec(
-            ArrivalProcess::OpenBursty {
-                qps: 100.0,
-                burst: 10,
-            },
-            ClientFocus::Shared,
-        );
-        let stream = s.client_stream(0);
-        // Queries inside one burst share a timestamp; bursts are spaced.
-        assert_eq!(stream[0].at, stream[9].at);
-        assert!(stream[10].at > stream[9].at);
-        assert_eq!(stream[10].at, stream[19].at);
-    }
-
-    #[test]
     fn closed_loop_carries_think_time() {
-        let s = spec(
-            ArrivalProcess::Closed {
-                think: Duration::from_millis(5),
-            },
-            ClientFocus::Shared,
-        );
+        let s = spec(Duration::from_millis(5));
         assert!(s
             .client_stream(0)
             .iter()

@@ -30,7 +30,7 @@
 //! |---|---|
 //! | [`storage`] | column-store substrate: columns, (parallel) range scans and sort |
 //! | [`cracking`] | adaptive indexing: cracker columns/index, the one partition entry point (sequential and ganged vectorized kernels), latches, Ripple updates, piece snapshots |
-//! | [`parallel`] | multi-core cracking baselines: PVDC, PVSDC, mP-CCGI |
+//! | [`parallel`] | multi-core cracking baselines: the parallel partition behind PVDC/PVSDC, mP-CCGI |
 //! | [`core`] | **holistic indexing**: index space, strategies W1–W4, CPU monitors, daemon |
 //! | [`planner`] | crack-aware cost model: plan-time estimates, spanning decomposition, admission pricing |
 //! | [`engine`] | the five query engines + TPC-H plans |

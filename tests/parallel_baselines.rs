@@ -1,10 +1,11 @@
 //! The multi-core baselines (PVDC, PVSDC, mP-CCGI) against oracles across
-//! thread counts and workload patterns.
+//! thread counts and workload patterns. A PVDC column is a cracker column
+//! whose query-path cracks gang `t` threads; PVSDC selects through
+//! stochastic cracking on the same column.
 
-use holix::cracking::CrackScratch;
+use holix::cracking::stochastic::select_stochastic;
+use holix::cracking::{CrackScratch, CrackerColumn};
 use holix::parallel::ccgi::ChunkedCrackerColumn;
-use holix::parallel::pvdc::pvdc_column;
-use holix::parallel::pvsdc::{pvsdc_column, select_pvsdc};
 use holix::storage::select::{scan_stats, Predicate};
 use holix::workloads::data::uniform_column;
 use holix::workloads::patterns::{AttrDist, Pattern, WorkloadSpec};
@@ -27,7 +28,7 @@ fn pvdc_all_patterns_all_thread_counts() {
         }
         .generate();
         for threads in [1usize, 2, 4] {
-            let col = pvdc_column("a", &base, threads);
+            let col = CrackerColumn::from_base("a", &base).with_threads(threads, 1);
             let mut scratch = CrackScratch::new();
             for q in &queries {
                 let pred = Predicate::range(q.lo, q.hi);
@@ -55,12 +56,12 @@ fn pvsdc_robust_on_sequential_without_wrong_answers() {
         seed: 720,
     }
     .generate();
-    let col = pvsdc_column("a", &base, 2);
+    let col = CrackerColumn::from_base("a", &base).with_threads(2, 1);
     let mut scratch = CrackScratch::new();
     let mut rng = StdRng::seed_from_u64(7_200);
     for q in &queries {
         let pred = Predicate::range(q.lo, q.hi);
-        let sel = select_pvsdc(&col, pred, &mut rng, &mut scratch);
+        let sel = select_stochastic(&col, pred, &mut rng, &mut scratch);
         assert_eq!(sel.count(), scan_stats(&base, pred).count);
     }
     // The stochastic component must have cracked beyond the query bounds.
@@ -106,7 +107,7 @@ fn ccgi_consolidation_converges_to_full_coverage() {
 #[test]
 fn concurrent_pvdc_queries_on_one_column() {
     let base = uniform_column(N, DOMAIN, 75);
-    let col = pvdc_column("a", &base, 2);
+    let col = CrackerColumn::from_base("a", &base).with_threads(2, 1);
     let queries = WorkloadSpec::random(1, 64, DOMAIN, 750).generate();
     let oracles: Vec<u64> = queries
         .iter()
