@@ -5,7 +5,7 @@
 //! ones." Weights change after every refinement, so the heap supports
 //! decrease/increase-key via a position table.
 
-use holix_storage::hash::IntMap;
+use std::collections::HashMap;
 
 /// Identifier of an index inside the heap (the index-space slot id).
 pub type HeapKey = usize;
@@ -15,8 +15,11 @@ pub type HeapKey = usize;
 pub struct WeightHeap {
     /// Heap-ordered entries.
     items: Vec<(u128, HeapKey)>,
-    /// key → current slot in `items`.
-    pos: IntMap<HeapKey, usize>,
+    /// key → current slot in `items`. A map, not a key-indexed `Vec`: keys
+    /// are never reused, so a `Vec` would grow with every eviction. The
+    /// heap is touched at registration, eviction and pick, never per
+    /// query, so the default hasher is off every hot path.
+    pos: HashMap<HeapKey, usize>,
 }
 
 impl WeightHeap {

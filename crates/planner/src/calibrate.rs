@@ -1,5 +1,5 @@
 //! Online cost-model calibration: regress observed service time against
-//! the [`PlanCost`] that admitted the query, and nudge the model's
+//! the [`PlanCost`] the query was priced at, and nudge the model's
 //! constants inside guard rails.
 //!
 //! The seeded [`CostModel`] constants encode a nominal machine (~25 ns
@@ -22,10 +22,9 @@
 //! and re-derives the knobs every [`Calibrator::REPUBLISH_EVERY`]
 //! observations: `merge_weight ← beta/alpha` (the model's unit *is*
 //! alpha), `decode_weight ← gamma/alpha`, `cheap_budget ←
-//! TARGET_CHEAP_NS/alpha`, `downgrade_budget ←
-//! TARGET_DOWNGRADE_NS/alpha`. Every derived knob is clamped to
+//! TARGET_CHEAP_NS/alpha`. Every derived knob is clamped to
 //! `[seed/4, seed*4]` so a burst of anomalous timings (page faults, CPU
-//! migration) can never swing admission by more than 4x from the
+//! migration) can never swing the cheap line by more than 4x from the
 //! reviewed constants.
 //!
 //! Readers take a `Copy` of the whole model ([`Calibrator::model`]), so
@@ -40,13 +39,9 @@ use crate::cost::{CostModel, PlanCost, Route};
 /// EWMA smoothing factor: ~the last 20 samples dominate.
 const EWMA_ALPHA: f64 = 0.1;
 
-/// Target wall time for the admission cheap line. At the nominal
-/// 25 ns/value this reproduces the seeded `cheap_budget` of 4096.
+/// Target wall time for the cheap line. At the nominal 25 ns/value this
+/// reproduces the seeded `cheap_budget` of 4096.
 const TARGET_CHEAP_NS: f64 = 102_400.0;
-
-/// Target wall time for the snapshot downgrade budget. At the nominal
-/// 25 ns/value this reproduces the seeded `downgrade_budget` of 32768.
-const TARGET_DOWNGRADE_NS: f64 = 819_200.0;
 
 /// Which channel a predicted-vs-actual residual is folded into: the
 /// executed route, with point-filter screens split out (their near-zero
@@ -115,8 +110,8 @@ fn rail(derived: f64, seed: u64) -> u64 {
 
 /// Online regressor from `(PlanCost, Route, service_ns)` observations to
 /// a republished [`CostModel`]. Shared by value behind an `Arc`: the
-/// dispatcher observes after each execution, admission reads
-/// [`Calibrator::model`] before each decision.
+/// dispatcher observes after each execution, and every pricing site reads
+/// [`Calibrator::model`] before its decision.
 #[derive(Debug)]
 pub struct Calibrator {
     seed: CostModel,
@@ -126,7 +121,7 @@ pub struct Calibrator {
 
 impl Calibrator {
     /// Derived knobs are recomputed and republished every this many
-    /// observations — cheap enough to keep admission reads lock-light
+    /// observations — cheap enough to keep pricing reads lock-light
     /// while still tracking a drifting machine within a few batches.
     pub const REPUBLISH_EVERY: u64 = 16;
 
@@ -222,7 +217,7 @@ impl Calibrator {
     }
 
     /// Folds one finished execution into the regression. `cost` is the
-    /// plan-time price the query was admitted under, `route` the path it
+    /// plan-time price the query was executed under, `route` the path it
     /// actually took, `service_ns` its measured service time.
     pub fn observe(&self, cost: &PlanCost, route: Route, service_ns: u64) {
         let mut st = self.state.lock().unwrap();
@@ -261,8 +256,6 @@ impl Calibrator {
             if holix_telemetry::metrics_enabled() {
                 holix_telemetry::counter!("planner_republish_total").inc();
                 holix_telemetry::gauge!("planner_cheap_budget").set(next.cheap_budget as i64);
-                holix_telemetry::gauge!("planner_downgrade_budget")
-                    .set(next.downgrade_budget as i64);
                 holix_telemetry::gauge!("planner_merge_weight").set(next.merge_weight as i64);
                 holix_telemetry::gauge!("planner_decode_weight").set(next.decode_weight as i64);
             }
@@ -273,10 +266,6 @@ impl Calibrator {
         let mut m = self.seed;
         if st.ns_per_value > 0.0 {
             m.cheap_budget = rail(TARGET_CHEAP_NS / st.ns_per_value, self.seed.cheap_budget);
-            m.downgrade_budget = rail(
-                TARGET_DOWNGRADE_NS / st.ns_per_value,
-                self.seed.downgrade_budget,
-            );
             if st.ns_per_merge > 0.0 {
                 m.merge_weight = rail(st.ns_per_merge / st.ns_per_value, self.seed.merge_weight);
             }
@@ -314,7 +303,7 @@ mod tests {
         assert_eq!(
             cost.price(&cal.model()),
             QueryPrice::Expensive,
-            "seeded constants shed this crack"
+            "seeded constants price this crack Expensive"
         );
         // Observed: 1 ns per touched value — 25x faster than nominal.
         for _ in 0..4 * Calibrator::REPUBLISH_EVERY {
@@ -329,37 +318,7 @@ mod tests {
         assert_eq!(
             cost.price(&m),
             QueryPrice::Cheap,
-            "the same plan is now admitted inline"
-        );
-    }
-
-    /// The cutover flip in the other direction: a snapshot downgrade that
-    /// paid under the seeded constants stops paying once the machine is
-    /// observed to be slow (the inline filter would itself be overload).
-    #[test]
-    fn slow_hardware_flips_a_cutover_decision() {
-        let cal = Calibrator::new(CostModel::default());
-        let seed = cal.seed();
-        let cost = PlanCost {
-            crack_values: 500_000,
-            snapshot_filter: Some(20_000),
-            shards_touched: 1,
-            ..PlanCost::default()
-        };
-        assert!(
-            cost.downgradable(&cal.model()),
-            "under the seed the snapshot filter fits the downgrade budget"
-        );
-        // Observed: 1000 ns per touched value — 40x slower than nominal.
-        let probe = locked_cost(1_000, 0);
-        for _ in 0..4 * Calibrator::REPUBLISH_EVERY {
-            cal.observe(&probe, Route::Locked, probe.crack_values * 1_000);
-        }
-        let m = cal.model();
-        assert_eq!(m.downgrade_budget, seed.downgrade_budget / 4);
-        assert!(
-            !cost.downgradable(&m),
-            "the slow machine can no longer afford the inline filter"
+            "the same plan is now Cheap"
         );
     }
 
@@ -388,7 +347,7 @@ mod tests {
     /// The kernel-layer acceptance check: snapshot executions whose
     /// encoded edges decode at block-kernel speed (no measurable time
     /// beyond the plain filter) must pull the calibrated `decode_weight`
-    /// *below* its scalar-era seed — admission and cutover then stop
+    /// *below* its scalar-era seed — the cutover then stops
     /// penalising morphed pieces the kernels made cheap.
     #[test]
     fn kernel_fast_decodes_drop_decode_weight_below_seed() {
@@ -473,7 +432,6 @@ mod tests {
             for (got, seeded) in [
                 (m.merge_weight, seed.merge_weight),
                 (m.cheap_budget, seed.cheap_budget),
-                (m.downgrade_budget, seed.downgrade_budget),
             ] {
                 assert!(
                     got >= (seeded / 4).max(1) && got <= seeded * 4,

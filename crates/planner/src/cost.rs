@@ -24,12 +24,10 @@ pub struct CostModel {
     pub merge_weight: u64,
     /// Fixed touched-value equivalents per snapshot read (pin + overlay).
     pub snapshot_fixed: u64,
-    /// Touched-value budget below which a query is *cheap* — never worth
-    /// shedding (an exact hit, or edge pieces already near-optimal).
+    /// Touched-value budget below which a query is *cheap* — not worth
+    /// decomposing, and drained first in a batch (an exact hit, or edge
+    /// pieces already near-optimal).
     pub cheap_budget: u64,
-    /// Snapshot edge-filter budget above which a downgrade-to-snapshot
-    /// stops paying (the inline filter would itself be the overload).
-    pub downgrade_budget: u64,
     /// Extra touched-value equivalents charged per edge-filtered value
     /// that lives in an *encoded* (FOR / delta / RLE) snapshot piece — the
     /// sequential bit-unpack a compressed-form scan pays on top of the
@@ -44,7 +42,6 @@ impl Default for CostModel {
             merge_weight: 8,
             snapshot_fixed: 64,
             cheap_budget: 1 << 12,
-            downgrade_budget: 1 << 15,
             decode_weight: 2,
         }
     }
@@ -62,7 +59,7 @@ pub struct PlanCost {
     /// Equi-depth cardinality estimate (interpolated within the edge
     /// pieces of the free histogram the boundary table forms): the
     /// selectivity number behind driver-term election and the
-    /// `Cheap`/`Expensive` admission line. Best-effort, not conservative —
+    /// `Cheap`/`Expensive` price line. Best-effort, not conservative —
     /// never used for safety decisions.
     pub est_rows: u64,
     /// Pending Ripple updates the locked path may merge first.
@@ -122,7 +119,7 @@ impl PlanCost {
     /// *over*-estimates (a sampled stats summary can report up to the
     /// whole shard per bound), so a wide fan-out over adversarial
     /// summaries must pin at `u64::MAX` — not wrap around to a price of
-    /// nearly zero and sail through admission.
+    /// nearly zero and pass for an exact hit.
     pub fn merge(&mut self, other: PlanCost) {
         if self.shards_touched == 0 {
             *self = other;
@@ -176,7 +173,7 @@ impl PlanCost {
         }
     }
 
-    /// Admission price class (see [`QueryPrice`]). Exact hits are always
+    /// Price class (see [`QueryPrice`]). Exact hits are always
     /// cheap (the paper's `f_Ih` queries touch only index bounds);
     /// everything else is charged its crack + merge work **plus its
     /// estimated result cardinality** (the equi-depth `est_rows`), so a
@@ -193,17 +190,6 @@ impl PlanCost {
             QueryPrice::Expensive
         }
     }
-
-    /// Under overload, can this query be served inline from the snapshot
-    /// path instead of being shed? Requires a published snapshot whose
-    /// edge filter both beats the locked cost and fits the downgrade
-    /// budget (an unbounded inline filter would itself be the overload).
-    pub fn downgradable(&self, model: &CostModel) -> bool {
-        match self.snapshot_cost(model) {
-            Some(snap) => snap < self.locked_cost(model) && snap <= model.downgrade_budget,
-            None => false,
-        }
-    }
 }
 
 /// Access path chosen by the cost cutover.
@@ -215,17 +201,19 @@ pub enum Route {
     Snapshot,
 }
 
-/// Admission price class of one query.
+/// Price class of one query: what decides whether a spanning range is
+/// decomposed and where a query drains in a crack-aware batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryPrice {
     /// A point probe screened out by a per-shard membership filter: the
     /// answer is already known to be zero for the touched shard — near
-    /// free, admission executes it inline rather than spend a queue slot.
+    /// free, drained first.
     Screened,
-    /// Exact hit or near-optimal edges: admission must never shed it.
+    /// Exact hit or near-optimal edges: drained first; a spanning range
+    /// runs whole.
     Cheap,
-    /// A cold or wide crack: sheddable (or downgradable to the snapshot
-    /// path) under overload.
+    /// A cold or wide crack: drained after the cheap queries; a spanning
+    /// range is decomposed into per-shard parts.
     Expensive,
 }
 
@@ -308,10 +296,6 @@ mod tests {
         assert!(!c.exact_hit);
         assert_eq!(c.crack_values, 2_000_000);
         assert_eq!(c.price(&model), QueryPrice::Expensive);
-        assert!(
-            !c.downgradable(&model),
-            "no snapshot: nothing to downgrade to"
-        );
     }
 
     #[test]
@@ -334,7 +318,6 @@ mod tests {
         assert_eq!(c.snapshot_filter, Some(0), "snapshot boundaries are exact");
         assert_eq!(c.preferred_route(&model), Route::Snapshot);
         assert!(c.price(&model) == QueryPrice::Expensive);
-        assert!(c.downgradable(&model));
     }
 
     #[test]
@@ -432,7 +415,7 @@ mod tests {
         let e = estimate(&s, Predicate::range(0, 100));
         assert_eq!(e.est_rows, 1_000);
         // Regression vs the pre-histogram model: tiny crack work but a
-        // huge estimated result — admission must price the cardinality,
+        // huge estimated result — the price must count the cardinality,
         // not just the crack, so this query is no longer Cheap.
         let fine: Vec<(i64, usize)> = (1..=1_000).map(|k| (k * 10, k as usize * 100)).collect();
         let f = stats(100_000, fine, 0, None);
@@ -447,7 +430,7 @@ mod tests {
         // Regression: `merge`/`locked_cost`/`snapshot_cost` used unchecked
         // `+`/`*`. PieceStats sizes only promise *over*-estimates, so a
         // multi-shard fold of near-MAX per-shard costs overflowed u64
-        // (panic in debug, a near-zero admission-fooling wrap in release).
+        // (panic in debug, a near-zero price-fooling wrap in release).
         let model = CostModel::default();
         let huge = PlanCost {
             crack_values: u64::MAX - 1,
@@ -672,7 +655,7 @@ mod tests {
         proptest! {
             // Folding more shards into a plan can only raise (or hold) its
             // costs — with unchecked arithmetic, a wrap made a wider
-            // fan-out *cheaper*, inverting every admission decision built
+            // fan-out *cheaper*, inverting every price decision built
             // on the estimate.
             #[test]
             fn merged_costs_are_monotone_in_shard_count(

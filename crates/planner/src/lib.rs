@@ -18,11 +18,10 @@
 //!   * the **snapshot/locked cutover** ([`PlanCost::preferred_route`]):
 //!     read-only queries route through the snapshot path exactly
 //!     when its edge pieces are fresh enough to beat the locked crack;
-//!   * the **admission price** ([`PlanCost::price`]): exact-hit /
-//!     near-optimal queries are [`QueryPrice::Cheap`] and must never be
-//!     shed, cold wide cracks are [`QueryPrice::Expensive`] and may be
-//!     shed — or served inline from the snapshot when
-//!     [`PlanCost::downgradable`].
+//!   * the **price class** ([`PlanCost::price`]): exact-hit /
+//!     near-optimal queries are [`QueryPrice::Cheap`], run whole and
+//!     drain first in a batch; cold wide cracks are
+//!     [`QueryPrice::Expensive`], and a spanning one is decomposed.
 //! - [`decompose`] — [`decompose_spanning`]: cut a multi-shard range at
 //!   the shard plan's boundaries into per-shard sub-queries so wide scans
 //!   never break shard/worker affinity; `holix-server` completes them
@@ -32,12 +31,13 @@
 //!   merge two cold neighbours; the migration itself is
 //!   `ShardedColumn::apply_replan` in holix-cracking.
 //! - [`calibrate`] — [`Calibrator`]: regress observed service time
-//!   against the admitted [`PlanCost`] and republish a [`CostModel`]
-//!   whose knobs are nudged inside `[seed/4, seed*4]` guard rails.
+//!   against the executed query's [`PlanCost`] and republish a
+//!   [`CostModel`] whose knobs are nudged inside `[seed/4, seed*4]` guard
+//!   rails.
 //!
 //! Everything here is a pure function of immutable published summaries:
 //! no structure lock, no maintenance lock, no allocation beyond the
-//! returned values — admission control can call it on every submission.
+//! returned values — the service can call it on every submission.
 
 pub mod calibrate;
 pub mod cost;

@@ -27,16 +27,6 @@ pub enum Scheduling {
     CrackAware,
 }
 
-impl Scheduling {
-    /// CSV label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Scheduling::Fifo => "fifo",
-            Scheduling::CrackAware => "crack_aware",
-        }
-    }
-}
-
 /// Reorders `batch` in place and prices it, once per *distinct* predicate.
 /// `spec` projects each item onto its query; `price` returns a predicate's
 /// price class (0 = screened probes and cheap exact-hits, 1 = expensive

@@ -1,7 +1,7 @@
 //! The query service: admission queue(s) + dispatcher worker pool.
 //!
 //! [`QueryService`] accepts queries from any number of concurrent
-//! [`Session`]s, applies admission control at the bounded queue, and runs a
+//! [`Session`]s, blocks them at the bounded queue when it is full, and runs a
 //! small pool of dispatcher threads. Each dispatcher drains a batch,
 //! reorders it per the configured [`Scheduling`], and executes it against
 //! the shared [`QueryEngine`]. While a dispatcher is busy it holds a
@@ -41,14 +41,12 @@
 //! statistics):
 //!
 //! - **Spanning-query decomposition** (`decompose` + affinity): a range
-//!   spanning shards is cut at the shard plan's boundaries; each per-shard
-//!   sub-query routes to its pinned worker's queue and a merge ticket
-//!   folds the counts — wide scans never break shard/worker affinity.
-//! - **Cost-based admission** ([`AdmissionPolicy::CostAware`]): a full
-//!   queue sheds by *price*, not position — cheap exact-hits go to a
-//!   bounded overflow reserve (never shed), expensive queries with a
-//!   fresh snapshot estimate are served inline from the lock-free
-//!   snapshot path (downgrade), only expensive cold cracks are shed.
+//!   spanning shards that the model prices [`QueryPrice::Expensive`] is
+//!   cut at the shard plan's boundaries; each per-shard sub-query routes
+//!   to its pinned worker's queue and a merge ticket folds the counts —
+//!   wide scans never break shard/worker affinity.
+//! - **Batch order**: a crack-aware batch drains exact hits and screened
+//!   probes ahead of expensive cold cracks.
 //! - **Snapshot/locked cutover**: the dispatcher routes a whole read-only
 //!   query through [`QueryEngine::execute_snapshot`] exactly when the
 //!   model says the snapshot's edge pieces are fresh enough to beat the
@@ -62,8 +60,7 @@
 //!
 //! **Where a price is computed, and how long it is trusted.** A session
 //! prices a submission only where it decides something (a spanning range
-//! under `CostBased`, a full queue under `CostAware`, a FIFO rejection
-//! being classified); the common admitted submission is never priced. A
+//! under `CostBased`); the common submission is never priced. A
 //! dispatcher prices a crack-aware batch once, while ordering it
 //! ([`order_batch`]): one estimate per *distinct* predicate, exact-hits
 //! and screened probes draining ahead of expensive cold cracks. That price
@@ -81,7 +78,7 @@
 use crate::batcher::{containment_run_len, duplicate_run_len, order_batch, Scheduling};
 use crate::queue::{AdmissionPolicy, BoundedQueue, SubmitError};
 use crate::session::{MergeState, QueryResult, SessionHandle, SessionRegistry, Ticket};
-use crate::stats::{PlanDecision, ServiceStats, StatsSummary};
+use crate::stats::{ServiceStats, StatsSummary};
 use holix_core::cpu::LoadAccountant;
 use holix_engine::api::{QueryEngine, SnapshotCollect};
 use holix_planner::{Calibrator, CostModel, PlanCost, QueryPrice, Route};
@@ -98,7 +95,7 @@ pub struct ServiceConfig {
     /// Admission-queue depth (per queue; affinity mode runs one queue per
     /// worker).
     pub queue_capacity: usize,
-    /// Full-queue behaviour.
+    /// Full-queue behaviour: the submitting client blocks.
     pub admission: AdmissionPolicy,
     /// Batch ordering policy.
     pub scheduling: Scheduling,
@@ -125,17 +122,18 @@ pub struct ServiceConfig {
     /// Disable for cost-blind baseline beds — the per-query estimate is
     /// then skipped entirely.
     pub cutover: bool,
-    /// Cost-model constants for plan-priced decisions (admission pricing
-    /// and the snapshot/locked cutover). With [`ServiceConfig::calibration`]
-    /// these are the *seed* the online calibrator's guard rails anchor to.
+    /// Cost-model constants for plan-priced decisions (decomposition,
+    /// batch order and the snapshot/locked cutover). With
+    /// [`ServiceConfig::calibration`] these are the *seed* the online
+    /// calibrator's guard rails anchor to.
     pub cost: CostModel,
     /// Online cost-model calibration: dispatchers feed each plain-path
     /// execution's measured service time back into a shared
     /// [`Calibrator`], which regresses observed ns-per-value and
     /// ns-per-merge rates and republishes nudged `cost` knobs inside
     /// `[seed/4, seed*4]` guard rails. All plan-priced decisions
-    /// (admission, downgrade, cutover, batch pricing) then read the
-    /// calibrated model. Off by default: the seeded constants stand.
+    /// (decomposition, cutover, batch pricing) then read the calibrated
+    /// model. Off by default: the seeded constants stand.
     pub calibration: bool,
 }
 
@@ -170,20 +168,6 @@ pub enum DecomposePolicy {
     /// work to parallelise. Cheap (exact-hit) spans run whole: splitting
     /// them buys nothing and pays two queue hops.
     CostBased,
-    /// Decompose every spanning range (tests, and multicore beds where
-    /// parts genuinely run in parallel).
-    Always,
-}
-
-impl DecomposePolicy {
-    /// CSV label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DecomposePolicy::Off => "whole",
-            DecomposePolicy::CostBased => "cost_based",
-            DecomposePolicy::Always => "always",
-        }
-    }
 }
 
 /// Where one queued query's answer goes.
@@ -253,7 +237,7 @@ impl Shared {
         };
         Shared {
             queues: (0..queue_count)
-                .map(|_| BoundedQueue::new(config.queue_capacity, config.admission))
+                .map(|_| BoundedQueue::new(config.queue_capacity))
                 .collect(),
             engine,
             stats: ServiceStats::new(),
@@ -292,8 +276,7 @@ impl Shared {
             attr: spec.attr as u32,
             admit,
             queue_wait_ns: 0,
-            // Shed: in no batch. Executed inline: a batch of one.
-            batch_len: u32::from(admit != AdmitOutcome::Shed),
+            batch_len: 1,
             coalesce: CoalesceKind::Solo,
             route,
             plan_version: self.engine.plan_version(spec),
@@ -415,72 +398,35 @@ impl Session {
         self.handle.id()
     }
 
-    /// Submits a query; returns a ticket to wait on. Fails when admission
-    /// control sheds the query or the service is shutting down. In
-    /// affinity mode the query routes to the worker pinned to its
-    /// attribute shard; with decomposition, a shard-spanning range is cut
-    /// into per-shard sub-queries, each on its pinned worker's queue,
-    /// completed under one merge ticket.
+    /// Submits a query; returns a ticket to wait on. A full queue blocks
+    /// the caller until a dispatcher drains; fails only when the service
+    /// is shutting down. In affinity mode the query routes to the worker
+    /// pinned to its attribute shard; with decomposition, a shard-spanning
+    /// range the model prices Expensive is cut into per-shard sub-queries,
+    /// each on its pinned worker's queue, completed under one merge ticket.
     pub fn submit(&self, spec: QuerySpec) -> Result<Ticket, SubmitError> {
         let shared = &*self.shared;
         // Spanning check first (two partition-point lookups on the
         // immutable shard plan), cost estimate only for ranges that
         // actually span — narrow traffic must not pay plan pricing twice.
-        if shared.queues.len() > 1 && shared.config.decompose != DecomposePolicy::Off {
+        // Only Expensive spans carry enough per-shard work to pay for the
+        // merge ticket.
+        if shared.queues.len() > 1 && shared.config.decompose == DecomposePolicy::CostBased {
             if let Some(parts) = shared.engine.decompose(&spec) {
-                if self.should_decompose(&spec) {
-                    return self.submit_decomposed(parts);
+                if shared.price(&spec) == Some(QueryPrice::Expensive) {
+                    return Ok(self.submit_decomposed(parts));
                 }
             }
         }
         let ticket = Ticket::new();
-        match self.submit_part(spec, Sink::Direct(ticket.clone()), true) {
-            Ok(()) => {
-                shared.stats.record_submitted();
-                Ok(ticket)
-            }
-            Err(e) => {
-                if e == SubmitError::Rejected {
-                    shared.stats.record_rejected();
-                    // Rejections never reach a dispatcher, so the shed
-                    // site is the only place that can trace them.
-                    if holix_telemetry::trace_enabled() {
-                        let (admit, route) = (AdmitOutcome::Shed, TraceRoute::Locked);
-                        let shed = shared.trace(&spec, admit, route, None, Duration::ZERO);
-                        holix_telemetry::registry().trace().record(shed);
-                    }
-                    // Classify what FIFO shedding turned away so beds can
-                    // be compared: price-aware admission records its own
-                    // (finer) decisions at the shed site instead.
-                    if shared.config.admission != AdmissionPolicy::CostAware {
-                        let decision = match shared.price(&spec) {
-                            Some(QueryPrice::Cheap) | Some(QueryPrice::Screened) => {
-                                PlanDecision::ShedCheap
-                            }
-                            _ => PlanDecision::ShedExpensive,
-                        };
-                        shared.stats.record_decision(decision);
-                    }
-                }
-                Err(e)
-            }
-        }
+        self.submit_part(spec, Sink::Direct(ticket.clone()))?;
+        shared.stats.record_submitted();
+        Ok(ticket)
     }
 
     /// Submit and block for the answer (closed-loop convenience).
     pub fn execute(&self, spec: QuerySpec) -> Result<QueryResult, SubmitError> {
         Ok(self.submit(spec)?.wait())
-    }
-
-    /// Does the decomposition policy want `spec` split? (`CostBased`
-    /// consults the plan: only spans the model prices Expensive carry
-    /// enough per-shard work to pay for the merge ticket.)
-    fn should_decompose(&self, spec: &QuerySpec) -> bool {
-        match self.shared.config.decompose {
-            DecomposePolicy::Off => false,
-            DecomposePolicy::Always => true,
-            DecomposePolicy::CostBased => self.shared.price(spec) == Some(QueryPrice::Expensive),
-        }
     }
 
     /// The queue `spec` routes to (its home shard's pinned worker).
@@ -493,164 +439,54 @@ impl Session {
         }
     }
 
-    /// Enqueues one (sub-)query under the configured admission policy.
-    /// `record_shed` controls whether a cost-aware shed is traced as a
-    /// `ShedExpensive` decision — decomposed parts pass `false`, because
-    /// their caller converts the rejection into inline execution (the
-    /// query is never actually shed).
-    fn submit_part(
-        &self,
-        spec: QuerySpec,
-        sink: Sink,
-        record_shed: bool,
-    ) -> Result<(), SubmitError> {
+    /// Enqueues one (sub-)query, blocking while its queue is full.
+    fn submit_part(&self, spec: QuerySpec, sink: Sink) -> Result<(), SubmitError> {
         let queued = QueuedQuery {
             spec,
             sink,
             enqueued: Instant::now(),
         };
-        match self.shared.config.admission {
-            AdmissionPolicy::Block | AdmissionPolicy::Reject => {
-                let res = self.queue_for(&spec).push(queued);
-                if res.is_ok() {
-                    self.shared.stats.queue_enqueued(1);
-                }
-                res
-            }
-            AdmissionPolicy::CostAware => self.cost_aware_submit(queued, record_shed),
-        }
-    }
-
-    /// Price-aware shedding: a full queue sheds by plan cost, not by
-    /// arrival position. Cheap (exact-hit / near-optimal) queries are
-    /// NEVER shed — they go to a bounded overflow reserve, or execute
-    /// inline on the submitting thread when even that is full. Expensive
-    /// queries whose snapshot estimate is fresh enough are *downgraded*:
-    /// served inline through the engine's lock-free snapshot path, off
-    /// the workers entirely. Only expensive queries with no viable
-    /// snapshot are shed.
-    fn cost_aware_submit(&self, queued: QueuedQuery, record_shed: bool) -> Result<(), SubmitError> {
-        let stats = &self.shared.stats;
-        let queue = self.queue_for(&queued.spec);
-        let mut queued = match queue.try_push(queued) {
-            Ok(()) => {
-                stats.queue_enqueued(1);
-                return Ok(());
-            }
-            Err((_, SubmitError::Closed)) => return Err(SubmitError::Closed),
-            Err((q, _)) => q,
-        };
-        let model = self.shared.calibrator.model();
-        let cost = self.shared.engine.estimate_cost(&queued.spec);
-        let price = cost.map_or(QueryPrice::Expensive, |c| c.price(&model));
-        let slack = (queue.capacity() / 4).max(1);
-        let (decision, route, admit) = match price {
-            // The membership filter already proved the probe's shard
-            // non-containing: execution is a lock-free filter probe plus
-            // bookkeeping, cheaper than any queue handoff — so a screened
-            // probe never spends a queue slot, even when the queue has
-            // room for it on retry. Near-free by construction, never shed.
-            QueryPrice::Screened => (
-                PlanDecision::ScreenedInline,
-                TraceRoute::Screened,
-                AdmitOutcome::Inline,
-            ),
-            QueryPrice::Cheap => match queue.push_with_slack(queued, slack) {
-                Ok(()) => {
-                    stats.queue_enqueued(1);
-                    stats.record_decision(PlanDecision::CheapAdmitted);
-                    return Ok(());
-                }
-                Err((_, SubmitError::Closed)) => return Err(SubmitError::Closed),
-                // Even the reserve is full: an exact hit is cheap enough
-                // to answer right here.
-                Err((back, _)) => {
-                    queued = back;
-                    (
-                        PlanDecision::CheapAdmitted,
-                        TraceRoute::Locked,
-                        AdmitOutcome::Inline,
-                    )
-                }
-            },
-            QueryPrice::Expensive if cost.is_some_and(|c| c.downgradable(&model)) => (
-                PlanDecision::DowngradedSnapshot,
-                TraceRoute::Snapshot,
-                AdmitOutcome::Downgraded,
-            ),
-            QueryPrice::Expensive => {
-                if record_shed {
-                    stats.record_decision(PlanDecision::ShedExpensive);
-                }
-                return Err(SubmitError::Rejected);
-            }
-        };
-        stats.record_decision(decision);
-        self.execute_inline(queued, route, admit, cost.as_ref());
+        self.queue_for(&spec).push(queued)?;
+        self.shared.stats.queue_enqueued(1);
         Ok(())
     }
 
     /// Spanning-query decomposition: one merge ticket over per-shard
-    /// parts, each routed to its pinned worker. A part the queue rejects
-    /// — or that arrives as the service closes — executes inline on this
-    /// client thread: shedding or stranding an individual part would
-    /// leave the merge dangling (its queued siblings drain at shutdown
-    /// and complete into it), and inline execution IS the backpressure.
-    /// The parent ticket therefore always completes.
-    fn submit_decomposed(&self, parts: Vec<QuerySpec>) -> Result<Ticket, SubmitError> {
+    /// parts, each routed to its pinned worker. A part that arrives as the
+    /// service closes executes inline on this client thread: stranding it
+    /// would leave the merge dangling (its queued siblings drain at
+    /// shutdown and complete into it). The parent ticket therefore always
+    /// completes.
+    fn submit_decomposed(&self, parts: Vec<QuerySpec>) -> Ticket {
         let (state, ticket) = MergeState::new(parts.len());
         self.shared.stats.record_decomposed(parts.len());
         self.shared.stats.record_submitted();
         for spec in parts {
             if self
-                .submit_part(spec, Sink::Part(Arc::clone(&state)), false)
+                .submit_part(spec, Sink::Part(Arc::clone(&state)))
                 .is_err()
             {
                 self.shared.stats.record_decomp_inline();
-                self.execute_inline(
-                    QueuedQuery {
-                        spec,
-                        sink: Sink::Part(Arc::clone(&state)),
-                        enqueued: Instant::now(),
-                    },
-                    TraceRoute::Locked,
-                    AdmitOutcome::Inline,
-                    None,
-                );
+                self.execute_inline(spec, Sink::Part(Arc::clone(&state)));
             }
         }
-        Ok(ticket)
+        ticket
     }
 
-    /// Answers one queued query on the calling thread, preferring the
-    /// requested route (`Snapshot` falls back to the locked path on
-    /// engines without a snapshot surface; `Screened` is a locked-path
-    /// execution the membership filter already priced near-free).
-    fn execute_inline(
-        &self,
-        queued: QueuedQuery,
-        route: TraceRoute,
-        admit: AdmitOutcome,
-        cost: Option<&PlanCost>,
-    ) {
+    /// Answers one decomposed part on the calling thread through the
+    /// locked path.
+    fn execute_inline(&self, spec: QuerySpec, sink: Sink) {
         let shared = &*self.shared;
         let t0 = Instant::now();
-        let count = match route {
-            TraceRoute::Snapshot => match shared.engine.execute_snapshot(&queued.spec) {
-                Some((count, _)) => count,
-                None => shared.engine.execute(&queued.spec),
-            },
-            TraceRoute::Locked | TraceRoute::Screened => shared.engine.execute(&queued.spec),
-        };
+        let count = shared.engine.execute(&spec);
         let service = t0.elapsed();
         shared.stats.record_executed();
         if holix_telemetry::trace_enabled() {
-            let inline = shared.trace(&queued.spec, admit, route, cost, service);
+            let (admit, route) = (AdmitOutcome::Inline, TraceRoute::Locked);
+            let inline = shared.trace(&spec, admit, route, None, service);
             holix_telemetry::registry().trace().record(inline);
         }
-        queued
-            .sink
-            .complete(&shared.stats, queued.enqueued, count, service);
+        sink.complete(&shared.stats, t0, count, service);
     }
 }
 
@@ -805,7 +641,7 @@ fn dispatch_loop(shared: &Shared, queue: &BoundedQueue<QueuedQuery>) {
             let (count, taken) = match route {
                 Route::Snapshot => match engine.execute_snapshot(&head) {
                     Some((count, _)) => {
-                        stats.record_decision(PlanDecision::SnapshotCutover);
+                        stats.record_snapshot_cutover();
                         (count, Route::Snapshot)
                     }
                     None => (engine.execute(&head), Route::Locked),
@@ -1031,13 +867,14 @@ mod tests {
                 workers: 4,
                 scheduling: Scheduling::CrackAware,
                 affinity: true,
-                decompose: DecomposePolicy::Always,
+                decompose: DecomposePolicy::CostBased,
                 ..ServiceConfig::default()
             },
         );
         let session = service.session();
-        // Wide spanning ranges (decomposed) interleaved with narrow ones
-        // (must pass through untouched).
+        // Wide spanning ranges (decomposed: each upper bound is fresh, so
+        // none is an exact hit and all price Expensive) interleaved with
+        // narrow ones (must pass through untouched).
         for i in 0..24i64 {
             let wide = QuerySpec {
                 attr: (i % 2) as usize,
@@ -1073,78 +910,53 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_admission_never_sheds_cheap_queries() {
-        // One slow worker, a tiny queue, and a burst of expensive cold
-        // cracks interleaved with cheap exact-hits: price-aware shedding
-        // must turn away only the expensive ones.
-        let data = Dataset::new(uniform_table(1, 300_000, 1 << 20, 23));
-        let mut cfg = HolisticEngineConfig::split_half(2);
+    fn cost_based_decomposition_runs_exact_hit_spans_whole() {
+        let data = Dataset::new(uniform_table(1, 40_000, 1 << 20, 25));
+        let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
         cfg.holistic.monitor_interval = Duration::from_millis(50);
         let eng = Arc::new(HolisticEngine::new(data.clone(), cfg));
-        let hot = QuerySpec {
+        // Crack a spanning range's bounds and publish the statistics: from
+        // here on it prices as an exact hit, which is Cheap.
+        let converged = QuerySpec {
             attr: 0,
             lo: 100_000,
-            hi: 105_000,
+            hi: 900_000,
         };
-        // Warm the hot window so its bounds are exact hits in the stats.
-        eng.execute(&hot);
+        eng.execute(&converged);
         let col = eng.sharded(0);
         for k in 0..col.shard_count() {
             col.shard(k).publish_stats();
         }
+        assert!(
+            eng.decompose(&converged).is_some(),
+            "range must span shards"
+        );
         let service = QueryService::start(
             Arc::clone(&eng) as Arc<dyn QueryEngine>,
             None,
             ServiceConfig {
-                workers: 1,
-                queue_capacity: 4,
-                admission: AdmissionPolicy::CostAware,
-                scheduling: Scheduling::Fifo,
-                batch_max: 1,
+                workers: 4,
+                affinity: true,
+                decompose: DecomposePolicy::CostBased,
                 ..ServiceConfig::default()
             },
         );
         let session = service.session();
-        let mut rng_lo = 7_i64;
-        let mut cheap_tickets = Vec::new();
-        let mut expensive_outcomes = 0u64;
-        for i in 0..128 {
-            if i % 2 == 0 {
-                // Cold expensive: fresh random bounds every time.
-                rng_lo = (rng_lo.wrapping_mul(48_271)) % (1 << 19);
-                let q = QuerySpec {
-                    attr: 0,
-                    lo: rng_lo.abs(),
-                    hi: rng_lo.abs() + (1 << 18),
-                };
-                match session.submit(q) {
-                    Ok(t) => {
-                        let _ = t; // answered eventually; count not asserted
-                    }
-                    Err(SubmitError::Rejected) => expensive_outcomes += 1,
-                    Err(e) => panic!("unexpected {e:?}"),
-                }
-            } else {
-                // Cheap exact-hit: MUST always be admitted.
-                let t = session
-                    .submit(hot)
-                    .expect("cost-aware admission shed a cheap exact-hit");
-                cheap_tickets.push(t);
-            }
-        }
-        let expect = oracle(&data, &hot);
-        for t in &cheap_tickets {
-            assert_eq!(t.wait().count, expect);
-        }
+        let count = session.execute(converged).unwrap().count;
+        assert_eq!(count, oracle(&data, &converged));
+        assert_eq!(service.stats().decomposed, 0, "an exact-hit span was split");
+        // A fresh wide range still has to crack: Expensive, so it is split.
+        let fresh = QuerySpec {
+            attr: 0,
+            lo: 150_000,
+            hi: 850_000,
+        };
+        assert_eq!(session.execute(fresh).unwrap().count, oracle(&data, &fresh));
         let summary = service.shutdown();
         eng.stop();
-        assert_eq!(summary.shed_cheap, 0, "cheap queries were shed");
-        assert_eq!(cheap_tickets.len(), 64);
-        // Under this overload something expensive must have been priced
-        // out (shed or downgraded) — and every rejection we observed was
-        // recorded as expensive.
-        assert!(summary.shed_expensive + summary.downgraded_snapshot + summary.rejected > 0);
-        assert_eq!(summary.rejected, expensive_outcomes);
+        assert_eq!(summary.decomposed, 1, "the fresh span was not split");
+        assert!(summary.decomposed_parts >= 2);
+        assert_eq!(summary.completed, 2);
     }
 
     #[test]
@@ -1193,77 +1005,6 @@ mod tests {
             summary.executed < 32,
             "duplicate point probes were not coalesced (executed={})",
             summary.executed
-        );
-    }
-
-    #[test]
-    fn screened_point_probes_execute_inline_under_overload() {
-        // Cost-aware admission with a full queue: a point probe the
-        // membership filter prices Screened must execute inline — never
-        // queued, never shed — while expensive cold ranges are priced out.
-        let base: Vec<i64> = (0..200_000).map(|i| (i % 50_000) * 2).collect();
-        let data = Dataset::new(vec![base]);
-        let mut cfg = HolisticEngineConfig::split_half(2);
-        cfg.holistic.monitor_interval = Duration::from_millis(50);
-        let eng = Arc::new(HolisticEngine::new(data, cfg));
-        // Build the filter (one probe pays it) and publish fresh stats so
-        // plan-time screening sees the published filter.
-        assert_eq!(
-            eng.execute(&QuerySpec {
-                attr: 0,
-                lo: 1,
-                hi: 2
-            }),
-            0
-        );
-        let service = QueryService::start(
-            Arc::clone(&eng) as Arc<dyn QueryEngine>,
-            None,
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 4,
-                admission: AdmissionPolicy::CostAware,
-                scheduling: Scheduling::Fifo,
-                batch_max: 1,
-                ..ServiceConfig::default()
-            },
-        );
-        let session = service.session();
-        let mut probe_tickets = Vec::new();
-        let mut lo = 11_i64;
-        for i in 0..128 {
-            if i % 2 == 0 {
-                // Expensive cold range keeping the queue and worker busy.
-                lo = (lo.wrapping_mul(48_271)) % (1 << 16);
-                let q = QuerySpec {
-                    attr: 0,
-                    lo: lo.abs(),
-                    hi: lo.abs() + 60_000,
-                };
-                let _ = session.submit(q); // shed / downgraded / queued — all fine
-            } else {
-                // Odd value → filter-negative: must always be admitted.
-                let v = ((i * 97) % 100_000) | 1;
-                let t = session
-                    .submit(QuerySpec {
-                        attr: 0,
-                        lo: v,
-                        hi: v + 1,
-                    })
-                    .expect("screened point probe was shed");
-                probe_tickets.push(t);
-            }
-        }
-        for t in &probe_tickets {
-            assert_eq!(t.wait().count, 0);
-        }
-        let summary = service.shutdown();
-        eng.stop();
-        assert_eq!(probe_tickets.len(), 64);
-        assert!(
-            summary.screened_inline > 0,
-            "no probe was screened inline (screened_inline=0, rejected={})",
-            summary.rejected
         );
     }
 
@@ -1347,7 +1088,6 @@ mod tests {
         for (got, seeded) in [
             (m.merge_weight, seed.merge_weight),
             (m.cheap_budget, seed.cheap_budget),
-            (m.downgrade_budget, seed.downgrade_budget),
         ] {
             assert!(
                 got >= (seeded / 4).max(1) && got <= seeded * 4,
@@ -1385,46 +1125,6 @@ mod tests {
         );
         service.shutdown();
         eng.stop();
-    }
-
-    #[test]
-    fn reject_admission_sheds_load_but_answers_accepted_queries() {
-        let (data, eng) = engine(50_000, 1_000);
-        let service = QueryService::start(
-            eng,
-            None,
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 4,
-                admission: AdmissionPolicy::Reject,
-                scheduling: Scheduling::Fifo,
-                batch_max: 2,
-                contexts_per_worker: 1,
-                ..ServiceConfig::default()
-            },
-        );
-        let session = service.session();
-        let q = QuerySpec {
-            attr: 1,
-            lo: 0,
-            hi: 500,
-        };
-        let mut accepted = Vec::new();
-        let mut rejected = 0u64;
-        for _ in 0..256 {
-            match session.submit(q) {
-                Ok(t) => accepted.push(t),
-                Err(SubmitError::Rejected) => rejected += 1,
-                Err(e) => panic!("unexpected {e:?}"),
-            }
-        }
-        let expect = oracle(&data, &q);
-        for t in &accepted {
-            assert_eq!(t.wait().count, expect);
-        }
-        let summary = service.shutdown();
-        assert_eq!(summary.completed as usize, accepted.len());
-        assert_eq!(summary.rejected, rejected);
     }
 
     #[test]

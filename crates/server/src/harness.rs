@@ -8,7 +8,6 @@
 
 use crate::batcher::Scheduling;
 use crate::dispatcher::{QueryService, ServiceConfig};
-use crate::queue::AdmissionPolicy;
 use holix_core::cpu::LoadAccountant;
 use holix_engine::api::QueryEngine;
 use holix_workloads::QuerySpec;
@@ -51,7 +50,6 @@ pub fn run_clients_with(
         ServiceConfig {
             workers: clients,
             queue_capacity: clients.max(4),
-            admission: AdmissionPolicy::Block,
             scheduling,
             // FIFO drains one query per dispatcher pass, keeping the
             // engine-level concurrency identical to the old round-robin

@@ -7,8 +7,8 @@
 //!
 //! - [`session`] — session registry plus completion tickets, so any number
 //!   of client threads can submit queries and block on answers.
-//! - [`queue`] — the bounded admission queue: block (closed-loop
-//!   backpressure) or reject (open-loop load shedding) when full.
+//! - [`queue`] — the bounded submission queue: a full queue blocks the
+//!   submitting client (closed-loop backpressure); nothing is shed.
 //! - [`batcher`] — crack-aware batch ordering: queries are grouped per
 //!   column and sorted by predicate bounds (widest range first on ties) so
 //!   consecutive predicates land in already-cracked or adjacent pieces;
@@ -37,4 +37,4 @@ pub use harness::{run_clients, run_clients_with, ClientReport};
 pub use holix_planner::{Calibrator, CostModel};
 pub use queue::{AdmissionPolicy, BoundedQueue, SubmitError};
 pub use session::{QueryResult, SessionRegistry, Ticket};
-pub use stats::{percentile, PlanDecision, ServiceStats, StatsSummary};
+pub use stats::{percentile, ServiceStats, StatsSummary};

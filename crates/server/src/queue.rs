@@ -1,50 +1,27 @@
-//! Bounded submission queue with admission control.
+//! Bounded submission queue.
 //!
 //! The queue is the backpressure point between client sessions and the
-//! dispatcher: when it is full, admission control either blocks the
-//! producer (closed-loop clients slow down) or rejects the query outright
-//! (open-loop load shedding). Built on `std::sync::{Mutex, Condvar}` — the
-//! vendored `parking_lot` shim has no condition variables.
+//! dispatcher: a submission that finds it full blocks the producer until a
+//! dispatcher drains (closed-loop clients slow down; no query is ever
+//! shed). Built on `std::sync::{Mutex, Condvar}` — the vendored
+//! `parking_lot` shim has no condition variables.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// What to do with a submission that finds the queue full.
+/// What to do with a submission that finds the queue full. The service
+/// only ever blocks; the type stays so configurations can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
     /// Block the submitting thread until space frees up (closed-loop
     /// backpressure).
     #[default]
     Block,
-    /// Fail the submission immediately with [`SubmitError::Rejected`]
-    /// (open-loop load shedding) — FIFO shedding: whatever arrives while
-    /// the queue is full is turned away, however cheap.
-    Reject,
-    /// Price-aware shedding, implemented in the session layer (the queue
-    /// itself behaves like [`AdmissionPolicy::Reject`]): a full queue
-    /// sheds *expensive* queries first — cheap exact-hits are admitted
-    /// into a bounded overflow reserve or executed inline (never shed),
-    /// and expensive queries whose snapshot estimate is fresh enough are
-    /// downgraded to an inline lock-free snapshot read instead of shed.
-    CostAware,
-}
-
-impl AdmissionPolicy {
-    /// CSV label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AdmissionPolicy::Block => "block",
-            AdmissionPolicy::Reject => "reject",
-            AdmissionPolicy::CostAware => "cost_aware",
-        }
-    }
 }
 
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The queue was full and the policy is [`AdmissionPolicy::Reject`].
-    Rejected,
     /// The service is shutting down; no further queries are accepted.
     Closed,
 }
@@ -52,7 +29,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Rejected => write!(f, "queue full: query rejected by admission control"),
             SubmitError::Closed => write!(f, "service closed: query not accepted"),
         }
     }
@@ -77,12 +53,11 @@ pub struct BoundedQueue<T> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    policy: AdmissionPolicy,
 }
 
 impl<T> BoundedQueue<T> {
     /// Queue holding at most `capacity` items (clamped to ≥ 1).
-    pub fn new(capacity: usize, policy: AdmissionPolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         BoundedQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
@@ -93,7 +68,6 @@ impl<T> BoundedQueue<T> {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
-            policy,
         }
     }
 
@@ -101,51 +75,26 @@ impl<T> BoundedQueue<T> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The one admission sequence: fail when closed, enqueue (waking a
-    /// parked consumer) while fewer than `capacity + slack` items wait,
-    /// otherwise sleep for space if `block`, else hand the item back.
-    fn admit(&self, item: T, slack: usize, block: bool) -> Result<(), (T, SubmitError)> {
+    /// Submits one item: fails when closed, enqueues (waking a parked
+    /// consumer) while fewer than `capacity` items wait, otherwise sleeps
+    /// until a drain frees space.
+    pub fn push(&self, item: T) -> Result<(), SubmitError> {
         let mut inner = self.lock();
         loop {
             if inner.closed {
-                return Err((item, SubmitError::Closed));
+                return Err(SubmitError::Closed);
             }
-            if inner.items.len() < self.capacity + slack {
+            if inner.items.len() < self.capacity {
                 inner.items.push_back(item);
                 if inner.parked_consumers > 0 {
                     self.not_empty.notify_one();
                 }
                 return Ok(());
             }
-            if !block {
-                return Err((item, SubmitError::Rejected));
-            }
             inner.parked_producers += 1;
             inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
             inner.parked_producers -= 1;
         }
-    }
-
-    /// Submits one item under the admission policy. (`CostAware` degrades
-    /// to `Reject` here — the price-aware part lives in the session layer,
-    /// which retries through [`BoundedQueue::push_with_slack`] or serves
-    /// the query inline.)
-    pub fn push(&self, item: T) -> Result<(), SubmitError> {
-        self.admit(item, 0, self.policy == AdmissionPolicy::Block)
-            .map_err(|(_, e)| e)
-    }
-
-    /// Non-blocking submission regardless of policy: rejects on a full
-    /// queue, handing the item back so the caller can price it.
-    pub fn try_push(&self, item: T) -> Result<(), (T, SubmitError)> {
-        self.admit(item, 0, false)
-    }
-
-    /// Admits past the nominal capacity into a bounded overflow reserve of
-    /// `slack` extra slots — the "cheap queries are never shed" lane of
-    /// cost-aware admission. Rejects only when even the reserve is full.
-    pub fn push_with_slack(&self, item: T, slack: usize) -> Result<(), (T, SubmitError)> {
-        self.admit(item, slack, false)
     }
 
     /// Blocks until at least one item is available, then takes up to `max`
@@ -196,11 +145,6 @@ impl<T> BoundedQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Maximum queue depth.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +177,7 @@ pub(crate) mod tests {
 
     #[test]
     fn fifo_order_and_batch_drain() {
-        let q = BoundedQueue::new(8, AdmissionPolicy::Reject);
+        let q = BoundedQueue::new(8);
         for i in 0..5 {
             q.push(i).unwrap();
         }
@@ -244,47 +188,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn reject_policy_sheds_overflow() {
-        let q = BoundedQueue::new(2, AdmissionPolicy::Reject);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.push(3), Err(SubmitError::Rejected));
-        q.drain_up_to(1);
-        q.push(3).unwrap();
-    }
-
-    #[test]
-    fn try_push_and_slack_reserve() {
-        // Even a Block-policy queue rejects via try_push (no deadlock for
-        // price probes) and admits cheap overflow via the slack reserve.
-        let q = BoundedQueue::new(2, AdmissionPolicy::Block);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        let (item, e) = q.try_push(3).unwrap_err();
-        assert_eq!((item, e), (3, SubmitError::Rejected));
-        q.push_with_slack(3, 1).unwrap();
-        assert_eq!(q.len(), 3, "overflow reserve admitted past capacity");
-        let (item, e) = q.push_with_slack(4, 1).unwrap_err();
-        assert_eq!((item, e), (4, SubmitError::Rejected));
-        q.close();
-        assert!(matches!(q.try_push(5), Err((5, SubmitError::Closed))));
-        assert!(matches!(
-            q.push_with_slack(5, 9),
-            Err((5, SubmitError::Closed))
-        ));
-        assert_eq!(q.drain_up_to(8), Some(vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn cost_aware_policy_rejects_at_the_queue_itself() {
-        let q = BoundedQueue::new(1, AdmissionPolicy::CostAware);
-        q.push(1).unwrap();
-        assert_eq!(q.push(2), Err(SubmitError::Rejected));
-    }
-
-    #[test]
     fn closed_queue_rejects_and_drains() {
-        let q = BoundedQueue::new(4, AdmissionPolicy::Block);
+        let q = BoundedQueue::new(4);
         q.push(1).unwrap();
         q.close();
         assert_eq!(q.push(2), Err(SubmitError::Closed));
@@ -308,7 +213,7 @@ pub(crate) mod tests {
     #[test]
     fn one_push_wakes_a_parked_consumer() {
         within(20, || {
-            let q = Arc::new(BoundedQueue::new(4, AdmissionPolicy::Block));
+            let q = Arc::new(BoundedQueue::new(4));
             let consumer = {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || q.drain_up_to(4))
@@ -323,7 +228,7 @@ pub(crate) mod tests {
     #[test]
     fn one_multi_slot_drain_wakes_every_parked_producer() {
         within(20, || {
-            let q = Arc::new(BoundedQueue::new(2, AdmissionPolicy::Block));
+            let q = Arc::new(BoundedQueue::new(2));
             q.push(0u32).unwrap();
             q.push(1).unwrap();
             let producers: Vec<_> = [2, 3]
@@ -349,12 +254,12 @@ pub(crate) mod tests {
     #[test]
     fn close_wakes_a_parked_consumer_and_a_parked_producer() {
         within(20, || {
-            let empty = Arc::new(BoundedQueue::<u32>::new(1, AdmissionPolicy::Block));
+            let empty = Arc::new(BoundedQueue::<u32>::new(1));
             let consumer = {
                 let q = Arc::clone(&empty);
                 std::thread::spawn(move || q.drain_up_to(1))
             };
-            let full = Arc::new(BoundedQueue::new(1, AdmissionPolicy::Block));
+            let full = Arc::new(BoundedQueue::new(1));
             full.push(0u32).unwrap();
             let producer = {
                 let q = Arc::clone(&full);
@@ -375,7 +280,7 @@ pub(crate) mod tests {
         // so every push and every drain decides whether to notify.
         const PER_PRODUCER: u32 = 25_000;
         within(120, || {
-            let q = Arc::new(BoundedQueue::new(2, AdmissionPolicy::Block));
+            let q = Arc::new(BoundedQueue::new(2));
             let producers: Vec<_> = (0..4u32)
                 .map(|p| {
                     let q = Arc::clone(&q);

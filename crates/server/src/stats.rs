@@ -1,8 +1,8 @@
 //! Service-level latency and throughput accounting.
 //!
 //! The dispatcher records one end-to-end latency sample (enqueue →
-//! completion) per query plus counters for admission decisions and engine
-//! executions; [`StatsSummary`] condenses them into the sustained-QPS and
+//! completion) per query plus counters for submissions, coalescing, routing
+//! and engine executions; [`StatsSummary`] condenses them into the sustained-QPS and
 //! tail-latency numbers the service harnesses print.
 //!
 //! ## Registry-backed
@@ -74,7 +74,6 @@ macro_rules! counters {
 counters! {
     submitted,
     completed,
-    rejected,
     /// Engine executions performed. Crack-aware batching coalesces
     /// duplicate predicates inside a batch, so this can be below
     /// `completed`.
@@ -97,23 +96,6 @@ counters! {
     /// Decomposed parts a full queue pushed back onto the submitting
     /// client (inline execution — decomposition's backpressure).
     decomp_inline,
-    /// Cheap (exact-hit / near-optimal) queries admitted past a full
-    /// queue — the "never shed" guarantee, via overflow slack or inline
-    /// execution.
-    admitted_cheap,
-    /// Filter-screened point probes executed inline at submission: the
-    /// membership filter priced them near-free, so they never spend a
-    /// queue slot even under overload.
-    screened_inline,
-    /// Expensive queries served inline from the lock-free snapshot path
-    /// instead of being shed (cost-based admission's downgrade).
-    downgraded_snapshot,
-    /// Rejections whose query priced Expensive at shed time.
-    shed_expensive,
-    /// Rejections whose query priced Cheap at shed time. Cost-aware
-    /// admission keeps this at zero by construction; FIFO shedding does
-    /// not.
-    shed_cheap,
     /// Worker time spent servicing drained batches, ns (busy-fraction
     /// numerator; denominator is `workers × wall`).
     busy_ns,
@@ -132,28 +114,6 @@ pub struct ServiceStats {
     queue_depth: Arc<Gauge>,
     /// Peak queue depth since the last window reset.
     queue_depth_peak: Arc<Gauge>,
-}
-
-/// The outcome classes of one plan-priced admission or routing decision
-/// (traced per outcome into [`ServiceStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanDecision {
-    /// A cheap query admitted past a full queue (overflow slack or
-    /// inline execution) — never shed.
-    CheapAdmitted,
-    /// A filter-screened point probe executed inline at submission
-    /// (near-free: the membership filter proves the typical probe empty).
-    ScreenedInline,
-    /// An expensive query served inline from the snapshot path instead of
-    /// being shed.
-    DowngradedSnapshot,
-    /// An expensive query shed under overload.
-    ShedExpensive,
-    /// A cheap query shed (cost-blind policies only).
-    ShedCheap,
-    /// A whole read-only query routed through `execute_snapshot` by the
-    /// cost cutover.
-    SnapshotCutover,
 }
 
 impl Default for ServiceStats {
@@ -182,11 +142,6 @@ impl ServiceStats {
     /// Records a query accepted into the queue.
     pub fn record_submitted(&self) {
         self.live.submitted.inc();
-    }
-
-    /// Records a query turned away by admission control.
-    pub fn record_rejected(&self) {
-        self.live.rejected.inc();
     }
 
     /// Records one engine execution (which may answer several queries).
@@ -225,17 +180,10 @@ impl ServiceStats {
         self.live.decomp_inline.inc();
     }
 
-    /// Records one plan-priced decision outcome.
-    pub fn record_decision(&self, decision: PlanDecision) {
-        let counter = match decision {
-            PlanDecision::CheapAdmitted => &self.live.admitted_cheap,
-            PlanDecision::ScreenedInline => &self.live.screened_inline,
-            PlanDecision::DowngradedSnapshot => &self.live.downgraded_snapshot,
-            PlanDecision::ShedExpensive => &self.live.shed_expensive,
-            PlanDecision::ShedCheap => &self.live.shed_cheap,
-            PlanDecision::SnapshotCutover => &self.live.snapshot_cutover,
-        };
-        counter.inc();
+    /// Records a whole read-only query the cost cutover routed through
+    /// `execute_snapshot`.
+    pub(crate) fn record_snapshot_cutover(&self) {
+        self.live.snapshot_cutover.inc();
     }
 
     /// Records worker time spent servicing a drained batch.
@@ -288,11 +236,6 @@ impl ServiceStats {
         self.live.submitted.get()
     }
 
-    /// Queries rejected over the service lifetime.
-    pub fn rejected(&self) -> u64 {
-        self.live.rejected.get()
-    }
-
     /// Queries completed over the service lifetime.
     pub fn completed(&self) -> u64 {
         self.live.completed.get()
@@ -319,7 +262,7 @@ impl ServiceStats {
         StatsSummary {
             submitted: windowed(&self.live.submitted, &self.window.submitted),
             completed,
-            rejected: windowed(&self.live.rejected, &self.window.rejected),
+            rejected: 0,
             executed: windowed(&self.live.executed, &self.window.executed),
             containment: windowed(&self.live.containment, &self.window.containment),
             snapshot_runs: windowed(&self.live.snapshot_runs, &self.window.snapshot_runs),
@@ -327,14 +270,7 @@ impl ServiceStats {
             decomposed: windowed(&self.live.decomposed, &self.window.decomposed),
             decomposed_parts: windowed(&self.live.decomposed_parts, &self.window.decomposed_parts),
             decomp_inline: windowed(&self.live.decomp_inline, &self.window.decomp_inline),
-            admitted_cheap: windowed(&self.live.admitted_cheap, &self.window.admitted_cheap),
-            screened_inline: windowed(&self.live.screened_inline, &self.window.screened_inline),
-            downgraded_snapshot: windowed(
-                &self.live.downgraded_snapshot,
-                &self.window.downgraded_snapshot,
-            ),
-            shed_expensive: windowed(&self.live.shed_expensive, &self.window.shed_expensive),
-            shed_cheap: windowed(&self.live.shed_cheap, &self.window.shed_cheap),
+            screened_inline: 0,
             busy_ns: windowed(&self.live.busy_ns, &self.window.busy_ns),
             queue_depth_peak: self.queue_depth_peak.get(),
             wall,
@@ -358,7 +294,7 @@ pub struct StatsSummary {
     pub submitted: u64,
     /// Queries answered.
     pub completed: u64,
-    /// Queries turned away by admission control.
+    /// Always 0 (the service never sheds); the benchmark still reports it.
     pub rejected: u64,
     /// Engine executions (≤ completed when batching coalesces duplicates).
     pub executed: u64,
@@ -376,17 +312,8 @@ pub struct StatsSummary {
     pub decomposed_parts: u64,
     /// Decomposed parts executed inline on the submitting client.
     pub decomp_inline: u64,
-    /// Cheap queries admitted past a full queue (never shed).
-    pub admitted_cheap: u64,
-    /// Filter-screened point probes executed inline at submission.
+    /// Always 0 (every submission queues); the benchmark still reports it.
     pub screened_inline: u64,
-    /// Expensive queries downgraded to an inline snapshot read.
-    pub downgraded_snapshot: u64,
-    /// Rejections priced Expensive at shed time.
-    pub shed_expensive: u64,
-    /// Rejections priced Cheap at shed time (zero under cost-aware
-    /// admission).
-    pub shed_cheap: u64,
     /// Worker time spent servicing drained batches in the window, ns.
     pub busy_ns: u64,
     /// Peak queue depth observed in the window.
@@ -453,12 +380,11 @@ mod tests {
             stats.record_executed();
             stats.record_completed(ms(i));
         }
-        stats.record_rejected();
         stats.record_containment();
         let s = stats.summary(Duration::from_secs(2));
         assert_eq!(s.submitted, 10);
         assert_eq!(s.completed, 10);
-        assert_eq!(s.rejected, 1);
+        assert_eq!(s.rejected, 0);
         assert_eq!(s.executed, 10);
         assert_eq!(s.containment, 1);
         assert!((s.qps - 5.0).abs() < 1e-9);
@@ -485,11 +411,7 @@ mod tests {
         stats.record_decomposed(4);
         stats.record_decomp_inline();
         stats.record_busy(ms(2));
-        stats.record_decision(PlanDecision::CheapAdmitted);
-        stats.record_decision(PlanDecision::DowngradedSnapshot);
-        stats.record_decision(PlanDecision::ShedExpensive);
-        stats.record_decision(PlanDecision::ShedCheap);
-        stats.record_decision(PlanDecision::SnapshotCutover);
+        stats.record_snapshot_cutover();
         let s = stats.summary(Duration::from_secs(1));
         assert_eq!(
             (
@@ -500,11 +422,7 @@ mod tests {
             ),
             (1, 1, 1, 4)
         );
-        assert_eq!((s.admitted_cheap, s.downgraded_snapshot), (1, 1));
-        assert_eq!(
-            (s.shed_expensive, s.shed_cheap, s.snapshot_cutover),
-            (1, 1, 1)
-        );
+        assert_eq!(s.snapshot_cutover, 1);
         assert_eq!(s.busy_ns, ms(2).as_nanos() as u64);
 
         // Rep boundary: the next window starts at zero for EVERY counter
@@ -516,7 +434,7 @@ mod tests {
         assert_eq!(s.containment, 0);
         assert_eq!(s.snapshot_runs, 0);
         assert_eq!(s.decomposed, 0);
-        assert_eq!(s.admitted_cheap, 0);
+        assert_eq!(s.snapshot_cutover, 0);
         assert_eq!(s.busy_ns, 0);
         assert_eq!(s.p50, Duration::ZERO);
         assert_eq!(s.max, Duration::ZERO);

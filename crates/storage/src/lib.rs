@@ -12,15 +12,12 @@
 //! - [`select`] / [`pscan`] — (parallel) range selection over a column,
 //! - [`sort`] / [`psort`] — (parallel) order-preserving sort with row ids,
 //!   plus binary-search selection over sorted columns (the "full indexing"
-//!   baseline of the paper),
-//! - [`hash`] — a fast integer hasher and the `IntMap` the weight heap keys
-//!   its positions with.
+//!   baseline of the paper).
 //!
 //! The adaptive-indexing crates build on these primitives; nothing in this
 //! crate knows about cracking or holistic tuning.
 
 pub mod column;
-pub mod hash;
 pub mod pscan;
 pub mod psort;
 pub mod select;

@@ -1,6 +1,6 @@
 //! Bounded lock-free per-query trace ring.
 //!
-//! One [`QueryTrace`] per query lifecycle: admit decision → queue wait →
+//! One [`QueryTrace`] per query lifecycle: admit outcome → queue wait →
 //! batch/coalesce → route taken → crack/decode estimate → completion, with
 //! the shard-plan version and the predicted-vs-actual `PlanCost` residual
 //! attached. The ring is a fixed array of seqlock slots: a writer claims a
@@ -13,17 +13,14 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How admission control disposed of the query.
+/// Where the query was executed relative to the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitOutcome {
     /// Admitted into the queue.
     Queued,
-    /// Cheap query executed inline at submission (admission bypass).
+    /// Executed inline on the submitting thread (a decomposed part that
+    /// met a closing queue).
     Inline,
-    /// Expensive query downgraded to an inline snapshot scan.
-    Downgraded,
-    /// Load-shed (rejected).
-    Shed,
 }
 
 /// How batching disposed of the query relative to its batch.
@@ -56,7 +53,7 @@ pub struct QueryTrace {
     pub seq: u64,
     /// Attribute / column index the predicate targeted.
     pub attr: u32,
-    /// Admission decision.
+    /// Queued, or executed inline.
     pub admit: AdmitOutcome,
     /// Queue wait (enqueue → drain), ns.
     pub queue_wait_ns: u64,

@@ -25,4 +25,4 @@ pub mod traffic;
 pub mod updates;
 
 pub use patterns::{AttrDist, Pattern, QuerySpec, WorkloadSpec};
-pub use traffic::{ArrivalProcess, ClientFocus, TimedQuery, TrafficSpec};
+pub use traffic::TrafficSpec;

@@ -11,7 +11,7 @@
 //! ```
 
 use holix::engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
-use holix::server::{AdmissionPolicy, DecomposePolicy, QueryService, Scheduling, ServiceConfig};
+use holix::server::{DecomposePolicy, QueryService, Scheduling, ServiceConfig};
 use holix::workloads::data::uniform_table;
 use holix::workloads::TrafficSpec;
 use std::sync::Arc;
@@ -48,7 +48,6 @@ fn main() {
         ServiceConfig {
             workers: 2,
             queue_capacity: clients * 2,
-            admission: AdmissionPolicy::Block,
             scheduling: Scheduling::CrackAware,
             batch_max: 32,
             contexts_per_worker: 1,
@@ -68,8 +67,8 @@ fn main() {
             let stream = traffic.client_stream(c);
             let session = service.session();
             s.spawn(move || {
-                for tq in &stream {
-                    let result = session.execute(tq.spec).expect("submit failed");
+                for &q in &stream {
+                    let result = session.execute(q).expect("submit failed");
                     std::hint::black_box(result.count);
                 }
             });

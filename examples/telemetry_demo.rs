@@ -57,8 +57,8 @@ fn main() {
             let stream = traffic.client_stream(c);
             let session = service.session();
             s.spawn(move || {
-                for tq in &stream {
-                    let result = session.execute(tq.spec).expect("submit failed");
+                for &q in &stream {
+                    let result = session.execute(q).expect("submit failed");
                     std::hint::black_box(result.count);
                 }
             });

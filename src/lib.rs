@@ -32,9 +32,9 @@
 //! | [`cracking`] | adaptive indexing: cracker columns/index, the one partition entry point (sequential and ganged vectorized kernels), latches, Ripple updates, piece snapshots |
 //! | [`parallel`] | multi-core cracking baselines: the parallel partition behind PVDC/PVSDC, mP-CCGI |
 //! | [`core`] | **holistic indexing**: index space, strategies W1–W4, CPU monitors, daemon |
-//! | [`planner`] | crack-aware cost model: plan-time estimates, spanning decomposition, admission pricing |
+//! | [`planner`] | crack-aware cost model: plan-time estimates, spanning decomposition, price classes |
 //! | [`engine`] | the five query engines + TPC-H plans |
-//! | [`server`] | the query service layer: sessions, admission control, crack-aware scheduling |
+//! | [`server`] | the query service layer: sessions, a blocking submission queue, crack-aware scheduling |
 //! | [`telemetry`] | lock-free metrics registry, per-query trace ring, text exposition |
 //! | [`workloads`] | data/query/traffic generators incl. synthetic SkyServer and TPC-H |
 

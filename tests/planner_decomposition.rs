@@ -118,10 +118,13 @@ proptest! {
 fn decomposed_service_answers_race_two_ripple_updaters() {
     // Two updater threads churn value 7 (insert → merge → delete) while
     // clients push shard-spanning queries through the affinity service
-    // with decomposition on. Each updater keeps at most one insert
-    // outstanding, so every full-domain answer must be base..=base+2; a
-    // lost or double-counted part breaks the band. Narrow control ranges
-    // away from the churned value stay oracle-exact throughout.
+    // with cost-based decomposition. Each wide query gets a fresh upper
+    // bound: a bound no query has cracked cannot be an exact hit, and
+    // with ≥ 18k of 30k rows estimated the query prices Expensive, so it
+    // is split. Each updater keeps at most one insert outstanding, so
+    // every wide answer must be base..=base+2; a lost or double-counted
+    // part breaks the band. Narrow control ranges away from the churned
+    // value stay oracle-exact throughout.
     let data = Dataset::new(uniform_table(1, 30_000, 100_000, 33));
     let mut sorted = data.column(0).to_vec();
     sorted.sort_unstable();
@@ -135,21 +138,23 @@ fn decomposed_service_answers_race_two_ripple_updaters() {
             workers: 4,
             scheduling: Scheduling::CrackAware,
             affinity: true,
-            decompose: DecomposePolicy::Always,
+            decompose: DecomposePolicy::CostBased,
             ..ServiceConfig::default()
         },
     );
-    let wide = QuerySpec {
+    const CLIENTS: i64 = 2;
+    const ROUNDS: i64 = 150;
+    // Client `c`'s `i`-th wide query: distinct across clients and rounds.
+    let wide = |c: i64, i: i64| QuerySpec {
         attr: 0,
         lo: 0,
-        hi: 100_000,
+        hi: DOMAIN - (i * CLIENTS + c) - 1,
     };
     let narrow = QuerySpec {
         attr: 0,
         lo: 40_000,
         hi: 42_000,
     };
-    let base_wide = oracle(&sorted, wide.lo, wide.hi);
     let base_narrow = oracle(&sorted, narrow.lo, narrow.hi);
     let stop = AtomicBool::new(false);
     let failed = AtomicBool::new(false);
@@ -186,18 +191,20 @@ fn decomposed_service_answers_race_two_ripple_updaters() {
                 }
             });
         }
-        let clients: Vec<_> = (0..2)
-            .map(|_| {
-                let service = &service;
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (service, sorted, wide) = (&service, &sorted, &wide);
                 let (failed, stop) = (&failed, &stop);
                 s.spawn(move || {
                     let _guard = PanicGuard { failed, stop };
                     let session = service.session();
-                    for _ in 0..150 {
+                    for i in 0..ROUNDS {
                         if failed.load(Ordering::Relaxed) {
                             return;
                         }
-                        let got = session.execute(wide).unwrap().count;
+                        let q = wide(c, i);
+                        let base_wide = oracle(sorted, q.lo, q.hi);
+                        let got = session.execute(q).unwrap().count;
                         assert!(
                             (base_wide..=base_wide + 2).contains(&got),
                             "decomposed spanning count {got} outside churn band \
@@ -214,7 +221,7 @@ fn decomposed_service_answers_race_two_ripple_updaters() {
         // churn. No wait without a deadline: a wedged service fails the
         // test in a minute instead of hanging the suite.
         let deadline = Instant::now() + Duration::from_secs(60);
-        while service.stats().completed < 2 * 300
+        while service.stats().completed < (CLIENTS * ROUNDS * 2) as u64
             && !failed.load(Ordering::Relaxed)
             && Instant::now() < deadline
         {
@@ -231,12 +238,18 @@ fn decomposed_service_answers_race_two_ripple_updaters() {
             }
         }
         assert!(
-            completed >= 2 * 300,
-            "only {completed} of 600 answers in 60 s"
+            completed >= (CLIENTS * ROUNDS * 2) as u64,
+            "only {completed} of {} answers in 60 s",
+            CLIENTS * ROUNDS * 2
         );
     });
     // Quiesce: drain every remaining pending op through a locked merge,
     // then all three paths must agree exactly.
+    let wide = QuerySpec {
+        attr: 0,
+        lo: 0,
+        hi: DOMAIN,
+    };
     let locked = engine.execute(&wide);
     let merged: u64 = engine
         .decompose(&wide)
@@ -245,11 +258,17 @@ fn decomposed_service_answers_race_two_ripple_updaters() {
         .map(|p| engine.execute(p))
         .sum();
     assert_eq!(locked, merged);
-    assert_eq!(locked, base_wide, "net-zero churn must restore the base");
+    assert_eq!(
+        locked,
+        oracle(&sorted, wide.lo, wide.hi),
+        "net-zero churn must restore the base"
+    );
     let summary = service.shutdown();
     assert!(
-        summary.decomposed > 0,
-        "spanning queries were not decomposed"
+        summary.decomposed >= (CLIENTS * ROUNDS / 2) as u64,
+        "only {} of {} wide queries were decomposed",
+        summary.decomposed,
+        CLIENTS * ROUNDS
     );
     engine.stop();
 }
