@@ -17,7 +17,7 @@ use holix_cracking::updates::{ripple_batch, ripple_insert};
 use holix_cracking::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
 use holix_cracking::{ShardPlan, ShardedColumn};
 use holix_parallel::parallel_partition;
-use holix_storage::select::Predicate;
+use holix_storage::select::{scan_stats, Predicate};
 use rand::prelude::*;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -422,10 +422,18 @@ fn bench_first_touch(c: &mut Criterion) {
     });
     g.bench_function("coarse_build_then_crack", |b| {
         let mut scratch = CrackScratch::new();
+        let pred = Predicate::range(lo, hi);
+        let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
+        col.admit(0, col.shard_count() - 1, |fresh| vec![(); fresh.len()]);
+        assert_eq!(
+            col.select_verified(pred, &mut scratch).1,
+            scan_stats(&base, pred),
+            "the streamed build answers its first query wrongly"
+        );
         b.iter(|| {
             let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
             col.admit(0, col.shard_count() - 1, |fresh| vec![(); fresh.len()]);
-            black_box(col.select_verified(Predicate::range(lo, hi), &mut scratch));
+            black_box(col.select_verified(pred, &mut scratch));
             col
         })
     });

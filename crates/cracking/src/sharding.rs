@@ -17,7 +17,9 @@
 //! two-level range partition of the base — by the plan's cuts into shards
 //! and, inside each shard, by power-of-two-wide value ranges into coarse
 //! buckets laid out in key order, so every shard is born with its buckets
-//! as pieces and no query ever cracks a whole shard; any smaller set with
+//! as pieces and no query ever cracks a whole shard (a histogram pass,
+//! then a scatter that writes whole cache lines with streaming stores,
+//! bypassing the cache); any smaller set with
 //! one branch-free filter pass per shard, so an owner under storage
 //! pressure materialises (and after an eviction re-materialises, through
 //! [`ShardedColumn::vacated`]) exactly the value ranges its queries touch.
@@ -356,18 +358,75 @@ thread_local! {
     static BUCKET_IDS: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Bytes in a cache line: the unit [`route_all`]'s scatter writes.
+const LINE: usize = 64;
+
+/// One bucket's cache line of the scatter, staged until it is full.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct Line([u8; LINE]);
+
+/// Writes the staged `line` to `dst` without reading `dst` into the cache:
+/// SSE2's streaming store, baseline on x86_64 (no detection, no
+/// `target_feature`); an ordinary copy elsewhere.
+///
+/// # Safety
+/// `dst` is 64-byte aligned, valid for 64 bytes of writes and read by
+/// nobody before [`fence_lines`] runs on this thread.
+#[inline(always)]
+unsafe fn store_line(dst: *mut u8, line: &Line) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: both sides are 16-byte aligned (`Line` and the caller's
+    // `dst` are 64-byte aligned) and valid for 64 bytes; SSE2 is baseline.
+    unsafe {
+        use std::arch::x86_64::{__m128i, _mm_load_si128, _mm_stream_si128};
+        let (src, dst) = (line.0.as_ptr().cast::<__m128i>(), dst.cast::<__m128i>());
+        for i in 0..LINE / 16 {
+            _mm_stream_si128(dst.add(i), _mm_load_si128(src.add(i)));
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    // SAFETY: the caller's contract; a local buffer never overlaps `dst`.
+    unsafe {
+        std::ptr::copy_nonoverlapping(line.0.as_ptr(), dst, LINE)
+    }
+}
+
+/// Orders every line [`store_line`] streamed on this thread before the
+/// loads and stores that follow (`sfence`; ordinary stores need none).
+#[inline(always)]
+fn fence_lines() {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is baseline on x86_64.
+    unsafe {
+        std::arch::x86_64::_mm_sfence()
+    }
+}
+
 /// Range-partitions the whole base two levels deep in two passes: every
 /// value goes to its shard by the plan's cuts and, inside the shard, to its
 /// coarse bucket ([`coarse_buckets`]). The first pass counts the buckets,
-/// the second writes each value straight to its place in exactly-sized
-/// shard vectors (with the 25 % headroom of [`filter_pass`]). Values only:
-/// a shard re-derives its row ids from the base when something first reads
+/// the second writes each value to its place in exactly-sized shard vectors
+/// (with the 25 % headroom of [`filter_pass`]) through one staged cache
+/// line per bucket: a line the bucket covers whole goes out with streaming
+/// stores, which neither read it for ownership nor evict another bucket's
+/// line (the bucket cursors start a fixed stride apart and would map to
+/// the same few cache sets); the partial lines at a bucket's two edges,
+/// shared with its neighbours, are copied slot by slot. Values only: a
+/// shard re-derives its row ids from the base when something first reads
 /// one ([`crate::row_ids`]). At most [`MAX_BUCKETS`] shards.
+///
+/// With metrics on, each build counts `cracking_whole_builds_total` and
+/// times its passes into `cracking_whole_build_count_ns` and
+/// `cracking_whole_build_scatter_ns`.
 fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize) -> Vec<Routed<V>> {
+    let width = std::mem::size_of::<V>();
+    assert_eq!(LINE % width, 0, "a value's width divides the cache line");
     let geometry = coarse_buckets(plan, base.len(), piece_floor);
     let buckets = geometry.last().map_or(0, |g| g.ids().end() + 1);
     assert!(buckets <= MAX_BUCKETS, "bucket ids must fit a byte");
     let cuts: Vec<i64> = plan.cuts.iter().map(|c| c.as_i64()).collect();
+    let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
     BUCKET_IDS.with_borrow_mut(|ids| {
         if ids.len() < base.len() {
             ids.resize(base.len(), 0);
@@ -383,12 +442,14 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
             *id = geometry[k].id_of(v) as u8;
             hist[*id as usize] += 1;
         }
+        let counted = timed.map(|t0| (t0.elapsed(), std::time::Instant::now()));
 
         // Exactly-sized vectors, and per bucket the shard array it lives
-        // in and the position it starts at.
+        // in, the position it starts at and that slot's address.
         let mut out: Vec<Routed<V>> = Vec::with_capacity(geometry.len());
         let mut vals_of = [std::ptr::null_mut::<V>(); MAX_BUCKETS];
         let mut cursor = [0usize; MAX_BUCKETS];
+        let mut first = [std::ptr::null_mut::<u8>(); MAX_BUCKETS];
         for g in &geometry {
             let count: usize = hist[g.ids()].iter().sum();
             let cap = count + count / 4 + 1;
@@ -397,6 +458,9 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
                 bounds: Vec::with_capacity(g.last as usize),
                 domain: None,
             };
+            // No value straddles two lines (holds wherever a value's
+            // alignment is its width).
+            assert_eq!(shard.vals.as_ptr() as usize % width, 0, "unaligned shard");
             let mut pos = 0;
             for id in g.ids() {
                 // A boundary with an empty side would only add an empty
@@ -407,24 +471,80 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
                 }
                 vals_of[id] = shard.vals.as_mut_ptr();
                 cursor[id] = pos;
+                first[id] = shard.vals.as_mut_ptr().wrapping_add(pos).cast();
                 pos += hist[id];
             }
             out.push(shard);
         }
 
-        // Pass 2: every value to its bucket's cursor.
+        // Pass 2: every value to its bucket's cursor, through the slot of
+        // the bucket's staged line that sits at the destination's offset
+        // inside its cache line. The value that fills a line's last slot
+        // flushes the line: streamed whole when the bucket starts at or
+        // before the line's start, else (the bucket's first line) copied
+        // from the bucket's first slot on.
+        let mut lines = [Line([0; LINE]); MAX_BUCKETS];
         for (&v, &id) in base.iter().zip(ids.iter()) {
             let id = id as usize;
             let pos = cursor[id];
             cursor[id] = pos + 1;
             // SAFETY: this pass reads back the ids pass 1 counted, so the
             // cursor of bucket `id` has advanced fewer than `hist[id]`
-            // times: `pos` lies inside the bucket's own range of its
-            // shard's first `count` slots, which are allocated (capacity
-            // above `count`), written by no other bucket, and hold `Copy`
-            // values, so nothing is dropped. Ids that no tuple has (null
-            // pointers) are never read back.
-            unsafe { vals_of[id].add(pos).write(v) };
+            // times: `pos` lies inside the bucket's own range of its shard's
+            // first `count` slots, which are allocated (capacity above
+            // `count`), written by no other bucket, and hold `Copy` values,
+            // so nothing is dropped. Ids that no tuple has (null pointers)
+            // are never read back. A slot's address is a multiple of the
+            // width (asserted per shard), which divides `LINE` (asserted
+            // above), so the value fits its staged line at `off`, aligned.
+            // A flushed line ends at `end`, one past `pos`, and `len` is the
+            // part of it at or after the bucket's first slot `first[id]`:
+            // a streamed line (`len == LINE`) lies inside `[first[id],
+            // end)`, the bucket's own slots, each staged by this pass in
+            // order; a copied one writes only that part. Nothing reads the
+            // vectors before the fence below.
+            unsafe {
+                let dst = vals_of[id].add(pos).cast::<u8>();
+                let off = dst.addr() % LINE;
+                let line = &mut lines[id];
+                line.0.as_mut_ptr().add(off).cast::<V>().write(v);
+                if off + width == LINE {
+                    let end = dst.add(width);
+                    let len = LINE.min(end.addr() - first[id].addr());
+                    match len == LINE {
+                        true => store_line(end.sub(LINE), line),
+                        false => {
+                            let src = line.0.as_ptr().add(LINE - len);
+                            std::ptr::copy_nonoverlapping(src, end.sub(len), len);
+                        }
+                    }
+                }
+            }
+        }
+        // Each bucket's last line, the same way: the staged bytes of its
+        // line before the cursor (none when the bucket ended on a line edge
+        // and the loop flushed it), from the bucket's first slot on.
+        for id in (0..buckets).filter(|&id| hist[id] > 0) {
+            // SAFETY: as in the loop; `end` is one past the bucket's last
+            // slot, and the copy writes `[end - len, end)`, which starts at
+            // or after `first[id]` and holds staged values of this bucket.
+            unsafe {
+                let end = vals_of[id].add(cursor[id]).cast::<u8>();
+                let off = end.addr() % LINE;
+                let len = off.min(end.addr() - first[id].addr());
+                let src = lines[id].0.as_ptr().add(off - len);
+                std::ptr::copy_nonoverlapping(src, end.sub(len), len);
+            }
+        }
+        // Streamed lines are weakly ordered: the fence puts them before the
+        // reads below and before the vectors are published.
+        fence_lines();
+        if let Some((count_time, t1)) = counted {
+            holix_telemetry::counter!("cracking_whole_builds_total").inc();
+            holix_telemetry::histogram!("cracking_whole_build_count_ns")
+                .record(count_time.as_nanos() as u64);
+            holix_telemetry::histogram!("cracking_whole_build_scatter_ns")
+                .record(t1.elapsed().as_nanos() as u64);
         }
 
         for (g, shard) in geometry.iter().zip(&mut out) {
@@ -435,7 +555,9 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
             }
             // SAFETY: the buckets of this shard tile `0..count` and each
             // cursor stopped at its bucket's end (just asserted), so pass
-            // 2 initialised every one of the first `count` slots.
+            // 2 staged every one of the first `count` slots, and each
+            // staged line reached the vector once — flushed when its last
+            // slot filled, or by the tail copy — before the fence.
             unsafe { shard.vals.set_len(count) };
             // Pieces are in key order and none is empty: the extremes sit
             // in the first and the last.
@@ -1286,6 +1408,76 @@ mod tests {
         shards
     }
 
+    /// The exact layout of a whole build: each shard's base values in base
+    /// order, stably sorted by bucket id (a counting sort, which is what a
+    /// scatter with plain stores to the bucket cursors writes).
+    fn counting_sort<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, floor: usize) -> Vec<Vec<V>> {
+        let mut shards = vec![Vec::new(); plan.shards()];
+        for &v in base {
+            shards[plan.shard_of(v)].push(v);
+        }
+        let geometry = coarse_buckets(plan, base.len(), floor);
+        for (g, shard) in geometry.iter().zip(&mut shards) {
+            shard.sort_by_key(|v| g.id_of(v.as_i64()));
+        }
+        shards
+    }
+
+    /// `route_all` over `n` values of `V`, drawn from the whole type or
+    /// from a window of 41 values, lays every shard out exactly as the
+    /// counting sort does and finds its extremes.
+    fn check_layout<V: CrackValue>(seed: u64, n: usize, shards: usize, floor: usize, narrow: bool) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (min, max) = (V::MIN_VALUE.as_i64(), V::MAX_VALUE.as_i64());
+        let lo = match narrow {
+            true => rng.random_range(min..=max - 40),
+            false => min,
+        };
+        let hi = if narrow { lo + 40 } else { max };
+        let base: Vec<V> = (0..n)
+            .map(|_| V::from_i64(rng.random_range(lo..=hi)))
+            .collect();
+        let plan = ShardPlan::from_values(&base, shards);
+        let routed = route_all(&base, &plan, floor);
+        for (k, (shard, want)) in routed
+            .iter()
+            .zip(counting_sort(&base, &plan, floor))
+            .enumerate()
+        {
+            let extremes = want.iter().min().copied().zip(want.iter().max().copied());
+            assert_eq!(shard.domain, extremes, "shard {k}");
+            assert_eq!(
+                shard.vals, want,
+                "shard {k}: not the counting sort's layout"
+            );
+        }
+    }
+
+    // Every width below `i64` — 64, 32 and 16 values a cache line — with
+    // piece floors of 1 and 4: buckets of 0 to about 9 values, narrower
+    // than a line and starting anywhere inside one.
+    proptest! {
+        #[test]
+        fn prop_scatter_lays_out_every_width_as_the_counting_sort(
+            seed in any::<u64>(),
+            n in 0usize..600,
+            width in 0usize..6,
+            shards in 0usize..4,
+            floor in 0usize..2,
+            narrow in any::<bool>(),
+        ) {
+            let (shards, floor) = ([1usize, 2, 4, 7][shards], [1usize, 4][floor]);
+            match width {
+                0 => check_layout::<i8>(seed, n, shards, floor, narrow),
+                1 => check_layout::<i16>(seed, n, shards, floor, narrow),
+                2 => check_layout::<i32>(seed, n, shards, floor, narrow),
+                3 => check_layout::<u8>(seed, n, shards, floor, narrow),
+                4 => check_layout::<u16>(seed, n, shards, floor, narrow),
+                _ => check_layout::<u32>(seed, n, shards, floor, narrow),
+            }
+        }
+    }
+
     /// `n` values of one of the domains the builds must agree on.
     fn column_of(kind: usize, n: usize, rng: &mut StdRng) -> Vec<i64> {
         match kind {
@@ -1339,8 +1531,16 @@ mod tests {
         let reference = push_routing(&base, &plan);
         let routed = route_all(&base, &plan, floor);
         assert_eq!(routed.len(), plan.shards());
-        for shard in &routed {
+        for (k, (shard, want)) in routed
+            .iter()
+            .zip(counting_sort(&base, &plan, floor))
+            .enumerate()
+        {
             assert!(shard.vals.capacity() >= shard.vals.len() + shard.vals.len() / 4);
+            assert_eq!(
+                shard.vals, want,
+                "shard {k}: not the counting sort's layout"
+            );
         }
         let shared = Arc::new(base.clone());
         let eager: ShardedColumn<i64> =
@@ -1434,6 +1634,14 @@ mod tests {
             let shards = [1usize, 2, 4, 7][shards];
             check_builds_agree(seed, n, domain, shards, 4096, cut_adjacent);
         }
+    }
+
+    /// The benchmark's attribute: 2^21 rows of all of `i64` in 4 shards at
+    /// the default `i64` piece floor, 64 buckets a shard.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "2^21 rows: run with --release")]
+    fn builds_agree_at_the_benchmark_geometry() {
+        check_builds_agree(42, 1 << 21, DOMAINS - 1, 4, L1_BYTES / 8, false);
     }
 
     /// A column's whole boundary table (complete below

@@ -5,9 +5,11 @@
 //! driver shards) and another deletes base rows (ids for the shards a
 //! merge applies them in). Every answer is checked against an oracle, and
 //! the registry must count exactly one build per shard that ended up with
-//! ids.
+//! ids, and one whole-attribute build (with both of its passes timed) per
+//! attribute.
 //!
-//! One test only: `cracking_row_id_builds_total` is process-wide.
+//! One test only: `cracking_row_id_builds_total` and
+//! `cracking_whole_builds_total` are process-wide.
 
 use holix::engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
 use holix::telemetry::registry;
@@ -156,6 +158,10 @@ fn row_ids_are_built_once_per_shard_under_crackers_conjunctions_and_deletes() {
     holix::telemetry::set_metrics_enabled(true);
     let builds = registry().counter("cracking_row_id_builds_total");
     let builds_before = builds.get();
+    let whole = registry().counter("cracking_whole_builds_total");
+    let passes =
+        ["count", "scatter"].map(|p| registry().histogram(&format!("cracking_whole_build_{p}_ns")));
+    let whole_before = (whole.get(), passes.each_ref().map(|h| h.lifetime_count()));
 
     let mut rng = StdRng::seed_from_u64(5);
     let cols: Vec<Vec<i64>> = (0..ATTRS)
@@ -255,5 +261,13 @@ fn row_ids_are_built_once_per_shard_under_crackers_conjunctions_and_deletes() {
         builds.get() - builds_before,
         with_ids,
         "row-id builds vs shards that store ids"
+    );
+    // No budget: every attribute's first touch built all its shards at
+    // once, racing touchers included.
+    let each = ATTRS as u64;
+    assert_eq!(
+        (whole.get(), passes.each_ref().map(|h| h.lifetime_count())),
+        (whole_before.0 + each, whole_before.1.map(|c| c + each)),
+        "whole-attribute builds and their timed passes"
     );
 }
