@@ -4,8 +4,11 @@
 //! decode ("Batched decode kernels"), AVL vs `BTreeMap` cracker-index
 //! lookups, weight-heap updates, Ripple insertion vs naive re-cracking, the
 //! whole-attribute first touch (push routing + first crack vs the
-//! coarse-granular build), and what row ids cost: the two-way crack kernel
-//! with and without them, and building a shard's ids on demand.
+//! coarse-granular build), what row ids cost: the two- and three-way crack
+//! kernels with and without them, and building a shard's ids on demand, and
+//! what a narrow read of an evicted shard pays: its one-shard rebuild and
+//! first crack. The first line names the kernel family the crack and filter
+//! kernels dispatched to (`HOLIX_NO_SIMD=1` forces the portable one).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use holix_core::weight_heap::WeightHeap;
@@ -315,6 +318,92 @@ fn bench_crack_two(c: &mut Criterion) {
     g.finish();
 }
 
+/// The sequential three-way kernel over a piece of 2^15 values — the first
+/// crack of a rebuilt shard at `analytic_budget`'s geometry — with and
+/// without row ids, keeping the middle half.
+fn bench_crack_three(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crack_three");
+    g.sample_size(30);
+    let n = 1usize << 15;
+    let mut rng = StdRng::seed_from_u64(15);
+    let vals: Vec<i64> = (0..n).map(|_| rng.random_range(0..1_000_000)).collect();
+    let rows: Vec<u32> = (0..n as u32).collect();
+    g.bench_function("ids_2e15", |b| {
+        let mut scratch = CrackScratch::new();
+        b.iter_batched(
+            || (vals.clone(), rows.clone()),
+            |(mut v, mut r)| {
+                black_box(crack_in_three_oop(
+                    &mut v,
+                    &mut r,
+                    250_000,
+                    750_000,
+                    &mut scratch,
+                ));
+                (v, r)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("no_ids_2e15", |b| {
+        let mut scratch = CrackScratch::new();
+        b.iter_batched(
+            || vals.clone(),
+            |mut v| {
+                black_box(crack_in_three_oop(
+                    &mut v,
+                    &mut vec![(); n],
+                    250_000,
+                    750_000,
+                    &mut scratch,
+                ));
+                v
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
+/// A narrow read of an evicted shard at `analytic_budget`'s geometry: a
+/// 2^17-row base of unique values in 4 shards, one shard admitted alone
+/// into the column an eviction left (one filter pass over the whole base;
+/// the shard sizes were counted by the first build), then one select of
+/// 0.2 % of the domain inside it (the first three-way crack of the shard's
+/// one piece).
+fn bench_shard_rebuild(c: &mut Criterion) {
+    const ROWS: usize = 1 << 17;
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut values: Vec<i64> = (0..ROWS as i64).map(|v| 2 * v).collect();
+    for i in (1..ROWS).rev() {
+        values.swap(i, rng.random_range(0..i + 1));
+    }
+    let base = Arc::new(values);
+    let plan = ShardPlan::from_values(&base, 4);
+    let lo = plan.cuts()[0] + 1_000;
+    let pred = Predicate::range(lo, lo + ROWS as i64 / 250);
+    let resident: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan);
+    resident.admit(1, 1, |fresh| vec![(); fresh.len()]);
+    let mut g = c.benchmark_group("shard_rebuild");
+    g.sample_size(30);
+    g.bench_function("filter_then_crack", |b| {
+        let mut scratch = CrackScratch::new();
+        let rebuild = |scratch: &mut CrackScratch<i64>| {
+            let col = resident.vacated(&[1]);
+            col.admit(1, 1, |fresh| vec![(); fresh.len()]);
+            let stats = col.select_verified(pred, scratch).1;
+            (col, stats)
+        };
+        assert_eq!(
+            rebuild(&mut scratch).1,
+            scan_stats(&base, pred),
+            "the rebuilt shard answers its first query wrongly"
+        );
+        b.iter(|| rebuild(&mut scratch))
+    });
+    g.finish();
+}
+
 /// Building the row ids of one 2^18-row shard of a 2^20-row base (one pass
 /// over the base, a binary search of the boundary table per tuple in range)
 /// once queries have cracked it into 64 and into 1,024 pieces: what the
@@ -440,10 +529,19 @@ fn bench_first_touch(c: &mut Criterion) {
     g.finish();
 }
 
+/// The first line of the output: which kernel family runs the cracks and
+/// filter passes below.
+fn print_isa(_: &mut Criterion) {
+    println!("# kernels: {:?}", kernels::active_isa());
+}
+
 criterion_group!(
     benches,
+    print_isa,
     bench_first_touch,
+    bench_shard_rebuild,
     bench_crack_two,
+    bench_crack_three,
     bench_row_ids,
     bench_crack_kernels,
     bench_cracker_index,

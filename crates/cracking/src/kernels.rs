@@ -29,7 +29,17 @@
 //! [`filter_count_sorted`] (sorted streams: binary search **on the packed
 //! words** for the qualifying index range, then block-sum only that range)
 //! and [`filter_count`] (unsorted i64 lanes: branchless compare + masked
-//! split-lane accumulate). `HOLIX_NO_SIMD=1` forces the portable paths.
+//! split-lane accumulate).
+//!
+//! Beside them sits the compress-store layer, [`avx512`]: `vpcompressq`
+//! bodies for the value-lane loops a cold read and every sequential crack
+//! run — the one-shard filter pass (`sharding.rs`) and the partition passes
+//! of the out-of-place cracks ([`crate::vectorized`]) — over `i64` values,
+//! with the row lane carried through the [`crate::vectorized::RowLane`]
+//! hook. [`active_isa`] picks [`Isa::Avx512`] on a CPU with AVX-512F and
+//! AVX-512VL (which still runs the AVX2 [`filter_count`]); other CPUs and
+//! value widths keep the portable scalar loops, which the compress bodies
+//! match slot for slot. `HOLIX_NO_SIMD=1` forces the portable paths.
 
 use std::sync::OnceLock;
 
@@ -204,10 +214,14 @@ pub fn unpack_block_portable(words: &[u64], bits: u32, out: &mut [u64; BLOCK]) {
 /// Which kernel family [`active_isa`] selected for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
-    /// Width-specialised autovectorised kernels (always available).
+    /// Width-specialised autovectorised kernels and the scalar crack and
+    /// filter loops (always available).
     Portable,
     /// Explicit `core::arch::x86_64` AVX2 kernels.
     Avx2,
+    /// The AVX2 kernels, plus the AVX-512 compress-store crack and filter
+    /// kernels of [`avx512`] for `i64` values.
+    Avx512,
 }
 
 /// One-time CPU feature detection. `HOLIX_NO_SIMD=1` forces
@@ -220,10 +234,31 @@ pub fn active_isa() -> Isa {
         }
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
+            return match avx512::available() {
+                true => Isa::Avx512,
+                false => Isa::Avx2,
+            };
         }
         Isa::Portable
     })
+}
+
+/// `xs` as a slice of `W` when `T` is `W`, else `None`: how a kernel generic
+/// over the value type hands `i64` lanes to the `i64`-only [`avx512`]
+/// kernels.
+pub(crate) fn same_lanes<T: 'static, W: 'static>(xs: &mut [T]) -> Option<&mut [W]> {
+    // SAFETY: `T` and `W` are one type, so the cast is the identity.
+    same_type::<T, W>().then(|| unsafe { &mut *(xs as *mut [T] as *mut [W]) })
+}
+
+/// [`same_lanes`] for a shared slice.
+pub(crate) fn same_lanes_ref<T: 'static, W: 'static>(xs: &[T]) -> Option<&[W]> {
+    // SAFETY: as in `same_lanes`.
+    same_type::<T, W>().then(|| unsafe { &*(xs as *const [T] as *const [W]) })
+}
+
+fn same_type<T: 'static, W: 'static>() -> bool {
+    std::any::TypeId::of::<T>() == std::any::TypeId::of::<W>()
 }
 
 /// Explicit AVX2 kernels. Safe wrappers verify feature presence; the
@@ -296,6 +331,251 @@ pub mod avx2 {
             }
         }
         (count, sum)
+    }
+}
+
+/// AVX-512 compress-store kernels over `i64` values: the one-shard filter
+/// pass and the partition passes of the two- and three-way out-of-place
+/// cracks. Each runs its portable twin's loop eight values at a time: one
+/// compare per cursor gives a lane mask, `vpcompressq` writes the masked
+/// lanes to consecutive slots from the cursor, and the cursor advances by
+/// the mask's popcount, so no store waits on the previous value's cursor
+/// update. A cursor that fills from the right (a crack's highs) takes the
+/// chunk reversed, which leaves exactly the portable layout. Row ids ride
+/// along through the [`RowLane`] hook under the same masks (`u32` ids as
+/// eight 32-bit lanes; `()` compiles to nothing), so id-less and
+/// id-carrying cracks land alike. Every store is masked, so no slot outside
+/// its mask is written; the last chunk of a slice that is not a multiple of
+/// eight long loads under a mask (the full chunks under a constant one: a
+/// mask computed per chunk measured the filter 2–3× slower). The safe
+/// wrappers panic without the CPU features and check the lengths the raw
+/// stores rely on.
+#[cfg(target_arch = "x86_64")]
+pub mod avx512 {
+    use crate::vectorized::RowLane;
+    use core::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+
+    /// Whether this CPU has what the kernels need: AVX-512F, AVX-512VL for
+    /// the eight-lane compress of row ids, and POPCNT for the cursors.
+    pub fn available() -> bool {
+        std::is_x86_feature_detected!("avx512f")
+            && std::is_x86_feature_detected!("avx512vl")
+            && std::is_x86_feature_detected!("popcnt")
+    }
+
+    fn require() {
+        assert!(
+            available(),
+            "AVX-512F, AVX-512VL or POPCNT unavailable on this CPU"
+        );
+    }
+
+    /// Every lane of a full chunk, as read and once [`reversed`].
+    const FULL: (__mmask8, __mmask8) = (u8::MAX, u8::MAX);
+
+    /// The lanes of the last chunk, `len` values (`1..8`) from lane 0, as
+    /// read and once [`reversed`].
+    fn tail(len: usize) -> (__mmask8, __mmask8) {
+        (u8::MAX >> (8 - len), u8::MAX << (8 - len))
+    }
+
+    /// `v` with lane `i` moved to lane `7 - i`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn reversed(v: __m512i) -> __m512i {
+        _mm512_permutexvar_epi64(_mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7), v)
+    }
+
+    /// The values of `base` in `[lo, hi)` (`None` = unbounded), in base
+    /// order, to the front of `out`; returns how many. Panics before a
+    /// store would pass the end of `out`.
+    pub fn filter(
+        base: &[i64],
+        lo: Option<i64>,
+        hi: Option<i64>,
+        out: &mut [MaybeUninit<i64>],
+    ) -> usize {
+        require();
+        // SAFETY: the CPU has the features (checked above).
+        unsafe { filter_inner(base, lo, hi, out) }
+    }
+
+    #[target_feature(enable = "avx512f,avx512vl,popcnt")]
+    unsafe fn filter_inner(
+        base: &[i64],
+        lo: Option<i64>,
+        hi: Option<i64>,
+        out: &mut [MaybeUninit<i64>],
+    ) -> usize {
+        // As in `avx2::filter_count`: no lane is below i64::MIN, and an
+        // unbounded upper bound (MAX itself qualifies) admits every lane.
+        let lo_v = _mm512_set1_epi64(lo.unwrap_or(i64::MIN));
+        let hi_v = _mm512_set1_epi64(hi.unwrap_or(0));
+        let hi_all: __mmask8 = if hi.is_some() { 0 } else { u8::MAX };
+        let (src, dst, cap) = (base.as_ptr(), out.as_mut_ptr().cast::<i64>(), out.len());
+        let mut kept = 0;
+        let mut step = |i: usize, (valid, _): (__mmask8, __mmask8)| {
+            // SAFETY: the lanes of `valid` are `base[i..]`'s first values.
+            let v = _mm512_maskz_loadu_epi64(valid, src.add(i));
+            let keep = _mm512_mask_cmpge_epi64_mask(valid, v, lo_v)
+                & (_mm512_cmplt_epi64_mask(v, hi_v) | hi_all);
+            let k = keep.count_ones() as usize;
+            assert!(
+                kept + k <= cap,
+                "more values in range than the output holds"
+            );
+            // SAFETY: writes `out[kept..kept + k]`, inside `out` (asserted).
+            _mm512_mask_compressstoreu_epi64(dst.add(kept), keep, v);
+            kept += k;
+        };
+        let full = base.len() - base.len() % 8;
+        for i in (0..full).step_by(8) {
+            step(i, FULL);
+        }
+        if full < base.len() {
+            step(full, tail(base.len() - full));
+        }
+        kept
+    }
+
+    /// The partition pass of the two-way crack: the values of `vals` below
+    /// `pivot` fill `sv` from the left in source order, the others from the
+    /// right of `sv[..n]` in reverse source order, each row id at its
+    /// value's slot of `sr`. Returns the count below. Panics unless `rows`
+    /// is as long as `vals` and the scratch at least as long.
+    pub fn crack_two<R: RowLane>(
+        vals: &[i64],
+        rows: &[R],
+        pivot: i64,
+        sv: &mut [i64],
+        sr: &mut [R],
+    ) -> usize {
+        require();
+        let n = vals.len();
+        assert!(
+            rows.len() == n && sv.len() >= n && sr.len() >= n,
+            "row ids and scratch must cover the piece"
+        );
+        // SAFETY: the CPU has the features, the lengths are checked above.
+        unsafe { crack_two_inner(vals, rows, pivot, sv, sr) }
+    }
+
+    #[target_feature(enable = "avx512f,avx512vl,popcnt")]
+    unsafe fn crack_two_inner<R: RowLane>(
+        vals: &[i64],
+        rows: &[R],
+        pivot: i64,
+        sv: &mut [i64],
+        sr: &mut [R],
+    ) -> usize {
+        let n = vals.len();
+        let p = _mm512_set1_epi64(pivot);
+        let (vp, rp) = (vals.as_ptr(), rows.as_ptr());
+        let (svp, srp) = (sv.as_mut_ptr(), sr.as_mut_ptr());
+        let (mut lo, mut hi) = (0, n);
+        let mut step = |i: usize, (valid, valid_rev): (__mmask8, __mmask8)| {
+            // SAFETY (loads): the lanes of `valid` are the next values and
+            // ids. (Stores): before this chunk `lo + (n - hi) == i`, after
+            // it `i + len <= n`, so the lows it adds end at or before the
+            // highs it adds start: both inside `[lo, hi)`, which is inside
+            // `sv[..n]` and `sr[..n]`.
+            let v = _mm512_maskz_loadu_epi64(valid, vp.add(i));
+            let r = R::load8(rp.add(i), valid);
+            let (v_rev, r_rev) = (reversed(v), R::reverse8(r));
+            let low = _mm512_mask_cmplt_epi64_mask(valid, v, p);
+            let high = _mm512_mask_cmpge_epi64_mask(valid_rev, v_rev, p);
+            let h = hi - high.count_ones() as usize;
+            _mm512_mask_compressstoreu_epi64(svp.add(lo), low, v);
+            R::compress8(srp.add(lo), low, r);
+            _mm512_mask_compressstoreu_epi64(svp.add(h), high, v_rev);
+            R::compress8(srp.add(h), high, r_rev);
+            lo += low.count_ones() as usize;
+            hi = h;
+        };
+        let full = n - n % 8;
+        for i in (0..full).step_by(8) {
+            step(i, FULL);
+        }
+        if full < n {
+            step(full, tail(n - full));
+        }
+        debug_assert_eq!(lo, hi);
+        lo
+    }
+
+    /// The partition pass of the three-way crack: values below `lo` fill
+    /// `sv` from the left in source order, values at or above `hi` from
+    /// the right of `sv[..n]` in reverse source order, and the middles
+    /// stage at the front of `vals` in source order (in slots the pass has
+    /// already read), each row id beside its value. Returns the two scratch
+    /// cursors `(l, h)`; `h - l` middles are staged. Panics unless `rows`
+    /// is as long as `vals` and the scratch at least as long.
+    pub fn crack_three<R: RowLane>(
+        vals: &mut [i64],
+        rows: &mut [R],
+        lo: i64,
+        hi: i64,
+        sv: &mut [i64],
+        sr: &mut [R],
+    ) -> (usize, usize) {
+        require();
+        let n = vals.len();
+        assert!(
+            rows.len() == n && sv.len() >= n && sr.len() >= n,
+            "row ids and scratch must cover the piece"
+        );
+        // SAFETY: the CPU has the features, the lengths are checked above.
+        unsafe { crack_three_inner(vals, rows, lo, hi, sv, sr) }
+    }
+
+    #[target_feature(enable = "avx512f,avx512vl,popcnt")]
+    unsafe fn crack_three_inner<R: RowLane>(
+        vals: &mut [i64],
+        rows: &mut [R],
+        lo: i64,
+        hi: i64,
+        sv: &mut [i64],
+        sr: &mut [R],
+    ) -> (usize, usize) {
+        let n = vals.len();
+        let (lo_v, hi_v) = (_mm512_set1_epi64(lo), _mm512_set1_epi64(hi));
+        let (vp, rp) = (vals.as_mut_ptr(), rows.as_mut_ptr());
+        let (svp, srp) = (sv.as_mut_ptr(), sr.as_mut_ptr());
+        let (mut l, mut h, mut m) = (0, n, 0);
+        let mut step = |i: usize, (valid, valid_rev): (__mmask8, __mmask8)| {
+            // SAFETY: as in `crack_two_inner` for the loads and the scratch
+            // stores, with `l + (n - h) <= i` before the chunk (the middles
+            // are not in the scratch). The middles go to `vals[m..]` and
+            // `rows[m..]`: `m <= i`
+            // before the chunk and grows by at most its `len` values, so
+            // they overwrite only slots this pass has loaded already.
+            let v = _mm512_maskz_loadu_epi64(valid, vp.add(i));
+            let r = R::load8(rp.add(i), valid);
+            let (v_rev, r_rev) = (reversed(v), R::reverse8(r));
+            let low = _mm512_mask_cmplt_epi64_mask(valid, v, lo_v);
+            let high = _mm512_mask_cmpge_epi64_mask(valid_rev, v_rev, hi_v);
+            let mid = _mm512_mask_cmplt_epi64_mask(valid & !low, v, hi_v);
+            let top = h - high.count_ones() as usize;
+            _mm512_mask_compressstoreu_epi64(svp.add(l), low, v);
+            R::compress8(srp.add(l), low, r);
+            _mm512_mask_compressstoreu_epi64(svp.add(top), high, v_rev);
+            R::compress8(srp.add(top), high, r_rev);
+            _mm512_mask_compressstoreu_epi64(vp.add(m), mid, v);
+            R::compress8(rp.add(m), mid, r);
+            l += low.count_ones() as usize;
+            m += mid.count_ones() as usize;
+            h = top;
+        };
+        let full = n - n % 8;
+        for i in (0..full).step_by(8) {
+            step(i, FULL);
+        }
+        if full < n {
+            step(full, tail(n - full));
+        }
+        debug_assert_eq!(h - l, m);
+        (l, h)
     }
 }
 
@@ -494,7 +774,7 @@ pub fn filter_count_portable(vals: &[i64], lo: Option<i64>, hi: Option<i64>) -> 
 /// widened sum of values in `[lo, hi)` (`None` = unbounded).
 pub fn filter_count(vals: &[i64], lo: Option<i64>, hi: Option<i64>) -> (u64, i128) {
     #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
+    if matches!(active_isa(), Isa::Avx2 | Isa::Avx512) {
         return avx2::filter_count(vals, lo, hi);
     }
     filter_count_portable(vals, lo, hi)

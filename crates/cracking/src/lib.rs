@@ -48,7 +48,9 @@
 //!   answer "empty" without cracking anything,
 //! - [`kernels`] — block-at-a-time unpack / fused scan kernels for the
 //!   bit-packed segment encodings: width-specialised portable inner loops
-//!   with explicit AVX2 paths behind one-time runtime dispatch.
+//!   with explicit AVX2 paths behind one-time runtime dispatch; and the
+//!   AVX-512 compress-store bodies of the one-shard filter pass and the
+//!   out-of-place crack passes, behind the same dispatch.
 
 pub mod avl;
 mod cell;

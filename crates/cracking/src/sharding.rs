@@ -47,6 +47,7 @@
 //! the queue ops) and re-routed through the successor plan.
 
 use crate::column::{CrackerColumn, Selection};
+use crate::kernels::{self, Isa};
 use crate::row_ids::RowSource;
 use crate::snapshot::SnapshotScan;
 use crate::vectorized::CrackScratch;
@@ -54,6 +55,7 @@ use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
 use parking_lot::Mutex;
 use std::cell::RefCell;
+use std::mem::MaybeUninit;
 use std::sync::{Arc, OnceLock};
 
 /// Maximum base values sampled for the quantile cuts.
@@ -407,8 +409,8 @@ fn fence_lines() {
 /// value goes to its shard by the plan's cuts and, inside the shard, to its
 /// coarse bucket ([`coarse_buckets`]). The first pass counts the buckets,
 /// the second writes each value to its place in exactly-sized shard vectors
-/// (with the 25 % headroom of [`filter_pass`]) through one staged cache
-/// line per bucket: a line the bucket covers whole goes out with streaming
+/// (allocated with [`shard_capacity`]) through one staged cache line per
+/// bucket: a line the bucket covers whole goes out with streaming
 /// stores, which neither read it for ownership nor evict another bucket's
 /// line (the bucket cursors start a fixed stride apart and would map to
 /// the same few cache sets); the partial lines at a bucket's two edges,
@@ -452,9 +454,8 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
         let mut first = [std::ptr::null_mut::<u8>(); MAX_BUCKETS];
         for g in &geometry {
             let count: usize = hist[g.ids()].iter().sum();
-            let cap = count + count / 4 + 1;
             let mut shard = Routed {
-                vals: Vec::with_capacity(cap),
+                vals: Vec::with_capacity(shard_capacity(count)),
                 bounds: Vec::with_capacity(g.last as usize),
                 domain: None,
             };
@@ -582,26 +583,74 @@ fn count_shards<V: CrackValue>(base: &[V], plan: &ShardPlan<V>) -> Box<[usize]> 
     counts.into()
 }
 
-/// The `count` base values `keep` accepts: one branch-free pass (every
-/// value is written at the cursor, the cursor only advances past a kept
-/// one) into a vector with the 25 % headroom the whole-attribute build
-/// leaves for the first Ripple inserts.
-fn filter_pass<V: CrackValue>(base: &[V], count: usize, keep: impl Fn(V) -> bool) -> Vec<V> {
-    let mut vals = Vec::with_capacity(count + count / 4 + 1);
-    let Some(&fill) = base.first() else {
-        return vals;
+/// Slots a shard vector of `count` values is allocated with: 25 % headroom
+/// for the first Ripple inserts, and at least one slot past the values.
+fn shard_capacity(count: usize) -> usize {
+    count + count / 4 + 1
+}
+
+/// The `count` base values in `[lo, hi)` (`None` = unbounded), in base
+/// order, in a vector of [`shard_capacity`], from one filter pass with the
+/// kernel of [`kernels::active_isa`].
+fn filter_pass<V: CrackValue>(base: &[V], count: usize, lo: Option<V>, hi: Option<V>) -> Vec<V> {
+    filter_pass_on(kernels::active_isa(), base, count, lo, hi)
+}
+
+/// [`filter_pass`] with the kernel of `isa`: on [`Isa::Avx512`] an `i64`
+/// base takes the compress-store filter, anything else the portable loop.
+/// Panics when the base holds other than `count` values in range; either
+/// kernel writes inside the vector's capacity only, straight into it.
+fn filter_pass_on<V: CrackValue>(
+    isa: Isa,
+    base: &[V],
+    count: usize,
+    lo: Option<V>,
+    hi: Option<V>,
+) -> Vec<V> {
+    let mut vals = Vec::with_capacity(shard_capacity(count));
+    // One slot past `count` takes the portable loop's writes of rejected
+    // values that follow the last kept one.
+    let out = &mut vals.spare_capacity_mut()[..count + 1];
+    let kept = 'pass: {
+        if isa == Isa::Avx512 {
+            #[cfg(target_arch = "x86_64")]
+            if let (Some(base), Some(out)) =
+                (kernels::same_lanes_ref(base), kernels::same_lanes(out))
+            {
+                let (lo, hi) = (lo.map(V::as_i64), hi.map(V::as_i64));
+                break 'pass kernels::avx512::filter(base, lo, hi, out);
+            }
+        }
+        match (lo, hi) {
+            (None, None) => filter_portable(base, out, |_| true),
+            (Some(lo), None) => filter_portable(base, out, |v| lo <= v),
+            (None, Some(hi)) => filter_portable(base, out, |v| v < hi),
+            (Some(lo), Some(hi)) => filter_portable(base, out, |v| (lo <= v) & (v < hi)),
+        }
     };
-    // One slot past `count` takes the writes of rejected values that
-    // follow the last kept one.
-    vals.resize(count + 1, fill);
+    assert_eq!(kept, count, "shard counts disagree with the base column");
+    // SAFETY: the pass wrote the `kept == count` values `keep` accepts to
+    // the first `count` slots.
+    unsafe { vals.set_len(count) };
+    vals
+}
+
+/// The values `keep` accepts to the front of `out`, branch-free: every
+/// value is written at the cursor, which only advances past a kept one, so
+/// `out` needs a slot past the last kept value. Returns how many; panics
+/// rather than write beyond `out`.
+fn filter_portable<V: CrackValue>(
+    base: &[V],
+    out: &mut [MaybeUninit<V>],
+    keep: impl Fn(V) -> bool,
+) -> usize {
     let mut c = 0;
     for &v in base {
-        vals[c] = v;
+        assert!(c < out.len(), "more values in range than the output holds");
+        out[c].write(v);
         c += keep(v) as usize;
     }
-    assert_eq!(c, count, "shard counts disagree with the base column");
-    vals.truncate(count);
-    vals
+    c
 }
 
 impl<V: CrackValue, T> ShardedColumn<V, T> {
@@ -724,16 +773,21 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         (k.checked_sub(1).map(|i| cuts[i]), cuts.get(k).copied())
     }
 
-    /// Shard `k`'s values alone, filtered out of the base in one pass.
+    /// Shard `k`'s values alone, filtered out of the base in one pass. With
+    /// metrics on, each build counts `cracking_shard_builds_total` and is
+    /// timed into `cracking_shard_build_ns`.
     fn filter_parts(&self, k: usize) -> Vec<V> {
+        let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
         let base = &self.base[..];
         let count = self.counts.get_or_init(|| count_shards(base, &self.plan))[k];
-        match self.shard_range(k) {
-            (None, None) => filter_pass(base, count, |_| true),
-            (Some(lo), None) => filter_pass(base, count, |v| lo <= v),
-            (None, Some(hi)) => filter_pass(base, count, |v| v < hi),
-            (Some(lo), Some(hi)) => filter_pass(base, count, |v| (lo <= v) & (v < hi)),
+        let (lo, hi) = self.shard_range(k);
+        let vals = filter_pass(base, count, lo, hi);
+        if let Some(t0) = timed {
+            holix_telemetry::counter!("cracking_shard_builds_total").inc();
+            holix_telemetry::histogram!("cracking_shard_build_ns")
+                .record(t0.elapsed().as_nanos() as u64);
         }
+        vals
     }
 
     /// Makes shards `first..=last` resident. The empty cells among them
@@ -2069,5 +2123,102 @@ mod tests {
         let (_, stats) = col.select_verified(pred, &mut scratch);
         assert_eq!(stats, scan_stats(&b, pred));
         col.shard(0).check_invariants(Some(&b));
+    }
+
+    /// The values of `b` in `[lo, hi)`, in order: what a one-shard build
+    /// must hold.
+    fn in_range<V: CrackValue>(b: &[V], lo: Option<V>, hi: Option<V>) -> Vec<V> {
+        b.iter()
+            .copied()
+            .filter(|&v| lo.is_none_or(|l| l <= v) && hi.is_none_or(|h| v < h))
+            .collect()
+    }
+
+    /// Both filter kernels, called directly, against the reference: every
+    /// length up to 64 (every tail of an eight-value chunk) and longer,
+    /// all-equal, duplicate-heavy and spread values (with `i64::MIN` and
+    /// `MAX` among them), ranges with open and extreme edges, empty and
+    /// outside the domain. Other widths take the portable loop on either.
+    #[test]
+    fn one_shard_build_kernels_agree_at_every_tail() {
+        #[cfg(target_arch = "x86_64")]
+        let compress = kernels::avx512::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let compress = false;
+        if !compress {
+            eprintln!("skipped the compress kernel: this CPU lacks AVX-512F/VL");
+        }
+        let mut rng = StdRng::seed_from_u64(29);
+        for n in (0..=64).chain([255, 256, 257, 1_000, 4_095, 4_101]) {
+            let spread = {
+                let mut b: Vec<i64> = (0..n).map(|_| rng.random()).collect();
+                for (i, x) in [i64::MIN, i64::MAX, 0].into_iter().enumerate() {
+                    if let Some(slot) = b.get_mut(i * 7) {
+                        *slot = x;
+                    }
+                }
+                b
+            };
+            for b in [vec![7; n], base(n, 3, n as u64), spread] {
+                let ranges = [
+                    (None, None),
+                    (Some(i64::MIN), None),
+                    (None, Some(i64::MAX)),
+                    (Some(i64::MIN), Some(i64::MAX)),
+                    (Some(i64::MAX), None),
+                    (Some(1), Some(3)),
+                    (Some(-5), Some(-1)),
+                    (Some(8), None),
+                    (Some(2), Some(2)),
+                ];
+                for (lo, hi) in ranges {
+                    let want = in_range(&b, lo, hi);
+                    let isas = [Isa::Portable, Isa::Avx512];
+                    for isa in isas.into_iter().take(1 + compress as usize) {
+                        let got = filter_pass_on(isa, &b, want.len(), lo, hi);
+                        assert_eq!(got, want, "{isa:?} n={n} [{lo:?}, {hi:?})");
+                        assert!(got.capacity() >= shard_capacity(want.len()));
+                    }
+                }
+                let narrow: Vec<i32> = b.iter().map(|&v| v as i32).collect();
+                let want = in_range(&narrow, Some(1), None);
+                assert_eq!(
+                    filter_pass_on(Isa::Avx512, &narrow, want.len(), Some(1), None),
+                    want
+                );
+            }
+        }
+    }
+
+    /// A base with more values in range than the output holds stops either
+    /// kernel before it writes past the output.
+    #[test]
+    fn one_shard_build_kernels_never_write_past_their_output() {
+        let b = base(1_000, 1_000, 3);
+        let guarded = |write: &dyn Fn(&mut [MaybeUninit<i64>])| {
+            let mut buf = vec![MaybeUninit::new(-1i64); 300];
+            let out =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| write(&mut buf[..100])));
+            assert!(out.is_err(), "a full output must panic");
+            // SAFETY: every slot was initialised above.
+            assert!(buf[100..].iter().all(|x| unsafe { x.assume_init() } == -1));
+        };
+        guarded(&|out| {
+            filter_portable(&b, out, |v| v < 500);
+        });
+        #[cfg(target_arch = "x86_64")]
+        if kernels::avx512::available() {
+            guarded(&|out| {
+                kernels::avx512::filter(&b, None, Some(500), out);
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more values in range than the output holds")]
+    fn one_shard_build_panics_when_the_count_is_too_small() {
+        let b = base(1_000, 1_000, 4);
+        let count = b.iter().filter(|&&v| v < 500).count();
+        filter_pass(&b, count / 2, None, Some(500));
     }
 }
