@@ -1,20 +1,20 @@
 //! Criterion micro-benchmarks — ablations for the design decisions
 //! PAPER.md's design summary records: crack kernels (in-place reference vs
 //! vectorized out-of-place vs parallel), scalar vs block-at-a-time segment
-//! decode ("Batched decode kernels"), AVL vs `BTreeMap` cracker-index
-//! lookups, weight-heap updates, Ripple insertion vs naive re-cracking, the
-//! whole-attribute first touch (push routing + first crack vs the
-//! coarse-granular build), what row ids cost: the two- and three-way crack
-//! kernels with and without them, and building a shard's ids on demand, and
-//! what a narrow read of an evicted shard pays: its one-shard rebuild and
-//! first crack. The first line names the kernel family the crack and filter
-//! kernels dispatched to (`HOLIX_NO_SIMD=1` forces the portable one).
+//! decode ("Batched decode kernels"), the cracker index's `locate` (the
+//! lookup a crack pays), weight-heap updates, Ripple insertion vs naive
+//! re-cracking, the whole-attribute first touch (push routing + first crack
+//! vs the coarse-granular build), what row ids cost: the two- and three-way
+//! crack kernels with and without them, and building a shard's ids on
+//! demand, and what a narrow read of an evicted shard pays: its one-shard
+//! rebuild and first crack. The first line names the kernel family the
+//! crack and filter kernels dispatched to (`HOLIX_NO_SIMD=1` forces the
+//! portable one).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use holix_core::weight_heap::WeightHeap;
-use holix_cracking::avl::Avl;
 use holix_cracking::crack::crack_in_two;
-use holix_cracking::index::CrackerIndex;
+use holix_cracking::index::{BoundLookup, CrackerIndex};
 use holix_cracking::kernels::{self, pack_bits, ScalarUnpacker};
 use holix_cracking::updates::{ripple_batch, ripple_insert};
 use holix_cracking::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
@@ -22,7 +22,6 @@ use holix_cracking::{ShardPlan, ShardedColumn};
 use holix_parallel::parallel_partition;
 use holix_storage::select::{scan_stats, Predicate};
 use rand::prelude::*;
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -138,6 +137,9 @@ fn bench_crack_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// `CrackerIndex::locate` over 10,000 boundaries at random keys (inserted
+/// in random order, as cracks insert them), for 10,000 random probes: the
+/// lookup every crack pays, latch clone included.
 fn bench_cracker_index(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let keys: Vec<i64> = (0..10_000)
@@ -146,34 +148,27 @@ fn bench_cracker_index(c: &mut Criterion) {
     let mut g = c.benchmark_group("cracker_index_lookup");
     g.sample_size(20);
 
-    let mut avl = Avl::new();
-    let mut btree = BTreeMap::new();
-    for (i, &k) in keys.iter().enumerate() {
-        avl.insert(k, i);
-        btree.insert(k, i);
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut index = CrackerIndex::new(sorted.len());
+    for &k in &keys {
+        if let BoundLookup::Piece { .. } = index.locate(k) {
+            index.insert_bound(k, sorted.partition_point(|&s| s < k));
+        }
     }
     let probes: Vec<i64> = (0..10_000)
         .map(|_| rng.random_range(0..1_000_000))
         .collect();
 
-    g.bench_function("avl_floor", |b| {
+    g.bench_function("locate", |b| {
         b.iter(|| {
             let mut acc = 0usize;
             for &p in &probes {
-                if let Some((_, &v)) = avl.floor(&p) {
-                    acc += v;
-                }
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("btreemap_range", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &p in &probes {
-                if let Some((_, &v)) = btree.range(..=p).next_back() {
-                    acc += v;
-                }
+                acc += match index.locate(p) {
+                    BoundLookup::Exact(pos) => pos,
+                    BoundLookup::Piece { start, .. } => start,
+                };
             }
             black_box(acc)
         })

@@ -8,7 +8,7 @@
 //! 1. `structure` RwLock — *shared* by every piece operation (cracks,
 //!    refinements, range reads), *exclusive* for Ripple updates that move
 //!    piece boundaries or grow the underlying vectors.
-//! 2. `index` RwLock — guards piece metadata (AVL + latch table); held only
+//! 2. `index` RwLock — guards piece metadata (boundary map + latches); held only
 //!    for lookups and boundary insertion, never across data movement.
 //! 3. `pending` mutex — pending-update queue and the published snapshot
 //!    pointer (short critical sections); taken on its own or under

@@ -1,10 +1,17 @@
-//! The cracker index: AVL-mapped piece boundaries plus per-piece latches.
+//! The cracker index: piece boundaries in an ordered map, plus per-piece
+//! latches.
 //!
 //! A boundary `(key → pos)` states the cracking invariant: every value at a
 //! position `< pos` is `< key`, and every value at a position `>= pos` is
 //! `>= key`. The gaps between consecutive boundaries are the *pieces*. The
 //! piece starting at boundary `b` owns the latch stored in `b`'s entry; the
 //! piece starting at position 0 owns `first_latch`.
+//!
+//! The paper keeps the boundaries in an AVL tree (§3.2). Here they live in
+//! std's `BTreeMap`: the same ordered-map contract (exact, floor and
+//! successor lookups, ordered range walks), with up to eleven keys of a
+//! node in one array and their entries in a parallel one, so a range walk
+//! reads contiguous node arrays instead of chasing one node per boundary.
 //!
 //! Boundaries never move once created — cracking only permutes values
 //! strictly inside one piece — except under the exclusive Ripple-update
@@ -15,9 +22,10 @@
 //! descending from the last boundary until the kernel stops it (the insert
 //! pass). Both hand out the stored position mutably and allocate nothing.
 
-use crate::avl::Avl;
 use crate::latch::PieceLatch;
 use holix_storage::types::CrackValue;
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Value part of a boundary entry.
 #[derive(Debug, Clone)]
@@ -72,7 +80,7 @@ pub enum BoundLookup<V> {
 /// operations from one prepared state.
 #[derive(Debug, Clone)]
 pub struct CrackerIndex<V> {
-    bounds: Avl<V, BoundEntry>,
+    bounds: BTreeMap<V, BoundEntry>,
     first_latch: PieceLatch,
     len: usize,
 }
@@ -81,7 +89,7 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// A fresh index over a column of `len` values: one piece, no bounds.
     pub fn new(len: usize) -> Self {
         CrackerIndex {
-            bounds: Avl::new(),
+            bounds: BTreeMap::new(),
             first_latch: PieceLatch::new(),
             len,
         }
@@ -102,11 +110,6 @@ impl<V: CrackValue> CrackerIndex<V> {
         self.bounds.len() + 1
     }
 
-    /// Number of boundaries.
-    pub fn bound_count(&self) -> usize {
-        self.bounds.len()
-    }
-
     /// Average piece size in values — the `N/p` of Equation (1).
     pub fn avg_piece_len(&self) -> usize {
         self.len / self.piece_count()
@@ -114,17 +117,12 @@ impl<V: CrackValue> CrackerIndex<V> {
 
     /// Locates the piece a bound value falls into (or the exact boundary).
     pub fn locate(&self, v: V) -> BoundLookup<V> {
-        if let Some(entry) = self.bounds.get(&v) {
-            return BoundLookup::Exact(entry.pos);
-        }
-        let (start, latch, lo_key) = match self.bounds.pred_strict(&v) {
-            Some((k, e)) => (e.pos, e.latch.clone(), Some(k)),
+        let (start, latch, lo_key) = match self.bounds.range(..=v).next_back() {
+            Some((&k, e)) if k == v => return BoundLookup::Exact(e.pos),
+            Some((&k, e)) => (e.pos, e.latch.clone(), Some(k)),
             None => (0, self.first_latch.clone(), None),
         };
-        let (end, hi_key) = match self.bounds.succ_strict(&v) {
-            Some((k, e)) => (e.pos, Some(k)),
-            None => (self.len, None),
-        };
+        let (end, hi_key) = self.piece_end(self.bounds.range((Excluded(v), Unbounded)).next());
         BoundLookup::Piece {
             start,
             end,
@@ -132,6 +130,12 @@ impl<V: CrackValue> CrackerIndex<V> {
             lo_key,
             hi_key,
         }
+    }
+
+    /// End position and upper key of the piece that `next` (the boundary
+    /// after it, `None` = none) closes.
+    fn piece_end(&self, next: Option<(&V, &BoundEntry)>) -> (usize, Option<V>) {
+        next.map_or((self.len, None), |(&k, e)| (e.pos, Some(k)))
     }
 
     /// Records a new boundary `key → pos` after a crack. The latch for the
@@ -155,7 +159,10 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// First position of the piece that holds value `v`: the position of
     /// the greatest boundary with key `<= v`, or 0.
     pub fn piece_start(&self, v: V) -> usize {
-        self.bounds.floor(&v).map_or(0, |(_, e)| e.pos)
+        self.bounds
+            .range(..=v)
+            .next_back()
+            .map_or(0, |(_, e)| e.pos)
     }
 
     /// Visits the boundaries with key `> after` in ascending key order as
@@ -163,13 +170,21 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// merges only; caller holds the column exclusively and leaves the
     /// positions non-decreasing in key order).
     pub fn walk_above(&mut self, after: V, mut f: impl FnMut(V, &mut usize) -> bool) {
-        self.bounds.walk_above_mut(&after, |k, e| f(k, &mut e.pos));
+        for (&k, e) in self.bounds.range_mut((Excluded(after), Unbounded)) {
+            if !f(k, &mut e.pos) {
+                return;
+            }
+        }
     }
 
     /// [`CrackerIndex::walk_above`] in descending key order from the last
     /// boundary.
     pub fn walk_rev(&mut self, mut f: impl FnMut(V, &mut usize) -> bool) {
-        self.bounds.walk_rev_mut(|k, e| f(k, &mut e.pos));
+        for (&k, e) in self.bounds.iter_mut().rev() {
+            if !f(k, &mut e.pos) {
+                return;
+            }
+        }
     }
 
     /// Shifts every boundary whose *key* is strictly greater than `key` by
@@ -180,11 +195,9 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// boundaries with key `> v` (a positional shift would also catch
     /// same-position boundaries of empty pieces on the left of `v`).
     pub fn shift_bounds_key_gt(&mut self, key: V, delta: isize) {
-        self.bounds.for_each_mut(|k, e| {
-            if k > key {
-                e.pos = e.pos.checked_add_signed(delta).expect("bound underflow");
-            }
-        });
+        for (_, e) in self.bounds.range_mut((Excluded(key), Unbounded)) {
+            e.pos = e.pos.checked_add_signed(delta).expect("bound underflow");
+        }
         self.len = self.len.checked_add_signed(delta).expect("len underflow");
     }
 
@@ -196,14 +209,14 @@ impl<V: CrackValue> CrackerIndex<V> {
 
     /// In-order boundaries as `(key, pos)` (invariant checks / stats).
     pub fn bounds_in_order(&self) -> Vec<(V, usize)> {
-        self.bounds.iter().map(|(k, e)| (k, e.pos)).collect()
+        self.bounds.iter().map(|(&k, e)| (k, e.pos)).collect()
     }
 
     /// In-order pieces as `(start, end)` position ranges.
     pub fn pieces_in_order(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.piece_count());
         let mut prev = 0usize;
-        for (_, e) in self.bounds.iter() {
+        for e in self.bounds.values() {
             out.push((prev, e.pos));
             prev = e.pos;
         }
@@ -219,46 +232,21 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// a key that once started a piece always does). Returns `None` only
     /// when `lo_key` is not a boundary at all.
     pub fn piece_after(&self, lo_key: Option<V>) -> Option<PieceRef<V>> {
-        let (start, latch) = match lo_key {
-            None => (0, self.first_latch.clone()),
+        let (start, latch, mut above) = match lo_key {
+            None => (0, self.first_latch.clone(), self.bounds.range(..)),
             Some(k) => {
-                let e = self.bounds.get(&k)?;
-                (e.pos, e.latch.clone())
+                let mut from = self.bounds.range(k..);
+                let (_, e) = from.next().filter(|&(&at, _)| at == k)?;
+                (e.pos, e.latch.clone(), from)
             }
         };
-        let (end, hi_key) = match lo_key {
-            None => match self.bounds.min_key() {
-                Some(k) => (self.bounds.get(&k).expect("min key present").pos, Some(k)),
-                None => (self.len, None),
-            },
-            Some(k) => match self.bounds.succ_strict(&k) {
-                Some((nk, ne)) => (ne.pos, Some(nk)),
-                None => (self.len, None),
-            },
-        };
+        let (end, hi_key) = self.piece_end(above.next());
         Some(PieceRef {
             start,
             end,
             latch,
             hi_key,
         })
-    }
-
-    /// Latch of the piece *starting* at `start` (0 = first piece). Used by
-    /// verification reads that walk pieces in order.
-    pub fn latch_for_piece_start(&self, start: usize) -> Option<PieceLatch> {
-        if start == 0 {
-            return Some(self.first_latch.clone());
-        }
-        // Any boundary whose pos equals `start` owns that piece's latch; with
-        // empty pieces several bounds share a pos, in which case the *last*
-        // one in key order starts the non-empty piece, but all of them must
-        // be latched by a range reader anyway, so returning one is enough
-        // only for non-empty pieces. Walk via iteration (cold path).
-        self.bounds
-            .iter()
-            .find(|(_, e)| e.pos == start)
-            .map(|(_, e)| e.latch.clone())
     }
 
     /// Memory used by the index structure itself (rough, for budgeting).
@@ -270,6 +258,106 @@ impl<V: CrackValue> CrackerIndex<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+
+    /// Runs `walk_above(after)` (or `walk_rev` for `None`) on a clone of
+    /// `idx`, stopping after `stop` visits and bumping every position it
+    /// visits; checks that exactly those positions moved and returns the
+    /// keys visited, in order.
+    fn walked(idx: &CrackerIndex<i64>, after: Option<i64>, stop: usize) -> Vec<i64> {
+        let mut copy = idx.clone();
+        let mut seen = Vec::new();
+        let visit = |k, pos: &mut usize| {
+            seen.push(k);
+            *pos += 1;
+            seen.len() < stop
+        };
+        match after {
+            Some(v) => copy.walk_above(v, visit),
+            None => copy.walk_rev(visit),
+        }
+        let bumped: Vec<(i64, usize)> = idx
+            .bounds_in_order()
+            .into_iter()
+            .map(|(k, pos)| (k, pos + usize::from(seen.contains(&k))))
+            .collect();
+        assert_eq!(
+            copy.bounds_in_order(),
+            bumped,
+            "a walk moved what it did not visit"
+        );
+        seen
+    }
+
+    /// Checks every lookup and walk of `idx` against a linear scan of
+    /// `bounds_in_order()`, for probes below, on, between and above the
+    /// keys; the walks are told to stop after `stop` visits.
+    fn assert_agrees_with_scan(idx: &CrackerIndex<i64>, stop: usize) {
+        let bounds = idx.bounds_in_order();
+        let len = idx.len();
+        let key_at = |i: usize| bounds.get(i).map(|&(k, _)| k);
+        let end_at = |i: usize| bounds.get(i).map_or(len, |&(_, pos)| pos);
+        let first = idx
+            .piece_after(None)
+            .expect("the first piece always exists");
+        assert_eq!(
+            (first.start, first.end, first.hi_key),
+            (0, end_at(0), key_at(0))
+        );
+        let rev: Vec<i64> = bounds.iter().rev().map(|&(k, _)| k).take(stop).collect();
+        assert_eq!(walked(idx, None, stop), rev, "walk_rev");
+
+        let mut probes = vec![i64::MIN, -1_000, 1_000, i64::MAX];
+        probes.extend(bounds.iter().flat_map(|&(k, _)| [k - 1, k, k + 1]));
+        for p in probes {
+            // `bounds[..i]` have key <= p: the floor is `i - 1`, the
+            // successor `i`.
+            let i = bounds.partition_point(|&(k, _)| k <= p);
+            let on = i > 0 && bounds[i - 1].0 == p;
+            let start = if i == 0 { 0 } else { bounds[i - 1].1 };
+            let lo = i.checked_sub(1).and_then(key_at);
+            assert_eq!(idx.piece_start(p), start, "piece_start({p})");
+            match idx.locate(p) {
+                BoundLookup::Exact(pos) => {
+                    assert!(on && pos == start, "locate({p}) = Exact({pos})")
+                }
+                BoundLookup::Piece {
+                    start: s,
+                    end,
+                    latch,
+                    lo_key,
+                    hi_key,
+                } => {
+                    assert!(!on, "locate({p}) missed its boundary");
+                    assert_eq!((s, end, lo_key, hi_key), (start, end_at(i), lo, key_at(i)));
+                    let owner = idx.piece_after(lo_key).expect("lo_key is a boundary");
+                    assert!(
+                        latch.same_as(&owner.latch),
+                        "locate({p}) handed out another piece's latch"
+                    );
+                }
+            }
+            match idx.piece_after(Some(p)) {
+                Some(r) => {
+                    assert!(on, "piece_after({p}) on a non-boundary");
+                    assert_eq!((r.start, r.end, r.hi_key), (start, end_at(i), key_at(i)));
+                }
+                None => assert!(!on, "piece_after({p}) lost its boundary"),
+            }
+            let above: Vec<i64> = bounds[i..].iter().map(|&(k, _)| k).take(stop).collect();
+            assert_eq!(walked(idx, Some(p), stop), above, "walk_above({p})");
+
+            let mut shifted = idx.clone();
+            shifted.shift_bounds_key_gt(p, 1);
+            let want: Vec<(i64, usize)> = bounds
+                .iter()
+                .map(|&(k, pos)| (k, pos + usize::from(k > p)))
+                .collect();
+            assert_eq!(shifted.bounds_in_order(), want, "shift_bounds_key_gt({p})");
+            assert_eq!(shifted.len(), len + 1);
+        }
+    }
 
     #[test]
     fn fresh_index_is_one_piece() {
@@ -288,6 +376,10 @@ mod tests {
                 assert_eq!((lo_key, hi_key), (None, None));
             }
             _ => panic!("expected piece"),
+        }
+        for stop in [1, 2] {
+            assert_agrees_with_scan(&idx, stop);
+            assert_agrees_with_scan(&CrackerIndex::new(0), stop);
         }
     }
 
@@ -444,12 +536,102 @@ mod tests {
         assert_eq!((p.start, p.end, p.hi_key), (0, 7, None));
     }
 
+    /// The index driving a real crack sequence: every crack is located,
+    /// partitioned and recorded the way a query does it, and after every
+    /// crack the cracker-index invariants hold — bound positions are
+    /// monotone in key order, every bound partitions the column (`< key`
+    /// strictly left of the bound, `>= key` at/right of it), and cracking
+    /// never loses or invents values.
     #[test]
-    fn latch_for_piece_start_finds_latches() {
-        let mut idx = CrackerIndex::<i64>::new(100);
-        idx.insert_bound(30, 25);
-        assert!(idx.latch_for_piece_start(0).is_some());
-        assert!(idx.latch_for_piece_start(25).is_some());
-        assert!(idx.latch_for_piece_start(26).is_none());
+    fn cracker_index_invariants_after_random_cracks() {
+        use crate::crack::crack_in_two;
+
+        let mut rng = StdRng::seed_from_u64(0xC4AC);
+        let base: Vec<i64> = (0..4096).map(|_| rng.random_range(0..10_000)).collect();
+        let mut vals = base.clone();
+        let mut rows: Vec<u32> = (0..base.len() as u32).collect();
+        let mut index = CrackerIndex::new(base.len());
+
+        for _ in 0..200 {
+            let pivot = rng.random_range(0..10_000);
+            let BoundLookup::Piece { start, end, .. } = index.locate(pivot) else {
+                continue;
+            };
+            let split = crack_in_two(&mut vals[start..end], &mut rows[start..end], pivot);
+            index.insert_bound(pivot, start + split);
+
+            // Invariant 1: positions are non-decreasing in key order.
+            let bounds = index.bounds_in_order();
+            for w in bounds.windows(2) {
+                assert!(w[0].0 < w[1].0, "bounds must be key-ordered");
+                assert!(
+                    w[0].1 <= w[1].1,
+                    "positions regressed: {:?} then {:?}",
+                    w[0],
+                    w[1]
+                );
+            }
+            // Invariant 2: every bound partitions the whole column.
+            for &(k, p) in &bounds {
+                assert!(
+                    vals[..p].iter().all(|&v| v < k),
+                    "values >= {k} left of {p}"
+                );
+                assert!(
+                    vals[p..].iter().all(|&v| v >= k),
+                    "values < {k} right of {p}"
+                );
+            }
+            // Invariant 3: rows stay aligned with their original values.
+            for (i, &r) in rows.iter().enumerate() {
+                assert_eq!(vals[i], base[r as usize], "row id misaligned at {i}");
+            }
+        }
+        assert!(
+            index.piece_count() > 100,
+            "crack sequence barely exercised the index"
+        );
+
+        // Multiset preserved end-to-end.
+        let mut sorted_in = base;
+        let mut sorted_out = vals;
+        sorted_in.sort_unstable();
+        sorted_out.sort_unstable();
+        assert_eq!(sorted_in, sorted_out);
+    }
+
+    proptest! {
+        #[test]
+        /// A random index — distinct keys, non-decreasing positions, about
+        /// a third of the pieces empty (several bounds on one position),
+        /// inserted in random order — answers every lookup and walk the
+        /// way a linear scan of its boundaries does.
+        fn prop_lookups_and_walks_agree_with_a_linear_scan(
+            steps in proptest::collection::vec((1i64..4, 0usize..3), 0..40),
+            first_key in -20i64..20,
+            tail in 0usize..3,
+            order_seed in any::<u64>(),
+            stop in 1usize..45,
+        ) {
+            let (mut key, mut pos) = (first_key, 0);
+            let mut bounds = Vec::with_capacity(steps.len());
+            for (dk, dp) in steps {
+                key += dk;
+                pos += dp;
+                bounds.push((key, pos));
+            }
+            let mut order = bounds.clone();
+            let mut rng = StdRng::seed_from_u64(order_seed);
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
+            let mut idx = CrackerIndex::new(pos + tail);
+            for (k, p) in order {
+                idx.insert_bound(k, p);
+            }
+            prop_assert_eq!(idx.bounds_in_order(), bounds.clone());
+            prop_assert_eq!(idx.piece_count(), bounds.len() + 1);
+            assert_agrees_with_scan(&idx, stop);
+        }
     }
 }

@@ -3,7 +3,6 @@
 //! This crate implements the adaptive-indexing machinery of §3.2 and §4.2 of
 //! the paper:
 //!
-//! - [`avl`] — the AVL tree that serves as the *cracker index*,
 //! - [`crack`] / [`vectorized`] — in-place (reference) and out-of-place
 //!   (vectorized) crack kernels that partition a piece of a column around
 //!   pivots; the out-of-place ones move row ids beside the values or values
@@ -12,7 +11,9 @@
 //!   sequential vectorized kernel on the caller's scratch for short pieces
 //!   or a thread budget of one, parallel partition-and-merge (Fig 4)
 //!   otherwise,
-//! - [`index`] — piece bookkeeping: boundary positions, per-piece latches,
+//! - [`index`] — the *cracker index*: piece boundaries in std's `BTreeMap`
+//!   (the paper's AVL tree, §3.2, with the same ordered-map contract) and
+//!   per-piece latches,
 //! - [`range_cell`] — the single `unsafe` building block: disjoint-range
 //!   mutable access into one shared vector, guarded by piece latches,
 //! - [`latch`] — piece-level read/write latches ([16, 17] in the paper):
@@ -52,7 +53,6 @@
 //!   AVX-512 compress-store bodies of the one-shard filter pass and the
 //!   out-of-place crack passes, behind the same dispatch.
 
-pub mod avl;
 mod cell;
 pub mod column;
 pub mod crack;
