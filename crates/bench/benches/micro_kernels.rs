@@ -367,40 +367,58 @@ fn bench_crack_three(c: &mut Criterion) {
 
 /// A narrow read of an evicted shard at `analytic_budget`'s geometry: a
 /// 2^17-row base of unique values in 4 shards, one shard admitted alone
-/// into the column an eviction left (one filter pass over the whole base;
-/// the shard sizes were counted by the first build), then one select of
-/// 0.2 % of the domain inside it (the first three-way crack of the shard's
-/// one piece).
+/// into the column an eviction left (one filter pass over the zones of the
+/// base that can hold the shard; the shard sizes and the zone map were made
+/// by the first build), then one select of 0.2 % of the domain inside it
+/// (the first three-way crack of the shard's one piece). Two bases: the
+/// values shuffled (`filter_then_crack`: every zone meets every shard) and
+/// in sorted runs of 1,024 rows in shuffled order (`_clustered`: a quarter
+/// of the zones do).
 fn bench_shard_rebuild(c: &mut Criterion) {
     const ROWS: usize = 1 << 17;
+    const RUN: usize = 1 << 10;
     let mut rng = StdRng::seed_from_u64(17);
+    let mut shuffle = |xs: &mut [i64]| {
+        for i in (1..xs.len()).rev() {
+            xs.swap(i, rng.random_range(0..i + 1));
+        }
+    };
     let mut values: Vec<i64> = (0..ROWS as i64).map(|v| 2 * v).collect();
-    for i in (1..ROWS).rev() {
-        values.swap(i, rng.random_range(0..i + 1));
-    }
-    let base = Arc::new(values);
-    let plan = ShardPlan::from_values(&base, 4);
-    let lo = plan.cuts()[0] + 1_000;
-    let pred = Predicate::range(lo, lo + ROWS as i64 / 250);
-    let resident: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan);
-    resident.admit(1, 1, |fresh| vec![(); fresh.len()]);
+    shuffle(&mut values);
+    let mut runs: Vec<i64> = (0..(ROWS / RUN) as i64).collect();
+    shuffle(&mut runs);
+    let clustered: Vec<i64> = runs
+        .iter()
+        .flat_map(|&r| (0..RUN as i64).map(move |i| 2 * (r * RUN as i64 + i)))
+        .collect();
     let mut g = c.benchmark_group("shard_rebuild");
     g.sample_size(30);
-    g.bench_function("filter_then_crack", |b| {
-        let mut scratch = CrackScratch::new();
-        let rebuild = |scratch: &mut CrackScratch<i64>| {
-            let col = resident.vacated(&[1]);
-            col.admit(1, 1, |fresh| vec![(); fresh.len()]);
-            let stats = col.select_verified(pred, scratch).1;
-            (col, stats)
-        };
-        assert_eq!(
-            rebuild(&mut scratch).1,
-            scan_stats(&base, pred),
-            "the rebuilt shard answers its first query wrongly"
-        );
-        b.iter(|| rebuild(&mut scratch))
-    });
+    for (name, values) in [
+        ("filter_then_crack", values),
+        ("filter_then_crack_clustered", clustered),
+    ] {
+        let base = Arc::new(values);
+        let plan = ShardPlan::from_values(&base, 4);
+        let lo = plan.cuts()[0] + 1_000;
+        let pred = Predicate::range(lo, lo + ROWS as i64 / 250);
+        let resident: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan);
+        resident.admit(1, 1, |fresh| vec![(); fresh.len()]);
+        g.bench_function(name, |b| {
+            let mut scratch = CrackScratch::new();
+            let rebuild = |scratch: &mut CrackScratch<i64>| {
+                let col = resident.vacated(&[1]);
+                col.admit(1, 1, |fresh| vec![(); fresh.len()]);
+                let stats = col.select_verified(pred, scratch).1;
+                (col, stats)
+            };
+            assert_eq!(
+                rebuild(&mut scratch).1,
+                scan_stats(&base, pred),
+                "the rebuilt shard answers its first query wrongly"
+            );
+            b.iter(|| rebuild(&mut scratch))
+        });
+    }
     g.finish();
 }
 

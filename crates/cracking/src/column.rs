@@ -258,7 +258,8 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// position`, keys strictly increasing) the layout already satisfies:
     /// every value before a boundary's position is below its key, every
     /// value from it on is at or above. `domain` is the smallest and
-    /// largest value (`None` computes it). The column is born with
+    /// largest value, which both builds learn in their passes over the base
+    /// (`None` only for an empty column). The column is born with
     /// `bounds.len() + 1` pieces, publishes their statistics once, and
     /// stores **no row ids**: they are built from `source` against the
     /// boundary table of the moment when a conjunction
@@ -271,7 +272,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         bounds: &[(V, usize)],
         domain: Option<(V, V)>,
     ) -> Self {
-        let domain = domain.or_else(|| Self::domain_of(&vals));
+        debug_assert_eq!(domain, Self::domain_of(&vals), "not the values' domain");
         Self::build(name, vals, None, Some(source), bounds, domain)
     }
 

@@ -344,7 +344,10 @@ pub mod avx2 {
 /// chunk reversed, which leaves exactly the portable layout. Row ids ride
 /// along through the [`RowLane`] hook under the same masks (`u32` ids as
 /// eight 32-bit lanes; `()` compiles to nothing), so id-less and
-/// id-carrying cracks land alike. Every store is masked, so no slot outside
+/// id-carrying cracks land alike. The filter also folds the lanes it keeps
+/// into per-lane minima and maxima under the same mask (`vpminsq` /
+/// `vpmaxsq`), so a one-shard build learns its domain in the same pass.
+/// Every store is masked, so no slot outside
 /// its mask is written; the last chunk of a slice that is not a multiple of
 /// eight long loads under a mask (the full chunks under a constant one: a
 /// mask computed per chunk measured the filter 2–3× slower). The safe
@@ -388,14 +391,15 @@ pub mod avx512 {
     }
 
     /// The values of `base` in `[lo, hi)` (`None` = unbounded), in base
-    /// order, to the front of `out`; returns how many. Panics before a
-    /// store would pass the end of `out`.
+    /// order, to the front of `out`; returns how many, and the smallest
+    /// and largest of them (`(i64::MAX, i64::MIN)` when none). Panics
+    /// before a store would pass the end of `out`.
     pub fn filter(
         base: &[i64],
         lo: Option<i64>,
         hi: Option<i64>,
         out: &mut [MaybeUninit<i64>],
-    ) -> usize {
+    ) -> (usize, (i64, i64)) {
         require();
         // SAFETY: the CPU has the features (checked above).
         unsafe { filter_inner(base, lo, hi, out) }
@@ -407,7 +411,7 @@ pub mod avx512 {
         lo: Option<i64>,
         hi: Option<i64>,
         out: &mut [MaybeUninit<i64>],
-    ) -> usize {
+    ) -> (usize, (i64, i64)) {
         // As in `avx2::filter_count`: no lane is below i64::MIN, and an
         // unbounded upper bound (MAX itself qualifies) admits every lane.
         let lo_v = _mm512_set1_epi64(lo.unwrap_or(i64::MIN));
@@ -415,6 +419,9 @@ pub mod avx512 {
         let hi_all: __mmask8 = if hi.is_some() { 0 } else { u8::MAX };
         let (src, dst, cap) = (base.as_ptr(), out.as_mut_ptr().cast::<i64>(), out.len());
         let mut kept = 0;
+        // Per lane, the smallest and largest value kept in that lane.
+        let mut min_v = _mm512_set1_epi64(i64::MAX);
+        let mut max_v = _mm512_set1_epi64(i64::MIN);
         let mut step = |i: usize, (valid, _): (__mmask8, __mmask8)| {
             // SAFETY: the lanes of `valid` are `base[i..]`'s first values.
             let v = _mm512_maskz_loadu_epi64(valid, src.add(i));
@@ -428,6 +435,8 @@ pub mod avx512 {
             // SAFETY: writes `out[kept..kept + k]`, inside `out` (asserted).
             _mm512_mask_compressstoreu_epi64(dst.add(kept), keep, v);
             kept += k;
+            min_v = _mm512_mask_min_epi64(min_v, keep, min_v, v);
+            max_v = _mm512_mask_max_epi64(max_v, keep, max_v, v);
         };
         let full = base.len() - base.len() % 8;
         for i in (0..full).step_by(8) {
@@ -436,7 +445,11 @@ pub mod avx512 {
         if full < base.len() {
             step(full, tail(base.len() - full));
         }
-        kept
+        let domain = (
+            _mm512_reduce_min_epi64(min_v),
+            _mm512_reduce_max_epi64(max_v),
+        );
+        (kept, domain)
     }
 
     /// The partition pass of the two-way crack: the values of `vals` below

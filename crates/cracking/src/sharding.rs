@@ -23,6 +23,11 @@
 //! one branch-free filter pass per shard, so an owner under storage
 //! pressure materialises (and after an eviction re-materialises, through
 //! [`ShardedColumn::vacated`]) exactly the value ranges its queries touch.
+//! That pass reads only the base zones that can hold the shard: a zone map
+//! (the smallest and largest value of each 1,024-row block, made once per
+//! base and shared by every successor) lets it skip the rest, which on
+//! ingest-ordered (clustered) data is most of the base, and it hands the
+//! shard its domain from the values it keeps.
 //! Either way a shard is born holding **values only**: its row ids are a
 //! function of the base, its value range and its boundary table, and it
 //! builds them (`row_ids.rs`) when a conjunction, a Ripple merge or
@@ -247,6 +252,12 @@ pub struct ShardedColumn<V, T = ()> {
     /// counted once and shared with every successor of the same plan, so
     /// a one-shard build is a single pass.
     counts: Arc<OnceLock<Box<[usize]>>>,
+    /// The base's zone map ([`count_and_zone`]): a pure function of the
+    /// base alone, made by the first one-shard build and shared with every
+    /// successor, replans included, so later one-shard builds read only
+    /// the zones that can hold their shard. Base metadata like `counts`
+    /// (16 bytes a zone for `i64`), not an index the owner accounts for.
+    zones: Arc<OnceLock<ZoneMap<V>>>,
     /// Base name; shards built under plan version `v > 0` are named
     /// `{name}/v{v}/s{k}`.
     name: String,
@@ -572,15 +583,31 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
     })
 }
 
+/// Base rows a zone of the zone map covers (the last zone may be shorter).
+const ZONE: usize = 1024;
+
+/// A base's zone map: the smallest and largest value of each [`ZONE`]-row
+/// block, in base order.
+type ZoneMap<V> = Box<[(V, V)]>;
+
 /// Base rows per shard of `plan` (branch-free: a value's shard is the
-/// number of cuts at or below it).
-fn count_shards<V: CrackValue>(base: &[V], plan: &ShardPlan<V>) -> Box<[usize]> {
+/// number of cuts at or below it) and, from the same pass, the base's zone
+/// map.
+fn count_and_zone<V: CrackValue>(base: &[V], plan: &ShardPlan<V>) -> (Box<[usize]>, ZoneMap<V>) {
     let mut counts = vec![0usize; plan.shards()];
-    for &v in base {
-        let k: usize = plan.cuts.iter().map(|&c| (c <= v) as usize).sum();
-        counts[k] += 1;
-    }
-    counts.into()
+    let zones = base
+        .chunks(ZONE)
+        .map(|zone| {
+            let (mut min, mut max) = (zone[0], zone[0]);
+            for &v in zone {
+                let k: usize = plan.cuts.iter().map(|&c| (c <= v) as usize).sum();
+                counts[k] += 1;
+                (min, max) = (min.min(v), max.max(v));
+            }
+            (min, max)
+        })
+        .collect();
+    (counts.into(), zones)
 }
 
 /// Slots a shard vector of `count` values is allocated with: 25 % headroom
@@ -589,68 +616,127 @@ fn shard_capacity(count: usize) -> usize {
     count + count / 4 + 1
 }
 
-/// The `count` base values in `[lo, hi)` (`None` = unbounded), in base
-/// order, in a vector of [`shard_capacity`], from one filter pass with the
-/// kernel of [`kernels::active_isa`].
-fn filter_pass<V: CrackValue>(base: &[V], count: usize, lo: Option<V>, hi: Option<V>) -> Vec<V> {
-    filter_pass_on(kernels::active_isa(), base, count, lo, hi)
+/// One shard's values out of a one-shard filter pass.
+struct Filtered<V> {
+    /// The base values in the shard's range, in base order, in a vector of
+    /// [`shard_capacity`].
+    vals: Vec<V>,
+    /// Their smallest and largest value (`None` when there are none).
+    domain: Option<(V, V)>,
+    /// Zones of the zone map the pass did not read.
+    skipped: usize,
 }
 
-/// [`filter_pass`] with the kernel of `isa`: on [`Isa::Avx512`] an `i64`
-/// base takes the compress-store filter, anything else the portable loop.
-/// Panics when the base holds other than `count` values in range; either
-/// kernel writes inside the vector's capacity only, straight into it.
-fn filter_pass_on<V: CrackValue>(
-    isa: Isa,
+/// The `count` base values in `[lo, hi)` (`None` = unbounded) and their
+/// domain, from one filter pass with the kernel of [`kernels::active_isa`]
+/// over the zones of `zones` (the base's zone map) that can hold them.
+fn filter_pass<V: CrackValue>(
     base: &[V],
+    zones: &[(V, V)],
     count: usize,
     lo: Option<V>,
     hi: Option<V>,
-) -> Vec<V> {
+) -> Filtered<V> {
+    filter_pass_on(kernels::active_isa(), base, zones, count, lo, hi)
+}
+
+/// [`filter_pass`] with the kernel of `isa`. The kernel runs once per
+/// maximal run of consecutive zones whose `[min, max]` meets `[lo, hi)`,
+/// appending to the output, so the values land in base order exactly as a
+/// pass over the whole base puts them: a zone it skips holds no value in
+/// range. Panics when the base holds other than `count` values in range;
+/// either kernel writes inside the vector's capacity only, straight into it.
+fn filter_pass_on<V: CrackValue>(
+    isa: Isa,
+    base: &[V],
+    zones: &[(V, V)],
+    count: usize,
+    lo: Option<V>,
+    hi: Option<V>,
+) -> Filtered<V> {
+    assert_eq!(
+        zones.len(),
+        base.len().div_ceil(ZONE),
+        "not this base's zones"
+    );
+    let meets =
+        |&(min, max): &(V, V)| lo.is_none_or(|lo| lo <= max) && hi.is_none_or(|hi| min < hi);
     let mut vals = Vec::with_capacity(shard_capacity(count));
     // One slot past `count` takes the portable loop's writes of rejected
     // values that follow the last kept one.
     let out = &mut vals.spare_capacity_mut()[..count + 1];
-    let kept = 'pass: {
-        if isa == Isa::Avx512 {
-            #[cfg(target_arch = "x86_64")]
-            if let (Some(base), Some(out)) =
-                (kernels::same_lanes_ref(base), kernels::same_lanes(out))
-            {
-                let (lo, hi) = (lo.map(V::as_i64), hi.map(V::as_i64));
-                break 'pass kernels::avx512::filter(base, lo, hi, out);
-            }
+    let (mut kept, mut fold, mut skipped) = (0, (V::MAX_VALUE, V::MIN_VALUE), 0);
+    let mut start = 0;
+    for run in zones.chunk_by(|a, b| meets(a) == meets(b)) {
+        let rows = start..(start + run.len() * ZONE).min(base.len());
+        start = rows.end;
+        if !meets(&run[0]) {
+            skipped += run.len();
+            continue;
         }
-        match (lo, hi) {
-            (None, None) => filter_portable(base, out, |_| true),
-            (Some(lo), None) => filter_portable(base, out, |v| lo <= v),
-            (None, Some(hi)) => filter_portable(base, out, |v| v < hi),
-            (Some(lo), Some(hi)) => filter_portable(base, out, |v| (lo <= v) & (v < hi)),
-        }
-    };
+        let (k, (min, max)) = filter_on(isa, &base[rows], &mut out[kept..], lo, hi);
+        kept += k;
+        fold = (fold.0.min(min), fold.1.max(max));
+    }
     assert_eq!(kept, count, "shard counts disagree with the base column");
-    // SAFETY: the pass wrote the `kept == count` values `keep` accepts to
-    // the first `count` slots.
+    // SAFETY: the runs wrote the `kept == count` values in range to the
+    // first `count` slots, each run from where the one before stopped.
     unsafe { vals.set_len(count) };
-    vals
+    Filtered {
+        vals,
+        domain: (count > 0).then_some(fold),
+        skipped,
+    }
+}
+
+/// One call of the filter kernel of `isa`: on [`Isa::Avx512`] an `i64`
+/// base takes the compress-store filter, anything else the portable loop.
+/// Returns how many values it kept and their smallest and largest
+/// (`(MAX_VALUE, MIN_VALUE)` when none).
+fn filter_on<V: CrackValue>(
+    isa: Isa,
+    base: &[V],
+    out: &mut [MaybeUninit<V>],
+    lo: Option<V>,
+    hi: Option<V>,
+) -> (usize, (V, V)) {
+    if isa == Isa::Avx512 {
+        #[cfg(target_arch = "x86_64")]
+        if let (Some(base), Some(out)) = (kernels::same_lanes_ref(base), kernels::same_lanes(out)) {
+            let (lo, hi) = (lo.map(V::as_i64), hi.map(V::as_i64));
+            let (kept, (min, max)) = kernels::avx512::filter(base, lo, hi, out);
+            return (kept, (V::from_i64(min), V::from_i64(max)));
+        }
+    }
+    match (lo, hi) {
+        (None, None) => filter_portable(base, out, |_| true),
+        (Some(lo), None) => filter_portable(base, out, |v| lo <= v),
+        (None, Some(hi)) => filter_portable(base, out, |v| v < hi),
+        (Some(lo), Some(hi)) => filter_portable(base, out, |v| (lo <= v) & (v < hi)),
+    }
 }
 
 /// The values `keep` accepts to the front of `out`, branch-free: every
 /// value is written at the cursor, which only advances past a kept one, so
-/// `out` needs a slot past the last kept value. Returns how many; panics
-/// rather than write beyond `out`.
+/// `out` needs a slot past the last kept value, and the extremes take a
+/// select. Returns how many and their smallest and largest value
+/// (`(MAX_VALUE, MIN_VALUE)` when none); panics rather than write beyond
+/// `out`.
 fn filter_portable<V: CrackValue>(
     base: &[V],
     out: &mut [MaybeUninit<V>],
     keep: impl Fn(V) -> bool,
-) -> usize {
-    let mut c = 0;
+) -> (usize, (V, V)) {
+    let (mut c, mut min, mut max) = (0, V::MAX_VALUE, V::MIN_VALUE);
     for &v in base {
         assert!(c < out.len(), "more values in range than the output holds");
         out[c].write(v);
-        c += keep(v) as usize;
+        let k = keep(v);
+        min = min.min(if k { v } else { V::MAX_VALUE });
+        max = max.max(if k { v } else { V::MIN_VALUE });
+        c += k as usize;
     }
-    c
+    (c, (min, max))
 }
 
 impl<V: CrackValue, T> ShardedColumn<V, T> {
@@ -662,6 +748,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             plan,
             base,
             counts: Arc::default(),
+            zones: Arc::default(),
             name: name.to_string(),
             threads: (1, 1),
             piece_floor: (L1_BYTES / V::width()).max(1),
@@ -773,21 +860,35 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         (k.checked_sub(1).map(|i| cuts[i]), cuts.get(k).copied())
     }
 
-    /// Shard `k`'s values alone, filtered out of the base in one pass. With
-    /// metrics on, each build counts `cracking_shard_builds_total` and is
+    /// Shard `k`'s values alone and their domain, filtered out of the
+    /// zones of the base that can hold them in one pass. The first such
+    /// build of a base maps its zones in the pass that counts the shards;
+    /// the first of a later plan recounts the same way. With metrics on,
+    /// each build counts `cracking_shard_builds_total` and the zones it
+    /// skipped into `cracking_shard_build_zones_skipped_total`, and is
     /// timed into `cracking_shard_build_ns`.
-    fn filter_parts(&self, k: usize) -> Vec<V> {
+    fn filter_parts(&self, k: usize) -> Filtered<V> {
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
         let base = &self.base[..];
-        let count = self.counts.get_or_init(|| count_shards(base, &self.plan))[k];
+        let zones = self.zones.get_or_init(|| {
+            let (counts, zones) = count_and_zone(base, &self.plan);
+            // (A whole build may have counted the same plan already.)
+            let _ = self.counts.set(counts);
+            zones
+        });
+        let count = self
+            .counts
+            .get_or_init(|| count_and_zone(base, &self.plan).0)[k];
         let (lo, hi) = self.shard_range(k);
-        let vals = filter_pass(base, count, lo, hi);
+        let parts = filter_pass(base, zones, count, lo, hi);
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_shard_builds_total").inc();
+            holix_telemetry::counter!("cracking_shard_build_zones_skipped_total")
+                .add(parts.skipped as u64);
             holix_telemetry::histogram!("cracking_shard_build_ns")
                 .record(t0.elapsed().as_nanos() as u64);
         }
-        vals
+        parts
     }
 
     /// Makes shards `first..=last` resident. The empty cells among them
@@ -830,7 +931,10 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         } else {
             missing
                 .iter()
-                .map(|&k| self.base_shard(k, self.filter_parts(k), &[], None))
+                .map(|&k| {
+                    let parts = self.filter_parts(k);
+                    self.base_shard(k, parts.vals, &[], parts.domain)
+                })
                 .collect()
         };
         let tags = tag(&fresh);
@@ -856,6 +960,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
                 })
                 .collect(),
             counts: Arc::clone(&self.counts),
+            zones: Arc::clone(&self.zones),
             name: self.name.clone(),
             threads: self.threads,
             piece_floor: self.piece_floor,
@@ -1031,6 +1136,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             // A different plan: the base is recounted by its first
             // one-shard build.
             counts: Arc::default(),
+            zones: Arc::clone(&self.zones),
             name: self.name.clone(),
             threads: self.threads,
             piece_floor: self.piece_floor,
@@ -1607,7 +1713,7 @@ mod tests {
             order.swap(i, rng.random_range(0..=i));
         }
         for &k in &order {
-            let vals = lazy.filter_parts(k);
+            let vals = lazy.filter_parts(k).vals;
             assert!(vals.capacity() >= vals.len() + vals.len() / 4);
             lazy.admit(k, k, |fresh| vec![(); fresh.len()]);
         }
@@ -2134,13 +2240,26 @@ mod tests {
             .collect()
     }
 
-    /// Both filter kernels, called directly, against the reference: every
-    /// length up to 64 (every tail of an eight-value chunk) and longer,
-    /// all-equal, duplicate-heavy and spread values (with `i64::MIN` and
-    /// `MAX` among them), ranges with open and extreme edges, empty and
-    /// outside the domain. Other widths take the portable loop on either.
-    #[test]
-    fn one_shard_build_kernels_agree_at_every_tail() {
+    /// Smallest and largest of `vals`, the reference for a pass's domain.
+    fn domain_of<V: CrackValue>(vals: &[V]) -> Option<(V, V)> {
+        vals.iter().copied().min().zip(vals.iter().copied().max())
+    }
+
+    /// The zone map of `b`, one [`ZONE`]-row block at a time.
+    fn zone_map<V: CrackValue>(b: &[V]) -> Vec<(V, V)> {
+        b.chunks(ZONE).map(|z| domain_of(z).unwrap()).collect()
+    }
+
+    /// The filter bodies this CPU runs: the portable loop, and the
+    /// compress-store kernel where `compress`.
+    fn isas(compress: bool) -> impl Iterator<Item = Isa> {
+        [Isa::Portable, Isa::Avx512]
+            .into_iter()
+            .take(1 + compress as usize)
+    }
+
+    /// Whether the compress-store filter runs here (says so when not).
+    fn compress_kernel() -> bool {
         #[cfg(target_arch = "x86_64")]
         let compress = kernels::avx512::available();
         #[cfg(not(target_arch = "x86_64"))]
@@ -2148,6 +2267,17 @@ mod tests {
         if !compress {
             eprintln!("skipped the compress kernel: this CPU lacks AVX-512F/VL");
         }
+        compress
+    }
+
+    /// Both filter kernels, called directly, against the reference: every
+    /// length up to 64 (every tail of an eight-value chunk) and longer,
+    /// all-equal, duplicate-heavy and spread values (with `i64::MIN` and
+    /// `MAX` among them), ranges with open and extreme edges, empty and
+    /// outside the domain. Other widths take the portable loop on either.
+    #[test]
+    fn one_shard_build_kernels_agree_at_every_tail() {
+        let compress = compress_kernel();
         let mut rng = StdRng::seed_from_u64(29);
         for n in (0..=64).chain([255, 256, 257, 1_000, 4_095, 4_101]) {
             let spread = {
@@ -2171,21 +2301,27 @@ mod tests {
                     (Some(8), None),
                     (Some(2), Some(2)),
                 ];
+                let zones = zone_map(&b);
                 for (lo, hi) in ranges {
                     let want = in_range(&b, lo, hi);
-                    let isas = [Isa::Portable, Isa::Avx512];
-                    for isa in isas.into_iter().take(1 + compress as usize) {
-                        let got = filter_pass_on(isa, &b, want.len(), lo, hi);
-                        assert_eq!(got, want, "{isa:?} n={n} [{lo:?}, {hi:?})");
-                        assert!(got.capacity() >= shard_capacity(want.len()));
+                    for isa in isas(compress) {
+                        let got = filter_pass_on(isa, &b, &zones, want.len(), lo, hi);
+                        assert_eq!(got.vals, want, "{isa:?} n={n} [{lo:?}, {hi:?})");
+                        assert_eq!(got.domain, domain_of(&want), "{isa:?} n={n}");
+                        assert!(got.vals.capacity() >= shard_capacity(want.len()));
                     }
                 }
                 let narrow: Vec<i32> = b.iter().map(|&v| v as i32).collect();
                 let want = in_range(&narrow, Some(1), None);
-                assert_eq!(
-                    filter_pass_on(Isa::Avx512, &narrow, want.len(), Some(1), None),
-                    want
+                let got = filter_pass_on(
+                    Isa::Avx512,
+                    &narrow,
+                    &zone_map(&narrow),
+                    want.len(),
+                    Some(1),
+                    None,
                 );
+                assert_eq!((got.vals, got.domain), (want.clone(), domain_of(&want)));
             }
         }
     }
@@ -2219,6 +2355,141 @@ mod tests {
     fn one_shard_build_panics_when_the_count_is_too_small() {
         let b = base(1_000, 1_000, 4);
         let count = b.iter().filter(|&&v| v < 500).count();
-        filter_pass(&b, count / 2, None, Some(500));
+        filter_pass(&b, &zone_map(&b), count / 2, None, Some(500));
+    }
+
+    /// `n` values `2 * i` for `i` in `0..n`, in sorted runs of `run` rows
+    /// whose order is shuffled: ingest-ordered data, which a zone map
+    /// prunes when the runs line up with its zones.
+    fn sorted_runs(n: usize, run: usize, rng: &mut StdRng) -> Vec<i64> {
+        let values: Vec<i64> = (0..n as i64).map(|v| 2 * v).collect();
+        let mut runs: Vec<&[i64]> = values.chunks(run).collect();
+        shuffle(&mut runs, rng);
+        runs.concat()
+    }
+
+    fn shuffle<T>(xs: &mut [T], rng: &mut StdRng) {
+        for i in (1..xs.len()).rev() {
+            xs.swap(i, rng.random_range(0..=i));
+        }
+    }
+
+    /// The zone-pruned pass equals a pass over the whole base (every zone
+    /// a cover of all of `i64`, so none is skipped) slot for slot, with the
+    /// same count and domain, on both bodies; it skips exactly the zones
+    /// whose extremes miss the range; and the shard count pass maps the
+    /// zones it is handed. Bases: sorted runs in line with the zones and
+    /// out of line, shuffled, all-equal and duplicate-heavy, of lengths
+    /// around the zone size; ranges with open and extreme edges, empty,
+    /// and edges on and beside zone extremes.
+    #[test]
+    fn one_shard_build_zone_pruned_pass_equals_the_whole_base_pass() {
+        let compress = compress_kernel();
+        let mut rng = StdRng::seed_from_u64(33);
+        for n in [0, 1, 2, 1_023, 1_024, 1_025, 2_047, 3_072, 5_000] {
+            let shuffled = {
+                let mut b: Vec<i64> = (0..n as i64).map(|v| 2 * v).collect();
+                shuffle(&mut b, &mut rng);
+                b
+            };
+            let bases = [
+                sorted_runs(n, ZONE, &mut rng),
+                sorted_runs(n, 1_000, &mut rng),
+                sorted_runs(n, 1_536, &mut rng),
+                sorted_runs(n, 64, &mut rng),
+                shuffled,
+                vec![7; n],
+                base(n, 3, n as u64),
+            ];
+            for b in bases {
+                let zones = zone_map(&b);
+                let whole = vec![(i64::MIN, i64::MAX); zones.len()];
+                let plan = ShardPlan::from_values(&b, 4);
+                let (counts, mapped) = count_and_zone(&b, &plan);
+                assert_eq!(&mapped[..], &zones[..], "n={n}");
+                assert_eq!(counts.iter().sum::<usize>(), n);
+                // Edges on, just above and just below zone extremes.
+                let mut edges = vec![None, Some(i64::MIN), Some(i64::MAX), Some(0), Some(7)];
+                for _ in 0..4.min(zones.len()) {
+                    let (min, max) = zones[rng.random_range(0..zones.len())];
+                    edges.extend([min - 1, min, min + 1, max - 1, max, max + 1].map(Some));
+                }
+                for &lo in &edges {
+                    for &hi in &edges {
+                        let want = in_range(&b, lo, hi);
+                        let misses = zones
+                            .iter()
+                            .filter(|z| lo.is_some_and(|l| z.1 < l) || hi.is_some_and(|h| z.0 >= h))
+                            .count();
+                        for isa in isas(compress) {
+                            let at = format!("{isa:?} n={n} [{lo:?}, {hi:?})");
+                            let pruned = filter_pass_on(isa, &b, &zones, want.len(), lo, hi);
+                            let full = filter_pass_on(isa, &b, &whole, want.len(), lo, hi);
+                            assert_eq!(pruned.vals, full.vals, "{at}");
+                            assert_eq!(pruned.vals, want, "{at}");
+                            assert_eq!(pruned.domain, full.domain, "{at}");
+                            assert_eq!(pruned.domain, domain_of(&want), "{at}");
+                            assert_eq!(pruned.skipped, misses, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The real shard ranges of a plan over sorted runs in line with the
+    /// zones: each shard skips most zones, holds the values the whole build
+    /// gives it, and is born knowing its domain; the zone map is made once
+    /// and shared with vacated and replanned successors.
+    #[test]
+    fn one_shard_build_maps_the_zones_once_and_shares_them() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let b = Arc::new(sorted_runs(1 << 15, ZONE, &mut rng));
+        let plan = ShardPlan::from_values(&b, 4);
+        let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&b), plan.clone());
+        assert!(col.zones.get().is_none(), "zones mapped before a build");
+        col.admit(2, 2, |fresh| vec![(); fresh.len()]);
+        let zones = col
+            .zones
+            .get()
+            .expect("the first one-shard build maps them");
+        assert_eq!(&zones[..], &zone_map(&b)[..]);
+        let pushed = push_routing(&b, &plan);
+        for (k, pairs) in pushed.iter().enumerate() {
+            let parts = col.filter_parts(k);
+            // Runs of 1,024 values in four shards: a quarter of the zones
+            // meet a shard, give or take one at each edge.
+            assert!(
+                parts.skipped >= 32 - 8,
+                "shard {k} skipped {}",
+                parts.skipped
+            );
+            let values = pairs.iter().map(|&(v, _)| v);
+            assert_eq!(parts.domain, values.clone().min().zip(values.max()));
+        }
+        let shard = col.shard(2);
+        assert_eq!(
+            shard.domain(),
+            domain_of(&shard.snapshot_range(0, shard.len()))
+        );
+        let next = col.vacated(&[2]);
+        assert!(Arc::ptr_eq(&col.zones, &next.zones));
+        let replanned = col.apply_replan(ReplanAction::Split { shard: 2 }).unwrap();
+        assert!(Arc::ptr_eq(&col.zones, &replanned.zones));
+        assert_eq!(replanned.shard_rows(0), None, "a new plan is recounted");
+        replanned.admit(0, 0, |fresh| vec![(); fresh.len()]);
+        assert_eq!(
+            tuples(replanned.shard(0)),
+            push_routing(&b, replanned.plan())[0]
+        );
+        // A whole build counts the plan but maps no zones; the first
+        // one-shard build after it does.
+        let whole: ShardedColumn<i64> = ShardedColumn::lazy("w", Arc::clone(&b), plan);
+        whole.admit(0, 3, |fresh| vec![(); fresh.len()]);
+        assert!(whole.zones.get().is_none());
+        let rebuilt = whole.vacated(&[1]);
+        rebuilt.admit(1, 1, |fresh| vec![(); fresh.len()]);
+        assert!(whole.zones.get().is_some());
+        assert_eq!(tuples(rebuilt.shard(1)), pushed[1]);
     }
 }

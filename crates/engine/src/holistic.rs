@@ -1979,6 +1979,72 @@ mod tests {
         e.stop();
     }
 
+    /// `col`'s values as sorted runs of 1,024 rows in shuffled order: the
+    /// ingest-ordered layout a rebuild's zone map prunes.
+    fn sorted_runs(col: &[i64], rng: &mut StdRng) -> Vec<i64> {
+        let mut sorted = col.to_vec();
+        sorted.sort_unstable();
+        let mut runs: Vec<&[i64]> = sorted.chunks(1_024).collect();
+        for i in (1..runs.len()).rev() {
+            runs.swap(i, rng.random_range(0..=i));
+        }
+        runs.concat()
+    }
+
+    #[test]
+    fn a_shard_rebuilt_after_eviction_knows_its_domain_on_clustered_and_shuffled_bases() {
+        // The eviction of `partial_eviction_rebuilds_only_the_dropped_shard`,
+        // over a shuffled base and over the same values in sorted runs.
+        let mut rng = StdRng::seed_from_u64(7);
+        for clustered in [false, true] {
+            let mut table = uniform_table(2, 50_000, 1_000_000, 6);
+            if clustered {
+                table = table.iter().map(|c| sorted_runs(c, &mut rng)).collect();
+            }
+            let data = Dataset::new(table);
+            let mut cfg = HolisticEngineConfig::split_half_sharded(2, 2);
+            cfg.holistic.max_workers = Some(0);
+            cfg.holistic.storage_budget = Some(50_000 * TUPLE * 14 / 10);
+            let e = HolisticEngine::new(data, cfg);
+            let exact = |attr: usize, lo: i64, hi: i64| {
+                let oracle = scan_stats(e.data.column(attr), Predicate::range(lo, hi));
+                let q = QuerySpec { attr, lo, hi };
+                assert_eq!(e.execute(&q), oracle.count, "{q:?} clustered={clustered}");
+            };
+            for lo in [10_000, 30_000, 50_000] {
+                exact(0, lo, lo + 10_000);
+            }
+            exact(1, 10_000, 20_000);
+            let before = peek(&e, 0);
+            let (_, dropped) = before.resident(1).expect("attribute 0 was built whole");
+            assert!(dropped.is_dropped(), "clustered={clustered}");
+            exact(0, 900_000, 910_000);
+            let after = peek(&e, 0);
+            let (rebuilt, _) = live(&after, 1).expect("the dropped shard is back");
+            assert!(!Arc::ptr_eq(rebuilt, before.shard(1)));
+            let vals = rebuilt.snapshot_range(0, rebuilt.len());
+            let cut = after.plan().cuts()[0];
+            let mut want: Vec<i64> = e
+                .data
+                .column(0)
+                .iter()
+                .copied()
+                .filter(|&v| v >= cut)
+                .collect();
+            assert_eq!(vals.len(), want.len(), "clustered={clustered}");
+            want.sort_unstable();
+            assert_eq!(
+                rebuilt.domain(),
+                want.first().copied().zip(want.last().copied()),
+                "clustered={clustered}"
+            );
+            for lo in [cut - 5_000, cut, 600_000, 999_000] {
+                exact(0, lo, lo + 7_500);
+            }
+            e.stop();
+        }
+    }
+
     #[test]
     fn evicted_driver_shard_rebuilds_its_row_ids_for_the_next_conjunction() {
         // Two 400 KB attributes in two shards under a budget of 1.4 of
