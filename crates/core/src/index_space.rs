@@ -398,7 +398,7 @@ impl IndexSpace {
     }
 
     /// Up to `k` live indices in eviction order — the LFU victims
-    /// [`IndexSpace::make_room`] would pick next. Under budget pressure the
+    /// `IndexSpace::make_room` would pick next. Under budget pressure the
     /// idle workers morph exactly these first: shrinking an
     /// imminent-eviction attribute's footprint is what can still save it.
     pub fn eviction_candidates(&self, k: usize) -> Vec<Arc<dyn RefinableIndex>> {

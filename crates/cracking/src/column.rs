@@ -33,9 +33,9 @@
 //!
 //! ## Snapshot reads
 //!
-//! [`CrackerColumn::snapshot_scan`] / [`CrackerColumn::snapshot_collect`]
-//! answer count/sum/collect queries from an immutable
-//! [`crate::snapshot::PieceSnapshot`] **without the structure lock**: the
+//! [`CrackerColumn::snapshot_scan`] answers count/sum queries from an
+//! immutable [`crate::snapshot::PieceSnapshot`] **without the structure
+//! lock**: the
 //! reader clones the published `Arc` and folds the unmerged pending values
 //! in one critical section of the short `pending` mutex (the linearisation
 //! point), then scans holding no lock at all. Cracks only permute values
@@ -555,7 +555,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// qualifying range.
     ///
     /// Pending updates falling inside the requested range are merged first
-    /// (Ripple), exactly as [28] prescribes.
+    /// (Ripple), exactly as \[28\] prescribes.
     pub fn select(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> Selection {
         let sel = self.select_inner(pred, scratch);
         if holix_telemetry::metrics_enabled() {
@@ -1214,77 +1214,6 @@ impl<V: CrackValue> CrackerColumn<V> {
         drop(snap);
         scan.count = (scan.count as i64 + count_delta).max(0) as u64;
         scan.sum += sum_delta;
-        if scan.filtered >= Self::REFRESH_FILTER_MIN {
-            self.refresh_snapshot(pred, scratch);
-        }
-        scan
-    }
-
-    /// Appends every value qualifying under `pred` to `out` (same protocol
-    /// as [`CrackerColumn::snapshot_scan`]); unmerged pending inserts are
-    /// appended and pending deletes remove one matching occurrence each
-    /// from the values this call produced (a delete whose target is
-    /// genuinely absent removes nothing — see
-    /// [`CrackerColumn::snapshot_scan`] on the delete contract).
-    pub fn snapshot_collect(
-        &self,
-        pred: Predicate<V>,
-        scratch: &mut CrackScratch<V>,
-        out: &mut Vec<V>,
-    ) -> SnapshotScan {
-        if pred.is_empty() {
-            return SnapshotScan::default();
-        }
-        let base = out.len();
-        // Overlay values buffer into small locals under the lock; the
-        // (potentially large, reallocating) `out` buffer is only touched
-        // after the pending mutex is released, keeping the writer
-        // linearisation point short.
-        let (snap, (ins, del)) = self.read_or_build_snapshot(|queue| {
-            let mut ins: Vec<V> = Vec::new();
-            let mut del: Vec<V> = Vec::new();
-            queue.for_each_unmerged(
-                |v| pred.matches_unbounded(v),
-                |v, kind| match kind {
-                    UnmergedKind::Insert => ins.push(v),
-                    UnmergedKind::Delete => del.push(v),
-                },
-            );
-            (ins, del)
-        });
-        let mut scan = snap.collect_into(pred.lo, pred.hi, out);
-        drop(snap);
-        for v in ins {
-            out.push(v);
-            scan.count += 1;
-            scan.sum += v.as_i64() as i128;
-        }
-        if !del.is_empty() {
-            // Single compaction pass over this call's values with a delete
-            // multiset — O(collected + deletes), not a linear re-scan per
-            // delete. Unmatched deletes (absent targets) remove nothing, as
-            // on the Ripple path.
-            let mut remaining: std::collections::BTreeMap<V, usize> =
-                std::collections::BTreeMap::new();
-            for v in del {
-                *remaining.entry(v).or_insert(0) += 1;
-            }
-            let mut kept = base;
-            for i in base..out.len() {
-                let v = out[i];
-                if let Some(c) = remaining.get_mut(&v) {
-                    if *c > 0 {
-                        *c -= 1;
-                        scan.count = scan.count.saturating_sub(1);
-                        scan.sum -= v.as_i64() as i128;
-                        continue;
-                    }
-                }
-                out[kept] = v;
-                kept += 1;
-            }
-            out.truncate(kept);
-        }
         if scan.filtered >= Self::REFRESH_FILTER_MIN {
             self.refresh_snapshot(pred, scratch);
         }
@@ -2256,28 +2185,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_collect_matches_filtered_base() {
-        let (mut base, col) = column(20_000, 22);
-        let mut scratch = CrackScratch::new();
-        let pred = Predicate::range(300, 700);
-        col.snapshot_scan(pred, &mut scratch); // publish + refresh
-        let n = base.len() as RowId;
-        col.queue_insert(350, n); // stays pending: overlay must add it
-        base.push(350);
-        let mut got = Vec::new();
-        let scan = col.snapshot_collect(pred, &mut scratch, &mut got);
-        got.sort_unstable();
-        let mut want: Vec<i64> = base
-            .iter()
-            .copied()
-            .filter(|&v| (300..700).contains(&v))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert_eq!(scan.count as usize, want.len());
-    }
-
-    #[test]
     fn a_held_snapshot_keeps_its_multiset_and_its_bytes_across_merges() {
         let (base, col) = column(20_000, 23);
         let mut scratch = CrackScratch::new();
@@ -2527,21 +2434,20 @@ mod tests {
         let stats = col.piece_stats().unwrap();
         let pieces = stats.snap_pieces.as_ref().unwrap();
         assert!(pieces.iter().any(|p| !p.plain), "stats still all-plain");
+        // The compressed pieces decode to the base multiset.
+        let mut got = Vec::new();
+        for piece in col.snapshot().unwrap().pieces() {
+            piece.for_each(|v| got.push(v));
+        }
+        got.sort_unstable();
+        let mut want = base.clone();
+        want.sort_unstable();
+        assert_eq!(got, want, "the morphed snapshot lost or gained values");
         // Scans on the compressed form stay exact, edge filters included.
         for pred in [full, Predicate::range(123, 777), Predicate::less_than(450)] {
             let scan = col.snapshot_scan(pred, &mut scratch);
             let oracle = scan_stats(&base, pred);
             assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-            let mut got = Vec::new();
-            col.snapshot_collect(pred, &mut scratch, &mut got);
-            got.sort_unstable();
-            let mut want: Vec<i64> = base
-                .iter()
-                .copied()
-                .filter(|&v| pred.matches_unbounded(v))
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "collect diverged on {pred:?}");
         }
         // Updates after the morph stay visible through the overlay and the
         // next merge splice.
@@ -2637,7 +2543,7 @@ mod tests {
             "refresh blew the footprint back up: {} vs {encoded_bytes}",
             col.snapshot_bytes()
         );
-        // And still answers exactly, collects included.
+        // And still answers exactly.
         for pred in [full, Predicate::range(123, 777)] {
             let scan = col.snapshot_scan(pred, &mut scratch);
             let oracle = scan_stats(&base, pred);

@@ -342,7 +342,7 @@ pub mod avx2 {
 /// the mask's popcount, so no store waits on the previous value's cursor
 /// update. A cursor that fills from the right (a crack's highs) takes the
 /// chunk reversed, which leaves exactly the portable layout. Row ids ride
-/// along through the [`RowLane`] hook under the same masks (`u32` ids as
+/// along through the [`RowLane`](crate::RowLane) hook under the same masks (`u32` ids as
 /// eight 32-bit lanes; `()` compiles to nothing), so id-less and
 /// id-carrying cracks land alike. The filter also folds the lanes it keeps
 /// into per-lane minima and maxima under the same mask (`vpminsq` /

@@ -19,16 +19,16 @@
 //! - [`latch`] — piece-level read/write latches ([16, 17] in the paper):
 //!   user queries block on a busy piece, holistic workers `try_lock` and
 //!   re-pick a random pivot instead,
-//! - [`column`] — [`CrackerColumn`]: the cracker column `ACRK` plus its
+//! - [`mod@column`] — [`CrackerColumn`]: the cracker column `ACRK` plus its
 //!   cracker index, supporting concurrent query-driven cracking and
 //!   background refinement,
 //! - `row_ids` (crate-private) — what a shard keeps instead of a row-id
 //!   array (its base and value range) and the pass that builds the array
 //!   when a conjunction, a Ripple merge or a migration first asks for it,
 //! - [`stochastic`] — stochastic cracking (auxiliary random crack inside the
-//!   piece a query is about to crack, [21]),
+//!   piece a query is about to crack, \[21\]),
 //! - [`updates`] — pending insertions/deletions merged on-the-fly with the
-//!   Ripple algorithm ([28]),
+//!   Ripple algorithm (\[28\]),
 //! - [`sharding`] — horizontal range shards: one attribute split into S
 //!   independently crackable [`CrackerColumn`]s with per-shard Ripple
 //!   buffers, predicate fan-out, value-routed updates and versioned

@@ -1,5 +1,5 @@
 //! The one partition entry point every crack goes through, and the
-//! multi-threaded kernel behind it (Fig 4 of the paper, after [44]).
+//! multi-threaded kernel behind it (Fig 4 of the paper, after \[44\]).
 //!
 //! [`partition_two`] / [`partition_three`] pick the kernel from what they
 //! observe — the piece length and the caller's thread budget — never from

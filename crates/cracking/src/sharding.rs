@@ -1023,24 +1023,6 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         out
     }
 
-    /// Collect of qualifying values across intersecting shards (same
-    /// protocol as [`ShardedColumn::snapshot_scan`]).
-    pub fn snapshot_collect(
-        &self,
-        pred: Predicate<V>,
-        scratch: &mut CrackScratch<V>,
-        out: &mut Vec<V>,
-    ) -> SnapshotScan {
-        let mut total = SnapshotScan::default();
-        for (k, p) in self.intersecting(pred) {
-            let scan = self.shard(k).snapshot_collect(p, scratch, out);
-            total.count += scan.count;
-            total.sum += scan.sum;
-            total.filtered += scan.filtered;
-        }
-        total
-    }
-
     /// Point-membership probe (no column lock), routed to the one shard owning
     /// `v`'s value range. `Some(false)` proves no tuple with value `v`
     /// exists anywhere in the attribute; `None` means the owning shard has
@@ -1412,18 +1394,6 @@ mod tests {
             let (_, locked) = col.select_verified(pred, &mut scratch);
             assert_eq!(locked, oracle, "i={i}");
         }
-        // Collect across shard boundaries.
-        let pred = Predicate::range(2_000, 8_000);
-        let mut got = Vec::new();
-        col.snapshot_collect(pred, &mut scratch, &mut got);
-        got.sort_unstable();
-        let mut want: Vec<i64> = b
-            .iter()
-            .copied()
-            .filter(|&v| (2_000..8_000).contains(&v))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
     }
 
     #[test]

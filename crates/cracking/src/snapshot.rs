@@ -4,7 +4,7 @@
 //! ## Why snapshots can be cheap here
 //!
 //! A crack only *permutes values inside one piece* — the multiset of values
-//! per value range never changes. Snapshot scans (count / sum / collect of
+//! per value range never changes. Snapshot scans (count / sum of
 //! qualifying **values**) therefore stay correct across arbitrary concurrent
 //! cracks and piece splits; only a **Ripple merge** (insert/delete) changes
 //! a piece's multiset, and merges already run under the column's exclusive
@@ -111,12 +111,12 @@ enum Repr<V> {
 }
 
 /// An immutable block of values backing one or more snapshot pieces, in
-/// one of four encodings (see [`Repr`]). The byte counter (shared with the
+/// one of four encodings (see `Repr`). The byte counter (shared with the
 /// owning column) tracks live snapshot memory: it rises by the **encoded
 /// backing size** when a segment is created and falls in `Drop` — i.e.
 /// only once the last snapshot referencing the segment is gone, which a
-/// reader still holding a replaced version delays. Scans and collects run directly on the
-/// compressed form; nothing ever materialises a decoded copy.
+/// reader still holding a replaced version delays. Scans run directly on
+/// the compressed form; nothing ever materialises a decoded copy.
 pub struct Segment<V> {
     repr: Repr<V>,
     bytes: Arc<AtomicUsize>,
@@ -469,109 +469,6 @@ impl<V: CrackValue> Segment<V> {
             }
         }
     }
-
-    /// Appends the qualifying values of `seg[start..start+len)` under
-    /// `[lo, hi)` (sentinel-aware) to `out` — the fused filter_collect
-    /// kernel, sharing the scan kernels' qualifying-range machinery.
-    /// Returns (count, sum) of the appended values.
-    pub fn collect_range(
-        &self,
-        start: usize,
-        len: usize,
-        lo: V,
-        hi: V,
-        out: &mut Vec<V>,
-    ) -> (u64, i128) {
-        let pred = Predicate { lo, hi };
-        if pred.is_empty() {
-            return (0, 0);
-        }
-        let (lo_b, hi_b) = Self::bounds(lo, hi);
-        let end = start + len;
-        match &self.repr {
-            Repr::Plain(d) => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                for &v in &d[start..end] {
-                    if pred.matches_unbounded(v) {
-                        out.push(v);
-                        count += 1;
-                        sum += v.as_i64() as i128;
-                    }
-                }
-                (count, sum)
-            }
-            Repr::For {
-                base,
-                bits,
-                packed,
-                len: n,
-            } => {
-                let Some((lo_off, hi_off)) = for_offsets(*base, lo_b, hi_b) else {
-                    return (0, 0);
-                };
-                let (ql, qh) = kernels::qualifying_range(packed, *bits, *n, lo_off, hi_off);
-                let a = ql.max(start);
-                let b = qh.min(end);
-                if a >= b {
-                    return (0, 0);
-                }
-                out.reserve(b - a);
-                let mut sum = 0i128;
-                kernels::decode_range(packed, *bits, *n, a, b, |off| {
-                    let v = base.wrapping_add(off as i64);
-                    sum += v as i128;
-                    out.push(V::from_i64_exact(v));
-                });
-                ((b - a) as u64, sum)
-            }
-            Repr::Delta {
-                first,
-                bits,
-                packed,
-                len: n,
-            } => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                delta_walk(*first, *bits, packed, *n, |idx, v| {
-                    if idx >= end || hi_b.is_some_and(|h| v >= h) {
-                        return false;
-                    }
-                    if idx >= start && lo_b.is_none_or(|l| v >= l) {
-                        out.push(V::from_i64_exact(v));
-                        count += 1;
-                        sum += v as i128;
-                    }
-                    true
-                });
-                (count, sum)
-            }
-            Repr::Rle { vals, ends, .. } => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                let r0 = Self::rle_first_run(ends, start);
-                let k0 = match lo_b {
-                    Some(l) => r0.max(vals.partition_point(|&v| v < l)),
-                    None => r0,
-                };
-                for k in k0..vals.len() {
-                    let run_start = if k == 0 { 0 } else { ends[k - 1] as usize };
-                    if run_start >= end || hi_b.is_some_and(|h| vals[k] >= h) {
-                        break;
-                    }
-                    let overlap = (ends[k] as usize)
-                        .min(end)
-                        .saturating_sub(run_start.max(start));
-                    if overlap > 0 {
-                        out.extend(std::iter::repeat_n(V::from_i64_exact(vals[k]), overlap));
-                        count += overlap as u64;
-                        sum += vals[k] as i128 * overlap as i128;
-                    }
-                }
-                (count, sum)
-            }
-        }
-    }
 }
 
 impl<V> Drop for Segment<V> {
@@ -629,13 +526,6 @@ impl<V: CrackValue> SnapPiece<V> {
     /// `[lo, hi)` (sentinel-aware) — executed on the compressed form.
     pub fn scan_range(&self, lo: V, hi: V) -> (u64, i128) {
         self.seg.scan_range(self.start, self.len, lo, hi)
-    }
-
-    /// Appends the piece's values qualifying under `[lo, hi)`
-    /// (sentinel-aware) to `out` — the fused filter_collect path on the
-    /// compressed form. Returns (count, sum) of the appended values.
-    pub fn collect_range(&self, lo: V, hi: V, out: &mut Vec<V>) -> (u64, i128) {
-        self.seg.collect_range(self.start, self.len, lo, hi, out)
     }
 
     /// `true` when the backing segment is plain (uncompressed).
@@ -711,7 +601,7 @@ type Cursor = (usize, usize);
 /// jointly covering the whole domain. Piece `i` covers
 /// `[pieces[i-1].hi_key, pieces[i].hi_key)`.
 ///
-/// The piece table is held as runs of at most [`RUN_PIECES`] pieces, each
+/// The piece table is held as runs of at most `RUN_PIECES` pieces, each
 /// run `Arc`-shared: [`PieceSnapshot::splice`] builds the next version by
 /// rebuilding the runs its spans touch and sharing every other one, so
 /// publishing after a merge costs a refcount per *run* it left alone
@@ -905,34 +795,6 @@ impl<V: CrackValue> PieceSnapshot<V> {
         out
     }
 
-    /// Appends every value in `[lo, hi)` to `out`; returns the scan record.
-    pub fn collect_into(&self, lo: V, hi: V, out: &mut Vec<V>) -> SnapshotScan {
-        let mut scan = SnapshotScan::default();
-        let whole = |piece: &SnapPiece<V>, out: &mut Vec<V>| match piece.plain_values() {
-            Some(vals) => out.extend_from_slice(vals),
-            None => piece.for_each(|v| out.push(v)),
-        };
-        self.walk(lo, hi, |reached| match reached {
-            Reached::Run(run) => {
-                run.pieces.iter().for_each(|piece| whole(piece, out));
-                scan.count += run.len as u64;
-                scan.sum += run.sum;
-            }
-            Reached::Piece(piece, true) => {
-                whole(piece, out);
-                scan.count += piece.len() as u64;
-                scan.sum += piece.sum;
-            }
-            Reached::Piece(piece, false) => {
-                scan.filtered += piece.len();
-                let (c, s) = piece.collect_range(lo, hi, out);
-                scan.count += c;
-                scan.sum += s;
-            }
-        });
-        scan
-    }
-
     /// Visits what intersects `[lo, hi)` in ascending order: a run lying
     /// wholly inside the range as one, every other piece by itself.
     fn walk(&self, lo: V, hi: V, mut visit: impl FnMut(Reached<'_, V>)) {
@@ -1108,12 +970,6 @@ mod tests {
 
         let empty = snap.stats(14, 14);
         assert_eq!(empty.count, 0);
-
-        let mut out = Vec::new();
-        let scan = snap.collect_into(5, 21, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![5, 11, 12, 17, 20]);
-        assert_eq!(scan.count, 5);
     }
 
     #[test]
@@ -1132,9 +988,6 @@ mod tests {
         let snap = PieceSnapshot::<i64>::new(Vec::new());
         assert!(snap.is_empty());
         assert_eq!(snap.stats(0, 100).count, 0);
-        let mut out = Vec::new();
-        snap.collect_into(i64::MIN, i64::MAX, &mut out);
-        assert!(out.is_empty());
     }
 
     /// A table of `n` pieces with boundary keys 100, 200, … (the last
@@ -1223,12 +1076,6 @@ mod tests {
         ] {
             assert_eq!(got.stats(lo, hi), want.stats(lo, hi), "[{lo},{hi})");
             assert_eq!(got.anchors(lo, hi), want.anchors(lo, hi), "[{lo},{hi})");
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            assert_eq!(
-                got.collect_into(lo, hi, &mut a),
-                want.collect_into(lo, hi, &mut b)
-            );
-            assert_eq!(a, b, "[{lo},{hi})");
         }
     }
 
@@ -1337,16 +1184,6 @@ mod tests {
                 lo,
                 hi
             );
-            let mut got = Vec::new();
-            let (c2, s2) = seg.collect_range(0, seg.len(), lo, hi, &mut got);
-            got.sort_unstable();
-            let want: Vec<V> = sorted
-                .iter()
-                .copied()
-                .filter(|&v| pred.matches_unbounded(v))
-                .collect();
-            assert_eq!(got, want, "{} collect [{lo:?},{hi:?})", seg.encoding());
-            assert_eq!((c2, s2), (count, sum));
             // Interior windows must agree with a positional oracle too.
             if seg.len() >= 4 {
                 let (a, b) = (seg.len() / 4, seg.len() / 4 + seg.len() / 2);
@@ -1364,15 +1201,6 @@ mod tests {
                     "{} windowed scan [{lo:?},{hi:?})",
                     seg.encoding()
                 );
-                let mut wgot = Vec::new();
-                seg.collect_range(a, b - a, lo, hi, &mut wgot);
-                wgot.sort_unstable();
-                let wwant: Vec<V> = sorted[a..b]
-                    .iter()
-                    .copied()
-                    .filter(|&v| pred.matches_unbounded(v))
-                    .collect();
-                assert_eq!(wgot, wwant, "{} windowed collect", seg.encoding());
             }
         }
         let charged = seg.charged_bytes();
@@ -1488,12 +1316,6 @@ mod tests {
             let b = enc.stats(lo, hi);
             assert_eq!((a.count, a.sum), (b.count, b.sum), "[{lo},{hi})");
             assert_eq!(a.filtered, b.filtered, "edge-filter semantics differ");
-            let (mut va, mut vb) = (Vec::new(), Vec::new());
-            plain.collect_into(lo, hi, &mut va);
-            enc.collect_into(lo, hi, &mut vb);
-            va.sort_unstable();
-            vb.sort_unstable();
-            assert_eq!(va, vb, "[{lo},{hi})");
         }
     }
 

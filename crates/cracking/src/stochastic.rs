@@ -1,4 +1,4 @@
-//! Stochastic cracking ([21], used as the PVSDC baseline in §5.2–5.3).
+//! Stochastic cracking (\[21\], used as the PVSDC baseline in §5.2–5.3).
 //!
 //! Plain cracking is driven purely by query predicates, which leaves large
 //! unindexed pieces under skewed or sequential workloads. Stochastic cracking

@@ -1,4 +1,4 @@
-//! Pending updates and the Ripple merge algorithm ([28] "Updating a Cracked
+//! Pending updates and the Ripple merge algorithm (\[28\] "Updating a Cracked
 //! Database", as used by §4.2 and §5.7 of the holistic-indexing paper).
 //!
 //! Updates are queued per column and merged lazily: a query (or a holistic

@@ -1,4 +1,4 @@
-//! Vectorized, out-of-place crack kernel (Fig 5 of the paper, from [44]
+//! Vectorized, out-of-place crack kernel (Fig 5 of the paper, from \[44\]
 //! "Database Cracking: Fancy Scan, not Poor Man's Sort!").
 //!
 //! The kernel partitions a piece into a scratch window from both ends with
@@ -6,7 +6,7 @@
 //! and the high cursor, then exactly one cursor advances depending on the
 //! comparison — and copies the window back. This removes the
 //! hard-to-predict branch of the in-place swap loop, which is what makes it
-//! the most CPU-efficient single-threaded cracking kernel reported in [44].
+//! the most CPU-efficient single-threaded cracking kernel reported in \[44\].
 //!
 //! Two bodies run that pass, picked once per process by
 //! [`kernels::active_isa`]: on [`Isa::Avx512`] an `i64` piece takes the

@@ -26,9 +26,9 @@ pub enum CrackMode {
     /// Single-threaded vectorized cracking.
     Sequential,
     /// Parallel vectorized database cracking with `threads` threads per
-    /// crack ([44]).
+    /// crack (\[44\]).
     Pvdc { threads: usize },
-    /// PVDC plus one auxiliary random crack per query bound ([21]).
+    /// PVDC plus one auxiliary random crack per query bound (\[21\]).
     Pvsdc { threads: usize },
 }
 
@@ -137,8 +137,8 @@ impl QueryEngine for AdaptiveEngine {
     }
 
     fn execute_points(&self, attr: usize, values: &[i64]) -> Option<u64> {
-        // Dedupe: an IN list counts each qualifying tuple once, and
-        // coalesced batches legitimately repeat values.
+        // Dedupe: an IN list counts each qualifying tuple once, however
+        // often the list repeats its value.
         let mut vals: Vec<i64> = values.to_vec();
         vals.sort_unstable();
         vals.dedup();

@@ -123,20 +123,6 @@ pub trait QueryEngine: Send + Sync {
         None
     }
 
-    /// The qualifying *values* of `q`, copied out of the piece snapshots
-    /// — no structure lock, so the copy never blocks writers. The service layer uses this for containment coalescing: a
-    /// batched superset query executes once and contained predicates are
-    /// answered by post-filtering its values. Same per-shard consistency
-    /// as [`QueryEngine::execute_snapshot`].
-    ///
-    /// `Unsupported` and `CapExceeded` both send the caller back to
-    /// per-query execution: the engine has no snapshot read path, or the
-    /// predicate qualifies more values than are worth materialising.
-    fn execute_collect_snapshot(&self, q: &QuerySpec) -> SnapshotCollect {
-        let _ = q;
-        SnapshotCollect::Unsupported
-    }
-
     /// Plan-time cost of `q` from the engine's published piece statistics
     /// (see `holix-planner`): crack work, scan work, pending-merge debt
     /// and snapshot freshness, folded over every shard the predicate
@@ -200,18 +186,6 @@ impl ExactAnswer {
             ExactAnswer::Screened => 0,
         }
     }
-}
-
-/// Outcome of [`QueryEngine::execute_collect_snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotCollect {
-    /// The engine has no snapshot read path — answer the run per query.
-    Unsupported,
-    /// The qualifying set exceeds the engine's copy cap; callers should
-    /// skip materialisation entirely.
-    CapExceeded,
-    /// The qualifying values, served from snapshots.
-    Values(Vec<i64>),
 }
 
 #[cfg(test)]

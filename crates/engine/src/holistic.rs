@@ -49,7 +49,7 @@
 //! sealed predecessor retry against the successor. Readers never block
 //! mid-replan.
 
-use crate::api::{Capabilities, Dataset, ExactAnswer, QueryEngine, SnapshotCollect};
+use crate::api::{Capabilities, Dataset, ExactAnswer, QueryEngine};
 use holix_core::cpu::LoadAccountant;
 use holix_core::handle::CrackerHandle;
 use holix_core::index_space::{IndexSlot, IndexSpace, Membership};
@@ -713,49 +713,9 @@ impl QueryEngine for HolisticEngine {
         Some(ExactAnswer::Hit(count))
     }
 
-    fn execute_collect_snapshot(&self, q: &QuerySpec) -> SnapshotCollect {
-        // Copy cap: past this many qualifying values, materialising them
-        // costs more than the per-query executions containment coalescing
-        // would save — an unselective superset must never turn the
-        // service's fast path into a multi-megabyte copy.
-        const COLLECT_CAP: usize = 1 << 16;
-        let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let pred = Predicate::range(q.lo, q.hi);
-        let Some((col, first, last)) = self.touch(q.attr, Route::Range(pred.lo, pred.hi)) else {
-            return SnapshotCollect::Values(Vec::new());
-        };
-        let plan = col.plan();
-        SCRATCH.with(|s| {
-            let scratch = &mut s.borrow_mut();
-            // Pre-count with the O(pieces + edges) aggregate scan before
-            // materialising anything: a wide superset past the cap must
-            // not first copy its (possibly huge) qualifying set only to
-            // throw it away.
-            let mut total = 0u64;
-            for k in first..=last {
-                let (shard, slot) = col.resident(k).expect("touched above");
-                let scan = shard.snapshot_scan(plan.clamp(k, pred), scratch);
-                slot.record_user_query(scan.filtered == 0, 0);
-                total += scan.count;
-                if total > COLLECT_CAP as u64 {
-                    return SnapshotCollect::CapExceeded;
-                }
-            }
-            // Updates can land between the count and the copy, so the
-            // collect can exceed the pre-count slightly — the cap is a
-            // cost heuristic, not a hard limit.
-            let mut values = Vec::with_capacity(total as usize);
-            for k in first..=last {
-                col.shard(k)
-                    .snapshot_collect(plan.clamp(k, pred), scratch, &mut values);
-            }
-            SnapshotCollect::Values(values)
-        })
-    }
-
     fn execute_points(&self, attr: usize, values: &[i64]) -> Option<u64> {
-        // Dedupe: an IN list counts each qualifying tuple once, and
-        // coalesced batches legitimately repeat values.
+        // Dedupe: an IN list counts each qualifying tuple once, however
+        // often the list repeats its value.
         let mut vals: Vec<i64> = values.to_vec();
         vals.sort_unstable();
         vals.dedup();
@@ -782,8 +742,8 @@ impl QueryEngine for HolisticEngine {
 
     fn execute_conjunction(&self, terms: &[QuerySpec]) -> Option<u64> {
         // Past this many driver rows, materialising the row-id set costs
-        // more than the intersection saves — same cap discipline as the
-        // snapshot collect; callers fall back to per-term execution.
+        // more than the intersection saves; callers fall back to per-term
+        // execution.
         const DRIVER_CAP: u64 = 1 << 16;
         if terms.is_empty() {
             return Some(0);
@@ -1484,52 +1444,6 @@ mod tests {
         assert_eq!(e.execute_conjunction(&terms), Some(0));
         assert_eq!(e.execute_conjunction(&[]), Some(0));
         e.stop();
-    }
-
-    #[test]
-    fn execute_collect_returns_qualifying_values() {
-        let e = sharded_engine(1, 50_000, 3);
-        let q = QuerySpec {
-            attr: 0,
-            lo: 250_000,
-            hi: 750_000,
-        };
-        let mut want: Vec<i64> = e.data.column(0).to_vec();
-        want.retain(|v| (q.lo..q.hi).contains(v));
-        want.sort_unstable();
-        let collect = |e: &HolisticEngine| {
-            let SnapshotCollect::Values(mut got) = e.execute_collect_snapshot(&q) else {
-                panic!("snapshot collect unavailable");
-            };
-            got.sort_unstable();
-            got
-        };
-        assert_eq!(collect(&e), want, "cold attribute");
-        // Locked executions crack inside and across the range, and an
-        // accepted but unmerged insert sits in a pending buffer: the
-        // collect serves the same values from whatever shape the snapshot
-        // is in.
-        for (lo, hi) in [(300_000, 400_000), (100_000, 600_000), (700_000, 900_000)] {
-            e.execute(&QuerySpec { attr: 0, lo, hi });
-        }
-        e.queue_insert(0, 500_000, 1_000_000);
-        want.insert(want.partition_point(|&v| v < 500_000), 500_000);
-        assert_eq!(collect(&e), want, "cracked, one insert pending");
-        e.stop();
-        // A superset past COLLECT_CAP (64Ki values) is reported as
-        // CapExceeded, not Unsupported: the service answers the run per
-        // query without first copying the doomed superset.
-        let big = sharded_engine(1, 80_000, 2);
-        let wide = QuerySpec {
-            attr: 0,
-            lo: 0,
-            hi: 1_000_000,
-        };
-        assert_eq!(
-            big.execute_collect_snapshot(&wide),
-            SnapshotCollect::CapExceeded
-        );
-        big.stop();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! - [`holistic`] — adaptive indexing plus the always-on tuning daemon of
 //!   `holix-core`,
 //! - [`sideways`] — cracker maps (selection attribute permuted together with
-//!   projection attributes, after [29]) for the TPC-H comparison,
+//!   projection attributes, after \[29\]) for the TPC-H comparison,
 //! - [`tpch`] — physical plans for TPC-H Q1/Q6/Q12 over four engine kinds.
 //!
 //! All engines answer the same [`api::QueryEngine`] interface and are

@@ -1,4 +1,4 @@
-//! Sideways cracking — cracker maps, after [29] "Self-Organizing Tuple
+//! Sideways cracking — cracker maps, after \[29\] "Self-Organizing Tuple
 //! Reconstruction in Column-Stores" (the adaptive-indexing baseline of the
 //! TPC-H experiment, §5.6).
 //!

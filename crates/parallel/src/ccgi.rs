@@ -1,11 +1,11 @@
 //! mP-CCGI — modified Parallel Chunked Coarse-Granular Index.
 //!
-//! The original P-CCGI ([8]) splits a column into as many position-chunks as
+//! The original P-CCGI (\[8\]) splits a column into as many position-chunks as
 //! threads; the first query range-partitions every chunk into coarse buckets
 //! (the "coarse granular index") and cracks it, each chunk carrying its own
 //! cracker index; later queries crack all chunks in parallel. Because one
 //! value range is then scattered across all chunks, §5.2 extends the
-//! algorithm with *consolidation* (after [31]): the qualifying value ranges
+//! algorithm with *consolidation* (after \[31\]): the qualifying value ranges
 //! are copied into one contiguous array the first time a query needs them,
 //! each range paid for exactly once.
 

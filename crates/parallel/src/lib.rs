@@ -4,7 +4,7 @@
 //! §5.2 of the paper:
 //!
 //! - [`partition`] — parallel partition-and-merge: the kernel behind
-//!   parallel vectorized cracking (Fig 4, from [44]). A piece is sliced,
+//!   parallel vectorized cracking (Fig 4, from \[44\]). A piece is sliced,
 //!   every slice is partitioned by its own thread, and a parallel merge
 //!   swaps the misplaced middle regions into place. The module lives in
 //!   `holix-cracking` (every cracker column reaches it through the one
@@ -16,7 +16,7 @@
 //!   adds one auxiliary random crack per query bound
 //!   ([`holix_cracking::stochastic::select_stochastic`]).
 //! - [`ccgi`] — modified Parallel Chunked Coarse-Granular Index (mP-CCGI,
-//!   from [8] extended with result consolidation as §5.2 describes).
+//!   from \[8\] extended with result consolidation as §5.2 describes).
 
 pub mod ccgi;
 

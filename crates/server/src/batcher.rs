@@ -5,25 +5,22 @@
 //! thrash between cracker columns) and sorted by predicate bounds inside
 //! each group, so consecutive predicates land in already-cracked or
 //! adjacent pieces of the same column. Among queries sharing a lower bound
-//! the *widest* range sorts first, which lines every contained predicate up
-//! directly behind its superset: the dispatcher executes the superset once
-//! and answers exact duplicates by fan-out and strict subsets by
-//! post-filtering the superset's values (containment coalescing).
+//! the *widest* range sorts first. Every query executes once: the order
+//! decides only which crack comes first.
 //!
 //! Ordering is also where a batch is *priced*: a price is a function of
 //! the predicate, so [`order_batch`] asks for one per distinct predicate,
-//! ranks the runs by price class and hands the prices back.
+//! ranks the queries by price class and hands the prices back.
 
 use holix_workloads::QuerySpec;
 
 /// How the dispatcher orders a drained batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduling {
     /// Arrival (FIFO) order — the naive round-robin baseline.
-    #[default]
     Fifo,
-    /// Group per column, sort by bounds (widest-first on ties), coalesce
-    /// duplicate and contained predicates.
+    /// Group per column, sort by bounds (widest-first on ties), cheapest
+    /// price class first.
     CrackAware,
 }
 
@@ -33,16 +30,14 @@ pub enum Scheduling {
 /// cracks — any `u8` ladder works) beside whatever the caller keeps of the
 /// pricing, which comes back per item, aligned with the reordered batch.
 ///
-/// Crack-aware: a stable sort by `(attr, lo, descending hi)` lines every
-/// duplicate up behind its first arrival and every contained predicate
-/// behind its superset; each run of equal predicates is priced at its
-/// head, and a stable sort by class then drains the cheapest work first —
-/// the order of the key `(class, attr, lo, descending hi)`, ties in arrival
-/// order. Across classes a contained subset can separate from an expensive
-/// superset — deliberately: an exact-hit must not wait behind a cold crack
-/// that happens to contain it, and whatever shares its class still
-/// coalesces. FIFO leaves arrival order untouched, never calls `price` and
-/// returns nothing: whoever needs a price there reads it at the head.
+/// Crack-aware: a stable sort by `(attr, lo, descending hi)` lines equal
+/// predicates up behind their first arrival, so each is priced once, at
+/// the first copy; a stable sort by class then drains the cheapest work
+/// first — the order of the key `(class, attr, lo, descending hi)`, ties
+/// in arrival order. An exact-hit never waits behind a cold crack that
+/// happens to contain it. FIFO leaves arrival order untouched, never calls
+/// `price` and returns nothing: the dispatcher prices each query as it
+/// executes, exactly when something reads the price.
 pub fn order_batch<T, P: Clone>(
     batch: &mut Vec<T>,
     scheduling: Scheduling,
@@ -73,40 +68,6 @@ pub fn order_batch<T, P: Clone>(
             payload
         })
         .collect()
-}
-
-/// Length of the run of items at the front of `batch` sharing the first
-/// item's exact predicate (1 when `batch` is non-empty but unsorted order
-/// puts no duplicate first). The dispatcher executes each run once.
-pub fn duplicate_run_len<T>(batch: &[T], spec: impl Fn(&T) -> QuerySpec) -> usize {
-    let Some(first) = batch.first().map(&spec) else {
-        return 0;
-    };
-    batch
-        .iter()
-        .take_while(|item| {
-            let q = spec(item);
-            q.attr == first.attr && q.lo == first.lo && q.hi == first.hi
-        })
-        .count()
-}
-
-/// Length of the run of items at the front of `batch` whose predicates are
-/// *contained* in the first item's range (same attribute, `lo >= first.lo`,
-/// `hi <= first.hi`); exact duplicates count as contained. After the
-/// crack-aware sort the superset of a group comes first, so every member of
-/// the run can be answered from the superset's result.
-pub fn containment_run_len<T>(batch: &[T], spec: impl Fn(&T) -> QuerySpec) -> usize {
-    let Some(first) = batch.first().map(&spec) else {
-        return 0;
-    };
-    batch
-        .iter()
-        .take_while(|item| {
-            let q = spec(item);
-            q.attr == first.attr && q.lo >= first.lo && q.hi <= first.hi
-        })
-        .count()
 }
 
 #[cfg(test)]
@@ -145,8 +106,8 @@ mod tests {
             vec![
                 q(0, 100, 150),
                 q(0, 300, 400),
-                // Same lower bound: the wider range leads so the narrower
-                // one can be answered from its result.
+                // Same lower bound: the wider range leads, and the
+                // narrower one cracks inside the piece it cut.
                 q(1, 100, 200),
                 q(1, 100, 120),
                 q(1, 500, 600),
@@ -163,39 +124,6 @@ mod tests {
             batch.iter().map(|x| x.1).collect::<Vec<_>>(),
             vec!['a', 'b', 'c']
         );
-    }
-
-    #[test]
-    fn duplicate_runs_detected_after_sort() {
-        let mut batch = vec![q(0, 1, 2), q(1, 1, 2), q(0, 1, 2), q(0, 5, 6)];
-        order_batch(&mut batch, Scheduling::CrackAware, |x| *x, flat);
-        assert_eq!(duplicate_run_len(&batch, |x| *x), 2); // two copies of (0,1,2)
-        assert_eq!(duplicate_run_len(&batch[2..], |x| *x), 1);
-        assert_eq!(duplicate_run_len(&batch[3..], |x| *x), 1);
-        assert_eq!(duplicate_run_len::<QuerySpec>(&[], |x| *x), 0);
-    }
-
-    #[test]
-    fn containment_runs_cover_subsets_and_duplicates() {
-        let mut batch = vec![
-            q(0, 10, 20),
-            q(0, 10, 50), // superset of the group
-            q(0, 12, 40),
-            q(0, 10, 50), // exact duplicate of the superset
-            q(0, 60, 70), // disjoint — ends the run
-            q(1, 10, 50), // other attribute — never in the run
-        ];
-        order_batch(&mut batch, Scheduling::CrackAware, |x| *x, flat);
-        assert_eq!(batch[0], q(0, 10, 50));
-        let run = containment_run_len(&batch, |x| *x);
-        assert_eq!(run, 4, "{batch:?}");
-        // Everything in the run is answerable from the superset.
-        for item in &batch[1..run] {
-            assert!(item.lo >= 10 && item.hi <= 50);
-        }
-        // The next run starts at the disjoint predicate.
-        assert_eq!(containment_run_len(&batch[run..], |x| *x), 1);
-        assert_eq!(containment_run_len::<QuerySpec>(&[], |x| *x), 0);
     }
 
     #[test]
@@ -230,8 +158,8 @@ mod tests {
     }
 
     #[test]
-    fn priced_order_keeps_duplicate_runs_adjacent_and_stable() {
-        // Duplicates share a spec, hence a price: they stay one run.
+    fn priced_order_keeps_duplicates_adjacent_and_stable() {
+        // Duplicates share a spec, hence a price: they stay adjacent.
         let price = |q: &QuerySpec| u8::from(q.hi - q.lo > 100);
         let mut batch = vec![
             (q(0, 0, 1_000), 'x'),
@@ -245,7 +173,6 @@ mod tests {
             |x| x.0,
             |q| (price(q), ()),
         );
-        assert_eq!(duplicate_run_len(&batch, |x| x.0), 3);
         assert_eq!(
             batch.iter().map(|x| x.1).collect::<Vec<_>>(),
             vec!['a', 'b', 'c', 'x'],
@@ -276,7 +203,7 @@ mod tests {
         let class = |q: &QuerySpec| ((q.lo + 3 * q.hi + q.attr as i64) % 3) as u8;
         let mut rng = SmallRng::seed_from_u64(23);
         for round in 0..200 {
-            // A small domain, so duplicates and containment are common.
+            // A small domain, so duplicates and nested ranges are common.
             let arrived: Vec<(QuerySpec, usize)> = (0..rng.random_range(0..64))
                 .map(|i| {
                     let lo = rng.random_range(0..6);
@@ -324,16 +251,5 @@ mod tests {
             assert!(none.is_empty());
             assert_eq!(fifo, arrived);
         }
-    }
-
-    #[test]
-    fn containment_run_is_at_least_the_duplicate_run() {
-        let mut batch = vec![q(0, 1, 9), q(0, 1, 9), q(0, 2, 5), q(0, 1, 9)];
-        order_batch(&mut batch, Scheduling::CrackAware, |x| *x, flat);
-        let dup = duplicate_run_len(&batch, |x| *x);
-        let cont = containment_run_len(&batch, |x| *x);
-        assert_eq!(dup, 3);
-        assert_eq!(cont, 4);
-        assert!(cont >= dup);
     }
 }

@@ -38,15 +38,6 @@
 //! columns' own latching keeps that correct; pinning is a contention
 //! optimisation, never a safety invariant.
 //!
-//! ## Containment coalescing
-//!
-//! Under crack-aware scheduling a batch is sorted widest-range-first within
-//! each `(attr, lo)` group; a run of predicates contained in the head's
-//! range executes the head *once* via
-//! [`QueryEngine::execute_collect_snapshot`] and
-//! answers the rest by post-filtering the returned values (exact duplicates
-//! fan the count out directly, as before).
-//!
 //! ## Plan-aware decisions (holix-planner)
 //!
 //! Three decisions consult the engine's plan-time cost estimates
@@ -78,25 +69,28 @@
 //! dispatcher prices a crack-aware batch once, while ordering it
 //! ([`order_batch`]): one estimate per *distinct* predicate, exact-hits
 //! and screened probes draining ahead of expensive cold cracks. That price
-//! is trusted until the run's head executes and serves the cutover, the
+//! is trusted until the query executes and serves the cutover, the
 //! calibrator observation and the trace record alike — with one exception:
 //! a price that promised cracking (neither an exact hit nor screened) is
-//! read again just before its head executes, because an earlier member of
+//! read again just before the query executes, because an earlier member of
 //! the same batch may have cracked the very piece and the calibrator must
 //! not learn from `crack_values` the execution never paid. An exact hit
 //! cannot go stale that way: boundaries are never removed. A FIFO batch is
-//! not ordered, so its heads arrive unpriced and are priced there exactly
-//! when the cutover, the calibrator or the trace reads the price — a
+//! not ordered, so its queries arrive unpriced and are priced exactly when
+//! the cutover, the calibrator or the trace reads the price — a
 //! cost-blind, untraced bed prices nothing.
+//!
+//! Every queued query executes once: the batch is an order, never a
+//! shared answer.
 
-use crate::batcher::{containment_run_len, duplicate_run_len, order_batch, Scheduling};
+use crate::batcher::{order_batch, Scheduling};
 use crate::queue::{AdmissionPolicy, BoundedQueue, SubmitError};
 use crate::session::{MergeState, QueryResult, SessionHandle, SessionRegistry, Ticket};
 use crate::stats::{ServiceStats, StatsSummary};
 use holix_core::cpu::LoadAccountant;
-use holix_engine::api::{ExactAnswer, QueryEngine, SnapshotCollect};
+use holix_engine::api::{ExactAnswer, QueryEngine};
 use holix_planner::{Calibrator, CostModel, PlanCost, QueryPrice, Route};
-use holix_telemetry::{AdmitOutcome, CoalesceKind, QueryTrace, TraceRoute};
+use holix_telemetry::{AdmitOutcome, QueryTrace, TraceRoute};
 use holix_workloads::QuerySpec;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -277,7 +271,7 @@ impl Shared {
     /// the execution was decided on (`None` on a cost-blind path: the
     /// prediction and work columns read 0) and the predicted time is for
     /// the path `route` names. The record is that of a query nobody
-    /// batched — [`trace_run`] fills in the columns a drained run adds.
+    /// batched — the dispatcher fills in the queue wait and batch length.
     fn trace(
         &self,
         spec: &QuerySpec,
@@ -296,7 +290,6 @@ impl Shared {
             admit,
             queue_wait_ns: 0,
             batch_len: 1,
-            coalesce: CoalesceKind::Solo,
             route,
             plan_version: self.engine.plan_version(spec),
             predicted_ns: cost.map_or(0, |c| self.calibrator.predicted_ns(c, taken)),
@@ -547,39 +540,6 @@ impl Session {
     }
 }
 
-/// Completes `run` sinks with per-query counts and shared timing.
-fn complete_run(
-    stats: &ServiceStats,
-    run: &[QueuedQuery],
-    count_of: impl Fn(&QuerySpec) -> u64,
-    service_time: Duration,
-) {
-    for q in run {
-        q.sink
-            .complete(stats, q.enqueued, count_of(&q.spec), service_time);
-    }
-}
-
-/// Records `record` — the head's execution — once per member of a
-/// completed dispatch run, marked by position: the first member is the
-/// execution (`Solo`), later members equal to it rode along as
-/// `Duplicate`s, strict subsets were answered from its values
-/// (`Containment`). Only called with tracing enabled.
-fn trace_run(run: &[QueuedQuery], batch_len: u32, drained: Instant, mut record: QueryTrace) {
-    let ring = holix_telemetry::registry().trace();
-    let head = run[0].spec;
-    record.batch_len = batch_len;
-    for (i, q) in run.iter().enumerate() {
-        record.queue_wait_ns = drained.saturating_duration_since(q.enqueued).as_nanos() as u64;
-        record.coalesce = match i {
-            0 => CoalesceKind::Solo,
-            _ if q.spec == head => CoalesceKind::Duplicate,
-            _ => CoalesceKind::Containment,
-        };
-        ring.record(record);
-    }
-}
-
 fn dispatch_loop(shared: &Shared, queue: &BoundedQueue<QueuedQuery>) {
     use AdmitOutcome::Queued;
     let (stats, calibrator, config) = (&shared.stats, &shared.calibrator, &shared.config);
@@ -613,76 +573,19 @@ fn dispatch_loop(shared: &Shared, queue: &BoundedQueue<QueuedQuery>) {
                 (class, cost)
             },
         );
-        let mut at = 0;
-        while at < batch.len() {
-            let rest = &batch[at..];
-            let head = rest[0].spec;
-            // Outer `None`: FIFO, nobody priced the batch. Inner `None`:
-            // priced, but the engine keeps no plan statistics.
-            let priced: Option<Option<PlanCost>> = prices.get(at).copied();
+        for (i, q) in batch.iter().enumerate() {
+            let spec = q.spec;
             let tracing = holix_telemetry::trace_enabled();
-            // Under crack-aware ordering the widest predicate of a group
-            // leads; FIFO keeps run length 1 unless clients aligned.
-            let (dup, contained) = match config.scheduling {
-                Scheduling::Fifo => (1, 1),
-                Scheduling::CrackAware => (
-                    duplicate_run_len(rest, |q| q.spec),
-                    containment_run_len(rest, |q| q.spec),
-                ),
-            };
-            // Strict subsets behind the head: worth one collect call that
-            // answers the whole containment run by post-filter. The
-            // engine's snapshot collect reads one published snapshot per
-            // touched shard, so materialising the superset holds no
-            // shard's structure lock against concurrent cracks and Ripple
-            // merges. An engine without that path, or a superset past its
-            // copy cap, sends the run to per-query execution.
-            if contained > dup {
-                let t0 = Instant::now();
-                if let SnapshotCollect::Values(values) = engine.execute_collect_snapshot(&head) {
-                    let service_time = t0.elapsed();
-                    stats.record_executed();
-                    stats.record_snapshot_run();
-                    let superset_count = values.len() as u64;
-                    for q in &rest[..contained] {
-                        if q.spec != head {
-                            stats.record_containment();
-                        }
-                    }
-                    complete_run(
-                        stats,
-                        &rest[..contained],
-                        |spec| {
-                            if *spec == head {
-                                superset_count
-                            } else {
-                                values
-                                    .iter()
-                                    .filter(|&&v| spec.lo <= v && v < spec.hi)
-                                    .count() as u64
-                            }
-                        },
-                        service_time,
-                    );
-                    if tracing {
-                        let (cost, route) = (priced.flatten(), TraceRoute::Snapshot);
-                        let record =
-                            shared.trace(&head, Queued, route, cost.as_ref(), service_time);
-                        trace_run(&rest[..contained], batch_len, drained, record);
-                    }
-                    at += contained;
-                    continue;
-                }
-            }
-            // Plain path: execute the head once, fan the count out to the
-            // exact-duplicate run. The price the batch was ordered by is
-            // the price here, unless it promised cracking — then an earlier
-            // run may have cracked its piece and it is read again (module
-            // header). FIFO heads arrive unpriced and pay only when read.
+            // The price the batch was ordered by is the price here, unless
+            // it promised cracking — then an earlier query may have cracked
+            // its piece and it is read again (module header). Outer
+            // `None`: FIFO, nobody priced the batch, and the query pays
+            // only when the price is read. Inner `None`: priced, but the
+            // engine keeps no plan statistics.
             let t0 = Instant::now();
-            let est = match priced {
+            let est = match prices.get(i).copied() {
                 Some(p) if p.is_none_or(|c| c.exact_hit || c.screened) => p,
-                _ if config.cutover || config.calibration || tracing => engine.estimate_cost(&head),
+                _ if config.cutover || config.calibration || tracing => engine.estimate_cost(&spec),
                 _ => None,
             };
             // The snapshot/locked cutover: a read-only query routes
@@ -696,14 +599,14 @@ fn dispatch_loop(shared: &Shared, queue: &BoundedQueue<QueuedQuery>) {
             // fall back to the locked crack, and the calibrator must
             // attribute the measured time to the path that produced it.
             let (count, taken) = match route {
-                Route::Snapshot => match engine.execute_snapshot(&head) {
+                Route::Snapshot => match engine.execute_snapshot(&spec) {
                     Some((count, _)) => {
                         stats.record_snapshot_cutover();
                         (count, Route::Snapshot)
                     }
-                    None => (engine.execute(&head), Route::Locked),
+                    None => (engine.execute(&spec), Route::Locked),
                 },
-                Route::Locked => (engine.execute(&head), Route::Locked),
+                Route::Locked => (engine.execute(&spec), Route::Locked),
             };
             let service_time = t0.elapsed();
             if config.calibration {
@@ -712,17 +615,20 @@ fn dispatch_loop(shared: &Shared, queue: &BoundedQueue<QueuedQuery>) {
                 }
             }
             stats.record_executed();
-            complete_run(stats, &rest[..dup], |_| count, service_time);
+            q.sink.complete(stats, q.enqueued, count, service_time);
             if tracing {
                 let route = match taken {
                     Route::Snapshot => TraceRoute::Snapshot,
                     Route::Locked if est.is_some_and(|c| c.screened) => TraceRoute::Screened,
                     Route::Locked => TraceRoute::Locked,
                 };
-                let record = shared.trace(&head, Queued, route, est.as_ref(), service_time);
-                trace_run(&rest[..dup], batch_len, drained, record);
+                let record = QueryTrace {
+                    queue_wait_ns: drained.saturating_duration_since(q.enqueued).as_nanos() as u64,
+                    batch_len,
+                    ..shared.trace(&spec, Queued, route, est.as_ref(), service_time)
+                };
+                holix_telemetry::registry().trace().record(record);
             }
-            at += dup;
         }
         stats.record_busy(drained.elapsed());
     }
@@ -779,103 +685,6 @@ mod tests {
             assert_eq!(summary.rejected, 0);
             assert!(summary.p50 <= summary.p95 && summary.p95 <= summary.p99);
         }
-    }
-
-    #[test]
-    fn crack_aware_coalesces_duplicate_predicates() {
-        let (data, eng) = engine(20_000, 1_000);
-        let service = QueryService::start(
-            eng,
-            None,
-            ServiceConfig {
-                workers: 1,
-                scheduling: Scheduling::CrackAware,
-                batch_max: 128,
-                ..ServiceConfig::default()
-            },
-        );
-        let session = service.session();
-        let q = QuerySpec {
-            attr: 0,
-            lo: 100,
-            hi: 300,
-        };
-        // Submit 32 identical queries before any dispatcher can finish the
-        // first: they land in one batch and execute once or a few times.
-        let tickets: Vec<Ticket> = (0..32).map(|_| session.submit(q).unwrap()).collect();
-        let expect = oracle(&data, &q);
-        for t in &tickets {
-            assert_eq!(t.wait().count, expect);
-        }
-        let summary = service.shutdown();
-        assert_eq!(summary.completed, 32);
-        assert!(
-            summary.executed < 32,
-            "no coalescing happened (executed={})",
-            summary.executed
-        );
-    }
-
-    #[test]
-    fn containment_coalescing_answers_subsets_from_the_superset() {
-        // Holistic engine: supports execute_collect_snapshot. One worker,
-        // one batch: a superset plus strict subsets must produce
-        // containment hits and exact answers.
-        let data = Dataset::new(uniform_table(1, 30_000, 10_000, 9));
-        let mut cfg = HolisticEngineConfig::split_half(2);
-        cfg.holistic.monitor_interval = Duration::from_millis(50);
-        let eng = Arc::new(HolisticEngine::new(data.clone(), cfg));
-        let service = QueryService::start(
-            Arc::clone(&eng) as Arc<dyn QueryEngine>,
-            None,
-            ServiceConfig {
-                workers: 1,
-                scheduling: Scheduling::CrackAware,
-                batch_max: 128,
-                ..ServiceConfig::default()
-            },
-        );
-        let session = service.session();
-        let superset = QuerySpec {
-            attr: 0,
-            lo: 1_000,
-            hi: 9_000,
-        };
-        let subsets: Vec<QuerySpec> = (0..8)
-            .map(|i| QuerySpec {
-                attr: 0,
-                lo: 1_000 + i * 500,
-                hi: 9_000 - i * 500,
-            })
-            .collect();
-        // Burst-submit so everything lands in one drained batch.
-        let mut tickets = vec![(superset, session.submit(superset).unwrap())];
-        for &s in &subsets {
-            tickets.push((s, session.submit(s).unwrap()));
-        }
-        for (q, t) in &tickets {
-            assert_eq!(t.wait().count, oracle(&data, q), "{q:?}");
-        }
-        let summary = service.shutdown();
-        eng.stop();
-        assert_eq!(summary.completed, 9);
-        assert!(
-            summary.containment > 0,
-            "no containment hits (executed={} containment={})",
-            summary.executed,
-            summary.containment
-        );
-        assert!(
-            summary.executed < 9,
-            "containment did not save executions (executed={})",
-            summary.executed
-        );
-        assert!(
-            summary.snapshot_runs > 0,
-            "holistic containment run did not use the snapshot ticket \
-             (snapshot_runs={})",
-            summary.snapshot_runs
-        );
     }
 
     #[test]
@@ -1020,51 +829,6 @@ mod tests {
         assert_eq!(summary.decomposed, 1, "the fresh span was not split");
         assert!(summary.decomposed_parts >= 2);
         assert_eq!(summary.completed, 2);
-    }
-
-    #[test]
-    fn duplicate_point_probes_coalesce_in_the_batcher() {
-        // Point-heavy clients repeat the same equality probes; the
-        // crack-aware batcher must coalesce identical unit ranges into one
-        // engine execution exactly like duplicate range predicates.
-        let base: Vec<i64> = (0..30_000).map(|i| (i % 10_000) * 2).collect();
-        // One drained batch: once the first probe built the filter and
-        // cracked the bounds, a submitted repeat would answer inline.
-        let data = Dataset::new(vec![base]);
-        let mut cfg = HolisticEngineConfig::split_half(2);
-        cfg.holistic.monitor_interval = Duration::from_millis(50);
-        let eng = Arc::new(HolisticEngine::new(data, cfg));
-        let absent = QuerySpec {
-            attr: 0,
-            lo: 4_001, // odd → provably absent
-            hi: 4_002,
-        };
-        let present = QuerySpec {
-            attr: 0,
-            lo: 4_000,
-            hi: 4_001,
-        };
-        let specs: Vec<QuerySpec> = (0..32)
-            .map(|i| if i % 2 == 0 { absent } else { present })
-            .collect();
-        let (counts, summary) = dispatch_one_batch(
-            Arc::clone(&eng) as Arc<dyn QueryEngine>,
-            ServiceConfig {
-                scheduling: Scheduling::CrackAware,
-                batch_max: 128,
-                ..ServiceConfig::default()
-            },
-            &specs,
-        );
-        eng.stop();
-        let want: Vec<u64> = (0..32).map(|i| if i % 2 == 0 { 0 } else { 3 }).collect();
-        assert_eq!(counts, want);
-        assert_eq!(summary.completed, 32);
-        assert!(
-            summary.executed < 32,
-            "duplicate point probes were not coalesced (executed={})",
-            summary.executed
-        );
     }
 
     #[test]
@@ -1267,11 +1031,10 @@ mod tests {
         // The ring is global, but the marker's attribute is ours alone:
         // its record must be present with a full lifecycle attached.
         let traces = traces_since(watermark, 2);
-        let t = traces
+        traces
             .iter()
             .find(|t| t.admit == AdmitOutcome::Queued && t.actual_ns > 0 && t.batch_len >= 1)
             .expect("no queued lifecycle trace was recorded");
-        assert_eq!(t.coalesce, CoalesceKind::Solo);
     }
 
     /// Forwards to a holistic engine and counts the plan-time estimates
@@ -1330,9 +1093,6 @@ mod tests {
         fn execute_snapshot(&self, q: &QuerySpec) -> Option<(u64, i128)> {
             self.inner.execute_snapshot(q)
         }
-        fn execute_collect_snapshot(&self, q: &QuerySpec) -> SnapshotCollect {
-            self.inner.execute_collect_snapshot(q)
-        }
         fn estimate_cost(&self, q: &QuerySpec) -> Option<PlanCost> {
             self.estimates
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -1342,8 +1102,9 @@ mod tests {
 
     /// Queues `specs` on a fresh service's one queue, closes it and runs a
     /// dispatcher on this thread: exactly one drained batch, whatever the
-    /// scheduler does. Returns the counts, in submission order, and the
-    /// service statistics.
+    /// scheduler does. The queries are stamped one microsecond apart in
+    /// submission order, so each waited a different time. Returns the
+    /// counts, in submission order, and the service statistics.
     fn dispatch_one_batch(
         engine: Arc<dyn QueryEngine>,
         config: ServiceConfig,
@@ -1351,14 +1112,16 @@ mod tests {
     ) -> (Vec<u64>, StatsSummary) {
         assert!(specs.len() <= config.batch_max.min(config.queue_capacity));
         let shared = Shared::new(engine, None, config);
+        let start = Instant::now();
         let tickets: Vec<Ticket> = specs
             .iter()
-            .map(|&spec| {
+            .enumerate()
+            .map(|(i, &spec)| {
                 let ticket = Ticket::new();
                 let queued = QueuedQuery {
                     spec,
                     sink: Sink::Direct(ticket.clone()),
-                    enqueued: Instant::now(),
+                    enqueued: start - Duration::from_micros((specs.len() - i) as u64),
                 };
                 assert!(shared.queues[0].push(queued).is_ok());
                 ticket
@@ -1398,13 +1161,13 @@ mod tests {
             assert_eq!(count, oracle(&data, q), "{q:?}");
         }
         // One estimate per distinct predicate orders the batch, and each
-        // exact-hit head reuses it for the cutover: not one per member
-        // plus one per head.
+        // exact-hit query reuses it for the cutover: not one per member
+        // plus one per execution.
         assert_eq!(eng.estimates(), 3);
     }
 
     #[test]
-    fn a_cracking_head_is_priced_again_before_it_executes() {
+    fn a_cracking_query_is_priced_again_before_it_executes() {
         let data = Dataset::new(uniform_table(1, 30_000, 10_000, 73));
         let eng = Counting::over(&data);
         let hot = [window(0, 1_000), window(0, 4_000)];
@@ -1432,9 +1195,10 @@ mod tests {
         for (q, count) in specs.iter().zip(counts) {
             assert_eq!(count, oracle(&data, q), "{q:?}");
         }
-        // Five distinct predicates order the batch; the three whose price
-        // promised cracking are read again at their heads.
-        assert_eq!(eng.estimates(), 5 + 3);
+        // Five distinct predicates order the batch; the twelve queries
+        // whose price promised cracking are each read again as they
+        // execute.
+        assert_eq!(eng.estimates(), 5 + 12);
     }
 
     #[test]
@@ -1465,73 +1229,63 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_members_are_traced_by_their_position_in_the_run() {
+    fn every_queued_query_executes_once_and_leaves_its_own_trace() {
         let _serial = TRACING.lock().unwrap_or_else(|e| e.into_inner());
         let data = Dataset::new(uniform_table(4, 20_000, 10_000, 83));
-        let eng = Counting::over(&data);
-        let engine = || Arc::clone(&eng) as Arc<dyn QueryEngine>;
-        let superset = QuerySpec {
+        let mut cfg = HolisticEngineConfig::split_half(2);
+        cfg.holistic.monitor_interval = Duration::from_millis(50);
+        let eng = Arc::new(HolisticEngine::new(data.clone(), cfg));
+        // The shapes one batch used to answer from a single execution:
+        // exact duplicates of a wide range, strict subsets of it, and
+        // repeated point probes.
+        let wide = QuerySpec {
             attr: 3,
             lo: 2_000,
             hi: 6_000,
         };
-        let subset = QuerySpec {
+        let mut specs = vec![wide; 4];
+        specs.extend((1..5).map(|i| QuerySpec {
             attr: 3,
-            lo: 3_000,
-            hi: 5_000,
-        };
-        let ring = holix_telemetry::registry().trace();
+            lo: 2_000 + i * 300,
+            hi: 6_000 - i * 300,
+        }));
+        for v in [3_333, 4_444, 3_333, 4_444] {
+            specs.push(QuerySpec {
+                attr: 3,
+                lo: v,
+                hi: v + 1,
+            });
+        }
+        let watermark = holix_telemetry::registry().trace().recorded();
         holix_telemetry::set_trace_enabled(true);
-
-        // Four identical submissions, one batch: one execution, three
-        // members riding along.
-        let watermark = ring.recorded();
-        let (counts, _) = dispatch_one_batch(engine(), ServiceConfig::default(), &[superset; 4]);
-        assert_eq!(counts, vec![oracle(&data, &superset); 4]);
-        let traces = traces_since(watermark, 3);
-        let kinds: Vec<CoalesceKind> = traces.iter().map(|t| t.coalesce).collect();
-        assert_eq!(
-            kinds,
-            [
-                CoalesceKind::Solo,
-                CoalesceKind::Duplicate,
-                CoalesceKind::Duplicate,
-                CoalesceKind::Duplicate
-            ]
-        );
-        assert!(traces[0].actual_ns > 0);
-        assert!(traces.iter().all(|t| t.actual_ns == traces[0].actual_ns));
-
-        // A superset, a strict subset and a repeat of the superset: the
-        // repeat is a duplicate of the head, the subset was post-filtered.
-        let watermark = ring.recorded();
-        let (counts, _) = dispatch_one_batch(
-            engine(),
-            ServiceConfig::default(),
-            &[superset, subset, superset],
+        let (counts, summary) = dispatch_one_batch(
+            Arc::clone(&eng) as Arc<dyn QueryEngine>,
+            ServiceConfig {
+                workers: 1,
+                scheduling: Scheduling::CrackAware,
+                ..ServiceConfig::default()
+            },
+            &specs,
         );
         holix_telemetry::set_trace_enabled(false);
-        eng.inner.stop();
-        assert_eq!(
-            counts,
-            [
-                oracle(&data, &superset),
-                oracle(&data, &subset),
-                oracle(&data, &superset)
-            ]
-        );
-        let kinds: Vec<CoalesceKind> = traces_since(watermark, 3)
-            .iter()
-            .map(|t| t.coalesce)
-            .collect();
-        assert_eq!(
-            kinds,
-            [
-                CoalesceKind::Solo,
-                CoalesceKind::Duplicate,
-                CoalesceKind::Containment
-            ]
-        );
+        eng.stop();
+        for (q, count) in specs.iter().zip(counts) {
+            assert_eq!(count, oracle(&data, q), "{q:?}");
+        }
+        let n = specs.len() as u64;
+        assert_eq!((summary.completed, summary.executed), (n, n));
+        assert_eq!(summary.containment, 0);
+        // One record per queued query, each with its own queue wait.
+        let traces = traces_since(watermark, 3);
+        assert_eq!(traces.len(), specs.len(), "{traces:?}");
+        let mut waits: Vec<u64> = traces.iter().map(|t| t.queue_wait_ns).collect();
+        waits.sort_unstable();
+        waits.dedup();
+        assert_eq!(waits.len(), specs.len(), "two queries shared a wait");
+        for t in &traces {
+            assert_eq!((t.admit, t.batch_len), (AdmitOutcome::Queued, n as u32));
+            assert!(t.actual_ns > 0, "{t:?}");
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub fn run_clients_with(
             // FIFO drains one query per dispatcher pass, keeping the
             // engine-level concurrency identical to the old round-robin
             // harness (every in-flight query on its own thread). Crack-aware
-            // needs multi-query batches to reorder/coalesce at all, trading
-            // some dispatch concurrency for batching.
+            // needs multi-query batches to reorder at all, trading some
+            // dispatch concurrency for batching.
             batch_max: match scheduling {
                 Scheduling::Fifo => 1,
                 Scheduling::CrackAware => (clients / 2).max(2),
@@ -137,7 +137,7 @@ mod tests {
 
             // Every answer on the *concurrent* path must equal the scan
             // oracle — four racing sessions, identical predicates, so
-            // crack-aware coalescing is exercised under contention too.
+            // crack-aware batches of duplicates run under contention too.
             let service = QueryService::start(
                 Arc::clone(&engine),
                 None,

@@ -11,9 +11,9 @@
 //!   submitting client (closed-loop backpressure); nothing is shed.
 //! - [`batcher`] — crack-aware batch ordering: queries are grouped per
 //!   column and sorted by predicate bounds (widest range first on ties) so
-//!   consecutive predicates land in already-cracked or adjacent pieces;
-//!   duplicate predicates coalesce and contained predicates are answered
-//!   from their batched superset's post-filtered values.
+//!   consecutive predicates land in already-cracked or adjacent pieces,
+//!   and priced once per distinct predicate so cheap work drains first;
+//!   each query executes once.
 //! - [`dispatcher`] — the worker pool draining the queue(s), executing
 //!   against any [`holix_engine::api::QueryEngine`], and registering its
 //!   thread usage with the [`holix_core::cpu::LoadAccountant`] so the

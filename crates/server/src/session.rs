@@ -3,8 +3,8 @@
 //! Every connected client holds a [`SessionHandle`] from the shared
 //! [`SessionRegistry`]; each accepted query yields a [`Ticket`] the client
 //! blocks on (or polls) for the answer. Tickets decouple submission from
-//! execution so the dispatcher can reorder and coalesce queries without the
-//! client noticing anything but lower latency.
+//! execution so the dispatcher can reorder queries without the client
+//! noticing anything but lower latency.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -81,7 +81,8 @@ pub struct QueryResult {
     pub count: u64,
     /// End-to-end latency: submission to completion (queueing + service).
     pub latency: Duration,
-    /// Engine execution time alone (shared across coalesced duplicates).
+    /// Engine execution time alone (summed over the parts of a decomposed
+    /// query).
     pub service_time: Duration,
 }
 

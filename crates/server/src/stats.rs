@@ -2,9 +2,9 @@
 //!
 //! The dispatcher records one end-to-end latency sample (enqueue →
 //! completion) per query it drains, a session one (submit → answer) per
-//! exact hit it answered inline, plus counters for submissions, coalescing,
-//! routing and engine executions; [`StatsSummary`] condenses them into the sustained-QPS and
-//! tail-latency numbers the service harnesses print.
+//! exact hit it answered inline, plus counters for submissions, routing
+//! and engine executions; [`StatsSummary`] condenses them into the
+//! sustained-QPS and tail-latency numbers the service harnesses print.
 //!
 //! ## Registry-backed
 //!
@@ -21,7 +21,7 @@
 //!
 //! Harnesses interleave measured repetitions across service beds, so a
 //! summary must cover *one rep window*, not the service's lifetime —
-//! cumulative containment/snapshot counters would make later reps look
+//! cumulative cutover/inline counters would make later reps look
 //! better than earlier ones. [`ServiceStats::reset_window`] snapshots every
 //! counter as the new baseline and starts a fresh latency window;
 //! [`ServiceStats::summary`] reports counters relative to that baseline.
@@ -75,16 +75,9 @@ macro_rules! counters {
 counters! {
     submitted,
     completed,
-    /// Engine executions performed. Crack-aware batching coalesces
-    /// duplicate predicates inside a batch, so this can be below
-    /// `completed`.
+    /// Engine executions performed: one per queued query or decomposed
+    /// part, one per inline answer.
     executed,
-    /// Queries answered by post-filtering a batched superset's values
-    /// (containment coalescing) — strict subsets only.
-    containment,
-    /// Containment runs served through the engine's lock-free snapshot
-    /// collect path instead of the shard-locking collect.
-    snapshot_runs,
     /// Whole read-only queries the dispatcher routed through
     /// `execute_snapshot` because the cost model's snapshot/locked
     /// cutover said the snapshot's edge pieces beat the locked crack.
@@ -152,29 +145,9 @@ impl ServiceStats {
         self.live.submitted.inc();
     }
 
-    /// Records one engine execution (which may answer several queries).
+    /// Records one engine execution.
     pub fn record_executed(&self) {
         self.live.executed.inc();
-    }
-
-    /// Records a query answered by post-filtering a superset's result.
-    pub fn record_containment(&self) {
-        self.live.containment.inc();
-    }
-
-    /// Containment-coalesced queries over the service lifetime.
-    pub fn containment(&self) -> u64 {
-        self.live.containment.get()
-    }
-
-    /// Records a containment run answered from a snapshot (lock-free) read.
-    pub fn record_snapshot_run(&self) {
-        self.live.snapshot_runs.inc();
-    }
-
-    /// Snapshot-served containment runs over the service lifetime.
-    pub fn snapshot_runs(&self) -> u64 {
-        self.live.snapshot_runs.get()
     }
 
     /// Records a spanning query cut into `parts` per-shard sub-queries.
@@ -277,8 +250,7 @@ impl ServiceStats {
             completed,
             rejected: 0,
             executed: windowed(&self.live.executed, &self.window.executed),
-            containment: windowed(&self.live.containment, &self.window.containment),
-            snapshot_runs: windowed(&self.live.snapshot_runs, &self.window.snapshot_runs),
+            containment: 0,
             snapshot_cutover: windowed(&self.live.snapshot_cutover, &self.window.snapshot_cutover),
             decomposed: windowed(&self.live.decomposed, &self.window.decomposed),
             decomposed_parts: windowed(&self.live.decomposed_parts, &self.window.decomposed_parts),
@@ -309,13 +281,13 @@ pub struct StatsSummary {
     pub completed: u64,
     /// Always 0 (the service never sheds); the benchmark still reports it.
     pub rejected: u64,
-    /// Engine executions (≤ completed when batching coalesces duplicates).
+    /// Engine executions: one per queued query and one per inline answer,
+    /// so equal to `completed` until decomposition splits a query, whose
+    /// parts execute one each and make it exceed `completed`.
     pub executed: u64,
-    /// Queries answered from a batched superset's post-filtered values.
+    /// Always 0 (every queued query executes on its own); the benchmark
+    /// still reports it.
     pub containment: u64,
-    /// Containment runs whose superset was materialised through the
-    /// engine's lock-free snapshot read path.
-    pub snapshot_runs: u64,
     /// Whole read-only queries routed through `execute_snapshot` by the
     /// cost model's snapshot/locked cutover.
     pub snapshot_cutover: u64,
@@ -395,13 +367,12 @@ mod tests {
             stats.record_executed();
             stats.record_completed(ms(i));
         }
-        stats.record_containment();
         let s = stats.summary(Duration::from_secs(2));
         assert_eq!(s.submitted, 10);
         assert_eq!(s.completed, 10);
         assert_eq!(s.rejected, 0);
         assert_eq!(s.executed, 10);
-        assert_eq!(s.containment, 1);
+        assert_eq!(s.containment, 0);
         assert!((s.qps - 5.0).abs() < 1e-9);
         assert_close(s.p50, ms(5));
         assert_eq!(s.max, ms(10), "window max is exact, not bucketed");
@@ -421,8 +392,6 @@ mod tests {
         stats.record_submitted();
         stats.record_executed();
         stats.record_completed(ms(3));
-        stats.record_containment();
-        stats.record_snapshot_run();
         stats.record_decomposed(4);
         stats.record_decomp_inline();
         stats.record_busy(ms(2));
@@ -430,15 +399,7 @@ mod tests {
         stats.record_inline();
         let s = stats.summary(Duration::from_secs(1));
         assert_eq!(s.screened_inline, 1);
-        assert_eq!(
-            (
-                s.containment,
-                s.snapshot_runs,
-                s.decomposed,
-                s.decomposed_parts
-            ),
-            (1, 1, 1, 4)
-        );
+        assert_eq!((s.executed, s.decomposed, s.decomposed_parts), (1, 1, 4));
         assert_eq!(s.snapshot_cutover, 1);
         assert_eq!(s.busy_ns, ms(2).as_nanos() as u64);
 
@@ -448,8 +409,7 @@ mod tests {
         stats.reset_window();
         let s = stats.summary(Duration::from_secs(1));
         assert_eq!(s.completed, 0);
-        assert_eq!(s.containment, 0);
-        assert_eq!(s.snapshot_runs, 0);
+        assert_eq!(s.executed, 0);
         assert_eq!(s.decomposed, 0);
         assert_eq!(s.snapshot_cutover, 0);
         assert_eq!(s.screened_inline, 0);
@@ -457,13 +417,13 @@ mod tests {
         assert_eq!(s.p50, Duration::ZERO);
         assert_eq!(s.max, Duration::ZERO);
         assert_eq!(stats.completed(), 1, "lifetime totals survive the reset");
-        assert_eq!(stats.containment(), 1);
+        assert_eq!(stats.submitted(), 1);
 
         // Work in the new window counts from the fresh baseline.
         stats.record_completed(ms(7));
-        stats.record_containment();
+        stats.record_executed();
         let s = stats.summary(Duration::from_secs(1));
-        assert_eq!((s.completed, s.containment), (1, 1));
+        assert_eq!((s.completed, s.executed), (1, 1));
         assert_close(s.p50, ms(7));
         assert_eq!(s.max, ms(7));
     }

@@ -1,5 +1,5 @@
 //! Parallel sort — stand-in for the NUMA-aware m-way sort the paper uses for
-//! its offline/online indexing baselines ([9] in the paper).
+//! its offline/online indexing baselines (\[9\] in the paper).
 //!
 //! Strategy: split into `threads` chunks, sort each chunk in its own thread,
 //! then merge pairs of sorted runs in parallel passes (log₂ passes over a

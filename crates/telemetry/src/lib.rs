@@ -17,7 +17,7 @@
 //!   `reset_window`/`summary` discipline of `ServiceStats`.
 //! - [`TraceRing`] — bounded lock-free (seqlock-slotted) ring of
 //!   [`QueryTrace`] records: one per query lifecycle, carrying admit
-//!   decision, queue wait, batch/coalesce context, route taken, plan
+//!   decision, queue wait, batch context, route taken, plan
 //!   version and the predicted-vs-actual `PlanCost` residual.
 //! - [`Registry`] — the process-wide name → instrument map behind
 //!   [`registry()`], with a Prometheus-style text [`Registry::expose`]
@@ -42,7 +42,7 @@ pub mod trace;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, FloatGauge, Gauge};
 pub use registry::{registry, Registry};
-pub use trace::{AdmitOutcome, CoalesceKind, QueryTrace, TraceRing, TraceRoute};
+pub use trace::{AdmitOutcome, QueryTrace, TraceRing, TraceRoute};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

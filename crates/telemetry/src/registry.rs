@@ -180,7 +180,6 @@ mod tests {
             admit: crate::AdmitOutcome::Queued,
             queue_wait_ns: 1,
             batch_len: 1,
-            coalesce: crate::CoalesceKind::Solo,
             route: crate::TraceRoute::Locked,
             plan_version: 0,
             predicted_ns: 0,

@@ -1,7 +1,7 @@
 //! Bounded lock-free per-query trace ring.
 //!
 //! One [`QueryTrace`] per query lifecycle: admit outcome → queue wait →
-//! batch/coalesce → route taken → crack/decode estimate → completion, with
+//! batch → route taken → crack/decode estimate → completion, with
 //! the shard-plan version and the predicted-vs-actual `PlanCost` residual
 //! attached. The ring is a fixed array of seqlock slots: a writer claims a
 //! ticket with one `fetch_add`, marks the slot's sequence odd, copies the
@@ -22,17 +22,6 @@ pub enum AdmitOutcome {
     /// point probe) answered at submit, or a decomposed part that met a
     /// closing queue.
     Inline,
-}
-
-/// How batching disposed of the query relative to its batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoalesceKind {
-    /// Executed on its own.
-    Solo,
-    /// Duplicate predicate answered by another run in the batch.
-    Duplicate,
-    /// Contained predicate answered by post-filtering a superset run.
-    Containment,
 }
 
 /// Which execution path served the query.
@@ -60,8 +49,6 @@ pub struct QueryTrace {
     pub queue_wait_ns: u64,
     /// Queries drained in the same batch.
     pub batch_len: u32,
-    /// Batch coalescing outcome.
-    pub coalesce: CoalesceKind,
     /// Execution route taken.
     pub route: TraceRoute,
     /// Shard-plan version the query executed against.
@@ -89,7 +76,6 @@ const EMPTY: QueryTrace = QueryTrace {
     admit: AdmitOutcome::Queued,
     queue_wait_ns: 0,
     batch_len: 0,
-    coalesce: CoalesceKind::Solo,
     route: TraceRoute::Locked,
     plan_version: 0,
     predicted_ns: 0,

@@ -2,8 +2,8 @@
 //!
 //! Demonstrates the `holix-server` layer end-to-end: per-worker admission
 //! queues with shard-affine routing over a 4-shard holistic engine,
-//! crack-aware batching (per-column grouping + bound ordering + duplicate
-//! and containment coalescing), and the holistic daemon reacting to the
+//! crack-aware batching (per-column grouping, bound ordering and pricing),
+//! exact hits answered at submit, and the holistic daemon reacting to the
 //! service's load through the shared accountant.
 //!
 //! ```bash
@@ -91,9 +91,8 @@ fn main() {
     let summary = service.shutdown();
 
     println!(
-        "completed {} queries ({} engine executions after coalescing, \
-         {} answered from a batched superset), 0 rejected",
-        summary.completed, summary.executed, summary.containment
+        "completed {} queries ({} engine executions, {} answered at submit), 0 rejected",
+        summary.completed, summary.executed, summary.screened_inline
     );
     println!(
         "sustained {:.0} QPS | latency p50 {:?} p95 {:?} p99 {:?}",

@@ -75,14 +75,13 @@ fn main() {
     println!("\n--- last per-query lifecycle traces ---");
     for t in holix::telemetry::registry().trace().recent(5) {
         println!(
-            "#{} attr={} admit={:?} wait={}ns batch={} coalesce={:?} route={:?} \
+            "#{} attr={} admit={:?} wait={}ns batch={} route={:?} \
              plan_v{} predicted={}ns actual={}ns residual={}ns",
             t.seq,
             t.attr,
             t.admit,
             t.queue_wait_ns,
             t.batch_len,
-            t.coalesce,
             t.route,
             t.plan_version,
             t.predicted_ns,

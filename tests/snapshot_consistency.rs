@@ -241,10 +241,9 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
         scan.sum,
         base_full.sum + (M as i128 - d) * VB as i128 + i * VA as i128
     );
-    // Collect agrees with the final multiset too.
-    let mut got = Vec::new();
-    col.snapshot_collect(full, &mut scratch, &mut got);
-    assert_eq!(got.len() as u64, scan.count);
+    // The published pieces hold the final multiset too.
+    let plain = snapshot_values(&col);
+    assert_eq!(plain.len() as u64, scan.count);
 
     // Morph to fixpoint: every remaining encodable plain piece flips to
     // its compressed form, and the compressed snapshot must keep
@@ -268,15 +267,29 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
     );
     let rescan = col.snapshot_scan(full, &mut scratch);
     assert_eq!((rescan.count, rescan.sum), (scan.count, scan.sum));
-    let mut regot = Vec::new();
-    col.snapshot_collect(full, &mut scratch, &mut regot);
-    got.sort_unstable();
-    regot.sort_unstable();
-    assert_eq!(got, regot, "compressed collect diverged from plain collect");
+    assert_eq!(
+        snapshot_values(&col),
+        plain,
+        "the compressed pieces decode to another multiset than the plain ones"
+    );
 
     for k in 0..col.shard_count() {
         col.shard(k).check_invariants(None);
     }
+}
+
+/// Every value of every shard's published snapshot, decoded piece by
+/// piece, in sorted order.
+fn snapshot_values(col: &ShardedColumn<i64>) -> Vec<i64> {
+    let mut values = Vec::new();
+    for k in 0..col.shard_count() {
+        let snap = col.shard(k).snapshot().expect("a scan published it");
+        for piece in snap.pieces() {
+            piece.for_each(|v| values.push(v));
+        }
+    }
+    values.sort_unstable();
+    values
 }
 
 #[test]
