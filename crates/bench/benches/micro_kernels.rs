@@ -402,12 +402,12 @@ fn bench_shard_rebuild(c: &mut Criterion) {
         let lo = plan.cuts()[0] + 1_000;
         let pred = Predicate::range(lo, lo + ROWS as i64 / 250);
         let resident: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan);
-        resident.admit(1, 1, |fresh| vec![(); fresh.len()]);
+        resident.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
         g.bench_function(name, |b| {
             let mut scratch = CrackScratch::new();
             let rebuild = |scratch: &mut CrackScratch<i64>| {
                 let col = resident.vacated(&[1]);
-                col.admit(1, 1, |fresh| vec![(); fresh.len()]);
+                col.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
                 let stats = col.select_verified(pred, scratch).1;
                 (col, stats)
             };
@@ -445,7 +445,7 @@ fn bench_row_ids(c: &mut Criterion) {
                 || {
                     let col: ShardedColumn<i64> =
                         ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
-                    col.admit(1, 1, |fresh| vec![(); fresh.len()]);
+                    col.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
                     // Equi-width pivots, halving: every crack splits a piece
                     // in two.
                     let mut step = pieces;
@@ -527,23 +527,36 @@ fn bench_first_touch(c: &mut Criterion) {
             (vals, rows)
         })
     });
-    g.bench_function("coarse_build_then_crack", |b| {
-        let mut scratch = CrackScratch::new();
-        let pred = Predicate::range(lo, hi);
-        let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
-        col.admit(0, col.shard_count() - 1, |fresh| vec![(); fresh.len()]);
-        assert_eq!(
-            col.select_verified(pred, &mut scratch).1,
-            scan_stats(&base, pred),
-            "the streamed build answers its first query wrongly"
-        );
-        b.iter(|| {
-            let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
-            col.admit(0, col.shard_count() - 1, |fresh| vec![(); fresh.len()]);
-            black_box(col.select_verified(pred, &mut scratch));
-            col
-        })
-    });
+    // The coarse build on the caller alone, and on the caller plus one
+    // helper (what a first touch gangs on a 2-context machine with the
+    // daemon's context idle).
+    for (name, threads) in [
+        ("coarse_build_then_crack", 1),
+        ("coarse_build_then_crack_2_threads", 2),
+    ] {
+        g.bench_function(name, |b| {
+            let mut scratch = CrackScratch::new();
+            let pred = Predicate::range(lo, hi);
+            let build = || {
+                let col: ShardedColumn<i64> =
+                    ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
+                col.admit(0, col.shard_count() - 1, threads, |fresh| {
+                    vec![(); fresh.len()]
+                });
+                col
+            };
+            assert_eq!(
+                build().select_verified(pred, &mut scratch).1,
+                scan_stats(&base, pred),
+                "the streamed build on {threads} threads answers its first query wrongly"
+            );
+            b.iter(|| {
+                let col = build();
+                black_box(col.select_verified(pred, &mut scratch));
+                col
+            })
+        });
+    }
     g.finish();
 }
 

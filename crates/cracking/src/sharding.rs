@@ -19,7 +19,9 @@
 //! buckets laid out in key order, so every shard is born with its buckets
 //! as pieces and no query ever cracks a whole shard (a histogram pass,
 //! then a scatter that writes whole cache lines with streaming stores,
-//! bypassing the cache); any smaller set with
+//! bypassing the cache; both passes split the base into contiguous chunks,
+//! one for the caller and one for each helper thread the owner offers,
+//! and lay it out exactly as one thread does); any smaller set with
 //! one branch-free filter pass per shard, so an owner under storage
 //! pressure materialises (and after an eviction re-materialises, through
 //! [`ShardedColumn::vacated`]) exactly the value ranges its queries touch.
@@ -53,6 +55,7 @@
 
 use crate::column::{CrackerColumn, Selection};
 use crate::kernels::{self, Isa};
+use crate::partition::DEFAULT_MIN_PARALLEL;
 use crate::row_ids::RowSource;
 use crate::snapshot::SnapshotScan;
 use crate::vectorized::CrackScratch;
@@ -416,29 +419,190 @@ fn fence_lines() {
     }
 }
 
+/// Per bucket, the shard vector it lives in (its first slot): what every
+/// thread of a scatter writes through, each to slots of its own. Null for a
+/// bucket id no tuple has.
+struct Dests<V>([*mut V; MAX_BUCKETS]);
+
+// SAFETY: the addresses are only written through, by `scatter_chunk`, whose
+// contract gives every thread slots no other thread reads or writes
+// (backed by `prop_scatter_lays_out_every_width_as_the_counting_sort` and
+// `chunks_share_a_line_inside_one_bucket`).
+unsafe impl<V: Send> Sync for Dests<V> {}
+
+/// `f` of every chunk, in order: the first on the calling thread, each
+/// other on a helper thread of its own, all joined before it returns (a
+/// helper's panic resumes on the caller).
+fn on_gang<T: Send, R: Send>(
+    chunks: impl IntoIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut chunks = chunks.into_iter();
+    let Some(first) = chunks.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = chunks.map(|c| s.spawn(move || f(c))).collect();
+        let mut out = vec![f(first)];
+        for helper in helpers {
+            out.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        out
+    })
+}
+
+/// Pass 1 over one chunk of the base, branch-free: each value's bucket id
+/// into `ids` (its shard is the number of cuts at or below it, its bucket
+/// a subtraction and a shift), and the chunk's histogram.
+fn count_chunk<V: CrackValue>(
+    base: &[V],
+    ids: &mut [u8],
+    cuts: &[i64],
+    geometry: &[Buckets],
+) -> [usize; MAX_BUCKETS] {
+    let mut hist = [0usize; MAX_BUCKETS];
+    for (&v, id) in base.iter().zip(ids.iter_mut()) {
+        let v = v.as_i64();
+        let k: usize = cuts.iter().map(|&c| (c <= v) as usize).sum();
+        *id = geometry[k].id_of(v) as u8;
+        hist[*id as usize] += 1;
+    }
+    hist
+}
+
+/// Pass 2 over one chunk of the base: every value to its bucket's cursor,
+/// through the slot of the bucket's staged line that sits at the
+/// destination's offset inside its cache line. The value that fills a
+/// line's last slot flushes the line: streamed whole when the chunk's own
+/// slots of the bucket start at or before the line's start, else (the
+/// first line of those slots) copied from the chunk's first slot on. Then
+/// each bucket's last line the same way, and a fence for the streamed
+/// ones. Returns the cursors where the chunk stopped.
+///
+/// # Safety
+/// `ids` are the bucket ids of `base`, and for every bucket id the chunk
+/// holds `n` times, slots `cursor[id]..cursor[id] + n` of the vector at
+/// `dests.0[id]` are allocated, 64-byte lines of that vector are
+/// allocated wherever those slots cover them whole, a value's address is
+/// a multiple of its width (which divides [`LINE`]), and no other thread
+/// touches those slots' bytes before this returns.
+unsafe fn scatter_chunk<V: CrackValue>(
+    base: &[V],
+    ids: &[u8],
+    dests: &Dests<V>,
+    mut cursor: [usize; MAX_BUCKETS],
+) -> [usize; MAX_BUCKETS] {
+    let width = std::mem::size_of::<V>();
+    let start = cursor;
+    // The chunk's first slot of every bucket: where its own bytes begin.
+    let first: [*mut u8; MAX_BUCKETS] =
+        std::array::from_fn(|id| dests.0[id].wrapping_add(start[id]).cast());
+    let mut lines = [Line([0; LINE]); MAX_BUCKETS];
+    for (&v, &id) in base.iter().zip(ids) {
+        let id = id as usize;
+        let pos = cursor[id];
+        cursor[id] = pos + 1;
+        // SAFETY: `ids` are the ids pass 1 counted for this chunk, so the
+        // cursor of bucket `id` has advanced fewer than the chunk's count
+        // of it: `pos` lies inside the chunk's own slots of the bucket
+        // (the caller's contract), which hold `Copy` values, so nothing is
+        // dropped. A slot's address is a multiple of the width, which
+        // divides `LINE`, so the value fits its staged line at `off`,
+        // aligned. A flushed line ends at `end`, one past `pos`, and
+        // `len` is the part of it at or after the chunk's first slot
+        // `first[id]`: a streamed line (`len == LINE`) lies inside
+        // `[first[id], end)`, the chunk's own slots, each staged by this
+        // loop in order; a copied one writes only that part, so a line
+        // shared with another bucket or another chunk gets only this
+        // chunk's bytes of this bucket. Nothing reads the vectors before
+        // this thread's fence below (`chunks_share_a_line_inside_one_bucket`
+        // and the counting-sort layout tests back this at every width and
+        // thread count).
+        unsafe {
+            let dst = dests.0[id].add(pos).cast::<u8>();
+            let off = dst.addr() % LINE;
+            let line = &mut lines[id];
+            line.0.as_mut_ptr().add(off).cast::<V>().write(v);
+            if off + width == LINE {
+                let end = dst.add(width);
+                let len = LINE.min(end.addr() - first[id].addr());
+                match len == LINE {
+                    true => store_line(end.sub(LINE), line),
+                    false => {
+                        let src = line.0.as_ptr().add(LINE - len);
+                        std::ptr::copy_nonoverlapping(src, end.sub(len), len);
+                    }
+                }
+            }
+        }
+    }
+    // Each bucket's last line, the same way: the staged bytes of its line
+    // before the cursor (none when the chunk's slots ended on a line edge
+    // and the loop flushed it), from the chunk's first slot on.
+    for id in (0..MAX_BUCKETS).filter(|&id| cursor[id] > start[id]) {
+        // SAFETY: as in the loop; `end` is one past the chunk's last slot
+        // of the bucket, and the copy writes `[end - len, end)`, which
+        // starts at or after `first[id]` and holds staged values of this
+        // bucket from this chunk.
+        unsafe {
+            let end = dests.0[id].add(cursor[id]).cast::<u8>();
+            let off = end.addr() % LINE;
+            let len = off.min(end.addr() - first[id].addr());
+            let src = lines[id].0.as_ptr().add(off - len);
+            std::ptr::copy_nonoverlapping(src, end.sub(len), len);
+        }
+    }
+    // Streamed lines are weakly ordered: the fence puts them before this
+    // thread's later stores, so before the join that hands them over.
+    fence_lines();
+    cursor
+}
+
 /// Range-partitions the whole base two levels deep in two passes: every
 /// value goes to its shard by the plan's cuts and, inside the shard, to its
-/// coarse bucket ([`coarse_buckets`]). The first pass counts the buckets,
-/// the second writes each value to its place in exactly-sized shard vectors
-/// (allocated with [`shard_capacity`]) through one staged cache line per
-/// bucket: a line the bucket covers whole goes out with streaming
-/// stores, which neither read it for ownership nor evict another bucket's
-/// line (the bucket cursors start a fixed stride apart and would map to
-/// the same few cache sets); the partial lines at a bucket's two edges,
-/// shared with its neighbours, are copied slot by slot. Values only: a
-/// shard re-derives its row ids from the base when something first reads
-/// one ([`crate::row_ids`]). At most [`MAX_BUCKETS`] shards.
+/// coarse bucket ([`coarse_buckets`]). Both passes split the base into
+/// `threads` contiguous chunks and run chunk 0 on the caller and every
+/// other on a helper thread of its own. Pass 1 writes each chunk's bucket
+/// ids into its slice of the caller's buffer and counts a histogram per
+/// chunk; pass 2 writes each value to its place in exactly-sized shard
+/// vectors (allocated with [`shard_capacity`]), every chunk through its own
+/// cursor per bucket, which starts at the bucket's start plus the counts
+/// of the earlier chunks, so a value lands exactly where the one-thread
+/// build puts it (a counting sort, stable in base order). A chunk writes
+/// through one staged cache line per bucket: a line that its own slots of
+/// the bucket cover whole goes out with streaming stores, which neither
+/// read it for ownership nor evict another bucket's line (the bucket
+/// cursors start a fixed stride apart and would map to the same few cache
+/// sets); a partial line, shared with a neighbouring bucket or with the
+/// chunk before or after in the same bucket, gets only the chunk's own
+/// bytes, copied slot by slot, so no two threads write one byte. Each
+/// thread fences its streamed lines before it returns, and the join orders
+/// them before the caller reads. Values only: a shard re-derives its row
+/// ids from the base when something first reads one ([`crate::row_ids`]).
+/// At most [`MAX_BUCKETS`] shards.
 ///
-/// With metrics on, each build counts `cracking_whole_builds_total` and
-/// times its passes into `cracking_whole_build_count_ns` and
-/// `cracking_whole_build_scatter_ns`.
-fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize) -> Vec<Routed<V>> {
+/// With metrics on, each build counts `cracking_whole_builds_total` and its
+/// helper threads into `cracking_whole_build_helpers_total`, and times the
+/// wall time of each pass, across all its threads, into
+/// `cracking_whole_build_count_ns` and `cracking_whole_build_scatter_ns`.
+fn route_all<V: CrackValue>(
+    base: &[V],
+    plan: &ShardPlan<V>,
+    piece_floor: usize,
+    threads: usize,
+) -> Vec<Routed<V>> {
     let width = std::mem::size_of::<V>();
     assert_eq!(LINE % width, 0, "a value's width divides the cache line");
     let geometry = coarse_buckets(plan, base.len(), piece_floor);
     let buckets = geometry.last().map_or(0, |g| g.ids().end() + 1);
     assert!(buckets <= MAX_BUCKETS, "bucket ids must fit a byte");
     let cuts: Vec<i64> = plan.cuts.iter().map(|c| c.as_i64()).collect();
+    let chunk = base.len().div_ceil(threads.max(1)).max(1);
     let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
     BUCKET_IDS.with_borrow_mut(|ids| {
         if ids.len() < base.len() {
@@ -446,23 +610,22 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
         }
         let ids = &mut ids[..base.len()];
 
-        // Pass 1, branch-free: a value's shard is the number of cuts at or
-        // below it, its bucket a subtraction and a shift.
+        // Pass 1, one histogram per chunk.
+        let hists = on_gang(
+            base.chunks(chunk).zip(ids.chunks_mut(chunk)),
+            |(base, ids)| count_chunk(base, ids, &cuts, &geometry),
+        );
         let mut hist = [0usize; MAX_BUCKETS];
-        for (&v, id) in base.iter().zip(ids.iter_mut()) {
-            let v = v.as_i64();
-            let k: usize = cuts.iter().map(|&c| (c <= v) as usize).sum();
-            *id = geometry[k].id_of(v) as u8;
-            hist[*id as usize] += 1;
+        for h in &hists {
+            hist.iter_mut().zip(h).for_each(|(total, n)| *total += n);
         }
         let counted = timed.map(|t0| (t0.elapsed(), std::time::Instant::now()));
 
-        // Exactly-sized vectors, and per bucket the shard array it lives
-        // in, the position it starts at and that slot's address.
+        // Exactly-sized vectors, and per bucket the shard vector it lives
+        // in and the position it starts at.
         let mut out: Vec<Routed<V>> = Vec::with_capacity(geometry.len());
-        let mut vals_of = [std::ptr::null_mut::<V>(); MAX_BUCKETS];
+        let mut dests = Dests([std::ptr::null_mut(); MAX_BUCKETS]);
         let mut cursor = [0usize; MAX_BUCKETS];
-        let mut first = [std::ptr::null_mut::<u8>(); MAX_BUCKETS];
         for g in &geometry {
             let count: usize = hist[g.ids()].iter().sum();
             let mut shard = Routed {
@@ -481,95 +644,62 @@ fn route_all<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, piece_floor: usize)
                 if left < pos && pos < count {
                     shard.bounds.push((g.key((id - g.first_id) as u64), pos));
                 }
-                vals_of[id] = shard.vals.as_mut_ptr();
+                dests.0[id] = shard.vals.as_mut_ptr();
                 cursor[id] = pos;
-                first[id] = shard.vals.as_mut_ptr().wrapping_add(pos).cast();
                 pos += hist[id];
             }
             out.push(shard);
         }
+        // Each chunk's cursors: its bucket's start plus the earlier chunks'
+        // counts of the bucket (`cursor` ends at the buckets' ends).
+        let starts: Vec<[usize; MAX_BUCKETS]> = hists
+            .iter()
+            .map(|h| {
+                let start = cursor;
+                cursor.iter_mut().zip(h).for_each(|(c, n)| *c += n);
+                start
+            })
+            .collect();
 
-        // Pass 2: every value to its bucket's cursor, through the slot of
-        // the bucket's staged line that sits at the destination's offset
-        // inside its cache line. The value that fills a line's last slot
-        // flushes the line: streamed whole when the bucket starts at or
-        // before the line's start, else (the bucket's first line) copied
-        // from the bucket's first slot on.
-        let mut lines = [Line([0; LINE]); MAX_BUCKETS];
-        for (&v, &id) in base.iter().zip(ids.iter()) {
-            let id = id as usize;
-            let pos = cursor[id];
-            cursor[id] = pos + 1;
-            // SAFETY: this pass reads back the ids pass 1 counted, so the
-            // cursor of bucket `id` has advanced fewer than `hist[id]`
-            // times: `pos` lies inside the bucket's own range of its shard's
-            // first `count` slots, which are allocated (capacity above
-            // `count`), written by no other bucket, and hold `Copy` values,
-            // so nothing is dropped. Ids that no tuple has (null pointers)
-            // are never read back. A slot's address is a multiple of the
-            // width (asserted per shard), which divides `LINE` (asserted
-            // above), so the value fits its staged line at `off`, aligned.
-            // A flushed line ends at `end`, one past `pos`, and `len` is the
-            // part of it at or after the bucket's first slot `first[id]`:
-            // a streamed line (`len == LINE`) lies inside `[first[id],
-            // end)`, the bucket's own slots, each staged by this pass in
-            // order; a copied one writes only that part. Nothing reads the
-            // vectors before the fence below.
-            unsafe {
-                let dst = vals_of[id].add(pos).cast::<u8>();
-                let off = dst.addr() % LINE;
-                let line = &mut lines[id];
-                line.0.as_mut_ptr().add(off).cast::<V>().write(v);
-                if off + width == LINE {
-                    let end = dst.add(width);
-                    let len = LINE.min(end.addr() - first[id].addr());
-                    match len == LINE {
-                        true => store_line(end.sub(LINE), line),
-                        false => {
-                            let src = line.0.as_ptr().add(LINE - len);
-                            std::ptr::copy_nonoverlapping(src, end.sub(len), len);
-                        }
-                    }
-                }
-            }
-        }
-        // Each bucket's last line, the same way: the staged bytes of its
-        // line before the cursor (none when the bucket ended on a line edge
-        // and the loop flushed it), from the bucket's first slot on.
-        for id in (0..buckets).filter(|&id| hist[id] > 0) {
-            // SAFETY: as in the loop; `end` is one past the bucket's last
-            // slot, and the copy writes `[end - len, end)`, which starts at
-            // or after `first[id]` and holds staged values of this bucket.
-            unsafe {
-                let end = vals_of[id].add(cursor[id]).cast::<u8>();
-                let off = end.addr() % LINE;
-                let len = off.min(end.addr() - first[id].addr());
-                let src = lines[id].0.as_ptr().add(off - len);
-                std::ptr::copy_nonoverlapping(src, end.sub(len), len);
-            }
-        }
-        // Streamed lines are weakly ordered: the fence puts them before the
-        // reads below and before the vectors are published.
-        fence_lines();
+        // Pass 2.
+        let chunks = base.chunks(chunk).zip(ids.chunks(chunk)).zip(&starts);
+        let stops = on_gang(chunks, |((base, ids), &start)| {
+            // SAFETY: `ids` are the chunk's ids from pass 1, whose
+            // histogram of them placed `start`: the chunk's slots of a
+            // bucket follow the earlier chunks' and precede the later
+            // ones', all inside the bucket's range of its shard's first
+            // `count` slots, which are allocated (capacity above `count`)
+            // and written by no other bucket; the vectors are aligned to
+            // the value width (asserted per shard), which divides `LINE`
+            // (asserted above). Backed at 1 to 4 threads by the layout
+            // tests (`assert_same_build`) and under ASan in CI.
+            unsafe { scatter_chunk(base, ids, &dests, start) }
+        });
         if let Some((count_time, t1)) = counted {
             holix_telemetry::counter!("cracking_whole_builds_total").inc();
+            holix_telemetry::counter!("cracking_whole_build_helpers_total")
+                .add(hists.len().saturating_sub(1) as u64);
             holix_telemetry::histogram!("cracking_whole_build_count_ns")
                 .record(count_time.as_nanos() as u64);
             holix_telemetry::histogram!("cracking_whole_build_scatter_ns")
                 .record(t1.elapsed().as_nanos() as u64);
         }
+        // Every chunk stopped where the next one starts, the last at its
+        // buckets' ends.
+        for (stop, next) in stops.iter().zip(starts.iter().skip(1).chain([&cursor])) {
+            assert_eq!(stop, next, "a chunk did not fill its slots exactly");
+        }
 
         for (g, shard) in geometry.iter().zip(&mut out) {
-            let mut count = 0;
-            for id in g.ids() {
-                count += hist[id];
-                assert_eq!(cursor[id], count, "bucket {id} was not filled exactly");
-            }
-            // SAFETY: the buckets of this shard tile `0..count` and each
-            // cursor stopped at its bucket's end (just asserted), so pass
-            // 2 staged every one of the first `count` slots, and each
-            // staged line reached the vector once — flushed when its last
-            // slot filled, or by the tail copy — before the fence.
+            let count: usize = hist[g.ids()].iter().sum();
+            // SAFETY: the buckets of this shard tile `0..count`, and every
+            // chunk's cursors stopped where the next chunk's began, the last
+            // at the bucket's end (just asserted), so pass 2 staged every
+            // one of the first `count` slots, and each staged line reached
+            // the vector once — flushed when its last slot filled, or by the
+            // tail copy — before its thread's fence and the join
+            // (`prop_scatter_lays_out_every_width_as_the_counting_sort`
+            // reads every slot back).
             unsafe { shard.vals.set_len(count) };
             // Pieces are in key order and none is empty: the extremes sit
             // in the first and the last.
@@ -891,18 +1021,29 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         parts
     }
 
+    /// Threads a whole build of this column runs on when `offered` are
+    /// free, the caller's included: at most one per
+    /// [`DEFAULT_MIN_PARALLEL`] base rows, so every thread's chunk pays for
+    /// its spawn, and at least the caller.
+    pub fn whole_build_threads(&self, offered: usize) -> usize {
+        offered.min(self.base.len() / DEFAULT_MIN_PARALLEL).max(1)
+    }
+
     /// Makes shards `first..=last` resident. The empty cells among them
     /// are built — all S at once with the two-level range partition
-    /// (each shard born with its coarse buckets as pieces), a smaller set
-    /// with one filter pass each (one piece) — then `tag` sees the fresh
-    /// columns as one batch (ascending shard order) and returns one tag
-    /// per column, and column and tag are published together. All of it runs
-    /// under the build locks of the touched cells, so two racing callers
-    /// build, tag and publish each shard exactly once.
+    /// (each shard born with its coarse buckets as pieces) on
+    /// [`ShardedColumn::whole_build_threads`] of the `threads` offered, a
+    /// smaller set with one filter pass each (one piece) on the caller —
+    /// then `tag` sees the fresh columns as one batch (ascending shard
+    /// order) and returns one tag per column, and column and tag are
+    /// published together. All of it runs under the build locks of the
+    /// touched cells, so two racing callers build, tag and publish each
+    /// shard exactly once.
     pub fn admit(
         &self,
         first: usize,
         last: usize,
+        threads: usize,
         tag: impl FnOnce(&[Arc<CrackerColumn<V>>]) -> Vec<T>,
     ) {
         // Ascending order on every path: multi-cell admissions never
@@ -920,7 +1061,8 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         // (More shards than bucket ids: shard by shard as well.)
         let whole = missing.len() == self.cells.len() && self.cells.len() <= MAX_BUCKETS;
         let fresh: Vec<Arc<CrackerColumn<V>>> = if whole {
-            let routed = route_all(&self.base, &self.plan, self.piece_floor);
+            let threads = self.whole_build_threads(threads);
+            let routed = route_all(&self.base, &self.plan, self.piece_floor, threads);
             self.counts
                 .get_or_init(|| routed.iter().map(|shard| shard.vals.len()).collect());
             routed
@@ -1214,7 +1356,7 @@ impl<V: CrackValue> ShardedColumn<V> {
     /// base tuple lands in exactly one shard, keeping its global row id.
     pub fn from_base_with_plan(name: &str, base: &[V], plan: ShardPlan<V>) -> Self {
         let col = Self::lazy(name, Arc::new(base.to_vec()), plan);
-        col.admit(0, col.shard_count() - 1, |fresh| vec![(); fresh.len()]);
+        col.admit(0, col.shard_count() - 1, 1, |fresh| vec![(); fresh.len()]);
         col
     }
 
@@ -1496,7 +1638,7 @@ mod tests {
         // One admitted shard answers the narrow select routed to it.
         let mut scratch = CrackScratch::new();
         let pred = Predicate::range(10, 20);
-        col.admit(0, 0, |fresh| vec![(); fresh.len()]);
+        col.admit(0, 0, 1, |fresh| vec![(); fresh.len()]);
         let (sels, stats) = col.select_verified(pred, &mut scratch);
         assert_eq!(stats, scan_stats(&base, pred));
         assert_eq!(sels.len(), 1);
@@ -1515,10 +1657,10 @@ mod tests {
         assert_eq!(Arc::strong_count(&base), 4);
         assert!(next.resident(0).is_none());
         assert_eq!(next.shard_rows(0), col.shard_rows(0));
-        next.admit(3, 3, |fresh| vec![(); fresh.len()]);
+        next.admit(3, 3, 1, |fresh| vec![(); fresh.len()]);
         assert!(Arc::ptr_eq(col.shard(3), next.shard(3)));
         // Rebuilt from the base, the vacated shard answers alike.
-        next.admit(0, 0, |fresh| vec![(); fresh.len()]);
+        next.admit(0, 0, 1, |fresh| vec![(); fresh.len()]);
         let (_, again) = next.select_verified(pred, &mut scratch);
         assert_eq!(again, stats);
         assert!(!Arc::ptr_eq(col.shard(0), next.shard(0)));
@@ -1568,7 +1710,7 @@ mod tests {
             .map(|_| V::from_i64(rng.random_range(lo..=hi)))
             .collect();
         let plan = ShardPlan::from_values(&base, shards);
-        let routed = route_all(&base, &plan, floor);
+        let routed = route_all(&base, &plan, floor, 1);
         for (k, (shard, want)) in routed
             .iter()
             .zip(counting_sort(&base, &plan, floor))
@@ -1581,6 +1723,68 @@ mod tests {
                 "shard {k}: not the counting sort's layout"
             );
         }
+        assert_same_build(&routed, &base, &plan, floor);
+    }
+
+    /// `route_all` at 2, 3 and 4 threads lays out every shard of `base`
+    /// as `one_thread` (its 1-thread build) does: slot for slot, with the
+    /// same bucket bounds and domains.
+    fn assert_same_build<V: CrackValue>(
+        one_thread: &[Routed<V>],
+        base: &[V],
+        plan: &ShardPlan<V>,
+        floor: usize,
+    ) {
+        for threads in 2..=4 {
+            let routed = route_all(base, plan, floor, threads);
+            assert_eq!(routed.len(), one_thread.len());
+            for (k, (got, want)) in routed.iter().zip(one_thread).enumerate() {
+                assert_eq!(got.vals, want.vals, "{threads} threads, shard {k}");
+                assert_eq!(got.bounds, want.bounds, "{threads} threads, shard {k}");
+                assert_eq!(got.domain, want.domain, "{threads} threads, shard {k}");
+            }
+        }
+    }
+
+    /// Two chunks of one bucket that meet inside a cache line: a `u8`
+    /// column in one bucket (a piece floor far above its length, so the
+    /// layout is the base order) whose chunk cut sits an odd number of
+    /// slots into an evenly aligned vector, so both threads write disjoint
+    /// bytes of that line, and both stream whole lines on either side.
+    #[test]
+    fn chunks_share_a_line_inside_one_bucket() {
+        let base: Vec<u8> = (0..2 * 1001).map(|i| (i % 251) as u8).collect();
+        let plan = ShardPlan::from_values(&base, 1);
+        let routed = route_all(&base, &plan, 1 << 20, 2);
+        assert!(routed[0].bounds.is_empty(), "one bucket");
+        let cut = routed[0].vals.as_ptr() as usize + 1001;
+        assert_ne!(cut % LINE, 0, "the chunk cut must fall inside a line");
+        assert_eq!(routed[0].vals, base);
+    }
+
+    /// A base shorter than two chunks of `DEFAULT_MIN_PARALLEL` rows is
+    /// built on the caller alone, whatever it is offered; at two chunks'
+    /// length it gangs a helper, and the two builds lay out alike.
+    #[test]
+    fn short_bases_build_on_the_caller_alone() {
+        let short = base(2 * DEFAULT_MIN_PARALLEL - 1, 1 << 20, 3);
+        let plan = ShardPlan::from_values(&short, 4);
+        let col: ShardedColumn<i64> =
+            ShardedColumn::lazy("short", Arc::new(short.clone()), plan.clone());
+        assert_eq!(col.whole_build_threads(4), 1);
+        col.admit(0, plan.shards() - 1, 4, |fresh| vec![(); fresh.len()]);
+        let floor = L1_BYTES / 8;
+        for (k, want) in counting_sort(&short, &plan, floor).into_iter().enumerate() {
+            assert_eq!(
+                col.shard(k).snapshot_range(0, want.len()),
+                want,
+                "shard {k}"
+            );
+        }
+        let long = base(2 * DEFAULT_MIN_PARALLEL, 1 << 20, 3);
+        let col: ShardedColumn<i64> = ShardedColumn::lazy("long", Arc::new(long), plan);
+        assert_eq!(col.whole_build_threads(4), 2);
+        assert_eq!(col.whole_build_threads(1), 1);
     }
 
     // Every width below `i64` — 64, 32 and 16 values a cache line — with
@@ -1659,8 +1863,9 @@ mod tests {
             _ => spread,
         };
         let reference = push_routing(&base, &plan);
-        let routed = route_all(&base, &plan, floor);
+        let routed = route_all(&base, &plan, floor, 1);
         assert_eq!(routed.len(), plan.shards());
+        assert_same_build(&routed, &base, &plan, floor);
         for (k, (shard, want)) in routed
             .iter()
             .zip(counting_sort(&base, &plan, floor))
@@ -1675,7 +1880,7 @@ mod tests {
         let shared = Arc::new(base.clone());
         let eager: ShardedColumn<i64> =
             ShardedColumn::lazy("eager", Arc::clone(&shared), plan.clone()).with_piece_floor(floor);
-        eager.admit(0, plan.shards() - 1, |fresh| vec![(); fresh.len()]);
+        eager.admit(0, plan.shards() - 1, 1, |fresh| vec![(); fresh.len()]);
         let lazy: ShardedColumn<i64> =
             ShardedColumn::lazy("lazy", shared, plan.clone()).with_piece_floor(floor);
         let mut order: Vec<usize> = (0..plan.shards()).collect();
@@ -1685,7 +1890,7 @@ mod tests {
         for &k in &order {
             let vals = lazy.filter_parts(k).vals;
             assert!(vals.capacity() >= vals.len() + vals.len() / 4);
-            lazy.admit(k, k, |fresh| vec![(); fresh.len()]);
+            lazy.admit(k, k, 1, |fresh| vec![(); fresh.len()]);
         }
 
         let mut scratch = CrackScratch::new();
@@ -1813,8 +2018,8 @@ mod tests {
         let col: ShardedColumn<i64> =
             ShardedColumn::lazy("lazy", Arc::new(base.clone()), plan.clone()).with_piece_floor(4);
         match whole {
-            true => col.admit(0, plan.shards() - 1, |fresh| vec![(); fresh.len()]),
-            false => (0..plan.shards()).for_each(|k| col.admit(k, k, |_| vec![()])),
+            true => col.admit(0, plan.shards() - 1, 1, |fresh| vec![(); fresh.len()]),
+            false => (0..plan.shards()).for_each(|k| col.admit(k, k, 1, |_| vec![()])),
         }
         let mut scratch = CrackScratch::new();
         // A pivot on or beside a value of the column: duplicates of a
@@ -2418,7 +2623,7 @@ mod tests {
         let plan = ShardPlan::from_values(&b, 4);
         let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&b), plan.clone());
         assert!(col.zones.get().is_none(), "zones mapped before a build");
-        col.admit(2, 2, |fresh| vec![(); fresh.len()]);
+        col.admit(2, 2, 1, |fresh| vec![(); fresh.len()]);
         let zones = col
             .zones
             .get()
@@ -2447,7 +2652,7 @@ mod tests {
         let replanned = col.apply_replan(ReplanAction::Split { shard: 2 }).unwrap();
         assert!(Arc::ptr_eq(&col.zones, &replanned.zones));
         assert_eq!(replanned.shard_rows(0), None, "a new plan is recounted");
-        replanned.admit(0, 0, |fresh| vec![(); fresh.len()]);
+        replanned.admit(0, 0, 1, |fresh| vec![(); fresh.len()]);
         assert_eq!(
             tuples(replanned.shard(0)),
             push_routing(&b, replanned.plan())[0]
@@ -2455,10 +2660,10 @@ mod tests {
         // A whole build counts the plan but maps no zones; the first
         // one-shard build after it does.
         let whole: ShardedColumn<i64> = ShardedColumn::lazy("w", Arc::clone(&b), plan);
-        whole.admit(0, 3, |fresh| vec![(); fresh.len()]);
+        whole.admit(0, 3, 1, |fresh| vec![(); fresh.len()]);
         assert!(whole.zones.get().is_none());
         let rebuilt = whole.vacated(&[1]);
-        rebuilt.admit(1, 1, |fresh| vec![(); fresh.len()]);
+        rebuilt.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
         assert!(whole.zones.get().is_some());
         assert_eq!(tuples(rebuilt.shard(1)), pushed[1]);
     }

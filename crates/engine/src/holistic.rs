@@ -4,7 +4,11 @@
 //! User queries behave exactly like the adaptive engine (parallel vectorized
 //! cracking with the user thread budget); in the background the holistic
 //! daemon watches the load accountant and spends every idle hardware context
-//! on random-pivot refinements of the registered cracker columns.
+//! on random-pivot refinements of the registered cracker columns. Every user
+//! operation registers its budget with the accountant while it runs, so the
+//! daemon leaves those contexts alone; a first touch that builds a whole
+//! attribute also runs helper threads of the build on the contexts the
+//! accountant sees idle.
 //!
 //! ## Horizontal shards
 //!
@@ -63,6 +67,7 @@ use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 thread_local! {
     static SCRATCH: RefCell<CrackScratch<i64>> = RefCell::new(CrackScratch::new());
@@ -74,7 +79,10 @@ pub struct HolisticEngineConfig {
     /// Hardware contexts the experiment exposes (the paper's 32).
     pub total_contexts: usize,
     /// Contexts one user query uses for parallel cracking (the paper's
-    /// `uN` labels).
+    /// `uN` labels), and the contexts every user operation — queries,
+    /// point probes, queued updates — registers as busy with the load
+    /// accountant while it runs. A first touch's whole-attribute build adds
+    /// helpers on top, sized from the contexts left idle.
     pub user_threads: usize,
     /// Horizontal range shards per attribute (1 = one cracker column per
     /// attribute, the paper's layout).
@@ -306,6 +314,19 @@ impl HolisticEngine {
     /// are first replaced by empty ones in a successor column that shares
     /// every other cell; the build itself runs under the cells' own locks
     /// (see [`ShardedColumn::admit`]), not under the attribute lock.
+    ///
+    /// A whole build runs on the caller plus one helper per context the
+    /// accountant sees idle at that instant, at most `total_contexts − 1`
+    /// and at most one thread per
+    /// [`holix_cracking::partition::DEFAULT_MIN_PARALLEL`] base rows
+    /// ([`ShardedColumn::whole_build_threads`]). Every user path that can
+    /// get here holds its own `user_threads` task, so the idle count
+    /// excludes it. The helpers are not registered with the accountant:
+    /// the daemon keeps its cadence through the build, its short cycles
+    /// sharing the helpers' contexts. (Registered, they stopped the daemon
+    /// for every build, and with it about four in five refinements of a
+    /// `cold_explore` round: a query's cracks grew, and its p50 and p95
+    /// rose by a quarter.)
     fn admit(
         &self,
         attr: usize,
@@ -315,7 +336,8 @@ impl HolisticEngine {
         loop {
             let mut col = Arc::clone(&self.shared.cols[attr].read());
             let (first, last) = route.shards(col.plan())?;
-            let build = if cold(&col) && self.whole_attribute_fits() {
+            let whole = cold(&col) && self.whole_attribute_fits();
+            let build = if whole {
                 0..=col.shard_count() - 1
             } else {
                 first..=last
@@ -333,7 +355,18 @@ impl HolisticEngine {
                 col = Arc::new(col.vacated(&dropped));
                 *slot = Arc::clone(&col);
             }
-            col.admit(*build.start(), *build.end(), |fresh| {
+            // A whole build gangs the contexts the accountant sees idle, up
+            // to all but the caller's.
+            let threads = match whole {
+                true => col.whole_build_threads(
+                    1 + self
+                        .accountant
+                        .idle_contexts(Duration::ZERO)
+                        .min(self.cfg.total_contexts.saturating_sub(1)),
+                ),
+                false => 1,
+            };
+            col.admit(*build.start(), *build.end(), threads, |fresh| {
                 register_shards(&self.space, fresh, membership)
             });
             return Some((col, first, last));
@@ -428,6 +461,8 @@ impl HolisticEngine {
     /// against the reopened shard if the migration aborted) — updates are
     /// never silently dropped across a replan.
     pub fn queue_insert(&self, attr: usize, v: i64, row: RowId) {
+        // User work that can first-touch the attribute.
+        let _task = self.accountant.begin_task(self.cfg.user_threads);
         loop {
             let (col, _) = self.touch_owner(attr, v);
             if col.queue_insert(v, row) {
@@ -440,6 +475,7 @@ impl HolisticEngine {
     /// Queues a deletion of the value previously inserted for `row`
     /// (same sealed-shard retry discipline as [`Self::queue_insert`]).
     pub fn queue_delete(&self, attr: usize, v: i64, row: RowId) {
+        let _task = self.accountant.begin_task(self.cfg.user_threads);
         loop {
             let (col, _) = self.touch_owner(attr, v);
             if col.queue_delete(v, row) {
@@ -517,6 +553,9 @@ impl HolisticEngine {
         if !self.cfg.point_filters {
             return None;
         }
+        // User work that can first-touch the attribute; released before
+        // the caller's fallback fan-out takes its own.
+        let _task = self.accountant.begin_task(self.cfg.user_threads);
         let (col, k) = self.touch_owner(attr, v);
         let (shard, slot) = col.resident(k).expect("touched above");
         shard.ensure_point_filter();
@@ -807,6 +846,7 @@ impl QueryEngine for HolisticEngine {
         // definition, so results stay exact under concurrent updates that
         // only add or delete their own inserted rows.
         let base_rows = self.data.rows();
+        let _task = self.accountant.begin_task(self.cfg.user_threads);
         let others: Vec<(usize, Predicate<i64>)> = terms
             .iter()
             .enumerate()
