@@ -394,6 +394,9 @@ unsafe fn store_line(dst: *mut u8, line: &Line) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: both sides are 16-byte aligned (`Line` and the caller's
     // `dst` are 64-byte aligned) and valid for 64 bytes; SSE2 is baseline.
+    // The layout tests read every streamed line back, at every width and
+    // thread count (`prop_scatter_lays_out_every_width_as_the_counting_sort`),
+    // and CI runs them under ASan.
     unsafe {
         use std::arch::x86_64::{__m128i, _mm_load_si128, _mm_stream_si128};
         let (src, dst) = (line.0.as_ptr().cast::<__m128i>(), dst.cast::<__m128i>());
@@ -402,7 +405,8 @@ unsafe fn store_line(dst: *mut u8, line: &Line) {
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    // SAFETY: the caller's contract; a local buffer never overlaps `dst`.
+    // SAFETY: the caller's contract; a local buffer never overlaps `dst`
+    // (the same layout tests).
     unsafe {
         std::ptr::copy_nonoverlapping(line.0.as_ptr(), dst, LINE)
     }
@@ -413,7 +417,8 @@ unsafe fn store_line(dst: *mut u8, line: &Line) {
 #[inline(always)]
 fn fence_lines() {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE2 is baseline on x86_64.
+    // SAFETY: SSE2 is baseline on x86_64, a fact of the target that no
+    // test needs to back.
     unsafe {
         std::arch::x86_64::_mm_sfence()
     }
@@ -810,7 +815,10 @@ fn filter_pass_on<V: CrackValue>(
     }
     assert_eq!(kept, count, "shard counts disagree with the base column");
     // SAFETY: the runs wrote the `kept == count` values in range to the
-    // first `count` slots, each run from where the one before stopped.
+    // first `count` slots, each run from where the one before stopped
+    // (the count asserted above; `one_shard_build_kernels_agree_at_every_tail`
+    // and `one_shard_build_zone_pruned_pass_equals_the_whole_base_pass`
+    // read every slot back).
     unsafe { vals.set_len(count) };
     Filtered {
         vals,
