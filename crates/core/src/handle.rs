@@ -64,7 +64,7 @@ pub trait RefinableIndex: Send + Sync {
     /// Materialised bytes (values + row ids + index) for budgeting.
     fn payload_bytes(&self) -> usize;
     /// One refinement at a random pivot; tries up to `attempts` pivots when
-    /// pieces are latched. Also merges pending updates for the target piece.
+    /// pieces are latched. Also merges whatever updates are pending.
     fn refine_random(
         &self,
         rng: &mut dyn RngCore,

@@ -12,9 +12,10 @@
 //!    for lookups and boundary insertion, never across data movement.
 //! 3. `pending` mutex — pending-update queue and the published snapshot
 //!    pointer (short critical sections); taken on its own or under
-//!    `structure`, never around either lock. A Ripple merge takes its batch
-//!    *under* `structure` exclusive, so batches are applied in the order
-//!    they leave the queue.
+//!    `structure`, never around either lock. A Ripple merge takes the whole
+//!    queue *under* `structure` exclusive, so batches are applied in the
+//!    order they leave the queue, and none is in flight under `structure`
+//!    shared.
 //!
 //! Below all three sit the two `PublishedCell`s (plan-time statistics,
 //! point filter): *leaf* locks, taken under `pending`, under `structure` or
@@ -49,6 +50,15 @@
 //! protocol: `read_snapshot` is the one load, `splice_multi_and_publish`
 //! the one store. For these readers the structure lock shrinks to a
 //! writer-writer ordering concern.
+//!
+//! ## Batched Ripple
+//!
+//! Locked reads answer over the queue too: [`CrackerColumn::select`] and
+//! its kin fold the unmerged updates their predicate selects under the
+//! pending mutex while holding `structure` shared (a snapshot read's
+//! linearisation point). Only a queue past [`CrackerColumn::MERGE_BACKLOG`]
+//! is merged first — whole, one [`ripple_batch`] walk and one splice
+//! ([`CrackerColumn::merge_pending`], the one merge entry).
 //!
 //! ## Row ids on demand
 //!
@@ -115,6 +125,25 @@ fn no_rows(len: usize) -> Vec<()> {
     vec![(); len]
 }
 
+/// Count and sum deltas of the unmerged updates `pred` selects: what a read
+/// of the merged column (or of a snapshot) lacks. Allocation-free; callers
+/// run it inside the pending mutex, their linearisation point.
+fn overlay<V: CrackValue>(queue: &PendingUpdates<V>, pred: Predicate<V>) -> (i64, i128) {
+    let (mut count, mut sum) = (0i64, 0i128);
+    queue.for_each_unmerged(
+        |v| pred.matches_unbounded(v),
+        |v, kind| {
+            let sign = match kind {
+                UnmergedKind::Insert => 1,
+                UnmergedKind::Delete => -1,
+            };
+            count += sign;
+            sum += sign as i128 * v.as_i64() as i128;
+        },
+    );
+    (count, sum)
+}
+
 /// Result of one range select over a cracker column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Selection {
@@ -128,12 +157,16 @@ pub struct Selection {
     pub hit_hi: bool,
     /// Data accesses this select performed (piece lengths partitioned).
     pub touched: usize,
+    /// Net qualifying tuples still in the pending queue: inserts minus
+    /// deletes whose value satisfies the predicate.
+    pub pending: i64,
 }
 
 impl Selection {
-    /// Number of qualifying tuples.
+    /// Number of qualifying tuples: the column range plus the unmerged
+    /// updates in the predicate.
     pub fn count(&self) -> u64 {
-        (self.end - self.start) as u64
+        ((self.end - self.start) as i64 + self.pending).max(0) as u64
     }
 
     /// Both bounds were exact hits — the paper's `f_Ih` statistic counts
@@ -552,10 +585,14 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Range select `lo <= v < hi` with query-driven cracking: ensures both
     /// bounds are boundaries (cracking at most two pieces — or one piece in
     /// three when both bounds share a piece) and returns the contiguous
-    /// qualifying range.
+    /// qualifying range of the merged column.
     ///
-    /// Pending updates falling inside the requested range are merged first
-    /// (Ripple), exactly as \[28\] prescribes.
+    /// Pending updates are not merged for the read: the selection carries
+    /// the net count of those in the predicate ([`Selection::pending`]),
+    /// folded under the pending mutex while `structure` is still held
+    /// shared. Only a queue longer than [`CrackerColumn::MERGE_BACKLOG`] is
+    /// merged first — whole, as one Ripple batch (\[28\]) — so a read pays
+    /// one boundary walk per few hundred updates, not one per update.
     pub fn select(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> Selection {
         let sel = self.select_inner(pred, scratch);
         if holix_telemetry::metrics_enabled() {
@@ -570,41 +607,41 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// The count of `pred` when the column has already answered it: both
-    /// bounds are boundaries (or the `MIN`/`MAX` sentinels) and no pending
-    /// update falls in `[lo, hi)` — exactly when [`CrackerColumn::select`]
-    /// would crack nothing and merge nothing, and then its count. `None`
-    /// otherwise. Never cracks, merges or latches a piece.
+    /// bounds are boundaries (or the `MIN`/`MAX` sentinels) — exactly when
+    /// [`CrackerColumn::select`] would crack nothing, and then its count,
+    /// pending updates in the predicate included. `None` otherwise. Never
+    /// cracks, merges or latches a piece.
     ///
     /// `structure` is held shared throughout, so no Ripple merge moves a
-    /// position between the lookups and the pending check (a crack only
+    /// position between the lookups and the overlay fold (a crack only
     /// adds boundaries). The lookups come first, so a bound that still
-    /// has to crack never takes the pending mutex. The pending check is
-    /// the linearisation point: an update queued before it in range sends
-    /// the caller to `select`, one queued after it is ordered after this
-    /// read.
+    /// has to crack never takes the pending mutex. The fold is the
+    /// linearisation point: an update queued before it is counted, one
+    /// queued after it is ordered after this read.
     pub fn count_exact(&self, pred: Predicate<V>) -> Option<u64> {
         if pred.is_empty() {
             return Some(0);
         }
         let _shared = self.structure.read();
-        let (lo, hi) = {
-            let idx = self.index.read();
-            let lo = if pred.lo == V::MIN_VALUE {
-                0
-            } else {
-                idx.exact(pred.lo)?
-            };
-            let hi = if pred.hi == V::MAX_VALUE {
-                idx.len()
-            } else {
-                idx.exact(pred.hi)?
-            };
-            (lo, hi)
+        let (lo, hi) = Self::exact_span(&self.index.read(), pred)?;
+        let (pending, _) = overlay(&self.pending.lock().queue, pred);
+        Some(((hi - lo) as i64 + pending).max(0) as u64)
+    }
+
+    /// Cracked positions of `pred`'s bounds when both are boundaries (or
+    /// the `MIN`/`MAX` sentinels); `None` otherwise.
+    fn exact_span(idx: &CrackerIndex<V>, pred: Predicate<V>) -> Option<(usize, usize)> {
+        let lo = if pred.lo == V::MIN_VALUE {
+            0
+        } else {
+            idx.exact(pred.lo)?
         };
-        if self.pending.lock().queue.has_in_range(pred.lo, pred.hi) {
-            return None;
-        }
-        Some(hi.saturating_sub(lo) as u64)
+        let hi = if pred.hi == V::MAX_VALUE {
+            idx.len()
+        } else {
+            idx.exact(pred.hi)?
+        };
+        Some((lo, hi.max(lo)))
     }
 
     fn select_inner(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> Selection {
@@ -615,16 +652,20 @@ impl<V: CrackValue> CrackerColumn<V> {
                 hit_lo: true,
                 hit_hi: true,
                 touched: 0,
+                pending: 0,
             };
         }
-        self.merge_pending_range(pred.lo, pred.hi);
+        self.merge_past_backlog();
 
         let _shared = self.structure.read();
+        // Under `structure` shared no merge is in flight: the queue holds
+        // exactly what the column lacks, and cracks cannot change that.
+        let (pending, _) = overlay(&self.pending.lock().queue, pred);
 
         // Fast path: both bounds missing and in the same piece → one
         // three-way crack.
         if let Some(sel) = self.try_crack_in_three(pred, scratch) {
-            return sel;
+            return Selection { pending, ..sel };
         }
 
         let (lo_pos, hit_lo, touched_lo) = if pred.lo == V::MIN_VALUE {
@@ -646,6 +687,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             hit_lo,
             hit_hi,
             touched: touched_lo + touched_hi,
+            pending,
         }
     }
 
@@ -739,6 +781,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             hit_lo: false,
             hit_hi: false,
             touched: piece_len,
+            pending: 0,
         })
     }
 
@@ -817,10 +860,10 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// One background refinement at `pivot`. Non-blocking: a latched piece
     /// yields [`RefineOutcome::Busy`] so the worker can re-pick a pivot
-    /// (Fig 3(d)–(e) of the paper). Pending updates belonging to the target
-    /// piece are merged first, so workers also bring indices up to date.
+    /// (Fig 3(d)–(e) of the paper). Whatever is pending is merged first, as
+    /// one batch, so workers also bring indices up to date (§4.2).
     pub fn refine_at(&self, pivot: V, scratch: &mut CrackScratch<V>) -> RefineOutcome {
-        self.merge_pending_for_piece_of(pivot);
+        self.merge_pending();
         let _shared = self.structure.read();
         match self.crack_bound(pivot, scratch, false) {
             None => RefineOutcome::Busy,
@@ -835,9 +878,11 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
-    /// Blocking refinement (used by single-threaded baselines and tests).
+    /// Blocking refinement (used by single-threaded baselines, the
+    /// auxiliary cracks of stochastic selects, and tests). Merges only past
+    /// the backlog, as a select does.
     pub fn refine_at_blocking(&self, pivot: V, scratch: &mut CrackScratch<V>) -> RefineOutcome {
-        self.merge_pending_for_piece_of(pivot);
+        self.merge_past_backlog();
         let _shared = self.structure.read();
         match self.crack_bound(pivot, scratch, true) {
             None => unreachable!("blocking crack cannot be Busy"),
@@ -871,8 +916,9 @@ impl<V: CrackValue> CrackerColumn<V> {
     // Updates (pending queue + Ripple merge)
     // ------------------------------------------------------------------
 
-    /// Queues an insertion; it is merged when a query or worker touches its
-    /// value range. Returns `false` — queueing nothing — once the column is
+    /// Queues an insertion; reads count it from the queue until a merge
+    /// applies it (see [`CrackerColumn::merge_pending`] for when). Returns
+    /// `false` — queueing nothing — once the column is
     /// sealed for shard migration; the caller re-routes the update through
     /// the successor plan.
     pub fn queue_insert(&self, v: V, row: RowId) -> bool {
@@ -903,7 +949,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Queues a deletion of the value previously inserted for `row`. The
     /// target must be a tuple that is merged or has a matching pending
     /// insert (which the queue cancels): a Ripple merge silently drops a
-    /// delete whose target is absent, and until that happens the snapshot
+    /// delete whose target is absent, and until that happens every read's
     /// overlay counts the delete against the aggregates. Returns `false` —
     /// queueing nothing — once the column is sealed for shard migration.
     pub fn queue_delete(&self, v: V, row: RowId) -> bool {
@@ -928,32 +974,64 @@ impl<V: CrackValue> CrackerColumn<V> {
         self.pending.lock().queue.len()
     }
 
-    /// Merges every pending update with value in `[lo, hi)` into the cracked
-    /// column (exclusive; moves boundaries via the Ripple shifts).
+    /// Pending-queue length above which a read (a select, a blocking
+    /// refinement, a snapshot refresh) first merges the queue: below it,
+    /// counting the queue beside the column is cheaper than a merge.
+    pub const MERGE_BACKLOG: usize = 256;
+
+    /// [`CrackerColumn::merge_pending`] once the queue holds more than
+    /// [`CrackerColumn::MERGE_BACKLOG`] updates.
+    fn merge_past_backlog(&self) {
+        if self.pending_len() > Self::MERGE_BACKLOG {
+            self.merge_pending();
+        }
+    }
+
+    /// Ripple-merges the whole pending queue into the cracked column as one
+    /// batch ([`ripple_batch`]: one walk over the boundary table) and
+    /// splices it into the published snapshot with one publish. The one
+    /// merge entry: reads past [`CrackerColumn::MERGE_BACKLOG`], idle
+    /// workers and every path that needs its tuples in place come through
+    /// here. No-op on an empty queue.
+    pub fn merge_pending(&self) {
+        if self.pending.lock().queue.is_empty() {
+            return;
+        }
+        let _exclusive = self.structure.write();
+        // SAFETY: `structure` is held exclusively.
+        unsafe { self.merge_pending_locked() };
+    }
+
+    /// [`CrackerColumn::merge_pending`] under a held exclusive lock.
+    ///
+    /// The batch is taken only once the column is exclusively ours, so
+    /// batches are applied in the order they were taken: a merge that took
+    /// {insert x} and then lost the race for the structure lock to a later
+    /// merge holding {delete x} would find nothing to delete, drop the
+    /// delete, and then insert x for good.
     ///
     /// When a snapshot is published, the merge is the *only* operation that
     /// changes per-piece multisets, so it finishes by splicing fresh copies
-    /// of exactly the affected value range into the snapshot (copy-on-write
+    /// of exactly the affected value ranges into the snapshot (copy-on-write
     /// at piece granularity) and publishing that in place of the old one.
     /// The taken batch stays registered as in-flight until the publish, so
     /// snapshot readers racing the merge see every update in either the
     /// pending set or the new snapshot — never neither.
-    pub fn merge_pending_range(&self, lo: V, hi: V) {
-        if !self.pending.lock().queue.has_in_range(lo, hi) {
-            return;
-        }
-        // The batch is taken only once the column is exclusively ours, so
-        // batches are applied in the order they were taken. A merge that
-        // took {insert x} and then lost the race for the structure lock to
-        // a later merge holding {delete x} would find nothing to delete,
-        // drop the delete, and then insert x for good.
-        let _exclusive = self.structure.write();
-        let Some((token, ins, del)) = self.pending.lock().queue.take_range_tracked(lo, hi) else {
-            return; // a racing merge applied it while we waited
+    ///
+    /// # Safety
+    /// The caller holds `structure` exclusively.
+    unsafe fn merge_pending_locked(&self) {
+        let (token, ins, del) = {
+            let mut p = self.pending.lock();
+            if p.queue.is_empty() {
+                return; // a racing merge applied it while we waited
+            }
+            p.queue.take_all_tracked()
         };
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
-        // SAFETY: `structure` is held exclusively.
+        // SAFETY: the caller's contract.
         let walked = unsafe { self.ripple_apply(&ins, &del) };
+        let spliced = timed.map(|_| std::time::Instant::now());
         // Still under `structure` exclusive: nothing else can publish (or
         // build) a snapshot, so the anchor/copy/splice triple is atomic and
         // the in-flight batch is cleared before any snapshot that already
@@ -988,6 +1066,10 @@ impl<V: CrackValue> CrackerColumn<V> {
                     .map(|(a, b)| (a, b, self.copy_live_pieces(a, b, false, false)))
                     .collect();
                 self.splice_multi_and_publish(spans, Some(token));
+                if let Some(t1) = spliced {
+                    holix_telemetry::histogram!("cracking_ripple_splice_ns")
+                        .record(t1.elapsed().as_nanos() as u64);
+                }
             }
             None => self.pending.lock().queue.finish_merge(token),
         }
@@ -1033,21 +1115,6 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
-    /// Merges pending updates for the piece that currently contains `pivot`
-    /// (the holistic-worker merge of §4.2 "Updates").
-    fn merge_pending_for_piece_of(&self, pivot: V) {
-        if self.pending.lock().queue.is_empty() {
-            return;
-        }
-        let (lo_key, hi_key) = match self.index.read().locate(pivot) {
-            BoundLookup::Exact(_) => return,
-            BoundLookup::Piece { lo_key, hi_key, .. } => (lo_key, hi_key),
-        };
-        let lo = lo_key.unwrap_or(V::MIN_VALUE);
-        let hi = hi_key.unwrap_or(V::MAX_VALUE);
-        self.merge_pending_range(lo, hi);
-    }
-
     // ------------------------------------------------------------------
     // Shard migration (dynamic replanning)
     // ------------------------------------------------------------------
@@ -1091,23 +1158,11 @@ impl<V: CrackValue> CrackerColumn<V> {
         // SAFETY: `structure` is held exclusively, and every merge builds
         // the ids before it applies anything.
         unsafe { self.ensure_row_ids() };
-        let taken = {
-            let mut p = self.pending.lock();
-            (!p.queue.is_empty()).then(|| p.queue.take_all_tracked())
-        };
-        if let Some((token, ins, del)) = taken {
-            // SAFETY: `structure` is held exclusively.
-            let _ = unsafe { self.ripple_apply(&ins, &del) };
-            // Old-plan snapshot readers must stay exact: the batch
-            // leaves the pending overlay only together with a
-            // republished snapshot that already contains it.
-            if self.snapshot_published() {
-                let pieces = self.copy_live_pieces(None, None, false, false);
-                self.splice_and_publish(None, None, pieces, Some(token));
-            } else {
-                self.pending.lock().queue.finish_merge(token);
-            }
-        }
+        // Old-plan snapshot readers stay exact: the batch leaves the
+        // pending overlay only together with a republished snapshot that
+        // already contains it.
+        // SAFETY: `structure` is held exclusively.
+        unsafe { self.merge_pending_locked() };
         let n = self.index.read().len();
         // SAFETY: exclusive structure lock — no live mutators.
         let vals = unsafe { self.vals.read_range(0, n) }.to_vec();
@@ -1194,22 +1249,8 @@ impl<V: CrackValue> CrackerColumn<V> {
         if pred.is_empty() {
             return SnapshotScan::default();
         }
-        let (snap, (count_delta, sum_delta)) = self.read_or_build_snapshot(|queue| {
-            let mut count_delta = 0i64;
-            let mut sum_delta = 0i128;
-            queue.for_each_unmerged(
-                |v| pred.matches_unbounded(v),
-                |v, kind| {
-                    let sign = match kind {
-                        UnmergedKind::Insert => 1,
-                        UnmergedKind::Delete => -1,
-                    };
-                    count_delta += sign;
-                    sum_delta += sign as i128 * v.as_i64() as i128;
-                },
-            );
-            (count_delta, sum_delta)
-        });
+        let (snap, (count_delta, sum_delta)) =
+            self.read_or_build_snapshot(|queue| overlay(queue, pred));
         let mut scan = snap.stats(pred.lo, pred.hi);
         drop(snap);
         scan.count = (scan.count as i64 + count_delta).max(0) as u64;
@@ -1223,11 +1264,6 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Edge-piece filter work (values inspected element-wise) above which a
     /// snapshot read triggers a piece-table refresh.
     pub const REFRESH_FILTER_MIN: usize = 1 << 11;
-
-    /// Pending-queue length above which a snapshot refresh also merges the
-    /// bound piece's updates (below it, the per-scan overlay is cheaper
-    /// than queueing behind the exclusive merge).
-    pub const REFRESH_MERGE_BACKLOG: usize = 256;
 
     /// Has a snapshot been published for this column?
     pub fn snapshot_published(&self) -> bool {
@@ -1323,7 +1359,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         let Some(_build) = self.filter_build.try_lock() else {
             return false; // a (re)build is already running
         };
-        self.merge_pending_range(V::MIN_VALUE, V::MAX_VALUE);
+        self.merge_pending();
         self.build_and_publish_filter();
         if holix_telemetry::metrics_enabled() {
             holix_telemetry::counter!("cracking_filter_rebuilds_total").inc();
@@ -1366,9 +1402,9 @@ impl<V: CrackValue> CrackerColumn<V> {
         self.filter.publish(filter);
     }
 
-    /// Amortised snapshot maintenance after an expensive edge filter: for
-    /// each non-sentinel bound, merge the pending updates of the bound's
-    /// piece, crack the live bound without blocking (skipped on latch
+    /// Amortised snapshot maintenance after an expensive edge filter: merge
+    /// the queue once it is past the backlog; then, for each non-sentinel
+    /// bound, crack the live bound without blocking (skipped on latch
     /// contention), and replace **only the snapshot piece containing the
     /// bound** with copies at live granularity. Copy cost is the edge
     /// piece's size — interior pieces of the scanned range are already
@@ -1388,14 +1424,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// One bound's refresh: see [`CrackerColumn::refresh_snapshot`].
     fn refresh_bound(&self, v: V, scratch: &mut CrackScratch<V>) {
         // The pending overlay already keeps snapshot answers exact, so a
-        // refresh only merges when the backlog is large enough that the
-        // per-scan overlay cost matters — a snapshot-only workload still
-        // cannot grow the queue without bound, but a snapshot reader does
-        // not queue behind the exclusive merge lock for a handful of
-        // updates some locked query will merge anyway.
-        if self.pending.lock().queue.len() > Self::REFRESH_MERGE_BACKLOG {
-            self.merge_pending_for_piece_of(v);
-        }
+        // refresh only merges past the backlog, where the per-scan overlay
+        // cost starts to matter: a snapshot-only workload still cannot
+        // grow the queue without bound.
+        self.merge_past_backlog();
         let _shared = self.structure.read();
         if self.crack_bound(v, scratch, false).is_none() {
             return; // bound piece latched elsewhere — retry on a later scan
@@ -1718,10 +1750,12 @@ impl<V: CrackValue> CrackerColumn<V> {
     // Verification / instrumentation
     // ------------------------------------------------------------------
 
-    /// Select plus an exclusive checksum scan of the qualifying range. Used
-    /// by tests and verification modes; concurrent refinements between the
-    /// select and the scan are harmless (they only permute inside the
-    /// range), concurrent *updates* are the caller's responsibility.
+    /// Select plus an exclusive checksum scan of the qualifying range and
+    /// the sum of the pending updates in the predicate. Used by tests and
+    /// verification modes. The scan re-locates both bounds under the
+    /// exclusive structure lock and folds the overlay there, so the answer
+    /// is the column's at one instant even when a merge ran since the
+    /// select; the returned selection is re-located the same way.
     pub fn select_verified(
         &self,
         pred: Predicate<V>,
@@ -1729,9 +1763,24 @@ impl<V: CrackValue> CrackerColumn<V> {
     ) -> (Selection, RangeStats) {
         let sel = self.select(pred, scratch);
         let _exclusive = self.structure.write();
+        // The select cracked both bounds (boundaries are never removed),
+        // unless the predicate is empty.
+        let Some((start, end)) = Self::exact_span(&self.index.read(), pred) else {
+            return (sel, RangeStats::default());
+        };
+        let (pending, pending_sum) = overlay(&self.pending.lock().queue, pred);
+        let sel = Selection {
+            start,
+            end,
+            pending,
+            ..sel
+        };
         // SAFETY: exclusive structure lock — no live mutators.
-        let slice = unsafe { self.vals.read_range(sel.start, sel.end) };
-        (sel, holix_storage::select::slice_stats(slice))
+        let slice = unsafe { self.vals.read_range(start, end) };
+        let mut stats = holix_storage::select::slice_stats(slice);
+        stats.count = sel.count();
+        stats.sum += pending_sum;
+        (sel, stats)
     }
 
     /// Copies the values in cracked positions `[start, end)` (exclusive
@@ -1745,10 +1794,11 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Atomically copies the *base-table row ids* currently in
     /// `[pred.lo, pred.hi)`. Both bounds must already be boundaries (run
-    /// `select` first to crack them); the bounds are re-located *under the
-    /// exclusive structure lock*, so the copy is a consistent snapshot of
-    /// the merged state at one instant even when Ripple merges shifted
-    /// positions since the select. `None` when a non-sentinel bound is not
+    /// `select` first to crack them). The pending queue is merged first,
+    /// under the exclusive structure lock this call holds anyway, so the
+    /// ids include pending inserts and drop pending deletes; the bounds are
+    /// re-located after it, so the copy is a consistent snapshot of the
+    /// column at one instant. `None` when a non-sentinel bound is not
     /// an exact boundary — callers fall back to per-term execution.
     /// Conjunction execution collects the driver term's row ids here and
     /// probes the remaining attributes positionally in the base table. The
@@ -1759,28 +1809,13 @@ impl<V: CrackValue> CrackerColumn<V> {
             return Some(Vec::new());
         }
         let _exclusive = self.structure.write();
-        let idx = self.index.read();
-        let start = if pred.lo == V::MIN_VALUE {
-            0
-        } else {
-            match idx.locate(pred.lo) {
-                BoundLookup::Exact(p) => p,
-                BoundLookup::Piece { .. } => return None,
-            }
-        };
-        let end = if pred.hi == V::MAX_VALUE {
-            idx.len()
-        } else {
-            match idx.locate(pred.hi) {
-                BoundLookup::Exact(p) => p,
-                BoundLookup::Piece { .. } => return None,
-            }
-        };
-        drop(idx);
+        // SAFETY: exclusive structure lock.
+        unsafe { self.merge_pending_locked() };
+        let (start, end) = Self::exact_span(&self.index.read(), pred)?;
         // SAFETY: exclusive structure lock — no live mutators, and every
         // merge builds the ids before it applies anything.
         unsafe { self.ensure_row_ids() };
-        Some(unsafe { self.rows.read_range(start, end.max(start)) }.to_vec())
+        Some(unsafe { self.rows.read_range(start, end) }.to_vec())
     }
 
     /// Panics unless every cracking invariant holds. When `base` is given
@@ -2060,7 +2095,7 @@ mod tests {
     }
 
     #[test]
-    fn updates_merge_on_select() {
+    fn updates_count_on_select_and_merge_past_the_backlog() {
         let (mut base, col) = column(10_000, 10);
         let mut scratch = CrackScratch::new();
         // Crack a bit first.
@@ -2073,9 +2108,24 @@ mod tests {
         }
         assert_eq!(col.pending_len(), 3);
         let pred = Predicate::range(200, 700);
-        let (_, stats) = col.select_verified(pred, &mut scratch);
+        let (sel, stats) = col.select_verified(pred, &mut scratch);
         assert_eq!(stats, scan_stats(&base, pred));
-        assert_eq!(col.pending_len(), 1); // 900 still pending
+        // Both in-range inserts are counted from the queue; none merged.
+        assert_eq!((sel.pending, sel.count()), (2, stats.count));
+        assert_eq!(col.pending_len(), 3);
+        // One update past the backlog: the next read merges the whole
+        // queue — 900 included — before it answers.
+        let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
+        for i in 3..=backlog {
+            let v = (i as i64 * 7) % 1_000;
+            col.queue_insert(v, n + i as RowId);
+            base.push(v);
+        }
+        assert_eq!(col.pending_len(), backlog + 1);
+        let (sel, stats) = col.select_verified(pred, &mut scratch);
+        assert_eq!(stats, scan_stats(&base, pred));
+        assert_eq!((sel.pending, sel.count()), (0, stats.count));
+        assert_eq!(col.pending_len(), 0);
         col.check_invariants(None);
     }
 
@@ -2215,6 +2265,9 @@ mod tests {
             let v = rng.random_range(0..1_000);
             col.queue_insert(v, (base.len() + 100 + i) as RowId);
             col.select(Predicate::range(v.saturating_sub(5), v + 5), &mut scratch);
+            // A select below the backlog merges nothing: merge here, as an
+            // idle worker would.
+            col.merge_pending();
         }
         // … still scans the multiset it started with, while the column
         // has moved on,
@@ -2295,7 +2348,7 @@ mod tests {
         .unwrap();
         // Quiesce: merge the remaining pending ops and compare all paths.
         let mut scratch = CrackScratch::new();
-        col.merge_pending_range(i64::MIN, i64::MAX);
+        col.merge_pending();
         let scan = col.snapshot_scan(full, &mut scratch);
         let (_, locked) = col.select_verified(full, &mut scratch);
         assert_eq!((scan.count, scan.sum), (locked.count, locked.sum));
@@ -2670,14 +2723,14 @@ mod tests {
 
     /// Cracks a duplicate-heavy column at random ranges and queues random
     /// inserts and base-row deletes; returns the column and the queued
-    /// values.
+    /// values, each with `+1` for an insert and `-1` for a delete.
     fn cracked_with_pending(
         seed: u64,
         n: usize,
         cracks: usize,
         inserts: usize,
         deletes: usize,
-    ) -> (CrackerColumn<i64>, Vec<i64>) {
+    ) -> (CrackerColumn<i64>, Vec<(i64, i64)>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let base: Vec<i64> = (0..n).map(|_| rng.random_range(0..200)).collect();
         let col = CrackerColumn::from_base("a", &base);
@@ -2690,7 +2743,7 @@ mod tests {
         for i in 0..inserts {
             let v = rng.random_range(0..200);
             assert!(col.queue_insert(v, (n + i) as RowId));
-            pending.push(v);
+            pending.push((v, 1));
         }
         let mut deleted = Vec::new();
         for _ in 0..deletes.min(n) {
@@ -2698,7 +2751,7 @@ mod tests {
             if !deleted.contains(&row) {
                 deleted.push(row);
                 assert!(col.queue_delete(base[row], row as RowId));
-                pending.push(base[row]);
+                pending.push((base[row], -1));
             }
         }
         (col, pending)
@@ -2706,7 +2759,7 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn prop_count_exact_answers_what_select_would_not_crack_or_merge(
+        fn prop_count_exact_answers_exactly_when_select_would_crack_nothing(
             seed in proptest::prelude::any::<u64>(),
             n in 0usize..400,
             cracks in 0usize..12,
@@ -2727,18 +2780,24 @@ mod tests {
             let mut scratch = CrackScratch::new();
             for &(lo_kind, lo, hi_kind, hi) in &probes {
                 let pred = Predicate::range(pick(lo_kind, lo, i64::MIN), pick(hi_kind, hi, i64::MAX));
-                let quiet = !pending.iter().any(|&v| pred.matches(v));
                 let want = pred.is_empty()
-                    || (answered(pred.lo, i64::MIN) && answered(pred.hi, i64::MAX) && quiet);
+                    || (answered(pred.lo, i64::MIN) && answered(pred.hi, i64::MAX));
+                let queued: i64 = pending
+                    .iter()
+                    .filter(|&&(v, _)| pred.matches_unbounded(v))
+                    .map(|&(_, sign)| sign)
+                    .sum();
                 let before = (col.piece_count(), col.pending_len());
                 let got = col.count_exact(pred);
                 assert_eq!(got.is_some(), want, "{pred:?} over boundaries {bounds:?}");
                 assert_eq!((col.piece_count(), col.pending_len()), before, "{pred:?}");
                 if let Some(count) = got {
-                    // `select` agrees, and needed no crack and no merge.
+                    // `select` agrees, and needed no crack and no merge:
+                    // both count the same pending updates.
                     let sel = col.select(pred, &mut scratch);
                     assert!(sel.exact_hit(), "{pred:?}");
                     assert_eq!(count, sel.count(), "{pred:?}");
+                    assert_eq!(sel.pending, queued, "{pred:?}");
                     assert_eq!((col.piece_count(), col.pending_len()), before, "{pred:?}");
                 }
             }

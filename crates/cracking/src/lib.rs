@@ -27,8 +27,8 @@
 //!   when a conjunction, a Ripple merge or a migration first asks for it,
 //! - [`stochastic`] — stochastic cracking (auxiliary random crack inside the
 //!   piece a query is about to crack, \[21\]),
-//! - [`updates`] — pending insertions/deletions merged on-the-fly with the
-//!   Ripple algorithm (\[28\]),
+//! - [`updates`] — pending insertions/deletions, counted by reads and
+//!   merged in batches with the Ripple algorithm (\[28\]),
 //! - [`sharding`] — horizontal range shards: one attribute split into S
 //!   independently crackable [`CrackerColumn`]s with per-shard Ripple
 //!   buffers, predicate fan-out, value-routed updates and versioned

@@ -1138,10 +1138,9 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     // [`ShardedColumn::shard`] they panic on an empty cell.
     // ------------------------------------------------------------------
 
-    /// Fan-out verified select: counts plus checksums across shards.
-    /// Concurrent updates between per-shard select and checksum are the
-    /// caller's responsibility, exactly as for
-    /// [`CrackerColumn::select_verified`].
+    /// Fan-out verified select: counts plus checksums across shards. Each
+    /// shard answers at its own instant ([`CrackerColumn::select_verified`]),
+    /// so a fan-out is not one global instant — as for every fan-out.
     pub fn select_verified(
         &self,
         pred: Predicate<V>,
@@ -1513,12 +1512,19 @@ mod tests {
         for (k, &v) in probes.iter().enumerate() {
             assert_eq!(col.shard(k).pending_len(), 1, "value {v} routed wrongly");
         }
-        // Merge everything through a full-domain select and re-check counts.
+        // A full-domain select counts every shard's queue and merges none …
         let mut scratch = CrackScratch::new();
         let pred = Predicate::range(0, 1_000);
         let (_, stats) = col.select_verified(pred, &mut scratch);
         assert_eq!(stats, scan_stats(&b, pred));
-        assert_eq!(col.pending_len(), 0);
+        assert_eq!(col.pending_len(), 4);
+        // … and each shard's merge applies its own insert alone.
+        for k in 0..4 {
+            col.shard(k).merge_pending();
+            assert_eq!(col.pending_len(), 3 - k, "shard {k} merged another's");
+        }
+        let (_, stats) = col.select_verified(pred, &mut scratch);
+        assert_eq!(stats, scan_stats(&b, pred));
     }
 
     #[test]
@@ -2166,6 +2172,12 @@ mod tests {
         let mut left = b.clone();
         left.swap_remove(17);
         assert_eq!(stats, scan_stats(&left, all));
+        assert!(
+            !col.shard(k).has_row_ids(),
+            "a read counts the delete unmerged"
+        );
+        col.shard(k).merge_pending();
+        assert_eq!(col.select_verified(all, &mut scratch).1, stats);
         assert!(col.shard(k).has_row_ids());
         assert!(
             !col.shard(1 - k).has_row_ids(),
@@ -2674,5 +2686,248 @@ mod tests {
         rebuilt.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
         assert!(whole.zones.get().is_some());
         assert_eq!(tuples(rebuilt.shard(1)), pushed[1]);
+    }
+
+    /// A column under the backlog-edge property test: a plain column
+    /// (row ids from birth) or a sharded one (shards built from the base,
+    /// row ids on demand).
+    enum Target {
+        Plain(Box<CrackerColumn<i64>>),
+        Sharded(ShardedColumn<i64>),
+    }
+
+    impl Target {
+        fn shard_count(&self) -> usize {
+            match self {
+                Target::Plain(_) => 1,
+                Target::Sharded(c) => c.shard_count(),
+            }
+        }
+
+        fn shard_of(&self, v: i64) -> usize {
+            match self {
+                Target::Plain(_) => 0,
+                Target::Sharded(c) => c.plan().shard_of(v),
+            }
+        }
+
+        fn shard(&self, k: usize) -> &CrackerColumn<i64> {
+            match self {
+                Target::Plain(c) => c,
+                Target::Sharded(c) => c.shard(k),
+            }
+        }
+
+        /// The shards `pred` touches, each with its clamped predicate.
+        fn parts(&self, pred: Predicate<i64>) -> Vec<(usize, Predicate<i64>)> {
+            match self {
+                Target::Plain(_) => vec![(0, pred)],
+                Target::Sharded(c) => c.intersecting(pred),
+            }
+        }
+    }
+
+    /// Count, sum and sorted row ids of the live tuples `pred` selects.
+    fn oracle(live: &[(i64, RowId)], pred: Predicate<i64>) -> (u64, i128, Vec<RowId>) {
+        let hits = live.iter().filter(|t| pred.matches_unbounded(t.0));
+        let mut rows: Vec<RowId> = hits.clone().map(|t| t.1).collect();
+        rows.sort_unstable();
+        let sum = hits.map(|t| t.0 as i128).sum();
+        (rows.len() as u64, sum, rows)
+    }
+
+    /// One read of `pred` through `kind` (select, verified select, exact
+    /// count, snapshot scan, row-id collection), checked against the live
+    /// multiset — and against the backlog rule: a select merges a shard's
+    /// queue only past `MERGE_BACKLOG`, and then whole; an exact count
+    /// merges nothing; a row-id collection merges everything.
+    fn read_checked(
+        t: &Target,
+        live: &[(i64, RowId)],
+        kind: u8,
+        pred: Predicate<i64>,
+        scratch: &mut CrackScratch<i64>,
+    ) {
+        let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
+        let (count, sum, rows) = oracle(live, pred);
+        let parts = t.parts(pred);
+        let queued = |t: &Target| -> Vec<usize> {
+            parts
+                .iter()
+                .map(|&(k, _)| t.shard(k).pending_len())
+                .collect()
+        };
+        let before = queued(t);
+        let drained = |before: &[usize]| -> Vec<usize> {
+            before
+                .iter()
+                .map(|&n| if n > backlog { 0 } else { n })
+                .collect()
+        };
+        match kind % 5 {
+            0 => {
+                let got: u64 = parts
+                    .iter()
+                    .map(|&(k, p)| t.shard(k).select(p, scratch).count())
+                    .sum();
+                assert_eq!(got, count, "select {pred:?}");
+                assert_eq!(queued(t), drained(&before), "select {pred:?}");
+            }
+            1 => {
+                let mut got = RangeStats::default();
+                for &(k, p) in &parts {
+                    let (sel, s) = t.shard(k).select_verified(p, scratch);
+                    assert_eq!(sel.count(), s.count, "{pred:?}");
+                    got.merge(s);
+                }
+                assert_eq!((got.count, got.sum), (count, sum), "verified {pred:?}");
+                assert_eq!(queued(t), drained(&before), "verified {pred:?}");
+            }
+            2 => {
+                // Uncracked bounds may refuse; either way nothing merges.
+                let first: Option<u64> =
+                    parts.iter().map(|&(k, p)| t.shard(k).count_exact(p)).sum();
+                assert!(first.is_none_or(|c| c == count), "count_exact {pred:?}");
+                assert_eq!(queued(t), before, "count_exact merged {pred:?}");
+                for &(k, p) in &parts {
+                    t.shard(k).select(p, scratch);
+                }
+                let cracked = queued(t);
+                let again: Option<u64> =
+                    parts.iter().map(|&(k, p)| t.shard(k).count_exact(p)).sum();
+                assert_eq!(again, Some(count), "count_exact {pred:?}");
+                assert_eq!(queued(t), cracked, "count_exact merged {pred:?}");
+            }
+            3 => {
+                let (mut c, mut s) = (0u64, 0i128);
+                for &(k, p) in &parts {
+                    let scan = t.shard(k).snapshot_scan(p, scratch);
+                    c += scan.count;
+                    s += scan.sum;
+                }
+                assert_eq!((c, s), (count, sum), "snapshot {pred:?}");
+                let after = queued(t);
+                let kept_or_drained = after
+                    .iter()
+                    .zip(&before)
+                    .all(|(&a, &b)| a == b || (b > backlog && a == 0));
+                assert!(
+                    kept_or_drained,
+                    "snapshot {pred:?}: {before:?} -> {after:?}"
+                );
+            }
+            _ => {
+                let mut got = Vec::new();
+                for &(k, p) in &parts {
+                    t.shard(k).select(p, scratch);
+                    got.extend(t.shard(k).collect_row_ids(p).expect("bounds cracked"));
+                }
+                got.sort_unstable();
+                assert_eq!(got, rows, "row ids {pred:?}");
+                assert!(queued(t).iter().all(|&n| n == 0), "ids left updates queued");
+            }
+        }
+    }
+
+    // Random interleavings of queued inserts, deletes of live tuples,
+    // every read path and an idle worker's refinement, on a plain column
+    // and on a 4-shard one, with one shard's queue driven to exactly 255,
+    // 256 or 257 updates before a read: every answer matches a multiset
+    // oracle (count, sum, row-id set), and each path merges what the
+    // backlog rule says.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_updates_at_the_backlog_edge_match_a_multiset_oracle(
+            seed in any::<u64>(),
+            n in 200usize..2_000,
+            sharded in any::<bool>(),
+            ops in proptest::collection::vec((0u8..9, any::<u16>(), any::<u16>()), 1..32),
+        ) {
+            const DOMAIN: i64 = 1_000;
+            let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let b = base(n, DOMAIN, seed);
+            let t = if sharded {
+                let plan = ShardPlan::from_values(&b, 4);
+                Target::Sharded(ShardedColumn::from_base_with_plan("a", &b, plan))
+            } else {
+                Target::Plain(Box::new(CrackerColumn::from_base("a", &b)))
+            };
+            let mut live: Vec<(i64, RowId)> =
+                b.iter().enumerate().map(|(r, &v)| (v, r as RowId)).collect();
+            let mut next_row = n as RowId;
+            let mut scratch = CrackScratch::new();
+            let pred_of = |a: u16, b: u16| {
+                let lo = if a.is_multiple_of(17) { i64::MIN } else { a as i64 % 1_100 - 50 };
+                let hi = match (b % 13, lo) {
+                    (0, _) => i64::MAX,
+                    (_, i64::MIN) => b as i64 % 1_100 - 50,
+                    _ => lo + b as i64 % 600,
+                };
+                Predicate::range(lo, hi)
+            };
+            // A value of shard `k`'s range, searched from `from` upwards.
+            let in_shard = |t: &Target, k: usize, from: i64| {
+                (0..DOMAIN)
+                    .map(|i| (from + i).rem_euclid(DOMAIN))
+                    .find(|&v| t.shard_of(v) == k)
+            };
+            for &(kind, a, c) in &ops {
+                match kind {
+                    0 => {
+                        let v = a as i64 % DOMAIN;
+                        assert!(t.shard(t.shard_of(v)).queue_insert(v, next_row));
+                        live.push((v, next_row));
+                        next_row += 1;
+                    }
+                    1 if !live.is_empty() => {
+                        let (v, row) = live.swap_remove(a as usize % live.len());
+                        assert!(t.shard(t.shard_of(v)).queue_delete(v, row));
+                    }
+                    2..=6 => read_checked(&t, &live, kind - 2, pred_of(a, c), &mut scratch),
+                    7 => {
+                        let pivot = a as i64 % DOMAIN;
+                        let shard = t.shard(t.shard_of(pivot));
+                        shard.refine_at(pivot, &mut scratch);
+                        assert_eq!(shard.pending_len(), 0, "a worker leaves nothing queued");
+                    }
+                    _ => {
+                        // Drive one shard's queue to the backlog edge, then
+                        // read a range that starts inside that shard.
+                        let k = a as usize % t.shard_count();
+                        let Some(v0) = in_shard(&t, k, c as i64) else {
+                            continue;
+                        };
+                        let edge = backlog - 1 + c as usize % 3;
+                        let shard = t.shard(k);
+                        if shard.pending_len() > edge {
+                            shard.merge_pending();
+                        }
+                        while shard.pending_len() < edge {
+                            let mine: Vec<usize> = (0..live.len())
+                                .filter(|&i| t.shard_of(live[i].0) == k)
+                                .collect();
+                            if mine.is_empty() || rng.random_bool(0.6) {
+                                let v = in_shard(&t, k, rng.random_range(0..DOMAIN)).unwrap();
+                                assert!(shard.queue_insert(v, next_row));
+                                live.push((v, next_row));
+                                next_row += 1;
+                            } else {
+                                let (v, row) = live.swap_remove(mine[rng.random_range(0..mine.len())]);
+                                assert!(shard.queue_delete(v, row));
+                            }
+                        }
+                        let pred = Predicate::range(v0, v0 + 1 + a as i64 % 300);
+                        read_checked(&t, &live, (c / 3) as u8, pred, &mut scratch);
+                    }
+                }
+            }
+            for k in 0..t.shard_count() {
+                t.shard(k).check_invariants(None);
+            }
+            let all = Predicate::range(i64::MIN, i64::MAX);
+            read_checked(&t, &live, 1, all, &mut scratch);
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Pending updates and the Ripple merge algorithm (\[28\] "Updating a Cracked
 //! Database", as used by §4.2 and §5.7 of the holistic-indexing paper).
 //!
-//! Updates are queued per column and merged lazily: a query (or a holistic
-//! worker) that touches a value range merges exactly the pending updates
-//! falling inside that range, never destroying index information.
+//! Updates are queued per column and merged lazily, never destroying index
+//! information: reads count the queue beside the column until it passes a
+//! backlog (or an idle holistic worker gets to it), and then the whole
+//! queue is merged as one batch (`CrackerColumn::merge_pending`).
 //!
 //! The Ripple insight: pieces are *unordered multisets* within their value
 //! bounds, so making room for an insertion into piece `j` only needs to move
@@ -33,7 +34,7 @@ pub type UpdateList<V> = Vec<(V, RowId)>;
 /// reader linearising on this structure's mutex must still see those items
 /// somewhere — otherwise a scan racing the merge would observe them in
 /// neither the (old) snapshot nor the pending queue. The merge registers
-/// its batch with [`PendingUpdates::take_range_tracked`] and clears it with
+/// its batch with [`PendingUpdates::take_all_tracked`] and clears it with
 /// [`PendingUpdates::finish_merge`] in the same critical section that
 /// publishes the new snapshot.
 #[derive(Debug, Default)]
@@ -114,53 +115,9 @@ impl<V: CrackValue> PendingUpdates<V> {
         self.inserts.is_empty() && self.deletes.is_empty()
     }
 
-    /// Any queued op with value in `[lo, hi)`?
-    pub fn has_in_range(&self, lo: V, hi: V) -> bool {
-        let hit = |&(v, _): &(V, RowId)| lo <= v && v < hi;
-        self.inserts.iter().any(hit) || self.deletes.iter().any(hit)
-    }
-
-    /// Removes and returns `(inserts, deletes)` with values in `[lo, hi)`.
-    pub fn take_range(&mut self, lo: V, hi: V) -> (UpdateList<V>, UpdateList<V>) {
-        let split = |q: &mut Vec<(V, RowId)>| {
-            let mut taken = Vec::new();
-            q.retain(|&(v, r)| {
-                if lo <= v && v < hi {
-                    taken.push((v, r));
-                    false
-                } else {
-                    true
-                }
-            });
-            taken
-        };
-        (split(&mut self.inserts), split(&mut self.deletes))
-    }
-
-    /// [`PendingUpdates::take_range`] that additionally registers the taken
-    /// batch as in-flight until [`PendingUpdates::finish_merge`] is called
-    /// with the returned token. `None` — nothing taken, nothing registered
-    /// — when no queued update falls in `[lo, hi)`: the one pass over the
-    /// queue is also the check that a racing merge has not been there
-    /// first.
-    pub fn take_range_tracked(&mut self, lo: V, hi: V) -> Option<InFlightBatch<V>> {
-        let (ins, del) = self.take_range(lo, hi);
-        if ins.is_empty() && del.is_empty() {
-            return None;
-        }
-        let (ins, del) = (Arc::new(ins), Arc::new(del));
-        let token = self.next_token;
-        self.next_token += 1;
-        self.in_flight
-            .push((token, Arc::clone(&ins), Arc::clone(&del)));
-        Some((token, ins, del))
-    }
-
-    /// Takes *every* queued update — including `MAX_VALUE` sentinels that a
-    /// `take_range(MIN, MAX)` would exclude (half-open upper bound) — and
-    /// registers the batch as in-flight like
-    /// [`PendingUpdates::take_range_tracked`]. Shard migration drains the
-    /// whole queue through this before copying the column out.
+    /// Takes *every* queued update and registers the batch as in-flight
+    /// until [`PendingUpdates::finish_merge`] is called with the returned
+    /// token. Every Ripple merge takes its batch here.
     pub fn take_all_tracked(&mut self) -> InFlightBatch<V> {
         let ins = Arc::new(std::mem::take(&mut self.inserts));
         let del = Arc::new(std::mem::take(&mut self.deletes));
@@ -546,35 +503,20 @@ mod tests {
     }
 
     #[test]
-    fn take_range_partitions_queue() {
-        let mut q = PendingUpdates::new();
-        for (v, r) in [(1, 0), (5, 1), (9, 2)] {
-            q.queue_insert(v, r);
-        }
-        q.queue_delete(6, 3);
-        assert!(q.has_in_range(5, 7));
-        let (ins, del) = q.take_range(5, 7);
-        assert_eq!(ins, vec![(5, 1)]);
-        assert_eq!(del, vec![(6, 3)]);
-        assert_eq!(q.len(), 2);
-        assert!(!q.has_in_range(5, 7));
-    }
-
-    #[test]
     fn in_flight_batches_stay_visible_until_finished() {
         let mut q = PendingUpdates::new();
-        q.queue_insert(5, 1);
-        q.queue_insert(50, 2);
+        q.queue_insert(i64::MAX, 1); // the sentinel is taken like any value
+        q.queue_insert(5, 2);
         q.queue_delete(7, 3);
-        let (token, ins, del) = q.take_range_tracked(0, 10).expect("two ops in range");
-        assert_eq!(*ins, vec![(5, 1)]);
+        let (token, ins, del) = q.take_all_tracked();
+        assert_eq!(*ins, vec![(i64::MAX, 1), (5, 2)]);
         assert_eq!(*del, vec![(7, 3)]);
-        assert!(!q.has_in_range(0, 10), "taken items left the queue");
-        assert!(
-            q.take_range_tracked(0, 10).is_none(),
-            "a second taker finds nothing and registers nothing"
-        );
-        // … but a snapshot reader still sees them as unmerged.
+        assert!(q.is_empty(), "taken items left the queue");
+        // A later batch is tracked on its own token.
+        q.queue_insert(50, 4);
+        let (second, _, _) = q.take_all_tracked();
+        assert_ne!(token, second);
+        // … but a snapshot reader still sees both batches as unmerged.
         let collect = |q: &PendingUpdates<i64>, cap: i64| {
             let (mut ins, mut del) = (Vec::new(), Vec::new());
             q.for_each_unmerged(
@@ -591,29 +533,11 @@ mod tests {
         assert_eq!(uv_del, vec![7]);
         q.finish_merge(token);
         let (uv_ins, uv_del) = collect(&q, 100);
-        assert_eq!(uv_ins, vec![50], "queued insert outside the merge survives");
+        assert_eq!(uv_ins, vec![50], "the unfinished batch stays visible");
         assert!(uv_del.is_empty());
         q.finish_merge(token); // idempotent
-    }
-
-    #[test]
-    fn take_all_tracked_drains_sentinels_and_tracks_in_flight() {
-        let mut q = PendingUpdates::new();
-        q.queue_insert(i64::MAX, 1); // excluded by any half-open take_range
-        q.queue_insert(5, 2);
-        q.queue_delete(7, 3);
-        let unmerged = |q: &PendingUpdates<i64>| {
-            let mut n = 0;
-            q.for_each_unmerged(|_| true, |_, _| n += 1);
-            n
-        };
-        let (token, ins, del) = q.take_all_tracked();
-        assert_eq!(ins.len(), 2, "sentinel insert must be taken too");
-        assert_eq!(del.len(), 1);
-        assert!(q.is_empty());
-        assert_eq!(unmerged(&q), 3, "taken batch stays visible in flight");
-        q.finish_merge(token);
-        assert_eq!(unmerged(&q), 0);
+        q.finish_merge(second);
+        assert_eq!(collect(&q, i64::MAX), (vec![], vec![]));
     }
 
     #[test]

@@ -113,9 +113,10 @@ pub trait QueryEngine: Send + Sync {
         None
     }
 
-    /// The answer to `q` when the engine already has it: nothing to crack,
-    /// nothing to merge, nothing to build (an exact hit, the paper's
-    /// `f_Ih`, or a point probe a membership filter screens out). `None`
+    /// The answer to `q` when the engine already has it: nothing to crack
+    /// and nothing to build (an exact hit, the paper's `f_Ih`, counted with
+    /// the updates still pending in range, or a point probe a membership
+    /// filter screens out). `None`
     /// sends the caller to [`QueryEngine::execute`]. The service answers a
     /// `Some` on the submitting thread instead of queueing the query.
     fn execute_exact(&self, q: &QuerySpec) -> Option<ExactAnswer> {
@@ -171,8 +172,8 @@ pub trait QueryEngine: Send + Sync {
 /// An answer [`QueryEngine::execute_exact`] found without touching data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExactAnswer {
-    /// Both bounds are boundaries and nothing is pending in range: the
-    /// count of qualifying values.
+    /// Both bounds are boundaries: the count of qualifying values, pending
+    /// updates in range included.
     Hit(u64),
     /// A point probe the membership filter proves absent (count 0).
     Screened,

@@ -453,8 +453,9 @@ impl HolisticEngine {
 
     /// Queues an insertion of `v` for base row `row` on `attr`; it lands in
     /// the pending buffer of exactly the shard owning `v`'s value range
-    /// (built first when it is not resident) and is merged when a query or
-    /// worker touches that range (Ripple).
+    /// (built first when it is not resident). Reads count it from there
+    /// until an idle worker, or a read finding the shard's queue past its
+    /// backlog, Ripple-merges the queue whole.
     ///
     /// A shard sealed for migration rejects the enqueue; the update
     /// retries against the successor plan once its cutover publishes (or
@@ -1385,11 +1386,12 @@ mod tests {
             let hits = exact_hits(0);
             assert_eq!(e.execute_exact(&span), Some(ExactAnswer::Hit(want)));
             assert_eq!(exact_hits(0), hits + shards as u64, "S={shards}");
-            // A pending insert in range sends the read back to `execute`,
-            // whose merge converges it again.
+            // A pending insert in range is counted from the queue, with
+            // nothing merged, and `execute` agrees.
             e.queue_insert(0, 9_000, base.len() as RowId);
-            assert_eq!(e.execute_exact(&span), None, "S={shards}");
-            assert_eq!(exact_hits(0), hits + shards as u64, "a miss was recorded");
+            assert_eq!(e.execute_exact(&span), Some(ExactAnswer::Hit(want + 1)));
+            assert_eq!(exact_hits(0), hits + 2 * shards as u64, "S={shards}");
+            assert_eq!(e.sharded(0).pending_len(), 1, "S={shards}: it merged");
             assert_eq!(e.execute(&span), want + 1);
             assert_eq!(e.execute_exact(&span), Some(ExactAnswer::Hit(want + 1)));
             // A point probe builds its shard's filter; an absent key the
@@ -2310,7 +2312,11 @@ mod tests {
     /// 20.5-fold piece growth (20–22×, about once the piece growth, ≈ 19 ns
     /// per boundary of the shard) with the batch kernel; 32 → 2 690 µs
     /// (84×, four times the piece growth, ≈ 85 ns per boundary) at its
-    /// parent, which walked every boundary once per merged value.
+    /// parent, which walked every boundary once per merged value. Since
+    /// reads merge only a queue past `CrackerColumn::MERGE_BACKLOG`, whole,
+    /// a merging read is a drain of a few hundred updates, and a window
+    /// holds 10–16 of them (at least 8 are required): the floor went from
+    /// 1.00 to 7.08 ms over a 20.4-fold piece growth (7×).
     ///
     /// The point filters' rebuild cadence rides along: a shard rebuilds
     /// its filter once the deletes queued since the last build reach a
@@ -2467,8 +2473,15 @@ mod tests {
         let last_pieces = e.total_pieces();
         e.stop();
 
-        let merges: usize = merging_ns.iter().map(Vec::len).sum();
-        assert!(merges * 4 > OPS, "only {merges} of {OPS} operations merged");
+        // A read merges only a queue past the backlog, whole: every window
+        // must still hold enough merging reads for a floor.
+        for (w, reads) in merging_ns.iter().enumerate() {
+            assert!(
+                reads.len() >= 8,
+                "window {w}: {} merging reads",
+                reads.len()
+            );
+        }
         assert!(
             last_pieces >= 8 * first_pieces,
             "the piece table grew from {first_pieces} to {last_pieces} only"

@@ -10,8 +10,9 @@
 //!
 //! - **alpha** — ns per touched value, sampled from backlog-free
 //!   `Locked` executions (`service / (crack_values + est_rows)`),
-//! - **beta** — ns per pending Ripple op, sampled from backlogged
-//!   `Locked` executions after subtracting the alpha-predicted value
+//! - **beta** — ns per pending Ripple op, sampled from `Locked`
+//!   executions that merge a queue past the backlog (priced with a
+//!   nonzero `merge_backlog`) after subtracting the alpha-predicted value
 //!   work,
 //! - **gamma** — ns per decoded edge-filter value, sampled from
 //!   `Snapshot` executions that touched encoded pieces, after

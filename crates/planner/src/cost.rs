@@ -3,14 +3,15 @@
 //!
 //! The unit of cost is *one value touched element-wise*. The locked path
 //! pays the edge pieces it must partition (two cracks, or zero on an exact
-//! hit) plus a Ripple-merge term for the pending backlog its select would
-//! drain; the snapshot path pays the snapshot's edge-piece filter (interior
-//! pieces answer O(1) from precomputed aggregates) and can never crack.
+//! hit) plus a Ripple-merge term for the merge debt its select would pay
+//! (the whole queue once past `MERGE_BACKLOG`, else none); the snapshot
+//! path pays the snapshot's edge-piece filter (interior pieces answer O(1)
+//! from precomputed aggregates) and can never crack.
 //! These are the same quantities the paper's §4 statistics track per index
 //! (`f_Ih` exact hits, piece sizes feeding `d(I, I_opt)`) — read at plan
 //! time instead of maintenance time.
 
-use holix_cracking::PieceStats;
+use holix_cracking::{CrackerColumn, PieceStats};
 use holix_storage::select::Predicate;
 use holix_storage::types::CrackValue;
 
@@ -19,8 +20,8 @@ use holix_storage::types::CrackValue;
 /// value; the fixed snapshot term covers the snapshot load + overlay fold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
-    /// Touched-value equivalents charged per pending update the locked
-    /// path may merge before answering.
+    /// Touched-value equivalents charged per unit of merge debt (a pending
+    /// update the locked path merges before answering).
     pub merge_weight: u64,
     /// Fixed touched-value equivalents per snapshot read (pin + overlay).
     pub snapshot_fixed: u64,
@@ -62,7 +63,8 @@ pub struct PlanCost {
     /// `Cheap`/`Expensive` price line. Best-effort, not conservative —
     /// never used for safety decisions.
     pub est_rows: u64,
-    /// Pending Ripple updates the locked path may merge first.
+    /// Merge debt the locked path would pay: the whole pending queue past
+    /// [`CrackerColumn::MERGE_BACKLOG`], none below.
     pub merge_backlog: u64,
     /// Values a snapshot read would filter in its edge pieces; `None`
     /// when some touched shard has no published snapshot (the first
@@ -238,7 +240,11 @@ pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> Pla
     PlanCost {
         crack_values: ((lo.end - lo.start) + (hi.end - hi.start)) as u64,
         est_rows: (hi.pos - lo.pos).max(0.0).round() as u64,
-        merge_backlog: stats.pending as u64,
+        merge_backlog: if stats.pending > CrackerColumn::<V>::MERGE_BACKLOG {
+            stats.pending as u64
+        } else {
+            0
+        },
         snapshot_filter: snap.map(|(l, h)| l.0 + h.0),
         decode_rows: snap.map_or(0, |(l, h)| l.1 + h.1),
         exact_hit: lo.exact && hi.exact,
@@ -358,14 +364,14 @@ mod tests {
     #[test]
     fn merge_folds_shards_conservatively() {
         let model = CostModel::default();
-        let s1 = stats(1_000, vec![(10, 500)], 3, Some(vec![sp(None, 1_000)]));
+        let s1 = stats(1_000, vec![(10, 500)], 300, Some(vec![sp(None, 1_000)]));
         let s2 = stats(2_000, vec![], 0, None);
         let mut c = PlanCost::default();
         c.merge(estimate(&s1, Predicate::at_least(20)));
         assert!(c.snapshot_filter.is_some());
         c.merge(estimate(&s2, Predicate::less_than(30)));
         assert_eq!(c.shards_touched, 2);
-        assert_eq!(c.merge_backlog, 3);
+        assert_eq!(c.merge_backlog, 300);
         assert!(
             c.snapshot_cost(&model).is_none(),
             "one snapshot-less shard poisons the snapshot route"
@@ -381,6 +387,25 @@ mod tests {
         assert!(c.exact_hit, "bounds still exact");
         assert_eq!(c.locked_cost(&model), 1_000 * model.merge_weight);
         assert_eq!(c.price(&model), QueryPrice::Cheap, "exact hits stay cheap");
+    }
+
+    #[test]
+    fn only_a_queue_past_the_backlog_is_merge_debt() {
+        // A select counts a queue of up to `MERGE_BACKLOG` updates and
+        // merges nothing; one more and it merges the whole queue first.
+        let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
+        assert_eq!(backlog, 256);
+        let model = CostModel::default();
+        let price = |pending| {
+            let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], pending, None);
+            estimate(&s, Predicate::range(10, 20))
+        };
+        let at = price(backlog);
+        assert_eq!(at.merge_backlog, 0);
+        assert_eq!(at.locked_cost(&model), 0, "an exact hit beside the queue");
+        let past = price(backlog + 1);
+        assert_eq!(past.merge_backlog, 257);
+        assert_eq!(past.locked_cost(&model), 257 * model.merge_weight);
     }
 
     #[test]
@@ -534,7 +559,11 @@ mod tests {
         PlanCost {
             crack_values: lo.0 + hi.0,
             est_rows: (hi.2 - lo.2).max(0.0).round() as u64,
-            merge_backlog: stats.pending as u64,
+            merge_backlog: if stats.pending > 256 {
+                stats.pending as u64
+            } else {
+                0
+            },
             snapshot_filter: snap.map(|(l, h)| l.0 + h.0),
             decode_rows: snap.map_or(0, |(l, h)| l.1 + h.1),
             exact_hit: lo.1 && hi.1,
@@ -612,7 +641,8 @@ mod tests {
                     len,
                     piece_count: n + 1,
                     bounds,
-                    pending: 3,
+                    // Both sides of the backlog.
+                    pending: [3, 256, 257, 4_000][steps.len() % 4],
                     snap_pieces,
                 };
                 let value = |(kind, r): (u8, u16)| -> i64 {

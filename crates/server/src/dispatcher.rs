@@ -15,15 +15,15 @@
 //! ## Exact hits skip the queue
 //!
 //! A read the index has already answered — both bounds are cracker
-//! boundaries and nothing is pending in range (the paper's `f_Ih` hit), or
-//! a point probe the published filter screens out — is answered by
-//! [`Session::submit`] on the calling thread through
+//! boundaries (the paper's `f_Ih` hit; updates pending in range are
+//! counted from the queue), or a point probe the published filter screens
+//! out — is answered by [`Session::submit`] on the calling thread through
 //! [`QueryEngine::execute_exact`], and its ticket is complete when `submit`
 //! returns. It cracks and merges nothing, so a dispatcher has nothing to
 //! batch, order or price: the queue hop and hand-off were most of such a
-//! query's latency. Every other query queues. The engine's pending check
-//! is the linearisation point, so an inline answer is ordered against
-//! Ripple writers as a locked read is.
+//! query's latency. Every other query queues. The engine folds the pending
+//! queue under the same lock a locked read folds it under, so an inline
+//! answer is ordered against Ripple writers as a locked read is.
 //!
 //! ## Shard-affine dispatch
 //!
@@ -776,31 +776,39 @@ mod tests {
     }
 
     #[test]
-    fn cost_based_decomposition_runs_exact_hit_spans_whole() {
+    fn cost_based_decomposition_runs_cheap_spans_whole() {
         let data = Dataset::new(uniform_table(1, 40_000, 1 << 20, 25));
         let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
         cfg.holistic.monitor_interval = Duration::from_millis(50);
         let eng = Arc::new(HolisticEngine::new(data.clone(), cfg));
-        // Crack a spanning range's bounds and publish the statistics: from
-        // here on it prices as an exact hit, which is Cheap.
+        // A narrow range across the first shard cut, cracked, and a bound
+        // 8 values inside it: a span whose lower bound falls in that
+        // 8-value piece is no exact hit — `submit` queues it — but its
+        // crack and its rows price Cheap.
+        let cut = eng.sharded(0).plan().cuts()[0];
         let converged = QuerySpec {
             attr: 0,
-            lo: 100_000,
-            hi: 900_000,
+            lo: cut - 5_000,
+            hi: cut + 5_000,
         };
         eng.execute(&converged);
-        // A pending insert in range keeps the span off the inline path
-        // (its answer needs a merge), so it reaches the decomposition
-        // check; its bounds still price as an exact hit.
+        eng.execute(&QuerySpec {
+            lo: cut - 4_992,
+            ..converged
+        });
+        let span = QuerySpec {
+            lo: cut - 4_996,
+            ..converged
+        };
         eng.queue_insert(0, 500_000, 1_000_000);
         let col = eng.sharded(0);
         for k in 0..col.shard_count() {
             col.shard(k).publish_stats();
         }
-        assert!(
-            eng.decompose(&converged).is_some(),
-            "range must span shards"
-        );
+        assert!(eng.decompose(&span).is_some(), "range must span shards");
+        let cost = eng.estimate_cost(&span).unwrap();
+        assert!(!cost.exact_hit);
+        assert_eq!(cost.price(&CostModel::default()), QueryPrice::Cheap);
         let service = QueryService::start(
             Arc::clone(&eng) as Arc<dyn QueryEngine>,
             None,
@@ -812,10 +820,10 @@ mod tests {
             },
         );
         let session = service.session();
-        let count = session.execute(converged).unwrap().count;
-        assert_eq!(count, oracle(&data, &converged) + 1);
+        let count = session.execute(span).unwrap().count;
+        assert_eq!(count, oracle(&data, &span));
         assert_eq!(service.stats().screened_inline, 0, "the span did not queue");
-        assert_eq!(service.stats().decomposed, 0, "an exact-hit span was split");
+        assert_eq!(service.stats().decomposed, 0, "a cheap span was split");
         // A fresh wide range still has to crack: Expensive, so it is split.
         let fresh = QuerySpec {
             attr: 0,
@@ -823,7 +831,7 @@ mod tests {
             hi: 850_000,
         };
         let count = session.execute(fresh).unwrap().count;
-        assert_eq!(count, oracle(&data, &fresh) + 1, "the merged insert");
+        assert_eq!(count, oracle(&data, &fresh) + 1, "the pending insert");
         let summary = service.shutdown();
         eng.stop();
         assert_eq!(summary.decomposed, 1, "the fresh span was not split");
@@ -833,22 +841,30 @@ mod tests {
 
     #[test]
     fn cost_cutover_routes_backlogged_reads_through_the_snapshot() {
-        // A warmed exact-hit window plus a large pending Ripple backlog:
-        // the locked path would pay the merge, the snapshot path overlays
-        // it — the model must route the read through `execute_snapshot`
-        // and the answer must still include every queued update.
+        // A warmed window plus a pending Ripple backlog past the merge
+        // backlog: a locked read would pay the merge, the snapshot path
+        // overlays it — the model must route the read through
+        // `execute_snapshot` and the answer must still include every
+        // queued update. The read's upper bound is one past the warmed
+        // one, so it is no exact hit and `submit` queues it. No workers:
+        // an idle worker would merge the backlog.
         let data = Dataset::new(uniform_table(1, 60_000, 1 << 20, 29));
         let mut cfg = HolisticEngineConfig::split_half(2);
         cfg.holistic.monitor_interval = Duration::from_millis(50);
+        cfg.holistic.max_workers = Some(0);
         let eng = Arc::new(HolisticEngine::new(data.clone(), cfg));
-        let q = QuerySpec {
+        let warmed = QuerySpec {
             attr: 0,
             lo: 200_000,
             hi: 400_000,
         };
-        eng.execute(&q); // crack the bounds
-        let _ = eng.execute_snapshot(&q); // publish + refresh the snapshot
-                                          // Large backlog of pending inserts inside the window.
+        eng.execute(&warmed); // crack the bounds
+        let _ = eng.execute_snapshot(&warmed); // publish + refresh the snapshot
+        let q = QuerySpec {
+            hi: 400_001,
+            ..warmed
+        };
+        // Large backlog of pending inserts inside the window.
         for i in 0..600u32 {
             eng.queue_insert(0, 300_000 + i as i64 % 50, 1_000_000 + i);
         }

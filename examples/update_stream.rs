@@ -1,7 +1,8 @@
 //! Mixed reads and writes (§5.7 of the paper): range selects interleaved
-//! with insertions. Pending inserts are merged on-the-fly by the Ripple
-//! algorithm — by queries that touch their value range, and by background
-//! refinements that get to them first.
+//! with insertions. Queries count pending inserts from the queue; the
+//! Ripple algorithm merges the queue whole, as one batch — when a
+//! background refinement gets to it, or when a query finds it past its
+//! backlog.
 //!
 //! ```sh
 //! cargo run --release --example update_stream
@@ -73,12 +74,12 @@ fn main() {
             inserted
         );
         println!(
-            "pieces: {} | still pending (untouched value ranges): {}",
+            "pieces: {} | still pending (no refinement or backlog merge yet): {}",
             col.piece_count(),
             col.pending_len()
         );
     }
     println!("---");
-    println!("inserting never blocks queries: values wait in the pending queue until");
-    println!("a query or a background refinement touches their value range (Ripple merge)");
+    println!("inserting never blocks queries: queries count values in the pending queue");
+    println!("until a background refinement or a backlog of 256 merges it (Ripple batch)");
 }

@@ -170,9 +170,9 @@ fn concurrent_queries_updates_and_daemon_match_scan_oracle() {
                         deleted += 1;
                     }
                     if i % 16 == 0 {
-                        // Force a Ripple merge of the high range while
-                        // queries and refiners hold the structure lock.
-                        col.merge_pending_range(INSERT_LO, i64::MAX);
+                        // Force a Ripple merge of the queue while queries
+                        // and refiners hold the structure lock.
+                        col.merge_pending();
                     }
                 }
                 400i64 - deleted

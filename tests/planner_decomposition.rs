@@ -280,15 +280,16 @@ fn decomposed_service_answers_race_two_ripple_updaters() {
 #[test]
 fn inline_exact_hits_race_two_ripple_updaters_in_range() {
     // Three overlapping ranges on shard 0 are warmed, so their bounds are
-    // boundaries and a session answers them on its own thread whenever
-    // nothing is pending in range. Two updaters each churn one value inside
-    // the ranges (queue an insert, read, queue its delete, read, pausing
-    // after each step): while an op is pending in range a submission queues
-    // and its dispatcher merges it; otherwise it is answered inline. Each
-    // updater adds at most one row at a time, so every answer lies in
-    // base..=base+2; an updater's own read sees its own write, which an
-    // inline answer that ignored the pending queue would miss; and once the
-    // churn stops every answer is the base again.
+    // boundaries and a session answers them on its own thread, counting
+    // what is pending in range from the queue. Two updaters each churn one
+    // value inside the ranges (queue an insert, read, queue its delete,
+    // read, pausing after each step). Two clients alternate warmed ranges
+    // with ranges whose upper bound no query has cracked yet, which queue
+    // and crack on a dispatcher. Each updater adds at most one row at a
+    // time, so every answer lies in base..=base+2; an updater's own read
+    // sees its own write, which an inline answer that ignored the pending
+    // queue would miss; and once the churn stops every answer is the base
+    // again.
     let data = Dataset::new(uniform_table(1, 30_000, 100_000, 35));
     let mut sorted = data.column(0).to_vec();
     sorted.sort_unstable();
@@ -368,7 +369,16 @@ fn inline_exact_hits_race_two_ripple_updaters_in_range() {
                         if stop.load(Ordering::Relaxed) {
                             return;
                         }
-                        let q = warmed[i % warmed.len()];
+                        // A fresh upper bound per submission, distinct
+                        // across the two clients: never an exact hit.
+                        let q = if i % 2 == 1 {
+                            QuerySpec {
+                                hi: 9_001 + 2 * i as i64 + c as i64,
+                                ..warmed[2]
+                            }
+                        } else {
+                            warmed[(i / 2) % warmed.len()]
+                        };
                         let base = oracle(sorted, q.lo, q.hi);
                         let got = session.execute(q).unwrap().count;
                         assert!(
@@ -407,11 +417,8 @@ fn inline_exact_hits_race_two_ripple_updaters_in_range() {
             raced.completed - raced.screened_inline
         );
     });
-    // Quiesce: every updater ended on a delete, and a queued read may have
-    // been answered from the snapshot overlay without merging it; one
-    // locked read of the widest range merges what is left. Then each
-    // warmed range is answered at submit, exactly.
-    engine.execute(&warmed[2]);
+    // Quiesce: every updater ended on a delete, which may still be
+    // pending. Each warmed range is answered at submit, exactly.
     let session = service.session();
     for q in &warmed {
         let ticket = session.submit(*q).unwrap();

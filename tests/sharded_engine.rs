@@ -138,7 +138,8 @@ fn updates_route_to_distinct_shards_and_merge_correctly() {
     }
     model.extend_from_slice(&probes);
 
-    // A span over everything merges all four and agrees with the model.
+    // A span over everything counts all four from their queues and agrees
+    // with the model; once each shard merges its own, it still does.
     let q = QuerySpec {
         attr: 0,
         lo: 0,
@@ -146,7 +147,11 @@ fn updates_route_to_distinct_shards_and_merge_correctly() {
     };
     let oracle = scan_stats(&model, Predicate::range(q.lo, q.hi));
     assert_eq!(engine.execute_verified(&q), (oracle.count, oracle.sum));
-    assert_eq!(col.pending_len(), 0, "pending updates survived the span");
+    for k in 0..probes.len() {
+        col.shard(k).merge_pending();
+    }
+    assert_eq!(col.pending_len(), 0, "pending updates survived the merges");
+    assert_eq!(engine.execute_verified(&q), (oracle.count, oracle.sum));
 
     // Deletes route the same way.
     engine.queue_delete(0, probes[2], (model.len() - 2) as u32);
