@@ -21,7 +21,7 @@ use holix_cracking::index::{BoundLookup, CrackerIndex};
 use holix_cracking::kernels::{self, pack_bits, ScalarUnpacker};
 use holix_cracking::updates::{ripple_batch, ripple_insert};
 use holix_cracking::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
-use holix_cracking::{ShardPlan, ShardedColumn};
+use holix_cracking::{CrackerColumn, ShardPlan, ShardedColumn};
 use holix_engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
 use holix_parallel::parallel_partition;
 use holix_storage::select::{scan_stats, Predicate};
@@ -564,9 +564,10 @@ fn bench_first_touch(c: &mut Criterion) {
 /// in four shards (no daemon workers): `hit` = ranges a query already
 /// cracked (answered from the cracker index), `miss` = the same ranges one
 /// value wider (a bound still has to crack, so the service queues it),
-/// `hit_beside_backlog` = the cracked ranges with 1,024 pending inserts
-/// outside them (the pending check scans the shard's queue). Divide by
-/// 10^3 for ns per submission.
+/// `hit_beside_backlog` = the cracked ranges with `MERGE_BACKLOG` pending
+/// inserts outside them in every shard (the largest queue a hit still
+/// folds inline; one more and the read queues to drain it). Divide by 10^3
+/// for ns per submission.
 fn bench_exact_hits(c: &mut Criterion) {
     const ROWS: usize = 1 << 18;
     let data = Dataset::new(vec![data(21).0.into_iter().cycle().take(ROWS).collect()]);
@@ -596,9 +597,20 @@ fn bench_exact_hits(c: &mut Criterion) {
     g.sample_size(30);
     g.bench_function("hit", |b| b.iter(|| run(&hits, hits.len())));
     g.bench_function("miss", |b| b.iter(|| run(&misses, 0)));
-    // Pending inserts between the ranges (values ≡ 600 mod 997).
-    for i in 0..1_024u32 {
-        engine.queue_insert(0, (i as i64 % 1_000) * 997 + 600, ROWS as u32 + i);
+    // Pending inserts between the ranges (values ≡ 600 mod 997), up to
+    // the backlog in every shard.
+    let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
+    let shards = engine.sharded(0);
+    let mut row = ROWS as u32;
+    for k in 0..shards.shard_count() {
+        let mine = (0..1_000i64)
+            .map(|i| i * 997 + 600)
+            .filter(|&v| shards.plan().shard_of(v) == k);
+        for v in mine.cycle().take(backlog) {
+            engine.queue_insert(0, v, row);
+            row += 1;
+        }
+        assert_eq!(shards.shard(k).pending_len(), backlog);
     }
     g.bench_function("hit_beside_backlog", |b| b.iter(|| run(&hits, hits.len())));
     g.finish();

@@ -607,10 +607,12 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// The count of `pred` when the column has already answered it: both
-    /// bounds are boundaries (or the `MIN`/`MAX` sentinels) — exactly when
-    /// [`CrackerColumn::select`] would crack nothing, and then its count,
-    /// pending updates in the predicate included. `None` otherwise. Never
-    /// cracks, merges or latches a piece.
+    /// bounds are boundaries (or the `MIN`/`MAX` sentinels) and the queue
+    /// is within [`CrackerColumn::MERGE_BACKLOG`] — exactly when
+    /// [`CrackerColumn::select`] would crack and merge nothing, and then
+    /// its count, pending updates in the predicate included. `None`
+    /// otherwise, so a queue past the backlog is drained by the `select`
+    /// the caller falls back to. Never cracks, merges or latches a piece.
     ///
     /// `structure` is held shared throughout, so no Ripple merge moves a
     /// position between the lookups and the overlay fold (a crack only
@@ -624,8 +626,12 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
         let _shared = self.structure.read();
         let (lo, hi) = Self::exact_span(&self.index.read(), pred)?;
-        let (pending, _) = overlay(&self.pending.lock().queue, pred);
-        Some(((hi - lo) as i64 + pending).max(0) as u64)
+        let pending = self.pending.lock();
+        if pending.queue.len() > Self::MERGE_BACKLOG {
+            return None;
+        }
+        let (delta, _) = overlay(&pending.queue, pred);
+        Some(((hi - lo) as i64 + delta).max(0) as u64)
     }
 
     /// Cracked positions of `pred`'s bounds when both are boundaries (or
@@ -2113,15 +2119,26 @@ mod tests {
         // Both in-range inserts are counted from the queue; none merged.
         assert_eq!((sel.pending, sel.count()), (2, stats.count));
         assert_eq!(col.pending_len(), 3);
-        // One update past the backlog: the next read merges the whole
-        // queue — 900 included — before it answers.
+        // An exact count folds the queue up to the backlog …
         let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
-        for i in 3..=backlog {
-            let v = (i as i64 * 7) % 1_000;
-            col.queue_insert(v, n + i as RowId);
-            base.push(v);
-        }
+        let queue = |col: &CrackerColumn<i64>, base: &mut Vec<i64>, to: usize| {
+            for i in col.pending_len()..to {
+                let v = (i as i64 * 7) % 1_000;
+                col.queue_insert(v, n + i as RowId);
+                base.push(v);
+            }
+        };
+        queue(&col, &mut base, backlog);
+        let stats = scan_stats(&base, pred);
+        assert_eq!(col.count_exact(pred), Some(stats.count));
+        assert_eq!(col.pending_len(), backlog);
+        // … and refuses one past it, merging nothing: the select it falls
+        // back to drains the queue.
+        queue(&col, &mut base, backlog + 1);
+        assert_eq!(col.count_exact(pred), None);
         assert_eq!(col.pending_len(), backlog + 1);
+        // The next read merges the whole queue — 900 included — before it
+        // answers.
         let (sel, stats) = col.select_verified(pred, &mut scratch);
         assert_eq!(stats, scan_stats(&base, pred));
         assert_eq!((sel.pending, sel.count()), (0, stats.count));

@@ -2740,12 +2740,15 @@ mod tests {
     /// count, snapshot scan, row-id collection), checked against the live
     /// multiset — and against the backlog rule: a select merges a shard's
     /// queue only past `MERGE_BACKLOG`, and then whole; an exact count
-    /// merges nothing; a row-id collection merges everything.
+    /// merges nothing, refuses a queue past the backlog and answers any
+    /// other when `cracked` says `pred`'s bounds are; a row-id collection
+    /// merges everything.
     fn read_checked(
         t: &Target,
         live: &[(i64, RowId)],
         kind: u8,
         pred: Predicate<i64>,
+        cracked: bool,
         scratch: &mut CrackScratch<i64>,
     ) {
         let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
@@ -2784,15 +2787,22 @@ mod tests {
                 assert_eq!(queued(t), drained(&before), "verified {pred:?}");
             }
             2 => {
-                // Uncracked bounds may refuse; either way nothing merges.
+                // Uncracked bounds may refuse, a queue past the backlog
+                // must; either way nothing merges.
                 let first: Option<u64> =
                     parts.iter().map(|&(k, p)| t.shard(k).count_exact(p)).sum();
                 assert!(first.is_none_or(|c| c == count), "count_exact {pred:?}");
+                if before.iter().any(|&n| n > backlog) {
+                    assert_eq!(first, None, "count_exact past the backlog {pred:?}");
+                } else if cracked {
+                    assert_eq!(first, Some(count), "count_exact {pred:?}");
+                }
                 assert_eq!(queued(t), before, "count_exact merged {pred:?}");
                 for &(k, p) in &parts {
                     t.shard(k).select(p, scratch);
                 }
                 let cracked = queued(t);
+                assert_eq!(cracked, drained(&before), "select {pred:?}");
                 let again: Option<u64> =
                     parts.iter().map(|&(k, p)| t.shard(k).count_exact(p)).sum();
                 assert_eq!(again, Some(count), "count_exact {pred:?}");
@@ -2885,7 +2895,7 @@ mod tests {
                         let (v, row) = live.swap_remove(a as usize % live.len());
                         assert!(t.shard(t.shard_of(v)).queue_delete(v, row));
                     }
-                    2..=6 => read_checked(&t, &live, kind - 2, pred_of(a, c), &mut scratch),
+                    2..=6 => read_checked(&t, &live, kind - 2, pred_of(a, c), false, &mut scratch),
                     7 => {
                         let pivot = a as i64 % DOMAIN;
                         let shard = t.shard(t.shard_of(pivot));
@@ -2893,12 +2903,18 @@ mod tests {
                         assert_eq!(shard.pending_len(), 0, "a worker leaves nothing queued");
                     }
                     _ => {
-                        // Drive one shard's queue to the backlog edge, then
-                        // read a range that starts inside that shard.
+                        // Crack a range that starts inside one shard, drive
+                        // that shard's queue to the backlog edge, then read
+                        // the range: every path meets the edge on bounds
+                        // that need no crack.
                         let k = a as usize % t.shard_count();
                         let Some(v0) = in_shard(&t, k, c as i64) else {
                             continue;
                         };
+                        let pred = Predicate::range(v0, v0 + 1 + a as i64 % 300);
+                        for (j, p) in t.parts(pred) {
+                            t.shard(j).select(p, &mut scratch);
+                        }
                         let edge = backlog - 1 + c as usize % 3;
                         let shard = t.shard(k);
                         if shard.pending_len() > edge {
@@ -2918,8 +2934,7 @@ mod tests {
                                 assert!(shard.queue_delete(v, row));
                             }
                         }
-                        let pred = Predicate::range(v0, v0 + 1 + a as i64 % 300);
-                        read_checked(&t, &live, (c / 3) as u8, pred, &mut scratch);
+                        read_checked(&t, &live, (c / 3) as u8, pred, true, &mut scratch);
                     }
                 }
             }
@@ -2927,7 +2942,7 @@ mod tests {
                 t.shard(k).check_invariants(None);
             }
             let all = Predicate::range(i64::MIN, i64::MAX);
-            read_checked(&t, &live, 1, all, &mut scratch);
+            read_checked(&t, &live, 1, all, false, &mut scratch);
         }
     }
 }

@@ -516,6 +516,16 @@ mod tests {
         q.queue_insert(50, 4);
         let (second, _, _) = q.take_all_tracked();
         assert_ne!(token, second);
+        let unmerged = |q: &PendingUpdates<i64>| {
+            let mut n = 0;
+            q.for_each_unmerged(|_| true, |_, _| n += 1);
+            n
+        };
+        assert_eq!(
+            unmerged(&q),
+            4,
+            "both batches, the sentinel too, stay visible in flight"
+        );
         // … but a snapshot reader still sees both batches as unmerged.
         let collect = |q: &PendingUpdates<i64>, cap: i64| {
             let (mut ins, mut del) = (Vec::new(), Vec::new());
@@ -538,6 +548,7 @@ mod tests {
         q.finish_merge(token); // idempotent
         q.finish_merge(second);
         assert_eq!(collect(&q, i64::MAX), (vec![], vec![]));
+        assert_eq!(unmerged(&q), 0, "the sentinel leaves with its batch");
     }
 
     #[test]

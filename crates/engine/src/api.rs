@@ -115,10 +115,11 @@ pub trait QueryEngine: Send + Sync {
 
     /// The answer to `q` when the engine already has it: nothing to crack
     /// and nothing to build (an exact hit, the paper's `f_Ih`, counted with
-    /// the updates still pending in range, or a point probe a membership
-    /// filter screens out). `None`
-    /// sends the caller to [`QueryEngine::execute`]. The service answers a
-    /// `Some` on the submitting thread instead of queueing the query.
+    /// the updates still pending in range while no touched shard's queue is
+    /// past its merge backlog, or a point probe a membership filter screens
+    /// out). `None` sends the caller to [`QueryEngine::execute`]. The
+    /// service answers a `Some` on the submitting thread instead of
+    /// queueing the query.
     fn execute_exact(&self, q: &QuerySpec) -> Option<ExactAnswer> {
         let _ = q;
         None

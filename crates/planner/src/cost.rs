@@ -559,7 +559,7 @@ mod tests {
         PlanCost {
             crack_values: lo.0 + hi.0,
             est_rows: (hi.2 - lo.2).max(0.0).round() as u64,
-            merge_backlog: if stats.pending > 256 {
+            merge_backlog: if stats.pending > CrackerColumn::<i64>::MERGE_BACKLOG {
                 stats.pending as u64
             } else {
                 0

@@ -16,7 +16,9 @@
 //!
 //! A read the index has already answered — both bounds are cracker
 //! boundaries (the paper's `f_Ih` hit; updates pending in range are
-//! counted from the queue), or a point probe the published filter screens
+//! counted from a queue within its merge backlog, and a queue past it
+//! sends the read to a dispatcher, whose select drains it), or a point
+//! probe the published filter screens
 //! out — is answered by [`Session::submit`] on the calling thread through
 //! [`QueryEngine::execute_exact`], and its ticket is complete when `submit`
 //! returns. It cracks and merges nothing, so a dispatcher has nothing to

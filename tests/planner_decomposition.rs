@@ -12,7 +12,7 @@ use holix::server::{DecomposePolicy, QueryService, Scheduling, ServiceConfig};
 use holix::workloads::data::uniform_table;
 use holix::workloads::QuerySpec;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -285,8 +285,10 @@ fn inline_exact_hits_race_two_ripple_updaters_in_range() {
     // value inside the ranges (queue an insert, read, queue its delete,
     // read, pausing after each step). Two clients alternate warmed ranges
     // with ranges whose upper bound no query has cracked yet, which queue
-    // and crack on a dispatcher. Each updater adds at most one row at a
-    // time, so every answer lies in base..=base+2; an updater's own read
+    // and crack on a dispatcher. A merger Ripple-merges shard 0's queue
+    // whenever it holds something, so inline folds race merges that move
+    // the pending ops into the column. Each updater adds at most one row at
+    // a time, so every answer lies in base..=base+2; an updater's own read
     // sees its own write, which an inline answer that ignored the pending
     // queue would miss; and once the churn stops every answer is the base
     // again.
@@ -324,7 +326,25 @@ fn inline_exact_hits_race_two_ripple_updaters_in_range() {
     );
     let stop = AtomicBool::new(false);
     let failed = AtomicBool::new(false);
+    // Merges of a non-empty queue the merger ran.
+    const MERGES: u64 = 50;
+    let merges = AtomicU64::new(0);
     std::thread::scope(|s| {
+        {
+            let (engine, merges) = (&engine, &merges);
+            let (failed, stop) = (&failed, &stop);
+            s.spawn(move || {
+                let _guard = PanicGuard { failed, stop };
+                while !stop.load(Ordering::Relaxed) {
+                    let shard = Arc::clone(engine.sharded(0).shard(0));
+                    if shard.pending_len() > 0 {
+                        shard.merge_pending();
+                        merges.fetch_add(1, Ordering::Relaxed);
+                    }
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            });
+        }
         // Updater 0's value lies in all three ranges, updater 1's in the
         // widest only; each reads the range it churns.
         for (t, churned, read) in [(0u32, 2_500, warmed[0]), (1, 8_000, warmed[2])] {
@@ -390,17 +410,16 @@ fn inline_exact_hits_race_two_ripple_updaters_in_range() {
                 })
             })
             .collect();
-        // Race until both paths answered enough submissions (or a client
-        // failed). A wedged service fails the test in a minute instead of
-        // hanging.
+        // Race until both paths answered enough submissions and the
+        // merger merged enough queues (or a client failed). A wedged
+        // service fails the test in a minute instead of hanging.
         let deadline = Instant::now() + Duration::from_secs(60);
         let both_paths = |s: &holix::server::StatsSummary| {
             s.screened_inline >= EACH_PATH && s.completed - s.screened_inline >= EACH_PATH
         };
-        while !both_paths(&service.stats())
-            && !failed.load(Ordering::Relaxed)
-            && Instant::now() < deadline
-        {
+        let raced_enough =
+            || both_paths(&service.stats()) && merges.load(Ordering::Relaxed) >= MERGES;
+        while !raced_enough() && !failed.load(Ordering::Relaxed) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         stop.store(true, Ordering::Relaxed);
@@ -416,6 +435,8 @@ fn inline_exact_hits_race_two_ripple_updaters_in_range() {
             raced.screened_inline,
             raced.completed - raced.screened_inline
         );
+        let merged = merges.load(Ordering::Relaxed);
+        assert!(merged >= MERGES, "in 60 s: {merged} merges of {MERGES}");
     });
     // Quiesce: every updater ended on a delete, which may still be
     // pending. Each warmed range is answered at submit, exactly.
