@@ -9,8 +9,8 @@
 //! demand, and what a narrow read of an evicted shard pays: its one-shard
 //! rebuild and first crack; and what a service submission pays to learn
 //! whether it can be answered on the submitting thread
-//! (`QueryEngine::execute_exact`), for an exact hit and for a miss. The
-//! first line names the kernel family the
+//! (`QueryEngine::execute_exact`), for an exact hit and for a miss; and the
+//! first point-filter build on a converged shard. The first line names the kernel family the
 //! crack and filter kernels dispatched to (`HOLIX_NO_SIMD=1` forces the
 //! portable one).
 
@@ -617,6 +617,44 @@ fn bench_exact_hits(c: &mut Criterion) {
     engine.stop();
 }
 
+/// Building the point filter of one converged shard of 2^17 values (the
+/// one shard of a 1-shard plan, cracked by 1,024 random selects into
+/// pieces of about 64 values): what the first equality or IN probe on a
+/// shard pays. The filter is built from the live pieces, each read under
+/// its latch; the column's setup is not timed.
+fn bench_point_filter(c: &mut Criterion) {
+    let values = data(36).0;
+    let converged = || {
+        let col =
+            ShardedColumn::from_base_with_plan("a", &values, ShardPlan::from_values(&values, 1));
+        let shard = Arc::clone(col.shard(0));
+        let mut rng = StdRng::seed_from_u64(36);
+        let mut scratch = CrackScratch::new();
+        for _ in 0..1_024 {
+            let (a, b) = (
+                rng.random_range(0..1_000_000),
+                rng.random_range(0..1_000_000),
+            );
+            shard.select(Predicate::range(a.min(b), a.max(b)), &mut scratch);
+        }
+        shard
+    };
+    let mut g = c.benchmark_group("point_filter");
+    g.sample_size(30);
+    g.bench_function("first_build", |b| {
+        b.iter_batched(
+            converged,
+            |shard| {
+                shard.ensure_point_filter();
+                assert_eq!(shard.probe_point(values[0]), Some(true));
+                shard
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 /// The first line of the output: which kernel family runs the cracks and
 /// filter passes below.
 fn print_isa(_: &mut Criterion) {
@@ -635,6 +673,7 @@ criterion_group!(
     bench_cracker_index,
     bench_weight_heap,
     bench_ripple_vs_rebuild,
-    bench_exact_hits
+    bench_exact_hits,
+    bench_point_filter
 );
 criterion_main!(benches);

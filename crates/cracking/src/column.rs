@@ -244,7 +244,7 @@ pub struct CrackerColumn<V> {
     /// equality/IN query pays the build).
     filter: PublishedCell<PointFilter>,
     /// Serialises filter builders so racing point probes don't each pay the
-    /// O(N) snapshot walk.
+    /// O(N) walk of the live pieces.
     filter_build: Mutex<()>,
     /// Deletes absorbed since the point filter was last (re)built — stale
     /// keys never leave a Bloom filter, so this counts accumulated
@@ -448,7 +448,9 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// As [`RangeCell::range_mut`]: the caller holds the piece's write
     /// latch and `structure` shared.
     unsafe fn piece_rows(&self, start: usize, end: usize) -> Option<RangeGuard<'_, RowId>> {
-        // SAFETY: the caller's contract.
+        // SAFETY: the caller's contract, the same piece `vals` is cracked
+        // over; `check_invariants`' value/row-id alignment assert backs it
+        // in `concurrent_queries_and_refiners_preserve_invariants`.
         self.has_row_ids()
             .then(|| unsafe { self.rows.range_mut(start, end) })
     }
@@ -475,7 +477,10 @@ impl<V: CrackValue> CrackerColumn<V> {
             .expect("a column without row ids was born from a source");
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
         let bounds = self.index.read().bounds_in_order();
-        // SAFETY: `structure` is held exclusively.
+        // SAFETY: `structure` is held exclusively (the caller's contract),
+        // so no range guard is live: `with_vec_mut`'s debug assert checks
+        // that in `prop_row_ids_built_on_demand_match_an_eager_twin` and
+        // `tests/lazy_row_ids.rs`, which race the build against cracks.
         unsafe {
             self.vals.with_vec_mut(|vals| {
                 self.rows
@@ -760,7 +765,9 @@ impl<V: CrackValue> CrackerColumn<V> {
         let (a, b) = {
             // SAFETY: we hold the write latch of the piece [start, end) and
             // `structure` shared, so the range is exclusively ours and the
-            // vectors cannot move.
+            // vectors cannot move (both reads below). `range_mut`'s debug
+            // overlap assert and `check_invariants` back it in
+            // `concurrent_queries_and_refiners_preserve_invariants`.
             let mut vg = unsafe { self.vals.range_mut(start, end) };
             let (lo, hi, threads) = (pred.lo, pred.hi, self.select_threads);
             match unsafe { self.piece_rows(start, end) } {
@@ -844,7 +851,9 @@ impl<V: CrackValue> CrackerColumn<V> {
 
             let split = {
                 // SAFETY: write latch on piece [start, end) held; `structure`
-                // shared prevents vector moves.
+                // shared prevents vector moves (both reads below). Backed as
+                // the three-way crack is, and by
+                // `threaded_cracks_agree_with_sequential_cracking`.
                 let mut vg = unsafe { self.vals.range_mut(start, end) };
                 match unsafe { self.piece_rows(start, end) } {
                     Some(mut rg) => partition_two(vg.slice(), rg.slice(), v, threads, scratch),
@@ -1004,7 +1013,9 @@ impl<V: CrackValue> CrackerColumn<V> {
             return;
         }
         let _exclusive = self.structure.write();
-        // SAFETY: `structure` is held exclusively.
+        // SAFETY: `structure` is held exclusively, taken on the line above;
+        // `concurrent_snapshot_scans_with_cracks_and_merges` races merges
+        // against cracks and scans.
         unsafe { self.merge_pending_locked() };
     }
 
@@ -1035,7 +1046,9 @@ impl<V: CrackValue> CrackerColumn<V> {
             p.queue.take_all_tracked()
         };
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
-        // SAFETY: the caller's contract.
+        // SAFETY: the caller's contract. Every merge path is checked
+        // against a multiset oracle by
+        // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`.
         let walked = unsafe { self.ripple_apply(&ins, &del) };
         let spliced = timed.map(|_| std::time::Instant::now());
         // Still under `structure` exclusive: nothing else can publish (or
@@ -1101,7 +1114,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// live and no reader observes the vectors while they move.
     unsafe fn ripple_apply(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) -> usize {
         // SAFETY: the caller's contract; no merge has been applied before
-        // the first one.
+        // the first one (`a_merge_builds_the_row_ids_a_delete_names_its_tuple_by`).
         unsafe { self.ensure_row_ids() };
         let mut idx = self.index.write();
         self.vals.with_vec_mut(|vals| {
@@ -1162,15 +1175,18 @@ impl<V: CrackValue> CrackerColumn<V> {
         // The successor is built from (value, row) pairs: a column still
         // without row ids builds them now.
         // SAFETY: `structure` is held exclusively, and every merge builds
-        // the ids before it applies anything.
+        // the ids before it applies anything
+        // (`replans_of_shards_without_row_ids_keep_every_pair`).
         unsafe { self.ensure_row_ids() };
         // Old-plan snapshot readers stay exact: the batch leaves the
         // pending overlay only together with a republished snapshot that
         // already contains it.
-        // SAFETY: `structure` is held exclusively.
+        // SAFETY: `structure` is held exclusively
+        // (`merge_replan_concatenates_neighbours_and_drains_pending`).
         unsafe { self.merge_pending_locked() };
         let n = self.index.read().len();
-        // SAFETY: exclusive structure lock — no live mutators.
+        // SAFETY: exclusive structure lock — no live mutators; the row ids
+        // were built above (`extract_for_migration_merges_pending_and_keeps_snapshot_exact`).
         let vals = unsafe { self.vals.read_range(0, n) }.to_vec();
         let rows = unsafe { self.rows.read_range(0, n) }.to_vec();
         self.bump_stats();
@@ -1312,16 +1328,19 @@ impl<V: CrackValue> CrackerColumn<V> {
         Some(self.filter.load()?.contains(v.as_i64()))
     }
 
-    /// Builds and publishes the point filter from the published snapshot's
-    /// piece table plus the unmerged pending inserts. No-op once published.
+    /// Builds and publishes the point filter from the live column plus the
+    /// unmerged pending inserts. No-op once published. Copies nothing: a
+    /// shard holds a snapshot only once a snapshot read asks for one.
     ///
     /// Race-freedom: the build runs under `structure` *shared*, which
     /// excludes Ripple merges — the only operation that moves values from
-    /// the pending queue into the column — so the snapshot walked here and
+    /// the pending queue into the column — so the pieces walked here and
     /// the pending queue drained below cannot trade values mid-build.
-    /// Cracks racing the build only permute values inside live pieces and
-    /// never touch the immutable snapshot segments. The pending catch-up
-    /// and the publish share one `pending` critical section, the same one
+    /// Cracks racing the build only permute values inside live pieces; the
+    /// walk reads each piece under its read latch and revalidates its
+    /// extent there (`for_each_live_piece`), so it sees
+    /// every merged value exactly once. The pending catch-up and the
+    /// publish share one `pending` critical section, the same one
     /// [`CrackerColumn::queue_insert`] ORs new values in under, so every
     /// insert reaches the filter exactly once (deletes are deliberately
     /// ignored: they only raise the false-positive rate, never unsoundness).
@@ -1349,8 +1368,8 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Rebuilds the published point filter once delete churn since the last
     /// (re)build reaches a quarter of the merged column: deleted keys stay
     /// resident in a Bloom filter, so churn monotonically raises its
-    /// false-positive rate until a rebuild from the current snapshot resets
-    /// it. Pending updates are Ripple-merged first — the build walk ignores
+    /// false-positive rate until a rebuild from the live column resets it.
+    /// Pending updates are Ripple-merged first — the build walk ignores
     /// unmerged deletes, so rebuilding around them would change nothing.
     /// Idle daemon workers call this; returns `true` when a fresh filter
     /// was published.
@@ -1373,29 +1392,24 @@ impl<V: CrackValue> CrackerColumn<V> {
         true
     }
 
-    /// The shared filter (re)build: walks the published snapshot plus the
-    /// unmerged pending inserts into a fresh filter and publishes it
-    /// (replacing any previous filter). Caller holds `filter_build`.
+    /// The shared filter (re)build: walks the live pieces under
+    /// `structure` shared, each under its read latch, then folds the
+    /// unmerged pending inserts into the fresh filter and publishes it
+    /// (replacing any previous filter) in one `pending` critical section.
+    /// Caller holds `filter_build`.
     fn build_and_publish_filter(&self) {
-        if holix_telemetry::metrics_enabled() {
-            holix_telemetry::counter!("cracking_filter_builds_total").inc();
-        }
+        let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
         // Deletes queued from here on count against the *new* filter.
         self.filter_deletes.store(0, Relaxed);
-        // Built before `structure` is taken shared: the first build takes
-        // it exclusively.
-        self.read_or_build_snapshot(|_| ());
         let _shared = self.structure.read();
-        let (snap, backlog) = self
-            .read_snapshot(PendingUpdates::len)
-            .expect("a published snapshot is never withdrawn");
         // Slack covers the pending backlog plus a churn allowance; a filter
         // overwhelmed by delete churn is replaced wholesale by
         // [`CrackerColumn::maybe_rebuild_point_filter`], never resized.
-        let filter = Arc::new(PointFilter::with_capacity(snap.len() + backlog + 1024));
-        for piece in snap.pieces() {
-            piece.for_each(|v| filter.insert(v.as_i64()));
-        }
+        let capacity = self.len() + self.pending_len() + 1024;
+        let filter = Arc::new(PointFilter::with_capacity(capacity));
+        self.for_each_live_piece(None, None, true, |vals, _| {
+            vals.iter().for_each(|v| filter.insert(v.as_i64()));
+        });
         let p = self.pending.lock();
         p.queue.for_each_unmerged(
             |_| true,
@@ -1406,6 +1420,12 @@ impl<V: CrackValue> CrackerColumn<V> {
             },
         );
         self.filter.publish(filter);
+        drop(p);
+        if let Some(t0) = timed {
+            holix_telemetry::counter!("cracking_filter_builds_total").inc();
+            holix_telemetry::histogram!("cracking_filter_build_ns")
+                .record(t0.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Amortised snapshot maintenance after an expensive edge filter: merge
@@ -1622,10 +1642,9 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// Copies the live pieces covering `[a, b)` (both anchors are live
-    /// boundary keys, `None` = column edge) into fresh snapshot pieces.
-    /// With `latched`, each piece is copied under its read latch (caller
-    /// holds `structure` shared; concurrent cracks of *other* pieces
-    /// proceed); otherwise the caller holds `structure` exclusively.
+    /// boundary keys, `None` = column edge) into fresh snapshot pieces,
+    /// read as [`CrackerColumn::for_each_live_piece`] reads them (`latched`:
+    /// caller holds `structure` shared; otherwise exclusively).
     /// With `encode`, copies of at least [`CrackerColumn::MORPH_MIN`]
     /// values go straight through [`Segment::encoded`] — a refresh that
     /// replaces already-morphed pieces keeps them compressed instead of
@@ -1641,49 +1660,71 @@ impl<V: CrackValue> CrackerColumn<V> {
         encode: bool,
     ) -> Vec<SnapPiece<V>> {
         let mut out = Vec::new();
+        self.for_each_live_piece(a, b, latched, |vals, hi_key| {
+            if vals.is_empty() {
+                return;
+            }
+            let (vals, n) = (vals.to_vec(), vals.len());
+            let seg = if encode && n >= Self::MORPH_MIN {
+                Segment::encoded(vals, Arc::clone(&self.snap_bytes))
+            } else {
+                Segment::new(vals, Arc::clone(&self.snap_bytes))
+            };
+            out.push(SnapPiece::new(hi_key, Arc::new(seg), 0, n));
+        });
+        out
+    }
+
+    /// Hands `visit` the values and upper key (`None` = last piece) of
+    /// every live piece covering `[a, b)`, in key order (both anchors are
+    /// live boundary keys, `None` = column edge): the one walk over live
+    /// pieces, behind both the snapshot copies and the point-filter build. With `latched`, each piece is read under its
+    /// read latch (caller holds `structure` shared; concurrent cracks of
+    /// *other* pieces proceed); otherwise the caller holds `structure`
+    /// exclusively. Each piece's key range is visited once, so the walk
+    /// sees every merged value exactly once however cracks split pieces
+    /// around it (only a merge, excluded by either mode, changes a key
+    /// range's multiset).
+    fn for_each_live_piece(
+        &self,
+        a: Option<V>,
+        b: Option<V>,
+        latched: bool,
+        mut visit: impl FnMut(&[V], Option<V>),
+    ) {
         let mut cur = a;
         loop {
             let Some(p) = self.index.read().piece_after(cur) else {
-                debug_assert!(false, "snapshot anchor {cur:?} is not a live boundary");
+                debug_assert!(false, "anchor {cur:?} is not a live boundary");
                 break;
             };
-            let (vals, hi_key) = if latched {
-                let _g = p.latch.lock_read();
-                // Revalidate under the latch: the piece may have split
-                // since the lookup (its start and latch are stable; only
-                // the extent can shrink).
+            let _read = latched.then(|| p.latch.lock_read());
+            // Revalidate under the latch: the piece may have split since
+            // the lookup (its start and latch are stable; only the extent
+            // can shrink, and no crack shrinks it while the latch is held).
+            let p = if latched {
                 let Some(q) = self.index.read().piece_after(cur) else {
                     break;
                 };
-                // SAFETY: read latch on the piece excludes its writers;
-                // `structure` shared excludes vector moves.
-                (
-                    unsafe { self.vals.read_range(q.start, q.end) }.to_vec(),
-                    q.hi_key,
-                )
+                debug_assert!(q.latch.same_as(&p.latch), "a piece's latch moved");
+                q
             } else {
-                // SAFETY: `structure` exclusive — no live mutators at all.
-                (
-                    unsafe { self.vals.read_range(p.start, p.end) }.to_vec(),
-                    p.hi_key,
-                )
+                p
             };
-            if !vals.is_empty() {
-                let n = vals.len();
-                let seg = if encode && n >= Self::MORPH_MIN {
-                    Segment::encoded(vals, Arc::clone(&self.snap_bytes))
-                } else {
-                    Segment::new(vals, Arc::clone(&self.snap_bytes))
-                };
-                out.push(SnapPiece::new(hi_key, Arc::new(seg), 0, n));
-            }
-            match (hi_key, b) {
+            // SAFETY: either the read latch on the piece excludes its
+            // writers and `structure` shared excludes vector moves, or
+            // `structure` exclusive excludes every live mutator (the
+            // caller's contract). Backed by
+            // `point_filter_build_races_cracks_on_the_same_shard` (the
+            // latched walk against cracks of the same pieces, under ASan in
+            // CI) and `concurrent_snapshot_scans_with_cracks_and_merges`.
+            visit(unsafe { self.vals.read_range(p.start, p.end) }, p.hi_key);
+            match (p.hi_key, b) {
                 (None, _) => break,
                 (Some(k), Some(bk)) if k >= bk => break,
                 (key, _) => cur = key,
             }
         }
-        out
     }
 
     /// [`CrackerColumn::splice_multi_and_publish`] for a single span.
@@ -1781,7 +1822,9 @@ impl<V: CrackValue> CrackerColumn<V> {
             pending,
             ..sel
         };
-        // SAFETY: exclusive structure lock — no live mutators.
+        // SAFETY: exclusive structure lock — no live mutators; every
+        // `select_verified` against a scan oracle reads through here
+        // (`threaded_select_matches_scan_oracle`).
         let slice = unsafe { self.vals.read_range(start, end) };
         let mut stats = holix_storage::select::slice_stats(slice);
         stats.count = sel.count();
@@ -1794,7 +1837,9 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// chunked variants and by verification code.
     pub fn snapshot_range(&self, start: usize, end: usize) -> Vec<V> {
         let _exclusive = self.structure.write();
-        // SAFETY: exclusive structure lock — no live mutators.
+        // SAFETY: exclusive structure lock — no live mutators
+        // (`prop_row_ids_built_on_demand_match_an_eager_twin` reads its
+        // copies against the row ids).
         unsafe { self.vals.read_range(start, end) }.to_vec()
     }
 
@@ -1815,11 +1860,15 @@ impl<V: CrackValue> CrackerColumn<V> {
             return Some(Vec::new());
         }
         let _exclusive = self.structure.write();
-        // SAFETY: exclusive structure lock.
+        // SAFETY: exclusive structure lock, taken above; the row ids of a
+        // merge are checked by
+        // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`.
         unsafe { self.merge_pending_locked() };
         let (start, end) = Self::exact_span(&self.index.read(), pred)?;
         // SAFETY: exclusive structure lock — no live mutators, and every
-        // merge builds the ids before it applies anything.
+        // merge builds the ids before it applies anything; the ids read
+        // below are compared with an eager twin's by
+        // `prop_row_ids_built_on_demand_match_an_eager_twin`.
         unsafe { self.ensure_row_ids() };
         Some(unsafe { self.rows.read_range(start, end) }.to_vec())
     }
@@ -1835,7 +1884,9 @@ impl<V: CrackValue> CrackerColumn<V> {
         let idx = self.index.read();
         let n = idx.len();
         let has_rows = self.has_row_ids();
-        // SAFETY: exclusive structure lock.
+        // SAFETY: exclusive structure lock, taken above — no live mutators
+        // (both reads; every test that ends in `check_invariants`, such as
+        // `concurrent_queries_and_refiners_preserve_invariants`).
         let vals = unsafe { self.vals.read_range(0, n) };
         let rows = unsafe { self.rows.read_range(0, if has_rows { n } else { 0 }) };
         assert_eq!(vals.len(), n);
@@ -1902,6 +1953,7 @@ impl<V: CrackValue> std::fmt::Debug for CrackerColumn<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardPlan, ShardedColumn};
     use holix_storage::select::scan_stats;
     use rand::prelude::*;
 
@@ -2736,6 +2788,101 @@ mod tests {
             "rebuild left {fp}/{} stale keys probing present",
             n - n / 4
         );
+    }
+
+    /// The filter is built from the live column: no snapshot is published,
+    /// no snapshot byte is charged, and every merged value and every
+    /// pending insert probes present — on a plain column and on every shard
+    /// of a 4-shard column (values only, no row ids).
+    #[test]
+    fn point_filter_builds_from_the_live_column_without_a_snapshot() {
+        let mut rng = StdRng::seed_from_u64(36);
+        let base: Vec<i64> = (0..40_000).map(|_| rng.random_range(0..100_000)).collect();
+        let inserts: Vec<i64> = (0..300).map(|i| 100_000 + i * 7).collect();
+        let mut scratch = CrackScratch::new();
+        fn check(shard: &CrackerColumn<i64>, mut values: impl Iterator<Item = i64>) {
+            let payload = shard.payload_bytes();
+            shard.ensure_point_filter();
+            assert!(
+                !shard.snapshot_published(),
+                "the build published a snapshot"
+            );
+            assert_eq!(shard.snapshot_bytes(), 0);
+            assert_eq!(shard.payload_bytes(), payload, "the build charged bytes");
+            assert!(values.all(|v| shard.probe_point(v) == Some(true)));
+        }
+        let plain = CrackerColumn::from_base("a", &base);
+        let sharded =
+            ShardedColumn::from_base_with_plan("a", &base, ShardPlan::from_values(&base, 4));
+        for _ in 0..50 {
+            let (a, b) = (rng.random_range(0..100_000), rng.random_range(0..100_000));
+            let pred = Predicate::range(a.min(b), a.max(b));
+            plain.select(pred, &mut scratch);
+            sharded.select_verified(pred, &mut scratch);
+        }
+        for (i, &v) in inserts.iter().enumerate() {
+            let row = (base.len() + i) as RowId;
+            assert!(plain.queue_insert(v, row));
+            assert!(sharded.queue_insert(v, row));
+        }
+        assert_eq!(plain.pending_len(), inserts.len());
+        check(&plain, base.iter().chain(&inserts).copied());
+        assert_eq!(sharded.shard_count(), 4);
+        for k in 0..4 {
+            let of_k = |&&v: &&i64| sharded.plan().shard_of(v) == k;
+            check(
+                sharded.shard(k),
+                base.iter().chain(&inserts).filter(of_k).copied(),
+            );
+        }
+        // A snapshot read still builds the snapshot it asks for.
+        plain.snapshot_scan(Predicate::range(0, 50_000), &mut scratch);
+        assert!(plain.snapshot_published());
+    }
+
+    /// The filter build walks the live pieces under their read latches
+    /// while two threads crack random bounds of the same shard: every value
+    /// of the shard still probes present, and the cracks stay valid.
+    #[test]
+    fn point_filter_build_races_cracks_on_the_same_shard() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let base: Vec<i64> = (0..1 << 15).map(|_| rng.random_range(0..1 << 20)).collect();
+        let plan = ShardPlan::from_values(&base, 2);
+        for round in 0..8u64 {
+            let col = ShardedColumn::from_base_with_plan("a", &base, plan.clone());
+            let shard = col.shard(1);
+            let (lo, hi) = shard.domain().expect("the shard holds values");
+            let stop = AtomicBool::new(false);
+            let cracks = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for t in 0..2 {
+                    let (stop, cracks) = (&stop, &cracks);
+                    s.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(round * 2 + t);
+                        let mut scratch = CrackScratch::new();
+                        while !stop.load(Relaxed) {
+                            let (a, b) = (rng.random_range(lo..=hi), rng.random_range(lo..=hi));
+                            shard.select(Predicate::range(a.min(b), a.max(b)), &mut scratch);
+                            cracks.fetch_add(1, Relaxed);
+                        }
+                    });
+                }
+                while cracks.load(Relaxed) < 4 {
+                    std::thread::yield_now();
+                }
+                shard.ensure_point_filter();
+                stop.store(true, Relaxed);
+            });
+            assert!(!shard.snapshot_published());
+            for &v in base.iter().filter(|&&v| plan.shard_of(v) == 1) {
+                assert_eq!(
+                    shard.probe_point(v),
+                    Some(true),
+                    "round {round}: {v} dropped"
+                );
+            }
+            shard.check_invariants(Some(&base));
+        }
     }
 
     /// Cracks a duplicate-heavy column at random ranges and queues random

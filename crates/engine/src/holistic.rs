@@ -1344,6 +1344,47 @@ mod tests {
     }
 
     #[test]
+    fn point_probes_on_a_converged_engine_charge_no_bytes() {
+        // Even values only: every odd probe is provably absent.
+        let base: Vec<i64> = (0..40_000).map(|i| (i % 10_000) * 2).collect();
+        let data = Dataset::new(vec![base]);
+        let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
+        cfg.holistic.max_workers = Some(0);
+        let e = HolisticEngine::new(data, cfg);
+        let point = |v| QuerySpec {
+            attr: 0,
+            lo: v,
+            hi: v + 1,
+        };
+        // Converge on the present probes' bounds with range reads, which
+        // build no filter: their point probes then crack nothing.
+        let present: Vec<i64> = (0..40).map(|i| i * 498).collect();
+        for &v in &present {
+            e.execute(&QuerySpec {
+                hi: v,
+                ..point(v - 100)
+            });
+            e.execute(&QuerySpec {
+                lo: v + 1,
+                ..point(v + 100)
+            });
+        }
+        let col = e.sharded(0);
+        assert!(col.resident_shards().all(|s| !s.point_filter_published()));
+        let (bytes, pieces) = (e.space().bytes_used(), col.piece_count());
+        // The first probe of each shard builds its filter.
+        for &v in &present {
+            assert_eq!(e.execute(&point(v)), 4);
+            assert_eq!(e.execute(&point(v + 1)), 0);
+        }
+        assert!(col.resident_shards().all(|s| s.point_filter_published()));
+        assert!(col.resident_shards().all(|s| !s.snapshot_published()));
+        assert_eq!(col.piece_count(), pieces, "a converged probe cracked");
+        assert_eq!(e.space().bytes_used(), bytes, "point filters charged bytes");
+        e.stop();
+    }
+
+    #[test]
     fn execute_exact_answers_converged_reads_and_builds_nothing() {
         // Even values only: every odd point is provably absent.
         let base: Vec<i64> = (0..40_000).map(|i| (i % 10_000) * 2).collect();

@@ -3,6 +3,7 @@
 //! concurrent stress where Ripple updates land on different shards while
 //! queries span all of them and the daemon refines in the background.
 
+use holix::engine::holistic::Shards;
 use holix::engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
 use holix::storage::select::{scan_stats, Predicate};
 use holix::workloads::data::uniform_table;
@@ -16,6 +17,22 @@ fn sharded_engine(data: &Dataset, shards: usize) -> HolisticEngine {
     let mut cfg = HolisticEngineConfig::split_half_sharded(4, shards);
     cfg.holistic.monitor_interval = Duration::from_millis(1);
     HolisticEngine::new(data.clone(), cfg)
+}
+
+/// Every shard's tuples, its pending queue included, each read at one
+/// instant: `count_exact` over the whole domain counts the merged column
+/// and folds the queue under the lock that keeps merges out. A merge (the
+/// daemon's idle workers drain any non-empty queue) moves tuples from the
+/// queue into the column and leaves this count as it was.
+fn shard_tuples(col: &Shards) -> Vec<u64> {
+    let all = Predicate::range(i64::MIN, i64::MAX);
+    (0..col.shard_count())
+        .map(|k| {
+            col.shard(k)
+                .count_exact(all)
+                .expect("the sentinels always hit")
+        })
+        .collect()
 }
 
 /// Queries built to stress shard boundaries: exact cut values as bounds,
@@ -123,17 +140,17 @@ fn updates_route_to_distinct_shards_and_merge_correctly() {
     let cuts = col.plan().cuts().to_vec();
     assert_eq!(cuts.len(), 3, "plan did not produce 4 shards");
 
-    // One insert per shard region; pending buffers must be disjoint.
+    // One insert per shard region: each lands in its own shard alone.
     let probes = [0i64, cuts[0], cuts[1], cuts[2]];
     let mut model = data.column(0).to_vec();
     for (i, &v) in probes.iter().enumerate() {
+        let mut want = shard_tuples(&col);
         engine.queue_insert(0, v, (model.len() + i) as u32);
-    }
-    for (k, &v) in probes.iter().enumerate() {
+        want[i] += 1;
         assert_eq!(
-            col.shard(k).pending_len(),
-            1,
-            "insert of {v} not routed to shard {k} alone"
+            shard_tuples(&col),
+            want,
+            "insert of {v} not routed to shard {i} alone"
         );
     }
     model.extend_from_slice(&probes);
@@ -154,8 +171,14 @@ fn updates_route_to_distinct_shards_and_merge_correctly() {
     assert_eq!(engine.execute_verified(&q), (oracle.count, oracle.sum));
 
     // Deletes route the same way.
+    let mut want = shard_tuples(&col);
     engine.queue_delete(0, probes[2], (model.len() - 2) as u32);
-    assert_eq!(col.shard(2).pending_len(), 1);
+    want[2] -= 1;
+    assert_eq!(
+        shard_tuples(&col),
+        want,
+        "delete not routed to shard 2 alone"
+    );
     let oracle = scan_stats(&model, Predicate::range(q.lo, q.hi));
     let (count, sum) = engine.execute_verified(&q);
     assert_eq!(count, oracle.count - 1);
