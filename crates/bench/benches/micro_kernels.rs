@@ -10,7 +10,8 @@
 //! rebuild and first crack; and what a service submission pays to learn
 //! whether it can be answered on the submitting thread
 //! (`QueryEngine::execute_exact`), for an exact hit and for a miss; and the
-//! first point-filter build on a converged shard. The first line names the kernel family the
+//! first point-filter build on a converged shard; and 32 Ripple drains into
+//! a converged shard with a published snapshot. The first line names the kernel family the
 //! crack and filter kernels dispatched to (`HOLIX_NO_SIMD=1` forces the
 //! portable one).
 
@@ -268,6 +269,83 @@ fn bench_ripple_vs_rebuild(c: &mut Criterion) {
                 }
                 v.sort_unstable();
                 black_box(v.len())
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
+/// 32 consecutive Ripple drains of 280 updates each (two inserts to one
+/// delete of a base tuple) into one converged shard of 2^18 values with a
+/// published snapshot at live granularity: what an `update_churn` shard's
+/// drains pay, the merge-delta compactions among them included. The
+/// shard's setup (cracks, row ids, snapshot) is not timed; divide by 32
+/// for ns per drain.
+fn bench_drain_with_snapshot(c: &mut Criterion) {
+    const ROWS: usize = 1 << 18;
+    const DRAINS: usize = 32;
+    const BATCH: usize = 280;
+    let mut rng = StdRng::seed_from_u64(39);
+    let values: Vec<i64> = (0..ROWS).map(|_| rng.random_range(0..1_000_000)).collect();
+    // Distinct base rows to delete: an odd stride is a bijection modulo
+    // the power-of-two row count.
+    let mut victims = (0..ROWS).map(|k| (k * 0x9E37_79B1 % ROWS) as u32);
+    let mut next_row = ROWS as u32;
+    // `(value, row, insert)` per update, one batch per drain.
+    let batches: Vec<Vec<(i64, u32, bool)>> = (0..DRAINS)
+        .map(|_| {
+            (0..BATCH)
+                .map(|i| match i % 3 {
+                    2 => {
+                        let row = victims.next().expect("rows left");
+                        (values[row as usize], row, false)
+                    }
+                    _ => {
+                        next_row += 1;
+                        (rng.random_range(0..1_000_000), next_row, true)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let converged = || {
+        let col =
+            ShardedColumn::from_base_with_plan("a", &values, ShardPlan::from_values(&values, 1));
+        let shard = Arc::clone(col.shard(0));
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut scratch = CrackScratch::new();
+        for _ in 0..512 {
+            let (a, b) = (
+                rng.random_range(0..1_000_000),
+                rng.random_range(0..1_000_000),
+            );
+            shard.select(Predicate::range(a.min(b), a.max(b)), &mut scratch);
+        }
+        let all = Predicate::range(i64::MIN, i64::MAX);
+        shard.collect_row_ids(all);
+        shard.snapshot_scan(all, &mut scratch);
+        shard.publish_stats();
+        while shard.refresh_stale_snapshot() {}
+        shard
+    };
+    let mut g = c.benchmark_group("updates");
+    g.sample_size(10);
+    g.bench_function("drain_with_snapshot", |b| {
+        b.iter_batched(
+            converged,
+            |shard| {
+                for batch in &batches {
+                    for &(v, row, insert) in batch {
+                        match insert {
+                            true => shard.queue_insert(v, row),
+                            false => shard.queue_delete(v, row),
+                        };
+                    }
+                    shard.merge_pending();
+                }
+                assert_eq!(shard.pending_len(), 0);
+                shard
             },
             BatchSize::LargeInput,
         )
@@ -673,6 +751,7 @@ criterion_group!(
     bench_cracker_index,
     bench_weight_heap,
     bench_ripple_vs_rebuild,
+    bench_drain_with_snapshot,
     bench_exact_hits,
     bench_point_filter
 );

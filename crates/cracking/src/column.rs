@@ -40,12 +40,19 @@
 //! reader clones the published `Arc` and folds the unmerged pending values
 //! in one critical section of the short `pending` mutex (the linearisation
 //! point), then scans holding no lock at all. Cracks only permute values
-//! inside pieces, so the snapshot stays correct under concurrent cracking;
-//! Ripple merges — the only multiset-changing writers — splice fresh
-//! copies of exactly the affected value range into a new snapshot
-//! (copy-on-write at piece granularity, untouched pieces share their
-//! `Arc`'d segments) and swap the pointer under the same mutex; the
+//! inside pieces, so the snapshot stays correct under concurrent cracking.
+//! Ripple merges — the only multiset-changing writers — publish a new
+//! snapshot version and swap the pointer under the same mutex; the
 //! replaced version is freed when the last reader holding it lets go.
+//! A merged value whose snapshot piece is still at live granularity goes
+//! into the snapshot's sorted *merge delta* (folded into a scan in
+//! O(log d)); only a piece the live index has split since it was copied
+//! is copied again, at live granularity (copy-on-write at piece
+//! granularity, untouched pieces share their `Arc`'d segments), and every
+//! such copy — a merge's, an edge refresh's, a background refresh's —
+//! drops the delta values it now holds. Past
+//! [`CrackerColumn::DELTA_CAP`] values, or after a delete that found no
+//! tuple, a merge compacts: it copies the pieces of every delta value.
 //! Publication and pointer loads under the pending mutex are the whole
 //! protocol: `read_snapshot` is the one load, `splice_multi_and_publish`
 //! the one store. For these readers the structure lock shrinks to a
@@ -57,8 +64,13 @@
 //! its kin fold the unmerged updates their predicate selects under the
 //! pending mutex while holding `structure` shared (a snapshot read's
 //! linearisation point). Only a queue past [`CrackerColumn::MERGE_BACKLOG`]
-//! is merged first — whole, one [`ripple_batch`] walk and one splice
-//! ([`CrackerColumn::merge_pending`], the one merge entry).
+//! is merged first — whole, one [`ripple_batch`] walk and one snapshot
+//! publish ([`CrackerColumn::merge_pending`], the one merge entry). With a
+//! snapshot published, a drain adds most of its values to the merge delta
+//! and copies only the stale pieces the rest land in, under `structure`
+//! exclusive like the walk; a compaction every
+//! [`CrackerColumn::DELTA_CAP`] delta values copies what the delta
+//! reaches.
 //!
 //! ## Row ids on demand
 //!
@@ -119,6 +131,17 @@ fn anchor_max<V: Ord>(x: Option<V>, y: Option<V>) -> Option<V> {
     }
 }
 
+/// Adds the anchor pair `(a, b)` to ascending splice spans. Anchors of
+/// ascending values ascend too: the new pair either falls inside or
+/// touches the last span (which it then extends) or starts a fresh
+/// cluster strictly to its right.
+fn push_span<V: Ord + Copy>(spans: &mut Vec<(Option<V>, Option<V>)>, a: Option<V>, b: Option<V>) {
+    match spans.last_mut() {
+        Some((_, pb)) if anchor_starts_within(a, *pb) => *pb = anchor_max(*pb, b),
+        _ => spans.push((a, b)),
+    }
+}
+
 /// The row lane of a crack over `len` values of a column without row ids:
 /// a slice of `()` (a length, no memory — see [`crate::RowLane`]).
 fn no_rows(len: usize) -> Vec<()> {
@@ -142,6 +165,16 @@ fn overlay<V: CrackValue>(queue: &PendingUpdates<V>, pred: Predicate<V>) -> (i64
         },
     );
     (count, sum)
+}
+
+/// Where a merged batch goes in the published snapshot (see
+/// `CrackerColumn::merge_plan`).
+struct MergePlan<V> {
+    /// Anchor pairs of the spans to copy from the live column, ascending.
+    spans: Vec<(Option<V>, Option<V>)>,
+    /// Sorted inserts and deletes to add to the snapshot's merge delta.
+    ins: Vec<V>,
+    del: Vec<V>,
 }
 
 /// Result of one range select over a cracker column.
@@ -1028,9 +1061,9 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// delete, and then insert x for good.
     ///
     /// When a snapshot is published, the merge is the *only* operation that
-    /// changes per-piece multisets, so it finishes by splicing fresh copies
-    /// of exactly the affected value ranges into the snapshot (copy-on-write
-    /// at piece granularity) and publishing that in place of the old one.
+    /// changes per-piece multisets, so it finishes by publishing a snapshot
+    /// that holds the batch: in its merge delta, or in fresh copies of the
+    /// stale pieces the batch lands in (see [`CrackerColumn::merge_plan`]).
     /// The taken batch stays registered as in-flight until the publish, so
     /// snapshot readers racing the merge see every update in either the
     /// pending set or the new snapshot — never neither.
@@ -1046,45 +1079,30 @@ impl<V: CrackValue> CrackerColumn<V> {
             p.queue.take_all_tracked()
         };
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
+        let len = self.index.read().len();
         // SAFETY: the caller's contract. Every merge path is checked
         // against a multiset oracle by
         // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`.
         let walked = unsafe { self.ripple_apply(&ins, &del) };
-        let spliced = timed.map(|_| std::time::Instant::now());
+        // A delete that found no target was dropped: the column grew by
+        // more than the batch says.
+        let dropped = self.index.read().len() + del.len() != len + ins.len();
         // Still under `structure` exclusive: nothing else can publish (or
-        // build) a snapshot, so the anchor/copy/splice triple is atomic and
+        // build) a snapshot, so the plan/copy/splice triple is atomic and
         // the in-flight batch is cleared before any snapshot that already
-        // contains its items can become visible. The splice covers one
-        // span per *cluster* of merged values: a wide merge whose items
-        // are sparse only copies the snapshot pieces the values actually
-        // land in — every untouched interior piece of the anchor span
-        // keeps sharing its segment.
-        let spans = self.snapshot().map(|snap| {
-            let mut vs: Vec<V> = ins.iter().chain(del.iter()).map(|&(v, _)| v).collect();
-            vs.sort_unstable();
-            vs.dedup();
-            let mut spans: Vec<(Option<V>, Option<V>)> = Vec::new();
-            for &v in &vs {
-                let (a, b) = snap.anchors(v, Self::succ(v));
-                match spans.last_mut() {
-                    // Values ascend, so anchors do too: the new span either
-                    // falls inside / touches the previous one (extend it)
-                    // or starts a fresh cluster strictly to the right.
-                    Some((_, pb)) if anchor_starts_within(a, *pb) => {
-                        *pb = anchor_max(*pb, b);
-                    }
-                    _ => spans.push((a, b)),
-                }
-            }
-            spans
-        });
-        match spans {
-            Some(spans) => {
-                let spans: Vec<SpliceSpan<V>> = spans
+        // contains its items can become visible.
+        match self.snapshot() {
+            Some(snap) => {
+                let plan = self.merge_plan(&snap, &ins, &del, dropped);
+                drop(snap);
+                let copied = !plan.spans.is_empty();
+                let spliced = timed.filter(|_| copied).map(|_| std::time::Instant::now());
+                let spans: Vec<SpliceSpan<V>> = plan
+                    .spans
                     .into_iter()
                     .map(|(a, b)| (a, b, self.copy_live_pieces(a, b, false, false)))
                     .collect();
-                self.splice_multi_and_publish(spans, Some(token));
+                self.splice_multi_and_publish(spans, Some((token, &plan.ins, &plan.del)));
                 if let Some(t1) = spliced {
                     holix_telemetry::histogram!("cracking_ripple_splice_ns")
                         .record(t1.elapsed().as_nanos() as u64);
@@ -1100,6 +1118,82 @@ impl<V: CrackValue> CrackerColumn<V> {
             holix_telemetry::counter!("cracking_ripple_bounds_walked_total").add(walked as u64);
             holix_telemetry::histogram!("cracking_ripple_merge_ns")
                 .record(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Merge-delta size past which a merge compacts: folds the whole delta
+    /// into live copies of the pieces its values land in.
+    pub const DELTA_CAP: usize = 16 * Self::MERGE_BACKLOG;
+
+    /// Where a merged batch goes in the published snapshot `snap`.
+    ///
+    /// A value whose snapshot piece the live index has split since it was
+    /// copied (a *stale* piece, [`CrackerIndex::splits`]) gets that piece
+    /// copied at live granularity — one span per cluster of such pieces,
+    /// so a sparse batch copies only the pieces it lands in, and the copy
+    /// absorbs the delta values inside it. Every other value goes to the
+    /// delta. A merge that would take the delta past
+    /// [`CrackerColumn::DELTA_CAP`], or whose batch had a delete that found
+    /// no target (`dropped`: which one is unknown, and it must not reach
+    /// the delta), compacts instead: it copies the pieces of every delta
+    /// and batch value, and adds nothing.
+    fn merge_plan(
+        &self,
+        snap: &PieceSnapshot<V>,
+        ins: &[(V, RowId)],
+        del: &[(V, RowId)],
+        dropped: bool,
+    ) -> MergePlan<V> {
+        let mut batch: Vec<(V, bool)> = ins
+            .iter()
+            .map(|&(v, _)| (v, true))
+            .chain(del.iter().map(|&(v, _)| (v, false)))
+            .collect();
+        batch.sort_unstable();
+        let mut spans = Vec::new();
+        let (mut delta_ins, mut delta_del) = (Vec::new(), Vec::new());
+        if !dropped {
+            let idx = self.index.read();
+            snap.group_by_piece(
+                &batch,
+                |&(v, _)| v,
+                |a, b, held| {
+                    if idx.splits(a, b) {
+                        push_span(&mut spans, a, b);
+                    } else {
+                        for &(v, insert) in held {
+                            if insert {
+                                delta_ins.push(v);
+                            } else {
+                                delta_del.push(v);
+                            }
+                        }
+                    }
+                },
+            );
+            if snap.delta_len() + delta_ins.len() + delta_del.len() <= Self::DELTA_CAP {
+                return MergePlan {
+                    spans,
+                    ins: delta_ins,
+                    del: delta_del,
+                };
+            }
+        }
+        let mut all: Vec<V> = batch
+            .iter()
+            .map(|&(v, _)| v)
+            .chain(snap.delta().map(|(v, _)| v))
+            .collect();
+        all.sort_unstable();
+        spans.clear();
+        snap.group_by_piece(&all, |&v| v, |a, b, _| push_span(&mut spans, a, b));
+        if holix_telemetry::metrics_enabled() {
+            holix_telemetry::counter!("cracking_delta_compactions_total").inc();
+        }
+        MergePlan {
+            spans,
+            ins: Vec::new(),
+            del: Vec::new(),
         }
     }
 
@@ -1230,7 +1324,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             // Unless a racing reader built it while this one waited.
             if !self.snapshot_published() {
                 let pieces = self.copy_live_pieces(None, None, false, false);
-                self.splice_and_publish(None, None, pieces, None);
+                self.splice_and_publish(None, None, pieces);
             }
         }
         self.read_snapshot(&fold)
@@ -1462,7 +1556,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         // piece(s) the bound falls into.
         let (a, b, encoded) = self.snapshot_anchors(v, Self::succ(v));
         let mid = self.copy_live_pieces(a, b, true, encoded);
-        self.splice_and_publish(a, b, mid, None);
+        self.splice_and_publish(a, b, mid);
     }
 
     /// Background snapshot maintenance (an idle holistic worker's job):
@@ -1532,7 +1626,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         // encoded form — the copies land compressed, so the background
         // refresh loop no longer re-plains what the morpher encoded.
         let mid = self.copy_live_pieces(a, b, true, encoded);
-        self.splice_and_publish(a, b, mid, None);
+        self.splice_and_publish(a, b, mid);
         drop(_shared);
         // Republish immediately so a refresh loop converges on fresh
         // staleness instead of re-picking the same piece.
@@ -1560,8 +1654,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// (FOR / delta / RLE — see [`Segment::encoded`]) and republishes it as
     /// an encoded segment through the same COW-splice a refresh uses, so
     /// readers never block and `snapshot_bytes` drops by exactly the saved
-    /// backing size. Returns `true` when a piece was morphed (`false`: no
-    /// snapshot, or no remaining plain piece compresses).
+    /// backing size. A piece the merge delta reaches into stays plain
+    /// until a copy absorbs its delta values. Returns `true` when a piece
+    /// was morphed (`false`: no snapshot, or no remaining plain piece
+    /// compresses).
     ///
     /// Runs under `structure` *shared*, which excludes Ripple merges — the
     /// only multiset-changing writers — for the copy-encode-splice window:
@@ -1581,7 +1677,13 @@ impl<V: CrackValue> CrackerColumn<V> {
         let mut lo_key = None;
         let mut order: Vec<(Option<V>, &SnapPiece<V>)> = Vec::new();
         for piece in snap.pieces() {
-            if piece.is_plain() && piece.len() >= Self::MORPH_MIN {
+            // A piece the merge delta reaches into is left plain: its
+            // re-encoded copy would not hold the delta values, and the
+            // splice would drop them from the delta.
+            if piece.is_plain()
+                && piece.len() >= Self::MORPH_MIN
+                && !snap.delta_meets(lo_key, piece.hi_key)
+            {
                 order.push((lo_key, piece));
             }
             lo_key = piece.hi_key;
@@ -1600,7 +1702,7 @@ impl<V: CrackValue> CrackerColumn<V> {
                 continue; // no scheme beats plain here — try the next piece
             }
             let piece = SnapPiece::new(b, Arc::new(seg), 0, n);
-            self.splice_and_publish(a, b, vec![piece], None);
+            self.splice_and_publish(a, b, vec![piece]);
             morphed = true;
             break;
         }
@@ -1727,15 +1829,10 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
-    /// [`CrackerColumn::splice_multi_and_publish`] for a single span.
-    fn splice_and_publish(
-        &self,
-        a: Option<V>,
-        b: Option<V>,
-        mid: Vec<SnapPiece<V>>,
-        finish: Option<u64>,
-    ) {
-        self.splice_multi_and_publish(vec![(a, b, mid)], finish);
+    /// [`CrackerColumn::splice_multi_and_publish`] for a single span, not
+    /// a merge's.
+    fn splice_and_publish(&self, a: Option<V>, b: Option<V>, mid: Vec<SnapPiece<V>>) {
+        self.splice_multi_and_publish(vec![(a, b, mid)], None);
     }
 
     /// Publishes a new snapshot that replaces, for each span `(a, b, mid)`
@@ -1743,16 +1840,24 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// with `mid` — sharing every run of the piece table no span reaches
     /// into ([`PieceSnapshot::splice`]) and the segments of every
     /// untouched piece, including interior pieces *between* the spans of
-    /// one sparse wide merge. The one store of the published pointer: it
-    /// runs under the pending mutex (the reader linearisation point), and
-    /// `finish` clears an in-flight merge batch in the same critical
-    /// section, so readers switch from "old snapshot + in-flight items" to
-    /// "new snapshot" atomically. The replaced version is let go after the
-    /// mutex; its memory goes when the last reader holding it does.
+    /// one sparse wide merge — and drops the merge-delta values inside the
+    /// spans. A merge passes `(token, inserts, deletes)`: the values its
+    /// delta gains, and its in-flight batch, which is cleared in the same
+    /// critical section as the store, so readers switch from "old snapshot
+    /// + in-flight items" to "new snapshot" atomically.
+    ///
+    /// The one store of the published pointer: it runs under the pending
+    /// mutex (the reader linearisation point). The replaced version is let
+    /// go after the mutex; its memory goes when the last reader holding it
+    /// does.
     ///
     /// Caller holds a structure lock (exclusive for merges/builds, shared
     /// for refreshes).
-    fn splice_multi_and_publish(&self, spans: Vec<SpliceSpan<V>>, finish: Option<u64>) {
+    fn splice_multi_and_publish(
+        &self,
+        spans: Vec<SpliceSpan<V>>,
+        merge: Option<(u64, &[V], &[V])>,
+    ) {
         let mut p = self.pending.lock();
         let new = match &p.snap {
             None => {
@@ -1774,16 +1879,17 @@ impl<V: CrackValue> CrackerColumn<V> {
             // stale; it gives up (the next scan refreshes again). Merges
             // hold `structure` exclusively between anchor lookup and
             // splice and cannot be stale.
-            Some(old) => match old.splice(spans) {
-                Some(new) => new,
-                None => {
-                    debug_assert!(finish.is_none(), "a merge's anchors went stale");
+            Some(old) => match (old.splice(spans), merge) {
+                (Some(new), Some((_, ins, del))) => new.with_delta(ins, del, &self.snap_bytes),
+                (Some(new), None) => new,
+                (None, _) => {
+                    debug_assert!(merge.is_none(), "a merge's anchors went stale");
                     return;
                 }
             },
         };
         let old = p.snap.replace(Arc::new(new));
-        if let Some(token) = finish {
+        if let Some((token, _, _)) = merge {
             p.queue.finish_merge(token);
         }
         // Freeing the replaced version can free O(column) bytes of
@@ -2430,7 +2536,7 @@ mod tests {
         let (base, col) = column(50_000, 30);
         let mut scratch = CrackScratch::new();
         // Crack the live index fine, then publish a snapshot at that
-        // granularity (ensure_snapshot copies per live piece).
+        // granularity (the first build copies per live piece).
         let mut rng = StdRng::seed_from_u64(31);
         for _ in 0..40 {
             let a = rng.random_range(0..1_000);
@@ -2442,32 +2548,45 @@ mod tests {
         col.snapshot_scan(full, &mut scratch);
         let pieces = col.snapshot_piece_count();
         assert!(pieces > 20, "setup failed to produce a fine snapshot");
-        // Hold the current version so what it alone references stays
-        // charged: the byte delta below then measures exactly what the
-        // merge splice *copied*.
-        let before = col.snapshot_bytes();
-        let _held = col.snapshot();
+        // Two inserts at the column's ends land in pieces the live index
+        // has not split since: the merge adds them to the delta and copies
+        // no piece.
         let n = base.len() as RowId;
         col.queue_insert(2, n);
         col.queue_insert(997, n + 1);
-        // One wide select merges both pending items in a single batch
-        // whose anchor span covers nearly the whole column.
+        col.merge_pending();
+        let snap = col.snapshot().expect("published above");
+        assert_eq!(snap.delta().collect::<Vec<_>>(), [(2, true), (997, true)]);
+        assert_eq!(
+            snap.piece_count(),
+            pieces,
+            "a merge into live pieces copied"
+        );
+        drop(snap);
+        // A delete that finds no target compacts: the delta goes into
+        // copies of the pieces its values land in. Hold the current version
+        // so what it alone references stays charged: the byte delta below
+        // then measures exactly what the compaction *copied*.
+        let before = col.snapshot_bytes();
+        let _held = col.snapshot();
+        col.queue_delete(997, n + 2);
+        col.merge_pending();
+        assert_eq!(col.snapshot().unwrap().delta_len(), 0, "no compaction");
+        let copied = col.snapshot_bytes() - before;
+        // Sharing keeps the copy to the two touched edge clusters — a few
+        // pieces' worth, not the whole anchor span between them (~400 KB).
+        let budget = (base.len() / pieces).max(1) * std::mem::size_of::<i64>() * 8;
+        assert!(
+            copied > 0 && copied <= budget,
+            "wide sparse compaction copied {copied} bytes (budget {budget}); \
+             interior pieces were not shared"
+        );
+        // And every read path still answers exactly.
         let (_, stats) = col.select_verified(full, &mut scratch);
         let mut expect = scan_stats(&base, full);
         expect.count += 2;
         expect.sum += 2 + 997;
         assert_eq!(stats, expect);
-        let copied = col.snapshot_bytes() - before;
-        // Sharing keeps the copy to the two touched edge clusters — a few
-        // pieces' worth, not the whole anchor span. (The old single-span
-        // splice copied ~all 50k values here: ~400 KB.)
-        let budget = (base.len() / pieces).max(1) * std::mem::size_of::<i64>() * 8;
-        assert!(
-            copied <= budget,
-            "wide sparse merge copied {copied} bytes (budget {budget}); \
-             interior pieces were not shared"
-        );
-        // And the snapshot still answers exactly.
         let scan = col.snapshot_scan(full, &mut scratch);
         assert_eq!((scan.count, scan.sum), (expect.count, expect.sum));
     }
@@ -2606,8 +2725,8 @@ mod tests {
         let (a, b, _) = col.snapshot_anchors(650, 651);
         assert_eq!((a, b), (Some(500), Some(800)));
         let mid = col.copy_live_pieces(a, b, true, false);
-        col.splice_and_publish(Some(200), Some(800), vec![morphed], None);
-        col.splice_and_publish(a, b, mid, None);
+        col.splice_and_publish(Some(200), Some(800), vec![morphed]);
+        col.splice_and_publish(a, b, mid);
         for pred in [full, Predicate::range(300, 700), Predicate::less_than(450)] {
             let scan = col.snapshot_scan(pred, &mut scratch);
             let oracle = scan_stats(&base, pred);
@@ -2919,6 +3038,217 @@ mod tests {
             }
         }
         (col, pending)
+    }
+
+    /// A multiset of values: each value's multiplicity.
+    type Oracle = std::collections::BTreeMap<i64, u64>;
+
+    /// Count and sum of the oracle's values `pred` selects.
+    fn oracle_stats(oracle: &Oracle, pred: Predicate<i64>) -> (u64, i128) {
+        use std::ops::Bound::{Excluded, Included, Unbounded};
+        if pred.is_empty() {
+            return (0, 0);
+        }
+        let lo = if pred.lo == i64::MIN {
+            Unbounded
+        } else {
+            Included(pred.lo)
+        };
+        let hi = if pred.hi == i64::MAX {
+            Unbounded
+        } else {
+            Excluded(pred.hi)
+        };
+        oracle.range((lo, hi)).fold((0, 0), |(c, s), (&v, &m)| {
+            (c + m, s + v as i128 * m as i128)
+        })
+    }
+
+    /// Values of the merge-delta property test are drawn from `0..DOMAIN`.
+    const DOMAIN: i64 = 200_000;
+
+    /// Drains `drains` random batches into `parts` (the shards of one
+    /// column, each with a published snapshot; `route` names the part a
+    /// value belongs to, `split` cuts a predicate into per-part ones) and
+    /// checks every read path against a multiset oracle after each drain;
+    /// see `prop_merge_delta_and_splices_match_a_multiset_oracle`. Returns
+    /// how many drains compacted a delta past [`CrackerColumn::DELTA_CAP`].
+    fn drain_against_an_oracle(
+        seed: u64,
+        base: &[i64],
+        parts: &[&CrackerColumn<i64>],
+        route: &dyn Fn(i64) -> usize,
+        split: &dyn Fn(Predicate<i64>) -> Vec<(usize, Predicate<i64>)>,
+        drains: usize,
+    ) -> usize {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = CrackScratch::new();
+        let mut oracle = Oracle::new();
+        for &v in base {
+            *oracle.entry(v).or_insert(0u64) += 1;
+        }
+        let mut live: Vec<(i64, RowId)> = base.iter().zip(0..).map(|(&v, r)| (v, r)).collect();
+        let mut next_row = base.len() as RowId;
+        let mut recent = vec![0];
+        let mut value = |rng: &mut StdRng| {
+            let v = match rng.random_range(0..100) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2..20 => recent[rng.random_range(0..recent.len())],
+                _ => rng.random_range(0..DOMAIN),
+            };
+            recent.push(v);
+            v
+        };
+        let pred = |rng: &mut StdRng| {
+            let bound = |rng: &mut StdRng, sentinel: i64| match rng.random_range(0..6) {
+                0 => sentinel,
+                _ => rng.random_range(-5..DOMAIN + 5),
+            };
+            let (a, b) = (bound(rng, i64::MIN), bound(rng, i64::MAX));
+            Predicate::range(a.min(b), a.max(b))
+        };
+        let stats = |pred: Predicate<i64>,
+                     f: &mut dyn FnMut(usize, Predicate<i64>) -> (u64, i128)| {
+            split(pred)
+                .into_iter()
+                .map(|(k, p)| f(k, p))
+                .fold((0, 0), |(c, s), (pc, ps)| (c + pc, s + ps))
+        };
+        let mut held: Option<(Vec<Arc<PieceSnapshot<i64>>>, Oracle)> = None;
+        let mut compactions = 0;
+        for _ in 0..drains {
+            // Cracks, edge and stale-piece refreshes and morphs between
+            // drains, all of which splice.
+            for _ in 0..rng.random_range(0..4) {
+                let k = rng.random_range(0..parts.len());
+                let part = parts[k];
+                match rng.random_range(0..4) {
+                    0 => {
+                        for (k, p) in split(pred(&mut rng)) {
+                            parts[k].select(p, &mut scratch);
+                        }
+                    }
+                    1 => part.refresh_bound(value(&mut rng), &mut scratch),
+                    2 => {
+                        part.publish_stats();
+                        part.refresh_stale_snapshot();
+                    }
+                    _ => {
+                        part.morph_cold_segments();
+                    }
+                }
+            }
+            // A batch of repeated values, sentinels, deletes of live
+            // tuples and, now and then, of a tuple that never existed.
+            let absent = rng.random_range(0..16) == 0;
+            for i in 0..rng.random_range(400..800) * parts.len() {
+                if absent && i == 0 {
+                    parts[route(7)].queue_delete(7, RowId::MAX);
+                } else if rng.random_range(0..3) == 0 && !live.is_empty() {
+                    let (v, r) = live.swap_remove(rng.random_range(0..live.len()));
+                    assert!(parts[route(v)].queue_delete(v, r));
+                    *oracle.get_mut(&v).expect("a live tuple") -= 1;
+                } else {
+                    let v = value(&mut rng);
+                    assert!(parts[route(v)].queue_insert(v, next_row));
+                    live.push((v, next_row));
+                    next_row += 1;
+                    *oracle.entry(v).or_insert(0) += 1;
+                }
+            }
+            for part in parts {
+                let before = part.snapshot().expect("published").delta_len();
+                let queued = part.pending_len();
+                part.merge_pending();
+                let after = part.snapshot().expect("published").delta_len();
+                assert!(after <= CrackerColumn::<i64>::DELTA_CAP);
+                compactions +=
+                    usize::from(before + queued > CrackerColumn::<i64>::DELTA_CAP && after == 0);
+            }
+            // A version held since the last drain keeps that drain's
+            // answers; the current one, the locked path and the oracle
+            // agree.
+            for _ in 0..4 {
+                let p = pred(&mut rng);
+                let want = oracle_stats(&oracle, p);
+                let scan = stats(p, &mut |k, p| {
+                    let s = parts[k].snapshot_scan(p, &mut scratch);
+                    (s.count, s.sum)
+                });
+                assert_eq!(scan, want, "snapshot {p:?}");
+                let locked = stats(p, &mut |k, p| {
+                    let s = parts[k].select_verified(p, &mut scratch).1;
+                    (s.count, s.sum)
+                });
+                assert_eq!(locked, want, "select {p:?}");
+                if let Some((snaps, old)) = &held {
+                    let kept = stats(p, &mut |k, p| {
+                        let s = snaps[k].stats(p.lo, p.hi);
+                        (s.count, s.sum)
+                    });
+                    assert_eq!(kept, oracle_stats(old, p), "held {p:?}");
+                }
+            }
+            let snaps = parts
+                .iter()
+                .map(|c| c.snapshot().expect("published"))
+                .collect();
+            held = Some((snaps, oracle.clone()));
+        }
+        for part in parts {
+            part.check_invariants(None);
+        }
+        compactions
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+        #[test]
+        /// The merge-delta contract on a plain and a 4-shard column, each
+        /// with a published snapshot: random batches — repeated values,
+        /// the `MIN`/`MAX` sentinels, a delete of a tuple that never
+        /// existed now and then — drained often enough to pass
+        /// [`CrackerColumn::DELTA_CAP`] several times, between cracks, edge
+        /// refreshes, stale-piece refreshes and morphs. After every drain,
+        /// random predicates agree across `snapshot_scan`,
+        /// `select_verified` and a multiset oracle, and a snapshot held
+        /// from the drain before keeps its answers. Recording a dropped
+        /// delete in the delta, or a splice keeping the delta values
+        /// inside its spans, fails it.
+        fn prop_merge_delta_and_splices_match_a_multiset_oracle(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base: Vec<i64> = (0..8_192).map(|_| rng.random_range(0..DOMAIN)).collect();
+            let crack = |parts: &[&CrackerColumn<i64>], scratch: &mut CrackScratch<i64>, rng: &mut StdRng| {
+                for part in parts {
+                    for _ in 0..20 {
+                        let (a, b) = (rng.random_range(0..DOMAIN), rng.random_range(0..DOMAIN));
+                        part.select(Predicate::range(a.min(b), a.max(b)), scratch);
+                    }
+                    part.snapshot_scan(Predicate::range(i64::MIN, i64::MAX), scratch);
+                }
+            };
+            let mut scratch = CrackScratch::new();
+            let plain = CrackerColumn::from_base("a", &base);
+            crack(&[&plain], &mut scratch, &mut rng);
+            let compactions = drain_against_an_oracle(seed, &base, &[&plain], &|_| 0, &|p| vec![(0, p)], 96);
+            assert!(compactions >= 3, "plain: {compactions} compactions");
+            let sharded =
+                ShardedColumn::from_base_with_plan("a", &base, ShardPlan::from_values(&base, 4));
+            let shards: Vec<&CrackerColumn<i64>> =
+                (0..sharded.shard_count()).map(|k| &**sharded.shard(k)).collect();
+            crack(&shards, &mut scratch, &mut rng);
+            let compactions = drain_against_an_oracle(
+                seed,
+                &base,
+                &shards,
+                &|v| sharded.plan().shard_of(v),
+                &|p| sharded.intersecting(p),
+                48,
+            );
+            assert!(compactions >= 3, "sharded: {compactions} compactions");
+        }
     }
 
     proptest::proptest! {

@@ -35,8 +35,15 @@ pub struct RangeCell<T> {
 }
 
 // SAFETY: all aliasing is controlled by the contract above; `T: Send` data
-// may be accessed from any thread as long as ranges are disjoint.
+// may be accessed from any thread as long as ranges are disjoint. Four
+// threads write four disjoint ranges of one cell in
+// `disjoint_ranges_mutate_concurrently`; the debug overlap assert of
+// `range_mut` (`overlap_detected_in_debug`) checks the disjointness in every
+// concurrent column test.
 unsafe impl<T: Send> Sync for RangeCell<T> {}
+// SAFETY: the cell owns its `Vec<T>`; moving it moves the vector, which is
+// `Send` for `T: Send` (`disjoint_ranges_mutate_concurrently` hands the cell
+// to scoped threads by reference and takes it back with `into_inner`).
 unsafe impl<T: Send> Send for RangeCell<T> {}
 
 impl<T> RangeCell<T> {
@@ -56,7 +63,9 @@ impl<T> RangeCell<T> {
     /// excluded by contract (2).
     pub fn len(&self) -> usize {
         // SAFETY: reads only the Vec header; header writers are exclusive by
-        // contract (2).
+        // contract (2), which `with_vec_mut`'s live-guard assert checks in
+        // debug builds (`vec_mut_with_live_guard_detected`; `vec_mut_grows`
+        // reads the length a `with_vec_mut` left).
         unsafe { (*self.data.get()).len() }
     }
 
@@ -96,7 +105,11 @@ impl<T> RangeCell<T> {
     /// No live guard may mutate an overlapping range (contract item 3).
     pub unsafe fn read_range(&self, start: usize, end: usize) -> &[T] {
         debug_assert!(start <= end && end <= self.len());
-        // SAFETY: caller contract.
+        // SAFETY: caller contract (3); the slice is bounds-checked against
+        // the vector. The column reads pieces through here under their read
+        // latches while other pieces crack
+        // (`point_filter_build_races_cracks_on_the_same_shard` in
+        // `column.rs`, under AddressSanitizer in CI).
         let vec = unsafe { &*self.data.get() };
         &vec[start..end]
     }
@@ -117,7 +130,9 @@ impl<T> RangeCell<T> {
                 live.len()
             );
         }
-        // SAFETY: caller contract.
+        // SAFETY: caller contract (2); the assert above checks in debug
+        // builds that no range guard is live
+        // (`vec_mut_with_live_guard_detected`).
         f(unsafe { &mut *self.data.get() })
     }
 
@@ -146,8 +161,11 @@ pub struct RangeGuard<'a, T> {
 impl<'a, T> RangeGuard<'a, T> {
     /// The guarded mutable slice.
     pub fn slice(&mut self) -> &mut [T] {
-        // SAFETY: guard construction promised disjointness; we borrow the
-        // slice for `&mut self`'s lifetime so a guard cannot alias itself.
+        // SAFETY: guard construction promised disjointness, which the
+        // overlap assert of `range_mut` checks in debug builds
+        // (`overlap_detected_in_debug`, `adjacent_ranges_are_not_overlap`);
+        // we borrow the slice for `&mut self`'s lifetime so a guard cannot
+        // alias itself.
         unsafe {
             let vec = &mut *self.cell.data.get();
             &mut vec[self.start..self.end]
@@ -221,6 +239,8 @@ mod tests {
     #[should_panic(expected = "with_vec_mut while")]
     fn vec_mut_with_live_guard_detected() {
         let cell = RangeCell::new(vec![0u8; 10]);
+        // SAFETY: intentionally violating contract (2) to exercise the
+        // debug detector, which panics before the vector is touched.
         let _g = unsafe { cell.range_mut(0, 3) };
         unsafe { cell.with_vec_mut(|v| v.push(1)) };
     }
@@ -228,6 +248,7 @@ mod tests {
     #[test]
     fn vec_mut_grows() {
         let cell = RangeCell::new(vec![1i32, 2]);
+        // SAFETY: one thread, no guard live, for both calls.
         unsafe {
             cell.with_vec_mut(|v| v.push(3));
         }
@@ -238,6 +259,8 @@ mod tests {
     #[test]
     fn adjacent_ranges_are_not_overlap() {
         let cell = RangeCell::new(vec![0u8; 10]);
+        // SAFETY: the two ranges touch but are disjoint; neither is
+        // dereferenced.
         let _g1 = unsafe { cell.range_mut(0, 5) };
         let _g2 = unsafe { cell.range_mut(5, 10) }; // touching, not overlapping
     }
@@ -245,6 +268,8 @@ mod tests {
     #[test]
     fn guard_drop_unregisters() {
         let cell = RangeCell::new(vec![0u8; 10]);
+        // SAFETY: the first guard drops before the second is taken; neither
+        // is dereferenced.
         {
             let _g = unsafe { cell.range_mut(0, 10) };
         }

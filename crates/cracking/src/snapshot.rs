@@ -8,10 +8,11 @@
 //! qualifying **values**) therefore stay correct across arbitrary concurrent
 //! cracks and piece splits; only a **Ripple merge** (insert/delete) changes
 //! a piece's multiset, and merges already run under the column's exclusive
-//! structure lock. So the write side replaces a snapshot copy-on-write at
-//! piece granularity exactly when a merge lands, sharing the `Arc`'d
-//! [`Segment`]s of every untouched piece, and readers run with **no
-//! structure lock at all**.
+//! structure lock. So the write side replaces a snapshot exactly when a
+//! merge lands — adding the merged values to the snapshot's sorted merge
+//! delta, or re-copying at piece granularity the pieces they land in,
+//! sharing the `Arc`'d [`Segment`]s of every untouched piece — and readers
+//! run with **no structure lock at all**.
 //!
 //! ## Publication and reclamation
 //!
@@ -566,6 +567,116 @@ pub struct SnapshotScan {
 /// snapshot's piece table.
 const RUN_PIECES: usize = 64;
 
+/// The merged values no snapshot piece holds yet: a Ripple merge whose
+/// values land in pieces still at live granularity records them here
+/// instead of re-copying those pieces. One ascending array of the merged
+/// inserts and deletes, with prefix sums of their net count and net sum (a
+/// delete of a value some piece, or an insert here, still holds counts
+/// −1), so a value range folds in two binary searches. An insert and a
+/// delete of one value cancel. Charged to the byte counter like a
+/// [`Segment`] — values and prefix sums — and debited on `Drop`, so a
+/// reader holding an old version keeps its delta charged.
+struct MergeDelta<V> {
+    vals: Box<[V]>,
+    /// `counts[i]` and `sums[i]`: net count and net sum of `vals[..i]`.
+    counts: Box<[i32]>,
+    sums: Box<[i128]>,
+    bytes: Arc<AtomicUsize>,
+    charged: usize,
+}
+
+impl<V: CrackValue> MergeDelta<V> {
+    /// The delta of `signed`, ascending `(value, insert)` pairs, after
+    /// netting out each value's inserts against its deletes; `None` when
+    /// nothing is left.
+    fn new(signed: Vec<(V, bool)>, bytes: &Arc<AtomicUsize>) -> Option<Arc<Self>> {
+        debug_assert!(signed.windows(2).all(|w| w[0].0 <= w[1].0));
+        let mut vals = Vec::with_capacity(signed.len());
+        let (mut counts, mut sums) = (vec![0i32], vec![0i128]);
+        let mut signed = signed.into_iter().peekable();
+        while let Some((v, insert)) = signed.next() {
+            let mut net = if insert { 1i32 } else { -1 };
+            while let Some((_, insert)) = signed.next_if(|&(w, _)| w == v) {
+                net += if insert { 1 } else { -1 };
+            }
+            for _ in 0..net.unsigned_abs() {
+                vals.push(v);
+                counts.push(counts[counts.len() - 1] + net.signum());
+                sums.push(sums[sums.len() - 1] + net.signum() as i128 * v.as_i64() as i128);
+            }
+        }
+        if vals.is_empty() {
+            return None;
+        }
+        let charged = vals.len() * V::width()
+            + counts.len() * (std::mem::size_of::<i32>() + std::mem::size_of::<i128>());
+        bytes.fetch_add(charged, SeqCst);
+        Some(Arc::new(MergeDelta {
+            vals: vals.into_boxed_slice(),
+            counts: counts.into_boxed_slice(),
+            sums: sums.into_boxed_slice(),
+            bytes: Arc::clone(bytes),
+            charged,
+        }))
+    }
+
+    /// The entries as ascending `(value, insert)` pairs.
+    fn signed(&self) -> impl Iterator<Item = (V, bool)> + '_ {
+        self.vals
+            .iter()
+            .zip(self.counts.windows(2))
+            .map(|(&v, c)| (v, c[1] > c[0]))
+    }
+
+    /// Net count + sum of `[lo, hi)` under the sentinel-aware predicate
+    /// semantics ([`Predicate::matches_unbounded`]).
+    fn stats(&self, lo: V, hi: V) -> (i64, i128) {
+        if lo >= hi {
+            return (0, 0);
+        }
+        let i = self.vals.partition_point(|&v| v < lo);
+        let j = if hi == V::MAX_VALUE {
+            self.vals.len()
+        } else {
+            i + self.vals[i..].partition_point(|&v| v < hi)
+        };
+        (
+            (self.counts[j] - self.counts[i]) as i64,
+            self.sums[j] - self.sums[i],
+        )
+    }
+}
+
+impl<V> Drop for MergeDelta<V> {
+    fn drop(&mut self) {
+        self.bytes.fetch_sub(self.charged, SeqCst);
+    }
+}
+
+/// The ascending `x` and `y` merged into one ascending vector by `key`.
+fn merged<T, K: Ord>(
+    x: impl Iterator<Item = T>,
+    y: impl Iterator<Item = T>,
+    key: impl Fn(&T) -> K,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(x.size_hint().0 + y.size_hint().0);
+    let mut y = y.peekable();
+    for t in x {
+        while let Some(u) = y.next_if(|u| key(u) < key(&t)) {
+            out.push(u);
+        }
+        out.push(t);
+    }
+    out.extend(y);
+    out
+}
+
+/// `true` when `v` lies in the key range `[a, b)` of a splice span (`None`
+/// = the column edge on that side, the right one holding `MAX_VALUE`).
+fn in_span<V: Ord>(v: V, a: Option<V>, b: Option<V>) -> bool {
+    a.is_none_or(|a| v >= a) && b.is_none_or(|b| v < b)
+}
+
 /// A stretch of consecutive snapshot pieces shared between the snapshot
 /// versions that did not change it, with what a walk or a splice needs to
 /// pass over it without touching the pieces. `Clone` shares the pieces.
@@ -609,9 +720,19 @@ type Cursor = (usize, usize);
 /// shrink when a span's replacement is shorter than what it replaces
 /// (emptied pieces are not copied back); a table whose runs have all
 /// withered to a piece each costs a splice what the flat table did.
+///
+/// Beside the pieces sits the snapshot's *merge delta*: merged inserts and
+/// deletes that no piece holds yet, sorted with prefix sums, so
+/// [`PieceSnapshot::stats`] folds them in O(log d). A merge adds its values
+/// there ([`PieceSnapshot::with_delta`]) instead of re-copying the pieces
+/// they land in; every splice drops the delta values inside its spans,
+/// whose replacement pieces are live copies that already hold them.
 pub struct PieceSnapshot<V> {
     runs: Vec<Run<V>>,
     len: usize,
+    /// Merged values no piece holds yet (`None` = none), shared with the
+    /// versions that did not change it.
+    delta: Option<Arc<MergeDelta<V>>>,
 }
 
 impl<V: CrackValue> PieceSnapshot<V> {
@@ -619,17 +740,21 @@ impl<V: CrackValue> PieceSnapshot<V> {
     pub fn new(pieces: Vec<SnapPiece<V>>) -> Self {
         let mut runs = Vec::with_capacity(pieces.len().div_ceil(RUN_PIECES));
         Self::push_runs(&mut runs, pieces);
-        Self::from_runs(runs)
+        Self::from_runs(runs, None)
     }
 
-    fn from_runs(runs: Vec<Run<V>>) -> Self {
+    fn from_runs(runs: Vec<Run<V>>, delta: Option<Arc<MergeDelta<V>>>) -> Self {
         debug_assert!(
             runs.windows(2)
                 .all(|w| w[0].hi_key.is_some()
                     && (w[1].hi_key.is_none() || w[1].hi_key > w[0].hi_key))
         );
-        let len = runs.iter().map(|r| r.len).sum();
-        PieceSnapshot { runs, len }
+        let held: usize = runs.iter().map(|r| r.len).sum();
+        let len = delta.as_ref().map_or(held, |d| {
+            held.checked_add_signed(d.counts[d.vals.len()] as isize)
+                .expect("a delta delete whose value no piece holds")
+        });
+        PieceSnapshot { runs, len, delta }
     }
 
     /// Appends `pieces` to `runs` as runs of near-equal size, none longer
@@ -657,7 +782,7 @@ impl<V: CrackValue> PieceSnapshot<V> {
         }
     }
 
-    /// Total values in the snapshot.
+    /// Total values in the snapshot, its merge delta folded in.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -665,6 +790,45 @@ impl<V: CrackValue> PieceSnapshot<V> {
     /// `true` when the snapshot holds no values.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The merge delta as ascending `(value, insert)` pairs: what a walk
+    /// over [`PieceSnapshot::pieces`] has to add (`true`) and take away
+    /// (`false`) to get the snapshot's multiset.
+    pub fn delta(&self) -> impl Iterator<Item = (V, bool)> + '_ {
+        self.delta.iter().flat_map(|d| d.signed())
+    }
+
+    /// Values in the merge delta, inserts and deletes.
+    pub fn delta_len(&self) -> usize {
+        self.delta.as_ref().map_or(0, |d| d.vals.len())
+    }
+
+    /// `true` when a merge-delta value lies in the key range `[a, b)`
+    /// (`None` = the column edge on that side).
+    pub fn delta_meets(&self, a: Option<V>, b: Option<V>) -> bool {
+        self.delta.as_ref().is_some_and(|d| {
+            let i = a.map_or(0, |a| d.vals.partition_point(|&v| v < a));
+            d.vals.get(i).is_some_and(|&v| in_span(v, a, b))
+        })
+    }
+
+    /// This snapshot with the sorted `ins` and `del` added to its merge
+    /// delta (new delta bytes are charged to `bytes`): inserts the column
+    /// merged that no piece holds, and deletes that found their tuple in
+    /// the column, whose values a piece (or the delta) still holds.
+    pub fn with_delta(self, ins: &[V], del: &[V], bytes: &Arc<AtomicUsize>) -> Self {
+        if ins.is_empty() && del.is_empty() {
+            return self;
+        }
+        let key = |&(v, _): &(V, bool)| v;
+        let new = merged(
+            ins.iter().map(|&v| (v, true)),
+            del.iter().map(|&v| (v, false)),
+            key,
+        );
+        let delta = MergeDelta::new(merged(self.delta(), new.into_iter(), key), bytes);
+        Self::from_runs(self.runs, delta)
     }
 
     /// The pieces in ascending value order.
@@ -724,6 +888,37 @@ impl<V: CrackValue> PieceSnapshot<V> {
         (a, b)
     }
 
+    /// Hands `f` the key range `(a, b)` of every piece the ascending
+    /// `items` fall in (by `key`), in order, with the items it holds —
+    /// one incremental seek per such piece instead of
+    /// [`PieceSnapshot::anchors`] per item.
+    pub fn group_by_piece<'a, T>(
+        &self,
+        items: &'a [T],
+        key: impl Fn(&T) -> V,
+        mut f: impl FnMut(Option<V>, Option<V>, &'a [T]),
+    ) {
+        let (mut r, mut o) = (0, 0);
+        let mut i = 0;
+        while i < items.len() {
+            let v = key(&items[i]);
+            let below = |k: Option<V>| k.is_some_and(|k| k <= v);
+            while self.runs.get(r).is_some_and(|run| below(run.hi_key)) {
+                (r, o) = (r + 1, 0);
+            }
+            let b = match self.runs.get(r) {
+                Some(run) => {
+                    o += run.pieces[o..].partition_point(|p| below(p.hi_key));
+                    run.pieces[o].hi_key
+                }
+                None => None,
+            };
+            let n = items[i..].partition_point(|t| b.is_none_or(|b| key(t) < b));
+            f(self.key_before((r, o)), b, &items[i..i + n]);
+            i += n;
+        }
+    }
+
     /// `true` when any piece intersecting `[lo, hi)` is encoded.
     pub fn span_has_encoded(&self, lo: V, hi: V) -> bool {
         for p in self.pieces_from(self.seek(lo, false)) {
@@ -743,12 +938,27 @@ impl<V: CrackValue> PieceSnapshot<V> {
     /// (ascending, disjoint), every piece covering the value range
     /// `[a, b)` replaced by `mid`. Only the runs a span reaches into are
     /// rebuilt (from what the span leaves of them plus `mid`); every other
-    /// run is shared with `self`.
+    /// run is shared with `self`. The merge delta loses its values inside
+    /// the spans: `mid` must hold the whole multiset of `[a, b)` (a copy
+    /// of the live column does), or a span must meet no delta value (a
+    /// re-encoded piece).
     ///
     /// `None` when an anchor is not (or no longer) a boundary of this
     /// snapshot: a piece straddling it would be dropped whole and only its
     /// part inside `[a, b)` put back.
     pub fn splice(&self, spans: Vec<SpliceSpan<V>>) -> Option<Self> {
+        let delta = match &self.delta {
+            Some(d) if spans.iter().any(|&(a, b, _)| self.delta_meets(a, b)) => {
+                // Spans ascend, like the delta: one cursor passes both.
+                let mut spans = spans.iter().peekable();
+                let kept = d.signed().filter(|&(v, _)| {
+                    while spans.next_if(|s| s.1.is_some_and(|b| b <= v)).is_some() {}
+                    !spans.peek().is_some_and(|s| in_span(v, s.0, s.1))
+                });
+                MergeDelta::new(kept.collect(), &d.bytes)
+            }
+            kept => kept.clone(),
+        };
         let mut out = Splicer {
             old: &self.runs,
             runs: Vec::with_capacity(self.runs.len() + spans.len()),
@@ -768,12 +978,13 @@ impl<V: CrackValue> PieceSnapshot<V> {
         }
         out.keep_until((self.runs.len(), 0));
         out.close();
-        Some(Self::from_runs(out.runs))
+        Some(Self::from_runs(out.runs, delta))
     }
 
     /// Count + sum of values in `[lo, hi)`. Interior runs and pieces fully
     /// covered by the range contribute their precomputed aggregates; only
-    /// the edge pieces are filtered element-wise.
+    /// the edge pieces are filtered element-wise; the merge delta adds one
+    /// binary search per bound.
     pub fn stats(&self, lo: V, hi: V) -> SnapshotScan {
         let mut out = SnapshotScan::default();
         self.walk(lo, hi, |reached| match reached {
@@ -792,6 +1003,14 @@ impl<V: CrackValue> PieceSnapshot<V> {
                 out.sum += s;
             }
         });
+        if let Some(d) = &self.delta {
+            let (count, sum) = d.stats(lo, hi);
+            out.count = out
+                .count
+                .checked_add_signed(count)
+                .expect("a delta delete whose value no piece holds");
+            out.sum += sum;
+        }
         out
     }
 
@@ -988,6 +1207,95 @@ mod tests {
         let snap = PieceSnapshot::<i64>::new(Vec::new());
         assert!(snap.is_empty());
         assert_eq!(snap.stats(0, 100).count, 0);
+    }
+
+    /// Count and sum of the multiset `vals` under the predicate semantics.
+    fn multiset_stats(vals: &[i64], lo: i64, hi: i64) -> (u64, i128) {
+        let pred = Predicate { lo, hi };
+        vals.iter()
+            .filter(|&&v| pred.matches_unbounded(v))
+            .fold((0, 0), |(c, s), &v| (c + 1, s + v as i128))
+    }
+
+    #[test]
+    fn merge_delta_folds_into_stats_and_splices_absorb_it() {
+        let bytes = counter();
+        let snap = snapshot_of(
+            vec![
+                (Some(10), vec![5, 1]),
+                (Some(20), vec![12, 17, 11]),
+                (None, vec![25, 20]),
+            ],
+            &bytes,
+        );
+        let pieces_bytes = bytes.load(SeqCst);
+        // An insert and a delete of 17 cancel; 12 and 25 leave pieces that
+        // still hold them.
+        let snap = snap.with_delta(&[3, 3, 17, 22, i64::MAX], &[12, 17, 25], &bytes);
+        let delta = |snap: &PieceSnapshot<i64>| snap.delta().collect::<Vec<_>>();
+        assert_eq!(
+            delta(&snap),
+            [
+                (3, true),
+                (3, true),
+                (12, false),
+                (22, true),
+                (25, false),
+                (i64::MAX, true)
+            ]
+        );
+        assert!(bytes.load(SeqCst) > pieces_bytes, "the delta is charged");
+        let want = [1, 5, 11, 17, 20, 3, 3, 22, i64::MAX];
+        assert_eq!(snap.len(), want.len());
+        let probes = [
+            (i64::MIN, i64::MAX),
+            (3, 4),
+            (10, 20),
+            (12, 26),
+            (21, i64::MAX),
+            (i64::MIN, 3),
+            (25, 25),
+        ];
+        for (lo, hi) in probes {
+            let got = snap.stats(lo, hi);
+            assert_eq!(
+                (got.count, got.sum),
+                multiset_stats(&want, lo, hi),
+                "[{lo},{hi})"
+            );
+        }
+        assert!(snap.delta_meets(Some(10), Some(20)));
+        assert!(!snap.delta_meets(Some(4), Some(12)));
+        // A live copy of [10, 20) holds what the delete of 12 left: the
+        // splice drops the delta's 12 with the pieces it replaces.
+        let live = Arc::new(Segment::new(vec![11, 17], Arc::clone(&bytes)));
+        let next = snap
+            .splice(vec![(
+                Some(10),
+                Some(20),
+                vec![SnapPiece::new(Some(20), live, 0, 2)],
+            )])
+            .expect("boundaries");
+        assert_eq!(
+            delta(&next),
+            [
+                (3, true),
+                (3, true),
+                (22, true),
+                (25, false),
+                (i64::MAX, true)
+            ]
+        );
+        for (lo, hi) in probes {
+            let got = next.stats(lo, hi);
+            assert_eq!(
+                (got.count, got.sum),
+                multiset_stats(&want, lo, hi),
+                "[{lo},{hi})"
+            );
+        }
+        drop((snap, next));
+        assert_eq!(bytes.load(SeqCst), 0, "every delta debited its charge");
     }
 
     /// A table of `n` pieces with boundary keys 100, 200, … (the last
@@ -1374,6 +1682,28 @@ mod tests {
                     assert_same_snapshot(&next, &flat_splice(&snap, &spans));
                     snap = next;
                 }
+            }
+
+            // Grouping ascending values by piece agrees with the anchors
+            // of each value.
+            #[test]
+            fn group_by_piece_matches_per_value_anchors(
+                n in 0usize..400,
+                vals in proptest::collection::vec(-50i64..41_000, 0..200),
+            ) {
+                let bytes = counter();
+                let snap = PieceSnapshot::new(table(n, &bytes));
+                let mut vals = vals;
+                vals.sort_unstable();
+                let mut seen = 0;
+                snap.group_by_piece(&vals, |&v| v, |a, b, held| {
+                    assert!(!held.is_empty());
+                    for &v in held {
+                        assert_eq!(snap.anchors(v, v + 1), (a, b), "{v}");
+                    }
+                    seen += held.len();
+                });
+                assert_eq!(seen, vals.len());
             }
 
             #[test]

@@ -12,6 +12,11 @@ use holix::workloads::WorkloadSpec;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// How long a test holds external load before it creates the first index:
+/// fifty of the 1-ms sampling windows the tests configure, so the window
+/// the daemon opened before the load closes while nothing is refinable.
+const HOLD_BEFORE_INDEXING: Duration = Duration::from_millis(50);
+
 fn fast_config(strategy: Strategy) -> HolisticConfig {
     HolisticConfig {
         monitor_interval: Duration::from_millis(1),
@@ -106,8 +111,12 @@ fn saturated_engine_never_activates_workers() {
     cfg.holistic.monitor_interval = Duration::from_millis(1);
     let engine = HolisticEngine::new(data, cfg);
 
-    // Hold external load so the accountant reports zero idle contexts.
+    // Hold external load so the accountant reports zero idle contexts,
+    // for whole sampling windows before any index exists: the window the
+    // daemon opened before the guard reads part of the load, but it closes
+    // while there is nothing to refine, so no cycle starts on it.
     let _external = engine.accountant().begin_task(2);
+    std::thread::sleep(HOLD_BEFORE_INDEXING);
     let queries = WorkloadSpec::random(2, 30, 1 << 20, 320).generate();
     for q in &queries {
         engine.execute(q);
@@ -151,27 +160,50 @@ fn cycle_records_capture_worker_activity() {
     // (first-crack + encoded-refresh) cycles short enough in debug builds
     // that several cycles start inside the idle window below even on one
     // core.
-    let data = Dataset::new(uniform_table(4, 100_000, 1 << 20, 34));
-    let mut cfg = HolisticEngineConfig::split_half(4);
-    cfg.holistic.monitor_interval = Duration::from_millis(1);
-    let engine = HolisticEngine::new(data, cfg);
-    // Create the indices, then idle so the daemon works alone.
-    for attr in 0..4 {
-        engine.execute(&holix::workloads::QuerySpec { attr, lo: 0, hi: 1 });
-    }
-    std::thread::sleep(Duration::from_millis(300));
-    let cycles = engine.stop();
-    assert!(cycles.len() >= 3, "too few cycles: {}", cycles.len());
-    let total_refinements: u64 = cycles.iter().map(|c| c.refinements).sum();
-    assert!(total_refinements > 0);
-    for (i, c) in cycles.iter().enumerate() {
-        // While a query runs, 2 of the 4 contexts are busy → 2 workers;
-        // once the engine idles every context is free → 4 workers.
-        assert!(c.workers == 2 || c.workers == 4, "cycle {i}: {}", c.workers);
-        assert!(c.wall <= c.worker_time_total.max(c.wall), "cycle {i}");
-        assert!(
-            c.refinements > 0 || c.busy > 0 || c.worker_time_total > Duration::ZERO,
-            "empty cycle {i} recorded"
-        );
+    //
+    // The accountant reports `total − round(mean busy over its window)`,
+    // so a window that covers part of a load change reads in between.
+    // Each engine here holds one load state over every window that can
+    // start a cycle: `sharded` builds and registers an attribute's indices
+    // without registering load, and external load is taken for whole
+    // windows before the first index exists and held until the daemon
+    // stops.
+    for (held, workers) in [(0, 4), (2, 2)] {
+        let data = Dataset::new(uniform_table(4, 100_000, 1 << 20, 34));
+        let mut cfg = HolisticEngineConfig::split_half(4);
+        cfg.holistic.monitor_interval = Duration::from_millis(1);
+        // Pieces converge at 512 values, so the daemon has a few hundred
+        // refinements of work per column: more than two cycles' worth.
+        cfg.holistic.l1_bytes = 4 * 1024;
+        let engine = HolisticEngine::new(data, cfg);
+        let _external = (held > 0).then(|| {
+            let guard = engine.accountant().begin_task(held);
+            std::thread::sleep(HOLD_BEFORE_INDEXING);
+            guard
+        });
+        // Create the indices, then idle so the daemon works alone.
+        for attr in 0..4 {
+            engine.sharded(attr);
+        }
+        // Idle for 300 ms, and (bounded) until three cycles have run: the
+        // first ones crack whole columns and take long on a busy runner.
+        std::thread::sleep(Duration::from_millis(300));
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while engine.cycles().len() < 3 {
+            assert!(std::time::Instant::now() < deadline, "too few cycles");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let cycles = engine.stop();
+        let total_refinements: u64 = cycles.iter().map(|c| c.refinements).sum();
+        assert!(total_refinements > 0);
+        for (i, c) in cycles.iter().enumerate() {
+            // Every context the external load leaves idle gets a worker.
+            assert_eq!(c.workers, workers, "cycle {i}, {held} contexts held");
+            assert!(c.wall <= c.worker_time_total.max(c.wall), "cycle {i}");
+            assert!(
+                c.refinements > 0 || c.busy > 0 || c.worker_time_total > Duration::ZERO,
+                "empty cycle {i} recorded"
+            );
+        }
     }
 }

@@ -278,15 +278,27 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
     }
 }
 
-/// Every value of every shard's published snapshot, decoded piece by
-/// piece, in sorted order.
+/// Every value of every shard's published snapshot — decoded piece by
+/// piece, with the merge delta's inserts added and its deletes taken
+/// away — in sorted order.
 fn snapshot_values(col: &ShardedColumn<i64>) -> Vec<i64> {
     let mut values = Vec::new();
     for k in 0..col.shard_count() {
         let snap = col.shard(k).snapshot().expect("a scan published it");
+        let mut shard = Vec::new();
         for piece in snap.pieces() {
-            piece.for_each(|v| values.push(v));
+            piece.for_each(|v| shard.push(v));
         }
+        let (ins, del): (Vec<_>, Vec<_>) = snap.delta().partition(|&(_, insert)| insert);
+        shard.extend(ins.iter().map(|&(v, _)| v));
+        shard.sort_unstable();
+        let mut del = del.iter().map(|&(v, _)| v).peekable();
+        shard.retain(|&v| del.next_if_eq(&v).is_none());
+        assert!(
+            del.next().is_none(),
+            "a delta delete whose value no piece holds"
+        );
+        values.extend(shard);
     }
     values.sort_unstable();
     values
