@@ -279,9 +279,13 @@ fn bench_ripple_vs_rebuild(c: &mut Criterion) {
 /// 32 consecutive Ripple drains of 280 updates each (two inserts to one
 /// delete of a base tuple) into one converged shard of 2^18 values with a
 /// published snapshot at live granularity: what an `update_churn` shard's
-/// drains pay, the merge-delta compactions among them included. The
-/// shard's setup (cracks, row ids, snapshot) is not timed; divide by 32
-/// for ns per drain.
+/// drains pay, the merge-delta compactions among them included. In
+/// `drain_with_snapshot` the shard has built its row ids first (a
+/// conjunction drove from it) and the drains move them along; in
+/// `drain_values_only` it has none and the drains move values alone and
+/// log the batch, as an `update_churn` shard's do. The shard's setup
+/// (cracks, row ids, snapshot) is not timed; divide by 32 for ns per
+/// drain.
 fn bench_drain_with_snapshot(c: &mut Criterion) {
     const ROWS: usize = 1 << 18;
     const DRAINS: usize = 32;
@@ -309,7 +313,7 @@ fn bench_drain_with_snapshot(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-    let converged = || {
+    let converged = |ids: bool| {
         let col =
             ShardedColumn::from_base_with_plan("a", &values, ShardPlan::from_values(&values, 1));
         let shard = Arc::clone(col.shard(0));
@@ -323,33 +327,38 @@ fn bench_drain_with_snapshot(c: &mut Criterion) {
             shard.select(Predicate::range(a.min(b), a.max(b)), &mut scratch);
         }
         let all = Predicate::range(i64::MIN, i64::MAX);
-        shard.collect_row_ids(all);
+        if ids {
+            shard.collect_row_ids(all);
+        }
         shard.snapshot_scan(all, &mut scratch);
         shard.publish_stats();
         while shard.refresh_stale_snapshot() {}
+        assert_eq!(shard.has_row_ids(), ids);
         shard
     };
     let mut g = c.benchmark_group("updates");
     g.sample_size(10);
-    g.bench_function("drain_with_snapshot", |b| {
-        b.iter_batched(
-            converged,
-            |shard| {
-                for batch in &batches {
-                    for &(v, row, insert) in batch {
-                        match insert {
-                            true => shard.queue_insert(v, row),
-                            false => shard.queue_delete(v, row),
-                        };
+    for (name, ids) in [("drain_with_snapshot", true), ("drain_values_only", false)] {
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || converged(ids),
+                |shard| {
+                    for batch in &batches {
+                        for &(v, row, insert) in batch {
+                            match insert {
+                                true => shard.queue_insert(v, row),
+                                false => shard.queue_delete(v, row),
+                            };
+                        }
+                        shard.merge_pending();
                     }
-                    shard.merge_pending();
-                }
-                assert_eq!(shard.pending_len(), 0);
-                shard
-            },
-            BatchSize::LargeInput,
-        )
-    });
+                    assert_eq!((shard.pending_len(), shard.has_row_ids()), (0, ids));
+                    shard
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
     g.finish();
 }
 

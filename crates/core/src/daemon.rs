@@ -146,7 +146,7 @@ fn daemon_loop(
         }
 
         let t0 = Instant::now();
-        let reports: Vec<WorkerReport> = crossbeam::thread::scope(|s| {
+        let reports: Vec<WorkerReport> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|w| {
                     let seed = config
@@ -154,7 +154,7 @@ fn daemon_loop(
                         .wrapping_mul(0x9E3779B97F4A7C15)
                         .wrapping_add(cycle_no << 8)
                         .wrapping_add(w as u64);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut rng = SmallRng::seed_from_u64(seed);
                         idle_function(
                             space,
@@ -169,8 +169,7 @@ fn daemon_loop(
                 .into_iter()
                 .map(|h| h.join().expect("holistic worker panicked"))
                 .collect()
-        })
-        .expect("holistic worker scope panicked");
+        });
 
         let record = CycleRecord {
             workers: n,

@@ -78,18 +78,24 @@
 //! column built by [`CrackerColumn::from_base`] / [`CrackerColumn::from_parts`]
 //! stores both from birth; a shard of a [`crate::ShardedColumn`]
 //! (`CrackerColumn::from_source`) stores **values only** and keeps what
-//! its row ids can be re-derived from — its base and its value range
-//! (`row_ids::RowSource`). Every crack of such a column moves
-//! values alone (the partition kernels are generic over the row lane,
-//! [`crate::RowLane`]). The three operations that read a row id —
-//! [`CrackerColumn::collect_row_ids`], the Ripple merge and
+//! its row ids can be re-derived from — its base, its value range and the
+//! write log of its merges (`row_ids::RowSource`). Every crack of such a
+//! column moves values alone (the partition kernels are generic over the
+//! row lane, [`crate::RowLane`]). A Ripple merge of such a column moves values
+//! alone too: its source logs the batch — the live merged inserts as
+//! `(value, row)` pairs, the deleted base rows — and answers which
+//! deletes name a present tuple, so the walk drops the absent ones
+//! before it starts and matches the rest by value. Base rows in range,
+//! minus the deleted ones, plus the logged inserts are always exactly
+//! the column's tuples. The two operations that read a row id —
+//! [`CrackerColumn::collect_row_ids`] and
 //! [`CrackerColumn::extract_for_migration`] — already hold `structure`
-//! exclusively; the first of them to run builds the array there, against
-//! the boundary table of the moment (same multiset in every piece, so the
-//! index, the published statistics, the snapshot and the point filter stay
-//! valid). The state flips once and never back; a merge builds the ids
-//! *before* it applies its first batch, so an id-less column is by
-//! construction still a permutation of its source.
+//! exclusively; the first of them to run builds the array there from
+//! that description, against the boundary table of the moment (same
+//! multiset in every piece, so the index, the published statistics, the
+//! snapshot and the point filter stay valid), and drops the log. The
+//! state flips once and never back; from then on merges move the ids
+//! along and match a delete by `(value, row)`.
 
 use crate::cell::PublishedCell;
 use crate::filter::PointFilter;
@@ -240,7 +246,8 @@ pub struct CrackerColumn<V> {
     /// Row ids beside `vals`, slot for slot — or empty, for a column born
     /// from a [`RowSource`] that nobody has asked for an id yet.
     rows: RangeCell<RowId>,
-    /// Where the row ids of a column born without them come from.
+    /// Where the row ids of a column born without them come from: its
+    /// base, its range and, once merges wrote to it, their log.
     row_source: Option<RowSource<V>>,
     /// `rows` is filled. Set at most once, under `structure` exclusive
     /// ([`CrackerColumn::ensure_row_ids`]), and never cleared; everything
@@ -327,10 +334,11 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// largest value, which both builds learn in their passes over the base
     /// (`None` only for an empty column). The column is born with
     /// `bounds.len() + 1` pieces, publishes their statistics once, and
-    /// stores **no row ids**: they are built from `source` against the
-    /// boundary table of the moment when a conjunction
-    /// ([`CrackerColumn::collect_row_ids`]), a Ripple merge or a migration
-    /// first needs them, and every crack until then moves values alone.
+    /// stores **no row ids**: they are built from `source` (and the log
+    /// its merges kept) against the boundary table of the moment when a
+    /// conjunction ([`CrackerColumn::collect_row_ids`]) or a migration
+    /// first needs them, and every crack and merge until then moves values
+    /// alone.
     pub(crate) fn from_source(
         name: impl Into<String>,
         vals: Vec<V>,
@@ -371,7 +379,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             // in the arena it was first allocated in, so the array
             // `ensure_row_ids` grows this into comes out of the builder's
             // arena — where an eagerly built one came from — not out of
-            // the arena of whichever thread runs the first merge. Same
+            // the arena of whichever thread first asks for ids. Same
             // bytes either way, but the merging threads' arenas hold no
             // freed pages to reuse: `update_churn/rss_peak_mb` read 92 MB
             // with an empty vector here, 81 MB with this (the parent: 79).
@@ -455,19 +463,20 @@ impl<V: CrackValue> CrackerColumn<V> {
         std::mem::size_of::<V>() + if ids { std::mem::size_of::<RowId>() } else { 0 }
     }
 
-    /// Bytes held by values + row ids (once built) + index + live snapshot
-    /// segments (storage-budget accounting; the snapshot term is zero until
-    /// a snapshot read publishes one).
+    /// Bytes held by values + row ids (once built) or the merges' write
+    /// log (until then) + index + live snapshot segments (storage-budget
+    /// accounting; the snapshot term is zero until a snapshot read
+    /// publishes one).
     pub fn payload_bytes(&self) -> usize {
         self.len() * Self::tuple_bytes(self.has_row_ids())
+            + self.row_source.as_ref().map_or(0, RowSource::log_bytes)
             + self.index.read().approx_bytes()
             + self.snapshot_bytes()
     }
 
     /// Does the column store a row id per value? Always, unless it is a
     /// shard of a [`crate::ShardedColumn`] built from the base and neither
-    /// a conjunction, a Ripple merge nor a migration has asked for one
-    /// since.
+    /// a conjunction nor a migration has asked for one since.
     pub fn has_row_ids(&self) -> bool {
         // Pairs with the `Release` store of `ensure_row_ids`; callers that
         // go on to touch `rows` hold `structure`, which orders them too.
@@ -489,17 +498,16 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// Builds the row-id array of a column born without one; no-op on any
-    /// other. One pass over the base re-derives the column's (value, row)
-    /// pairs and scatters them into the pieces of the current boundary
-    /// table ([`RowSource::scatter`]): `vals` is rewritten with the same
-    /// multiset in every piece, so the boundary table, the published
-    /// statistics, the snapshot (it owns its copies) and the point filter
-    /// all stay valid.
+    /// other. One pass over the base and the merges' write log re-derives
+    /// the column's (value, row) pairs and scatters them into the pieces
+    /// of the current boundary table ([`RowSource::scatter`], which drops
+    /// the log): `vals` is rewritten with the same multiset in every
+    /// piece, so the boundary table, the published statistics, the
+    /// snapshot (it owns its copies) and the point filter all stay valid.
     ///
     /// # Safety
-    /// The caller holds `structure` exclusively, and no Ripple merge has
-    /// been applied to an id-less column (every merge calls this first), so
-    /// the column still is a permutation of its source.
+    /// The caller holds `structure` exclusively, so no merge is half
+    /// applied and the column holds exactly its source's tuples.
     unsafe fn ensure_row_ids(&self) {
         if self.has_row_ids() {
             return;
@@ -1079,14 +1087,12 @@ impl<V: CrackValue> CrackerColumn<V> {
             p.queue.take_all_tracked()
         };
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
-        let len = self.index.read().len();
         // SAFETY: the caller's contract. Every merge path is checked
         // against a multiset oracle by
-        // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`.
-        let walked = unsafe { self.ripple_apply(&ins, &del) };
-        // A delete that found no target was dropped: the column grew by
-        // more than the batch says.
-        let dropped = self.index.read().len() + del.len() != len + ins.len();
+        // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`, the
+        // id-less one against an eager twin by
+        // `prop_values_only_merges_match_an_eager_twin`.
+        let (walked, dropped) = unsafe { self.ripple_apply(&ins, &del) };
         // Still under `structure` exclusive: nothing else can publish (or
         // build) a snapshot, so the plan/copy/splice triple is atomic and
         // the in-flight batch is cleared before any snapshot that already
@@ -1199,22 +1205,41 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Ripple-merges one taken batch into the cracked column — deletes
     /// first, then inserts ([`ripple_batch`]); returns the boundaries the
-    /// merge walked. A column still without row ids builds them first: a
-    /// delete names its tuple by row, and past this point the column is no
-    /// longer a permutation of its source to build them from.
+    /// merge walked and whether a delete found no tuple and was dropped.
+    /// A column with row ids moves them along and matches a delete by
+    /// `(value, row)`. A column without them stays without: its source
+    /// logs the batch and answers which deletes are present
+    /// (`RowSource::record`), and the walk moves values alone and matches
+    /// those by value.
     ///
     /// # Safety
     /// The caller holds `structure` exclusively — no piece guard can be
     /// live and no reader observes the vectors while they move.
-    unsafe fn ripple_apply(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) -> usize {
-        // SAFETY: the caller's contract; no merge has been applied before
-        // the first one (`a_merge_builds_the_row_ids_a_delete_names_its_tuple_by`).
-        unsafe { self.ensure_row_ids() };
+    unsafe fn ripple_apply(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) -> (usize, bool) {
         let mut idx = self.index.write();
-        self.vals.with_vec_mut(|vals| {
-            self.rows
-                .with_vec_mut(|rows| ripple_batch(vals, rows, &mut idx, ins, del))
-        })
+        let len = idx.len();
+        let present = (!self.has_row_ids()).then(|| {
+            self.row_source
+                .as_ref()
+                .expect("a column without row ids was born from a source")
+                .record(ins, del)
+        });
+        // SAFETY: the caller's contract
+        // (`concurrent_snapshot_scans_with_cracks_and_merges` races merges
+        // against cracks and scans).
+        let walked = unsafe {
+            self.vals.with_vec_mut(|vals| match &present {
+                None => self
+                    .rows
+                    .with_vec_mut(|rows| ripple_batch(vals, rows, &mut idx, ins, del)),
+                Some(present) => {
+                    ripple_batch(vals, &mut no_rows(vals.len()), &mut idx, ins, present)
+                }
+            })
+        };
+        // A delete that found no target was dropped: the column grew by
+        // more than the batch says.
+        (walked, idx.len() + del.len() != len + ins.len())
     }
 
     /// The value just above `v` in predicate space (`MAX_VALUE` saturates
@@ -1267,9 +1292,8 @@ impl<V: CrackValue> CrackerColumn<V> {
         // flight once it is ours.
         let _exclusive = self.structure.write();
         // The successor is built from (value, row) pairs: a column still
-        // without row ids builds them now.
-        // SAFETY: `structure` is held exclusively, and every merge builds
-        // the ids before it applies anything
+        // without row ids builds them now, from its base and write log.
+        // SAFETY: `structure` is held exclusively
         // (`replans_of_shards_without_row_ids_keep_every_pair`).
         unsafe { self.ensure_row_ids() };
         // Old-plan snapshot readers stay exact: the batch leaves the
@@ -1490,6 +1514,8 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// `structure` shared, each under its read latch, then folds the
     /// unmerged pending inserts into the fresh filter and publishes it
     /// (replacing any previous filter) in one `pending` critical section.
+    /// Until the publish the filter is this thread's alone, so the build
+    /// sets its bits with plain stores; inserts after it `fetch_or`.
     /// Caller holds `filter_build`.
     fn build_and_publish_filter(&self) {
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
@@ -1500,20 +1526,21 @@ impl<V: CrackValue> CrackerColumn<V> {
         // overwhelmed by delete churn is replaced wholesale by
         // [`CrackerColumn::maybe_rebuild_point_filter`], never resized.
         let capacity = self.len() + self.pending_len() + 1024;
-        let filter = Arc::new(PointFilter::with_capacity(capacity));
+        // Private until the publish: plain word ORs, no atomics.
+        let mut filter = PointFilter::with_capacity(capacity);
         self.for_each_live_piece(None, None, true, |vals, _| {
-            vals.iter().for_each(|v| filter.insert(v.as_i64()));
+            vals.iter().for_each(|v| filter.insert_unshared(v.as_i64()));
         });
         let p = self.pending.lock();
         p.queue.for_each_unmerged(
             |_| true,
             |v, kind| {
                 if matches!(kind, UnmergedKind::Insert) {
-                    filter.insert(v.as_i64());
+                    filter.insert_unshared(v.as_i64());
                 }
             },
         );
-        self.filter.publish(filter);
+        self.filter.publish(Arc::new(filter));
         drop(p);
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_filter_builds_total").inc();
@@ -1960,7 +1987,8 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Conjunction execution collects the driver term's row ids here and
     /// probes the remaining attributes positionally in the base table. The
     /// first call on a column born without row ids builds them (one pass
-    /// over its base, under the lock this call holds anyway).
+    /// over its base and its write log, under the lock this call holds
+    /// anyway).
     pub fn collect_row_ids(&self, pred: Predicate<V>) -> Option<Vec<RowId>> {
         if pred.is_empty() {
             return Some(Vec::new());
@@ -1971,10 +1999,10 @@ impl<V: CrackValue> CrackerColumn<V> {
         // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`.
         unsafe { self.merge_pending_locked() };
         let (start, end) = Self::exact_span(&self.index.read(), pred)?;
-        // SAFETY: exclusive structure lock — no live mutators, and every
-        // merge builds the ids before it applies anything; the ids read
-        // below are compared with an eager twin's by
-        // `prop_row_ids_built_on_demand_match_an_eager_twin`.
+        // SAFETY: exclusive structure lock — no live mutators, and no
+        // merge half applied; the ids read below are compared with an
+        // eager twin's by `prop_row_ids_built_on_demand_match_an_eager_twin`
+        // and, after merges, `prop_values_only_merges_match_an_eager_twin`.
         unsafe { self.ensure_row_ids() };
         Some(unsafe { self.rows.read_range(start, end) }.to_vec())
     }
@@ -2225,10 +2253,10 @@ mod tests {
     #[test]
     fn concurrent_queries_and_refiners_preserve_invariants() {
         let (base, col) = column(100_000, 9);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4 {
                 let col = &col;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(100 + t);
                     let mut scratch = CrackScratch::new();
                     for _ in 0..200 {
@@ -2240,7 +2268,7 @@ mod tests {
             }
             for t in 0..4 {
                 let col = &col;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(200 + t);
                     let mut scratch = CrackScratch::new();
                     for _ in 0..500 {
@@ -2248,8 +2276,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         col.check_invariants(Some(&base));
         // And results are still correct afterwards.
         let mut scratch = CrackScratch::new();
@@ -2475,10 +2502,10 @@ mod tests {
         // instant count == base + (inserts applied - deletes applied) and
         // sum == base_sum + 7 * that delta — a torn read would break the
         // coupling between count and sum.
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..2 {
                 let col = &col;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut scratch = CrackScratch::new();
                     let mut rng = StdRng::seed_from_u64(400 + t);
                     for i in 0..150 {
@@ -2494,7 +2521,7 @@ mod tests {
             }
             for t in 0..2 {
                 let col = &col;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut scratch = CrackScratch::new();
                     let mut rng = StdRng::seed_from_u64(500 + t);
                     for _ in 0..300 {
@@ -2504,7 +2531,7 @@ mod tests {
             }
             for t in 0..2 {
                 let col = &col;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut scratch = CrackScratch::new();
                     for _ in 0..200 {
                         let scan = col.snapshot_scan(full, &mut scratch);
@@ -2519,8 +2546,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         // Quiesce: merge the remaining pending ops and compare all paths.
         let mut scratch = CrackScratch::new();
         col.merge_pending();

@@ -14,9 +14,11 @@
 //!
 //! - Bits only ever get **set** ([`PointFilter::insert`] uses `fetch_or`),
 //!   never cleared, so concurrent inserts cannot introduce a false
-//!   negative. A racing `contains` may miss an in-flight insert; callers
-//!   order inserts against publication (the column ORs pending inserts in
-//!   under the same `pending` mutex that serialises queue/merge).
+//!   negative. A filter nobody else sees yet — one being built — takes
+//!   plain word ORs instead ([`PointFilter::insert_unshared`]). A racing
+//!   `contains` may miss an in-flight insert; callers order inserts
+//!   against publication (the column ORs pending inserts in under the
+//!   same `pending` mutex that serialises queue/merge).
 //! - Deletes are ignored: a deleted value stays "maybe present", which
 //!   only raises the false-positive rate, never breaks soundness. Filter
 //!   rebuild under heavy deletes is a ROADMAP follow-up.
@@ -71,13 +73,14 @@ impl PointFilter {
     }
 
     #[inline(always)]
-    fn probes(&self, key: i64) -> impl Iterator<Item = u64> + '_ {
+    fn probes(&self, key: i64) -> impl Iterator<Item = u64> {
         let h = mix64(key as u64);
         let h1 = h & 0xffff_ffff;
         // Force h2 odd so successive probes cycle through distinct bits
         // even in tiny filters.
         let h2 = (h >> 32) | 1;
-        (0..HASHES as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2))) & self.mask)
+        let mask = self.mask;
+        (0..HASHES as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2))) & mask)
     }
 
     /// Marks `key` present. Safe under arbitrary concurrency: bits only
@@ -85,6 +88,14 @@ impl PointFilter {
     pub fn insert(&self, key: i64) {
         for bit in self.probes(key) {
             self.bits[(bit / 64) as usize].fetch_or(1 << (bit % 64), Relaxed);
+        }
+    }
+
+    /// [`PointFilter::insert`] into a filter not shared yet (a build, before
+    /// its publish): plain word ORs, no locked instruction.
+    pub fn insert_unshared(&mut self, key: i64) {
+        for bit in self.probes(key) {
+            *self.bits[(bit / 64) as usize].get_mut() |= 1 << (bit % 64);
         }
     }
 
@@ -136,6 +147,20 @@ mod tests {
             rate < 0.02,
             "false-positive rate {rate} exceeds 2% at design load"
         );
+    }
+
+    #[test]
+    fn unshared_inserts_set_the_bits_shared_ones_do() {
+        let (shared, mut unshared) = (
+            PointFilter::with_capacity(500),
+            PointFilter::with_capacity(500),
+        );
+        for v in (0..500).map(|i| i * 13 - 2_000) {
+            shared.insert(v);
+            unshared.insert_unshared(v);
+        }
+        let words = |f: &PointFilter| f.bits.iter().map(|w| w.load(Relaxed)).collect::<Vec<_>>();
+        assert_eq!(words(&shared), words(&unshared));
     }
 
     #[test]

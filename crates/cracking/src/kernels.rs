@@ -247,13 +247,18 @@ pub fn active_isa() -> Isa {
 /// over the value type hands `i64` lanes to the `i64`-only [`avx512`]
 /// kernels.
 pub(crate) fn same_lanes<T: 'static, W: 'static>(xs: &mut [T]) -> Option<&mut [W]> {
-    // SAFETY: `T` and `W` are one type, so the cast is the identity.
+    // SAFETY: `T` and `W` are one type (same `TypeId`), so the cast is the
+    // identity. Every AVX-512 crack reaches its kernel through here
+    // (`compress_cracks_match_portable_at_every_tail` in `vectorized.rs`,
+    // under AddressSanitizer in CI), and so does the one-shard filter pass
+    // (`one_shard_build_kernels_agree_at_every_tail` in `sharding.rs`).
     same_type::<T, W>().then(|| unsafe { &mut *(xs as *mut [T] as *mut [W]) })
 }
 
 /// [`same_lanes`] for a shared slice.
 pub(crate) fn same_lanes_ref<T: 'static, W: 'static>(xs: &[T]) -> Option<&[W]> {
-    // SAFETY: as in `same_lanes`.
+    // SAFETY: as in `same_lanes`; the one-shard filter pass reads its base
+    // through here (`one_shard_build_kernels_agree_at_every_tail`).
     same_type::<T, W>().then(|| unsafe { &*(xs as *const [T] as *const [W]) })
 }
 
@@ -276,7 +281,8 @@ pub mod avx2 {
             std::is_x86_feature_detected!("avx2"),
             "AVX2 unavailable on this CPU"
         );
-        // SAFETY: feature verified above; loads are unaligned-tolerant.
+        // SAFETY: feature verified above; loads are unaligned-tolerant
+        // (`avx2_paths_agree_with_portable`).
         unsafe { filter_count_inner(vals, lo, hi) }
     }
 
@@ -284,6 +290,9 @@ pub mod avx2 {
     /// the split-lane partial sums can never overflow their i64 lanes.
     const STRIPE: usize = 1 << 18;
 
+    /// # Safety
+    /// The CPU has AVX2. Every load is one whole `chunks_exact(4)` chunk
+    /// of `vals`, the remainder is scalar (`avx2_paths_agree_with_portable`).
     #[target_feature(enable = "avx2")]
     unsafe fn filter_count_inner(vals: &[i64], lo: Option<i64>, hi: Option<i64>) -> (u64, i128) {
         // Unbounded lower bound compares against i64::MIN (never greater
@@ -401,10 +410,19 @@ pub mod avx512 {
         out: &mut [MaybeUninit<i64>],
     ) -> (usize, (i64, i64)) {
         require();
-        // SAFETY: the CPU has the features (checked above).
+        // SAFETY: the CPU has the features (checked above); `filter_inner`
+        // asserts its stores inside `out`
+        // (`one_shard_build_kernels_never_write_past_their_output` and
+        // `one_shard_build_panics_when_the_count_is_too_small` in
+        // `sharding.rs`).
         unsafe { filter_inner(base, lo, hi, out) }
     }
 
+    /// # Safety
+    /// The CPU has AVX-512F, AVX-512VL and POPCNT. Loads are masked to
+    /// `base`'s values, and every store is asserted inside `out` first
+    /// (`one_shard_build_kernels_agree_at_every_tail` at every tail
+    /// length, under AddressSanitizer in CI).
     #[target_feature(enable = "avx512f,avx512vl,popcnt")]
     unsafe fn filter_inner(
         base: &[i64],
@@ -470,10 +488,19 @@ pub mod avx512 {
             rows.len() == n && sv.len() >= n && sr.len() >= n,
             "row ids and scratch must cover the piece"
         );
-        // SAFETY: the CPU has the features, the lengths are checked above.
+        // SAFETY: the CPU has the features, the lengths are checked above
+        // (`compress_cracks_match_portable_at_every_tail` in
+        // `vectorized.rs`: every tail length, ids and no ids).
         unsafe { crack_two_inner(vals, rows, pivot, sv, sr) }
     }
 
+    /// # Safety
+    /// The CPU has AVX-512F, AVX-512VL and POPCNT; `rows` is as long as
+    /// `vals`, and `sv` and `sr` at least as long. Every load and store is
+    /// masked to the chunk's lanes inside those bounds (the argument is at
+    /// the stores; `compress_cracks_match_portable_at_every_tail` and
+    /// `compress_cracks_match_portable_at_the_extremes`, under
+    /// AddressSanitizer in CI).
     #[target_feature(enable = "avx512f,avx512vl,popcnt")]
     unsafe fn crack_two_inner<R: RowLane>(
         vals: &[i64],
@@ -538,10 +565,18 @@ pub mod avx512 {
             rows.len() == n && sv.len() >= n && sr.len() >= n,
             "row ids and scratch must cover the piece"
         );
-        // SAFETY: the CPU has the features, the lengths are checked above.
+        // SAFETY: the CPU has the features, the lengths are checked above
+        // (`compress_cracks_match_portable_at_every_tail`, the three-way
+        // cuts with ids and without).
         unsafe { crack_three_inner(vals, rows, lo, hi, sv, sr) }
     }
 
+    /// # Safety
+    /// As `crack_two_inner`'s, and the middles staged in `vals` and
+    /// `rows` overwrite only slots already loaded (the argument is at the
+    /// stores; `compress_cracks_match_portable_at_every_tail` and
+    /// `prop_compress_cracks_match_portable`, under AddressSanitizer in
+    /// CI).
     #[target_feature(enable = "avx512f,avx512vl,popcnt")]
     unsafe fn crack_three_inner<R: RowLane>(
         vals: &mut [i64],

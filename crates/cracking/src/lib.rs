@@ -23,8 +23,9 @@
 //!   cracker index, supporting concurrent query-driven cracking and
 //!   background refinement,
 //! - `row_ids` (crate-private) — what a shard keeps instead of a row-id
-//!   array (its base and value range) and the pass that builds the array
-//!   when a conjunction, a Ripple merge or a migration first asks for it,
+//!   array (its base, its value range and its merges' write log) and the
+//!   pass that builds the array when a conjunction or a migration first
+//!   asks for it,
 //! - [`stochastic`] — stochastic cracking (auxiliary random crack inside the
 //!   piece a query is about to crack, \[21\]),
 //! - [`updates`] — pending insertions/deletions, counted by reads and

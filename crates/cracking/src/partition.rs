@@ -82,18 +82,17 @@ pub fn parallel_partition<V: CrackValue, R: RowLane>(
     // Phase 1: partition contiguous slices independently; `splits[i]` is
     // the local split point of slice `i`, which starts at `i * chunk`.
     let chunk = n.div_ceil(threads);
-    let splits: Vec<usize> = crossbeam::thread::scope(|s| {
+    let splits: Vec<usize> = std::thread::scope(|s| {
         let handles: Vec<_> = vals
             .chunks_mut(chunk)
             .zip(rows.chunks_mut(chunk))
-            .map(|(v, r)| s.spawn(move |_| crack_in_two_oop(v, r, pivot, &mut CrackScratch::new())))
+            .map(|(v, r)| s.spawn(move || crack_in_two_oop(v, r, pivot, &mut CrackScratch::new())))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("partition worker panicked"))
             .collect()
-    })
-    .expect("partition scope panicked");
+    });
 
     // Global boundary.
     let boundary: usize = splits.iter().sum();
@@ -174,9 +173,9 @@ fn execute_swaps<V: CrackValue, R: RowLane>(
     let vp = SendPtr(vals.as_mut_ptr());
     let rp = SendPtr(rows.as_mut_ptr());
     let per = jobs.len().div_ceil(threads);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for batch in jobs.chunks(per) {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for &(a, b, len) in batch {
                     // SAFETY: (a..a+len) and (b..b+len) are disjoint from
                     // every other job's regions and from each other (left
@@ -190,8 +189,7 @@ fn execute_swaps<V: CrackValue, R: RowLane>(
                 }
             });
         }
-    })
-    .expect("swap scope panicked");
+    });
 }
 
 /// Raw pointer wrapper that asserts Send for the disjoint-job pattern above.

@@ -2,33 +2,65 @@
 //! array keeps instead, and the one pass that builds the array.
 //!
 //! A shard of a [`crate::ShardedColumn`] holds exactly the base tuples whose
-//! values fall in the shard's range under its plan, and until its first
-//! Ripple merge it is a permutation of them. Its row ids are therefore a
-//! function of two things the column can hold for free — the base (an
-//! `Arc` the sharded column owns anyway) and the range — plus the shard's
-//! current boundary table: every base tuple in range belongs to the piece
-//! whose keys bracket its value, and *which* slot of the piece it takes
-//! does not matter, because a piece is an unordered multiset. Only a
-//! conjunction driver ([`crate::CrackerColumn::collect_row_ids`]), a Ripple
-//! merge and a shard migration ever read an id, so a shard stores values
-//! alone until one of them asks.
+//! values fall in the shard's range under its plan, minus the base rows its
+//! Ripple merges deleted, plus the tuples they inserted. Its row ids are
+//! therefore a function of what the column can hold cheaply — the base (an
+//! `Arc` the sharded column owns anyway), the range and the merged *write
+//! log* (the live inserts as `(value, row)` pairs, the deleted base rows) —
+//! plus the shard's current boundary table: every tuple belongs to the
+//! piece whose keys bracket its value, and *which* slot of the piece it
+//! takes does not matter, because a piece is an unordered multiset. Only a
+//! conjunction driver ([`crate::CrackerColumn::collect_row_ids`]) and a
+//! shard migration ever read an id, so a shard stores values alone, and a
+//! written shard a log beside them, until one of them asks.
 
 use holix_storage::types::{CrackValue, RowId};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// The base tuples a column was filtered out of: `base[r]` for every row
-/// `r` with `lo <= base[r] < hi` (`None` = unbounded on that side).
+/// The merged writes of a column still without row ids: with the base
+/// rows in range, exactly its tuples.
+#[derive(Debug)]
+struct WriteLog<V> {
+    /// Live merged inserts: `(value, row)` → how many copies.
+    inserts: BTreeMap<(V, RowId), u32>,
+    /// Base rows in range that a merged delete removed.
+    deleted: BTreeSet<RowId>,
+}
+
+impl<V> Default for WriteLog<V> {
+    fn default() -> Self {
+        WriteLog {
+            inserts: BTreeMap::new(),
+            deleted: BTreeSet::new(),
+        }
+    }
+}
+
+/// The tuples a column was filtered out of and written since: `base[r]`
+/// for every row `r` with `lo <= base[r] < hi` (`None` = unbounded on that
+/// side) not deleted since, and the logged inserts.
 #[derive(Debug)]
 pub(crate) struct RowSource<V> {
     base: Arc<Vec<V>>,
     lo: Option<V>,
     hi: Option<V>,
+    /// A leaf lock: taken by merges and the id build (both under the
+    /// column's `structure` exclusive) and by byte accounting, with
+    /// nothing acquired while it is held.
+    log: Mutex<WriteLog<V>>,
 }
 
 impl<V: CrackValue> RowSource<V> {
-    /// The tuples of `base` with values in `[lo, hi)`.
+    /// The tuples of `base` with values in `[lo, hi)`, nothing written yet.
     pub(crate) fn new(base: Arc<Vec<V>>, lo: Option<V>, hi: Option<V>) -> Self {
-        RowSource { base, lo, hi }
+        RowSource {
+            base,
+            lo,
+            hi,
+            log: Mutex::new(WriteLog::default()),
+        }
     }
 
     /// `true` for a value of this source's range.
@@ -37,30 +69,81 @@ impl<V: CrackValue> RowSource<V> {
         self.lo.is_none_or(|lo| lo <= v) & self.hi.is_none_or(|hi| v < hi)
     }
 
-    /// Rewrites `vals` — a permutation of this source's values laid out in
-    /// the pieces of `bounds` (`key → position`, ascending) — with the same
+    /// Logs one merged batch the way [`crate::updates::ripple_batch`]
+    /// applies it — every delete, then every insert — and returns the
+    /// deletes that found a tuple, in batch order. A delete takes a logged
+    /// insert of its `(value, row)` first, else base row `row` if that
+    /// holds `value` in range and is not deleted yet; a delete that finds
+    /// neither is absent, and the batch must drop it.
+    pub(crate) fn record(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) -> Vec<(V, RowId)> {
+        let mut log = self.log.lock();
+        let log = &mut *log;
+        let present = del
+            .iter()
+            .copied()
+            .filter(|&(v, row)| match log.inserts.get_mut(&(v, row)) {
+                Some(copies) => {
+                    *copies -= 1;
+                    if *copies == 0 {
+                        log.inserts.remove(&(v, row));
+                    }
+                    true
+                }
+                None => {
+                    self.base.get(row as usize) == Some(&v)
+                        && self.holds(v)
+                        && log.deleted.insert(row)
+                }
+            })
+            .collect();
+        for &tuple in ins {
+            *log.inserts.entry(tuple).or_insert(0) += 1;
+        }
+        present
+    }
+
+    /// Bytes the write log holds (its entries' payload).
+    pub(crate) fn log_bytes(&self) -> usize {
+        let log = self.log.lock();
+        log.inserts.len() * std::mem::size_of::<((V, RowId), u32)>()
+            + log.deleted.len() * std::mem::size_of::<RowId>()
+    }
+
+    /// Rewrites `vals` — this source's tuples' values laid out in the
+    /// pieces of `bounds` (`key → position`, ascending) — with the same
     /// multiset in every piece and fills the empty `rows` with the row ids
-    /// that go with it: `vals[i] == base[rows[i]]` for every slot, `rows` a
-    /// permutation of the source's base rows. The base is read once, a
-    /// block at a time: a branch-free filter collects the block's rows in
-    /// range (every row is written at the cursor, the cursor only advances
-    /// past a kept one), then each kept tuple goes to the cursor of the
-    /// piece whose keys bracket its value (its piece is the number of keys
-    /// at or below it), each piece's cursor starting where the boundary
-    /// table says the piece does. `rows` is grown to `vals`' capacity, so
-    /// the two grow together afterwards.
+    /// that go with it: every slot holds one of the source's tuples, each
+    /// tuple one slot. The base is read once, a block at a time: a
+    /// branch-free filter collects the block's rows in range (every row is
+    /// written at the cursor, the cursor only advances past a kept one),
+    /// then each kept tuple not deleted goes to the cursor of the piece
+    /// whose keys bracket its value (its piece is the number of keys at or
+    /// below it), each piece's cursor starting where the boundary table
+    /// says the piece does; the logged inserts follow the same way. The
+    /// log is dropped: from here on `rows` carries what it said. `rows` is
+    /// grown to `vals`' capacity, so the two grow together afterwards.
     ///
-    /// Panics when `vals` is not such a permutation (some cursor does not
-    /// stop at its piece's end).
+    /// Panics when `vals` does not hold exactly the source's tuples (some
+    /// cursor does not stop at its piece's end).
     pub(crate) fn scatter(&self, bounds: &[(V, usize)], vals: &mut Vec<V>, rows: &mut Vec<RowId>) {
         debug_assert!(rows.is_empty());
         const BLOCK: usize = 4096;
+        let log = std::mem::take(&mut *self.log.lock());
         let n = vals.len();
         let keys: Vec<V> = bounds.iter().map(|b| b.0).collect();
         let starts = || std::iter::once(0).chain(bounds.iter().map(|b| b.1));
         let mut cursor: Vec<usize> = starts().collect();
         rows.reserve_exact(vals.capacity());
         rows.resize(n, 0);
+        let mut place = |v: V, r: RowId| {
+            let piece = keys.partition_point(|&k| k <= v);
+            let pos = cursor[piece];
+            cursor[piece] = pos + 1;
+            vals[pos] = v;
+            rows[pos] = r;
+        };
+        // Deleted rows are rows in range, met in the same ascending order.
+        let mut deleted = log.deleted.iter().copied().peekable();
         // One slot past the block takes the writes of rejected rows that
         // follow the last kept one.
         let mut kept = [0 as RowId; BLOCK + 1];
@@ -71,17 +154,18 @@ impl<V: CrackValue> RowSource<V> {
                 c += self.holds(v) as usize;
             }
             for &r in &kept[..c] {
-                let v = self.base[r as usize];
-                let piece = keys.partition_point(|&k| k <= v);
-                let pos = cursor[piece];
-                cursor[piece] = pos + 1;
-                vals[pos] = v;
-                rows[pos] = r;
+                if deleted.next_if_eq(&r).is_none() {
+                    place(self.base[r as usize], r);
+                }
             }
+        }
+        debug_assert!(deleted.next().is_none(), "a deleted row not in range");
+        for (&(v, r), &copies) in &log.inserts {
+            (0..copies).for_each(|_| place(v, r));
         }
         let ends = starts().skip(1).chain(std::iter::once(n));
         for (piece, (at, end)) in cursor.into_iter().zip(ends).enumerate() {
-            assert_eq!(at, end, "piece {piece} does not hold its base tuples");
+            assert_eq!(at, end, "piece {piece} does not hold its source's tuples");
         }
     }
 }
@@ -122,7 +206,67 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not hold its base tuples")]
+    fn record_takes_logged_inserts_first_then_live_base_rows() {
+        let base = Arc::new(vec![7i64, 1, 9, 3, 7, 12]);
+        let source = RowSource::new(Arc::clone(&base), Some(3), Some(10));
+        // Row 0 is inserted again under its base value: two copies of
+        // `(7, 0)`, the logged one taken first.
+        assert!(source.record(&[(7, 0), (4, 20), (4, 20)], &[]).is_empty());
+        let del = [
+            (7, 0),  // the logged copy
+            (7, 0),  // the base row
+            (7, 0),  // gone: absent
+            (1, 1),  // a base row out of range: absent
+            (9, 4),  // value present under another row: absent
+            (12, 5), // out of range: absent
+            (5, 99), // past the base: absent
+            (4, 20), // one logged copy of a repeated pair
+            (9, 2),
+        ];
+        let present = source.record(&[(9, 2)], &del);
+        assert_eq!(present, [(7, 0), (7, 0), (4, 20), (9, 2)]);
+        let log = source.log.lock();
+        assert_eq!(
+            log.inserts
+                .iter()
+                .map(|(&t, &c)| (t, c))
+                .collect::<Vec<_>>(),
+            [((4, 20), 1), ((9, 2), 1)],
+            "the batch's insert lands after its deletes"
+        );
+        assert_eq!(log.deleted.iter().copied().collect::<Vec<_>>(), [0, 2]);
+        drop(log);
+        assert_eq!(
+            source.log_bytes(),
+            2 * std::mem::size_of::<((i64, RowId), u32)>() + 2 * std::mem::size_of::<RowId>()
+        );
+    }
+
+    #[test]
+    fn scatter_skips_deleted_rows_places_the_log_and_drops_it() {
+        let base = Arc::new(vec![7i64, 1, 9, 3, 7, 12, 5, 3, 0, 8]);
+        let source = RowSource::new(Arc::clone(&base), Some(3), Some(9));
+        // Delete base rows 3 (3) and 4 (7); insert (4, 50) twice and a
+        // copy of row 6 (5) under its own id.
+        source.record(&[(4, 50), (4, 50), (5, 6)], &[(3, 3), (7, 4)]);
+        // Values [3 4 4 | 5 5 | 7 8], cracked at 5 and 7.
+        let mut vals = vec![4, 3, 4, 5, 5, 8, 7];
+        let bounds = [(5, 3), (7, 5)];
+        let mut rows = Vec::new();
+        source.scatter(&bounds, &mut vals, &mut rows);
+        let mut pairs: Vec<(i64, RowId)> = vals.iter().copied().zip(rows).collect();
+        pairs[..3].sort_unstable();
+        pairs[3..5].sort_unstable();
+        pairs[5..].sort_unstable();
+        assert_eq!(
+            pairs,
+            [(3, 7), (4, 50), (4, 50), (5, 6), (5, 6), (7, 0), (8, 9)]
+        );
+        assert_eq!(source.log_bytes(), 0, "the log outlived the build");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold its source's tuples")]
     fn scatter_rejects_a_layout_that_is_not_the_sources() {
         let source = RowSource::new(Arc::new(vec![1i64, 2, 3, 4]), None, None);
         // The boundary claims one value below 3; the base has two.

@@ -31,10 +31,11 @@
 //! ingest-ordered (clustered) data is most of the base, and it hands the
 //! shard its domain from the values it keeps.
 //! Either way a shard is born holding **values only**: its row ids are a
-//! function of the base, its value range and its boundary table, and it
-//! builds them (`row_ids.rs`) when a conjunction, a Ripple merge or
-//! a migration first reads one — a shard that only ever answers range
-//! counts and sums costs 8 bytes a tuple, not 12. (Successors of a replan
+//! function of the base, its value range, the write log of its Ripple
+//! merges and its boundary table, and it builds them (`row_ids.rs`) when
+//! a conjunction or a migration first reads one — a shard that only ever
+//! answers range counts and sums, or takes writes, costs 8 bytes a tuple,
+//! not 12. (Successors of a replan
 //! are built from migrated pairs and store their ids from birth.)
 //!
 //! The *initial* shard plan is chosen from the base data: cut values at
@@ -2156,34 +2157,258 @@ mod tests {
         }
     }
 
+    /// A shard's `(value, row)` pairs through the conjunction path:
+    /// `collect_row_ids` over the whole shard beside its values, sorted.
+    fn collected_pairs(shard: &CrackerColumn<i64>) -> Vec<(i64, RowId)> {
+        let ids = shard
+            .collect_row_ids(Predicate::range(i64::MIN, i64::MAX))
+            .expect("sentinel bounds");
+        let vals = shard.snapshot_range(0, shard.len());
+        assert_eq!(vals.len(), ids.len());
+        let mut pairs: Vec<_> = vals.into_iter().zip(ids).collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// Step of a values-only merge run, recorded so a fresh column can
+    /// replay it (see `check_values_only_merges`).
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Insert(i64, RowId),
+        Delete(i64, RowId),
+        Crack(i64),
+        Scan(i64, i64),
+        Drain,
+    }
+
+    /// Applies `step` to a sharded column and, the same way, to the
+    /// twins, one plain column per shard.
+    fn apply_step(
+        col: &ShardedColumn<i64>,
+        twins: &[CrackerColumn<i64>],
+        step: Step,
+        scratch: &mut CrackScratch<i64>,
+    ) {
+        let plan = col.plan();
+        match step {
+            Step::Insert(v, row) => {
+                assert!(col.queue_insert(v, row));
+                assert!(twins[plan.shard_of(v)].queue_insert(v, row));
+            }
+            Step::Delete(v, row) => {
+                assert!(col.queue_delete(v, row));
+                assert!(twins[plan.shard_of(v)].queue_delete(v, row));
+            }
+            Step::Crack(x) => {
+                let k = plan.shard_of(x);
+                col.shard(k).refine_at_blocking(x, scratch);
+                twins[k].refine_at_blocking(x, scratch);
+            }
+            Step::Scan(lo, hi) => {
+                let pred = Predicate::range(lo, hi);
+                let want = twins
+                    .iter()
+                    .enumerate()
+                    .map(|(k, t)| t.snapshot_scan(plan.clamp(k, pred), scratch))
+                    .fold((0, 0), |(c, s), scan| (c + scan.count, s + scan.sum));
+                let got = col.snapshot_scan(pred, scratch);
+                assert_eq!((got.count, got.sum), want, "snapshot scan {pred:?}");
+            }
+            Step::Drain => {
+                for (k, twin) in twins.iter().enumerate() {
+                    col.shard(k).merge_pending();
+                    twin.merge_pending();
+                }
+            }
+        }
+    }
+
+    /// Shards born without row ids take random drains beside twins that
+    /// store ids from birth — plain columns over the same tuples, cracked
+    /// at the same pivots and taking the same updates. The drains carry
+    /// deletes of live base rows and of merged inserts, absent deletes
+    /// (some naming a value present under another row, some a tuple
+    /// already gone), repeated `(value, row)` pairs and inserts that reuse
+    /// a base row's id; cracks and snapshot reads run between them. After
+    /// every drain the shards are still without ids, every piece of a
+    /// sweep of selects answers as the twins do, and a fresh column that
+    /// replays the steps so far and then builds its ids hands out exactly
+    /// the twins' `(value, row)` multisets, through `collect_row_ids`; at
+    /// the end so does the written column itself, through a migration's
+    /// extract.
+    fn check_values_only_merges(seed: u64, n: usize, domain: usize, shards: usize, drains: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = Arc::new(column_of(domain, n, &mut rng));
+        let plan = ShardPlan::from_values(&base, shards);
+        let lazy = || {
+            let col =
+                ShardedColumn::lazy("lazy", Arc::clone(&base), plan.clone()).with_piece_floor(4);
+            col.admit(0, plan.shards() - 1, 1, |fresh| vec![(); fresh.len()]);
+            col
+        };
+        let twins_of = || -> Vec<CrackerColumn<i64>> {
+            push_routing(&base, &plan)
+                .into_iter()
+                .map(|pairs| {
+                    let (vals, rows) = pairs.into_iter().unzip();
+                    CrackerColumn::from_parts("twin", vals, rows)
+                })
+                .collect()
+        };
+        let (col, twins) = (lazy(), twins_of());
+        let mut scratch = CrackScratch::new();
+        // The twins take the shards' birth boundaries, so every later
+        // crack splits the same pieces.
+        for (k, twin) in twins.iter().enumerate() {
+            for (key, _) in bounds_of(col.shard(k)) {
+                twin.refine_at_blocking(key, &mut scratch);
+            }
+        }
+        let value = |rng: &mut StdRng| match n {
+            0 => rng.random_range(-3..3),
+            _ => base[rng.random_range(0..n)].saturating_add(rng.random_range(-1..=1)),
+        };
+        // Every tuple ever live: a delete drawn from here may find it
+        // gone (an absent delete, as is one under a row it never had).
+        let mut ever: Vec<(i64, RowId)> = (0..n).map(|r| (base[r], r as RowId)).collect();
+        let mut next_row = n as RowId;
+        let mut steps = Vec::new();
+        for _ in 0..drains {
+            for _ in 0..rng.random_range(0..24) {
+                let step = match rng.random_range(0..10) {
+                    0..=2 => {
+                        let row = match rng.random_range(0..4) {
+                            0 if n > 0 => rng.random_range(0..n) as RowId,
+                            1 if !ever.is_empty() => ever[rng.random_range(0..ever.len())].1,
+                            _ => {
+                                next_row += 1;
+                                next_row
+                            }
+                        };
+                        // Half the inserts repeat a pair ever live.
+                        let tuple = match rng.random_bool(0.5) && !ever.is_empty() {
+                            true => ever[rng.random_range(0..ever.len())],
+                            false => (value(&mut rng), row),
+                        };
+                        ever.push(tuple);
+                        Step::Insert(tuple.0, tuple.1)
+                    }
+                    3..=5 if !ever.is_empty() => {
+                        let (v, row) = ever[rng.random_range(0..ever.len())];
+                        match rng.random_range(0..4) {
+                            // Present under another row, or under none.
+                            0 => Step::Delete(v, row ^ 1),
+                            1 => Step::Delete(value(&mut rng), RowId::MAX - 1),
+                            _ => Step::Delete(v, row),
+                        }
+                    }
+                    6 | 7 => Step::Crack(value(&mut rng)),
+                    _ => {
+                        let (x, y) = (value(&mut rng), value(&mut rng));
+                        Step::Scan(x.min(y), x.max(y))
+                    }
+                };
+                apply_step(&col, &twins, step, &mut scratch);
+                steps.push(step);
+            }
+            apply_step(&col, &twins, Step::Drain, &mut scratch);
+            steps.push(Step::Drain);
+
+            assert!(
+                col.resident_shards().all(|s| !s.has_row_ids()),
+                "a merge built row ids"
+            );
+            for _ in 0..4 {
+                let (x, y) = (value(&mut rng), value(&mut rng));
+                let pred = Predicate::range(x.min(y), x.max(y));
+                for (k, twin) in twins.iter().enumerate() {
+                    let pred = plan.clamp(k, pred);
+                    let want = twin.select_verified(pred, &mut scratch).1;
+                    assert_eq!(col.shard(k).select_verified(pred, &mut scratch).1, want);
+                }
+            }
+            let replay = lazy();
+            let fresh = twins_of();
+            for &step in &steps {
+                apply_step(&replay, &fresh, step, &mut scratch);
+            }
+            for (k, twin) in twins.iter().enumerate() {
+                assert_eq!(
+                    collected_pairs(replay.shard(k)),
+                    collected_pairs(twin),
+                    "shard {k} after {} steps",
+                    steps.len()
+                );
+                replay.shard(k).check_invariants(None);
+            }
+        }
+        for (k, twin) in twins.iter().enumerate() {
+            assert_eq!(tuples(col.shard(k)), tuples(twin), "shard {k}, extracted");
+            assert!(col.shard(k).has_row_ids());
+        }
+    }
+
+    // Small columns of every shape, shards that collapse, the empty
+    // column; drains of up to 23 updates, cracks and snapshot reads.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_values_only_merges_match_an_eager_twin(
+            seed in any::<u64>(),
+            n in 0usize..300,
+            domain in 0usize..DOMAINS,
+            shards in 0usize..3,
+            drains in 1usize..6,
+        ) {
+            check_values_only_merges(seed, n, domain, [1usize, 2, 4][shards], drains);
+        }
+    }
+
     #[test]
-    fn a_merge_builds_the_row_ids_a_delete_names_its_tuple_by() {
+    fn a_merge_keeps_the_shard_without_row_ids_and_its_ids_exact() {
         let b = base(8_000, 500, 31);
         let col = ShardedColumn::from_base_with_plan("a", &b, ShardPlan::from_values(&b, 2));
         let mut scratch = CrackScratch::new();
         col.select_verified(Predicate::range(100, 300), &mut scratch);
         assert!(col.resident_shards().all(|s| !s.has_row_ids()));
-        // Queueing needs no ids; the merge that applies the delete does.
+        // Neither queueing nor the merge that applies the updates needs an
+        // id: the shard logs them. One delete of a base row, one of a value
+        // present only under another row (absent), an insert reusing the
+        // deleted row's id under another value of the shard, and a fresh
+        // one.
         let k = col.plan().shard_of(b[17]);
+        let other = (0..b.len())
+            .find(|&r| r != 17 && b[r] != b[17] && col.plan().shard_of(b[r]) == k)
+            .unwrap();
         assert!(col.queue_delete(b[17], 17));
-        assert!(!col.shard(k).has_row_ids());
+        assert!(col.queue_delete(b[other], 17));
+        assert!(col.queue_insert(b[other], 17));
+        assert!(col.queue_insert(b[17], 9_000));
+        let mut want: Vec<(i64, RowId)> = (0..b.len())
+            .filter(|&r| r != 17 && col.plan().shard_of(b[r]) == k)
+            .map(|r| (b[r], r as RowId))
+            .chain([(b[other], 17), (b[17], 9_000)])
+            .collect();
+        want.sort_unstable();
         let all = Predicate::range(i64::MIN, i64::MAX);
-        let (_, stats) = col.select_verified(all, &mut scratch);
-        let mut left = b.clone();
-        left.swap_remove(17);
-        assert_eq!(stats, scan_stats(&left, all));
-        assert!(
-            !col.shard(k).has_row_ids(),
-            "a read counts the delete unmerged"
-        );
+        let before = col.shard(k).payload_bytes();
         col.shard(k).merge_pending();
-        assert_eq!(col.select_verified(all, &mut scratch).1, stats);
-        assert!(col.shard(k).has_row_ids());
-        assert!(
-            !col.shard(1 - k).has_row_ids(),
-            "the untouched shard paid too"
+        assert!(!col.shard(k).has_row_ids(), "the merge built row ids");
+        let values: Vec<i64> = want.iter().map(|&(v, _)| v).collect();
+        assert_eq!(
+            col.shard(k).select_verified(all, &mut scratch).1,
+            scan_stats(&values, all)
         );
-        assert!(tuples(col.shard(k)).iter().all(|&(_, row)| row != 17));
+        assert!(
+            col.shard(k).payload_bytes() > before,
+            "the write log is not charged"
+        );
+        // Asked for ids now, the shard builds exactly base − deleted +
+        // inserted; the other shard, never asked, builds none.
+        assert_eq!(collected_pairs(col.shard(k)), want);
+        assert!(col.shard(k).has_row_ids());
+        assert!(!col.shard(1 - k).has_row_ids());
+        assert_eq!(tuples(col.shard(k)), want);
     }
 
     #[test]

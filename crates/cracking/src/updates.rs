@@ -20,6 +20,7 @@
 //! [`ripple_delete`] are the reference the batch kernel is tested against.
 
 use crate::index::CrackerIndex;
+use crate::vectorized::RowLane;
 use holix_storage::types::{CrackValue, RowId};
 use std::sync::Arc;
 
@@ -274,30 +275,36 @@ pub fn ripple_delete<V: CrackValue>(
 /// [`ripple_delete`] / [`ripple_insert`] pay a walk over *every* boundary
 /// per value. Returns the number of boundaries walked.
 ///
-/// A delete whose `(value, row)` is not in the value's piece is dropped,
-/// as [`ripple_delete`] drops it. The batch leaves each piece the multiset
+/// The row lane is generic ([`RowLane`]): a column with row ids moves
+/// them beside the values, and a delete matches its `(value, row)`; a
+/// column without them passes a lane of `()`, moves values alone, and a
+/// delete matches any tuple of its value — exact once the caller has
+/// dropped the absent deletes (`RowSource::record` does).
+/// A delete that matches nothing in the value's piece is dropped, as
+/// [`ripple_delete`] drops it. The batch leaves each piece the multiset
 /// the per-value functions leave it (which element of a piece sits where
 /// is unspecified in both), and the same boundary table. Caller holds the
 /// column exclusively (vectors may grow).
-pub fn ripple_batch<V: CrackValue>(
+pub fn ripple_batch<V: CrackValue, R: RowLane>(
     vals: &mut Vec<V>,
-    rows: &mut Vec<RowId>,
+    rows: &mut Vec<R>,
     index: &mut CrackerIndex<V>,
     ins: &[(V, RowId)],
     del: &[(V, RowId)],
 ) -> usize {
     debug_assert_eq!(vals.len(), index.len());
     debug_assert_eq!(vals.len(), rows.len());
+    let lane = |ops: &[(V, RowId)]| {
+        let mut ops: Vec<(V, R)> = ops.iter().map(|&(v, r)| (v, R::of_row(r))).collect();
+        ops.sort_unstable();
+        ops
+    };
     let mut walked = 0;
     if !del.is_empty() {
-        let mut del = del.to_vec();
-        del.sort_unstable();
-        walked += delete_pass(vals, rows, index, &mut del);
+        walked += delete_pass(vals, rows, index, &mut lane(del));
     }
     if !ins.is_empty() {
-        let mut ins = ins.to_vec();
-        ins.sort_unstable();
-        walked += insert_pass(vals, rows, index, &ins);
+        walked += insert_pass(vals, rows, index, &lane(ins));
     }
     index.set_len(vals.len());
     walked
@@ -318,11 +325,11 @@ fn relocate<T: Copy>(xs: &mut [T], from: usize, to: usize, n: usize) {
 
 /// The ascending half of [`ripple_batch`]: the cursor over the pieces from
 /// the one holding the smallest delete to the last.
-struct DeletePass<'a, V> {
+struct DeletePass<'a, V, R> {
     vals: &'a mut [V],
-    rows: &'a mut [RowId],
+    rows: &'a mut [R],
     /// Sorted by `(value, row)`; `del[next..]` have not been looked for.
-    del: &'a mut [(V, RowId)],
+    del: &'a mut [(V, R)],
     next: usize,
     /// Old first position of the piece under the cursor.
     start: usize,
@@ -331,7 +338,7 @@ struct DeletePass<'a, V> {
     holes: usize,
 }
 
-impl<V: CrackValue> DeletePass<'_, V> {
+impl<V: CrackValue, R: RowLane> DeletePass<'_, V, R> {
     /// Handles the piece at old positions `[start, end)`, which holds the
     /// values below `hi` (`None` = the last piece): overwrites each victim
     /// with the piece's then-last element, copies the last
@@ -373,11 +380,11 @@ impl<V: CrackValue> DeletePass<'_, V> {
 }
 
 /// Deletes the sorted, non-empty batch `del`; returns boundaries walked.
-fn delete_pass<V: CrackValue>(
+fn delete_pass<V: CrackValue, R: RowLane>(
     vals: &mut Vec<V>,
-    rows: &mut Vec<RowId>,
+    rows: &mut Vec<R>,
     index: &mut CrackerIndex<V>,
-    del: &mut [(V, RowId)],
+    del: &mut [(V, R)],
 ) -> usize {
     let n = vals.len();
     let first = del[0].0;
@@ -411,11 +418,11 @@ fn delete_pass<V: CrackValue>(
 /// Inserts the sorted, non-empty batch `ins`; returns boundaries walked.
 /// The vectors grow once; the descending walk stops at the piece that takes
 /// the smallest value, left of which nothing moves.
-fn insert_pass<V: CrackValue>(
+fn insert_pass<V: CrackValue, R: RowLane>(
     vals: &mut Vec<V>,
-    rows: &mut Vec<RowId>,
+    rows: &mut Vec<R>,
     index: &mut CrackerIndex<V>,
-    ins: &[(V, RowId)],
+    ins: &[(V, R)],
 ) -> usize {
     let n = vals.len();
     vals.resize(n + ins.len(), ins[0].0);
@@ -423,7 +430,7 @@ fn insert_pass<V: CrackValue>(
     // Moves the piece at old positions `[start, end)` up by `shift` — its
     // first `min(shift, len)` elements go behind its tail — and writes its
     // own inserts into the rest of the gap below the next piece.
-    let mut place = |start: usize, end: usize, shift: usize, own: &[(V, RowId)]| {
+    let mut place = |start: usize, end: usize, shift: usize, own: &[(V, R)]| {
         let moved = shift.min(end - start);
         relocate(vals, start, end + shift - moved, moved);
         relocate(rows, start, end + shift - moved, moved);
@@ -647,20 +654,45 @@ mod tests {
     /// Applies one batch to `batched` through [`ripple_batch`] and to
     /// `oracle` through the per-value functions (deletes first, as a merge
     /// applies them), then requires the same boundary table and the same
-    /// multiset in every piece. Returns the boundaries the batch walked.
+    /// multiset in every piece. A values-only copy of `batched` takes the
+    /// batch too, over the `()` lane with the deletes the oracle found,
+    /// and must leave the same boundaries and per-piece values. Returns
+    /// the boundaries the batch walked.
     fn apply_both(
         batched: &mut State,
         oracle: &mut State,
         ins: &[(i64, RowId)],
         del: &[(i64, RowId)],
     ) -> usize {
+        let (mut alone, mut alone_index) = (batched.0.clone(), batched.2.clone());
         let walked = ripple_batch(&mut batched.0, &mut batched.1, &mut batched.2, ins, del);
-        for &(v, r) in del {
-            ripple_delete(&mut oracle.0, &mut oracle.1, &mut oracle.2, v, r);
-        }
+        let present: Vec<(i64, RowId)> = del
+            .iter()
+            .copied()
+            .filter(|&(v, r)| ripple_delete(&mut oracle.0, &mut oracle.1, &mut oracle.2, v, r))
+            .collect();
         for &(v, r) in ins {
             ripple_insert(&mut oracle.0, &mut oracle.1, &mut oracle.2, v, r);
         }
+        let mut none = vec![(); alone.len()];
+        ripple_batch(&mut alone, &mut none, &mut alone_index, ins, &present);
+        assert_eq!(
+            alone_index.bounds_in_order(),
+            oracle.2.bounds_in_order(),
+            "values-only boundaries differ after ins {ins:?} del {del:?}"
+        );
+        let values = |pieces: Vec<Vec<(i64, RowId)>>| -> Vec<Vec<i64>> {
+            pieces
+                .into_iter()
+                .map(|p| p.into_iter().map(|(v, _)| v).collect())
+                .collect()
+        };
+        let zeros = vec![0; alone.len()];
+        assert_eq!(
+            values(piece_multisets(&alone, &zeros, &alone_index)),
+            values(piece_multisets(&oracle.0, &oracle.1, &oracle.2)),
+            "values-only pieces differ after ins {ins:?} del {del:?}"
+        );
         check_pieces(&batched.0, &batched.2);
         assert_eq!(
             batched.2.bounds_in_order(),

@@ -29,16 +29,22 @@ use holix_storage::types::{CrackValue, RowId};
 /// enough to gang threads on are rare; they borrow a transient buffer.
 const RETAIN: usize = DEFAULT_MIN_PARALLEL;
 
-/// What a crack moves beside each value: the tuple's [`RowId`], or nothing
-/// — `()`, for a column that has not built its row ids yet. Every kernel
+/// What a crack or a Ripple merge moves beside each value: the tuple's
+/// [`RowId`], or nothing — `()`, for a column that has not built its row
+/// ids yet. Every kernel
 /// has one body over `&mut [R]`; a slice of `()` occupies no memory, so its
 /// loads, stores and copies compile to no code and an id-less crack moves
 /// values alone. The compress kernels move the lane through the `*8` hooks,
 /// eight rows per step under the values' lane masks.
-pub trait RowLane: Copy + Default + Send + 'static {
+pub trait RowLane: Copy + Default + Ord + Send + 'static {
     /// This lane's buffer among a scratch's two.
     #[doc(hidden)]
     fn buffer<'a>(rows: &'a mut Vec<RowId>, none: &'a mut Vec<()>) -> &'a mut Vec<Self>;
+
+    /// What this lane carries for the tuple at `row` (a Ripple merge's
+    /// update names its row; a lane of `()` drops it).
+    #[doc(hidden)]
+    fn of_row(row: RowId) -> Self;
 
     /// Eight rows of a compress kernel in a register.
     #[cfg(target_arch = "x86_64")]
@@ -78,6 +84,10 @@ impl RowLane for RowId {
         rows
     }
 
+    fn of_row(row: RowId) -> RowId {
+        row
+    }
+
     #[cfg(target_arch = "x86_64")]
     type Chunk = std::arch::x86_64::__m256i;
 
@@ -108,6 +118,8 @@ impl RowLane for () {
     fn buffer<'a>(_: &'a mut Vec<RowId>, none: &'a mut Vec<()>) -> &'a mut Vec<()> {
         none
     }
+
+    fn of_row(_: RowId) {}
 
     #[cfg(target_arch = "x86_64")]
     type Chunk = ();

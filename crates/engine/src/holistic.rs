@@ -1084,7 +1084,7 @@ mod tests {
     }
 
     /// What a tuple of a freshly built shard costs the budget: its value
-    /// (the row ids come with the first conjunction, write or migration).
+    /// (the row ids come with the first conjunction or migration).
     const TUPLE: usize = CrackerColumn::<i64>::tuple_bytes(false);
 
     /// Two 50k-row attributes in four shards under a budget of 1.3

@@ -209,12 +209,12 @@ impl<V: CrackValue> ChunkedCrackerColumn<V> {
     }
 
     fn crack_all_chunks(&self, pred: Predicate<V>) -> Vec<RangeStats> {
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .chunks
                 .iter()
                 .map(|chunk| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut scratch = CrackScratch::new();
                         let sel = chunk.select(pred, &mut scratch);
                         RangeStats {
@@ -229,7 +229,6 @@ impl<V: CrackValue> ChunkedCrackerColumn<V> {
                 .map(|h| h.join().expect("chunk worker panicked"))
                 .collect()
         })
-        .expect("chunk scope panicked")
     }
 
     /// The first query performs the coarse range partition of each chunk in
@@ -240,18 +239,17 @@ impl<V: CrackValue> ChunkedCrackerColumn<V> {
         if *done {
             return;
         }
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for chunk in &self.chunks {
                 let pivots = &self.coarse_pivots;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut scratch = CrackScratch::new();
                     for &p in pivots {
                         chunk.refine_at_blocking(p, &mut scratch);
                     }
                 });
             }
-        })
-        .expect("coarse partition scope panicked");
+        });
         *done = true;
     }
 }

@@ -20,17 +20,16 @@ where
 {
     let chunk = values.len().div_ceil(threads);
     let mut total = R::default();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let scan = &scan;
         let handles: Vec<_> = values
             .chunks(chunk)
-            .map(|part| s.spawn(move |_| scan(part)))
+            .map(|part| s.spawn(move || scan(part)))
             .collect();
         for h in handles {
             merge(&mut total, h.join().expect("scan worker panicked"));
         }
-    })
-    .expect("scan scope panicked");
+    });
     total
 }
 

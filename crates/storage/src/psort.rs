@@ -25,12 +25,11 @@ pub fn parallel_sort<V: CrackValue>(values: &[V], threads: usize) -> SortedColum
 
     // Phase 1: sort chunks in parallel.
     let chunk = pairs.len().div_ceil(threads);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for part in pairs.chunks_mut(chunk) {
-            s.spawn(move |_| part.sort_unstable());
+            s.spawn(move || part.sort_unstable());
         }
-    })
-    .expect("sort scope panicked");
+    });
 
     // Phase 2: parallel pairwise merge passes. Run boundaries follow the
     // chunk layout of phase 1 and coarsen by 2 each pass.
@@ -44,7 +43,7 @@ pub fn parallel_sort<V: CrackValue>(values: &[V], threads: usize) -> SortedColum
     let mut dst = &mut scratch;
     let mut run = chunk;
     while run < n {
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut src_rest: &[(V, RowId)] = src;
             let mut dst_rest: &mut [(V, RowId)] = dst;
             while !src_rest.is_empty() {
@@ -54,10 +53,9 @@ pub fn parallel_sort<V: CrackValue>(values: &[V], threads: usize) -> SortedColum
                 let (dst_pair, tail_d) = dst_rest.split_at_mut(pair_len);
                 src_rest = tail_s;
                 dst_rest = tail_d;
-                s.spawn(move |_| merge_runs(src_pair, left_len, dst_pair));
+                s.spawn(move || merge_runs(src_pair, left_len, dst_pair));
             }
-        })
-        .expect("merge scope panicked");
+        });
         std::mem::swap(&mut src, &mut dst);
         run *= 2;
     }

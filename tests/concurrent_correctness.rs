@@ -28,19 +28,18 @@ fn multi_client_holistic_stress_returns_correct_counts() {
         .map(|q| scan_stats(data.column(q.attr), Predicate::range(q.lo, q.hi)).count)
         .collect();
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for c in 0..4usize {
             let engine = &engine;
             let queries = &queries;
             let oracles = &oracles;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (i, q) in queries.iter().enumerate().skip(c).step_by(4) {
                     assert_eq!(engine.execute(q), oracles[i], "client {c} query {i}");
                 }
             });
         }
-    })
-    .unwrap();
+    });
     engine.stop();
 
     // Invariants on the final cracked state.
@@ -80,10 +79,10 @@ fn same_hot_range_from_all_clients() {
     let engine = HolisticEngine::new(data.clone(), cfg);
     let expect = scan_stats(data.column(0), Predicate::range(100_000, 400_000)).count;
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..6 {
             let engine = &engine;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..50 {
                     let q = QuerySpec {
                         attr: 0,
@@ -94,8 +93,7 @@ fn same_hot_range_from_all_clients() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     engine.stop();
     let col = engine.column(0);
     col.check_invariants(Some(data.column(0)));

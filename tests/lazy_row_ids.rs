@@ -1,9 +1,11 @@
 //! Row ids on demand under a race. Shards are born without row ids and
-//! build them when a conjunction driver, a Ripple merge or a migration
-//! first reads one; here crackers and the tuning daemon work every shard
-//! of every attribute while one thread runs conjunctions (ids for the
-//! driver shards) and another deletes base rows (ids for the shards a
-//! merge applies them in). Every answer is checked against an oracle, and
+//! build them when a conjunction driver or a migration first reads one;
+//! a Ripple merge applies its batch to the values alone and logs it. Here
+//! crackers and the tuning daemon work every shard of every attribute
+//! while one thread runs conjunctions (ids for the driver shards) and
+//! another deletes base rows (merged, and logged, without ids). Every
+//! answer is checked against an oracle; the written shards must end
+//! without ids and then build exactly their surviving base tuples; and
 //! the registry must count exactly one build per shard that ended up with
 //! ids, and one whole-attribute build (with both of its passes timed) per
 //! attribute.
@@ -12,6 +14,7 @@
 //! `cracking_whole_builds_total` are process-wide.
 
 use holix::engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
+use holix::storage::select::Predicate;
 use holix::telemetry::registry;
 use holix::workloads::QuerySpec;
 use rand::prelude::*;
@@ -251,16 +254,45 @@ fn row_ids_are_built_once_per_shard_under_crackers_conjunctions_and_deletes() {
         for k in 0..col.shard_count() {
             col.shard(k).check_invariants(None);
             with_ids += col.shard(k).has_row_ids() as u64;
-            // Four thousand random victims: every shard applied a delete.
-            assert!(attr != DELETED || col.shard(k).has_row_ids());
+            // Four thousand random victims: every shard merged deletes,
+            // and no conjunction drove from one, so none built ids.
+            assert!(attr != DELETED || !col.shard(k).has_row_ids());
         }
     }
-    let conjunction_shards = with_ids - SHARDS as u64;
-    assert!(conjunction_shards > 0, "no conjunction driver built ids");
+    assert!(with_ids > 0, "no conjunction driver built ids");
     assert_eq!(
         builds.get() - builds_before,
         with_ids,
         "row-id builds vs shards that store ids"
+    );
+    // Asked now, each written shard builds exactly the pairs of its base
+    // rows that survived the deletes.
+    let col = bed.eng.sharded(DELETED);
+    let mut gone = vec![false; ROWS];
+    bed.victims.iter().for_each(|&r| gone[r as usize] = true);
+    for k in 0..col.shard_count() {
+        let shard = col.shard(k);
+        let ids = shard
+            .collect_row_ids(Predicate::range(i64::MIN, i64::MAX))
+            .expect("sentinel bounds");
+        let mut got: Vec<(i64, u32)> = shard
+            .snapshot_range(0, shard.len())
+            .into_iter()
+            .zip(ids)
+            .collect();
+        got.sort_unstable();
+        let values = &bed.cols[DELETED];
+        let mut want: Vec<(i64, u32)> = (0..ROWS)
+            .filter(|&r| !gone[r] && col.plan().shard_of(values[r]) == k)
+            .map(|r| (values[r], r as u32))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(got, want, "shard {k} of the deleted attribute");
+    }
+    assert_eq!(
+        builds.get() - builds_before,
+        with_ids + SHARDS as u64,
+        "one build per written shard asked for ids"
     );
     // No budget: every attribute's first touch built all its shards at
     // once, racing touchers included.

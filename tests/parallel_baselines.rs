@@ -113,12 +113,12 @@ fn concurrent_pvdc_queries_on_one_column() {
         .iter()
         .map(|q| scan_stats(&base, Predicate::range(q.lo, q.hi)).count)
         .collect();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for c in 0..4usize {
             let col = &col;
             let queries = &queries;
             let oracles = &oracles;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut scratch = CrackScratch::new();
                 for (i, q) in queries.iter().enumerate().skip(c).step_by(4) {
                     let sel = col.select(Predicate::range(q.lo, q.hi), &mut scratch);
@@ -126,7 +126,6 @@ fn concurrent_pvdc_queries_on_one_column() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     col.check_invariants(Some(&base));
 }

@@ -84,13 +84,13 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
     let deleted = AtomicUsize::new(0); // updater B progress (applied VB deletes)
     let morphs = AtomicUsize::new(0); // background segment re-encodings
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Updater A: insert VA, force the Ripple merge via a narrow locked
         // select, then publish progress.
         {
             let col = &col;
             let inserted = &inserted;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut scratch = CrackScratch::new();
                 for i in 0..250usize {
                     col.queue_insert(VA, (N + M + i) as RowId);
@@ -106,7 +106,7 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
         {
             let col = &col;
             let deleted = &deleted;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut scratch = CrackScratch::new();
                 for i in 0..M {
                     col.queue_delete(VB, (N + i) as RowId);
@@ -118,7 +118,7 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
         // Cracker: locked selects over random ranges (cracks + merges).
         {
             let col = &col;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xC1);
                 let mut scratch = CrackScratch::new();
                 for _ in 0..300 {
@@ -135,7 +135,7 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
         // Refiners: background piece splits on every shard.
         for t in 0..2u64 {
             let col = &col;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xD0 + t);
                 let mut scratch = CrackScratch::new();
                 for _ in 0..400 {
@@ -152,7 +152,7 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
         {
             let col = &col;
             let morphs = &morphs;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..200 {
                     for k in 0..col.shard_count() {
                         if col.shard(k).morph_cold_segments() {
@@ -170,7 +170,7 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
             let deleted = &deleted;
             let base = &base;
             let base_full = &base_full;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xE0 + t);
                 let mut scratch = CrackScratch::new();
                 for round in 0..250 {
@@ -219,8 +219,7 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Quiesce: merge everything, then all read paths agree exactly.
     let mut scratch = CrackScratch::new();
