@@ -28,6 +28,8 @@ pub struct CycleRecord {
     /// Summed worker time (the paper's "total response time of all workers
     /// during a single tuning cycle").
     pub worker_time_total: Duration,
+    /// Update queues the workers drained in the background this cycle.
+    pub merges: u64,
     /// Successful refinements across all workers.
     pub refinements: u64,
     /// Attempts aborted on latched pieces.
@@ -135,11 +137,12 @@ fn daemon_loop(
             continue;
         }
 
-        // Nothing to refine? Skip the activation entirely (cheap check so an
-        // idle system does not spin worker threads).
+        // Nothing to refine and no queue to drain? Skip the activation
+        // entirely (cheap check so an idle system does not spin worker
+        // threads).
         {
             let mut probe = SmallRng::seed_from_u64(config.seed ^ cycle_no);
-            if space.pick(&mut probe).is_none() {
+            if space.pick(&mut probe).is_empty() {
                 cycle_no += 1;
                 continue;
             }
@@ -175,6 +178,7 @@ fn daemon_loop(
             workers: n,
             wall: t0.elapsed(),
             worker_time_total: reports.iter().map(|r| r.duration).sum(),
+            merges: reports.iter().map(|r| r.merges).sum(),
             refinements: reports.iter().map(|r| r.refinements).sum(),
             busy: reports.iter().map(|r| r.busy).sum(),
             snapshot_refreshes: reports.iter().map(|r| r.snapshot_refreshes).sum(),
@@ -314,7 +318,18 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-        let cycles_at_optimal = daemon.cycles().len();
+        // The cycle that made them optimal may still be finishing its
+        // activation: count once the records hold still for 20 ms.
+        let mut cycles_at_optimal = daemon.cycles().len();
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = daemon.cycles().len();
+            if now == cycles_at_optimal {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "cycles never stopped");
+            cycles_at_optimal = now;
+        }
         std::thread::sleep(Duration::from_millis(60));
         // No further activations once nothing is pickable.
         assert_eq!(daemon.cycles().len(), cycles_at_optimal);

@@ -71,6 +71,19 @@ pub trait RefinableIndex: Send + Sync {
         attempts: usize,
         scratch: &mut WorkerScratch,
     ) -> RefineResult;
+    /// `true` when enough updates are queued for
+    /// [`RefinableIndex::drain_in_background`] to merge them. Default: no
+    /// update queue.
+    fn drain_due(&self) -> bool {
+        false
+    }
+    /// An idle worker's drain of the update queue, whatever the index's
+    /// membership (a converged index is never refined, so nothing else
+    /// merges its queue but reads). Returns `true` when a batch was
+    /// merged. Default: no update queue.
+    fn drain_in_background(&self) -> bool {
+        false
+    }
     /// Republishes the index's plan-time statistics if stale (the holistic
     /// daemon forces this once per worker activation, so `holix-planner`
     /// summaries never lag an idle period). Default: no planner surface.
@@ -163,6 +176,14 @@ impl<V: CrackValue> RefinableIndex for CrackerHandle<V> {
             RefineOutcome::AlreadyBound => RefineResult::AlreadyBound,
             RefineOutcome::Busy => RefineResult::Busy,
         }
+    }
+
+    fn drain_due(&self) -> bool {
+        self.col.drain_due()
+    }
+
+    fn drain_in_background(&self) -> bool {
+        self.col.drain_in_background()
     }
 
     fn publish_plan_stats(&self) {

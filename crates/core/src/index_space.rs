@@ -130,6 +130,22 @@ impl IndexSlot {
 /// A live index: its record and its payload.
 type Live = (Arc<IndexSlot>, Arc<dyn RefinableIndex>);
 
+/// What one [`IndexSpace::pick`] found for a worker to do.
+pub struct Pick {
+    /// The index to refine, by the configured strategy.
+    pub refine: Option<Live>,
+    /// Live indices whose update queue is due for a background drain
+    /// ([`RefinableIndex::drain_due`]), whatever their membership.
+    pub drains: Vec<Arc<dyn RefinableIndex>>,
+}
+
+impl Pick {
+    /// `true` when there is nothing to refine and nothing to drain.
+    pub fn is_empty(&self) -> bool {
+        self.refine.is_none() && self.drains.is_empty()
+    }
+}
+
 struct Table {
     /// Every live index, ascending by heap key (registration order).
     live: Vec<Live>,
@@ -318,12 +334,19 @@ impl IndexSpace {
     /// highest weight in `C_actual` (W1–W3) or a uniformly random member
     /// (W4); falls back to a random `C_potential` index when `C_actual` has
     /// no candidates. Maintenance side — folds pending query-side weight
-    /// refreshes first (only dirty slots pay the weight recomputation).
-    pub fn pick(&self, rng: &mut dyn RngCore) -> Option<(Arc<IndexSlot>, Arc<dyn RefinableIndex>)> {
+    /// refreshes first (only dirty slots pay the weight recomputation), and
+    /// the same walk collects the indices due for a background drain,
+    /// `C_optimal` ones included: the paper's idle workers merge queued
+    /// updates (§4.2), and a converged index is never picked to refine.
+    pub fn pick(&self, rng: &mut dyn RngCore) -> Pick {
         let table = self.table.read();
+        let mut drains = Vec::new();
         for (slot, handle) in &table.live {
             if slot.dirty.swap(false, Ordering::AcqRel) {
                 self.refresh_weight(slot, handle.as_ref());
+            }
+            if handle.drain_due() {
+                drains.push(Arc::clone(handle));
             }
         }
         let mut pick_random = |members: Membership| -> Option<usize> {
@@ -351,8 +374,11 @@ impl IndexSpace {
                 self.heap.lock().remove(k);
             },
         };
-        let at = at.or_else(|| pick_random(Membership::Potential))?;
-        Some(table.live[at].clone())
+        let at = at.or_else(|| pick_random(Membership::Potential));
+        Pick {
+            refine: at.map(|at| table.live[at].clone()),
+            drains,
+        }
     }
 
     /// `(actual, potential, optimal, dropped)` counts: the live indices by
@@ -477,7 +503,7 @@ mod tests {
         assert_eq!(small.membership(), Membership::Actual);
         let mut rng = StdRng::seed_from_u64(1);
         // W1 picks the largest-distance index: the big one.
-        let (picked, _) = space.pick(&mut rng).unwrap();
+        let (picked, _) = space.pick(&mut rng).refine.unwrap();
         assert!(Arc::ptr_eq(&picked, &big));
     }
 
@@ -487,7 +513,7 @@ mod tests {
         let slot = actual(&space, 100, "tiny");
         assert_eq!(slot.membership(), Membership::Optimal);
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(space.pick(&mut rng).is_none());
+        assert!(space.pick(&mut rng).is_empty());
     }
 
     #[test]
@@ -497,7 +523,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut steps = 0;
         while slot.membership() == Membership::Actual {
-            let (picked, h) = space.pick(&mut rng).expect("pickable");
+            let (picked, h) = space.pick(&mut rng).refine.expect("pickable");
             assert!(Arc::ptr_eq(&picked, &slot));
             let res = h.refine_random(&mut rng, 8, &mut WorkerScratch::default());
             space.record_worker_outcome(&picked, h.as_ref(), res);
@@ -513,7 +539,7 @@ mod tests {
         let space = space_with(Strategy::W2FrequencyDistance, None);
         let slot = register_one(&space, make_handle(50_000, "p"), Membership::Potential);
         let mut rng = StdRng::seed_from_u64(4);
-        let (picked, _) = space.pick(&mut rng).unwrap();
+        let (picked, _) = space.pick(&mut rng).refine.unwrap();
         assert!(Arc::ptr_eq(&picked, &slot));
         assert_eq!(slot.membership(), Membership::Potential);
         slot.record_user_query(false, 2);
@@ -529,7 +555,7 @@ mod tests {
             hot.record_user_query(false, 1);
         }
         let mut rng = StdRng::seed_from_u64(5);
-        let (picked, _) = space.pick(&mut rng).unwrap();
+        let (picked, _) = space.pick(&mut rng).refine.unwrap();
         assert!(Arc::ptr_eq(&picked, &hot));
     }
 
@@ -543,7 +569,7 @@ mod tests {
             misses.record_user_query(false, 2);
         }
         let mut rng = StdRng::seed_from_u64(6);
-        let (picked, _) = space.pick(&mut rng).unwrap();
+        let (picked, _) = space.pick(&mut rng).refine.unwrap();
         assert!(Arc::ptr_eq(&picked, &misses));
     }
 
@@ -720,7 +746,7 @@ mod tests {
         drop(heap_guard);
         // The deferred weight refresh lands at pick time.
         let mut rng = StdRng::seed_from_u64(8);
-        let (picked, _) = space.pick(&mut rng).unwrap();
+        let (picked, _) = space.pick(&mut rng).refine.unwrap();
         assert!(Arc::ptr_eq(&picked, &slot));
         assert!(space.heap.lock().weight(slot.key).is_some());
     }
@@ -829,7 +855,10 @@ mod tests {
         // leave it.
         space.heap.lock().upsert(victim.key, u128::MAX);
         let mut rng = StdRng::seed_from_u64(10);
-        let (picked, _) = space.pick(&mut rng).expect("stale node wedged the space");
+        let (picked, _) = space
+            .pick(&mut rng)
+            .refine
+            .expect("stale node wedged the space");
         assert!(!Arc::ptr_eq(&picked, &victim), "picked an evicted index");
         // And the stale node is gone for good.
         assert!(!space.heap.lock().contains(victim.key));
@@ -864,7 +893,7 @@ mod tests {
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(9);
                 for _ in 0..200 {
-                    if let Some((slot, h)) = space.pick(&mut rng) {
+                    if let Some((slot, h)) = space.pick(&mut rng).refine {
                         let res = h.refine_random(&mut rng, 4, &mut WorkerScratch::default());
                         space.record_worker_outcome(&slot, h.as_ref(), res);
                     }

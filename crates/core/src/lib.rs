@@ -35,6 +35,6 @@ pub use config::HolisticConfig;
 pub use cpu::{CpuMonitor, LoadAccountant};
 pub use daemon::{CycleRecord, HolisticDaemon};
 pub use handle::{CrackerHandle, RefinableIndex, RefineResult, WorkerScratch};
-pub use index_space::{IndexSlot, IndexSpace, Membership};
+pub use index_space::{IndexSlot, IndexSpace, Membership, Pick};
 pub use stats::IndexStats;
 pub use strategy::Strategy;

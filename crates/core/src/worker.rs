@@ -14,6 +14,9 @@ use std::time::{Duration, Instant};
 /// What one worker activation accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerReport {
+    /// Update queues drained in the background
+    /// ([`crate::RefinableIndex::drain_in_background`]).
+    pub merges: u64,
     /// Successful piece splits.
     pub refinements: u64,
     /// Attempts that found every tried piece latched.
@@ -31,7 +34,7 @@ pub struct WorkerReport {
     pub segment_morphs: u64,
     /// Wall time spent in the IdleFunction.
     pub duration: Duration,
-    /// Whether an index was available to work on.
+    /// Whether an index was available to refine.
     pub picked: bool,
 }
 
@@ -45,8 +48,11 @@ const BUDGET_PRESSURE_MORPH: f64 = 0.9;
 /// unpressured path).
 const EVICTION_MORPH_CANDIDATES: usize = 2;
 
-/// Runs one IdleFunction instance: pick an index, refine it `x` times with
-/// random pivots, update statistics, stop early once it turns optimal.
+/// Runs one IdleFunction instance: drain the update queues that are due
+/// (§4.2's "merge updates", on every live index — a converged one
+/// included, which is never picked to refine), then pick an index, refine
+/// it `x` times with random pivots, update statistics, stop early once it
+/// turns optimal, and finish with the picked index's maintenance.
 pub fn idle_function(
     space: &IndexSpace,
     refinements_per_worker: usize,
@@ -56,7 +62,18 @@ pub fn idle_function(
     let start = Instant::now();
     let mut report = WorkerReport::default();
 
-    let Some((slot, handle)) = space.pick(rng) else {
+    let pick = space.pick(rng);
+    // Workers of one cycle see the same due list: each starts at its own
+    // place in it, and a queue another worker emptied is no longer due.
+    let first = match pick.drains.len() {
+        0 | 1 => 0,
+        n => rng.next_u64() as usize % n,
+    };
+    let (tail, head) = pick.drains.split_at(first);
+    for index in head.iter().chain(tail) {
+        report.merges += u64::from(index.drain_in_background());
+    }
+    let Some((slot, handle)) = pick.refine else {
         report.duration = start.elapsed();
         return report;
     };
@@ -337,6 +354,26 @@ mod tests {
             "the eviction victim was not the morph target: {} vs {cold_bytes}",
             cold.snapshot_bytes()
         );
+    }
+
+    #[test]
+    fn idle_function_drains_a_due_queue_on_a_converged_index() {
+        // 1,000 values: optimal from birth, so never picked to refine.
+        let space = IndexSpace::new(HolisticConfig::default());
+        let base: Vec<i64> = (0..1_000i64).collect();
+        let col = Arc::new(CrackerColumn::from_base("a", &base));
+        let slot = register(&space, &col);
+        assert_eq!(slot.membership(), Membership::Optimal);
+        let due = CrackerColumn::<i64>::DRAIN_DUE;
+        for i in 1..due {
+            col.queue_insert(i as i64, (1_000 + i) as u32);
+        }
+        let mut rng = StdRng::seed_from_u64(19);
+        assert!(space.pick(&mut rng).is_empty(), "a queue short of due");
+        col.queue_delete(0, 0);
+        let r = idle_function(&space, 16, 8, &mut rng);
+        assert_eq!((r.merges, r.picked, r.refinements), (1, false, 0), "{r:?}");
+        assert_eq!((col.pending_len(), col.len()), (0, 1_000 + due - 2));
     }
 
     #[test]

@@ -65,12 +65,17 @@
 //! pending mutex while holding `structure` shared (a snapshot read's
 //! linearisation point). Only a queue past [`CrackerColumn::MERGE_BACKLOG`]
 //! is merged first — whole, one [`ripple_batch`] walk and one snapshot
-//! publish ([`CrackerColumn::merge_pending`], the one merge entry). With a
-//! snapshot published, a drain adds most of its values to the merge delta
-//! and copies only the stale pieces the rest land in, under `structure`
-//! exclusive like the walk; a compaction every
-//! [`CrackerColumn::DELTA_CAP`] delta values copies what the delta
-//! reaches.
+//! publish ([`CrackerColumn::merge_pending`]). With a snapshot published,
+//! such a drain adds most of its values to the merge delta and copies only
+//! the stale pieces the rest land in, under `structure` exclusive like the
+//! walk; a compaction every [`CrackerColumn::DELTA_CAP`] delta values
+//! copies what the delta reaches. Idle workers drain first: from
+//! [`CrackerColumn::DRAIN_DUE`] queued updates, whatever the column's
+//! index membership, [`CrackerColumn::drain_in_background`] merges the
+//! queue the same way but puts every value in the delta and copies no
+//! piece, and leaves a queue that would pass the cap to the reads. So on a
+//! column the workers keep up with, reads only count the queue. A worker
+//! takes `structure` only when it is free.
 //!
 //! ## Row ids on demand
 //!
@@ -111,6 +116,7 @@ use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
 use parking_lot::{Mutex, RwLock};
 use rand::Rng;
+use std::borrow::Cow;
 use std::sync::atomic::{
     AtomicBool, AtomicU64, AtomicUsize, Ordering::Acquire, Ordering::Relaxed, Ordering::Release,
     Ordering::SeqCst,
@@ -181,6 +187,22 @@ struct MergePlan<V> {
     /// Sorted inserts and deletes to add to the snapshot's merge delta.
     ins: Vec<V>,
     del: Vec<V>,
+}
+
+impl<V: CrackValue> MergePlan<V> {
+    /// The plan of a background drain: every value to the delta, no copy.
+    fn delta_only(ins: &[(V, RowId)], del: &[(V, RowId)]) -> Self {
+        let sorted = |ops: &[(V, RowId)]| {
+            let mut vals: Vec<V> = ops.iter().map(|&(v, _)| v).collect();
+            vals.sort_unstable();
+            vals
+        };
+        MergePlan {
+            spans: Vec::new(),
+            ins: sorted(ins),
+            del: sorted(del),
+        }
+    }
 }
 
 /// Result of one range select over a cracker column.
@@ -1043,12 +1065,63 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
+    /// Queue length from which an idle worker drains the column
+    /// ([`CrackerColumn::drain_in_background`]) whatever its index
+    /// membership: half the backlog, so on a column the workers keep up
+    /// with, no read reaches the backlog.
+    pub const DRAIN_DUE: usize = Self::MERGE_BACKLOG / 2;
+
+    /// `true` when [`CrackerColumn::drain_in_background`] would merge now:
+    /// the queue holds at least [`CrackerColumn::DRAIN_DUE`] updates and
+    /// fits in the snapshot's merge delta.
+    pub fn drain_due(&self) -> bool {
+        Self::drain_due_in(&self.pending.lock())
+    }
+
+    fn drain_due_in(p: &Pending<V>) -> bool {
+        let queued = p.queue.len();
+        queued >= Self::DRAIN_DUE
+            && p.snap
+                .as_ref()
+                .is_none_or(|snap| snap.delta_len() + queued <= Self::DELTA_CAP)
+    }
+
+    /// The background drain of an idle worker: once
+    /// [`CrackerColumn::drain_due`], merges the whole queue like
+    /// [`CrackerColumn::merge_pending`], but adds every merged value to the
+    /// published snapshot's merge delta and copies no snapshot piece,
+    /// stale or not (copying the stale ones is the read path's policy,
+    /// `merge_plan`; scans and splices are exact either way). A worker's
+    /// long-lived copies would sit in its own allocator arena while the
+    /// pieces they replace stay resident in the reader's. A queue that
+    /// would take the delta past [`CrackerColumn::DELTA_CAP`] is left to
+    /// the read path, which compacts once the queue passes
+    /// [`CrackerColumn::MERGE_BACKLOG`]. The structure lock is taken only
+    /// when it is free: a worker never queues as a waiting writer, which
+    /// would hold every new locked read of the column behind it (a busy
+    /// column stays due for the next cycle). Returns `true` when it
+    /// merged.
+    pub fn drain_in_background(&self) -> bool {
+        if !self.drain_due() {
+            return false;
+        }
+        let Some(_exclusive) = self.structure.try_write() else {
+            return false;
+        };
+        // SAFETY: `structure` is held exclusively, taken above;
+        // `prop_merge_delta_and_splices_match_a_multiset_oracle` drives
+        // background drains beside read-path ones against a multiset
+        // oracle.
+        unsafe { self.merge_pending_locked(true) }
+    }
+
     /// Ripple-merges the whole pending queue into the cracked column as one
     /// batch ([`ripple_batch`]: one walk over the boundary table) and
-    /// splices it into the published snapshot with one publish. The one
-    /// merge entry: reads past [`CrackerColumn::MERGE_BACKLOG`], idle
-    /// workers and every path that needs its tuples in place come through
-    /// here. No-op on an empty queue.
+    /// splices it into the published snapshot with one publish. The merge
+    /// entry of reads past [`CrackerColumn::MERGE_BACKLOG`], of a refining
+    /// worker and of every path that needs its tuples in place; idle
+    /// workers drain through [`CrackerColumn::drain_in_background`]. No-op
+    /// on an empty queue.
     pub fn merge_pending(&self) {
         if self.pending.lock().queue.is_empty() {
             return;
@@ -1057,7 +1130,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         // SAFETY: `structure` is held exclusively, taken on the line above;
         // `concurrent_snapshot_scans_with_cracks_and_merges` races merges
         // against cracks and scans.
-        unsafe { self.merge_pending_locked() };
+        unsafe { self.merge_pending_locked(false) };
     }
 
     /// [`CrackerColumn::merge_pending`] under a held exclusive lock.
@@ -1072,17 +1145,21 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// changes per-piece multisets, so it finishes by publishing a snapshot
     /// that holds the batch: in its merge delta, or in fresh copies of the
     /// stale pieces the batch lands in (see [`CrackerColumn::merge_plan`]).
-    /// The taken batch stays registered as in-flight until the publish, so
-    /// snapshot readers racing the merge see every update in either the
-    /// pending set or the new snapshot — never neither.
+    /// A `background` drain merges only while
+    /// [`CrackerColumn::drain_due`] and puts the whole batch in the delta
+    /// (unless a delete was dropped unseen, which compacts). The taken
+    /// batch stays registered as in-flight until the publish, so snapshot
+    /// readers racing the merge see every update in either the pending set
+    /// or the new snapshot — never neither. Returns `true` when it merged.
     ///
     /// # Safety
     /// The caller holds `structure` exclusively.
-    unsafe fn merge_pending_locked(&self) {
+    unsafe fn merge_pending_locked(&self, background: bool) -> bool {
         let (token, ins, del) = {
             let mut p = self.pending.lock();
-            if p.queue.is_empty() {
-                return; // a racing merge applied it while we waited
+            // Empty: a racing merge applied it while we waited.
+            if p.queue.is_empty() || background && !Self::drain_due_in(&p) {
+                return false;
             }
             p.queue.take_all_tracked()
         };
@@ -1092,14 +1169,18 @@ impl<V: CrackValue> CrackerColumn<V> {
         // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`, the
         // id-less one against an eager twin by
         // `prop_values_only_merges_match_an_eager_twin`.
-        let (walked, dropped) = unsafe { self.ripple_apply(&ins, &del) };
+        let (walked, applied, dropped) = unsafe { self.ripple_apply(&ins, &del) };
         // Still under `structure` exclusive: nothing else can publish (or
         // build) a snapshot, so the plan/copy/splice triple is atomic and
         // the in-flight batch is cleared before any snapshot that already
         // contains its items can become visible.
         match self.snapshot() {
             Some(snap) => {
-                let plan = self.merge_plan(&snap, &ins, &del, dropped);
+                let plan = if background && !dropped {
+                    MergePlan::delta_only(&ins, &applied)
+                } else {
+                    self.merge_plan(&snap, &ins, &applied, dropped)
+                };
                 drop(snap);
                 let copied = !plan.spans.is_empty();
                 let spliced = timed.filter(|_| copied).map(|_| std::time::Instant::now());
@@ -1119,12 +1200,16 @@ impl<V: CrackValue> CrackerColumn<V> {
         self.bump_stats();
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_ripple_merges_total").inc();
+            if background {
+                holix_telemetry::counter!("cracking_background_merges_total").inc();
+            }
             holix_telemetry::counter!("cracking_ripple_merged_values_total")
                 .add((ins.len() + del.len()) as u64);
             holix_telemetry::counter!("cracking_ripple_bounds_walked_total").add(walked as u64);
             holix_telemetry::histogram!("cracking_ripple_merge_ns")
                 .record(t0.elapsed().as_nanos() as u64);
         }
+        true
     }
 
     /// Merge-delta size past which a merge compacts: folds the whole delta
@@ -1141,8 +1226,15 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// delta. A merge that would take the delta past
     /// [`CrackerColumn::DELTA_CAP`], or whose batch had a delete that found
     /// no target (`dropped`: which one is unknown, and it must not reach
-    /// the delta), compacts instead: it copies the pieces of every delta
-    /// and batch value, and adds nothing.
+    /// the delta — only a column with row ids drops one unseen), compacts
+    /// instead: it copies the pieces of every delta and batch value, and
+    /// adds nothing.
+    ///
+    /// The read path's plan. A worker's drain copies nothing
+    /// ([`MergePlan::delta_only`]); the read path keeps its stale copies
+    /// because sending them to the delta too cost `update_churn` 6 % of
+    /// its operations per second (10 of 10 alternating pairs), for a
+    /// reason not found.
     fn merge_plan(
         &self,
         snap: &PieceSnapshot<V>,
@@ -1205,17 +1297,22 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Ripple-merges one taken batch into the cracked column — deletes
     /// first, then inserts ([`ripple_batch`]); returns the boundaries the
-    /// merge walked and whether a delete found no tuple and was dropped.
-    /// A column with row ids moves them along and matches a delete by
-    /// `(value, row)`. A column without them stays without: its source
-    /// logs the batch and answers which deletes are present
-    /// (`RowSource::record`), and the walk moves values alone and matches
-    /// those by value.
+    /// merge walked, the deletes it applied, and whether a delete among
+    /// them found no tuple and was dropped. A column with row ids moves
+    /// them along, applies every delete and matches it by `(value, row)`.
+    /// A column without them stays without: its source logs the batch and
+    /// answers which deletes are present (`RowSource::record`), and the
+    /// walk moves values alone and applies those, matched by value — so
+    /// it knows its absent deletes and drops none unseen.
     ///
     /// # Safety
     /// The caller holds `structure` exclusively — no piece guard can be
     /// live and no reader observes the vectors while they move.
-    unsafe fn ripple_apply(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) -> (usize, bool) {
+    unsafe fn ripple_apply<'a>(
+        &self,
+        ins: &[(V, RowId)],
+        del: &'a [(V, RowId)],
+    ) -> (usize, Cow<'a, [(V, RowId)]>, bool) {
         let mut idx = self.index.write();
         let len = idx.len();
         let present = (!self.has_row_ids()).then(|| {
@@ -1237,9 +1334,11 @@ impl<V: CrackValue> CrackerColumn<V> {
                 }
             })
         };
+        let applied = present.map_or(Cow::Borrowed(del), Cow::Owned);
         // A delete that found no target was dropped: the column grew by
         // more than the batch says.
-        (walked, idx.len() + del.len() != len + ins.len())
+        let dropped = idx.len() + applied.len() != len + ins.len();
+        (walked, applied, dropped)
     }
 
     /// The value just above `v` in predicate space (`MAX_VALUE` saturates
@@ -1301,7 +1400,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         // already contains it.
         // SAFETY: `structure` is held exclusively
         // (`merge_replan_concatenates_neighbours_and_drains_pending`).
-        unsafe { self.merge_pending_locked() };
+        unsafe { self.merge_pending_locked(false) };
         let n = self.index.read().len();
         // SAFETY: exclusive structure lock — no live mutators; the row ids
         // were built above (`extract_for_migration_merges_pending_and_keeps_snapshot_exact`).
@@ -1997,7 +2096,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         // SAFETY: exclusive structure lock, taken above; the row ids of a
         // merge are checked by
         // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`.
-        unsafe { self.merge_pending_locked() };
+        unsafe { self.merge_pending_locked(false) };
         let (start, end) = Self::exact_span(&self.index.read(), pred)?;
         // SAFETY: exclusive structure lock — no live mutators, and no
         // merge half applied; the ids read below are compared with an
@@ -3066,6 +3165,52 @@ mod tests {
         (col, pending)
     }
 
+    /// A batch with deletes that name no tuple — a value present under
+    /// another row, an unknown row — beside present deletes and an insert,
+    /// drained into a published snapshot. A column with row ids cannot
+    /// tell which delete it dropped and compacts; a column without them
+    /// knows (its write log answers) and adds the present deletes to the
+    /// merge delta.
+    #[test]
+    fn an_absent_delete_compacts_only_a_column_with_row_ids() {
+        let base: Vec<i64> = (0..4_096).map(|i| i * 2).collect();
+        let sharded =
+            ShardedColumn::from_base_with_plan("a", &base, ShardPlan::from_values(&base, 1));
+        let plain = CrackerColumn::from_base("a", &base);
+        let mut scratch = CrackScratch::new();
+        for (col, ids) in [(&**sharded.shard(0), false), (&plain, true)] {
+            assert_eq!(col.has_row_ids(), ids);
+            col.snapshot_scan(Predicate::range(i64::MIN, i64::MAX), &mut scratch);
+            col.queue_insert(1, 10_000);
+            col.merge_pending();
+            assert_eq!(col.snapshot().expect("published").delta_len(), 1);
+            col.queue_delete(4, 2);
+            col.queue_delete(6, 3);
+            col.queue_insert(3, 10_001);
+            col.queue_delete(8, 2); // row 2 holds 4
+            col.queue_delete(5, RowId::MAX);
+            col.merge_pending();
+            let delta: Vec<(i64, bool)> = col.snapshot().expect("published").delta().collect();
+            if ids {
+                assert!(delta.is_empty(), "row ids: {delta:?}");
+            } else {
+                let want = [(1, true), (3, true), (4, false), (6, false)];
+                assert_eq!(delta, want, "values only");
+            }
+            let sum: i64 = base.iter().sum::<i64>() + 1 + 3 - 4 - 6;
+            for pred in [Predicate::range(i64::MIN, i64::MAX), Predicate::range(2, 9)] {
+                let want = match pred.lo {
+                    2 => (3, 2 + 3 + 8),
+                    _ => (4_096, sum as i128),
+                };
+                let scan = col.snapshot_scan(pred, &mut scratch);
+                assert_eq!((scan.count, scan.sum), want, "{pred:?}, ids: {ids}");
+                let locked = col.select_verified(pred, &mut scratch).1;
+                assert_eq!((locked.count, locked.sum), want, "{pred:?}, ids: {ids}");
+            }
+        }
+    }
+
     /// A multiset of values: each value's multiplicity.
     type Oracle = std::collections::BTreeMap<i64, u64>;
 
@@ -3098,7 +3243,8 @@ mod tests {
     /// value belongs to, `split` cuts a predicate into per-part ones) and
     /// checks every read path against a multiset oracle after each drain;
     /// see `prop_merge_delta_and_splices_match_a_multiset_oracle`. Returns
-    /// how many drains compacted a delta past [`CrackerColumn::DELTA_CAP`].
+    /// how many drains compacted a delta, and how many background drains
+    /// left a queue to the read path at [`CrackerColumn::DELTA_CAP`].
     fn drain_against_an_oracle(
         seed: u64,
         base: &[i64],
@@ -3106,7 +3252,7 @@ mod tests {
         route: &dyn Fn(i64) -> usize,
         split: &dyn Fn(Predicate<i64>) -> Vec<(usize, Predicate<i64>)>,
         drains: usize,
-    ) -> usize {
+    ) -> (usize, usize) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut scratch = CrackScratch::new();
         let mut oracle = Oracle::new();
@@ -3142,7 +3288,7 @@ mod tests {
                 .fold((0, 0), |(c, s), (pc, ps)| (c + pc, s + ps))
         };
         let mut held: Option<(Vec<Arc<PieceSnapshot<i64>>>, Oracle)> = None;
-        let mut compactions = 0;
+        let (mut compactions, mut skips) = (0, 0);
         for _ in 0..drains {
             // Cracks, edge and stale-piece refreshes and morphs between
             // drains, all of which splice.
@@ -3183,14 +3329,41 @@ mod tests {
                     *oracle.entry(v).or_insert(0) += 1;
                 }
             }
-            for part in parts {
-                let before = part.snapshot().expect("published").delta_len();
-                let queued = part.pending_len();
+            // Half the drains are an idle worker's, which copies no piece
+            // and leaves a queue past the delta's cap to the read path.
+            for (k, part) in parts.iter().enumerate() {
+                let old = part.snapshot().expect("published");
+                let (before, queued) = (old.delta_len(), part.pending_len());
+                let cap = CrackerColumn::<i64>::DELTA_CAP;
+                let background = rng.random_bool(0.5);
+                if background && part.drain_in_background() {
+                    let new = part.snapshot().expect("published");
+                    if absent && k == route(7) && part.has_row_ids() {
+                        // A delete dropped unseen compacts, as on reads.
+                        assert_eq!(new.delta_len(), 0);
+                        compactions += 1;
+                    } else {
+                        let piece = |p: &SnapPiece<i64>| {
+                            (p.hi_key, p.len(), p.plain_values().map(<[i64]>::as_ptr))
+                        };
+                        assert!(
+                            old.pieces().map(piece).eq(new.pieces().map(piece)),
+                            "a background drain copied a piece"
+                        );
+                        assert!(new.delta_len() <= before + queued);
+                    }
+                    assert_eq!(part.pending_len(), 0);
+                    continue;
+                }
+                if background {
+                    assert!(before + queued > cap, "a due queue was not drained");
+                    assert_eq!(part.pending_len(), queued, "a skipped drain merged");
+                    skips += 1;
+                }
                 part.merge_pending();
                 let after = part.snapshot().expect("published").delta_len();
-                assert!(after <= CrackerColumn::<i64>::DELTA_CAP);
-                compactions +=
-                    usize::from(before + queued > CrackerColumn::<i64>::DELTA_CAP && after == 0);
+                assert!(after <= cap);
+                compactions += usize::from(before + queued > cap && after == 0);
             }
             // A version held since the last drain keeps that drain's
             // answers; the current one, the locked path and the oracle
@@ -3225,24 +3398,27 @@ mod tests {
         for part in parts {
             part.check_invariants(None);
         }
-        compactions
+        (compactions, skips)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
 
         #[test]
-        /// The merge-delta contract on a plain and a 4-shard column, each
-        /// with a published snapshot: random batches — repeated values,
-        /// the `MIN`/`MAX` sentinels, a delete of a tuple that never
-        /// existed now and then — drained often enough to pass
-        /// [`CrackerColumn::DELTA_CAP`] several times, between cracks, edge
-        /// refreshes, stale-piece refreshes and morphs. After every drain,
-        /// random predicates agree across `snapshot_scan`,
-        /// `select_verified` and a multiset oracle, and a snapshot held
-        /// from the drain before keeps its answers. Recording a dropped
-        /// delete in the delta, or a splice keeping the delta values
-        /// inside its spans, fails it.
+        /// The merge-delta contract on a plain and a 4-shard column (row
+        /// ids and values only), each with a published snapshot: random
+        /// batches — repeated values, the `MIN`/`MAX` sentinels, a delete
+        /// of a tuple that never existed now and then — drained often
+        /// enough to pass [`CrackerColumn::DELTA_CAP`] several times, half
+        /// of them by the read path and half by
+        /// [`CrackerColumn::drain_in_background`] (which must copy no
+        /// piece, and must leave a queue past the cap to the read path),
+        /// between cracks, edge refreshes, stale-piece refreshes and
+        /// morphs. After every drain, random predicates agree across
+        /// `snapshot_scan`, `select_verified` and a multiset oracle, and a
+        /// snapshot held from the drain before keeps its answers.
+        /// Recording a dropped delete in the delta, or a splice keeping the
+        /// delta values inside its spans, fails it.
         fn prop_merge_delta_and_splices_match_a_multiset_oracle(seed in proptest::prelude::any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
             let base: Vec<i64> = (0..8_192).map(|_| rng.random_range(0..DOMAIN)).collect();
@@ -3258,14 +3434,16 @@ mod tests {
             let mut scratch = CrackScratch::new();
             let plain = CrackerColumn::from_base("a", &base);
             crack(&[&plain], &mut scratch, &mut rng);
-            let compactions = drain_against_an_oracle(seed, &base, &[&plain], &|_| 0, &|p| vec![(0, p)], 96);
+            let (compactions, skips) =
+                drain_against_an_oracle(seed, &base, &[&plain], &|_| 0, &|p| vec![(0, p)], 96);
             assert!(compactions >= 3, "plain: {compactions} compactions");
+            assert!(skips >= 1, "plain: no background drain met the cap");
             let sharded =
                 ShardedColumn::from_base_with_plan("a", &base, ShardPlan::from_values(&base, 4));
             let shards: Vec<&CrackerColumn<i64>> =
                 (0..sharded.shard_count()).map(|k| &**sharded.shard(k)).collect();
             crack(&shards, &mut scratch, &mut rng);
-            let compactions = drain_against_an_oracle(
+            let (compactions, skips) = drain_against_an_oracle(
                 seed,
                 &base,
                 &shards,
@@ -3274,6 +3452,7 @@ mod tests {
                 48,
             );
             assert!(compactions >= 3, "sharded: {compactions} compactions");
+            assert!(skips >= 1, "sharded: no background drain met the cap");
         }
     }
 

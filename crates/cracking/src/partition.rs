@@ -181,7 +181,11 @@ fn execute_swaps<V: CrackValue, R: RowLane>(
                     // every other job's regions and from each other (left
                     // regions lie strictly below the partition boundary,
                     // right regions at or above it), so no element is
-                    // accessed by two threads.
+                    // accessed by two threads, and both lie inside the
+                    // slices (`random_inputs_all_thread_counts` at 2–16
+                    // threads and `skewed_inputs`, 200k values each, past
+                    // the 2^14-swap threshold; under AddressSanitizer in
+                    // CI).
                     unsafe {
                         std::ptr::swap_nonoverlapping(vp.ptr().add(a), vp.ptr().add(b), len);
                         std::ptr::swap_nonoverlapping(rp.ptr().add(a), rp.ptr().add(b), len);
@@ -206,7 +210,8 @@ impl<T> SendPtr<T> {
 }
 
 // SAFETY: see `execute_swaps` — each thread only dereferences disjoint
-// offsets from the pointer.
+// offsets from the pointer, inside the scope that borrows the slice
+// (`random_inputs_all_thread_counts`, `skewed_inputs`).
 unsafe impl<T> Send for SendPtr<T> {}
 
 #[cfg(test)]

@@ -55,7 +55,10 @@ pub trait RowLane: Copy + Default + Ord + Send + 'static {
     ///
     /// # Safety
     /// The CPU has AVX-512F and AVX-512VL, and the slots of `valid` are
-    /// readable.
+    /// readable. The compress kernels pass the mask of the chunk's values
+    /// inside the piece (`compress_cracks_match_portable_at_every_tail`:
+    /// every tail length 0–64 and past it, with ids and without, under
+    /// AddressSanitizer in CI).
     #[cfg(target_arch = "x86_64")]
     #[doc(hidden)]
     unsafe fn load8(src: *const Self, valid: u8) -> Self::Chunk;
@@ -63,7 +66,9 @@ pub trait RowLane: Copy + Default + Ord + Send + 'static {
     /// `chunk` with lane `i` moved to lane `7 - i`.
     ///
     /// # Safety
-    /// The CPU has AVX-512F and AVX-512VL.
+    /// The CPU has AVX-512F and AVX-512VL (register only, no memory; the
+    /// highs' reverse source order is checked slot for slot by
+    /// `compress_cracks_match_portable_at_every_tail`).
     #[cfg(target_arch = "x86_64")]
     #[doc(hidden)]
     unsafe fn reverse8(chunk: Self::Chunk) -> Self::Chunk;
@@ -73,7 +78,11 @@ pub trait RowLane: Copy + Default + Ord + Send + 'static {
     ///
     /// # Safety
     /// The CPU has AVX-512F and AVX-512VL, and `keep.count_ones()` slots
-    /// from `dst` are writable.
+    /// from `dst` are writable. The kernels' cursor argument is at their
+    /// stores (`compress_cracks_match_portable_at_every_tail`,
+    /// `compress_cracks_match_portable_at_the_extremes` and
+    /// `prop_compress_cracks_match_portable`, under AddressSanitizer in
+    /// CI).
     #[cfg(target_arch = "x86_64")]
     #[doc(hidden)]
     unsafe fn compress8(dst: *mut Self, keep: u8, chunk: Self::Chunk);
@@ -91,6 +100,10 @@ impl RowLane for RowId {
     #[cfg(target_arch = "x86_64")]
     type Chunk = std::arch::x86_64::__m256i;
 
+    // SAFETY (the three hooks): the trait's contracts; the masked load
+    // and store touch only the lanes of `valid` / `keep`, eight 4-byte row
+    // ids a chunk (`compress_cracks_match_portable_at_every_tail` compares
+    // every id slot for slot against the portable body).
     #[cfg(target_arch = "x86_64")]
     #[inline]
     #[target_feature(enable = "avx512f,avx512vl")]
@@ -124,6 +137,10 @@ impl RowLane for () {
     #[cfg(target_arch = "x86_64")]
     type Chunk = ();
 
+    // SAFETY (the three hooks): they touch nothing; a lane of `()` has
+    // no bytes (the id-less cracks of
+    // `compress_cracks_match_portable_at_every_tail` equal the id-carrying
+    // ones).
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     unsafe fn load8(_: *const (), _: u8) {}

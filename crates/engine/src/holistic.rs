@@ -1575,6 +1575,161 @@ mod tests {
         e.stop();
     }
 
+    /// A 8,192-row attribute in four shards of about 2,048 values, each
+    /// optimal from birth, with every shard's snapshot published; then 140
+    /// inserts and 60 deletes of base rows, all on shard 0, and no read.
+    /// Returns the engine, shard 0's snapshot before the updates, and the
+    /// attribute's values after them, sorted.
+    fn converged_shard_with_a_due_queue(
+        max_workers: Option<usize>,
+    ) -> (
+        HolisticEngine,
+        Arc<holix_cracking::PieceSnapshot<i64>>,
+        Vec<i64>,
+    ) {
+        let data = Dataset::new(uniform_table(1, 8_192, 1_000_000, 37));
+        let mut cfg = HolisticEngineConfig::split_half_sharded(2, 4);
+        cfg.holistic.monitor_interval = Duration::from_millis(1);
+        cfg.holistic.max_workers = max_workers;
+        let e = HolisticEngine::new(data, cfg);
+        let everything = QuerySpec {
+            attr: 0,
+            lo: 0,
+            hi: 1_000_000,
+        };
+        assert!(e.execute_snapshot(&everything).is_some());
+        let col = peek(&e, 0);
+        for k in 0..col.shard_count() {
+            let (shard, slot) = live(&col, k).expect("resident");
+            assert_eq!(slot.membership(), Membership::Optimal, "shard {k}");
+            assert!(shard.snapshot_published(), "shard {k}");
+        }
+        let shard = col.shard(0);
+        // Locked reads crack shard 0 finer than its snapshot, whose pieces
+        // go stale; the drain must still copy none of them.
+        let base = e.data.column(0);
+        for &v in base
+            .iter()
+            .filter(|&&v| col.plan().shard_of(v) == 0)
+            .take(8)
+        {
+            let q = QuerySpec {
+                attr: 0,
+                lo: v,
+                hi: v + 1_000,
+            };
+            let want = base.iter().filter(|&&x| q.lo <= x && x < q.hi).count();
+            assert_eq!(e.execute(&q), want as u64);
+        }
+        let before = shard.snapshot().expect("published");
+        assert!(shard.piece_count() > before.piece_count());
+        // Every context busy while the updates queue, so no worker drains
+        // the first 128 alone: from a window after the guard on, the
+        // daemon reads no idle context.
+        let busy = e.accountant().begin_task(2);
+        std::thread::sleep(Duration::from_millis(50));
+        let mut values = e.data.column(0).to_vec();
+        let in_shard = |v: i64| col.plan().shard_of(v) == 0;
+        let deleted: Vec<(i64, RowId)> = (0..values.len())
+            .filter(|&r| in_shard(values[r]))
+            .step_by(7)
+            .take(60)
+            .map(|r| (values[r], r as RowId))
+            .collect();
+        assert_eq!(deleted.len(), 60);
+        for &(v, row) in &deleted {
+            e.queue_delete(0, v, row);
+            values.remove(values.iter().position(|&x| x == v).expect("a base value"));
+        }
+        // Inserted values meet no deleted one, so the delta nets nothing.
+        let mut v = 0;
+        for row in 0..140 {
+            while !in_shard(v) || deleted.iter().any(|&(d, _)| d == v) {
+                v += 1;
+            }
+            e.queue_insert(0, v, (8_192 + row) as RowId);
+            values.push(v);
+            v += 3;
+        }
+        assert_eq!(shard.pending_len(), 200);
+        drop(busy);
+        values.sort_unstable();
+        (e, before, values)
+    }
+
+    /// The engine's answers against the sorted `values`, on every read path.
+    fn reads_match(e: &HolisticEngine, values: &[i64]) {
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..40 {
+            let (a, b) = (
+                rng.random_range(0..1_000_000),
+                rng.random_range(0..1_000_000),
+            );
+            let q = QuerySpec {
+                attr: 0,
+                lo: a.min(b),
+                hi: a.max(b) + 1,
+            };
+            let at = |x: i64| values.partition_point(|&v| v < x);
+            let (i, j) = (at(q.lo), at(q.hi));
+            let want = (j - i) as u64;
+            let sum: i128 = values[i..j].iter().map(|&v| v as i128).sum();
+            assert_eq!(e.execute_snapshot(&q), Some((want, sum)), "{q:?}");
+            assert_eq!(e.execute(&q), want, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn idle_workers_drain_a_converged_shards_queue_into_the_snapshot_delta() {
+        let (e, before, values) = converged_shard_with_a_due_queue(None);
+        let col = peek(&e, 0);
+        let shard = col.shard(0);
+        // The queue empties when a drain takes it; the drain is done when
+        // it publishes the next snapshot version.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while Arc::ptr_eq(&shard.snapshot().expect("published"), &before) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no worker drained the converged shard's queue of {}",
+                shard.pending_len()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(shard.pending_len(), 0);
+        // The whole batch went to the merge delta; no piece was copied.
+        let after = shard.snapshot().expect("published");
+        assert_eq!(shard.snapshot_piece_count(), before.piece_count());
+        let piece = |p: &holix_cracking::snapshot::SnapPiece<i64>| {
+            (p.hi_key, p.len(), p.plain_values().map(<[i64]>::as_ptr))
+        };
+        assert!(before.pieces().map(piece).eq(after.pieces().map(piece)));
+        assert_eq!(after.delta_len(), 200);
+        let held = values
+            .iter()
+            .filter(|&&v| col.plan().shard_of(v) == 0)
+            .count();
+        assert_eq!(shard.len(), held);
+        reads_match(&e, &values);
+        let merges: u64 = e.stop().iter().map(|c| c.merges).sum();
+        assert!(merges >= 1, "no cycle recorded the drain");
+    }
+
+    #[test]
+    fn without_workers_a_converged_shards_queue_is_left_to_reads() {
+        let (e, _, values) = converged_shard_with_a_due_queue(Some(0));
+        let shard = Arc::clone(peek(&e, 0).shard(0));
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            shard.pending_len(),
+            200,
+            "merged without a worker or a read"
+        );
+        // Reads count the queue below the backlog and merge nothing.
+        reads_match(&e, &values);
+        assert_eq!(shard.pending_len(), 200);
+        assert!(e.stop().is_empty(), "a cycle ran with no worker allowed");
+    }
+
     #[test]
     fn routing_keys_are_shard_granular_and_stable() {
         let e = sharded_engine(2, 50_000, 4);
@@ -2290,262 +2445,6 @@ mod tests {
         assert!(
             last * 4 <= first * 5,
             "a cold read costs {last} ns after {OPS} ops, {first} ns in the first {WINDOW}"
-        );
-    }
-
-    /// Count and sum of a multiset over `0..domain` under inserts and
-    /// deletes: the write soak's oracle.
-    struct Fenwick {
-        count: Vec<i64>,
-        sum: Vec<i64>,
-    }
-
-    impl Fenwick {
-        fn new(domain: i64) -> Self {
-            Fenwick {
-                count: vec![0; domain as usize + 1],
-                sum: vec![0; domain as usize + 1],
-            }
-        }
-
-        fn add(&mut self, v: i64, sign: i64) {
-            let mut i = v as usize + 1;
-            while i < self.count.len() {
-                self.count[i] += sign;
-                self.sum[i] += sign * v;
-                i += i & i.wrapping_neg();
-            }
-        }
-
-        /// Count and sum of the values below `v`.
-        fn below(&self, v: i64) -> (i64, i64) {
-            let (mut i, mut count, mut sum) = (v as usize, 0, 0);
-            while i > 0 {
-                count += self.count[i];
-                sum += self.sum[i];
-                i &= i - 1;
-            }
-            (count, sum)
-        }
-
-        fn in_range(&self, lo: i64, hi: i64) -> (u64, i128) {
-            let ((c1, s1), (c0, s0)) = (self.below(hi), self.below(lo));
-            ((c1 - c0) as u64, (s1 - s0) as i128)
-        }
-    }
-
-    /// ROADMAP direction 1(a), the write half of the soak above. One engine
-    /// takes 3 × 10⁵ operations of the benchmark's `update_churn` mix —
-    /// narrow range reads around fresh writes, IN-lists, snapshot scans,
-    /// inserts, deletes and a 500-insert burst every 2 000 operations —
-    /// with **unquantised** read bounds, so the piece table never
-    /// converges: every read may add two boundaries (12.9k pieces after the
-    /// first 10⁴ operations, 264k at the end). Every read is checked
-    /// against a Fenwick oracle.
-    ///
-    /// What it pins is the price of a read that merges pending writes. A
-    /// Ripple merge moves one element per merged value in every piece
-    /// downstream of the value, so that price cannot be flat in the piece
-    /// count; what can be held is its slope. The floor (first quartile) of
-    /// a merging read over the last 10⁴ operations, against the first 10⁴,
-    /// may grow at most twice as fast as the piece table did in between.
-    /// Measured on the 2-vCPU reference box: 30 → 590–670 µs over a
-    /// 20.5-fold piece growth (20–22×, about once the piece growth, ≈ 19 ns
-    /// per boundary of the shard) with the batch kernel; 32 → 2 690 µs
-    /// (84×, four times the piece growth, ≈ 85 ns per boundary) at its
-    /// parent, which walked every boundary once per merged value. Since
-    /// reads merge only a queue past `CrackerColumn::MERGE_BACKLOG`, whole,
-    /// a merging read is a drain of a few hundred updates, and a window
-    /// holds 10–16 of them (at least 8 are required): the floor went from
-    /// 1.00 to 7.08 ms over a 20.4-fold piece growth (7×).
-    ///
-    /// The point filters' rebuild cadence rides along: a shard rebuilds
-    /// its filter once the deletes queued since the last build reach a
-    /// quarter of its length, so rebuilds are at most linear in deletes.
-    /// (On this mix — two inserts per delete and the bursts — no shard
-    /// ever gets there: the bound holds at zero rebuilds.)
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "timing assertion: run with --release")]
-    fn write_soak_merging_reads_grow_no_faster_than_the_piece_table() {
-        const OPS: usize = 300_000;
-        const WINDOW: usize = 10_000;
-        /// How much faster than the piece table the floor may grow.
-        const SLOPE: u64 = 2;
-        let (attrs, rows, shards) = (2, 1 << 18, 4);
-        let domain = 2 * rows as i64;
-        let data = Dataset::new(uniform_table(attrs, rows, domain, 29));
-        let base: Vec<Vec<i64>> = (0..attrs).map(|a| data.column(a).to_vec()).collect();
-        let mut cfg = HolisticEngineConfig::split_half_sharded(2, shards);
-        cfg.holistic.monitor_interval = Duration::from_millis(1);
-        let e = HolisticEngine::new(data, cfg);
-        let mut rng = StdRng::seed_from_u64(31);
-
-        let mut oracle: Vec<Fenwick> = (0..attrs).map(|_| Fenwick::new(domain)).collect();
-        for (tree, col) in oracle.iter_mut().zip(&base) {
-            col.iter().for_each(|&v| tree.add(v, 1));
-        }
-        let hot: Vec<i64> = (0..2048).map(|_| rng.random_range(0..domain)).collect();
-        let mut base_deleted = vec![vec![false; rows]; attrs];
-        let mut inserted: Vec<Vec<(i64, RowId)>> = vec![Vec::new(); attrs];
-        let mut recent: Vec<Vec<i64>> = vec![Vec::new(); attrs];
-        let mut next_row = rows as RowId;
-        let mut deletes = 0usize;
-
-        let pending = |e: &HolisticEngine, attr: usize| -> usize {
-            peek(e, attr)
-                .resident_shards()
-                .map(|shard| shard.pending_len())
-                .sum()
-        };
-        // The published filter of every shard, by address: a change after
-        // the first is a rebuild.
-        let mut filters: Vec<Option<Arc<holix_cracking::PointFilter>>> = vec![None; attrs * shards];
-        let mut rebuilds = 0usize;
-        let mut merging_ns: Vec<Vec<u64>> = vec![Vec::new(); OPS / WINDOW];
-        let mut first_pieces = 0;
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(600);
-        let mut i = 0;
-        while i < OPS {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "soak at op {i} of {OPS} after 600 s"
-            );
-            let attr = rng.random_range(0..attrs);
-            let mut insert = |e: &HolisticEngine, rng: &mut StdRng| {
-                let v = rng.random_range(0..domain);
-                oracle[attr].add(v, 1);
-                inserted[attr].push((v, next_row));
-                if recent[attr].len() == 64 {
-                    recent[attr].remove(0);
-                }
-                recent[attr].push(v);
-                e.queue_insert(attr, v, next_row);
-                next_row += 1;
-            };
-            if i > 0 && i % 2_000 == 0 {
-                for _ in 0..500 {
-                    insert(&e, &mut rng);
-                }
-            }
-            match rng.random_range(0..100) {
-                0..=49 => {
-                    let centre = if !recent[attr].is_empty() && rng.random_bool(0.7) {
-                        recent[attr][rng.random_range(0..recent[attr].len())]
-                    } else {
-                        rng.random_range(0..domain)
-                    };
-                    let width = rng.random_range(1..=domain / 512);
-                    let lo = (centre - rng.random_range(0..width)).clamp(0, domain - width);
-                    let q = QuerySpec {
-                        attr,
-                        lo,
-                        hi: lo + width,
-                    };
-                    let want = oracle[attr].in_range(q.lo, q.hi).0;
-                    let queued = pending(&e, attr);
-                    let t0 = std::time::Instant::now();
-                    let got = e.execute(&q);
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    assert_eq!(got, want, "op {i} {q:?}");
-                    if pending(&e, attr) < queued {
-                        merging_ns[i / WINDOW].push(ns);
-                    }
-                }
-                50..=64 => {
-                    let keys: Vec<i64> = (0..rng.random_range(1..=8))
-                        .map(|_| hot[rng.random_range(0..hot.len())])
-                        .collect();
-                    let mut distinct = keys.clone();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    let want: u64 = distinct
-                        .iter()
-                        .map(|&k| oracle[attr].in_range(k, k + 1).0)
-                        .sum();
-                    assert_eq!(e.execute_points(attr, &keys), Some(want), "op {i} {keys:?}");
-                }
-                65..=69 => {
-                    let width = rng.random_range(domain / 20..domain / 5);
-                    let lo = rng.random_range(0..domain - width);
-                    let q = QuerySpec {
-                        attr,
-                        lo,
-                        hi: lo + width,
-                    };
-                    let want = oracle[attr].in_range(q.lo, q.hi);
-                    assert_eq!(e.execute_snapshot(&q), Some(want), "op {i} {q:?}");
-                }
-                70..=89 => insert(&e, &mut rng),
-                _ => {
-                    let (v, row) = if !inserted[attr].is_empty() && rng.random_bool(0.5) {
-                        let k = rng.random_range(0..inserted[attr].len());
-                        inserted[attr].swap_remove(k)
-                    } else {
-                        let mut row = rng.random_range(0..rows);
-                        while std::mem::replace(&mut base_deleted[attr][row], true) {
-                            row = (row + 1) % rows;
-                        }
-                        (base[attr][row], row as RowId)
-                    };
-                    oracle[attr].add(v, -1);
-                    e.queue_delete(attr, v, row);
-                    deletes += 1;
-                }
-            }
-            i += 1;
-            if i % 64 == 0 {
-                for a in 0..attrs {
-                    let col = peek(&e, a);
-                    for k in 0..col.shard_count() {
-                        let now = col.resident(k).and_then(|(shard, _)| shard.point_filter());
-                        let seen = &mut filters[a * shards + k];
-                        if let (Some(old), Some(new)) = (seen.as_ref(), now.as_ref()) {
-                            rebuilds += usize::from(!Arc::ptr_eq(old, new));
-                        }
-                        *seen = now;
-                    }
-                }
-            }
-            if i == WINDOW {
-                first_pieces = e.total_pieces();
-            }
-        }
-        let last_pieces = e.total_pieces();
-        e.stop();
-
-        // A read merges only a queue past the backlog, whole: every window
-        // must still hold enough merging reads for a floor.
-        for (w, reads) in merging_ns.iter().enumerate() {
-            assert!(
-                reads.len() >= 8,
-                "window {w}: {} merging reads",
-                reads.len()
-            );
-        }
-        assert!(
-            last_pieces >= 8 * first_pieces,
-            "the piece table grew from {first_pieces} to {last_pieces} only"
-        );
-        let mut floors = merging_ns.iter_mut().map(|w| {
-            w.sort_unstable();
-            w[w.len() / 4]
-        });
-        let first = floors.next().expect("at least one window");
-        // The cheapest of the last three windows, as in the soak above: a
-        // neighbour's burst comes back down, growth with uptime does not.
-        let last = floors.skip(OPS / WINDOW - 4).min().expect("three more");
-        assert!(
-            last * first_pieces as u64 <= SLOPE * first * last_pieces as u64,
-            "a merging read costs {last} ns after {OPS} ops, {first} ns in the first {WINDOW} \
-             (pieces {first_pieces} -> {last_pieces})"
-        );
-        // A rebuild needs a quarter of its shard's length in deletes, and
-        // no shard ever holds less than half of what it was born with.
-        let born = rows / shards;
-        assert!(
-            rebuilds * (born / 2 / 4) <= deletes,
-            "{rebuilds} filter rebuilds for {deletes} deletes on shards of {born}"
         );
     }
 
