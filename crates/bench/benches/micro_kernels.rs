@@ -279,7 +279,10 @@ fn bench_ripple_vs_rebuild(c: &mut Criterion) {
 /// 32 consecutive Ripple drains of 280 updates each (two inserts to one
 /// delete of a base tuple) into one converged shard of 2^18 values with a
 /// published snapshot at live granularity: what an `update_churn` shard's
-/// drains pay, the merge-delta compactions among them included. In
+/// drains pay. Every drain adds its batch to the snapshot's merge delta
+/// and copies no piece, except the two whose batch passes
+/// `CrackerColumn::DELTA_CAP`: those compact, rebuilding the whole
+/// shard's snapshot from its live pieces, and are timed with the rest. In
 /// `drain_with_snapshot` the shard has built its row ids first (a
 /// conjunction drove from it) and the drains move them along; in
 /// `drain_values_only` it has none and the drains move values alone and

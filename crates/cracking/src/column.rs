@@ -44,19 +44,17 @@
 //! Ripple merges — the only multiset-changing writers — publish a new
 //! snapshot version and swap the pointer under the same mutex; the
 //! replaced version is freed when the last reader holding it lets go.
-//! A merged value whose snapshot piece is still at live granularity goes
-//! into the snapshot's sorted *merge delta* (folded into a scan in
-//! O(log d)); only a piece the live index has split since it was copied
-//! is copied again, at live granularity (copy-on-write at piece
-//! granularity, untouched pieces share their `Arc`'d segments), and every
-//! such copy — a merge's, an edge refresh's, a background refresh's —
-//! drops the delta values it now holds. Past
+//! A merge adds its values to the snapshot's sorted *merge delta* (folded
+//! into a scan in O(log d)) and shares every piece; a splice of live
+//! copies — an edge refresh's, a background refresh's — drops the delta
+//! values the copies now hold (copy-on-write at piece granularity,
+//! untouched pieces share their `Arc`'d segments). Past
 //! [`CrackerColumn::DELTA_CAP`] values, or after a delete that found no
-//! tuple, a merge compacts: it copies the pieces of every delta value.
-//! Publication and pointer loads under the pending mutex are the whole
-//! protocol: `read_snapshot` is the one load, `splice_multi_and_publish`
-//! the one store. For these readers the structure lock shrinks to a
-//! writer-writer ordering concern.
+//! tuple, a merge compacts: it rebuilds the snapshot from the live pieces
+//! like the first snapshot read. Publication and pointer loads under the
+//! pending mutex are the whole protocol: `read_snapshot` is the one load,
+//! `publish` the one store. For these readers the structure lock shrinks
+//! to a writer-writer ordering concern.
 //!
 //! ## Batched Ripple
 //!
@@ -66,14 +64,14 @@
 //! linearisation point). Only a queue past [`CrackerColumn::MERGE_BACKLOG`]
 //! is merged first — whole, one [`ripple_batch`] walk and one snapshot
 //! publish ([`CrackerColumn::merge_pending`]). With a snapshot published,
-//! such a drain adds most of its values to the merge delta and copies only
-//! the stale pieces the rest land in, under `structure` exclusive like the
-//! walk; a compaction every [`CrackerColumn::DELTA_CAP`] delta values
-//! copies what the delta reaches. Idle workers drain first: from
-//! [`CrackerColumn::DRAIN_DUE`] queued updates, whatever the column's
-//! index membership, [`CrackerColumn::drain_in_background`] merges the
-//! queue the same way but puts every value in the delta and copies no
-//! piece, and leaves a queue that would pass the cap to the reads. So on a
+//! every drain — a read's, a refining worker's, an idle worker's, a filter
+//! rebuild's, a migration's — has the one plan: its values go into the
+//! merge delta, and a compaction every [`CrackerColumn::DELTA_CAP`] delta
+//! values rebuilds the snapshot, under `structure` exclusive like the
+//! walk. Idle workers drain first: from [`CrackerColumn::DRAIN_DUE`]
+//! queued updates, whatever the column's index membership,
+//! [`CrackerColumn::drain_in_background`] merges the queue, and leaves a
+//! queue that would pass the cap — a compaction — to the reads. So on a
 //! column the workers keep up with, reads only count the queue. A worker
 //! takes `structure` only when it is free.
 //!
@@ -109,7 +107,7 @@ use crate::partition::{partition_three, partition_two};
 use crate::piece_stats::{build_stats, PieceStats, SnapPieceStat};
 use crate::range_cell::{RangeCell, RangeGuard};
 use crate::row_ids::RowSource;
-use crate::snapshot::{PieceSnapshot, Segment, SnapPiece, SnapshotScan, SpliceSpan};
+use crate::snapshot::{PieceSnapshot, Segment, SnapPiece, SnapshotScan};
 use crate::updates::{ripple_batch, PendingUpdates, UnmergedKind};
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
@@ -122,37 +120,6 @@ use std::sync::atomic::{
     Ordering::SeqCst,
 };
 use std::sync::Arc;
-
-/// `true` when a splice span starting at anchor `a` begins at or before
-/// `prev_b`, the end anchor of the previous span (anchors are snapshot
-/// boundary keys; `None` is the column edge on its respective side) — the
-/// two spans overlap or touch and must be spliced as one cluster.
-fn anchor_starts_within<V: Ord>(a: Option<V>, prev_b: Option<V>) -> bool {
-    match (a, prev_b) {
-        (_, None) => true,
-        (None, _) => true,
-        (Some(a), Some(b)) => a <= b,
-    }
-}
-
-/// The later of two upper anchors, where `None` is the right column edge.
-fn anchor_max<V: Ord>(x: Option<V>, y: Option<V>) -> Option<V> {
-    match (x, y) {
-        (None, _) | (_, None) => None,
-        (Some(x), Some(y)) => Some(x.max(y)),
-    }
-}
-
-/// Adds the anchor pair `(a, b)` to ascending splice spans. Anchors of
-/// ascending values ascend too: the new pair either falls inside or
-/// touches the last span (which it then extends) or starts a fresh
-/// cluster strictly to its right.
-fn push_span<V: Ord + Copy>(spans: &mut Vec<(Option<V>, Option<V>)>, a: Option<V>, b: Option<V>) {
-    match spans.last_mut() {
-        Some((_, pb)) if anchor_starts_within(a, *pb) => *pb = anchor_max(*pb, b),
-        _ => spans.push((a, b)),
-    }
-}
 
 /// The row lane of a crack over `len` values of a column without row ids:
 /// a slice of `()` (a length, no memory — see [`crate::RowLane`]).
@@ -177,32 +144,6 @@ fn overlay<V: CrackValue>(queue: &PendingUpdates<V>, pred: Predicate<V>) -> (i64
         },
     );
     (count, sum)
-}
-
-/// Where a merged batch goes in the published snapshot (see
-/// `CrackerColumn::merge_plan`).
-struct MergePlan<V> {
-    /// Anchor pairs of the spans to copy from the live column, ascending.
-    spans: Vec<(Option<V>, Option<V>)>,
-    /// Sorted inserts and deletes to add to the snapshot's merge delta.
-    ins: Vec<V>,
-    del: Vec<V>,
-}
-
-impl<V: CrackValue> MergePlan<V> {
-    /// The plan of a background drain: every value to the delta, no copy.
-    fn delta_only(ins: &[(V, RowId)], del: &[(V, RowId)]) -> Self {
-        let sorted = |ops: &[(V, RowId)]| {
-            let mut vals: Vec<V> = ops.iter().map(|&(v, _)| v).collect();
-            vals.sort_unstable();
-            vals
-        };
-        MergePlan {
-            spans: Vec::new(),
-            ins: sorted(ins),
-            del: sorted(del),
-        }
-    }
 }
 
 /// Result of one range select over a cracker column.
@@ -1088,19 +1029,16 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// The background drain of an idle worker: once
     /// [`CrackerColumn::drain_due`], merges the whole queue like
-    /// [`CrackerColumn::merge_pending`], but adds every merged value to the
-    /// published snapshot's merge delta and copies no snapshot piece,
-    /// stale or not (copying the stale ones is the read path's policy,
-    /// `merge_plan`; scans and splices are exact either way). A worker's
-    /// long-lived copies would sit in its own allocator arena while the
-    /// pieces they replace stay resident in the reader's. A queue that
-    /// would take the delta past [`CrackerColumn::DELTA_CAP`] is left to
-    /// the read path, which compacts once the queue passes
-    /// [`CrackerColumn::MERGE_BACKLOG`]. The structure lock is taken only
-    /// when it is free: a worker never queues as a waiting writer, which
-    /// would hold every new locked read of the column behind it (a busy
-    /// column stays due for the next cycle). Returns `true` when it
-    /// merged.
+    /// [`CrackerColumn::merge_pending`], with the same snapshot plan
+    /// (`publish_merge`). A queue that would take the merge delta past
+    /// [`CrackerColumn::DELTA_CAP`] is left to the read path, which
+    /// compacts once the queue passes [`CrackerColumn::MERGE_BACKLOG`]: a
+    /// worker's compaction would leave the rebuilt snapshot in its own
+    /// allocator arena while the pieces it replaces stay resident in the
+    /// reader's. The structure lock is taken only when it is free: a
+    /// worker never queues as a waiting writer, which would hold every new
+    /// locked read of the column behind it (a busy column stays due for
+    /// the next cycle). Returns `true` when it merged.
     pub fn drain_in_background(&self) -> bool {
         if !self.drain_due() {
             return false;
@@ -1117,7 +1055,7 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Ripple-merges the whole pending queue into the cracked column as one
     /// batch ([`ripple_batch`]: one walk over the boundary table) and
-    /// splices it into the published snapshot with one publish. The merge
+    /// adds it to the published snapshot with one publish. The merge
     /// entry of reads past [`CrackerColumn::MERGE_BACKLOG`], of a refining
     /// worker and of every path that needs its tuples in place; idle
     /// workers drain through [`CrackerColumn::drain_in_background`]. No-op
@@ -1143,11 +1081,9 @@ impl<V: CrackValue> CrackerColumn<V> {
     ///
     /// When a snapshot is published, the merge is the *only* operation that
     /// changes per-piece multisets, so it finishes by publishing a snapshot
-    /// that holds the batch: in its merge delta, or in fresh copies of the
-    /// stale pieces the batch lands in (see [`CrackerColumn::merge_plan`]).
-    /// A `background` drain merges only while
-    /// [`CrackerColumn::drain_due`] and puts the whole batch in the delta
-    /// (unless a delete was dropped unseen, which compacts). The taken
+    /// that holds the batch ([`CrackerColumn::publish_merge`]). A
+    /// `background` drain merges only while [`CrackerColumn::drain_due`],
+    /// so it compacts only after a delete was dropped unseen. The taken
     /// batch stays registered as in-flight until the publish, so snapshot
     /// readers racing the merge see every update in either the pending set
     /// or the new snapshot — never neither. Returns `true` when it merged.
@@ -1170,33 +1106,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         // id-less one against an eager twin by
         // `prop_values_only_merges_match_an_eager_twin`.
         let (walked, applied, dropped) = unsafe { self.ripple_apply(&ins, &del) };
-        // Still under `structure` exclusive: nothing else can publish (or
-        // build) a snapshot, so the plan/copy/splice triple is atomic and
-        // the in-flight batch is cleared before any snapshot that already
-        // contains its items can become visible.
-        match self.snapshot() {
-            Some(snap) => {
-                let plan = if background && !dropped {
-                    MergePlan::delta_only(&ins, &applied)
-                } else {
-                    self.merge_plan(&snap, &ins, &applied, dropped)
-                };
-                drop(snap);
-                let copied = !plan.spans.is_empty();
-                let spliced = timed.filter(|_| copied).map(|_| std::time::Instant::now());
-                let spans: Vec<SpliceSpan<V>> = plan
-                    .spans
-                    .into_iter()
-                    .map(|(a, b)| (a, b, self.copy_live_pieces(a, b, false, false)))
-                    .collect();
-                self.splice_multi_and_publish(spans, Some((token, &plan.ins, &plan.del)));
-                if let Some(t1) = spliced {
-                    holix_telemetry::histogram!("cracking_ripple_splice_ns")
-                        .record(t1.elapsed().as_nanos() as u64);
-                }
-            }
-            None => self.pending.lock().queue.finish_merge(token),
-        }
+        self.publish_merge(token, &ins, &applied, dropped);
         self.bump_stats();
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_ripple_merges_total").inc();
@@ -1212,86 +1122,50 @@ impl<V: CrackValue> CrackerColumn<V> {
         true
     }
 
-    /// Merge-delta size past which a merge compacts: folds the whole delta
-    /// into live copies of the pieces its values land in.
+    /// Merge-delta size past which a merge compacts: rebuilds the snapshot
+    /// from the live pieces, with an empty delta.
     pub const DELTA_CAP: usize = 16 * Self::MERGE_BACKLOG;
 
-    /// Where a merged batch goes in the published snapshot `snap`.
+    /// The snapshot plan of every drain: publishes the snapshot that holds
+    /// a merged batch — `ins`, and the deletes that found their tuple,
+    /// `del` — and clears its in-flight `token` in the same publish.
     ///
-    /// A value whose snapshot piece the live index has split since it was
-    /// copied (a *stale* piece, [`CrackerIndex::splits`]) gets that piece
-    /// copied at live granularity — one span per cluster of such pieces,
-    /// so a sparse batch copies only the pieces it lands in, and the copy
-    /// absorbs the delta values inside it. Every other value goes to the
-    /// delta. A merge that would take the delta past
-    /// [`CrackerColumn::DELTA_CAP`], or whose batch had a delete that found
-    /// no target (`dropped`: which one is unknown, and it must not reach
-    /// the delta — only a column with row ids drops one unseen), compacts
-    /// instead: it copies the pieces of every delta and batch value, and
-    /// adds nothing.
+    /// The batch goes into the published snapshot's merge delta, and every
+    /// piece is shared. A batch that would take the delta past
+    /// [`CrackerColumn::DELTA_CAP`], or that had a delete which found no
+    /// tuple (`dropped`: which one is unknown, and it must not reach the
+    /// delta — only a column with row ids drops one unseen), compacts
+    /// instead: the snapshot is rebuilt from the live pieces like the first
+    /// one ([`CrackerColumn::rebuild_snapshot`]), with an empty delta.
+    /// Without a published snapshot only the token is cleared.
     ///
-    /// The read path's plan. A worker's drain copies nothing
-    /// ([`MergePlan::delta_only`]); the read path keeps its stale copies
-    /// because sending them to the delta too cost `update_churn` 6 % of
-    /// its operations per second (10 of 10 alternating pairs), for a
-    /// reason not found.
-    fn merge_plan(
-        &self,
-        snap: &PieceSnapshot<V>,
-        ins: &[(V, RowId)],
-        del: &[(V, RowId)],
-        dropped: bool,
-    ) -> MergePlan<V> {
-        let mut batch: Vec<(V, bool)> = ins
-            .iter()
-            .map(|&(v, _)| (v, true))
-            .chain(del.iter().map(|&(v, _)| (v, false)))
-            .collect();
-        batch.sort_unstable();
-        let mut spans = Vec::new();
-        let (mut delta_ins, mut delta_del) = (Vec::new(), Vec::new());
-        if !dropped {
-            let idx = self.index.read();
-            snap.group_by_piece(
-                &batch,
-                |&(v, _)| v,
-                |a, b, held| {
-                    if idx.splits(a, b) {
-                        push_span(&mut spans, a, b);
-                    } else {
-                        for &(v, insert) in held {
-                            if insert {
-                                delta_ins.push(v);
-                            } else {
-                                delta_del.push(v);
-                            }
-                        }
-                    }
-                },
-            );
-            if snap.delta_len() + delta_ins.len() + delta_del.len() <= Self::DELTA_CAP {
-                return MergePlan {
-                    spans,
-                    ins: delta_ins,
-                    del: delta_del,
-                };
-            }
+    /// Caller holds `structure` exclusively: nothing else can publish (or
+    /// build) a snapshot, so the load, the plan and the store are atomic
+    /// and the in-flight batch is cleared before any snapshot that already
+    /// contains its items can become visible.
+    fn publish_merge(&self, token: u64, ins: &[(V, RowId)], del: &[(V, RowId)], dropped: bool) {
+        let Some(snap) = self.snapshot() else {
+            self.pending.lock().queue.finish_merge(token);
+            return;
+        };
+        if !dropped && snap.delta_len() + ins.len() + del.len() <= Self::DELTA_CAP {
+            let sorted = |ops: &[(V, RowId)]| {
+                let mut vals: Vec<V> = ops.iter().map(|&(v, _)| v).collect();
+                vals.sort_unstable();
+                vals
+            };
+            let next = snap.with_delta(&sorted(ins), &sorted(del), &self.snap_bytes);
+            drop(snap);
+            self.publish(Some(token), |_| Some(next));
+            return;
         }
-        let mut all: Vec<V> = batch
-            .iter()
-            .map(|&(v, _)| v)
-            .chain(snap.delta().map(|(v, _)| v))
-            .collect();
-        all.sort_unstable();
-        spans.clear();
-        snap.group_by_piece(&all, |&v| v, |a, b, _| push_span(&mut spans, a, b));
-        if holix_telemetry::metrics_enabled() {
+        drop(snap);
+        let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
+        self.rebuild_snapshot(Some(token));
+        if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_delta_compactions_total").inc();
-        }
-        MergePlan {
-            spans,
-            ins: Vec::new(),
-            del: Vec::new(),
+            holix_telemetry::histogram!("cracking_delta_compaction_ns")
+                .record(t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -1446,8 +1320,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             let _exclusive = self.structure.write();
             // Unless a racing reader built it while this one waited.
             if !self.snapshot_published() {
-                let pieces = self.copy_live_pieces(None, None, false, false);
-                self.splice_and_publish(None, None, pieces);
+                self.rebuild_snapshot(None);
             }
         }
         self.read_snapshot(&fold)
@@ -1955,67 +1828,51 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
-    /// [`CrackerColumn::splice_multi_and_publish`] for a single span, not
-    /// a merge's.
-    fn splice_and_publish(&self, a: Option<V>, b: Option<V>, mid: Vec<SnapPiece<V>>) {
-        self.splice_multi_and_publish(vec![(a, b, mid)], None);
+    /// Publishes a snapshot rebuilt from the live pieces at their current
+    /// granularity, with an empty merge delta: the first snapshot read's
+    /// one-time O(N) copy, and a merge's compaction, which passes its
+    /// in-flight `token`. Caller holds `structure` exclusively.
+    fn rebuild_snapshot(&self, token: Option<u64>) {
+        let next = PieceSnapshot::new(self.copy_live_pieces(None, None, false, false));
+        self.publish(token, |_| Some(next));
     }
 
-    /// Publishes a new snapshot that replaces, for each span `(a, b, mid)`
-    /// (ascending, disjoint), every piece covering the value range `[a, b)`
-    /// with `mid` — sharing every run of the piece table no span reaches
-    /// into ([`PieceSnapshot::splice`]) and the segments of every
-    /// untouched piece, including interior pieces *between* the spans of
-    /// one sparse wide merge — and drops the merge-delta values inside the
-    /// spans. A merge passes `(token, inserts, deletes)`: the values its
-    /// delta gains, and its in-flight batch, which is cleared in the same
-    /// critical section as the store, so readers switch from "old snapshot
-    /// + in-flight items" to "new snapshot" atomically.
-    ///
-    /// The one store of the published pointer: it runs under the pending
-    /// mutex (the reader linearisation point). The replaced version is let
-    /// go after the mutex; its memory goes when the last reader holding it
-    /// does.
-    ///
-    /// Caller holds a structure lock (exclusive for merges/builds, shared
-    /// for refreshes).
-    fn splice_multi_and_publish(
+    /// Publishes a snapshot that replaces every piece covering the value
+    /// range `[a, b)` with `mid` ([`PieceSnapshot::splice`]: the rest of
+    /// the piece table and the segments of every untouched piece are
+    /// shared) and drops the merge-delta values inside the span. An edge
+    /// refresh, a background refresh and a morph publish this way; caller
+    /// holds a structure lock (any mode).
+    fn splice_and_publish(&self, a: Option<V>, b: Option<V>, mid: Vec<SnapPiece<V>>) {
+        // Both anchors must still be boundaries of the published snapshot.
+        // A morph republishes a span as one piece, so a refresh that took
+        // interior anchors before it can arrive stale; it gives up (the
+        // next scan refreshes again).
+        self.publish(None, |old| old?.splice(a, b, mid));
+    }
+
+    /// The one store of the published pointer. `next` makes the new
+    /// version from the published one (`None` while nothing is published)
+    /// or returns `None` to publish nothing; it runs under the pending
+    /// mutex (the reader linearisation point), so publishers under
+    /// `structure` shared cannot lose each other's splices. A merge passes
+    /// its in-flight `token`, which is cleared in the same critical
+    /// section as the store, so readers switch from "old snapshot +
+    /// in-flight items" to "new snapshot" atomically. The replaced version
+    /// is let go after the mutex; its memory goes when the last reader
+    /// holding it does.
+    fn publish(
         &self,
-        spans: Vec<SpliceSpan<V>>,
-        merge: Option<(u64, &[V], &[V])>,
+        token: Option<u64>,
+        next: impl FnOnce(Option<&PieceSnapshot<V>>) -> Option<PieceSnapshot<V>>,
     ) {
         let mut p = self.pending.lock();
-        let new = match &p.snap {
-            None => {
-                debug_assert!(
-                    spans.len() <= 1,
-                    "first publish is at most one whole-column span"
-                );
-                PieceSnapshot::new(
-                    spans
-                        .into_iter()
-                        .next()
-                        .map(|(_, _, m)| m)
-                        .unwrap_or_default(),
-                )
-            }
-            // Both anchors of every span must still be boundaries of
-            // *this* snapshot. A morph republishes a span as one piece, so
-            // a refresh that took interior anchors before it can arrive
-            // stale; it gives up (the next scan refreshes again). Merges
-            // hold `structure` exclusively between anchor lookup and
-            // splice and cannot be stale.
-            Some(old) => match (old.splice(spans), merge) {
-                (Some(new), Some((_, ins, del))) => new.with_delta(ins, del, &self.snap_bytes),
-                (Some(new), None) => new,
-                (None, _) => {
-                    debug_assert!(merge.is_none(), "a merge's anchors went stale");
-                    return;
-                }
-            },
+        let Some(new) = next(p.snap.as_deref()) else {
+            debug_assert!(token.is_none(), "a merge published nothing");
+            return;
         };
         let old = p.snap.replace(Arc::new(new));
-        if let Some((token, _, _)) = merge {
+        if let Some(token) = token {
             p.queue.finish_merge(token);
         }
         // Freeing the replaced version can free O(column) bytes of
@@ -2656,64 +2513,74 @@ mod tests {
         col.check_invariants(None);
     }
 
+    /// `true` when every piece of `new` is a piece of `old`: same key,
+    /// same length, same backing segment.
+    fn shares_every_piece(old: &PieceSnapshot<i64>, new: &PieceSnapshot<i64>) -> bool {
+        let piece = |p: &SnapPiece<i64>| (p.hi_key, p.len(), Arc::as_ptr(&p.seg));
+        old.pieces().map(piece).eq(new.pieces().map(piece))
+    }
+
+    /// Every drain below [`CrackerColumn::DELTA_CAP`] — the read path's and
+    /// an idle worker's alike — adds its batch to the merge delta and
+    /// shares every piece of the snapshot it replaces, even pieces the live
+    /// index has split since they were copied. The drain that passes the
+    /// cap compacts: an empty delta, pieces at live granularity, and scans
+    /// equal to a fresh build's.
     #[test]
-    fn sparse_wide_merge_shares_interior_pieces() {
-        let (base, col) = column(50_000, 30);
+    fn a_drain_shares_every_piece_until_the_cap_compacts() {
+        let (mut base, col) = column(50_000, 30);
         let mut scratch = CrackScratch::new();
-        // Crack the live index fine, then publish a snapshot at that
-        // granularity (the first build copies per live piece).
+        let full = Predicate::range(i64::MIN, i64::MAX);
+        // Publish while the column is coarse, then crack the live index
+        // far past the snapshot's granularity.
+        col.snapshot_scan(full, &mut scratch);
         let mut rng = StdRng::seed_from_u64(31);
         for _ in 0..40 {
-            let a = rng.random_range(0..1_000);
-            let b = rng.random_range(0..1_000);
-            let lo = a.min(b);
-            col.select(Predicate::range(lo, a.max(b).max(lo + 1)), &mut scratch);
+            let (a, b) = (rng.random_range(0..1_000), rng.random_range(0..1_000));
+            col.select(Predicate::range(a.min(b), a.max(b)), &mut scratch);
         }
-        let full = Predicate::range(0, 1_000);
-        col.snapshot_scan(full, &mut scratch);
-        let pieces = col.snapshot_piece_count();
-        assert!(pieces > 20, "setup failed to produce a fine snapshot");
-        // Two inserts at the column's ends land in pieces the live index
-        // has not split since: the merge adds them to the delta and copies
-        // no piece.
-        let n = base.len() as RowId;
-        col.queue_insert(2, n);
-        col.queue_insert(997, n + 1);
+        let batch = CrackerColumn::<i64>::DRAIN_DUE;
+        let cap = CrackerColumn::<i64>::DELTA_CAP;
+        let mut queue = |base: &mut Vec<i64>| {
+            for _ in 0..batch {
+                let v = rng.random_range(0..1_000);
+                assert!(col.queue_insert(v, base.len() as RowId));
+                base.push(v);
+            }
+        };
+        for drain in 0..cap / batch {
+            let old = col.snapshot().expect("published above");
+            queue(&mut base);
+            if drain % 2 == 0 {
+                assert!(col.drain_in_background(), "drain {drain}");
+            } else {
+                col.merge_pending();
+            }
+            let new = col.snapshot().expect("published above");
+            assert!(shares_every_piece(&old, &new), "drain {drain} copied");
+            assert_eq!(new.delta_len(), old.delta_len() + batch);
+        }
+        // The next batch passes the cap: a worker leaves it to the read
+        // path, which compacts.
+        queue(&mut base);
+        assert!(!col.drain_in_background());
         col.merge_pending();
         let snap = col.snapshot().expect("published above");
-        assert_eq!(snap.delta().collect::<Vec<_>>(), [(2, true), (997, true)]);
-        assert_eq!(
-            snap.piece_count(),
-            pieces,
-            "a merge into live pieces copied"
-        );
-        drop(snap);
-        // A delete that finds no target compacts: the delta goes into
-        // copies of the pieces its values land in. Hold the current version
-        // so what it alone references stays charged: the byte delta below
-        // then measures exactly what the compaction *copied*.
-        let before = col.snapshot_bytes();
-        let _held = col.snapshot();
-        col.queue_delete(997, n + 2);
-        col.merge_pending();
-        assert_eq!(col.snapshot().unwrap().delta_len(), 0, "no compaction");
-        let copied = col.snapshot_bytes() - before;
-        // Sharing keeps the copy to the two touched edge clusters — a few
-        // pieces' worth, not the whole anchor span between them (~400 KB).
-        let budget = (base.len() / pieces).max(1) * std::mem::size_of::<i64>() * 8;
-        assert!(
-            copied > 0 && copied <= budget,
-            "wide sparse compaction copied {copied} bytes (budget {budget}); \
-             interior pieces were not shared"
-        );
-        // And every read path still answers exactly.
-        let (_, stats) = col.select_verified(full, &mut scratch);
-        let mut expect = scan_stats(&base, full);
-        expect.count += 2;
-        expect.sum += 2 + 997;
-        assert_eq!(stats, expect);
-        let scan = col.snapshot_scan(full, &mut scratch);
-        assert_eq!((scan.count, scan.sum), (expect.count, expect.sum));
+        assert_eq!(snap.delta_len(), 0);
+        let fresh = {
+            let _shared = col.structure.read();
+            PieceSnapshot::new(col.copy_live_pieces(None, None, true, false))
+        };
+        let keys = |s: &PieceSnapshot<i64>| s.pieces().map(|p| p.hi_key).collect::<Vec<_>>();
+        assert_eq!(keys(&snap), keys(&fresh), "not at live granularity");
+        for _ in 0..32 {
+            let (a, b) = (rng.random_range(-5..1_005), rng.random_range(-5..1_005));
+            let pred = Predicate::range(a.min(b), a.max(b));
+            assert_eq!(snap.stats(pred.lo, pred.hi), fresh.stats(pred.lo, pred.hi));
+            let want = scan_stats(&base, pred);
+            let got = snap.stats(pred.lo, pred.hi);
+            assert_eq!((got.count, got.sum), (want.count, want.sum), "{pred:?}");
+        }
     }
 
     #[test]
@@ -3329,41 +3196,38 @@ mod tests {
                     *oracle.entry(v).or_insert(0) += 1;
                 }
             }
-            // Half the drains are an idle worker's, which copies no piece
-            // and leaves a queue past the delta's cap to the read path.
+            // Half the drains are an idle worker's, which leaves a queue
+            // past the delta's cap to the read path. Every drain shares
+            // every piece unless it compacts.
             for (k, part) in parts.iter().enumerate() {
                 let old = part.snapshot().expect("published");
                 let (before, queued) = (old.delta_len(), part.pending_len());
                 let cap = CrackerColumn::<i64>::DELTA_CAP;
+                // A column without row ids knows its absent delete and
+                // drops it before the plan; one with row ids drops it
+                // unseen and compacts.
+                let absent_here = absent && k == route(7);
+                let ids = part.has_row_ids();
+                let compacts = (absent_here && ids)
+                    || before + queued - usize::from(absent_here && !ids) > cap;
                 let background = rng.random_bool(0.5);
-                if background && part.drain_in_background() {
-                    let new = part.snapshot().expect("published");
-                    if absent && k == route(7) && part.has_row_ids() {
-                        // A delete dropped unseen compacts, as on reads.
-                        assert_eq!(new.delta_len(), 0);
-                        compactions += 1;
-                    } else {
-                        let piece = |p: &SnapPiece<i64>| {
-                            (p.hi_key, p.len(), p.plain_values().map(<[i64]>::as_ptr))
-                        };
-                        assert!(
-                            old.pieces().map(piece).eq(new.pieces().map(piece)),
-                            "a background drain copied a piece"
-                        );
-                        assert!(new.delta_len() <= before + queued);
-                    }
-                    assert_eq!(part.pending_len(), 0);
-                    continue;
-                }
-                if background {
+                if background && !part.drain_in_background() {
                     assert!(before + queued > cap, "a due queue was not drained");
                     assert_eq!(part.pending_len(), queued, "a skipped drain merged");
                     skips += 1;
+                    part.merge_pending();
+                } else if !background {
+                    part.merge_pending();
                 }
-                part.merge_pending();
-                let after = part.snapshot().expect("published").delta_len();
-                assert!(after <= cap);
-                compactions += usize::from(before + queued > cap && after == 0);
+                assert_eq!(part.pending_len(), 0);
+                let new = part.snapshot().expect("published");
+                if compacts {
+                    assert_eq!(new.delta_len(), 0, "a compaction kept a delta");
+                    compactions += 1;
+                } else {
+                    assert!(shares_every_piece(&old, &new), "a drain copied a piece");
+                    assert!(new.delta_len() <= before + queued);
+                }
             }
             // A version held since the last drain keeps that drain's
             // answers; the current one, the locked path and the oracle
@@ -3411,14 +3275,16 @@ mod tests {
         /// of a tuple that never existed now and then — drained often
         /// enough to pass [`CrackerColumn::DELTA_CAP`] several times, half
         /// of them by the read path and half by
-        /// [`CrackerColumn::drain_in_background`] (which must copy no
-        /// piece, and must leave a queue past the cap to the read path),
-        /// between cracks, edge refreshes, stale-piece refreshes and
-        /// morphs. After every drain, random predicates agree across
-        /// `snapshot_scan`, `select_verified` and a multiset oracle, and a
-        /// snapshot held from the drain before keeps its answers.
-        /// Recording a dropped delete in the delta, or a splice keeping the
-        /// delta values inside its spans, fails it.
+        /// [`CrackerColumn::drain_in_background`] (which must leave a
+        /// queue past the cap to the read path), between cracks, edge
+        /// refreshes, stale-piece refreshes and morphs. A drain that does
+        /// not compact must share every piece of the snapshot it replaces;
+        /// one that does must leave an empty delta. After every drain,
+        /// random predicates agree across `snapshot_scan`,
+        /// `select_verified` and a multiset oracle, and a snapshot held
+        /// from the drain before keeps its answers. Recording a dropped
+        /// delete in the delta, or a splice keeping the delta values inside
+        /// its span, fails it.
         fn prop_merge_delta_and_splices_match_a_multiset_oracle(seed in proptest::prelude::any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
             let base: Vec<i64> = (0..8_192).map(|_| rng.random_range(0..DOMAIN)).collect();

@@ -25,7 +25,7 @@
 use crate::latch::PieceLatch;
 use holix_storage::types::CrackValue;
 use std::collections::BTreeMap;
-use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Value part of a boundary entry.
 #[derive(Debug, Clone)]
@@ -253,38 +253,6 @@ impl<V: CrackValue> CrackerIndex<V> {
             latch,
             hi_key,
         })
-    }
-
-    /// `true` when a boundary strictly between the keys `a` and `b` (both
-    /// boundaries; `None` = the column edge on that side) splits the
-    /// values between them into two non-empty pieces. Boundaries of empty
-    /// pieces do not count: a copy of `[a, b)` skips those pieces, so it
-    /// would come out as the one piece it already is.
-    pub fn splits(&self, a: Option<V>, b: Option<V>) -> bool {
-        let lower = a.map_or(Unbounded, Included);
-        let upper = b.map_or(Unbounded, Included);
-        // One range walk from `a` to `b`, both ends included: its ends are
-        // the anchors' positions, its middle the boundaries between them.
-        let mut span = self.bounds.range((lower, upper));
-        let at = |key: V, entry: Option<(&V, &BoundEntry)>| {
-            let pos = entry.filter(|&(&k, _)| k == key).map(|(_, e)| e.pos);
-            debug_assert!(pos.is_some(), "{key:?} is not a boundary");
-            pos
-        };
-        let from = match a {
-            None => Some(0),
-            Some(a) => at(a, span.next()),
-        };
-        let to = match b {
-            None => Some(self.len),
-            Some(b) => at(b, span.next_back()),
-        };
-        let (Some(from), Some(to)) = (from, to) else {
-            return true;
-        };
-        span.map(|(_, e)| e.pos)
-            .find(|&p| p > from)
-            .is_some_and(|p| p < to)
     }
 
     /// Memory used by the index structure itself (rough, for budgeting).
@@ -534,22 +502,6 @@ mod tests {
             k > 50
         });
         assert_eq!(idx.bounds_in_order(), vec![(30, 25), (50, 61), (70, 80)]);
-    }
-
-    #[test]
-    fn splits_ignores_boundaries_of_empty_pieces() {
-        // Pieces: [..10) at 0..5, [10, 20) empty at 5, [20, 30) at 5..9,
-        // [30..) at 9..12.
-        let mut idx = CrackerIndex::<i64>::new(12);
-        for (key, pos) in [(10, 5), (20, 5), (30, 9)] {
-            idx.insert_bound(key, pos);
-        }
-        assert!(idx.splits(None, Some(30)), "10 cuts 0..9 at 5");
-        assert!(idx.splits(None, None));
-        assert!(!idx.splits(Some(10), Some(30)), "only the empty [10, 20)");
-        assert!(!idx.splits(None, Some(20)), "[10, 20) is empty");
-        assert!(!idx.splits(Some(30), None), "no boundary inside");
-        assert!(idx.splits(Some(10), None), "30 cuts 5..12 at 9");
     }
 
     #[test]

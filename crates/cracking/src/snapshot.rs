@@ -10,9 +10,10 @@
 //! a piece's multiset, and merges already run under the column's exclusive
 //! structure lock. So the write side replaces a snapshot exactly when a
 //! merge lands — adding the merged values to the snapshot's sorted merge
-//! delta, or re-copying at piece granularity the pieces they land in,
-//! sharing the `Arc`'d [`Segment`]s of every untouched piece — and readers
-//! run with **no structure lock at all**.
+//! delta and sharing every `Arc`'d [`Segment`], or, once the delta is
+//! full, rebuilding the snapshot from the live pieces — and readers run
+//! with **no structure lock at all**. Refreshes re-copy single spans of
+//! pieces at live granularity the same copy-on-write way.
 //!
 //! ## Publication and reclamation
 //!
@@ -79,8 +80,9 @@ fn for_offsets(base: i64, lo: Option<i64>, hi: Option<i64>) -> Option<(Option<u6
 /// early-exit scans); values round-trip through the order-preserving
 /// `CrackValue::as_i64` map.
 enum Repr<V> {
-    /// Verbatim values in column order — the only form edge refreshes and
-    /// merge splices produce; morphing re-encodes it in the background.
+    /// Verbatim values in column order — the only form snapshot builds
+    /// and edge refreshes produce; morphing re-encodes it in the
+    /// background.
     Plain(Vec<V>),
     /// Frame-of-reference: sorted values bit-packed as offsets from the
     /// minimum.
@@ -129,7 +131,7 @@ pub struct Segment<V> {
 
 impl<V: CrackValue> Segment<V> {
     /// Wraps copied-out values verbatim (plain encoding), charging them to
-    /// `bytes`. Edge pieces and splice copies take this form; the daemon
+    /// `bytes`. Built pieces and edge copies take this form; the daemon
     /// re-encodes stable pieces later via [`Segment::encoded`].
     pub fn new(data: Vec<V>, bytes: Arc<AtomicUsize>) -> Self {
         let charged = data.len() * V::width();
@@ -488,7 +490,7 @@ impl<V> Drop for Segment<V> {
 pub struct SnapPiece<V> {
     /// Exclusive upper boundary key; `None` = unbounded (last piece).
     pub hi_key: Option<V>,
-    seg: Arc<Segment<V>>,
+    pub(crate) seg: Arc<Segment<V>>,
     start: usize,
     len: usize,
     /// Sum of the piece's values (widened).
@@ -567,15 +569,15 @@ pub struct SnapshotScan {
 /// snapshot's piece table.
 const RUN_PIECES: usize = 64;
 
-/// The merged values no snapshot piece holds yet: a Ripple merge whose
-/// values land in pieces still at live granularity records them here
-/// instead of re-copying those pieces. One ascending array of the merged
-/// inserts and deletes, with prefix sums of their net count and net sum (a
-/// delete of a value some piece, or an insert here, still holds counts
-/// −1), so a value range folds in two binary searches. An insert and a
-/// delete of one value cancel. Charged to the byte counter like a
-/// [`Segment`] — values and prefix sums — and debited on `Drop`, so a
-/// reader holding an old version keeps its delta charged.
+/// The merged values no snapshot piece holds yet: a Ripple merge records
+/// its values here instead of re-copying the pieces they land in, until
+/// the delta is full and the column rebuilds its snapshot. One ascending
+/// array of the merged inserts and deletes, with prefix sums of their net
+/// count and net sum (a delete of a value some piece, or an insert here,
+/// still holds counts −1), so a value range folds in two binary searches.
+/// An insert and a delete of one value cancel. Charged to the byte
+/// counter like a [`Segment`] — values and prefix sums — and debited on
+/// `Drop`, so a reader holding an old version keeps its delta charged.
 struct MergeDelta<V> {
     vals: Box<[V]>,
     /// `counts[i]` and `sums[i]`: net count and net sum of `vals[..i]`.
@@ -699,11 +701,6 @@ enum Reached<'a, V> {
     Piece(&'a SnapPiece<V>, bool),
 }
 
-/// One splice span: the snapshot pieces covering the value range between
-/// the lower and the upper anchor (snapshot boundary keys; `None` = the
-/// column edge on that side) are replaced by the given pieces.
-pub type SpliceSpan<V> = (Option<V>, Option<V>, Vec<SnapPiece<V>>);
-
 /// A position in a run table: `(run, piece within the run)`; the table's
 /// end is `(runs.len(), 0)`. Ordered as the pieces are.
 type Cursor = (usize, usize);
@@ -714,19 +711,20 @@ type Cursor = (usize, usize);
 ///
 /// The piece table is held as runs of at most `RUN_PIECES` pieces, each
 /// run `Arc`-shared: [`PieceSnapshot::splice`] builds the next version by
-/// rebuilding the runs its spans touch and sharing every other one, so
-/// publishing after a merge costs a refcount per *run* it left alone
-/// rather than a clone (and later a drop) per *piece*. Runs only ever
-/// shrink when a span's replacement is shorter than what it replaces
-/// (emptied pieces are not copied back); a table whose runs have all
-/// withered to a piece each costs a splice what the flat table did.
+/// rebuilding the runs its span touches and sharing every other one, and
+/// [`PieceSnapshot::with_delta`] shares them all, so a publish costs a
+/// refcount per *run* it left alone rather than a clone (and later a
+/// drop) per *piece*. Runs only ever shrink when a span's replacement is
+/// shorter than what it replaces (emptied pieces are not copied back); a
+/// table whose runs have all withered to a piece each costs a splice what
+/// the flat table did, until the next rebuild ([`PieceSnapshot::new`]).
 ///
 /// Beside the pieces sits the snapshot's *merge delta*: merged inserts and
 /// deletes that no piece holds yet, sorted with prefix sums, so
-/// [`PieceSnapshot::stats`] folds them in O(log d). A merge adds its values
-/// there ([`PieceSnapshot::with_delta`]) instead of re-copying the pieces
-/// they land in; every splice drops the delta values inside its spans,
-/// whose replacement pieces are live copies that already hold them.
+/// [`PieceSnapshot::stats`] folds them in O(log d). Every merge adds its
+/// values there ([`PieceSnapshot::with_delta`]) and copies no piece; a
+/// splice drops the delta values inside its span, whose replacement
+/// pieces are live copies that already hold them.
 pub struct PieceSnapshot<V> {
     runs: Vec<Run<V>>,
     len: usize,
@@ -817,18 +815,20 @@ impl<V: CrackValue> PieceSnapshot<V> {
     /// delta (new delta bytes are charged to `bytes`): inserts the column
     /// merged that no piece holds, and deletes that found their tuple in
     /// the column, whose values a piece (or the delta) still holds.
-    pub fn with_delta(self, ins: &[V], del: &[V], bytes: &Arc<AtomicUsize>) -> Self {
-        if ins.is_empty() && del.is_empty() {
-            return self;
-        }
-        let key = |&(v, _): &(V, bool)| v;
-        let new = merged(
-            ins.iter().map(|&v| (v, true)),
-            del.iter().map(|&v| (v, false)),
-            key,
-        );
-        let delta = MergeDelta::new(merged(self.delta(), new.into_iter(), key), bytes);
-        Self::from_runs(self.runs, delta)
+    /// Every piece is shared with `self`.
+    pub fn with_delta(&self, ins: &[V], del: &[V], bytes: &Arc<AtomicUsize>) -> Self {
+        let delta = if ins.is_empty() && del.is_empty() {
+            self.delta.clone()
+        } else {
+            let key = |&(v, _): &(V, bool)| v;
+            let new = merged(
+                ins.iter().map(|&v| (v, true)),
+                del.iter().map(|&v| (v, false)),
+                key,
+            );
+            MergeDelta::new(merged(self.delta(), new.into_iter(), key), bytes)
+        };
+        Self::from_runs(self.runs.clone(), delta)
     }
 
     /// The pieces in ascending value order.
@@ -888,37 +888,6 @@ impl<V: CrackValue> PieceSnapshot<V> {
         (a, b)
     }
 
-    /// Hands `f` the key range `(a, b)` of every piece the ascending
-    /// `items` fall in (by `key`), in order, with the items it holds —
-    /// one incremental seek per such piece instead of
-    /// [`PieceSnapshot::anchors`] per item.
-    pub fn group_by_piece<'a, T>(
-        &self,
-        items: &'a [T],
-        key: impl Fn(&T) -> V,
-        mut f: impl FnMut(Option<V>, Option<V>, &'a [T]),
-    ) {
-        let (mut r, mut o) = (0, 0);
-        let mut i = 0;
-        while i < items.len() {
-            let v = key(&items[i]);
-            let below = |k: Option<V>| k.is_some_and(|k| k <= v);
-            while self.runs.get(r).is_some_and(|run| below(run.hi_key)) {
-                (r, o) = (r + 1, 0);
-            }
-            let b = match self.runs.get(r) {
-                Some(run) => {
-                    o += run.pieces[o..].partition_point(|p| below(p.hi_key));
-                    run.pieces[o].hi_key
-                }
-                None => None,
-            };
-            let n = items[i..].partition_point(|t| b.is_none_or(|b| key(t) < b));
-            f(self.key_before((r, o)), b, &items[i..i + n]);
-            i += n;
-        }
-    }
-
     /// `true` when any piece intersecting `[lo, hi)` is encoded.
     pub fn span_has_encoded(&self, lo: V, hi: V) -> bool {
         for p in self.pieces_from(self.seek(lo, false)) {
@@ -934,51 +903,55 @@ impl<V: CrackValue> PieceSnapshot<V> {
         false
     }
 
-    /// The next version of this snapshot: for each span `(a, b, mid)`
-    /// (ascending, disjoint), every piece covering the value range
-    /// `[a, b)` replaced by `mid`. Only the runs a span reaches into are
-    /// rebuilt (from what the span leaves of them plus `mid`); every other
-    /// run is shared with `self`. The merge delta loses its values inside
-    /// the spans: `mid` must hold the whole multiset of `[a, b)` (a copy
-    /// of the live column does), or a span must meet no delta value (a
-    /// re-encoded piece).
+    /// The next version of this snapshot: every piece covering the value
+    /// range `[a, b)` (`None` = the column edge on that side) replaced by
+    /// `mid`. Only the runs the span reaches into are rebuilt (from what
+    /// the span leaves of them plus `mid`); every other run is shared with
+    /// `self`. The merge delta loses its values inside the span: `mid` must
+    /// hold the whole multiset of `[a, b)` (a copy of the live column
+    /// does), or the span must meet no delta value (a re-encoded piece).
     ///
     /// `None` when an anchor is not (or no longer) a boundary of this
     /// snapshot: a piece straddling it would be dropped whole and only its
     /// part inside `[a, b)` put back.
-    pub fn splice(&self, spans: Vec<SpliceSpan<V>>) -> Option<Self> {
+    pub fn splice(&self, a: Option<V>, b: Option<V>, mid: Vec<SnapPiece<V>>) -> Option<Self> {
+        let i = a.map_or((0, 0), |k| self.seek(k, false));
+        let j = b.map_or((self.runs.len(), 0), |k| self.seek(k, false));
+        let is_bound = |key: Option<V>, at: Cursor| key.is_none() || self.key_before(at) == key;
+        if !(is_bound(a, i) && is_bound(b, j)) {
+            return None;
+        }
+        debug_assert!(i <= j, "anchors out of order");
         let delta = match &self.delta {
-            Some(d) if spans.iter().any(|&(a, b, _)| self.delta_meets(a, b)) => {
-                // Spans ascend, like the delta: one cursor passes both.
-                let mut spans = spans.iter().peekable();
-                let kept = d.signed().filter(|&(v, _)| {
-                    while spans.next_if(|s| s.1.is_some_and(|b| b <= v)).is_some() {}
-                    !spans.peek().is_some_and(|s| in_span(v, s.0, s.1))
-                });
-                MergeDelta::new(kept.collect(), &d.bytes)
-            }
+            Some(d) if self.delta_meets(a, b) => MergeDelta::new(
+                d.signed().filter(|&(v, _)| !in_span(v, a, b)).collect(),
+                &d.bytes,
+            ),
             kept => kept.clone(),
         };
-        let mut out = Splicer {
-            old: &self.runs,
-            runs: Vec::with_capacity(self.runs.len() + spans.len()),
-            open: Vec::new(),
-            at: (0, 0),
-        };
-        for (a, b, mid) in spans {
-            let i = a.map_or((0, 0), |k| self.seek(k, false));
-            let j = b.map_or((self.runs.len(), 0), |k| self.seek(k, false));
-            let is_bound = |key: Option<V>, at: Cursor| key.is_none() || self.key_before(at) == key;
-            if !(is_bound(a, i) && is_bound(b, j)) {
-                return None;
+        // Runs before `i`'s are shared; `i`'s head, `mid` and `j`'s tail
+        // are cut into new runs; runs after `j`'s (and `j`'s own, when the
+        // span ends on its seam) are shared.
+        let mut runs = Vec::with_capacity(self.runs.len() + mid.len().div_ceil(RUN_PIECES) + 1);
+        runs.extend_from_slice(&self.runs[..i.0]);
+        let mut open = self
+            .runs
+            .get(i.0)
+            .map_or(&[][..], |run| &run.pieces[..i.1])
+            .to_vec();
+        open.extend(mid);
+        let rest = match self.runs.get(j.0) {
+            Some(run) if j.1 > 0 => {
+                open.extend_from_slice(&run.pieces[j.1..]);
+                j.0 + 1
             }
-            out.keep_until(i.max(out.at));
-            out.open.extend(mid);
-            out.at = out.at.max(j); // the replaced pieces are passed over
+            _ => j.0,
+        };
+        if !open.is_empty() {
+            Self::push_runs(&mut runs, open);
         }
-        out.keep_until((self.runs.len(), 0));
-        out.close();
-        Some(Self::from_runs(out.runs, delta))
+        runs.extend_from_slice(&self.runs[rest..]);
+        Some(Self::from_runs(runs, delta))
     }
 
     /// Count + sum of values in `[lo, hi)`. Interior runs and pieces fully
@@ -1056,48 +1029,6 @@ impl<V: CrackValue> PieceSnapshot<V> {
     }
 }
 
-/// Builds the run table of [`PieceSnapshot::splice`]: a cursor over the
-/// old table that keeps what it passes (a whole run by sharing it, part
-/// of a run by cloning the pieces into the stretch being rebuilt) unless
-/// the caller moves `at` past it.
-struct Splicer<'a, V> {
-    old: &'a [Run<V>],
-    runs: Vec<Run<V>>,
-    /// The stretch being rebuilt: pieces kept from partly replaced runs
-    /// and the replacements, not yet cut into runs.
-    open: Vec<SnapPiece<V>>,
-    /// Everything before this position is in `runs` or `open`, or skipped.
-    at: Cursor,
-}
-
-impl<V: CrackValue> Splicer<'_, V> {
-    /// Cuts the open stretch into runs.
-    fn close(&mut self) {
-        if !self.open.is_empty() {
-            PieceSnapshot::push_runs(&mut self.runs, std::mem::take(&mut self.open));
-        }
-    }
-
-    /// Advances to `to`, keeping every piece on the way.
-    fn keep_until(&mut self, to: Cursor) {
-        while self.at.0 < to.0 {
-            let run = &self.old[self.at.0];
-            if self.at.1 == 0 {
-                self.close();
-                self.runs.push(run.clone());
-            } else {
-                self.open.extend_from_slice(&run.pieces[self.at.1..]);
-            }
-            self.at = (self.at.0 + 1, 0);
-        }
-        if to.1 > self.at.1 {
-            self.open
-                .extend_from_slice(&self.old[to.0].pieces[self.at.1..to.1]);
-            self.at = to;
-        }
-    }
-}
-
 impl<V: CrackValue> std::fmt::Debug for PieceSnapshot<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PieceSnapshot")
@@ -1142,11 +1073,7 @@ mod tests {
         let reader = Arc::clone(&v1);
         let fresh = Arc::new(Segment::new(vec![13], Arc::clone(&bytes)));
         let v2 = v1
-            .splice(vec![(
-                Some(10),
-                None,
-                vec![SnapPiece::new(None, fresh, 0, 1)],
-            )])
+            .splice(Some(10), None, vec![SnapPiece::new(None, fresh, 0, 1)])
             .expect("10 is a boundary");
         drop(v1); // the published pointer moves on
         assert_eq!(bytes.load(SeqCst), 5 * 8 + 8, "both versions' bytes live");
@@ -1220,7 +1147,7 @@ mod tests {
     #[test]
     fn merge_delta_folds_into_stats_and_splices_absorb_it() {
         let bytes = counter();
-        let snap = snapshot_of(
+        let plain = snapshot_of(
             vec![
                 (Some(10), vec![5, 1]),
                 (Some(20), vec![12, 17, 11]),
@@ -1231,7 +1158,7 @@ mod tests {
         let pieces_bytes = bytes.load(SeqCst);
         // An insert and a delete of 17 cancel; 12 and 25 leave pieces that
         // still hold them.
-        let snap = snap.with_delta(&[3, 3, 17, 22, i64::MAX], &[12, 17, 25], &bytes);
+        let snap = plain.with_delta(&[3, 3, 17, 22, i64::MAX], &[12, 17, 25], &bytes);
         let delta = |snap: &PieceSnapshot<i64>| snap.delta().collect::<Vec<_>>();
         assert_eq!(
             delta(&snap),
@@ -1270,11 +1197,11 @@ mod tests {
         // splice drops the delta's 12 with the pieces it replaces.
         let live = Arc::new(Segment::new(vec![11, 17], Arc::clone(&bytes)));
         let next = snap
-            .splice(vec![(
+            .splice(
                 Some(10),
                 Some(20),
                 vec![SnapPiece::new(Some(20), live, 0, 2)],
-            )])
+            )
             .expect("boundaries");
         assert_eq!(
             delta(&next),
@@ -1294,7 +1221,7 @@ mod tests {
                 "[{lo},{hi})"
             );
         }
-        drop((snap, next));
+        drop((plain, snap, next));
         assert_eq!(bytes.load(SeqCst), 0, "every delta debited its charge");
     }
 
@@ -1311,16 +1238,13 @@ mod tests {
             .collect()
     }
 
+    /// One splice: anchors and replacement pieces.
+    type Span = (Option<i64>, Option<i64>, Vec<SnapPiece<i64>>);
+
     /// Replacement for table pieces `i..j`: `m` pieces (`m == 0` only when
     /// asked for) splitting the span's key range, the last one ending on
     /// the span's upper anchor.
-    fn replacement(
-        i: usize,
-        j: usize,
-        n: usize,
-        m: usize,
-        bytes: &Arc<AtomicUsize>,
-    ) -> SpliceSpan<i64> {
+    fn replacement(i: usize, j: usize, n: usize, m: usize, bytes: &Arc<AtomicUsize>) -> Span {
         let a = (i > 0).then_some(i as i64 * 100);
         let b = (j < n).then_some(j as i64 * 100);
         let mid = (0..m)
@@ -1338,22 +1262,33 @@ mod tests {
         (a, b, mid)
     }
 
-    /// The same splice on a flat piece list — what the snapshot did before
-    /// it kept runs.
+    /// The splice of `span`, `old`'s pieces `i..j` replaced by its pieces,
+    /// on a flat piece list — what the snapshot did before it kept runs.
     fn flat_splice(
         old: &PieceSnapshot<i64>,
-        spans: &[(usize, usize, SpliceSpan<i64>)],
+        i: usize,
+        j: usize,
+        span: &Span,
     ) -> PieceSnapshot<i64> {
         let pieces: Vec<SnapPiece<i64>> = old.pieces().cloned().collect();
-        let mut out = Vec::new();
-        let mut cursor = 0;
-        for (i, j, (_, _, mid)) in spans {
-            out.extend_from_slice(&pieces[cursor..*i]);
-            out.extend(mid.iter().cloned());
-            cursor = *j;
-        }
-        out.extend_from_slice(&pieces[cursor..]);
+        let mut out = pieces[..i].to_vec();
+        out.extend(span.2.iter().cloned());
+        out.extend_from_slice(&pieces[j..]);
         PieceSnapshot::new(out)
+    }
+
+    /// `old.splice` of `span` (whose anchors are boundaries of `old`),
+    /// checked against [`flat_splice`].
+    fn checked_splice(
+        old: &PieceSnapshot<i64>,
+        i: usize,
+        j: usize,
+        span: &Span,
+    ) -> PieceSnapshot<i64> {
+        let (a, b, mid) = span.clone();
+        let new = old.splice(a, b, mid).expect("anchors are boundaries");
+        assert_same_snapshot(&new, &flat_splice(old, i, j, span));
+        new
     }
 
     /// Same pieces (key, length, aggregate, backing segment), same totals,
@@ -1394,54 +1329,38 @@ mod tests {
         let old = PieceSnapshot::new(table(n, &bytes));
         assert_eq!(old.runs.len(), 5, "300 pieces in runs of 60");
         assert!(old.runs.iter().all(|r| r.pieces.len() == 60));
-        // One piece split in two inside run 1, two pieces merged into one
-        // across the seam of runs 3 and 4 — as one merge's two clusters.
-        let spans = vec![
-            (70, 71, replacement(70, 71, n, 2, &bytes)),
-            (239, 241, replacement(239, 241, n, 1, &bytes)),
-        ];
-        let new = old
-            .splice(spans.iter().map(|(_, _, s)| s.clone()).collect())
-            .expect("anchors are boundaries");
-        assert_same_snapshot(&new, &flat_splice(&old, &spans));
-        let shared = |run: &Run<i64>| old.runs.iter().any(|o| Arc::ptr_eq(&o.pieces, &run.pieces));
-        let kept: Vec<bool> = new.runs.iter().map(shared).collect();
+        let shared = |old: &PieceSnapshot<i64>, new: &PieceSnapshot<i64>| -> Vec<bool> {
+            new.runs
+                .iter()
+                .map(|run| old.runs.iter().any(|o| Arc::ptr_eq(&o.pieces, &run.pieces)))
+                .collect()
+        };
+        // One piece split in two inside run 1 …
+        let mid = checked_splice(&old, 70, 71, &replacement(70, 71, n, 2, &bytes));
+        assert_eq!(shared(&old, &mid), [true, false, true, true, true]);
+        assert_eq!(mid.runs[1].pieces.len(), 61);
+        // … then two pieces merged into one across the seam of runs 3 and 4.
+        let new = checked_splice(&mid, 240, 242, &replacement(239, 241, n, 1, &bytes));
         assert_eq!(
-            kept,
-            vec![true, false, true, false, false],
-            "runs 0 and 2 shared; run 1 rebuilt as 61 pieces, runs 3 + 4 as 119 in two"
+            shared(&mid, &new),
+            [true, true, true, false, false],
+            "runs 3 + 4 rebuilt as 119 pieces in two"
         );
-        assert_eq!(new.runs[1].pieces.len(), 61);
         assert_eq!(
             (new.runs[3].pieces.len(), new.runs[4].pieces.len()),
             (59, 60)
         );
         // A span that ends on a run seam leaves the run behind it alone; a
         // whole-table span shares nothing; an emptied span only shrinks.
-        let head = vec![(0, 60, replacement(0, 60, n, 3, &bytes))];
-        let new = old.splice(vec![head[0].2.clone()]).unwrap();
-        assert_same_snapshot(&new, &flat_splice(&old, &head));
-        assert_eq!(new.runs.iter().filter(|r| shared(r)).count(), 4);
-        let all = vec![(0, n, replacement(0, n, n, 1, &bytes))];
-        let new = old.splice(vec![all[0].2.clone()]).unwrap();
-        assert_same_snapshot(&new, &flat_splice(&old, &all));
+        let new = checked_splice(&old, 0, 60, &replacement(0, 60, n, 3, &bytes));
+        assert_eq!(shared(&old, &new).iter().filter(|&&s| s).count(), 4);
+        let new = checked_splice(&old, 0, n, &replacement(0, n, n, 1, &bytes));
         assert_eq!(new.piece_count(), 1);
-        let gone = vec![(100, 130, replacement(100, 130, n, 0, &bytes))];
-        let new = old.splice(vec![gone[0].2.clone()]).unwrap();
-        assert_same_snapshot(&new, &flat_splice(&old, &gone));
-        assert_eq!(new.runs.iter().filter(|r| shared(r)).count(), 3);
+        let new = checked_splice(&old, 100, 130, &replacement(100, 130, n, 0, &bytes));
+        assert_eq!(shared(&old, &new).iter().filter(|&&s| s).count(), 3);
         // An anchor that is not a boundary of this table: no splice.
-        assert!(old
-            .splice(vec![(Some(150), Some(200), Vec::new())])
-            .is_none());
-        assert!(old
-            .splice(vec![(Some(100), Some(31_000), Vec::new())])
-            .is_none());
-        assert!(old.splice(Vec::new()).is_some_and(|same| same
-            .runs
-            .iter()
-            .zip(&old.runs)
-            .all(|(a, b)| Arc::ptr_eq(&a.pieces, &b.pieces))));
+        assert!(old.splice(Some(150), Some(200), Vec::new()).is_none());
+        assert!(old.splice(Some(100), Some(31_000), Vec::new()).is_none());
     }
 
     /// Decode-everything helper: the segment's multiset in sorted order.
@@ -1635,8 +1554,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             // Random tables × random ascending disjoint spans, each
-            // replaced by 0–3 pieces, applied as a chain of three versions:
-            // the run table always answers like the flat rebuild.
+            // replaced by 0–3 pieces and spliced as its own version, three
+            // rounds of them: the run table always answers like the flat
+            // rebuild.
             #[test]
             fn splice_matches_a_flat_rebuild(
                 n in 1usize..400,
@@ -1648,10 +1568,6 @@ mod tests {
                 let bytes = counter();
                 let mut snap = PieceSnapshot::new(table(n, &bytes));
                 for cuts in rounds {
-                    // Spans are cut against the original key grid, which
-                    // only the first round is sure to still have; later
-                    // rounds keep the spans whose anchors survived.
-                    let mut spans = Vec::new();
                     let mut from = 0;
                     for (gap, width, m) in cuts {
                         let i = from + gap;
@@ -1660,50 +1576,22 @@ mod tests {
                             break;
                         }
                         from = j;
-                        spans.push((i, j, m));
+                        // Spans are cut against the original key grid,
+                        // which only the first splice is sure to still
+                        // have; later ones keep the spans whose anchors
+                        // survived.
+                        let keys: Vec<Option<i64>> = snap.pieces().map(|p| p.hi_key).collect();
+                        let pos = |k: Option<i64>| match k {
+                            None => Some(keys.len()),
+                            Some(k) => keys.iter().position(|&q| q == Some(k)).map(|p| p + 1),
+                        };
+                        let span = replacement(i, j, n, m, &bytes);
+                        let at = if i == 0 { Some(0) } else { pos(span.0) };
+                        if let (Some(at), Some(to)) = (at, pos(span.1)) {
+                            snap = checked_splice(&snap, at, to, &span);
+                        }
                     }
-                    let keys: Vec<Option<i64>> = snap.pieces().map(|p| p.hi_key).collect();
-                    let pos = |k: Option<i64>| match k {
-                        None => None,
-                        Some(k) => keys.iter().position(|&q| q == Some(k)).map(|p| p + 1),
-                    };
-                    let spans: Vec<(usize, usize, SpliceSpan<i64>)> = spans
-                        .into_iter()
-                        .filter_map(|(i, j, m)| {
-                            let span = replacement(i, j, n, m, &bytes);
-                            let at = if i == 0 { Some(0) } else { pos(span.0) };
-                            let to = if j == n { Some(keys.len()) } else { pos(span.1) };
-                            Some((at?, to?, span))
-                        })
-                        .collect();
-                    let next = snap
-                        .splice(spans.iter().map(|(_, _, s)| s.clone()).collect())
-                        .expect("anchors are boundaries");
-                    assert_same_snapshot(&next, &flat_splice(&snap, &spans));
-                    snap = next;
                 }
-            }
-
-            // Grouping ascending values by piece agrees with the anchors
-            // of each value.
-            #[test]
-            fn group_by_piece_matches_per_value_anchors(
-                n in 0usize..400,
-                vals in proptest::collection::vec(-50i64..41_000, 0..200),
-            ) {
-                let bytes = counter();
-                let snap = PieceSnapshot::new(table(n, &bytes));
-                let mut vals = vals;
-                vals.sort_unstable();
-                let mut seen = 0;
-                snap.group_by_piece(&vals, |&v| v, |a, b, held| {
-                    assert!(!held.is_empty());
-                    for &v in held {
-                        assert_eq!(snap.anchors(v, v + 1), (a, b), "{v}");
-                    }
-                    seen += held.len();
-                });
-                assert_eq!(seen, vals.len());
             }
 
             #[test]

@@ -6,10 +6,10 @@
 //! `CrackerColumn::MERGE_BACKLOG`) and on idle workers (a queue of
 //! `CrackerColumn::DRAIN_DUE` on any resident shard), so the test times
 //! them where they all land: the process-wide `cracking_ripple_merge_ns`
-//! histogram, windowed, and the drains that copy snapshot pieces apart in
-//! `cracking_ripple_splice_ns`. That is why it is the only test in its
-//! file — a test beside it in the same process would record its own
-//! drains there.
+//! histogram, windowed, and the drains that compact a snapshot's merge
+//! delta apart in `cracking_delta_compaction_ns`. That is why it is the
+//! only test in its file — a test beside it in the same process would
+//! record its own drains there.
 
 use holix_engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
 use holix_storage::types::RowId;
@@ -84,12 +84,13 @@ impl Fenwick {
 /// whose queue reaches half the backlog, few reads merge at all, so the
 /// drains are timed where they run; a window must still hold at least 8
 /// (24–38 measured, floor 0.12–0.16 → 2.5–3.9 ms over a 20.4-fold piece
-/// growth). Most drains are a worker's, which copies no snapshot piece.
-/// The read path's drains — a read past the backlog, a refining worker —
-/// copy the stale pieces they land in, a few a window; their copy
-/// (`cracking_ripple_splice_ns`) is held to the same slope by halves of
-/// the run, with at least 8 a half: measured 21–27 → 28–30 copies, floor
-/// 1.5–1.9 → 1.4–1.5 ms while the pieces grew 1.84-fold.
+/// growth). A drain copies no snapshot piece unless it compacts: past
+/// the merge delta's cap it rebuilds its shard's snapshot from the live
+/// pieces, and only the read path does (a read past the backlog, a
+/// refining worker). The compaction (`cracking_delta_compaction_ns`) is
+/// held to the same slope by halves of the run, with at least 8 a half:
+/// measured 12 → 20 compactions, floor 4.6–5.3 → 11.1–12.0 ms while the
+/// pieces grew 1.84-fold (3 runs).
 ///
 /// The point filters' rebuild cadence rides along: a shard rebuilds its
 /// filter once the deletes queued since the last build reach a quarter of
@@ -105,7 +106,7 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
     const SLOPE: u64 = 2;
     holix_telemetry::set_metrics_enabled(true);
     let drains = holix_telemetry::registry().histogram("cracking_ripple_merge_ns");
-    let copies = holix_telemetry::registry().histogram("cracking_ripple_splice_ns");
+    let compactions = holix_telemetry::registry().histogram("cracking_delta_compaction_ns");
     let (attrs, rows, shards) = (2, 1 << 18, 4);
     let domain = 2 * rows as i64;
     let data = Dataset::new(uniform_table(attrs, rows, domain, 29));
@@ -132,14 +133,14 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
     let mut rebuilds = 0usize;
     // Per window: the drains it held and their first quartile.
     let mut windows: Vec<(u64, u64)> = Vec::with_capacity(OPS / WINDOW);
-    // Per half of the run: the drains that copied snapshot pieces, their
-    // first quartile and the piece table at its end.
+    // Per half of the run: the compactions, their first quartile and the
+    // piece table at its end.
     let mut halves: Vec<(u64, u64, usize)> = Vec::with_capacity(2);
     let mut first_pieces = 0;
 
     let deadline = std::time::Instant::now() + Duration::from_secs(600);
     drains.reset_window();
-    copies.reset_window();
+    compactions.reset_window();
     let mut i = 0;
     while i < OPS {
         assert!(
@@ -244,8 +245,8 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
             windows.push((window.count, window.percentile(0.25)));
         }
         if i % (OPS / 2) == 0 {
-            let half = copies.snapshot();
-            copies.reset_window();
+            let half = compactions.snapshot();
+            compactions.reset_window();
             halves.push((half.count, half.percentile(0.25), e.total_pieces()));
         }
     }
@@ -271,16 +272,15 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
         "a drain costs {last} ns after {OPS} ops, {first} ns in the first {WINDOW} \
          (pieces {first_pieces} -> {last_pieces})"
     );
-    // The drains that copy — the read path's (`merge_pending`: reads
-    // past the backlog, a refining worker) — are a few a window: by
-    // halves of the run, the same slope.
+    // The compactions — the only drains that copy, all on the read path
+    // — are a few a window: by halves of the run, the same slope.
     for (h, &(count, _, _)) in halves.iter().enumerate() {
-        assert!(count >= 8, "half {h}: {count} drains copied");
+        assert!(count >= 8, "half {h}: {count} compactions");
     }
     let ((_, first, mid_pieces), (_, last, _)) = (halves[0], halves[1]);
     assert!(
         last * mid_pieces as u64 <= SLOPE * first * last_pieces as u64,
-        "a copying drain costs {last} ns in the second half, {first} ns in the first \
+        "a compaction costs {last} ns in the second half, {first} ns in the first \
          (pieces {mid_pieces} -> {last_pieces})"
     );
     // A rebuild needs a quarter of its shard's length in deletes, and

@@ -96,8 +96,18 @@ pub struct TraceRing {
     head: AtomicU64,
 }
 
-// The UnsafeCell is guarded by the per-slot seqlock protocol.
+// SAFETY: every field but the slots' `data` is an atomic. `data` is an
+// `UnsafeCell<QueryTrace>` of plain `Copy` data (no pointer, no `Drop`)
+// that threads reach only through `record` and `snapshot`: writers store
+// into it between an odd and an even mark of the slot's sequence, and
+// readers keep a copy only when the even sequence was unchanged across
+// it, so no torn record escapes. `concurrent_writers_and_readers_never_tear`
+// checks it with four writers lapping a 64-slot ring beside a reader.
 unsafe impl Sync for TraceRing {}
+// SAFETY: the ring owns its slots outright, and `QueryTrace` is `Send`
+// (plain data); moving the ring moves nothing any other thread points to.
+// Backed by `concurrent_writers_and_readers_never_tear`, which moves the
+// ring into an `Arc` shared by its threads.
 unsafe impl Send for TraceRing {}
 
 impl TraceRing {
@@ -127,6 +137,15 @@ impl TraceRing {
         slot.seq.store(ticket * 2 + 1, Ordering::Release);
         // Order the payload store after the odd mark.
         std::sync::atomic::fence(Ordering::Release);
+        // SAFETY: the pointer is the slot's own cell, valid for the ring's
+        // life. The slot's sequence is odd from the store above to the
+        // even store below, so a reader that overlaps this write sees an
+        // odd or changed sequence and drops its copy. A writer stalled
+        // for a full ring revolution can race this store on the same
+        // slot (the limit `record` documents); both store whole records
+        // of plain data. `QueryTrace` is `Copy` with no `Drop`: overwriting it
+        // frees nothing. `concurrent_writers_and_readers_never_tear`
+        // fails on any torn record a reader keeps.
         unsafe {
             *slot.data.get() = trace;
         }
@@ -148,6 +167,13 @@ impl TraceRing {
                 continue;
             }
             std::sync::atomic::fence(Ordering::Acquire);
+            // SAFETY: the pointer is the slot's own cell, valid for the
+            // ring's life; the read copies plain `Copy` data out (every
+            // field an integer or a fieldless enum, each written whole).
+            // A copy that overlaps a write is discarded below: the
+            // sequence must be even and unchanged across it and match the
+            // copied ticket. `concurrent_writers_and_readers_never_tear`
+            // fails on any torn record this keeps.
             let data = unsafe { *slot.data.get() };
             std::sync::atomic::fence(Ordering::Acquire);
             let s2 = slot.seq.load(Ordering::Acquire);
