@@ -112,7 +112,7 @@ use crate::updates::{ripple_batch, PendingUpdates, UnmergedKind};
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rand::Rng;
 use std::borrow::Cow;
 use std::sync::atomic::{
@@ -633,7 +633,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         if pred.is_empty() {
             return Some(0);
         }
-        let _shared = self.structure.read();
+        let _shared = self.read_structure();
         let (lo, hi) = Self::exact_span(&self.index.read(), pred)?;
         let pending = self.pending.lock();
         if pending.queue.len() > Self::MERGE_BACKLOG {
@@ -641,6 +641,23 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
         let (delta, _) = overlay(&pending.queue, pred);
         Some(((hi - lo) as i64 + delta).max(0) as u64)
+    }
+
+    /// `structure` shared for a read. A read that finds it taken (a Ripple
+    /// merge or a row-id build holds the column, or waits for it) records
+    /// how long it waited in the `cracking_structure_wait_ns` histogram
+    /// when metrics are on; one that takes it at once reads no clock.
+    fn read_structure(&self) -> RwLockReadGuard<'_, ()> {
+        if let Some(shared) = self.structure.try_read() {
+            return shared;
+        }
+        let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
+        let shared = self.structure.read();
+        if let Some(t0) = timed {
+            holix_telemetry::histogram!("cracking_structure_wait_ns")
+                .record(t0.elapsed().as_nanos() as u64);
+        }
+        shared
     }
 
     /// Cracked positions of `pred`'s bounds when both are boundaries (or
@@ -672,7 +689,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
         self.merge_past_backlog();
 
-        let _shared = self.structure.read();
+        let _shared = self.read_structure();
         // Under `structure` shared no merge is in flight: the queue holds
         // exactly what the column lacks, and cracks cannot change that.
         let (pending, _) = overlay(&self.pending.lock().queue, pred);
