@@ -11,7 +11,9 @@
 //! whether it can be answered on the submitting thread
 //! (`QueryEngine::execute_exact`), for an exact hit and for a miss; and the
 //! first point-filter build on a converged shard; and 32 Ripple drains into
-//! a converged shard with a published snapshot. The first line names the kernel family the
+//! a converged, written shard, a crack of a shard with piece sums, and a
+//! written shard's snapshot reads beside an unwritten twin's. The first line
+//! names the kernel family the
 //! crack and filter kernels dispatched to (`HOLIX_NO_SIMD=1` forces the
 //! portable one).
 
@@ -160,7 +162,7 @@ fn bench_cracker_index(c: &mut Criterion) {
     let mut index = CrackerIndex::new(sorted.len());
     for &k in &keys {
         if let BoundLookup::Piece { .. } = index.locate(k) {
-            index.insert_bound(k, sorted.partition_point(|&s| s < k));
+            index.insert_bound(k, sorted.partition_point(|&s| s < k), 0);
         }
     }
     let probes: Vec<i64> = (0..10_000)
@@ -229,7 +231,7 @@ fn bench_ripple_vs_rebuild(c: &mut Criterion) {
             cvals.len()
         };
         let split = crack_in_two(&mut cvals[start..end], &mut crows[start..end], pivot);
-        index.insert_bound(pivot, start + split);
+        index.insert_bound(pivot, start + split, 0);
     }
 
     let mut g = c.benchmark_group("updates");
@@ -277,19 +279,17 @@ fn bench_ripple_vs_rebuild(c: &mut Criterion) {
 }
 
 /// 32 consecutive Ripple drains of 280 updates each (two inserts to one
-/// delete of a base tuple) into one converged shard of 2^18 values with a
-/// published snapshot at live granularity: what an `update_churn` shard's
-/// drains pay. Every drain adds its batch to the snapshot's merge delta
-/// and copies no piece, except the two whose batch passes
-/// `CrackerColumn::DELTA_CAP`: those compact, rebuilding the whole
-/// shard's snapshot from its live pieces, and are timed with the rest. In
-/// `drain_with_snapshot` the shard has built its row ids first (a
-/// conjunction drove from it) and the drains move them along; in
-/// `drain_values_only` it has none and the drains move values alone and
-/// log the batch, as an `update_churn` shard's do. The shard's setup
-/// (cracks, row ids, snapshot) is not timed; divide by 32 for ns per
+/// delete of a base tuple) into one converged, written shard of 2^18
+/// values: what an `update_churn` shard's drains pay. The setup's first
+/// drain dropped the snapshot a snapshot read had built and summed every
+/// piece; each timed drain keeps those sums and copies nothing. In
+/// `drain_with_ids` the shard has built its row ids first (a conjunction
+/// drove from it) and the drains move them along; in `drain_values_only`
+/// it has none and the drains move values alone and log the batch, as an
+/// `update_churn` shard's do. The shard's setup (cracks, row ids,
+/// snapshot, the first drain) is not timed; divide by 32 for ns per
 /// drain.
-fn bench_drain_with_snapshot(c: &mut Criterion) {
+fn bench_drains(c: &mut Criterion) {
     const ROWS: usize = 1 << 18;
     const DRAINS: usize = 32;
     const BATCH: usize = 280;
@@ -334,14 +334,15 @@ fn bench_drain_with_snapshot(c: &mut Criterion) {
             shard.collect_row_ids(all);
         }
         shard.snapshot_scan(all, &mut scratch);
-        shard.publish_stats();
-        while shard.refresh_stale_snapshot() {}
+        shard.queue_insert(0, u32::MAX);
+        shard.merge_pending();
+        assert!(!shard.snapshot_published());
         assert_eq!(shard.has_row_ids(), ids);
         shard
     };
     let mut g = c.benchmark_group("updates");
     g.sample_size(10);
-    for (name, ids) in [("drain_with_snapshot", true), ("drain_values_only", false)] {
+    for (name, ids) in [("drain_with_ids", true), ("drain_values_only", false)] {
         g.bench_function(name, |b| {
             b.iter_batched(
                 || converged(ids),
@@ -747,6 +748,112 @@ fn bench_point_filter(c: &mut Criterion) {
 
 /// The first line of the output: which kernel family runs the cracks and
 /// filter passes below.
+/// One two-way crack of a column of 2^16 values (with row ids) in one
+/// piece, through the column (`refine_at_blocking`: lookup, latch,
+/// partition, boundary insert): `column_2e16` on a column never written,
+/// `column_summed_2e16` on a written one, whose crack also sums the lower
+/// side to split the piece's sum. The column's build, first drain and one
+/// read of its values are not timed; ns per crack.
+fn bench_crack_two_with_sums(c: &mut Criterion) {
+    const ROWS: usize = 1 << 16;
+    let mut rng = StdRng::seed_from_u64(16);
+    let values: Vec<i64> = (0..ROWS).map(|_| rng.random_range(0..1_000_000)).collect();
+    let column = |written: bool| {
+        let col = CrackerColumn::from_base("a", &values);
+        if written {
+            col.queue_insert(1_000_000, u32::MAX);
+            col.merge_pending();
+        }
+        assert_eq!(col.piece_count(), 1);
+        // Both columns' values read once, so both cracks start on pages
+        // in the same state (the merge reallocated the written one's).
+        black_box(col.snapshot_range(0, col.len()));
+        col
+    };
+    let mut g = c.benchmark_group("crack_two");
+    g.sample_size(30);
+    for (name, written) in [("column_2e16", false), ("column_summed_2e16", true)] {
+        g.bench_function(name, |b| {
+            let mut scratch = CrackScratch::new();
+            b.iter_batched(
+                || column(written),
+                |col| {
+                    black_box(col.refine_at_blocking(500_000, &mut scratch));
+                    col
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
+/// 1,000 count + sum reads of 5–20 % of the domain on one shard of 2^18
+/// values cracked into ≈ 1.5k pieces: `written_shard_stats` on a written
+/// shard (the pieces wholly in range from their sums, the two edge pieces
+/// filtered under their latches, under the structure lock shared),
+/// `plain_snapshot_stats` on an unwritten twin with the same boundaries,
+/// whose snapshot is at live granularity. Neither read filters enough to
+/// crack. Divide by 10³ for ns per read.
+fn bench_snapshot_reads(c: &mut Criterion) {
+    const ROWS: usize = 1 << 18;
+    const DOMAIN: i64 = 1_000_000;
+    let mut rng = StdRng::seed_from_u64(18);
+    let values: Vec<i64> = (0..ROWS).map(|_| rng.random_range(0..DOMAIN)).collect();
+    // ≈ 1.5k pieces of near-equal width, so no edge filters enough to
+    // crack.
+    let step = DOMAIN / 1_500;
+    let pivots: Vec<i64> = (1..1_500)
+        .map(|i| i * step + rng.random_range(0..step / 2))
+        .collect();
+    let reads: Vec<Predicate<i64>> = (0..1_000)
+        .map(|_| {
+            let width = rng.random_range(DOMAIN / 20..DOMAIN / 5);
+            let lo = rng.random_range(0..DOMAIN - width);
+            Predicate::range(lo, lo + width)
+        })
+        .collect();
+    let mut scratch = CrackScratch::new();
+    let shard = |written: bool, scratch: &mut CrackScratch<i64>| {
+        let col =
+            ShardedColumn::from_base_with_plan("a", &values, ShardPlan::from_values(&values, 1));
+        let shard = Arc::clone(col.shard(0));
+        for &p in &pivots {
+            shard.refine_at_blocking(p, scratch);
+        }
+        shard.snapshot_scan(Predicate::range(i64::MIN, i64::MAX), scratch);
+        if written {
+            shard.queue_insert(DOMAIN, u32::MAX);
+            shard.merge_pending();
+        } else {
+            shard.publish_stats();
+            while shard.refresh_stale_snapshot() {}
+        }
+        assert_eq!(shard.snapshot_published(), !written);
+        shard
+    };
+    let mut g = c.benchmark_group("snapshot");
+    g.sample_size(20);
+    for (name, written) in [
+        ("written_shard_stats", true),
+        ("plain_snapshot_stats", false),
+    ] {
+        let shard = shard(written, &mut scratch);
+        let pieces = shard.piece_count();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                for &pred in &reads {
+                    let scan = shard.snapshot_scan(pred, &mut scratch);
+                    debug_assert!(scan.filtered < CrackerColumn::<i64>::REFRESH_FILTER_MIN);
+                    black_box(scan);
+                }
+            })
+        });
+        assert_eq!(shard.piece_count(), pieces, "a read cracked");
+    }
+    g.finish();
+}
+
 fn print_isa(_: &mut Criterion) {
     println!("# kernels: {:?}", kernels::active_isa());
 }
@@ -757,13 +864,15 @@ criterion_group!(
     bench_first_touch,
     bench_shard_rebuild,
     bench_crack_two,
+    bench_crack_two_with_sums,
     bench_crack_three,
     bench_row_ids,
     bench_crack_kernels,
     bench_cracker_index,
     bench_weight_heap,
     bench_ripple_vs_rebuild,
-    bench_drain_with_snapshot,
+    bench_drains,
+    bench_snapshot_reads,
     bench_exact_hits,
     bench_point_filter
 );

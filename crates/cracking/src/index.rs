@@ -21,11 +21,39 @@
 //! ascending from a value (the delete pass) and [`CrackerIndex::walk_rev`]
 //! descending from the last boundary until the kernel stops it (the insert
 //! pass). Both hand out the stored position mutably and allocate nothing.
+//!
+//! A written column's index also carries one sum per piece, in the entry
+//! that holds the piece's latch (the first piece's beside `first_latch`);
+//! a piece's count is its extent. [`CrackerIndex::sum_pieces`] computes
+//! them once, at the column's first Ripple merge. From then on every
+//! boundary insert splits its piece's sum, and the two merge walks hand
+//! out the sum of the piece they apply values to beside the position.
+//! [`CrackerIndex::interior`] answers the pieces wholly inside a range
+//! from them.
 
 use crate::latch::PieceLatch;
 use holix_storage::types::CrackValue;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
+
+/// Sum of `vals`, widened: what a piece's sum is.
+pub(crate) fn sum_of<V: CrackValue>(vals: &[V]) -> i128 {
+    vals.iter().map(|v| v.as_i64() as i128).sum()
+}
+
+/// What [`CrackerIndex::interior`] answers: the count and sum of the pieces
+/// wholly inside a range, and the at most two pieces that straddle one of
+/// its bounds.
+#[derive(Debug, Clone)]
+pub struct Interior<V> {
+    /// Values in the pieces wholly inside the range.
+    pub count: u64,
+    /// Their sum.
+    pub sum: i128,
+    /// The straddling pieces in key order, each with its lower key (`None`
+    /// = the column's first piece).
+    pub edges: [Option<(Option<V>, PieceRef<V>)>; 2],
+}
 
 /// Value part of a boundary entry.
 #[derive(Debug, Clone)]
@@ -34,6 +62,8 @@ pub struct BoundEntry {
     pub pos: usize,
     /// Latch of the piece starting here.
     pub latch: PieceLatch,
+    /// Sum of the piece starting here (0 until [`CrackerIndex::sum_pieces`]).
+    pub sum: i128,
 }
 
 /// One piece addressed by its starting boundary key (snapshot-refresh
@@ -82,6 +112,10 @@ pub enum BoundLookup<V> {
 pub struct CrackerIndex<V> {
     bounds: BTreeMap<V, BoundEntry>,
     first_latch: PieceLatch,
+    /// Sum of the piece starting at position 0.
+    first_sum: i128,
+    /// The per-piece sums are kept ([`CrackerIndex::sum_pieces`] ran).
+    summed: bool,
     len: usize,
 }
 
@@ -91,8 +125,39 @@ impl<V: CrackValue> CrackerIndex<V> {
         CrackerIndex {
             bounds: BTreeMap::new(),
             first_latch: PieceLatch::new(),
+            first_sum: 0,
+            summed: false,
             len,
         }
+    }
+
+    /// Does the index keep a sum per piece?
+    pub fn summed(&self) -> bool {
+        self.summed
+    }
+
+    /// Computes every piece's sum from `vals`, the column the index
+    /// describes, in one pass, and keeps them from now on.
+    pub fn sum_pieces(&mut self, vals: &[V]) {
+        debug_assert_eq!(vals.len(), self.len);
+        let mut start = 0;
+        let mut sum = &mut self.first_sum;
+        for e in self.bounds.values_mut() {
+            *sum = sum_of(&vals[start..e.pos]);
+            start = e.pos;
+            sum = &mut e.sum;
+        }
+        *sum = sum_of(&vals[start..]);
+        self.summed = true;
+    }
+
+    /// Every piece's sum in key order; `None` unless the index keeps them.
+    pub fn piece_sums(&self) -> Option<Vec<i128>> {
+        self.summed.then(|| {
+            std::iter::once(self.first_sum)
+                .chain(self.bounds.values().map(|e| e.sum))
+                .collect()
+        })
     }
 
     /// Column length tracked by the index.
@@ -146,20 +211,131 @@ impl<V: CrackValue> CrackerIndex<V> {
 
     /// Records a new boundary `key → pos` after a crack. The latch for the
     /// new right piece (starting at `pos`) is created here; the left piece
-    /// keeps the latch of the piece that was split.
+    /// keeps the latch of the piece that was split. `below` is the sum of
+    /// the split piece's values below `key`, which the left piece keeps;
+    /// the right piece gets the rest (an index that keeps no sums skips
+    /// this, and its cracks pass 0).
     ///
     /// Panics if the key already exists (callers re-validate under the piece
     /// latch before cracking, so a duplicate insert is a protocol bug).
-    pub fn insert_bound(&mut self, key: V, pos: usize) {
+    pub fn insert_bound(&mut self, key: V, pos: usize, below: i128) {
         debug_assert!(pos <= self.len);
+        debug_assert!(self.summed || below == 0, "a sum on an index without");
+        let mut sum = 0;
+        if self.summed {
+            let split = match self.bounds.range_mut(..key).next_back() {
+                Some((_, e)) => &mut e.sum,
+                None => &mut self.first_sum,
+            };
+            sum = *split - below;
+            *split = below;
+        }
         let prev = self.bounds.insert(
             key,
             BoundEntry {
                 pos,
                 latch: PieceLatch::new(),
+                sum,
             },
         );
         assert!(prev.is_none(), "duplicate boundary inserted");
+    }
+
+    /// The pieces of `[lo, hi)` (sentinel-aware, as
+    /// [`holix_storage::select::Predicate::matches_unbounded`]; not empty):
+    /// the count and sum of those wholly inside it, from their extents and
+    /// sums, and those that straddle a bound, for the caller to filter.
+    /// Only on an index that keeps sums.
+    pub fn interior(&self, lo: V, hi: V) -> Interior<V> {
+        debug_assert!(self.summed && lo < hi);
+        let inside_lo = |from: Option<V>| lo == V::MIN_VALUE || from == Some(lo);
+        let inside_hi = |to: Option<V>| hi == V::MAX_VALUE || to == Some(hi);
+        // The piece holding `lo`, then the boundaries after it below `hi`:
+        // each starts a piece, and every such piece but the last ends below
+        // `hi`, so only the first piece and the last can straddle a bound.
+        let floor = (lo != V::MIN_VALUE)
+            .then(|| self.bounds.range(..=lo).next_back())
+            .flatten();
+        let (from, head, mut above) = match floor {
+            Some((&k, e)) => (
+                Some(k),
+                (e.pos, e.sum, &e.latch),
+                self.bounds.range((Excluded(k), Unbounded)),
+            ),
+            None => (
+                None,
+                (0, self.first_sum, &self.first_latch),
+                self.bounds.range(..),
+            ),
+        };
+        // The first boundary after `from` and its position, the last one
+        // below `hi`, and the sums of the pieces from the first to the last.
+        let (mut next, mut last, mut mid_sum) = (None, None::<(V, &BoundEntry)>, 0i128);
+        let beyond = loop {
+            match above.next() {
+                Some((&k, e)) if hi == V::MAX_VALUE || k < hi => {
+                    match last {
+                        Some((_, prev)) => mid_sum += prev.sum,
+                        None => next = Some((k, e.pos)),
+                    }
+                    last = Some((k, e));
+                }
+                beyond => break beyond,
+            }
+        };
+        let (end, hi_key) = self.piece_end(beyond);
+        let mut out = Interior {
+            count: 0,
+            sum: 0,
+            edges: [None, None],
+        };
+        let piece = |out: &mut Interior<V>,
+                     inside: bool,
+                     from: Option<V>,
+                     (start, sum, latch): (usize, i128, &PieceLatch),
+                     end: usize,
+                     hi_key: Option<V>| {
+            if inside {
+                out.count += (end - start) as u64;
+                out.sum += sum;
+            } else {
+                let edge = PieceRef {
+                    start,
+                    end,
+                    latch: latch.clone(),
+                    hi_key,
+                };
+                out.edges[usize::from(out.edges[0].is_some())] = Some((from, edge));
+            }
+        };
+        match (next, last) {
+            (Some((first_key, first_pos)), Some((last_key, tail))) => {
+                let tail_entry = (tail.pos, tail.sum, &tail.latch);
+                piece(
+                    &mut out,
+                    inside_lo(from),
+                    from,
+                    head,
+                    first_pos,
+                    Some(first_key),
+                );
+                out.count += (tail.pos - first_pos) as u64;
+                out.sum += mid_sum;
+                piece(
+                    &mut out,
+                    inside_hi(hi_key),
+                    Some(last_key),
+                    tail_entry,
+                    end,
+                    hi_key,
+                );
+            }
+            _ => {
+                let inside = inside_lo(from) && inside_hi(hi_key);
+                piece(&mut out, inside, from, head, end, hi_key);
+            }
+        }
+        out
     }
 
     /// First position of the piece that holds value `v`: the position of
@@ -172,25 +348,45 @@ impl<V: CrackValue> CrackerIndex<V> {
     }
 
     /// Visits the boundaries with key `> after` in ascending key order as
-    /// `(key, &mut position)` until `f` returns `false` (Ripple batch
-    /// merges only; caller holds the column exclusively and leaves the
-    /// positions non-decreasing in key order).
-    pub fn walk_above(&mut self, after: V, mut f: impl FnMut(V, &mut usize) -> bool) {
-        for (&k, e) in self.bounds.range_mut((Excluded(after), Unbounded)) {
-            if !f(k, &mut e.pos) {
+    /// `(Some((key, &mut position)), &mut sum)`, where the sum is that of
+    /// the piece *ending* at the boundary, until `f` returns `false`; then,
+    /// unless it did, once more as `(None, &mut sum)` for the last piece
+    /// (Ripple batch merges only; caller holds the column exclusively and
+    /// leaves the positions non-decreasing in key order).
+    pub fn walk_above(
+        &mut self,
+        after: V,
+        mut f: impl FnMut(Option<(V, &mut usize)>, &mut i128) -> bool,
+    ) {
+        let floor = self.bounds.range(..=after).next_back().map(|(&k, _)| k);
+        let (mut sum, above) = match floor {
+            Some(k) => {
+                let mut from = self.bounds.range_mut(k..);
+                let (_, e) = from.next().expect("the floor is a boundary");
+                (&mut e.sum, from)
+            }
+            None => (&mut self.first_sum, self.bounds.range_mut(..)),
+        };
+        for (&k, e) in above {
+            if !f(Some((k, &mut e.pos)), sum) {
                 return;
             }
+            sum = &mut e.sum;
         }
+        f(None, sum);
     }
 
     /// [`CrackerIndex::walk_above`] in descending key order from the last
-    /// boundary.
-    pub fn walk_rev(&mut self, mut f: impl FnMut(V, &mut usize) -> bool) {
+    /// boundary, each boundary with the sum of the piece *starting* there;
+    /// unless `f` stopped it, the walk ends with `(None, &mut sum)` for
+    /// the first piece.
+    pub fn walk_rev(&mut self, mut f: impl FnMut(Option<(V, &mut usize)>, &mut i128) -> bool) {
         for (&k, e) in self.bounds.iter_mut().rev() {
-            if !f(k, &mut e.pos) {
+            if !f(Some((k, &mut e.pos)), &mut e.sum) {
                 return;
             }
         }
+        f(None, &mut self.first_sum);
     }
 
     /// Shifts every boundary whose *key* is strictly greater than `key` by
@@ -255,7 +451,8 @@ impl<V: CrackValue> CrackerIndex<V> {
         })
     }
 
-    /// Memory used by the index structure itself (rough, for budgeting).
+    /// Memory used by the index structure itself (rough, for budgeting):
+    /// each entry, its piece's sum included, and per-entry map overhead.
     pub fn approx_bytes(&self) -> usize {
         self.bounds.len() * (std::mem::size_of::<V>() + std::mem::size_of::<BoundEntry>() + 16)
     }
@@ -268,13 +465,21 @@ mod tests {
     use rand::prelude::*;
 
     /// Runs `walk_above(after)` (or `walk_rev` for `None`) on a clone of
-    /// `idx`, stopping after `stop` visits and bumping every position it
-    /// visits; checks that exactly those positions moved and returns the
-    /// keys visited, in order.
+    /// `idx`, stopping after `stop` visits and bumping every position and
+    /// every piece sum it hands out; checks that exactly those positions
+    /// and the sums of exactly the pieces the walk reached moved, and
+    /// returns the keys visited, in order.
     fn walked(idx: &CrackerIndex<i64>, after: Option<i64>, stop: usize) -> Vec<i64> {
         let mut copy = idx.clone();
+        copy.sum_pieces(&vec![0; idx.len()]);
         let mut seen = Vec::new();
-        let visit = |k, pos: &mut usize| {
+        let mut finished = false;
+        let visit = |bound: Option<(i64, &mut usize)>, sum: &mut i128| {
+            *sum += 1;
+            let Some((k, pos)) = bound else {
+                finished = true;
+                return false;
+            };
             seen.push(k);
             *pos += 1;
             seen.len() < stop
@@ -283,15 +488,32 @@ mod tests {
             Some(v) => copy.walk_above(v, visit),
             None => copy.walk_rev(visit),
         }
-        let bumped: Vec<(i64, usize)> = idx
-            .bounds_in_order()
-            .into_iter()
-            .map(|(k, pos)| (k, pos + usize::from(seen.contains(&k))))
+        let bounds = idx.bounds_in_order();
+        let bumped: Vec<(i64, usize)> = bounds
+            .iter()
+            .map(|&(k, pos)| (k, pos + usize::from(seen.contains(&k))))
             .collect();
         assert_eq!(
             copy.bounds_in_order(),
             bumped,
             "a walk moved what it did not visit"
+        );
+        // Piece `j` is the one ending at boundary `j` (the last piece ends
+        // at the column's end); ascending, the walk hands out the piece
+        // ending at each boundary it visits, descending the one starting
+        // there.
+        let at = |k: i64| bounds.iter().position(|&(b, _)| b == k).expect("visited");
+        let mut want = vec![0i128; bounds.len() + 1];
+        for &k in &seen {
+            want[at(k) + usize::from(after.is_none())] += 1;
+        }
+        if finished {
+            want[if after.is_some() { bounds.len() } else { 0 }] += 1;
+        }
+        assert_eq!(
+            copy.piece_sums(),
+            Some(want),
+            "a walk handed out the wrong sums"
         );
         seen
     }
@@ -392,7 +614,7 @@ mod tests {
     #[test]
     fn exact_hit_after_insert() {
         let mut idx = CrackerIndex::<i64>::new(100);
-        idx.insert_bound(50, 42);
+        idx.insert_bound(50, 42, 0);
         match idx.locate(50) {
             BoundLookup::Exact(pos) => assert_eq!(pos, 42),
             _ => panic!("expected exact"),
@@ -403,8 +625,8 @@ mod tests {
     #[test]
     fn locate_between_bounds() {
         let mut idx = CrackerIndex::<i64>::new(100);
-        idx.insert_bound(30, 25);
-        idx.insert_bound(70, 80);
+        idx.insert_bound(30, 25, 0);
+        idx.insert_bound(70, 80, 0);
         match idx.locate(45) {
             BoundLookup::Piece {
                 start,
@@ -435,7 +657,7 @@ mod tests {
             BoundLookup::Piece { latch, .. } => latch,
             _ => panic!(),
         };
-        idx.insert_bound(50, 40);
+        idx.insert_bound(50, 40, 0);
         // Left piece [0,40) keeps the original latch.
         match idx.locate(20) {
             BoundLookup::Piece {
@@ -462,16 +684,16 @@ mod tests {
     #[should_panic(expected = "duplicate boundary")]
     fn duplicate_bound_panics() {
         let mut idx = CrackerIndex::<i64>::new(10);
-        idx.insert_bound(5, 3);
-        idx.insert_bound(5, 3);
+        idx.insert_bound(5, 3, 0);
+        idx.insert_bound(5, 3, 0);
     }
 
     #[test]
     fn pieces_in_order_covers_column() {
         let mut idx = CrackerIndex::<i64>::new(100);
-        idx.insert_bound(30, 25);
-        idx.insert_bound(70, 80);
-        idx.insert_bound(50, 60);
+        idx.insert_bound(30, 25, 0);
+        idx.insert_bound(70, 80, 0);
+        idx.insert_bound(50, 60, 0);
         assert_eq!(
             idx.pieces_in_order(),
             vec![(0, 25), (25, 60), (60, 80), (80, 100)]
@@ -483,21 +705,23 @@ mod tests {
     fn range_walks_rewrite_downstream_positions() {
         let mut idx = CrackerIndex::<i64>::new(100);
         for (k, p) in [(30, 25), (50, 60), (70, 80)] {
-            idx.insert_bound(k, p);
+            idx.insert_bound(k, p, 0);
         }
         assert_eq!(idx.piece_start(29), 0);
         assert_eq!(idx.piece_start(30), 25, "a boundary key starts its piece");
         assert_eq!(idx.piece_start(69), 60);
         // Ascending from value 30: the bounds above it, each by its delta.
         let mut delta = 0;
-        idx.walk_above(30, |_, pos| {
+        idx.walk_above(30, |bound, _| {
+            let Some((_, pos)) = bound else { return false };
             delta += 1;
             *pos -= delta;
             true
         });
         assert_eq!(idx.bounds_in_order(), vec![(30, 25), (50, 59), (70, 78)]);
         // Descending, stopped after the bound the walk ends on.
-        idx.walk_rev(|k, pos| {
+        idx.walk_rev(|bound, _| {
+            let Some((k, pos)) = bound else { return false };
             *pos += 2;
             k > 50
         });
@@ -508,8 +732,8 @@ mod tests {
     fn shift_bounds_key_gt_skips_left_empty_pieces() {
         let mut idx = CrackerIndex::<i64>::new(10);
         // Two bounds sharing position 5 (empty piece between them).
-        idx.insert_bound(30, 5);
-        idx.insert_bound(40, 5);
+        idx.insert_bound(30, 5, 0);
+        idx.insert_bound(40, 5, 0);
         // Inserting value 35 (piece [5,5)) must shift only key 40.
         idx.shift_bounds_key_gt(35, 1);
         assert_eq!(idx.bounds_in_order(), vec![(30, 5), (40, 6)]);
@@ -519,8 +743,8 @@ mod tests {
     #[test]
     fn piece_after_walks_the_whole_column() {
         let mut idx = CrackerIndex::<i64>::new(100);
-        idx.insert_bound(30, 25);
-        idx.insert_bound(70, 80);
+        idx.insert_bound(30, 25, 0);
+        idx.insert_bound(70, 80, 0);
         let mut cur = None;
         let mut seen = Vec::new();
         loop {
@@ -557,6 +781,7 @@ mod tests {
         let mut vals = base.clone();
         let mut rows: Vec<u32> = (0..base.len() as u32).collect();
         let mut index = CrackerIndex::new(base.len());
+        index.sum_pieces(&vals);
 
         for _ in 0..200 {
             let pivot = rng.random_range(0..10_000);
@@ -564,7 +789,20 @@ mod tests {
                 continue;
             };
             let split = crack_in_two(&mut vals[start..end], &mut rows[start..end], pivot);
-            index.insert_bound(pivot, start + split);
+            let below = sum_of(&vals[start..start + split]);
+            index.insert_bound(pivot, start + split, below);
+
+            // Invariant 0: every piece's sum is its values'.
+            let sums: Vec<i128> = index
+                .pieces_in_order()
+                .into_iter()
+                .map(|(s, e)| sum_of(&vals[s..e]))
+                .collect();
+            assert_eq!(
+                index.piece_sums(),
+                Some(sums),
+                "a crack split a sum wrongly"
+            );
 
             // Invariant 1: positions are non-decreasing in key order.
             let bounds = index.bounds_in_order();
@@ -597,6 +835,46 @@ mod tests {
             index.piece_count() > 100,
             "crack sequence barely exercised the index"
         );
+
+        // The pieces wholly inside a range plus its filtered edges are the
+        // range, sentinels and boundary keys included.
+        let keys: Vec<i64> = index.bounds_in_order().iter().map(|b| b.0).collect();
+        for _ in 0..500 {
+            let mut bound = |sentinel: i64| match rng.random_range(0..5) {
+                0 => sentinel,
+                1 => keys[rng.random_range(0..keys.len())],
+                _ => rng.random_range(-10..10_010),
+            };
+            let (a, b) = (bound(i64::MIN), bound(i64::MAX));
+            let (lo, hi) = (a.min(b), a.max(b));
+            if lo >= hi {
+                continue;
+            }
+            let inside = |v: i64| (lo == i64::MIN || v >= lo) && (hi == i64::MAX || v < hi);
+            let got = index.interior(lo, hi);
+            let (mut count, mut sum) = (got.count, got.sum);
+            for (from, piece) in got.edges.into_iter().flatten() {
+                let straddles_lo = lo != i64::MIN && from.is_none_or(|k| k < lo);
+                let straddles_hi = hi != i64::MAX && piece.hi_key.is_none_or(|k| k > hi);
+                assert!(straddles_lo || straddles_hi, "an inside piece filtered");
+                let owner = index.piece_after(from).expect("a boundary");
+                assert!(owner.latch.same_as(&piece.latch), "another piece's latch");
+                assert_eq!(
+                    (owner.start, owner.end, owner.hi_key),
+                    (piece.start, piece.end, piece.hi_key)
+                );
+                for &v in vals[piece.start..piece.end].iter().filter(|&&v| inside(v)) {
+                    count += 1;
+                    sum += v as i128;
+                }
+            }
+            let want: Vec<i64> = vals.iter().copied().filter(|&v| inside(v)).collect();
+            assert_eq!(
+                (count, sum),
+                (want.len() as u64, sum_of(&want)),
+                "interior({lo}, {hi})"
+            );
+        }
 
         // Multiset preserved end-to-end.
         let mut sorted_in = base;
@@ -633,7 +911,7 @@ mod tests {
             }
             let mut idx = CrackerIndex::new(pos + tail);
             for (k, p) in order {
-                idx.insert_bound(k, p);
+                idx.insert_bound(k, p, 0);
             }
             prop_assert_eq!(idx.bounds_in_order(), bounds.clone());
             prop_assert_eq!(idx.piece_count(), bounds.len() + 1);

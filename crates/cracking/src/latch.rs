@@ -65,6 +65,13 @@ impl PieceLatch {
         self.lock.read_arc()
     }
 
+    /// Non-blocking shared acquisition: `None` while a crack holds the
+    /// piece. Taken under the cracker-index lock, it pins the piece's
+    /// extent as the index shows it (a split needs the write latch).
+    pub fn try_lock_read(&self) -> Option<PieceReadGuard> {
+        self.lock.try_read_arc()
+    }
+
     /// Two handles latch the same piece iff they share the lock allocation.
     pub fn same_as(&self, other: &PieceLatch) -> bool {
         Arc::ptr_eq(&self.lock, &other.lock)

@@ -6,14 +6,13 @@
 //! A crack only *permutes values inside one piece* — the multiset of values
 //! per value range never changes. Snapshot scans (count / sum of
 //! qualifying **values**) therefore stay correct across arbitrary concurrent
-//! cracks and piece splits; only a **Ripple merge** (insert/delete) changes
-//! a piece's multiset, and merges already run under the column's exclusive
-//! structure lock. So the write side replaces a snapshot exactly when a
-//! merge lands — adding the merged values to the snapshot's sorted merge
-//! delta and sharing every `Arc`'d [`Segment`], or, once the delta is
-//! full, rebuilding the snapshot from the live pieces — and readers run
-//! with **no structure lock at all**. Refreshes re-copy single spans of
-//! pieces at live granularity the same copy-on-write way.
+//! cracks and piece splits, and readers run with **no structure lock at
+//! all**. Only a **Ripple merge** (insert/delete) changes a piece's
+//! multiset, so only a column no merge has written keeps a snapshot: its
+//! first merge drops it, and from then on the column answers snapshot
+//! reads from its live pieces and their sums. Refreshes and morphs re-copy
+//! single spans of pieces copy-on-write, sharing every `Arc`'d [`Segment`]
+//! they do not reach.
 //!
 //! ## Publication and reclamation
 //!
@@ -72,6 +71,36 @@ fn for_offsets(base: i64, lo: Option<i64>, hi: Option<i64>) -> Option<(Option<u6
     let lo_off = lo.and_then(|l| (l > base).then(|| l.wrapping_sub(base) as u64));
     let hi_off = hi.map(|h| h.wrapping_sub(base) as u64);
     Some((lo_off, hi_off))
+}
+
+/// Sentinel-aware bounds in i64 space: `None` = unbounded, matching
+/// [`Predicate::matches_unbounded`] (the `as_i64` map is order-preserving,
+/// so comparisons agree with `V`'s order).
+fn i64_bounds<V: CrackValue>(lo: V, hi: V) -> (Option<i64>, Option<i64>) {
+    (
+        (lo != V::MIN_VALUE).then(|| lo.as_i64()),
+        (hi != V::MAX_VALUE).then(|| hi.as_i64()),
+    )
+}
+
+/// Count + sum of the `vals` in `[lo, hi)` under the sentinel-aware
+/// predicate semantics ([`Predicate::matches_unbounded`]), through the
+/// branchless lane filter: the edge filter of a plain snapshot piece and
+/// of a written column's live piece.
+pub(crate) fn filter_stats<V: CrackValue>(vals: &[V], lo: V, hi: V) -> (u64, i128) {
+    let (lo, hi) = i64_bounds(lo, hi);
+    let mut count = 0u64;
+    let mut sum = 0i128;
+    let mut lanes = [0i64; 256];
+    for chunk in vals.chunks(lanes.len()) {
+        for (o, v) in lanes.iter_mut().zip(chunk) {
+            *o = v.as_i64();
+        }
+        let (c, s) = kernels::filter_count(&lanes[..chunk.len()], lo, hi);
+        count += c;
+        sum += s;
+    }
+    (count, sum)
 }
 
 /// Physical representation of one segment. Non-plain forms hold the
@@ -374,16 +403,6 @@ impl<V: CrackValue> Segment<V> {
         }
     }
 
-    /// Sentinel-aware bounds in i64 space: `None` = unbounded, matching
-    /// [`Predicate::matches_unbounded`] (the `as_i64` map is
-    /// order-preserving, so comparisons agree with `V`'s order).
-    fn bounds(lo: V, hi: V) -> (Option<i64>, Option<i64>) {
-        (
-            (lo != V::MIN_VALUE).then(|| lo.as_i64()),
-            (hi != V::MAX_VALUE).then(|| hi.as_i64()),
-        )
-    }
-
     /// Count + sum of qualifying values in `seg[start..start+len)` under
     /// the sentinel-aware predicate semantics
     /// ([`Predicate::matches_unbounded`]) — the fused filter_count kernel.
@@ -396,23 +415,10 @@ impl<V: CrackValue> Segment<V> {
         if pred.is_empty() {
             return (0, 0);
         }
-        let (lo_b, hi_b) = Self::bounds(lo, hi);
+        let (lo_b, hi_b) = i64_bounds(lo, hi);
         let end = start + len;
         match &self.repr {
-            Repr::Plain(d) => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                let mut lanes = [0i64; 256];
-                for chunk in d[start..end].chunks(lanes.len()) {
-                    for (o, v) in lanes.iter_mut().zip(chunk) {
-                        *o = v.as_i64();
-                    }
-                    let (c, s) = kernels::filter_count(&lanes[..chunk.len()], lo_b, hi_b);
-                    count += c;
-                    sum += s;
-                }
-                (count, sum)
-            }
+            Repr::Plain(d) => filter_stats(&d[start..end], lo, hi),
             Repr::For {
                 base,
                 bits,
@@ -569,116 +575,6 @@ pub struct SnapshotScan {
 /// snapshot's piece table.
 const RUN_PIECES: usize = 64;
 
-/// The merged values no snapshot piece holds yet: a Ripple merge records
-/// its values here instead of re-copying the pieces they land in, until
-/// the delta is full and the column rebuilds its snapshot. One ascending
-/// array of the merged inserts and deletes, with prefix sums of their net
-/// count and net sum (a delete of a value some piece, or an insert here,
-/// still holds counts −1), so a value range folds in two binary searches.
-/// An insert and a delete of one value cancel. Charged to the byte
-/// counter like a [`Segment`] — values and prefix sums — and debited on
-/// `Drop`, so a reader holding an old version keeps its delta charged.
-struct MergeDelta<V> {
-    vals: Box<[V]>,
-    /// `counts[i]` and `sums[i]`: net count and net sum of `vals[..i]`.
-    counts: Box<[i32]>,
-    sums: Box<[i128]>,
-    bytes: Arc<AtomicUsize>,
-    charged: usize,
-}
-
-impl<V: CrackValue> MergeDelta<V> {
-    /// The delta of `signed`, ascending `(value, insert)` pairs, after
-    /// netting out each value's inserts against its deletes; `None` when
-    /// nothing is left.
-    fn new(signed: Vec<(V, bool)>, bytes: &Arc<AtomicUsize>) -> Option<Arc<Self>> {
-        debug_assert!(signed.windows(2).all(|w| w[0].0 <= w[1].0));
-        let mut vals = Vec::with_capacity(signed.len());
-        let (mut counts, mut sums) = (vec![0i32], vec![0i128]);
-        let mut signed = signed.into_iter().peekable();
-        while let Some((v, insert)) = signed.next() {
-            let mut net = if insert { 1i32 } else { -1 };
-            while let Some((_, insert)) = signed.next_if(|&(w, _)| w == v) {
-                net += if insert { 1 } else { -1 };
-            }
-            for _ in 0..net.unsigned_abs() {
-                vals.push(v);
-                counts.push(counts[counts.len() - 1] + net.signum());
-                sums.push(sums[sums.len() - 1] + net.signum() as i128 * v.as_i64() as i128);
-            }
-        }
-        if vals.is_empty() {
-            return None;
-        }
-        let charged = vals.len() * V::width()
-            + counts.len() * (std::mem::size_of::<i32>() + std::mem::size_of::<i128>());
-        bytes.fetch_add(charged, SeqCst);
-        Some(Arc::new(MergeDelta {
-            vals: vals.into_boxed_slice(),
-            counts: counts.into_boxed_slice(),
-            sums: sums.into_boxed_slice(),
-            bytes: Arc::clone(bytes),
-            charged,
-        }))
-    }
-
-    /// The entries as ascending `(value, insert)` pairs.
-    fn signed(&self) -> impl Iterator<Item = (V, bool)> + '_ {
-        self.vals
-            .iter()
-            .zip(self.counts.windows(2))
-            .map(|(&v, c)| (v, c[1] > c[0]))
-    }
-
-    /// Net count + sum of `[lo, hi)` under the sentinel-aware predicate
-    /// semantics ([`Predicate::matches_unbounded`]).
-    fn stats(&self, lo: V, hi: V) -> (i64, i128) {
-        if lo >= hi {
-            return (0, 0);
-        }
-        let i = self.vals.partition_point(|&v| v < lo);
-        let j = if hi == V::MAX_VALUE {
-            self.vals.len()
-        } else {
-            i + self.vals[i..].partition_point(|&v| v < hi)
-        };
-        (
-            (self.counts[j] - self.counts[i]) as i64,
-            self.sums[j] - self.sums[i],
-        )
-    }
-}
-
-impl<V> Drop for MergeDelta<V> {
-    fn drop(&mut self) {
-        self.bytes.fetch_sub(self.charged, SeqCst);
-    }
-}
-
-/// The ascending `x` and `y` merged into one ascending vector by `key`.
-fn merged<T, K: Ord>(
-    x: impl Iterator<Item = T>,
-    y: impl Iterator<Item = T>,
-    key: impl Fn(&T) -> K,
-) -> Vec<T> {
-    let mut out = Vec::with_capacity(x.size_hint().0 + y.size_hint().0);
-    let mut y = y.peekable();
-    for t in x {
-        while let Some(u) = y.next_if(|u| key(u) < key(&t)) {
-            out.push(u);
-        }
-        out.push(t);
-    }
-    out.extend(y);
-    out
-}
-
-/// `true` when `v` lies in the key range `[a, b)` of a splice span (`None`
-/// = the column edge on that side, the right one holding `MAX_VALUE`).
-fn in_span<V: Ord>(v: V, a: Option<V>, b: Option<V>) -> bool {
-    a.is_none_or(|a| v >= a) && b.is_none_or(|b| v < b)
-}
-
 /// A stretch of consecutive snapshot pieces shared between the snapshot
 /// versions that did not change it, with what a walk or a splice needs to
 /// pass over it without touching the pieces. `Clone` shares the pieces.
@@ -711,26 +607,19 @@ type Cursor = (usize, usize);
 ///
 /// The piece table is held as runs of at most `RUN_PIECES` pieces, each
 /// run `Arc`-shared: [`PieceSnapshot::splice`] builds the next version by
-/// rebuilding the runs its span touches and sharing every other one, and
-/// [`PieceSnapshot::with_delta`] shares them all, so a publish costs a
-/// refcount per *run* it left alone rather than a clone (and later a
-/// drop) per *piece*. Runs only ever shrink when a span's replacement is
-/// shorter than what it replaces (emptied pieces are not copied back); a
-/// table whose runs have all withered to a piece each costs a splice what
-/// the flat table did, until the next rebuild ([`PieceSnapshot::new`]).
+/// rebuilding the runs its span touches and sharing every other one, so a
+/// publish costs a refcount per *run* it left alone rather than a clone
+/// (and later a drop) per *piece*. Runs only ever shrink when a span's
+/// replacement is shorter than what it replaces (emptied pieces are not
+/// copied back); a table whose runs have all withered to a piece each
+/// costs a splice what the flat table did.
 ///
-/// Beside the pieces sits the snapshot's *merge delta*: merged inserts and
-/// deletes that no piece holds yet, sorted with prefix sums, so
-/// [`PieceSnapshot::stats`] folds them in O(log d). Every merge adds its
-/// values there ([`PieceSnapshot::with_delta`]) and copies no piece; a
-/// splice drops the delta values inside its span, whose replacement
-/// pieces are live copies that already hold them.
+/// Only a column that no Ripple merge has written holds one: a merge
+/// changes pieces' multisets, and the first one drops the column's
+/// snapshot for good (its reads then fold the live pieces' sums).
 pub struct PieceSnapshot<V> {
     runs: Vec<Run<V>>,
     len: usize,
-    /// Merged values no piece holds yet (`None` = none), shared with the
-    /// versions that did not change it.
-    delta: Option<Arc<MergeDelta<V>>>,
 }
 
 impl<V: CrackValue> PieceSnapshot<V> {
@@ -738,21 +627,17 @@ impl<V: CrackValue> PieceSnapshot<V> {
     pub fn new(pieces: Vec<SnapPiece<V>>) -> Self {
         let mut runs = Vec::with_capacity(pieces.len().div_ceil(RUN_PIECES));
         Self::push_runs(&mut runs, pieces);
-        Self::from_runs(runs, None)
+        Self::from_runs(runs)
     }
 
-    fn from_runs(runs: Vec<Run<V>>, delta: Option<Arc<MergeDelta<V>>>) -> Self {
+    fn from_runs(runs: Vec<Run<V>>) -> Self {
         debug_assert!(
             runs.windows(2)
                 .all(|w| w[0].hi_key.is_some()
                     && (w[1].hi_key.is_none() || w[1].hi_key > w[0].hi_key))
         );
-        let held: usize = runs.iter().map(|r| r.len).sum();
-        let len = delta.as_ref().map_or(held, |d| {
-            held.checked_add_signed(d.counts[d.vals.len()] as isize)
-                .expect("a delta delete whose value no piece holds")
-        });
-        PieceSnapshot { runs, len, delta }
+        let len = runs.iter().map(|r| r.len).sum();
+        PieceSnapshot { runs, len }
     }
 
     /// Appends `pieces` to `runs` as runs of near-equal size, none longer
@@ -780,7 +665,7 @@ impl<V: CrackValue> PieceSnapshot<V> {
         }
     }
 
-    /// Total values in the snapshot, its merge delta folded in.
+    /// Total values in the snapshot.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -788,47 +673,6 @@ impl<V: CrackValue> PieceSnapshot<V> {
     /// `true` when the snapshot holds no values.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The merge delta as ascending `(value, insert)` pairs: what a walk
-    /// over [`PieceSnapshot::pieces`] has to add (`true`) and take away
-    /// (`false`) to get the snapshot's multiset.
-    pub fn delta(&self) -> impl Iterator<Item = (V, bool)> + '_ {
-        self.delta.iter().flat_map(|d| d.signed())
-    }
-
-    /// Values in the merge delta, inserts and deletes.
-    pub fn delta_len(&self) -> usize {
-        self.delta.as_ref().map_or(0, |d| d.vals.len())
-    }
-
-    /// `true` when a merge-delta value lies in the key range `[a, b)`
-    /// (`None` = the column edge on that side).
-    pub fn delta_meets(&self, a: Option<V>, b: Option<V>) -> bool {
-        self.delta.as_ref().is_some_and(|d| {
-            let i = a.map_or(0, |a| d.vals.partition_point(|&v| v < a));
-            d.vals.get(i).is_some_and(|&v| in_span(v, a, b))
-        })
-    }
-
-    /// This snapshot with the sorted `ins` and `del` added to its merge
-    /// delta (new delta bytes are charged to `bytes`): inserts the column
-    /// merged that no piece holds, and deletes that found their tuple in
-    /// the column, whose values a piece (or the delta) still holds.
-    /// Every piece is shared with `self`.
-    pub fn with_delta(&self, ins: &[V], del: &[V], bytes: &Arc<AtomicUsize>) -> Self {
-        let delta = if ins.is_empty() && del.is_empty() {
-            self.delta.clone()
-        } else {
-            let key = |&(v, _): &(V, bool)| v;
-            let new = merged(
-                ins.iter().map(|&v| (v, true)),
-                del.iter().map(|&v| (v, false)),
-                key,
-            );
-            MergeDelta::new(merged(self.delta(), new.into_iter(), key), bytes)
-        };
-        Self::from_runs(self.runs.clone(), delta)
     }
 
     /// The pieces in ascending value order.
@@ -905,11 +749,9 @@ impl<V: CrackValue> PieceSnapshot<V> {
 
     /// The next version of this snapshot: every piece covering the value
     /// range `[a, b)` (`None` = the column edge on that side) replaced by
-    /// `mid`. Only the runs the span reaches into are rebuilt (from what
-    /// the span leaves of them plus `mid`); every other run is shared with
-    /// `self`. The merge delta loses its values inside the span: `mid` must
-    /// hold the whole multiset of `[a, b)` (a copy of the live column
-    /// does), or the span must meet no delta value (a re-encoded piece).
+    /// `mid`, which holds the whole multiset of `[a, b)`. Only the runs the
+    /// span reaches into are rebuilt (from what the span leaves of them
+    /// plus `mid`); every other run is shared with `self`.
     ///
     /// `None` when an anchor is not (or no longer) a boundary of this
     /// snapshot: a piece straddling it would be dropped whole and only its
@@ -922,13 +764,6 @@ impl<V: CrackValue> PieceSnapshot<V> {
             return None;
         }
         debug_assert!(i <= j, "anchors out of order");
-        let delta = match &self.delta {
-            Some(d) if self.delta_meets(a, b) => MergeDelta::new(
-                d.signed().filter(|&(v, _)| !in_span(v, a, b)).collect(),
-                &d.bytes,
-            ),
-            kept => kept.clone(),
-        };
         // Runs before `i`'s are shared; `i`'s head, `mid` and `j`'s tail
         // are cut into new runs; runs after `j`'s (and `j`'s own, when the
         // span ends on its seam) are shared.
@@ -951,13 +786,12 @@ impl<V: CrackValue> PieceSnapshot<V> {
             Self::push_runs(&mut runs, open);
         }
         runs.extend_from_slice(&self.runs[rest..]);
-        Some(Self::from_runs(runs, delta))
+        Some(Self::from_runs(runs))
     }
 
     /// Count + sum of values in `[lo, hi)`. Interior runs and pieces fully
     /// covered by the range contribute their precomputed aggregates; only
-    /// the edge pieces are filtered element-wise; the merge delta adds one
-    /// binary search per bound.
+    /// the edge pieces are filtered element-wise.
     pub fn stats(&self, lo: V, hi: V) -> SnapshotScan {
         let mut out = SnapshotScan::default();
         self.walk(lo, hi, |reached| match reached {
@@ -976,14 +810,6 @@ impl<V: CrackValue> PieceSnapshot<V> {
                 out.sum += s;
             }
         });
-        if let Some(d) = &self.delta {
-            let (count, sum) = d.stats(lo, hi);
-            out.count = out
-                .count
-                .checked_add_signed(count)
-                .expect("a delta delete whose value no piece holds");
-            out.sum += sum;
-        }
         out
     }
 
@@ -1144,36 +970,22 @@ mod tests {
             .fold((0, 0), |(c, s), &v| (c + 1, s + v as i128))
     }
 
+    /// A splice of a live copy of one span (as an edge refresh makes it)
+    /// answers the new multiset, the lane filter a written column's edges
+    /// go through answers any range of a piece's values, sentinels
+    /// included, and every replaced segment is debited once nobody holds
+    /// it.
     #[test]
-    fn merge_delta_folds_into_stats_and_splices_absorb_it() {
+    fn splices_and_the_lane_filter_answer_the_multiset() {
         let bytes = counter();
         let plain = snapshot_of(
             vec![
                 (Some(10), vec![5, 1]),
                 (Some(20), vec![12, 17, 11]),
-                (None, vec![25, 20]),
+                (None, vec![25, 20, i64::MAX]),
             ],
             &bytes,
         );
-        let pieces_bytes = bytes.load(SeqCst);
-        // An insert and a delete of 17 cancel; 12 and 25 leave pieces that
-        // still hold them.
-        let snap = plain.with_delta(&[3, 3, 17, 22, i64::MAX], &[12, 17, 25], &bytes);
-        let delta = |snap: &PieceSnapshot<i64>| snap.delta().collect::<Vec<_>>();
-        assert_eq!(
-            delta(&snap),
-            [
-                (3, true),
-                (3, true),
-                (12, false),
-                (22, true),
-                (25, false),
-                (i64::MAX, true)
-            ]
-        );
-        assert!(bytes.load(SeqCst) > pieces_bytes, "the delta is charged");
-        let want = [1, 5, 11, 17, 20, 3, 3, 22, i64::MAX];
-        assert_eq!(snap.len(), want.len());
         let probes = [
             (i64::MIN, i64::MAX),
             (3, 4),
@@ -1183,36 +995,16 @@ mod tests {
             (i64::MIN, 3),
             (25, 25),
         ];
-        for (lo, hi) in probes {
-            let got = snap.stats(lo, hi);
-            assert_eq!(
-                (got.count, got.sum),
-                multiset_stats(&want, lo, hi),
-                "[{lo},{hi})"
-            );
-        }
-        assert!(snap.delta_meets(Some(10), Some(20)));
-        assert!(!snap.delta_meets(Some(4), Some(12)));
-        // A live copy of [10, 20) holds what the delete of 12 left: the
-        // splice drops the delta's 12 with the pieces it replaces.
-        let live = Arc::new(Segment::new(vec![11, 17], Arc::clone(&bytes)));
-        let next = snap
+        let want = [1, 5, 11, 17, 17, 20, 25, i64::MAX];
+        let live = Arc::new(Segment::new(vec![17, 11, 17], Arc::clone(&bytes)));
+        let next = plain
             .splice(
                 Some(10),
                 Some(20),
-                vec![SnapPiece::new(Some(20), live, 0, 2)],
+                vec![SnapPiece::new(Some(20), live, 0, 3)],
             )
             .expect("boundaries");
-        assert_eq!(
-            delta(&next),
-            [
-                (3, true),
-                (3, true),
-                (22, true),
-                (25, false),
-                (i64::MAX, true)
-            ]
-        );
+        assert_eq!(next.len(), want.len());
         for (lo, hi) in probes {
             let got = next.stats(lo, hi);
             assert_eq!(
@@ -1220,9 +1012,20 @@ mod tests {
                 multiset_stats(&want, lo, hi),
                 "[{lo},{hi})"
             );
+            assert_eq!(
+                filter_stats(&want, lo, hi),
+                multiset_stats(&want, lo, hi),
+                "filter [{lo},{hi})"
+            );
         }
-        drop((plain, snap, next));
-        assert_eq!(bytes.load(SeqCst), 0, "every delta debited its charge");
+        drop(plain);
+        assert_eq!(
+            bytes.load(SeqCst),
+            want.len() * 8,
+            "the replaced piece went"
+        );
+        drop(next);
+        assert_eq!(bytes.load(SeqCst), 0);
     }
 
     /// A table of `n` pieces with boundary keys 100, 200, … (the last

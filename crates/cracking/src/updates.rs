@@ -22,31 +22,22 @@
 use crate::index::CrackerIndex;
 use crate::vectorized::RowLane;
 use holix_storage::types::{CrackValue, RowId};
-use std::sync::Arc;
 
 /// A list of `(value, row-id)` update operations.
 pub type UpdateList<V> = Vec<(V, RowId)>;
 
 /// Queue of not-yet-merged updates for one column.
 ///
-/// Besides the queued inserts/deletes, the structure tracks *in-flight
-/// merge batches*: a Ripple merge takes its items out of the queues long
-/// before the post-merge snapshot is published, and a snapshot
-/// reader linearising on this structure's mutex must still see those items
-/// somewhere — otherwise a scan racing the merge would observe them in
-/// neither the (old) snapshot nor the pending queue. The merge registers
-/// its batch with [`PendingUpdates::take_all_tracked`] and clears it with
-/// [`PendingUpdates::finish_merge`] in the same critical section that
-/// publishes the new snapshot.
+/// A Ripple merge takes the whole queue ([`PendingUpdates::take_all`])
+/// under the column's exclusive structure lock, and in the same critical
+/// section of the mutex guarding this queue as the one that drops a
+/// published snapshot: no reader can see a taken batch in neither place.
+/// A reader of a snapshot cloned it before the take, and every other
+/// reader holds the structure lock shared, so it waits for the merge.
 #[derive(Debug, Default)]
 pub struct PendingUpdates<V> {
     inserts: Vec<(V, RowId)>,
     deletes: Vec<(V, RowId)>,
-    /// Taken-but-not-yet-published merge batches `(token, inserts,
-    /// deletes)`; `Arc`-shared with the merging thread so registration
-    /// costs two refcount bumps, not two buffer copies.
-    in_flight: Vec<InFlightBatch<V>>,
-    next_token: u64,
     /// Set by shard migration: the column is being drained into its
     /// replan successors, so new updates must be rejected and re-routed
     /// through the successor plan (checked under the pending mutex —
@@ -54,17 +45,12 @@ pub struct PendingUpdates<V> {
     sealed: bool,
 }
 
-/// One merge's taken batch: `(token, inserts, deletes)`.
-pub type InFlightBatch<V> = (u64, Arc<UpdateList<V>>, Arc<UpdateList<V>>);
-
 impl<V: CrackValue> PendingUpdates<V> {
     /// Empty queue.
     pub fn new() -> Self {
         PendingUpdates {
             inserts: Vec::new(),
             deletes: Vec::new(),
-            in_flight: Vec::new(),
-            next_token: 0,
             sealed: false,
         }
     }
@@ -116,32 +102,19 @@ impl<V: CrackValue> PendingUpdates<V> {
         self.inserts.is_empty() && self.deletes.is_empty()
     }
 
-    /// Takes *every* queued update and registers the batch as in-flight
-    /// until [`PendingUpdates::finish_merge`] is called with the returned
-    /// token. Every Ripple merge takes its batch here.
-    pub fn take_all_tracked(&mut self) -> InFlightBatch<V> {
-        let ins = Arc::new(std::mem::take(&mut self.inserts));
-        let del = Arc::new(std::mem::take(&mut self.deletes));
-        let token = self.next_token;
-        self.next_token += 1;
-        self.in_flight
-            .push((token, Arc::clone(&ins), Arc::clone(&del)));
-        (token, ins, del)
+    /// Takes *every* queued update: `(inserts, deletes)`. Every Ripple
+    /// merge takes its batch here.
+    pub fn take_all(&mut self) -> (UpdateList<V>, UpdateList<V>) {
+        (
+            std::mem::take(&mut self.inserts),
+            std::mem::take(&mut self.deletes),
+        )
     }
 
-    /// Unregisters an in-flight merge batch (its items are now visible in
-    /// the published snapshot).
-    pub fn finish_merge(&mut self, token: u64) {
-        if let Some(i) = self.in_flight.iter().position(|&(t, _, _)| t == token) {
-            self.in_flight.swap_remove(i);
-        }
-    }
-
-    /// Visits the value of every update not yet visible in a published
-    /// snapshot — queued *and* in-flight — that satisfies `qualifies`.
-    /// Allocation-free: snapshot readers run this inside the pending-mutex
-    /// critical section (the reader linearisation point), so the overlay
-    /// must not lengthen that lock with per-scan `Vec`s.
+    /// Visits the value of every queued update that satisfies `qualifies`.
+    /// Allocation-free: readers run this inside the pending-mutex critical
+    /// section (the reader linearisation point), so the overlay must not
+    /// lengthen that lock with per-scan `Vec`s.
     pub fn for_each_unmerged(
         &self,
         mut qualifies: impl FnMut(V) -> bool,
@@ -157,18 +130,6 @@ impl<V: CrackValue> PendingUpdates<V> {
                 visit(v, UnmergedKind::Delete);
             }
         }
-        for (_, fi, fd) in &self.in_flight {
-            for &(v, _) in fi.iter() {
-                if qualifies(v) {
-                    visit(v, UnmergedKind::Insert);
-                }
-            }
-            for &(v, _) in fd.iter() {
-                if qualifies(v) {
-                    visit(v, UnmergedKind::Delete);
-                }
-            }
-        }
     }
 }
 
@@ -176,9 +137,9 @@ impl<V: CrackValue> PendingUpdates<V> {
 /// [`PendingUpdates::for_each_unmerged`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnmergedKind {
-    /// A queued or in-flight insertion.
+    /// A queued insertion.
     Insert,
-    /// A queued or in-flight deletion.
+    /// A queued deletion.
     Delete,
 }
 
@@ -283,8 +244,11 @@ pub fn ripple_delete<V: CrackValue>(
 /// A delete that matches nothing in the value's piece is dropped, as
 /// [`ripple_delete`] drops it. The batch leaves each piece the multiset
 /// the per-value functions leave it (which element of a piece sits where
-/// is unspecified in both), and the same boundary table. Caller holds the
-/// column exclusively (vectors may grow).
+/// is unspecified in both), and the same boundary table. Each value the
+/// batch applies is added to (or taken from) the sum of the piece it lands
+/// in (or leaves), inside the walk that moves it; downstream pieces only
+/// rotate, so their sums stay. Caller holds the column exclusively
+/// (vectors may grow).
 pub fn ripple_batch<V: CrackValue, R: RowLane>(
     vals: &mut Vec<V>,
     rows: &mut Vec<R>,
@@ -343,8 +307,9 @@ impl<V: CrackValue, R: RowLane> DeletePass<'_, V, R> {
     /// values below `hi` (`None` = the last piece): overwrites each victim
     /// with the piece's then-last element, copies the last
     /// `min(holes, len)` survivors into the gap before the piece's head —
-    /// the piece now starts `holes` lower — and advances to `end`.
-    fn piece(&mut self, end: usize, hi: Option<V>) {
+    /// the piece now starts `holes` lower — and advances to `end`. Returns
+    /// the sum of the values it deleted from the piece.
+    fn piece(&mut self, end: usize, hi: Option<V>) -> i128 {
         let mut group_end = self.next;
         while group_end < self.del.len() && hi.is_none_or(|k| self.del[group_end].0 < k) {
             group_end += 1;
@@ -355,6 +320,7 @@ impl<V: CrackValue, R: RowLane> DeletePass<'_, V, R> {
         // element per repeat. Ends with the group.
         let mut live_end = end;
         let mut i = self.start;
+        let mut removed = 0i128;
         while self.next < group_end && i < live_end {
             let key = (self.vals[i], self.rows[i]);
             let group = &mut self.del[self.next..group_end];
@@ -362,6 +328,7 @@ impl<V: CrackValue, R: RowLane> DeletePass<'_, V, R> {
             if group.get(j) == Some(&key) {
                 group[..=j].rotate_right(1);
                 self.next += 1;
+                removed += key.0.as_i64() as i128;
                 live_end -= 1;
                 self.vals[i] = self.vals[live_end];
                 self.rows[i] = self.rows[live_end];
@@ -376,6 +343,7 @@ impl<V: CrackValue, R: RowLane> DeletePass<'_, V, R> {
         relocate(self.rows, live_end - moved, to, moved);
         self.holes += end - live_end;
         self.start = end;
+        removed
     }
 }
 
@@ -397,18 +365,17 @@ fn delete_pass<V: CrackValue, R: RowLane>(
         holes: 0,
     };
     let mut walked = 0;
-    let mut settled = false;
-    index.walk_above(first, |key, pos| {
+    index.walk_above(first, |bound, sum| {
+        let Some((key, pos)) = bound else {
+            *sum -= pass.piece(n, None);
+            return false;
+        };
         walked += 1;
-        pass.piece(*pos, Some(key));
+        *sum -= pass.piece(*pos, Some(key));
         *pos -= pass.holes;
         // Every delete looked for and none found: nothing downstream moves.
-        settled = pass.holes == 0 && pass.next == pass.del.len();
-        !settled
+        pass.holes > 0 || pass.next < pass.del.len()
     });
-    if !settled {
-        pass.piece(n, None);
-    }
     let len = n - pass.holes;
     vals.truncate(len);
     rows.truncate(len);
@@ -439,24 +406,31 @@ fn insert_pass<V: CrackValue, R: RowLane>(
             rows[slot] = r;
         }
     };
+    let sum = |own: &[(V, R)]| own.iter().map(|&(v, _)| v.as_i64() as i128).sum::<i128>();
     let mut end = n; // old end of the piece under the cursor
     let mut left = ins.len(); // `ins[..left]` belong at or left of the cursor
     let mut walked = 0;
-    index.walk_rev(|key, pos| {
+    index.walk_rev(|bound, piece_sum| {
+        let Some((key, pos)) = bound else {
+            // Out of boundaries with values still in hand: they are the
+            // first piece's.
+            place(0, end, 0, &ins[..left]);
+            *piece_sum += sum(&ins[..left]);
+            return false;
+        };
         walked += 1;
         let mut own = 0;
         while own < left && ins[left - 1 - own].0 >= key {
             own += 1;
         }
         left -= own;
-        place(*pos, end, left, &ins[left..left + own]);
+        let own = &ins[left..left + own];
+        place(*pos, end, left, own);
+        *piece_sum += sum(own);
         end = *pos;
         *pos += left;
         left > 0
     });
-    // Out of boundaries with values still in hand: they are the first
-    // piece's.
-    place(0, end, 0, &ins[..left]);
     walked
 }
 
@@ -471,6 +445,7 @@ mod tests {
         let mut vals = base.to_vec();
         let mut rows: Vec<RowId> = (0..base.len() as u32).collect();
         let mut index = CrackerIndex::new(base.len());
+        index.sum_pieces(&vals);
         for &p in pivots {
             let bounds = index.bounds_in_order();
             if bounds.iter().any(|&(k, _)| k == p) {
@@ -478,9 +453,19 @@ mod tests {
             }
             let (_, s, e) = piece_of(&bounds, vals.len(), p);
             let split = crate::crack::crack_in_two(&mut vals[s..e], &mut rows[s..e], p);
-            index.insert_bound(p, s + split);
+            let below = crate::index::sum_of(&vals[s..s + split]);
+            index.insert_bound(p, s + split, below);
         }
         (vals, rows, index)
+    }
+
+    /// Every piece's sum, recomputed from its values, in piece order.
+    fn recomputed_sums(vals: &[i64], index: &CrackerIndex<i64>) -> Vec<i128> {
+        index
+            .pieces_in_order()
+            .into_iter()
+            .map(|(s, e)| crate::index::sum_of(&vals[s..e]))
+            .collect()
     }
 
     fn check_pieces(vals: &[i64], index: &CrackerIndex<i64>) {
@@ -510,30 +495,11 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_batches_stay_visible_until_finished() {
+    fn take_all_empties_the_queue_and_the_overlay() {
         let mut q = PendingUpdates::new();
         q.queue_insert(i64::MAX, 1); // the sentinel is taken like any value
         q.queue_insert(5, 2);
         q.queue_delete(7, 3);
-        let (token, ins, del) = q.take_all_tracked();
-        assert_eq!(*ins, vec![(i64::MAX, 1), (5, 2)]);
-        assert_eq!(*del, vec![(7, 3)]);
-        assert!(q.is_empty(), "taken items left the queue");
-        // A later batch is tracked on its own token.
-        q.queue_insert(50, 4);
-        let (second, _, _) = q.take_all_tracked();
-        assert_ne!(token, second);
-        let unmerged = |q: &PendingUpdates<i64>| {
-            let mut n = 0;
-            q.for_each_unmerged(|_| true, |_, _| n += 1);
-            n
-        };
-        assert_eq!(
-            unmerged(&q),
-            4,
-            "both batches, the sentinel too, stay visible in flight"
-        );
-        // … but a snapshot reader still sees both batches as unmerged.
         let collect = |q: &PendingUpdates<i64>, cap: i64| {
             let (mut ins, mut del) = (Vec::new(), Vec::new());
             q.for_each_unmerged(
@@ -545,17 +511,15 @@ mod tests {
             );
             (ins, del)
         };
-        let (uv_ins, uv_del) = collect(&q, 10);
-        assert_eq!(uv_ins, vec![5]);
-        assert_eq!(uv_del, vec![7]);
-        q.finish_merge(token);
-        let (uv_ins, uv_del) = collect(&q, 100);
-        assert_eq!(uv_ins, vec![50], "the unfinished batch stays visible");
-        assert!(uv_del.is_empty());
-        q.finish_merge(token); // idempotent
-        q.finish_merge(second);
+        assert_eq!(collect(&q, 10), (vec![5], vec![7]));
+        let (ins, del) = q.take_all();
+        assert_eq!(ins, vec![(i64::MAX, 1), (5, 2)]);
+        assert_eq!(del, vec![(7, 3)]);
+        assert!(q.is_empty(), "taken items left the queue");
         assert_eq!(collect(&q, i64::MAX), (vec![], vec![]));
-        assert_eq!(unmerged(&q), 0, "the sentinel leaves with its batch");
+        // The next batch is the queue from here on alone.
+        q.queue_insert(50, 4);
+        assert_eq!(q.take_all(), (vec![(50, 4)], vec![]));
     }
 
     #[test]
@@ -656,8 +620,9 @@ mod tests {
     /// applies them), then requires the same boundary table and the same
     /// multiset in every piece. A values-only copy of `batched` takes the
     /// batch too, over the `()` lane with the deletes the oracle found,
-    /// and must leave the same boundaries and per-piece values. Returns
-    /// the boundaries the batch walked.
+    /// and must leave the same boundaries and per-piece values. Both keep
+    /// every piece's sum equal to its values'. Returns the boundaries the
+    /// batch walked.
     fn apply_both(
         batched: &mut State,
         oracle: &mut State,
@@ -694,6 +659,13 @@ mod tests {
             "values-only pieces differ after ins {ins:?} del {del:?}"
         );
         check_pieces(&batched.0, &batched.2);
+        for (vals, index) in [(&batched.0, &batched.2), (&alone, &alone_index)] {
+            assert_eq!(
+                index.piece_sums(),
+                Some(recomputed_sums(vals, index)),
+                "piece sums drifted after ins {ins:?} del {del:?}"
+            );
+        }
         assert_eq!(
             batched.2.bounds_in_order(),
             oracle.2.bounds_in_order(),

@@ -1605,8 +1605,8 @@ mod tests {
             assert!(shard.snapshot_published(), "shard {k}");
         }
         let shard = col.shard(0);
-        // Locked reads crack shard 0 finer than its snapshot, whose pieces
-        // go stale; the drain must still copy none of them.
+        // Locked reads crack shard 0 finer than its snapshot, so the reads
+        // after the drain fold piece sums the snapshot never had.
         let base = e.data.column(0);
         for &v in base
             .iter()
@@ -1641,7 +1641,7 @@ mod tests {
             e.queue_delete(0, v, row);
             values.remove(values.iter().position(|&x| x == v).expect("a base value"));
         }
-        // Inserted values meet no deleted one, so the delta nets nothing.
+        // Inserted values meet no deleted one.
         let mut v = 0;
         for row in 0..140 {
             while !in_shard(v) || deleted.iter().any(|&(d, _)| d == v) {
@@ -1680,14 +1680,14 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_drain_a_converged_shards_queue_into_the_snapshot_delta() {
+    fn idle_workers_drain_a_converged_shards_queue_and_drop_its_snapshot() {
         let (e, before, values) = converged_shard_with_a_due_queue(None);
         let col = peek(&e, 0);
         let shard = col.shard(0);
-        // The queue empties when a drain takes it; the drain is done when
-        // it publishes the next snapshot version.
+        // The drain drops the snapshot in the critical section that takes
+        // the queue; the reads below wait for the rest of it.
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while Arc::ptr_eq(&shard.snapshot().expect("published"), &before) {
+        while shard.snapshot_published() {
             assert!(
                 std::time::Instant::now() < deadline,
                 "no worker drained the converged shard's queue of {}",
@@ -1696,20 +1696,18 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(shard.pending_len(), 0);
-        // The whole batch went to the merge delta; no piece was copied.
-        let after = shard.snapshot().expect("published");
-        assert_eq!(shard.snapshot_piece_count(), before.piece_count());
-        let piece = |p: &holix_cracking::snapshot::SnapPiece<i64>| {
-            (p.hi_key, p.len(), p.plain_values().map(<[i64]>::as_ptr))
-        };
-        assert!(before.pieces().map(piece).eq(after.pieces().map(piece)));
-        assert_eq!(after.delta_len(), 200);
+        // The written shard keeps one copy: the snapshot's bytes go with
+        // the last reader holding it, and no read builds another.
+        assert!(shard.snapshot_bytes() > 0, "held by `before`");
+        drop(before);
+        assert_eq!(shard.snapshot_bytes(), 0);
         let held = values
             .iter()
             .filter(|&&v| col.plan().shard_of(v) == 0)
             .count();
         assert_eq!(shard.len(), held);
         reads_match(&e, &values);
+        assert!(!shard.snapshot_published(), "a read rebuilt the snapshot");
         let merges: u64 = e.stop().iter().map(|c| c.merges).sum();
         assert!(merges >= 1, "no cycle recorded the drain");
     }

@@ -6,10 +6,10 @@
 //! `CrackerColumn::MERGE_BACKLOG`) and on idle workers (a queue of
 //! `CrackerColumn::DRAIN_DUE` on any resident shard), so the test times
 //! them where they all land: the process-wide `cracking_ripple_merge_ns`
-//! histogram, windowed, and the drains that compact a snapshot's merge
-//! delta apart in `cracking_delta_compaction_ns`. That is why it is the
-//! only test in its file — a test beside it in the same process would
-//! record its own drains there.
+//! histogram, windowed. That is why it is the only test in its file — a
+//! test beside it in the same process would record its own drains there.
+//! Beside the drains it times the snapshot reads, which on a written shard
+//! fold the live pieces' sums.
 
 use holix_engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
 use holix_storage::types::RowId;
@@ -84,13 +84,18 @@ impl Fenwick {
 /// whose queue reaches half the backlog, few reads merge at all, so the
 /// drains are timed where they run; a window must still hold at least 8
 /// (24–38 measured, floor 0.12–0.16 → 2.5–3.9 ms over a 20.4-fold piece
-/// growth). A drain copies no snapshot piece unless it compacts: past
-/// the merge delta's cap it rebuilds its shard's snapshot from the live
-/// pieces, and only the read path does (a read past the backlog, a
-/// refining worker). The compaction (`cracking_delta_compaction_ns`) is
-/// held to the same slope by halves of the run, with at least 8 a half:
-/// measured 12 → 20 compactions, floor 4.6–5.3 → 11.1–12.0 ms while the
-/// pieces grew 1.84-fold (3 runs).
+/// growth).
+///
+/// A drain copies nothing: the first one of a shard drops its snapshot,
+/// and from then on a snapshot read adds the sums of the pieces wholly in
+/// its range and filters the two edge pieces, under the structure lock
+/// shared — so it walks the boundaries in range and waits for a drain
+/// holding the shard. Those reads are held to the same slope by halves of
+/// the run, timed around `execute_snapshot` once every shard is written,
+/// with at least 8 a half. A half's reads span a piece table that grows
+/// through it, so each read's time is taken against the piece table at
+/// that read: the first quartile of time per piece may at most double
+/// from the first half to the second.
 ///
 /// The point filters' rebuild cadence rides along: a shard rebuilds its
 /// filter once the deletes queued since the last build reach a quarter of
@@ -106,7 +111,6 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
     const SLOPE: u64 = 2;
     holix_telemetry::set_metrics_enabled(true);
     let drains = holix_telemetry::registry().histogram("cracking_ripple_merge_ns");
-    let compactions = holix_telemetry::registry().histogram("cracking_delta_compaction_ns");
     let (attrs, rows, shards) = (2, 1 << 18, 4);
     let domain = 2 * rows as i64;
     let data = Dataset::new(uniform_table(attrs, rows, domain, 29));
@@ -133,14 +137,16 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
     let mut rebuilds = 0usize;
     // Per window: the drains it held and their first quartile.
     let mut windows: Vec<(u64, u64)> = Vec::with_capacity(OPS / WINDOW);
-    // Per half of the run: the compactions, their first quartile and the
-    // piece table at its end.
-    let mut halves: Vec<(u64, u64, usize)> = Vec::with_capacity(2);
+    // The snapshot reads of the current half once every shard is written
+    // (ns per piece of the table at the read), and per half of the run:
+    // how many, and their first quartile.
+    let mut reads: Vec<f64> = Vec::new();
+    let mut written = false;
+    let mut halves: Vec<(usize, f64)> = Vec::with_capacity(2);
     let mut first_pieces = 0;
 
     let deadline = std::time::Instant::now() + Duration::from_secs(600);
     drains.reset_window();
-    compactions.reset_window();
     let mut i = 0;
     while i < OPS {
         assert!(
@@ -203,7 +209,13 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
                     hi: lo + width,
                 };
                 let want = oracle[attr].in_range(q.lo, q.hi);
-                assert_eq!(e.execute_snapshot(&q), Some(want), "op {i} {q:?}");
+                let t0 = std::time::Instant::now();
+                let got = e.execute_snapshot(&q);
+                if written {
+                    let ns = t0.elapsed().as_nanos() as f64;
+                    reads.push(ns / e.total_pieces() as f64);
+                }
+                assert_eq!(got, Some(want), "op {i} {q:?}");
             }
             70..=89 => insert(&e, &mut rng),
             _ => {
@@ -224,9 +236,13 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
         }
         i += 1;
         if i % 64 == 0 {
+            written = true;
             for a in 0..attrs {
                 let col = e.sharded(a);
                 for k in 0..col.shard_count() {
+                    written &= col
+                        .resident(k)
+                        .is_some_and(|(shard, _)| !shard.snapshot_published());
                     let now = col.resident(k).and_then(|(shard, _)| shard.point_filter());
                     let seen = &mut filters[a * shards + k];
                     if let (Some(old), Some(new)) = (seen.as_ref(), now.as_ref()) {
@@ -245,9 +261,10 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
             windows.push((window.count, window.percentile(0.25)));
         }
         if i % (OPS / 2) == 0 {
-            let half = compactions.snapshot();
-            compactions.reset_window();
-            halves.push((half.count, half.percentile(0.25), e.total_pieces()));
+            reads.sort_unstable_by(f64::total_cmp);
+            let floor = reads.get(reads.len() / 4).copied().unwrap_or(0.0);
+            halves.push((reads.len(), floor));
+            reads.clear();
         }
     }
     let last_pieces = e.total_pieces();
@@ -272,16 +289,19 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
         "a drain costs {last} ns after {OPS} ops, {first} ns in the first {WINDOW} \
          (pieces {first_pieces} -> {last_pieces})"
     );
-    // The compactions — the only drains that copy, all on the read path
-    // — are a few a window: by halves of the run, the same slope.
-    for (h, &(count, _, _)) in halves.iter().enumerate() {
-        assert!(count >= 8, "half {h}: {count} compactions");
+    // The snapshot reads of written shards, which walk the boundaries in
+    // range: by halves of the run, the same slope.
+    for (h, &(count, _)) in halves.iter().enumerate() {
+        assert!(
+            count >= 8,
+            "half {h}: {count} snapshot reads of written shards"
+        );
     }
-    let ((_, first, mid_pieces), (_, last, _)) = (halves[0], halves[1]);
+    let ((_, first), (_, last)) = (halves[0], halves[1]);
     assert!(
-        last * mid_pieces as u64 <= SLOPE * first * last_pieces as u64,
-        "a compaction costs {last} ns in the second half, {first} ns in the first \
-         (pieces {mid_pieces} -> {last_pieces})"
+        last <= SLOPE as f64 * first,
+        "a snapshot read costs {last:.3} ns per piece in the second half, \
+         {first:.3} in the first"
     );
     // A rebuild needs a quarter of its shard's length in deletes, and
     // no shard ever holds less than half of what it was born with.
