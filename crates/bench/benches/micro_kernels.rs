@@ -752,7 +752,7 @@ fn bench_point_filter(c: &mut Criterion) {
 /// piece, through the column (`refine_at_blocking`: lookup, latch,
 /// partition, boundary insert): `column_2e16` on a column never written,
 /// `column_summed_2e16` on a written one, whose crack also sums the lower
-/// side to split the piece's sum. The column's build, first drain and one
+/// side for the new boundary's prefix. The column's build, first drain and one
 /// read of its values are not timed; ns per crack.
 fn bench_crack_two_with_sums(c: &mut Criterion) {
     const ROWS: usize = 1 << 16;

@@ -50,14 +50,15 @@
 //!
 //! The first merge makes the column *written*, one way: in the critical
 //! section where it takes its batch it drops the published snapshot, and
-//! under `structure` exclusive it computes one sum per live piece
-//! ([`CrackerIndex::sum_pieces`]). From then on the column keeps one copy
-//! of its values, the cracked one, as the paper does (§3): every crack
-//! splits its piece's sum, every merge adds each value to the sum of the
-//! piece it lands in, and a snapshot read takes `structure` shared, folds
-//! the pending overlay (the same linearisation point), adds the sums of
-//! the pieces wholly inside its range ([`CrackerIndex::interior`]) and
-//! filters the at most two edge pieces under their read latches. It waits
+//! under `structure` exclusive it computes the prefix sum of every
+//! boundary ([`CrackerIndex::sum_pieces`]). From then on the column keeps
+//! one copy of its values, the cracked one, as the paper does (§3): every
+//! crack gives its new boundary a prefix, every merge adds each value to
+//! the prefix of every boundary above it, and a snapshot read takes
+//! `structure` shared, folds the pending overlay (the same linearisation
+//! point), answers the pieces wholly inside its range from the prefixes
+//! at the two ends of their run ([`CrackerIndex::interior`]) and filters
+//! the at most two edge pieces under their read latches. It waits
 //! for a merge holding the column (`cracking_structure_wait_ns`). Columns
 //! that are never written keep the snapshot, so their reads wait for
 //! nothing and their cracks pay no sum.
@@ -68,7 +69,7 @@
 //! its kin fold the unmerged updates their predicate selects under the
 //! pending mutex while holding `structure` shared (a snapshot read's
 //! linearisation point). Only a queue past [`CrackerColumn::MERGE_BACKLOG`]
-//! is merged first — whole, one [`ripple_batch`] walk that keeps the piece
+//! is merged first — whole, one [`ripple_batch`] walk that keeps the prefix
 //! sums ([`CrackerColumn::merge_pending`]). Idle workers drain first: from
 //! [`CrackerColumn::DRAIN_DUE`] queued updates, whatever the column's index
 //! membership, [`CrackerColumn::drain_in_background`] merges the queue,
@@ -199,9 +200,6 @@ struct Pending<V> {
     /// `None` until the first snapshot read builds one; dropped for good
     /// by the first merge.
     snap: Option<Arc<PieceSnapshot<V>>>,
-    /// A merge has taken a batch: snapshot reads answer from the live
-    /// column ([`CrackerColumn::snapshot_scan`]). Set once, never cleared.
-    written: bool,
 }
 
 /// A cracker column: copy of a base column (values + row ids) that is
@@ -356,7 +354,6 @@ impl<V: CrackValue> CrackerColumn<V> {
             pending: Mutex::new(Pending {
                 queue: PendingUpdates::new(),
                 snap: None,
-                written: false,
             }),
             domain: Mutex::new(domain),
             select_threads: 1,
@@ -431,7 +428,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// Bytes held by values + row ids (once built) or the merges' write
-    /// log (until then) + index, its per-piece sums included + live
+    /// log (until then) + index, its prefix sums included + live
     /// snapshot segments (storage-budget accounting; the snapshot term is
     /// zero until a snapshot read publishes one, and again once the first
     /// merge dropped it and its last reader let go).
@@ -470,7 +467,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// the column's (value, row) pairs and scatters them into the pieces
     /// of the current boundary table ([`RowSource::scatter`], which drops
     /// the log): `vals` is rewritten with the same multiset in every
-    /// piece, so the boundary table with its piece sums, the published
+    /// piece, so the boundary table with its prefix sums, the published
     /// statistics, the snapshot (it owns its copies) and the point filter
     /// all stay valid.
     ///
@@ -556,9 +553,9 @@ impl<V: CrackValue> CrackerColumn<V> {
         };
         let v = self.stats_version.load(SeqCst);
         let pending = self.pending.lock().queue.len();
-        let (len, bounds) = {
+        let (len, bounds, written) = {
             let idx = self.index.read();
-            (idx.len(), idx.bounds_in_order())
+            (idx.len(), idx.bounds_in_order(), idx.summed())
         };
         let snap_pieces = self.snapshot().map(|s| {
             s.pieces()
@@ -569,8 +566,13 @@ impl<V: CrackValue> CrackerColumn<V> {
                 })
                 .collect()
         });
-        self.stats
-            .publish(Arc::new(build_stats(len, bounds, pending, snap_pieces)));
+        let mut stats = build_stats(len, bounds, pending, snap_pieces);
+        // A written column's snapshot read filters its live edge pieces:
+        // the planner prices them as it prices a snapshot's.
+        if written {
+            stats.snap_pieces = Some(stats.live_pieces());
+        }
+        self.stats.publish(Arc::new(stats));
         self.stats_published.fetch_max(v, SeqCst);
     }
 
@@ -809,8 +811,8 @@ impl<V: CrackValue> CrackerColumn<V> {
                     scratch,
                 ),
             };
-            // A written column's piece sums split with the piece: the two
-            // lower parts are summed from the values just partitioned.
+            // A written column's two new boundaries take the sums of the
+            // parts below them, from the values just partitioned.
             let sums = if summed {
                 let v = vg.slice();
                 (sum_of(&v[..a]), sum_of(&v[a..b]))
@@ -898,7 +900,7 @@ impl<V: CrackValue> CrackerColumn<V> {
                         partition_two(vg.slice(), &mut no_rows(end - start), v, threads, scratch)
                     }
                 };
-                // A written column's piece sum splits with the piece.
+                // A written column's new boundary takes the sum below it.
                 let below = if summed {
                     sum_of(&vg.slice()[..split])
                 } else {
@@ -1120,7 +1122,6 @@ impl<V: CrackValue> CrackerColumn<V> {
             if p.queue.is_empty() || background && p.queue.len() < Self::DRAIN_DUE {
                 return false;
             }
-            p.written = true;
             let (ins, del) = p.queue.take_all();
             (ins, del, p.snap.take())
         };
@@ -1292,16 +1293,16 @@ impl<V: CrackValue> CrackerColumn<V> {
         if let Some(read) = self.read_snapshot(&fold) {
             return Some(read);
         }
-        if self.pending.lock().written {
+        // Written: the first merge sums the pieces before it lets
+        // `structure` go, so a stale `false` only costs the recheck below.
+        if self.index.read().summed() {
             return None;
         }
         {
             let _exclusive = self.structure.write();
             // Unless a racing reader built it, or a merge wrote the column,
             // while this one waited.
-            let p = self.pending.lock();
-            if !p.written && p.snap.is_none() {
-                drop(p);
+            if !self.index.read().summed() && self.pending.lock().snap.is_none() {
                 self.rebuild_snapshot();
             }
         }
@@ -1620,6 +1621,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// its piece table already matches the live granularity the summary
     /// sees).
     pub fn refresh_stale_snapshot(&self) -> bool {
+        // A written column's published pieces are its live ones.
+        if self.index.read().summed() {
+            return false;
+        }
         let Some(stats) = self.piece_stats() else {
             return false;
         };
@@ -1893,13 +1898,14 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// mutex (the reader linearisation point), so publishers under
     /// `structure` shared cannot lose each other's splices. The replaced
     /// version is let go after the mutex; its memory goes when the last
-    /// reader holding it does.
+    /// reader holding it does. A written column publishes nothing: a
+    /// splice needs a published version, and the first build checks
+    /// `summed` under `structure` exclusive.
     fn publish(&self, next: impl FnOnce(Option<&PieceSnapshot<V>>) -> Option<PieceSnapshot<V>>) {
         let mut p = self.pending.lock();
         let Some(new) = next(p.snap.as_deref()) else {
             return;
         };
-        debug_assert!(!p.written, "a snapshot published on a written column");
         let old = p.snap.replace(Arc::new(new));
         // Freeing the replaced version can free O(column) bytes of
         // segments: not under the reader linearisation lock.
@@ -2539,8 +2545,9 @@ mod tests {
     /// The first drain — an idle worker's here, the read path's on a twin —
     /// drops the published snapshot, and its bytes go with it: the written
     /// column keeps one copy, charged once. No later snapshot read builds
-    /// one again, however many drains, cracks and refreshes follow, and
-    /// every read answers from the live pieces' sums exactly.
+    /// one again, however many drains, cracks and refreshes follow, every
+    /// read answers from the live pieces' sums exactly, and the published
+    /// statistics price the live edge pieces those reads filter.
     #[test]
     fn the_first_drain_drops_the_snapshot_and_no_read_rebuilds_one() {
         let mut scratch = CrackScratch::new();
@@ -2587,6 +2594,15 @@ mod tests {
                     }
                 }
                 col.publish_stats();
+                // The planner prices the edges this read filters: the live
+                // pieces, every one plain.
+                let stats = col.piece_stats().unwrap();
+                let live = stats
+                    .snap_pieces
+                    .as_ref()
+                    .expect("a written column's pieces");
+                assert_eq!(live, &stats.live_pieces());
+                assert_eq!(live.iter().map(|p| p.len).sum::<usize>(), col.len());
                 assert!(!col.refresh_stale_snapshot() && !col.morph_cold_segments());
                 assert!(
                     !col.snapshot_published(),

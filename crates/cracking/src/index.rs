@@ -22,14 +22,17 @@
 //! descending from the last boundary until the kernel stops it (the insert
 //! pass). Both hand out the stored position mutably and allocate nothing.
 //!
-//! A written column's index also carries one sum per piece, in the entry
-//! that holds the piece's latch (the first piece's beside `first_latch`);
-//! a piece's count is its extent. [`CrackerIndex::sum_pieces`] computes
-//! them once, at the column's first Ripple merge. From then on every
-//! boundary insert splits its piece's sum, and the two merge walks hand
-//! out the sum of the piece they apply values to beside the position.
-//! [`CrackerIndex::interior`] answers the pieces wholly inside a range
-//! from them.
+//! A written column's index also carries prefix sums: each boundary entry
+//! the sum of the values below its key (at positions `< pos`), and the
+//! index the sum of them all; a piece's sum is the difference of its two
+//! ends', its count the difference of their positions.
+//! [`CrackerIndex::sum_pieces`] computes them once, at the column's first
+//! Ripple merge. From then on a boundary insert adds its piece's lower
+//! side to the prefix of the piece's start, and the two merge walks hand
+//! out each boundary's prefix beside its position — exactly the
+//! boundaries whose prefix a merge changes. [`CrackerIndex::interior`]
+//! answers the pieces wholly inside a range from the two ends of that run
+//! of pieces, in four lookups whatever the run's length.
 
 use crate::latch::PieceLatch;
 use holix_storage::types::CrackValue;
@@ -62,8 +65,9 @@ pub struct BoundEntry {
     pub pos: usize,
     /// Latch of the piece starting here.
     pub latch: PieceLatch,
-    /// Sum of the piece starting here (0 until [`CrackerIndex::sum_pieces`]).
-    pub sum: i128,
+    /// Sum of the values below this boundary, at positions `< pos` (0
+    /// until [`CrackerIndex::sum_pieces`]).
+    pub below: i128,
 }
 
 /// One piece addressed by its starting boundary key (snapshot-refresh
@@ -112,9 +116,9 @@ pub enum BoundLookup<V> {
 pub struct CrackerIndex<V> {
     bounds: BTreeMap<V, BoundEntry>,
     first_latch: PieceLatch,
-    /// Sum of the piece starting at position 0.
-    first_sum: i128,
-    /// The per-piece sums are kept ([`CrackerIndex::sum_pieces`] ran).
+    /// Sum of every value (kept once summed).
+    total: i128,
+    /// The prefix sums are kept ([`CrackerIndex::sum_pieces`] ran).
     summed: bool,
     len: usize,
 }
@@ -125,39 +129,45 @@ impl<V: CrackValue> CrackerIndex<V> {
         CrackerIndex {
             bounds: BTreeMap::new(),
             first_latch: PieceLatch::new(),
-            first_sum: 0,
+            total: 0,
             summed: false,
             len,
         }
     }
 
-    /// Does the index keep a sum per piece?
+    /// Does the index keep prefix sums?
     pub fn summed(&self) -> bool {
         self.summed
     }
 
-    /// Computes every piece's sum from `vals`, the column the index
-    /// describes, in one pass, and keeps them from now on.
+    /// Computes every boundary's prefix sum and the total from `vals`, the
+    /// column the index describes, in one pass, and keeps them from now on.
     pub fn sum_pieces(&mut self, vals: &[V]) {
         debug_assert_eq!(vals.len(), self.len);
-        let mut start = 0;
-        let mut sum = &mut self.first_sum;
+        let (mut start, mut below) = (0, 0);
         for e in self.bounds.values_mut() {
-            *sum = sum_of(&vals[start..e.pos]);
+            below += sum_of(&vals[start..e.pos]);
+            e.below = below;
             start = e.pos;
-            sum = &mut e.sum;
         }
-        *sum = sum_of(&vals[start..]);
+        self.total = below + sum_of(&vals[start..]);
         self.summed = true;
     }
 
     /// Every piece's sum in key order; `None` unless the index keeps them.
     pub fn piece_sums(&self) -> Option<Vec<i128>> {
         self.summed.then(|| {
-            std::iter::once(self.first_sum)
-                .chain(self.bounds.values().map(|e| e.sum))
+            let ends = self.bounds.values().map(|e| e.below).chain([self.total]);
+            let mut start = 0;
+            ends.map(|end| end - std::mem::replace(&mut start, end))
                 .collect()
         })
+    }
+
+    /// Adds `delta` to the sum of every value (a Ripple batch's net
+    /// change; its walks keep the boundaries' prefixes).
+    pub fn add_to_total(&mut self, delta: i128) {
+        self.total += delta;
     }
 
     /// Column length tracked by the index.
@@ -212,30 +222,31 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// Records a new boundary `key → pos` after a crack. The latch for the
     /// new right piece (starting at `pos`) is created here; the left piece
     /// keeps the latch of the piece that was split. `below` is the sum of
-    /// the split piece's values below `key`, which the left piece keeps;
-    /// the right piece gets the rest (an index that keeps no sums skips
-    /// this, and its cracks pass 0).
+    /// the split piece's values below `key`: the new boundary's prefix is
+    /// the piece start's plus it (an index that keeps no sums skips this,
+    /// and its cracks pass 0).
     ///
     /// Panics if the key already exists (callers re-validate under the piece
     /// latch before cracking, so a duplicate insert is a protocol bug).
     pub fn insert_bound(&mut self, key: V, pos: usize, below: i128) {
         debug_assert!(pos <= self.len);
         debug_assert!(self.summed || below == 0, "a sum on an index without");
-        let mut sum = 0;
-        if self.summed {
-            let split = match self.bounds.range_mut(..key).next_back() {
-                Some((_, e)) => &mut e.sum,
-                None => &mut self.first_sum,
-            };
-            sum = *split - below;
-            *split = below;
-        }
+        let below = if self.summed {
+            below
+                + self
+                    .bounds
+                    .range(..key)
+                    .next_back()
+                    .map_or(0, |(_, e)| e.below)
+        } else {
+            0
+        };
         let prev = self.bounds.insert(
             key,
             BoundEntry {
                 pos,
                 latch: PieceLatch::new(),
-                sum,
+                below,
             },
         );
         assert!(prev.is_none(), "duplicate boundary inserted");
@@ -243,9 +254,10 @@ impl<V: CrackValue> CrackerIndex<V> {
 
     /// The pieces of `[lo, hi)` (sentinel-aware, as
     /// [`holix_storage::select::Predicate::matches_unbounded`]; not empty):
-    /// the count and sum of those wholly inside it, from their extents and
-    /// sums, and those that straddle a bound, for the caller to filter.
-    /// Only on an index that keeps sums.
+    /// the count and sum of those wholly inside it, from the prefix sums
+    /// at the two ends of their run, and those that straddle a bound, for
+    /// the caller to filter. Four lookups, however many pieces the range
+    /// holds. Only on an index that keeps sums.
     pub fn interior(&self, lo: V, hi: V) -> Interior<V> {
         debug_assert!(self.summed && lo < hi);
         let inside_lo = |from: Option<V>| lo == V::MIN_VALUE || from == Some(lo);
@@ -256,34 +268,25 @@ impl<V: CrackValue> CrackerIndex<V> {
         let floor = (lo != V::MIN_VALUE)
             .then(|| self.bounds.range(..=lo).next_back())
             .flatten();
-        let (from, head, mut above) = match floor {
-            Some((&k, e)) => (
-                Some(k),
-                (e.pos, e.sum, &e.latch),
-                self.bounds.range((Excluded(k), Unbounded)),
-            ),
-            None => (
-                None,
-                (0, self.first_sum, &self.first_latch),
-                self.bounds.range(..),
-            ),
+        let (from, head) = match floor {
+            Some((&k, e)) => (Some(k), (e.pos, e.below, &e.latch)),
+            None => (None, (0, 0, &self.first_latch)),
         };
-        // The first boundary after `from` and its position, the last one
-        // below `hi`, and the sums of the pieces from the first to the last.
-        let (mut next, mut last, mut mid_sum) = (None, None::<(V, &BoundEntry)>, 0i128);
-        let beyond = loop {
-            match above.next() {
-                Some((&k, e)) if hi == V::MAX_VALUE || k < hi => {
-                    match last {
-                        Some((_, prev)) => mid_sum += prev.sum,
-                        None => next = Some((k, e.pos)),
-                    }
-                    last = Some((k, e));
-                }
-                beyond => break beyond,
-            }
+        let first = match from {
+            Some(k) => self.bounds.range((Excluded(k), Unbounded)).next(),
+            None => self.bounds.iter().next(),
         };
-        let (end, hi_key) = self.piece_end(beyond);
+        let (last, beyond) = if hi == V::MAX_VALUE {
+            (self.bounds.iter().next_back(), None)
+        } else {
+            (
+                self.bounds.range(..hi).next_back(),
+                self.bounds.range(hi..).next(),
+            )
+        };
+        let (end, end_below, hi_key) = beyond.map_or((self.len, self.total, None), |(&k, e)| {
+            (e.pos, e.below, Some(k))
+        });
         let mut out = Interior {
             count: 0,
             sum: 0,
@@ -292,12 +295,12 @@ impl<V: CrackValue> CrackerIndex<V> {
         let piece = |out: &mut Interior<V>,
                      inside: bool,
                      from: Option<V>,
-                     (start, sum, latch): (usize, i128, &PieceLatch),
-                     end: usize,
+                     (start, below, latch): (usize, i128, &PieceLatch),
+                     (end, end_below): (usize, i128),
                      hi_key: Option<V>| {
             if inside {
                 out.count += (end - start) as u64;
-                out.sum += sum;
+                out.sum += end_below - below;
             } else {
                 let edge = PieceRef {
                     start,
@@ -308,31 +311,33 @@ impl<V: CrackValue> CrackerIndex<V> {
                 out.edges[usize::from(out.edges[0].is_some())] = Some((from, edge));
             }
         };
-        match (next, last) {
-            (Some((first_key, first_pos)), Some((last_key, tail))) => {
-                let tail_entry = (tail.pos, tail.sum, &tail.latch);
+        match (first, last) {
+            // A run of boundaries strictly between `from` and `hi`.
+            (Some((&first_key, first)), Some((&last_key, last)))
+                if from.is_none_or(|k| last_key > k) =>
+            {
                 piece(
                     &mut out,
                     inside_lo(from),
                     from,
                     head,
-                    first_pos,
+                    (first.pos, first.below),
                     Some(first_key),
                 );
-                out.count += (tail.pos - first_pos) as u64;
-                out.sum += mid_sum;
+                out.count += (last.pos - first.pos) as u64;
+                out.sum += last.below - first.below;
                 piece(
                     &mut out,
                     inside_hi(hi_key),
                     Some(last_key),
-                    tail_entry,
-                    end,
+                    (last.pos, last.below, &last.latch),
+                    (end, end_below),
                     hi_key,
                 );
             }
             _ => {
                 let inside = inside_lo(from) && inside_hi(hi_key);
-                piece(&mut out, inside, from, head, end, hi_key);
+                piece(&mut out, inside, from, head, (end, end_below), hi_key);
             }
         }
         out
@@ -348,45 +353,34 @@ impl<V: CrackValue> CrackerIndex<V> {
     }
 
     /// Visits the boundaries with key `> after` in ascending key order as
-    /// `(Some((key, &mut position)), &mut sum)`, where the sum is that of
-    /// the piece *ending* at the boundary, until `f` returns `false`; then,
-    /// unless it did, once more as `(None, &mut sum)` for the last piece
-    /// (Ripple batch merges only; caller holds the column exclusively and
-    /// leaves the positions non-decreasing in key order).
+    /// `Some((key, &mut position, &mut prefix))`, the prefix being the sum
+    /// of the values below the key, until `f` returns `false`; then,
+    /// unless it did, once more as `None` for the last piece (Ripple batch
+    /// merges only; caller holds the column exclusively and leaves the
+    /// positions non-decreasing in key order).
     pub fn walk_above(
         &mut self,
         after: V,
-        mut f: impl FnMut(Option<(V, &mut usize)>, &mut i128) -> bool,
+        mut f: impl FnMut(Option<(V, &mut usize, &mut i128)>) -> bool,
     ) {
-        let floor = self.bounds.range(..=after).next_back().map(|(&k, _)| k);
-        let (mut sum, above) = match floor {
-            Some(k) => {
-                let mut from = self.bounds.range_mut(k..);
-                let (_, e) = from.next().expect("the floor is a boundary");
-                (&mut e.sum, from)
-            }
-            None => (&mut self.first_sum, self.bounds.range_mut(..)),
-        };
-        for (&k, e) in above {
-            if !f(Some((k, &mut e.pos)), sum) {
+        for (&k, e) in self.bounds.range_mut((Excluded(after), Unbounded)) {
+            if !f(Some((k, &mut e.pos, &mut e.below))) {
                 return;
             }
-            sum = &mut e.sum;
         }
-        f(None, sum);
+        f(None);
     }
 
     /// [`CrackerIndex::walk_above`] in descending key order from the last
-    /// boundary, each boundary with the sum of the piece *starting* there;
-    /// unless `f` stopped it, the walk ends with `(None, &mut sum)` for
-    /// the first piece.
-    pub fn walk_rev(&mut self, mut f: impl FnMut(Option<(V, &mut usize)>, &mut i128) -> bool) {
+    /// boundary; unless `f` stopped it, the walk ends with `None` for the
+    /// first piece.
+    pub fn walk_rev(&mut self, mut f: impl FnMut(Option<(V, &mut usize, &mut i128)>) -> bool) {
         for (&k, e) in self.bounds.iter_mut().rev() {
-            if !f(Some((k, &mut e.pos)), &mut e.sum) {
+            if !f(Some((k, &mut e.pos, &mut e.below))) {
                 return;
             }
         }
-        f(None, &mut self.first_sum);
+        f(None);
     }
 
     /// Shifts every boundary whose *key* is strictly greater than `key` by
@@ -452,7 +446,7 @@ impl<V: CrackValue> CrackerIndex<V> {
     }
 
     /// Memory used by the index structure itself (rough, for budgeting):
-    /// each entry, its piece's sum included, and per-entry map overhead.
+    /// each entry, its prefix sum included, and per-entry map overhead.
     pub fn approx_bytes(&self) -> usize {
         self.bounds.len() * (std::mem::size_of::<V>() + std::mem::size_of::<BoundEntry>() + 16)
     }
@@ -466,22 +460,19 @@ mod tests {
 
     /// Runs `walk_above(after)` (or `walk_rev` for `None`) on a clone of
     /// `idx`, stopping after `stop` visits and bumping every position and
-    /// every piece sum it hands out; checks that exactly those positions
-    /// and the sums of exactly the pieces the walk reached moved, and
-    /// returns the keys visited, in order.
+    /// every prefix sum it hands out; checks that exactly the visited
+    /// boundaries moved, and returns their keys, in order.
     fn walked(idx: &CrackerIndex<i64>, after: Option<i64>, stop: usize) -> Vec<i64> {
         let mut copy = idx.clone();
         copy.sum_pieces(&vec![0; idx.len()]);
         let mut seen = Vec::new();
-        let mut finished = false;
-        let visit = |bound: Option<(i64, &mut usize)>, sum: &mut i128| {
-            *sum += 1;
-            let Some((k, pos)) = bound else {
-                finished = true;
+        let visit = |bound: Option<(i64, &mut usize, &mut i128)>| {
+            let Some((k, pos, below)) = bound else {
                 return false;
             };
             seen.push(k);
             *pos += 1;
+            *below += 1;
             seen.len() < stop
         };
         match after {
@@ -498,23 +489,12 @@ mod tests {
             bumped,
             "a walk moved what it did not visit"
         );
-        // Piece `j` is the one ending at boundary `j` (the last piece ends
-        // at the column's end); ascending, the walk hands out the piece
-        // ending at each boundary it visits, descending the one starting
-        // there.
-        let at = |k: i64| bounds.iter().position(|&(b, _)| b == k).expect("visited");
-        let mut want = vec![0i128; bounds.len() + 1];
-        for &k in &seen {
-            want[at(k) + usize::from(after.is_none())] += 1;
-        }
-        if finished {
-            want[if after.is_some() { bounds.len() } else { 0 }] += 1;
-        }
-        assert_eq!(
-            copy.piece_sums(),
-            Some(want),
-            "a walk handed out the wrong sums"
-        );
+        let prefixes: Vec<i128> = copy.bounds.values().map(|e| e.below).collect();
+        let want: Vec<i128> = bounds
+            .iter()
+            .map(|&(k, _)| i128::from(seen.contains(&k)))
+            .collect();
+        assert_eq!(prefixes, want, "a walk handed out the wrong prefix");
         seen
     }
 
@@ -712,16 +692,20 @@ mod tests {
         assert_eq!(idx.piece_start(69), 60);
         // Ascending from value 30: the bounds above it, each by its delta.
         let mut delta = 0;
-        idx.walk_above(30, |bound, _| {
-            let Some((_, pos)) = bound else { return false };
+        idx.walk_above(30, |bound| {
+            let Some((_, pos, _)) = bound else {
+                return false;
+            };
             delta += 1;
             *pos -= delta;
             true
         });
         assert_eq!(idx.bounds_in_order(), vec![(30, 25), (50, 59), (70, 78)]);
         // Descending, stopped after the bound the walk ends on.
-        idx.walk_rev(|bound, _| {
-            let Some((k, pos)) = bound else { return false };
+        idx.walk_rev(|bound| {
+            let Some((k, pos, _)) = bound else {
+                return false;
+            };
             *pos += 2;
             k > 50
         });

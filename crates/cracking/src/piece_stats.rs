@@ -57,8 +57,10 @@ pub struct PieceStats<V> {
     pub bounds: Vec<(V, usize)>,
     /// Pending-merge backlog (queued Ripple inserts + deletes).
     pub pending: usize,
-    /// Published snapshot's piece table (`None` when no snapshot is
-    /// published): the snapshot-staleness and decode-cost statistic.
+    /// The piece table a snapshot read filters the edges of: the
+    /// published snapshot's, or a written column's live one (its
+    /// boundaries as sampled, every piece plain) — `None` when neither
+    /// exists. The snapshot-staleness and decode-cost statistic.
     pub snap_pieces: Option<Vec<SnapPieceStat<V>>>,
 }
 
@@ -122,6 +124,25 @@ impl<V: CrackValue> PieceStats<V> {
             end,
             pos,
         }
+    }
+
+    /// The boundary table as a piece table of plain pieces: what a written
+    /// column's snapshot read filters. Sampled boundaries make its pieces
+    /// over-estimates, as they make [`PieceStats::locate`]'s.
+    pub fn live_pieces(&self) -> Vec<SnapPieceStat<V>> {
+        let ends = self.bounds.iter().map(|&(k, p)| (Some(k), p));
+        let mut start = 0;
+        ends.chain([(None, self.len)])
+            .map(|(hi_key, end)| {
+                let len = end.saturating_sub(start);
+                start = end.max(start);
+                SnapPieceStat {
+                    hi_key,
+                    len,
+                    plain: true,
+                }
+            })
+            .collect()
     }
 
     /// What a snapshot scan pays at a bound `v`, from one binary search of
@@ -290,6 +311,26 @@ mod tests {
         // Sentinel bound covers its edge: only the hi edge decodes.
         assert_eq!(snap_edges(&s, i64::MIN, 15), Some((40, 40)));
         assert_eq!(snap_edges(&s, 5, 25).map(|e| e.1), Some(0));
+    }
+
+    #[test]
+    fn live_pieces_price_the_edges_a_crack_would_partition() {
+        let mut s = stats(100, vec![(10, 25), (20, 60), (30, 60)], None);
+        s.snap_pieces = Some(s.live_pieces());
+        let pieces = s.snap_pieces.as_ref().unwrap();
+        assert_eq!(
+            pieces,
+            &vec![
+                sp(Some(10), 25, true),
+                sp(Some(20), 35, true),
+                sp(Some(30), 0, true),
+                sp(None, 40, true),
+            ]
+        );
+        for v in [5, 10, 15, 20, 25, 30, 35, i64::MIN, i64::MAX] {
+            let (rows, _) = edge(&s, v);
+            assert_eq!(s.snapshot_edge(v), Some((rows as u64, 0)), "{v}");
+        }
     }
 
     #[test]

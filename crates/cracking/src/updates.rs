@@ -245,9 +245,9 @@ pub fn ripple_delete<V: CrackValue>(
 /// [`ripple_delete`] drops it. The batch leaves each piece the multiset
 /// the per-value functions leave it (which element of a piece sits where
 /// is unspecified in both), and the same boundary table. Each value the
-/// batch applies is added to (or taken from) the sum of the piece it lands
-/// in (or leaves), inside the walk that moves it; downstream pieces only
-/// rotate, so their sums stay. Caller holds the column exclusively
+/// batch applies is added to (or taken from) the prefix sum of every
+/// boundary above it, inside the walk that moves those boundaries, and to
+/// (or from) the index's total. Caller holds the column exclusively
 /// (vectors may grow).
 pub fn ripple_batch<V: CrackValue, R: RowLane>(
     vals: &mut Vec<V>,
@@ -365,17 +365,22 @@ fn delete_pass<V: CrackValue, R: RowLane>(
         holes: 0,
     };
     let mut walked = 0;
-    index.walk_above(first, |bound, sum| {
-        let Some((key, pos)) = bound else {
-            *sum -= pass.piece(n, None);
+    // The sum of the values deleted so far: what every prefix above them
+    // loses.
+    let mut removed = 0;
+    index.walk_above(first, |bound| {
+        let Some((key, pos, below)) = bound else {
+            removed += pass.piece(n, None);
             return false;
         };
         walked += 1;
-        *sum -= pass.piece(*pos, Some(key));
+        removed += pass.piece(*pos, Some(key));
         *pos -= pass.holes;
+        *below -= removed;
         // Every delete looked for and none found: nothing downstream moves.
         pass.holes > 0 || pass.next < pass.del.len()
     });
+    index.add_to_total(-removed);
     let len = n - pass.holes;
     vals.truncate(len);
     rows.truncate(len);
@@ -409,13 +414,14 @@ fn insert_pass<V: CrackValue, R: RowLane>(
     let sum = |own: &[(V, R)]| own.iter().map(|&(v, _)| v.as_i64() as i128).sum::<i128>();
     let mut end = n; // old end of the piece under the cursor
     let mut left = ins.len(); // `ins[..left]` belong at or left of the cursor
+    let mut rest = sum(ins); // of `ins[..left]`
+    index.add_to_total(rest);
     let mut walked = 0;
-    index.walk_rev(|bound, piece_sum| {
-        let Some((key, pos)) = bound else {
+    index.walk_rev(|bound| {
+        let Some((key, pos, below)) = bound else {
             // Out of boundaries with values still in hand: they are the
             // first piece's.
             place(0, end, 0, &ins[..left]);
-            *piece_sum += sum(&ins[..left]);
             return false;
         };
         walked += 1;
@@ -426,7 +432,8 @@ fn insert_pass<V: CrackValue, R: RowLane>(
         left -= own;
         let own = &ins[left..left + own];
         place(*pos, end, left, own);
-        *piece_sum += sum(own);
+        rest -= sum(own);
+        *below += rest;
         end = *pos;
         *pos += left;
         left > 0

@@ -1699,6 +1699,18 @@ mod tests {
         // The written shard keeps one copy: the snapshot's bytes go with
         // the last reader holding it, and no read builds another.
         assert!(shard.snapshot_bytes() > 0, "held by `before`");
+        // A read of shard 0 takes its structure lock shared, so it waits
+        // out the rest of the merge, which lets go of the worker's clone.
+        let everything = QuerySpec {
+            attr: 0,
+            lo: 0,
+            hi: 1_000_000,
+        };
+        let sum: i128 = values.iter().map(|&v| v as i128).sum();
+        assert_eq!(
+            e.execute_snapshot(&everything),
+            Some((values.len() as u64, sum))
+        );
         drop(before);
         assert_eq!(shard.snapshot_bytes(), 0);
         let held = values

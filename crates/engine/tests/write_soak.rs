@@ -87,10 +87,10 @@ impl Fenwick {
 /// growth).
 ///
 /// A drain copies nothing: the first one of a shard drops its snapshot,
-/// and from then on a snapshot read adds the sums of the pieces wholly in
-/// its range and filters the two edge pieces, under the structure lock
-/// shared — so it walks the boundaries in range and waits for a drain
-/// holding the shard. Those reads are held to the same slope by halves of
+/// and from then on a snapshot read answers the pieces wholly in its
+/// range from the prefix sums at the two ends of their run and filters
+/// the two edge pieces, under the structure lock shared — so it waits
+/// for a drain holding the shard. Those reads are held to the same slope by halves of
 /// the run, timed around `execute_snapshot` once every shard is written,
 /// with at least 8 a half. A half's reads span a piece table that grows
 /// through it, so each read's time is taken against the piece table at
@@ -289,8 +289,8 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
         "a drain costs {last} ns after {OPS} ops, {first} ns in the first {WINDOW} \
          (pieces {first_pieces} -> {last_pieces})"
     );
-    // The snapshot reads of written shards, which walk the boundaries in
-    // range: by halves of the run, the same slope.
+    // The snapshot reads of written shards: by halves of the run, the
+    // same slope.
     for (h, &(count, _)) in halves.iter().enumerate() {
         assert!(
             count >= 8,

@@ -51,7 +51,7 @@ const TARGET_CHEAP_NS: f64 = 102_400.0;
 pub enum ResidualChannel {
     /// Locked crack path (non-screened).
     Locked,
-    /// Lock-free snapshot path.
+    /// Snapshot path (lock-free on a shard never written).
     Snapshot,
     /// Answered by a point-filter screen.
     Screened,

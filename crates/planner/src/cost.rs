@@ -148,7 +148,8 @@ impl PlanCost {
     }
 
     /// Touched-value cost of answering through the snapshot path (`None`
-    /// when a touched shard has never published a snapshot; saturating).
+    /// when a touched shard has neither published a snapshot nor been
+    /// written; saturating).
     /// Edge-filter values in encoded pieces pay `decode_weight` extra
     /// each — the cutover sees that a morphed edge is a bit slower to
     /// filter, while interior encoded pieces (answered from aggregates)

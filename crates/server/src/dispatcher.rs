@@ -591,8 +591,10 @@ fn dispatch_loop(shared: &Shared, queue: &BoundedQueue<QueuedQuery>) {
                 _ => None,
             };
             // The snapshot/locked cutover: a read-only query routes
-            // through the lock-free snapshot path exactly when the model
-            // prices its refreshed edge pieces below the locked crack.
+            // through the snapshot path (lock-free on a shard never
+            // written, the live edge pieces under the shared structure
+            // lock on a written one) exactly when the model prices its
+            // edge pieces below the locked crack.
             let route = match est.as_ref() {
                 Some(cost) if config.cutover => cost.preferred_route(&model),
                 _ => Route::Locked,
