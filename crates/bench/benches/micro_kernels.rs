@@ -11,9 +11,9 @@
 //! whether it can be answered on the submitting thread
 //! (`QueryEngine::execute_exact`), for an exact hit and for a miss; and the
 //! first point-filter build on a converged shard; and 32 Ripple drains into
-//! a converged, written shard, a crack of a shard with piece sums, and a
-//! written shard's snapshot reads beside an unwritten twin's. The first line
-//! names the kernel family the
+//! a converged, summed shard, a crack of a shard with piece sums, and a
+//! summed shard's snapshot reads. The first line names the kernel family
+//! the
 //! crack and filter kernels dispatched to (`HOLIX_NO_SIMD=1` forces the
 //! portable one).
 
@@ -279,16 +279,15 @@ fn bench_ripple_vs_rebuild(c: &mut Criterion) {
 }
 
 /// 32 consecutive Ripple drains of 280 updates each (two inserts to one
-/// delete of a base tuple) into one converged, written shard of 2^18
-/// values: what an `update_churn` shard's drains pay. The setup's first
-/// drain dropped the snapshot a snapshot read had built and summed every
-/// piece; each timed drain keeps those sums and copies nothing. In
+/// delete of a base tuple) into one converged, summed shard of 2^18
+/// values: what an `update_churn` shard's drains pay. A snapshot read in
+/// the setup summed every piece; each timed drain keeps those sums and
+/// copies nothing. In
 /// `drain_with_ids` the shard has built its row ids first (a conjunction
 /// drove from it) and the drains move them along; in `drain_values_only`
 /// it has none and the drains move values alone and log the batch, as an
-/// `update_churn` shard's do. The shard's setup (cracks, row ids,
-/// snapshot, the first drain) is not timed; divide by 32 for ns per
-/// drain.
+/// `update_churn` shard's do. The shard's setup (cracks, row ids, the
+/// summing read, one drain) is not timed; divide by 32 for ns per drain.
 fn bench_drains(c: &mut Criterion) {
     const ROWS: usize = 1 << 18;
     const DRAINS: usize = 32;
@@ -336,7 +335,8 @@ fn bench_drains(c: &mut Criterion) {
         shard.snapshot_scan(all, &mut scratch);
         shard.queue_insert(0, u32::MAX);
         shard.merge_pending();
-        assert!(!shard.snapshot_published());
+        assert_eq!(shard.pending_len(), 0);
+        assert!(shard.piece_sums().is_some(), "the read did not sum");
         assert_eq!(shard.has_row_ids(), ids);
         shard
     };
@@ -750,33 +750,33 @@ fn bench_point_filter(c: &mut Criterion) {
 /// filter passes below.
 /// One two-way crack of a column of 2^16 values (with row ids) in one
 /// piece, through the column (`refine_at_blocking`: lookup, latch,
-/// partition, boundary insert): `column_2e16` on a column never written,
-/// `column_summed_2e16` on a written one, whose crack also sums the lower
-/// side for the new boundary's prefix. The column's build, first drain and one
-/// read of its values are not timed; ns per crack.
+/// partition, boundary insert): `column_2e16` on a column no snapshot read
+/// has summed, `column_summed_2e16` on a summed one, whose crack also sums
+/// the lower side for the new boundary's prefix. The column's build, its
+/// summing read and one read of its values are not timed; ns per crack.
 fn bench_crack_two_with_sums(c: &mut Criterion) {
     const ROWS: usize = 1 << 16;
     let mut rng = StdRng::seed_from_u64(16);
     let values: Vec<i64> = (0..ROWS).map(|_| rng.random_range(0..1_000_000)).collect();
-    let column = |written: bool| {
+    let column = |summed: bool| {
         let col = CrackerColumn::from_base("a", &values);
-        if written {
-            col.queue_insert(1_000_000, u32::MAX);
-            col.merge_pending();
+        if summed {
+            let all = Predicate::range(i64::MIN, i64::MAX);
+            col.snapshot_scan(all, &mut CrackScratch::new());
         }
-        assert_eq!(col.piece_count(), 1);
+        assert_eq!((col.piece_count(), col.piece_sums().is_some()), (1, summed));
         // Both columns' values read once, so both cracks start on pages
-        // in the same state (the merge reallocated the written one's).
+        // in the same state.
         black_box(col.snapshot_range(0, col.len()));
         col
     };
     let mut g = c.benchmark_group("crack_two");
     g.sample_size(30);
-    for (name, written) in [("column_2e16", false), ("column_summed_2e16", true)] {
+    for (name, summed) in [("column_2e16", false), ("column_summed_2e16", true)] {
         g.bench_function(name, |b| {
             let mut scratch = CrackScratch::new();
             b.iter_batched(
-                || column(written),
+                || column(summed),
                 |col| {
                     black_box(col.refine_at_blocking(500_000, &mut scratch));
                     col
@@ -789,12 +789,11 @@ fn bench_crack_two_with_sums(c: &mut Criterion) {
 }
 
 /// 1,000 count + sum reads of 5–20 % of the domain on one shard of 2^18
-/// values cracked into ≈ 1.5k pieces: `written_shard_stats` on a written
-/// shard (the pieces wholly in range from their sums, the two edge pieces
-/// filtered under their latches, under the structure lock shared),
-/// `plain_snapshot_stats` on an unwritten twin with the same boundaries,
-/// whose snapshot is at live granularity. Neither read filters enough to
-/// crack. Divide by 10³ for ns per read.
+/// values cracked into ≈ 1.5k pieces, summed by an earlier snapshot read
+/// (`live_stats`: the pieces wholly in range from their sums, the two
+/// edge pieces filtered under their latches, under the structure lock
+/// shared). No read filters enough to crack. Divide by 10³ for ns per
+/// read.
 fn bench_snapshot_reads(c: &mut Criterion) {
     const ROWS: usize = 1 << 18;
     const DOMAIN: i64 = 1_000_000;
@@ -814,43 +813,26 @@ fn bench_snapshot_reads(c: &mut Criterion) {
         })
         .collect();
     let mut scratch = CrackScratch::new();
-    let shard = |written: bool, scratch: &mut CrackScratch<i64>| {
-        let col =
-            ShardedColumn::from_base_with_plan("a", &values, ShardPlan::from_values(&values, 1));
-        let shard = Arc::clone(col.shard(0));
-        for &p in &pivots {
-            shard.refine_at_blocking(p, scratch);
-        }
-        shard.snapshot_scan(Predicate::range(i64::MIN, i64::MAX), scratch);
-        if written {
-            shard.queue_insert(DOMAIN, u32::MAX);
-            shard.merge_pending();
-        } else {
-            shard.publish_stats();
-            while shard.refresh_stale_snapshot() {}
-        }
-        assert_eq!(shard.snapshot_published(), !written);
-        shard
-    };
+    let col = ShardedColumn::from_base_with_plan("a", &values, ShardPlan::from_values(&values, 1));
+    let shard = Arc::clone(col.shard(0));
+    for &p in &pivots {
+        shard.refine_at_blocking(p, &mut scratch);
+    }
+    shard.snapshot_scan(Predicate::range(i64::MIN, i64::MAX), &mut scratch);
+    assert!(shard.piece_sums().is_some(), "the read did not sum");
+    let pieces = shard.piece_count();
     let mut g = c.benchmark_group("snapshot");
     g.sample_size(20);
-    for (name, written) in [
-        ("written_shard_stats", true),
-        ("plain_snapshot_stats", false),
-    ] {
-        let shard = shard(written, &mut scratch);
-        let pieces = shard.piece_count();
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                for &pred in &reads {
-                    let scan = shard.snapshot_scan(pred, &mut scratch);
-                    debug_assert!(scan.filtered < CrackerColumn::<i64>::REFRESH_FILTER_MIN);
-                    black_box(scan);
-                }
-            })
-        });
-        assert_eq!(shard.piece_count(), pieces, "a read cracked");
-    }
+    g.bench_function("live_stats", |b| {
+        b.iter(|| {
+            for &pred in &reads {
+                let scan = shard.snapshot_scan(pred, &mut scratch);
+                debug_assert!(scan.filtered < CrackerColumn::<i64>::REFRESH_FILTER_MIN);
+                black_box(scan);
+            }
+        })
+    });
+    assert_eq!(shard.piece_count(), pieces, "a read cracked");
     g.finish();
 }
 

@@ -34,12 +34,8 @@ pub struct CycleRecord {
     pub refinements: u64,
     /// Attempts aborted on latched pieces.
     pub busy: u64,
-    /// Stale snapshot pieces refreshed in the background this cycle.
-    pub snapshot_refreshes: u64,
     /// Point membership filters rebuilt after delete churn this cycle.
     pub filter_rebuilds: u64,
-    /// Plain snapshot pieces re-encoded (FOR / delta / RLE) this cycle.
-    pub segment_morphs: u64,
 }
 
 /// Handle to the running holistic indexing thread.
@@ -181,9 +177,7 @@ fn daemon_loop(
             merges: reports.iter().map(|r| r.merges).sum(),
             refinements: reports.iter().map(|r| r.refinements).sum(),
             busy: reports.iter().map(|r| r.busy).sum(),
-            snapshot_refreshes: reports.iter().map(|r| r.snapshot_refreshes).sum(),
             filter_rebuilds: reports.iter().map(|r| r.filter_rebuilds).sum(),
-            segment_morphs: reports.iter().map(|r| r.segment_morphs).sum(),
         };
         total_refinements.fetch_add(record.refinements, Ordering::Relaxed);
         // Mirror the cycle record into the process-wide registry so a live

@@ -9,7 +9,6 @@ use holix_cracking::{CrackScratch, CrackerColumn, RefineOutcome};
 use holix_storage::types::CrackValue;
 use rand::RngCore;
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Outcome of a type-erased refinement step.
@@ -88,13 +87,6 @@ pub trait RefinableIndex: Send + Sync {
     /// daemon forces this once per worker activation, so `holix-planner`
     /// summaries never lag an idle period). Default: no planner surface.
     fn publish_plan_stats(&self) {}
-    /// Background snapshot maintenance: refresh one stale snapshot piece
-    /// to live granularity so the first reader stops paying the copy
-    /// (snapshot follow-up (b)). Returns `true` when a piece was
-    /// refreshed. Default: no snapshot surface.
-    fn refresh_snapshot(&self) -> bool {
-        false
-    }
     /// Background membership-filter maintenance: rebuild the point filter
     /// when delete churn has degraded its false-positive rate (deletes
     /// stay in a Bloom filter until rebuilt). Returns `true` when a
@@ -102,45 +94,17 @@ pub trait RefinableIndex: Send + Sync {
     fn maybe_rebuild_filter(&self) -> bool {
         false
     }
-    /// Background segment morphing: re-encode one stable plain snapshot
-    /// piece (FOR / delta / RLE) so the storage budget charges encoded
-    /// bytes instead of full-width copies. Returns `true` when a piece was
-    /// morphed. Default: no snapshot surface.
-    fn morph_cold_segments(&self) -> bool {
-        false
-    }
-    /// [`RefinableIndex::morph_cold_segments`] without any rate gate: under
-    /// budget pressure the idle workers morph imminent-eviction attributes
-    /// *now* — shrinking their footprint is what can still save them, so
-    /// the usual every-Nth-activation pacing would be self-defeating.
-    /// Returns `true` when a piece was morphed. Default: no snapshot
-    /// surface.
-    fn morph_cold_segments_now(&self) -> bool {
-        false
-    }
 }
 
 /// [`RefinableIndex`] adapter around a [`CrackerColumn`].
 pub struct CrackerHandle<V> {
     col: Arc<CrackerColumn<V>>,
-    morph_tick: AtomicU64,
 }
-
-/// Morph attempts happen on every `MORPH_ATTEMPT_PERIOD`-th worker
-/// activation of a handle, not every one. Encoding sorts the candidate
-/// piece — by far the most expensive idle action — and on an index that is
-/// still converging (refinements re-staling the snapshot every cycle) an
-/// every-activation morph would dominate the daemon's cycle time. A quiet
-/// index still drains its plain pieces within a few monitor intervals.
-const MORPH_ATTEMPT_PERIOD: u64 = 4;
 
 impl<V: CrackValue> CrackerHandle<V> {
     /// Wraps a shared cracker column.
     pub fn new(col: Arc<CrackerColumn<V>>) -> Self {
-        CrackerHandle {
-            col,
-            morph_tick: AtomicU64::new(0),
-        }
+        CrackerHandle { col }
     }
 }
 
@@ -190,27 +154,8 @@ impl<V: CrackValue> RefinableIndex for CrackerHandle<V> {
         self.col.maybe_publish_stats(1);
     }
 
-    fn refresh_snapshot(&self) -> bool {
-        self.col.refresh_stale_snapshot()
-    }
-
     fn maybe_rebuild_filter(&self) -> bool {
         self.col.maybe_rebuild_point_filter()
-    }
-
-    fn morph_cold_segments(&self) -> bool {
-        if !self
-            .morph_tick
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(MORPH_ATTEMPT_PERIOD)
-        {
-            return false;
-        }
-        self.col.morph_cold_segments()
-    }
-
-    fn morph_cold_segments_now(&self) -> bool {
-        self.col.morph_cold_segments()
     }
 }
 

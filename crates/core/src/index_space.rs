@@ -411,8 +411,6 @@ impl IndexSpace {
 
     /// Fraction of the storage budget currently charged: `0.0` with no
     /// budget configured, `>= 1.0` when the space is at or over budget.
-    /// Workers use this to switch background morphing from pure coldness
-    /// order to the attributes whose eviction is imminent.
     pub fn budget_pressure(&self) -> f64 {
         let Some(budget) = self.config.storage_budget else {
             return 0.0;
@@ -421,21 +419,6 @@ impl IndexSpace {
             return 1.0;
         }
         self.bytes_used() as f64 / budget as f64
-    }
-
-    /// Up to `k` live indices in eviction order — the LFU victims
-    /// `IndexSpace::make_room` would pick next. Under budget pressure the
-    /// idle workers morph exactly these first: shrinking an
-    /// imminent-eviction attribute's footprint is what can still save it.
-    pub fn eviction_candidates(&self, k: usize) -> Vec<Arc<dyn RefinableIndex>> {
-        let table = self.table.read();
-        let mut live: Vec<&Live> = table.live.iter().collect();
-        // Stable: the oldest among equals leads, as in `make_room`.
-        live.sort_by_key(|(slot, _)| slot.stats.queries());
-        live.into_iter()
-            .take(k)
-            .map(|(_, h)| Arc::clone(h))
-            .collect()
     }
 
     /// Test-only: parks the caller on the maintenance weight-heap mutex so
@@ -452,8 +435,7 @@ impl IndexSpace {
 mod tests {
     use super::*;
     use crate::handle::{CrackerHandle, WorkerScratch};
-    use holix_cracking::{CrackScratch, CrackerColumn};
-    use holix_storage::select::Predicate;
+    use holix_cracking::CrackerColumn;
     use rand::prelude::*;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
@@ -487,12 +469,6 @@ mod tests {
     /// Registers an `n`-value cracker column into `C_actual`.
     fn actual(space: &IndexSpace, n: usize, name: &str) -> Arc<IndexSlot> {
         register_one(space, make_handle(n, name), Membership::Actual)
-    }
-
-    /// Records the space holds: the live ones, whatever their membership.
-    fn records(space: &IndexSpace) -> usize {
-        let (a, p, o, _) = space.membership_counts();
-        a + p + o
     }
 
     #[test]
@@ -776,63 +752,21 @@ mod tests {
         }
     }
 
-    /// Budget pressure is the charged fraction of the budget, and the
-    /// eviction candidates come back in LFU order — exactly the victims
-    /// `make_room` would pick, so pressured morphing targets the right
-    /// indices.
+    /// Budget pressure is the charged fraction of the budget, zero with
+    /// no budget.
     #[test]
-    fn budget_pressure_and_eviction_order() {
+    fn budget_pressure_is_the_charged_fraction() {
         assert_eq!(
             space_with(Strategy::W4Random, None).budget_pressure(),
             0.0,
             "no budget, no pressure"
         );
         let space = space_with(Strategy::W4Random, Some(1_000_000));
-        let a = actual(&space, 10_000, "a");
+        actual(&space, 10_000, "a");
         actual(&space, 10_000, "b");
-        for _ in 0..3 {
-            a.record_user_query(false, 1);
-        }
         let p = space.budget_pressure();
         assert!(p > 0.0 && p < 1.0, "two small indices: {p}");
-        let cands = space.eviction_candidates(10);
-        let names: Vec<&str> = cands.iter().map(|h| h.name()).collect();
-        assert_eq!(names, ["b", "a"], "the cold index leads the eviction order");
-    }
-
-    /// What compression buys under a budget (the paper's `C_actual` grows
-    /// because each index charges fewer bytes): five columns over a narrow
-    /// domain, budget 80 % of their plain footprint — with full-width
-    /// snapshots one of them has to go, with morphed snapshots all stay.
-    #[test]
-    fn a_fixed_budget_admits_more_morphed_than_plain_columns() {
-        let bed = |morph: bool| -> Vec<Arc<dyn RefinableIndex>> {
-            (0..5)
-                .map(|c| {
-                    let base: Vec<i64> = (0..40_000i64).map(|i| (i * 7 + c) % 1_000).collect();
-                    let col = Arc::new(CrackerColumn::from_base(format!("c{c}"), &base));
-                    let mut scratch = CrackScratch::new();
-                    col.select(Predicate::range(200, 700), &mut scratch);
-                    col.snapshot_scan(Predicate::range(0, 1_000), &mut scratch);
-                    while col.refresh_stale_snapshot() {}
-                    while morph && col.morph_cold_segments() {}
-                    Arc::new(CrackerHandle::new(col)) as Arc<dyn RefinableIndex>
-                })
-                .collect()
-        };
-        let plain_bytes: usize = bed(false).iter().map(|h| h.payload_bytes()).sum();
-        let admitted = |morph: bool| {
-            let space = space_with(Strategy::W4Random, Some(plain_bytes * 4 / 5));
-            for handle in bed(morph) {
-                register_one(&space, handle, Membership::Actual);
-            }
-            records(&space)
-        };
-        let (plain, morphed) = (admitted(false), admitted(true));
-        assert!(
-            morphed > plain,
-            "the budget admitted {morphed} morphed vs {plain} plain columns"
-        );
+        assert_eq!(p, space.bytes_used() as f64 / 1_000_000.0);
     }
 
     /// Regression: a stale heap node for an evicted slot — the residue of

@@ -10,12 +10,11 @@
 //!    piece boundaries or grow the underlying vectors.
 //! 2. `index` RwLock — guards piece metadata (boundary map + latches); held only
 //!    for lookups and boundary insertion, never across data movement.
-//! 3. `pending` mutex — pending-update queue and the published snapshot
-//!    pointer (short critical sections); taken on its own or under
-//!    `structure`, never around either lock. A Ripple merge takes the whole
-//!    queue *under* `structure` exclusive, so batches are applied in the
-//!    order they leave the queue, and none is in flight under `structure`
-//!    shared.
+//! 3. `pending` mutex — the pending-update queue (short critical
+//!    sections); taken on its own or under `structure`, never around
+//!    either lock. A Ripple merge takes the whole queue *under* `structure`
+//!    exclusive, so batches are applied in the order they leave the queue,
+//!    and none is in flight under `structure` shared.
 //!
 //! Below all three sit the two `PublishedCell`s (plan-time statistics,
 //! point filter): *leaf* locks, taken under `pending`, under `structure` or
@@ -34,34 +33,23 @@
 //!
 //! ## Snapshot reads
 //!
-//! [`CrackerColumn::snapshot_scan`] answers count/sum queries in one of two
-//! ways, decided once per column by its first Ripple merge.
+//! [`CrackerColumn::snapshot_scan`] answers count/sum queries from the
+//! cracked column itself, as the paper's reads do (§3): there is no second
+//! copy of the values. The read takes `structure` shared (no merge runs,
+//! so the multiset of every key range is fixed), folds the pending overlay
+//! under the pending mutex (the linearisation point), answers the pieces
+//! wholly inside its range from the prefix sums at the two ends of their
+//! run ([`CrackerIndex::interior`]) and filters the at most two edge
+//! pieces under their read latches. It waits for a merge holding the
+//! column (`cracking_structure_wait_ns`).
 //!
-//! A column that has never been written answers from an immutable
-//! [`crate::snapshot::PieceSnapshot`] **without the structure lock**: the
-//! reader clones the published `Arc` and folds the unmerged pending values
-//! in one critical section of the short `pending` mutex (the linearisation
-//! point), then scans holding no lock at all. Cracks only permute values
-//! inside pieces, so the snapshot stays correct under concurrent cracking;
-//! edge refreshes, background refreshes and morphs splice single spans of
-//! it copy-on-write. Publication and pointer loads under the pending mutex
-//! are the whole protocol: `read_snapshot` is the one load, `publish` the
-//! one store.
-//!
-//! The first merge makes the column *written*, one way: in the critical
-//! section where it takes its batch it drops the published snapshot, and
-//! under `structure` exclusive it computes the prefix sum of every
-//! boundary ([`CrackerIndex::sum_pieces`]). From then on the column keeps
-//! one copy of its values, the cracked one, as the paper does (§3): every
-//! crack gives its new boundary a prefix, every merge adds each value to
-//! the prefix of every boundary above it, and a snapshot read takes
-//! `structure` shared, folds the pending overlay (the same linearisation
-//! point), answers the pieces wholly inside its range from the prefixes
-//! at the two ends of their run ([`CrackerIndex::interior`]) and filters
-//! the at most two edge pieces under their read latches. It waits
-//! for a merge holding the column (`cracking_structure_wait_ns`). Columns
-//! that are never written keep the snapshot, so their reads wait for
-//! nothing and their cracks pay no sum.
+//! The prefix sums are a one-way switch with one trigger: the first
+//! snapshot read of a column computes the prefix sum of every boundary
+//! ([`CrackerIndex::sum_pieces`], one pass over the values under
+//! `structure` exclusive). From then on every crack gives its new boundary
+//! a prefix and every merge adds each value to the prefix of every
+//! boundary above it; a column no snapshot read has asked about keeps no
+//! sums, so its cracks and merges pay none.
 //!
 //! ## Batched Ripple
 //!
@@ -96,19 +84,19 @@
 //! [`CrackerColumn::extract_for_migration`] — already hold `structure`
 //! exclusively; the first of them to run builds the array there from
 //! that description, against the boundary table of the moment (same
-//! multiset in every piece, so the index, the published statistics, the
-//! snapshot and the point filter stay valid), and drops the log. The
-//! state flips once and never back; from then on merges move the ids
-//! along and match a delete by `(value, row)`.
+//! multiset in every piece, so the index with its prefix sums, the
+//! published statistics and the point filter stay valid), and drops the
+//! log. The state flips once and never back; from then on merges move the
+//! ids along and match a delete by `(value, row)`.
 
 use crate::cell::PublishedCell;
 use crate::filter::PointFilter;
 use crate::index::{sum_of, BoundLookup, CrackerIndex};
+use crate::kernels;
 use crate::partition::{partition_three, partition_two};
-use crate::piece_stats::{build_stats, PieceStats, SnapPieceStat};
+use crate::piece_stats::{build_stats, PieceStats};
 use crate::range_cell::{RangeCell, RangeGuard};
 use crate::row_ids::RowSource;
-use crate::snapshot::{filter_stats, PieceSnapshot, Segment, SnapPiece, SnapshotScan};
 use crate::updates::{ripple_batch, PendingUpdates, UnmergedKind};
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
@@ -128,8 +116,8 @@ fn no_rows(len: usize) -> Vec<()> {
 }
 
 /// Count and sum deltas of the unmerged updates `pred` selects: what a read
-/// of the merged column (or of a snapshot) lacks. Allocation-free; callers
-/// run it inside the pending mutex, their linearisation point.
+/// of the merged column lacks. Allocation-free; callers run it inside the
+/// pending mutex, their linearisation point.
 fn overlay<V: CrackValue>(queue: &PendingUpdates<V>, pred: Predicate<V>) -> (i64, i128) {
     let (mut count, mut sum) = (0i64, 0i128);
     queue.for_each_unmerged(
@@ -143,6 +131,28 @@ fn overlay<V: CrackValue>(queue: &PendingUpdates<V>, pred: Predicate<V>) -> (i64
             sum += sign as i128 * v.as_i64() as i128;
         },
     );
+    (count, sum)
+}
+
+/// Count + sum of the `vals` in `[lo, hi)` under the sentinel-aware
+/// predicate semantics ([`Predicate::matches_unbounded`]: a `MIN`/`MAX`
+/// bound is unbounded), through the branchless lane filter: a snapshot
+/// read's edge filter.
+fn filter_stats<V: CrackValue>(vals: &[V], lo: V, hi: V) -> (u64, i128) {
+    // `as_i64` preserves order, so the comparisons agree with `V`'s.
+    let lo = (lo != V::MIN_VALUE).then(|| lo.as_i64());
+    let hi = (hi != V::MAX_VALUE).then(|| hi.as_i64());
+    let mut count = 0u64;
+    let mut sum = 0i128;
+    let mut lanes = [0i64; 256];
+    for chunk in vals.chunks(lanes.len()) {
+        for (o, v) in lanes.iter_mut().zip(chunk) {
+            *o = v.as_i64();
+        }
+        let (c, s) = kernels::filter_count(&lanes[..chunk.len()], lo, hi);
+        count += c;
+        sum += s;
+    }
     (count, sum)
 }
 
@@ -178,6 +188,18 @@ impl Selection {
     }
 }
 
+/// Result of one snapshot read ([`CrackerColumn::snapshot_scan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SnapshotScan {
+    /// Qualifying-value count.
+    pub count: u64,
+    /// Qualifying-value sum (widened).
+    pub sum: i128,
+    /// Values inspected element-wise in the (at most two) edge pieces —
+    /// the read's crack trigger ([`CrackerColumn::REFRESH_FILTER_MIN`]).
+    pub filtered: usize,
+}
+
 /// Result of one background refinement attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefineOutcome {
@@ -190,16 +212,6 @@ pub enum RefineOutcome {
         /// Length of the piece that was partitioned.
         piece_len: usize,
     },
-}
-
-/// What the `pending` mutex guards: the update queue and the published
-/// snapshot it overlays. One critical section reads (or replaces) both, so
-/// a reader sees every update in exactly one of the two.
-struct Pending<V> {
-    queue: PendingUpdates<V>,
-    /// `None` until the first snapshot read builds one; dropped for good
-    /// by the first merge.
-    snap: Option<Arc<PieceSnapshot<V>>>,
 }
 
 /// A cracker column: copy of a base column (values + row ids) that is
@@ -219,7 +231,7 @@ pub struct CrackerColumn<V> {
     has_rows: AtomicBool,
     structure: RwLock<()>,
     index: RwLock<CrackerIndex<V>>,
-    pending: Mutex<Pending<V>>,
+    pending: Mutex<PendingUpdates<V>>,
     /// Observed value domain (base ∪ pending inserts); random pivots are
     /// drawn from it.
     domain: Mutex<Option<(V, V)>>,
@@ -230,14 +242,11 @@ pub struct CrackerColumn<V> {
     /// Thread budget of background (holistic-worker) refinements —
     /// typically 1, one worker per idle context.
     refine_threads: usize,
-    /// Live bytes held by snapshot segments (rises on copy-out, falls when
-    /// the last snapshot version referencing them is dropped).
-    snap_bytes: Arc<AtomicUsize>,
     /// Published plan-time piece statistics (the planner's `estimate()`
     /// reads exclusively from here).
     stats: PublishedCell<PieceStats<V>>,
-    /// Bumped whenever the piece table, pending backlog or snapshot piece
-    /// table changes; drives amortised stats republication.
+    /// Bumped whenever the piece table or the pending backlog changes;
+    /// drives amortised stats republication.
     stats_version: AtomicU64,
     /// `stats_version` value covered by the last published summary.
     stats_published: AtomicU64,
@@ -351,14 +360,10 @@ impl<V: CrackValue> CrackerColumn<V> {
             row_source,
             structure: RwLock::new(()),
             index: RwLock::new(index),
-            pending: Mutex::new(Pending {
-                queue: PendingUpdates::new(),
-                snap: None,
-            }),
+            pending: Mutex::new(PendingUpdates::new()),
             domain: Mutex::new(domain),
             select_threads: 1,
             refine_threads: 1,
-            snap_bytes: Arc::new(AtomicUsize::new(0)),
             stats: PublishedCell::new(),
             stats_version: AtomicU64::new(1),
             stats_published: AtomicU64::new(0),
@@ -428,15 +433,12 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// Bytes held by values + row ids (once built) or the merges' write
-    /// log (until then) + index, its prefix sums included + live
-    /// snapshot segments (storage-budget accounting; the snapshot term is
-    /// zero until a snapshot read publishes one, and again once the first
-    /// merge dropped it and its last reader let go).
+    /// log (until then) + index, its prefix sums included
+    /// (storage-budget accounting).
     pub fn payload_bytes(&self) -> usize {
         self.len() * Self::tuple_bytes(self.has_row_ids())
             + self.row_source.as_ref().map_or(0, RowSource::log_bytes)
             + self.index.read().approx_bytes()
-            + self.snapshot_bytes()
     }
 
     /// Does the column store a row id per value? Always, unless it is a
@@ -468,8 +470,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// of the current boundary table ([`RowSource::scatter`], which drops
     /// the log): `vals` is rewritten with the same multiset in every
     /// piece, so the boundary table with its prefix sums, the published
-    /// statistics, the snapshot (it owns its copies) and the point filter
-    /// all stay valid.
+    /// statistics and the point filter all stay valid.
     ///
     /// # Safety
     /// The caller holds `structure` exclusively, so no merge is half
@@ -520,8 +521,8 @@ impl<V: CrackValue> CrackerColumn<V> {
         self.stats.load()
     }
 
-    /// Marks the published statistics stale (piece table, pending backlog
-    /// or snapshot piece table changed).
+    /// Marks the published statistics stale (piece table or pending
+    /// backlog changed).
     fn bump_stats(&self) {
         self.stats_version.fetch_add(1, Relaxed);
     }
@@ -552,35 +553,21 @@ impl<V: CrackValue> CrackerColumn<V> {
             return;
         };
         let v = self.stats_version.load(SeqCst);
-        let pending = self.pending.lock().queue.len();
-        let (len, bounds, written) = {
+        let pending = self.pending.lock().len();
+        let (len, bounds) = {
             let idx = self.index.read();
-            (idx.len(), idx.bounds_in_order(), idx.summed())
+            (idx.len(), idx.bounds_in_order())
         };
-        let snap_pieces = self.snapshot().map(|s| {
-            s.pieces()
-                .map(|p| SnapPieceStat {
-                    hi_key: p.hi_key,
-                    len: p.len(),
-                    plain: p.is_plain(),
-                })
-                .collect()
-        });
-        let mut stats = build_stats(len, bounds, pending, snap_pieces);
-        // A written column's snapshot read filters its live edge pieces:
-        // the planner prices them as it prices a snapshot's.
-        if written {
-            stats.snap_pieces = Some(stats.live_pieces());
-        }
-        self.stats.publish(Arc::new(stats));
+        self.stats
+            .publish(Arc::new(build_stats(len, bounds, pending)));
         self.stats_published.fetch_max(v, SeqCst);
     }
 
     /// Test-only: holds the column's structure lock exclusively *and* its
     /// pending mutex, so tests can assert that plan-time reads
     /// ([`CrackerColumn::piece_stats`], [`CrackerColumn::probe_point`])
-    /// still complete while a writer holds every piece, the update queue
-    /// and the published snapshot hostage.
+    /// still complete while a writer holds every piece and the update
+    /// queue hostage.
     #[doc(hidden)]
     pub fn hold_locks_for_test(&self) -> impl Sized + '_ {
         (self.structure.write(), self.pending.lock())
@@ -644,10 +631,10 @@ impl<V: CrackValue> CrackerColumn<V> {
         let _shared = self.read_structure();
         let (lo, hi) = Self::exact_span(&self.index.read(), pred)?;
         let pending = self.pending.lock();
-        if pending.queue.len() > Self::MERGE_BACKLOG {
+        if pending.len() > Self::MERGE_BACKLOG {
             return None;
         }
-        let (delta, _) = overlay(&pending.queue, pred);
+        let (delta, _) = overlay(&pending, pred);
         Some(((hi - lo) as i64 + delta).max(0) as u64)
     }
 
@@ -700,7 +687,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         let _shared = self.read_structure();
         // Under `structure` shared no merge is in flight: the queue holds
         // exactly what the column lacks, and cracks cannot change that.
-        let (pending, _) = overlay(&self.pending.lock().queue, pred);
+        let (pending, _) = overlay(&self.pending.lock(), pred);
 
         // Fast path: both bounds missing and in the same piece → one
         // three-way crack.
@@ -811,7 +798,7 @@ impl<V: CrackValue> CrackerColumn<V> {
                     scratch,
                 ),
             };
-            // A written column's two new boundaries take the sums of the
+            // A summed column's two new boundaries take the sums of the
             // parts below them, from the values just partitioned.
             let sums = if summed {
                 let v = vg.slice();
@@ -900,7 +887,7 @@ impl<V: CrackValue> CrackerColumn<V> {
                         partition_two(vg.slice(), &mut no_rows(end - start), v, threads, scratch)
                     }
                 };
-                // A written column's new boundary takes the sum below it.
+                // A summed column's new boundary takes the sum below it.
                 let below = if summed {
                     sum_of(&vg.slice()[..split])
                 } else {
@@ -985,10 +972,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     pub fn queue_insert(&self, v: V, row: RowId) -> bool {
         {
             let mut p = self.pending.lock();
-            if p.queue.is_sealed() {
+            if p.is_sealed() {
                 return false;
             }
-            p.queue.queue_insert(v, row);
+            p.queue_insert(v, row);
             // Same critical section that the filter build's catch-up +
             // publish runs in, so this insert lands in the filter exactly
             // once: either the build's `for_each_unmerged` pass sees it
@@ -1016,10 +1003,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     pub fn queue_delete(&self, v: V, row: RowId) -> bool {
         {
             let mut p = self.pending.lock();
-            if p.queue.is_sealed() {
+            if p.is_sealed() {
                 return false;
             }
-            p.queue.queue_delete(v, row);
+            p.queue_delete(v, row);
         }
         // Deletes never leave a Bloom filter: account the churn so idle
         // workers can rebuild once it overwhelms the published filter.
@@ -1032,12 +1019,12 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Number of unmerged pending operations.
     pub fn pending_len(&self) -> usize {
-        self.pending.lock().queue.len()
+        self.pending.lock().len()
     }
 
     /// Pending-queue length above which a read (a select, a blocking
-    /// refinement, a snapshot refresh) first merges the queue: below it,
-    /// counting the queue beside the column is cheaper than a merge.
+    /// refinement, a snapshot read's cracks) first merges the queue: below
+    /// it, counting the queue beside the column is cheaper than a merge.
     pub const MERGE_BACKLOG: usize = 256;
 
     /// [`CrackerColumn::merge_pending`] once the queue holds more than
@@ -1087,7 +1074,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// workers drain through [`CrackerColumn::drain_in_background`]. No-op
     /// on an empty queue.
     pub fn merge_pending(&self) {
-        if self.pending.lock().queue.is_empty() {
+        if self.pending.lock().is_empty() {
             return;
         }
         let _exclusive = self.structure.write();
@@ -1105,29 +1092,20 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// merge holding {delete x} would find nothing to delete, drop the
     /// delete, and then insert x for good.
     ///
-    /// The first merge makes the column written: the critical section that
-    /// takes its batch drops the published snapshot, so a snapshot reader
-    /// either cloned it before, with the batch still queued, or reads the
-    /// live column after, under `structure` shared, once the merge is
-    /// done; then the merge sums every live piece. A `background` drain
-    /// merges only while [`CrackerColumn::drain_due`]. Returns `true` when
-    /// it merged.
+    /// A `background` drain merges only while
+    /// [`CrackerColumn::drain_due`]. Returns `true` when it merged.
     ///
     /// # Safety
     /// The caller holds `structure` exclusively.
     unsafe fn merge_pending_locked(&self, background: bool) -> bool {
-        let (ins, del, snap) = {
+        let (ins, del) = {
             let mut p = self.pending.lock();
             // Empty: a racing merge applied it while we waited.
-            if p.queue.is_empty() || background && p.queue.len() < Self::DRAIN_DUE {
+            if p.is_empty() || background && p.len() < Self::DRAIN_DUE {
                 return false;
             }
-            let (ins, del) = p.queue.take_all();
-            (ins, del, p.snap.take())
+            p.take_all()
         };
-        // Freeing the dropped snapshot can free O(column) bytes: not under
-        // the reader linearisation lock.
-        drop(snap);
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
         // SAFETY: the caller's contract. Every merge path is checked
         // against a multiset oracle by
@@ -1135,14 +1113,6 @@ impl<V: CrackValue> CrackerColumn<V> {
         // id-less one against an eager twin by
         // `prop_values_only_merges_match_an_eager_twin`.
         let walked = unsafe { self.ripple_apply(&ins, &del) };
-        if !self.index.read().summed() {
-            let n = self.len();
-            // SAFETY: the caller's contract — no live mutator
-            // (`prop_piece_sums_and_every_read_path_match_a_multiset_oracle`
-            // checks every sum after every drain).
-            let vals = unsafe { self.vals.read_range(0, n) };
-            self.index.write().sum_pieces(vals);
-        }
         self.bump_stats();
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_ripple_merges_total").inc();
@@ -1192,17 +1162,6 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
-    /// The value just above `v` in predicate space (`MAX_VALUE` saturates
-    /// to the unbounded sentinel — which also *includes* `MAX_VALUE`
-    /// itself, keeping `[v, succ(v))` a superset of `{v}`).
-    fn succ(v: V) -> V {
-        if v == V::MAX_VALUE {
-            V::MAX_VALUE
-        } else {
-            V::from_i64(v.as_i64() + 1)
-        }
-    }
-
     // ------------------------------------------------------------------
     // Shard migration (dynamic replanning)
     // ------------------------------------------------------------------
@@ -1213,12 +1172,12 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// scans, point probes — keep working; sealing freezes only the
     /// pending queue's intake.
     pub fn seal_for_migration(&self) {
-        self.pending.lock().queue.seal();
+        self.pending.lock().seal();
     }
 
     /// `true` once [`CrackerColumn::seal_for_migration`] ran.
     pub fn is_sealed(&self) -> bool {
-        self.pending.lock().queue.is_sealed()
+        self.pending.lock().is_sealed()
     }
 
     /// Reopens the update ingress after an *aborted* migration (no
@@ -1226,16 +1185,15 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// values all equal). Updates rejected during the sealed window are
     /// retried by the shard router and land here again.
     pub fn unseal_after_aborted_migration(&self) {
-        self.pending.lock().queue.unseal();
+        self.pending.lock().unseal();
     }
 
     /// Drains the column for a shard replan: seals the update ingress,
     /// Ripple-merges **every** pending update — readers still holding the
-    /// old plan's column keep answering exactly, from the live column once
-    /// it is written — and returns a copy of the merged
-    /// values and row ids in cracked order. The column stays fully
-    /// readable afterwards (in-flight old-plan queries finish against it)
-    /// but accepts no new updates.
+    /// old plan's column keep answering exactly from its live pieces — and
+    /// returns a copy of the merged values and row ids in cracked order.
+    /// The column stays fully readable afterwards (in-flight old-plan
+    /// queries finish against it) but accepts no new updates.
     pub fn extract_for_migration(&self) -> (Vec<V>, Vec<RowId>) {
         self.seal_for_migration();
         // Every merge takes its batch under this lock, so none is in
@@ -1246,8 +1204,8 @@ impl<V: CrackValue> CrackerColumn<V> {
         // SAFETY: `structure` is held exclusively
         // (`replans_of_shards_without_row_ids_keep_every_pair`).
         unsafe { self.ensure_row_ids() };
-        // Old-plan snapshot readers stay exact: the batch leaves the
-        // pending overlay in the critical section that drops the snapshot.
+        // Old-plan snapshot readers stay exact: they read under
+        // `structure` shared, so each sees the batch queued or merged.
         // SAFETY: `structure` is held exclusively
         // (`merge_replan_concatenates_neighbours_and_drains_pending`).
         unsafe { self.merge_pending_locked(false) };
@@ -1264,70 +1222,18 @@ impl<V: CrackValue> CrackerColumn<V> {
     // Snapshot reads
     // ------------------------------------------------------------------
 
-    /// The one load of the published snapshot: clones its `Arc` and hands
-    /// the update queue to `fold`, both inside one critical section of the
-    /// pending mutex — the reader linearisation point, so what `fold` reads
-    /// is exactly what the returned snapshot lacks. `fold` must stay short
-    /// (no allocation proportional to the column): every queue operation
-    /// and every publish waits for it. `None` while nothing is published.
-    fn read_snapshot<R>(
-        &self,
-        fold: impl FnOnce(&PendingUpdates<V>) -> R,
-    ) -> Option<(Arc<PieceSnapshot<V>>, R)> {
-        let p = self.pending.lock();
-        let snap = Arc::clone(p.snap.as_ref()?);
-        if holix_telemetry::metrics_enabled() {
-            holix_telemetry::counter!("cracking_epoch_pins_total").inc();
-        }
-        Some((snap, fold(&p.queue)))
-    }
-
-    /// [`CrackerColumn::read_snapshot`] that builds and publishes the first
-    /// snapshot of a column that has never been written (one-time O(N)
-    /// copy at current live granularity, under `structure` exclusive).
-    /// `None` once the column is written: it never holds a snapshot again.
-    fn read_or_build_snapshot<R>(
-        &self,
-        fold: impl Fn(&PendingUpdates<V>) -> R,
-    ) -> Option<(Arc<PieceSnapshot<V>>, R)> {
-        if let Some(read) = self.read_snapshot(&fold) {
-            return Some(read);
-        }
-        // Written: the first merge sums the pieces before it lets
-        // `structure` go, so a stale `false` only costs the recheck below.
-        if self.index.read().summed() {
-            return None;
-        }
-        {
-            let _exclusive = self.structure.write();
-            // Unless a racing reader built it, or a merge wrote the column,
-            // while this one waited.
-            if !self.index.read().summed() && self.pending.lock().snap.is_none() {
-                self.rebuild_snapshot();
-            }
-        }
-        // `None` only when a merge dropped it since.
-        self.read_snapshot(&fold)
-    }
-
-    /// The currently published snapshot (`None` until a snapshot read has
-    /// built one, and again from the first merge on). Whoever holds the
-    /// returned `Arc` keeps that version — and the segments only it
-    /// references — allocated and charged to
-    /// [`CrackerColumn::snapshot_bytes`] across any number of later
-    /// publishes.
-    pub fn snapshot(&self) -> Option<Arc<PieceSnapshot<V>>> {
-        self.read_snapshot(|_| ()).map(|(snap, ())| snap)
-    }
-
-    /// Count + sum of values in `pred`. A column that has never been
-    /// written answers from the published piece snapshot **without taking
-    /// the structure lock**: the reader linearises `(snapshot, unmerged
-    /// updates)` on the short pending mutex (folding the overlay deltas
-    /// allocation-free inside it), scans the immutable snapshot, and
-    /// applies the deltas; writers never wait for this reader and this
-    /// reader never waits for them. A written column answers from the live
-    /// column instead (`live_scan`), under `structure` shared.
+    /// Count + sum of values in `pred`, from the live column: under
+    /// `structure` shared (no merge runs, so the multiset of every key
+    /// range is fixed), folds the pending overlay under the pending mutex —
+    /// the linearisation point — adds the sums of the pieces wholly inside
+    /// `pred` under `index` read, and filters the at most two edge pieces
+    /// under their read latches. An edge whose latch is free is latched
+    /// before the index lock goes, so its extent is the one just read; one
+    /// a crack holds is walked afterwards piece by piece over its key span,
+    /// one latch at a time (the crack may split it). The first snapshot
+    /// read of the column sums its pieces first
+    /// ([`CrackerIndex::sum_pieces`], under `structure` exclusive); cracks
+    /// and merges keep the sums from then on.
     ///
     /// The overlay assumes the contract [`CrackerColumn::queue_delete`]
     /// states: a pending delete targets a tuple that is merged (or has a
@@ -1335,45 +1241,46 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// tuple that never existed is counted here until a Ripple merge
     /// silently drops it.
     ///
-    /// Adaptivity: when the edge pieces forced more than
+    /// Adaptivity: when the edge pieces forced at least
     /// [`CrackerColumn::REFRESH_FILTER_MIN`] element-wise checks, the call
-    /// finishes with an amortised maintenance pass that cracks the live
-    /// bounds (non-blocking) and, on a snapshot, refreshes its piece table
-    /// to live granularity — so a snapshot-only workload converges exactly
-    /// like a cracking one, paying the copy at most once per granularity
-    /// level (the same geometric series as cracking itself).
+    /// finishes by cracking its bounds without blocking (skipped on latch
+    /// contention), so a snapshot-only workload converges like a cracking
+    /// one.
     pub fn snapshot_scan(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> SnapshotScan {
         if pred.is_empty() {
             return SnapshotScan::default();
         }
-        let scan = match self.read_or_build_snapshot(|queue| overlay(queue, pred)) {
-            Some((snap, (count_delta, sum_delta))) => {
-                let mut scan = snap.stats(pred.lo, pred.hi);
-                drop(snap);
-                scan.count = (scan.count as i64 + count_delta).max(0) as u64;
-                scan.sum += sum_delta;
-                scan
-            }
-            None => self.live_scan(pred),
-        };
+        self.sum_pieces_once();
+        let scan = self.live_scan(pred);
         if scan.filtered >= Self::REFRESH_FILTER_MIN {
-            self.refresh_snapshot(pred, scratch);
+            self.crack_scan_bounds(pred, scratch);
         }
         scan
     }
 
-    /// The snapshot read of a written column: under `structure` shared (no
-    /// merge runs, so the multiset of every key range is fixed), folds the
-    /// pending overlay under the pending mutex — the linearisation point —
-    /// adds the sums of the pieces wholly inside `pred` under `index` read,
-    /// and filters the at most two edge pieces under their read latches.
-    /// An edge whose latch is free is latched before the index lock goes,
-    /// so its extent is the one just read; one a crack holds is walked
-    /// afterwards piece by piece over its key span, one latch at a time
-    /// (the crack may split it).
+    /// The one trigger of the prefix sums: sums every piece of a column
+    /// that keeps none yet, under `structure` exclusive. Never undone.
+    fn sum_pieces_once(&self) {
+        if self.index.read().summed() {
+            return;
+        }
+        let _exclusive = self.structure.write();
+        // Unless a racing reader summed it while this one waited.
+        if self.index.read().summed() {
+            return;
+        }
+        let n = self.len();
+        // SAFETY: `structure` is held exclusively, taken above — no live
+        // mutator (`prop_piece_sums_and_every_read_path_match_a_multiset_oracle`
+        // sums at random points and checks every sum after every step).
+        let vals = unsafe { self.vals.read_range(0, n) };
+        self.index.write().sum_pieces(vals);
+    }
+
+    /// The body of [`CrackerColumn::snapshot_scan`]; the column is summed.
     fn live_scan(&self, pred: Predicate<V>) -> SnapshotScan {
         let _shared = self.read_structure();
-        let (count_delta, sum_delta) = overlay(&self.pending.lock().queue, pred);
+        let (count_delta, sum_delta) = overlay(&self.pending.lock(), pred);
         let (interior, latched) = {
             let idx = self.index.read();
             let interior = idx.interior(pred.lo, pred.hi);
@@ -1417,25 +1324,14 @@ impl<V: CrackValue> CrackerColumn<V> {
         scan
     }
 
-    /// Edge-piece filter work (values inspected element-wise) above which a
-    /// snapshot read triggers a piece-table refresh.
+    /// Edge-piece filter work (values inspected element-wise) from which a
+    /// snapshot read cracks its bounds.
     pub const REFRESH_FILTER_MIN: usize = 1 << 11;
 
-    /// Has a snapshot been published for this column?
-    pub fn snapshot_published(&self) -> bool {
-        self.snapshot().is_some()
-    }
-
-    /// Live bytes held by snapshot segments: those of the published
-    /// snapshot plus the segments a still-running reader holds through a
-    /// replaced version.
-    pub fn snapshot_bytes(&self) -> usize {
-        self.snap_bytes.load(SeqCst)
-    }
-
-    /// Pieces in the currently published snapshot (0 when unpublished).
-    pub fn snapshot_piece_count(&self) -> usize {
-        self.snapshot().map_or(0, |s| s.piece_count())
+    /// Every piece's sum in key order; `None` until the first snapshot read
+    /// summed the column.
+    pub fn piece_sums(&self) -> Option<Vec<i128>> {
+        self.index.read().piece_sums()
     }
 
     // ------------------------------------------------------------------
@@ -1463,8 +1359,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// Builds and publishes the point filter from the live column plus the
-    /// unmerged pending inserts. No-op once published. Copies nothing: a
-    /// shard holds a snapshot only once a snapshot read asks for one.
+    /// unmerged pending inserts. No-op once published. Copies nothing.
     ///
     /// Race-freedom: the build runs under `structure` *shared*, which
     /// excludes Ripple merges — the only operation that moves values from
@@ -1548,7 +1443,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             vals.iter().for_each(|v| filter.insert_unshared(v.as_i64()));
         });
         let p = self.pending.lock();
-        p.queue.for_each_unmerged(
+        p.for_each_unmerged(
             |_| true,
             |v, kind| {
                 if matches!(kind, UnmergedKind::Insert) {
@@ -1565,265 +1460,26 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
-    /// Amortised snapshot maintenance after an expensive edge filter: merge
-    /// the queue once it is past the backlog; then, for each non-sentinel
-    /// bound, crack the live bound without blocking (skipped on latch
-    /// contention), and, on a column with a snapshot, replace **only the
-    /// snapshot piece containing the bound** with copies at live
-    /// granularity. Copy cost is the edge
-    /// piece's size — interior pieces of the scanned range are already
-    /// served O(1) from their aggregates and are never copied. Runs under
-    /// `structure` *shared* — Ripple merges are excluded for the
-    /// copy-publish window, concurrent cracks are isolated per piece by
-    /// read latches.
-    fn refresh_snapshot(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) {
-        if pred.lo != V::MIN_VALUE {
-            self.refresh_bound(pred.lo, scratch);
-        }
-        if pred.hi != V::MAX_VALUE {
-            self.refresh_bound(pred.hi, scratch);
-        }
-    }
-
-    /// One bound's refresh: see [`CrackerColumn::refresh_snapshot`].
-    fn refresh_bound(&self, v: V, scratch: &mut CrackScratch<V>) {
-        // The pending overlay already keeps snapshot answers exact, so a
-        // refresh only merges past the backlog, where the per-scan overlay
-        // cost starts to matter: a snapshot-only workload still cannot
-        // grow the queue without bound.
+    /// A snapshot read's cracks after an expensive edge filter: merges the
+    /// queue once it is past the backlog (a snapshot-only workload still
+    /// cannot grow it without bound), then cracks each non-sentinel bound
+    /// without blocking, under `structure` shared; a bound whose piece is
+    /// latched elsewhere is left for a later read.
+    fn crack_scan_bounds(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) {
         self.merge_past_backlog();
         let _shared = self.structure.read();
-        if self.crack_bound(v, scratch, false).is_none() {
-            return; // bound piece latched elsewhere — retry on a later scan
-        }
-        // Anchors of the point range [v, succ(v)): exactly the snapshot
-        // piece(s) the bound falls into. A written column has no snapshot:
-        // the crack was the whole refresh.
-        let Some((a, b, encoded)) = self.snapshot_anchors(v, Self::succ(v)) else {
-            return;
-        };
-        let mid = self.copy_live_pieces(a, b, true, encoded);
-        self.splice_and_publish(a, b, mid);
-    }
-
-    /// Background snapshot maintenance (an idle holistic worker's job):
-    /// refreshes the *stalest* published snapshot piece — the largest one
-    /// whose value range the live cracker index has already split further —
-    /// to live granularity, so the first unlucky reader stops paying the
-    /// copy. Piece choice reuses the published plan-time statistics (the
-    /// planner's staleness stat) instead of walking the live index; both
-    /// anchor keys are snapshot boundaries, which are always live
-    /// boundaries, so staleness of the summary can only make the pick
-    /// suboptimal, never wrong. Runs under `structure` *shared* with
-    /// per-piece read latches, exactly like a reader-triggered refresh.
-    ///
-    /// Returns `true` when a piece was refreshed (`false`: no snapshot, or
-    /// its piece table already matches the live granularity the summary
-    /// sees).
-    pub fn refresh_stale_snapshot(&self) -> bool {
-        // A written column's published pieces are its live ones.
-        if self.index.read().summed() {
-            return false;
-        }
-        let Some(stats) = self.piece_stats() else {
-            return false;
-        };
-        let Some(snap_pieces) = stats.snap_pieces.as_ref() else {
-            return false;
-        };
-        // Largest snapshot piece with a live boundary that splits it into
-        // two non-empty halves. The *position* check matters: a boundary
-        // of an empty live piece sits at the edge position, its "split"
-        // copies the same pieces back (empty pieces are skipped), and a
-        // key-only check would pick that piece forever.
-        let mut lo_key: Option<V> = None;
-        let mut best: Option<(usize, Option<V>, Option<V>, bool)> = None;
-        for piece in snap_pieces {
-            let (hi_key, len) = (piece.hi_key, piece.len);
-            let from = match lo_key {
-                None => 0,
-                Some(k) => stats.bounds.partition_point(|&(b, _)| b <= k),
-            };
-            let to = match hi_key {
-                None => stats.bounds.len(),
-                Some(k) => stats.bounds.partition_point(|&(b, _)| b < k),
-            };
-            let pos_lo = if from == 0 {
-                0
-            } else {
-                stats.bounds[from - 1].1
-            };
-            let pos_hi = if to < stats.bounds.len() {
-                stats.bounds[to].1
-            } else {
-                stats.len
-            };
-            // First interior boundary past the piece's start position;
-            // positions are non-decreasing, so one binary search decides.
-            let interior = &stats.bounds[from..to];
-            let split = interior.partition_point(|&(_, p)| p <= pos_lo);
-            let refreshable = split < interior.len() && interior[split].1 < pos_hi;
-            if refreshable && best.as_ref().is_none_or(|&(l, _, _, _)| len > l) {
-                best = Some((len, lo_key, hi_key, !piece.plain));
-            }
-            lo_key = hi_key;
-        }
-        let Some((_, a, b, encoded)) = best else {
-            return false;
-        };
-        let before = self.snapshot_piece_count();
-        let _shared = self.structure.read();
-        // A refresh of an already-morphed piece goes straight back into
-        // encoded form — the copies land compressed, so the background
-        // refresh loop no longer re-plains what the morpher encoded.
-        let mid = self.copy_live_pieces(a, b, true, encoded);
-        self.splice_and_publish(a, b, mid);
-        drop(_shared);
-        // Republish immediately so a refresh loop converges on fresh
-        // staleness instead of re-picking the same piece.
-        self.publish_stats();
-        // Progress guard: with a stride-sampled boundary table the
-        // position check above can misjudge (sampled positions only
-        // bracket the truth), so a refresh that did not actually split
-        // anything reports `false` — callers looping "refresh until done"
-        // terminate instead of re-copying the same piece forever.
-        let refreshed = self.snapshot_piece_count() > before;
-        if refreshed && holix_telemetry::metrics_enabled() {
-            holix_telemetry::counter!("cracking_snapshot_refreshes_total").inc();
-        }
-        refreshed
-    }
-
-    /// Plain snapshot pieces shorter than this are never re-encoded: the
-    /// fixed per-segment overhead dominates and edge refreshes would churn
-    /// them right back to plain.
-    pub const MORPH_MIN: usize = 256;
-
-    /// Background segment morphing (an idle holistic worker's job): picks
-    /// the largest *plain* snapshot piece of at least
-    /// [`CrackerColumn::MORPH_MIN`] values whose sorted form compresses
-    /// (FOR / delta / RLE — see [`Segment::encoded`]) and republishes it as
-    /// an encoded segment through the same COW-splice a refresh uses, so
-    /// readers never block and `snapshot_bytes` drops by exactly the saved
-    /// backing size. Returns `true` when a piece was morphed (`false`: no
-    /// snapshot, or no remaining plain piece compresses).
-    ///
-    /// Runs under `structure` *shared*, which excludes Ripple merges — the
-    /// only multiset-changing writers — for the copy-encode-splice window:
-    /// concurrent cracks merely permute values inside live pieces and never
-    /// touch the immutable snapshot, and a racing per-bound refresh can at
-    /// worst overwrite this morph's piece with finer plain copies of the
-    /// *same* multiset (granularity lost, never correctness).
-    pub fn morph_cold_segments(&self) -> bool {
-        let _shared = self.structure.read();
-        // Candidate plain pieces, largest first. Values are copied and
-        // encoded LAZILY, one candidate at a time — most calls stop at the
-        // first (largest) piece, so a call never materialises more than
-        // one piece's values even over a snapshot full of plain pieces.
-        let Some(snap) = self.snapshot() else {
-            return false;
-        };
-        let mut lo_key = None;
-        let mut order: Vec<(Option<V>, &SnapPiece<V>)> = Vec::new();
-        for piece in snap.pieces() {
-            if piece.is_plain() && piece.len() >= Self::MORPH_MIN {
-                order.push((lo_key, piece));
-            }
-            lo_key = piece.hi_key;
-        }
-        order.sort_by_key(|&(_, piece)| std::cmp::Reverse(piece.len()));
-        let mut morphed = false;
-        for (a, piece) in order {
-            let b = piece.hi_key;
-            let vals = piece
-                .plain_values()
-                .expect("candidate piece is plain")
-                .to_vec();
-            let n = vals.len();
-            let seg = Segment::encoded(vals, Arc::clone(&self.snap_bytes));
-            if seg.is_plain() {
-                continue; // no scheme beats plain here — try the next piece
-            }
-            let piece = SnapPiece::new(b, Arc::new(seg), 0, n);
-            self.splice_and_publish(a, b, vec![piece]);
-            morphed = true;
-            break;
-        }
-        // The version the candidates borrow from goes before the byte
-        // count is read again: the plain segment just replaced is freed
-        // with it.
-        drop(snap);
-        drop(_shared);
-        if morphed {
-            // Republish stats so the planner's decode-cost term and the
-            // staleness pick see the encoded piece immediately.
-            self.publish_stats();
-            if holix_telemetry::metrics_enabled() {
-                holix_telemetry::counter!("cracking_segment_morphs_total").inc();
+        for (v, sentinel) in [(pred.lo, V::MIN_VALUE), (pred.hi, V::MAX_VALUE)] {
+            if v != sentinel {
+                self.crack_bound(v, scratch, false);
             }
         }
-        morphed
-    }
-
-    /// The published snapshot's boundary keys bracketing `[lo, hi)`:
-    /// `a` = greatest snapshot boundary `<= lo` (`None` = column-min side),
-    /// `b` = least snapshot boundary `>= hi` (`None` = column-max side).
-    /// Snapshot boundaries are a subset of live boundaries (boundaries are
-    /// never removed and snapshots are built from live pieces), so both
-    /// anchors are exact lookups in the live index; and because concurrent
-    /// publishes only ever *refine* piece tables, anchors stay valid
-    /// splice points even if another refresh lands in between.
-    ///
-    /// Caller holds a structure lock (any mode) so merges cannot run.
-    /// Besides the anchors, reports whether any replaced piece of the span
-    /// is encoded — the refresh then re-encodes its copies instead of
-    /// spilling them plain ([`CrackerColumn::copy_live_pieces`]). `None`
-    /// while no snapshot is published.
-    fn snapshot_anchors(&self, lo: V, hi: V) -> Option<(Option<V>, Option<V>, bool)> {
-        let snap = self.snapshot()?;
-        let (a, b) = snap.anchors(lo, hi);
-        Some((a, b, snap.span_has_encoded(lo, hi)))
-    }
-
-    /// Copies the live pieces covering `[a, b)` (both anchors are live
-    /// boundary keys, `None` = column edge) into fresh snapshot pieces,
-    /// read as [`CrackerColumn::for_each_live_piece`] reads them (`latched`:
-    /// caller holds `structure` shared; otherwise exclusively).
-    /// With `encode`, copies of at least [`CrackerColumn::MORPH_MIN`]
-    /// values go straight through [`Segment::encoded`] — a refresh that
-    /// replaces already-morphed pieces keeps them compressed instead of
-    /// re-materialising plain and waiting for the morpher (no transient
-    /// footprint spike). Empty pieces are skipped — scans treat the
-    /// uncovered key as part of the neighbouring piece's range, which only
-    /// widens the conservative edge-filter check.
-    fn copy_live_pieces(
-        &self,
-        a: Option<V>,
-        b: Option<V>,
-        latched: bool,
-        encode: bool,
-    ) -> Vec<SnapPiece<V>> {
-        let mut out = Vec::new();
-        self.for_each_live_piece(a, b, latched, |vals, hi_key| {
-            if vals.is_empty() {
-                return;
-            }
-            let (vals, n) = (vals.to_vec(), vals.len());
-            let seg = if encode && n >= Self::MORPH_MIN {
-                Segment::encoded(vals, Arc::clone(&self.snap_bytes))
-            } else {
-                Segment::new(vals, Arc::clone(&self.snap_bytes))
-            };
-            out.push(SnapPiece::new(hi_key, Arc::new(seg), 0, n));
-        });
-        out
     }
 
     /// Hands `visit` the values and upper key (`None` = last piece) of
     /// every live piece covering `[a, b)`, in key order (both anchors are
     /// live boundary keys, `None` = column edge): the one walk over live
-    /// pieces, behind the snapshot copies, a written column's edge filters
-    /// and the point-filter build. With `latched`, each piece is read under its
+    /// pieces, behind a snapshot read's busy edge filters and the
+    /// point-filter build. With `latched`, each piece is read under its
     /// read latch (caller holds `structure` shared; concurrent cracks of
     /// *other* pieces proceed); otherwise the caller holds `structure`
     /// exclusively. Each piece's key range is visited once, so the walk
@@ -1872,48 +1528,6 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
-    /// Publishes the first snapshot, copied from the live pieces at their
-    /// current granularity. Caller holds `structure` exclusively.
-    fn rebuild_snapshot(&self) {
-        let next = PieceSnapshot::new(self.copy_live_pieces(None, None, false, false));
-        self.publish(|_| Some(next));
-    }
-
-    /// Publishes a snapshot that replaces every piece covering the value
-    /// range `[a, b)` with `mid` ([`PieceSnapshot::splice`]: the rest of
-    /// the piece table and the segments of every untouched piece are
-    /// shared). An edge refresh, a background refresh and a morph publish
-    /// this way; caller holds a structure lock (any mode).
-    fn splice_and_publish(&self, a: Option<V>, b: Option<V>, mid: Vec<SnapPiece<V>>) {
-        // Both anchors must still be boundaries of the published snapshot.
-        // A morph republishes a span as one piece, so a refresh that took
-        // interior anchors before it can arrive stale; it gives up (the
-        // next scan refreshes again).
-        self.publish(|old| old?.splice(a, b, mid));
-    }
-
-    /// The one store of the published pointer. `next` makes the new
-    /// version from the published one (`None` while nothing is published)
-    /// or returns `None` to publish nothing; it runs under the pending
-    /// mutex (the reader linearisation point), so publishers under
-    /// `structure` shared cannot lose each other's splices. The replaced
-    /// version is let go after the mutex; its memory goes when the last
-    /// reader holding it does. A written column publishes nothing: a
-    /// splice needs a published version, and the first build checks
-    /// `summed` under `structure` exclusive.
-    fn publish(&self, next: impl FnOnce(Option<&PieceSnapshot<V>>) -> Option<PieceSnapshot<V>>) {
-        let mut p = self.pending.lock();
-        let Some(new) = next(p.snap.as_deref()) else {
-            return;
-        };
-        let old = p.snap.replace(Arc::new(new));
-        // Freeing the replaced version can free O(column) bytes of
-        // segments: not under the reader linearisation lock.
-        drop(p);
-        drop(old);
-        self.bump_stats();
-    }
-
     // ------------------------------------------------------------------
     // Verification / instrumentation
     // ------------------------------------------------------------------
@@ -1936,7 +1550,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         let Some((start, end)) = Self::exact_span(&self.index.read(), pred) else {
             return (sel, RangeStats::default());
         };
-        let (pending, pending_sum) = overlay(&self.pending.lock().queue, pred);
+        let (pending, pending_sum) = overlay(&self.pending.lock(), pred);
         let sel = Selection {
             start,
             end,
@@ -2373,26 +1987,27 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_scan_matches_oracle_and_refreshes_granularity() {
+    fn snapshot_scan_matches_oracle_and_cracks_its_bounds() {
         let (base, col) = column(50_000, 20);
         let mut scratch = CrackScratch::new();
-        assert!(!col.snapshot_published());
-        // First snapshot read: builds the snapshot (one coarse piece),
-        // filters everything, then refreshes to live granularity.
+        assert!(col.piece_sums().is_none());
+        // First snapshot read: sums the one piece, filters all of it as
+        // the edge of both bounds, then cracks them.
         let pred = Predicate::range(200, 600);
         let scan = col.snapshot_scan(pred, &mut scratch);
         let oracle = scan_stats(&base, pred);
         assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-        assert!(col.snapshot_published());
+        assert!(col.piece_sums().is_some());
         assert!(
             scan.filtered >= base.len(),
-            "cold snapshot filters the column"
+            "a cold read filters the column"
         );
-        // The refresh cracked the live bounds and split the snapshot piece.
+        // The bounds are boundaries now: the piece between them is
+        // answered from its sum.
         let again = col.snapshot_scan(pred, &mut scratch);
         assert_eq!((again.count, again.sum), (oracle.count, oracle.sum));
-        assert_eq!(again.filtered, 0, "refreshed snapshot needs no filtering");
-        assert!(col.snapshot_piece_count() >= 3);
+        assert_eq!(again.filtered, 0, "cracked bounds need no filtering");
+        assert!(col.piece_count() >= 3);
         // Sentinel (one-sided) predicates.
         for pred in [Predicate::less_than(300), Predicate::at_least(700)] {
             let scan = col.snapshot_scan(pred, &mut scratch);
@@ -2423,58 +2038,12 @@ mod tests {
         let scan = col.snapshot_scan(pred, &mut scratch);
         let oracle = scan_stats(&base, pred);
         assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-        // … and still after a locked select forces the Ripple merge + COW
-        // splice (snapshot republished with the merged pieces).
+        // … and still after a locked select's Ripple merge moved them
+        // into the pieces and their sums.
         let (_, locked) = col.select_verified(pred, &mut scratch);
         assert_eq!(locked, oracle);
         let scan = col.snapshot_scan(pred, &mut scratch);
         assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-        col.check_invariants(None);
-    }
-
-    #[test]
-    fn a_held_snapshot_keeps_its_multiset_and_its_bytes_across_merges() {
-        let (base, col) = column(20_000, 23);
-        let mut scratch = CrackScratch::new();
-        let full = Predicate::range(0, 1_000);
-        col.snapshot_scan(full, &mut scratch);
-        let base_bytes = base.len() * std::mem::size_of::<i64>();
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..20 {
-            let v: i64 = rng.random_range(0..1_000);
-            col.select(Predicate::range(v.saturating_sub(5), v + 5), &mut scratch);
-            col.refine_random(&mut rng, &mut scratch, 4);
-            col.snapshot_scan(full, &mut scratch);
-        }
-        let settled = col.snapshot_bytes();
-        assert!(
-            (base_bytes..=2 * base_bytes).contains(&settled),
-            "one copy of the column: {settled} vs {base_bytes}"
-        );
-        // A reader that holds a version open across the merges that drop
-        // it …
-        let held = col.snapshot().expect("published above");
-        let before = held.stats(full.lo, full.hi);
-        for i in 0..20 {
-            let v = rng.random_range(0..1_000);
-            col.queue_insert(v, (base.len() + i) as RowId);
-            col.select(Predicate::range(v.saturating_sub(5), v + 5), &mut scratch);
-            // A select below the backlog merges nothing: merge here, as an
-            // idle worker would.
-            col.merge_pending();
-        }
-        assert!(!col.snapshot_published(), "the first merge dropped it");
-        // … still scans the multiset it started with, while the column
-        // has moved on,
-        let again = held.stats(full.lo, full.hi);
-        assert_eq!((again.count, again.sum), (before.count, before.sum));
-        let now = col.snapshot_scan(full, &mut scratch);
-        assert_eq!(now.count, before.count + 20);
-        // keeps its segments charged,
-        assert_eq!(col.snapshot_bytes(), settled, "the held version's bytes");
-        // and frees them by letting go — nothing else has to run.
-        drop(held);
-        assert_eq!(col.snapshot_bytes(), 0, "bytes after the reader left");
         col.check_invariants(None);
     }
 
@@ -2542,90 +2111,65 @@ mod tests {
         col.check_invariants(None);
     }
 
-    /// The first drain — an idle worker's here, the read path's on a twin —
-    /// drops the published snapshot, and its bytes go with it: the written
-    /// column keeps one copy, charged once. No later snapshot read builds
-    /// one again, however many drains, cracks and refreshes follow, every
-    /// read answers from the live pieces' sums exactly, and the published
-    /// statistics price the live edge pieces those reads filter.
+    /// The first snapshot read of a column nobody has read that way sums
+    /// its pieces and copies nothing: the column's charged bytes grow by
+    /// at most the index's own growth (the read's cracks), the pieces keep
+    /// sums from then on, and every later read — beside queued updates,
+    /// drains, cracks and the read's own cracks — matches the oracle.
     #[test]
-    fn the_first_drain_drops_the_snapshot_and_no_read_rebuilds_one() {
+    fn a_snapshot_read_sums_and_copies_nothing() {
         let mut scratch = CrackScratch::new();
-        for background in [true, false] {
-            let (mut base, col) = column(50_000, 30);
-            let full = Predicate::range(i64::MIN, i64::MAX);
-            col.snapshot_scan(full, &mut scratch);
-            let mut rng = StdRng::seed_from_u64(31);
-            for _ in 0..40 {
-                let (a, b) = (rng.random_range(0..1_000), rng.random_range(0..1_000));
-                col.select(Predicate::range(a.min(b), a.max(b)), &mut scratch);
+        let (mut base, col) = column(50_000, 30);
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..40 {
+            let (a, b) = (rng.random_range(0..1_000), rng.random_range(0..1_000));
+            col.select(Predicate::range(a.min(b), a.max(b)), &mut scratch);
+        }
+        assert!(col.piece_sums().is_none(), "a select summed the column");
+        let (payload, index) = (col.payload_bytes(), col.index.read().approx_bytes());
+        let pred = Predicate::range(333, 777);
+        let got = col.snapshot_scan(pred, &mut scratch);
+        let want = scan_stats(&base, pred);
+        assert_eq!((got.count, got.sum), (want.count, want.sum));
+        let grown = col.index.read().approx_bytes() - index;
+        assert_eq!(col.payload_bytes(), payload + grown, "the read copied");
+        assert!(col.piece_sums().is_some(), "the read did not sum");
+        let full = Predicate::range(i64::MIN, i64::MAX);
+        for round in 0..8 {
+            for _ in 0..CrackerColumn::<i64>::DRAIN_DUE {
+                let v = rng.random_range(0..1_000);
+                assert!(col.queue_insert(v, base.len() as RowId));
+                base.push(v);
             }
-            assert!(col.snapshot_published() && col.snapshot_bytes() > 0);
-            let with_copy = col.payload_bytes();
-            let queue = |base: &mut Vec<i64>, rng: &mut StdRng| {
-                for _ in 0..CrackerColumn::<i64>::DRAIN_DUE {
-                    let v = rng.random_range(0..1_000);
-                    assert!(col.queue_insert(v, base.len() as RowId));
-                    base.push(v);
-                }
-            };
-            queue(&mut base, &mut rng);
-            if background {
+            if round % 2 == 0 {
                 assert!(col.drain_in_background());
-            } else {
-                col.merge_pending();
             }
-            assert!(!col.snapshot_published(), "background: {background}");
-            assert_eq!(col.snapshot_bytes(), 0);
-            assert_eq!(col.snapshot_piece_count(), 0);
-            assert!(col.payload_bytes() < with_copy, "the copy is not charged");
-            for round in 0..8 {
-                queue(&mut base, &mut rng);
-                if round % 2 == 0 {
-                    col.merge_pending();
+            for _ in 0..8 {
+                let (a, b) = (rng.random_range(-5..1_005), rng.random_range(-5..1_005));
+                let pred = Predicate::range(a.min(b), a.max(b));
+                for pred in [pred, full, Predicate::at_least(pred.hi)] {
+                    let want = scan_stats(&base, pred);
+                    let got = col.snapshot_scan(pred, &mut scratch);
+                    assert_eq!((got.count, got.sum), (want.count, want.sum), "{pred:?}");
                 }
-                for _ in 0..8 {
-                    let (a, b) = (rng.random_range(-5..1_005), rng.random_range(-5..1_005));
-                    let pred = Predicate::range(a.min(b), a.max(b));
-                    for pred in [pred, full, Predicate::at_least(pred.hi)] {
-                        let want = scan_stats(&base, pred);
-                        let got = col.snapshot_scan(pred, &mut scratch);
-                        assert_eq!((got.count, got.sum), (want.count, want.sum), "{pred:?}");
-                    }
-                }
-                col.publish_stats();
-                // The planner prices the edges this read filters: the live
-                // pieces, every one plain.
-                let stats = col.piece_stats().unwrap();
-                let live = stats
-                    .snap_pieces
-                    .as_ref()
-                    .expect("a written column's pieces");
-                assert_eq!(live, &stats.live_pieces());
-                assert_eq!(live.iter().map(|p| p.len).sum::<usize>(), col.len());
-                assert!(!col.refresh_stale_snapshot() && !col.morph_cold_segments());
-                assert!(
-                    !col.snapshot_published(),
-                    "round {round} rebuilt a snapshot"
-                );
-                assert_eq!(col.snapshot_bytes(), 0);
             }
             col.check_invariants(None);
         }
     }
 
-    /// A written column's snapshot read whose edge piece a crack holds
-    /// latches the other edge without blocking, lets it go, and only then
-    /// waits out the crack, walking the busy edge's key span piece by
-    /// piece: the answer is exact either way.
+    /// A snapshot read whose edge piece a crack holds latches the other
+    /// edge without blocking, lets it go, and only then waits out the
+    /// crack, walking the busy edge's key span piece by piece: the answer
+    /// is exact either way.
     #[test]
-    fn a_written_read_waits_out_a_crack_of_its_edge_piece() {
+    fn a_snapshot_read_waits_out_a_crack_of_its_edge_piece() {
         let (mut base, col) = column(20_000, 32);
         let mut scratch = CrackScratch::new();
         col.select(Predicate::range(300, 700), &mut scratch);
         assert!(col.queue_insert(500, base.len() as RowId));
         base.push(500);
         col.merge_pending();
+        col.snapshot_scan(Predicate::range(i64::MIN, i64::MAX), &mut scratch);
         let pred = Predicate::range(100, 400);
         let BoundLookup::Piece { latch, .. } = col.index.read().locate(pred.lo) else {
             panic!("100 is not a boundary");
@@ -2641,207 +2185,6 @@ mod tests {
             assert_eq!((got.count, got.sum), (want.count, want.sum));
         });
         col.check_invariants(None);
-    }
-
-    #[test]
-    fn stale_snapshot_refresh_converges_without_readers() {
-        let (base, col) = column(60_000, 40);
-        let mut scratch = CrackScratch::new();
-        let full = Predicate::range(0, 1_000);
-        // Publish while the column is coarse …
-        col.snapshot_scan(full, &mut scratch);
-        let coarse = col.snapshot_piece_count();
-        // … then crack the live index far past the snapshot's granularity.
-        let mut rng = StdRng::seed_from_u64(41);
-        for _ in 0..60 {
-            let a = rng.random_range(0..1_000);
-            let b = rng.random_range(0..1_000);
-            let lo = a.min(b);
-            col.select(Predicate::range(lo, a.max(b).max(lo + 1)), &mut scratch);
-        }
-        col.publish_stats();
-        assert!(col.piece_count() > coarse + 40, "setup cracked too little");
-        // Idle-worker refreshes converge the snapshot with NO reader ever
-        // paying the copy; the position guard makes the loop terminate.
-        // Each round refreshes one stale piece to live granularity, so the
-        // loop converges in about as many rounds as the coarse snapshot
-        // had refreshable pieces.
-        let mut rounds = 0;
-        while col.refresh_stale_snapshot() {
-            rounds += 1;
-            assert!(rounds < 10_000, "refresh loop did not converge");
-        }
-        assert!(rounds >= 1, "refreshes never ran");
-        assert!(
-            col.snapshot_piece_count() > coarse + 40,
-            "snapshot piece table did not chase the live index \
-             ({} snapshot vs {} live pieces)",
-            col.snapshot_piece_count(),
-            col.piece_count()
-        );
-        // The first reader after convergence pays no big edge filter and
-        // still answers exactly.
-        let scan = col.snapshot_scan(full, &mut scratch);
-        let oracle = scan_stats(&base, full);
-        assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-        assert!(
-            scan.filtered < CrackerColumn::<i64>::REFRESH_FILTER_MIN,
-            "reader still paid {} filtered values",
-            scan.filtered
-        );
-    }
-
-    #[test]
-    fn morph_cold_segments_shrinks_bytes_and_keeps_scans_exact() {
-        // Domain 0..1_000 → a FOR-packed piece needs ≤ 10 bits/value
-        // instead of 64: every big piece compresses.
-        let (base, col) = column(60_000, 70);
-        let mut scratch = CrackScratch::new();
-        assert!(!col.morph_cold_segments(), "no snapshot yet");
-        let full = Predicate::range(0, 1_000);
-        col.snapshot_scan(full, &mut scratch); // publish
-        for (a, b) in [(100, 400), (550, 800), (250, 650)] {
-            col.select(Predicate::range(a, b), &mut scratch);
-        }
-        col.publish_stats();
-        while col.refresh_stale_snapshot() {}
-        let plain_bytes = col.snapshot_bytes();
-        assert!(plain_bytes >= base.len() * 8, "snapshot not at full width");
-        // Each morph strictly decreases `snapshot_bytes`: the replaced
-        // plain segment goes with the version that held it.
-        let mut last = plain_bytes;
-        let mut morphs = 0;
-        while col.morph_cold_segments() {
-            let now = col.snapshot_bytes();
-            assert!(now < last, "morph {morphs} did not shrink: {last} -> {now}");
-            last = now;
-            morphs += 1;
-            assert!(morphs < 10_000, "morph loop did not converge");
-        }
-        assert!(morphs >= 1, "no piece ever morphed");
-        assert!(
-            last * 4 <= plain_bytes,
-            "10-bit FOR pieces should shrink ≥4x: {plain_bytes} -> {last}"
-        );
-        // Published stats expose the encoded pieces to the planner.
-        let stats = col.piece_stats().unwrap();
-        let pieces = stats.snap_pieces.as_ref().unwrap();
-        assert!(pieces.iter().any(|p| !p.plain), "stats still all-plain");
-        // The compressed pieces decode to the base multiset.
-        let mut got = Vec::new();
-        for piece in col.snapshot().unwrap().pieces() {
-            piece.for_each(|v| got.push(v));
-        }
-        got.sort_unstable();
-        let mut want = base.clone();
-        want.sort_unstable();
-        assert_eq!(got, want, "the morphed snapshot lost or gained values");
-        // Scans on the compressed form stay exact, edge filters included.
-        for pred in [full, Predicate::range(123, 777), Predicate::less_than(450)] {
-            let scan = col.snapshot_scan(pred, &mut scratch);
-            let oracle = scan_stats(&base, pred);
-            assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-        }
-        // Updates after the morph stay visible through the overlay and the
-        // next merge splice.
-        let n = base.len() as RowId;
-        assert!(col.queue_insert(500, n));
-        let scan = col.snapshot_scan(full, &mut scratch);
-        let oracle = scan_stats(&base, full);
-        assert_eq!((scan.count, scan.sum), (oracle.count + 1, oracle.sum + 500));
-    }
-
-    #[test]
-    fn stale_refresh_after_a_coarsening_morph_loses_nothing() {
-        // The three-step race, replayed in order: a morph loads a piece and
-        // encodes it (slow) while a refresh refines that piece; a second
-        // refresh takes its anchors from the refined table; the morph then
-        // splices its one coarse piece back, and the second refresh lands
-        // on anchors that are no longer snapshot boundaries.
-        let (base, col) = column(60_000, 91);
-        let mut scratch = CrackScratch::new();
-        let full = Predicate::range(0, 1_000);
-        col.select(Predicate::range(200, 800), &mut scratch);
-        col.snapshot_scan(full, &mut scratch); // publish [..200) [200,800) [800..)
-        let morphed = {
-            let snap = col.snapshot().unwrap();
-            let piece = snap.pieces().nth(1).expect("three pieces");
-            assert_eq!(piece.hi_key, Some(800));
-            let vals = piece.plain_values().unwrap().to_vec();
-            let n = vals.len();
-            let seg = Segment::encoded(vals, Arc::clone(&col.snap_bytes));
-            SnapPiece::new(Some(800), Arc::new(seg), 0, n)
-        };
-        col.refresh_bound(500, &mut scratch); // [200,800) -> [200,500) [500,800)
-        col.refine_at_blocking(650, &mut scratch);
-        let (a, b, _) = col.snapshot_anchors(650, 651).expect("published");
-        assert_eq!((a, b), (Some(500), Some(800)));
-        let mid = col.copy_live_pieces(a, b, true, false);
-        col.splice_and_publish(Some(200), Some(800), vec![morphed]);
-        col.splice_and_publish(a, b, mid);
-        for pred in [full, Predicate::range(300, 700), Predicate::less_than(450)] {
-            let scan = col.snapshot_scan(pred, &mut scratch);
-            let oracle = scan_stats(&base, pred);
-            assert_eq!(
-                (scan.count, scan.sum),
-                (oracle.count, oracle.sum),
-                "{pred:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn refresh_keeps_morphed_pieces_encoded() {
-        // Encoded-refresh satellite: once a piece is morphed, a background
-        // refresh that replaces it must land its copies back in encoded
-        // form — not re-plain it and wait for the morpher again.
-        let (base, col) = column(60_000, 73);
-        let mut scratch = CrackScratch::new();
-        let full = Predicate::range(0, 1_000);
-        col.snapshot_scan(full, &mut scratch); // publish
-        for (a, b) in [(100, 400), (550, 800)] {
-            col.select(Predicate::range(a, b), &mut scratch);
-        }
-        col.publish_stats();
-        while col.refresh_stale_snapshot() {}
-        while col.morph_cold_segments() {}
-        let encoded_bytes = col.snapshot_bytes();
-        let encoded_pieces = |col: &CrackerColumn<i64>| {
-            let stats = col.piece_stats().unwrap();
-            let pieces = stats.snap_pieces.as_ref().unwrap();
-            pieces.iter().filter(|p| !p.plain).count()
-        };
-        assert!(encoded_pieces(&col) >= 1, "setup morphed nothing");
-        // Crack the live index past the snapshot's granularity again, so
-        // the morphed pieces become the stalest ones …
-        for (a, b) in [(150, 350), (600, 750), (200, 700)] {
-            col.select(Predicate::range(a, b), &mut scratch);
-        }
-        col.publish_stats();
-        // … and let the background refresh loop converge.
-        let mut rounds = 0;
-        while col.refresh_stale_snapshot() {
-            rounds += 1;
-            assert!(rounds < 10_000, "refresh loop did not converge");
-        }
-        assert!(rounds >= 1, "nothing was stale after re-cracking");
-        assert!(
-            encoded_pieces(&col) >= 1,
-            "refresh re-plained every morphed piece"
-        );
-        // The refreshed-and-re-encoded snapshot stays compact: nowhere near
-        // the plain footprint (64 bits/value over a 10-bit domain).
-        assert!(
-            col.snapshot_bytes() < encoded_bytes * 2,
-            "refresh blew the footprint back up: {} vs {encoded_bytes}",
-            col.snapshot_bytes()
-        );
-        // And still answers exactly.
-        for pred in [full, Predicate::range(123, 777)] {
-            let scan = col.snapshot_scan(pred, &mut scratch);
-            let oracle = scan_stats(&base, pred);
-            assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-        }
     }
 
     #[test]
@@ -2903,7 +2246,7 @@ mod tests {
         let mut scratch = CrackScratch::new();
         col.select(Predicate::range(200, 700), &mut scratch);
         let full = Predicate::range(0, 1_001);
-        col.snapshot_scan(full, &mut scratch); // publish a snapshot
+        col.snapshot_scan(full, &mut scratch); // sums the pieces
         let n = base.len() as RowId;
         assert!(col.queue_insert(431, n));
         base.push(431);
@@ -2917,8 +2260,8 @@ mod tests {
         let mut want = base.clone();
         want.sort_unstable();
         assert_eq!(got, want);
-        // Old-plan readers still answer exactly from the republished
-        // snapshot, and new updates bounce.
+        // Old-plan readers still answer exactly from the merged pieces'
+        // sums, and new updates bounce.
         let scan = col.snapshot_scan(full, &mut scratch);
         let oracle = scan_stats(&base, full);
         assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
@@ -2961,12 +2304,12 @@ mod tests {
         );
     }
 
-    /// The filter is built from the live column: no snapshot is published,
-    /// no snapshot byte is charged, and every merged value and every
-    /// pending insert probes present — on a plain column and on every shard
-    /// of a 4-shard column (values only, no row ids).
+    /// The filter is built from the live column: it sums nothing, charges
+    /// no byte, and every merged value and every pending insert probes
+    /// present — on a plain column and on every shard of a 4-shard column
+    /// (values only, no row ids).
     #[test]
-    fn point_filter_builds_from_the_live_column_without_a_snapshot() {
+    fn point_filter_builds_from_the_live_column_and_charges_nothing() {
         let mut rng = StdRng::seed_from_u64(36);
         let base: Vec<i64> = (0..40_000).map(|_| rng.random_range(0..100_000)).collect();
         let inserts: Vec<i64> = (0..300).map(|i| 100_000 + i * 7).collect();
@@ -2974,11 +2317,7 @@ mod tests {
         fn check(shard: &CrackerColumn<i64>, mut values: impl Iterator<Item = i64>) {
             let payload = shard.payload_bytes();
             shard.ensure_point_filter();
-            assert!(
-                !shard.snapshot_published(),
-                "the build published a snapshot"
-            );
-            assert_eq!(shard.snapshot_bytes(), 0);
+            assert!(shard.piece_sums().is_none(), "the build summed");
             assert_eq!(shard.payload_bytes(), payload, "the build charged bytes");
             assert!(values.all(|v| shard.probe_point(v) == Some(true)));
         }
@@ -3006,9 +2345,9 @@ mod tests {
                 base.iter().chain(&inserts).filter(of_k).copied(),
             );
         }
-        // A snapshot read still builds the snapshot it asks for.
+        // A snapshot read sums the pieces.
         plain.snapshot_scan(Predicate::range(0, 50_000), &mut scratch);
-        assert!(plain.snapshot_published());
+        assert!(plain.piece_sums().is_some());
     }
 
     /// The filter build walks the live pieces under their read latches
@@ -3044,7 +2383,7 @@ mod tests {
                 shard.ensure_point_filter();
                 stop.store(true, Relaxed);
             });
-            assert!(!shard.snapshot_published());
+            assert!(shard.piece_sums().is_none());
             for &v in base.iter().filter(|&&v| plan.shard_of(v) == 1) {
                 assert_eq!(
                     shard.probe_point(v),
@@ -3094,7 +2433,7 @@ mod tests {
 
     /// A batch with deletes that name no tuple — a value present under
     /// another row, an unknown row — beside present deletes and an insert,
-    /// drained into a written column. A column with row ids drops them in
+    /// drained into a summed column. A column with row ids drops them in
     /// the walk, a column without them before it (its write log answers);
     /// either way no piece's sum counts a dropped delete, and every read
     /// path answers the tuples that are there.
@@ -3111,7 +2450,7 @@ mod tests {
             col.select(Predicate::range(3, 7), &mut scratch);
             col.queue_insert(1, 10_000);
             col.merge_pending();
-            assert!(!col.snapshot_published());
+            assert!(col.piece_sums().is_some());
             col.queue_delete(4, 2);
             col.queue_delete(6, 3);
             col.queue_insert(3, 10_001);
@@ -3160,12 +2499,16 @@ mod tests {
     /// Values of the piece-sum property test are drawn from `0..DOMAIN`.
     const DOMAIN: i64 = 200_000;
 
-    /// Runs `rounds` rounds of random cracks, refreshes and Ripple batches
-    /// over `parts` (the shards of one column; `route` names the part a
-    /// value belongs to, `split` cuts a predicate into per-part ones),
-    /// checking after every step that each piece's sum is its values'
-    /// (`check_invariants`) and that `snapshot_scan`, `select_verified`
-    /// and a multiset oracle agree; see
+    /// Runs `rounds` rounds of random cracks, snapshot reads and Ripple
+    /// batches over `parts` (the shards of one column; `route` names the
+    /// part a value belongs to, `split` cuts a predicate into per-part
+    /// ones), checking after every step that each piece's sum is its
+    /// values' (`check_invariants`), that a part keeps sums exactly once a
+    /// snapshot read has asked it something, and that `select_verified`,
+    /// a multiset oracle and — on the parts open to them — `snapshot_scan`
+    /// agree. Each part opens to the checks' snapshot reads at a random
+    /// round, so its first sum falls between drains at a random point, or
+    /// earlier, by the snapshot read of a random step; see
     /// `prop_piece_sums_and_every_read_path_match_a_multiset_oracle`.
     /// Returns how many drains ran on a worker and on the read path.
     fn rounds_against_an_oracle(
@@ -3210,27 +2553,44 @@ mod tests {
                 .map(|(k, p)| f(k, p))
                 .fold((0, 0), |(c, s), (pc, ps)| (c + pc, s + ps))
         };
-        let check = |oracle: &Oracle, rng: &mut StdRng, scratch: &mut CrackScratch<i64>| {
-            for part in parts {
-                part.check_invariants(None);
-            }
-            for _ in 0..3 {
-                let p = pred(rng);
-                let want = oracle_stats(oracle, p);
-                let scan = stats(p, &mut |k, p| {
-                    let s = parts[k].snapshot_scan(p, scratch);
-                    (s.count, s.sum)
-                });
-                assert_eq!(scan, want, "snapshot {p:?}");
-                let locked = stats(p, &mut |k, p| {
-                    let s = parts[k].select_verified(p, scratch).1;
-                    (s.count, s.sum)
-                });
-                assert_eq!(locked, want, "select {p:?}");
-            }
+        // Parts the checks read through `snapshot_scan`, and parts a
+        // snapshot read has asked something (so keep sums).
+        let mut open = vec![false; parts.len()];
+        let summed = vec![std::cell::Cell::new(false); parts.len()];
+        let snapshot_read = |k: usize, p: Predicate<i64>, scratch: &mut CrackScratch<i64>| {
+            summed[k].set(summed[k].get() || !p.is_empty());
+            let s = parts[k].snapshot_scan(p, scratch);
+            (s.count, s.sum)
         };
+        let check =
+            |oracle: &Oracle, open: &[bool], rng: &mut StdRng, scratch: &mut CrackScratch<i64>| {
+                for _ in 0..3 {
+                    let p = pred(rng);
+                    let want = oracle_stats(oracle, p);
+                    let scan = stats(p, &mut |k, p| match open[k] {
+                        true => snapshot_read(k, p, scratch),
+                        false => {
+                            let s = parts[k].select_verified(p, scratch).1;
+                            (s.count, s.sum)
+                        }
+                    });
+                    assert_eq!(scan, want, "snapshot {p:?}");
+                    let locked = stats(p, &mut |k, p| {
+                        let s = parts[k].select_verified(p, scratch).1;
+                        (s.count, s.sum)
+                    });
+                    assert_eq!(locked, want, "select {p:?}");
+                }
+                for (k, part) in parts.iter().enumerate() {
+                    part.check_invariants(None);
+                    assert_eq!(part.piece_sums().is_some(), summed[k].get(), "part {k}");
+                }
+            };
         let (mut background, mut read_path) = (0, 0);
         for _ in 0..rounds {
+            for open in &mut open {
+                *open |= rng.random_range(0..4) == 0;
+            }
             // Repeated values, sentinels and deletes of live tuples, in a
             // queue the steps below read over (or drain, past the backlog).
             for _ in 0..rng.random_range(0..200) * parts.len() {
@@ -3246,10 +2606,10 @@ mod tests {
                     *oracle.entry(v).or_insert(0) += 1;
                 }
             }
-            // Cracks (a select's, a worker's, an edge refresh's) and the
-            // snapshot upkeep that only an unwritten part still has.
+            // Cracks (a select's, a worker's, a snapshot read's) and a
+            // snapshot read of one part, which sums it if nothing has yet.
             for _ in 0..rng.random_range(1..4) {
-                let part = parts[rng.random_range(0..parts.len())];
+                let k = rng.random_range(0..parts.len());
                 match rng.random_range(0..4) {
                     0 => {
                         for (k, p) in split(pred(&mut rng)) {
@@ -3257,16 +2617,16 @@ mod tests {
                         }
                     }
                     1 => {
-                        part.refine_at_blocking(value(&mut rng), &mut scratch);
+                        parts[k].refine_at_blocking(value(&mut rng), &mut scratch);
                     }
-                    2 => part.refresh_bound(value(&mut rng), &mut scratch),
+                    2 => parts[k].crack_scan_bounds(pred(&mut rng), &mut scratch),
                     _ => {
-                        part.publish_stats();
-                        part.refresh_stale_snapshot();
-                        part.morph_cold_segments();
+                        let p = pred(&mut rng);
+                        let got = stats(p, &mut |k, p| snapshot_read(k, p, &mut scratch));
+                        assert_eq!(got, oracle_stats(&oracle, p), "{p:?}");
                     }
                 }
-                check(&oracle, &mut rng, &mut scratch);
+                check(&oracle, &open, &mut rng, &mut scratch);
             }
             // A delete of a tuple that never existed is counted by every
             // overlay until a drain drops it: only right before one.
@@ -3284,7 +2644,7 @@ mod tests {
                 }
                 assert_eq!(part.pending_len(), 0);
             }
-            check(&oracle, &mut rng, &mut scratch);
+            check(&oracle, &open, &mut rng, &mut scratch);
         }
         (background, read_path)
     }
@@ -3293,17 +2653,19 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
 
         #[test]
-        /// The piece sums of written columns, on a plain column with row
-        /// ids and on a 4-shard column without them, each with a published
-        /// snapshot until its first drain: random batches — repeated
-        /// values, the `MIN`/`MAX` sentinels, a delete of a tuple that
-        /// never existed now and then — drained by idle workers and by the
-        /// read path, between cracks, refinements, edge refreshes,
-        /// stale-piece refreshes and morphs. After every step each piece's
-        /// sum equals its values', and random predicates agree across
+        /// The piece sums of columns a snapshot read has asked something,
+        /// on a plain column with row ids and on a 4-shard column without
+        /// them, each part summed at a random point — by a snapshot read
+        /// between random drains, merged before and after it: random
+        /// batches — repeated values, the `MIN`/`MAX` sentinels, a delete
+        /// of a tuple that never existed now and then — drained by idle
+        /// workers and by the read path, between cracks, refinements and a
+        /// snapshot read's cracks. After every step a part keeps sums
+        /// exactly once a snapshot read has run on it, each piece's sum
+        /// equals its values', and random predicates agree across
         /// `snapshot_scan`, `select_verified` and a multiset oracle.
         /// Dropping a sum update from a crack or either Ripple walk fails
-        /// it.
+        /// it, and so does a merge that sums an index.
         fn prop_piece_sums_and_every_read_path_match_a_multiset_oracle(seed in proptest::prelude::any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
             let base: Vec<i64> = (0..8_192).map(|_| rng.random_range(0..DOMAIN)).collect();
@@ -3313,7 +2675,6 @@ mod tests {
                         let (a, b) = (rng.random_range(0..DOMAIN), rng.random_range(0..DOMAIN));
                         part.select(Predicate::range(a.min(b), a.max(b)), scratch);
                     }
-                    part.snapshot_scan(Predicate::range(i64::MIN, i64::MAX), scratch);
                 }
             };
             let mut scratch = CrackScratch::new();

@@ -22,12 +22,12 @@
 //! descending from the last boundary until the kernel stops it (the insert
 //! pass). Both hand out the stored position mutably and allocate nothing.
 //!
-//! A written column's index also carries prefix sums: each boundary entry
-//! the sum of the values below its key (at positions `< pos`), and the
-//! index the sum of them all; a piece's sum is the difference of its two
-//! ends', its count the difference of their positions.
-//! [`CrackerIndex::sum_pieces`] computes them once, at the column's first
-//! Ripple merge. From then on a boundary insert adds its piece's lower
+//! The index of a column a snapshot read has asked something also carries
+//! prefix sums: each boundary entry the sum of the values below its key
+//! (at positions `< pos`), and the index the sum of them all; a piece's
+//! sum is the difference of its two ends', its count the difference of
+//! their positions. [`CrackerIndex::sum_pieces`] computes them once, at
+//! the column's first snapshot read. From then on a boundary insert adds its piece's lower
 //! side to the prefix of the piece's start, and the two merge walks hand
 //! out each boundary's prefix beside its position — exactly the
 //! boundaries whose prefix a merge changes. [`CrackerIndex::interior`]
@@ -70,8 +70,9 @@ pub struct BoundEntry {
     pub below: i128,
 }
 
-/// One piece addressed by its starting boundary key (snapshot-refresh
-/// walks; see [`CrackerIndex::piece_after`]).
+/// One piece addressed by its starting boundary key (the walks of a
+/// snapshot read's busy edge and of the point-filter build; see
+/// [`CrackerIndex::piece_after`]).
 #[derive(Debug, Clone)]
 pub struct PieceRef<V> {
     /// First position of the piece.
@@ -421,12 +422,12 @@ impl<V: CrackValue> CrackerIndex<V> {
     }
 
     /// The piece that *starts* at boundary `lo_key` (`None` = position 0):
-    /// its position range, latch and upper boundary key. Snapshot refresh
-    /// walks a value range piece by piece through this — re-looking the
-    /// chain up by key per step, so pieces split by concurrent cracks are
-    /// picked up at their current extent (boundaries are never removed, so
-    /// a key that once started a piece always does). Returns `None` only
-    /// when `lo_key` is not a boundary at all.
+    /// its position range, latch and upper boundary key. The live-piece
+    /// walk goes over a value range piece by piece through this —
+    /// re-looking the chain up by key per step, so pieces split by
+    /// concurrent cracks are picked up at their current extent (boundaries
+    /// are never removed, so a key that once started a piece always does).
+    /// Returns `None` only when `lo_key` is not a boundary at all.
     pub fn piece_after(&self, lo_key: Option<V>) -> Option<PieceRef<V>> {
         let (start, latch, mut above) = match lo_key {
             None => (0, self.first_latch.clone(), self.bounds.range(..)),

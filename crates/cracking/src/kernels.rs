@@ -1,10 +1,12 @@
-//! Block-at-a-time unpack / scan kernels for bit-packed segment data.
+//! Lane filters, compress-store crack bodies, and block-at-a-time unpack /
+//! scan kernels for bit-packed data.
 //!
-//! The snapshot layer stores encoded segments as little-endian bit-packed
-//! word arrays (FOR offsets, delta gaps — see [`crate::snapshot::Segment`]).
-//! PR 8 decoded them with a scalar cursor ([`ScalarUnpacker`]): one shift,
-//! one conditional cross-word OR and one mask *per value*. This module
-//! replaces that with block kernels built on one layout property: a block
+//! The bit-packed kernels read little-endian bit-packed word arrays. No
+//! column stores that form; the unpack and filter probes of the
+//! micro-benchmarks and of the benchmark suite time them. A scalar cursor
+//! ([`ScalarUnpacker`]) pays one shift, one conditional cross-word OR and
+//! one mask *per value*. This module replaces that with block kernels
+//! built on one layout property: a block
 //! of [`BLOCK`] = 64 values of width `bits` occupies **exactly `bits`
 //! words, word-aligned** (64·bits bits), so block `b` starts at word
 //! `b·bits` with bit offset 0 — every block decodes with the same
@@ -29,7 +31,7 @@
 //! [`filter_count_sorted`] (sorted streams: binary search **on the packed
 //! words** for the qualifying index range, then block-sum only that range)
 //! and [`filter_count`] (unsorted i64 lanes: branchless compare + masked
-//! split-lane accumulate).
+//! split-lane accumulate — the edge filter of every snapshot read).
 //!
 //! Beside them sits the compress-store layer, [`avx512`]: `vpcompressq`
 //! bodies for the value-lane loops a cold read and every sequential crack
@@ -47,11 +49,6 @@ use std::sync::OnceLock;
 /// packed words (64·bits bits), word-aligned — the property every block
 /// kernel leans on.
 pub const BLOCK: usize = 64;
-
-/// Bit width needed to represent `max` (0 when `max == 0`).
-pub fn bits_for(max: u64) -> u32 {
-    64 - max.leading_zeros()
-}
 
 /// Words needed to bit-pack `n` values of `bits` each.
 pub fn packed_words(n: usize, bits: u32) -> usize {

@@ -21,7 +21,9 @@
 //!   re-pick a random pivot instead,
 //! - [`mod@column`] — [`CrackerColumn`]: the cracker column `ACRK` plus its
 //!   cracker index, supporting concurrent query-driven cracking and
-//!   background refinement,
+//!   background refinement, and count/sum snapshot reads answered from the
+//!   cracked column itself — its pieces' prefix sums inside the range, its
+//!   two edge pieces filtered under their latches,
 //! - `row_ids` (crate-private) — what a shard keeps instead of a row-id
 //!   array (its base, its value range and its merges' write log) and the
 //!   pass that builds the array when a conjunction or a migration first
@@ -35,24 +37,18 @@
 //!   buffers, predicate fan-out, value-routed updates and versioned
 //!   replans ([`ReplanAction`]) that rebuild only the split or merged
 //!   shards,
-//! - [`snapshot`] — immutable piece-table snapshots, replaced copy-on-write
-//!   at piece granularity and handed to readers as `Arc`s from inside the
-//!   column's pending mutex (a replaced version lives as long as its last
-//!   reader), so count/sum/collect scans run without the structure lock
-//!   while cracks and Ripple merges race,
 //! - [`piece_stats`] — plan-time piece statistics: the [`PieceStats`]
-//!   summary (boundary table, pending backlog, snapshot piece sizes) each
-//!   column publishes for `holix-planner`'s cost model, read without any
-//!   column lock,
+//!   summary (boundary table, pending backlog) each column publishes for
+//!   `holix-planner`'s cost model, read without any column lock,
 //! - [`filter`] — per-shard point-membership Bloom filters: a lazily built
 //!   [`PointFilter`] published through the same kind of cell as the
 //!   plan-time statistics, so equality/IN probes on non-containing shards
 //!   answer "empty" without cracking anything,
-//! - [`kernels`] — block-at-a-time unpack / fused scan kernels for the
-//!   bit-packed segment encodings: width-specialised portable inner loops
-//!   with explicit AVX2 paths behind one-time runtime dispatch; and the
+//! - [`kernels`] — the lane filter of a snapshot read's edge pieces
+//!   (portable and AVX2 behind one-time runtime dispatch), the
 //!   AVX-512 compress-store bodies of the one-shard filter pass and the
-//!   out-of-place crack passes, behind the same dispatch.
+//!   out-of-place crack passes, behind the same dispatch, and the
+//!   bit-packing unpack and filter kernels the micro-benchmarks probe.
 
 mod cell;
 pub mod column;
@@ -66,16 +62,14 @@ pub mod piece_stats;
 pub mod range_cell;
 mod row_ids;
 pub mod sharding;
-pub mod snapshot;
 pub mod stochastic;
 pub mod updates;
 pub mod vectorized;
 
-pub use column::{CrackerColumn, RefineOutcome, Selection};
+pub use column::{CrackerColumn, RefineOutcome, Selection, SnapshotScan};
 pub use filter::PointFilter;
 pub use index::{BoundLookup, CrackerIndex};
 pub use latch::PieceLatch;
-pub use piece_stats::{PieceStats, SnapPieceStat};
+pub use piece_stats::PieceStats;
 pub use sharding::{ReplanAction, ShardPlan, ShardedColumn};
-pub use snapshot::{PieceSnapshot, SnapshotScan};
 pub use vectorized::{CrackScratch, RowLane};

@@ -17,32 +17,18 @@
 //! planner reads is a conservative **over**-estimate of the work, never an
 //! under-estimate.
 //!
-//! Reading is one lookup per table per predicate bound: [`PieceStats::locate`]
+//! Reading is one lookup per predicate bound: [`PieceStats::locate`]
 //! answers exact-hit, crack size and interpolated position from a single
-//! binary search of the boundary table, [`PieceStats::snapshot_edge`] the
-//! filter and decode rows from a single one of the snapshot piece table —
-//! a summary earns its keep only while consulting it stays far cheaper
-//! than the access it steers (Hippo).
+//! binary search of the boundary table — and the piece a bound falls
+//! inside is both what a crack at it partitions and what a snapshot read
+//! filters there. A summary earns its keep only while consulting it stays
+//! far cheaper than the access it steers (Hippo).
 
 use holix_storage::types::CrackValue;
 
 /// Boundary entries kept per published summary. Beyond this, the boundary
 /// list is stride-sampled (sizes become conservative over-estimates).
 pub const MAX_STATS_BOUNDS: usize = 1 << 12;
-
-/// One published snapshot piece as the planner sees it: its upper boundary
-/// key (`None` = the column-max edge), its tuple count, and whether its
-/// segment is still plain (encoded pieces pay a bit-unpack per value when a
-/// bound forces element-wise edge filtering — the decode-cost term).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapPieceStat<V> {
-    /// Upper boundary key (`None` = column-max edge piece).
-    pub hi_key: Option<V>,
-    /// Tuples in the piece.
-    pub len: usize,
-    /// `true` when the backing segment is an uncompressed `Vec<V>`.
-    pub plain: bool,
-}
 
 /// One shard's published plan-time summary. All fields describe the column
 /// at publish time; staleness is bounded by the publish triggers (see
@@ -57,11 +43,6 @@ pub struct PieceStats<V> {
     pub bounds: Vec<(V, usize)>,
     /// Pending-merge backlog (queued Ripple inserts + deletes).
     pub pending: usize,
-    /// The piece table a snapshot read filters the edges of: the
-    /// published snapshot's, or a written column's live one (its
-    /// boundaries as sampled, every piece plain) — `None` when neither
-    /// exists. The snapshot-staleness and decode-cost statistic.
-    pub snap_pieces: Option<Vec<SnapPieceStat<V>>>,
 }
 
 /// Where one predicate bound sits in a published boundary table
@@ -74,7 +55,7 @@ pub struct Located {
     /// Start of the (possibly sampled) piece containing the bound.
     pub start: usize,
     /// End of that piece: `end - start` values are what a crack at the
-    /// bound would partition.
+    /// bound would partition, and what a snapshot read filters there.
     pub end: usize,
     /// Position of the bound in cracked-position space, reading the
     /// boundary table as a free equi-depth sketch: interpolated linearly
@@ -125,48 +106,6 @@ impl<V: CrackValue> PieceStats<V> {
             pos,
         }
     }
-
-    /// The boundary table as a piece table of plain pieces: what a written
-    /// column's snapshot read filters. Sampled boundaries make its pieces
-    /// over-estimates, as they make [`PieceStats::locate`]'s.
-    pub fn live_pieces(&self) -> Vec<SnapPieceStat<V>> {
-        let ends = self.bounds.iter().map(|&(k, p)| (Some(k), p));
-        let mut start = 0;
-        ends.chain([(None, self.len)])
-            .map(|(hi_key, end)| {
-                let len = end.saturating_sub(start);
-                start = end.max(start);
-                SnapPieceStat {
-                    hi_key,
-                    len,
-                    plain: true,
-                }
-            })
-            .collect()
-    }
-
-    /// What a snapshot scan pays at a bound `v`, from one binary search of
-    /// the snapshot piece table: `(filter, decode)` — the rows of the
-    /// snapshot piece `v` falls *inside* (filtered element-wise; interior
-    /// pieces answer O(1) from their aggregates), and how many of those
-    /// sit in an *encoded* piece and pay a bit-unpack on top (plain pieces
-    /// filter at memcmp speed). Both zero when `v` is a sentinel, an exact
-    /// snapshot boundary, or past the last piece. `None` when no snapshot
-    /// is published — the first reader would pay the O(N) build.
-    pub fn snapshot_edge(&self, v: V) -> Option<(u64, u64)> {
-        let pieces = self.snap_pieces.as_ref()?;
-        if v == V::MIN_VALUE || v == V::MAX_VALUE {
-            return Some((0, 0));
-        }
-        let i = pieces.partition_point(|p| p.hi_key.is_some_and(|k| k <= v));
-        if i > 0 && pieces[i - 1].hi_key == Some(v) {
-            return Some((0, 0));
-        }
-        Some(pieces.get(i).map_or((0, 0), |p| {
-            let rows = p.len as u64;
-            (rows, if p.plain { 0 } else { rows })
-        }))
-    }
 }
 
 /// Builds the published summary from a raw boundary table, stride-sampling
@@ -176,7 +115,6 @@ pub(crate) fn build_stats<V: CrackValue>(
     len: usize,
     bounds: Vec<(V, usize)>,
     pending: usize,
-    snap_pieces: Option<Vec<SnapPieceStat<V>>>,
 ) -> PieceStats<V> {
     let piece_count = bounds.len() + 1;
     let bounds = if bounds.len() > MAX_STATS_BOUNDS {
@@ -190,7 +128,6 @@ pub(crate) fn build_stats<V: CrackValue>(
         piece_count,
         bounds,
         pending,
-        snap_pieces,
     }
 }
 
@@ -198,16 +135,8 @@ pub(crate) fn build_stats<V: CrackValue>(
 mod tests {
     use super::*;
 
-    fn sp(hi_key: Option<i64>, len: usize, plain: bool) -> SnapPieceStat<i64> {
-        SnapPieceStat { hi_key, len, plain }
-    }
-
-    fn stats(
-        len: usize,
-        bounds: Vec<(i64, usize)>,
-        snap: Option<Vec<SnapPieceStat<i64>>>,
-    ) -> PieceStats<i64> {
-        build_stats(len, bounds, 0, snap)
+    fn stats(len: usize, bounds: Vec<(i64, usize)>) -> PieceStats<i64> {
+        build_stats(len, bounds, 0)
     }
 
     /// `(values a crack at v partitions, exact?)`.
@@ -227,16 +156,10 @@ mod tests {
         est.max(0.0).round() as u64
     }
 
-    /// `(filter, decode)` rows of a `[lo, hi)` snapshot scan, both edges.
-    fn snap_edges(s: &PieceStats<i64>, lo: i64, hi: i64) -> Option<(u64, u64)> {
-        let (l, h) = s.snapshot_edge(lo).zip(s.snapshot_edge(hi))?;
-        Some((l.0 + h.0, l.1 + h.1))
-    }
-
     #[test]
     fn edge_sizes_and_exact_hits() {
         // Pieces: [min,10)@[0,25), [10,20)@[25,60), [20,max)@[60,100).
-        let s = stats(100, vec![(10, 25), (20, 60)], None);
+        let s = stats(100, vec![(10, 25), (20, 60)]);
         assert_eq!(s.piece_count, 3);
         assert_eq!(edge(&s, 5), (25, false));
         assert_eq!(edge(&s, 10), (0, true));
@@ -249,7 +172,7 @@ mod tests {
 
     #[test]
     fn located_span_covers_the_bracketing_pieces() {
-        let s = stats(100, vec![(10, 25), (20, 60)], None);
+        let s = stats(100, vec![(10, 25), (20, 60)]);
         assert_eq!(span(&s, 10, 20), 35); // exact piece
         assert_eq!(span(&s, 5, 15), 60); // both edges included
         assert_eq!(span(&s, i64::MIN, i64::MAX), 100);
@@ -259,7 +182,7 @@ mod tests {
     #[test]
     fn located_position_interpolates_within_edge_pieces() {
         // Pieces: [min,10)@[0,25), [10,20)@[25,60), [20,max)@[60,100).
-        let s = stats(100, vec![(10, 25), (20, 60)], None);
+        let s = stats(100, vec![(10, 25), (20, 60)]);
         // Exact boundaries reproduce the positional span.
         assert_eq!(rows(&s, 10, 20), 35);
         assert_eq!(rows(&s, i64::MIN, i64::MAX), 100);
@@ -279,65 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_edges_filter_only_the_pieces_a_bound_falls_inside() {
-        let snap = vec![
-            sp(Some(10), 30, true),
-            sp(Some(20), 40, true),
-            sp(None, 30, true),
-        ];
-        let s = stats(100, vec![(10, 30), (20, 70)], Some(snap));
-        // Exact snapshot boundaries: no filtering.
-        assert_eq!(snap_edges(&s, 10, 20), Some((0, 0)));
-        // Interior bounds: both edge pieces filtered.
-        assert_eq!(snap_edges(&s, 5, 15), Some((70, 0)));
-        // Sentinels cover their edge.
-        assert_eq!(snap_edges(&s, i64::MIN, 15), Some((40, 0)));
-        assert_eq!(snap_edges(&stats(100, vec![], None), 0, 1), None);
-    }
-
-    #[test]
-    fn snapshot_edges_decode_only_encoded_pieces() {
-        // Middle piece encoded, neighbours plain.
-        let snap = vec![
-            sp(Some(10), 30, true),
-            sp(Some(20), 40, false),
-            sp(None, 30, true),
-        ];
-        let s = stats(100, vec![(10, 30), (20, 70)], Some(snap));
-        // Both bounds filter, but only the encoded middle piece decodes.
-        assert_eq!(snap_edges(&s, 5, 15), Some((70, 40)));
-        // Exact snapshot boundaries never decode.
-        assert_eq!(snap_edges(&s, 10, 20), Some((0, 0)));
-        // Sentinel bound covers its edge: only the hi edge decodes.
-        assert_eq!(snap_edges(&s, i64::MIN, 15), Some((40, 40)));
-        assert_eq!(snap_edges(&s, 5, 25).map(|e| e.1), Some(0));
-    }
-
-    #[test]
-    fn live_pieces_price_the_edges_a_crack_would_partition() {
-        let mut s = stats(100, vec![(10, 25), (20, 60), (30, 60)], None);
-        s.snap_pieces = Some(s.live_pieces());
-        let pieces = s.snap_pieces.as_ref().unwrap();
-        assert_eq!(
-            pieces,
-            &vec![
-                sp(Some(10), 25, true),
-                sp(Some(20), 35, true),
-                sp(Some(30), 0, true),
-                sp(None, 40, true),
-            ]
-        );
-        for v in [5, 10, 15, 20, 25, 30, 35, i64::MIN, i64::MAX] {
-            let (rows, _) = edge(&s, v);
-            assert_eq!(s.snapshot_edge(v), Some((rows as u64, 0)), "{v}");
-        }
-    }
-
-    #[test]
     fn sampling_keeps_sizes_conservative() {
         let n = 3 * MAX_STATS_BOUNDS;
         let bounds: Vec<(i64, usize)> = (1..=n).map(|i| (i as i64, i)).collect();
-        let s = stats(n + 1, bounds, None);
+        let s = stats(n + 1, bounds);
         assert_eq!(s.piece_count, n + 1);
         assert!(s.bounds.len() <= MAX_STATS_BOUNDS);
         // Key 3 (live piece size 1) is dropped by the stride-3 sample: the
@@ -347,6 +215,5 @@ mod tests {
         let (size, exact) = edge(&s, 3);
         assert!(!exact);
         assert!(size >= 1, "sampled sizes must never under-estimate");
-        assert!(s.snapshot_edge(3).is_none());
     }
 }

@@ -44,21 +44,20 @@
 //! frozen for the column's lifetime: a replan
 //! ([`ShardedColumn::apply_replan`]) builds a **versioned successor**
 //! column that shares the `Arc`s of every untouched shard — their cracker
-//! indices, latches, snapshots and point filters survive — and rebuilds
+//! indices, latches, prefix sums and point filters survive — and rebuilds
 //! only the split or merged shards, draining them through
 //! [`CrackerColumn::extract_for_migration`] (seal ingress → Ripple-merge
-//! everything with a snapshot republish → copy out). The engine publishes
+//! everything → copy out). The engine publishes
 //! the successor by swapping one `Arc` (the column carries its plan and
 //! [`ShardedColumn::version`]), so in-flight queries finish against the
 //! plan version they started with; updates
 //! that raced into a sealed predecessor shard are rejected (`false` from
 //! the queue ops) and re-routed through the successor plan.
 
-use crate::column::{CrackerColumn, Selection};
+use crate::column::{CrackerColumn, Selection, SnapshotScan};
 use crate::kernels::{self, Isa};
 use crate::partition::DEFAULT_MIN_PARALLEL;
 use crate::row_ids::RowSource;
-use crate::snapshot::SnapshotScan;
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::{CrackValue, RowId};
@@ -1098,7 +1097,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
 
     /// The successor that has fresh empty cells for `shards` and shares
     /// every other cell — what an owner swaps in when those shards were
-    /// evicted. Survivors keep their cracks, tags, snapshots and filters;
+    /// evicted. Survivors keep their cracks, tags, prefix sums and filters;
     /// an admission racing the swap in a shared empty cell lands in both.
     pub fn vacated(&self, shards: &[usize]) -> Self {
         ShardedColumn {
@@ -1158,10 +1157,10 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     }
 
     /// Snapshot scan across the shards `pred` intersects: each touched
-    /// shard hands out **its own snapshot** and takes no structure lock
-    /// (the paper-scale property: a Ripple merge in one value range never
-    /// stalls readers of any other shard, and with snapshots not even
-    /// readers of the same shard). Aggregates are merged across shards.
+    /// shard answers from its own live pieces and prefix sums
+    /// ([`CrackerColumn::snapshot_scan`]) under its own structure lock
+    /// shared, so a Ripple merge in one value range never stalls readers
+    /// of any other shard. Aggregates are merged across shards.
     pub fn snapshot_scan(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> SnapshotScan {
         let mut out = SnapshotScan::default();
         for (k, p) in self.intersecting(pred) {
@@ -2022,8 +2021,9 @@ mod tests {
     /// cracks: the boundary table does not move (key for key, position for
     /// position) and is the twin's; every piece holds the twin's multiset;
     /// every slot's id names a base row holding the slot's value and the
-    /// ids are the shard's base rows, each once; the statistics and a
-    /// snapshot published before the build still answer exactly after it;
+    /// ids are the shard's base rows, each once; the statistics and the
+    /// piece sums a snapshot read took before the build still hold after
+    /// it;
     /// and the two go on agreeing under later cracks and a Ripple merge.
     fn check_row_ids_on_demand(seed: u64, n: usize, domain: usize, shards: usize, whole: bool) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -2077,7 +2077,7 @@ mod tests {
             );
             let all = Predicate::range(i64::MIN, i64::MAX);
             shard.snapshot_scan(all, &mut scratch);
-            let snap = shard.snapshot().expect("the scan published one");
+            let sums = shard.piece_sums().expect("the read summed the pieces");
 
             let ids = shard.collect_row_ids(all).expect("sentinel bounds");
             assert!(shard.has_row_ids());
@@ -2100,12 +2100,11 @@ mod tests {
             base_rows.sort_unstable();
             assert_eq!(sorted, base_rows, "shard {k}: ids are not its base rows");
             shard.check_invariants(Some(&base));
+            assert_eq!(shard.piece_sums(), Some(sums), "shard {k}: a sum moved");
             for _ in 0..4 {
                 let (x, y) = (pivot(&mut rng), pivot(&mut rng));
                 let pred = plan.clamp(k, Predicate::range(x.min(y), x.max(y)));
                 let want = twin.select_verified(pred, &mut scratch).1;
-                let old = snap.stats(pred.lo, pred.hi);
-                assert_eq!((old.count, old.sum), (want.count, want.sum), "snapshot");
                 assert_eq!(shard.select_verified(pred, &mut scratch).1, want);
                 let scan = shard.snapshot_scan(pred, &mut scratch);
                 assert_eq!((scan.count, scan.sum), (want.count, want.sum));

@@ -29,11 +29,9 @@ pub type UpdateList<V> = Vec<(V, RowId)>;
 /// Queue of not-yet-merged updates for one column.
 ///
 /// A Ripple merge takes the whole queue ([`PendingUpdates::take_all`])
-/// under the column's exclusive structure lock, and in the same critical
-/// section of the mutex guarding this queue as the one that drops a
-/// published snapshot: no reader can see a taken batch in neither place.
-/// A reader of a snapshot cloned it before the take, and every other
-/// reader holds the structure lock shared, so it waits for the merge.
+/// under the column's exclusive structure lock, and every reader holds
+/// that lock shared, so it sees a batch either queued or merged, never
+/// in neither place.
 #[derive(Debug, Default)]
 pub struct PendingUpdates<V> {
     inserts: Vec<(V, RowId)>,

@@ -97,11 +97,12 @@ pub trait QueryEngine: Send + Sync {
         0
     }
 
-    /// Snapshot execution: `(count, sum)` served from the engine's
-    /// published piece snapshots — one per touched shard, taking **no
-    /// structure lock** — so a long analytical scan
-    /// never serialises against cracks or Ripple merges, and a merge in
-    /// one value range never stalls readers anywhere else. Consistency is
+    /// Snapshot execution: `(count, sum)` served from each touched shard's
+    /// live pieces — their prefix sums inside the range, the two edge
+    /// pieces filtered under their latches, under the shard's structure
+    /// lock shared — so a long analytical scan merges nothing and cracks
+    /// only after a costly edge filter, and a merge in one value range
+    /// never stalls readers anywhere else. Consistency is
     /// **per shard** (per value range): each shard contributes a
     /// point-in-time view including updates the engine has accepted but
     /// not yet merged, but shards are read one after the other, so a
@@ -127,7 +128,7 @@ pub trait QueryEngine: Send + Sync {
 
     /// Plan-time cost of `q` from the engine's published piece statistics
     /// (see `holix-planner`): crack work, scan work, pending-merge debt
-    /// and snapshot freshness, folded over every shard the predicate
+    /// and a snapshot read's edge filter, folded over every shard the predicate
     /// intersects. **Must not take any structure or maintenance lock, and
     /// must not materialise cracker columns** — admission control calls
     /// this on every submission, including for attributes no query has

@@ -33,7 +33,7 @@
 //! each, registered as one batch — the engine never evicts something to
 //! materialise data nobody asked for. A shard the budget dropped is
 //! rebuilt alone: the slot swaps in a successor column that shares every
-//! other cell, so survivors keep their cracks, records, snapshots and
+//! other cell, so survivors keep their cracks, records, prefix sums and
 //! filters.
 //!
 //! ## Versioned shard plans
@@ -44,8 +44,8 @@
 //! pending backlog), asks `holix_planner::propose_replan` whether a hot
 //! shard should split or two cold neighbours merge, and migrates the
 //! affected values through [`ShardedColumn::apply_replan`] — sealed
-//! predecessor shards drain their Ripple backlog and republish their
-//! snapshots, untouched shards are shared by `Arc` into the successor.
+//! predecessor shards drain their Ripple backlog into their pieces,
+//! untouched shards are shared by `Arc` into the successor.
 //! The successor column carries its own plan and version, so swapping the
 //! attribute's one `Arc<Shards>` publishes all three at once: in-flight
 //! queries finish against the column (and so the plan) they started with,
@@ -711,10 +711,10 @@ impl QueryEngine for HolisticEngine {
             for k in first..=last {
                 let (shard, slot) = col.resident(k).expect("touched above");
                 let scan = shard.snapshot_scan(plan.clamp(k, pred), scratch);
-                // Snapshot reads never crack; a scan that needed no edge
-                // filtering hit snapshot boundaries exactly (the `f_Ih`
-                // analogue). Recording keeps the weight heap hot so the
-                // daemon still refines what snapshot traffic touches.
+                // A scan that needed no edge filtering hit piece
+                // boundaries exactly (the `f_Ih` analogue). Recording
+                // keeps the weight heap hot so the daemon still refines
+                // what snapshot traffic touches.
                 slot.record_user_query(scan.filtered == 0, 0);
                 count += scan.count;
                 sum += scan.sum;
@@ -1378,7 +1378,7 @@ mod tests {
             assert_eq!(e.execute(&point(v + 1)), 0);
         }
         assert!(col.resident_shards().all(|s| s.point_filter_published()));
-        assert!(col.resident_shards().all(|s| !s.snapshot_published()));
+        assert!(col.resident_shards().all(|s| s.piece_sums().is_none()));
         assert_eq!(col.piece_count(), pieces, "a converged probe cracked");
         assert_eq!(e.space().bytes_used(), bytes, "point filters charged bytes");
         e.stop();
@@ -1576,17 +1576,11 @@ mod tests {
     }
 
     /// A 8,192-row attribute in four shards of about 2,048 values, each
-    /// optimal from birth, with every shard's snapshot published; then 140
+    /// optimal from birth, every shard summed by a snapshot read; then 140
     /// inserts and 60 deletes of base rows, all on shard 0, and no read.
-    /// Returns the engine, shard 0's snapshot before the updates, and the
-    /// attribute's values after them, sorted.
-    fn converged_shard_with_a_due_queue(
-        max_workers: Option<usize>,
-    ) -> (
-        HolisticEngine,
-        Arc<holix_cracking::PieceSnapshot<i64>>,
-        Vec<i64>,
-    ) {
+    /// Returns the engine and the attribute's values after the updates,
+    /// sorted.
+    fn converged_shard_with_a_due_queue(max_workers: Option<usize>) -> (HolisticEngine, Vec<i64>) {
         let data = Dataset::new(uniform_table(1, 8_192, 1_000_000, 37));
         let mut cfg = HolisticEngineConfig::split_half_sharded(2, 4);
         cfg.holistic.monitor_interval = Duration::from_millis(1);
@@ -1602,11 +1596,12 @@ mod tests {
         for k in 0..col.shard_count() {
             let (shard, slot) = live(&col, k).expect("resident");
             assert_eq!(slot.membership(), Membership::Optimal, "shard {k}");
-            assert!(shard.snapshot_published(), "shard {k}");
+            assert!(shard.piece_sums().is_some(), "shard {k}");
         }
         let shard = col.shard(0);
-        // Locked reads crack shard 0 finer than its snapshot, so the reads
-        // after the drain fold piece sums the snapshot never had.
+        let pieces = shard.piece_count();
+        // Locked reads crack shard 0 finer, so the reads after the drain
+        // fold piece sums its cracks and the drain kept.
         let base = e.data.column(0);
         for &v in base
             .iter()
@@ -1621,8 +1616,7 @@ mod tests {
             let want = base.iter().filter(|&&x| q.lo <= x && x < q.hi).count();
             assert_eq!(e.execute(&q), want as u64);
         }
-        let before = shard.snapshot().expect("published");
-        assert!(shard.piece_count() > before.piece_count());
+        assert!(shard.piece_count() > pieces);
         // Every context busy while the updates queue, so no worker drains
         // the first 128 alone: from a window after the guard on, the
         // daemon reads no idle context.
@@ -1654,7 +1648,7 @@ mod tests {
         assert_eq!(shard.pending_len(), 200);
         drop(busy);
         values.sort_unstable();
-        (e, before, values)
+        (e, values)
     }
 
     /// The engine's answers against the sorted `values`, on every read path.
@@ -1680,14 +1674,12 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_drain_a_converged_shards_queue_and_drop_its_snapshot() {
-        let (e, before, values) = converged_shard_with_a_due_queue(None);
+    fn idle_workers_drain_a_converged_shards_queue() {
+        let (e, values) = converged_shard_with_a_due_queue(None);
         let col = peek(&e, 0);
         let shard = col.shard(0);
-        // The drain drops the snapshot in the critical section that takes
-        // the queue; the reads below wait for the rest of it.
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while shard.snapshot_published() {
+        while shard.pending_len() > 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "no worker drained the converged shard's queue of {}",
@@ -1695,38 +1687,22 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(shard.pending_len(), 0);
-        // The written shard keeps one copy: the snapshot's bytes go with
-        // the last reader holding it, and no read builds another.
-        assert!(shard.snapshot_bytes() > 0, "held by `before`");
-        // A read of shard 0 takes its structure lock shared, so it waits
-        // out the rest of the merge, which lets go of the worker's clone.
-        let everything = QuerySpec {
-            attr: 0,
-            lo: 0,
-            hi: 1_000_000,
-        };
-        let sum: i128 = values.iter().map(|&v| v as i128).sum();
-        assert_eq!(
-            e.execute_snapshot(&everything),
-            Some((values.len() as u64, sum))
-        );
-        drop(before);
-        assert_eq!(shard.snapshot_bytes(), 0);
         let held = values
             .iter()
             .filter(|&&v| col.plan().shard_of(v) == 0)
             .count();
-        assert_eq!(shard.len(), held);
+        // A read of shard 0 takes its structure lock shared, so it waits
+        // out the rest of the merge.
         reads_match(&e, &values);
-        assert!(!shard.snapshot_published(), "a read rebuilt the snapshot");
+        assert_eq!(shard.len(), held);
+        shard.check_invariants(None);
         let merges: u64 = e.stop().iter().map(|c| c.merges).sum();
         assert!(merges >= 1, "no cycle recorded the drain");
     }
 
     #[test]
     fn without_workers_a_converged_shards_queue_is_left_to_reads() {
-        let (e, _, values) = converged_shard_with_a_due_queue(Some(0));
+        let (e, values) = converged_shard_with_a_due_queue(Some(0));
         let shard = Arc::clone(peek(&e, 0).shard(0));
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(
@@ -2104,7 +2080,7 @@ mod tests {
         let pieces = survivor.piece_count();
         assert!(pieces > 1);
         // A read of the dropped range rebuilds that shard alone: the
-        // survivor keeps its column (cracks, snapshots, filters), its
+        // survivor keeps its column (cracks, prefix sums, filters), its
         // record and its pieces; only the dropped shard gets a new column
         // and a new registry record.
         exact(QuerySpec {

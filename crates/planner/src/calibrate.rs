@@ -14,16 +14,10 @@
 //!   executions that merge a queue past the backlog (priced with a
 //!   nonzero `merge_backlog`) after subtracting the alpha-predicted value
 //!   work,
-//! - **gamma** — ns per decoded edge-filter value, sampled from
-//!   `Snapshot` executions that touched encoded pieces, after
-//!   subtracting the alpha-predicted plain-filter work (only once alpha
-//!   is seeded, so a decode sample is never priced against the nominal
-//!   machine),
 //!
 //! and re-derives the knobs every [`Calibrator::REPUBLISH_EVERY`]
 //! observations: `merge_weight ← beta/alpha` (the model's unit *is*
-//! alpha), `decode_weight ← gamma/alpha`, `cheap_budget ←
-//! TARGET_CHEAP_NS/alpha`. Every derived knob is clamped to
+//! alpha), `cheap_budget ← TARGET_CHEAP_NS/alpha`. Every derived knob is clamped to
 //! `[seed/4, seed*4]` so a burst of anomalous timings (page faults, CPU
 //! migration) can never swing the cheap line by more than 4x from the
 //! reviewed constants.
@@ -51,7 +45,7 @@ const TARGET_CHEAP_NS: f64 = 102_400.0;
 pub enum ResidualChannel {
     /// Locked crack path (non-screened).
     Locked,
-    /// Snapshot path (lock-free on a shard never written).
+    /// Snapshot path (prefix sums and edge filters).
     Snapshot,
     /// Answered by a point-filter screen.
     Screened,
@@ -76,8 +70,6 @@ struct CalState {
     ns_per_value: f64,
     /// EWMA ns per pending Ripple op (0 until seeded).
     ns_per_merge: f64,
-    /// EWMA ns per decoded edge-filter value (0 until seeded).
-    ns_per_decoded: f64,
     /// Per-channel EWMA of `|predicted − actual| / actual` (calibrator
     /// health: → 0 as the rails adjust to the machine).
     residuals: [f64; 3],
@@ -201,7 +193,6 @@ impl Calibrator {
             holix_telemetry::counter!("planner_observations_total").inc();
             holix_telemetry::float_gauge!("planner_ns_per_value").set(st.ns_per_value);
             holix_telemetry::float_gauge!("planner_ns_per_merge").set(st.ns_per_merge);
-            holix_telemetry::float_gauge!("planner_ns_per_decoded").set(st.ns_per_decoded);
             let g = match channel {
                 ResidualChannel::Locked => {
                     holix_telemetry::float_gauge!("planner_calibration_residual{route=\"locked\"}")
@@ -232,22 +223,6 @@ impl Calibrator {
                 let merge_ns = (ns - st.ns_per_value * values).max(0.0);
                 ewma(&mut st.ns_per_merge, merge_ns / cost.merge_backlog as f64);
             }
-        } else if route == Route::Snapshot && cost.decode_rows > 0 && st.ns_per_value > 0.0 {
-            // Gamma: what the encoded edge rows cost *beyond* the
-            // alpha-predicted plain filter + per-shard snapshot overhead.
-            // Kernel-fast decodes leave almost nothing after the
-            // subtraction, so the sample is floored at alpha/64 (one block
-            // amortised per value) instead of discarded — a machine whose
-            // decode is too fast to measure must still pull decode_weight
-            // DOWN, not leave it at the scalar-era seed.
-            if let Some(filter) = cost.snapshot_filter {
-                let plain_ns = st.ns_per_value
-                    * (filter as f64
-                        + self.seed.snapshot_fixed as f64 * cost.shards_touched as f64);
-                let decode_ns = (ns - plain_ns).max(0.0);
-                let sample = (decode_ns / cost.decode_rows as f64).max(st.ns_per_value / 64.0);
-                ewma(&mut st.ns_per_decoded, sample);
-            }
         }
         st.observations += 1;
         if st.observations.is_multiple_of(Self::REPUBLISH_EVERY) {
@@ -258,7 +233,6 @@ impl Calibrator {
                 holix_telemetry::counter!("planner_republish_total").inc();
                 holix_telemetry::gauge!("planner_cheap_budget").set(next.cheap_budget as i64);
                 holix_telemetry::gauge!("planner_merge_weight").set(next.merge_weight as i64);
-                holix_telemetry::gauge!("planner_decode_weight").set(next.decode_weight as i64);
             }
         }
     }
@@ -269,10 +243,6 @@ impl Calibrator {
             m.cheap_budget = rail(TARGET_CHEAP_NS / st.ns_per_value, self.seed.cheap_budget);
             if st.ns_per_merge > 0.0 {
                 m.merge_weight = rail(st.ns_per_merge / st.ns_per_value, self.seed.merge_weight);
-            }
-            if st.ns_per_decoded > 0.0 {
-                m.decode_weight =
-                    rail(st.ns_per_decoded / st.ns_per_value, self.seed.decode_weight);
             }
         }
         m
@@ -343,43 +313,6 @@ mod tests {
             "merge_weight {} should converge near 20",
             m.merge_weight
         );
-    }
-
-    /// The kernel-layer acceptance check: snapshot executions whose
-    /// encoded edges decode at block-kernel speed (no measurable time
-    /// beyond the plain filter) must pull the calibrated `decode_weight`
-    /// *below* its scalar-era seed — the cutover then stops
-    /// penalising morphed pieces the kernels made cheap.
-    #[test]
-    fn kernel_fast_decodes_drop_decode_weight_below_seed() {
-        let cal = Calibrator::new(CostModel::default());
-        let seed = cal.seed();
-        // Seed alpha at 10 ns/value with backlog-free locked runs.
-        let clean = locked_cost(1_000, 0);
-        for _ in 0..Calibrator::REPUBLISH_EVERY {
-            cal.observe(&clean, Route::Locked, clean.crack_values * 10);
-        }
-        // Snapshot runs with fully-encoded edges that finish in exactly
-        // the plain-filter time: the block kernels erased the decode tax.
-        let snap = PlanCost {
-            snapshot_filter: Some(10_000),
-            decode_rows: 10_000,
-            shards_touched: 1,
-            ..PlanCost::default()
-        };
-        let ns = 10 * (10_000 + seed.snapshot_fixed);
-        for _ in 0..4 * Calibrator::REPUBLISH_EVERY {
-            cal.observe(&snap, Route::Snapshot, ns);
-        }
-        let m = cal.model();
-        assert!(
-            m.decode_weight < seed.decode_weight,
-            "decode_weight {} did not drop below its seed {}",
-            m.decode_weight,
-            seed.decode_weight
-        );
-        // An encoded edge now prices barely above a plain one.
-        assert_eq!(m.decode_weight, (seed.decode_weight / 4).max(1));
     }
 
     /// Calibrator-health acceptance: a deliberately mis-seeded model

@@ -5,8 +5,8 @@
 //! pays the edge pieces it must partition (two cracks, or zero on an exact
 //! hit) plus a Ripple-merge term for the merge debt its select would pay
 //! (the whole queue once past `MERGE_BACKLOG`, else none); the snapshot
-//! path pays the snapshot's edge-piece filter (interior pieces answer O(1)
-//! from precomputed aggregates) and can never crack.
+//! path filters the same edge pieces (interior pieces answer O(1) from
+//! their prefix sums) and merges nothing.
 //! These are the same quantities the paper's §4 statistics track per index
 //! (`f_Ih` exact hits, piece sizes feeding `d(I, I_opt)`) — read at plan
 //! time instead of maintenance time.
@@ -29,11 +29,9 @@ pub struct CostModel {
     /// decomposing, and drained first in a batch (an exact hit, or edge
     /// pieces already near-optimal).
     pub cheap_budget: u64,
-    /// Extra touched-value equivalents charged per edge-filtered value
-    /// that lives in an *encoded* (FOR / delta / RLE) snapshot piece — the
-    /// sequential bit-unpack a compressed-form scan pays on top of the
-    /// compare. Small: unpacking is a shift+mask, and the narrow piece is
-    /// more cache-resident than its plain form.
+    /// A seed no price reads any more: it weighted the edge values of
+    /// encoded snapshot pieces, and snapshot reads now filter the plain
+    /// live pieces. Kept while the benchmark reports it.
     pub decode_weight: u64,
 }
 
@@ -66,14 +64,11 @@ pub struct PlanCost {
     /// Merge debt the locked path would pay: the whole pending queue past
     /// [`CrackerColumn::MERGE_BACKLOG`], none below.
     pub merge_backlog: u64,
-    /// Values a snapshot read would filter in its edge pieces; `None`
-    /// when some touched shard has no published snapshot (the first
-    /// reader would pay an O(shard) build).
+    /// Values a snapshot read would filter in its edge pieces — the live
+    /// pieces its bounds fall inside, as many as a crack would partition;
+    /// `None` when some touched shard has no published statistics (a cold
+    /// shard: the first reader would pay its build).
     pub snapshot_filter: Option<u64>,
-    /// The subset of `snapshot_filter` residing in *encoded* pieces, each
-    /// paying a bit-unpack on top of the compare (morphed cold segments).
-    /// Zero whenever `snapshot_filter` is `None`.
-    pub decode_rows: u64,
     /// Every bound was already a piece boundary in every touched shard
     /// (the paper's `f_Ih` exact hit — zero crack work).
     pub exact_hit: bool,
@@ -96,7 +91,6 @@ impl PlanCost {
             est_rows: len as u64,
             merge_backlog: 0,
             snapshot_filter: None,
-            decode_rows: 0,
             exact_hit: false,
             screened: false,
             shards_touched: 1,
@@ -134,7 +128,6 @@ impl PlanCost {
             (Some(a), Some(b)) => Some(a.saturating_add(b)),
             _ => None,
         };
-        self.decode_rows = self.decode_rows.saturating_add(other.decode_rows);
         self.exact_hit &= other.exact_hit;
         self.screened &= other.screened;
         self.shards_touched = self.shards_touched.saturating_add(other.shards_touched);
@@ -148,12 +141,7 @@ impl PlanCost {
     }
 
     /// Touched-value cost of answering through the snapshot path (`None`
-    /// when a touched shard has neither published a snapshot nor been
-    /// written; saturating).
-    /// Edge-filter values in encoded pieces pay `decode_weight` extra
-    /// each — the cutover sees that a morphed edge is a bit slower to
-    /// filter, while interior encoded pieces (answered from aggregates)
-    /// stay free.
+    /// when a touched shard is cold; saturating).
     pub fn snapshot_cost(&self, model: &CostModel) -> Option<u64> {
         self.snapshot_filter.map(|f| {
             f.saturating_add(
@@ -161,14 +149,14 @@ impl PlanCost {
                     .snapshot_fixed
                     .saturating_mul(self.shards_touched as u64),
             )
-            .saturating_add(self.decode_rows.saturating_mul(model.decode_weight))
         })
     }
 
     /// The route the model prefers for a read-only query: snapshot exactly
-    /// when its edge pieces are fresh enough to beat the locked crack
-    /// (strict `<`, so a fresh exact hit keeps the locked path and its
-    /// `f_Ih` statistics).
+    /// when it beats the locked crack (strict `<`, so an exact hit keeps
+    /// the locked path and its `f_Ih` statistics). Both filter or crack
+    /// the same edge pieces, so the snapshot wins only where the locked
+    /// path would first merge a queue past the backlog.
     pub fn preferred_route(&self, model: &CostModel) -> Route {
         match self.snapshot_cost(model) {
             Some(snap) if snap < self.locked_cost(model) => Route::Snapshot,
@@ -200,7 +188,9 @@ impl PlanCost {
 pub enum Route {
     /// Query-driven cracking under the structure lock (refines the index).
     Locked,
-    /// Snapshot read: no structure lock (never cracks).
+    /// Snapshot read: prefix sums and edge filters under the structure
+    /// lock shared (merges nothing; cracks its bounds only after a costly
+    /// filter, and never blocks on a latch to do so).
     Snapshot,
 }
 
@@ -231,23 +221,21 @@ pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> Pla
             ..PlanCost::default()
         };
     }
-    // One boundary-table lookup and one snapshot-table lookup per bound;
-    // every field below is read off those four results.
+    // One boundary-table lookup per bound; every field below is read off
+    // those two results. A snapshot read filters the pieces a crack
+    // would partition.
     let lo = stats.locate(pred.lo, true);
     let hi = stats.locate(pred.hi, false);
-    let snap = stats
-        .snapshot_edge(pred.lo)
-        .zip(stats.snapshot_edge(pred.hi));
+    let edges = ((lo.end - lo.start) + (hi.end - hi.start)) as u64;
     PlanCost {
-        crack_values: ((lo.end - lo.start) + (hi.end - hi.start)) as u64,
+        crack_values: edges,
         est_rows: (hi.pos - lo.pos).max(0.0).round() as u64,
         merge_backlog: if stats.pending > CrackerColumn::<V>::MERGE_BACKLOG {
             stats.pending as u64
         } else {
             0
         },
-        snapshot_filter: snap.map(|(l, h)| l.0 + h.0),
-        decode_rows: snap.map_or(0, |(l, h)| l.1 + h.1),
+        snapshot_filter: Some(edges),
         exact_hit: lo.exact && hi.exact,
         screened: false,
         shards_touched: 1,
@@ -257,35 +245,21 @@ pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> Pla
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holix_cracking::piece_stats::{PieceStats, SnapPieceStat};
+    use holix_cracking::piece_stats::PieceStats;
 
-    fn sp(hi_key: Option<i64>, len: usize) -> SnapPieceStat<i64> {
-        SnapPieceStat {
-            hi_key,
-            len,
-            plain: true,
-        }
-    }
-
-    fn stats(
-        len: usize,
-        bounds: Vec<(i64, usize)>,
-        pending: usize,
-        snap: Option<Vec<SnapPieceStat<i64>>>,
-    ) -> PieceStats<i64> {
+    fn stats(len: usize, bounds: Vec<(i64, usize)>, pending: usize) -> PieceStats<i64> {
         PieceStats {
             len,
             piece_count: bounds.len() + 1,
             bounds,
             pending,
-            snap_pieces: snap,
         }
     }
 
     #[test]
     fn exact_hits_are_cheap_and_stay_locked() {
         let model = CostModel::default();
-        let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], 0, None);
+        let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], 0);
         let c = estimate(&s, Predicate::range(10, 20));
         assert!(c.exact_hit);
         assert_eq!(c.crack_values, 0);
@@ -298,7 +272,7 @@ mod tests {
     #[test]
     fn cold_cracks_are_expensive() {
         let model = CostModel::default();
-        let s = stats(1_000_000, vec![], 0, None);
+        let s = stats(1_000_000, vec![], 0);
         let c = estimate(&s, Predicate::range(10, 20));
         assert!(!c.exact_hit);
         assert_eq!(c.crack_values, 2_000_000);
@@ -306,76 +280,38 @@ mod tests {
     }
 
     #[test]
-    fn fresh_snapshot_wins_the_cutover() {
+    fn only_merge_debt_sends_a_read_to_the_snapshot_path() {
         let model = CostModel::default();
-        // Live index coarse around the bounds (big crack), snapshot fine
-        // (small filter): the cutover must pick the snapshot.
-        let s = stats(
-            100_000,
-            vec![(50, 50_000)],
-            0,
-            Some(vec![
-                sp(Some(10), 128),
-                sp(Some(20), 128),
-                sp(Some(50), 49_744),
-                sp(None, 50_000),
-            ]),
-        );
+        // Both paths filter or crack the same edge pieces: without a queue
+        // past the backlog the locked path wins, and with one the snapshot
+        // path, which merges nothing, does.
+        let s = stats(100_000, vec![(50, 50_000)], 0);
         let c = estimate(&s, Predicate::range(10, 20));
-        assert_eq!(c.snapshot_filter, Some(0), "snapshot boundaries are exact");
+        assert_eq!(c.snapshot_filter, Some(c.crack_values));
+        assert_eq!(c.preferred_route(&model), Route::Locked);
+        let backlogged = stats(100_000, vec![(50, 50_000)], 1_000);
+        let c = estimate(&backlogged, Predicate::range(10, 20));
+        assert_eq!(c.snapshot_filter, Some(100_000));
         assert_eq!(c.preferred_route(&model), Route::Snapshot);
         assert!(c.price(&model) == QueryPrice::Expensive);
     }
 
     #[test]
-    fn encoded_edge_pieces_price_the_decode_term() {
-        let model = CostModel::default();
-        // Snapshot edges fresh but *encoded*: the decode term raises the
-        // snapshot price without touching the locked price.
-        let snap = vec![
-            SnapPieceStat {
-                hi_key: Some(10),
-                len: 4_000,
-                plain: false,
-            },
-            sp(Some(50), 42_000),
-            SnapPieceStat {
-                hi_key: None,
-                len: 4_000,
-                plain: false,
-            },
-        ];
-        let s = stats(50_000, vec![(10, 4_000), (50, 46_000)], 0, Some(snap));
-        let c = estimate(&s, Predicate::range(5, 60));
-        assert_eq!(c.snapshot_filter, Some(8_000));
-        assert_eq!(c.decode_rows, 8_000, "both edges decode");
-        let plain_price = 8_000 + model.snapshot_fixed;
-        assert_eq!(
-            c.snapshot_cost(&model),
-            Some(plain_price + 8_000 * model.decode_weight),
-            "encoded edges pay decode_weight on top of the filter"
-        );
-        // Interior encoded pieces stay free: bounds on snapshot boundaries
-        // price zero even though a middle piece could be encoded.
-        let exact = estimate(&s, Predicate::range(10, 50));
-        assert_eq!(exact.decode_rows, 0);
-        assert_eq!(exact.snapshot_cost(&model), Some(model.snapshot_fixed));
-    }
-
-    #[test]
     fn merge_folds_shards_conservatively() {
         let model = CostModel::default();
-        let s1 = stats(1_000, vec![(10, 500)], 300, Some(vec![sp(None, 1_000)]));
-        let s2 = stats(2_000, vec![], 0, None);
+        let s1 = stats(1_000, vec![(10, 500)], 300);
+        let s2 = stats(2_000, vec![], 0);
         let mut c = PlanCost::default();
         c.merge(estimate(&s1, Predicate::at_least(20)));
-        assert!(c.snapshot_filter.is_some());
+        assert_eq!(c.snapshot_filter, Some(500));
         c.merge(estimate(&s2, Predicate::less_than(30)));
-        assert_eq!(c.shards_touched, 2);
+        assert_eq!(c.snapshot_filter, Some(2_500));
+        c.merge(PlanCost::cold(4_000));
+        assert_eq!(c.shards_touched, 3);
         assert_eq!(c.merge_backlog, 300);
         assert!(
             c.snapshot_cost(&model).is_none(),
-            "one snapshot-less shard poisons the snapshot route"
+            "one cold shard poisons the snapshot route"
         );
         assert_eq!(c.preferred_route(&model), Route::Locked);
     }
@@ -383,7 +319,7 @@ mod tests {
     #[test]
     fn pending_backlog_prices_the_locked_path() {
         let model = CostModel::default();
-        let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], 1_000, None);
+        let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], 1_000);
         let c = estimate(&s, Predicate::range(10, 20));
         assert!(c.exact_hit, "bounds still exact");
         assert_eq!(c.locked_cost(&model), 1_000 * model.merge_weight);
@@ -398,7 +334,7 @@ mod tests {
         assert_eq!(backlog, 256);
         let model = CostModel::default();
         let price = |pending| {
-            let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], pending, None);
+            let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], pending);
             estimate(&s, Predicate::range(10, 20))
         };
         let at = price(backlog);
@@ -433,7 +369,7 @@ mod tests {
         // One piece of 1000 rows spanning keys [0, 100) with both outer
         // keys known: a selective sub-range interpolates to a fraction of
         // the depth while the crack work stays the whole piece per bound.
-        let s = stats(1_000, vec![(0, 0), (100, 1_000)], 0, None);
+        let s = stats(1_000, vec![(0, 0), (100, 1_000)], 0);
         let c = estimate(&s, Predicate::range(10, 20));
         assert_eq!(c.crack_values, 2_000, "crack work stays conservative");
         assert!((90..=110).contains(&c.est_rows), "est {}", c.est_rows);
@@ -444,7 +380,7 @@ mod tests {
         // huge estimated result — the price must count the cardinality,
         // not just the crack, so this query is no longer Cheap.
         let fine: Vec<(i64, usize)> = (1..=1_000).map(|k| (k * 10, k as usize * 100)).collect();
-        let f = stats(100_000, fine, 0, None);
+        let f = stats(100_000, fine, 0);
         let big = estimate(&f, Predicate::range(15, 9_995));
         assert!(big.locked_cost(&model) <= model.cheap_budget);
         assert!(big.est_rows > model.cheap_budget);
@@ -463,7 +399,6 @@ mod tests {
             est_rows: u64::MAX - 1,
             merge_backlog: u64::MAX / 4,
             snapshot_filter: Some(u64::MAX - 1),
-            decode_rows: u64::MAX - 1,
             exact_hit: false,
             screened: false,
             shards_touched: u32::MAX,
@@ -484,7 +419,7 @@ mod tests {
         // Regression: an old guard excepted sentinel-valued bounds, so
         // `[MIN, MIN)` — an empty predicate on every execution path —
         // reported the first piece's size.
-        let s = stats(100, vec![(10, 25), (20, 60)], 0, None);
+        let s = stats(100, vec![(10, 25), (20, 60)], 0);
         for (lo, hi) in [
             (i64::MIN, i64::MIN),
             (i64::MAX, i64::MAX),
@@ -536,27 +471,7 @@ mod tests {
             };
             ((end - start) as u64, false, pos)
         };
-        // One bound against the snapshot piece table: (filter, decode) rows
-        // of the piece the bound falls strictly inside.
-        let snap_edge = |pieces: &[SnapPieceStat<i64>], v: i64| -> (u64, u64) {
-            if v == i64::MIN || v == i64::MAX {
-                return (0, 0);
-            }
-            let mut lo_key = None;
-            for p in pieces {
-                if lo_key.is_none_or(|k| k < v) && p.hi_key.is_none_or(|k| v < k) {
-                    let rows = p.len as u64;
-                    return (rows, if p.plain { 0 } else { rows });
-                }
-                lo_key = p.hi_key;
-            }
-            (0, 0)
-        };
         let (lo, hi) = (bound(pred.lo, true), bound(pred.hi, false));
-        let snap = stats
-            .snap_pieces
-            .as_deref()
-            .map(|p| (snap_edge(p, pred.lo), snap_edge(p, pred.hi)));
         PlanCost {
             crack_values: lo.0 + hi.0,
             est_rows: (hi.2 - lo.2).max(0.0).round() as u64,
@@ -565,8 +480,7 @@ mod tests {
             } else {
                 0
             },
-            snapshot_filter: snap.map(|(l, h)| l.0 + h.0),
-            decode_rows: snap.map_or(0, |(l, h)| l.1 + h.1),
+            snapshot_filter: Some(lo.0 + hi.0),
             exact_hit: lo.1 && hi.1,
             screened: false,
             shards_touched: 1,
@@ -596,20 +510,15 @@ mod tests {
         }
 
         proptest! {
-            // `estimate` (two binary searches per table) against the
+            // `estimate` (one binary search per bound) against the
             // linear-scan reference, on empty, one-bound, small and
-            // stride-sampled tables, with and without a snapshot piece
-            // table, at sentinel bounds, bounds equal to a key, bounds
-            // between keys, bounds outside the table and `lo >= hi`.
+            // stride-sampled tables, at sentinel bounds, bounds equal to
+            // a key, bounds between keys, bounds outside the table and
+            // `lo >= hi`.
             #[test]
             fn estimate_matches_the_linear_scan_reference(
                 size in 0..5u8,
                 steps in proptest::collection::vec((1..=4i64, 0..40usize), 1..24),
-                snap in (
-                    any::<bool>(),
-                    proptest::collection::vec((1..=9i64, 0..60usize, any::<bool>()), 0..10),
-                    any::<bool>(),
-                ),
                 picks in proptest::collection::vec(
                     ((0..5u8, any::<u16>()), (0..5u8, any::<u16>())),
                     12,
@@ -623,28 +532,12 @@ mod tests {
                 };
                 let (len, bounds) = table(&steps, n);
                 prop_assert!(bounds.len() <= MAX_STATS_BOUNDS);
-                let (published, pieces, open_end) = snap;
-                let snap_pieces = published.then(|| {
-                    let mut key = -40i64;
-                    let mut out: Vec<_> = pieces
-                        .iter()
-                        .map(|&(gap, len, plain)| {
-                            key += gap;
-                            SnapPieceStat { hi_key: Some(key), len, plain }
-                        })
-                        .collect();
-                    if open_end {
-                        out.push(SnapPieceStat { hi_key: None, len: 33, plain: false });
-                    }
-                    out
-                });
                 let s = PieceStats {
                     len,
                     piece_count: n + 1,
                     bounds,
                     // Both sides of the backlog.
                     pending: [3, 256, 257, 4_000][steps.len() % 4],
-                    snap_pieces,
                 };
                 let value = |(kind, r): (u8, u16)| -> i64 {
                     let key = |r: u16| s.bounds.get(r as usize % s.bounds.len().max(1)).map_or(0, |b| b.0);
@@ -667,16 +560,15 @@ mod tests {
         fn arb_cost() -> impl Strategy<Value = PlanCost> {
             (
                 (any::<u64>(), any::<u64>()),
-                (any::<u64>(), any::<u64>()),
+                any::<u64>(),
                 (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v)),
                 any::<bool>(),
             )
-                .prop_map(|((crack, est), (backlog, decode), snap, exact)| PlanCost {
+                .prop_map(|((crack, est), backlog, snap, exact)| PlanCost {
                     crack_values: crack,
                     est_rows: est,
                     merge_backlog: backlog,
                     snapshot_filter: snap,
-                    decode_rows: decode,
                     exact_hit: exact,
                     screened: false,
                     shards_touched: 1,

@@ -10,14 +10,15 @@
 //!
 //! - [`cost`] — [`PlanCost`]: price a predicate against a shard's
 //!   published [`holix_cracking::PieceStats`] (no column lock: the
-//!   summaries are `Arc`s out of a leaf-locked cell) — one lookup per
-//!   bound per table, four binary searches in all. Prices crack work (edge
-//!   pieces to partition) and result size (equi-depth row estimate) vs
-//!   snapshot-refresh debt (edge-piece filter + decode), and derives the
+//!   summaries are `Arc`s out of a leaf-locked cell) — one binary search
+//!   of the boundary table per bound. Prices crack work (edge pieces to
+//!   partition), result size (equi-depth row estimate), merge debt, and a
+//!   snapshot read's filter of the same edge pieces, and derives the
 //!   decisions the service layer needs:
 //!   * the **snapshot/locked cutover** ([`PlanCost::preferred_route`]):
-//!     read-only queries route through the snapshot path exactly
-//!     when its edge pieces are fresh enough to beat the locked crack;
+//!     read-only queries route through the snapshot path exactly when it
+//!     beats the locked crack — where the locked path would first merge
+//!     a queue past the backlog;
 //!   * the **price class** ([`PlanCost::price`]): exact-hit /
 //!     near-optimal queries are [`QueryPrice::Cheap`], run whole and
 //!     drain first in a batch; cold wide cracks are

@@ -55,8 +55,8 @@
 //!   probes ahead of expensive cold cracks.
 //! - **Snapshot/locked cutover**: the dispatcher routes a whole read-only
 //!   query through [`QueryEngine::execute_snapshot`] exactly when the
-//!   model says the snapshot's edge pieces are fresh enough to beat the
-//!   locked crack.
+//!   model prices it below the locked crack (both pay the same edge
+//!   pieces, so: when the locked read would first merge a backlog).
 //!
 //! All three price against the *calibrated* model: the service shares one
 //! [`Calibrator`] seeded from [`ServiceConfig::cost`], and with
@@ -128,8 +128,8 @@ pub struct ServiceConfig {
     pub decompose: DecomposePolicy,
     /// Snapshot/locked cost cutover: the dispatcher consults the plan per
     /// executed query and routes read-only queries through
-    /// [`QueryEngine::execute_snapshot`] when the snapshot's refreshed
-    /// edge pieces beat the locked crack (e.g. under Ripple backlog).
+    /// [`QueryEngine::execute_snapshot`] when the snapshot read beats the
+    /// locked crack (under Ripple backlog).
     /// Disable for cost-blind baseline beds — the per-query estimate is
     /// then skipped entirely.
     pub cutover: bool,
@@ -297,7 +297,6 @@ impl Shared {
             predicted_ns: cost.map_or(0, |c| self.calibrator.predicted_ns(c, taken)),
             actual_ns: service.as_nanos() as u64,
             crack_values: cost.map_or(0, |c| c.crack_values),
-            decode_rows: cost.map_or(0, |c| c.decode_rows),
         }
     }
 }
@@ -591,10 +590,9 @@ fn dispatch_loop(shared: &Shared, queue: &BoundedQueue<QueuedQuery>) {
                 _ => None,
             };
             // The snapshot/locked cutover: a read-only query routes
-            // through the snapshot path (lock-free on a shard never
-            // written, the live edge pieces under the shared structure
-            // lock on a written one) exactly when the model prices its
-            // edge pieces below the locked crack.
+            // through the snapshot path (the live edge pieces under the
+            // shared structure lock) exactly when the model prices it
+            // below the locked crack.
             let route = match est.as_ref() {
                 Some(cost) if config.cutover => cost.preferred_route(&model),
                 _ => Route::Locked,

@@ -80,7 +80,7 @@ counters! {
     executed,
     /// Whole read-only queries the dispatcher routed through
     /// `execute_snapshot` because the cost model's snapshot/locked
-    /// cutover said the snapshot's edge pieces beat the locked crack.
+    /// cutover said the snapshot read beat the locked crack.
     snapshot_cutover,
     /// Spanning queries cut into per-shard sub-queries (each counts once,
     /// however many parts it produced).

@@ -29,7 +29,7 @@ pub enum AdmitOutcome {
 pub enum TraceRoute {
     /// Locked crack-and-refine path.
     Locked,
-    /// Lock-free snapshot path.
+    /// Snapshot path: prefix sums and edge filters.
     Snapshot,
     /// Answered entirely by a point-filter screen.
     Screened,
@@ -59,8 +59,6 @@ pub struct QueryTrace {
     pub actual_ns: u64,
     /// Planner's crack-work estimate (values to partition).
     pub crack_values: u64,
-    /// Planner's compressed-decode estimate (rows to unpack).
-    pub decode_rows: u64,
 }
 
 impl QueryTrace {
@@ -81,7 +79,6 @@ const EMPTY: QueryTrace = QueryTrace {
     predicted_ns: 0,
     actual_ns: 0,
     crack_values: 0,
-    decode_rows: 0,
 };
 
 struct Slot {

@@ -29,7 +29,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`storage`] | column-store substrate: columns, (parallel) range scans and sort |
-//! | [`cracking`] | adaptive indexing: cracker columns/index, the one partition entry point (sequential and ganged vectorized kernels), latches, Ripple updates, piece snapshots |
+//! | [`cracking`] | adaptive indexing: cracker columns/index, the one partition entry point (sequential and ganged vectorized kernels), latches, Ripple updates, snapshot reads from live piece sums |
 //! | [`parallel`] | multi-core cracking baselines: the parallel partition behind PVDC/PVSDC, mP-CCGI |
 //! | [`core`] | **holistic indexing**: index space, strategies W1–W4, CPU monitors, daemon |
 //! | [`planner`] | crack-aware cost model: plan-time estimates, spanning decomposition, price classes |

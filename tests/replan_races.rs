@@ -4,8 +4,9 @@
 //! Live answers are band-checked (base oracle ± total in-flight churn); at
 //! quiesce every window is checked *exactly* against the sorted-scan
 //! oracle; and a reader holding the old plan's column must stay exact
-//! after the new plan publishes (the migration republishes the retiring
-//! shards' snapshots before the cutover).
+//! after the new plan publishes (the migration merges the retiring
+//! shards' queues into their live pieces before the cutover, and they
+//! stay readable).
 
 use holix::cracking::{CrackScratch, ReplanAction};
 use holix::engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
@@ -188,7 +189,7 @@ fn a_reader_pinned_to_the_old_plan_stays_exact_after_the_new_plan_publishes() {
 
     // The old column's reader finishes against the plan it started with
     // and is still exact: migration merged the retiring shards' pending
-    // updates and republished their snapshots before the cutover.
+    // updates into their pieces before the cutover.
     let mut scratch = CrackScratch::new();
     let (_, stats) = old_col.select_verified(Predicate::range(q.lo, q.hi), &mut scratch);
     assert_eq!(stats.count, expect, "old-plan reader went stale");

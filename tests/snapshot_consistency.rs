@@ -2,12 +2,11 @@
 //! snapshot read path): concurrent snapshot scans must observe the exact
 //! base multiset plus the net applied inserts/deletes — never a torn
 //! intermediate — while query-driven cracks, background refinements
-//! (piece splits), the read path's and an idle worker's Ripple drains and
-//! morphs run against the same shards. Written shards answer from their
-//! live pieces' sums, the others from their snapshots; both must equal the
-//! oracle at one instant. A snapshot a merge dropped, or a morph replaced,
-//! must be freed with the last reader that holds it, not before and not
-//! later.
+//! (piece splits), the read path's and an idle worker's Ripple drains run
+//! against the same shards, and while the scanners' own first reads sum
+//! every shard's pieces. Every read answers from the live pieces' prefix
+//! sums and filters its edge pieces; each answer must equal the oracle at
+//! one instant.
 //!
 //! The mid-race oracle uses constant-value update streams: one updater
 //! inserts only `VA`, another deletes only pre-merged `VB` tuples. Any
@@ -16,8 +15,8 @@
 //! whose integer solution `(i, d)` must fall inside the per-updater
 //! progress windows read around the scan. A torn scan (a Ripple shift
 //! observed halfway, an insert counted in both a piece sum and pending, a
-//! batch in neither, a half-published splice) breaks the coupling and
-//! fails the solve.
+//! batch in neither, a sum taken beside a moving piece) breaks the
+//! coupling and fails the solve.
 
 use holix::cracking::{CrackScratch, ShardPlan, ShardedColumn};
 use holix::storage::select::{scan_stats, Predicate};
@@ -76,17 +75,13 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
         }
         col.select_verified(Predicate::range(VB - 1, VB + 1), &mut scratch);
         assert_eq!(col.pending_len(), 0, "VB seed tuples must be merged");
-        // Publish every shard's snapshot while its pieces are still
-        // shard-sized: the morpher then has an encodable piece on its
-        // first pass whatever the schedule. (Left to the scanners, a fast
-        // run publishes only after the crackers have cut everything below
-        // the morph floor, and no scan ever meets a compressed piece.)
-        col.snapshot_scan(Predicate::range(0, DOMAIN), &mut scratch);
+        // Merged, but no shard summed: the scanners' first reads sum them
+        // while everything below runs.
+        assert!((0..col.shard_count()).all(|k| col.shard(k).piece_sums().is_none()));
     }
 
     let inserted = AtomicUsize::new(0); // updater A progress (applied VA inserts)
     let deleted = AtomicUsize::new(0); // updater B progress (applied VB deletes)
-    let morphs = AtomicUsize::new(0); // background segment re-encodings
 
     std::thread::scope(|s| {
         // Updater A: insert VA, read it back through a narrow locked
@@ -170,25 +165,9 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
                 }
             });
         }
-        // Morpher: the daemon's background re-encoding of stable plain
-        // snapshot pieces (FOR / delta / RLE), racing everything above —
-        // the scanners' exactness asserts now also cover scans that land
-        // on compressed pieces mid-flip.
-        {
-            let col = &col;
-            let morphs = &morphs;
-            s.spawn(move || {
-                for _ in 0..200 {
-                    for k in 0..col.shard_count() {
-                        if col.shard(k).morph_cold_segments() {
-                            morphs.fetch_add(1, SeqCst);
-                        }
-                    }
-                    std::thread::yield_now();
-                }
-            });
-        }
         // Snapshot scanners: full-domain solves + quiet-band exact checks.
+        // Each starts once the updaters are under way, so the first one's
+        // reads sum the shards mid-race (the other may wait out the sum).
         for t in 0..2u64 {
             let col = &col;
             let inserted = &inserted;
@@ -198,6 +177,9 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xE0 + t);
                 let mut scratch = CrackScratch::new();
+                while inserted.load(SeqCst) < 16 * (t as usize + 1) {
+                    std::thread::yield_now();
+                }
                 for round in 0..250 {
                     // Progress windows bracketing the scan.
                     let i_lo = inserted.load(SeqCst) as i128;
@@ -265,130 +247,15 @@ fn snapshot_scans_observe_exact_multisets_under_interference() {
         scan.sum,
         base_full.sum + (M as i128 - d) * VB as i128 + i * VA as i128
     );
-    // The written shards (those VA and VB land in) hold no snapshot; the
-    // others keep theirs. Every shard's pieces hold the final multiset.
+    // Every shard was summed by the scanners, and keeps its sums: the
+    // invariants check each piece's against its values.
     for k in 0..col.shard_count() {
-        let written = k == col.plan().shard_of(VA) || k == col.plan().shard_of(VB);
-        assert_eq!(col.shard(k).snapshot_published(), !written, "shard {k}");
+        assert!(col.shard(k).piece_sums().is_some(), "shard {k}");
     }
-    let plain = shard_values(&col);
-    assert_eq!(plain.len() as u64, scan.count);
-
-    // Morph to fixpoint: every remaining encodable plain piece flips to
-    // its compressed form, and the compressed snapshot must keep
-    // answering exactly what the plain one did.
-    let mut post_morphs = 0usize;
-    loop {
-        let mut any = false;
-        for k in 0..col.shard_count() {
-            if col.shard(k).morph_cold_segments() {
-                any = true;
-                post_morphs += 1;
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    assert!(
-        morphs.load(SeqCst) + post_morphs > 0,
-        "no snapshot segment was ever re-encoded"
-    );
-    let rescan = col.snapshot_scan(full, &mut scratch);
-    assert_eq!((rescan.count, rescan.sum), (scan.count, scan.sum));
-    assert_eq!(
-        shard_values(&col),
-        plain,
-        "the compressed pieces decode to another multiset than the plain ones"
-    );
+    let held: usize = (0..col.shard_count()).map(|k| col.shard(k).len()).sum();
+    assert_eq!(held as u64, scan.count);
 
     for k in 0..col.shard_count() {
         col.shard(k).check_invariants(None);
     }
-}
-
-/// Every value of every shard, in sorted order: decoded piece by piece
-/// from its published snapshot while it has one, else copied from its
-/// live column.
-fn shard_values(col: &ShardedColumn<i64>) -> Vec<i64> {
-    let mut values = Vec::new();
-    for k in 0..col.shard_count() {
-        let shard = col.shard(k);
-        match shard.snapshot() {
-            Some(snap) => {
-                for piece in snap.pieces() {
-                    piece.for_each(|v| values.push(v));
-                }
-            }
-            None => values.extend(shard.snapshot_range(0, shard.len())),
-        }
-    }
-    values.sort_unstable();
-    values
-}
-
-#[test]
-fn retired_segments_are_reclaimed_after_last_pin_drops() {
-    let base = base_data(0xB1);
-    let plan = ShardPlan::from_values(&base, 2);
-    let col = ShardedColumn::from_base_with_plan("reclaim", &base, plan);
-    let mut scratch = CrackScratch::new();
-    let full = Predicate::range(0, DOMAIN);
-    col.snapshot_scan(full, &mut scratch); // publish both shards
-
-    let column_bytes = N * std::mem::size_of::<i64>();
-    let bytes = |col: &ShardedColumn<i64>| -> usize {
-        (0..col.shard_count())
-            .map(|k| col.shard(k).snapshot_bytes())
-            .sum()
-    };
-
-    // Crack-heavy loop without updates: refreshes splice and replace
-    // snapshot versions. Nobody holds a replaced version, so nothing
-    // accumulates.
-    let mut rng = StdRng::seed_from_u64(0xF0);
-    for _ in 0..150 {
-        let v = rng.random_range(0..DOMAIN);
-        col.select_verified(Predicate::range(v - 2, v + 2), &mut scratch);
-        for k in 0..col.shard_count() {
-            col.shard(k).refine_random(&mut rng, &mut scratch, 2);
-        }
-        col.snapshot_scan(Predicate::range(v - 500, v + 500), &mut scratch);
-    }
-    let settled = bytes(&col);
-    assert!(
-        (column_bytes..=2 * column_bytes).contains(&settled),
-        "one copy of the column: {settled} B vs {column_bytes} B column"
-    );
-
-    // A reader that holds shard 0's snapshot open across the merges that
-    // write the shard keeps scanning the multiset it started with, and
-    // keeps the segments only that version references charged …
-    let shard0_bytes = col.shard(0).snapshot_bytes();
-    let held = col.shard(0).snapshot().expect("published above");
-    let before = held.stats(i64::MIN, i64::MAX);
-    for i in 0..60 {
-        let v = rng.random_range(0..DOMAIN / 2); // land updates in shard 0's range
-        col.queue_insert(v, (N + 1_000 + i) as RowId);
-        col.select_verified(Predicate::range(v - 2, v + 2), &mut scratch);
-        // A read below the backlog merges nothing: merge as a worker would.
-        col.shard(0).merge_pending();
-    }
-    assert!(
-        !col.shard(0).snapshot_published(),
-        "a merge kept the snapshot"
-    );
-    let after = held.stats(i64::MIN, i64::MAX);
-    assert_eq!((after.count, after.sum), (before.count, before.sum));
-    assert_eq!(col.shard(0).snapshot_bytes(), shard0_bytes);
-    let scan = col
-        .shard(0)
-        .snapshot_scan(Predicate::range(i64::MIN, i64::MAX), &mut scratch);
-    assert_eq!(scan.count, before.count + 60);
-    // … and frees them the moment it lets go: no collection pass exists
-    // to wait for. The unwritten shard keeps its snapshot.
-    drop(held);
-    assert_eq!(col.shard(0).snapshot_bytes(), 0);
-    assert_eq!(bytes(&col), settled - shard0_bytes);
-    assert!(col.shard(1).snapshot_published());
 }
