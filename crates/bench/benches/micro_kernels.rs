@@ -1,19 +1,18 @@
 //! Criterion micro-benchmarks — ablations for the design decisions
 //! PAPER.md's design summary records: crack kernels (in-place reference vs
-//! vectorized out-of-place vs parallel), scalar vs block-at-a-time segment
-//! decode ("Batched decode kernels"), the cracker index's `locate` (the
-//! lookup a crack pays), weight-heap updates, Ripple insertion vs naive
-//! re-cracking, the whole-attribute first touch (push routing + first crack
-//! vs the coarse-granular build), what row ids cost: the two- and three-way
-//! crack kernels with and without them, and building a shard's ids on
-//! demand, and what a narrow read of an evicted shard pays: its one-shard
-//! rebuild and first crack; and what a service submission pays to learn
-//! whether it can be answered on the submitting thread
+//! vectorized out-of-place vs parallel), the block-at-a-time unpack of
+//! bit-packed values ("Batched decode kernels"), the cracker index's
+//! `locate` (the lookup a crack pays), weight-heap updates, Ripple insertion
+//! vs naive re-cracking, the whole-attribute first touch (push routing +
+//! first crack vs the coarse-granular build), what row ids cost: the two-
+//! and three-way crack kernels with and without them, and building a shard's
+//! ids on demand, and what a narrow read of an evicted shard pays: its
+//! one-shard rebuild and first crack; and what a service submission pays to
+//! learn whether it can be answered on the submitting thread
 //! (`QueryEngine::execute_exact`), for an exact hit and for a miss; and the
 //! first point-filter build on a converged shard; and 32 Ripple drains into
 //! a converged, summed shard, a crack of a shard with piece sums, and a
-//! summed shard's snapshot reads. The first line names the kernel family
-//! the
+//! summed shard's snapshot reads. The first line names the kernel family the
 //! crack and filter kernels dispatched to (`HOLIX_NO_SIMD=1` forces the
 //! portable one).
 
@@ -21,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use holix_core::weight_heap::WeightHeap;
 use holix_cracking::crack::crack_in_two;
 use holix_cracking::index::{BoundLookup, CrackerIndex};
-use holix_cracking::kernels::{self, pack_bits, ScalarUnpacker};
+use holix_cracking::kernels::{self, pack_bits};
 use holix_cracking::updates::{ripple_batch, ripple_insert};
 use holix_cracking::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
 use holix_cracking::{CrackerColumn, ShardPlan, ShardedColumn};
@@ -90,57 +89,21 @@ fn bench_crack_kernels(c: &mut Criterion) {
         });
     }
 
-    // Segment-decode ablation: the scalar shift/mask `Unpacker` walk the
-    // snapshot edge scans used through PR 8, against the block-at-a-time
-    // kernels (with AVX2 under runtime dispatch) that replaced it.
+    // The block unpack the benchmark suite's unpack probe times: 20-bit
+    // values decoded 64 at a time by the width-specialised kernel.
     const BITS: u32 = 20;
     let mut rng = StdRng::seed_from_u64(5);
-    let mut offs: Vec<u64> = (0..N).map(|_| rng.random_range(0..1u64 << BITS)).collect();
-    let packed_unsorted = pack_bits(offs.iter().copied(), N, BITS);
-    offs.sort_unstable();
+    let offs: Vec<u64> = (0..N).map(|_| rng.random_range(0..1u64 << BITS)).collect();
     let packed = pack_bits(offs.iter().copied(), N, BITS);
-    g.bench_function("unpack_scalar", |b| {
-        b.iter(|| {
-            let mut un = ScalarUnpacker::new(&packed_unsorted, BITS);
-            let mut acc = 0u64;
-            for _ in 0..N {
-                acc = acc.wrapping_add(un.next());
-            }
-            black_box(acc)
-        })
-    });
     g.bench_function("unpack_block", |b| {
         b.iter(|| {
             let mut acc = 0u64;
-            kernels::decode_range(&packed_unsorted, BITS, N, 0, N, |v| {
-                acc = acc.wrapping_add(v);
+            kernels::decode_blocks(&packed, BITS, N, |block| {
+                acc = acc.wrapping_add(block.iter().sum::<u64>());
+                true
             });
             black_box(acc)
         })
-    });
-    // Middle half of the sorted offset domain qualifies — the scalar
-    // baseline is the PR 8 scan loop (walk from 0, early exit past hi).
-    let (lo, hi) = (Some(1u64 << (BITS - 2)), Some(3u64 << (BITS - 2)));
-    g.bench_function("filter_scalar", |b| {
-        b.iter(|| {
-            let mut un = ScalarUnpacker::new(&packed, BITS);
-            let mut count = 0u64;
-            let mut sum = 0u128;
-            for _ in 0..N {
-                let v = un.next();
-                if hi.is_some_and(|h| v >= h) {
-                    break;
-                }
-                if lo.is_none_or(|l| v >= l) {
-                    count += 1;
-                    sum += v as u128;
-                }
-            }
-            black_box((count, sum))
-        })
-    });
-    g.bench_function("filter_packed", |b| {
-        b.iter(|| black_box(kernels::filter_count_sorted(&packed, BITS, N, 0, N, lo, hi)))
     });
     g.finish();
 }

@@ -1281,15 +1281,14 @@ impl<V: CrackValue> CrackerColumn<V> {
     fn live_scan(&self, pred: Predicate<V>) -> SnapshotScan {
         let _shared = self.read_structure();
         let (count_delta, sum_delta) = overlay(&self.pending.lock(), pred);
-        let (interior, latched) = {
-            let idx = self.index.read();
-            let interior = idx.interior(pred.lo, pred.hi);
-            let latched = interior
-                .edges
-                .each_ref()
-                .map(|edge| edge.as_ref().and_then(|(_, p)| p.latch.try_lock_read()));
-            (interior, latched)
-        };
+        let idx = self.index.read();
+        let interior = idx.interior(pred.lo, pred.hi);
+        let latched = interior
+            .edges
+            .each_ref()
+            .map(|edge| edge.as_ref().and_then(|(_, p)| p.latch.try_lock_read()));
+        // Only now: a latched edge's extent is the one the index showed.
+        drop(idx);
         let mut scan = SnapshotScan {
             count: interior.count,
             sum: interior.sum,
@@ -1499,7 +1498,8 @@ impl<V: CrackValue> CrackerColumn<V> {
                 debug_assert!(false, "anchor {cur:?} is not a live boundary");
                 break;
             };
-            let _read = latched.then(|| p.latch.lock_read());
+            let latch = p.latch.clone();
+            let _read = latched.then(|| latch.lock_read());
             // Revalidate under the latch: the piece may have split since
             // the lookup (its start and latch are stable; only the extent
             // can shrink, and no crack shrinks it while the latch is held).

@@ -1,37 +1,24 @@
-//! Lane filters, compress-store crack bodies, and block-at-a-time unpack /
-//! scan kernels for bit-packed data.
+//! Lane filters, compress-store crack bodies, and a block-at-a-time unpack
+//! of bit-packed data.
 //!
-//! The bit-packed kernels read little-endian bit-packed word arrays. No
-//! column stores that form; the unpack and filter probes of the
-//! micro-benchmarks and of the benchmark suite time them. A scalar cursor
-//! ([`ScalarUnpacker`]) pays one shift, one conditional cross-word OR and
-//! one mask *per value*. This module replaces that with block kernels
-//! built on one layout property: a block
-//! of [`BLOCK`] = 64 values of width `bits` occupies **exactly `bits`
-//! words, word-aligned** (64·bits bits), so block `b` starts at word
-//! `b·bits` with bit offset 0 — every block decodes with the same
-//! word-index/shift pattern.
+//! No column stores bit-packed data: [`pack_bits`], [`decode_blocks`] and
+//! [`get`] remain as the unpack probe of the micro-benchmarks and of the
+//! benchmark suite (`cracking.unpack_ns_per_value`). The unpack leans on
+//! one layout property: a block of [`BLOCK`] = 64 values of width `bits`
+//! occupies **exactly `bits` words, word-aligned** (64·bits bits), so block
+//! `b` starts at word `b·bits` with bit offset 0 — every block decodes with
+//! the same word-index/shift pattern, in width-specialised (`const BITS`
+//! dispatched over 0..=64) fully-unrolled loops the compiler autovectorises
+//! ([`unpack_block_portable`]). A gather-based AVX2 unpack measured ~3x
+//! slower than the const-folded unroll at every width (`vpgatherqq`
+//! serialises what the straight-line shift/or/mask stream pipelines) and
+//! was removed.
 //!
-//! Three layers, slowest to fastest:
-//!
-//! - [`ScalarUnpacker`] — the PR 8 cursor, kept as the micro-bench and
-//!   equivalence-test baseline;
-//! - portable block kernels — width-specialised (`const BITS` dispatched
-//!   over 0..=64) fully-unrolled inner loops the compiler autovectorises;
-//! - explicit AVX2 kernel (`core::arch::x86_64`) — compare/blend lanes for
-//!   the fused filter — selected once per process by [`active_isa`]
-//!   (`is_x86_feature_detected!`), with the portable kernel as fallback.
-//!   Block *unpack* is always portable: a gather-based AVX2 unpack measured
-//!   ~3x slower than the const-folded unroll at every width (`vpgatherqq`
-//!   serialises what the straight-line shift/or/mask stream pipelines) and
-//!   was removed.
-//!
-//! On top of the unpack sit fused consumers that never materialise a
-//! decoded copy: [`sum_range`] (block unpack + lane accumulate),
-//! [`filter_count_sorted`] (sorted streams: binary search **on the packed
-//! words** for the qualifying index range, then block-sum only that range)
-//! and [`filter_count`] (unsorted i64 lanes: branchless compare + masked
-//! split-lane accumulate — the edge filter of every snapshot read).
+//! [`filter_count`] (unsorted i64 lanes: branchless compare + masked
+//! split-lane accumulate) is the edge filter of every snapshot read; its
+//! explicit AVX2 body ([`avx2`]) is selected once per process by
+//! [`active_isa`] (`is_x86_feature_detected!`), with the portable loop as
+//! fallback.
 //!
 //! Beside them sits the compress-store layer, [`avx512`]: `vpcompressq`
 //! bodies for the value-lane loops a cold read and every sequential crack
@@ -73,46 +60,6 @@ pub fn pack_bits(values: impl Iterator<Item = u64>, n: usize, bits: u32) -> Box<
     words.into_boxed_slice()
 }
 
-/// Sequential scalar cursor over a bit-packed word array — the pre-kernel
-/// decode path, kept public as the baseline the block kernels are measured
-/// and equivalence-tested against.
-pub struct ScalarUnpacker<'a> {
-    words: &'a [u64],
-    bits: u32,
-    bitpos: usize,
-}
-
-impl<'a> ScalarUnpacker<'a> {
-    /// Cursor at the first packed value.
-    pub fn new(words: &'a [u64], bits: u32) -> Self {
-        ScalarUnpacker {
-            words,
-            bits,
-            bitpos: 0,
-        }
-    }
-
-    /// Decodes the next value: one shift, at most one cross-word OR, one
-    /// mask.
-    #[inline(always)]
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> u64 {
-        if self.bits == 0 {
-            return 0;
-        }
-        let (w, off) = (self.bitpos / 64, self.bitpos % 64);
-        let mut v = self.words[w] >> off;
-        if off + self.bits as usize > 64 {
-            v |= self.words[w + 1] << (64 - off);
-        }
-        if self.bits < 64 {
-            v &= (1u64 << self.bits) - 1;
-        }
-        self.bitpos += self.bits as usize;
-        v
-    }
-}
-
 /// Random access: value `i` of the packed stream.
 #[inline]
 pub fn get(words: &[u64], bits: u32, i: usize) -> u64 {
@@ -129,21 +76,6 @@ pub fn get(words: &[u64], bits: u32, i: usize) -> u64 {
         v &= (1u64 << bits) - 1;
     }
     v
-}
-
-/// First index whose value is `>= target` in a **sorted** packed stream of
-/// `n` values — O(log n) random probes, nothing else is unpacked.
-pub fn lower_bound(words: &[u64], bits: u32, n: usize, target: u64) -> usize {
-    let (mut lo, mut hi) = (0usize, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if get(words, bits, mid) < target {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 // ---------------------------------------------------------------------------
@@ -625,53 +557,11 @@ pub mod avx512 {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatched block decoding
+// Block decoding and the lane filter
 // ---------------------------------------------------------------------------
 
-/// Visits packed values `a..b` (of `n` total) in order, decoding
-/// block-at-a-time; the final partial block (if any) falls back to
-/// per-value [`get`].
-pub fn decode_range(
-    words: &[u64],
-    bits: u32,
-    n: usize,
-    a: usize,
-    b: usize,
-    mut f: impl FnMut(u64),
-) {
-    debug_assert!(b <= n);
-    if a >= b {
-        return;
-    }
-    if bits == 0 {
-        for _ in a..b {
-            f(0);
-        }
-        return;
-    }
-    let full_blocks = n / BLOCK;
-    let mut buf = [0u64; BLOCK];
-    let mut i = a;
-    while i < b {
-        let blk = i / BLOCK;
-        if blk >= full_blocks {
-            for j in i..b {
-                f(get(words, bits, j));
-            }
-            return;
-        }
-        unpack_block_portable(&words[blk * bits as usize..], bits, &mut buf);
-        let s = i - blk * BLOCK;
-        let e = (b - blk * BLOCK).min(BLOCK);
-        for &v in &buf[s..e] {
-            f(v);
-        }
-        i = blk * BLOCK + e;
-    }
-}
-
 /// Visits the packed stream in decoded chunks of at most [`BLOCK`] values;
-/// return `false` from `f` to stop (sorted early-exit for delta walks).
+/// return `false` from `f` to stop early.
 pub fn decode_blocks(words: &[u64], bits: u32, n: usize, mut f: impl FnMut(&[u64]) -> bool) {
     if n == 0 {
         return;
@@ -703,88 +593,6 @@ pub fn decode_blocks(words: &[u64], bits: u32, n: usize, mut f: impl FnMut(&[u64
         }
         f(&buf[..n - tail]);
     }
-}
-
-/// Sum of packed values `a..b` (of `n`), block-at-a-time. Blocks of width
-/// ≤ 57 accumulate in one u64 lane set (64 such values cannot overflow);
-/// wider blocks widen per value.
-pub fn sum_range(words: &[u64], bits: u32, n: usize, a: usize, b: usize) -> u128 {
-    debug_assert!(b <= n);
-    if a >= b || bits == 0 {
-        return 0;
-    }
-    let full_blocks = n / BLOCK;
-    let mut buf = [0u64; BLOCK];
-    let mut total = 0u128;
-    let mut i = a;
-    while i < b {
-        let blk = i / BLOCK;
-        if blk >= full_blocks {
-            for j in i..b {
-                total += get(words, bits, j) as u128;
-            }
-            return total;
-        }
-        unpack_block_portable(&words[blk * bits as usize..], bits, &mut buf);
-        let s = i - blk * BLOCK;
-        let e = (b - blk * BLOCK).min(BLOCK);
-        if bits <= 57 {
-            let mut acc = 0u64;
-            for &v in &buf[s..e] {
-                acc += v;
-            }
-            total += acc as u128;
-        } else {
-            for &v in &buf[s..e] {
-                total += v as u128;
-            }
-        }
-        i = blk * BLOCK + e;
-    }
-    total
-}
-
-/// Index range `[a, b)` of values within `[lo, hi)` in a **sorted** packed
-/// stream (`None` = unbounded) — two binary searches directly on the
-/// packed words.
-pub fn qualifying_range(
-    words: &[u64],
-    bits: u32,
-    n: usize,
-    lo: Option<u64>,
-    hi: Option<u64>,
-) -> (usize, usize) {
-    let a = match lo {
-        None | Some(0) => 0,
-        Some(t) => lower_bound(words, bits, n, t),
-    };
-    let b = match hi {
-        None => n,
-        Some(t) => lower_bound(words, bits, n, t),
-    };
-    (a, b.max(a))
-}
-
-/// Fused filter over a **sorted** packed stream: binary search locates the
-/// contiguous qualifying index range, intersects it with the position
-/// window `[start, end)`, and block-sums only that range. Returns
-/// (count, sum of qualifying packed values).
-pub fn filter_count_sorted(
-    words: &[u64],
-    bits: u32,
-    n: usize,
-    start: usize,
-    end: usize,
-    lo: Option<u64>,
-    hi: Option<u64>,
-) -> (u64, u128) {
-    let (ql, qh) = qualifying_range(words, bits, n, lo, hi);
-    let a = ql.max(start);
-    let b = qh.min(end);
-    if a >= b {
-        return (0, 0);
-    }
-    ((b - a) as u64, sum_range(words, bits, n, a, b))
 }
 
 /// Portable fused filter over unsorted i64 lanes: branchless two-sided
@@ -850,96 +658,37 @@ mod tests {
         (0..len).map(|_| splitmix(&mut s) & mask).collect()
     }
 
-    fn scalar_decode(words: &[u64], bits: u32, n: usize) -> Vec<u64> {
-        let mut un = ScalarUnpacker::new(words, bits);
-        (0..n).map(|_| un.next()).collect()
+    /// Every value [`decode_blocks`] hands out, in order.
+    fn decoded(words: &[u64], bits: u32, n: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(n);
+        decode_blocks(words, bits, n, |block| {
+            assert!(!block.is_empty() && block.len() <= BLOCK);
+            out.extend_from_slice(block);
+            true
+        });
+        out
     }
 
     #[test]
-    fn block_kernels_match_scalar_across_all_widths() {
+    fn decode_blocks_matches_get_across_all_widths() {
         // Exhaustive widths, a length that exercises full blocks plus an
         // unaligned tail (64·2 + 37).
         for bits in 0..=64u32 {
             let vals = masked_values(bits, 165, 0xA5A5 + bits as u64);
             let packed = pack_bits(vals.iter().copied(), vals.len(), bits);
+            let by_index: Vec<u64> = (0..vals.len()).map(|i| get(&packed, bits, i)).collect();
+            assert_eq!(by_index, vals, "get roundtrip bits={bits}");
             assert_eq!(
-                scalar_decode(&packed, bits, vals.len()),
-                vals,
-                "scalar roundtrip bits={bits}"
+                decoded(&packed, bits, vals.len()),
+                by_index,
+                "decode_blocks bits={bits}"
             );
-            let mut out = Vec::new();
-            decode_range(&packed, bits, vals.len(), 0, vals.len(), |v| out.push(v));
-            assert_eq!(out, vals, "decode_range bits={bits}");
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(get(&packed, bits, i), v, "get({i}) bits={bits}");
-            }
-            let oracle: u128 = vals.iter().map(|&v| v as u128).sum();
-            assert_eq!(
-                sum_range(&packed, bits, vals.len(), 0, vals.len()),
-                oracle,
-                "sum_range bits={bits}"
-            );
-        }
-    }
-
-    #[test]
-    fn unaligned_windows_match_scalar() {
-        let bits = 13;
-        let vals = masked_values(bits, 300, 7);
-        let packed = pack_bits(vals.iter().copied(), vals.len(), bits);
-        for (a, b) in [(0, 0), (0, 1), (63, 65), (1, 300), (130, 131), (64, 256)] {
-            let mut out = Vec::new();
-            decode_range(&packed, bits, vals.len(), a, b, |v| out.push(v));
-            assert_eq!(out, vals[a..b], "window [{a},{b})");
-            let oracle: u128 = vals[a..b].iter().map(|&v| v as u128).sum();
-            assert_eq!(sum_range(&packed, bits, vals.len(), a, b), oracle);
-        }
-    }
-
-    #[test]
-    fn sorted_filter_matches_linear_oracle() {
-        for bits in [0u32, 1, 7, 12, 33, 63, 64] {
-            let mut vals = masked_values(bits, 257, 0xBEEF + bits as u64);
-            vals.sort_unstable();
-            let n = vals.len();
-            let packed = pack_bits(vals.iter().copied(), n, bits);
-            let probes: &[(Option<u64>, Option<u64>)] = &[
-                (None, None),
-                (Some(0), None),
-                (Some(vals[n / 2]), None),
-                (None, Some(vals[n / 2])),
-                (Some(vals[n / 4]), Some(vals[3 * n / 4])),
-                (Some(u64::MAX), Some(u64::MAX)),
-                (Some(vals[n / 2]), Some(vals[n / 2])), // empty
-            ];
-            for &(lo, hi) in probes {
-                for (start, end) in [(0, n), (10, 200), (n / 2, n / 2)] {
-                    let (mut c, mut s) = (0u64, 0u128);
-                    for (i, &v) in vals.iter().enumerate() {
-                        let q = i >= start
-                            && i < end
-                            && lo.is_none_or(|l| v >= l)
-                            && hi.is_none_or(|h| v < h);
-                        if q {
-                            c += 1;
-                            s += v as u128;
-                        }
-                    }
-                    assert_eq!(
-                        filter_count_sorted(&packed, bits, n, start, end, lo, hi),
-                        (c, s),
-                        "bits={bits} lo={lo:?} hi={hi:?} [{start},{end})"
-                    );
-                }
-            }
-            // lower_bound against the slice oracle.
-            for &t in &[0, 1, vals[n / 3], vals[n - 1], u64::MAX] {
-                assert_eq!(
-                    lower_bound(&packed, bits, n, t),
-                    vals.partition_point(|&v| v < t),
-                    "bits={bits} target={t}"
-                );
-            }
+            let mut calls = 0;
+            decode_blocks(&packed, bits, vals.len(), |_| {
+                calls += 1;
+                false
+            });
+            assert_eq!(calls, 1, "`false` stops the walk, bits={bits}");
         }
     }
 
@@ -1012,57 +761,19 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            // Scalar-vs-kernel equivalence across widths, lengths and
-            // unaligned windows: decode, random access, sum.
+            // Block decoding against per-index random access across
+            // widths and lengths, full blocks and tails.
             #[test]
-            fn kernels_match_scalar_cursor(
+            fn decode_blocks_matches_get(
                 bits in 0u32..=64,
                 len in 0usize..300,
                 seed in any::<u64>(),
-                frac in (0u8..=255, 0u8..=255),
             ) {
                 let vals = masked_values(bits, len, seed);
                 let packed = pack_bits(vals.iter().copied(), len, bits);
-                prop_assert_eq!(scalar_decode(&packed, bits, len), vals.clone());
-                let a = len * frac.0 as usize / 256;
-                let b = a.max(len * frac.1 as usize / 256);
-                let mut out = Vec::new();
-                decode_range(&packed, bits, len, a, b, |v| out.push(v));
-                prop_assert_eq!(&out[..], &vals[a..b]);
-                let oracle: u128 = vals[a..b].iter().map(|&v| v as u128).sum();
-                prop_assert_eq!(sum_range(&packed, bits, len, a, b), oracle);
-                if len > 0 {
-                    let i = seed as usize % len;
-                    prop_assert_eq!(get(&packed, bits, i), vals[i]);
-                }
-            }
-
-            // Sorted fused filter == linear filter oracle, including
-            // unbounded and inverted (empty) bounds.
-            #[test]
-            fn sorted_filter_matches_oracle(
-                bits in 0u32..=64,
-                len in 0usize..300,
-                seed in any::<u64>(),
-                lo_raw in (any::<bool>(), any::<u64>()),
-                hi_raw in (any::<bool>(), any::<u64>()),
-            ) {
-                let lo = lo_raw.0.then_some(lo_raw.1);
-                let hi = hi_raw.0.then_some(hi_raw.1);
-                let mut vals = masked_values(bits, len, seed);
-                vals.sort_unstable();
-                let packed = pack_bits(vals.iter().copied(), len, bits);
-                let (mut c, mut s) = (0u64, 0u128);
-                for &v in &vals {
-                    if lo.is_none_or(|l| v >= l) && hi.is_none_or(|h| v < h) {
-                        c += 1;
-                        s += v as u128;
-                    }
-                }
-                prop_assert_eq!(
-                    filter_count_sorted(&packed, bits, len, 0, len, lo, hi),
-                    (c, s)
-                );
+                let by_index: Vec<u64> = (0..len).map(|i| get(&packed, bits, i)).collect();
+                prop_assert_eq!(&by_index, &vals);
+                prop_assert_eq!(decoded(&packed, bits, len), by_index);
             }
 
             // Unsorted lane filter (portable and dispatched) == oracle.

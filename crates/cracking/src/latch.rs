@@ -9,17 +9,18 @@
 //! - **holistic workers `try_lock`**: if the piece is busy they pick another
 //!   random pivot instead of waiting (Fig 3(d)–(e)).
 //!
-//! Latches are `Arc`-owned so a guard can outlive the short critical section
-//! on the cracker-index lock that located the piece.
+//! A latch handle is an `Arc`, so the cracker index hands out clones that
+//! outlive the short critical section on the index lock that located the
+//! piece. A guard borrows the handle it was taken from and is released on
+//! the thread that took it (std's guards are `!Send`).
 
-use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
-use parking_lot::{RawRwLock, RwLock};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
 
-/// Owned write guard on a piece.
-pub type PieceWriteGuard = ArcRwLockWriteGuard<RawRwLock, ()>;
-/// Owned read guard on a piece.
-pub type PieceReadGuard = ArcRwLockReadGuard<RawRwLock, ()>;
+/// Write guard on a piece, borrowed from its latch handle.
+pub type PieceWriteGuard<'a> = RwLockWriteGuard<'a, ()>;
+/// Read guard on a piece, borrowed from its latch handle.
+pub type PieceReadGuard<'a> = RwLockReadGuard<'a, ()>;
 
 /// One latch per piece of a cracker column.
 #[derive(Debug)]
@@ -50,26 +51,26 @@ impl PieceLatch {
     }
 
     /// Blocking exclusive acquisition — the user-query path.
-    pub fn lock_write(&self) -> PieceWriteGuard {
-        self.lock.write_arc()
+    pub fn lock_write(&self) -> PieceWriteGuard<'_> {
+        self.lock.write()
     }
 
     /// Non-blocking exclusive acquisition — the holistic-worker path.
     /// `None` means "piece busy, pick another pivot".
-    pub fn try_lock_write(&self) -> Option<PieceWriteGuard> {
-        self.lock.try_write_arc()
+    pub fn try_lock_write(&self) -> Option<PieceWriteGuard<'_>> {
+        self.lock.try_write()
     }
 
     /// Blocking shared acquisition (verification reads).
-    pub fn lock_read(&self) -> PieceReadGuard {
-        self.lock.read_arc()
+    pub fn lock_read(&self) -> PieceReadGuard<'_> {
+        self.lock.read()
     }
 
     /// Non-blocking shared acquisition: `None` while a crack holds the
     /// piece. Taken under the cracker-index lock, it pins the piece's
     /// extent as the index shows it (a split needs the write latch).
-    pub fn try_lock_read(&self) -> Option<PieceReadGuard> {
-        self.lock.try_read_arc()
+    pub fn try_lock_read(&self) -> Option<PieceReadGuard<'_>> {
+        self.lock.try_read()
     }
 
     /// Two handles latch the same piece iff they share the lock allocation.

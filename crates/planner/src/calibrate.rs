@@ -164,10 +164,13 @@ impl Calibrator {
     /// (or the seed-implied nominal rate until alpha is seeded).
     fn predict_ns(&self, st: &CalState, cost: &PlanCost, route: Route) -> f64 {
         let model = *self.model.read().unwrap();
-        let locked_units = cost.locked_cost(&model).saturating_add(cost.est_rows);
         let units = match route {
-            Route::Locked => locked_units,
-            Route::Snapshot => cost.snapshot_cost(&model).unwrap_or(locked_units),
+            Route::Locked => cost.locked_cost(&model).saturating_add(cost.est_rows),
+            Route::Snapshot => cost.crack_values.saturating_add(
+                model
+                    .snapshot_fixed
+                    .saturating_mul(cost.shards_touched as u64),
+            ),
         };
         let rate = if st.ns_per_value > 0.0 {
             st.ns_per_value
@@ -382,7 +385,7 @@ mod tests {
         // rate. Neither may contaminate the locked-path alpha.
         let screened = PlanCost::screened_point();
         let snap = PlanCost {
-            snapshot_filter: Some(100),
+            crack_values: 100,
             shards_touched: 1,
             ..PlanCost::default()
         };

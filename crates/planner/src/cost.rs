@@ -17,13 +17,15 @@ use holix_storage::types::CrackValue;
 
 /// Cost-model constants. One merged pending update moves a boundary element
 /// per downstream piece (Ripple), so it is weighted well above a scanned
-/// value; the fixed snapshot term covers the snapshot load + overlay fold.
+/// value; the fixed snapshot term covers the overlay fold and the prefix-sum
+/// lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Touched-value equivalents charged per unit of merge debt (a pending
     /// update the locked path merges before answering).
     pub merge_weight: u64,
-    /// Fixed touched-value equivalents per snapshot read (pin + overlay).
+    /// Fixed touched-value equivalents per snapshot read of one shard
+    /// (overlay fold + prefix-sum lookups).
     pub snapshot_fixed: u64,
     /// Touched-value budget below which a query is *cheap* — not worth
     /// decomposing, and drained first in a batch (an exact hit, or edge
@@ -64,11 +66,6 @@ pub struct PlanCost {
     /// Merge debt the locked path would pay: the whole pending queue past
     /// [`CrackerColumn::MERGE_BACKLOG`], none below.
     pub merge_backlog: u64,
-    /// Values a snapshot read would filter in its edge pieces — the live
-    /// pieces its bounds fall inside, as many as a crack would partition;
-    /// `None` when some touched shard has no published statistics (a cold
-    /// shard: the first reader would pay its build).
-    pub snapshot_filter: Option<u64>,
     /// Every bound was already a piece boundary in every touched shard
     /// (the paper's `f_Ih` exact hit — zero crack work).
     pub exact_hit: bool,
@@ -83,14 +80,12 @@ pub struct PlanCost {
 
 impl PlanCost {
     /// A cost for a shard (or whole attribute) with no published
-    /// statistics: a cold column of `len` rows — everything is expensive,
-    /// nothing is known about snapshots.
+    /// statistics: a cold column of `len` rows — everything is expensive.
     pub fn cold(len: usize) -> Self {
         PlanCost {
             crack_values: len as u64,
             est_rows: len as u64,
             merge_backlog: 0,
-            snapshot_filter: None,
             exact_hit: false,
             screened: false,
             shards_touched: 1,
@@ -124,10 +119,6 @@ impl PlanCost {
         self.crack_values = self.crack_values.saturating_add(other.crack_values);
         self.est_rows = self.est_rows.saturating_add(other.est_rows);
         self.merge_backlog = self.merge_backlog.saturating_add(other.merge_backlog);
-        self.snapshot_filter = match (self.snapshot_filter, other.snapshot_filter) {
-            (Some(a), Some(b)) => Some(a.saturating_add(b)),
-            _ => None,
-        };
         self.exact_hit &= other.exact_hit;
         self.screened &= other.screened;
         self.shards_touched = self.shards_touched.saturating_add(other.shards_touched);
@@ -140,27 +131,20 @@ impl PlanCost {
             .saturating_add(self.merge_backlog.saturating_mul(model.merge_weight))
     }
 
-    /// Touched-value cost of answering through the snapshot path (`None`
-    /// when a touched shard is cold; saturating).
-    pub fn snapshot_cost(&self, model: &CostModel) -> Option<u64> {
-        self.snapshot_filter.map(|f| {
-            f.saturating_add(
-                model
-                    .snapshot_fixed
-                    .saturating_mul(self.shards_touched as u64),
-            )
-        })
-    }
-
-    /// The route the model prefers for a read-only query: snapshot exactly
-    /// when it beats the locked crack (strict `<`, so an exact hit keeps
-    /// the locked path and its `f_Ih` statistics). Both filter or crack
-    /// the same edge pieces, so the snapshot wins only where the locked
-    /// path would first merge a queue past the backlog.
+    /// The route the model prefers for a read-only query. Both routes pay
+    /// the same edge pieces (a cold shard's build too, through the same
+    /// first touch), so the snapshot route wins exactly when the merge
+    /// debt the locked path would pay first outweighs the snapshot's fixed
+    /// terms (strict, so an exact hit beside no debt keeps the locked path
+    /// and its `f_Ih` statistics).
     pub fn preferred_route(&self, model: &CostModel) -> Route {
-        match self.snapshot_cost(model) {
-            Some(snap) if snap < self.locked_cost(model) => Route::Snapshot,
-            _ => Route::Locked,
+        let fixed = model
+            .snapshot_fixed
+            .saturating_mul(self.shards_touched as u64);
+        if self.merge_backlog.saturating_mul(model.merge_weight) > fixed {
+            Route::Snapshot
+        } else {
+            Route::Locked
         }
     }
 
@@ -222,8 +206,7 @@ pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> Pla
         };
     }
     // One boundary-table lookup per bound; every field below is read off
-    // those two results. A snapshot read filters the pieces a crack
-    // would partition.
+    // those two results.
     let lo = stats.locate(pred.lo, true);
     let hi = stats.locate(pred.hi, false);
     let edges = ((lo.end - lo.start) + (hi.end - hi.start)) as u64;
@@ -235,7 +218,6 @@ pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> Pla
         } else {
             0
         },
-        snapshot_filter: Some(edges),
         exact_hit: lo.exact && hi.exact,
         screened: false,
         shards_touched: 1,
@@ -283,17 +265,26 @@ mod tests {
     fn only_merge_debt_sends_a_read_to_the_snapshot_path() {
         let model = CostModel::default();
         // Both paths filter or crack the same edge pieces: without a queue
-        // past the backlog the locked path wins, and with one the snapshot
-        // path, which merges nothing, does.
+        // past the backlog the locked path wins, however wide the edges,
+        // and with one the snapshot path, which merges nothing, does.
         let s = stats(100_000, vec![(50, 50_000)], 0);
         let c = estimate(&s, Predicate::range(10, 20));
-        assert_eq!(c.snapshot_filter, Some(c.crack_values));
+        assert_eq!(c.crack_values, 100_000);
         assert_eq!(c.preferred_route(&model), Route::Locked);
         let backlogged = stats(100_000, vec![(50, 50_000)], 1_000);
         let c = estimate(&backlogged, Predicate::range(10, 20));
-        assert_eq!(c.snapshot_filter, Some(100_000));
         assert_eq!(c.preferred_route(&model), Route::Snapshot);
         assert!(c.price(&model) == QueryPrice::Expensive);
+        // The debt must outweigh the fixed term of every touched shard:
+        // 257 updates (2,056 units) cover 32 shards (2,048), not 33.
+        let mut debt = PlanCost {
+            merge_backlog: 257,
+            shards_touched: 32,
+            ..PlanCost::default()
+        };
+        assert_eq!(debt.preferred_route(&model), Route::Snapshot);
+        debt.shards_touched = 33;
+        assert_eq!(debt.preferred_route(&model), Route::Locked);
     }
 
     #[test]
@@ -303,17 +294,17 @@ mod tests {
         let s2 = stats(2_000, vec![], 0);
         let mut c = PlanCost::default();
         c.merge(estimate(&s1, Predicate::at_least(20)));
-        assert_eq!(c.snapshot_filter, Some(500));
+        assert_eq!(c.crack_values, 500);
         c.merge(estimate(&s2, Predicate::less_than(30)));
-        assert_eq!(c.snapshot_filter, Some(2_500));
+        assert_eq!(c.crack_values, 2_500);
+        // A cold shard adds its build to the edges both routes pay; it
+        // does not decide the route.
         c.merge(PlanCost::cold(4_000));
+        assert_eq!(c.crack_values, 6_500);
         assert_eq!(c.shards_touched, 3);
         assert_eq!(c.merge_backlog, 300);
-        assert!(
-            c.snapshot_cost(&model).is_none(),
-            "one cold shard poisons the snapshot route"
-        );
-        assert_eq!(c.preferred_route(&model), Route::Locked);
+        assert!(!c.exact_hit);
+        assert_eq!(c.preferred_route(&model), Route::Snapshot);
     }
 
     #[test]
@@ -389,7 +380,7 @@ mod tests {
 
     #[test]
     fn adversarial_merges_saturate_instead_of_wrapping() {
-        // Regression: `merge`/`locked_cost`/`snapshot_cost` used unchecked
+        // Regression: `merge` and the prices used unchecked
         // `+`/`*`. PieceStats sizes only promise *over*-estimates, so a
         // multi-shard fold of near-MAX per-shard costs overflowed u64
         // (panic in debug, a near-zero price-fooling wrap in release).
@@ -398,7 +389,6 @@ mod tests {
             crack_values: u64::MAX - 1,
             est_rows: u64::MAX - 1,
             merge_backlog: u64::MAX / 4,
-            snapshot_filter: Some(u64::MAX - 1),
             exact_hit: false,
             screened: false,
             shards_touched: u32::MAX,
@@ -407,10 +397,9 @@ mod tests {
         folded.merge(huge);
         assert_eq!(folded.crack_values, u64::MAX);
         assert_eq!(folded.est_rows, u64::MAX);
-        assert_eq!(folded.snapshot_filter, Some(u64::MAX));
         assert_eq!(folded.shards_touched, u32::MAX);
         assert_eq!(folded.locked_cost(&model), u64::MAX);
-        assert_eq!(folded.snapshot_cost(&model), Some(u64::MAX));
+        assert_eq!(folded.preferred_route(&model), Route::Snapshot);
         assert_eq!(folded.price(&model), QueryPrice::Expensive);
     }
 
@@ -480,7 +469,6 @@ mod tests {
             } else {
                 0
             },
-            snapshot_filter: Some(lo.0 + hi.0),
             exact_hit: lo.1 && hi.1,
             screened: false,
             shards_touched: 1,
@@ -558,28 +546,24 @@ mod tests {
         }
 
         fn arb_cost() -> impl Strategy<Value = PlanCost> {
-            (
-                (any::<u64>(), any::<u64>()),
-                any::<u64>(),
-                (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v)),
-                any::<bool>(),
-            )
-                .prop_map(|((crack, est), backlog, snap, exact)| PlanCost {
+            ((any::<u64>(), any::<u64>()), any::<u64>(), any::<bool>()).prop_map(
+                |((crack, est), backlog, exact)| PlanCost {
                     crack_values: crack,
                     est_rows: est,
                     merge_backlog: backlog,
-                    snapshot_filter: snap,
                     exact_hit: exact,
                     screened: false,
                     shards_touched: 1,
-                })
+                },
+            )
         }
 
         proptest! {
             // Folding more shards into a plan can only raise (or hold) its
             // costs — with unchecked arithmetic, a wrap made a wider
             // fan-out *cheaper*, inverting every price decision built
-            // on the estimate.
+            // on the estimate — and the saturating route rule agrees with
+            // the exact products.
             #[test]
             fn merged_costs_are_monotone_in_shard_count(
                 shards in proptest::collection::vec(arb_cost(), 1..12),
@@ -594,9 +578,12 @@ mod tests {
                     let locked = folded.locked_cost(&model);
                     prop_assert!(locked >= prev_locked, "locked cost shrank");
                     prop_assert!(folded.est_rows >= prev_est, "estimated rows shrank");
-                    if let Some(snap) = folded.snapshot_cost(&model) {
-                        prop_assert!(snap >= folded.snapshot_filter.unwrap_or(0));
-                    }
+                    let debt = folded.merge_backlog as u128 * model.merge_weight as u128;
+                    let fixed = model.snapshot_fixed as u128 * folded.shards_touched as u128;
+                    prop_assert_eq!(
+                        folded.preferred_route(&model) == Route::Snapshot,
+                        debt > fixed
+                    );
                     prev_locked = locked;
                     prev_est = folded.est_rows;
                 }

@@ -12,13 +12,13 @@
 //!   published [`holix_cracking::PieceStats`] (no column lock: the
 //!   summaries are `Arc`s out of a leaf-locked cell) — one binary search
 //!   of the boundary table per bound. Prices crack work (edge pieces to
-//!   partition), result size (equi-depth row estimate), merge debt, and a
-//!   snapshot read's filter of the same edge pieces, and derives the
-//!   decisions the service layer needs:
+//!   partition; a snapshot read filters the same pieces), result size
+//!   (equi-depth row estimate) and merge debt, and derives the decisions
+//!   the service layer needs:
 //!   * the **snapshot/locked cutover** ([`PlanCost::preferred_route`]):
-//!     read-only queries route through the snapshot path exactly when it
-//!     beats the locked crack — where the locked path would first merge
-//!     a queue past the backlog;
+//!     read-only queries route through the snapshot path exactly when
+//!     the merge debt the locked path would pay first (a queue past the
+//!     backlog) outweighs the snapshot's fixed term per touched shard;
 //!   * the **price class** ([`PlanCost::price`]): exact-hit /
 //!     near-optimal queries are [`QueryPrice::Cheap`], run whole and
 //!     drain first in a batch; cold wide cracks are

@@ -29,18 +29,6 @@ pub trait CrackValue:
     /// type or drawn from an observed `[min, max]` domain.
     fn from_i64(v: i64) -> Self;
 
-    /// Decode hook for compressed storage forms: the exact inverse of
-    /// [`CrackValue::as_i64`] for values that *are* an `as_i64` image of
-    /// this type. Encoders (snapshot segment compression) only ever store
-    /// `as_i64` images, so decoding may assume the value is in range —
-    /// checked in debug builds, a plain clamp-free cast in release.
-    #[inline(always)]
-    fn from_i64_exact(v: i64) -> Self {
-        let out = Self::from_i64(v);
-        debug_assert_eq!(out.as_i64(), v, "from_i64_exact fed an out-of-range value");
-        out
-    }
-
     /// Width of one value in bytes (for storage-budget accounting).
     fn width() -> usize {
         std::mem::size_of::<Self>()
@@ -137,15 +125,15 @@ mod tests {
     }
 
     #[test]
-    fn from_i64_exact_inverts_as_i64() {
+    fn from_i64_inverts_as_i64() {
         for v in [i64::MIN, -1, 0, 7, i64::MAX] {
-            assert_eq!(i64::from_i64_exact(v.as_i64()), v);
+            assert_eq!(i64::from_i64(v.as_i64()), v);
         }
         for v in [i16::MIN, -3i16, 0, 9, i16::MAX] {
-            assert_eq!(i16::from_i64_exact(v.as_i64()), v);
+            assert_eq!(i16::from_i64(v.as_i64()), v);
         }
         for v in [0u32, 5, u32::MAX] {
-            assert_eq!(u32::from_i64_exact(v.as_i64()), v);
+            assert_eq!(u32::from_i64(v.as_i64()), v);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Striped counters and gauges.
 //!
-//! A counter is the hot instrument: every completion, crack, merge and
-//! morph increments one. A single `AtomicU64` would serialise all
+//! A counter is the hot instrument: every completion, crack and merge
+//! increments one. A single `AtomicU64` would serialise all
 //! recorders on one cache line, so the counter is striped — each thread
 //! hashes to one of [`STRIPES`] cache-line-padded slots and only readers
 //! (exposition, windowed summaries) touch them all. Each stripe is
