@@ -63,7 +63,8 @@ pub trait RefinableIndex: Send + Sync {
     /// Materialised bytes (values + row ids + index) for budgeting.
     fn payload_bytes(&self) -> usize;
     /// One refinement at a random pivot; tries up to `attempts` pivots when
-    /// pieces are latched. Also merges whatever updates are pending.
+    /// pieces are latched. Merges the pending updates first when that
+    /// waits for nobody (a column a read holds keeps its queue).
     fn refine_random(
         &self,
         rng: &mut dyn RngCore,
@@ -83,10 +84,6 @@ pub trait RefinableIndex: Send + Sync {
     fn drain_in_background(&self) -> bool {
         false
     }
-    /// Republishes the index's plan-time statistics if stale (the holistic
-    /// daemon forces this once per worker activation, so `holix-planner`
-    /// summaries never lag an idle period). Default: no planner surface.
-    fn publish_plan_stats(&self) {}
     /// Background membership-filter maintenance: rebuild the point filter
     /// when delete churn has degraded its false-positive rate (deletes
     /// stay in a Bloom filter until rebuilt). Returns `true` when a
@@ -148,10 +145,6 @@ impl<V: CrackValue> RefinableIndex for CrackerHandle<V> {
 
     fn drain_in_background(&self) -> bool {
         self.col.drain_in_background()
-    }
-
-    fn publish_plan_stats(&self) {
-        self.col.maybe_publish_stats(1);
     }
 
     fn maybe_rebuild_filter(&self) -> bool {

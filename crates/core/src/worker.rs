@@ -77,12 +77,10 @@ pub fn idle_function(
         }
     }
     // End-of-activation maintenance: rebuild the point membership filter
-    // if delete churn degraded it, and republish the plan-time statistics
-    // the refinements invalidated.
+    // if delete churn degraded it.
     if handle.maybe_rebuild_filter() {
         report.filter_rebuilds += 1;
     }
-    handle.publish_plan_stats();
     report.duration = start.elapsed();
     report
 }

@@ -4,9 +4,9 @@
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// A slot holding the latest published `Arc<T>` — the plan-time
-/// [`crate::PieceStats`] and the [`crate::PointFilter`] of a column live in
-/// one each. A replaced version is freed when its last reader lets go.
+/// A slot holding the latest published `Arc<T>` — a column's
+/// [`crate::PointFilter`] lives in one. A replaced version is freed when
+/// its last reader lets go.
 ///
 /// The mutex is a *leaf* lock: taken under a column's `pending` mutex, under
 /// its `structure` lock or under neither, held for one pointer copy, and
@@ -37,8 +37,8 @@ impl<T> PublishedCell<T> {
     /// one wins.
     pub(crate) fn publish(&self, new: Arc<T>) {
         let old = self.0.lock().replace(new);
-        // Unlocked by now: freeing a whole filter or summary is not part of
-        // the pointer copy readers wait for.
+        // Unlocked by now: freeing a whole filter is not part of the
+        // pointer copy readers wait for.
         drop(old);
     }
 }

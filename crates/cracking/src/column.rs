@@ -16,10 +16,16 @@
 //!    exclusive, so batches are applied in the order they leave the queue,
 //!    and none is in flight under `structure` shared.
 //!
-//! Below all three sit the two `PublishedCell`s (plan-time statistics,
-//! point filter): *leaf* locks, taken under `pending`, under `structure` or
-//! under neither, held for one pointer copy, with nothing ever acquired
-//! while one is held.
+//! Below all three sits the point filter's `PublishedCell`: a *leaf* lock,
+//! taken under `pending`, under `structure` or under neither, held for one
+//! pointer copy, with nothing ever acquired while it is held.
+//!
+//! The planner prices a query from this column's live index
+//! ([`CrackerColumn::locate`], [`CrackerColumn::len`],
+//! [`CrackerColumn::pending_len`]): `index` read and then `pending`, one
+//! lookup each, never nested and never under `structure`. So an estimate
+//! waits out a Ripple walk of the column (which holds `index` for
+//! writing), as the read it prices does, and nothing else.
 //!
 //! Piece latches sit outside this order: an operation holds at most **one**
 //! piece latch at a time (range queries crack their two bounds one after the
@@ -84,17 +90,16 @@
 //! [`CrackerColumn::extract_for_migration`] — already hold `structure`
 //! exclusively; the first of them to run builds the array there from
 //! that description, against the boundary table of the moment (same
-//! multiset in every piece, so the index with its prefix sums, the
-//! published statistics and the point filter stay valid), and drops the
-//! log. The state flips once and never back; from then on merges move the
-//! ids along and match a delete by `(value, row)`.
+//! multiset in every piece, so the index with its prefix sums and the
+//! point filter stay valid), and drops the log. The state flips once and
+//! never back; from then on merges move the ids along and match a delete
+//! by `(value, row)`.
 
 use crate::cell::PublishedCell;
 use crate::filter::PointFilter;
 use crate::index::{sum_of, BoundLookup, CrackerIndex};
 use crate::kernels;
 use crate::partition::{partition_three, partition_two};
-use crate::piece_stats::{build_stats, PieceStats};
 use crate::range_cell::{RangeCell, RangeGuard};
 use crate::row_ids::RowSource;
 use crate::updates::{ripple_batch, PendingUpdates, UnmergedKind};
@@ -104,8 +109,7 @@ use holix_storage::types::{CrackValue, RowId};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rand::Rng;
 use std::sync::atomic::{
-    AtomicBool, AtomicU64, AtomicUsize, Ordering::Acquire, Ordering::Relaxed, Ordering::Release,
-    Ordering::SeqCst,
+    AtomicBool, AtomicUsize, Ordering::Acquire, Ordering::Relaxed, Ordering::Release,
 };
 use std::sync::Arc;
 
@@ -230,7 +234,7 @@ pub struct CrackerColumn<V> {
     /// that touches `rows` reads it under `structure` in either mode.
     has_rows: AtomicBool,
     structure: RwLock<()>,
-    index: RwLock<CrackerIndex<V>>,
+    pub(crate) index: RwLock<CrackerIndex<V>>,
     pending: Mutex<PendingUpdates<V>>,
     /// Observed value domain (base ∪ pending inserts); random pivots are
     /// drawn from it.
@@ -242,17 +246,6 @@ pub struct CrackerColumn<V> {
     /// Thread budget of background (holistic-worker) refinements —
     /// typically 1, one worker per idle context.
     refine_threads: usize,
-    /// Published plan-time piece statistics (the planner's `estimate()`
-    /// reads exclusively from here).
-    stats: PublishedCell<PieceStats<V>>,
-    /// Bumped whenever the piece table or the pending backlog changes;
-    /// drives amortised stats republication.
-    stats_version: AtomicU64,
-    /// `stats_version` value covered by the last published summary.
-    stats_published: AtomicU64,
-    /// Serialises publishers (never touched by stats *readers*): prevents
-    /// a slow publisher from overwriting a newer summary last.
-    stats_publish: Mutex<()>,
     /// Lazily built point-membership filter (`None` until the first
     /// equality/IN query pays the build).
     filter: PublishedCell<PointFilter>,
@@ -306,11 +299,11 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// value from it on is at or above. `domain` is the smallest and
     /// largest value, which both builds learn in their passes over the base
     /// (`None` only for an empty column). The column is born with
-    /// `bounds.len() + 1` pieces, publishes their statistics once, and
-    /// stores **no row ids**: they are built from `source` (and the log
-    /// its merges kept) against the boundary table of the moment when a
-    /// conjunction ([`CrackerColumn::collect_row_ids`]) or a migration
-    /// first needs them, and every crack and merge until then moves values
+    /// `bounds.len() + 1` pieces and stores **no row ids**: they are built
+    /// from `source` (and the log its merges kept) against the boundary
+    /// table of the moment when a conjunction
+    /// ([`CrackerColumn::collect_row_ids`]) or a migration first needs
+    /// them, and every crack and merge until then moves values
     /// alone.
     pub(crate) fn from_source(
         name: impl Into<String>,
@@ -343,7 +336,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         for &(key, pos) in bounds {
             index.insert_bound(key, pos, 0);
         }
-        let col = CrackerColumn {
+        CrackerColumn {
             name: name.into(),
             vals: RangeCell::new(vals),
             has_rows: AtomicBool::new(rows.is_some()),
@@ -364,18 +357,10 @@ impl<V: CrackValue> CrackerColumn<V> {
             domain: Mutex::new(domain),
             select_threads: 1,
             refine_threads: 1,
-            stats: PublishedCell::new(),
-            stats_version: AtomicU64::new(1),
-            stats_published: AtomicU64::new(0),
-            stats_publish: Mutex::new(()),
             filter: PublishedCell::new(),
             filter_build: Mutex::new(()),
             filter_deletes: AtomicUsize::new(0),
-        };
-        // Cold columns still plan: publish the summary of the pieces the
-        // column is born with.
-        col.publish_stats();
-        col
+        }
     }
 
     /// Sets the thread budgets of query-driven cracks and of background
@@ -469,8 +454,8 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// the column's (value, row) pairs and scatters them into the pieces
     /// of the current boundary table ([`RowSource::scatter`], which drops
     /// the log): `vals` is rewritten with the same multiset in every
-    /// piece, so the boundary table with its prefix sums, the published
-    /// statistics and the point filter all stay valid.
+    /// piece, so the boundary table with its prefix sums and the point
+    /// filter both stay valid.
     ///
     /// # Safety
     /// The caller holds `structure` exclusively, so no merge is half
@@ -503,74 +488,19 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
-    /// Index lookup for a bound value (exposed for stochastic cracking,
-    /// which needs the value range of the piece a bound falls into).
-    pub fn locate_for_stochastic(&self, v: V) -> BoundLookup<V> {
+    /// Where `v` sits in the cracker index: the boundary it is, or the
+    /// piece it falls into with that piece's extent and outer keys. One
+    /// `index` read; stochastic cracking and the planner's price read it.
+    pub fn locate(&self, v: V) -> BoundLookup<V> {
         self.index.read().locate(v)
     }
 
-    // ------------------------------------------------------------------
-    // Plan-time piece statistics (holix-planner's input)
-    // ------------------------------------------------------------------
-
-    /// The currently published plan-time summary. Takes no structure lock,
-    /// no index lock and no pending mutex (only the cell's leaf lock) —
-    /// safe to call from admission control while writers hold every column
-    /// lock.
-    pub fn piece_stats(&self) -> Option<Arc<PieceStats<V>>> {
-        self.stats.load()
-    }
-
-    /// Marks the published statistics stale (piece table or pending
-    /// backlog changed).
-    fn bump_stats(&self) {
-        self.stats_version.fetch_add(1, Relaxed);
-    }
-
-    /// Republishes the plan-time summary when at least `min_delta`
-    /// structural changes happened since the last publish. The query path
-    /// calls this with a coarse delta (amortising the O(p) boundary walk
-    /// over many cracks); the daemon forces `1` once per cycle so the
-    /// summary never lags idle periods.
-    pub fn maybe_publish_stats(&self, min_delta: u64) {
-        let v = self.stats_version.load(Relaxed);
-        let p = self.stats_published.load(Relaxed);
-        if v.saturating_sub(p) >= min_delta.max(1) {
-            self.publish_stats();
-        }
-    }
-
-    /// Unconditionally rebuilds and publishes the plan-time summary. Takes
-    /// the pending mutex and the index read lock *sequentially* (never
-    /// nested) and publishes through the stats cell. Publishers
-    /// are serialised by a try-lock: without it, a slow publisher that
-    /// gathered an old state could overwrite a newer summary *after* the
-    /// newer version was marked covered, leaving stale stats no forced
-    /// republish would ever fix. A loser simply skips — the version gap
-    /// persists, so the next `maybe_publish_stats(1)` retries.
-    pub fn publish_stats(&self) {
-        let Some(_serial) = self.stats_publish.try_lock() else {
-            return;
-        };
-        let v = self.stats_version.load(SeqCst);
-        let pending = self.pending.lock().len();
-        let (len, bounds) = {
-            let idx = self.index.read();
-            (idx.len(), idx.bounds_in_order())
-        };
-        self.stats
-            .publish(Arc::new(build_stats(len, bounds, pending)));
-        self.stats_published.fetch_max(v, SeqCst);
-    }
-
-    /// Test-only: holds the column's structure lock exclusively *and* its
-    /// pending mutex, so tests can assert that plan-time reads
-    /// ([`CrackerColumn::piece_stats`], [`CrackerColumn::probe_point`])
-    /// still complete while a writer holds every piece and the update
-    /// queue hostage.
+    /// Test-only: holds the column's structure lock exclusively, as a
+    /// Ripple merge or a row-id build does, so tests can assert which
+    /// reads still complete beside it.
     #[doc(hidden)]
-    pub fn hold_locks_for_test(&self) -> impl Sized + '_ {
-        (self.structure.write(), self.pending.lock())
+    pub fn hold_structure_for_test(&self) -> impl Sized + '_ {
+        self.structure.write()
     }
 
     /// Draws a uniform random pivot from the observed domain.
@@ -813,7 +743,6 @@ impl<V: CrackValue> CrackerColumn<V> {
             idx.insert_bound(pred.lo, start + a, sums.0);
             idx.insert_bound(pred.hi, start + b, sums.1);
         }
-        self.bump_stats();
         Some(Selection {
             start: start + a,
             end: start + b,
@@ -897,7 +826,6 @@ impl<V: CrackValue> CrackerColumn<V> {
             };
             let pos = start + split;
             self.index.write().insert_bound(v, pos, below);
-            self.bump_stats();
             return Some((pos, false, end - start));
         }
     }
@@ -909,9 +837,13 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// One background refinement at `pivot`. Non-blocking: a latched piece
     /// yields [`RefineOutcome::Busy`] so the worker can re-pick a pivot
     /// (Fig 3(d)–(e) of the paper). Whatever is pending is merged first, as
-    /// one batch, so workers also bring indices up to date (§4.2).
+    /// one batch, when the structure lock is free, so workers also bring
+    /// indices up to date (§4.2); a column a read holds keeps its queue for
+    /// later, as in [`CrackerColumn::drain_in_background`].
     pub fn refine_at(&self, pivot: V, scratch: &mut CrackScratch<V>) -> RefineOutcome {
-        self.merge_pending();
+        if self.pending_len() > 0 {
+            self.try_merge(false);
+        }
         let _shared = self.structure.read();
         match self.crack_bound(pivot, scratch, false) {
             None => RefineOutcome::Busy,
@@ -989,8 +921,6 @@ impl<V: CrackValue> CrackerColumn<V> {
             None => (v, v),
             Some((lo, hi)) => (if v < lo { v } else { lo }, if v > hi { v } else { hi }),
         });
-        drop(dom);
-        self.bump_stats();
         true
     }
 
@@ -1013,7 +943,6 @@ impl<V: CrackValue> CrackerColumn<V> {
         if self.filter.is_published() {
             self.filter_deletes.fetch_add(1, Relaxed);
         }
-        self.bump_stats();
         true
     }
 
@@ -1054,9 +983,14 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// would hold every new locked read of the column behind it (a busy
     /// column stays due for the next cycle). Returns `true` when it merged.
     pub fn drain_in_background(&self) -> bool {
-        if !self.drain_due() {
-            return false;
-        }
+        self.drain_due() && self.try_merge(true)
+    }
+
+    /// Merges the queue when `structure` is free, without ever queueing
+    /// as a waiting writer (std's lock prefers writers, so a waiting one
+    /// would hold every new read of the column behind it). Returns `true`
+    /// when it merged.
+    fn try_merge(&self, background: bool) -> bool {
         let Some(_exclusive) = self.structure.try_write() else {
             return false;
         };
@@ -1064,15 +998,15 @@ impl<V: CrackValue> CrackerColumn<V> {
         // `prop_piece_sums_and_every_read_path_match_a_multiset_oracle`
         // drives background drains beside read-path ones against a
         // multiset oracle.
-        unsafe { self.merge_pending_locked(true) }
+        unsafe { self.merge_pending_locked(background) }
     }
 
     /// Ripple-merges the whole pending queue into the cracked column as one
     /// batch ([`ripple_batch`]: one walk over the boundary table). The merge
-    /// entry of reads past [`CrackerColumn::MERGE_BACKLOG`], of a refining
-    /// worker and of every path that needs its tuples in place; idle
-    /// workers drain through [`CrackerColumn::drain_in_background`]. No-op
-    /// on an empty queue.
+    /// entry of reads past [`CrackerColumn::MERGE_BACKLOG`] and of every
+    /// path that needs its tuples in place; workers merge only when the
+    /// lock is free ([`CrackerColumn::drain_in_background`],
+    /// [`CrackerColumn::refine_at`]). No-op on an empty queue.
     pub fn merge_pending(&self) {
         if self.pending.lock().is_empty() {
             return;
@@ -1113,7 +1047,6 @@ impl<V: CrackValue> CrackerColumn<V> {
         // id-less one against an eager twin by
         // `prop_values_only_merges_match_an_eager_twin`.
         let walked = unsafe { self.ripple_apply(&ins, &del) };
-        self.bump_stats();
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_ripple_merges_total").inc();
             if background {
@@ -1214,7 +1147,6 @@ impl<V: CrackValue> CrackerColumn<V> {
         // were built above (`extract_for_migration_merges_pending_and_keeps_snapshot_exact`).
         let vals = unsafe { self.vals.read_range(0, n) }.to_vec();
         let rows = unsafe { self.rows.read_range(0, n) }.to_vec();
-        self.bump_stats();
         (vals, rows)
     }
 
@@ -1847,6 +1779,37 @@ mod tests {
         ));
     }
 
+    /// A worker's refinement beside a read holding `structure` shared
+    /// cracks without merging, and so without queueing as a waiting
+    /// writer that every later read would wait behind; once the column is
+    /// free, the next refinement merges the queue.
+    #[test]
+    fn refine_at_leaves_the_queue_to_a_busy_column() {
+        let (mut base, col) = column(20_000, 61);
+        col.queue_insert(5, base.len() as RowId);
+        std::thread::scope(|s| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let _read = col.structure.read();
+            let col = &col;
+            s.spawn(move || {
+                let _ = tx.send(col.refine_at(500, &mut CrackScratch::new()));
+            });
+            let outcome = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("refine_at waited for a read to let go of the column");
+            assert!(matches!(outcome, RefineOutcome::Refined { .. }));
+            assert_eq!(col.pending_len(), 1, "merged under a held read");
+        });
+        let mut scratch = CrackScratch::new();
+        assert!(matches!(
+            col.refine_at(250, &mut scratch),
+            RefineOutcome::Refined { .. }
+        ));
+        assert_eq!(col.pending_len(), 0, "a free column keeps its queue");
+        base.push(5);
+        col.check_invariants(Some(&base));
+    }
+
     #[test]
     fn refine_random_converges_to_small_pieces() {
         let (base, col) = column(20_000, 8);
@@ -2185,41 +2148,6 @@ mod tests {
             assert_eq!((got.count, got.sum), (want.count, want.sum));
         });
         col.check_invariants(None);
-    }
-
-    #[test]
-    fn piece_stats_publish_and_lock_free_reads() {
-        let (_, col) = column(20_000, 50);
-        let mut scratch = CrackScratch::new();
-        let s0 = col.piece_stats().expect("stats published at build");
-        assert_eq!(s0.piece_count, 1);
-        assert_eq!(s0.len, 20_000);
-        col.select(Predicate::range(200, 700), &mut scratch);
-        col.queue_insert(5, 1_000_000);
-        col.publish_stats();
-        let s1 = col.piece_stats().unwrap();
-        assert_eq!(s1.piece_count, 3);
-        assert_eq!(s1.pending, 1);
-        let hit = s1.locate(200, true);
-        assert!(
-            hit.exact && hit.end == hit.start,
-            "cracked bound must be an exact hit"
-        );
-        let miss = s1.locate(450, true);
-        assert!(!miss.exact && miss.end > miss.start);
-        // Reads stay available while a writer holds the structure lock
-        // exclusively (the planner prices queries while writers work).
-        let guard = col.hold_locks_for_test();
-        let s2 = col.piece_stats().expect("stats readable under writer");
-        assert_eq!(s2.piece_count, 3);
-        drop(guard);
-        // Amortised republication: small deltas below the threshold do not
-        // republish, the daemon's forced delta of 1 does.
-        col.select(Predicate::range(100, 900), &mut scratch);
-        col.maybe_publish_stats(64);
-        assert_eq!(col.piece_stats().unwrap().piece_count, 3, "delta too small");
-        col.maybe_publish_stats(1);
-        assert!(col.piece_stats().unwrap().piece_count > 3);
     }
 
     #[test]

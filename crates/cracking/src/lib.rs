@@ -13,7 +13,9 @@
 //!   otherwise,
 //! - [`index`] — the *cracker index*: piece boundaries in std's `BTreeMap`
 //!   (the paper's AVL tree, §3.2, with the same ordered-map contract) and
-//!   per-piece latches,
+//!   per-piece latches; it is also the only plan-time statistic:
+//!   `holix-planner` prices a query from two of its lookups
+//!   ([`CrackerColumn::locate`]),
 //! - [`range_cell`] — the single `unsafe` building block: disjoint-range
 //!   mutable access into one shared vector, guarded by piece latches,
 //! - [`latch`] — piece-level read/write latches ([16, 17] in the paper):
@@ -37,13 +39,10 @@
 //!   buffers, predicate fan-out, value-routed updates and versioned
 //!   replans ([`ReplanAction`]) that rebuild only the split or merged
 //!   shards,
-//! - [`piece_stats`] — plan-time piece statistics: the [`PieceStats`]
-//!   summary (boundary table, pending backlog) each column publishes for
-//!   `holix-planner`'s cost model, read without any column lock,
 //! - [`filter`] — per-shard point-membership Bloom filters: a lazily built
-//!   [`PointFilter`] published through the same kind of cell as the
-//!   plan-time statistics, so equality/IN probes on non-containing shards
-//!   answer "empty" without cracking anything,
+//!   [`PointFilter`] published through a leaf-locked cell, so equality/IN
+//!   probes on non-containing shards answer "empty" without cracking
+//!   anything,
 //! - [`kernels`] — the lane filter of a snapshot read's edge pieces
 //!   (portable and AVX2 behind one-time runtime dispatch), the
 //!   AVX-512 compress-store bodies of the one-shard filter pass and the
@@ -58,7 +57,6 @@ pub mod index;
 pub mod kernels;
 pub mod latch;
 pub mod partition;
-pub mod piece_stats;
 pub mod range_cell;
 mod row_ids;
 pub mod sharding;
@@ -70,6 +68,5 @@ pub use column::{CrackerColumn, RefineOutcome, Selection, SnapshotScan};
 pub use filter::PointFilter;
 pub use index::{BoundLookup, CrackerIndex};
 pub use latch::PieceLatch;
-pub use piece_stats::PieceStats;
 pub use sharding::{ReplanAction, ShardPlan, ShardedColumn};
 pub use vectorized::{CrackScratch, RowLane};

@@ -187,9 +187,8 @@ impl<V: CrackValue> ShardPlan<V> {
     }
 }
 
-/// One shard-plan change, proposed by the planner from published
-/// [`crate::PieceStats`] skew and applied by
-/// [`ShardedColumn::apply_replan`].
+/// One shard-plan change, proposed by the planner from per-shard load
+/// skew and applied by [`ShardedColumn::apply_replan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplanAction {
     /// Split the named hot shard at its median value.
@@ -1993,13 +1992,9 @@ mod tests {
         check_builds_agree(42, 1 << 21, DOMAINS - 1, 4, L1_BYTES / 8, false);
     }
 
-    /// A column's whole boundary table (complete below
-    /// [`crate::piece_stats::MAX_STATS_BOUNDS`] pieces).
+    /// A column's whole boundary table.
     fn bounds_of(col: &CrackerColumn<i64>) -> Vec<(i64, usize)> {
-        col.publish_stats();
-        let stats = col.piece_stats().expect("published at birth");
-        assert_eq!(stats.piece_count, stats.bounds.len() + 1, "sampled table");
-        stats.bounds.clone()
+        col.index.read().bounds_in_order()
     }
 
     /// Sorted values of each piece of `col` under `bounds`.
@@ -2021,10 +2016,9 @@ mod tests {
     /// cracks: the boundary table does not move (key for key, position for
     /// position) and is the twin's; every piece holds the twin's multiset;
     /// every slot's id names a base row holding the slot's value and the
-    /// ids are the shard's base rows, each once; the statistics and the
-    /// piece sums a snapshot read took before the build still hold after
-    /// it;
-    /// and the two go on agreeing under later cracks and a Ripple merge.
+    /// ids are the shard's base rows, each once; the piece sums a snapshot
+    /// read took before the build still hold after it; and the two go on
+    /// agreeing under later cracks and a Ripple merge.
     fn check_row_ids_on_demand(seed: u64, n: usize, domain: usize, shards: usize, whole: bool) {
         let mut rng = StdRng::seed_from_u64(seed);
         let base = column_of(domain, n, &mut rng);
@@ -2558,8 +2552,6 @@ mod tests {
             let pieces = col.shard(k).piece_count();
             assert!((3..=4).contains(&pieces), "shard {k}: {pieces} pieces");
             col.shard(k).check_invariants(None);
-            let stats = col.shard(k).piece_stats().expect("published at birth");
-            assert_eq!(stats.piece_count, pieces);
         }
         // Values outside the sampled extremes clamp into the edge buckets,
         // and a bucket range nobody falls into makes no empty piece: all

@@ -42,7 +42,7 @@ fn random_crack_within_piece_of<V: CrackValue>(
     if bound == V::MIN_VALUE || bound == V::MAX_VALUE {
         return;
     }
-    let (lo_key, hi_key) = match col.locate_for_stochastic(bound) {
+    let (lo_key, hi_key) = match col.locate(bound) {
         BoundLookup::Exact(_) => return,
         BoundLookup::Piece { lo_key, hi_key, .. } => (lo_key, hi_key),
     };

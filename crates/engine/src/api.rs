@@ -126,14 +126,15 @@ pub trait QueryEngine: Send + Sync {
         None
     }
 
-    /// Plan-time cost of `q` from the engine's published piece statistics
-    /// (see `holix-planner`): crack work, scan work, pending-merge debt
-    /// and a snapshot read's edge filter, folded over every shard the predicate
+    /// Plan-time cost of `q` from the engine's live cracker indexes (see
+    /// `holix-planner`): crack work, scan work, pending-merge debt and a
+    /// snapshot read's edge filter, folded over every shard the predicate
     /// intersects. **Must not take any structure or maintenance lock, and
-    /// must not materialise cracker columns** — admission control calls
-    /// this on every submission, including for attributes no query has
-    /// touched yet. `None` when the engine keeps no plan statistics
-    /// (callers fall back to cost-blind behaviour).
+    /// must not materialise cracker columns** — queries are priced for
+    /// attributes no query has touched yet, too. It may take a shard's
+    /// index read lock and then its pending mutex, one lookup each, and so
+    /// wait out a Ripple walk of that shard. `None` when the engine cannot
+    /// price queries (callers fall back to cost-blind behaviour).
     fn estimate_cost(&self, q: &QuerySpec) -> Option<PlanCost> {
         let _ = q;
         None

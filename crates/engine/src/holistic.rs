@@ -40,12 +40,12 @@
 //!
 //! With [`HolisticEngineConfig::replan`] the shard plan stops being a
 //! build-time constant: a replanner thread watches each materialised
-//! shard's published [`holix_cracking::PieceStats`] (merged rows +
-//! pending backlog), asks `holix_planner::propose_replan` whether a hot
-//! shard should split or two cold neighbours merge, and migrates the
-//! affected values through [`ShardedColumn::apply_replan`] — sealed
-//! predecessor shards drain their Ripple backlog into their pieces,
-//! untouched shards are shared by `Arc` into the successor.
+//! shard's load (merged rows + pending backlog, read off the live column),
+//! asks `holix_planner::propose_replan` whether a hot shard should split
+//! or two cold neighbours merge, and migrates the affected values through
+//! [`ShardedColumn::apply_replan`] — sealed predecessor shards drain their
+//! Ripple backlog into their pieces, untouched shards are shared by `Arc`
+//! into the successor.
 //! The successor column carries its own plan and version, so swapping the
 //! attribute's one `Arc<Shards>` publishes all three at once: in-flight
 //! queries finish against the column (and so the plan) they started with,
@@ -428,10 +428,8 @@ impl HolisticEngine {
             .unwrap_or_default()
     }
 
-    /// Stops the daemon and returns all cycle records. The daemon's final
-    /// duty is to leave every materialised shard's plan-time summary
-    /// fresh (it republished once per cycle while alive), so plan-priced
-    /// decisions stay accurate after the background refresher is gone.
+    /// Stops the replanner and the daemon and returns all cycle records.
+    /// Plan-time prices need neither: they read the live indexes.
     pub fn stop(&self) -> Vec<CycleRecord> {
         // The replanner goes first: a migration racing daemon shutdown
         // would re-register successor shards into a space nobody refines.
@@ -442,13 +440,7 @@ impl HolisticEngine {
         let Some(daemon) = self.daemon.lock().take() else {
             return Vec::new();
         };
-        let records = daemon.stop();
-        for slot in &self.shared.cols {
-            for shard in slot.read().resident_shards() {
-                shard.maybe_publish_stats(1);
-            }
-        }
-        records
+        daemon.stop()
     }
 
     /// Queues an insertion of `v` for base row `row` on `attr`; it lands in
@@ -533,12 +525,6 @@ impl HolisticEngine {
                 merge(out);
             }
         });
-        // Keep the planner's summaries loosely fresh: a cheap version
-        // check per touched shard, the O(p) republish only every ~32
-        // structural changes (the daemon forces the remainder each cycle).
-        for k in first..=last {
-            col.shard(k).maybe_publish_stats(32);
-        }
     }
 
     /// Point-probe screening: `Some(0)` when the owning shard's membership
@@ -645,10 +631,12 @@ impl QueryEngine for HolisticEngine {
         let pred = Predicate::range(q.lo, q.hi);
         // Read-only peek at the attribute's column: nothing is built here
         // (admission control prices queries before anything commits to
-        // paying the O(N) pass over the base) — a cold attribute's price
-        // is exactly that copy-and-crack.
+        // paying the O(N) pass over the base) — the price of an attribute
+        // no build has counted yet is exactly that copy-and-crack. One
+        // whose shards were all evicted since is priced shard by shard
+        // below, each at its own rebuild, like any dropped shard.
         let col = Arc::clone(&self.shared.cols[q.attr].read());
-        if cold(&col) {
+        if cold(&col) && col.shard_rows(0).is_none() {
             return Some(PlanCost::cold(self.data.rows()));
         }
         let plan = col.plan();
@@ -671,16 +659,18 @@ impl QueryEngine for HolisticEngine {
         };
         let mut cost = PlanCost::default();
         for k in first..=last {
-            // `piece_stats` is an `Arc` load out of the shard's published
-            // cell; `estimate` is a pure function of it — no structure,
-            // index, pending or maintenance lock.
-            // A shard that is empty or was dropped costs its own rebuild,
-            // not the attribute's: the base rows it holds (counted by the
-            // attribute's first build; `data.rows()` keeps the fallback
-            // free of index locks). Resident columns publish at build.
-            let stats = live(&col, k).and_then(|(shard, _)| shard.piece_stats());
-            let shard_cost = match stats {
-                Some(stats) => holix_planner::estimate(&stats, plan.clamp(k, pred)),
+            // A live shard is priced from its index: two lookups under its
+            // index read lock and its queue length under the pending
+            // mutex — no structure or maintenance lock. A shard the budget
+            // dropped, or a replan retired while this column was read,
+            // costs its own rebuild, not the attribute's: its rows. So does
+            // an empty cell: the base rows it holds, counted by the
+            // attribute's first build (`data.rows()` before any).
+            let shard_cost = match col.resident(k) {
+                Some((shard, slot)) if !slot.is_dropped() => {
+                    holix_planner::estimate(shard, plan.clamp(k, pred))
+                }
+                Some((shard, _)) => PlanCost::cold(shard.len()),
                 None => PlanCost::cold(col.shard_rows(k).unwrap_or(self.data.rows())),
             };
             cost.merge(shard_cost);
@@ -800,7 +790,8 @@ impl QueryEngine for HolisticEngine {
         // on a coarsely cracked attribute the span covers whole pieces
         // and would lose a selective term the histogram can see. Ties and
         // cold attributes (est = full length) fall back to first-wins,
-        // exactly as before. Lock-free: priced from published statistics.
+        // exactly as before. Priced from the live indexes, so a term
+        // cracked a moment ago is seen exactly.
         let di = terms
             .iter()
             .enumerate()
@@ -922,8 +913,8 @@ fn register_shards(
 /// signal the policy wants.
 const ACCESS_ROW_EQUIV: u64 = 64;
 
-/// One policy evaluation for one attribute: read per-shard loads from the
-/// published statistics (no column lock), propose, migrate, publish.
+/// One policy evaluation for one attribute: read per-shard loads off the
+/// live columns, propose, migrate, publish.
 fn maybe_replan_attr(
     shared: &PlanShared,
     space: &IndexSpace,
@@ -937,35 +928,15 @@ fn maybe_replan_attr(
     let shards: Vec<_> = (0..col.shard_count())
         .map(|k| live(&col, k))
         .collect::<Option<_>>()?;
-    // Refresh before reading: the daemon republishes the shards it
-    // refines each cycle, but a pure pending pile-up (updates with no
-    // queries) advances no refinement — the policy must not starve on
-    // stale summaries. `maybe_publish_stats(1)` is a no-op when nothing
-    // changed.
-    for (shard, _) in &shards {
-        shard.maybe_publish_stats(1);
-    }
     let loads: Vec<ShardLoad> = shards
         .iter()
-        .map(|(shard, slot)| {
+        .map(|(shard, slot)| ShardLoad {
+            rows: shard.len(),
+            pending: shard.pending_len(),
             // Access heat: the shard's registry `f_I` (queries routed to
             // it) in row-equivalents, so a small shard every query hammers
             // can out-weigh a large cold one and trip the split skew.
-            let access = slot.stats().queries().saturating_mul(ACCESS_ROW_EQUIV) as usize;
-            match shard.piece_stats() {
-                Some(s) => ShardLoad {
-                    rows: s.len,
-                    pending: s.pending,
-                    access,
-                },
-                // Columns publish at build; the fallback reads the live
-                // lengths so a stats-less shard is not mistaken for empty.
-                None => ShardLoad {
-                    rows: shard.len(),
-                    pending: shard.pending_len(),
-                    access,
-                },
-            }
+            access: slot.stats().queries().saturating_mul(ACCESS_ROW_EQUIV) as usize,
         })
         .collect();
     let action = propose_replan(&loads, policy)?;
@@ -1010,11 +981,6 @@ fn apply_replan_action(
     };
     for k in action.replaced() {
         space.retire(col.resident(k).expect("migrated shards are resident").1);
-    }
-    // Seed the successor's rebuilt shards with fresh statistics so the
-    // next policy evaluation (and plan-priced admission) sees them.
-    for shard in successor.resident_shards() {
-        shard.maybe_publish_stats(1);
     }
     *slot = Arc::new(successor);
     drop(slot);
@@ -1794,9 +1760,9 @@ mod tests {
 
     #[test]
     fn estimate_cost_prices_hits_and_cold_attrs_without_building() {
-        // No workers: a refinement republishing the stride-sampled boundary
-        // table between the query and the estimate would unprice the hit.
-        let e = quiet_engine(2, 50_000, 4);
+        // Workers on: refinements only add boundaries, so a cracked
+        // bound stays an exact hit whatever they do.
+        let e = sharded_engine(2, 50_000, 4);
         let q = QuerySpec {
             attr: 1,
             lo: 200_000,
@@ -1808,12 +1774,8 @@ mod tests {
         assert!(cold.crack_values >= 50_000);
         let (a, p, o, d) = e.space().membership_counts();
         assert_eq!(a + p + o + d, 0, "estimate_cost materialised a column");
-        // Warm it, then the same predicate is an exact hit (every cracked
-        // bound republished into the stats by the post-query publish).
+        // Warm it, then the same predicate is an exact hit.
         e.execute(&q);
-        for k in 0..4 {
-            e.sharded(1).shard(k).publish_stats();
-        }
         let warm = e.estimate_cost(&q).unwrap();
         assert!(warm.exact_hit, "repeat predicate should price as exact hit");
         assert_eq!(warm.crack_values, 0);
@@ -1822,8 +1784,8 @@ mod tests {
         e.stop();
 
         // A partially resident attribute: the built shard is priced from
-        // its statistics, each empty one as its own rebuild — its base
-        // rows, not the attribute's — and still nothing is built.
+        // its index, each empty one as its own rebuild — its base rows,
+        // not the attribute's — and still nothing is built.
         let e = partially_resident_engine();
         let col = peek(&e, 1);
         let empty_rows: usize = (1..4).map(|k| col.shard_rows(k).unwrap()).sum();
@@ -1849,20 +1811,45 @@ mod tests {
     }
 
     #[test]
+    fn a_crack_is_priced_at_once() {
+        // No workers, so nothing but the query touches the index: the
+        // price after a select reads the bounds it cracked, on one shard
+        // and across shards.
+        let e = quiet_engine(1, 40_000, 4);
+        let cut = e.sharded(0).plan().cuts()[1];
+        for (lo, hi) in [(cut + 1_000, cut + 9_000), (cut - 7_000, cut + 5_000)] {
+            let q = QuerySpec { attr: 0, lo, hi };
+            assert!(!e.estimate_cost(&q).unwrap().exact_hit, "{q:?}");
+            e.execute(&q);
+            let cost = e.estimate_cost(&q).unwrap();
+            assert!(cost.exact_hit, "{q:?} priced {cost:?}");
+            assert_eq!(cost.crack_values, 0, "{q:?}");
+        }
+        e.stop();
+    }
+
+    #[test]
     fn estimate_cost_takes_no_structure_or_maintenance_lock() {
-        // The acceptance bar: plan-time estimates complete while the
-        // daemon's weight-heap mutex, a shard's structure write lock and
-        // that shard's pending mutex are all held by another thread.
+        // Plan-time estimates complete while another thread holds the
+        // daemon's weight-heap mutex and a shard's structure lock
+        // exclusively (as a Ripple merge does), and price that shard
+        // live: updates queued beside the held lock are merge debt at
+        // once.
         let e = Arc::new(sharded_engine(1, 40_000, 4));
         let q = QuerySpec {
             attr: 0,
             lo: 0,
             hi: 1_000_000,
         };
-        e.execute(&q); // build + publish stats
+        e.execute(&q); // build
         let col = e.sharded(0);
-        let _structure = col.shard(1).hold_locks_for_test();
+        let shard = col.shard(1);
+        let _structure = shard.hold_structure_for_test();
         let _heap = e.space().hold_maintenance_lock_for_test();
+        let queued = CrackerColumn::<i64>::MERGE_BACKLOG + 44;
+        for i in 0..queued {
+            assert!(shard.queue_insert(col.plan().cuts()[0], 1_000_000 + i as RowId));
+        }
         let (tx, rx) = std::sync::mpsc::channel();
         let probe = Arc::clone(&e);
         std::thread::spawn(move || {
@@ -1872,9 +1859,10 @@ mod tests {
         });
         let cost = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("estimate_cost blocked on a structure, pending or maintenance lock")
-            .expect("holistic engine keeps plan statistics");
+            .expect("estimate_cost blocked on a structure or maintenance lock")
+            .expect("holistic engine prices queries");
         assert_eq!(cost.shards_touched, 4);
+        assert_eq!(cost.merge_backlog, queued as u64, "the held shard's queue");
         drop(_structure);
         drop(_heap);
         e.stop();
@@ -1883,7 +1871,7 @@ mod tests {
         // (liveness is a registry membership load, not a lock on the heap).
         let e = Arc::new(partially_resident_engine());
         let col = peek(&e, 1);
-        let _structure = col.shard(0).hold_locks_for_test();
+        let _structure = col.shard(0).hold_structure_for_test();
         let _heap = e.space().hold_maintenance_lock_for_test();
         let (tx, rx) = std::sync::mpsc::channel();
         let probe = Arc::clone(&e);
@@ -1893,7 +1881,7 @@ mod tests {
         let cost = rx
             .recv_timeout(Duration::from_secs(10))
             .expect("estimate_cost blocked on a partially resident attribute")
-            .expect("holistic engine keeps plan statistics");
+            .expect("holistic engine prices queries");
         assert_eq!(cost.shards_touched, 4);
         drop(_structure);
         drop(_heap);
@@ -2552,9 +2540,6 @@ mod tests {
         let n = 90_000u64;
         for i in 0..n {
             e.queue_insert(0, (i as i64) % cut.max(1), 1_000_000 + i as u32);
-        }
-        for k in 0..col.shard_count() {
-            col.shard(k).publish_stats();
         }
         assert_eq!(
             e.maybe_replan(0),

@@ -24,8 +24,7 @@
 //!
 //! Readers take a `Copy` of the whole model ([`Calibrator::model`]), so
 //! a query prices itself against one consistent constant set even while
-//! the calibrator republishes — the same publish-then-read discipline as
-//! a column's published statistics.
+//! the calibrator republishes.
 
 use std::sync::{Mutex, RwLock};
 

@@ -1,5 +1,6 @@
-//! The crack-aware cost model: price a predicate against a shard's
-//! published [`PieceStats`] without touching any lock.
+//! The crack-aware cost model: price a predicate against a shard's live
+//! cracker index, from two lookups and the lengths of the column and its
+//! update queue.
 //!
 //! The unit of cost is *one value touched element-wise*. The locked path
 //! pays the edge pieces it must partition (two cracks, or zero on an exact
@@ -8,10 +9,10 @@
 //! path filters the same edge pieces (interior pieces answer O(1) from
 //! their prefix sums) and merges nothing.
 //! These are the same quantities the paper's §4 statistics track per index
-//! (`f_Ih` exact hits, piece sizes feeding `d(I, I_opt)`) — read at plan
-//! time instead of maintenance time.
+//! (`f_Ih` exact hits, piece sizes feeding `d(I, I_opt)`), read off the
+//! index itself: there is no second copy of it to keep fresh.
 
-use holix_cracking::{CrackerColumn, PieceStats};
+use holix_cracking::{BoundLookup, CrackerColumn};
 use holix_storage::select::Predicate;
 use holix_storage::types::CrackValue;
 
@@ -49,13 +50,13 @@ impl Default for CostModel {
 }
 
 /// Plan-time price of one query, merged over every shard its predicate
-/// intersects. All numbers are conservative touched-value estimates derived
-/// from (possibly sampled) published statistics — over-estimates, never
-/// under-estimates.
+/// intersects. Every number is read off each shard's live index at the
+/// moment of its lookups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCost {
     /// Values the locked path would partition: the sizes of the edge
-    /// pieces each non-exact bound falls into.
+    /// pieces the non-exact bounds fall into, a piece both fall into
+    /// counted once (it is cracked in three).
     pub crack_values: u64,
     /// Equi-depth cardinality estimate (interpolated within the edge
     /// pieces of the free histogram the boundary table forms): the
@@ -79,8 +80,8 @@ pub struct PlanCost {
 }
 
 impl PlanCost {
-    /// A cost for a shard (or whole attribute) with no published
-    /// statistics: a cold column of `len` rows — everything is expensive.
+    /// A cost for a shard (or whole attribute) with no index yet: a cold
+    /// column of `len` rows — everything is expensive.
     pub fn cold(len: usize) -> Self {
         PlanCost {
             crack_values: len as u64,
@@ -106,11 +107,10 @@ impl PlanCost {
 
     /// Folds another shard's cost into this one (fan-out merge).
     ///
-    /// All arithmetic saturates: the per-shard terms are conservative
-    /// *over*-estimates (a sampled stats summary can report up to the
-    /// whole shard per bound), so a wide fan-out over adversarial
-    /// summaries must pin at `u64::MAX` — not wrap around to a price of
-    /// nearly zero and pass for an exact hit.
+    /// All arithmetic saturates: a wide fan-out of large shards (or of
+    /// cold ones, each priced at its whole length) must pin at `u64::MAX`
+    /// — not wrap around to a price of nearly zero and pass for an exact
+    /// hit.
     pub fn merge(&mut self, other: PlanCost) {
         if self.shards_touched == 0 {
             *self = other;
@@ -194,10 +194,13 @@ pub enum QueryPrice {
     Expensive,
 }
 
-/// Prices `pred` against one shard's published statistics. Pure function
-/// of the immutable summary — callable while every column lock is held by
-/// someone else.
-pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> PlanCost {
+/// Prices `pred` against one shard's live cracker index: two lookups
+/// ([`CrackerColumn::locate`], one `index` read each), the column's length
+/// when a bound is the `MAX` sentinel, and then the queue's length (the
+/// `pending` mutex). Never nested, and never under the structure lock, so
+/// it waits for nothing but a Ripple walk of this shard — which the read
+/// it prices waits for too.
+pub fn estimate<V: CrackValue>(col: &CrackerColumn<V>, pred: Predicate<V>) -> PlanCost {
     if pred.is_empty() {
         return PlanCost {
             exact_hit: true,
@@ -205,16 +208,20 @@ pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> Pla
             ..PlanCost::default()
         };
     }
-    // One boundary-table lookup per bound; every field below is read off
-    // those two results.
-    let lo = stats.locate(pred.lo, true);
-    let hi = stats.locate(pred.hi, false);
-    let edges = ((lo.end - lo.start) + (hi.end - hi.start)) as u64;
+    let lo = edge(col, pred.lo, true);
+    let hi = edge(col, pred.hi, false);
+    // The two edge pieces, one piece both bounds fall into counted once.
+    // The lookups are separate reads, so a crack between them can hand
+    // out overlapping pieces; the union stays within the column either
+    // way.
+    let overlap = lo.end.min(hi.end).saturating_sub(lo.start.max(hi.start));
+    let edges = (lo.end - lo.start) + (hi.end - hi.start) - overlap;
+    let pending = col.pending_len();
     PlanCost {
-        crack_values: edges,
+        crack_values: edges as u64,
         est_rows: (hi.pos - lo.pos).max(0.0).round() as u64,
-        merge_backlog: if stats.pending > CrackerColumn::<V>::MERGE_BACKLOG {
-            stats.pending as u64
+        merge_backlog: if pending > CrackerColumn::<V>::MERGE_BACKLOG {
+            pending as u64
         } else {
             0
         },
@@ -224,24 +231,100 @@ pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> Pla
     }
 }
 
+/// Where one predicate bound sits in a column's index.
+struct Edge {
+    /// The bound is a piece boundary, or a sentinel: zero crack work (the
+    /// paper's `f_Ih` hit).
+    exact: bool,
+    /// The piece a crack at the bound partitions (empty when exact).
+    start: usize,
+    end: usize,
+    /// Position of the bound in cracked-position space, reading the
+    /// boundary table as a free equi-depth sketch: interpolated linearly
+    /// across the piece's key range, or the conservative piece edge (start
+    /// for a lower bound, end for an upper one) when a column-edge piece
+    /// has no outer key. Best-effort selectivity, never a safety bound.
+    pos: f64,
+}
+
+/// One lookup of bound `v`; `low_side` says which end of a predicate `v`
+/// is (it only picks the fallback edge of `pos`).
+fn edge<V: CrackValue>(col: &CrackerColumn<V>, v: V, low_side: bool) -> Edge {
+    let boundary = |p: usize| Edge {
+        exact: true,
+        start: p,
+        end: p,
+        pos: p as f64,
+    };
+    if v == V::MIN_VALUE {
+        return boundary(0);
+    }
+    if v == V::MAX_VALUE {
+        return boundary(col.len());
+    }
+    let (start, end, lo_key, hi_key) = match col.locate(v) {
+        BoundLookup::Exact(p) => return boundary(p),
+        BoundLookup::Piece {
+            start,
+            end,
+            lo_key,
+            hi_key,
+            ..
+        } => (start, end, lo_key, hi_key),
+    };
+    let pos = match (lo_key, hi_key) {
+        (Some(a), Some(b)) if b > a => {
+            let num = (v.as_i64() as i128 - a.as_i64() as i128) as f64;
+            let den = (b.as_i64() as i128 - a.as_i64() as i128) as f64;
+            start as f64 + (end - start) as f64 * (num / den).clamp(0.0, 1.0)
+        }
+        _ if low_side => start as f64,
+        _ => end as f64,
+    };
+    Edge {
+        exact: false,
+        start,
+        end,
+        pos,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holix_cracking::piece_stats::PieceStats;
+    use holix_cracking::CrackScratch;
+    use holix_storage::types::RowId;
 
-    fn stats(len: usize, bounds: Vec<(i64, usize)>, pending: usize) -> PieceStats<i64> {
-        PieceStats {
-            len,
-            piece_count: bounds.len() + 1,
-            bounds,
-            pending,
+    /// A column of `len` values cracked into exactly the boundary table
+    /// `bounds` (`key → position`, keys ascending), with `pending` inserts
+    /// queued beside it. Each piece holds the key that opens it (the first
+    /// piece the key below the first boundary).
+    fn column(len: usize, bounds: &[(i64, usize)], pending: usize) -> CrackerColumn<i64> {
+        let mut vals = Vec::with_capacity(len);
+        let mut key = bounds.first().map_or(0, |b| b.0 - 1);
+        for &(k, pos) in bounds.iter().chain([&(0, len)]) {
+            vals.resize(pos, key);
+            key = k;
         }
+        let col = CrackerColumn::from_base("a", &vals);
+        // Middle keys first, so the cracks cost n log n.
+        let mut order: Vec<usize> = (0..bounds.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse((i + 1).trailing_zeros()));
+        let mut scratch = CrackScratch::new();
+        for i in order {
+            col.refine_at_blocking(bounds[i].0, &mut scratch);
+        }
+        for i in 0..pending {
+            col.queue_insert(0, (len + i) as RowId);
+        }
+        assert_eq!((col.len(), col.piece_count()), (len, bounds.len() + 1));
+        col
     }
 
     #[test]
     fn exact_hits_are_cheap_and_stay_locked() {
         let model = CostModel::default();
-        let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], 0);
+        let s = column(100_000, &[(10, 25_000), (20, 60_000)], 0);
         let c = estimate(&s, Predicate::range(10, 20));
         assert!(c.exact_hit);
         assert_eq!(c.crack_values, 0);
@@ -254,10 +337,13 @@ mod tests {
     #[test]
     fn cold_cracks_are_expensive() {
         let model = CostModel::default();
-        let s = stats(1_000_000, vec![], 0);
+        let s = column(1_000_000, &[], 0);
         let c = estimate(&s, Predicate::range(10, 20));
         assert!(!c.exact_hit);
-        assert_eq!(c.crack_values, 2_000_000);
+        // Both bounds fall into the one piece: one three-way crack, the
+        // price of a cold shard.
+        assert_eq!(c.crack_values, 1_000_000);
+        assert_eq!(c.crack_values, PlanCost::cold(1_000_000).crack_values);
         assert_eq!(c.price(&model), QueryPrice::Expensive);
     }
 
@@ -267,11 +353,11 @@ mod tests {
         // Both paths filter or crack the same edge pieces: without a queue
         // past the backlog the locked path wins, however wide the edges,
         // and with one the snapshot path, which merges nothing, does.
-        let s = stats(100_000, vec![(50, 50_000)], 0);
+        let s = column(100_000, &[(50, 50_000)], 0);
         let c = estimate(&s, Predicate::range(10, 20));
-        assert_eq!(c.crack_values, 100_000);
+        assert_eq!(c.crack_values, 50_000);
         assert_eq!(c.preferred_route(&model), Route::Locked);
-        let backlogged = stats(100_000, vec![(50, 50_000)], 1_000);
+        let backlogged = column(100_000, &[(50, 50_000)], 1_000);
         let c = estimate(&backlogged, Predicate::range(10, 20));
         assert_eq!(c.preferred_route(&model), Route::Snapshot);
         assert!(c.price(&model) == QueryPrice::Expensive);
@@ -290,8 +376,8 @@ mod tests {
     #[test]
     fn merge_folds_shards_conservatively() {
         let model = CostModel::default();
-        let s1 = stats(1_000, vec![(10, 500)], 300);
-        let s2 = stats(2_000, vec![], 0);
+        let s1 = column(1_000, &[(10, 500)], 300);
+        let s2 = column(2_000, &[], 0);
         let mut c = PlanCost::default();
         c.merge(estimate(&s1, Predicate::at_least(20)));
         assert_eq!(c.crack_values, 500);
@@ -310,7 +396,7 @@ mod tests {
     #[test]
     fn pending_backlog_prices_the_locked_path() {
         let model = CostModel::default();
-        let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], 1_000);
+        let s = column(100_000, &[(10, 25_000), (20, 60_000)], 1_000);
         let c = estimate(&s, Predicate::range(10, 20));
         assert!(c.exact_hit, "bounds still exact");
         assert_eq!(c.locked_cost(&model), 1_000 * model.merge_weight);
@@ -324,14 +410,12 @@ mod tests {
         let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
         assert_eq!(backlog, 256);
         let model = CostModel::default();
-        let price = |pending| {
-            let s = stats(100_000, vec![(10, 25_000), (20, 60_000)], pending);
-            estimate(&s, Predicate::range(10, 20))
-        };
-        let at = price(backlog);
+        let s = column(100_000, &[(10, 25_000), (20, 60_000)], backlog);
+        let at = estimate(&s, Predicate::range(10, 20));
         assert_eq!(at.merge_backlog, 0);
         assert_eq!(at.locked_cost(&model), 0, "an exact hit beside the queue");
-        let past = price(backlog + 1);
+        s.queue_insert(0, RowId::MAX);
+        let past = estimate(&s, Predicate::range(10, 20));
         assert_eq!(past.merge_backlog, 257);
         assert_eq!(past.locked_cost(&model), 257 * model.merge_weight);
     }
@@ -359,10 +443,10 @@ mod tests {
         let model = CostModel::default();
         // One piece of 1000 rows spanning keys [0, 100) with both outer
         // keys known: a selective sub-range interpolates to a fraction of
-        // the depth while the crack work stays the whole piece per bound.
-        let s = stats(1_000, vec![(0, 0), (100, 1_000)], 0);
+        // the depth while the crack work stays the whole piece.
+        let s = column(1_000, &[(0, 0), (100, 1_000)], 0);
         let c = estimate(&s, Predicate::range(10, 20));
-        assert_eq!(c.crack_values, 2_000, "crack work stays conservative");
+        assert_eq!(c.crack_values, 1_000, "the piece is partitioned once");
         assert!((90..=110).contains(&c.est_rows), "est {}", c.est_rows);
         // Exact-boundary bounds reproduce exact positions.
         let e = estimate(&s, Predicate::range(0, 100));
@@ -371,7 +455,7 @@ mod tests {
         // huge estimated result — the price must count the cardinality,
         // not just the crack, so this query is no longer Cheap.
         let fine: Vec<(i64, usize)> = (1..=1_000).map(|k| (k * 10, k as usize * 100)).collect();
-        let f = stats(100_000, fine, 0);
+        let f = column(100_000, &fine, 0);
         let big = estimate(&f, Predicate::range(15, 9_995));
         assert!(big.locked_cost(&model) <= model.cheap_budget);
         assert!(big.est_rows > model.cheap_budget);
@@ -380,8 +464,7 @@ mod tests {
 
     #[test]
     fn adversarial_merges_saturate_instead_of_wrapping() {
-        // Regression: `merge` and the prices used unchecked
-        // `+`/`*`. PieceStats sizes only promise *over*-estimates, so a
+        // Regression: `merge` and the prices used unchecked `+`/`*`, so a
         // multi-shard fold of near-MAX per-shard costs overflowed u64
         // (panic in debug, a near-zero price-fooling wrap in release).
         let model = CostModel::default();
@@ -408,7 +491,7 @@ mod tests {
         // Regression: an old guard excepted sentinel-valued bounds, so
         // `[MIN, MIN)` — an empty predicate on every execution path —
         // reported the first piece's size.
-        let s = stats(100, vec![(10, 25), (20, 60)], 0);
+        let s = column(100, &[(10, 25), (20, 60)], 0);
         for (lo, hi) in [
             (i64::MIN, i64::MIN),
             (i64::MAX, i64::MAX),
@@ -423,9 +506,14 @@ mod tests {
     }
 
     /// Linear-scan reference for [`estimate`], written from the field
-    /// definitions: walks both tables front to back, shares no lookup
-    /// with the code under test.
-    fn reference(stats: &PieceStats<i64>, pred: Predicate<i64>) -> PlanCost {
+    /// definitions: walks the boundary table `bounds` of a column of `len`
+    /// values front to back, shares no lookup with the code under test.
+    fn reference(
+        len: usize,
+        bounds: &[(i64, usize)],
+        pending: usize,
+        pred: Predicate<i64>,
+    ) -> PlanCost {
         if pred.lo >= pred.hi {
             return PlanCost {
                 exact_hit: true,
@@ -433,23 +521,23 @@ mod tests {
                 ..PlanCost::default()
             };
         }
-        // One bound against the boundary table: (crack size, exact, position).
-        let bound = |v: i64, low_side: bool| -> (u64, bool, f64) {
+        // One bound against the boundary table: (piece, exact, position).
+        let bound = |v: i64, low_side: bool| -> ((usize, usize), bool, f64) {
             if v == i64::MIN {
-                return (0, true, 0.0);
+                return ((0, 0), true, 0.0);
             }
             if v == i64::MAX {
-                return (0, true, stats.len as f64);
+                return ((len, len), true, len as f64);
             }
-            let below = stats.bounds.iter().rev().find(|b| b.0 <= v);
-            let above = stats.bounds.iter().find(|b| b.0 > v);
+            let below = bounds.iter().rev().find(|b| b.0 <= v);
+            let above = bounds.iter().find(|b| b.0 > v);
             if let Some(&(k, p)) = below {
                 if k == v {
-                    return (0, true, p as f64);
+                    return ((p, p), true, p as f64);
                 }
             }
             let start = below.map_or(0, |b| b.1);
-            let end = above.map_or(stats.len, |b| b.1);
+            let end = above.map_or(len, |b| b.1);
             let pos = match (below, above) {
                 (Some(a), Some(b)) => {
                     let frac = (v - a.0) as f64 / (b.0 - a.0) as f64;
@@ -458,14 +546,16 @@ mod tests {
                 _ if low_side => start as f64,
                 _ => end as f64,
             };
-            ((end - start) as u64, false, pos)
+            ((start, end), false, pos)
         };
         let (lo, hi) = (bound(pred.lo, true), bound(pred.hi, false));
+        let size = |(start, end): (usize, usize)| (end - start) as u64;
+        let shared = !lo.1 && !hi.1 && lo.0 == hi.0;
         PlanCost {
-            crack_values: lo.0 + hi.0,
+            crack_values: size(lo.0) + if shared { 0 } else { size(hi.0) },
             est_rows: (hi.2 - lo.2).max(0.0).round() as u64,
-            merge_backlog: if stats.pending > CrackerColumn::<i64>::MERGE_BACKLOG {
-                stats.pending as u64
+            merge_backlog: if pending > CrackerColumn::<i64>::MERGE_BACKLOG {
+                pending as u64
             } else {
                 0
             },
@@ -477,70 +567,58 @@ mod tests {
 
     mod prop {
         use super::*;
-        use holix_cracking::piece_stats::MAX_STATS_BOUNDS;
         use proptest::prelude::*;
 
-        /// A boundary table of `n` entries cycling through `(key gap, piece
-        /// length)` steps — strictly increasing keys, non-decreasing
-        /// positions — stride-sampled past the cap as the column publishes
-        /// it. Returns `(len, bounds)`.
-        fn table(steps: &[(i64, usize)], n: usize) -> (usize, Vec<(i64, usize)>) {
-            let (mut key, mut pos) = (-50i64, 0usize);
-            let mut bounds = Vec::with_capacity(n);
-            for i in 0..n {
-                let (gap, len) = steps[i % steps.len()];
-                key += gap;
-                pos += len;
-                bounds.push((key, pos));
-            }
-            let stride = n.div_ceil(MAX_STATS_BOUNDS).max(1);
-            (pos + 7, bounds.into_iter().step_by(stride).collect())
-        }
-
         proptest! {
-            // `estimate` (one binary search per bound) against the
-            // linear-scan reference, on empty, one-bound, small and
-            // stride-sampled tables, at sentinel bounds, bounds equal to
-            // a key, bounds between keys, bounds outside the table and
-            // `lo >= hi`.
+            // `estimate` (two live index lookups) against the linear-scan
+            // reference, on columns cracked at random keys — empty, one
+            // piece and many, pieces left empty — whose reference
+            // boundaries come from the sorted values: a cracked key sits
+            // at the count of values below it. Probes at sentinel bounds,
+            // bounds equal to a cracked key, next to one, anywhere else
+            // and `lo >= hi`, on both sides of the backlog.
             #[test]
             fn estimate_matches_the_linear_scan_reference(
-                size in 0..5u8,
-                steps in proptest::collection::vec((1..=4i64, 0..40usize), 1..24),
+                vals in proptest::collection::vec(-200..200i64, 0..600),
+                cracks in proptest::collection::vec(-250..250i64, 0..40),
+                pending in 0..4usize,
                 picks in proptest::collection::vec(
                     ((0..5u8, any::<u16>()), (0..5u8, any::<u16>())),
                     12,
                 ),
             ) {
-                let n = match size {
-                    0 => 0,
-                    1 => 1,
-                    2 | 3 => steps.len() * 2,
-                    _ => MAX_STATS_BOUNDS + 1 + steps.len() * 97,
-                };
-                let (len, bounds) = table(&steps, n);
-                prop_assert!(bounds.len() <= MAX_STATS_BOUNDS);
-                let s = PieceStats {
-                    len,
-                    piece_count: n + 1,
-                    bounds,
-                    // Both sides of the backlog.
-                    pending: [3, 256, 257, 4_000][steps.len() % 4],
-                };
+                let col = CrackerColumn::from_base("a", &vals);
+                let mut scratch = CrackScratch::new();
+                for &k in &cracks {
+                    col.refine_at_blocking(k, &mut scratch);
+                }
+                let pending = [3, 256, 257, 4_000][pending];
+                for i in 0..pending {
+                    col.queue_insert(0, (vals.len() + i) as RowId);
+                }
+                let mut sorted = vals.clone();
+                sorted.sort_unstable();
+                let mut keys = cracks.clone();
+                keys.sort_unstable();
+                keys.dedup();
+                let bounds: Vec<(i64, usize)> = keys
+                    .iter()
+                    .map(|&k| (k, sorted.partition_point(|&v| v < k)))
+                    .collect();
                 let value = |(kind, r): (u8, u16)| -> i64 {
-                    let key = |r: u16| s.bounds.get(r as usize % s.bounds.len().max(1)).map_or(0, |b| b.0);
+                    let key = |r: u16| keys.get(r as usize % keys.len().max(1)).copied().unwrap_or(0);
                     match kind {
                         0 => i64::MIN,
                         1 => i64::MAX,
                         2 => key(r),
                         3 => key(r) + (r % 3) as i64 - 1,
-                        _ => r as i64 % 400 - 120,
+                        _ => r as i64 % 600 - 300,
                     }
                 };
                 for (lo, hi) in picks {
                     let pred = Predicate::range(value(lo), value(hi));
-                    let (got, want) = (estimate(&s, pred), reference(&s, pred));
-                    prop_assert_eq!(got, want, "{:?}", pred);
+                    let want = reference(vals.len(), &bounds, pending, pred);
+                    prop_assert_eq!(estimate(&col, pred), want, "{:?}", pred);
                 }
             }
         }

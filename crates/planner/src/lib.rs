@@ -5,13 +5,13 @@
 //! underlying signal read at plan time: the cracker index's piece table.
 //! Hippo (partial-index page summaries) and ByteStore (per-column layout
 //! costs) show that cheap maintained statistics are enough to pick the
-//! fast access path online — and a cracker index *is* that statistic, we
-//! only have to read it without perturbing the execute path.
+//! fast access path online — and a cracker index *is* that statistic: the
+//! planner reads the live index, not a copy of it.
 //!
-//! - [`cost`] — [`PlanCost`]: price a predicate against a shard's
-//!   published [`holix_cracking::PieceStats`] (no column lock: the
-//!   summaries are `Arc`s out of a leaf-locked cell) — one binary search
-//!   of the boundary table per bound. Prices crack work (edge pieces to
+//! - [`cost`] — [`PlanCost`]: price a predicate against a shard's live
+//!   cracker index — one index lookup per bound
+//!   ([`holix_cracking::CrackerColumn::locate`]) plus the lengths of the
+//!   column and its update queue. Prices crack work (edge pieces to
 //!   partition; a snapshot read filters the same pieces), result size
 //!   (equi-depth row estimate) and merge debt, and derives the decisions
 //!   the service layer needs:
@@ -36,9 +36,11 @@
 //!   [`CostModel`] whose knobs are nudged inside `[seed/4, seed*4]` guard
 //!   rails.
 //!
-//! Everything here is a pure function of immutable published summaries:
-//! no structure lock, no maintenance lock, no allocation beyond the
-//! returned values — the service can call it on every submission.
+//! A price takes a shard's index read lock and then its pending mutex, one
+//! lookup each and never nested: no structure lock, no maintenance lock, no
+//! allocation beyond the returned values. It waits only for a Ripple walk
+//! of the shard it prices, which the read it prices waits for too. The
+//! rest of the crate is pure functions of its inputs.
 
 pub mod calibrate;
 pub mod cost;

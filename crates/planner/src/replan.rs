@@ -1,10 +1,9 @@
 //! Replan policy: when should the daemon split a hot shard or merge two
 //! cold neighbours?
 //!
-//! The input is the same published statistic the cost model prices
-//! queries against — per-shard `PieceStats` reduced to a [`ShardLoad`]
-//! (merged rows + pending backlog) — so the decision takes no column lock
-//! and is pure. The *mechanism* (sealing, draining, rebuilding, swapping
+//! The input is per-shard load read off the live columns — merged rows
+//! and pending backlog, reduced to a [`ShardLoad`] — and the decision
+//! itself is pure. The *mechanism* (sealing, draining, rebuilding, swapping
 //! in the successor column) lives in
 //! [`holix_cracking::ShardedColumn::apply_replan`]; this module only
 //! decides **whether** and **where**, mirroring how the paper's holistic
@@ -23,9 +22,9 @@ use holix_cracking::ReplanAction;
 /// One shard's load as seen by the replanner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardLoad {
-    /// Merged tuples (published `PieceStats::len`).
+    /// Merged tuples (`CrackerColumn::len`).
     pub rows: usize,
-    /// Pending Ripple backlog (published `PieceStats::pending`).
+    /// Pending Ripple backlog (`CrackerColumn::pending_len`).
     pub pending: usize,
     /// Access heat in row-equivalents: the shard's observed query traffic
     /// (the paper's per-index `f_I`), pre-scaled by the caller so one unit

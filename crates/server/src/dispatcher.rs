@@ -43,8 +43,8 @@
 //! ## Plan-aware decisions (holix-planner)
 //!
 //! Three decisions consult the engine's plan-time cost estimates
-//! ([`QueryEngine::estimate_cost`] — lock-free reads of published piece
-//! statistics):
+//! ([`QueryEngine::estimate_cost`] — two lookups in each touched shard's
+//! live cracker index, under its index read lock, and its queue length):
 //!
 //! - **Spanning-query decomposition** (`decompose` + affinity): a range
 //!   spanning shards that the model prices [`QueryPrice::Expensive`] is
@@ -803,10 +803,6 @@ mod tests {
             ..converged
         };
         eng.queue_insert(0, 500_000, 1_000_000);
-        let col = eng.sharded(0);
-        for k in 0..col.shard_count() {
-            col.shard(k).publish_stats();
-        }
         assert!(eng.decompose(&span).is_some(), "range must span shards");
         let cost = eng.estimate_cost(&span).unwrap();
         assert!(!cost.exact_hit);
@@ -861,7 +857,7 @@ mod tests {
             hi: 400_000,
         };
         eng.execute(&warmed); // crack the bounds
-        let _ = eng.execute_snapshot(&warmed); // publish + refresh the snapshot
+        let _ = eng.execute_snapshot(&warmed); // sum the pieces
         let q = QuerySpec {
             hi: 400_001,
             ..warmed
@@ -869,10 +865,6 @@ mod tests {
         // Large backlog of pending inserts inside the window.
         for i in 0..600u32 {
             eng.queue_insert(0, 300_000 + i as i64 % 50, 1_000_000 + i);
-        }
-        let col = eng.sharded(0);
-        for k in 0..col.shard_count() {
-            col.shard(k).publish_stats();
         }
         let service = QueryService::start(
             Arc::clone(&eng) as Arc<dyn QueryEngine>,
@@ -1072,15 +1064,11 @@ mod tests {
             })
         }
 
-        /// Cracks `specs` into the index and publishes the statistics, so
-        /// every one of them prices as an exact hit from here on.
+        /// Cracks `specs` into the index, so every one of them prices as
+        /// an exact hit from here on.
         fn converge(&self, specs: &[QuerySpec]) {
             for q in specs {
                 self.inner.execute(q);
-                let col = self.inner.sharded(q.attr);
-                for k in 0..col.shard_count() {
-                    col.shard(k).publish_stats();
-                }
             }
             for q in specs {
                 assert!(self.inner.estimate_cost(q).unwrap().exact_hit, "{q:?}");

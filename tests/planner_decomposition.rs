@@ -5,13 +5,16 @@
 //! service-layer merge-ticket path must stay exact while two Ripple
 //! updater threads race the per-shard parts. Exact hits the service
 //! answers on the submitting thread race Ripple updaters inside their own
-//! ranges the same way.
+//! ranges the same way, and plan-time prices race cracks, drains, first
+//! prefix sums and forced replans.
 
+use holix::cracking::ReplanAction;
 use holix::engine::{Dataset, HolisticEngine, HolisticEngineConfig, QueryEngine};
 use holix::server::{DecomposePolicy, QueryService, Scheduling, ServiceConfig};
 use holix::workloads::data::uniform_table;
 use holix::workloads::QuerySpec;
 use proptest::prelude::*;
+use rand::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -447,5 +450,143 @@ fn inline_exact_hits_race_two_ripple_updaters_in_range() {
         assert_eq!(answer.count, oracle(&sorted, q.lo, q.hi), "{q:?}");
     }
     service.shutdown();
+    engine.stop();
+}
+
+#[test]
+fn estimates_race_cracks_drains_first_sums_and_a_replan() {
+    // Two pricers call `estimate_cost` on random ranges while a cracker
+    // selects, an updater queues bursts past a shard's merge backlog (so
+    // reads merge, and idle workers drain what reads leave), a snapshot
+    // reader takes each shard's first prefix sum and the main thread
+    // forces a split and then a merge of the shard plan. A price reads the
+    // live index — each shard's index read lock, then its pending mutex —
+    // so every one comes back promptly, and none claims more values than
+    // the attribute can hold: its crack work and its row estimate stay
+    // within the base rows plus every insert queued so far.
+    let rows = 30_000;
+    let data = Dataset::new(uniform_table(1, rows, DOMAIN, 37));
+    let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
+    cfg.holistic.monitor_interval = Duration::from_millis(1);
+    let engine = HolisticEngine::new(data, cfg);
+    let all = QuerySpec {
+        attr: 0,
+        lo: 0,
+        hi: DOMAIN,
+    };
+    assert_eq!(engine.execute(&all), rows as u64);
+    let range = |rng: &mut StdRng, width: i64| {
+        let lo = rng.random_range(0..DOMAIN - width);
+        QuerySpec {
+            attr: 0,
+            lo,
+            hi: lo + rng.random_range(1..=width),
+        }
+    };
+    // Inserts queued so far: counted before each is queued, so a price
+    // that sees an insert reads a bound that includes it.
+    let inserted = AtomicU64::new(0);
+    let (priced, bursts) = (AtomicU64::new(0), AtomicU64::new(0));
+    let stop = AtomicBool::new(false);
+    let failed = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for p in 0..2u64 {
+            let (engine, inserted, priced) = (&engine, &inserted, &priced);
+            let (failed, stop) = (&failed, &stop);
+            s.spawn(move || {
+                let _guard = PanicGuard { failed, stop };
+                let mut rng = StdRng::seed_from_u64(p);
+                while !stop.load(Ordering::Relaxed) {
+                    let q = range(&mut rng, DOMAIN / 2);
+                    let t0 = Instant::now();
+                    let cost = engine.estimate_cost(&q).expect("the engine prices");
+                    let took = t0.elapsed();
+                    assert!(took < Duration::from_secs(5), "{q:?} priced in {took:?}");
+                    let bound = rows as u64 + inserted.load(Ordering::SeqCst);
+                    assert!(
+                        cost.crack_values <= bound && cost.est_rows <= bound,
+                        "{q:?} priced {cost:?}, over {bound} tuples"
+                    );
+                    priced.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        {
+            let (engine, inserted, bursts) = (&engine, &inserted, &bursts);
+            let (failed, stop) = (&failed, &stop);
+            s.spawn(move || {
+                let _guard = PanicGuard { failed, stop };
+                let mut rng = StdRng::seed_from_u64(10);
+                let mut row = 1_000_000u32;
+                while !stop.load(Ordering::Relaxed) {
+                    // One burst past the backlog into a narrow band (one
+                    // shard), read so the select merges it, then deleted
+                    // again and left for whoever drains next.
+                    let band = range(&mut rng, 500);
+                    let burst: Vec<(i64, u32)> = (0..300)
+                        .map(|_| {
+                            row += 1;
+                            (rng.random_range(band.lo..band.hi), row)
+                        })
+                        .collect();
+                    for &(v, r) in &burst {
+                        inserted.fetch_add(1, Ordering::SeqCst);
+                        engine.queue_insert(0, v, r);
+                    }
+                    engine.execute(&band);
+                    for &(v, r) in &burst {
+                        engine.queue_delete(0, v, r);
+                    }
+                    bursts.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        {
+            let engine = &engine;
+            let (failed, stop) = (&failed, &stop);
+            s.spawn(move || {
+                let _guard = PanicGuard { failed, stop };
+                let mut rng = StdRng::seed_from_u64(11);
+                while !stop.load(Ordering::Relaxed) {
+                    engine.execute(&range(&mut rng, 2_000));
+                    engine.execute_snapshot(&range(&mut rng, DOMAIN / 3));
+                }
+            });
+        }
+        // Force the two replans while the others run, then let them run
+        // against the successor plans too: each phase lasts 1000 prices
+        // and 4 bursts.
+        let _guard = PanicGuard {
+            failed: &failed,
+            stop: &stop,
+        };
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let phase = |n: u64| {
+            let (p0, b0) = (
+                priced.load(Ordering::Relaxed),
+                bursts.load(Ordering::Relaxed),
+            );
+            let done = || {
+                priced.load(Ordering::Relaxed) >= p0 + 1_000
+                    && bursts.load(Ordering::Relaxed) >= b0 + 4
+            };
+            while !done() && !failed.load(Ordering::Relaxed) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(
+                done() || failed.load(Ordering::Relaxed),
+                "phase {n} did not finish in 60 s"
+            );
+        };
+        phase(0);
+        let split = engine.force_replan(0, ReplanAction::Split { shard: 1 });
+        phase(1);
+        let merge = engine.force_replan(0, ReplanAction::Merge { left: 1 });
+        phase(2);
+        stop.store(true, Ordering::Relaxed);
+        assert!(split && merge, "a forced replan aborted");
+    });
+    assert!(!failed.load(Ordering::Relaxed));
+    assert_eq!(engine.plan_version(0), 2);
     engine.stop();
 }
