@@ -540,7 +540,7 @@ fn fig11_multicore(env: &BenchEnv) {
 
     println!("cores,mp_ccgi,pvdc,pvsdc,holistic,holistic_sharded,hi_label");
     for c in cores {
-        let cols: Vec<ChunkedCrackerColumn<i64>> = (0..data.attrs())
+        let cols: Vec<ChunkedCrackerColumn> = (0..data.attrs())
             .map(|a| ChunkedCrackerColumn::build(&format!("a{a}"), data.column(a), c, 6))
             .collect();
         let (_, ccgi) = time(|| {

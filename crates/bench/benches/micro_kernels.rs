@@ -455,11 +455,11 @@ fn bench_shard_rebuild(c: &mut Criterion) {
         let plan = ShardPlan::from_values(&base, 4);
         let lo = plan.cuts()[0] + 1_000;
         let pred = Predicate::range(lo, lo + ROWS as i64 / 250);
-        let resident: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan);
+        let resident: ShardedColumn = ShardedColumn::lazy("a", Arc::clone(&base), plan);
         resident.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
         g.bench_function(name, |b| {
             let mut scratch = CrackScratch::new();
-            let rebuild = |scratch: &mut CrackScratch<i64>| {
+            let rebuild = |scratch: &mut CrackScratch| {
                 let col = resident.vacated(&[1]);
                 col.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
                 let stats = col.select_verified(pred, scratch).1;
@@ -497,7 +497,7 @@ fn bench_row_ids(c: &mut Criterion) {
             let mut scratch = CrackScratch::new();
             b.iter_batched(
                 || {
-                    let col: ShardedColumn<i64> =
+                    let col: ShardedColumn =
                         ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
                     col.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
                     // Equi-width pivots, halving: every crack splits a piece
@@ -592,8 +592,7 @@ fn bench_first_touch(c: &mut Criterion) {
             let mut scratch = CrackScratch::new();
             let pred = Predicate::range(lo, hi);
             let build = || {
-                let col: ShardedColumn<i64> =
-                    ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
+                let col: ShardedColumn = ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
                 col.admit(0, col.shard_count() - 1, threads, |fresh| {
                     vec![(); fresh.len()]
                 });
@@ -653,7 +652,7 @@ fn bench_exact_hits(c: &mut Criterion) {
     g.bench_function("miss", |b| b.iter(|| run(&misses, 0)));
     // Pending inserts between the ranges (values ≡ 600 mod 997), up to
     // the backlog in every shard.
-    let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
+    let backlog = CrackerColumn::MERGE_BACKLOG;
     let shards = engine.sharded(0);
     let mut row = ROWS as u32;
     for k in 0..shards.shard_count() {
@@ -768,7 +767,7 @@ fn bench_snapshot_reads(c: &mut Criterion) {
     let pivots: Vec<i64> = (1..1_500)
         .map(|i| i * step + rng.random_range(0..step / 2))
         .collect();
-    let reads: Vec<Predicate<i64>> = (0..1_000)
+    let reads: Vec<Predicate> = (0..1_000)
         .map(|_| {
             let width = rng.random_range(DOMAIN / 20..DOMAIN / 5);
             let lo = rng.random_range(0..DOMAIN - width);
@@ -790,7 +789,7 @@ fn bench_snapshot_reads(c: &mut Criterion) {
         b.iter(|| {
             for &pred in &reads {
                 let scan = shard.snapshot_scan(pred, &mut scratch);
-                debug_assert!(scan.filtered < CrackerColumn::<i64>::REFRESH_FILTER_MIN);
+                debug_assert!(scan.filtered < CrackerColumn::REFRESH_FILTER_MIN);
                 black_box(scan);
             }
         })

@@ -62,10 +62,10 @@ impl HolisticConfig {
         }
     }
 
-    /// Number of values of `width` bytes that fit in L1 — the `L1s` of the
-    /// paper's initial-weight formula.
-    pub fn l1_values(&self, width: usize) -> usize {
-        (self.l1_bytes / width.max(1)).max(1)
+    /// Number of values that fit in L1 — the `L1s` of the paper's
+    /// initial-weight formula.
+    pub fn l1_values(&self) -> usize {
+        (self.l1_bytes / size_of::<i64>()).max(1)
     }
 }
 
@@ -83,10 +83,10 @@ mod tests {
     }
 
     #[test]
-    fn l1_values_by_width() {
-        let c = HolisticConfig::default();
-        assert_eq!(c.l1_values(8), 4096);
-        assert_eq!(c.l1_values(4), 8192);
-        assert_eq!(c.l1_values(0), 32 * 1024); // degenerate width clamps
+    fn l1_values_counts_i64_values() {
+        let mut c = HolisticConfig::default();
+        assert_eq!(c.l1_values(), 4096);
+        c.l1_bytes = 0;
+        assert_eq!(c.l1_values(), 1); // a degenerate L1 clamps
     }
 }

@@ -201,7 +201,6 @@ fn daemon_loop(
 mod tests {
     use super::*;
     use crate::cpu::LoadAccountant;
-    use crate::handle::CrackerHandle;
     use crate::index_space::Membership;
     use holix_cracking::CrackerColumn;
 
@@ -212,10 +211,7 @@ mod tests {
         });
         for c in 0..cols {
             let base: Vec<i64> = (0..n as i64).rev().collect();
-            let h = Arc::new(CrackerHandle::new(Arc::new(CrackerColumn::from_base(
-                format!("c{c}"),
-                &base,
-            ))));
+            let h = Arc::new(CrackerColumn::from_base(format!("c{c}"), &base));
             space.register(vec![h], Membership::Actual);
         }
         Arc::new(space)

@@ -1,52 +1,14 @@
-//! Type-erased handles to refinable adaptive indices.
+//! What holistic tuning needs from an adaptive index.
 //!
-//! The index space manages indices over columns of different value types
-//! (`i32` dates, `i64` measures, …). [`RefinableIndex`] erases the value
-//! type down to the operations holistic tuning needs: piece statistics for
-//! Equation (1) and random-pivot refinement.
+//! [`RefinableIndex`] is the index space's view of an index: piece
+//! statistics for Equation (1), random-pivot refinement and background
+//! upkeep. [`CrackerColumn`] implements it directly; the index-space tests
+//! substitute fakes through it.
 
 use holix_cracking::{CrackScratch, CrackerColumn, RefineOutcome};
-use holix_storage::types::CrackValue;
 use rand::RngCore;
-use std::any::Any;
-use std::sync::Arc;
 
-/// Outcome of a type-erased refinement step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefineResult {
-    /// A piece was split (length of the partitioned piece).
-    Refined { piece_len: usize },
-    /// The drawn pivot already was a boundary.
-    AlreadyBound,
-    /// All attempted pieces were latched.
-    Busy,
-}
-
-/// The crack scratch of one executing thread, erased over the value type
-/// like the indices it serves. A worker activation owns one for its `x`
-/// refinements; it is dropped with the activation, so idle workers hold no
-/// buffers.
-pub struct WorkerScratch(Box<dyn Any>);
-
-impl Default for WorkerScratch {
-    fn default() -> Self {
-        WorkerScratch(Box::new(())) // no buffers until the first refinement
-    }
-}
-
-impl WorkerScratch {
-    /// The scratch typed for `V` (replaced by an empty one when the last
-    /// user had a different value type).
-    fn typed<V: CrackValue>(&mut self) -> &mut CrackScratch<V> {
-        if !self.0.is::<CrackScratch<V>>() {
-            self.0 = Box::new(CrackScratch::<V>::new());
-        }
-        self.0.downcast_mut().expect("scratch was just typed for V")
-    }
-}
-
-/// What holistic tuning needs from an adaptive index, independent of the
-/// concrete value type.
+/// The operations holistic tuning runs on an index.
 pub trait RefinableIndex: Send + Sync {
     /// Index (column) name.
     fn name(&self) -> &str;
@@ -58,8 +20,6 @@ pub trait RefinableIndex: Send + Sync {
     }
     /// Current piece count `p`.
     fn piece_count(&self) -> usize;
-    /// Value width in bytes (for the `L1s` term of Equation 1).
-    fn value_width(&self) -> usize;
     /// Materialised bytes (values + row ids + index) for budgeting.
     fn payload_bytes(&self) -> usize;
     /// One refinement at a random pivot; tries up to `attempts` pivots when
@@ -69,8 +29,8 @@ pub trait RefinableIndex: Send + Sync {
         &self,
         rng: &mut dyn RngCore,
         attempts: usize,
-        scratch: &mut WorkerScratch,
-    ) -> RefineResult;
+        scratch: &mut CrackScratch,
+    ) -> RefineOutcome;
     /// `true` when enough updates are queued for
     /// [`RefinableIndex::drain_in_background`] to merge them. Default: no
     /// update queue.
@@ -93,72 +53,50 @@ pub trait RefinableIndex: Send + Sync {
     }
 }
 
-/// [`RefinableIndex`] adapter around a [`CrackerColumn`].
-pub struct CrackerHandle<V> {
-    col: Arc<CrackerColumn<V>>,
-}
-
-impl<V: CrackValue> CrackerHandle<V> {
-    /// Wraps a shared cracker column.
-    pub fn new(col: Arc<CrackerColumn<V>>) -> Self {
-        CrackerHandle { col }
-    }
-}
-
-impl<V: CrackValue> RefinableIndex for CrackerHandle<V> {
+impl RefinableIndex for CrackerColumn {
     fn name(&self) -> &str {
-        self.col.name()
+        CrackerColumn::name(self)
     }
 
     fn len(&self) -> usize {
-        self.col.len()
+        CrackerColumn::len(self)
     }
 
     fn piece_count(&self) -> usize {
-        self.col.piece_count()
-    }
-
-    fn value_width(&self) -> usize {
-        V::width()
+        CrackerColumn::piece_count(self)
     }
 
     fn payload_bytes(&self) -> usize {
-        self.col.payload_bytes()
+        CrackerColumn::payload_bytes(self)
     }
 
     fn refine_random(
         &self,
         mut rng: &mut dyn RngCore,
         attempts: usize,
-        scratch: &mut WorkerScratch,
-    ) -> RefineResult {
-        match self.col.refine_random(&mut rng, scratch.typed(), attempts) {
-            RefineOutcome::Refined { piece_len } => RefineResult::Refined { piece_len },
-            RefineOutcome::AlreadyBound => RefineResult::AlreadyBound,
-            RefineOutcome::Busy => RefineResult::Busy,
-        }
+        scratch: &mut CrackScratch,
+    ) -> RefineOutcome {
+        CrackerColumn::refine_random(self, &mut rng, scratch, attempts)
     }
 
     fn drain_due(&self) -> bool {
-        self.col.drain_due()
+        CrackerColumn::drain_due(self)
     }
 
     fn drain_in_background(&self) -> bool {
-        self.col.drain_in_background()
+        CrackerColumn::drain_in_background(self)
     }
 
     fn maybe_rebuild_filter(&self) -> bool {
-        self.col.maybe_rebuild_point_filter()
+        self.maybe_rebuild_point_filter()
     }
 }
 
 /// Distance to the optimal index per Equation (1):
-/// `d(I, I_opt) = N/p − L1s`, floored at zero.
-pub fn distance_to_optimal(index: &dyn RefinableIndex, l1_bytes: usize) -> u64 {
-    let n = index.len();
+/// `d(I, I_opt) = N/p − L1s`, floored at zero, where `l1_values` is `L1s`.
+pub fn distance_to_optimal(index: &dyn RefinableIndex, l1_values: usize) -> u64 {
     let p = index.piece_count().max(1);
-    let l1s = (l1_bytes / index.value_width().max(1)).max(1);
-    (n / p).saturating_sub(l1s) as u64
+    (index.len() / p).saturating_sub(l1_values) as u64
 }
 
 #[cfg(test)]
@@ -166,59 +104,60 @@ mod tests {
     use super::*;
     use rand::prelude::*;
 
-    fn handle(n: usize) -> CrackerHandle<i64> {
+    const L1_VALUES: usize = 32 * 1024 / 8;
+
+    fn column(n: usize) -> CrackerColumn {
         let base: Vec<i64> = (0..n as i64).rev().collect();
-        CrackerHandle::new(Arc::new(CrackerColumn::from_base("a", &base)))
+        CrackerColumn::from_base("a", &base)
     }
 
     #[test]
-    fn adapter_reports_column_properties() {
-        let h = handle(10_000);
-        assert_eq!(h.len(), 10_000);
-        assert_eq!(h.piece_count(), 1);
-        assert_eq!(h.value_width(), 8);
-        assert_eq!(h.name(), "a");
+    fn column_reports_its_properties_through_the_trait() {
+        let col = column(10_000);
+        let index: &dyn RefinableIndex = &col;
+        assert_eq!(index.len(), 10_000);
+        assert_eq!(index.piece_count(), 1);
+        assert_eq!(index.name(), "a");
         // (`from_base` columns store their row ids from birth.)
-        assert!(h.payload_bytes() >= 10_000 * CrackerColumn::<i64>::tuple_bytes(true));
+        assert!(index.payload_bytes() >= 10_000 * CrackerColumn::tuple_bytes(true));
     }
 
     #[test]
-    fn refine_random_through_erased_type() {
-        let h = handle(10_000);
+    fn refine_random_through_the_trait() {
+        let col = column(10_000);
         let mut rng = StdRng::seed_from_u64(1);
-        let dyn_ref: &dyn RefinableIndex = &h;
-        let mut scratch = WorkerScratch::default();
+        let index: &dyn RefinableIndex = &col;
+        let mut scratch = CrackScratch::new();
         let mut refined = 0;
         for _ in 0..50 {
             if matches!(
-                dyn_ref.refine_random(&mut rng, 4, &mut scratch),
-                RefineResult::Refined { .. }
+                index.refine_random(&mut rng, 4, &mut scratch),
+                RefineOutcome::Refined { .. }
             ) {
                 refined += 1;
             }
         }
         assert!(refined > 30, "only {refined} refinements succeeded");
-        assert_eq!(h.piece_count(), refined + 1);
+        assert_eq!(col.piece_count(), refined + 1);
     }
 
     #[test]
     fn distance_shrinks_with_refinement() {
-        let h = handle(100_000);
-        let l1 = 32 * 1024;
-        let d0 = distance_to_optimal(&h, l1);
+        let col = column(100_000);
+        let d0 = distance_to_optimal(&col, L1_VALUES);
         assert_eq!(d0, 100_000 - 4096);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut scratch = WorkerScratch::default();
+        let mut scratch = CrackScratch::new();
         for _ in 0..200 {
-            h.refine_random(&mut rng, 8, &mut scratch);
+            col.refine_random(&mut rng, &mut scratch, 8);
         }
-        let d1 = distance_to_optimal(&h, l1);
+        let d1 = distance_to_optimal(&col, L1_VALUES);
         assert!(d1 < d0 / 10, "d1={d1}");
     }
 
     #[test]
     fn distance_zero_when_pieces_fit_l1() {
-        let h = handle(1_000); // 1000 values < 4096-value L1 budget
-        assert_eq!(distance_to_optimal(&h, 32 * 1024), 0);
+        let col = column(1_000); // 1000 values < 4096-value L1 budget
+        assert_eq!(distance_to_optimal(&col, L1_VALUES), 0);
     }
 }

@@ -36,10 +36,11 @@
 //! registration and retirement are the only writers of the table.
 
 use crate::config::HolisticConfig;
-use crate::handle::{distance_to_optimal, RefinableIndex, RefineResult};
+use crate::handle::{distance_to_optimal, RefinableIndex};
 use crate::stats::IndexStats;
 use crate::strategy::Strategy;
 use crate::weight_heap::{HeapKey, WeightHeap};
+use holix_cracking::RefineOutcome;
 use parking_lot::{Mutex, RwLock};
 use rand::seq::IndexedRandom;
 use rand::RngCore;
@@ -213,7 +214,7 @@ impl IndexSpace {
         handles
             .into_iter()
             .map(|handle| {
-                let d = distance_to_optimal(handle.as_ref(), self.config.l1_bytes);
+                let d = distance_to_optimal(handle.as_ref(), self.config.l1_values());
                 let membership = if d == 0 {
                     Membership::Optimal
                 } else {
@@ -285,12 +286,12 @@ impl IndexSpace {
         &self,
         slot: &IndexSlot,
         handle: &dyn RefinableIndex,
-        result: RefineResult,
+        result: RefineOutcome,
     ) {
         match result {
-            RefineResult::Refined { .. } => slot.stats.record_worker_refinement(),
-            RefineResult::Busy => slot.stats.record_worker_busy(),
-            RefineResult::AlreadyBound => {}
+            RefineOutcome::Refined { .. } => slot.stats.record_worker_refinement(),
+            RefineOutcome::Busy => slot.stats.record_worker_busy(),
+            RefineOutcome::AlreadyBound => {}
         }
         self.refresh_weight(slot, handle);
     }
@@ -301,7 +302,7 @@ impl IndexSpace {
         if matches!(slot.membership(), Membership::Dropped | Membership::Optimal) {
             return;
         }
-        let d = distance_to_optimal(handle, self.config.l1_bytes);
+        let d = distance_to_optimal(handle, self.config.l1_values());
         if d == 0 {
             // Dropped is final: an eviction racing this refresh wins.
             let _ = slot
@@ -434,8 +435,7 @@ impl IndexSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::{CrackerHandle, WorkerScratch};
-    use holix_cracking::CrackerColumn;
+    use holix_cracking::{CrackScratch, CrackerColumn};
     use rand::prelude::*;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
@@ -450,9 +450,7 @@ mod tests {
 
     fn make_handle(n: usize, name: &str) -> Arc<dyn RefinableIndex> {
         let base: Vec<i64> = (0..n as i64).rev().collect();
-        Arc::new(CrackerHandle::new(Arc::new(CrackerColumn::from_base(
-            name, &base,
-        ))))
+        Arc::new(CrackerColumn::from_base(name, &base))
     }
 
     fn register_one(
@@ -501,7 +499,7 @@ mod tests {
         while slot.membership() == Membership::Actual {
             let (picked, h) = space.pick(&mut rng).refine.expect("pickable");
             assert!(Arc::ptr_eq(&picked, &slot));
-            let res = h.refine_random(&mut rng, 8, &mut WorkerScratch::default());
+            let res = h.refine_random(&mut rng, 8, &mut CrackScratch::new());
             space.record_worker_outcome(&picked, h.as_ref(), res);
             steps += 1;
             assert!(steps < 10_000, "did not converge");
@@ -583,9 +581,6 @@ mod tests {
         fn piece_count(&self) -> usize {
             1
         }
-        fn value_width(&self) -> usize {
-            8
-        }
         fn payload_bytes(&self) -> usize {
             self.payload_reads.fetch_add(1, Ordering::Relaxed);
             self.bytes
@@ -594,9 +589,9 @@ mod tests {
             &self,
             _rng: &mut dyn RngCore,
             _attempts: usize,
-            _scratch: &mut WorkerScratch,
-        ) -> RefineResult {
-            RefineResult::Busy
+            _scratch: &mut CrackScratch,
+        ) -> RefineOutcome {
+            RefineOutcome::Busy
         }
     }
 
@@ -660,9 +655,7 @@ mod tests {
     fn eviction_releases_the_column_payload() {
         let space = space_with(Strategy::W4Random, Some(300 * 1024));
         let base: Vec<i64> = (0..10_000i64).rev().collect();
-        let victim: Arc<dyn RefinableIndex> = Arc::new(CrackerHandle::new(Arc::new(
-            CrackerColumn::from_base("victim", &base),
-        )));
+        let victim: Arc<dyn RefinableIndex> = Arc::new(CrackerColumn::from_base("victim", &base));
         let weak = Arc::downgrade(&victim);
         let v = register_one(&space, victim, Membership::Actual);
         // Two more registrations blow the budget; `v` is the LFU victim.
@@ -688,7 +681,7 @@ mod tests {
         actual(&space, 50_000, "b");
         assert_eq!(space.total_pieces(), 2);
         let mut rng = StdRng::seed_from_u64(7);
-        h.refine_random(&mut rng, 8, &mut WorkerScratch::default());
+        h.refine_random(&mut rng, 8, &mut CrackScratch::new());
         assert_eq!(space.total_pieces(), 3);
     }
 
@@ -828,7 +821,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(9);
                 for _ in 0..200 {
                     if let Some((slot, h)) = space.pick(&mut rng).refine {
-                        let res = h.refine_random(&mut rng, 4, &mut WorkerScratch::default());
+                        let res = h.refine_random(&mut rng, 4, &mut CrackScratch::new());
                         space.record_worker_outcome(&slot, h.as_ref(), res);
                     }
                 }

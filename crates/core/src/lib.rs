@@ -11,8 +11,8 @@
 //! - [`weight_heap`] — the updatable "heap structure (one node per index)"
 //!   that orders candidate indices by weight.
 //! - [`strategy`] — the four index-decision strategies W1–W4.
-//! - [`handle`] — type-erased [`handle::RefinableIndex`] adapter so one
-//!   index space can hold cracker columns of any value type.
+//! - [`handle`] — [`handle::RefinableIndex`], what tuning needs of an
+//!   index, implemented by the cracker column.
 //! - [`index_space`] — `C_actual` / `C_potential` / `C_optimal` membership,
 //!   weight maintenance, storage budget with LFU eviction.
 //! - [`cpu`] — the CPU-utilisation signal: deterministic load accounting
@@ -34,7 +34,7 @@ pub mod worker;
 pub use config::HolisticConfig;
 pub use cpu::{CpuMonitor, LoadAccountant};
 pub use daemon::{CycleRecord, HolisticDaemon};
-pub use handle::{CrackerHandle, RefinableIndex, RefineResult, WorkerScratch};
+pub use handle::RefinableIndex;
 pub use index_space::{IndexSlot, IndexSpace, Membership, Pick};
 pub use stats::IndexStats;
 pub use strategy::Strategy;

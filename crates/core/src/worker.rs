@@ -6,8 +6,8 @@
 //! […] are updated. When an index reaches the optimal status, it is moved
 //! into the optimal configuration."
 
-use crate::handle::{RefineResult, WorkerScratch};
 use crate::index_space::{IndexSpace, Membership};
+use holix_cracking::{CrackScratch, RefineOutcome};
 use rand::RngCore;
 use std::time::{Duration, Instant};
 
@@ -63,14 +63,14 @@ pub fn idle_function(
     };
     report.picked = true;
 
-    let mut scratch = WorkerScratch::default();
+    let mut scratch = CrackScratch::new();
     for _ in 0..refinements_per_worker {
         let result = handle.refine_random(rng, latch_attempts, &mut scratch);
         space.record_worker_outcome(&slot, handle.as_ref(), result);
         match result {
-            RefineResult::Refined { .. } => report.refinements += 1,
-            RefineResult::Busy => report.busy += 1,
-            RefineResult::AlreadyBound => report.already_bound += 1,
+            RefineOutcome::Refined { .. } => report.refinements += 1,
+            RefineOutcome::Busy => report.busy += 1,
+            RefineOutcome::AlreadyBound => report.already_bound += 1,
         }
         if slot.membership() == Membership::Optimal {
             break;
@@ -89,15 +89,15 @@ pub fn idle_function(
 mod tests {
     use super::*;
     use crate::config::HolisticConfig;
-    use crate::handle::{CrackerHandle, RefinableIndex};
+    use crate::handle::RefinableIndex;
     use crate::index_space::IndexSlot;
     use holix_cracking::CrackerColumn;
     use rand::prelude::*;
     use std::sync::Arc;
 
     /// Registers `col` into `C_actual`.
-    fn register(space: &IndexSpace, col: &Arc<CrackerColumn<i64>>) -> Arc<IndexSlot> {
-        let handle: Arc<dyn RefinableIndex> = Arc::new(CrackerHandle::new(Arc::clone(col)));
+    fn register(space: &IndexSpace, col: &Arc<CrackerColumn>) -> Arc<IndexSlot> {
+        let handle: Arc<dyn RefinableIndex> = Arc::clone(col) as _;
         space
             .register(vec![handle], Membership::Actual)
             .pop()
@@ -195,7 +195,7 @@ mod tests {
         let col = Arc::new(CrackerColumn::from_base("a", &base));
         let slot = register(&space, &col);
         assert_eq!(slot.membership(), Membership::Optimal);
-        let due = CrackerColumn::<i64>::DRAIN_DUE;
+        let due = CrackerColumn::DRAIN_DUE;
         for i in 1..due {
             col.queue_insert(i as i64, (1_000 + i) as u32);
         }

@@ -21,9 +21,9 @@
 //! pointer copy, with nothing ever acquired while it is held.
 //!
 //! The planner prices a query from this column's live index
-//! ([`CrackerColumn::locate`], [`CrackerColumn::len`],
-//! [`CrackerColumn::pending_len`]): `index` read and then `pending`, one
-//! lookup each, never nested and never under `structure`. So an estimate
+//! ([`CrackerColumn::with_index`], then [`CrackerColumn::pending_len`]):
+//! one `index` read for both bounds and then `pending`, never nested and
+//! never under `structure`. So an estimate
 //! waits out a Ripple walk of the column (which holds `index` for
 //! writing), as the read it prices does, and nothing else.
 //!
@@ -105,11 +105,11 @@ use crate::row_ids::RowSource;
 use crate::updates::{ripple_batch, PendingUpdates, UnmergedKind};
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
-use holix_storage::types::{CrackValue, RowId};
+use holix_storage::types::RowId;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rand::Rng;
 use std::sync::atomic::{
-    AtomicBool, AtomicUsize, Ordering::Acquire, Ordering::Relaxed, Ordering::Release,
+    AtomicBool, AtomicI64, AtomicUsize, Ordering::Acquire, Ordering::Relaxed, Ordering::Release,
 };
 use std::sync::Arc;
 
@@ -122,7 +122,7 @@ fn no_rows(len: usize) -> Vec<()> {
 /// Count and sum deltas of the unmerged updates `pred` selects: what a read
 /// of the merged column lacks. Allocation-free; callers run it inside the
 /// pending mutex, their linearisation point.
-fn overlay<V: CrackValue>(queue: &PendingUpdates<V>, pred: Predicate<V>) -> (i64, i128) {
+fn overlay(queue: &PendingUpdates, pred: Predicate) -> (i64, i128) {
     let (mut count, mut sum) = (0i64, 0i128);
     queue.for_each_unmerged(
         |v| pred.matches_unbounded(v),
@@ -132,7 +132,7 @@ fn overlay<V: CrackValue>(queue: &PendingUpdates<V>, pred: Predicate<V>) -> (i64
                 UnmergedKind::Delete => -1,
             };
             count += sign;
-            sum += sign as i128 * v.as_i64() as i128;
+            sum += sign as i128 * v as i128;
         },
     );
     (count, sum)
@@ -142,22 +142,10 @@ fn overlay<V: CrackValue>(queue: &PendingUpdates<V>, pred: Predicate<V>) -> (i64
 /// predicate semantics ([`Predicate::matches_unbounded`]: a `MIN`/`MAX`
 /// bound is unbounded), through the branchless lane filter: a snapshot
 /// read's edge filter.
-fn filter_stats<V: CrackValue>(vals: &[V], lo: V, hi: V) -> (u64, i128) {
-    // `as_i64` preserves order, so the comparisons agree with `V`'s.
-    let lo = (lo != V::MIN_VALUE).then(|| lo.as_i64());
-    let hi = (hi != V::MAX_VALUE).then(|| hi.as_i64());
-    let mut count = 0u64;
-    let mut sum = 0i128;
-    let mut lanes = [0i64; 256];
-    for chunk in vals.chunks(lanes.len()) {
-        for (o, v) in lanes.iter_mut().zip(chunk) {
-            *o = v.as_i64();
-        }
-        let (c, s) = kernels::filter_count(&lanes[..chunk.len()], lo, hi);
-        count += c;
-        sum += s;
-    }
-    (count, sum)
+fn filter_stats(vals: &[i64], lo: i64, hi: i64) -> (u64, i128) {
+    let lo = (lo != i64::MIN).then_some(lo);
+    let hi = (hi != i64::MAX).then_some(hi);
+    kernels::filter_count(vals, lo, hi)
 }
 
 /// Result of one range select over a cracker column.
@@ -220,25 +208,28 @@ pub enum RefineOutcome {
 
 /// A cracker column: copy of a base column (values + row ids) that is
 /// incrementally reorganised by queries and holistic workers.
-pub struct CrackerColumn<V> {
+pub struct CrackerColumn {
     name: String,
-    vals: RangeCell<V>,
+    vals: RangeCell<i64>,
     /// Row ids beside `vals`, slot for slot — or empty, for a column born
     /// from a [`RowSource`] that nobody has asked for an id yet.
     rows: RangeCell<RowId>,
     /// Where the row ids of a column born without them come from: its
     /// base, its range and, once merges wrote to it, their log.
-    row_source: Option<RowSource<V>>,
+    row_source: Option<RowSource>,
     /// `rows` is filled. Set at most once, under `structure` exclusive
     /// ([`CrackerColumn::ensure_row_ids`]), and never cleared; everything
     /// that touches `rows` reads it under `structure` in either mode.
     has_rows: AtomicBool,
     structure: RwLock<()>,
-    pub(crate) index: RwLock<CrackerIndex<V>>,
-    pending: Mutex<PendingUpdates<V>>,
-    /// Observed value domain (base ∪ pending inserts); random pivots are
-    /// drawn from it.
-    domain: Mutex<Option<(V, V)>>,
+    pub(crate) index: RwLock<CrackerIndex>,
+    pending: Mutex<PendingUpdates>,
+    /// Observed value domain (base ∪ pending inserts) as `(lo, hi)`,
+    /// empty while `lo > hi`; random pivots and stochastic's outer pieces
+    /// are drawn from it. Inserts widen each end on its own, so a read may
+    /// see one end moved and not the other — a pivot a little off the
+    /// newest value, or an empty domain for a column's very first insert.
+    domain: (AtomicI64, AtomicI64),
     /// Thread budget of query-driven cracks (select bounds, stochastic
     /// auxiliary cracks) — the paper's user queries may gang multiple
     /// threads on one big piece.
@@ -258,18 +249,18 @@ pub struct CrackerColumn<V> {
     filter_deletes: AtomicUsize,
 }
 
-impl<V: CrackValue> CrackerColumn<V> {
+impl CrackerColumn {
     /// Copies a base column into a fresh cracker column (the paper's
     /// "first time an attribute is required, a copy of the base column is
     /// created").
-    pub fn from_base(name: impl Into<String>, base: &[V]) -> Self {
+    pub fn from_base(name: impl Into<String>, base: &[i64]) -> Self {
         Self::from_base_offset(name, base, 0)
     }
 
     /// Builds a cracker column whose row ids start at `offset` — chunked
     /// variants (P-CCGI) crack per-chunk copies that must still report
     /// global base-table positions.
-    pub fn from_base_offset(name: impl Into<String>, base: &[V], offset: RowId) -> Self {
+    pub fn from_base_offset(name: impl Into<String>, base: &[i64], offset: RowId) -> Self {
         let rows = (offset..offset + base.len() as RowId).collect();
         Self::from_parts(name, base.to_vec(), rows)
     }
@@ -278,14 +269,14 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// (non-contiguous) row ids — horizontal shards hand each shard the
     /// subset of base tuples whose values fall in its range while keeping
     /// global base-table positions.
-    pub fn from_parts(name: impl Into<String>, vals: Vec<V>, rows: Vec<RowId>) -> Self {
+    pub fn from_parts(name: impl Into<String>, vals: Vec<i64>, rows: Vec<RowId>) -> Self {
         assert_eq!(vals.len(), rows.len(), "values/row-ids length mismatch");
         let domain = Self::domain_of(&vals);
         Self::build(name, vals, Some(rows), None, &[], domain)
     }
 
     /// Smallest and largest of `vals` (`None` when empty).
-    fn domain_of(vals: &[V]) -> Option<(V, V)> {
+    fn domain_of(vals: &[i64]) -> Option<(i64, i64)> {
         vals.first().map(|&first| {
             vals.iter()
                 .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
@@ -307,10 +298,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// alone.
     pub(crate) fn from_source(
         name: impl Into<String>,
-        vals: Vec<V>,
-        source: RowSource<V>,
-        bounds: &[(V, usize)],
-        domain: Option<(V, V)>,
+        vals: Vec<i64>,
+        source: RowSource,
+        bounds: &[(i64, usize)],
+        domain: Option<(i64, i64)>,
     ) -> Self {
         debug_assert_eq!(domain, Self::domain_of(&vals), "not the values' domain");
         Self::build(name, vals, None, Some(source), bounds, domain)
@@ -318,11 +309,11 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     fn build(
         name: impl Into<String>,
-        vals: Vec<V>,
+        vals: Vec<i64>,
         rows: Option<Vec<RowId>>,
-        row_source: Option<RowSource<V>>,
-        bounds: &[(V, usize)],
-        domain: Option<(V, V)>,
+        row_source: Option<RowSource>,
+        bounds: &[(i64, usize)],
+        domain: Option<(i64, i64)>,
     ) -> Self {
         let n = vals.len();
         assert!(
@@ -354,7 +345,10 @@ impl<V: CrackValue> CrackerColumn<V> {
             structure: RwLock::new(()),
             index: RwLock::new(index),
             pending: Mutex::new(PendingUpdates::new()),
-            domain: Mutex::new(domain),
+            domain: {
+                let (lo, hi) = domain.unwrap_or((i64::MAX, i64::MIN));
+                (AtomicI64::new(lo), AtomicI64::new(hi))
+            },
             select_threads: 1,
             refine_threads: 1,
             filter: PublishedCell::new(),
@@ -405,8 +399,9 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// Observed value domain, if any values exist.
-    pub fn domain(&self) -> Option<(V, V)> {
-        *self.domain.lock()
+    pub fn domain(&self) -> Option<(i64, i64)> {
+        let (lo, hi) = (self.domain.0.load(Relaxed), self.domain.1.load(Relaxed));
+        (lo <= hi).then_some((lo, hi))
     }
 
     /// Bytes one resident tuple costs: its value, and its row id once the
@@ -414,7 +409,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// [`CrackerColumn::payload_bytes`] and every budget computed ahead of
     /// a build share.
     pub const fn tuple_bytes(ids: bool) -> usize {
-        std::mem::size_of::<V>() + if ids { std::mem::size_of::<RowId>() } else { 0 }
+        std::mem::size_of::<i64>() + if ids { std::mem::size_of::<RowId>() } else { 0 }
     }
 
     /// Bytes held by values + row ids (once built) or the merges' write
@@ -488,11 +483,12 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
     }
 
-    /// Where `v` sits in the cracker index: the boundary it is, or the
-    /// piece it falls into with that piece's extent and outer keys. One
-    /// `index` read; stochastic cracking and the planner's price read it.
-    pub fn locate(&self, v: V) -> BoundLookup<V> {
-        self.index.read().locate(v)
+    /// `f` of the cracker index, under one `index` read: the planner
+    /// prices both bounds of a predicate through it
+    /// ([`CrackerIndex::locate`], which clones no latch), so both lookups
+    /// see one boundary table. Holds no latch and not `structure`.
+    pub fn with_index<R>(&self, f: impl FnOnce(&CrackerIndex) -> R) -> R {
+        f(&self.index.read())
     }
 
     /// Test-only: holds the column's structure lock exclusively, as a
@@ -504,12 +500,12 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// Draws a uniform random pivot from the observed domain.
-    pub fn random_pivot(&self, rng: &mut impl Rng) -> Option<V> {
-        let (lo, hi) = (*self.domain.lock())?;
+    pub fn random_pivot(&self, rng: &mut impl Rng) -> Option<i64> {
+        let (lo, hi) = self.domain()?;
         if lo == hi {
             return Some(lo);
         }
-        Some(V::from_i64(rng.random_range(lo.as_i64()..=hi.as_i64())))
+        Some(rng.random_range(lo..=hi))
     }
 
     // ------------------------------------------------------------------
@@ -527,7 +523,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// shared. Only a queue longer than [`CrackerColumn::MERGE_BACKLOG`] is
     /// merged first — whole, as one Ripple batch (\[28\]) — so a read pays
     /// one boundary walk per few hundred updates, not one per update.
-    pub fn select(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> Selection {
+    pub fn select(&self, pred: Predicate, scratch: &mut CrackScratch) -> Selection {
         let sel = self.select_inner(pred, scratch);
         if holix_telemetry::metrics_enabled() {
             holix_telemetry::counter!("cracking_selects_total").inc();
@@ -554,7 +550,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// has to crack never takes the pending mutex. The fold is the
     /// linearisation point: an update queued before it is counted, one
     /// queued after it is ordered after this read.
-    pub fn count_exact(&self, pred: Predicate<V>) -> Option<u64> {
+    pub fn count_exact(&self, pred: Predicate) -> Option<u64> {
         if pred.is_empty() {
             return Some(0);
         }
@@ -587,13 +583,13 @@ impl<V: CrackValue> CrackerColumn<V> {
 
     /// Cracked positions of `pred`'s bounds when both are boundaries (or
     /// the `MIN`/`MAX` sentinels); `None` otherwise.
-    fn exact_span(idx: &CrackerIndex<V>, pred: Predicate<V>) -> Option<(usize, usize)> {
-        let lo = if pred.lo == V::MIN_VALUE {
+    fn exact_span(idx: &CrackerIndex, pred: Predicate) -> Option<(usize, usize)> {
+        let lo = if pred.lo == i64::MIN {
             0
         } else {
             idx.exact(pred.lo)?
         };
-        let hi = if pred.hi == V::MAX_VALUE {
+        let hi = if pred.hi == i64::MAX {
             idx.len()
         } else {
             idx.exact(pred.hi)?
@@ -601,7 +597,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         Some((lo, hi.max(lo)))
     }
 
-    fn select_inner(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> Selection {
+    fn select_inner(&self, pred: Predicate, scratch: &mut CrackScratch) -> Selection {
         if pred.is_empty() {
             return Selection {
                 start: 0,
@@ -625,13 +621,13 @@ impl<V: CrackValue> CrackerColumn<V> {
             return Selection { pending, ..sel };
         }
 
-        let (lo_pos, hit_lo, touched_lo) = if pred.lo == V::MIN_VALUE {
+        let (lo_pos, hit_lo, touched_lo) = if pred.lo == i64::MIN {
             (0, true, 0)
         } else {
             self.crack_bound(pred.lo, scratch, true)
                 .expect("blocking crack cannot be Busy")
         };
-        let (hi_pos, hit_hi, touched_hi) = if pred.hi == V::MAX_VALUE {
+        let (hi_pos, hit_hi, touched_hi) = if pred.hi == i64::MAX {
             (self.index.read().len(), true, 0)
         } else {
             self.crack_bound(pred.hi, scratch, true)
@@ -653,12 +649,8 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// crack-in-two operations.
     ///
     /// Caller holds `structure` shared.
-    fn try_crack_in_three(
-        &self,
-        pred: Predicate<V>,
-        scratch: &mut CrackScratch<V>,
-    ) -> Option<Selection> {
-        if pred.lo == V::MIN_VALUE || pred.hi == V::MAX_VALUE {
+    fn try_crack_in_three(&self, pred: Predicate, scratch: &mut CrackScratch) -> Option<Selection> {
+        if pred.lo == i64::MIN || pred.hi == i64::MAX {
             return None;
         }
         let (piece_latch, start, end) = {
@@ -677,7 +669,7 @@ impl<V: CrackValue> CrackerColumn<V> {
                         latch: l2,
                         ..
                     },
-                ) if s1 == s2 && e1 == e2 && l1.same_as(&l2) => (l1, s1, e1),
+                ) if s1 == s2 && e1 == e2 && l1.same_as(l2) => (l1.clone(), s1, e1),
                 _ => return None,
             }
         };
@@ -760,8 +752,8 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Caller holds `structure` shared.
     fn crack_bound(
         &self,
-        v: V,
-        scratch: &mut CrackScratch<V>,
+        v: i64,
+        scratch: &mut CrackScratch,
         blocking: bool,
     ) -> Option<(usize, bool, usize)> {
         let threads = if blocking {
@@ -770,10 +762,9 @@ impl<V: CrackValue> CrackerColumn<V> {
             self.refine_threads
         };
         loop {
-            let lookup = self.index.read().locate(v);
-            let latch = match lookup {
+            let latch = match self.index.read().locate(v) {
                 BoundLookup::Exact(pos) => return Some((pos, true, 0)),
-                BoundLookup::Piece { latch, .. } => latch,
+                BoundLookup::Piece { latch, .. } => latch.clone(),
             };
             let guard = if blocking {
                 latch.lock_write()
@@ -840,7 +831,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// one batch, when the structure lock is free, so workers also bring
     /// indices up to date (§4.2); a column a read holds keeps its queue for
     /// later, as in [`CrackerColumn::drain_in_background`].
-    pub fn refine_at(&self, pivot: V, scratch: &mut CrackScratch<V>) -> RefineOutcome {
+    pub fn refine_at(&self, pivot: i64, scratch: &mut CrackScratch) -> RefineOutcome {
         if self.pending_len() > 0 {
             self.try_merge(false);
         }
@@ -861,7 +852,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Blocking refinement (used by single-threaded baselines, the
     /// auxiliary cracks of stochastic selects, and tests). Merges only past
     /// the backlog, as a select does.
-    pub fn refine_at_blocking(&self, pivot: V, scratch: &mut CrackScratch<V>) -> RefineOutcome {
+    pub fn refine_at_blocking(&self, pivot: i64, scratch: &mut CrackScratch) -> RefineOutcome {
         self.merge_past_backlog();
         let _shared = self.structure.read();
         match self.crack_bound(pivot, scratch, true) {
@@ -876,7 +867,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     pub fn refine_random(
         &self,
         rng: &mut impl Rng,
-        scratch: &mut CrackScratch<V>,
+        scratch: &mut CrackScratch,
         max_attempts: usize,
     ) -> RefineOutcome {
         let mut last = RefineOutcome::Busy;
@@ -901,7 +892,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// `false` — queueing nothing — once the column is
     /// sealed for shard migration; the caller re-routes the update through
     /// the successor plan.
-    pub fn queue_insert(&self, v: V, row: RowId) -> bool {
+    pub fn queue_insert(&self, v: i64, row: RowId) -> bool {
         {
             let mut p = self.pending.lock();
             if p.is_sealed() {
@@ -913,14 +904,11 @@ impl<V: CrackValue> CrackerColumn<V> {
             // once: either the build's `for_each_unmerged` pass sees it
             // queued, or the publish happened first and the OR below does.
             if let Some(f) = self.filter.load() {
-                f.insert(v.as_i64());
+                f.insert(v);
             }
         }
-        let mut dom = self.domain.lock();
-        *dom = Some(match *dom {
-            None => (v, v),
-            Some((lo, hi)) => (if v < lo { v } else { lo }, if v > hi { v } else { hi }),
-        });
+        self.domain.0.fetch_min(v, Relaxed);
+        self.domain.1.fetch_max(v, Relaxed);
         true
     }
 
@@ -930,7 +918,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// delete whose target is absent, and until that happens every read's
     /// overlay counts the delete against the aggregates. Returns `false` —
     /// queueing nothing — once the column is sealed for shard migration.
-    pub fn queue_delete(&self, v: V, row: RowId) -> bool {
+    pub fn queue_delete(&self, v: i64, row: RowId) -> bool {
         {
             let mut p = self.pending.lock();
             if p.is_sealed() {
@@ -1072,7 +1060,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// # Safety
     /// The caller holds `structure` exclusively — no piece guard can be
     /// live and no reader observes the vectors while they move.
-    unsafe fn ripple_apply(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) -> usize {
+    unsafe fn ripple_apply(&self, ins: &[(i64, RowId)], del: &[(i64, RowId)]) -> usize {
         let mut idx = self.index.write();
         let present = (!self.has_row_ids()).then(|| {
             self.row_source
@@ -1127,7 +1115,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// returns a copy of the merged values and row ids in cracked order.
     /// The column stays fully readable afterwards (in-flight old-plan
     /// queries finish against it) but accepts no new updates.
-    pub fn extract_for_migration(&self) -> (Vec<V>, Vec<RowId>) {
+    pub fn extract_for_migration(&self) -> (Vec<i64>, Vec<RowId>) {
         self.seal_for_migration();
         // Every merge takes its batch under this lock, so none is in
         // flight once it is ours.
@@ -1178,7 +1166,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// finishes by cracking its bounds without blocking (skipped on latch
     /// contention), so a snapshot-only workload converges like a cracking
     /// one.
-    pub fn snapshot_scan(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> SnapshotScan {
+    pub fn snapshot_scan(&self, pred: Predicate, scratch: &mut CrackScratch) -> SnapshotScan {
         if pred.is_empty() {
             return SnapshotScan::default();
         }
@@ -1210,7 +1198,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 
     /// The body of [`CrackerColumn::snapshot_scan`]; the column is summed.
-    fn live_scan(&self, pred: Predicate<V>) -> SnapshotScan {
+    fn live_scan(&self, pred: Predicate) -> SnapshotScan {
         let _shared = self.read_structure();
         let (count_delta, sum_delta) = overlay(&self.pending.lock(), pred);
         let idx = self.index.read();
@@ -1226,7 +1214,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             sum: interior.sum,
             filtered: 0,
         };
-        let mut filter = |vals: &[V]| {
+        let mut filter = |vals: &[i64]| {
             let (count, sum) = filter_stats(vals, pred.lo, pred.hi);
             scan.count += count;
             scan.sum += sum;
@@ -1285,8 +1273,8 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// cracking anything. `Some(true)` means "maybe present" (Bloom false
     /// positives included); `None` means no filter is built yet and the
     /// caller must fall back (or pay [`CrackerColumn::ensure_point_filter`]).
-    pub fn probe_point(&self, v: V) -> Option<bool> {
-        Some(self.filter.load()?.contains(v.as_i64()))
+    pub fn probe_point(&self, v: i64) -> Option<bool> {
+        Some(self.filter.load()?.contains(v))
     }
 
     /// Builds and publishes the point filter from the live column plus the
@@ -1371,14 +1359,14 @@ impl<V: CrackValue> CrackerColumn<V> {
         // Private until the publish: plain word ORs, no atomics.
         let mut filter = PointFilter::with_capacity(capacity);
         self.for_each_live_piece(None, None, true, |vals, _| {
-            vals.iter().for_each(|v| filter.insert_unshared(v.as_i64()));
+            vals.iter().for_each(|&v| filter.insert_unshared(v));
         });
         let p = self.pending.lock();
         p.for_each_unmerged(
             |_| true,
             |v, kind| {
                 if matches!(kind, UnmergedKind::Insert) {
-                    filter.insert_unshared(v.as_i64());
+                    filter.insert_unshared(v);
                 }
             },
         );
@@ -1396,10 +1384,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// cannot grow it without bound), then cracks each non-sentinel bound
     /// without blocking, under `structure` shared; a bound whose piece is
     /// latched elsewhere is left for a later read.
-    fn crack_scan_bounds(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) {
+    fn crack_scan_bounds(&self, pred: Predicate, scratch: &mut CrackScratch) {
         self.merge_past_backlog();
         let _shared = self.structure.read();
-        for (v, sentinel) in [(pred.lo, V::MIN_VALUE), (pred.hi, V::MAX_VALUE)] {
+        for (v, sentinel) in [(pred.lo, i64::MIN), (pred.hi, i64::MAX)] {
             if v != sentinel {
                 self.crack_bound(v, scratch, false);
             }
@@ -1419,10 +1407,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// range's multiset).
     fn for_each_live_piece(
         &self,
-        a: Option<V>,
-        b: Option<V>,
+        a: Option<i64>,
+        b: Option<i64>,
         latched: bool,
-        mut visit: impl FnMut(&[V], Option<V>),
+        mut visit: impl FnMut(&[i64], Option<i64>),
     ) {
         let mut cur = a;
         loop {
@@ -1472,8 +1460,8 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// select; the returned selection is re-located the same way.
     pub fn select_verified(
         &self,
-        pred: Predicate<V>,
-        scratch: &mut CrackScratch<V>,
+        pred: Predicate,
+        scratch: &mut CrackScratch,
     ) -> (Selection, RangeStats) {
         let sel = self.select(pred, scratch);
         let _exclusive = self.structure.write();
@@ -1502,7 +1490,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// Copies the values in cracked positions `[start, end)` (exclusive
     /// access for the duration of the copy). Used by consolidation in the
     /// chunked variants and by verification code.
-    pub fn snapshot_range(&self, start: usize, end: usize) -> Vec<V> {
+    pub fn snapshot_range(&self, start: usize, end: usize) -> Vec<i64> {
         let _exclusive = self.structure.write();
         // SAFETY: exclusive structure lock — no live mutators
         // (`prop_row_ids_built_on_demand_match_an_eager_twin` reads its
@@ -1523,7 +1511,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// first call on a column born without row ids builds them (one pass
     /// over its base and its write log, under the lock this call holds
     /// anyway).
-    pub fn collect_row_ids(&self, pred: Predicate<V>) -> Option<Vec<RowId>> {
+    pub fn collect_row_ids(&self, pred: Predicate) -> Option<Vec<RowId>> {
         if pred.is_empty() {
             return Some(Vec::new());
         }
@@ -1547,7 +1535,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// its shard's value range: value/rowid alignment and distinct row
     /// ids once the column stores them, the sorted values against the
     /// sorted base filter while it does not.
-    pub fn check_invariants(&self, base: Option<&[V]>) {
+    pub fn check_invariants(&self, base: Option<&[i64]>) {
         let _exclusive = self.structure.write();
         let idx = self.index.read();
         let n = idx.len();
@@ -1572,16 +1560,16 @@ impl<V: CrackValue> CrackerColumn<V> {
                 .collect();
             assert_eq!(sums, want, "a piece's sum is not its values'");
         }
-        let mut prev_key: Option<V> = None;
+        let mut prev_key: Option<i64> = None;
         let mut prev_pos = 0usize;
-        for &(key, pos) in bounds.iter().chain(std::iter::once(&(V::MAX_VALUE, n))) {
+        for &(key, pos) in bounds.iter().chain(std::iter::once(&(i64::MAX, n))) {
             for &v in &vals[prev_pos..pos] {
                 if let Some(pk) = prev_key {
                     assert!(v >= pk, "value {v:?} below piece lower key {pk:?}");
                 }
-                // `key` may be MAX_VALUE sentinel for the last piece; values
-                // equal to MAX_VALUE are then legal.
-                if key != V::MAX_VALUE || pos != n {
+                // `key` may be the `i64::MAX` sentinel for the last piece;
+                // values equal to `i64::MAX` are then legal.
+                if key != i64::MAX || pos != n {
                     assert!(v < key, "value {v:?} not below boundary key {key:?}");
                 }
             }
@@ -1590,8 +1578,8 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
 
         if let Some(base) = base {
-            let of_column = |v: V| self.row_source.as_ref().is_none_or(|s| s.holds(v));
-            let mut expected: Vec<V> = base.iter().copied().filter(|&v| of_column(v)).collect();
+            let of_column = |v: i64| self.row_source.as_ref().is_none_or(|s| s.holds(v));
+            let mut expected: Vec<i64> = base.iter().copied().filter(|&v| of_column(v)).collect();
             assert_eq!(expected.len(), n, "column length vs its base tuples");
             if has_rows {
                 // `n` distinct rows, each holding its slot's value, out of
@@ -1616,7 +1604,7 @@ impl<V: CrackValue> CrackerColumn<V> {
     }
 }
 
-impl<V: CrackValue> std::fmt::Debug for CrackerColumn<V> {
+impl std::fmt::Debug for CrackerColumn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CrackerColumn")
             .field("name", &self.name)
@@ -1633,7 +1621,7 @@ mod tests {
     use holix_storage::select::scan_stats;
     use rand::prelude::*;
 
-    fn column(n: usize, seed: u64) -> (Vec<i64>, CrackerColumn<i64>) {
+    fn column(n: usize, seed: u64) -> (Vec<i64>, CrackerColumn) {
         let mut rng = StdRng::seed_from_u64(seed);
         let base: Vec<i64> = (0..n).map(|_| rng.random_range(0..1_000)).collect();
         let col = CrackerColumn::from_base("a", &base);
@@ -1767,7 +1755,7 @@ mod tests {
         let mut scratch = CrackScratch::new();
         // Latch the only piece by hand.
         let latch = match col.index.read().locate(500) {
-            BoundLookup::Piece { latch, .. } => latch,
+            BoundLookup::Piece { latch, .. } => latch.clone(),
             _ => panic!(),
         };
         let guard = latch.lock_write();
@@ -1878,8 +1866,8 @@ mod tests {
         assert_eq!((sel.pending, sel.count()), (2, stats.count));
         assert_eq!(col.pending_len(), 3);
         // An exact count folds the queue up to the backlog …
-        let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
-        let queue = |col: &CrackerColumn<i64>, base: &mut Vec<i64>, to: usize| {
+        let backlog = CrackerColumn::MERGE_BACKLOG;
+        let queue = |col: &CrackerColumn, base: &mut Vec<i64>, to: usize| {
             for i in col.pending_len()..to {
                 let v = (i as i64 * 7) % 1_000;
                 col.queue_insert(v, n + i as RowId);
@@ -1937,7 +1925,7 @@ mod tests {
 
     #[test]
     fn empty_column() {
-        let col = CrackerColumn::<i64>::from_base("e", &[]);
+        let col = CrackerColumn::from_base("e", &[]);
         let mut scratch = CrackScratch::new();
         let sel = col.select(Predicate::range(0, 10), &mut scratch);
         assert_eq!(sel.count(), 0);
@@ -1947,6 +1935,33 @@ mod tests {
             col.refine_random(&mut rng, &mut scratch, 3),
             RefineOutcome::AlreadyBound
         );
+    }
+
+    #[test]
+    fn concurrent_inserts_widen_the_domain_to_every_value() {
+        let base: Vec<i64> = (-50..50).collect();
+        let col = CrackerColumn::from_base("d", &base);
+        let rows = base.len() as i64;
+        // Insert `i` of thread `t`, below the base or above it: values
+        // disjoint across threads, both ends of the domain moving.
+        let value = |t: i64, i: i64| match i % 2 {
+            0 => t - 8 - 4 * i,
+            _ => t + 50 + 4 * i,
+        };
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let col = &col;
+                s.spawn(move || {
+                    for i in 0..500 {
+                        assert!(col.queue_insert(value(t, i), (rows + 1000 * t + i) as RowId));
+                    }
+                });
+            }
+        });
+        let inserted = (0..4).flat_map(|t| (0..500).map(move |i| value(t, i)));
+        let all: Vec<i64> = base.iter().copied().chain(inserted).collect();
+        let want = all.iter().min().copied().zip(all.iter().max().copied());
+        assert_eq!(col.domain(), want);
     }
 
     #[test]
@@ -2099,7 +2114,7 @@ mod tests {
         assert!(col.piece_sums().is_some(), "the read did not sum");
         let full = Predicate::range(i64::MIN, i64::MAX);
         for round in 0..8 {
-            for _ in 0..CrackerColumn::<i64>::DRAIN_DUE {
+            for _ in 0..CrackerColumn::DRAIN_DUE {
                 let v = rng.random_range(0..1_000);
                 assert!(col.queue_insert(v, base.len() as RowId));
                 base.push(v);
@@ -2134,8 +2149,9 @@ mod tests {
         col.merge_pending();
         col.snapshot_scan(Predicate::range(i64::MIN, i64::MAX), &mut scratch);
         let pred = Predicate::range(100, 400);
-        let BoundLookup::Piece { latch, .. } = col.index.read().locate(pred.lo) else {
-            panic!("100 is not a boundary");
+        let latch = match col.index.read().locate(pred.lo) {
+            BoundLookup::Piece { latch, .. } => latch.clone(),
+            BoundLookup::Exact(_) => panic!("100 is not a boundary"),
         };
         let held = latch.lock_write();
         let want = scan_stats(&base, pred);
@@ -2242,7 +2258,7 @@ mod tests {
         let base: Vec<i64> = (0..40_000).map(|_| rng.random_range(0..100_000)).collect();
         let inserts: Vec<i64> = (0..300).map(|i| 100_000 + i * 7).collect();
         let mut scratch = CrackScratch::new();
-        fn check(shard: &CrackerColumn<i64>, mut values: impl Iterator<Item = i64>) {
+        fn check(shard: &CrackerColumn, mut values: impl Iterator<Item = i64>) {
             let payload = shard.payload_bytes();
             shard.ensure_point_filter();
             assert!(shard.piece_sums().is_none(), "the build summed");
@@ -2332,7 +2348,7 @@ mod tests {
         cracks: usize,
         inserts: usize,
         deletes: usize,
-    ) -> (CrackerColumn<i64>, Vec<(i64, i64)>) {
+    ) -> (CrackerColumn, Vec<(i64, i64)>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let base: Vec<i64> = (0..n).map(|_| rng.random_range(0..200)).collect();
         let col = CrackerColumn::from_base("a", &base);
@@ -2404,7 +2420,7 @@ mod tests {
     type Oracle = std::collections::BTreeMap<i64, u64>;
 
     /// Count and sum of the oracle's values `pred` selects.
-    fn oracle_stats(oracle: &Oracle, pred: Predicate<i64>) -> (u64, i128) {
+    fn oracle_stats(oracle: &Oracle, pred: Predicate) -> (u64, i128) {
         use std::ops::Bound::{Excluded, Included, Unbounded};
         if pred.is_empty() {
             return (0, 0);
@@ -2442,9 +2458,9 @@ mod tests {
     fn rounds_against_an_oracle(
         seed: u64,
         base: &[i64],
-        parts: &[&CrackerColumn<i64>],
+        parts: &[&CrackerColumn],
         route: &dyn Fn(i64) -> usize,
-        split: &dyn Fn(Predicate<i64>) -> Vec<(usize, Predicate<i64>)>,
+        split: &dyn Fn(Predicate) -> Vec<(usize, Predicate)>,
         rounds: usize,
     ) -> (usize, usize) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -2474,8 +2490,7 @@ mod tests {
             let (a, b) = (bound(rng, i64::MIN), bound(rng, i64::MAX));
             Predicate::range(a.min(b), a.max(b))
         };
-        let stats = |pred: Predicate<i64>,
-                     f: &mut dyn FnMut(usize, Predicate<i64>) -> (u64, i128)| {
+        let stats = |pred: Predicate, f: &mut dyn FnMut(usize, Predicate) -> (u64, i128)| {
             split(pred)
                 .into_iter()
                 .map(|(k, p)| f(k, p))
@@ -2485,13 +2500,13 @@ mod tests {
         // snapshot read has asked something (so keep sums).
         let mut open = vec![false; parts.len()];
         let summed = vec![std::cell::Cell::new(false); parts.len()];
-        let snapshot_read = |k: usize, p: Predicate<i64>, scratch: &mut CrackScratch<i64>| {
+        let snapshot_read = |k: usize, p: Predicate, scratch: &mut CrackScratch| {
             summed[k].set(summed[k].get() || !p.is_empty());
             let s = parts[k].snapshot_scan(p, scratch);
             (s.count, s.sum)
         };
         let check =
-            |oracle: &Oracle, open: &[bool], rng: &mut StdRng, scratch: &mut CrackScratch<i64>| {
+            |oracle: &Oracle, open: &[bool], rng: &mut StdRng, scratch: &mut CrackScratch| {
                 for _ in 0..3 {
                     let p = pred(rng);
                     let want = oracle_stats(oracle, p);
@@ -2563,7 +2578,7 @@ mod tests {
                 parts[route(7)].queue_delete(7, RowId::MAX);
             }
             for part in parts {
-                if part.pending_len() >= CrackerColumn::<i64>::DRAIN_DUE && rng.random_bool(0.5) {
+                if part.pending_len() >= CrackerColumn::DRAIN_DUE && rng.random_bool(0.5) {
                     assert!(part.drain_in_background(), "a due queue was not drained");
                     background += 1;
                 } else if part.pending_len() > 0 {
@@ -2597,7 +2612,7 @@ mod tests {
         fn prop_piece_sums_and_every_read_path_match_a_multiset_oracle(seed in proptest::prelude::any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
             let base: Vec<i64> = (0..8_192).map(|_| rng.random_range(0..DOMAIN)).collect();
-            let crack = |parts: &[&CrackerColumn<i64>], scratch: &mut CrackScratch<i64>, rng: &mut StdRng| {
+            let crack = |parts: &[&CrackerColumn], scratch: &mut CrackScratch, rng: &mut StdRng| {
                 for part in parts {
                     for _ in 0..20 {
                         let (a, b) = (rng.random_range(0..DOMAIN), rng.random_range(0..DOMAIN));
@@ -2613,7 +2628,7 @@ mod tests {
             assert!(background >= 1 && read_path >= 1, "plain: {background} / {read_path}");
             let sharded =
                 ShardedColumn::from_base_with_plan("a", &base, ShardPlan::from_values(&base, 4));
-            let shards: Vec<&CrackerColumn<i64>> =
+            let shards: Vec<&CrackerColumn> =
                 (0..sharded.shard_count()).map(|k| &**sharded.shard(k)).collect();
             crack(&shards, &mut scratch, &mut rng);
             assert!(shards.iter().all(|s| !s.has_row_ids()));

@@ -8,12 +8,12 @@
 //! kernels measured 1.6–2.1× faster); these stay as the oracle the kernel
 //! tests compare against and as the baseline the kernel probes time.
 
-use holix_storage::types::{CrackValue, RowId};
+use holix_storage::types::RowId;
 
 /// Partitions `vals` (with `rows` permuted identically) so that everything
 /// `< pivot` precedes everything `>= pivot`. Returns the split point: the
 /// number of elements `< pivot`.
-pub fn crack_in_two<V: CrackValue>(vals: &mut [V], rows: &mut [RowId], pivot: V) -> usize {
+pub fn crack_in_two(vals: &mut [i64], rows: &mut [RowId], pivot: i64) -> usize {
     debug_assert_eq!(vals.len(), rows.len());
     let mut i = 0usize;
     let mut j = vals.len();
@@ -32,12 +32,7 @@ pub fn crack_in_two<V: CrackValue>(vals: &mut [V], rows: &mut [RowId], pivot: V)
 /// Partitions `vals`/`rows` into three regions `[< lo | lo <= v < hi | >= hi]`
 /// in one pass (Dutch-national-flag). Returns `(a, b)` such that the middle
 /// (qualifying) region is `vals[a..b]`. Requires `lo <= hi`.
-pub fn crack_in_three<V: CrackValue>(
-    vals: &mut [V],
-    rows: &mut [RowId],
-    lo: V,
-    hi: V,
-) -> (usize, usize) {
+pub fn crack_in_three(vals: &mut [i64], rows: &mut [RowId], lo: i64, hi: i64) -> (usize, usize) {
     debug_assert_eq!(vals.len(), rows.len());
     debug_assert!(lo <= hi);
     let mut lt = 0usize;
@@ -61,7 +56,7 @@ pub fn crack_in_three<V: CrackValue>(
 }
 
 /// Checks the two-way partition invariant (test/debug helper).
-pub fn is_partitioned<V: CrackValue>(vals: &[V], split: usize, pivot: V) -> bool {
+pub fn is_partitioned(vals: &[i64], split: usize, pivot: i64) -> bool {
     vals[..split].iter().all(|&v| v < pivot) && vals[split..].iter().all(|&v| v >= pivot)
 }
 

@@ -45,8 +45,7 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Lock-free Bloom filter over `i64` keys (values are probed through
-/// `CrackValue::as_i64`, which is injective for every supported width).
+/// Lock-free Bloom filter over `i64` keys.
 pub struct PointFilter {
     bits: Box<[AtomicU64]>,
     /// `bits.len() * 64 - 1`; bit indexing masks with this (power of two).

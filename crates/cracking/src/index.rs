@@ -35,27 +35,26 @@
 //! of pieces, in four lookups whatever the run's length.
 
 use crate::latch::PieceLatch;
-use holix_storage::types::CrackValue;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
 
 /// Sum of `vals`, widened: what a piece's sum is.
-pub(crate) fn sum_of<V: CrackValue>(vals: &[V]) -> i128 {
-    vals.iter().map(|v| v.as_i64() as i128).sum()
+pub(crate) fn sum_of(vals: &[i64]) -> i128 {
+    vals.iter().map(|&v| v as i128).sum()
 }
 
 /// What [`CrackerIndex::interior`] answers: the count and sum of the pieces
 /// wholly inside a range, and the at most two pieces that straddle one of
 /// its bounds.
 #[derive(Debug, Clone)]
-pub struct Interior<V> {
+pub struct Interior {
     /// Values in the pieces wholly inside the range.
     pub count: u64,
     /// Their sum.
     pub sum: i128,
     /// The straddling pieces in key order, each with its lower key (`None`
     /// = the column's first piece).
-    pub edges: [Option<(Option<V>, PieceRef<V>)>; 2],
+    pub edges: [Option<(Option<i64>, PieceRef)>; 2],
 }
 
 /// Value part of a boundary entry.
@@ -74,7 +73,7 @@ pub struct BoundEntry {
 /// snapshot read's busy edge and of the point-filter build; see
 /// [`CrackerIndex::piece_after`]).
 #[derive(Debug, Clone)]
-pub struct PieceRef<V> {
+pub struct PieceRef {
     /// First position of the piece.
     pub start: usize,
     /// One past the last position.
@@ -82,12 +81,14 @@ pub struct PieceRef<V> {
     /// The piece's latch.
     pub latch: PieceLatch,
     /// Upper boundary key (`None` = last piece).
-    pub hi_key: Option<V>,
+    pub hi_key: Option<i64>,
 }
 
-/// Result of locating a bound value in the index.
-#[derive(Debug, Clone)]
-pub enum BoundLookup<V> {
+/// Result of locating a bound value in the index, borrowed from it: a
+/// lookup takes no reference on the piece latch (a crack clones it before
+/// it lets go of the index).
+#[derive(Debug, Clone, Copy)]
+pub enum BoundLookup<'a> {
     /// The value is already a boundary: its position can be used directly
     /// (an "exact hit" in the paper's statistics).
     Exact(usize),
@@ -98,13 +99,13 @@ pub enum BoundLookup<V> {
         /// One past the last position of the piece.
         end: usize,
         /// The piece's latch.
-        latch: PieceLatch,
+        latch: &'a PieceLatch,
         /// Boundary key on the left (`None` = column minimum side): every
         /// value in the piece is `>= lo_key`.
-        lo_key: Option<V>,
+        lo_key: Option<i64>,
         /// Boundary key on the right (`None` = column maximum side): every
         /// value in the piece is `< hi_key`.
-        hi_key: Option<V>,
+        hi_key: Option<i64>,
     },
 }
 
@@ -114,8 +115,8 @@ pub enum BoundLookup<V> {
 /// are `Arc`-backed); benchmark setups use this to re-run destructive
 /// operations from one prepared state.
 #[derive(Debug, Clone)]
-pub struct CrackerIndex<V> {
-    bounds: BTreeMap<V, BoundEntry>,
+pub struct CrackerIndex {
+    bounds: BTreeMap<i64, BoundEntry>,
     first_latch: PieceLatch,
     /// Sum of every value (kept once summed).
     total: i128,
@@ -124,7 +125,7 @@ pub struct CrackerIndex<V> {
     len: usize,
 }
 
-impl<V: CrackValue> CrackerIndex<V> {
+impl CrackerIndex {
     /// A fresh index over a column of `len` values: one piece, no bounds.
     pub fn new(len: usize) -> Self {
         CrackerIndex {
@@ -143,7 +144,7 @@ impl<V: CrackValue> CrackerIndex<V> {
 
     /// Computes every boundary's prefix sum and the total from `vals`, the
     /// column the index describes, in one pass, and keeps them from now on.
-    pub fn sum_pieces(&mut self, vals: &[V]) {
+    pub fn sum_pieces(&mut self, vals: &[i64]) {
         debug_assert_eq!(vals.len(), self.len);
         let (mut start, mut below) = (0, 0);
         for e in self.bounds.values_mut() {
@@ -192,11 +193,11 @@ impl<V: CrackValue> CrackerIndex<V> {
     }
 
     /// Locates the piece a bound value falls into (or the exact boundary).
-    pub fn locate(&self, v: V) -> BoundLookup<V> {
+    pub fn locate(&self, v: i64) -> BoundLookup<'_> {
         let (start, latch, lo_key) = match self.bounds.range(..=v).next_back() {
             Some((&k, e)) if k == v => return BoundLookup::Exact(e.pos),
-            Some((&k, e)) => (e.pos, e.latch.clone(), Some(k)),
-            None => (0, self.first_latch.clone(), None),
+            Some((&k, e)) => (e.pos, &e.latch, Some(k)),
+            None => (0, &self.first_latch, None),
         };
         let (end, hi_key) = self.piece_end(self.bounds.range((Excluded(v), Unbounded)).next());
         BoundLookup::Piece {
@@ -210,13 +211,13 @@ impl<V: CrackValue> CrackerIndex<V> {
 
     /// Position of the boundary `v`, `None` when `v` is not one — the
     /// `Exact` case of [`CrackerIndex::locate`] without the piece lookup.
-    pub fn exact(&self, v: V) -> Option<usize> {
+    pub fn exact(&self, v: i64) -> Option<usize> {
         self.bounds.get(&v).map(|e| e.pos)
     }
 
     /// End position and upper key of the piece that `next` (the boundary
     /// after it, `None` = none) closes.
-    fn piece_end(&self, next: Option<(&V, &BoundEntry)>) -> (usize, Option<V>) {
+    fn piece_end(&self, next: Option<(&i64, &BoundEntry)>) -> (usize, Option<i64>) {
         next.map_or((self.len, None), |(&k, e)| (e.pos, Some(k)))
     }
 
@@ -229,7 +230,7 @@ impl<V: CrackValue> CrackerIndex<V> {
     ///
     /// Panics if the key already exists (callers re-validate under the piece
     /// latch before cracking, so a duplicate insert is a protocol bug).
-    pub fn insert_bound(&mut self, key: V, pos: usize, below: i128) {
+    pub fn insert_bound(&mut self, key: i64, pos: usize, below: i128) {
         debug_assert!(pos <= self.len);
         debug_assert!(self.summed || below == 0, "a sum on an index without");
         let below = if self.summed {
@@ -259,14 +260,14 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// at the two ends of their run, and those that straddle a bound, for
     /// the caller to filter. Four lookups, however many pieces the range
     /// holds. Only on an index that keeps sums.
-    pub fn interior(&self, lo: V, hi: V) -> Interior<V> {
+    pub fn interior(&self, lo: i64, hi: i64) -> Interior {
         debug_assert!(self.summed && lo < hi);
-        let inside_lo = |from: Option<V>| lo == V::MIN_VALUE || from == Some(lo);
-        let inside_hi = |to: Option<V>| hi == V::MAX_VALUE || to == Some(hi);
+        let inside_lo = |from: Option<i64>| lo == i64::MIN || from == Some(lo);
+        let inside_hi = |to: Option<i64>| hi == i64::MAX || to == Some(hi);
         // The piece holding `lo`, then the boundaries after it below `hi`:
         // each starts a piece, and every such piece but the last ends below
         // `hi`, so only the first piece and the last can straddle a bound.
-        let floor = (lo != V::MIN_VALUE)
+        let floor = (lo != i64::MIN)
             .then(|| self.bounds.range(..=lo).next_back())
             .flatten();
         let (from, head) = match floor {
@@ -277,7 +278,7 @@ impl<V: CrackValue> CrackerIndex<V> {
             Some(k) => self.bounds.range((Excluded(k), Unbounded)).next(),
             None => self.bounds.iter().next(),
         };
-        let (last, beyond) = if hi == V::MAX_VALUE {
+        let (last, beyond) = if hi == i64::MAX {
             (self.bounds.iter().next_back(), None)
         } else {
             (
@@ -293,12 +294,12 @@ impl<V: CrackValue> CrackerIndex<V> {
             sum: 0,
             edges: [None, None],
         };
-        let piece = |out: &mut Interior<V>,
+        let piece = |out: &mut Interior,
                      inside: bool,
-                     from: Option<V>,
+                     from: Option<i64>,
                      (start, below, latch): (usize, i128, &PieceLatch),
                      (end, end_below): (usize, i128),
-                     hi_key: Option<V>| {
+                     hi_key: Option<i64>| {
             if inside {
                 out.count += (end - start) as u64;
                 out.sum += end_below - below;
@@ -346,7 +347,7 @@ impl<V: CrackValue> CrackerIndex<V> {
 
     /// First position of the piece that holds value `v`: the position of
     /// the greatest boundary with key `<= v`, or 0.
-    pub fn piece_start(&self, v: V) -> usize {
+    pub fn piece_start(&self, v: i64) -> usize {
         self.bounds
             .range(..=v)
             .next_back()
@@ -361,8 +362,8 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// positions non-decreasing in key order).
     pub fn walk_above(
         &mut self,
-        after: V,
-        mut f: impl FnMut(Option<(V, &mut usize, &mut i128)>) -> bool,
+        after: i64,
+        mut f: impl FnMut(Option<(i64, &mut usize, &mut i128)>) -> bool,
     ) {
         for (&k, e) in self.bounds.range_mut((Excluded(after), Unbounded)) {
             if !f(Some((k, &mut e.pos, &mut e.below))) {
@@ -375,7 +376,7 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// [`CrackerIndex::walk_above`] in descending key order from the last
     /// boundary; unless `f` stopped it, the walk ends with `None` for the
     /// first piece.
-    pub fn walk_rev(&mut self, mut f: impl FnMut(Option<(V, &mut usize, &mut i128)>) -> bool) {
+    pub fn walk_rev(&mut self, mut f: impl FnMut(Option<(i64, &mut usize, &mut i128)>) -> bool) {
         for (&k, e) in self.bounds.iter_mut().rev() {
             if !f(Some((k, &mut e.pos, &mut e.below))) {
                 return;
@@ -391,7 +392,7 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// moves exactly the pieces to the right of `v`'s piece, i.e. the
     /// boundaries with key `> v` (a positional shift would also catch
     /// same-position boundaries of empty pieces on the left of `v`).
-    pub fn shift_bounds_key_gt(&mut self, key: V, delta: isize) {
+    pub fn shift_bounds_key_gt(&mut self, key: i64, delta: isize) {
         for (_, e) in self.bounds.range_mut((Excluded(key), Unbounded)) {
             e.pos = e.pos.checked_add_signed(delta).expect("bound underflow");
         }
@@ -405,7 +406,7 @@ impl<V: CrackValue> CrackerIndex<V> {
     }
 
     /// In-order boundaries as `(key, pos)` (invariant checks / stats).
-    pub fn bounds_in_order(&self) -> Vec<(V, usize)> {
+    pub fn bounds_in_order(&self) -> Vec<(i64, usize)> {
         self.bounds.iter().map(|(&k, e)| (k, e.pos)).collect()
     }
 
@@ -428,7 +429,7 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// concurrent cracks are picked up at their current extent (boundaries
     /// are never removed, so a key that once started a piece always does).
     /// Returns `None` only when `lo_key` is not a boundary at all.
-    pub fn piece_after(&self, lo_key: Option<V>) -> Option<PieceRef<V>> {
+    pub fn piece_after(&self, lo_key: Option<i64>) -> Option<PieceRef> {
         let (start, latch, mut above) = match lo_key {
             None => (0, self.first_latch.clone(), self.bounds.range(..)),
             Some(k) => {
@@ -449,7 +450,7 @@ impl<V: CrackValue> CrackerIndex<V> {
     /// Memory used by the index structure itself (rough, for budgeting):
     /// each entry, its prefix sum included, and per-entry map overhead.
     pub fn approx_bytes(&self) -> usize {
-        self.bounds.len() * (std::mem::size_of::<V>() + std::mem::size_of::<BoundEntry>() + 16)
+        self.bounds.len() * (std::mem::size_of::<i64>() + std::mem::size_of::<BoundEntry>() + 16)
     }
 }
 
@@ -463,7 +464,7 @@ mod tests {
     /// `idx`, stopping after `stop` visits and bumping every position and
     /// every prefix sum it hands out; checks that exactly the visited
     /// boundaries moved, and returns their keys, in order.
-    fn walked(idx: &CrackerIndex<i64>, after: Option<i64>, stop: usize) -> Vec<i64> {
+    fn walked(idx: &CrackerIndex, after: Option<i64>, stop: usize) -> Vec<i64> {
         let mut copy = idx.clone();
         copy.sum_pieces(&vec![0; idx.len()]);
         let mut seen = Vec::new();
@@ -502,7 +503,7 @@ mod tests {
     /// Checks every lookup and walk of `idx` against a linear scan of
     /// `bounds_in_order()`, for probes below, on, between and above the
     /// keys; the walks are told to stop after `stop` visits.
-    fn assert_agrees_with_scan(idx: &CrackerIndex<i64>, stop: usize) {
+    fn assert_agrees_with_scan(idx: &CrackerIndex, stop: usize) {
         let bounds = idx.bounds_in_order();
         let len = idx.len();
         let key_at = |i: usize| bounds.get(i).map(|&(k, _)| k);
@@ -570,7 +571,7 @@ mod tests {
 
     #[test]
     fn fresh_index_is_one_piece() {
-        let idx = CrackerIndex::<i64>::new(100);
+        let idx = CrackerIndex::new(100);
         assert_eq!(idx.piece_count(), 1);
         assert_eq!(idx.avg_piece_len(), 100);
         match idx.locate(50) {
@@ -594,7 +595,7 @@ mod tests {
 
     #[test]
     fn exact_hit_after_insert() {
-        let mut idx = CrackerIndex::<i64>::new(100);
+        let mut idx = CrackerIndex::new(100);
         idx.insert_bound(50, 42, 0);
         match idx.locate(50) {
             BoundLookup::Exact(pos) => assert_eq!(pos, 42),
@@ -605,7 +606,7 @@ mod tests {
 
     #[test]
     fn locate_between_bounds() {
-        let mut idx = CrackerIndex::<i64>::new(100);
+        let mut idx = CrackerIndex::new(100);
         idx.insert_bound(30, 25, 0);
         idx.insert_bound(70, 80, 0);
         match idx.locate(45) {
@@ -633,9 +634,9 @@ mod tests {
 
     #[test]
     fn split_keeps_left_latch_and_creates_right() {
-        let mut idx = CrackerIndex::<i64>::new(100);
+        let mut idx = CrackerIndex::new(100);
         let left_latch = match idx.locate(50) {
-            BoundLookup::Piece { latch, .. } => latch,
+            BoundLookup::Piece { latch, .. } => latch.clone(),
             _ => panic!(),
         };
         idx.insert_bound(50, 40, 0);
@@ -664,14 +665,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate boundary")]
     fn duplicate_bound_panics() {
-        let mut idx = CrackerIndex::<i64>::new(10);
+        let mut idx = CrackerIndex::new(10);
         idx.insert_bound(5, 3, 0);
         idx.insert_bound(5, 3, 0);
     }
 
     #[test]
     fn pieces_in_order_covers_column() {
-        let mut idx = CrackerIndex::<i64>::new(100);
+        let mut idx = CrackerIndex::new(100);
         idx.insert_bound(30, 25, 0);
         idx.insert_bound(70, 80, 0);
         idx.insert_bound(50, 60, 0);
@@ -684,7 +685,7 @@ mod tests {
 
     #[test]
     fn range_walks_rewrite_downstream_positions() {
-        let mut idx = CrackerIndex::<i64>::new(100);
+        let mut idx = CrackerIndex::new(100);
         for (k, p) in [(30, 25), (50, 60), (70, 80)] {
             idx.insert_bound(k, p, 0);
         }
@@ -715,7 +716,7 @@ mod tests {
 
     #[test]
     fn shift_bounds_key_gt_skips_left_empty_pieces() {
-        let mut idx = CrackerIndex::<i64>::new(10);
+        let mut idx = CrackerIndex::new(10);
         // Two bounds sharing position 5 (empty piece between them).
         idx.insert_bound(30, 5, 0);
         idx.insert_bound(40, 5, 0);
@@ -727,7 +728,7 @@ mod tests {
 
     #[test]
     fn piece_after_walks_the_whole_column() {
-        let mut idx = CrackerIndex::<i64>::new(100);
+        let mut idx = CrackerIndex::new(100);
         idx.insert_bound(30, 25, 0);
         idx.insert_bound(70, 80, 0);
         let mut cur = None;
@@ -746,7 +747,7 @@ mod tests {
         );
         assert!(idx.piece_after(Some(31)).is_none(), "31 is not a boundary");
         // Empty index: one piece spanning everything.
-        let empty = CrackerIndex::<i64>::new(7);
+        let empty = CrackerIndex::new(7);
         let p = empty.piece_after(None).unwrap();
         assert_eq!((p.start, p.end, p.hi_key), (0, 7, None));
     }

@@ -23,12 +23,12 @@
 //! Beside them sits the compress-store layer, [`avx512`]: `vpcompressq`
 //! bodies for the value-lane loops a cold read and every sequential crack
 //! run — the one-shard filter pass (`sharding.rs`) and the partition passes
-//! of the out-of-place cracks ([`crate::vectorized`]) — over `i64` values,
-//! with the row lane carried through the [`crate::vectorized::RowLane`]
-//! hook. [`active_isa`] picks [`Isa::Avx512`] on a CPU with AVX-512F and
-//! AVX-512VL (which still runs the AVX2 [`filter_count`]); other CPUs and
-//! value widths keep the portable scalar loops, which the compress bodies
-//! match slot for slot. `HOLIX_NO_SIMD=1` forces the portable paths.
+//! of the out-of-place cracks ([`crate::vectorized`]) — with the row lane
+//! carried through the [`crate::vectorized::RowLane`] hook. [`active_isa`]
+//! alone picks them: [`Isa::Avx512`] on a CPU with AVX-512F and AVX-512VL
+//! (which still runs the AVX2 [`filter_count`]); other CPUs keep the
+//! portable scalar loops, which the compress bodies match slot for slot.
+//! `HOLIX_NO_SIMD=1` forces the portable paths.
 
 use std::sync::OnceLock;
 
@@ -149,7 +149,7 @@ pub enum Isa {
     /// Explicit `core::arch::x86_64` AVX2 kernels.
     Avx2,
     /// The AVX2 kernels, plus the AVX-512 compress-store crack and filter
-    /// kernels of [`avx512`] for `i64` values.
+    /// kernels of [`avx512`].
     Avx512,
 }
 
@@ -170,29 +170,6 @@ pub fn active_isa() -> Isa {
         }
         Isa::Portable
     })
-}
-
-/// `xs` as a slice of `W` when `T` is `W`, else `None`: how a kernel generic
-/// over the value type hands `i64` lanes to the `i64`-only [`avx512`]
-/// kernels.
-pub(crate) fn same_lanes<T: 'static, W: 'static>(xs: &mut [T]) -> Option<&mut [W]> {
-    // SAFETY: `T` and `W` are one type (same `TypeId`), so the cast is the
-    // identity. Every AVX-512 crack reaches its kernel through here
-    // (`compress_cracks_match_portable_at_every_tail` in `vectorized.rs`,
-    // under AddressSanitizer in CI), and so does the one-shard filter pass
-    // (`one_shard_build_kernels_agree_at_every_tail` in `sharding.rs`).
-    same_type::<T, W>().then(|| unsafe { &mut *(xs as *mut [T] as *mut [W]) })
-}
-
-/// [`same_lanes`] for a shared slice.
-pub(crate) fn same_lanes_ref<T: 'static, W: 'static>(xs: &[T]) -> Option<&[W]> {
-    // SAFETY: as in `same_lanes`; the one-shard filter pass reads its base
-    // through here (`one_shard_build_kernels_agree_at_every_tail`).
-    same_type::<T, W>().then(|| unsafe { &*(xs as *const [T] as *const [W]) })
-}
-
-fn same_type<T: 'static, W: 'static>() -> bool {
-    std::any::TypeId::of::<T>() == std::any::TypeId::of::<W>()
 }
 
 /// Explicit AVX2 kernels. Safe wrappers verify feature presence; the

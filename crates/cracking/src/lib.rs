@@ -14,8 +14,8 @@
 //! - [`index`] — the *cracker index*: piece boundaries in std's `BTreeMap`
 //!   (the paper's AVL tree, §3.2, with the same ordered-map contract) and
 //!   per-piece latches; it is also the only plan-time statistic:
-//!   `holix-planner` prices a query from two of its lookups
-//!   ([`CrackerColumn::locate`]),
+//!   `holix-planner` prices a query from two of its lookups under one
+//!   read ([`CrackerColumn::with_index`]),
 //! - [`range_cell`] — the single `unsafe` building block: disjoint-range
 //!   mutable access into one shared vector, guarded by piece latches,
 //! - [`latch`] — piece-level read/write latches ([16, 17] in the paper):

@@ -20,7 +20,6 @@
 //! faster than the literal ring layout at 2 and 4 threads.
 
 use crate::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch, RowLane};
-use holix_storage::types::CrackValue;
 
 /// Below this piece size the sequential kernel wins.
 pub const DEFAULT_MIN_PARALLEL: usize = 1 << 16;
@@ -30,12 +29,12 @@ pub const DEFAULT_MIN_PARALLEL: usize = 1 << 16;
 /// piece is shorter than [`DEFAULT_MIN_PARALLEL`], ganged otherwise. `rows`
 /// is the piece's row ids, or a slice of `()` as long for a column without
 /// them ([`RowLane`]) — here and in every kernel below.
-pub fn partition_two<V: CrackValue, R: RowLane>(
-    vals: &mut [V],
+pub fn partition_two<R: RowLane>(
+    vals: &mut [i64],
     rows: &mut [R],
-    pivot: V,
+    pivot: i64,
     threads: usize,
-    scratch: &mut CrackScratch<V>,
+    scratch: &mut CrackScratch,
 ) -> usize {
     if threads <= 1 || vals.len() < DEFAULT_MIN_PARALLEL {
         crack_in_two_oop(vals, rows, pivot, scratch)
@@ -48,13 +47,13 @@ pub fn partition_two<V: CrackValue, R: RowLane>(
 /// `(a, b)` bounding the middle region. Sequential pieces take the fused
 /// single-pass kernel on `scratch`; ganged pieces take two parallel
 /// two-way passes (the second over the upper part only).
-pub fn partition_three<V: CrackValue, R: RowLane>(
-    vals: &mut [V],
+pub fn partition_three<R: RowLane>(
+    vals: &mut [i64],
     rows: &mut [R],
-    lo: V,
-    hi: V,
+    lo: i64,
+    hi: i64,
     threads: usize,
-    scratch: &mut CrackScratch<V>,
+    scratch: &mut CrackScratch,
 ) -> (usize, usize) {
     if threads <= 1 || vals.len() < DEFAULT_MIN_PARALLEL {
         return crack_in_three_oop(vals, rows, lo, hi, scratch);
@@ -66,10 +65,10 @@ pub fn partition_three<V: CrackValue, R: RowLane>(
 
 /// Partitions `vals`/`rows` around `pivot` with up to `threads` threads.
 /// Returns the split point (count of values `< pivot`).
-pub fn parallel_partition<V: CrackValue, R: RowLane>(
-    vals: &mut [V],
+pub fn parallel_partition<R: RowLane>(
+    vals: &mut [i64],
     rows: &mut [R],
-    pivot: V,
+    pivot: i64,
     threads: usize,
 ) -> usize {
     debug_assert_eq!(vals.len(), rows.len());
@@ -147,8 +146,8 @@ pub fn parallel_partition<V: CrackValue, R: RowLane>(
 }
 
 /// Executes disjoint swap jobs, parallelised across threads.
-fn execute_swaps<V: CrackValue, R: RowLane>(
-    vals: &mut [V],
+fn execute_swaps<R: RowLane>(
+    vals: &mut [i64],
     rows: &mut [R],
     jobs: &[(usize, usize, usize)],
     threads: usize,

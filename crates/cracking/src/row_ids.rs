@@ -14,47 +14,38 @@
 //! shard migration ever read an id, so a shard stores values alone, and a
 //! written shard a log beside them, until one of them asks.
 
-use holix_storage::types::{CrackValue, RowId};
+use holix_storage::types::RowId;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The merged writes of a column still without row ids: with the base
 /// rows in range, exactly its tuples.
-#[derive(Debug)]
-struct WriteLog<V> {
+#[derive(Debug, Default)]
+struct WriteLog {
     /// Live merged inserts: `(value, row)` → how many copies.
-    inserts: BTreeMap<(V, RowId), u32>,
+    inserts: BTreeMap<(i64, RowId), u32>,
     /// Base rows in range that a merged delete removed.
     deleted: BTreeSet<RowId>,
-}
-
-impl<V> Default for WriteLog<V> {
-    fn default() -> Self {
-        WriteLog {
-            inserts: BTreeMap::new(),
-            deleted: BTreeSet::new(),
-        }
-    }
 }
 
 /// The tuples a column was filtered out of and written since: `base[r]`
 /// for every row `r` with `lo <= base[r] < hi` (`None` = unbounded on that
 /// side) not deleted since, and the logged inserts.
 #[derive(Debug)]
-pub(crate) struct RowSource<V> {
-    base: Arc<Vec<V>>,
-    lo: Option<V>,
-    hi: Option<V>,
+pub(crate) struct RowSource {
+    base: Arc<Vec<i64>>,
+    lo: Option<i64>,
+    hi: Option<i64>,
     /// A leaf lock: taken by merges and the id build (both under the
     /// column's `structure` exclusive) and by byte accounting, with
     /// nothing acquired while it is held.
-    log: Mutex<WriteLog<V>>,
+    log: Mutex<WriteLog>,
 }
 
-impl<V: CrackValue> RowSource<V> {
+impl RowSource {
     /// The tuples of `base` with values in `[lo, hi)`, nothing written yet.
-    pub(crate) fn new(base: Arc<Vec<V>>, lo: Option<V>, hi: Option<V>) -> Self {
+    pub(crate) fn new(base: Arc<Vec<i64>>, lo: Option<i64>, hi: Option<i64>) -> Self {
         RowSource {
             base,
             lo,
@@ -65,7 +56,7 @@ impl<V: CrackValue> RowSource<V> {
 
     /// `true` for a value of this source's range.
     #[inline(always)]
-    pub(crate) fn holds(&self, v: V) -> bool {
+    pub(crate) fn holds(&self, v: i64) -> bool {
         self.lo.is_none_or(|lo| lo <= v) & self.hi.is_none_or(|hi| v < hi)
     }
 
@@ -75,7 +66,7 @@ impl<V: CrackValue> RowSource<V> {
     /// insert of its `(value, row)` first, else base row `row` if that
     /// holds `value` in range and is not deleted yet; a delete that finds
     /// neither is absent, and the batch must drop it.
-    pub(crate) fn record(&self, ins: &[(V, RowId)], del: &[(V, RowId)]) -> Vec<(V, RowId)> {
+    pub(crate) fn record(&self, ins: &[(i64, RowId)], del: &[(i64, RowId)]) -> Vec<(i64, RowId)> {
         let mut log = self.log.lock();
         let log = &mut *log;
         let present = del
@@ -105,7 +96,7 @@ impl<V: CrackValue> RowSource<V> {
     /// Bytes the write log holds (its entries' payload).
     pub(crate) fn log_bytes(&self) -> usize {
         let log = self.log.lock();
-        log.inserts.len() * std::mem::size_of::<((V, RowId), u32)>()
+        log.inserts.len() * std::mem::size_of::<((i64, RowId), u32)>()
             + log.deleted.len() * std::mem::size_of::<RowId>()
     }
 
@@ -125,17 +116,22 @@ impl<V: CrackValue> RowSource<V> {
     ///
     /// Panics when `vals` does not hold exactly the source's tuples (some
     /// cursor does not stop at its piece's end).
-    pub(crate) fn scatter(&self, bounds: &[(V, usize)], vals: &mut Vec<V>, rows: &mut Vec<RowId>) {
+    pub(crate) fn scatter(
+        &self,
+        bounds: &[(i64, usize)],
+        vals: &mut Vec<i64>,
+        rows: &mut Vec<RowId>,
+    ) {
         debug_assert!(rows.is_empty());
         const BLOCK: usize = 4096;
         let log = std::mem::take(&mut *self.log.lock());
         let n = vals.len();
-        let keys: Vec<V> = bounds.iter().map(|b| b.0).collect();
+        let keys: Vec<i64> = bounds.iter().map(|b| b.0).collect();
         let starts = || std::iter::once(0).chain(bounds.iter().map(|b| b.1));
         let mut cursor: Vec<usize> = starts().collect();
         rows.reserve_exact(vals.capacity());
         rows.resize(n, 0);
-        let mut place = |v: V, r: RowId| {
+        let mut place = |v: i64, r: RowId| {
             let piece = keys.partition_point(|&k| k <= v);
             let pos = cursor[piece];
             cursor[piece] = pos + 1;

@@ -60,7 +60,7 @@ use crate::partition::DEFAULT_MIN_PARALLEL;
 use crate::row_ids::RowSource;
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
-use holix_storage::types::{CrackValue, RowId};
+use holix_storage::types::RowId;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::mem::MaybeUninit;
@@ -82,15 +82,15 @@ const L1_BYTES: usize = 32 * 1024;
 /// `v` with `cuts[k-1] <= v < cuts[k]` (first shard unbounded below, last
 /// unbounded above).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan<V> {
-    cuts: Vec<V>,
+pub struct ShardPlan {
+    cuts: Vec<i64>,
     /// Smallest and largest value of the sample the cuts came from; `None`
     /// for a plan made without one. Only sizes the coarse buckets of the
     /// two edge shards — routing never reads it.
-    extremes: Option<(V, V)>,
+    extremes: Option<(i64, i64)>,
 }
 
-impl<V: CrackValue> ShardPlan<V> {
+impl ShardPlan {
     /// Single-shard plan (no cuts) — the unsharded degenerate case.
     pub fn single() -> Self {
         Self::from_cuts(Vec::new())
@@ -100,7 +100,7 @@ impl<V: CrackValue> ShardPlan<V> {
     /// increasing). Tests and external planners construct known layouts
     /// through this; production plans come from
     /// [`ShardPlan::from_values`].
-    pub fn from_cuts(cuts: Vec<V>) -> Self {
+    pub fn from_cuts(cuts: Vec<i64>) -> Self {
         assert!(
             cuts.windows(2).all(|w| w[0] < w[1]),
             "shard cuts must be strictly increasing"
@@ -115,13 +115,13 @@ impl<V: CrackValue> ShardPlan<V> {
     /// `values`. Duplicate quantiles collapse (a domain with fewer distinct
     /// values than shards yields fewer shards), so the cuts are always
     /// strictly increasing. The plan remembers the sample's extremes.
-    pub fn from_values(values: &[V], shards: usize) -> Self {
+    pub fn from_values(values: &[i64], shards: usize) -> Self {
         if values.is_empty() {
             return Self::single();
         }
         let shards = shards.max(1);
         let stride = (values.len() / PLAN_SAMPLE).max(1);
-        let mut sample: Vec<V> = values.iter().step_by(stride).copied().collect();
+        let mut sample: Vec<i64> = values.iter().step_by(stride).copied().collect();
         sample.sort_unstable();
         let (min, max) = (sample[0], sample[sample.len() - 1]);
         let mut cuts = Vec::with_capacity(shards - 1);
@@ -145,18 +145,18 @@ impl<V: CrackValue> ShardPlan<V> {
     }
 
     /// The interior cut values.
-    pub fn cuts(&self) -> &[V] {
+    pub fn cuts(&self) -> &[i64] {
         &self.cuts
     }
 
     /// Index of the shard holding value `v`.
-    pub fn shard_of(&self, v: V) -> usize {
+    pub fn shard_of(&self, v: i64) -> usize {
         self.cuts.partition_point(|&c| c <= v)
     }
 
     /// Inclusive range `(first, last)` of shards intersecting `[lo, hi)`.
     /// Returns `None` for an empty predicate.
-    pub fn shard_range(&self, lo: V, hi: V) -> Option<(usize, usize)> {
+    pub fn shard_range(&self, lo: i64, hi: i64) -> Option<(usize, usize)> {
         if lo >= hi {
             return None;
         }
@@ -168,18 +168,18 @@ impl<V: CrackValue> ShardPlan<V> {
     /// Clamps a predicate to shard `k`'s value range: a bound at or beyond
     /// the shard edge widens to the sentinel, so fully-covered interior
     /// shards answer without cracking anything.
-    pub fn clamp(&self, k: usize, pred: Predicate<V>) -> Predicate<V> {
+    pub fn clamp(&self, k: usize, pred: Predicate) -> Predicate {
         // The bound only widens to a sentinel when the predicate covers the
         // shard's whole side: `pred.lo` at or below the shard's lower cut
         // (first shard has none — its values extend to the column minimum),
         // symmetrically for `hi`.
         let lo = if k > 0 && pred.lo <= self.cuts[k - 1] {
-            V::MIN_VALUE
+            i64::MIN
         } else {
             pred.lo
         };
         let hi = if k < self.cuts.len() && pred.hi >= self.cuts[k] {
-            V::MAX_VALUE
+            i64::MAX
         } else {
             pred.hi
         };
@@ -219,15 +219,15 @@ impl ReplanAction {
 /// its tag. Cells are write-once; an evicted shard is replaced by a fresh
 /// cell in a successor column ([`ShardedColumn::vacated`]) that shares
 /// every other cell.
-struct ShardCell<V, T> {
+struct ShardCell<T> {
     /// Serialises builders of this shard (never taken by readers): build,
     /// tag and publish happen under it, so racing touchers yield one
     /// column and one tag.
     build: Mutex<()>,
-    built: OnceLock<(Arc<CrackerColumn<V>>, T)>,
+    built: OnceLock<(Arc<CrackerColumn>, T)>,
 }
 
-impl<V, T> ShardCell<V, T> {
+impl<T> ShardCell<T> {
     fn empty() -> Arc<Self> {
         Arc::new(ShardCell {
             build: Mutex::new(()),
@@ -245,11 +245,11 @@ impl<V, T> ShardCell<V, T> {
 /// routing pass over the base, or any smaller set with one filter pass
 /// per shard — and hands the fresh columns to the caller to tag before
 /// they are published. `T` is that tag; standalone use takes `()`.
-pub struct ShardedColumn<V, T = ()> {
-    plan: ShardPlan<V>,
+pub struct ShardedColumn<T = ()> {
+    plan: ShardPlan,
     /// The base column every shard is a value-range filter of.
-    base: Arc<Vec<V>>,
-    cells: Vec<Arc<ShardCell<V, T>>>,
+    base: Arc<Vec<i64>>,
+    cells: Vec<Arc<ShardCell<T>>>,
     /// Base rows per shard under `plan`: a pure function of the two,
     /// counted once and shared with every successor of the same plan, so
     /// a one-shard build is a single pass.
@@ -259,7 +259,7 @@ pub struct ShardedColumn<V, T = ()> {
     /// successor, replans included, so later one-shard builds read only
     /// the zones that can hold their shard. Base metadata like `counts`
     /// (16 bytes a zone for `i64`), not an index the owner accounts for.
-    zones: Arc<OnceLock<ZoneMap<V>>>,
+    zones: Arc<OnceLock<ZoneMap>>,
     /// Base name; shards built under plan version `v > 0` are named
     /// `{name}/v{v}/s{k}`.
     name: String,
@@ -302,9 +302,9 @@ impl Buckets {
     }
 
     /// Lower key of bucket `b`, `0 < b <= last`: at most the shard's
-    /// largest planned value, so it neither wraps nor leaves `V`.
-    fn key<V: CrackValue>(&self, b: u64) -> V {
-        V::from_i64(self.lo.wrapping_add((b << self.shift) as i64))
+    /// largest planned value, so it neither wraps nor leaves `i64`.
+    fn key(&self, b: u64) -> i64 {
+        self.lo.wrapping_add((b << self.shift) as i64)
     }
 }
 
@@ -316,24 +316,20 @@ impl Buckets {
 /// upper one, the plan's sampled extremes standing in at the two edges; a
 /// range narrower than the bucket count gets fewer buckets, an edge shard
 /// of a plan without a sample gets one.
-fn coarse_buckets<V: CrackValue>(
-    plan: &ShardPlan<V>,
-    rows: usize,
-    piece_floor: usize,
-) -> Vec<Buckets> {
+fn coarse_buckets(plan: &ShardPlan, rows: usize, piece_floor: usize) -> Vec<Buckets> {
     let s = plan.shards();
     let per_shard = (rows / s / (2 * piece_floor.max(1))).clamp(1, (MAX_BUCKETS / s).max(1));
     let log2 = per_shard.ilog2();
-    let cut = |i: usize| plan.cuts[i].as_i64();
+    let cut = |i: usize| plan.cuts[i];
     let mut first_id = 0;
     (0..s)
         .map(|k| {
             let lo = match k {
-                0 => plan.extremes.map(|e| e.0.as_i64()),
+                0 => plan.extremes.map(|e| e.0),
                 k => Some(cut(k - 1)),
             };
             let top = match k + 1 == s {
-                true => plan.extremes.map(|e| e.1.as_i64()),
+                true => plan.extremes.map(|e| e.1),
                 // Wraps only under a cut at `MIN`, whose shard is empty.
                 false => Some(cut(k).wrapping_sub(1)),
             };
@@ -360,10 +356,10 @@ fn coarse_buckets<V: CrackValue>(
 /// One shard of a whole build: its values with each coarse bucket
 /// contiguous, buckets in key order; the bucket boundaries (`key →
 /// position`, none with an empty side); its smallest and largest value.
-struct Routed<V> {
-    vals: Vec<V>,
-    bounds: Vec<(V, usize)>,
-    domain: Option<(V, V)>,
+struct Routed {
+    vals: Vec<i64>,
+    bounds: Vec<(i64, usize)>,
+    domain: Option<(i64, i64)>,
 }
 
 thread_local! {
@@ -393,8 +389,8 @@ unsafe fn store_line(dst: *mut u8, line: &Line) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: both sides are 16-byte aligned (`Line` and the caller's
     // `dst` are 64-byte aligned) and valid for 64 bytes; SSE2 is baseline.
-    // The layout tests read every streamed line back, at every width and
-    // thread count (`prop_scatter_lays_out_every_width_as_the_counting_sort`),
+    // The layout tests read every streamed line back, at every thread
+    // count (`prop_scatter_lays_out_partial_lines_as_the_counting_sort`),
     // and CI runs them under ASan.
     unsafe {
         use std::arch::x86_64::{__m128i, _mm_load_si128, _mm_stream_si128};
@@ -426,13 +422,13 @@ fn fence_lines() {
 /// Per bucket, the shard vector it lives in (its first slot): what every
 /// thread of a scatter writes through, each to slots of its own. Null for a
 /// bucket id no tuple has.
-struct Dests<V>([*mut V; MAX_BUCKETS]);
+struct Dests([*mut i64; MAX_BUCKETS]);
 
 // SAFETY: the addresses are only written through, by `scatter_chunk`, whose
 // contract gives every thread slots no other thread reads or writes
-// (backed by `prop_scatter_lays_out_every_width_as_the_counting_sort` and
+// (backed by `prop_scatter_lays_out_partial_lines_as_the_counting_sort` and
 // `chunks_share_a_line_inside_one_bucket`).
-unsafe impl<V: Send> Sync for Dests<V> {}
+unsafe impl Sync for Dests {}
 
 /// `f` of every chunk, in order: the first on the calling thread, each
 /// other on a helper thread of its own, all joined before it returns (a
@@ -463,15 +459,14 @@ fn on_gang<T: Send, R: Send>(
 /// Pass 1 over one chunk of the base, branch-free: each value's bucket id
 /// into `ids` (its shard is the number of cuts at or below it, its bucket
 /// a subtraction and a shift), and the chunk's histogram.
-fn count_chunk<V: CrackValue>(
-    base: &[V],
+fn count_chunk(
+    base: &[i64],
     ids: &mut [u8],
     cuts: &[i64],
     geometry: &[Buckets],
 ) -> [usize; MAX_BUCKETS] {
     let mut hist = [0usize; MAX_BUCKETS];
     for (&v, id) in base.iter().zip(ids.iter_mut()) {
-        let v = v.as_i64();
         let k: usize = cuts.iter().map(|&c| (c <= v) as usize).sum();
         *id = geometry[k].id_of(v) as u8;
         hist[*id as usize] += 1;
@@ -493,15 +488,15 @@ fn count_chunk<V: CrackValue>(
 /// holds `n` times, slots `cursor[id]..cursor[id] + n` of the vector at
 /// `dests.0[id]` are allocated, 64-byte lines of that vector are
 /// allocated wherever those slots cover them whole, a value's address is
-/// a multiple of its width (which divides [`LINE`]), and no other thread
+/// a multiple of its 8 bytes (which divide [`LINE`]), and no other thread
 /// touches those slots' bytes before this returns.
-unsafe fn scatter_chunk<V: CrackValue>(
-    base: &[V],
+unsafe fn scatter_chunk(
+    base: &[i64],
     ids: &[u8],
-    dests: &Dests<V>,
+    dests: &Dests,
     mut cursor: [usize; MAX_BUCKETS],
 ) -> [usize; MAX_BUCKETS] {
-    let width = std::mem::size_of::<V>();
+    let width = std::mem::size_of::<i64>();
     let start = cursor;
     // The chunk's first slot of every bucket: where its own bytes begin.
     let first: [*mut u8; MAX_BUCKETS] =
@@ -515,8 +510,8 @@ unsafe fn scatter_chunk<V: CrackValue>(
         // cursor of bucket `id` has advanced fewer than the chunk's count
         // of it: `pos` lies inside the chunk's own slots of the bucket
         // (the caller's contract), which hold `Copy` values, so nothing is
-        // dropped. A slot's address is a multiple of the width, which
-        // divides `LINE`, so the value fits its staged line at `off`,
+        // dropped. A slot's address is a multiple of its 8 bytes, which
+        // divide `LINE`, so the value fits its staged line at `off`,
         // aligned. A flushed line ends at `end`, one past `pos`, and
         // `len` is the part of it at or after the chunk's first slot
         // `first[id]`: a streamed line (`len == LINE`) lies inside
@@ -525,13 +520,13 @@ unsafe fn scatter_chunk<V: CrackValue>(
         // shared with another bucket or another chunk gets only this
         // chunk's bytes of this bucket. Nothing reads the vectors before
         // this thread's fence below (`chunks_share_a_line_inside_one_bucket`
-        // and the counting-sort layout tests back this at every width and
-        // thread count).
+        // and the counting-sort layout tests back this at every thread
+        // count).
         unsafe {
             let dst = dests.0[id].add(pos).cast::<u8>();
             let off = dst.addr() % LINE;
             let line = &mut lines[id];
-            line.0.as_mut_ptr().add(off).cast::<V>().write(v);
+            line.0.as_mut_ptr().add(off).cast::<i64>().write(v);
             if off + width == LINE {
                 let end = dst.add(width);
                 let len = LINE.min(end.addr() - first[id].addr());
@@ -594,18 +589,11 @@ unsafe fn scatter_chunk<V: CrackValue>(
 /// helper threads into `cracking_whole_build_helpers_total`, and times the
 /// wall time of each pass, across all its threads, into
 /// `cracking_whole_build_count_ns` and `cracking_whole_build_scatter_ns`.
-fn route_all<V: CrackValue>(
-    base: &[V],
-    plan: &ShardPlan<V>,
-    piece_floor: usize,
-    threads: usize,
-) -> Vec<Routed<V>> {
-    let width = std::mem::size_of::<V>();
-    assert_eq!(LINE % width, 0, "a value's width divides the cache line");
+fn route_all(base: &[i64], plan: &ShardPlan, piece_floor: usize, threads: usize) -> Vec<Routed> {
+    let width = std::mem::size_of::<i64>();
     let geometry = coarse_buckets(plan, base.len(), piece_floor);
     let buckets = geometry.last().map_or(0, |g| g.ids().end() + 1);
     assert!(buckets <= MAX_BUCKETS, "bucket ids must fit a byte");
-    let cuts: Vec<i64> = plan.cuts.iter().map(|c| c.as_i64()).collect();
     let chunk = base.len().div_ceil(threads.max(1)).max(1);
     let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
     BUCKET_IDS.with_borrow_mut(|ids| {
@@ -617,7 +605,7 @@ fn route_all<V: CrackValue>(
         // Pass 1, one histogram per chunk.
         let hists = on_gang(
             base.chunks(chunk).zip(ids.chunks_mut(chunk)),
-            |(base, ids)| count_chunk(base, ids, &cuts, &geometry),
+            |(base, ids)| count_chunk(base, ids, &plan.cuts, &geometry),
         );
         let mut hist = [0usize; MAX_BUCKETS];
         for h in &hists {
@@ -627,7 +615,7 @@ fn route_all<V: CrackValue>(
 
         // Exactly-sized vectors, and per bucket the shard vector it lives
         // in and the position it starts at.
-        let mut out: Vec<Routed<V>> = Vec::with_capacity(geometry.len());
+        let mut out: Vec<Routed> = Vec::with_capacity(geometry.len());
         let mut dests = Dests([std::ptr::null_mut(); MAX_BUCKETS]);
         let mut cursor = [0usize; MAX_BUCKETS];
         for g in &geometry {
@@ -637,14 +625,13 @@ fn route_all<V: CrackValue>(
                 bounds: Vec::with_capacity(g.last as usize),
                 domain: None,
             };
-            // No value straddles two lines (holds wherever a value's
-            // alignment is its width).
+            // No value straddles two lines.
             assert_eq!(shard.vals.as_ptr() as usize % width, 0, "unaligned shard");
             let mut pos = 0;
             for id in g.ids() {
                 // A boundary with an empty side would only add an empty
                 // piece.
-                let left = shard.bounds.last().map_or(0, |b: &(V, usize)| b.1);
+                let left = shard.bounds.last().map_or(0, |b: &(i64, usize)| b.1);
                 if left < pos && pos < count {
                     shard.bounds.push((g.key((id - g.first_id) as u64), pos));
                 }
@@ -674,8 +661,8 @@ fn route_all<V: CrackValue>(
             // ones', all inside the bucket's range of its shard's first
             // `count` slots, which are allocated (capacity above `count`)
             // and written by no other bucket; the vectors are aligned to
-            // the value width (asserted per shard), which divides `LINE`
-            // (asserted above). Backed at 1 to 4 threads by the layout
+            // 8 bytes (asserted per shard), which divide `LINE`. Backed at
+            // 1 to 4 threads by the layout
             // tests (`assert_same_build`) and under ASan in CI.
             unsafe { scatter_chunk(base, ids, &dests, start) }
         });
@@ -702,15 +689,15 @@ fn route_all<V: CrackValue>(
             // one of the first `count` slots, and each staged line reached
             // the vector once — flushed when its last slot filled, or by the
             // tail copy — before its thread's fence and the join
-            // (`prop_scatter_lays_out_every_width_as_the_counting_sort`
+            // (`prop_scatter_lays_out_partial_lines_as_the_counting_sort`
             // reads every slot back).
             unsafe { shard.vals.set_len(count) };
             // Pieces are in key order and none is empty: the extremes sit
             // in the first and the last.
             let first = shard.bounds.first().map_or(count, |b| b.1);
             let last = shard.bounds.last().map_or(0, |b| b.1);
-            let min = shard.vals[..first].iter().copied().reduce(V::min);
-            let max = shard.vals[last..].iter().copied().reduce(V::max);
+            let min = shard.vals[..first].iter().copied().reduce(i64::min);
+            let max = shard.vals[last..].iter().copied().reduce(i64::max);
             shard.domain = min.zip(max);
         }
         out
@@ -722,12 +709,12 @@ const ZONE: usize = 1024;
 
 /// A base's zone map: the smallest and largest value of each [`ZONE`]-row
 /// block, in base order.
-type ZoneMap<V> = Box<[(V, V)]>;
+type ZoneMap = Box<[(i64, i64)]>;
 
 /// Base rows per shard of `plan` (branch-free: a value's shard is the
 /// number of cuts at or below it) and, from the same pass, the base's zone
 /// map.
-fn count_and_zone<V: CrackValue>(base: &[V], plan: &ShardPlan<V>) -> (Box<[usize]>, ZoneMap<V>) {
+fn count_and_zone(base: &[i64], plan: &ShardPlan) -> (Box<[usize]>, ZoneMap) {
     let mut counts = vec![0usize; plan.shards()];
     let zones = base
         .chunks(ZONE)
@@ -751,12 +738,12 @@ fn shard_capacity(count: usize) -> usize {
 }
 
 /// One shard's values out of a one-shard filter pass.
-struct Filtered<V> {
+struct Filtered {
     /// The base values in the shard's range, in base order, in a vector of
     /// [`shard_capacity`].
-    vals: Vec<V>,
+    vals: Vec<i64>,
     /// Their smallest and largest value (`None` when there are none).
-    domain: Option<(V, V)>,
+    domain: Option<(i64, i64)>,
     /// Zones of the zone map the pass did not read.
     skipped: usize,
 }
@@ -764,13 +751,13 @@ struct Filtered<V> {
 /// The `count` base values in `[lo, hi)` (`None` = unbounded) and their
 /// domain, from one filter pass with the kernel of [`kernels::active_isa`]
 /// over the zones of `zones` (the base's zone map) that can hold them.
-fn filter_pass<V: CrackValue>(
-    base: &[V],
-    zones: &[(V, V)],
+fn filter_pass(
+    base: &[i64],
+    zones: &[(i64, i64)],
     count: usize,
-    lo: Option<V>,
-    hi: Option<V>,
-) -> Filtered<V> {
+    lo: Option<i64>,
+    hi: Option<i64>,
+) -> Filtered {
     filter_pass_on(kernels::active_isa(), base, zones, count, lo, hi)
 }
 
@@ -780,26 +767,26 @@ fn filter_pass<V: CrackValue>(
 /// pass over the whole base puts them: a zone it skips holds no value in
 /// range. Panics when the base holds other than `count` values in range;
 /// either kernel writes inside the vector's capacity only, straight into it.
-fn filter_pass_on<V: CrackValue>(
+fn filter_pass_on(
     isa: Isa,
-    base: &[V],
-    zones: &[(V, V)],
+    base: &[i64],
+    zones: &[(i64, i64)],
     count: usize,
-    lo: Option<V>,
-    hi: Option<V>,
-) -> Filtered<V> {
+    lo: Option<i64>,
+    hi: Option<i64>,
+) -> Filtered {
     assert_eq!(
         zones.len(),
         base.len().div_ceil(ZONE),
         "not this base's zones"
     );
     let meets =
-        |&(min, max): &(V, V)| lo.is_none_or(|lo| lo <= max) && hi.is_none_or(|hi| min < hi);
+        |&(min, max): &(i64, i64)| lo.is_none_or(|lo| lo <= max) && hi.is_none_or(|hi| min < hi);
     let mut vals = Vec::with_capacity(shard_capacity(count));
     // One slot past `count` takes the portable loop's writes of rejected
     // values that follow the last kept one.
     let out = &mut vals.spare_capacity_mut()[..count + 1];
-    let (mut kept, mut fold, mut skipped) = (0, (V::MAX_VALUE, V::MIN_VALUE), 0);
+    let (mut kept, mut fold, mut skipped) = (0, (i64::MAX, i64::MIN), 0);
     let mut start = 0;
     for run in zones.chunk_by(|a, b| meets(a) == meets(b)) {
         let rows = start..(start + run.len() * ZONE).min(base.len());
@@ -826,24 +813,20 @@ fn filter_pass_on<V: CrackValue>(
     }
 }
 
-/// One call of the filter kernel of `isa`: on [`Isa::Avx512`] an `i64`
-/// base takes the compress-store filter, anything else the portable loop.
-/// Returns how many values it kept and their smallest and largest
-/// (`(MAX_VALUE, MIN_VALUE)` when none).
-fn filter_on<V: CrackValue>(
+/// One call of the filter kernel of `isa`: the compress-store filter on
+/// [`Isa::Avx512`], the portable loop on any other. Returns how many values
+/// it kept and their smallest and largest (`(i64::MAX, i64::MIN)` when
+/// none).
+fn filter_on(
     isa: Isa,
-    base: &[V],
-    out: &mut [MaybeUninit<V>],
-    lo: Option<V>,
-    hi: Option<V>,
-) -> (usize, (V, V)) {
+    base: &[i64],
+    out: &mut [MaybeUninit<i64>],
+    lo: Option<i64>,
+    hi: Option<i64>,
+) -> (usize, (i64, i64)) {
     if isa == Isa::Avx512 {
         #[cfg(target_arch = "x86_64")]
-        if let (Some(base), Some(out)) = (kernels::same_lanes_ref(base), kernels::same_lanes(out)) {
-            let (lo, hi) = (lo.map(V::as_i64), hi.map(V::as_i64));
-            let (kept, (min, max)) = kernels::avx512::filter(base, lo, hi, out);
-            return (kept, (V::from_i64(min), V::from_i64(max)));
-        }
+        return kernels::avx512::filter(base, lo, hi, out);
     }
     match (lo, hi) {
         (None, None) => filter_portable(base, out, |_| true),
@@ -857,29 +840,29 @@ fn filter_on<V: CrackValue>(
 /// value is written at the cursor, which only advances past a kept one, so
 /// `out` needs a slot past the last kept value, and the extremes take a
 /// select. Returns how many and their smallest and largest value
-/// (`(MAX_VALUE, MIN_VALUE)` when none); panics rather than write beyond
+/// (`(i64::MAX, i64::MIN)` when none); panics rather than write beyond
 /// `out`.
-fn filter_portable<V: CrackValue>(
-    base: &[V],
-    out: &mut [MaybeUninit<V>],
-    keep: impl Fn(V) -> bool,
-) -> (usize, (V, V)) {
-    let (mut c, mut min, mut max) = (0, V::MAX_VALUE, V::MIN_VALUE);
+fn filter_portable(
+    base: &[i64],
+    out: &mut [MaybeUninit<i64>],
+    keep: impl Fn(i64) -> bool,
+) -> (usize, (i64, i64)) {
+    let (mut c, mut min, mut max) = (0, i64::MAX, i64::MIN);
     for &v in base {
         assert!(c < out.len(), "more values in range than the output holds");
         out[c].write(v);
         let k = keep(v);
-        min = min.min(if k { v } else { V::MAX_VALUE });
-        max = max.max(if k { v } else { V::MIN_VALUE });
+        min = min.min(if k { v } else { i64::MAX });
+        max = max.max(if k { v } else { i64::MIN });
         c += k as usize;
     }
     (c, (min, max))
 }
 
-impl<V: CrackValue, T> ShardedColumn<V, T> {
+impl<T> ShardedColumn<T> {
     /// A column over `base` with every cell empty: nothing is copied until
     /// [`ShardedColumn::admit`] builds a shard.
-    pub fn lazy(name: &str, base: Arc<Vec<V>>, plan: ShardPlan<V>) -> Self {
+    pub fn lazy(name: &str, base: Arc<Vec<i64>>, plan: ShardPlan) -> Self {
         ShardedColumn {
             cells: (0..plan.shards()).map(|_| ShardCell::empty()).collect(),
             plan,
@@ -888,7 +871,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             zones: Arc::default(),
             name: name.to_string(),
             threads: (1, 1),
-            piece_floor: (L1_BYTES / V::width()).max(1),
+            piece_floor: (L1_BYTES / size_of::<i64>()).max(1),
             version: 0,
         }
     }
@@ -919,7 +902,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     }
 
     /// The partitioning plan.
-    pub fn plan(&self) -> &ShardPlan<V> {
+    pub fn plan(&self) -> &ShardPlan {
         &self.plan
     }
 
@@ -930,13 +913,13 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
 
     /// Shard `k`'s cracker column and tag, `None` while the cell is empty.
     /// Lock-free.
-    pub fn resident(&self, k: usize) -> Option<(&Arc<CrackerColumn<V>>, &T)> {
+    pub fn resident(&self, k: usize) -> Option<(&Arc<CrackerColumn>, &T)> {
         self.cells[k].built.get().map(|(shard, tag)| (shard, tag))
     }
 
     /// Shard `k`'s cracker column. Panics on an empty cell: callers either
     /// built the column eagerly or admitted `k` first.
-    pub fn shard(&self, k: usize) -> &Arc<CrackerColumn<V>> {
+    pub fn shard(&self, k: usize) -> &Arc<CrackerColumn> {
         self.resident(k).expect("shard is not resident").0
     }
 
@@ -947,7 +930,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     }
 
     /// The resident shards' cracker columns, in shard order.
-    pub fn resident_shards(&self) -> impl Iterator<Item = &Arc<CrackerColumn<V>>> {
+    pub fn resident_shards(&self) -> impl Iterator<Item = &Arc<CrackerColumn>> {
         self.cells
             .iter()
             .filter_map(|c| c.built.get().map(|(shard, _)| shard))
@@ -957,8 +940,8 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     fn new_shard(
         &self,
         k: usize,
-        make: impl FnOnce(String) -> CrackerColumn<V>,
-    ) -> Arc<CrackerColumn<V>> {
+        make: impl FnOnce(String) -> CrackerColumn,
+    ) -> Arc<CrackerColumn> {
         let name = match self.version {
             0 => format!("{}/s{k}", self.name),
             v => format!("{}/v{v}/s{k}", self.name),
@@ -969,7 +952,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
 
     /// Shard `k` over migrated tuples in no particular order: one piece,
     /// row ids stored (after updates a shard is no filter of the base).
-    fn one_piece_shard(&self, k: usize, vals: Vec<V>, rows: Vec<RowId>) -> Arc<CrackerColumn<V>> {
+    fn one_piece_shard(&self, k: usize, vals: Vec<i64>, rows: Vec<RowId>) -> Arc<CrackerColumn> {
         self.new_shard(k, |name| CrackerColumn::from_parts(name, vals, rows))
     }
 
@@ -979,10 +962,10 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     fn base_shard(
         &self,
         k: usize,
-        vals: Vec<V>,
-        bounds: &[(V, usize)],
-        domain: Option<(V, V)>,
-    ) -> Arc<CrackerColumn<V>> {
+        vals: Vec<i64>,
+        bounds: &[(i64, usize)],
+        domain: Option<(i64, i64)>,
+    ) -> Arc<CrackerColumn> {
         let (lo, hi) = self.shard_range(k);
         let source = RowSource::new(Arc::clone(&self.base), lo, hi);
         self.new_shard(k, |name| {
@@ -992,7 +975,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
 
     /// Shard `k`'s value range `[lo, hi)` under the plan (`None` =
     /// unbounded).
-    fn shard_range(&self, k: usize) -> (Option<V>, Option<V>) {
+    fn shard_range(&self, k: usize) -> (Option<i64>, Option<i64>) {
         let cuts = self.plan.cuts();
         (k.checked_sub(1).map(|i| cuts[i]), cuts.get(k).copied())
     }
@@ -1004,7 +987,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     /// each build counts `cracking_shard_builds_total` and the zones it
     /// skipped into `cracking_shard_build_zones_skipped_total`, and is
     /// timed into `cracking_shard_build_ns`.
-    fn filter_parts(&self, k: usize) -> Filtered<V> {
+    fn filter_parts(&self, k: usize) -> Filtered {
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
         let base = &self.base[..];
         let zones = self.zones.get_or_init(|| {
@@ -1051,7 +1034,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         first: usize,
         last: usize,
         threads: usize,
-        tag: impl FnOnce(&[Arc<CrackerColumn<V>>]) -> Vec<T>,
+        tag: impl FnOnce(&[Arc<CrackerColumn>]) -> Vec<T>,
     ) {
         // Ascending order on every path: multi-cell admissions never
         // deadlock against each other.
@@ -1067,7 +1050,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
         }
         // (More shards than bucket ids: shard by shard as well.)
         let whole = missing.len() == self.cells.len() && self.cells.len() <= MAX_BUCKETS;
-        let fresh: Vec<Arc<CrackerColumn<V>>> = if whole {
+        let fresh: Vec<Arc<CrackerColumn>> = if whole {
             let threads = self.whole_build_threads(threads);
             let routed = route_all(&self.base, &self.plan, self.piece_floor, threads);
             self.counts
@@ -1119,7 +1102,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
 
     /// Shard indices intersecting `pred`, each with the predicate clamped
     /// to the shard's value range.
-    pub fn intersecting(&self, pred: Predicate<V>) -> Vec<(usize, Predicate<V>)> {
+    pub fn intersecting(&self, pred: Predicate) -> Vec<(usize, Predicate)> {
         let Some((first, last)) = self.plan.shard_range(pred.lo, pred.hi) else {
             return Vec::new();
         };
@@ -1142,8 +1125,8 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     /// so a fan-out is not one global instant — as for every fan-out.
     pub fn select_verified(
         &self,
-        pred: Predicate<V>,
-        scratch: &mut CrackScratch<V>,
+        pred: Predicate,
+        scratch: &mut CrackScratch,
     ) -> (Vec<(usize, Selection)>, RangeStats) {
         let mut sels = Vec::new();
         let mut stats = RangeStats::default();
@@ -1160,7 +1143,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     /// ([`CrackerColumn::snapshot_scan`]) under its own structure lock
     /// shared, so a Ripple merge in one value range never stalls readers
     /// of any other shard. Aggregates are merged across shards.
-    pub fn snapshot_scan(&self, pred: Predicate<V>, scratch: &mut CrackScratch<V>) -> SnapshotScan {
+    pub fn snapshot_scan(&self, pred: Predicate, scratch: &mut CrackScratch) -> SnapshotScan {
         let mut out = SnapshotScan::default();
         for (k, p) in self.intersecting(pred) {
             let scan = self.shard(k).snapshot_scan(p, scratch);
@@ -1176,27 +1159,27 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     /// exists anywhere in the attribute; `None` means the owning shard has
     /// no filter yet (callers fall back or pay
     /// [`ShardedColumn::ensure_point_filter`] on that shard).
-    pub fn probe_point(&self, v: V) -> Option<bool> {
+    pub fn probe_point(&self, v: i64) -> Option<bool> {
         self.shard(self.plan.shard_of(v)).probe_point(v)
     }
 
     /// Builds the point filter of the shard owning `v` (no-op once built).
     /// Lazy by value, not per-column: a point probe only pays the build on
     /// the single shard it routes to, cold shards stay untouched.
-    pub fn ensure_point_filter(&self, v: V) {
+    pub fn ensure_point_filter(&self, v: i64) {
         self.shard(self.plan.shard_of(v)).ensure_point_filter();
     }
 
     /// Routes an insertion to the shard owning `v`'s value range. `false`
     /// when that shard is sealed for migration — the caller retries
     /// against the successor plan.
-    pub fn queue_insert(&self, v: V, row: RowId) -> bool {
+    pub fn queue_insert(&self, v: i64, row: RowId) -> bool {
         self.shard(self.plan.shard_of(v)).queue_insert(v, row)
     }
 
     /// Routes a deletion to the shard owning `v`'s value range. `false`
     /// when that shard is sealed for migration.
-    pub fn queue_delete(&self, v: V, row: RowId) -> bool {
+    pub fn queue_delete(&self, v: i64, row: RowId) -> bool {
         self.shard(self.plan.shard_of(v)).queue_delete(v, row)
     }
 
@@ -1215,8 +1198,8 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     }
 
     /// Builds the successor column for one replan action. Shards the
-    /// action does not name keep their cells — indices, latches,
-    /// snapshots and point filters survive untouched — while the named
+    /// action does not name keep their cells — indices, latches, piece
+    /// sums and point filters survive untouched — while the named
     /// shard(s) are sealed, drained via
     /// [`CrackerColumn::extract_for_migration`] and rebuilt under the
     /// successor plan; `tag` then tags the rebuilt shards (ascending) or
@@ -1230,7 +1213,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     pub fn apply_replan_with(
         &self,
         action: ReplanAction,
-        tag: impl FnOnce(&[Arc<CrackerColumn<V>>]) -> Option<Vec<T>>,
+        tag: impl FnOnce(&[Arc<CrackerColumn>]) -> Option<Vec<T>>,
     ) -> Option<Self> {
         let replaced = action.replaced();
         if *replaced.end() >= self.cells.len()
@@ -1272,7 +1255,7 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
             piece_floor: self.piece_floor,
             version,
         };
-        let fresh: Vec<Arc<CrackerColumn<V>>> = parts
+        let fresh: Vec<Arc<CrackerColumn>> = parts
             .into_iter()
             .enumerate()
             .map(|(i, (vals, rows))| successor.one_piece_shard(k + i, vals, rows))
@@ -1300,7 +1283,10 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
     /// the smallest value above the shard minimum under heavy duplication,
     /// so both halves stay non-empty): `(left, cut, right)`.
     #[allow(clippy::type_complexity)]
-    fn split_shard(&self, k: usize) -> Option<((Vec<V>, Vec<RowId>), V, (Vec<V>, Vec<RowId>))> {
+    fn split_shard(
+        &self,
+        k: usize,
+    ) -> Option<((Vec<i64>, Vec<RowId>), i64, (Vec<i64>, Vec<RowId>))> {
         let (vals, rows) = self.shard(k).extract_for_migration();
         let mut sorted = vals.clone();
         sorted.sort_unstable();
@@ -1357,22 +1343,22 @@ impl<V: CrackValue, T> ShardedColumn<V, T> {
 }
 
 /// The untagged column, for standalone use and the sharding tests.
-impl<V: CrackValue> ShardedColumn<V> {
+impl ShardedColumn {
     /// Builds every shard from a base column with a precomputed plan. Each
     /// base tuple lands in exactly one shard, keeping its global row id.
-    pub fn from_base_with_plan(name: &str, base: &[V], plan: ShardPlan<V>) -> Self {
+    pub fn from_base_with_plan(name: &str, base: &[i64], plan: ShardPlan) -> Self {
         let col = Self::lazy(name, Arc::new(base.to_vec()), plan);
         col.admit(0, col.shard_count() - 1, 1, |fresh| vec![(); fresh.len()]);
         col
     }
 
     /// [`ShardedColumn::apply_replan_with`] for the untagged column.
-    pub fn apply_replan(&self, action: ReplanAction) -> Option<ShardedColumn<V>> {
+    pub fn apply_replan(&self, action: ReplanAction) -> Option<ShardedColumn> {
         self.apply_replan_with(action, |fresh| Some(vec![(); fresh.len()]))
     }
 }
 
-impl<V: CrackValue, T> std::fmt::Debug for ShardedColumn<V, T> {
+impl<T> std::fmt::Debug for ShardedColumn<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedColumn")
             .field("shards", &self.cells.len())
@@ -1633,7 +1619,7 @@ mod tests {
 
     /// A shard's merged tuples as sorted `(value, row id)` pairs (seals the
     /// shard: for the end of a test).
-    fn tuples(shard: &CrackerColumn<i64>) -> Vec<(i64, RowId)> {
+    fn tuples(shard: &CrackerColumn) -> Vec<(i64, RowId)> {
         let (vals, rows) = shard.extract_for_migration();
         let mut pairs: Vec<_> = vals.into_iter().zip(rows).collect();
         pairs.sort_unstable();
@@ -1644,7 +1630,7 @@ mod tests {
     fn lazy_column_shares_its_base_and_builds_only_what_is_touched() {
         let base = Arc::new(base(20_000, 1_000, 30));
         let plan = ShardPlan::from_values(&base, 4);
-        let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&base), plan);
+        let col: ShardedColumn = ShardedColumn::lazy("a", Arc::clone(&base), plan);
         assert_eq!(Arc::strong_count(&base), 2, "the column copied its base");
         assert!((0..4).all(|k| col.resident(k).is_none()));
         assert_eq!(col.shard_rows(2), None, "nothing counted before a build");
@@ -1682,7 +1668,7 @@ mod tests {
     /// The whole-attribute routing the two-level partition replaced, kept
     /// as the reference: every tuple to its shard by `shard_of`. Sorted
     /// `(value, row id)` pairs per shard.
-    fn push_routing(base: &[i64], plan: &ShardPlan<i64>) -> Vec<Vec<(i64, RowId)>> {
+    fn push_routing(base: &[i64], plan: &ShardPlan) -> Vec<Vec<(i64, RowId)>> {
         let mut shards = vec![Vec::new(); plan.shards()];
         for (r, &v) in base.iter().enumerate() {
             shards[plan.shard_of(v)].push((v, r as RowId));
@@ -1696,32 +1682,29 @@ mod tests {
     /// The exact layout of a whole build: each shard's base values in base
     /// order, stably sorted by bucket id (a counting sort, which is what a
     /// scatter with plain stores to the bucket cursors writes).
-    fn counting_sort<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, floor: usize) -> Vec<Vec<V>> {
+    fn counting_sort(base: &[i64], plan: &ShardPlan, floor: usize) -> Vec<Vec<i64>> {
         let mut shards = vec![Vec::new(); plan.shards()];
         for &v in base {
             shards[plan.shard_of(v)].push(v);
         }
         let geometry = coarse_buckets(plan, base.len(), floor);
         for (g, shard) in geometry.iter().zip(&mut shards) {
-            shard.sort_by_key(|v| g.id_of(v.as_i64()));
+            shard.sort_by_key(|&v| g.id_of(v));
         }
         shards
     }
 
-    /// `route_all` over `n` values of `V`, drawn from the whole type or
-    /// from a window of 41 values, lays every shard out exactly as the
-    /// counting sort does and finds its extremes.
-    fn check_layout<V: CrackValue>(seed: u64, n: usize, shards: usize, floor: usize, narrow: bool) {
+    /// `route_all` over `n` values, drawn from all of `i64` or from a
+    /// window of 41 values, lays every shard out exactly as the counting
+    /// sort does and finds its extremes.
+    fn check_layout(seed: u64, n: usize, shards: usize, floor: usize, narrow: bool) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (min, max) = (V::MIN_VALUE.as_i64(), V::MAX_VALUE.as_i64());
         let lo = match narrow {
-            true => rng.random_range(min..=max - 40),
-            false => min,
+            true => rng.random_range(i64::MIN..=i64::MAX - 40),
+            false => i64::MIN,
         };
-        let hi = if narrow { lo + 40 } else { max };
-        let base: Vec<V> = (0..n)
-            .map(|_| V::from_i64(rng.random_range(lo..=hi)))
-            .collect();
+        let hi = if narrow { lo + 40 } else { i64::MAX };
+        let base: Vec<i64> = (0..n).map(|_| rng.random_range(lo..=hi)).collect();
         let plan = ShardPlan::from_values(&base, shards);
         let routed = route_all(&base, &plan, floor, 1);
         for (k, (shard, want)) in routed
@@ -1742,12 +1725,7 @@ mod tests {
     /// `route_all` at 2, 3 and 4 threads lays out every shard of `base`
     /// as `one_thread` (its 1-thread build) does: slot for slot, with the
     /// same bucket bounds and domains.
-    fn assert_same_build<V: CrackValue>(
-        one_thread: &[Routed<V>],
-        base: &[V],
-        plan: &ShardPlan<V>,
-        floor: usize,
-    ) {
+    fn assert_same_build(one_thread: &[Routed], base: &[i64], plan: &ShardPlan, floor: usize) {
         for threads in 2..=4 {
             let routed = route_all(base, plan, floor, threads);
             assert_eq!(routed.len(), one_thread.len());
@@ -1759,18 +1737,18 @@ mod tests {
         }
     }
 
-    /// Two chunks of one bucket that meet inside a cache line: a `u8`
-    /// column in one bucket (a piece floor far above its length, so the
-    /// layout is the base order) whose chunk cut sits an odd number of
-    /// slots into an evenly aligned vector, so both threads write disjoint
-    /// bytes of that line, and both stream whole lines on either side.
+    /// Two chunks of one bucket that meet inside a cache line: a column in
+    /// one bucket (a piece floor far above its length, so the layout is
+    /// the base order) whose chunk cut sits an odd number of slots into a
+    /// vector aligned to two slots, so both threads write disjoint slots of
+    /// that line, and both stream whole lines on either side.
     #[test]
     fn chunks_share_a_line_inside_one_bucket() {
-        let base: Vec<u8> = (0..2 * 1001).map(|i| (i % 251) as u8).collect();
+        let base: Vec<i64> = (0..2 * 1001).map(|i| i % 251).collect();
         let plan = ShardPlan::from_values(&base, 1);
         let routed = route_all(&base, &plan, 1 << 20, 2);
         assert!(routed[0].bounds.is_empty(), "one bucket");
-        let cut = routed[0].vals.as_ptr() as usize + 1001;
+        let cut = routed[0].vals.as_ptr().wrapping_add(1001) as usize;
         assert_ne!(cut % LINE, 0, "the chunk cut must fall inside a line");
         assert_eq!(routed[0].vals, base);
     }
@@ -1782,7 +1760,7 @@ mod tests {
     fn short_bases_build_on_the_caller_alone() {
         let short = base(2 * DEFAULT_MIN_PARALLEL - 1, 1 << 20, 3);
         let plan = ShardPlan::from_values(&short, 4);
-        let col: ShardedColumn<i64> =
+        let col: ShardedColumn =
             ShardedColumn::lazy("short", Arc::new(short.clone()), plan.clone());
         assert_eq!(col.whole_build_threads(4), 1);
         col.admit(0, plan.shards() - 1, 4, |fresh| vec![(); fresh.len()]);
@@ -1795,33 +1773,25 @@ mod tests {
             );
         }
         let long = base(2 * DEFAULT_MIN_PARALLEL, 1 << 20, 3);
-        let col: ShardedColumn<i64> = ShardedColumn::lazy("long", Arc::new(long), plan);
+        let col: ShardedColumn = ShardedColumn::lazy("long", Arc::new(long), plan);
         assert_eq!(col.whole_build_threads(4), 2);
         assert_eq!(col.whole_build_threads(1), 1);
     }
 
-    // Every width below `i64` — 64, 32 and 16 values a cache line — with
-    // piece floors of 1 and 4: buckets of 0 to about 9 values, narrower
-    // than a line and starting anywhere inside one.
+    // Piece floors of 1 and 4, over all of `i64` or a 41-value window:
+    // buckets of 0 to about 7 values, under one 64-byte line of 8 values
+    // and starting anywhere inside one, at 1 to 4 threads.
     proptest! {
         #[test]
-        fn prop_scatter_lays_out_every_width_as_the_counting_sort(
+        fn prop_scatter_lays_out_partial_lines_as_the_counting_sort(
             seed in any::<u64>(),
             n in 0usize..600,
-            width in 0usize..6,
             shards in 0usize..4,
             floor in 0usize..2,
             narrow in any::<bool>(),
         ) {
             let (shards, floor) = ([1usize, 2, 4, 7][shards], [1usize, 4][floor]);
-            match width {
-                0 => check_layout::<i8>(seed, n, shards, floor, narrow),
-                1 => check_layout::<i16>(seed, n, shards, floor, narrow),
-                2 => check_layout::<i32>(seed, n, shards, floor, narrow),
-                3 => check_layout::<u8>(seed, n, shards, floor, narrow),
-                4 => check_layout::<u16>(seed, n, shards, floor, narrow),
-                _ => check_layout::<u32>(seed, n, shards, floor, narrow),
-            }
+            check_layout(seed, n, shards, floor, narrow);
         }
     }
 
@@ -1891,10 +1861,10 @@ mod tests {
             );
         }
         let shared = Arc::new(base.clone());
-        let eager: ShardedColumn<i64> =
+        let eager: ShardedColumn =
             ShardedColumn::lazy("eager", Arc::clone(&shared), plan.clone()).with_piece_floor(floor);
         eager.admit(0, plan.shards() - 1, 1, |fresh| vec![(); fresh.len()]);
-        let lazy: ShardedColumn<i64> =
+        let lazy: ShardedColumn =
             ShardedColumn::lazy("lazy", shared, plan.clone()).with_piece_floor(floor);
         let mut order: Vec<usize> = (0..plan.shards()).collect();
         for i in (1..order.len()).rev() {
@@ -1993,12 +1963,12 @@ mod tests {
     }
 
     /// A column's whole boundary table.
-    fn bounds_of(col: &CrackerColumn<i64>) -> Vec<(i64, usize)> {
+    fn bounds_of(col: &CrackerColumn) -> Vec<(i64, usize)> {
         col.index.read().bounds_in_order()
     }
 
     /// Sorted values of each piece of `col` under `bounds`.
-    fn piece_multisets(col: &CrackerColumn<i64>, bounds: &[(i64, usize)]) -> Vec<Vec<i64>> {
+    fn piece_multisets(col: &CrackerColumn, bounds: &[(i64, usize)]) -> Vec<Vec<i64>> {
         let starts = std::iter::once(0).chain(bounds.iter().map(|b| b.1));
         let ends = bounds.iter().map(|b| b.1).chain([col.len()]);
         starts
@@ -2024,7 +1994,7 @@ mod tests {
         let base = column_of(domain, n, &mut rng);
         let plan = ShardPlan::from_values(&base, shards);
         let reference = push_routing(&base, &plan);
-        let col: ShardedColumn<i64> =
+        let col: ShardedColumn =
             ShardedColumn::lazy("lazy", Arc::new(base.clone()), plan.clone()).with_piece_floor(4);
         match whole {
             true => col.admit(0, plan.shards() - 1, 1, |fresh| vec![(); fresh.len()]),
@@ -2044,7 +2014,7 @@ mod tests {
             for (key, _) in bounds_of(shard) {
                 twin.refine_at_blocking(key, &mut scratch);
             }
-            let crack_both = |rng: &mut StdRng, scratch: &mut CrackScratch<i64>| {
+            let crack_both = |rng: &mut StdRng, scratch: &mut CrackScratch| {
                 let (x, y) = (pivot(rng), pivot(rng));
                 match rng.random_range(0..3) {
                     0 => {
@@ -2152,7 +2122,7 @@ mod tests {
 
     /// A shard's `(value, row)` pairs through the conjunction path:
     /// `collect_row_ids` over the whole shard beside its values, sorted.
-    fn collected_pairs(shard: &CrackerColumn<i64>) -> Vec<(i64, RowId)> {
+    fn collected_pairs(shard: &CrackerColumn) -> Vec<(i64, RowId)> {
         let ids = shard
             .collect_row_ids(Predicate::range(i64::MIN, i64::MAX))
             .expect("sentinel bounds");
@@ -2177,10 +2147,10 @@ mod tests {
     /// Applies `step` to a sharded column and, the same way, to the
     /// twins, one plain column per shard.
     fn apply_step(
-        col: &ShardedColumn<i64>,
-        twins: &[CrackerColumn<i64>],
+        col: &ShardedColumn,
+        twins: &[CrackerColumn],
         step: Step,
-        scratch: &mut CrackScratch<i64>,
+        scratch: &mut CrackScratch,
     ) {
         let plan = col.plan();
         match step {
@@ -2239,7 +2209,7 @@ mod tests {
             col.admit(0, plan.shards() - 1, 1, |fresh| vec![(); fresh.len()]);
             col
         };
-        let twins_of = || -> Vec<CrackerColumn<i64>> {
+        let twins_of = || -> Vec<CrackerColumn> {
             push_routing(&base, &plan)
                 .into_iter()
                 .map(|pairs| {
@@ -2432,7 +2402,7 @@ mod tests {
     }
 
     /// `(shard, bucket-in-shard)` of `v` under `geometry`.
-    fn bucket_of(plan: &ShardPlan<i64>, geometry: &[Buckets], v: i64) -> (usize, u64) {
+    fn bucket_of(plan: &ShardPlan, geometry: &[Buckets], v: i64) -> (usize, u64) {
         let k = plan.shard_of(v);
         let id = geometry[k].id_of(v);
         assert!(id >= geometry[k].first_id, "id below the shard's first");
@@ -2501,10 +2471,10 @@ mod tests {
                     // with (edge buckets are open outwards).
                     let g = &geometry[k];
                     if b > 0 {
-                        assert!(v >= g.key::<i64>(b), "{v} below its bucket");
+                        assert!(v >= g.key(b), "{v} below its bucket");
                     }
                     if b < g.last {
-                        assert!(v < g.key::<i64>(b + 1), "{v} above its bucket");
+                        assert!(v < g.key(b + 1), "{v} above its bucket");
                     }
                 }
             }
@@ -2534,7 +2504,7 @@ mod tests {
             .collect();
         assert_eq!(lasts, [0, 63, 63, 0]);
         assert_eq!(
-            coarse_buckets(&ShardPlan::<i64>::single(), 1 << 26, 4096)[0].last,
+            coarse_buckets(&ShardPlan::single(), 1 << 26, 4096)[0].last,
             0
         );
         // A cut at the very bottom leaves an empty first shard.
@@ -2579,7 +2549,7 @@ mod tests {
         let next = col.apply_replan(ReplanAction::Split { shard: 1 }).unwrap();
         assert_eq!(next.shard_count(), 5);
         assert_eq!(next.version(), 1);
-        // Untouched shards share their Arcs (indices/snapshots survive).
+        // Untouched shards share their Arcs (indices and sums survive).
         assert!(Arc::ptr_eq(col.shard(0), next.shard(0)));
         assert!(Arc::ptr_eq(col.shard(2), next.shard(3)));
         assert!(Arc::ptr_eq(col.shard(3), next.shard(4)));
@@ -2644,7 +2614,7 @@ mod tests {
 
     /// The values of `b` in `[lo, hi)`, in order: what a one-shard build
     /// must hold.
-    fn in_range<V: CrackValue>(b: &[V], lo: Option<V>, hi: Option<V>) -> Vec<V> {
+    fn in_range(b: &[i64], lo: Option<i64>, hi: Option<i64>) -> Vec<i64> {
         b.iter()
             .copied()
             .filter(|&v| lo.is_none_or(|l| l <= v) && hi.is_none_or(|h| v < h))
@@ -2652,12 +2622,12 @@ mod tests {
     }
 
     /// Smallest and largest of `vals`, the reference for a pass's domain.
-    fn domain_of<V: CrackValue>(vals: &[V]) -> Option<(V, V)> {
+    fn domain_of(vals: &[i64]) -> Option<(i64, i64)> {
         vals.iter().copied().min().zip(vals.iter().copied().max())
     }
 
     /// The zone map of `b`, one [`ZONE`]-row block at a time.
-    fn zone_map<V: CrackValue>(b: &[V]) -> Vec<(V, V)> {
+    fn zone_map(b: &[i64]) -> Vec<(i64, i64)> {
         b.chunks(ZONE).map(|z| domain_of(z).unwrap()).collect()
     }
 
@@ -2685,7 +2655,7 @@ mod tests {
     /// length up to 64 (every tail of an eight-value chunk) and longer,
     /// all-equal, duplicate-heavy and spread values (with `i64::MIN` and
     /// `MAX` among them), ranges with open and extreme edges, empty and
-    /// outside the domain. Other widths take the portable loop on either.
+    /// outside the domain.
     #[test]
     fn one_shard_build_kernels_agree_at_every_tail() {
         let compress = compress_kernel();
@@ -2722,17 +2692,6 @@ mod tests {
                         assert!(got.vals.capacity() >= shard_capacity(want.len()));
                     }
                 }
-                let narrow: Vec<i32> = b.iter().map(|&v| v as i32).collect();
-                let want = in_range(&narrow, Some(1), None);
-                let got = filter_pass_on(
-                    Isa::Avx512,
-                    &narrow,
-                    &zone_map(&narrow),
-                    want.len(),
-                    Some(1),
-                    None,
-                );
-                assert_eq!((got.vals, got.domain), (want.clone(), domain_of(&want)));
             }
         }
     }
@@ -2857,7 +2816,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(34);
         let b = Arc::new(sorted_runs(1 << 15, ZONE, &mut rng));
         let plan = ShardPlan::from_values(&b, 4);
-        let col: ShardedColumn<i64> = ShardedColumn::lazy("a", Arc::clone(&b), plan.clone());
+        let col: ShardedColumn = ShardedColumn::lazy("a", Arc::clone(&b), plan.clone());
         assert!(col.zones.get().is_none(), "zones mapped before a build");
         col.admit(2, 2, 1, |fresh| vec![(); fresh.len()]);
         let zones = col
@@ -2895,7 +2854,7 @@ mod tests {
         );
         // A whole build counts the plan but maps no zones; the first
         // one-shard build after it does.
-        let whole: ShardedColumn<i64> = ShardedColumn::lazy("w", Arc::clone(&b), plan);
+        let whole: ShardedColumn = ShardedColumn::lazy("w", Arc::clone(&b), plan);
         whole.admit(0, 3, 1, |fresh| vec![(); fresh.len()]);
         assert!(whole.zones.get().is_none());
         let rebuilt = whole.vacated(&[1]);
@@ -2908,8 +2867,8 @@ mod tests {
     /// (row ids from birth) or a sharded one (shards built from the base,
     /// row ids on demand).
     enum Target {
-        Plain(Box<CrackerColumn<i64>>),
-        Sharded(ShardedColumn<i64>),
+        Plain(Box<CrackerColumn>),
+        Sharded(ShardedColumn),
     }
 
     impl Target {
@@ -2927,7 +2886,7 @@ mod tests {
             }
         }
 
-        fn shard(&self, k: usize) -> &CrackerColumn<i64> {
+        fn shard(&self, k: usize) -> &CrackerColumn {
             match self {
                 Target::Plain(c) => c,
                 Target::Sharded(c) => c.shard(k),
@@ -2935,7 +2894,7 @@ mod tests {
         }
 
         /// The shards `pred` touches, each with its clamped predicate.
-        fn parts(&self, pred: Predicate<i64>) -> Vec<(usize, Predicate<i64>)> {
+        fn parts(&self, pred: Predicate) -> Vec<(usize, Predicate)> {
             match self {
                 Target::Plain(_) => vec![(0, pred)],
                 Target::Sharded(c) => c.intersecting(pred),
@@ -2944,7 +2903,7 @@ mod tests {
     }
 
     /// Count, sum and sorted row ids of the live tuples `pred` selects.
-    fn oracle(live: &[(i64, RowId)], pred: Predicate<i64>) -> (u64, i128, Vec<RowId>) {
+    fn oracle(live: &[(i64, RowId)], pred: Predicate) -> (u64, i128, Vec<RowId>) {
         let hits = live.iter().filter(|t| pred.matches_unbounded(t.0));
         let mut rows: Vec<RowId> = hits.clone().map(|t| t.1).collect();
         rows.sort_unstable();
@@ -2963,11 +2922,11 @@ mod tests {
         t: &Target,
         live: &[(i64, RowId)],
         kind: u8,
-        pred: Predicate<i64>,
+        pred: Predicate,
         cracked: bool,
-        scratch: &mut CrackScratch<i64>,
+        scratch: &mut CrackScratch,
     ) {
-        let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
+        let backlog = CrackerColumn::MERGE_BACKLOG;
         let (count, sum, rows) = oracle(live, pred);
         let parts = t.parts(pred);
         let queued = |t: &Target| -> Vec<usize> {
@@ -3071,7 +3030,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..9, any::<u16>(), any::<u16>()), 1..32),
         ) {
             const DOMAIN: i64 = 1_000;
-            let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
+            let backlog = CrackerColumn::MERGE_BACKLOG;
             let mut rng = StdRng::seed_from_u64(seed);
             let b = base(n, DOMAIN, seed);
             let t = if sharded {

@@ -12,17 +12,16 @@ use crate::column::{CrackerColumn, Selection};
 use crate::index::BoundLookup;
 use crate::vectorized::CrackScratch;
 use holix_storage::select::Predicate;
-use holix_storage::types::CrackValue;
 use rand::Rng;
 
 /// Range select with one auxiliary random crack per touched bound, confined
 /// to the piece that bound is about to crack (the DDC/MDD1R-style behaviour
 /// described in the paper).
-pub fn select_stochastic<V: CrackValue>(
-    col: &CrackerColumn<V>,
-    pred: Predicate<V>,
+pub fn select_stochastic(
+    col: &CrackerColumn,
+    pred: Predicate,
     rng: &mut impl Rng,
-    scratch: &mut CrackScratch<V>,
+    scratch: &mut CrackScratch,
 ) -> Selection {
     if !pred.is_empty() {
         random_crack_within_piece_of(col, pred.lo, rng, scratch);
@@ -33,16 +32,16 @@ pub fn select_stochastic<V: CrackValue>(
 
 /// If `bound` falls inside a piece (not already a boundary), cracks that
 /// piece once at a uniformly drawn pivot *within the piece's value range*.
-fn random_crack_within_piece_of<V: CrackValue>(
-    col: &CrackerColumn<V>,
-    bound: V,
+fn random_crack_within_piece_of(
+    col: &CrackerColumn,
+    bound: i64,
     rng: &mut impl Rng,
-    scratch: &mut CrackScratch<V>,
+    scratch: &mut CrackScratch,
 ) {
-    if bound == V::MIN_VALUE || bound == V::MAX_VALUE {
+    if bound == i64::MIN || bound == i64::MAX {
         return;
     }
-    let (lo_key, hi_key) = match col.locate(bound) {
+    let (lo_key, hi_key) = match col.index.read().locate(bound) {
         BoundLookup::Exact(_) => return,
         BoundLookup::Piece { lo_key, hi_key, .. } => (lo_key, hi_key),
     };
@@ -57,7 +56,7 @@ fn random_crack_within_piece_of<V: CrackValue>(
     if lo >= hi {
         return;
     }
-    let pivot = V::from_i64(rng.random_range(lo.as_i64()..hi.as_i64()));
+    let pivot = rng.random_range(lo..hi);
     // Blocking refinement: this runs inside the user query, as in [21].
     col.refine_at_blocking(pivot, scratch);
 }
@@ -90,7 +89,7 @@ mod tests {
         let base: Vec<i64> = (0..50_000).map(|_| rng.random_range(0..100_000)).collect();
 
         // Sequential workload: the adversarial case for plain cracking.
-        let preds: Vec<Predicate<i64>> = (0..50)
+        let preds: Vec<Predicate> = (0..50)
             .map(|i| Predicate::range(i * 1_000, i * 1_000 + 500))
             .collect();
 

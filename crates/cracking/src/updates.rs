@@ -21,10 +21,10 @@
 
 use crate::index::CrackerIndex;
 use crate::vectorized::RowLane;
-use holix_storage::types::{CrackValue, RowId};
+use holix_storage::types::RowId;
 
 /// A list of `(value, row-id)` update operations.
-pub type UpdateList<V> = Vec<(V, RowId)>;
+pub type UpdateList = Vec<(i64, RowId)>;
 
 /// Queue of not-yet-merged updates for one column.
 ///
@@ -33,9 +33,9 @@ pub type UpdateList<V> = Vec<(V, RowId)>;
 /// that lock shared, so it sees a batch either queued or merged, never
 /// in neither place.
 #[derive(Debug, Default)]
-pub struct PendingUpdates<V> {
-    inserts: Vec<(V, RowId)>,
-    deletes: Vec<(V, RowId)>,
+pub struct PendingUpdates {
+    inserts: Vec<(i64, RowId)>,
+    deletes: Vec<(i64, RowId)>,
     /// Set by shard migration: the column is being drained into its
     /// replan successors, so new updates must be rejected and re-routed
     /// through the successor plan (checked under the pending mutex —
@@ -43,7 +43,7 @@ pub struct PendingUpdates<V> {
     sealed: bool,
 }
 
-impl<V: CrackValue> PendingUpdates<V> {
+impl PendingUpdates {
     /// Empty queue.
     pub fn new() -> Self {
         PendingUpdates {
@@ -72,13 +72,13 @@ impl<V: CrackValue> PendingUpdates<V> {
     }
 
     /// Queues an insertion.
-    pub fn queue_insert(&mut self, v: V, row: RowId) {
+    pub fn queue_insert(&mut self, v: i64, row: RowId) {
         self.inserts.push((v, row));
     }
 
     /// Queues a deletion. A pending *insert* of the same `(value, row)` is
     /// cancelled instead (it never reached the column).
-    pub fn queue_delete(&mut self, v: V, row: RowId) {
+    pub fn queue_delete(&mut self, v: i64, row: RowId) {
         if let Some(i) = self
             .inserts
             .iter()
@@ -102,7 +102,7 @@ impl<V: CrackValue> PendingUpdates<V> {
 
     /// Takes *every* queued update: `(inserts, deletes)`. Every Ripple
     /// merge takes its batch here.
-    pub fn take_all(&mut self) -> (UpdateList<V>, UpdateList<V>) {
+    pub fn take_all(&mut self) -> (UpdateList, UpdateList) {
         (
             std::mem::take(&mut self.inserts),
             std::mem::take(&mut self.deletes),
@@ -115,8 +115,8 @@ impl<V: CrackValue> PendingUpdates<V> {
     /// lengthen that lock with per-scan `Vec`s.
     pub fn for_each_unmerged(
         &self,
-        mut qualifies: impl FnMut(V) -> bool,
-        mut visit: impl FnMut(V, UnmergedKind),
+        mut qualifies: impl FnMut(i64) -> bool,
+        mut visit: impl FnMut(i64, UnmergedKind),
     ) {
         for &(v, _) in &self.inserts {
             if qualifies(v) {
@@ -143,7 +143,7 @@ pub enum UnmergedKind {
 
 /// Position range `[start, end)` of the piece that contains value `v`,
 /// derived from the in-order bounds list.
-fn piece_of<V: CrackValue>(bounds: &[(V, usize)], len: usize, v: V) -> (usize, usize, usize) {
+fn piece_of(bounds: &[(i64, usize)], len: usize, v: i64) -> (usize, usize, usize) {
     // First bound with key > v starts the piece *after* v's piece.
     let idx = bounds.partition_point(|&(k, _)| k <= v);
     let start = if idx == 0 { 0 } else { bounds[idx - 1].1 };
@@ -157,11 +157,11 @@ fn piece_of<V: CrackValue>(bounds: &[(V, usize)], len: usize, v: V) -> (usize, u
 
 /// Ripple-inserts one value into a cracked column. Caller holds the column
 /// exclusively (vectors may grow).
-pub fn ripple_insert<V: CrackValue>(
-    vals: &mut Vec<V>,
+pub fn ripple_insert(
+    vals: &mut Vec<i64>,
     rows: &mut Vec<RowId>,
-    index: &mut CrackerIndex<V>,
-    v: V,
+    index: &mut CrackerIndex,
+    v: i64,
     row: RowId,
 ) {
     let len = vals.len();
@@ -189,11 +189,11 @@ pub fn ripple_insert<V: CrackValue>(
 /// Ripple-deletes the element `(v, row)`; returns `false` when the element is
 /// not present (e.g. it was never merged). Caller holds the column
 /// exclusively.
-pub fn ripple_delete<V: CrackValue>(
-    vals: &mut Vec<V>,
+pub fn ripple_delete(
+    vals: &mut Vec<i64>,
     rows: &mut Vec<RowId>,
-    index: &mut CrackerIndex<V>,
-    v: V,
+    index: &mut CrackerIndex,
+    v: i64,
     row: RowId,
 ) -> bool {
     let len = vals.len();
@@ -247,17 +247,17 @@ pub fn ripple_delete<V: CrackValue>(
 /// boundary above it, inside the walk that moves those boundaries, and to
 /// (or from) the index's total. Caller holds the column exclusively
 /// (vectors may grow).
-pub fn ripple_batch<V: CrackValue, R: RowLane>(
-    vals: &mut Vec<V>,
+pub fn ripple_batch<R: RowLane>(
+    vals: &mut Vec<i64>,
     rows: &mut Vec<R>,
-    index: &mut CrackerIndex<V>,
-    ins: &[(V, RowId)],
-    del: &[(V, RowId)],
+    index: &mut CrackerIndex,
+    ins: &[(i64, RowId)],
+    del: &[(i64, RowId)],
 ) -> usize {
     debug_assert_eq!(vals.len(), index.len());
     debug_assert_eq!(vals.len(), rows.len());
-    let lane = |ops: &[(V, RowId)]| {
-        let mut ops: Vec<(V, R)> = ops.iter().map(|&(v, r)| (v, R::of_row(r))).collect();
+    let lane = |ops: &[(i64, RowId)]| {
+        let mut ops: Vec<(i64, R)> = ops.iter().map(|&(v, r)| (v, R::of_row(r))).collect();
         ops.sort_unstable();
         ops
     };
@@ -287,11 +287,11 @@ fn relocate<T: Copy>(xs: &mut [T], from: usize, to: usize, n: usize) {
 
 /// The ascending half of [`ripple_batch`]: the cursor over the pieces from
 /// the one holding the smallest delete to the last.
-struct DeletePass<'a, V, R> {
-    vals: &'a mut [V],
+struct DeletePass<'a, R> {
+    vals: &'a mut [i64],
     rows: &'a mut [R],
     /// Sorted by `(value, row)`; `del[next..]` have not been looked for.
-    del: &'a mut [(V, R)],
+    del: &'a mut [(i64, R)],
     next: usize,
     /// Old first position of the piece under the cursor.
     start: usize,
@@ -300,14 +300,14 @@ struct DeletePass<'a, V, R> {
     holes: usize,
 }
 
-impl<V: CrackValue, R: RowLane> DeletePass<'_, V, R> {
+impl<R: RowLane> DeletePass<'_, R> {
     /// Handles the piece at old positions `[start, end)`, which holds the
     /// values below `hi` (`None` = the last piece): overwrites each victim
     /// with the piece's then-last element, copies the last
     /// `min(holes, len)` survivors into the gap before the piece's head —
     /// the piece now starts `holes` lower — and advances to `end`. Returns
     /// the sum of the values it deleted from the piece.
-    fn piece(&mut self, end: usize, hi: Option<V>) -> i128 {
+    fn piece(&mut self, end: usize, hi: Option<i64>) -> i128 {
         let mut group_end = self.next;
         while group_end < self.del.len() && hi.is_none_or(|k| self.del[group_end].0 < k) {
             group_end += 1;
@@ -326,7 +326,7 @@ impl<V: CrackValue, R: RowLane> DeletePass<'_, V, R> {
             if group.get(j) == Some(&key) {
                 group[..=j].rotate_right(1);
                 self.next += 1;
-                removed += key.0.as_i64() as i128;
+                removed += key.0 as i128;
                 live_end -= 1;
                 self.vals[i] = self.vals[live_end];
                 self.rows[i] = self.rows[live_end];
@@ -346,11 +346,11 @@ impl<V: CrackValue, R: RowLane> DeletePass<'_, V, R> {
 }
 
 /// Deletes the sorted, non-empty batch `del`; returns boundaries walked.
-fn delete_pass<V: CrackValue, R: RowLane>(
-    vals: &mut Vec<V>,
+fn delete_pass<R: RowLane>(
+    vals: &mut Vec<i64>,
     rows: &mut Vec<R>,
-    index: &mut CrackerIndex<V>,
-    del: &mut [(V, R)],
+    index: &mut CrackerIndex,
+    del: &mut [(i64, R)],
 ) -> usize {
     let n = vals.len();
     let first = del[0].0;
@@ -388,11 +388,11 @@ fn delete_pass<V: CrackValue, R: RowLane>(
 /// Inserts the sorted, non-empty batch `ins`; returns boundaries walked.
 /// The vectors grow once; the descending walk stops at the piece that takes
 /// the smallest value, left of which nothing moves.
-fn insert_pass<V: CrackValue, R: RowLane>(
-    vals: &mut Vec<V>,
+fn insert_pass<R: RowLane>(
+    vals: &mut Vec<i64>,
     rows: &mut Vec<R>,
-    index: &mut CrackerIndex<V>,
-    ins: &[(V, R)],
+    index: &mut CrackerIndex,
+    ins: &[(i64, R)],
 ) -> usize {
     let n = vals.len();
     vals.resize(n + ins.len(), ins[0].0);
@@ -400,7 +400,7 @@ fn insert_pass<V: CrackValue, R: RowLane>(
     // Moves the piece at old positions `[start, end)` up by `shift` — its
     // first `min(shift, len)` elements go behind its tail — and writes its
     // own inserts into the rest of the gap below the next piece.
-    let mut place = |start: usize, end: usize, shift: usize, own: &[(V, R)]| {
+    let mut place = |start: usize, end: usize, shift: usize, own: &[(i64, R)]| {
         let moved = shift.min(end - start);
         relocate(vals, start, end + shift - moved, moved);
         relocate(rows, start, end + shift - moved, moved);
@@ -409,7 +409,7 @@ fn insert_pass<V: CrackValue, R: RowLane>(
             rows[slot] = r;
         }
     };
-    let sum = |own: &[(V, R)]| own.iter().map(|&(v, _)| v.as_i64() as i128).sum::<i128>();
+    let sum = |own: &[(i64, R)]| own.iter().map(|&(v, _)| v as i128).sum::<i128>();
     let mut end = n; // old end of the piece under the cursor
     let mut left = ins.len(); // `ins[..left]` belong at or left of the cursor
     let mut rest = sum(ins); // of `ins[..left]`
@@ -446,7 +446,7 @@ mod tests {
 
     /// Builds a cracked column state by cracking `base` at `pivots`
     /// (sequentially, with the plain kernel applied to a plain Vec).
-    fn cracked_state(base: &[i64], pivots: &[i64]) -> (Vec<i64>, Vec<RowId>, CrackerIndex<i64>) {
+    fn cracked_state(base: &[i64], pivots: &[i64]) -> (Vec<i64>, Vec<RowId>, CrackerIndex) {
         let mut vals = base.to_vec();
         let mut rows: Vec<RowId> = (0..base.len() as u32).collect();
         let mut index = CrackerIndex::new(base.len());
@@ -465,7 +465,7 @@ mod tests {
     }
 
     /// Every piece's sum, recomputed from its values, in piece order.
-    fn recomputed_sums(vals: &[i64], index: &CrackerIndex<i64>) -> Vec<i128> {
+    fn recomputed_sums(vals: &[i64], index: &CrackerIndex) -> Vec<i128> {
         index
             .pieces_in_order()
             .into_iter()
@@ -473,7 +473,7 @@ mod tests {
             .collect()
     }
 
-    fn check_pieces(vals: &[i64], index: &CrackerIndex<i64>) {
+    fn check_pieces(vals: &[i64], index: &CrackerIndex) {
         let bounds = index.bounds_in_order();
         let mut prev = 0usize;
         let mut lo = i64::MIN;
@@ -505,7 +505,7 @@ mod tests {
         q.queue_insert(i64::MAX, 1); // the sentinel is taken like any value
         q.queue_insert(5, 2);
         q.queue_delete(7, 3);
-        let collect = |q: &PendingUpdates<i64>, cap: i64| {
+        let collect = |q: &PendingUpdates, cap: i64| {
             let (mut ins, mut del) = (Vec::new(), Vec::new());
             q.for_each_unmerged(
                 |v| v < cap,
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn seal_is_observable() {
-        let mut q = PendingUpdates::<i64>::new();
+        let mut q = PendingUpdates::new();
         assert!(!q.is_sealed());
         q.seal();
         assert!(q.is_sealed());
@@ -599,7 +599,7 @@ mod tests {
     fn piece_multisets(
         vals: &[i64],
         rows: &[RowId],
-        index: &CrackerIndex<i64>,
+        index: &CrackerIndex,
     ) -> Vec<Vec<(i64, RowId)>> {
         assert_eq!(vals.len(), index.len());
         assert_eq!(rows.len(), index.len());
@@ -618,7 +618,7 @@ mod tests {
             .collect()
     }
 
-    type State = (Vec<i64>, Vec<RowId>, CrackerIndex<i64>);
+    type State = (Vec<i64>, Vec<RowId>, CrackerIndex);
 
     /// Applies one batch to `batched` through [`ripple_batch`] and to
     /// `oracle` through the per-value functions (deletes first, as a merge

@@ -9,18 +9,18 @@
 //! the most CPU-efficient single-threaded cracking kernel reported in \[44\].
 //!
 //! Two bodies run that pass, picked once per process by
-//! [`kernels::active_isa`]: on [`Isa::Avx512`] an `i64` piece takes the
+//! [`kernels::active_isa`] alone: on [`Isa::Avx512`] a piece takes the
 //! compress-store kernels of [`kernels::avx512`], which place eight values
 //! per step by lane mask and popcount instead of one per cursor update;
-//! every other value width, CPU, and `HOLIX_NO_SIMD=1` take the portable
-//! scalar loops below. Both leave the same layout (lows in source order,
+//! every other CPU, and `HOLIX_NO_SIMD=1`, take the portable scalar loops
+//! below. Both leave the same layout (lows in source order,
 //! then middles in source order, then highs in reverse source order), and
 //! the row lane rides through both the same way, so id-less and id-carrying
 //! cracks land alike on either.
 
 use crate::kernels::{self, Isa};
 use crate::partition::DEFAULT_MIN_PARALLEL;
-use holix_storage::types::{CrackValue, RowId};
+use holix_storage::types::RowId;
 
 /// Most slots a scratch keeps between calls. A scratch lives as long as
 /// its thread, and without a bound every thread that ever cracked a whole
@@ -156,25 +156,15 @@ impl RowLane for () {
 
 /// Reusable scratch buffers so repeated cracks do not re-allocate. One
 /// scratch per worker/query thread.
-#[derive(Debug)]
-pub struct CrackScratch<V> {
-    vals: Vec<V>,
+#[derive(Debug, Default)]
+pub struct CrackScratch {
+    vals: Vec<i64>,
     rows: Vec<RowId>,
     /// The row lane of id-less cracks: a length, no memory.
     none: Vec<()>,
 }
 
-impl<V> Default for CrackScratch<V> {
-    fn default() -> Self {
-        CrackScratch {
-            vals: Vec::new(),
-            rows: Vec::new(),
-            none: Vec::new(),
-        }
-    }
-}
-
-impl<V: CrackValue> CrackScratch<V> {
+impl CrackScratch {
     /// Creates an empty scratch; buffers grow with the pieces cracked, up
     /// to `RETAIN` slots between calls.
     pub fn new() -> Self {
@@ -184,9 +174,9 @@ impl<V: CrackValue> CrackScratch<V> {
     /// The first `len` slots. The kernels write every slot of the window
     /// they use before reading it back, so slots are *not* re-initialised
     /// per call.
-    fn window<R: RowLane>(&mut self, len: usize) -> (&mut [V], &mut [R]) {
+    fn window<R: RowLane>(&mut self, len: usize) -> (&mut [i64], &mut [R]) {
         if self.vals.len() < len {
-            self.vals.resize(len, V::MIN_VALUE);
+            self.vals.resize(len, i64::MIN);
         }
         let rows = R::buffer(&mut self.rows, &mut self.none);
         if rows.len() < len {
@@ -207,22 +197,22 @@ impl<V: CrackValue> CrackScratch<V> {
 /// all elements `< pivot` before all elements `>= pivot` (rows permuted in
 /// lockstep; pass a slice of `()` to move values alone). Returns the split
 /// point.
-pub fn crack_in_two_oop<V: CrackValue, R: RowLane>(
-    vals: &mut [V],
+pub fn crack_in_two_oop<R: RowLane>(
+    vals: &mut [i64],
     rows: &mut [R],
-    pivot: V,
-    scratch: &mut CrackScratch<V>,
+    pivot: i64,
+    scratch: &mut CrackScratch,
 ) -> usize {
     crack_in_two_on(kernels::active_isa(), vals, rows, pivot, scratch)
 }
 
 /// [`crack_in_two_oop`] with the partition pass of `isa`.
-pub(crate) fn crack_in_two_on<V: CrackValue, R: RowLane>(
+pub(crate) fn crack_in_two_on<R: RowLane>(
     isa: Isa,
-    vals: &mut [V],
+    vals: &mut [i64],
     rows: &mut [R],
-    pivot: V,
-    scratch: &mut CrackScratch<V>,
+    pivot: i64,
+    scratch: &mut CrackScratch,
 ) -> usize {
     debug_assert_eq!(vals.len(), rows.len());
     let n = vals.len();
@@ -233,9 +223,7 @@ pub(crate) fn crack_in_two_on<V: CrackValue, R: RowLane>(
     let split = 'pass: {
         if isa == Isa::Avx512 {
             #[cfg(target_arch = "x86_64")]
-            if let (Some(v), Some(s)) = (kernels::same_lanes_ref(vals), kernels::same_lanes(sv)) {
-                break 'pass kernels::avx512::crack_two(v, rows, pivot.as_i64(), s, sr);
-            }
+            break 'pass kernels::avx512::crack_two(vals, rows, pivot, sv, sr);
         }
         two_pass(vals, rows, pivot, sv, sr)
     };
@@ -248,11 +236,11 @@ pub(crate) fn crack_in_two_on<V: CrackValue, R: RowLane>(
 /// The portable partition pass of the two-way crack, from `vals`/`rows`
 /// into the scratch window `sv`/`sr`: lows from the left, highs from the
 /// right. Returns the split point.
-fn two_pass<V: CrackValue, R: RowLane>(
-    vals: &[V],
+fn two_pass<R: RowLane>(
+    vals: &[i64],
     rows: &[R],
-    pivot: V,
-    sv: &mut [V],
+    pivot: i64,
+    sv: &mut [i64],
     sr: &mut [R],
 ) -> usize {
     let n = vals.len();
@@ -287,24 +275,24 @@ fn two_pass<V: CrackValue, R: RowLane>(
 ///
 /// (The previous implementation composed two full two-way passes; the
 /// fused form reads the piece once instead of ~twice.)
-pub fn crack_in_three_oop<V: CrackValue, R: RowLane>(
-    vals: &mut [V],
+pub fn crack_in_three_oop<R: RowLane>(
+    vals: &mut [i64],
     rows: &mut [R],
-    lo: V,
-    hi: V,
-    scratch: &mut CrackScratch<V>,
+    lo: i64,
+    hi: i64,
+    scratch: &mut CrackScratch,
 ) -> (usize, usize) {
     crack_in_three_on(kernels::active_isa(), vals, rows, lo, hi, scratch)
 }
 
 /// [`crack_in_three_oop`] with the partition pass of `isa`.
-pub(crate) fn crack_in_three_on<V: CrackValue, R: RowLane>(
+pub(crate) fn crack_in_three_on<R: RowLane>(
     isa: Isa,
-    vals: &mut [V],
+    vals: &mut [i64],
     rows: &mut [R],
-    lo: V,
-    hi: V,
-    scratch: &mut CrackScratch<V>,
+    lo: i64,
+    hi: i64,
+    scratch: &mut CrackScratch,
 ) -> (usize, usize) {
     debug_assert!(lo <= hi);
     debug_assert_eq!(vals.len(), rows.len());
@@ -316,10 +304,7 @@ pub(crate) fn crack_in_three_on<V: CrackValue, R: RowLane>(
     let (l, h) = 'pass: {
         if isa == Isa::Avx512 {
             #[cfg(target_arch = "x86_64")]
-            if let (Some(v), Some(s)) = (kernels::same_lanes(vals), kernels::same_lanes(sv)) {
-                let (lo, hi) = (lo.as_i64(), hi.as_i64());
-                break 'pass kernels::avx512::crack_three(v, rows, lo, hi, s, sr);
-            }
+            break 'pass kernels::avx512::crack_three(vals, rows, lo, hi, sv, sr);
         }
         three_pass(vals, rows, lo, hi, sv, sr)
     };
@@ -338,12 +323,12 @@ pub(crate) fn crack_in_three_on<V: CrackValue, R: RowLane>(
 /// The portable partition pass of the three-way crack: lows into the
 /// scratch window from the left, highs from the right, middles staged at
 /// the front of `vals`/`rows`. Returns the scratch cursors `(l, h)`.
-fn three_pass<V: CrackValue, R: RowLane>(
-    vals: &mut [V],
+fn three_pass<R: RowLane>(
+    vals: &mut [i64],
     rows: &mut [R],
-    lo: V,
-    hi: V,
-    sv: &mut [V],
+    lo: i64,
+    hi: i64,
+    sv: &mut [i64],
     sr: &mut [R],
 ) -> (usize, usize) {
     let n = vals.len();
@@ -522,7 +507,7 @@ mod tests {
             base: &[i64],
             lo: i64,
             hi: i64,
-            scratch: &mut CrackScratch<i64>,
+            scratch: &mut CrackScratch,
         ) -> (
             usize,
             Vec<i64>,
@@ -554,7 +539,7 @@ mod tests {
             (split, v2, r2, cuts, v3, r3)
         }
 
-        fn same_cracks(base: &[i64], lo: i64, hi: i64, scratch: &mut CrackScratch<i64>) {
+        fn same_cracks(base: &[i64], lo: i64, hi: i64, scratch: &mut CrackScratch) {
             let portable = cracks(Isa::Portable, base, lo, hi, scratch);
             let (split, v2, _, cuts, v3, _) = &portable;
             assert!(is_partitioned(v2, *split, hi));

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 thread_local! {
-    static SCRATCH: RefCell<CrackScratch<i64>> = RefCell::new(CrackScratch::new());
+    static SCRATCH: RefCell<CrackScratch> = RefCell::new(CrackScratch::new());
     static RNG: RefCell<SmallRng> = RefCell::new(SmallRng::seed_from_u64(0xADA7));
 }
 
@@ -48,7 +48,7 @@ impl CrackMode {
 pub struct AdaptiveEngine {
     data: Dataset,
     mode: CrackMode,
-    cols: Vec<RwLock<Option<Arc<CrackerColumn<i64>>>>>,
+    cols: Vec<RwLock<Option<Arc<CrackerColumn>>>>,
 }
 
 impl AdaptiveEngine {
@@ -59,7 +59,7 @@ impl AdaptiveEngine {
     }
 
     /// Gets (or lazily creates) the cracker column for an attribute.
-    pub fn column(&self, attr: usize) -> Arc<CrackerColumn<i64>> {
+    pub fn column(&self, attr: usize) -> Arc<CrackerColumn> {
         {
             let guard = self.cols[attr].read();
             if let Some(c) = guard.as_ref() {

@@ -55,7 +55,6 @@
 
 use crate::api::{Capabilities, Dataset, ExactAnswer, QueryEngine};
 use holix_core::cpu::LoadAccountant;
-use holix_core::handle::CrackerHandle;
 use holix_core::index_space::{IndexSlot, IndexSpace, Membership};
 use holix_core::{CpuMonitor, CycleRecord, HolisticConfig, HolisticDaemon, RefinableIndex};
 use holix_cracking::{CrackScratch, CrackerColumn, ReplanAction, ShardPlan, ShardedColumn};
@@ -70,7 +69,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 thread_local! {
-    static SCRATCH: RefCell<CrackScratch<i64>> = RefCell::new(CrackScratch::new());
+    static SCRATCH: RefCell<CrackScratch> = RefCell::new(CrackScratch::new());
 }
 
 /// Engine-level configuration on top of the core [`HolisticConfig`].
@@ -126,7 +125,7 @@ impl HolisticEngineConfig {
 
 /// An attribute's sharded column; every resident shard is tagged with its
 /// `IndexSpace` record.
-pub type Shards = ShardedColumn<i64, Arc<IndexSlot>>;
+pub type Shards = ShardedColumn<Arc<IndexSlot>>;
 
 /// The shards of an attribute an operation routes to.
 #[derive(Clone, Copy)]
@@ -141,7 +140,7 @@ enum Route {
 
 impl Route {
     /// Inclusive shard range under `plan`; `None` for an empty range.
-    fn shards(self, plan: &ShardPlan<i64>) -> Option<(usize, usize)> {
+    fn shards(self, plan: &ShardPlan) -> Option<(usize, usize)> {
         match self {
             Route::Range(lo, hi) => plan.shard_range(lo, hi),
             Route::Owner(v) => {
@@ -205,7 +204,7 @@ impl HolisticEngine {
             Arc::clone(&accountant) as Arc<dyn CpuMonitor>,
             cfg.holistic.clone(),
         );
-        let plans: Vec<ShardPlan<i64>> = (0..data.attrs())
+        let plans: Vec<ShardPlan> = (0..data.attrs())
             .map(|a| ShardPlan::from_values(data.column(a), cfg.shards))
             .collect();
         let replan_policy = ReplanPolicy::default();
@@ -232,7 +231,7 @@ impl HolisticEngine {
                     plan.clone(),
                 )
                 .with_threads(cfg.user_threads, cfg.holistic.worker_threads)
-                .with_piece_floor(cfg.holistic.l1_values(std::mem::size_of::<i64>()));
+                .with_piece_floor(cfg.holistic.l1_values());
                 RwLock::new(Arc::new(col))
             })
             .collect();
@@ -298,7 +297,7 @@ impl HolisticEngine {
             return true;
         };
         // A fresh shard stores values only.
-        let tuple = CrackerColumn::<i64>::tuple_bytes(false);
+        let tuple = CrackerColumn::tuple_bytes(false);
         budget.saturating_sub(self.space.bytes_used()) >= self.data.rows() * tuple
     }
 
@@ -385,7 +384,7 @@ impl HolisticEngine {
     /// The first shard's cracker column. With `shards == 1` (the default)
     /// this is the attribute's whole cracker column — invariant checks and
     /// single-column experiments use it.
-    pub fn column(&self, attr: usize) -> Arc<CrackerColumn<i64>> {
+    pub fn column(&self, attr: usize) -> Arc<CrackerColumn> {
         Arc::clone(self.sharded(attr).shard(0))
     }
 
@@ -502,9 +501,9 @@ impl HolisticEngine {
         &self,
         q: &QuerySpec,
         mut fold: impl FnMut(
-            &CrackerColumn<i64>,
-            Predicate<i64>,
-            &mut CrackScratch<i64>,
+            &CrackerColumn,
+            Predicate,
+            &mut CrackScratch,
         ) -> (holix_cracking::Selection, T),
         mut merge: impl FnMut(T),
     ) {
@@ -839,7 +838,7 @@ impl QueryEngine for HolisticEngine {
         // only add or delete their own inserted rows.
         let base_rows = self.data.rows();
         let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let others: Vec<(usize, Predicate<i64>)> = terms
+        let others: Vec<(usize, Predicate)> = terms
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != di)
@@ -870,7 +869,7 @@ impl Drop for HolisticEngine {
 
 /// Shard `k` of `col` when it is resident and neither the storage budget
 /// nor a replan has dropped it (one atomic load on its record).
-fn live(col: &Shards, k: usize) -> Option<(&Arc<CrackerColumn<i64>>, &Arc<IndexSlot>)> {
+fn live(col: &Shards, k: usize) -> Option<(&Arc<CrackerColumn>, &Arc<IndexSlot>)> {
     col.resident(k).filter(|(_, slot)| !slot.is_dropped())
 }
 
@@ -894,12 +893,12 @@ fn cold(col: &Shards) -> bool {
 /// Returns the records in shard order.
 fn register_shards(
     space: &IndexSpace,
-    fresh: &[Arc<CrackerColumn<i64>>],
+    fresh: &[Arc<CrackerColumn>],
     membership: Membership,
 ) -> Vec<Arc<IndexSlot>> {
     let handles = fresh
         .iter()
-        .map(|shard| Arc::new(CrackerHandle::new(Arc::clone(shard))) as Arc<dyn RefinableIndex>)
+        .map(|shard| Arc::clone(shard) as Arc<dyn RefinableIndex>)
         .collect();
     space.register(handles, membership)
 }
@@ -1051,7 +1050,7 @@ mod tests {
 
     /// What a tuple of a freshly built shard costs the budget: its value
     /// (the row ids come with the first conjunction or migration).
-    const TUPLE: usize = CrackerColumn::<i64>::tuple_bytes(false);
+    const TUPLE: usize = CrackerColumn::tuple_bytes(false);
 
     /// Two 50k-row attributes in four shards under a budget of 1.3
     /// attributes (a 50k-row attribute is 400 KB of values, a shard
@@ -1846,7 +1845,7 @@ mod tests {
         let shard = col.shard(1);
         let _structure = shard.hold_structure_for_test();
         let _heap = e.space().hold_maintenance_lock_for_test();
-        let queued = CrackerColumn::<i64>::MERGE_BACKLOG + 44;
+        let queued = CrackerColumn::MERGE_BACKLOG + 44;
         for i in 0..queued {
             assert!(shard.queue_insert(col.plan().cuts()[0], 1_000_000 + i as RowId));
         }

@@ -16,7 +16,7 @@ use parking_lot::RwLock;
 pub struct OfflineEngine {
     data: Dataset,
     threads: usize,
-    sorted: RwLock<Option<Vec<SortedColumn<i64>>>>,
+    sorted: RwLock<Option<Vec<SortedColumn>>>,
 }
 
 impl OfflineEngine {
@@ -42,7 +42,7 @@ impl OfflineEngine {
         }
     }
 
-    fn with_sorted<R>(&self, attr: usize, f: impl FnOnce(&SortedColumn<i64>) -> R) -> R {
+    fn with_sorted<R>(&self, attr: usize, f: impl FnOnce(&SortedColumn) -> R) -> R {
         {
             let guard = self.sorted.read();
             if let Some(cols) = guard.as_ref() {

@@ -22,7 +22,7 @@ pub struct OnlineEngine {
     /// (paper: 100).
     monitor_queries: usize,
     executed: AtomicUsize,
-    sorted: RwLock<Option<Vec<SortedColumn<i64>>>>,
+    sorted: RwLock<Option<Vec<SortedColumn>>>,
     /// Lazily built per-attribute point-membership filters: the base table
     /// is immutable here, so one Bloom pass per attribute screens every
     /// later provably-absent equality/IN probe without a scan — in either

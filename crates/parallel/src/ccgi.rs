@@ -11,7 +11,7 @@
 
 use holix_cracking::{CrackScratch, CrackerColumn};
 use holix_storage::select::{Predicate, RangeStats};
-use holix_storage::types::{CrackValue, RowId};
+use holix_storage::types::RowId;
 use parking_lot::Mutex;
 
 /// Outcome of one mP-CCGI select.
@@ -25,22 +25,14 @@ pub struct ChunkedSelection {
 
 /// Tracks which value ranges have been consolidated, as a sorted list of
 /// disjoint half-open intervals.
-#[derive(Debug)]
-struct Coverage<V> {
-    covered: Vec<(V, V)>,
+#[derive(Debug, Default)]
+struct Coverage {
+    covered: Vec<(i64, i64)>,
 }
 
-impl<V> Default for Coverage<V> {
-    fn default() -> Self {
-        Coverage {
-            covered: Vec::new(),
-        }
-    }
-}
-
-impl<V: CrackValue> Coverage<V> {
+impl Coverage {
     /// Parts of `[lo, hi)` not yet covered.
-    fn uncovered(&self, lo: V, hi: V) -> Vec<(V, V)> {
+    fn uncovered(&self, lo: i64, hi: i64) -> Vec<(i64, i64)> {
         let mut out = Vec::new();
         let mut cur = lo;
         for &(a, b) in &self.covered {
@@ -65,13 +57,13 @@ impl<V: CrackValue> Coverage<V> {
     }
 
     /// Marks `[lo, hi)` covered, merging adjacent intervals.
-    fn cover(&mut self, lo: V, hi: V) {
+    fn cover(&mut self, lo: i64, hi: i64) {
         if lo >= hi {
             return;
         }
         self.covered.push((lo, hi));
         self.covered.sort_unstable_by_key(|&(a, _)| a);
-        let mut merged: Vec<(V, V)> = Vec::with_capacity(self.covered.len());
+        let mut merged: Vec<(i64, i64)> = Vec::with_capacity(self.covered.len());
         for &(a, b) in &self.covered {
             match merged.last_mut() {
                 Some((_, pb)) if a <= *pb => {
@@ -87,20 +79,20 @@ impl<V: CrackValue> Coverage<V> {
 }
 
 /// A column split into position-chunks, each with its own cracker index.
-pub struct ChunkedCrackerColumn<V> {
-    chunks: Vec<CrackerColumn<V>>,
+pub struct ChunkedCrackerColumn {
+    chunks: Vec<CrackerColumn>,
     /// Consolidated storage: value ranges copied out of the chunks.
-    consolidated: Mutex<(Coverage<V>, Vec<V>)>,
+    consolidated: Mutex<(Coverage, Vec<i64>)>,
     /// Equi-width pivots pre-cracked by the first query (the coarse
     /// granular index).
-    coarse_pivots: Vec<V>,
+    coarse_pivots: Vec<i64>,
     first_query_done: Mutex<bool>,
 }
 
-impl<V: CrackValue> ChunkedCrackerColumn<V> {
+impl ChunkedCrackerColumn {
     /// Splits `base` into `chunks` position-chunks and prepares `2^coarse_bits`
     /// coarse buckets (built by the first query).
-    pub fn build(name: &str, base: &[V], chunks: usize, coarse_bits: u32) -> Self {
+    pub fn build(name: &str, base: &[i64], chunks: usize, coarse_bits: u32) -> Self {
         let chunks = chunks.max(1);
         let chunk_len = base.len().div_ceil(chunks).max(1);
         let mut cols = Vec::with_capacity(chunks);
@@ -122,8 +114,7 @@ impl<V: CrackValue> ChunkedCrackerColumn<V> {
         let mut coarse_pivots = Vec::new();
         let mut lo_hi: Option<(i64, i64)> = None;
         for c in &cols {
-            if let Some((lo, hi)) = c.domain() {
-                let (l, h) = (lo.as_i64(), hi.as_i64());
+            if let Some((l, h)) = c.domain() {
                 lo_hi = Some(match lo_hi {
                     None => (l, h),
                     Some((a, b)) => (a.min(l), b.max(h)),
@@ -136,7 +127,7 @@ impl<V: CrackValue> ChunkedCrackerColumn<V> {
             for k in 1..buckets {
                 let p = lo + k * width;
                 if p > lo && p <= hi {
-                    coarse_pivots.push(V::from_i64(p));
+                    coarse_pivots.push(p);
                 }
             }
         }
@@ -167,7 +158,7 @@ impl<V: CrackValue> ChunkedCrackerColumn<V> {
     /// Range select: cracks every chunk in parallel, consolidates any part of
     /// the requested value range not yet consolidated, and returns the
     /// qualifying count.
-    pub fn select(&self, pred: Predicate<V>) -> ChunkedSelection {
+    pub fn select(&self, pred: Predicate) -> ChunkedSelection {
         self.ensure_coarse_partitioned();
         let per_chunk = self.crack_all_chunks(pred);
         let count: u64 = per_chunk.iter().map(|s| s.count).sum();
@@ -197,7 +188,7 @@ impl<V: CrackValue> ChunkedCrackerColumn<V> {
     }
 
     /// Count + checksum, verified against the chunk contents.
-    pub fn select_stats(&self, pred: Predicate<V>) -> RangeStats {
+    pub fn select_stats(&self, pred: Predicate) -> RangeStats {
         self.ensure_coarse_partitioned();
         let mut scratch = CrackScratch::new();
         let mut total = RangeStats::default();
@@ -208,7 +199,7 @@ impl<V: CrackValue> ChunkedCrackerColumn<V> {
         total
     }
 
-    fn crack_all_chunks(&self, pred: Predicate<V>) -> Vec<RangeStats> {
+    fn crack_all_chunks(&self, pred: Predicate) -> Vec<RangeStats> {
         std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .chunks
@@ -262,7 +253,7 @@ mod tests {
 
     #[test]
     fn coverage_tracks_intervals() {
-        let mut c = Coverage::<i64>::default();
+        let mut c = Coverage::default();
         assert_eq!(c.uncovered(0, 10), vec![(0, 10)]);
         c.cover(2, 5);
         assert_eq!(c.uncovered(0, 10), vec![(0, 2), (5, 10)]);
@@ -275,7 +266,7 @@ mod tests {
 
     #[test]
     fn coverage_edge_cases() {
-        let mut c = Coverage::<i64>::default();
+        let mut c = Coverage::default();
         c.cover(5, 5); // empty
         assert_eq!(c.uncovered(0, 10), vec![(0, 10)]);
         c.cover(0, 3);

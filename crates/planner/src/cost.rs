@@ -12,9 +12,8 @@
 //! (`f_Ih` exact hits, piece sizes feeding `d(I, I_opt)`), read off the
 //! index itself: there is no second copy of it to keep fresh.
 
-use holix_cracking::{BoundLookup, CrackerColumn};
+use holix_cracking::{BoundLookup, CrackerColumn, CrackerIndex};
 use holix_storage::select::Predicate;
-use holix_storage::types::CrackValue;
 
 /// Cost-model constants. One merged pending update moves a boundary element
 /// per downstream piece (Ripple), so it is weighted well above a scanned
@@ -194,13 +193,12 @@ pub enum QueryPrice {
     Expensive,
 }
 
-/// Prices `pred` against one shard's live cracker index: two lookups
-/// ([`CrackerColumn::locate`], one `index` read each), the column's length
-/// when a bound is the `MAX` sentinel, and then the queue's length (the
-/// `pending` mutex). Never nested, and never under the structure lock, so
-/// it waits for nothing but a Ripple walk of this shard — which the read
-/// it prices waits for too.
-pub fn estimate<V: CrackValue>(col: &CrackerColumn<V>, pred: Predicate<V>) -> PlanCost {
+/// Prices `pred` against one shard's live cracker index: both bounds
+/// under one `index` read ([`CrackerColumn::with_index`]; the lookups clone
+/// no latch), then the queue's length (the `pending` mutex). Never nested,
+/// and never under the structure lock, so it waits for nothing but a
+/// Ripple walk of this shard — which the read it prices waits for too.
+pub fn estimate(col: &CrackerColumn, pred: Predicate) -> PlanCost {
     if pred.is_empty() {
         return PlanCost {
             exact_hit: true,
@@ -208,19 +206,18 @@ pub fn estimate<V: CrackValue>(col: &CrackerColumn<V>, pred: Predicate<V>) -> Pl
             ..PlanCost::default()
         };
     }
-    let lo = edge(col, pred.lo, true);
-    let hi = edge(col, pred.hi, false);
-    // The two edge pieces, one piece both bounds fall into counted once.
-    // The lookups are separate reads, so a crack between them can hand
-    // out overlapping pieces; the union stays within the column either
-    // way.
-    let overlap = lo.end.min(hi.end).saturating_sub(lo.start.max(hi.start));
-    let edges = (lo.end - lo.start) + (hi.end - hi.start) - overlap;
+    let (lo, hi) = col.with_index(|idx| (edge(idx, pred.lo, true), edge(idx, pred.hi, false)));
+    // The two edge pieces, one piece both bounds fall into counted once:
+    // one read of the index hands out one piece or two disjoint ones.
+    let mut edges = lo.end - lo.start;
+    if (hi.start, hi.end) != (lo.start, lo.end) {
+        edges += hi.end - hi.start;
+    }
     let pending = col.pending_len();
     PlanCost {
         crack_values: edges as u64,
         est_rows: (hi.pos - lo.pos).max(0.0).round() as u64,
-        merge_backlog: if pending > CrackerColumn::<V>::MERGE_BACKLOG {
+        merge_backlog: if pending > CrackerColumn::MERGE_BACKLOG {
             pending as u64
         } else {
             0
@@ -249,20 +246,20 @@ struct Edge {
 
 /// One lookup of bound `v`; `low_side` says which end of a predicate `v`
 /// is (it only picks the fallback edge of `pos`).
-fn edge<V: CrackValue>(col: &CrackerColumn<V>, v: V, low_side: bool) -> Edge {
+fn edge(idx: &CrackerIndex, v: i64, low_side: bool) -> Edge {
     let boundary = |p: usize| Edge {
         exact: true,
         start: p,
         end: p,
         pos: p as f64,
     };
-    if v == V::MIN_VALUE {
+    if v == i64::MIN {
         return boundary(0);
     }
-    if v == V::MAX_VALUE {
-        return boundary(col.len());
+    if v == i64::MAX {
+        return boundary(idx.len());
     }
-    let (start, end, lo_key, hi_key) = match col.locate(v) {
+    let (start, end, lo_key, hi_key) = match idx.locate(v) {
         BoundLookup::Exact(p) => return boundary(p),
         BoundLookup::Piece {
             start,
@@ -274,8 +271,8 @@ fn edge<V: CrackValue>(col: &CrackerColumn<V>, v: V, low_side: bool) -> Edge {
     };
     let pos = match (lo_key, hi_key) {
         (Some(a), Some(b)) if b > a => {
-            let num = (v.as_i64() as i128 - a.as_i64() as i128) as f64;
-            let den = (b.as_i64() as i128 - a.as_i64() as i128) as f64;
+            let num = (v as i128 - a as i128) as f64;
+            let den = (b as i128 - a as i128) as f64;
             start as f64 + (end - start) as f64 * (num / den).clamp(0.0, 1.0)
         }
         _ if low_side => start as f64,
@@ -299,7 +296,7 @@ mod tests {
     /// `bounds` (`key → position`, keys ascending), with `pending` inserts
     /// queued beside it. Each piece holds the key that opens it (the first
     /// piece the key below the first boundary).
-    fn column(len: usize, bounds: &[(i64, usize)], pending: usize) -> CrackerColumn<i64> {
+    fn column(len: usize, bounds: &[(i64, usize)], pending: usize) -> CrackerColumn {
         let mut vals = Vec::with_capacity(len);
         let mut key = bounds.first().map_or(0, |b| b.0 - 1);
         for &(k, pos) in bounds.iter().chain([&(0, len)]) {
@@ -407,7 +404,7 @@ mod tests {
     fn only_a_queue_past_the_backlog_is_merge_debt() {
         // A select counts a queue of up to `MERGE_BACKLOG` updates and
         // merges nothing; one more and it merges the whole queue first.
-        let backlog = CrackerColumn::<i64>::MERGE_BACKLOG;
+        let backlog = CrackerColumn::MERGE_BACKLOG;
         assert_eq!(backlog, 256);
         let model = CostModel::default();
         let s = column(100_000, &[(10, 25_000), (20, 60_000)], backlog);
@@ -508,12 +505,7 @@ mod tests {
     /// Linear-scan reference for [`estimate`], written from the field
     /// definitions: walks the boundary table `bounds` of a column of `len`
     /// values front to back, shares no lookup with the code under test.
-    fn reference(
-        len: usize,
-        bounds: &[(i64, usize)],
-        pending: usize,
-        pred: Predicate<i64>,
-    ) -> PlanCost {
+    fn reference(len: usize, bounds: &[(i64, usize)], pending: usize, pred: Predicate) -> PlanCost {
         if pred.lo >= pred.hi {
             return PlanCost {
                 exact_hit: true,
@@ -554,7 +546,7 @@ mod tests {
         PlanCost {
             crack_values: size(lo.0) + if shared { 0 } else { size(hi.0) },
             est_rows: (hi.2 - lo.2).max(0.0).round() as u64,
-            merge_backlog: if pending > CrackerColumn::<i64>::MERGE_BACKLOG {
+            merge_backlog: if pending > CrackerColumn::MERGE_BACKLOG {
                 pending as u64
             } else {
                 0

@@ -17,7 +17,7 @@ use holix_workloads::QuerySpec;
 /// lies within a single shard (nothing to decompose) or the plan has one
 /// shard; otherwise one sub-query per intersected shard, in ascending
 /// value order, whose half-open ranges partition `[q.lo, q.hi)` exactly.
-pub fn decompose_spanning(plan: &ShardPlan<i64>, q: &QuerySpec) -> Option<Vec<QuerySpec>> {
+pub fn decompose_spanning(plan: &ShardPlan, q: &QuerySpec) -> Option<Vec<QuerySpec>> {
     let (first, last) = plan.shard_range(q.lo, q.hi)?;
     if first == last {
         return None;
@@ -40,7 +40,7 @@ mod tests {
     use super::*;
     use holix_cracking::ShardPlan;
 
-    fn plan(cuts: &[i64]) -> ShardPlan<i64> {
+    fn plan(cuts: &[i64]) -> ShardPlan {
         ShardPlan::from_cuts(cuts.to_vec())
     }
 

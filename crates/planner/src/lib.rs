@@ -9,9 +9,9 @@
 //! planner reads the live index, not a copy of it.
 //!
 //! - [`cost`] — [`PlanCost`]: price a predicate against a shard's live
-//!   cracker index — one index lookup per bound
-//!   ([`holix_cracking::CrackerColumn::locate`]) plus the lengths of the
-//!   column and its update queue. Prices crack work (edge pieces to
+//!   cracker index — both bounds looked up under one index read
+//!   ([`holix_cracking::CrackerColumn::with_index`]) plus the length of
+//!   the update queue. Prices crack work (edge pieces to
 //!   partition; a snapshot read filters the same pieces), result size
 //!   (equi-depth row estimate) and merge debt, and derives the decisions
 //!   the service layer needs:

@@ -1,19 +1,17 @@
-//! Dense, fixed-width columns — the storage unit of the column store.
+//! Dense `i64` columns — the storage unit of the column store.
 
-use crate::types::CrackValue;
-
-/// A named, dense array of fixed-width values.
+/// A named, dense array of `i64` values.
 ///
 /// Columns are append-only at this layer; in-place reorganisation (cracking)
 /// happens on *copies* managed by the adaptive-indexing crates, never on base
 /// columns, exactly as in the paper (`ACRK` is a copy of base column `A`).
 #[derive(Debug, Clone)]
-pub struct Column<V> {
+pub struct Column {
     name: String,
-    data: Vec<V>,
+    data: Vec<i64>,
 }
 
-impl<V: CrackValue> Column<V> {
+impl Column {
     /// Creates an empty column.
     pub fn new(name: impl Into<String>) -> Self {
         Column {
@@ -23,7 +21,7 @@ impl<V: CrackValue> Column<V> {
     }
 
     /// Creates a column from existing data, taking ownership.
-    pub fn from_vec(name: impl Into<String>, data: Vec<V>) -> Self {
+    pub fn from_vec(name: impl Into<String>, data: Vec<i64>) -> Self {
         Column {
             name: name.into(),
             data,
@@ -55,24 +53,24 @@ impl<V: CrackValue> Column<V> {
 
     /// Borrow the raw values. All bulk operators work on this slice.
     #[inline]
-    pub fn values(&self) -> &[V] {
+    pub fn values(&self) -> &[i64] {
         &self.data
     }
 
     /// Value at position `pos`; panics if out of bounds (positions are
     /// produced by operators over the same column, so a miss is a logic bug).
     #[inline]
-    pub fn get(&self, pos: usize) -> V {
+    pub fn get(&self, pos: usize) -> i64 {
         self.data[pos]
     }
 
     /// Appends a single value.
-    pub fn push(&mut self, v: V) {
+    pub fn push(&mut self, v: i64) {
         self.data.push(v);
     }
 
     /// Appends many values.
-    pub fn extend_from_slice(&mut self, vs: &[V]) {
+    pub fn extend_from_slice(&mut self, vs: &[i64]) {
         self.data.extend_from_slice(vs);
     }
 
@@ -80,7 +78,7 @@ impl<V: CrackValue> Column<V> {
     ///
     /// One tight pass; used to establish the pivot domain for holistic
     /// refinement when a cracker column is created.
-    pub fn min_max(&self) -> Option<(V, V)> {
+    pub fn min_max(&self) -> Option<(i64, i64)> {
         let mut it = self.data.iter();
         let first = *it.next()?;
         let (mut lo, mut hi) = (first, first);
@@ -97,11 +95,11 @@ impl<V: CrackValue> Column<V> {
 
     /// Heap bytes consumed by the value payload (for storage budgeting).
     pub fn payload_bytes(&self) -> usize {
-        self.data.len() * V::width()
+        self.data.len() * size_of::<i64>()
     }
 
     /// Consumes the column, returning the raw data.
-    pub fn into_vec(self) -> Vec<V> {
+    pub fn into_vec(self) -> Vec<i64> {
         self.data
     }
 }
@@ -112,7 +110,7 @@ mod tests {
 
     #[test]
     fn build_and_read_back() {
-        let mut c = Column::<i64>::new("a");
+        let mut c = Column::new("a");
         assert!(c.is_empty());
         c.push(5);
         c.extend_from_slice(&[2, 9, -1]);
@@ -124,9 +122,9 @@ mod tests {
 
     #[test]
     fn min_max_full_and_empty() {
-        let c = Column::from_vec("a", vec![3i32, -7, 11, 0]);
+        let c = Column::from_vec("a", vec![3i64, -7, 11, 0]);
         assert_eq!(c.min_max(), Some((-7, 11)));
-        let e = Column::<i32>::new("e");
+        let e = Column::new("e");
         assert_eq!(e.min_max(), None);
     }
 
@@ -137,11 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn payload_bytes_tracks_width() {
+    fn payload_bytes_tracks_length() {
         let c = Column::from_vec("a", vec![1i64, 2, 3]);
         assert_eq!(c.payload_bytes(), 24);
-        let c = Column::from_vec("b", vec![1i32, 2, 3]);
-        assert_eq!(c.payload_bytes(), 12);
     }
 
     #[test]

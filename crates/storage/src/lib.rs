@@ -2,8 +2,8 @@
 //!
 //! This crate is the MonetDB stand-in for the holistic-indexing reproduction:
 //! the slice of a main-memory column-store kernel the engines actually run
-//! on, following the Decomposition Storage Model. An attribute is a dense,
-//! fixed-width array ([`Column`]); values of one tuple share the same
+//! on, following the Decomposition Storage Model. An attribute is a dense
+//! array of `i64` values ([`Column`]); values of one tuple share the same
 //! position ([`RowId`]) across all columns.
 //!
 //! Operators are implemented in an array-processing, bulk style with tight
@@ -27,4 +27,4 @@ pub mod types;
 pub use column::Column;
 pub use select::{Predicate, RangeStats};
 pub use sort::SortedColumn;
-pub use types::{CrackValue, RowId};
+pub use types::RowId;

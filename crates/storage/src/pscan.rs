@@ -2,7 +2,6 @@
 //! query scans the entire column with all available threads.
 
 use crate::select::{scan_count, scan_stats, Predicate, RangeStats};
-use crate::types::CrackValue;
 
 /// Inputs below this size are scanned sequentially: the fork/join overhead
 /// outweighs the scan itself.
@@ -11,11 +10,10 @@ const MIN_PARALLEL: usize = 1 << 14;
 /// Shared fan-out scaffolding: chunks `values` across `threads` scoped
 /// workers, maps each chunk with `scan`, and folds the partial results
 /// with `merge`. Callers have already ruled out the sequential fast path.
-fn scan_chunks<V, R, S, M>(values: &[V], threads: usize, scan: S, mut merge: M) -> R
+fn scan_chunks<R, S, M>(values: &[i64], threads: usize, scan: S, mut merge: M) -> R
 where
-    V: CrackValue,
     R: Default + Send,
-    S: Fn(&[V]) -> R + Sync,
+    S: Fn(&[i64]) -> R + Sync,
     M: FnMut(&mut R, R),
 {
     let chunk = values.len().div_ceil(threads);
@@ -36,11 +34,7 @@ where
 /// Scans `values` with `threads` worker threads, merging per-chunk
 /// [`RangeStats`]. Falls back to the sequential scan for small inputs or a
 /// single thread.
-pub fn parallel_scan_stats<V: CrackValue>(
-    values: &[V],
-    pred: Predicate<V>,
-    threads: usize,
-) -> RangeStats {
+pub fn parallel_scan_stats(values: &[i64], pred: Predicate, threads: usize) -> RangeStats {
     let threads = threads.max(1);
     if threads == 1 || values.len() < MIN_PARALLEL {
         return scan_stats(values, pred);
@@ -55,7 +49,7 @@ pub fn parallel_scan_stats<V: CrackValue>(
 
 /// Count-only parallel scan (the fair comparison point against indexed
 /// selects, which produce counts from contiguous ranges).
-pub fn parallel_scan_count<V: CrackValue>(values: &[V], pred: Predicate<V>, threads: usize) -> u64 {
+pub fn parallel_scan_count(values: &[i64], pred: Predicate, threads: usize) -> u64 {
     let threads = threads.max(1);
     if threads == 1 || values.len() < MIN_PARALLEL {
         return scan_count(values, pred);
@@ -113,7 +107,7 @@ mod tests {
 
     #[test]
     fn thread_counts_do_not_change_result() {
-        let vals: Vec<i32> = (0..(1 << 15)).map(|i| (i * 37) % 1024).collect();
+        let vals: Vec<i64> = (0..(1 << 15)).map(|i| (i * 37) % 1024).collect();
         let pred = Predicate::range(100, 600);
         let base = scan_stats(&vals, pred);
         for t in [1, 2, 3, 5, 16] {

@@ -7,17 +7,17 @@
 //! require "a fast parallel sort whose cost lands on one query".
 
 use crate::sort::SortedColumn;
-use crate::types::{CrackValue, RowId};
+use crate::types::RowId;
 
 /// Builds a [`SortedColumn`] using up to `threads` worker threads.
-pub fn parallel_sort<V: CrackValue>(values: &[V], threads: usize) -> SortedColumn<V> {
+pub fn parallel_sort(values: &[i64], threads: usize) -> SortedColumn {
     let threads = threads.max(1);
     const MIN_PARALLEL: usize = 1 << 14;
     if threads == 1 || values.len() < MIN_PARALLEL {
         return SortedColumn::build(values);
     }
 
-    let mut pairs: Vec<(V, RowId)> = values
+    let mut pairs: Vec<(i64, RowId)> = values
         .iter()
         .enumerate()
         .map(|(i, &v)| (v, i as RowId))
@@ -34,7 +34,7 @@ pub fn parallel_sort<V: CrackValue>(values: &[V], threads: usize) -> SortedColum
     // Phase 2: parallel pairwise merge passes. Run boundaries follow the
     // chunk layout of phase 1 and coarsen by 2 each pass.
     let n = pairs.len();
-    let mut scratch: Vec<(V, RowId)> = Vec::with_capacity(n);
+    let mut scratch: Vec<(i64, RowId)> = Vec::with_capacity(n);
     // SAFETY-free alternative to uninitialised memory: pre-fill the scratch
     // buffer once; merge passes overwrite every slot they read back.
     scratch.resize(n, pairs[0]);
@@ -44,8 +44,8 @@ pub fn parallel_sort<V: CrackValue>(values: &[V], threads: usize) -> SortedColum
     let mut run = chunk;
     while run < n {
         std::thread::scope(|s| {
-            let mut src_rest: &[(V, RowId)] = src;
-            let mut dst_rest: &mut [(V, RowId)] = dst;
+            let mut src_rest: &[(i64, RowId)] = src;
+            let mut dst_rest: &mut [(i64, RowId)] = dst;
             while !src_rest.is_empty() {
                 let left_len = run.min(src_rest.len());
                 let pair_len = (2 * run).min(src_rest.len());
@@ -65,7 +65,7 @@ pub fn parallel_sort<V: CrackValue>(values: &[V], threads: usize) -> SortedColum
 }
 
 /// Merges `src[..left_len]` and `src[left_len..]` (both sorted) into `dst`.
-fn merge_runs<V: CrackValue>(src: &[(V, RowId)], left_len: usize, dst: &mut [(V, RowId)]) {
+fn merge_runs(src: &[(i64, RowId)], left_len: usize, dst: &mut [(i64, RowId)]) {
     debug_assert_eq!(src.len(), dst.len());
     let (left, right) = src.split_at(left_len);
     let (mut i, mut j) = (0, 0);
@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn rowid_permutation_is_complete() {
         let mut rng = StdRng::seed_from_u64(4);
-        let vals: Vec<i32> = (0..(1 << 15) + 13)
+        let vals: Vec<i64> = (0..(1 << 15) + 13)
             .map(|_| rng.random_range(0..100))
             .collect();
         let p = parallel_sort(&vals, 4);

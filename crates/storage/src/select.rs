@@ -1,48 +1,42 @@
 //! Range-selection operator over dense columns (single-threaded scan).
 //!
 //! All range predicates in the workspace are normalised to the half-open form
-//! `lo <= v < hi`; the paper's `A < v` queries become `[MIN_VALUE, v)` and its
+//! `lo <= v < hi`; the paper's `A < v` queries become `[i64::MIN, v)` and its
 //! `low <= A < high` queries map directly.
 
-use crate::types::{succ, CrackValue, RowId};
+use crate::types::{succ, RowId};
 
 /// Half-open range predicate `lo <= v < hi`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Predicate<V> {
+pub struct Predicate {
     /// Inclusive lower bound.
-    pub lo: V,
+    pub lo: i64,
     /// Exclusive upper bound.
-    pub hi: V,
+    pub hi: i64,
 }
 
-impl<V: CrackValue> Predicate<V> {
+impl Predicate {
     /// `lo <= v < hi`.
-    pub fn range(lo: V, hi: V) -> Self {
+    pub fn range(lo: i64, hi: i64) -> Self {
         Predicate { lo, hi }
     }
 
     /// `v < hi` — the single-sided form used by the paper's microbenchmarks.
-    pub fn less_than(hi: V) -> Self {
-        Predicate {
-            lo: V::MIN_VALUE,
-            hi,
-        }
+    pub fn less_than(hi: i64) -> Self {
+        Predicate { lo: i64::MIN, hi }
     }
 
     /// `v >= lo`.
-    pub fn at_least(lo: V) -> Self {
-        Predicate {
-            lo,
-            hi: V::MAX_VALUE,
-        }
+    pub fn at_least(lo: i64) -> Self {
+        Predicate { lo, hi: i64::MAX }
     }
 
     /// Equality probe `v == value` as the unit half-open range
     /// `[value, succ(value))` — the lowering every point predicate takes
-    /// through the range-only kernels. `point(MAX_VALUE)` degenerates to an
+    /// through the range-only kernels. `point(i64::MAX)` degenerates to an
     /// empty predicate (the sentinel cannot be probed; synthetic domains
     /// never generate it).
-    pub fn point(value: V) -> Self {
+    pub fn point(value: i64) -> Self {
         Predicate {
             lo: value,
             hi: succ(value),
@@ -51,16 +45,15 @@ impl<V: CrackValue> Predicate<V> {
 
     /// Inverse of [`Predicate::point`]: `Some(v)` when this predicate is a
     /// unit range `[v, succ(v))`. Ranges touching the domain sentinels are
-    /// never points (a `hi == MAX_VALUE` bound means *unbounded*, not
+    /// never points (a `hi == i64::MAX` bound means *unbounded*, not
     /// "up to the sentinel").
-    pub fn as_point(&self) -> Option<V> {
-        (self.lo != V::MAX_VALUE && self.hi != V::MAX_VALUE && self.hi == succ(self.lo))
-            .then_some(self.lo)
+    pub fn as_point(&self) -> Option<i64> {
+        (self.lo != i64::MAX && self.hi != i64::MAX && self.hi == succ(self.lo)).then_some(self.lo)
     }
 
     /// Does `v` satisfy the predicate?
     #[inline(always)]
-    pub fn matches(&self, v: V) -> bool {
+    pub fn matches(&self, v: i64) -> bool {
         self.lo <= v && v < self.hi
     }
 
@@ -70,8 +63,8 @@ impl<V: CrackValue> Predicate<V> {
     }
 
     /// Sentinel-aware variant of [`Predicate::matches`], mirroring the
-    /// cracked select path: a bound equal to `MIN_VALUE`/`MAX_VALUE` means
-    /// *unbounded*, so a value equal to `MAX_VALUE` qualifies under an
+    /// cracked select path: a bound equal to `i64::MIN`/`i64::MAX` means
+    /// *unbounded*, so a value equal to `i64::MAX` qualifies under an
     /// unbounded upper end (where `matches` would exclude it). The
     /// snapshot read path filters edge pieces and folds pending-update
     /// overlays through this one definition.
@@ -81,10 +74,10 @@ impl<V: CrackValue> Predicate<V> {
     /// cracks" rule the cracked select and the sharded fan-out apply, so
     /// the three paths can never disagree on a pathological range.
     #[inline(always)]
-    pub fn matches_unbounded(&self, v: V) -> bool {
+    pub fn matches_unbounded(&self, v: i64) -> bool {
         !self.is_empty()
-            && (self.lo == V::MIN_VALUE || v >= self.lo)
-            && (self.hi == V::MAX_VALUE || v < self.hi)
+            && (self.lo == i64::MIN || v >= self.lo)
+            && (self.hi == i64::MAX || v < self.hi)
     }
 }
 
@@ -111,14 +104,14 @@ impl RangeStats {
 ///
 /// This is the "no indexing support" baseline: cost is O(N) data accesses per
 /// query regardless of selectivity.
-pub fn scan_stats<V: CrackValue>(values: &[V], pred: Predicate<V>) -> RangeStats {
+pub fn scan_stats(values: &[i64], pred: Predicate) -> RangeStats {
     let mut count = 0u64;
     let mut sum = 0i128;
     for &v in values {
         // Written as a single conditional accumulation so LLVM can vectorise.
         if pred.matches(v) {
             count += 1;
-            sum += v.as_i64() as i128;
+            sum += v as i128;
         }
     }
     RangeStats { count, sum }
@@ -127,7 +120,7 @@ pub fn scan_stats<V: CrackValue>(values: &[V], pred: Predicate<V>) -> RangeStats
 /// Scans `values` and materialises the positions of qualifying values — the
 /// intermediate "candidate list" a column-store select produces for later
 /// positional operators.
-pub fn scan_positions<V: CrackValue>(values: &[V], pred: Predicate<V>) -> Vec<RowId> {
+pub fn scan_positions(values: &[i64], pred: Predicate) -> Vec<RowId> {
     let mut out = Vec::new();
     for (i, &v) in values.iter().enumerate() {
         if pred.matches(v) {
@@ -138,16 +131,16 @@ pub fn scan_positions<V: CrackValue>(values: &[V], pred: Predicate<V>) -> Vec<Ro
 }
 
 /// Count-only scan (used where the sum checksum is not needed).
-pub fn scan_count<V: CrackValue>(values: &[V], pred: Predicate<V>) -> u64 {
+pub fn scan_count(values: &[i64], pred: Predicate) -> u64 {
     values.iter().filter(|&&v| pred.matches(v)).count() as u64
 }
 
 /// Computes [`RangeStats`] over a contiguous slice that is already known to
 /// qualify (e.g. a cracked piece range) — no predicate evaluation.
-pub fn slice_stats<V: CrackValue>(values: &[V]) -> RangeStats {
+pub fn slice_stats(values: &[i64]) -> RangeStats {
     let mut sum = 0i128;
     for &v in values {
-        sum += v.as_i64() as i128;
+        sum += v as i128;
     }
     RangeStats {
         count: values.len() as u64,
@@ -170,16 +163,16 @@ mod tests {
 
         let ge = Predicate::at_least(5i64);
         assert!(ge.matches(5) && !ge.matches(4));
-        // MAX_VALUE itself is excluded by the half-open form; acceptable for
+        // i64::MAX itself is excluded by the half-open form; acceptable for
         // synthetic domains that never generate the sentinel.
         assert!(!ge.matches(i64::MAX));
     }
 
     #[test]
     fn empty_predicate() {
-        assert!(Predicate::range(5i32, 5).is_empty());
-        assert!(Predicate::range(6i32, 5).is_empty());
-        assert!(!Predicate::range(5i32, 6).is_empty());
+        assert!(Predicate::range(5i64, 5).is_empty());
+        assert!(Predicate::range(6i64, 5).is_empty());
+        assert!(!Predicate::range(5i64, 6).is_empty());
     }
 
     #[test]
@@ -226,7 +219,7 @@ mod tests {
 
     #[test]
     fn scan_positions_matches_scan_stats() {
-        let vals = [10i32, 2, 7, 7, 1];
+        let vals = [10i64, 2, 7, 7, 1];
         let pred = Predicate::range(2, 8);
         let pos = scan_positions(&vals, pred);
         assert_eq!(pos, vec![1, 2, 3]);

@@ -6,23 +6,23 @@
 //! so verification checksums are O(1) after the O(log N) bound search.
 
 use crate::select::{Predicate, RangeStats};
-use crate::types::{CrackValue, RowId};
+use crate::types::RowId;
 
 /// A fully sorted copy of a column.
 #[derive(Debug, Clone)]
-pub struct SortedColumn<V> {
-    values: Vec<V>,
+pub struct SortedColumn {
+    values: Vec<i64>,
     rowids: Vec<RowId>,
     /// `prefix[i]` = sum of `values[..i]`; one extra slot so any half-open
     /// range is a single subtraction.
     prefix: Vec<i128>,
 }
 
-impl<V: CrackValue> SortedColumn<V> {
+impl SortedColumn {
     /// Sorts a copy of `values` (single-threaded). The parallel variant lives
     /// in [`crate::psort`].
-    pub fn build(values: &[V]) -> Self {
-        let mut pairs: Vec<(V, RowId)> = values
+    pub fn build(values: &[i64]) -> Self {
+        let mut pairs: Vec<(i64, RowId)> = values
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, i as RowId))
@@ -32,7 +32,7 @@ impl<V: CrackValue> SortedColumn<V> {
     }
 
     /// Assembles from already-sorted `(value, rowid)` pairs.
-    pub(crate) fn from_sorted_pairs(pairs: Vec<(V, RowId)>) -> Self {
+    pub(crate) fn from_sorted_pairs(pairs: Vec<(i64, RowId)>) -> Self {
         debug_assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0));
         let mut values = Vec::with_capacity(pairs.len());
         let mut rowids = Vec::with_capacity(pairs.len());
@@ -42,7 +42,7 @@ impl<V: CrackValue> SortedColumn<V> {
         for (v, r) in pairs {
             values.push(v);
             rowids.push(r);
-            running += v.as_i64() as i128;
+            running += v as i128;
             prefix.push(running);
         }
         SortedColumn {
@@ -63,7 +63,7 @@ impl<V: CrackValue> SortedColumn<V> {
     }
 
     /// The sorted values.
-    pub fn values(&self) -> &[V] {
+    pub fn values(&self) -> &[i64] {
         &self.values
     }
 
@@ -74,7 +74,7 @@ impl<V: CrackValue> SortedColumn<V> {
 
     /// Half-open index range `[a, b)` of values satisfying the predicate —
     /// two binary searches, O(log N) data accesses.
-    pub fn locate(&self, pred: Predicate<V>) -> (usize, usize) {
+    pub fn locate(&self, pred: Predicate) -> (usize, usize) {
         if pred.is_empty() {
             return (0, 0);
         }
@@ -84,7 +84,7 @@ impl<V: CrackValue> SortedColumn<V> {
     }
 
     /// Count and checksum of qualifying values using the prefix-sum array.
-    pub fn select_stats(&self, pred: Predicate<V>) -> RangeStats {
+    pub fn select_stats(&self, pred: Predicate) -> RangeStats {
         let (a, b) = self.locate(pred);
         RangeStats {
             count: (b - a) as u64,
@@ -94,14 +94,14 @@ impl<V: CrackValue> SortedColumn<V> {
 
     /// Base-table row ids of qualifying values (candidate list for
     /// projection).
-    pub fn select_rowids(&self, pred: Predicate<V>) -> &[RowId] {
+    pub fn select_rowids(&self, pred: Predicate) -> &[RowId] {
         let (a, b) = self.locate(pred);
         &self.rowids[a..b]
     }
 
     /// Heap bytes held (values + rowids + prefix sums).
     pub fn payload_bytes(&self) -> usize {
-        self.values.len() * V::width()
+        self.values.len() * size_of::<i64>()
             + self.rowids.len() * std::mem::size_of::<RowId>()
             + self.prefix.len() * std::mem::size_of::<i128>()
     }
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn select_rowids_point_at_qualifying_base_values() {
-        let base = [7i32, 2, 9, 4, 2];
+        let base = [7i64, 2, 9, 4, 2];
         let s = SortedColumn::build(&base);
         let pred = Predicate::range(2, 7);
         for &r in s.select_rowids(pred) {

@@ -2,7 +2,6 @@
 //! C_optimal, monotone piece growth, strategy behaviour, and the accounting
 //! loop between engine load and worker activation.
 
-use holix::core::handle::CrackerHandle;
 use holix::core::index_space::{IndexSpace, Membership};
 use holix::core::{CpuMonitor, HolisticConfig, HolisticDaemon, LoadAccountant, Strategy};
 use holix::cracking::CrackerColumn;
@@ -33,7 +32,7 @@ fn daemon_converges_every_strategy_to_optimal() {
             .map(|c| {
                 let base: Vec<i64> = (0..60_000).map(|i| (i * 37) % 100_000).collect();
                 let col = CrackerColumn::from_base(format!("c{c}"), &base);
-                Arc::new(CrackerHandle::new(Arc::new(col))) as _
+                Arc::new(col) as _
             })
             .collect();
         let slots = space.register(handles, Membership::Actual);

@@ -54,7 +54,7 @@ fn base_data(seed: u64) -> Vec<i64> {
 /// Locked select on every intersecting shard (merges pending + cracks);
 /// count-only, safe under concurrent updates (unlike `select_verified`,
 /// whose checksum re-lock is documented as caller-synchronised).
-fn select_all(col: &ShardedColumn<i64>, pred: Predicate<i64>, scratch: &mut CrackScratch<i64>) {
+fn select_all(col: &ShardedColumn, pred: Predicate, scratch: &mut CrackScratch) {
     for (k, p) in col.intersecting(pred) {
         col.shard(k).select(p, scratch);
     }
