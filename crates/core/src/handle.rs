@@ -102,9 +102,8 @@ pub fn distance_to_optimal(index: &dyn RefinableIndex, l1_values: usize) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HolisticConfig;
     use rand::prelude::*;
-
-    const L1_VALUES: usize = 32 * 1024 / 8;
 
     fn column(n: usize) -> CrackerColumn {
         let base: Vec<i64> = (0..n as i64).rev().collect();
@@ -144,20 +143,22 @@ mod tests {
     #[test]
     fn distance_shrinks_with_refinement() {
         let col = column(100_000);
-        let d0 = distance_to_optimal(&col, L1_VALUES);
+        let l1 = HolisticConfig::default().l1_values();
+        let d0 = distance_to_optimal(&col, l1);
         assert_eq!(d0, 100_000 - 4096);
         let mut rng = StdRng::seed_from_u64(2);
         let mut scratch = CrackScratch::new();
         for _ in 0..200 {
             col.refine_random(&mut rng, &mut scratch, 8);
         }
-        let d1 = distance_to_optimal(&col, L1_VALUES);
+        let d1 = distance_to_optimal(&col, l1);
         assert!(d1 < d0 / 10, "d1={d1}");
     }
 
     #[test]
     fn distance_zero_when_pieces_fit_l1() {
         let col = column(1_000); // 1000 values < 4096-value L1 budget
-        assert_eq!(distance_to_optimal(&col, L1_VALUES), 0);
+        let l1 = HolisticConfig::default().l1_values();
+        assert_eq!(distance_to_optimal(&col, l1), 0);
     }
 }

@@ -220,12 +220,10 @@ pub(crate) fn crack_in_two_on<R: RowLane>(
         return 0;
     }
     let (sv, sr) = scratch.window(n);
-    let split = 'pass: {
-        if isa == Isa::Avx512 {
-            #[cfg(target_arch = "x86_64")]
-            break 'pass kernels::avx512::crack_two(vals, rows, pivot, sv, sr);
-        }
-        two_pass(vals, rows, pivot, sv, sr)
+    let split = match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => kernels::avx512::crack_two(vals, rows, pivot, sv, sr),
+        _ => two_pass(vals, rows, pivot, sv, sr),
     };
     vals.copy_from_slice(sv);
     rows.copy_from_slice(sr);
@@ -301,12 +299,10 @@ pub(crate) fn crack_in_three_on<R: RowLane>(
         return (0, 0);
     }
     let (sv, sr) = scratch.window(n);
-    let (l, h) = 'pass: {
-        if isa == Isa::Avx512 {
-            #[cfg(target_arch = "x86_64")]
-            break 'pass kernels::avx512::crack_three(vals, rows, lo, hi, sv, sr);
-        }
-        three_pass(vals, rows, lo, hi, sv, sr)
+    let (l, h) = match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => kernels::avx512::crack_three(vals, rows, lo, hi, sv, sr),
+        _ => three_pass(vals, rows, lo, hi, sv, sr),
     };
     let m = h - l;
     // Middles first (they sit in `[..m]`, which the lows may overlap).
