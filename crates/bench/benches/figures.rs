@@ -13,7 +13,7 @@
 use holix_bench::{
     buckets, cumulative, run_per_query, sample_indices, secs, time, total, BenchEnv,
 };
-use holix_core::Strategy;
+use holix_core::{HolisticConfig, Strategy};
 use holix_cracking::{CrackScratch, CrackerColumn};
 use holix_engine::api::{Dataset, QueryEngine};
 use holix_engine::tpch::{HolisticTpch, PresortedTpch, ScanTpch, SidewaysTpch, TpchDb, TpchEngine};
@@ -744,7 +744,7 @@ fn run_stream(base: &[i64], ops: &[Op], idle_refine: Option<Duration>) -> f64 {
                     // optimal status (average piece ≤ |L1|), like a worker
                     // whose index moved to C_optimal.
                     if let Some(gap) = idle_refine {
-                        let l1_values = 32 * 1024 / std::mem::size_of::<i64>();
+                        let l1_values = HolisticConfig::default().l1_values();
                         let t0 = std::time::Instant::now();
                         while t0.elapsed() < gap && col.avg_piece_len() > l1_values {
                             col.refine_random(&mut rng, &mut scratch, 8);

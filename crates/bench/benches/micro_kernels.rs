@@ -2,7 +2,7 @@
 //! PAPER.md's design summary records: crack kernels (in-place reference vs
 //! vectorized out-of-place vs parallel), the block-at-a-time unpack of
 //! bit-packed values ("Batched decode kernels"), the cracker index's
-//! `locate` (the lookup a crack pays), weight-heap updates, Ripple insertion
+//! `locate` (the lookup a crack pays), Ripple insertion
 //! vs naive re-cracking, the whole-attribute first touch (push routing +
 //! first crack vs the coarse-granular build), what row ids cost: the two-
 //! and three-way crack kernels with and without them, and building a shard's
@@ -17,7 +17,6 @@
 //! portable one).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use holix_core::weight_heap::WeightHeap;
 use holix_cracking::crack::crack_in_two;
 use holix_cracking::index::{BoundLookup, CrackerIndex};
 use holix_cracking::kernels::{self, pack_bits};
@@ -143,28 +142,6 @@ fn bench_cracker_index(c: &mut Criterion) {
             }
             black_box(acc)
         })
-    });
-    g.finish();
-}
-
-fn bench_weight_heap(c: &mut Criterion) {
-    let mut g = c.benchmark_group("weight_heap");
-    g.sample_size(20);
-    g.bench_function("upsert_update_cycle", |b| {
-        b.iter_batched(
-            WeightHeap::new,
-            |mut h| {
-                for k in 0..256usize {
-                    h.upsert(k, (k * 31 % 97) as u128);
-                }
-                for k in 0..256usize {
-                    h.upsert(k, (k * 17 % 89) as u128);
-                    black_box(h.peek_max());
-                }
-                h
-            },
-            BatchSize::SmallInput,
-        )
     });
     g.finish();
 }
@@ -813,7 +790,6 @@ criterion_group!(
     bench_row_ids,
     bench_crack_kernels,
     bench_cracker_index,
-    bench_weight_heap,
     bench_ripple_vs_rebuild,
     bench_drains,
     bench_snapshot_reads,

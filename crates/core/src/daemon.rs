@@ -5,7 +5,8 @@
 //! parallel to user queries. […] When n idle CPU cores are detected, n
 //! holistic worker threads are activated." The daemon records one
 //! [`CycleRecord`] per activation so Fig 6(d) (worker time and worker count
-//! per tuning cycle) can be regenerated.
+//! per tuning cycle) can be regenerated; it keeps the newest
+//! `CYCLE_LOG_CAP` (2¹⁴) of them, and the totals in counters.
 
 use crate::config::HolisticConfig;
 use crate::cpu::CpuMonitor;
@@ -14,6 +15,7 @@ use crate::worker::{idle_function, WorkerReport};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,11 +40,23 @@ pub struct CycleRecord {
     pub filter_rebuilds: u64,
 }
 
+/// Cycle records a daemon keeps: the newest ones (≈ 1.2 MB of them), so
+/// the log stays flat in uptime however often the daemon activates.
+const CYCLE_LOG_CAP: usize = 1 << 14;
+
+/// Appends `record` to `log`, dropping the oldest record at the cap.
+fn push_cycle(log: &mut VecDeque<CycleRecord>, record: CycleRecord) {
+    if log.len() == CYCLE_LOG_CAP {
+        log.pop_front();
+    }
+    log.push_back(record);
+}
+
 /// Handle to the running holistic indexing thread.
 pub struct HolisticDaemon {
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
-    cycles: Arc<Mutex<Vec<CycleRecord>>>,
+    cycles: Arc<Mutex<VecDeque<CycleRecord>>>,
     total_refinements: Arc<AtomicU64>,
 }
 
@@ -55,7 +69,7 @@ impl HolisticDaemon {
         config: HolisticConfig,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
-        let cycles = Arc::new(Mutex::new(Vec::new()));
+        let cycles = Arc::new(Mutex::new(VecDeque::new()));
         let total_refinements = Arc::new(AtomicU64::new(0));
 
         let t_stop = Arc::clone(&stop);
@@ -83,18 +97,21 @@ impl HolisticDaemon {
         }
     }
 
-    /// Signals the thread to stop and joins it.
+    /// Signals the thread to stop and joins it; returns the cycle records
+    /// it kept, as [`HolisticDaemon::cycles`] does.
     pub fn stop(mut self) -> Vec<CycleRecord> {
         self.shutdown();
-        self.cycles.lock().clone()
+        self.cycles()
     }
 
-    /// Snapshot of cycle records so far.
+    /// The newest `CYCLE_LOG_CAP` (2¹⁴) cycle records so far, oldest
+    /// first.
     pub fn cycles(&self) -> Vec<CycleRecord> {
-        self.cycles.lock().clone()
+        self.cycles.lock().iter().copied().collect()
     }
 
-    /// Total successful refinements across all cycles.
+    /// Total successful refinements across all cycles, the dropped
+    /// records' included.
     pub fn total_refinements(&self) -> u64 {
         self.total_refinements.load(Ordering::Relaxed)
     }
@@ -118,7 +135,7 @@ fn daemon_loop(
     monitor: &dyn CpuMonitor,
     config: &HolisticConfig,
     stop: &AtomicBool,
-    cycles: &Mutex<Vec<CycleRecord>>,
+    cycles: &Mutex<VecDeque<CycleRecord>>,
     total_refinements: &AtomicU64,
 ) {
     let mut cycle_no = 0u64;
@@ -192,7 +209,7 @@ fn daemon_loop(
             holix_telemetry::histogram!("engine_cycle_wall_ns")
                 .record(record.wall.as_nanos() as u64);
         }
-        cycles.lock().push(record);
+        push_cycle(&mut cycles.lock(), record);
         cycle_no += 1;
     }
 }
@@ -324,6 +341,28 @@ mod tests {
         // No further activations once nothing is pickable.
         assert_eq!(daemon.cycles().len(), cycles_at_optimal);
         drop(daemon);
+    }
+
+    #[test]
+    fn the_cycle_log_keeps_the_newest_records() {
+        let record = |i: usize| CycleRecord {
+            workers: 1,
+            wall: Duration::ZERO,
+            worker_time_total: Duration::ZERO,
+            merges: 0,
+            refinements: i as u64,
+            busy: 0,
+            filter_rebuilds: 0,
+        };
+        let mut log = VecDeque::new();
+        let pushed = 3 * CYCLE_LOG_CAP + 5;
+        for i in 0..pushed {
+            push_cycle(&mut log, record(i));
+            assert_eq!(log.len(), (i + 1).min(CYCLE_LOG_CAP));
+        }
+        let kept: Vec<u64> = log.iter().map(|r| r.refinements).collect();
+        let newest: Vec<u64> = (pushed - CYCLE_LOG_CAP..pushed).map(|i| i as u64).collect();
+        assert_eq!(kept, newest);
     }
 
     #[test]

@@ -13,38 +13,39 @@
 //! ## The owner holds the record
 //!
 //! [`IndexSpace::register`] hands back one [`IndexSlot`] per index — its
-//! statistics, membership tag and dirty flag — and the owner keeps it next
-//! to the index. The **per-query path is a method on that slot**
-//! ([`IndexSlot::record_user_query`], [`IndexSlot::is_dropped`]): atomic
-//! counters, one CAS for the promotion and a dirty-flag store. It takes no
-//! lock of the space and never looks anything up (the multi-core
-//! experiments of Fig 11/Fig 17 serialize on exactly such a lock otherwise).
+//! statistics, membership tag, dirty flag and last distance-to-optimal —
+//! and the owner keeps it next to the index. The **per-query path is a
+//! method on that slot** ([`IndexSlot::record_user_query`],
+//! [`IndexSlot::is_dropped`]): atomic counters, one CAS for the promotion
+//! and a dirty-flag store. It takes no lock of the space and never looks
+//! anything up (the multi-core experiments of Fig 11/Fig 17 serialize on
+//! exactly such a lock otherwise).
 //!
 //! The space itself keeps only what is **live**: a table of `(slot,
-//! index)` pairs and the weight heap over them ("one node per index, which
-//! allows us to easily put new indices in the configuration or drop old
-//! ones", §4.2). Eviction and [`IndexSpace::retire`] mark the slot
-//! [`Membership::Dropped`], remove the pair — the space's reference to the
-//! index payload goes with it — and count it, so every walk of the table
-//! (`pick`, `bytes_used`, eviction) costs the number of live indices
-//! whatever the uptime. A `Dropped` slot an owner still holds pins nothing
-//! but its own counters; `Dropped` is final, the owner builds and registers
-//! a new index to come back.
+//! index)` pairs in registration order, behind its one lock. Eviction and
+//! [`IndexSpace::retire`] mark the slot [`Membership::Dropped`], remove the
+//! pair — the space's reference to the index payload goes with it — and
+//! count it, so every walk of the table (`pick`, `bytes_used`, eviction)
+//! costs the number of live indices whatever the uptime. A `Dropped` slot
+//! an owner still holds pins nothing but its own counters; `Dropped` is
+//! final, the owner builds and registers a new index to come back.
 //!
 //! The maintenance side — [`IndexSpace::pick`] (the daemon, once per tuning
-//! cycle) folds the dirty flags into the weight heap before choosing;
-//! registration and retirement are the only writers of the table.
+//! cycle) — refreshes the distances of dirty slots and weighs every
+//! candidate in the same walk of the table: the paper's heap of weights
+//! ("one node per index", §4.2) would be a second copy of that table, kept
+//! up to date on every refinement for a pick that walks the table anyway.
+//! Registration and retirement are the only writers of the table.
 
 use crate::config::HolisticConfig;
 use crate::handle::{distance_to_optimal, RefinableIndex};
 use crate::stats::IndexStats;
 use crate::strategy::Strategy;
-use crate::weight_heap::{HeapKey, WeightHeap};
 use holix_cracking::RefineOutcome;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rand::seq::IndexedRandom;
 use rand::RngCore;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Which configuration an index currently belongs to (stored in an
@@ -82,12 +83,12 @@ impl Membership {
 pub struct IndexSlot {
     stats: IndexStats,
     membership: AtomicU8,
-    /// Set by the query path when the weight went stale; folded into the
-    /// heap by the maintenance side at `pick` time.
+    /// Set by the query path when the index may have changed; the
+    /// maintenance side refreshes `distance` at `pick` time.
     dirty: AtomicBool,
-    /// This index's node in the weight heap: the registration sequence
-    /// number, never reused, so the live table is ordered by it.
-    key: HeapKey,
+    /// `d(I, I_opt)` (Equation 1) as of the last refresh: what the
+    /// strategy weighs, with the live counters, at `pick` time.
+    distance: AtomicU64,
 }
 
 impl IndexSlot {
@@ -107,9 +108,9 @@ impl IndexSlot {
     }
 
     /// Records a user query on the index: updates `f_I` / `f_Ih`, promotes
-    /// a potential index to `C_actual` and requests a weight refresh — the
-    /// heap catches up when the daemon next calls [`IndexSpace::pick`].
-    /// Lock-free; a no-op on a dropped slot.
+    /// a potential index to `C_actual` and requests a distance refresh —
+    /// the slot catches up when the daemon next calls
+    /// [`IndexSpace::pick`]. Lock-free; a no-op on a dropped slot.
     pub fn record_user_query(&self, exact_hit: bool, bounds_cracked: u64) {
         if self.is_dropped() {
             return;
@@ -148,30 +149,17 @@ impl Pick {
 }
 
 struct Table {
-    /// Every live index, ascending by heap key (registration order).
+    /// Every live index, in registration order.
     live: Vec<Live>,
-    /// Indices evicted or retired so far. With `live.len()` this is the
-    /// number ever registered: the next heap key.
+    /// Indices evicted or retired so far.
     dropped: usize,
 }
 
-impl Table {
-    fn position(&self, key: HeapKey) -> Option<usize> {
-        self.live.binary_search_by_key(&key, |(s, _)| s.key).ok()
-    }
-}
-
-/// Registry of the live adaptive indices with weights, memberships and
-/// budget.
-///
-/// Lock order: `table` → `heap`; the heap guard is never held while
-/// acquiring the table. The query side ([`IndexSlot`]) takes neither.
+/// Registry of the live adaptive indices with memberships, distances and
+/// budget, behind one lock. The query side ([`IndexSlot`]) never takes it.
 pub struct IndexSpace {
     /// Written only by registration, eviction and retirement.
     table: RwLock<Table>,
-    /// Heap over `C_actual` slots with non-zero weight (strategies W1–W3;
-    /// maintained under W4 too so optimality transitions are uniform).
-    heap: Mutex<WeightHeap>,
     config: HolisticConfig,
 }
 
@@ -183,7 +171,6 @@ impl IndexSpace {
                 live: Vec::new(),
                 dropped: 0,
             }),
-            heap: Mutex::new(WeightHeap::new()),
             config,
         }
     }
@@ -224,12 +211,8 @@ impl IndexSpace {
                     stats: IndexStats::new(),
                     membership: AtomicU8::new(membership as u8),
                     dirty: AtomicBool::new(false),
-                    key: table.live.len() + table.dropped,
+                    distance: AtomicU64::new(d),
                 });
-                if membership == Membership::Actual {
-                    let w = self.config.strategy.weight(d, 0, 0);
-                    self.heap.lock().upsert(slot.key, w);
-                }
                 table.live.push((Arc::clone(&slot), handle));
                 slot
             })
@@ -256,14 +239,13 @@ impl IndexSpace {
         }
     }
 
-    /// Drops live index `at`: out of the table and the heap, its slot
-    /// `Dropped`. Returns the payload reference the space was holding.
+    /// Drops live index `at`: out of the table, its slot `Dropped`.
+    /// Returns the payload reference the space was holding.
     fn forget(&self, table: &mut Table, at: usize) -> Arc<dyn RefinableIndex> {
         let (slot, handle) = table.live.remove(at);
         slot.membership
             .store(Membership::Dropped as u8, Ordering::Release);
         table.dropped += 1;
-        self.heap.lock().remove(slot.key);
         handle
     }
 
@@ -274,13 +256,17 @@ impl IndexSpace {
     /// Same effect as a budget eviction; a no-op on a dropped slot.
     pub fn retire(&self, slot: &IndexSlot) {
         let mut table = self.table.write();
-        if let Some(at) = table.position(slot.key) {
+        let at = table
+            .live
+            .iter()
+            .position(|(s, _)| std::ptr::eq(&**s, slot));
+        if let Some(at) = at {
             self.forget(&mut table, at);
         }
     }
 
     /// Records a worker refinement outcome on a picked index and refreshes
-    /// its weight (maintenance side: called by holistic workers, not user
+    /// its distance (maintenance side: called by holistic workers, not user
     /// queries).
     pub fn record_worker_outcome(
         &self,
@@ -293,16 +279,17 @@ impl IndexSpace {
             RefineOutcome::Busy => slot.stats.record_worker_busy(),
             RefineOutcome::AlreadyBound => {}
         }
-        self.refresh_weight(slot, handle);
+        self.refresh_distance(slot, handle);
     }
 
-    /// Recomputes `W_I`; moves the index to `C_optimal` when `d = 0`
+    /// Recomputes `d`; moves the index to `C_optimal` when `d = 0`
     /// ("Remove I from IS if d(I, I_opt) = 0", Fig 2). Maintenance side.
-    fn refresh_weight(&self, slot: &IndexSlot, handle: &dyn RefinableIndex) {
+    fn refresh_distance(&self, slot: &IndexSlot, handle: &dyn RefinableIndex) {
         if matches!(slot.membership(), Membership::Dropped | Membership::Optimal) {
             return;
         }
         let d = distance_to_optimal(handle, self.config.l1_values());
+        slot.distance.store(d, Ordering::Relaxed);
         if d == 0 {
             // Dropped is final: an eviction racing this refresh wins.
             let _ = slot
@@ -310,72 +297,54 @@ impl IndexSpace {
                 .fetch_update(Ordering::AcqRel, Ordering::Acquire, |tag| {
                     (tag != Membership::Dropped as u8).then_some(Membership::Optimal as u8)
                 });
-            self.heap.lock().remove(slot.key);
-            return;
-        }
-        if slot.membership() == Membership::Actual {
-            let w = self
-                .config
-                .strategy
-                .weight(d, slot.stats.queries(), slot.stats.exact_hits());
-            let mut heap = self.heap.lock();
-            heap.upsert(slot.key, w);
-            // Eviction can race between the membership check above and the
-            // upsert (it marks the slot, then removes it from the heap —
-            // possibly before our upsert landed). Dropped is final, so a
-            // re-check under the heap lock makes the pair safe in either
-            // interleaving: a dropped key never lingers in the heap.
-            if slot.is_dropped() {
-                heap.remove(slot.key);
-            }
         }
     }
 
-    /// Picks the next index to refine per the configured strategy:
-    /// highest weight in `C_actual` (W1–W3) or a uniformly random member
-    /// (W4); falls back to a random `C_potential` index when `C_actual` has
-    /// no candidates. Maintenance side — folds pending query-side weight
-    /// refreshes first (only dirty slots pay the weight recomputation), and
-    /// the same walk collects the indices due for a background drain,
+    /// Picks the next index to refine per the configured strategy: the
+    /// heaviest `C_actual` member (W1–W3; the oldest on a tie) or a
+    /// uniformly random one (W4); falls back to a random `C_potential`
+    /// index when no `C_actual` member has a weight above zero. One walk of
+    /// the table, maintenance side: it refreshes the distances the query
+    /// side marked dirty, weighs each candidate from its distance and live
+    /// counters, and collects the indices due for a background drain,
     /// `C_optimal` ones included: the paper's idle workers merge queued
     /// updates (§4.2), and a converged index is never picked to refine.
     pub fn pick(&self, rng: &mut dyn RngCore) -> Pick {
         let table = self.table.read();
+        let strategy = self.config.strategy;
         let mut drains = Vec::new();
-        for (slot, handle) in &table.live {
+        // W4's candidates; W1–W3's heaviest so far, as `(weight, at)`.
+        let mut actual = Vec::new();
+        let mut heaviest = (0, None);
+        let mut potential = Vec::new();
+        for (at, (slot, handle)) in table.live.iter().enumerate() {
             if slot.dirty.swap(false, Ordering::AcqRel) {
-                self.refresh_weight(slot, handle.as_ref());
+                self.refresh_distance(slot, handle.as_ref());
             }
             if handle.drain_due() {
                 drains.push(Arc::clone(handle));
             }
-        }
-        let mut pick_random = |members: Membership| -> Option<usize> {
-            let at: Vec<usize> = (0..table.live.len())
-                .filter(|&i| table.live[i].0.membership() == members)
-                .collect();
-            at.choose(&mut *rng).copied()
-        };
-        let at = match self.config.strategy {
-            Strategy::W4Random => pick_random(Membership::Actual),
-            // A heap top that is not in the table (a key evicted between a
-            // refresh's membership check and its upsert) must not make the
-            // whole space unpickable — drop it from the heap and retry.
-            _ => loop {
-                let top = self
-                    .heap
-                    .lock()
-                    .peek_max()
-                    .filter(|&(_, w)| w > 0)
-                    .map(|(k, _)| k);
-                let Some(k) = top else { break None };
-                if let Some(at) = table.position(k) {
-                    break Some(at);
+            match slot.membership() {
+                Membership::Actual if strategy == Strategy::W4Random => actual.push(at),
+                Membership::Actual => {
+                    let w = strategy.weight(
+                        slot.distance.load(Ordering::Relaxed),
+                        slot.stats.queries(),
+                        slot.stats.exact_hits(),
+                    );
+                    if w > heaviest.0 {
+                        heaviest = (w, Some(at));
+                    }
                 }
-                self.heap.lock().remove(k);
-            },
+                Membership::Potential => potential.push(at),
+                Membership::Optimal | Membership::Dropped => {}
+            }
+        }
+        let at = match strategy {
+            Strategy::W4Random => actual.choose(&mut *rng).copied(),
+            _ => heaviest.1,
         };
-        let at = at.or_else(|| pick_random(Membership::Potential));
+        let at = at.or_else(|| potential.choose(&mut *rng).copied());
         Pick {
             refine: at.map(|at| table.live[at].clone()),
             drains,
@@ -422,13 +391,13 @@ impl IndexSpace {
         self.bytes_used() as f64 / budget as f64
     }
 
-    /// Test-only: parks the caller on the maintenance weight-heap mutex so
-    /// tests can assert that plan-time reads (the planner's
-    /// `estimate()`) complete while the daemon's maintenance side is busy.
-    /// Releases when the returned guard drops.
+    /// Test-only: holds the registry's lock — the maintenance side's only
+    /// lock — exclusively, so tests can assert that plan-time reads (the
+    /// planner's `estimate()`) complete while registration, eviction or a
+    /// pick would wait. Releases when the returned guard drops.
     #[doc(hidden)]
-    pub fn hold_maintenance_lock_for_test(&self) -> impl Sized + '_ {
-        self.heap.lock()
+    pub fn hold_registry_for_test(&self) -> impl Sized + '_ {
+        self.table.write()
     }
 }
 
@@ -436,6 +405,7 @@ impl IndexSpace {
 mod tests {
     use super::*;
     use holix_cracking::{CrackScratch, CrackerColumn};
+    use proptest::prelude::{any, proptest, ProptestConfig};
     use rand::prelude::*;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
@@ -622,8 +592,8 @@ mod tests {
         );
     }
 
-    /// Flat in uptime: however many indices came and went, the table and
-    /// the heap hold the live ones only, and the dropped are a counter.
+    /// Flat in uptime: however many indices came and went, the table
+    /// holds the live ones only, and the dropped are a counter.
     #[test]
     fn the_space_keeps_only_live_records_whatever_the_churn() {
         let space = space_with(Strategy::W1Distance, Some(300));
@@ -637,7 +607,6 @@ mod tests {
             held.push(register_one(&space, index, Membership::Actual));
             let live = (i + 1).min(3);
             assert_eq!(space.table.read().live.len(), live);
-            assert_eq!(space.heap.lock().len(), live);
         }
         assert_eq!(space.membership_counts(), (3, 0, 0, 997));
         assert_eq!(held.iter().filter(|s| !s.is_dropped()).count(), 3);
@@ -648,7 +617,6 @@ mod tests {
         space.retire(last);
         assert!(last.is_dropped());
         assert_eq!(space.membership_counts(), (2, 0, 0, 998));
-        assert_eq!(space.heap.lock().len(), 2);
     }
 
     #[test]
@@ -686,20 +654,27 @@ mod tests {
     }
 
     /// The acceptance check for the sharded service layer: the query side
-    /// must complete while another thread holds the maintenance heap mutex
-    /// **and** the table's write lock — i.e. the per-query path takes no
-    /// lock of the space at all.
+    /// must complete while another thread holds the table's write lock —
+    /// the space's only lock — i.e. the per-query path takes no lock of
+    /// the space at all.
     #[test]
     fn query_side_needs_no_maintenance_or_write_lock() {
         let space = space_with(Strategy::W2FrequencyDistance, None);
-        let slot = actual(&space, 100_000, "a");
-        let heap_guard = space.heap.lock();
+        let handle = make_handle(100_000, "a");
+        let slot = register_one(&space, Arc::clone(&handle), Membership::Actual);
+        let registered = slot.distance.load(Ordering::Relaxed);
         let table_guard = space.table.write();
         let (tx, rx) = std::sync::mpsc::channel();
         let probe = {
-            let slot = Arc::clone(&slot);
+            let (slot, handle) = (Arc::clone(&slot), Arc::clone(&handle));
             std::thread::spawn(move || {
-                for _ in 0..100 {
+                // Every 20th query cracks the index, beside the space.
+                let mut rng = StdRng::seed_from_u64(8);
+                let mut scratch = CrackScratch::new();
+                for i in 0..100 {
+                    if i % 20 == 0 {
+                        handle.refine_random(&mut rng, 8, &mut scratch);
+                    }
                     slot.record_user_query(false, 1);
                 }
                 assert!(!slot.is_dropped());
@@ -712,12 +687,14 @@ mod tests {
             .expect("query-side method blocked on a lock of the space");
         probe.join().unwrap();
         drop(table_guard);
-        drop(heap_guard);
-        // The deferred weight refresh lands at pick time.
+        // The deferred refresh sets `d` at pick time.
+        assert_eq!(slot.distance.load(Ordering::Relaxed), registered);
         let mut rng = StdRng::seed_from_u64(8);
         let (picked, _) = space.pick(&mut rng).refine.unwrap();
         assert!(Arc::ptr_eq(&picked, &slot));
-        assert!(space.heap.lock().weight(slot.key).is_some());
+        let d = distance_to_optimal(handle.as_ref(), HolisticConfig::default().l1_values());
+        assert!(0 < d && d < registered, "five cracks left d at {d}");
+        assert_eq!(slot.distance.load(Ordering::Relaxed), d);
     }
 
     /// A batch registration (one attribute's shards) may evict anything
@@ -762,33 +739,103 @@ mod tests {
         assert_eq!(p, space.bytes_used() as f64 / 1_000_000.0);
     }
 
-    /// Regression: a stale heap node for an evicted slot — the residue of
-    /// a refresh racing eviction — must not wedge `pick`. The stale top is
-    /// skipped, healed out of the heap, and the next live candidate
-    /// returned.
-    #[test]
-    fn pick_heals_stale_heap_entries_for_dropped_ids() {
-        let space = space_with(Strategy::W1Distance, Some(300 * 1024));
-        let victim = actual(&space, 10_000, "victim");
-        // Heat the survivor so the victim is the LFU target, then evict it.
-        let survivor = actual(&space, 10_000, "survivor");
-        for _ in 0..5 {
-            survivor.record_user_query(false, 1);
+    /// `pick` under a weighing strategy, against a brute force over the
+    /// model's live records: the `C_actual` record of greatest weight —
+    /// from its counters and its column's `len` / `piece_count` — the
+    /// oldest on a tie, else a live `C_potential` record, else nothing.
+    fn check_pick(
+        space: &IndexSpace,
+        strategy: Strategy,
+        held: &[(Arc<IndexSlot>, Arc<CrackerColumn>)],
+        rng: &mut StdRng,
+    ) {
+        let picked = space.pick(rng).refine.map(|(slot, _)| slot);
+        let l1 = HolisticConfig::default().l1_values();
+        let live = || held.iter().filter(|(s, _)| !s.is_dropped());
+        let mut heaviest: (u128, Option<&Arc<IndexSlot>>) = (0, None);
+        for (slot, col) in live() {
+            let d = distance_to_optimal(col.as_ref(), l1);
+            assert_eq!(slot.membership() == Membership::Optimal, d == 0);
+            if slot.membership() == Membership::Actual {
+                let w = strategy.weight(d, slot.stats().queries(), slot.stats().exact_hits());
+                if w > heaviest.0 {
+                    heaviest = (w, Some(slot));
+                }
+            }
         }
-        actual(&space, 10_000, "filler");
-        assert!(victim.is_dropped());
-        // Manufacture the race residue: the dropped slot's key back in the
-        // heap with the maximum weight, exactly as a lost refresh would
-        // leave it.
-        space.heap.lock().upsert(victim.key, u128::MAX);
-        let mut rng = StdRng::seed_from_u64(10);
-        let (picked, _) = space
-            .pick(&mut rng)
-            .refine
-            .expect("stale node wedged the space");
-        assert!(!Arc::ptr_eq(&picked, &victim), "picked an evicted index");
-        // And the stale node is gone for good.
-        assert!(!space.heap.lock().contains(victim.key));
+        let potential = live().any(|(s, _)| s.membership() == Membership::Potential);
+        match (heaviest.1, picked) {
+            (Some(want), Some(got)) => assert!(
+                Arc::ptr_eq(want, &got),
+                "picked a record of weight {} below the heaviest {}",
+                strategy.weight(
+                    got.distance.load(Ordering::Relaxed),
+                    got.stats().queries(),
+                    got.stats().exact_hits()
+                ),
+                heaviest.0
+            ),
+            (None, Some(got)) => {
+                assert!(potential, "picked with no candidate");
+                assert_eq!(got.membership(), Membership::Potential);
+                assert!(held.iter().any(|(s, _)| Arc::ptr_eq(s, &got)));
+            }
+            (want, None) => assert!(
+                want.is_none() && !potential,
+                "nothing picked beside a candidate"
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        // Random registrations (Actual and Potential, budget evictions
+        // among them), user queries with and without cracks, worker
+        // refinements and retirements on real cracker columns; after
+        // every step `pick` agrees with `check_pick`.
+        #[test]
+        fn prop_pick_is_the_brute_force_choice(
+            strategy in 0usize..3,
+            steps in proptest::collection::vec(
+                (0u8..4, 0usize..64, 0usize..4, any::<bool>()), 1..40),
+        ) {
+            let strategy = Strategy::ALL[strategy];
+            // A few columns' worth: registrations evict.
+            let space = space_with(strategy, Some(1 << 20));
+            let mut held: Vec<(Arc<IndexSlot>, Arc<CrackerColumn>)> = Vec::new();
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut scratch = CrackScratch::new();
+            for (op, at, size, flag) in steps {
+                let target = (!held.is_empty()).then(|| held[at % held.len()].clone());
+                match (op, target) {
+                    (0, _) | (_, None) => {
+                        let n = [2_000, 6_000, 12_000, 24_000][size];
+                        let base: Vec<i64> = (0..n as i64).rev().collect();
+                        let name = format!("c{}", held.len());
+                        let col = Arc::new(CrackerColumn::from_base(name, &base));
+                        let membership = match flag {
+                            true => Membership::Potential,
+                            false => Membership::Actual,
+                        };
+                        let slot = register_one(&space, Arc::clone(&col) as _, membership);
+                        held.push((slot, col));
+                    }
+                    (1, Some((slot, col))) => {
+                        // A query that cracks, or one answered exactly.
+                        if !flag {
+                            col.refine_random(&mut rng, &mut scratch, 8);
+                        }
+                        slot.record_user_query(flag, u64::from(!flag));
+                    }
+                    (2, Some((slot, col))) => {
+                        let res = col.refine_random(&mut rng, &mut scratch, 8);
+                        space.record_worker_outcome(&slot, col.as_ref(), res);
+                    }
+                    (_, Some((slot, _))) => space.retire(&slot),
+                }
+                check_pick(&space, strategy, &held, &mut rng);
+            }
+        }
     }
 
     /// Query threads hammering `record_user_query` while the maintenance

@@ -8,13 +8,12 @@
 //!   interval, storage budget, strategy.
 //! - [`stats`] — per-index workload statistics (`f_I`, `f_Ih`, refinement
 //!   counters) collected by the select operator.
-//! - [`weight_heap`] — the updatable "heap structure (one node per index)"
-//!   that orders candidate indices by weight.
 //! - [`strategy`] — the four index-decision strategies W1–W4.
 //! - [`handle`] — [`handle::RefinableIndex`], what tuning needs of an
 //!   index, implemented by the cracker column.
 //! - [`index_space`] — `C_actual` / `C_potential` / `C_optimal` membership,
-//!   weight maintenance, storage budget with LFU eviction.
+//!   the pick by weight (the paper's heap is the walk the pick makes),
+//!   storage budget with LFU eviction.
 //! - [`cpu`] — the CPU-utilisation signal: deterministic load accounting
 //!   behind the [`CpuMonitor`] trait.
 //! - [`worker`] — the IdleFunction a holistic worker runs (Fig 2).
@@ -28,7 +27,6 @@ pub mod handle;
 pub mod index_space;
 pub mod stats;
 pub mod strategy;
-pub mod weight_heap;
 pub mod worker;
 
 pub use config::HolisticConfig;

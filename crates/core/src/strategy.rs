@@ -51,7 +51,7 @@ impl Strategy {
             Strategy::W1Distance => d,
             Strategy::W2FrequencyDistance => d * (queries.max(1) as u128),
             Strategy::W3MissDistance => d * (queries.saturating_sub(exact_hits).max(1) as u128),
-            Strategy::W4Random => d, // weight unused for picking; kept for optimality tracking
+            Strategy::W4Random => d, // `pick` draws uniformly and never weighs W4
         }
     }
 }

@@ -1737,20 +1737,48 @@ mod tests {
         }
     }
 
-    /// Two chunks of one bucket that meet inside a cache line: a column in
-    /// one bucket (a piece floor far above its length, so the layout is
-    /// the base order) whose chunk cut sits an odd number of slots into a
-    /// vector aligned to two slots, so both threads write disjoint slots of
-    /// that line, and both stream whole lines on either side.
+    /// Two chunks of one bucket that meet inside a cache line, scattered
+    /// one after the other on this thread: a column in one bucket (a piece
+    /// floor far above its length, so the layout is the base order) whose
+    /// chunk cut sits an odd number of slots into a vector aligned to two
+    /// slots, so the chunks write disjoint slots of that line, and both
+    /// stream whole lines on either side. The second chunk runs after the
+    /// first one's tail copy, so a partial line it streamed whole would
+    /// overwrite the first chunk's slots of the shared line.
     #[test]
     fn chunks_share_a_line_inside_one_bucket() {
         let base: Vec<i64> = (0..2 * 1001).map(|i| i % 251).collect();
         let plan = ShardPlan::from_values(&base, 1);
-        let routed = route_all(&base, &plan, 1 << 20, 2);
-        assert!(routed[0].bounds.is_empty(), "one bucket");
-        let cut = routed[0].vals.as_ptr().wrapping_add(1001) as usize;
+        let geometry = coarse_buckets(&plan, base.len(), 1 << 20);
+        let (first, second) = base.split_at(1001);
+        let mut ids = vec![0u8; base.len()];
+        let (first_ids, second_ids) = ids.split_at_mut(1001);
+        let hist = count_chunk(first, first_ids, &plan.cuts, &geometry);
+        count_chunk(second, second_ids, &plan.cuts, &geometry);
+        assert!(
+            first_ids.iter().chain(&*second_ids).all(|&id| id == 0),
+            "one bucket"
+        );
+        let mut vals: Vec<i64> = Vec::with_capacity(shard_capacity(base.len()));
+        let cut = vals.as_ptr().wrapping_add(1001) as usize;
         assert_ne!(cut % LINE, 0, "the chunk cut must fall inside a line");
-        assert_eq!(routed[0].vals, base);
+        let mut dests = Dests([std::ptr::null_mut(); MAX_BUCKETS]);
+        dests.0[0] = vals.as_mut_ptr();
+        // SAFETY: `first_ids` / `second_ids` are the chunks' bucket ids,
+        // all 0; the first chunk's slots of bucket 0 are `0..1001` and the
+        // second's `1001..2002`, inside the vector's capacity, which is
+        // aligned to its 8-byte values; the two calls run one after the
+        // other on this thread and nothing reads the vector before both
+        // returned (this test is what checks the shared line).
+        let stop = unsafe { scatter_chunk(first, first_ids, &dests, [0; MAX_BUCKETS]) };
+        assert_eq!(stop, hist, "the first chunk stops where the second starts");
+        // SAFETY: as above.
+        let stop = unsafe { scatter_chunk(second, second_ids, &dests, stop) };
+        assert_eq!(stop[0], base.len());
+        // SAFETY: the two chunks staged all `base.len()` slots (the
+        // cursors just checked), and both fenced their streamed lines.
+        unsafe { vals.set_len(base.len()) };
+        assert_eq!(vals, base);
     }
 
     /// A base shorter than two chunks of `DEFAULT_MIN_PARALLEL` rows is

@@ -17,7 +17,7 @@
 //! is its own cracker column with its own Ripple buffer and its own
 //! `(attr, shard)` record in the [`IndexSpace`], so concurrent queries on
 //! the same attribute only contend when their value ranges overlap the same
-//! shard, and the daemon's weight heap ranks all `attrs × S` records
+//! shard, and the daemon's pick weighs all `attrs × S` records
 //! uniformly — holistic refinement still picks the globally hottest piece.
 //! A query fans out to the shards its predicate intersects and merges
 //! counts/sums; fully-covered interior shards answer without cracking.
@@ -418,7 +418,7 @@ impl HolisticEngine {
         self.space.total_pieces()
     }
 
-    /// Tuning-cycle records so far (Fig 6(d)).
+    /// Tuning-cycle records so far, the daemon's newest 2¹⁴ (Fig 6(d)).
     pub fn cycles(&self) -> Vec<CycleRecord> {
         self.daemon
             .lock()
@@ -427,7 +427,8 @@ impl HolisticEngine {
             .unwrap_or_default()
     }
 
-    /// Stops the replanner and the daemon and returns all cycle records.
+    /// Stops the replanner and the daemon and returns the cycle records
+    /// the daemon kept (its newest 2¹⁴).
     /// Plan-time prices need neither: they read the live indexes.
     pub fn stop(&self) -> Vec<CycleRecord> {
         // The replanner goes first: a migration racing daemon shutdown
@@ -702,7 +703,7 @@ impl QueryEngine for HolisticEngine {
                 let scan = shard.snapshot_scan(plan.clamp(k, pred), scratch);
                 // A scan that needed no edge filtering hit piece
                 // boundaries exactly (the `f_Ih` analogue). Recording
-                // keeps the weight heap hot so the daemon still refines
+                // keeps the shard's weight hot so the daemon still refines
                 // what snapshot traffic touches.
                 slot.record_user_query(scan.filtered == 0, 0);
                 count += scan.count;
@@ -1830,7 +1831,7 @@ mod tests {
     #[test]
     fn estimate_cost_takes_no_structure_or_maintenance_lock() {
         // Plan-time estimates complete while another thread holds the
-        // daemon's weight-heap mutex and a shard's structure lock
+        // index space's registry lock and a shard's structure lock
         // exclusively (as a Ripple merge does), and price that shard
         // live: updates queued beside the held lock are merge debt at
         // once.
@@ -1844,7 +1845,7 @@ mod tests {
         let col = e.sharded(0);
         let shard = col.shard(1);
         let _structure = shard.hold_structure_for_test();
-        let _heap = e.space().hold_maintenance_lock_for_test();
+        let _registry = e.space().hold_registry_for_test();
         let queued = CrackerColumn::MERGE_BACKLOG + 44;
         for i in 0..queued {
             assert!(shard.queue_insert(col.plan().cuts()[0], 1_000_000 + i as RowId));
@@ -1863,15 +1864,15 @@ mod tests {
         assert_eq!(cost.shards_touched, 4);
         assert_eq!(cost.merge_backlog, queued as u64, "the held shard's queue");
         drop(_structure);
-        drop(_heap);
+        drop(_registry);
         e.stop();
 
         // The same on one built and three empty cells, under a budget
-        // (liveness is a registry membership load, not a lock on the heap).
+        // (liveness is a slot's membership load, not a lock of the registry).
         let e = Arc::new(partially_resident_engine());
         let col = peek(&e, 1);
         let _structure = col.shard(0).hold_structure_for_test();
-        let _heap = e.space().hold_maintenance_lock_for_test();
+        let _registry = e.space().hold_registry_for_test();
         let (tx, rx) = std::sync::mpsc::channel();
         let probe = Arc::clone(&e);
         std::thread::spawn(move || {
@@ -1883,7 +1884,7 @@ mod tests {
             .expect("holistic engine prices queries");
         assert_eq!(cost.shards_touched, 4);
         drop(_structure);
-        drop(_heap);
+        drop(_registry);
         e.stop();
     }
 

@@ -13,6 +13,7 @@
 //! [`holix_workloads::tpch`], which the tests assert.
 
 use crate::sideways::CrackerMap;
+use holix_core::HolisticConfig;
 use holix_workloads::tpch::{Lineitem, Orders, Q12Params, Q1Params, Q1Row, Q6Params, TpchData};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -420,8 +421,8 @@ impl HolisticTpch {
                     .spawn(move || {
                         // The optimal-status rule of Equation (1): stop
                         // refining once the average piece fits in L1. Head
-                        // values are widened to i64, hence the /8.
-                        let l1_values = 32 * 1024 / std::mem::size_of::<i64>();
+                        // values are widened to i64, as `l1_values` counts.
+                        let l1_values = HolisticConfig::default().l1_values();
                         let mut rng = SmallRng::seed_from_u64(seed ^ (i as u64));
                         let mut done = 0u64;
                         while !stop.load(Ordering::Relaxed) {
