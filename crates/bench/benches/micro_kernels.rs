@@ -7,7 +7,8 @@
 //! first crack vs the coarse-granular build), what row ids cost: the two-
 //! and three-way crack kernels with and without them, and building a shard's
 //! ids on demand, and what a narrow read of an evicted shard pays: its
-//! one-shard rebuild and first crack; and what a service submission pays to
+//! one-shard rebuild and first crack, or a scan of the base zones it
+//! meets; and what a service submission pays to
 //! learn whether it can be answered on the submitting thread
 //! (`QueryEngine::execute_exact`), for an exact hit and for a miss; and the
 //! first point-filter build on a converged shard; and 32 Ripple drains into
@@ -404,7 +405,11 @@ fn bench_crack_three(c: &mut Criterion) {
 /// (the first three-way crack of the shard's one piece). Two bases: the
 /// values shuffled (`filter_then_crack`: every zone meets every shard) and
 /// in sorted runs of 1,024 rows in shuffled order (`_clustered`: a quarter
-/// of the zones do).
+/// of the zones do). Beside each, the same read answered without the
+/// shard (`zone_scan`, `zone_scan_clustered`): a count and sum over the
+/// base zones whose extremes meet it (every zone of the shuffled base, one
+/// or two of the clustered one), what a cold read under the storage budget
+/// pays until a rebuild pays for itself.
 fn bench_shard_rebuild(c: &mut Criterion) {
     const ROWS: usize = 1 << 17;
     const RUN: usize = 1 << 10;
@@ -424,17 +429,14 @@ fn bench_shard_rebuild(c: &mut Criterion) {
         .collect();
     let mut g = c.benchmark_group("shard_rebuild");
     g.sample_size(30);
-    for (name, values) in [
-        ("filter_then_crack", values),
-        ("filter_then_crack_clustered", clustered),
-    ] {
+    for (layout, values) in [("", values), ("_clustered", clustered)] {
         let base = Arc::new(values);
         let plan = ShardPlan::from_values(&base, 4);
         let lo = plan.cuts()[0] + 1_000;
         let pred = Predicate::range(lo, lo + ROWS as i64 / 250);
         let resident: ShardedColumn = ShardedColumn::lazy("a", Arc::clone(&base), plan);
         resident.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
-        g.bench_function(name, |b| {
+        g.bench_function(format!("filter_then_crack{layout}"), |b| {
             let mut scratch = CrackScratch::new();
             let rebuild = |scratch: &mut CrackScratch| {
                 let col = resident.vacated(&[1]);
@@ -448,6 +450,15 @@ fn bench_shard_rebuild(c: &mut Criterion) {
                 "the rebuilt shard answers its first query wrongly"
             );
             b.iter(|| rebuild(&mut scratch))
+        });
+        g.bench_function(format!("zone_scan{layout}"), |b| {
+            let col = resident.vacated(&[1]);
+            assert_eq!(
+                col.scan_cold(1, pred),
+                scan_stats(&base, pred),
+                "the zone scan answers wrongly"
+            );
+            b.iter(|| col.scan_cold(1, pred))
         });
     }
     g.finish();

@@ -59,11 +59,12 @@ use crate::kernels::{self, Isa};
 use crate::partition::DEFAULT_MIN_PARALLEL;
 use crate::row_ids::RowSource;
 use crate::vectorized::CrackScratch;
-use holix_storage::select::{Predicate, RangeStats};
+use holix_storage::select::{scan_stats, Predicate, RangeStats};
 use holix_storage::types::RowId;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 /// Maximum base values sampled for the quantile cuts.
@@ -225,6 +226,9 @@ struct ShardCell<T> {
     /// column and one tag.
     build: Mutex<()>,
     built: OnceLock<(Arc<CrackerColumn>, T)>,
+    /// Base zones [`ShardedColumn::scan_cold`] has read for this shard
+    /// since the cell was made (every cell is born empty).
+    scanned: AtomicUsize,
 }
 
 impl<T> ShardCell<T> {
@@ -232,6 +236,7 @@ impl<T> ShardCell<T> {
         Arc::new(ShardCell {
             build: Mutex::new(()),
             built: OnceLock::new(),
+            scanned: AtomicUsize::new(0),
         })
     }
 }
@@ -780,8 +785,7 @@ fn filter_pass_on(
         base.len().div_ceil(ZONE),
         "not this base's zones"
     );
-    let meets =
-        |&(min, max): &(i64, i64)| lo.is_none_or(|lo| lo <= max) && hi.is_none_or(|hi| min < hi);
+    let meets = |zone: &(i64, i64)| zone_meets(zone, lo, hi);
     let mut vals = Vec::with_capacity(shard_capacity(count));
     // One slot past `count` takes the portable loop's writes of rejected
     // values that follow the last kept one.
@@ -811,6 +815,57 @@ fn filter_pass_on(
         domain: (count > 0).then_some(fold),
         skipped,
     }
+}
+
+/// Whether a zone whose values span `[min, max]` can hold a value in
+/// `[lo, hi)` (`None` = unbounded).
+fn zone_meets(&(min, max): &(i64, i64), lo: Option<i64>, hi: Option<i64>) -> bool {
+    lo.is_none_or(|lo| lo <= max) && hi.is_none_or(|hi| min < hi)
+}
+
+/// Count and sum of the values of `base` in `[lo, hi)` (`None` =
+/// unbounded) over the zones of `zones` (the base's zone map) that can
+/// hold one, and how many zones that read: the runs of [`filter_pass_on`],
+/// each through [`scan_stats`]. An unbounded top takes `i64::MAX` too, as
+/// a cracked select reads it.
+fn scan_zones(
+    base: &[i64],
+    zones: &[(i64, i64)],
+    lo: Option<i64>,
+    hi: Option<i64>,
+) -> (RangeStats, usize) {
+    assert_eq!(
+        zones.len(),
+        base.len().div_ceil(ZONE),
+        "not this base's zones"
+    );
+    let meets = |zone: &(i64, i64)| zone_meets(zone, lo, hi);
+    let lo = lo.unwrap_or(i64::MIN);
+    let (mut stats, mut read, mut start) = (RangeStats::default(), 0, 0);
+    for run in zones.chunk_by(|a, b| meets(a) == meets(b)) {
+        let rows = start..(start + run.len() * ZONE).min(base.len());
+        start = rows.end;
+        if !meets(&run[0]) {
+            continue;
+        }
+        read += run.len();
+        let values = &base[rows];
+        stats.merge(match hi {
+            Some(hi) => scan_stats(values, Predicate::range(lo, hi)),
+            None => {
+                let mut top = scan_stats(values, Predicate::at_least(lo));
+                // (`at_least` leaves the sentinel out; only a zone whose
+                // maximum it is can hold it.)
+                if run.iter().any(|&(_, max)| max == i64::MAX) {
+                    let n = values.iter().filter(|&&v| v == i64::MAX).count();
+                    top.count += n as u64;
+                    top.sum += n as i128 * i64::MAX as i128;
+                }
+                top
+            }
+        });
+    }
+    (stats, read)
 }
 
 /// One call of the filter kernel of `isa`: the compress-store filter on
@@ -989,18 +1044,9 @@ impl<T> ShardedColumn<T> {
     /// timed into `cracking_shard_build_ns`.
     fn filter_parts(&self, k: usize) -> Filtered {
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
-        let base = &self.base[..];
-        let zones = self.zones.get_or_init(|| {
-            let (counts, zones) = count_and_zone(base, &self.plan);
-            // (A whole build may have counted the same plan already.)
-            let _ = self.counts.set(counts);
-            zones
-        });
-        let count = self
-            .counts
-            .get_or_init(|| count_and_zone(base, &self.plan).0)[k];
+        let (counts, zones) = self.mapped();
         let (lo, hi) = self.shard_range(k);
-        let parts = filter_pass(base, zones, count, lo, hi);
+        let parts = filter_pass(&self.base, zones, counts[k], lo, hi);
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_shard_builds_total").inc();
             holix_telemetry::counter!("cracking_shard_build_zones_skipped_total")
@@ -1009,6 +1055,87 @@ impl<T> ShardedColumn<T> {
                 .record(t0.elapsed().as_nanos() as u64);
         }
         parts
+    }
+
+    /// Base rows per shard under the plan and the base's zone map. The
+    /// first call for a base maps its zones in the pass that counts the
+    /// shards; the first of a later plan recounts the same way.
+    fn mapped(&self) -> (&[usize], &[(i64, i64)]) {
+        let base = &self.base[..];
+        let zones = self.zones.get_or_init(|| {
+            let (counts, zones) = count_and_zone(base, &self.plan);
+            // (A whole build may have counted the same plan already.)
+            let _ = self.counts.set(counts);
+            zones
+        });
+        let counts = self
+            .counts
+            .get_or_init(|| count_and_zone(base, &self.plan).0);
+        (counts, zones)
+    }
+
+    /// Base rows shard `k` holds under this plan, counted (and the base's
+    /// zones mapped) by the first call if no build has counted them.
+    pub fn cold_rows(&self, k: usize) -> usize {
+        self.mapped().0[k]
+    }
+
+    /// The base values a read of `pred` counts on shard `k` as `[lo, hi)`
+    /// (`None` = unbounded), `None` when it can count none: `pred`
+    /// intersected with the shard's range, an upper bound of `i64::MAX`
+    /// unbounded, as a cracked select reads a predicate
+    /// [`ShardPlan::clamp`] widened.
+    fn cold_bounds(&self, k: usize, pred: Predicate) -> Option<(Option<i64>, Option<i64>)> {
+        if pred.is_empty() {
+            return None;
+        }
+        let (lo, hi) = self.shard_range(k);
+        let lo = lo.map_or(pred.lo, |lo| lo.max(pred.lo));
+        let hi = match pred.hi {
+            i64::MAX => hi,
+            top => Some(hi.map_or(top, |hi| hi.min(top))),
+        };
+        hi.is_none_or(|hi| lo < hi).then_some((Some(lo), hi))
+    }
+
+    /// Whether [`ShardedColumn::scan_cold`] of `pred` on shard `k` still
+    /// costs less than building the shard, counted in base zones read: the
+    /// zones the scan would read, plus those scans have read for the
+    /// shard's cell so far, stay below the zones a one-shard build of it
+    /// reads. Once they would not, scanning on has cost about as much as
+    /// the build would have (the break-even rule of renting against
+    /// buying), and the shard is worth building.
+    pub fn cold_scan_pays(&self, k: usize, pred: Predicate) -> bool {
+        let (_, zones) = self.mapped();
+        let (lo, hi) = self.shard_range(k);
+        let rebuild = zones.iter().filter(|z| zone_meets(z, lo, hi)).count();
+        let read = self.cold_bounds(k, pred).map_or(0, |(lo, hi)| {
+            zones.iter().filter(|z| zone_meets(z, lo, hi)).count()
+        });
+        self.cells[k].scanned.load(Relaxed) + read < rebuild
+    }
+
+    /// Count and sum of the base values a read of `pred` (clamped to shard
+    /// `k`, as a fan-out passes it) counts on shard `k`, whether or not the
+    /// shard is built: a scan of the base zones whose minimum and maximum
+    /// meet the predicate, answering what a shard built from the base
+    /// would. Adds the zones it read to the cell's count
+    /// ([`ShardedColumn::cold_scan_pays`]). The first cold read of a base
+    /// maps its zones as the first one-shard build does. With metrics on,
+    /// each scan counts `cracking_cold_scans_total` and the zones it read
+    /// into `cracking_cold_scan_zones_total`.
+    pub fn scan_cold(&self, k: usize, pred: Predicate) -> RangeStats {
+        let (_, zones) = self.mapped();
+        let Some((lo, hi)) = self.cold_bounds(k, pred) else {
+            return RangeStats::default();
+        };
+        let (stats, read) = scan_zones(&self.base, zones, lo, hi);
+        self.cells[k].scanned.fetch_add(read, Relaxed);
+        if holix_telemetry::metrics_enabled() {
+            holix_telemetry::counter!("cracking_cold_scans_total").inc();
+            holix_telemetry::counter!("cracking_cold_scan_zones_total").add(read as u64);
+        }
+        stats
     }
 
     /// Threads a whole build of this column runs on when `offered` are
@@ -2889,6 +3016,179 @@ mod tests {
         rebuilt.admit(1, 1, 1, |fresh| vec![(); fresh.len()]);
         assert!(whole.zones.get().is_some());
         assert_eq!(tuples(rebuilt.shard(1)), pushed[1]);
+    }
+
+    /// The zones of `zones` that can hold a value in `[lo, hi)`, by brute
+    /// force.
+    fn meeting(zones: &[(i64, i64)], lo: Option<i64>, hi: Option<i64>) -> usize {
+        zones
+            .iter()
+            .filter(|&&(min, max)| lo.is_none_or(|l| l <= max) && hi.is_none_or(|h| min < h))
+            .count()
+    }
+
+    /// A cold scan answers every predicate a fan-out hands shard `k` as the
+    /// whole base does: summed over the shards a predicate meets it equals
+    /// `scan_stats` over the whole base, and shard by shard it equals the
+    /// shard built from the base (sentinel-valued bases included, where an
+    /// upper bound of `i64::MAX` is unbounded). It reads exactly the zones
+    /// whose extremes meet the predicate within the shard. Bases: uniform,
+    /// sorted runs in line with the zones and out of line, low-cardinality
+    /// and spread over all of `i64`, of lengths around the zone size;
+    /// predicates on and beside the shard cuts, at the `MIN` / `MAX`
+    /// sentinels, random, and empty.
+    #[test]
+    fn scan_cold_equals_a_scan_of_the_whole_base() {
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut scratch = CrackScratch::new();
+        for n in [0, 1, 1_023, 1_025, 3_000, 9_000] {
+            let uniform = {
+                let mut b: Vec<i64> = (0..n as i64).map(|v| 2 * v).collect();
+                shuffle(&mut b, &mut rng);
+                b
+            };
+            let spread = {
+                let mut b: Vec<i64> = (0..n).map(|_| rng.random()).collect();
+                for (i, x) in [i64::MIN, i64::MAX, i64::MAX, 0].into_iter().enumerate() {
+                    if let Some(slot) = b.get_mut(i * 301) {
+                        *slot = x;
+                    }
+                }
+                b
+            };
+            let bases = [
+                uniform,
+                sorted_runs(n, ZONE, &mut rng),
+                sorted_runs(n, 1_000, &mut rng),
+                sorted_runs(n, 1_536, &mut rng),
+                base(n, 5, n as u64),
+                spread,
+            ];
+            for b in bases {
+                let b = Arc::new(b);
+                let sentinel = b.contains(&i64::MAX);
+                let plan = ShardPlan::from_values(&b, 4);
+                let cold: ShardedColumn = ShardedColumn::lazy("c", Arc::clone(&b), plan.clone());
+                let built = ShardedColumn::from_base_with_plan("b", &b, plan.clone());
+                let zones = zone_map(&b);
+                let mut edges = vec![i64::MIN, i64::MAX, 0, 1];
+                for &c in plan.cuts() {
+                    edges.extend([c.saturating_sub(1), c, c.saturating_add(1)]);
+                }
+                edges.extend(
+                    (0..6).map(|_| b.get(rng.random_range(0..n.max(1))).copied().unwrap_or(0)),
+                );
+                for _ in 0..60 {
+                    let mut pick = || edges[rng.random_range(0..edges.len())];
+                    let pred = Predicate::range(pick(), pick());
+                    let mut sum = RangeStats::default();
+                    for (k, clamped) in cold.intersecting(pred) {
+                        let at = format!("n={n} {pred:?} shard {k} {clamped:?}");
+                        let before = cold.cells[k].scanned.load(Relaxed);
+                        let got = cold.scan_cold(k, clamped);
+                        let read = cold.cells[k].scanned.load(Relaxed) - before;
+                        let want = built.shard(k).select_verified(clamped, &mut scratch).1;
+                        assert_eq!(got, want, "{at}");
+                        let (lo, hi) = cold.cold_bounds(k, clamped).expect("meets the shard");
+                        assert_eq!(read, meeting(&zones, lo, hi), "{at}");
+                        sum.merge(got);
+                    }
+                    if !sentinel {
+                        assert_eq!(sum, scan_stats(&b, pred), "n={n} {pred:?}");
+                    }
+                    // Empty, clamped or not: nothing counted, nothing read.
+                    for k in 0..cold.shard_count() {
+                        let before = cold.cells[k].scanned.load(Relaxed);
+                        let empty = Predicate::range(pred.hi, pred.lo);
+                        if empty.is_empty() {
+                            assert_eq!(cold.scan_cold(k, empty), RangeStats::default());
+                        }
+                        assert_eq!(cold.cells[k].scanned.load(Relaxed), before);
+                    }
+                }
+                assert!((0..cold.shard_count()).all(|k| cold.resident(k).is_none()));
+            }
+        }
+    }
+
+    /// The scan reads nothing outside the zones whose extremes meet its
+    /// range: with every other zone overwritten by values inside the range
+    /// (and the zone map left as it was), it answers as before.
+    #[test]
+    fn scan_cold_reads_only_the_zones_that_meet_its_range() {
+        let mut rng = StdRng::seed_from_u64(48);
+        for run in [ZONE, 1_000, 64] {
+            let b = sorted_runs(20_000, run, &mut rng);
+            let zones = zone_map(&b);
+            for _ in 0..50 {
+                let lo = rng.random_range(-10..40_000);
+                let (lo, hi) = (Some(lo), Some(lo + rng.random_range(0..3_000)));
+                let (want, read) = scan_zones(&b, &zones, lo, hi);
+                assert_eq!(read, meeting(&zones, lo, hi));
+                let mut poisoned = b.clone();
+                for (z, zone) in poisoned.chunks_mut(ZONE).enumerate() {
+                    if !zone_meets(&zones[z], lo, hi) {
+                        zone.fill(lo.unwrap());
+                    }
+                }
+                let got = scan_zones(&poisoned, &zones, lo, hi);
+                assert_eq!(got, (want, read), "run {run} [{lo:?}, {hi:?})");
+                let direct = in_range(&b, lo, hi);
+                assert_eq!(want.count, direct.len() as u64);
+                assert_eq!(want.sum, direct.iter().map(|&v| v as i128).sum::<i128>());
+            }
+        }
+    }
+
+    /// The break-even rule: scans of one shard pay while the zones they
+    /// read, this one included, stay below the zones its build reads; a
+    /// vacated cell starts counting afresh, and the empty cells a vacated
+    /// successor shares keep their counts. A predicate covering the whole
+    /// shard reads every zone its build reads, so it never pays.
+    #[test]
+    fn cold_scans_pay_until_they_reach_the_zones_of_a_build() {
+        let mut rng = StdRng::seed_from_u64(49);
+        let b = Arc::new(sorted_runs(1 << 16, ZONE, &mut rng));
+        let plan = ShardPlan::from_values(&b, 4);
+        let col: ShardedColumn = ShardedColumn::lazy("a", Arc::clone(&b), plan.clone());
+        let zones = zone_map(&b);
+        let (k, lo) = (1, plan.cuts()[0] + 3_000);
+        let rebuild = meeting(&zones, Some(plan.cuts()[0]), Some(plan.cuts()[1]));
+        assert!(
+            (8..=24).contains(&rebuild),
+            "{rebuild} zones hold shard {k}"
+        );
+        let whole = Predicate::range(i64::MIN, i64::MAX);
+        assert!(!col.cold_scan_pays(k, plan.clamp(k, whole)));
+        // Two zones a read: it pays for `rebuild / 2 - 1` reads, then not.
+        let pred = Predicate::range(lo, lo + ZONE as i64 * 2);
+        let read = meeting(&zones, Some(pred.lo), Some(pred.hi));
+        assert!((2..=3).contains(&read), "{read}");
+        let mut scans = 0;
+        while col.cold_scan_pays(k, pred) {
+            assert_eq!(col.scan_cold(k, pred), scan_stats(&b, pred));
+            scans += 1;
+        }
+        assert_eq!(
+            scans,
+            (rebuild - 1) / read,
+            "{rebuild} zones, {read} a read"
+        );
+        assert_eq!(col.cells[k].scanned.load(Relaxed), scans * read);
+        // The other shards' cells count on their own.
+        assert!(col.cold_scan_pays(
+            k + 1,
+            plan.clamp(k + 1, Predicate::range(plan.cuts()[1], plan.cuts()[1] + 1))
+        ));
+        col.scan_cold(2, Predicate::range(plan.cuts()[1], plan.cuts()[1] + 1));
+        col.admit(k, k, 1, |fresh| vec![(); fresh.len()]);
+        let next = col.vacated(&[k]);
+        assert!(next.cold_scan_pays(k, pred), "a vacated cell counts from 0");
+        assert_eq!(
+            next.cells[2].scanned.load(Relaxed),
+            col.cells[2].scanned.load(Relaxed)
+        );
+        assert!(next.cells[2].scanned.load(Relaxed) > 0);
     }
 
     /// A column under the backlog-edge property test: a plain column

@@ -34,7 +34,10 @@
 //! materialise data nobody asked for. A shard the budget dropped is
 //! rebuilt alone: the slot swaps in a successor column that shares every
 //! other cell, so survivors keep their cracks, records, prefix sums and
-//! filters.
+//! filters. A read-only count or sum whose shard would have to evict to
+//! come in reads the base zones that can hold its range instead, until
+//! the zones such reads have scanned for that shard reach what building
+//! it reads; then it builds.
 //!
 //! ## Versioned shard plans
 //!
@@ -150,6 +153,14 @@ impl Route {
             Route::All => Some((0, plan.shards() - 1)),
         }
     }
+}
+
+/// The shards of a read that [`HolisticEngine::touch_read`] answered from
+/// the base zones instead of building them, and their stats summed.
+#[derive(Default)]
+struct Scanned {
+    shards: Vec<usize>,
+    stats: RangeStats,
 }
 
 /// The plan-versioned state a replan mutates, shared with the replanner
@@ -273,7 +284,9 @@ impl HolisticEngine {
 
     /// The attribute's column with the shards `route` picks under its
     /// plan resident, and that shard range (`None` for an empty range).
-    /// Builds what is missing; see [`HolisticEngine::admit`].
+    /// Builds what is missing; see [`HolisticEngine::admit`]. Writes,
+    /// point screens and conjunction drivers come here: they need the
+    /// shard itself.
     fn touch(&self, attr: usize, route: Route) -> Option<(Arc<Shards>, usize, usize)> {
         let col = Arc::clone(&self.shared.cols[attr].read());
         let (first, last) = route.shards(col.plan())?;
@@ -281,6 +294,65 @@ impl HolisticEngine {
             return Some((col, first, last));
         }
         self.admit(attr, route, Membership::Actual)
+    }
+
+    /// [`HolisticEngine::touch`] for a read-only count or sum of `pred`,
+    /// which may leave a shard unbuilt and answer it from the base instead
+    /// ([`ShardedColumn::scan_cold`]); the fan-out skips the shards listed
+    /// in the returned [`Scanned`] and adds their stats.
+    ///
+    /// The third branch of the admission rule, decided shard by shard once
+    /// an attribute is not built whole: a shard that is not live is
+    /// scanned when admitting it would evict (`bytes_used` plus its bytes
+    /// past the budget) and the scan still costs less than building it
+    /// ([`ShardedColumn::cold_scan_pays`]: this read's base zones plus
+    /// those scanned since its cell emptied stay below the zones the build
+    /// reads); otherwise it is built as [`HolisticEngine::admit`] builds
+    /// it. Without a budget nothing is scanned. A scan registers no record,
+    /// but the dropped cells of the attribute are vacated all the same, so
+    /// an evicted column is freed by the next read that misses a shard of
+    /// its attribute.
+    fn touch_read(
+        &self,
+        attr: usize,
+        pred: Predicate,
+    ) -> Option<(Arc<Shards>, usize, usize, Scanned)> {
+        let route = Route::Range(pred.lo, pred.hi);
+        let Some(budget) = self.cfg.holistic.storage_budget else {
+            let (col, first, last) = self.touch(attr, route)?;
+            return Some((col, first, last, Scanned::default()));
+        };
+        let col = Arc::clone(&self.shared.cols[attr].read());
+        let (first, last) = route.shards(col.plan())?;
+        if (first..=last).all(|k| live(&col, k).is_some()) {
+            return Some((col, first, last, Scanned::default()));
+        }
+        let col = self.vacate_dropped(attr);
+        let (first, last) = route.shards(col.plan())?;
+        // A fresh shard stores values only, and at most the attribute's
+        // rows: its own are counted only when the whole would not fit.
+        let (used, tuple) = (self.space.bytes_used(), CrackerColumn::tuple_bytes(false));
+        let evicts = |k| {
+            used + self.data.rows() * tuple > budget && used + col.cold_rows(k) * tuple > budget
+        };
+        let plan = col.plan();
+        let mut scanned = Scanned::default();
+        // The shards to build (`build` builds the whole attribute when that
+        // evicts nothing).
+        let mut build = None;
+        for k in (first..=last).filter(|&k| live(&col, k).is_none()) {
+            let pred = plan.clamp(k, pred);
+            if evicts(k) && col.cold_scan_pays(k, pred) {
+                scanned.shards.push(k);
+                scanned.stats.merge(col.scan_cold(k, pred));
+            } else {
+                build = Some((build.map_or(k, |(first, _)| first), k));
+            }
+        }
+        if let Some((b, e)) = build {
+            self.build(&col, b, e, Membership::Actual);
+        }
+        Some((col, first, last, scanned))
     }
 
     /// [`HolisticEngine::touch`] for the one shard owning `v`.
@@ -312,7 +384,10 @@ impl HolisticEngine {
     /// one operation never evict each other. The cells of dropped shards
     /// are first replaced by empty ones in a successor column that shares
     /// every other cell; the build itself runs under the cells' own locks
-    /// (see [`ShardedColumn::admit`]), not under the attribute lock.
+    /// (see [`ShardedColumn::admit`]), not under the attribute lock. A
+    /// read-only count or sum takes a third branch first, shard by shard:
+    /// a shard whose admission would evict is scanned in the base instead
+    /// until scanning stops paying ([`HolisticEngine::touch_read`]).
     ///
     /// A whole build runs on the caller plus one helper per context the
     /// accountant sees idle at that instant, at most `total_contexts − 1`
@@ -332,44 +407,61 @@ impl HolisticEngine {
         route: Route,
         membership: Membership,
     ) -> Option<(Arc<Shards>, usize, usize)> {
+        let col = self.vacate_dropped(attr);
+        let (first, last) = route.shards(col.plan())?;
+        self.build(&col, first, last, membership);
+        Some((col, first, last))
+    }
+
+    /// The attribute's published column after every shard the budget
+    /// dropped got an empty cell in its place: a successor that shares
+    /// every other cell is swapped in when there is one (every dropped
+    /// shard goes, wanted now or not: the cell is all that keeps its
+    /// column allocated).
+    fn vacate_dropped(&self, attr: usize) -> Arc<Shards> {
         loop {
-            let mut col = Arc::clone(&self.shared.cols[attr].read());
-            let (first, last) = route.shards(col.plan())?;
-            let whole = cold(&col) && self.whole_attribute_fits();
-            let build = if whole {
-                0..=col.shard_count() - 1
-            } else {
-                first..=last
-            };
-            // Every dropped shard of the attribute goes, wanted now or
-            // not: the cell is all that keeps its column allocated.
+            let col = Arc::clone(&self.shared.cols[attr].read());
             let dropped: Vec<usize> = (0..col.shard_count())
                 .filter(|&k| col.resident(k).is_some_and(|(_, slot)| slot.is_dropped()))
                 .collect();
-            if !dropped.is_empty() {
-                let mut slot = self.shared.cols[attr].write();
-                if !Arc::ptr_eq(&slot, &col) {
-                    continue; // a replan or a racing admission swapped the column
-                }
-                col = Arc::new(col.vacated(&dropped));
-                *slot = Arc::clone(&col);
+            if dropped.is_empty() {
+                return col;
             }
-            // A whole build gangs the contexts the accountant sees idle, up
-            // to all but the caller's.
-            let threads = match whole {
-                true => col.whole_build_threads(
-                    1 + self
-                        .accountant
-                        .idle_contexts(Duration::ZERO)
-                        .min(self.cfg.total_contexts.saturating_sub(1)),
-                ),
-                false => 1,
-            };
-            col.admit(*build.start(), *build.end(), threads, |fresh| {
-                register_shards(&self.space, fresh, membership)
-            });
-            return Some((col, first, last));
+            let mut slot = self.shared.cols[attr].write();
+            if !Arc::ptr_eq(&slot, &col) {
+                continue; // a replan or a racing admission swapped the column
+            }
+            let col = Arc::new(col.vacated(&dropped));
+            *slot = Arc::clone(&col);
+            return col;
         }
+    }
+
+    /// Builds and registers the empty cells of shards `first..=last` of
+    /// `col` as one batch, or every shard of an attribute with no live
+    /// shard whose whole payload fits the free budget (the rule of
+    /// [`HolisticEngine::admit`]).
+    fn build(&self, col: &Shards, first: usize, last: usize, membership: Membership) {
+        let whole = cold(col) && self.whole_attribute_fits();
+        let (first, last) = if whole {
+            (0, col.shard_count() - 1)
+        } else {
+            (first, last)
+        };
+        // A whole build gangs the contexts the accountant sees idle, up
+        // to all but the caller's.
+        let threads = match whole {
+            true => col.whole_build_threads(
+                1 + self
+                    .accountant
+                    .idle_contexts(Duration::ZERO)
+                    .min(self.cfg.total_contexts.saturating_sub(1)),
+            ),
+            false => 1,
+        };
+        col.admit(first, last, threads, |fresh| {
+            register_shards(&self.space, fresh, membership)
+        });
     }
 
     /// The attribute's column with every shard resident (tests, harnesses
@@ -497,10 +589,15 @@ impl HolisticEngine {
     }
 
     /// Fans a predicate out to the intersecting shards, records per-shard
-    /// statistics and folds each shard's selection through `fold`.
+    /// statistics and folds each shard's selection through `fold`. With
+    /// `scan`, a read-only count or sum, shards that are not live may be
+    /// answered from the base zones ([`HolisticEngine::touch_read`]):
+    /// `merge` then also takes their stats, through `scan`. Without it
+    /// every shard routed to is built.
     fn fan_out<T>(
         &self,
         q: &QuerySpec,
+        scan: Option<fn(RangeStats) -> T>,
         mut fold: impl FnMut(
             &CrackerColumn,
             Predicate,
@@ -510,14 +607,23 @@ impl HolisticEngine {
     ) {
         let _task = self.accountant.begin_task(self.cfg.user_threads);
         let pred = Predicate::range(q.lo, q.hi);
-        let Some((col, first, last)) = self.touch(q.attr, Route::Range(pred.lo, pred.hi)) else {
+        let touched = match scan {
+            Some(_) => self.touch_read(q.attr, pred),
+            None => self
+                .touch(q.attr, Route::Range(pred.lo, pred.hi))
+                .map(|(col, first, last)| (col, first, last, Scanned::default())),
+        };
+        let Some((col, first, last, scanned)) = touched else {
             return;
         };
+        if let Some(scan) = scan {
+            merge(scan(scanned.stats));
+        }
         let plan = col.plan();
         SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();
             // Inline fan-out (no intermediate Vec: this runs per query).
-            for k in first..=last {
+            for k in (first..=last).filter(|k| !scanned.shards.contains(k)) {
                 let (shard, slot) = col.resident(k).expect("touched above");
                 let (sel, out) = fold(shard, plan.clamp(k, pred), scratch);
                 let cracked = (!sel.hit_lo) as u64 + (!sel.hit_hi) as u64;
@@ -560,6 +666,7 @@ impl HolisticEngine {
         let mut count = 0u64;
         self.fan_out(
             q,
+            Some(|stats| stats.count),
             |shard, pred, scratch| {
                 let sel = shard.select(pred, scratch);
                 (sel, sel.count())
@@ -604,6 +711,7 @@ impl QueryEngine for HolisticEngine {
         let mut stats = RangeStats::default();
         self.fan_out(
             q,
+            Some(|stats| stats),
             |shard, pred, scratch| {
                 let (sel, s) = shard.select_verified(pred, scratch);
                 (sel, s)
@@ -690,15 +798,15 @@ impl QueryEngine for HolisticEngine {
     fn execute_snapshot(&self, q: &QuerySpec) -> Option<(u64, i128)> {
         let _task = self.accountant.begin_task(self.cfg.user_threads);
         let pred = Predicate::range(q.lo, q.hi);
-        let Some((col, first, last)) = self.touch(q.attr, Route::Range(pred.lo, pred.hi)) else {
+        let Some((col, first, last, scanned)) = self.touch_read(q.attr, pred) else {
             return Some((0, 0));
         };
         let plan = col.plan();
         SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();
-            let mut count = 0u64;
-            let mut sum = 0i128;
-            for k in first..=last {
+            let mut count = scanned.stats.count;
+            let mut sum = scanned.stats.sum;
+            for k in (first..=last).filter(|k| !scanned.shards.contains(k)) {
                 let (shard, slot) = col.resident(k).expect("touched above");
                 let scan = shard.snapshot_scan(plan.clamp(k, pred), scratch);
                 // A scan that needed no edge filtering hit piece
@@ -811,6 +919,7 @@ impl QueryEngine for HolisticEngine {
         let mut doomed = false;
         self.fan_out(
             driver,
+            None,
             |shard, pred, scratch| {
                 let sel = shard.select(pred, scratch);
                 total += sel.count();
@@ -1191,6 +1300,7 @@ mod tests {
             let mut got = None;
             e.fan_out(
                 &QuerySpec { attr: 0, lo, hi },
+                None,
                 |col, pred, s| {
                     let sel = col.select(pred, s);
                     (sel, sel)
@@ -1966,15 +2076,18 @@ mod tests {
         // Room for one 50k-row column and three quarters of another.
         cfg.holistic.storage_budget = Some(50_000 * TUPLE * 7 / 4);
         let e = HolisticEngine::new(data, cfg);
+        // Narrow reads inside the domain: every zone of a uniform base
+        // meets them, so each builds its attribute (one at the domain's
+        // edge meets about half the zones, and would scan them instead).
         for attr in 0..3 {
             let q = QuerySpec {
                 attr,
-                lo: 0,
-                hi: 1_000,
+                lo: 400_000,
+                hi: 401_000,
             };
             assert_eq!(
                 e.execute(&q),
-                scan_stats(e.data.column(attr), Predicate::range(0, 1_000)).count
+                scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi)).count
             );
         }
         let (_, _, _, dropped) = e.space().membership_counts();
@@ -2140,16 +2253,19 @@ mod tests {
             for lo in [10_000, 30_000, 50_000] {
                 exact(0, lo, lo + 10_000);
             }
-            exact(1, 10_000, 20_000);
+            // Reads of a shard's whole range read every zone its build
+            // reads, so they build on either base (a narrow one would scan
+            // the few zones it meets on the clustered base instead).
+            exact(1, 0, peek(&e, 1).plan().cuts()[0]);
             let before = peek(&e, 0);
             let (_, dropped) = before.resident(1).expect("attribute 0 was built whole");
             assert!(dropped.is_dropped(), "clustered={clustered}");
-            exact(0, 900_000, 910_000);
+            let cut = before.plan().cuts()[0];
+            exact(0, cut, 1_000_000);
             let after = peek(&e, 0);
             let (rebuilt, _) = live(&after, 1).expect("the dropped shard is back");
             assert!(!Arc::ptr_eq(rebuilt, before.shard(1)));
             let vals = rebuilt.snapshot_range(0, rebuilt.len());
-            let cut = after.plan().cuts()[0];
             let mut want: Vec<i64> = e
                 .data
                 .column(0)
@@ -2251,16 +2367,140 @@ mod tests {
         e.stop();
     }
 
+    /// Records the index space has ever registered: the live ones and
+    /// every one evicted or retired since.
+    fn registrations(e: &HolisticEngine) -> usize {
+        let (a, p, o, d) = e.space().membership_counts();
+        a + p + o + d
+    }
+
+    /// Zones of `col` (1,024-row blocks, as a shard build reads them) whose
+    /// minimum and maximum meet `[lo, hi)`.
+    fn zones_meeting(col: &[i64], lo: i64, hi: i64) -> usize {
+        col.chunks(1_024)
+            .filter(|z| z.iter().max().is_some_and(|&max| lo <= max))
+            .filter(|z| z.iter().min().is_some_and(|&min| min < hi))
+            .count()
+    }
+
+    #[test]
+    fn cold_reads_under_the_budget_scan_until_a_build_pays_and_free_evicted_columns() {
+        // Three 400 KB attributes in four shards under a budget of one:
+        // attribute 0 (uniform) fills it; attribute 1 holds the same kind
+        // of values in sorted runs, attribute 2 shuffled.
+        let rows = 50_000;
+        let mut rng = StdRng::seed_from_u64(51);
+        let mut table = uniform_table(3, rows, 1_000_000, 11);
+        table[1] = sorted_runs(&table[1], &mut rng);
+        let data = Dataset::new(table);
+        let mut cfg = HolisticEngineConfig::split_half_sharded(2, 4);
+        cfg.holistic.max_workers = Some(0);
+        cfg.holistic.storage_budget = Some(rows * TUPLE);
+        let e = HolisticEngine::new(data, cfg);
+        let exact = |attr: usize, lo: i64, hi: i64| {
+            let oracle = scan_stats(e.data.column(attr), Predicate::range(lo, hi));
+            let q = QuerySpec { attr, lo, hi };
+            assert_eq!(e.execute_verified(&q), (oracle.count, oracle.sum), "{q:?}");
+        };
+        for _ in 0..3 {
+            exact(0, 0, 1_000_000);
+        }
+        assert_eq!(records(&e), 4, "attribute 0 went in whole");
+        // Narrow reads inside shard 1 of the clustered attribute meet one
+        // or two of the zones its build reads: they are answered from the
+        // base and register nothing, until the read whose zones would take
+        // the scanned total to the build's.
+        let cuts = peek(&e, 1).plan().cuts().to_vec();
+        let clustered = e.data.column(1);
+        let build = zones_meeting(clustered, cuts[0], cuts[1]);
+        assert!(build >= 8, "the shard's build reads {build} zones");
+        let (mut scanned, mut reads) = (0, 0);
+        loop {
+            let lo = rng.random_range(cuts[0] + 1_000..cuts[1] - 3_000);
+            let read = zones_meeting(clustered, lo, lo + 2_000);
+            let before = registrations(&e);
+            exact(1, lo, lo + 2_000);
+            reads += 1;
+            if scanned + read < build {
+                scanned += read;
+                assert_eq!(registrations(&e), before, "read {reads} registered");
+                assert!(peek(&e, 1).resident(1).is_none(), "read {reads} built");
+                continue;
+            }
+            assert_eq!(registrations(&e), before + 1, "the break-even read");
+            assert!(live(&peek(&e, 1), 1).is_some());
+            break;
+        }
+        assert!(reads > 2, "{reads} reads to break even");
+        assert_eq!(records(&e), live_cells(&e));
+        // A uniform attribute's first narrow read builds its shard: every
+        // zone meets it. Making room evicts attribute 1's once-read shard.
+        let evicted = Arc::downgrade(peek(&e, 1).shard(1));
+        let before = registrations(&e);
+        let uniform_cut = peek(&e, 2).plan().cuts()[0];
+        exact(2, uniform_cut + 40_000, uniform_cut + 42_000);
+        assert_eq!(registrations(&e), before + 1);
+        assert!(live(&peek(&e, 2), 1).is_some());
+        assert!(peek(&e, 1)
+            .resident(1)
+            .expect("still in its cell")
+            .1
+            .is_dropped());
+        assert!(evicted.upgrade().is_some(), "the cell holds the column");
+        // The next read of attribute 1 scans, and frees the evicted column.
+        let lo = cuts[0] + 5_000;
+        exact(1, lo, lo + 2_000);
+        assert_eq!(registrations(&e), before + 1, "the scan registered");
+        assert!(evicted.upgrade().is_none(), "the evicted column lives on");
+        // A read covering the clustered shard reads every zone of its build,
+        // so it builds, and evicts the uniform shard; the next read of the
+        // uniform attribute rebuilds that, and frees the evicted column.
+        let evicted = Arc::downgrade(peek(&e, 2).shard(1));
+        exact(1, cuts[0], cuts[1]);
+        assert!(peek(&e, 2)
+            .resident(1)
+            .expect("still in its cell")
+            .1
+            .is_dropped());
+        exact(2, uniform_cut + 60_000, uniform_cut + 62_000);
+        assert!(evicted.upgrade().is_none(), "the evicted column lives on");
+        assert!(live(&peek(&e, 2), 1).is_some());
+        assert_eq!(records(&e), live_cells(&e));
+        e.stop();
+    }
+
     #[test]
     fn shard_admissions_race_without_orphans() {
-        // Four threads, each on its own shard of three cold attributes,
-        // under a budget of one attribute: admissions, evictions and
-        // vacated-cell swaps of one attribute race each other all the
-        // time. Every answer must be exact, and at quiesce the registry's
-        // live records are exactly the cells the engine holds.
+        race_shard_admissions(false);
+    }
+
+    /// The same race over values in sorted runs: most narrow reads scan
+    /// the base zones they meet, so scans of a shard, its break-even
+    /// build, evictions and vacated-cell swaps interleave.
+    #[test]
+    fn shard_admissions_race_without_orphans_on_clustered_data() {
+        let scans = holix_telemetry::registry().counter("cracking_cold_scans_total");
+        let before = scans.get();
+        race_shard_admissions(true);
+        if holix_telemetry::metrics_enabled() {
+            assert!(scans.get() > before, "no read scanned");
+        }
+    }
+
+    /// Four threads, each on its own shard of three cold attributes, under
+    /// a budget of one attribute: admissions, evictions and vacated-cell
+    /// swaps of one attribute race each other all the time. Every answer
+    /// must be exact, and at quiesce the registry's live records are
+    /// exactly the cells the engine holds.
+    fn race_shard_admissions(clustered: bool) {
         const QUERIES: usize = 2_000;
         let rows = 20_000;
-        let data = Dataset::new(uniform_table(3, rows, 1_000_000, 9));
+        let mut table = uniform_table(3, rows, 1_000_000, 9);
+        if clustered {
+            let mut rng = StdRng::seed_from_u64(52);
+            table = table.iter().map(|c| sorted_runs(c, &mut rng)).collect();
+        }
+        let data = Dataset::new(table);
         let sorted = sorted_columns(&data);
         let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
         cfg.holistic.monitor_interval = Duration::from_millis(1);
@@ -2455,15 +2695,18 @@ mod tests {
         );
         assert_eq!(records(&e), live_cells(&e));
         // And every attribute still answers queries correctly.
+        // Narrow reads inside the domain: every zone of a uniform base
+        // meets them, so each builds its attribute (one at the domain's
+        // edge meets about half the zones, and would scan them instead).
         for attr in 0..3 {
             let q = QuerySpec {
                 attr,
-                lo: 0,
-                hi: 1_000,
+                lo: 400_000,
+                hi: 401_000,
             };
             assert_eq!(
                 e.execute(&q),
-                scan_stats(e.data.column(attr), Predicate::range(0, 1_000)).count
+                scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi)).count
             );
         }
         e.stop();
