@@ -1,116 +1,100 @@
+#![deny(unsafe_code)]
 //! [`CrackerColumn`] — a cracker column `ACRK` plus its cracker index, safe
 //! for concurrent query-driven cracking and background refinement.
 //!
 //! ## Locking protocol
 //!
-//! Three layers, always acquired in this order and never re-entrantly:
+//! The structure lock, the cracker index and the value and row-id cells
+//! form one `holds::Structure`, whose lock hands out the only ways to the
+//! cells. Three layers, always acquired in this order and never
+//! re-entrantly:
 //!
-//! 1. `structure` RwLock — *shared* by every piece operation (cracks,
-//!    refinements, range reads), *exclusive* for Ripple updates that move
-//!    piece boundaries or grow the underlying vectors.
-//! 2. `index` RwLock — guards piece metadata (boundary map + latches); held only
-//!    for lookups and boundary insertion, never across data movement.
-//! 3. `pending` mutex — the pending-update queue (short critical
-//!    sections); taken on its own or under `structure`, never around
-//!    either lock. A Ripple merge takes the whole queue *under* `structure`
-//!    exclusive, so batches are applied in the order they leave the queue,
-//!    and none is in flight under `structure` shared.
+//! 1. the structure lock — a `Shared` hold for every piece operation
+//!    (cracks, refinements, snapshot reads, the point-filter build), an
+//!    `Exclusive` one for whatever moves boundaries or grows the vectors
+//!    (Ripple merges, the row-id build) and for the verification reads;
+//! 2. `index` RwLock — piece metadata (boundary map + latches), held only
+//!    for lookups and boundary insertion, never across data movement;
+//! 3. `pending` mutex — the pending-update queue, taken on its own or under
+//!    a hold, never around either lock. A merge takes the whole queue
+//!    *under* an exclusive hold, so batches apply in the order they leave
+//!    the queue and none is in flight under a shared one.
 //!
-//! Below all three sits the point filter's `PublishedCell`: a *leaf* lock,
-//! taken under `pending`, under `structure` or under neither, held for one
-//! pointer copy, with nothing ever acquired while it is held.
+//! Below all three sits the point filter's `PublishedCell`: a *leaf* lock
+//! held for one pointer copy. The planner prices a query from the live
+//! index ([`CrackerColumn::with_index`], then
+//! [`CrackerColumn::pending_len`]), never nested and never under a hold, so
+//! an estimate waits out a Ripple walk (which holds `index` for writing)
+//! and nothing else.
 //!
-//! The planner prices a query from this column's live index
-//! ([`CrackerColumn::with_index`], then [`CrackerColumn::pending_len`]):
-//! one `index` read for both bounds and then `pending`, never nested and
-//! never under `structure`. So an estimate
-//! waits out a Ripple walk of the column (which holds `index` for
-//! writing), as the read it prices does, and nothing else.
-//!
-//! Piece latches sit outside this order: an operation holds at most **one**
-//! piece latch at a time (range queries crack their two bounds one after the
-//! other), so latch-latch deadlock cannot occur. The index lock is never held
-//! while *blocking* on a piece latch.
-//!
-//! The crack path is lookup → latch → revalidate → partition → publish:
-//! a piece may be split between the lookup and the latch acquisition, so the
-//! locator runs again under the latch; holding the latch of the piece that
-//! *currently* contains the pivot makes the partition race-free.
+//! Under a shared hold a piece is reached only latched (`holds::Piece`):
+//! for writing to crack it, for reading to read it. An operation latches
+//! **one** piece at a time (a range query cracks its bounds one after the
+//! other, or both in the one piece that holds them), and never blocks on a
+//! latch under the index lock, so latches cannot deadlock. A user query
+//! waits for a latch, a holistic worker only tries and re-picks its pivot.
+//! The one lookup → latch → revalidate routine looks the key up again
+//! under the latch, as the piece may split in between.
 //!
 //! ## Snapshot reads
 //!
 //! [`CrackerColumn::snapshot_scan`] answers count/sum queries from the
-//! cracked column itself, as the paper's reads do (§3): there is no second
-//! copy of the values. The read takes `structure` shared (no merge runs,
-//! so the multiset of every key range is fixed), folds the pending overlay
-//! under the pending mutex (the linearisation point), answers the pieces
-//! wholly inside its range from the prefix sums at the two ends of their
-//! run ([`CrackerIndex::interior`]) and filters the at most two edge
-//! pieces under their read latches. It waits for a merge holding the
-//! column (`cracking_structure_wait_ns`).
-//!
-//! The prefix sums are a one-way switch with one trigger: the first
-//! snapshot read of a column computes the prefix sum of every boundary
-//! ([`CrackerIndex::sum_pieces`], one pass over the values under
-//! `structure` exclusive). From then on every crack gives its new boundary
-//! a prefix and every merge adds each value to the prefix of every
-//! boundary above it; a column no snapshot read has asked about keeps no
-//! sums, so its cracks and merges pay none.
+//! cracked column itself, as the paper's reads do (§3). Under a shared hold
+//! (no merge runs, so every key range's multiset is fixed) it folds the
+//! pending overlay under the pending mutex (the linearisation point),
+//! answers the pieces inside its range from the prefix sums at the two ends
+//! of their run ([`CrackerIndex::interior`]) and filters the at most two
+//! edge pieces under their read latches. The prefix sums are a one-way
+//! switch: the first snapshot read of a column computes them
+//! ([`CrackerIndex::sum_pieces`], under an exclusive hold); from then on
+//! every crack gives its new boundary a prefix and every merge adds each
+//! value to the prefix of every boundary above it. A column no snapshot
+//! read has asked about keeps no sums, and its cracks and merges pay none.
 //!
 //! ## Batched Ripple
 //!
 //! Locked reads answer over the queue too: [`CrackerColumn::select`] and
 //! its kin fold the unmerged updates their predicate selects under the
-//! pending mutex while holding `structure` shared (a snapshot read's
-//! linearisation point). Only a queue past [`CrackerColumn::MERGE_BACKLOG`]
-//! is merged first — whole, one [`ripple_batch`] walk that keeps the prefix
-//! sums ([`CrackerColumn::merge_pending`]). Idle workers drain first: from
-//! [`CrackerColumn::DRAIN_DUE`] queued updates, whatever the column's index
-//! membership, [`CrackerColumn::drain_in_background`] merges the queue,
-//! taking `structure` only when it is free. So on a column the workers
-//! keep up with, reads only count the queue.
+//! pending mutex. Only a queue past [`CrackerColumn::MERGE_BACKLOG`] is
+//! merged first — whole, one [`ripple_batch`] walk that keeps the prefix
+//! sums. Idle workers drain from [`CrackerColumn::DRAIN_DUE`] queued
+//! updates ([`CrackerColumn::drain_in_background`]), taking the structure
+//! lock only when it is free, so on a column the workers keep up with,
+//! reads only count the queue.
 //!
 //! ## Row ids on demand
 //!
 //! The paper's cracker column is an array of (value, rowid) pairs. A
 //! column built by [`CrackerColumn::from_base`] / [`CrackerColumn::from_parts`]
-//! stores both from birth; a shard of a [`crate::ShardedColumn`]
-//! (`CrackerColumn::from_source`) stores **values only** and keeps what
-//! its row ids can be re-derived from — its base, its value range and the
-//! write log of its merges (`row_ids::RowSource`). Every crack of such a
-//! column moves values alone (the partition kernels are generic over the
-//! row lane, [`crate::RowLane`]). A Ripple merge of such a column moves values
-//! alone too: its source logs the batch — the live merged inserts as
-//! `(value, row)` pairs, the deleted base rows — and answers which
-//! deletes name a present tuple, so the walk drops the absent ones
-//! before it starts and matches the rest by value. Base rows in range,
-//! minus the deleted ones, plus the logged inserts are always exactly
-//! the column's tuples. The two operations that read a row id —
-//! [`CrackerColumn::collect_row_ids`] and
-//! [`CrackerColumn::extract_for_migration`] — already hold `structure`
-//! exclusively; the first of them to run builds the array there from
-//! that description, against the boundary table of the moment (same
-//! multiset in every piece, so the index with its prefix sums and the
-//! point filter stay valid), and drops the log. The state flips once and
-//! never back; from then on merges move the ids along and match a delete
-//! by `(value, row)`.
+//! stores both from birth; a shard of a [`crate::ShardedColumn`] stores
+//! **values only** and keeps what its row ids can be re-derived from: its
+//! base, its value range and the write log of its merges
+//! (`row_ids::RowSource`). Its cracks move values alone (the partition
+//! kernels are generic over the row lane, [`crate::RowLane`]), and so do
+//! its merges: the source logs each batch — live merged inserts as `(value,
+//! row)` pairs, deleted base rows — and answers which deletes name a
+//! present tuple, which the walk matches by value. The first of the two
+//! operations that read a row id ([`CrackerColumn::collect_row_ids`],
+//! [`CrackerColumn::extract_for_migration`], both under an exclusive hold)
+//! builds the array from that description against the boundary table of
+//! the moment (same multiset in every piece, so the prefix sums and the
+//! point filter stay valid) and drops the log. The state flips once; from
+//! then on merges move the ids along and match a delete by `(value, row)`.
 
 use crate::cell::PublishedCell;
 use crate::filter::PointFilter;
-use crate::index::{sum_of, BoundLookup, CrackerIndex};
+use crate::holds::{Exclusive, Latched, Piece, Shared, Structure, Write};
+use crate::index::{sum_of, CrackerIndex};
 use crate::kernels;
 use crate::partition::{partition_three, partition_two};
-use crate::range_cell::{RangeCell, RangeGuard};
 use crate::row_ids::RowSource;
 use crate::updates::{ripple_batch, PendingUpdates, UnmergedKind};
 use crate::vectorized::CrackScratch;
 use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::RowId;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::Mutex;
 use rand::Rng;
-use std::sync::atomic::{
-    AtomicBool, AtomicI64, AtomicUsize, Ordering::Acquire, Ordering::Relaxed, Ordering::Release,
-};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// The row lane of a crack over `len` values of a column without row ids:
@@ -210,42 +194,30 @@ pub enum RefineOutcome {
 /// incrementally reorganised by queries and holistic workers.
 pub struct CrackerColumn {
     name: String,
-    vals: RangeCell<i64>,
-    /// Row ids beside `vals`, slot for slot — or empty, for a column born
-    /// from a [`RowSource`] that nobody has asked for an id yet.
-    rows: RangeCell<RowId>,
+    /// The structure lock with the index and the value and row-id cells
+    /// it guards.
+    structure: Structure,
     /// Where the row ids of a column born without them come from: its
     /// base, its range and, once merges wrote to it, their log.
     row_source: Option<RowSource>,
-    /// `rows` is filled. Set at most once, under `structure` exclusive
-    /// ([`CrackerColumn::ensure_row_ids`]), and never cleared; everything
-    /// that touches `rows` reads it under `structure` in either mode.
-    has_rows: AtomicBool,
-    structure: RwLock<()>,
-    pub(crate) index: RwLock<CrackerIndex>,
     pending: Mutex<PendingUpdates>,
-    /// Observed value domain (base ∪ pending inserts) as `(lo, hi)`,
-    /// empty while `lo > hi`; random pivots and stochastic's outer pieces
-    /// are drawn from it. Inserts widen each end on its own, so a read may
-    /// see one end moved and not the other — a pivot a little off the
-    /// newest value, or an empty domain for a column's very first insert.
+    /// Observed value domain (base ∪ pending inserts) as `(lo, hi)`, empty
+    /// while `lo > hi`: random pivots and stochastic's outer pieces are
+    /// drawn from it. Inserts widen each end on its own, so a read may see
+    /// one end moved and not the other.
     domain: (AtomicI64, AtomicI64),
-    /// Thread budget of query-driven cracks (select bounds, stochastic
-    /// auxiliary cracks) — the paper's user queries may gang multiple
-    /// threads on one big piece.
+    /// Thread budget of query-driven cracks: user queries may gang threads
+    /// on one big piece.
     select_threads: usize,
-    /// Thread budget of background (holistic-worker) refinements —
-    /// typically 1, one worker per idle context.
+    /// Thread budget of background refinements (one per idle context).
     refine_threads: usize,
-    /// Lazily built point-membership filter (`None` until the first
-    /// equality/IN query pays the build).
+    /// Point-membership filter, built by the first equality/IN query.
     filter: PublishedCell<PointFilter>,
-    /// Serialises filter builders so racing point probes don't each pay the
-    /// O(N) walk of the live pieces.
+    /// Serialises filter builds, so racing probes pay one walk.
     filter_build: Mutex<()>,
-    /// Deletes absorbed since the point filter was last (re)built — stale
-    /// keys never leave a Bloom filter, so this counts accumulated
-    /// false-positive pressure until a rebuild resets it.
+    /// Deletes absorbed since the point filter was last (re)built: stale
+    /// keys never leave a Bloom filter, so this counts false-positive
+    /// pressure until a rebuild resets it.
     filter_deletes: AtomicUsize,
 }
 
@@ -284,18 +256,12 @@ impl CrackerColumn {
     }
 
     /// A column over exactly the tuples of `source`, in any order inside
-    /// the range partition `bounds` describes — boundaries (`key →
-    /// position`, keys strictly increasing) the layout already satisfies:
-    /// every value before a boundary's position is below its key, every
-    /// value from it on is at or above. `domain` is the smallest and
-    /// largest value, which both builds learn in their passes over the base
-    /// (`None` only for an empty column). The column is born with
-    /// `bounds.len() + 1` pieces and stores **no row ids**: they are built
-    /// from `source` (and the log its merges kept) against the boundary
-    /// table of the moment when a conjunction
-    /// ([`CrackerColumn::collect_row_ids`]) or a migration first needs
-    /// them, and every crack and merge until then moves values
-    /// alone.
+    /// the range partition `bounds` describes (`key → position`, keys
+    /// strictly increasing, which the layout already satisfies); `domain`
+    /// is the smallest and largest value (`None` only when empty). It is
+    /// born with `bounds.len() + 1` pieces and **no row ids**: those are
+    /// built from `source` when a conjunction or a migration first needs
+    /// them.
     pub(crate) fn from_source(
         name: impl Into<String>,
         vals: Vec<i64>,
@@ -329,21 +295,8 @@ impl CrackerColumn {
         }
         CrackerColumn {
             name: name.into(),
-            vals: RangeCell::new(vals),
-            has_rows: AtomicBool::new(rows.is_some()),
-            // A column without row ids still makes a one-slot allocation
-            // for them, from the thread that builds it: glibc grows a block
-            // in the arena it was first allocated in, so the array
-            // `ensure_row_ids` grows this into comes out of the builder's
-            // arena — where an eagerly built one came from — not out of
-            // the arena of whichever thread first asks for ids. Same
-            // bytes either way, but the merging threads' arenas hold no
-            // freed pages to reuse: `update_churn/rss_peak_mb` read 92 MB
-            // with an empty vector here, 81 MB with this (the parent: 79).
-            rows: RangeCell::new(rows.unwrap_or_else(|| Vec::with_capacity(1))),
+            structure: Structure::new(vals, rows, index),
             row_source,
-            structure: RwLock::new(()),
-            index: RwLock::new(index),
             pending: Mutex::new(PendingUpdates::new()),
             domain: {
                 let (lo, hi) = domain.unwrap_or((i64::MAX, i64::MIN));
@@ -358,11 +311,9 @@ impl CrackerColumn {
     }
 
     /// Sets the thread budgets of query-driven cracks and of background
-    /// refinements (both default to 1). A crack gangs its budget only on
-    /// pieces long enough for it to pay off
-    /// ([`crate::partition::DEFAULT_MIN_PARALLEL`]); the thread-split
-    /// experiments of §5.1 give user queries and holistic workers different
-    /// budgets.
+    /// refinements (both default to 1; the thread-split experiments of §5.1
+    /// differ). A crack gangs its budget only on pieces long enough for it
+    /// to pay off ([`crate::partition::DEFAULT_MIN_PARALLEL`]).
     pub fn with_threads(mut self, select: usize, refine: usize) -> Self {
         self.set_threads(select, refine);
         self
@@ -380,7 +331,7 @@ impl CrackerColumn {
 
     /// Number of merged (cracked) values; excludes pending inserts.
     pub fn len(&self) -> usize {
-        self.index.read().len()
+        self.structure.index.read().len()
     }
 
     /// `true` if no merged values exist.
@@ -390,12 +341,12 @@ impl CrackerColumn {
 
     /// Current number of pieces.
     pub fn piece_count(&self) -> usize {
-        self.index.read().piece_count()
+        self.structure.index.read().piece_count()
     }
 
     /// Average piece length `N/p` (Equation 1 input).
     pub fn avg_piece_len(&self) -> usize {
-        self.index.read().avg_piece_len()
+        self.structure.index.read().avg_piece_len()
     }
 
     /// Observed value domain, if any values exist.
@@ -405,9 +356,7 @@ impl CrackerColumn {
     }
 
     /// Bytes one resident tuple costs: its value, and its row id once the
-    /// column stores them (`ids`). The one definition
-    /// [`CrackerColumn::payload_bytes`] and every budget computed ahead of
-    /// a build share.
+    /// column stores them (`ids`) — for every budget, built or not.
     pub const fn tuple_bytes(ids: bool) -> usize {
         std::mem::size_of::<i64>() + if ids { std::mem::size_of::<RowId>() } else { 0 }
     }
@@ -418,44 +367,22 @@ impl CrackerColumn {
     pub fn payload_bytes(&self) -> usize {
         self.len() * Self::tuple_bytes(self.has_row_ids())
             + self.row_source.as_ref().map_or(0, RowSource::log_bytes)
-            + self.index.read().approx_bytes()
+            + self.structure.index.read().approx_bytes()
     }
 
     /// Does the column store a row id per value? Always, unless it is a
-    /// shard of a [`crate::ShardedColumn`] built from the base and neither
-    /// a conjunction nor a migration has asked for one since.
+    /// shard no conjunction or migration has asked for one yet.
     pub fn has_row_ids(&self) -> bool {
-        // Pairs with the `Release` store of `ensure_row_ids`; callers that
-        // go on to touch `rows` hold `structure`, which orders them too.
-        self.has_rows.load(Acquire)
+        self.structure.has_rows()
     }
 
-    /// The row ids of piece `[start, end)` for a crack to move, `None`
-    /// while the column has none.
-    ///
-    /// # Safety
-    /// As [`RangeCell::range_mut`]: the caller holds the piece's write
-    /// latch and `structure` shared.
-    unsafe fn piece_rows(&self, start: usize, end: usize) -> Option<RangeGuard<'_, RowId>> {
-        // SAFETY: the caller's contract, the same piece `vals` is cracked
-        // over; `check_invariants`' value/row-id alignment assert backs it
-        // in `concurrent_queries_and_refiners_preserve_invariants`.
-        self.has_row_ids()
-            .then(|| unsafe { self.rows.range_mut(start, end) })
-    }
-
-    /// Builds the row-id array of a column born without one; no-op on any
-    /// other. One pass over the base and the merges' write log re-derives
-    /// the column's (value, row) pairs and scatters them into the pieces
-    /// of the current boundary table ([`RowSource::scatter`], which drops
-    /// the log): `vals` is rewritten with the same multiset in every
-    /// piece, so the boundary table with its prefix sums and the point
-    /// filter both stay valid.
-    ///
-    /// # Safety
-    /// The caller holds `structure` exclusively, so no merge is half
-    /// applied and the column holds exactly its source's tuples.
-    unsafe fn ensure_row_ids(&self) {
+    /// Builds the row-id array of a column born without one: one pass over
+    /// the base and the merges' write log scatters the column's (value,
+    /// row) pairs into the pieces of the current boundary table
+    /// ([`RowSource::scatter`]), the same multiset in every piece, so the
+    /// prefix sums and the point filter stay valid. Under the exclusive
+    /// `hold` no merge is half applied.
+    fn ensure_row_ids(&self, hold: &mut Exclusive<'_>) {
         if self.has_row_ids() {
             return;
         }
@@ -464,18 +391,8 @@ impl CrackerColumn {
             .as_ref()
             .expect("a column without row ids was born from a source");
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
-        let bounds = self.index.read().bounds_in_order();
-        // SAFETY: `structure` is held exclusively (the caller's contract),
-        // so no range guard is live: `with_vec_mut`'s debug assert checks
-        // that in `prop_row_ids_built_on_demand_match_an_eager_twin` and
-        // `tests/lazy_row_ids.rs`, which race the build against cracks.
-        unsafe {
-            self.vals.with_vec_mut(|vals| {
-                self.rows
-                    .with_vec_mut(|rows| source.scatter(&bounds, vals, rows))
-            });
-        }
-        self.has_rows.store(true, Release);
+        let bounds = self.structure.index.read().bounds_in_order();
+        hold.build_rows(|vals, rows| source.scatter(&bounds, vals, rows));
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_row_id_builds_total").inc();
             holix_telemetry::histogram!("cracking_row_id_build_ns")
@@ -483,12 +400,10 @@ impl CrackerColumn {
         }
     }
 
-    /// `f` of the cracker index, under one `index` read: the planner
-    /// prices both bounds of a predicate through it
-    /// ([`CrackerIndex::locate`], which clones no latch), so both lookups
-    /// see one boundary table. Holds no latch and not `structure`.
+    /// `f` of the cracker index under one `index` read, no latch and no
+    /// hold: the planner prices both bounds of a predicate through it.
     pub fn with_index<R>(&self, f: impl FnOnce(&CrackerIndex) -> R) -> R {
-        f(&self.index.read())
+        f(&self.structure.index.read())
     }
 
     /// Test-only: holds the column's structure lock exclusively, as a
@@ -513,16 +428,12 @@ impl CrackerColumn {
     // ------------------------------------------------------------------
 
     /// Range select `lo <= v < hi` with query-driven cracking: ensures both
-    /// bounds are boundaries (cracking at most two pieces — or one piece in
-    /// three when both bounds share a piece) and returns the contiguous
-    /// qualifying range of the merged column.
-    ///
-    /// Pending updates are not merged for the read: the selection carries
-    /// the net count of those in the predicate ([`Selection::pending`]),
-    /// folded under the pending mutex while `structure` is still held
-    /// shared. Only a queue longer than [`CrackerColumn::MERGE_BACKLOG`] is
-    /// merged first — whole, as one Ripple batch (\[28\]) — so a read pays
-    /// one boundary walk per few hundred updates, not one per update.
+    /// bounds are boundaries (cracking at most two pieces, or one in three
+    /// when both bounds share it) and returns the contiguous qualifying
+    /// range of the merged column, with the net count of the pending
+    /// updates in the predicate ([`Selection::pending`]). Only a queue past
+    /// [`CrackerColumn::MERGE_BACKLOG`] is merged first, as one Ripple batch
+    /// (\[28\]).
     pub fn select(&self, pred: Predicate, scratch: &mut CrackScratch) -> Selection {
         let sel = self.select_inner(pred, scratch);
         if holix_telemetry::metrics_enabled() {
@@ -536,26 +447,20 @@ impl CrackerColumn {
         sel
     }
 
-    /// The count of `pred` when the column has already answered it: both
-    /// bounds are boundaries (or the `MIN`/`MAX` sentinels) and the queue
-    /// is within [`CrackerColumn::MERGE_BACKLOG`] — exactly when
-    /// [`CrackerColumn::select`] would crack and merge nothing, and then
-    /// its count, pending updates in the predicate included. `None`
-    /// otherwise, so a queue past the backlog is drained by the `select`
-    /// the caller falls back to. Never cracks, merges or latches a piece.
-    ///
-    /// `structure` is held shared throughout, so no Ripple merge moves a
-    /// position between the lookups and the overlay fold (a crack only
-    /// adds boundaries). The lookups come first, so a bound that still
-    /// has to crack never takes the pending mutex. The fold is the
-    /// linearisation point: an update queued before it is counted, one
-    /// queued after it is ordered after this read.
+    /// The count of `pred` when the column has already answered it — both
+    /// bounds are boundaries (or sentinels) and the queue is within
+    /// [`CrackerColumn::MERGE_BACKLOG`], exactly when
+    /// [`CrackerColumn::select`] would crack and merge nothing — and `None`
+    /// otherwise. Never cracks, merges or latches a piece. Under a shared
+    /// hold no merge moves a position between the lookups and the overlay
+    /// fold, the linearisation point; the lookups come first, so a bound
+    /// that still has to crack never takes the pending mutex.
     pub fn count_exact(&self, pred: Predicate) -> Option<u64> {
         if pred.is_empty() {
             return Some(0);
         }
         let _shared = self.read_structure();
-        let (lo, hi) = Self::exact_span(&self.index.read(), pred)?;
+        let (lo, hi) = Self::exact_span(&self.structure.index.read(), pred)?;
         let pending = self.pending.lock();
         if pending.len() > Self::MERGE_BACKLOG {
             return None;
@@ -564,11 +469,11 @@ impl CrackerColumn {
         Some(((hi - lo) as i64 + delta).max(0) as u64)
     }
 
-    /// `structure` shared for a read. A read that finds it taken (a Ripple
-    /// merge or a row-id build holds the column, or waits for it) records
-    /// how long it waited in the `cracking_structure_wait_ns` histogram
-    /// when metrics are on; one that takes it at once reads no clock.
-    fn read_structure(&self) -> RwLockReadGuard<'_, ()> {
+    /// A shared hold for a read. One that finds the lock taken (a merge or a
+    /// row-id build holds it, or waits for it) records its wait in the
+    /// `cracking_structure_wait_ns` histogram; one that takes it at once
+    /// reads no clock.
+    fn read_structure(&self) -> Shared<'_> {
         if let Some(shared) = self.structure.try_read() {
             return shared;
         }
@@ -610,215 +515,120 @@ impl CrackerColumn {
         }
         self.merge_past_backlog();
 
-        let _shared = self.read_structure();
-        // Under `structure` shared no merge is in flight: the queue holds
+        let shared = self.read_structure();
+        // Under a shared hold no merge is in flight: the queue holds
         // exactly what the column lacks, and cracks cannot change that.
         let (pending, _) = overlay(&self.pending.lock(), pred);
 
-        // Fast path: both bounds missing and in the same piece → one
-        // three-way crack.
-        if let Some(sel) = self.try_crack_in_three(pred, scratch) {
-            return Selection { pending, ..sel };
-        }
-
-        let (lo_pos, hit_lo, touched_lo) = if pred.lo == i64::MIN {
-            (0, true, 0)
-        } else {
-            self.crack_bound(pred.lo, scratch, true)
-                .expect("blocking crack cannot be Busy")
+        // The lower bound's piece, latched; when it holds the upper bound
+        // too, one three-way crack places both.
+        let mut cracked_hi = None;
+        let lo = match pred.lo {
+            i64::MIN => Latched::Exact(0),
+            lo => shared.crack(lo, true, |piece| {
+                if pred.hi != i64::MAX && piece.holds_above(pred.hi) {
+                    let (a, b, len) = self.crack_three(piece, pred, scratch);
+                    cracked_hi = Some(b);
+                    (a, len)
+                } else {
+                    self.crack_two(piece, lo, self.select_threads, scratch)
+                }
+            }),
         };
-        let (hi_pos, hit_hi, touched_hi) = if pred.hi == i64::MAX {
-            (self.index.read().len(), true, 0)
-        } else {
-            self.crack_bound(pred.hi, scratch, true)
-                .expect("blocking crack cannot be Busy")
+        let hi = match cracked_hi {
+            Some(pos) => Latched::Piece((pos, 0)),
+            None if pred.hi == i64::MAX => Latched::Exact(self.structure.index.read().len()),
+            None => self.crack_bound(&shared, pred.hi, true, scratch),
         };
+        let [(lo_pos, touched_lo), (hi_pos, touched_hi)] = [lo, hi].map(|bound| match bound {
+            Latched::Exact(pos) => (pos, 0),
+            Latched::Piece(cracked) => cracked,
+            Latched::Busy => unreachable!("a waiting crack is never Busy"),
+        });
 
         Selection {
             start: lo_pos,
             end: hi_pos.max(lo_pos),
-            hit_lo,
-            hit_hi,
+            hit_lo: matches!(lo, Latched::Exact(_)),
+            hit_hi: matches!(hi, Latched::Exact(_)),
             touched: touched_lo + touched_hi,
             pending,
         }
     }
 
-    /// One attempt at the crack-in-three fast path. `None` means the bounds
-    /// do not (or no longer) share an unlatched piece — fall back to two
-    /// crack-in-two operations.
-    ///
-    /// Caller holds `structure` shared.
-    fn try_crack_in_three(&self, pred: Predicate, scratch: &mut CrackScratch) -> Option<Selection> {
-        if pred.lo == i64::MIN || pred.hi == i64::MAX {
-            return None;
-        }
-        let (piece_latch, start, end) = {
-            let idx = self.index.read();
-            match (idx.locate(pred.lo), idx.locate(pred.hi)) {
-                (
-                    BoundLookup::Piece {
-                        start: s1,
-                        end: e1,
-                        latch: l1,
-                        ..
-                    },
-                    BoundLookup::Piece {
-                        start: s2,
-                        end: e2,
-                        latch: l2,
-                        ..
-                    },
-                ) if s1 == s2 && e1 == e2 && l1.same_as(l2) => (l1.clone(), s1, e1),
-                _ => return None,
-            }
-        };
-        let _guard = piece_latch.lock_write();
-        // Revalidate under the latch.
-        let summed = {
-            let idx = self.index.read();
-            match (idx.locate(pred.lo), idx.locate(pred.hi)) {
-                (
-                    BoundLookup::Piece {
-                        start: s1,
-                        end: e1,
-                        latch: l1,
-                        ..
-                    },
-                    BoundLookup::Piece {
-                        start: s2,
-                        latch: l2,
-                        ..
-                    },
-                ) if s1 == s2
-                    && l1.same_as(&piece_latch)
-                    && l2.same_as(&piece_latch)
-                    && s1 == start
-                    && e1 == end => {}
-                _ => return None,
-            }
-            idx.summed()
-        };
-
-        let piece_len = end - start;
-        let (a, b, sums) = {
-            // SAFETY: we hold the write latch of the piece [start, end) and
-            // `structure` shared, so the range is exclusively ours and the
-            // vectors cannot move (both reads below). `range_mut`'s debug
-            // overlap assert and `check_invariants` back it in
-            // `concurrent_queries_and_refiners_preserve_invariants`.
-            let mut vg = unsafe { self.vals.range_mut(start, end) };
-            let (lo, hi, threads) = (pred.lo, pred.hi, self.select_threads);
-            let (a, b) = match unsafe { self.piece_rows(start, end) } {
-                Some(mut rg) => partition_three(vg.slice(), rg.slice(), lo, hi, threads, scratch),
-                None => partition_three(
-                    vg.slice(),
-                    &mut no_rows(piece_len),
-                    lo,
-                    hi,
-                    threads,
-                    scratch,
-                ),
-            };
-            // A summed column's two new boundaries take the sums of the
-            // parts below them, from the values just partitioned.
-            let sums = if summed {
-                let v = vg.slice();
-                (sum_of(&v[..a]), sum_of(&v[a..b]))
-            } else {
-                (0, 0)
-            };
-            (a, b, sums)
-        };
-        {
-            let mut idx = self.index.write();
-            idx.insert_bound(pred.lo, start + a, sums.0);
-            idx.insert_bound(pred.hi, start + b, sums.1);
-        }
-        Some(Selection {
-            start: start + a,
-            end: start + b,
-            hit_lo: false,
-            hit_hi: false,
-            touched: piece_len,
-            pending: 0,
-        })
-    }
-
-    /// Ensures `v` is a boundary, cracking its piece if needed. Returns
-    /// `(position, was_exact_hit, touched)`; `None` only on the non-blocking
-    /// path when the piece is latched elsewhere.
-    ///
-    /// Caller holds `structure` shared.
+    /// Ensures `v` is a boundary, cracking its piece on the select
+    /// (`wait`) or the refine thread budget: the boundary's position and
+    /// the length of the piece cracked, `Exact` when it was a boundary.
     fn crack_bound(
         &self,
+        shared: &Shared<'_>,
         v: i64,
+        wait: bool,
         scratch: &mut CrackScratch,
-        blocking: bool,
-    ) -> Option<(usize, bool, usize)> {
-        let threads = if blocking {
+    ) -> Latched<(usize, usize)> {
+        let threads = if wait {
             self.select_threads
         } else {
             self.refine_threads
         };
-        loop {
-            let latch = match self.index.read().locate(v) {
-                BoundLookup::Exact(pos) => return Some((pos, true, 0)),
-                BoundLookup::Piece { latch, .. } => latch.clone(),
-            };
-            let guard = if blocking {
-                latch.lock_write()
-            } else {
-                latch.try_lock_write()?
-            };
-            // Revalidate: the piece may have been split while we waited.
-            let (start, end, summed) = {
-                let idx = self.index.read();
-                match idx.locate(v) {
-                    BoundLookup::Exact(pos) => {
-                        // Someone cracked exactly this value concurrently.
-                        drop(guard);
-                        return Some((pos, true, 0));
-                    }
-                    BoundLookup::Piece {
-                        start,
-                        end,
-                        latch: cur,
-                        ..
-                    } => {
-                        if !cur.same_as(&latch) {
-                            drop(guard);
-                            continue; // piece split away from our latch
-                        }
-                        (start, end, idx.summed())
-                    }
-                }
-            };
+        shared.crack(v, wait, |piece| self.crack_two(piece, v, threads, scratch))
+    }
 
-            let (split, below) = {
-                // SAFETY: write latch on piece [start, end) held; `structure`
-                // shared prevents vector moves (both reads below). Backed as
-                // the three-way crack is, and by
-                // `threaded_cracks_agree_with_sequential_cracking`.
-                let mut vg = unsafe { self.vals.range_mut(start, end) };
-                let split = match unsafe { self.piece_rows(start, end) } {
-                    Some(mut rg) => partition_two(vg.slice(), rg.slice(), v, threads, scratch),
-                    None => {
-                        partition_two(vg.slice(), &mut no_rows(end - start), v, threads, scratch)
-                    }
-                };
-                // A summed column's new boundary takes the sum below it.
-                let below = if summed {
-                    sum_of(&vg.slice()[..split])
-                } else {
-                    0
-                };
-                (split, below)
+    /// Cracks the latched `piece` at `v` and publishes the new boundary,
+    /// with the sum below it on a summed column, before the latch goes.
+    /// Returns the boundary's position and the piece's length.
+    fn crack_two(
+        &self,
+        mut piece: Piece<'_, Write>,
+        v: i64,
+        threads: usize,
+        scratch: &mut CrackScratch,
+    ) -> (usize, usize) {
+        let (start, len, summed) = (piece.start(), piece.len(), piece.summed());
+        let (split, below) = piece.lanes(|vals, rows| {
+            let split = match rows {
+                Some(rows) => partition_two(vals, rows, v, threads, scratch),
+                None => partition_two(vals, &mut no_rows(len), v, threads, scratch),
             };
-            let pos = start + split;
-            self.index.write().insert_bound(v, pos, below);
-            return Some((pos, false, end - start));
-        }
+            // A summed column's new boundary takes the sum below it.
+            (split, if summed { sum_of(&vals[..split]) } else { 0 })
+        });
+        self.structure
+            .index
+            .write()
+            .insert_bound(v, start + split, below);
+        (start + split, len)
+    }
+
+    /// Cracks the latched `piece`, which holds both of `pred`'s bounds, in
+    /// three and publishes both boundaries, each with the sum of the part
+    /// below it on a summed column. Returns their positions and the
+    /// piece's length.
+    fn crack_three(
+        &self,
+        mut piece: Piece<'_, Write>,
+        pred: Predicate,
+        scratch: &mut CrackScratch,
+    ) -> (usize, usize, usize) {
+        let (start, len, summed) = (piece.start(), piece.len(), piece.summed());
+        let (lo, hi, threads) = (pred.lo, pred.hi, self.select_threads);
+        let (a, b, below_a, below_b) = piece.lanes(|vals, rows| {
+            let (a, b) = match rows {
+                Some(rows) => partition_three(vals, rows, lo, hi, threads, scratch),
+                None => partition_three(vals, &mut no_rows(len), lo, hi, threads, scratch),
+            };
+            // A summed column's two new boundaries take the sums of the
+            // parts below them, from the values just partitioned.
+            if summed {
+                (a, b, sum_of(&vals[..a]), sum_of(&vals[a..b]))
+            } else {
+                (a, b, 0, 0)
+            }
+        });
+        let mut idx = self.structure.index.write();
+        idx.insert_bound(lo, start + a, below_a);
+        idx.insert_bound(hi, start + b, below_b);
+        (start + a, start + b, len)
     }
 
     // ------------------------------------------------------------------
@@ -835,11 +645,10 @@ impl CrackerColumn {
         if self.pending_len() > 0 {
             self.try_merge(false);
         }
-        let _shared = self.structure.read();
-        match self.crack_bound(pivot, scratch, false) {
-            None => RefineOutcome::Busy,
-            Some((_, true, _)) => RefineOutcome::AlreadyBound,
-            Some((_, false, touched)) => {
+        match self.crack_bound(&self.structure.read(), pivot, false, scratch) {
+            Latched::Busy => RefineOutcome::Busy,
+            Latched::Exact(_) => RefineOutcome::AlreadyBound,
+            Latched::Piece((_, touched)) => {
                 if holix_telemetry::metrics_enabled() {
                     holix_telemetry::counter!("cracking_refinements_total").inc();
                     holix_telemetry::counter!("cracking_piece_splits_total").inc();
@@ -854,11 +663,10 @@ impl CrackerColumn {
     /// the backlog, as a select does.
     pub fn refine_at_blocking(&self, pivot: i64, scratch: &mut CrackScratch) -> RefineOutcome {
         self.merge_past_backlog();
-        let _shared = self.structure.read();
-        match self.crack_bound(pivot, scratch, true) {
-            None => unreachable!("blocking crack cannot be Busy"),
-            Some((_, true, _)) => RefineOutcome::AlreadyBound,
-            Some((_, false, touched)) => RefineOutcome::Refined { piece_len: touched },
+        match self.crack_bound(&self.structure.read(), pivot, true, scratch) {
+            Latched::Busy => unreachable!("a waiting crack is never Busy"),
+            Latched::Exact(_) => RefineOutcome::AlreadyBound,
+            Latched::Piece((_, touched)) => RefineOutcome::Refined { piece_len: touched },
         }
     }
 
@@ -888,10 +696,8 @@ impl CrackerColumn {
     // ------------------------------------------------------------------
 
     /// Queues an insertion; reads count it from the queue until a merge
-    /// applies it (see [`CrackerColumn::merge_pending`] for when). Returns
-    /// `false` — queueing nothing — once the column is
-    /// sealed for shard migration; the caller re-routes the update through
-    /// the successor plan.
+    /// applies it. Returns `false`, queueing nothing, once the column is
+    /// sealed for shard migration (the caller re-routes the update).
     pub fn queue_insert(&self, v: i64, row: RowId) -> bool {
         {
             let mut p = self.pending.lock();
@@ -912,12 +718,10 @@ impl CrackerColumn {
         true
     }
 
-    /// Queues a deletion of the value previously inserted for `row`. The
-    /// target must be a tuple that is merged or has a matching pending
-    /// insert (which the queue cancels): a Ripple merge silently drops a
-    /// delete whose target is absent, and until that happens every read's
-    /// overlay counts the delete against the aggregates. Returns `false` —
-    /// queueing nothing — once the column is sealed for shard migration.
+    /// Queues a deletion of the value previously inserted for `row`, a
+    /// tuple that is merged or pending (a merge silently drops a delete of
+    /// an absent one, which reads count until then). Returns `false`,
+    /// queueing nothing, once the column is sealed for shard migration.
     pub fn queue_delete(&self, v: i64, row: RowId) -> bool {
         {
             let mut p = self.pending.lock();
@@ -952,10 +756,8 @@ impl CrackerColumn {
         }
     }
 
-    /// Queue length from which an idle worker drains the column
-    /// ([`CrackerColumn::drain_in_background`]) whatever its index
-    /// membership: half the backlog, so on a column the workers keep up
-    /// with, no read reaches the backlog.
+    /// Queue length from which an idle worker drains the column: half the
+    /// backlog, so on a column the workers keep up with no read reaches it.
     pub const DRAIN_DUE: usize = Self::MERGE_BACKLOG / 2;
 
     /// `true` when [`CrackerColumn::drain_in_background`] would merge now:
@@ -965,61 +767,41 @@ impl CrackerColumn {
     }
 
     /// The background drain of an idle worker: once
-    /// [`CrackerColumn::drain_due`], merges the whole queue like
-    /// [`CrackerColumn::merge_pending`]. The structure lock is taken only
-    /// when it is free: a worker never queues as a waiting writer, which
-    /// would hold every new locked read of the column behind it (a busy
-    /// column stays due for the next cycle). Returns `true` when it merged.
+    /// [`CrackerColumn::drain_due`], merges the whole queue when the
+    /// structure lock is free (a busy column stays due for the next cycle).
+    /// Returns `true` when it merged.
     pub fn drain_in_background(&self) -> bool {
         self.drain_due() && self.try_merge(true)
     }
 
-    /// Merges the queue when `structure` is free, without ever queueing
+    /// Merges the queue when the structure lock is free, never queueing
     /// as a waiting writer (std's lock prefers writers, so a waiting one
     /// would hold every new read of the column behind it). Returns `true`
     /// when it merged.
     fn try_merge(&self, background: bool) -> bool {
-        let Some(_exclusive) = self.structure.try_write() else {
+        let Some(mut exclusive) = self.structure.try_write() else {
             return false;
         };
-        // SAFETY: `structure` is held exclusively, taken above;
-        // `prop_piece_sums_and_every_read_path_match_a_multiset_oracle`
-        // drives background drains beside read-path ones against a
-        // multiset oracle.
-        unsafe { self.merge_pending_locked(background) }
+        self.merge_pending_locked(&mut exclusive, background)
     }
 
     /// Ripple-merges the whole pending queue into the cracked column as one
-    /// batch ([`ripple_batch`]: one walk over the boundary table). The merge
-    /// entry of reads past [`CrackerColumn::MERGE_BACKLOG`] and of every
-    /// path that needs its tuples in place; workers merge only when the
-    /// lock is free ([`CrackerColumn::drain_in_background`],
-    /// [`CrackerColumn::refine_at`]). No-op on an empty queue.
+    /// batch ([`ripple_batch`]: one walk over the boundary table), waiting
+    /// for the structure lock. No-op on an empty queue.
     pub fn merge_pending(&self) {
         if self.pending.lock().is_empty() {
             return;
         }
-        let _exclusive = self.structure.write();
-        // SAFETY: `structure` is held exclusively, taken on the line above;
-        // `concurrent_snapshot_scans_with_cracks_and_merges` races merges
-        // against cracks and scans.
-        unsafe { self.merge_pending_locked(false) };
+        self.merge_pending_locked(&mut self.structure.write(), false);
     }
 
-    /// [`CrackerColumn::merge_pending`] under a held exclusive lock.
-    ///
-    /// The batch is taken only once the column is exclusively ours, so
-    /// batches are applied in the order they were taken: a merge that took
-    /// {insert x} and then lost the race for the structure lock to a later
-    /// merge holding {delete x} would find nothing to delete, drop the
-    /// delete, and then insert x for good.
-    ///
-    /// A `background` drain merges only while
-    /// [`CrackerColumn::drain_due`]. Returns `true` when it merged.
-    ///
-    /// # Safety
-    /// The caller holds `structure` exclusively.
-    unsafe fn merge_pending_locked(&self, background: bool) -> bool {
+    /// [`CrackerColumn::merge_pending`] under an exclusive `hold`; a
+    /// `background` drain merges only while [`CrackerColumn::drain_due`].
+    /// Returns `true` when it merged. The batch is taken only once the
+    /// column is ours, so batches apply in the order they were taken: a
+    /// merge that took {insert x} and then lost the lock to a later one
+    /// holding {delete x} would drop the delete and insert x for good.
+    fn merge_pending_locked(&self, hold: &mut Exclusive<'_>, background: bool) -> bool {
         let (ins, del) = {
             let mut p = self.pending.lock();
             // Empty: a racing merge applied it while we waited.
@@ -1029,12 +811,7 @@ impl CrackerColumn {
             p.take_all()
         };
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
-        // SAFETY: the caller's contract. Every merge path is checked
-        // against a multiset oracle by
-        // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`, the
-        // id-less one against an eager twin by
-        // `prop_values_only_merges_match_an_eager_twin`.
-        let walked = unsafe { self.ripple_apply(&ins, &del) };
+        let walked = self.ripple_apply(hold, &ins, &del);
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_ripple_merges_total").inc();
             if background {
@@ -1056,31 +833,23 @@ impl CrackerColumn {
     /// without them stays without: its source logs the batch and answers
     /// which deletes are present (`RowSource::record`), and the walk moves
     /// values alone and applies those, matched by value.
-    ///
-    /// # Safety
-    /// The caller holds `structure` exclusively — no piece guard can be
-    /// live and no reader observes the vectors while they move.
-    unsafe fn ripple_apply(&self, ins: &[(i64, RowId)], del: &[(i64, RowId)]) -> usize {
-        let mut idx = self.index.write();
+    fn ripple_apply(
+        &self,
+        hold: &mut Exclusive<'_>,
+        ins: &[(i64, RowId)],
+        del: &[(i64, RowId)],
+    ) -> usize {
+        let mut idx = self.structure.index.write();
         let present = (!self.has_row_ids()).then(|| {
             self.row_source
                 .as_ref()
                 .expect("a column without row ids was born from a source")
                 .record(ins, del)
         });
-        // SAFETY: the caller's contract
-        // (`concurrent_snapshot_scans_with_cracks_and_merges` races merges
-        // against cracks and scans).
-        unsafe {
-            self.vals.with_vec_mut(|vals| match &present {
-                None => self
-                    .rows
-                    .with_vec_mut(|rows| ripple_batch(vals, rows, &mut idx, ins, del)),
-                Some(present) => {
-                    ripple_batch(vals, &mut no_rows(vals.len()), &mut idx, ins, present)
-                }
-            })
-        }
+        hold.with_vecs_mut(|vals, rows| match &present {
+            None => ripple_batch(vals, rows, &mut idx, ins, del),
+            Some(present) => ripple_batch(vals, &mut no_rows(vals.len()), &mut idx, ins, present),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1088,10 +857,8 @@ impl CrackerColumn {
     // ------------------------------------------------------------------
 
     /// Seals the update ingress: every later [`CrackerColumn::queue_insert`]
-    /// / [`CrackerColumn::queue_delete`] returns `false` so shard routers
-    /// re-route through the successor plan. Reads — selects, snapshot
-    /// scans, point probes — keep working; sealing freezes only the
-    /// pending queue's intake.
+    /// / [`CrackerColumn::queue_delete`] returns `false`, so shard routers
+    /// re-route through the successor plan. Reads keep working.
     pub fn seal_for_migration(&self) {
         self.pending.lock().seal();
     }
@@ -1110,62 +877,41 @@ impl CrackerColumn {
     }
 
     /// Drains the column for a shard replan: seals the update ingress,
-    /// Ripple-merges **every** pending update — readers still holding the
-    /// old plan's column keep answering exactly from its live pieces — and
-    /// returns a copy of the merged values and row ids in cracked order.
-    /// The column stays fully readable afterwards (in-flight old-plan
-    /// queries finish against it) but accepts no new updates.
+    /// merges **every** pending update and returns a copy of the values
+    /// and row ids in cracked order. In-flight old-plan queries still read
+    /// it exactly afterwards.
     pub fn extract_for_migration(&self) -> (Vec<i64>, Vec<RowId>) {
         self.seal_for_migration();
         // Every merge takes its batch under this lock, so none is in
         // flight once it is ours.
-        let _exclusive = self.structure.write();
+        let mut hold = self.structure.write();
         // The successor is built from (value, row) pairs: a column still
         // without row ids builds them now, from its base and write log.
-        // SAFETY: `structure` is held exclusively
-        // (`replans_of_shards_without_row_ids_keep_every_pair`).
-        unsafe { self.ensure_row_ids() };
-        // Old-plan snapshot readers stay exact: they read under
-        // `structure` shared, so each sees the batch queued or merged.
-        // SAFETY: `structure` is held exclusively
-        // (`merge_replan_concatenates_neighbours_and_drains_pending`).
-        unsafe { self.merge_pending_locked(false) };
-        let n = self.index.read().len();
-        // SAFETY: exclusive structure lock — no live mutators; the row ids
-        // were built above (`extract_for_migration_merges_pending_and_keeps_snapshot_exact`).
-        let vals = unsafe { self.vals.read_range(0, n) }.to_vec();
-        let rows = unsafe { self.rows.read_range(0, n) }.to_vec();
-        (vals, rows)
+        self.ensure_row_ids(&mut hold);
+        // Old-plan snapshot readers stay exact: they read under a shared
+        // hold, so each sees the batch queued or merged.
+        self.merge_pending_locked(&mut hold, false);
+        (hold.vals().to_vec(), hold.rows().to_vec())
     }
 
     // ------------------------------------------------------------------
     // Snapshot reads
     // ------------------------------------------------------------------
 
-    /// Count + sum of values in `pred`, from the live column: under
-    /// `structure` shared (no merge runs, so the multiset of every key
-    /// range is fixed), folds the pending overlay under the pending mutex —
-    /// the linearisation point — adds the sums of the pieces wholly inside
-    /// `pred` under `index` read, and filters the at most two edge pieces
-    /// under their read latches. An edge whose latch is free is latched
-    /// before the index lock goes, so its extent is the one just read; one
-    /// a crack holds is walked afterwards piece by piece over its key span,
-    /// one latch at a time (the crack may split it). The first snapshot
-    /// read of the column sums its pieces first
-    /// ([`CrackerIndex::sum_pieces`], under `structure` exclusive); cracks
-    /// and merges keep the sums from then on.
+    /// Count + sum of values in `pred`, from the live column under a
+    /// shared hold (no merge runs, so every key range's multiset is fixed):
+    /// the pending overlay folded under the pending mutex — the
+    /// linearisation point — plus the sums of the pieces wholly inside
+    /// `pred`, plus the at most two edge pieces filtered under their read
+    /// latches (`Shared::scan_interior`). The first snapshot read of the
+    /// column sums its pieces first ([`CrackerIndex::sum_pieces`]).
     ///
-    /// The overlay assumes the contract [`CrackerColumn::queue_delete`]
-    /// states: a pending delete targets a tuple that is merged (or has a
-    /// matching pending insert, which the queue cancels). A delete of a
-    /// tuple that never existed is counted here until a Ripple merge
-    /// silently drops it.
-    ///
-    /// Adaptivity: when the edge pieces forced at least
-    /// [`CrackerColumn::REFRESH_FILTER_MIN`] element-wise checks, the call
-    /// finishes by cracking its bounds without blocking (skipped on latch
-    /// contention), so a snapshot-only workload converges like a cracking
-    /// one.
+    /// The overlay assumes [`CrackerColumn::queue_delete`]'s contract: a
+    /// delete of a tuple that never existed is counted here until a Ripple
+    /// merge silently drops it. When the edges forced at least
+    /// [`CrackerColumn::REFRESH_FILTER_MIN`] element-wise checks, the read
+    /// cracks its bounds without blocking, so a snapshot-only workload
+    /// converges like a cracking one.
     pub fn snapshot_scan(&self, pred: Predicate, scratch: &mut CrackScratch) -> SnapshotScan {
         if pred.is_empty() {
             return SnapshotScan::default();
@@ -1179,68 +925,35 @@ impl CrackerColumn {
     }
 
     /// The one trigger of the prefix sums: sums every piece of a column
-    /// that keeps none yet, under `structure` exclusive. Never undone.
+    /// that keeps none yet, under an exclusive hold. Never undone.
     fn sum_pieces_once(&self) {
-        if self.index.read().summed() {
+        if self.structure.index.read().summed() {
             return;
         }
-        let _exclusive = self.structure.write();
+        let hold = self.structure.write();
+        let mut idx = self.structure.index.write();
         // Unless a racing reader summed it while this one waited.
-        if self.index.read().summed() {
-            return;
+        if !idx.summed() {
+            idx.sum_pieces(hold.vals());
         }
-        let n = self.len();
-        // SAFETY: `structure` is held exclusively, taken above — no live
-        // mutator (`prop_piece_sums_and_every_read_path_match_a_multiset_oracle`
-        // sums at random points and checks every sum after every step).
-        let vals = unsafe { self.vals.read_range(0, n) };
-        self.index.write().sum_pieces(vals);
     }
 
     /// The body of [`CrackerColumn::snapshot_scan`]; the column is summed.
     fn live_scan(&self, pred: Predicate) -> SnapshotScan {
-        let _shared = self.read_structure();
+        let shared = self.read_structure();
         let (count_delta, sum_delta) = overlay(&self.pending.lock(), pred);
-        let idx = self.index.read();
-        let interior = idx.interior(pred.lo, pred.hi);
-        let latched = interior
-            .edges
-            .each_ref()
-            .map(|edge| edge.as_ref().and_then(|(_, p)| p.latch.try_lock_read()));
-        // Only now: a latched edge's extent is the one the index showed.
-        drop(idx);
-        let mut scan = SnapshotScan {
-            count: interior.count,
-            sum: interior.sum,
-            filtered: 0,
-        };
-        let mut filter = |vals: &[i64]| {
-            let (count, sum) = filter_stats(vals, pred.lo, pred.hi);
-            scan.count += count;
-            scan.sum += sum;
-            scan.filtered += vals.len();
-        };
-        // The latched edges first, so no latch is held while the walk of a
-        // busy edge blocks on one.
-        let mut busy = [None, None];
-        for ((edge, read), busy) in interior.edges.iter().zip(latched).zip(&mut busy) {
-            let Some((from, piece)) = edge else { continue };
-            match read {
-                // SAFETY: the piece's read latch, taken while the index
-                // showed this extent, excludes every crack of it, and
-                // `structure` shared excludes merges
-                // (`prop_piece_sums_and_every_read_path_match_a_multiset_oracle`,
-                // `tests/snapshot_consistency.rs` under ASan in CI).
-                Some(_read) => filter(unsafe { self.vals.read_range(piece.start, piece.end) }),
-                None => *busy = Some((*from, piece.hi_key)),
-            }
+        let (mut count, mut sum, mut filtered) = (0, 0, 0);
+        let (inside, inside_sum) = shared.scan_interior(pred.lo, pred.hi, |vals| {
+            let (c, s) = filter_stats(vals, pred.lo, pred.hi);
+            count += c;
+            sum += s;
+            filtered += vals.len();
+        });
+        SnapshotScan {
+            count: ((inside + count) as i64 + count_delta).max(0) as u64,
+            sum: inside_sum + sum + sum_delta,
+            filtered,
         }
-        for (from, to) in busy.into_iter().flatten() {
-            self.for_each_live_piece(from, to, true, |vals, _| filter(vals));
-        }
-        scan.count = (scan.count as i64 + count_delta).max(0) as u64;
-        scan.sum += sum_delta;
-        scan
     }
 
     /// Edge-piece filter work (values inspected element-wise) from which a
@@ -1250,7 +963,7 @@ impl CrackerColumn {
     /// Every piece's sum in key order; `None` until the first snapshot read
     /// summed the column.
     pub fn piece_sums(&self) -> Option<Vec<i128>> {
-        self.index.read().piece_sums()
+        self.structure.index.read().piece_sums()
     }
 
     // ------------------------------------------------------------------
@@ -1280,18 +993,15 @@ impl CrackerColumn {
     /// Builds and publishes the point filter from the live column plus the
     /// unmerged pending inserts. No-op once published. Copies nothing.
     ///
-    /// Race-freedom: the build runs under `structure` *shared*, which
-    /// excludes Ripple merges — the only operation that moves values from
-    /// the pending queue into the column — so the pieces walked here and
-    /// the pending queue drained below cannot trade values mid-build.
-    /// Cracks racing the build only permute values inside live pieces; the
-    /// walk reads each piece under its read latch and revalidates its
-    /// extent there (`for_each_live_piece`), so it sees
-    /// every merged value exactly once. The pending catch-up and the
-    /// publish share one `pending` critical section, the same one
-    /// [`CrackerColumn::queue_insert`] ORs new values in under, so every
-    /// insert reaches the filter exactly once (deletes are deliberately
-    /// ignored: they only raise the false-positive rate, never unsoundness).
+    /// Race-freedom: the build runs under a shared hold, which excludes
+    /// Ripple merges — the only operation that moves values from the queue
+    /// into the column. Racing cracks only permute values inside pieces,
+    /// and the walk reads each piece under its read latch
+    /// (`Shared::for_each_piece`), so it sees every merged value once. The
+    /// pending catch-up and the publish share the `pending` critical
+    /// section [`CrackerColumn::queue_insert`] ORs new values in under, so
+    /// every insert reaches the filter once (deletes only raise the
+    /// false-positive rate).
     pub fn ensure_point_filter(&self) {
         if self.filter.is_published() {
             return;
@@ -1314,13 +1024,9 @@ impl CrackerColumn {
     pub const FILTER_REBUILD_MIN_DELETES: usize = 64;
 
     /// Rebuilds the published point filter once delete churn since the last
-    /// (re)build reaches a quarter of the merged column: deleted keys stay
-    /// resident in a Bloom filter, so churn monotonically raises its
-    /// false-positive rate until a rebuild from the live column resets it.
-    /// Pending updates are Ripple-merged first — the build walk ignores
-    /// unmerged deletes, so rebuilding around them would change nothing.
-    /// Idle daemon workers call this; returns `true` when a fresh filter
-    /// was published.
+    /// (re)build reaches a quarter of the merged column (deleted keys stay
+    /// in a Bloom filter), merging the queue first: the walk ignores
+    /// unmerged deletes. Idle workers call this; `true` when it published.
     pub fn maybe_rebuild_point_filter(&self) -> bool {
         if !self.filter.is_published() {
             return false;
@@ -1340,25 +1046,23 @@ impl CrackerColumn {
         true
     }
 
-    /// The shared filter (re)build: walks the live pieces under
-    /// `structure` shared, each under its read latch, then folds the
-    /// unmerged pending inserts into the fresh filter and publishes it
-    /// (replacing any previous filter) in one `pending` critical section.
-    /// Until the publish the filter is this thread's alone, so the build
-    /// sets its bits with plain stores; inserts after it `fetch_or`.
-    /// Caller holds `filter_build`.
+    /// The shared filter (re)build: walks the live pieces, then folds the
+    /// unmerged pending inserts in and publishes the filter in one
+    /// `pending` critical section. Until the publish the filter is this
+    /// thread's alone, so the build sets its bits with plain stores;
+    /// inserts after it `fetch_or`. Caller holds `filter_build`.
     fn build_and_publish_filter(&self) {
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
         // Deletes queued from here on count against the *new* filter.
         self.filter_deletes.store(0, Relaxed);
-        let _shared = self.structure.read();
+        let shared = self.structure.read();
         // Slack covers the pending backlog plus a churn allowance; a filter
         // overwhelmed by delete churn is replaced wholesale by
         // [`CrackerColumn::maybe_rebuild_point_filter`], never resized.
         let capacity = self.len() + self.pending_len() + 1024;
         // Private until the publish: plain word ORs, no atomics.
         let mut filter = PointFilter::with_capacity(capacity);
-        self.for_each_live_piece(None, None, true, |vals, _| {
+        shared.for_each_piece(None, None, |vals| {
             vals.iter().for_each(|&v| filter.insert_unshared(v));
         });
         let p = self.pending.lock();
@@ -1382,68 +1086,14 @@ impl CrackerColumn {
     /// A snapshot read's cracks after an expensive edge filter: merges the
     /// queue once it is past the backlog (a snapshot-only workload still
     /// cannot grow it without bound), then cracks each non-sentinel bound
-    /// without blocking, under `structure` shared; a bound whose piece is
+    /// without blocking, under a shared hold; a bound whose piece is
     /// latched elsewhere is left for a later read.
     fn crack_scan_bounds(&self, pred: Predicate, scratch: &mut CrackScratch) {
         self.merge_past_backlog();
-        let _shared = self.structure.read();
+        let shared = self.structure.read();
         for (v, sentinel) in [(pred.lo, i64::MIN), (pred.hi, i64::MAX)] {
             if v != sentinel {
-                self.crack_bound(v, scratch, false);
-            }
-        }
-    }
-
-    /// Hands `visit` the values and upper key (`None` = last piece) of
-    /// every live piece covering `[a, b)`, in key order (both anchors are
-    /// live boundary keys, `None` = column edge): the one walk over live
-    /// pieces, behind a snapshot read's busy edge filters and the
-    /// point-filter build. With `latched`, each piece is read under its
-    /// read latch (caller holds `structure` shared; concurrent cracks of
-    /// *other* pieces proceed); otherwise the caller holds `structure`
-    /// exclusively. Each piece's key range is visited once, so the walk
-    /// sees every merged value exactly once however cracks split pieces
-    /// around it (only a merge, excluded by either mode, changes a key
-    /// range's multiset).
-    fn for_each_live_piece(
-        &self,
-        a: Option<i64>,
-        b: Option<i64>,
-        latched: bool,
-        mut visit: impl FnMut(&[i64], Option<i64>),
-    ) {
-        let mut cur = a;
-        loop {
-            let Some(p) = self.index.read().piece_after(cur) else {
-                debug_assert!(false, "anchor {cur:?} is not a live boundary");
-                break;
-            };
-            let latch = p.latch.clone();
-            let _read = latched.then(|| latch.lock_read());
-            // Revalidate under the latch: the piece may have split since
-            // the lookup (its start and latch are stable; only the extent
-            // can shrink, and no crack shrinks it while the latch is held).
-            let p = if latched {
-                let Some(q) = self.index.read().piece_after(cur) else {
-                    break;
-                };
-                debug_assert!(q.latch.same_as(&p.latch), "a piece's latch moved");
-                q
-            } else {
-                p
-            };
-            // SAFETY: either the read latch on the piece excludes its
-            // writers and `structure` shared excludes vector moves, or
-            // `structure` exclusive excludes every live mutator (the
-            // caller's contract). Backed by
-            // `point_filter_build_races_cracks_on_the_same_shard` (the
-            // latched walk against cracks of the same pieces, under ASan in
-            // CI) and `concurrent_snapshot_scans_with_cracks_and_merges`.
-            visit(unsafe { self.vals.read_range(p.start, p.end) }, p.hi_key);
-            match (p.hi_key, b) {
-                (None, _) => break,
-                (Some(k), Some(bk)) if k >= bk => break,
-                (key, _) => cur = key,
+                self.crack_bound(&shared, v, false, scratch);
             }
         }
     }
@@ -1452,22 +1102,20 @@ impl CrackerColumn {
     // Verification / instrumentation
     // ------------------------------------------------------------------
 
-    /// Select plus an exclusive checksum scan of the qualifying range and
-    /// the sum of the pending updates in the predicate. Used by tests and
-    /// verification modes. The scan re-locates both bounds under the
-    /// exclusive structure lock and folds the overlay there, so the answer
-    /// is the column's at one instant even when a merge ran since the
-    /// select; the returned selection is re-located the same way.
+    /// Select plus a checksum scan of the qualifying range and the pending
+    /// updates in the predicate, both bounds re-located under one exclusive
+    /// hold, so the answer is the column's at one instant (tests and
+    /// verification modes).
     pub fn select_verified(
         &self,
         pred: Predicate,
         scratch: &mut CrackScratch,
     ) -> (Selection, RangeStats) {
         let sel = self.select(pred, scratch);
-        let _exclusive = self.structure.write();
+        let hold = self.structure.write();
         // The select cracked both bounds (boundaries are never removed),
         // unless the predicate is empty.
-        let Some((start, end)) = Self::exact_span(&self.index.read(), pred) else {
+        let Some((start, end)) = Self::exact_span(&self.structure.index.read(), pred) else {
             return (sel, RangeStats::default());
         };
         let (pending, pending_sum) = overlay(&self.pending.lock(), pred);
@@ -1477,11 +1125,7 @@ impl CrackerColumn {
             pending,
             ..sel
         };
-        // SAFETY: exclusive structure lock — no live mutators; every
-        // `select_verified` against a scan oracle reads through here
-        // (`threaded_select_matches_scan_oracle`).
-        let slice = unsafe { self.vals.read_range(start, end) };
-        let mut stats = holix_storage::select::slice_stats(slice);
+        let mut stats = holix_storage::select::slice_stats(&hold.vals()[start..end]);
         stats.count = sel.count();
         stats.sum += pending_sum;
         (sel, stats)
@@ -1491,42 +1135,26 @@ impl CrackerColumn {
     /// access for the duration of the copy). Used by consolidation in the
     /// chunked variants and by verification code.
     pub fn snapshot_range(&self, start: usize, end: usize) -> Vec<i64> {
-        let _exclusive = self.structure.write();
-        // SAFETY: exclusive structure lock — no live mutators
-        // (`prop_row_ids_built_on_demand_match_an_eager_twin` reads its
-        // copies against the row ids).
-        unsafe { self.vals.read_range(start, end) }.to_vec()
+        self.structure.write().vals()[start..end].to_vec()
     }
 
     /// Atomically copies the *base-table row ids* currently in
-    /// `[pred.lo, pred.hi)`. Both bounds must already be boundaries (run
-    /// `select` first to crack them). The pending queue is merged first,
-    /// under the exclusive structure lock this call holds anyway, so the
-    /// ids include pending inserts and drop pending deletes; the bounds are
-    /// re-located after it, so the copy is a consistent snapshot of the
-    /// column at one instant. `None` when a non-sentinel bound is not
-    /// an exact boundary — callers fall back to per-term execution.
-    /// Conjunction execution collects the driver term's row ids here and
-    /// probes the remaining attributes positionally in the base table. The
-    /// first call on a column born without row ids builds them (one pass
-    /// over its base and its write log, under the lock this call holds
-    /// anyway).
+    /// `[pred.lo, pred.hi)`, whose bounds a `select` cracked (`None` when a
+    /// non-sentinel bound is not a boundary: callers fall back to per-term
+    /// execution). Under one exclusive hold it merges the queue, so the ids
+    /// include pending inserts and drop pending deletes, re-locates the
+    /// bounds and, on a column born without row ids, builds them first.
+    /// Conjunctions collect their leading term's row ids here and probe the
+    /// remaining attributes positionally in the base table.
     pub fn collect_row_ids(&self, pred: Predicate) -> Option<Vec<RowId>> {
         if pred.is_empty() {
             return Some(Vec::new());
         }
-        let _exclusive = self.structure.write();
-        // SAFETY: exclusive structure lock, taken above; the row ids of a
-        // merge are checked by
-        // `prop_updates_at_the_backlog_edge_match_a_multiset_oracle`.
-        unsafe { self.merge_pending_locked(false) };
-        let (start, end) = Self::exact_span(&self.index.read(), pred)?;
-        // SAFETY: exclusive structure lock — no live mutators, and no
-        // merge half applied; the ids read below are compared with an
-        // eager twin's by `prop_row_ids_built_on_demand_match_an_eager_twin`
-        // and, after merges, `prop_values_only_merges_match_an_eager_twin`.
-        unsafe { self.ensure_row_ids() };
-        Some(unsafe { self.rows.read_range(start, end) }.to_vec())
+        let mut hold = self.structure.write();
+        self.merge_pending_locked(&mut hold, false);
+        let (start, end) = Self::exact_span(&self.structure.index.read(), pred)?;
+        self.ensure_row_ids(&mut hold);
+        Some(hold.rows()[start..end].to_vec())
     }
 
     /// Panics unless every cracking invariant holds. When `base` is given
@@ -1536,17 +1164,17 @@ impl CrackerColumn {
     /// ids once the column stores them, the sorted values against the
     /// sorted base filter while it does not.
     pub fn check_invariants(&self, base: Option<&[i64]>) {
-        let _exclusive = self.structure.write();
-        let idx = self.index.read();
+        let hold = self.structure.write();
+        let idx = self.structure.index.read();
         let n = idx.len();
         let has_rows = self.has_row_ids();
-        // SAFETY: exclusive structure lock, taken above — no live mutators
-        // (both reads; every test that ends in `check_invariants`, such as
-        // `concurrent_queries_and_refiners_preserve_invariants`).
-        let vals = unsafe { self.vals.read_range(0, n) };
-        let rows = unsafe { self.rows.read_range(0, if has_rows { n } else { 0 }) };
+        let (vals, rows) = (hold.vals(), hold.rows());
         assert_eq!(vals.len(), n);
-        assert_eq!(self.rows.len(), rows.len(), "row ids beyond the column");
+        assert_eq!(
+            rows.len(),
+            n * usize::from(has_rows),
+            "row ids beyond the column"
+        );
 
         let bounds = idx.bounds_in_order();
         for w in bounds.windows(2) {
@@ -1617,9 +1245,10 @@ impl std::fmt::Debug for CrackerColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ShardPlan, ShardedColumn};
+    use crate::{BoundLookup, ShardPlan, ShardedColumn};
     use holix_storage::select::scan_stats;
     use rand::prelude::*;
+    use std::sync::atomic::AtomicBool;
 
     fn column(n: usize, seed: u64) -> (Vec<i64>, CrackerColumn) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1754,7 +1383,7 @@ mod tests {
         let (_, col) = column(5_000, 7);
         let mut scratch = CrackScratch::new();
         // Latch the only piece by hand.
-        let latch = match col.index.read().locate(500) {
+        let latch = match col.structure.index.read().locate(500) {
             BoundLookup::Piece { latch, .. } => latch.clone(),
             _ => panic!(),
         };
@@ -2104,12 +1733,15 @@ mod tests {
             col.select(Predicate::range(a.min(b), a.max(b)), &mut scratch);
         }
         assert!(col.piece_sums().is_none(), "a select summed the column");
-        let (payload, index) = (col.payload_bytes(), col.index.read().approx_bytes());
+        let (payload, index) = (
+            col.payload_bytes(),
+            col.structure.index.read().approx_bytes(),
+        );
         let pred = Predicate::range(333, 777);
         let got = col.snapshot_scan(pred, &mut scratch);
         let want = scan_stats(&base, pred);
         assert_eq!((got.count, got.sum), (want.count, want.sum));
-        let grown = col.index.read().approx_bytes() - index;
+        let grown = col.structure.index.read().approx_bytes() - index;
         assert_eq!(col.payload_bytes(), payload + grown, "the read copied");
         assert!(col.piece_sums().is_some(), "the read did not sum");
         let full = Predicate::range(i64::MIN, i64::MAX);
@@ -2149,7 +1781,7 @@ mod tests {
         col.merge_pending();
         col.snapshot_scan(Predicate::range(i64::MIN, i64::MAX), &mut scratch);
         let pred = Predicate::range(100, 400);
-        let latch = match col.index.read().locate(pred.lo) {
+        let latch = match col.structure.index.read().locate(pred.lo) {
             BoundLookup::Piece { latch, .. } => latch.clone(),
             BoundLookup::Exact(_) => panic!("100 is not a boundary"),
         };
@@ -2655,7 +2287,7 @@ mod tests {
             probes in proptest::collection::vec((0u8..3, 0u64..1_000, 0u8..3, 0u64..1_000), 1..24),
         ) {
             let (col, pending) = cracked_with_pending(seed, n, cracks, inserts, deletes);
-            let bounds: Vec<i64> = col.index.read().bounds_in_order().iter().map(|b| b.0).collect();
+            let bounds: Vec<i64> = col.structure.index.read().bounds_in_order().iter().map(|b| b.0).collect();
             // A bound is one of the column's boundaries, a sentinel, or any
             // value in (or just outside) the domain.
             let pick = |kind: u8, raw: u64, sentinel: i64| match kind {

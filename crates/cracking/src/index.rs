@@ -69,9 +69,8 @@ pub struct BoundEntry {
     pub below: i128,
 }
 
-/// One piece addressed by its starting boundary key (the walks of a
-/// snapshot read's busy edge and of the point-filter build; see
-/// [`CrackerIndex::piece_after`]).
+/// One edge piece of [`CrackerIndex::interior`], with its own handle on the
+/// piece's latch (a snapshot read latches it after the index read goes).
 #[derive(Debug, Clone)]
 pub struct PieceRef {
     /// First position of the piece.
@@ -422,27 +421,28 @@ impl CrackerIndex {
         out
     }
 
-    /// The piece that *starts* at boundary `lo_key` (`None` = position 0):
-    /// its position range, latch and upper boundary key. The live-piece
-    /// walk goes over a value range piece by piece through this —
-    /// re-looking the chain up by key per step, so pieces split by
-    /// concurrent cracks are picked up at their current extent (boundaries
-    /// are never removed, so a key that once started a piece always does).
-    /// Returns `None` only when `lo_key` is not a boundary at all.
-    pub fn piece_after(&self, lo_key: Option<i64>) -> Option<PieceRef> {
+    /// The piece that *starts* at boundary `lo_key` (`None` = position 0),
+    /// as a [`BoundLookup::Piece`]. The live-piece walk goes over a value
+    /// range piece by piece through this — re-looking the chain up by key
+    /// per step, so pieces split by concurrent cracks are picked up at
+    /// their current extent (boundaries are never removed, so a key that
+    /// once started a piece always does). Returns `None` only when
+    /// `lo_key` is not a boundary at all.
+    pub fn piece_after(&self, lo_key: Option<i64>) -> Option<BoundLookup<'_>> {
         let (start, latch, mut above) = match lo_key {
-            None => (0, self.first_latch.clone(), self.bounds.range(..)),
+            None => (0, &self.first_latch, self.bounds.range(..)),
             Some(k) => {
                 let mut from = self.bounds.range(k..);
                 let (_, e) = from.next().filter(|&(&at, _)| at == k)?;
-                (e.pos, e.latch.clone(), from)
+                (e.pos, &e.latch, from)
             }
         };
         let (end, hi_key) = self.piece_end(above.next());
-        Some(PieceRef {
+        Some(BoundLookup::Piece {
             start,
             end,
             latch,
+            lo_key,
             hi_key,
         })
     }
@@ -500,6 +500,28 @@ mod tests {
         seen
     }
 
+    /// A piece's start, end and upper key.
+    type Extent = (usize, usize, Option<i64>);
+
+    /// The extent of a piece lookup, `None` for none (or an exact hit).
+    fn extent(found: Option<BoundLookup<'_>>) -> Option<Extent> {
+        owner(found).map(|(extent, _)| extent)
+    }
+
+    /// [`extent`] with the piece's latch.
+    fn owner(found: Option<BoundLookup<'_>>) -> Option<(Extent, &PieceLatch)> {
+        match found? {
+            BoundLookup::Piece {
+                start,
+                end,
+                hi_key,
+                latch,
+                ..
+            } => Some(((start, end, hi_key), latch)),
+            BoundLookup::Exact(_) => None,
+        }
+    }
+
     /// Checks every lookup and walk of `idx` against a linear scan of
     /// `bounds_in_order()`, for probes below, on, between and above the
     /// keys; the walks are told to stop after `stop` visits.
@@ -508,12 +530,9 @@ mod tests {
         let len = idx.len();
         let key_at = |i: usize| bounds.get(i).map(|&(k, _)| k);
         let end_at = |i: usize| bounds.get(i).map_or(len, |&(_, pos)| pos);
-        let first = idx
-            .piece_after(None)
-            .expect("the first piece always exists");
         assert_eq!(
-            (first.start, first.end, first.hi_key),
-            (0, end_at(0), key_at(0))
+            extent(idx.piece_after(None)),
+            Some((0, end_at(0), key_at(0)))
         );
         let rev: Vec<i64> = bounds.iter().rev().map(|&(k, _)| k).take(stop).collect();
         assert_eq!(walked(idx, None, stop), rev, "walk_rev");
@@ -541,17 +560,17 @@ mod tests {
                 } => {
                     assert!(!on, "locate({p}) missed its boundary");
                     assert_eq!((s, end, lo_key, hi_key), (start, end_at(i), lo, key_at(i)));
-                    let owner = idx.piece_after(lo_key).expect("lo_key is a boundary");
+                    let (_, owns) = owner(idx.piece_after(lo_key)).expect("lo_key is a boundary");
                     assert!(
-                        latch.same_as(&owner.latch),
+                        latch.same_as(owns),
                         "locate({p}) handed out another piece's latch"
                     );
                 }
             }
-            match idx.piece_after(Some(p)) {
+            match extent(idx.piece_after(Some(p))) {
                 Some(r) => {
                     assert!(on, "piece_after({p}) on a non-boundary");
-                    assert_eq!((r.start, r.end, r.hi_key), (start, end_at(i), key_at(i)));
+                    assert_eq!(r, (start, end_at(i), key_at(i)));
                 }
                 None => assert!(!on, "piece_after({p}) lost its boundary"),
             }
@@ -733,10 +752,9 @@ mod tests {
         idx.insert_bound(70, 80, 0);
         let mut cur = None;
         let mut seen = Vec::new();
-        loop {
-            let p = idx.piece_after(cur).unwrap();
-            seen.push((p.start, p.end, p.hi_key));
-            match p.hi_key {
+        while let Some((start, end, hi_key)) = extent(idx.piece_after(cur)) {
+            seen.push((start, end, hi_key));
+            match hi_key {
                 Some(k) => cur = Some(k),
                 None => break,
             }
@@ -748,8 +766,7 @@ mod tests {
         assert!(idx.piece_after(Some(31)).is_none(), "31 is not a boundary");
         // Empty index: one piece spanning everything.
         let empty = CrackerIndex::new(7);
-        let p = empty.piece_after(None).unwrap();
-        assert_eq!((p.start, p.end, p.hi_key), (0, 7, None));
+        assert_eq!(extent(empty.piece_after(None)), Some((0, 7, None)));
     }
 
     /// The index driving a real crack sequence: every crack is located,
@@ -843,12 +860,9 @@ mod tests {
                 let straddles_lo = lo != i64::MIN && from.is_none_or(|k| k < lo);
                 let straddles_hi = hi != i64::MAX && piece.hi_key.is_none_or(|k| k > hi);
                 assert!(straddles_lo || straddles_hi, "an inside piece filtered");
-                let owner = index.piece_after(from).expect("a boundary");
-                assert!(owner.latch.same_as(&piece.latch), "another piece's latch");
-                assert_eq!(
-                    (owner.start, owner.end, owner.hi_key),
-                    (piece.start, piece.end, piece.hi_key)
-                );
+                let (extent, latch) = owner(index.piece_after(from)).expect("a boundary");
+                assert!(latch.same_as(&piece.latch), "another piece's latch");
+                assert_eq!(extent, (piece.start, piece.end, piece.hi_key));
                 for &v in vals[piece.start..piece.end].iter().filter(|&&v| inside(v)) {
                     count += 1;
                     sum += v as i128;

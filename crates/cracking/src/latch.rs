@@ -9,10 +9,9 @@
 //! - **holistic workers `try_lock`**: if the piece is busy they pick another
 //!   random pivot instead of waiting (Fig 3(d)–(e)).
 //!
-//! A latch handle is an `Arc`, so the cracker index hands out clones that
-//! outlive the short critical section on the index lock that located the
-//! piece. A guard borrows the handle it was taken from and is released on
-//! the thread that took it (std's guards are `!Send`).
+//! A latch handle is an `Arc`: a piece is latched through a clone taken
+//! under the index lock that located it. A guard borrows that handle and
+//! is released on the thread that took it (std's guards are `!Send`).
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
@@ -23,17 +22,9 @@ pub type PieceWriteGuard<'a> = RwLockWriteGuard<'a, ()>;
 pub type PieceReadGuard<'a> = RwLockReadGuard<'a, ()>;
 
 /// One latch per piece of a cracker column.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PieceLatch {
     lock: Arc<RwLock<()>>,
-}
-
-impl Clone for PieceLatch {
-    fn clone(&self) -> Self {
-        PieceLatch {
-            lock: Arc::clone(&self.lock),
-        }
-    }
 }
 
 impl Default for PieceLatch {

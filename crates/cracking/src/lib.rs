@@ -53,6 +53,7 @@ mod cell;
 pub mod column;
 pub mod crack;
 pub mod filter;
+mod holds;
 pub mod index;
 pub mod kernels;
 pub mod latch;

@@ -8,16 +8,16 @@
 //!
 //! ## Safety contract
 //!
-//! Callers (only [`crate::column::CrackerColumn`]) must guarantee:
+//! Callers: the crate's `holds` module only — a cracker column's structure
+//! lock and piece latches, as types. It guarantees that
 //!
 //! 1. a range handed out by [`RangeCell::range_mut`] is disjoint from every
-//!    other live range (enforced operationally by piece write latches),
-//! 2. [`RangeCell::with_vec_mut`] (which may grow/shrink and reallocate) is
-//!    only called while **no** range guards are live (enforced by the
-//!    column-level structure `RwLock`: range users hold it shared, vector
-//!    mutators hold it exclusively),
-//! 3. [`RangeCell::read_range`] is only used on ranges that no live guard
-//!    mutates (same latch discipline as 1).
+//!    other live range (a piece's write latch, under a shared hold),
+//! 2. [`RangeCell::with_vec_mut`] (which may grow/shrink and reallocate)
+//!    runs only while **no** range guard or read is live (an exclusive
+//!    hold),
+//! 3. [`RangeCell::read_range`] reads only ranges that no live guard
+//!    mutates (a piece's read latch, or an exclusive hold).
 //!
 //! Debug builds register every live range and assert the disjointness at
 //! runtime, so concurrency tests catch protocol violations.
@@ -41,10 +41,6 @@ pub struct RangeCell<T> {
 // `range_mut` (`overlap_detected_in_debug`) checks the disjointness in every
 // concurrent column test.
 unsafe impl<T: Send> Sync for RangeCell<T> {}
-// SAFETY: the cell owns its `Vec<T>`; moving it moves the vector, which is
-// `Send` for `T: Send` (`disjoint_ranges_mutate_concurrently` hands the cell
-// to scoped threads by reference and takes it back with `into_inner`).
-unsafe impl<T: Send> Send for RangeCell<T> {}
 
 impl<T> RangeCell<T> {
     /// Wraps a vector.

@@ -59,7 +59,7 @@ use crate::kernels::{self, Isa};
 use crate::partition::DEFAULT_MIN_PARALLEL;
 use crate::row_ids::RowSource;
 use crate::vectorized::CrackScratch;
-use holix_storage::select::{scan_stats, Predicate, RangeStats};
+use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::RowId;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -826,8 +826,8 @@ fn zone_meets(&(min, max): &(i64, i64), lo: Option<i64>, hi: Option<i64>) -> boo
 /// Count and sum of the values of `base` in `[lo, hi)` (`None` =
 /// unbounded) over the zones of `zones` (the base's zone map) that can
 /// hold one, and how many zones that read: the runs of [`filter_pass_on`],
-/// each through [`scan_stats`]. An unbounded top takes `i64::MAX` too, as
-/// a cracked select reads it.
+/// each through [`kernels::filter_count`], the snapshot read's edge filter.
+/// An unbounded top takes `i64::MAX` too, as a cracked select reads it.
 fn scan_zones(
     base: &[i64],
     zones: &[(i64, i64)],
@@ -840,7 +840,6 @@ fn scan_zones(
         "not this base's zones"
     );
     let meets = |zone: &(i64, i64)| zone_meets(zone, lo, hi);
-    let lo = lo.unwrap_or(i64::MIN);
     let (mut stats, mut read, mut start) = (RangeStats::default(), 0, 0);
     for run in zones.chunk_by(|a, b| meets(a) == meets(b)) {
         let rows = start..(start + run.len() * ZONE).min(base.len());
@@ -849,21 +848,8 @@ fn scan_zones(
             continue;
         }
         read += run.len();
-        let values = &base[rows];
-        stats.merge(match hi {
-            Some(hi) => scan_stats(values, Predicate::range(lo, hi)),
-            None => {
-                let mut top = scan_stats(values, Predicate::at_least(lo));
-                // (`at_least` leaves the sentinel out; only a zone whose
-                // maximum it is can hold it.)
-                if run.iter().any(|&(_, max)| max == i64::MAX) {
-                    let n = values.iter().filter(|&&v| v == i64::MAX).count();
-                    top.count += n as u64;
-                    top.sum += n as i128 * i64::MAX as i128;
-                }
-                top
-            }
-        });
+        let (count, sum) = kernels::filter_count(&base[rows], lo, hi);
+        stats.merge(RangeStats { count, sum });
     }
     (stats, read)
 }
@@ -2119,7 +2105,7 @@ mod tests {
 
     /// A column's whole boundary table.
     fn bounds_of(col: &CrackerColumn) -> Vec<(i64, usize)> {
-        col.index.read().bounds_in_order()
+        col.with_index(crate::CrackerIndex::bounds_in_order)
     }
 
     /// Sorted values of each piece of `col` under `bounds`.

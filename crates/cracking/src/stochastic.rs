@@ -41,9 +41,11 @@ fn random_crack_within_piece_of(
     if bound == i64::MIN || bound == i64::MAX {
         return;
     }
-    let (lo_key, hi_key) = match col.index.read().locate(bound) {
-        BoundLookup::Exact(_) => return,
-        BoundLookup::Piece { lo_key, hi_key, .. } => (lo_key, hi_key),
+    let Some((lo_key, hi_key)) = col.with_index(|idx| match idx.locate(bound) {
+        BoundLookup::Exact(_) => None,
+        BoundLookup::Piece { lo_key, hi_key, .. } => Some((lo_key, hi_key)),
+    }) else {
+        return;
     };
     // The piece holds values in [lo_key, hi_key); fall back to the column
     // domain for the outermost pieces.

@@ -9,7 +9,7 @@
 //!   swaps the misplaced middle regions into place. The module lives in
 //!   `holix-cracking` (every cracker column reaches it through the one
 //!   partition entry point) and is re-exported here under its old path.
-//! - PVDC (**P**arallel **i64**ectorized **D**atabase **C**racking) is a
+//! - PVDC (**P**arallel **V**ectorized **D**atabase **C**racking) is a
 //!   plain [`holix_cracking::CrackerColumn`] built with a query-path
 //!   thread budget above one (`from_base(..).with_threads(t, 1)`): all
 //!   user-query threads gang up on the one piece a query cracks. PVSDC

@@ -8,7 +8,6 @@
 
 use crate::batcher::Scheduling;
 use crate::dispatcher::{QueryService, ServiceConfig};
-use holix_core::cpu::LoadAccountant;
 use holix_engine::api::QueryEngine;
 use holix_workloads::QuerySpec;
 use std::sync::Arc;
@@ -32,34 +31,18 @@ pub fn run_clients(
     queries: &[QuerySpec],
     clients: usize,
 ) -> (Duration, Vec<ClientReport>) {
-    run_clients_with(engine, None, queries, clients, Scheduling::Fifo)
-}
-
-/// [`run_clients`] with an explicit load accountant and scheduling policy.
-pub fn run_clients_with(
-    engine: Arc<dyn QueryEngine>,
-    accountant: Option<Arc<LoadAccountant>>,
-    queries: &[QuerySpec],
-    clients: usize,
-    scheduling: Scheduling,
-) -> (Duration, Vec<ClientReport>) {
     let clients = clients.max(1);
     let service = QueryService::start(
         engine,
-        accountant,
+        None,
         ServiceConfig {
             workers: clients,
             queue_capacity: clients.max(4),
-            scheduling,
-            // FIFO drains one query per dispatcher pass, keeping the
-            // engine-level concurrency identical to the old round-robin
-            // harness (every in-flight query on its own thread). Crack-aware
-            // needs multi-query batches to reorder at all, trading some
-            // dispatch concurrency for batching.
-            batch_max: match scheduling {
-                Scheduling::Fifo => 1,
-                Scheduling::CrackAware => (clients / 2).max(2),
-            },
+            scheduling: Scheduling::Fifo,
+            // One query per dispatcher pass keeps the engine-level
+            // concurrency identical to the old round-robin harness (every
+            // in-flight query on its own thread).
+            batch_max: 1,
             contexts_per_worker: 1,
             affinity: false,
             ..ServiceConfig::default()
@@ -131,10 +114,9 @@ mod tests {
                 hi: 300,
             })
             .collect();
+        let (_, reports) = run_clients(Arc::clone(&engine), &queries, 4);
+        assert_eq!(reports.iter().map(|r| r.queries).sum::<usize>(), 32);
         for scheduling in [Scheduling::Fifo, Scheduling::CrackAware] {
-            let (_, reports) = run_clients_with(Arc::clone(&engine), None, &queries, 4, scheduling);
-            assert_eq!(reports.iter().map(|r| r.queries).sum::<usize>(), 32);
-
             // Every answer on the *concurrent* path must equal the scan
             // oracle — four racing sessions, identical predicates, so
             // crack-aware batches of duplicates run under contention too.

@@ -33,7 +33,7 @@ pub mod stats;
 
 pub use batcher::Scheduling;
 pub use dispatcher::{DecomposePolicy, QueryService, ServiceConfig, Session};
-pub use harness::{run_clients, run_clients_with, ClientReport};
+pub use harness::{run_clients, ClientReport};
 pub use holix_planner::{Calibrator, CostModel};
 pub use queue::{AdmissionPolicy, BoundedQueue, SubmitError};
 pub use session::{QueryResult, SessionRegistry, Ticket};
