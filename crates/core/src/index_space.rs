@@ -41,7 +41,6 @@ use crate::config::HolisticConfig;
 use crate::handle::{distance_to_optimal, RefinableIndex};
 use crate::stats::IndexStats;
 use crate::strategy::Strategy;
-use holix_cracking::RefineOutcome;
 use parking_lot::RwLock;
 use rand::seq::IndexedRandom;
 use rand::RngCore;
@@ -111,11 +110,11 @@ impl IndexSlot {
     /// a potential index to `C_actual` and requests a distance refresh —
     /// the slot catches up when the daemon next calls
     /// [`IndexSpace::pick`]. Lock-free; a no-op on a dropped slot.
-    pub fn record_user_query(&self, exact_hit: bool, bounds_cracked: u64) {
+    pub fn record_user_query(&self, exact_hit: bool) {
         if self.is_dropped() {
             return;
         }
-        self.stats.record_query(exact_hit, bounds_cracked);
+        self.stats.record_query(exact_hit);
         // Promote `C_potential` → `C_actual` on first user query. A lost CAS
         // means a racing query (or the maintenance side) already moved the
         // slot on — never overwrite Optimal or Dropped.
@@ -265,26 +264,10 @@ impl IndexSpace {
         }
     }
 
-    /// Records a worker refinement outcome on a picked index and refreshes
-    /// its distance (maintenance side: called by holistic workers, not user
-    /// queries).
-    pub fn record_worker_outcome(
-        &self,
-        slot: &IndexSlot,
-        handle: &dyn RefinableIndex,
-        result: RefineOutcome,
-    ) {
-        match result {
-            RefineOutcome::Refined { .. } => slot.stats.record_worker_refinement(),
-            RefineOutcome::Busy => slot.stats.record_worker_busy(),
-            RefineOutcome::AlreadyBound => {}
-        }
-        self.refresh_distance(slot, handle);
-    }
-
     /// Recomputes `d`; moves the index to `C_optimal` when `d = 0`
-    /// ("Remove I from IS if d(I, I_opt) = 0", Fig 2). Maintenance side.
-    fn refresh_distance(&self, slot: &IndexSlot, handle: &dyn RefinableIndex) {
+    /// ("Remove I from IS if d(I, I_opt) = 0", Fig 2). Maintenance side:
+    /// `pick` refreshes dirty slots, a worker the index it just refined.
+    pub(crate) fn refresh_distance(&self, slot: &IndexSlot, handle: &dyn RefinableIndex) {
         if matches!(slot.membership(), Membership::Dropped | Membership::Optimal) {
             return;
         }
@@ -404,7 +387,7 @@ impl IndexSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holix_cracking::{CrackScratch, CrackerColumn};
+    use holix_cracking::{CrackScratch, CrackerColumn, RefineOutcome};
     use proptest::prelude::{any, proptest, ProptestConfig};
     use rand::prelude::*;
     use std::sync::atomic::AtomicUsize;
@@ -469,8 +452,8 @@ mod tests {
         while slot.membership() == Membership::Actual {
             let (picked, h) = space.pick(&mut rng).refine.expect("pickable");
             assert!(Arc::ptr_eq(&picked, &slot));
-            let res = h.refine_random(&mut rng, 8, &mut CrackScratch::new());
-            space.record_worker_outcome(&picked, h.as_ref(), res);
+            h.refine_random(&mut rng, 8, &mut CrackScratch::new());
+            space.refresh_distance(&picked, h.as_ref());
             steps += 1;
             assert!(steps < 10_000, "did not converge");
         }
@@ -486,7 +469,7 @@ mod tests {
         let (picked, _) = space.pick(&mut rng).refine.unwrap();
         assert!(Arc::ptr_eq(&picked, &slot));
         assert_eq!(slot.membership(), Membership::Potential);
-        slot.record_user_query(false, 2);
+        slot.record_user_query(false);
         assert_eq!(slot.membership(), Membership::Actual);
     }
 
@@ -496,7 +479,7 @@ mod tests {
         let _cold = actual(&space, 100_000, "cold");
         let hot = actual(&space, 100_000, "hot");
         for _ in 0..10 {
-            hot.record_user_query(false, 1);
+            hot.record_user_query(false);
         }
         let mut rng = StdRng::seed_from_u64(5);
         let (picked, _) = space.pick(&mut rng).refine.unwrap();
@@ -509,8 +492,8 @@ mod tests {
         let hits = actual(&space, 100_000, "hits");
         let misses = actual(&space, 100_000, "misses");
         for _ in 0..10 {
-            hits.record_user_query(true, 0); // exact hits
-            misses.record_user_query(false, 2);
+            hits.record_user_query(true); // exact hits
+            misses.record_user_query(false);
         }
         let mut rng = StdRng::seed_from_u64(6);
         let (picked, _) = space.pick(&mut rng).refine.unwrap();
@@ -525,7 +508,7 @@ mod tests {
         let b = actual(&space, 10_000, "b");
         // Make `a` hot so `b` is the LFU victim.
         for _ in 0..5 {
-            a.record_user_query(false, 1);
+            a.record_user_query(false);
         }
         let c = actual(&space, 10_000, "c");
         assert!(b.is_dropped());
@@ -636,7 +619,7 @@ mod tests {
             weak.upgrade().is_none(),
             "a dropped slot still pins the column payload"
         );
-        v.record_user_query(false, 1);
+        v.record_user_query(false);
         assert_eq!(v.stats().queries(), 0, "a dropped slot records nothing");
         assert!(v.is_dropped(), "Dropped is final");
     }
@@ -675,7 +658,7 @@ mod tests {
                     if i % 20 == 0 {
                         handle.refine_random(&mut rng, 8, &mut scratch);
                     }
-                    slot.record_user_query(false, 1);
+                    slot.record_user_query(false);
                 }
                 assert!(!slot.is_dropped());
                 assert_eq!(slot.membership(), Membership::Actual);
@@ -825,11 +808,11 @@ mod tests {
                         if !flag {
                             col.refine_random(&mut rng, &mut scratch, 8);
                         }
-                        slot.record_user_query(flag, u64::from(!flag));
+                        slot.record_user_query(flag);
                     }
                     (2, Some((slot, col))) => {
-                        let res = col.refine_random(&mut rng, &mut scratch, 8);
-                        space.record_worker_outcome(&slot, col.as_ref(), res);
+                        col.refine_random(&mut rng, &mut scratch, 8);
+                        space.refresh_distance(&slot, col.as_ref());
                     }
                     (_, Some((slot, _))) => space.retire(&slot),
                 }
@@ -859,7 +842,7 @@ mod tests {
                 let slots = &slots;
                 s.spawn(move || {
                     for i in 0..500 {
-                        slots[(t + i) % slots.len()].record_user_query(i % 3 == 0, 1);
+                        slots[(t + i) % slots.len()].record_user_query(i % 3 == 0);
                     }
                 });
             }
@@ -868,8 +851,8 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(9);
                 for _ in 0..200 {
                     if let Some((slot, h)) = space.pick(&mut rng).refine {
-                        let res = h.refine_random(&mut rng, 4, &mut CrackScratch::new());
-                        space.record_worker_outcome(&slot, h.as_ref(), res);
+                        h.refine_random(&mut rng, 4, &mut CrackScratch::new());
+                        space.refresh_distance(&slot, h.as_ref());
                     }
                 }
             });

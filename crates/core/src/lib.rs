@@ -6,8 +6,8 @@
 //!
 //! - [`config`] — tuning knobs: |L1|, refinements per worker (`x`), monitor
 //!   interval, storage budget, strategy.
-//! - [`stats`] — per-index workload statistics (`f_I`, `f_Ih`, refinement
-//!   counters) collected by the select operator.
+//! - [`stats`] — per-index workload statistics (`f_I`, `f_Ih`) collected by
+//!   the select operator.
 //! - [`strategy`] — the four index-decision strategies W1–W4.
 //! - [`handle`] — [`handle::RefinableIndex`], what tuning needs of an
 //!   index, implemented by the cracker column.
@@ -19,6 +19,8 @@
 //! - [`worker`] — the IdleFunction a holistic worker runs (Fig 2).
 //! - [`daemon`] — the holistic indexing thread: monitor → activate workers →
 //!   wait → repeat, with per-cycle records (Fig 6d).
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod cpu;

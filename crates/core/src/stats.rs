@@ -5,8 +5,8 @@
 //! cracker column contains, how many queries did not need to further refine
 //! the index because there was an exact hit."
 //!
-//! The counters are atomics because the select operator (user queries) and
-//! holistic workers update them concurrently.
+//! The piece count is read off the index itself; the two query counters
+//! are atomics because concurrent user queries update them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,12 +18,6 @@ pub struct IndexStats {
     /// `f_Ih`: user queries answered without any refinement (both bounds
     /// were exact hits).
     exact_hits: AtomicU64,
-    /// Refinements performed by user queries (bounds cracked).
-    query_refinements: AtomicU64,
-    /// Refinements performed by holistic workers.
-    worker_refinements: AtomicU64,
-    /// Worker refinement attempts that found the piece latched.
-    worker_busy: AtomicU64,
 }
 
 impl IndexStats {
@@ -33,25 +27,11 @@ impl IndexStats {
     }
 
     /// Records one user query; `exact_hit` when no bound needed cracking.
-    pub fn record_query(&self, exact_hit: bool, bounds_cracked: u64) {
+    pub fn record_query(&self, exact_hit: bool) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if exact_hit {
             self.exact_hits.fetch_add(1, Ordering::Relaxed);
         }
-        if bounds_cracked > 0 {
-            self.query_refinements
-                .fetch_add(bounds_cracked, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one successful worker refinement.
-    pub fn record_worker_refinement(&self) {
-        self.worker_refinements.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a worker attempt that hit a latched piece.
-    pub fn record_worker_busy(&self) {
-        self.worker_busy.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `f_I` — user-query accesses.
@@ -63,21 +43,6 @@ impl IndexStats {
     pub fn exact_hits(&self) -> u64 {
         self.exact_hits.load(Ordering::Relaxed)
     }
-
-    /// Bounds cracked by user queries.
-    pub fn query_refinements(&self) -> u64 {
-        self.query_refinements.load(Ordering::Relaxed)
-    }
-
-    /// Successful holistic-worker refinements.
-    pub fn worker_refinements(&self) -> u64 {
-        self.worker_refinements.load(Ordering::Relaxed)
-    }
-
-    /// Worker attempts aborted on latched pieces.
-    pub fn worker_busy(&self) -> u64 {
-        self.worker_busy.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -88,15 +53,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = IndexStats::new();
-        s.record_query(false, 2);
-        s.record_query(true, 0);
-        s.record_worker_refinement();
-        s.record_worker_busy();
+        s.record_query(false);
+        s.record_query(true);
         assert_eq!(s.queries(), 2);
         assert_eq!(s.exact_hits(), 1);
-        assert_eq!(s.query_refinements(), 2);
-        assert_eq!(s.worker_refinements(), 1);
-        assert_eq!(s.worker_busy(), 1);
     }
 
     #[test]
@@ -106,9 +66,8 @@ mod tests {
         for _ in 0..8 {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
-                for _ in 0..1_000 {
-                    s.record_query(false, 1);
-                    s.record_worker_refinement();
+                for i in 0..1_000 {
+                    s.record_query(i % 4 == 0);
                 }
             }));
         }
@@ -116,6 +75,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(s.queries(), 8_000);
-        assert_eq!(s.worker_refinements(), 8_000);
+        assert_eq!(s.exact_hits(), 2_000);
     }
 }

@@ -35,7 +35,7 @@ pub struct WorkerReport {
 /// Runs one IdleFunction instance: drain the update queues that are due
 /// (§4.2's "merge updates", on every live index — a converged one
 /// included, which is never picked to refine), then pick an index, refine
-/// it `x` times with random pivots, update statistics, stop early once it
+/// it `x` times with random pivots, refresh its distance, stop early once it
 /// turns optimal, and finish with the picked index's maintenance.
 pub fn idle_function(
     space: &IndexSpace,
@@ -66,7 +66,7 @@ pub fn idle_function(
     let mut scratch = CrackScratch::new();
     for _ in 0..refinements_per_worker {
         let result = handle.refine_random(rng, latch_attempts, &mut scratch);
-        space.record_worker_outcome(&slot, handle.as_ref(), result);
+        space.refresh_distance(&slot, handle.as_ref());
         match result {
             RefineOutcome::Refined { .. } => report.refinements += 1,
             RefineOutcome::Busy => report.busy += 1,
@@ -211,8 +211,8 @@ mod tests {
     fn stats_recorded_per_outcome() {
         let (space, slot) = space_with_column(100_000);
         let mut rng = StdRng::seed_from_u64(4);
-        idle_function(&space, 8, 8, &mut rng);
-        assert!(slot.stats().worker_refinements() > 0);
+        let report = idle_function(&space, 8, 8, &mut rng);
+        assert!(report.refinements > 0, "{report:?}");
         assert_eq!(slot.stats().queries(), 0);
     }
 }

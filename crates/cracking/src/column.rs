@@ -441,7 +441,6 @@ impl CrackerColumn {
             let cracks = (!sel.hit_lo as u64) + (!sel.hit_hi as u64);
             if cracks > 0 {
                 holix_telemetry::counter!("cracking_cracks_total").add(cracks);
-                holix_telemetry::counter!("cracking_piece_splits_total").add(cracks);
             }
         }
         sel
@@ -597,6 +596,9 @@ impl CrackerColumn {
             .index
             .write()
             .insert_bound(v, start + split, below);
+        if holix_telemetry::metrics_enabled() {
+            holix_telemetry::counter!("cracking_piece_splits_total").inc();
+        }
         (start + split, len)
     }
 
@@ -628,6 +630,9 @@ impl CrackerColumn {
         let mut idx = self.structure.index.write();
         idx.insert_bound(lo, start + a, below_a);
         idx.insert_bound(hi, start + b, below_b);
+        if holix_telemetry::metrics_enabled() {
+            holix_telemetry::counter!("cracking_piece_splits_total").add(2);
+        }
         (start + a, start + b, len)
     }
 
@@ -651,7 +656,6 @@ impl CrackerColumn {
             Latched::Piece((_, touched)) => {
                 if holix_telemetry::metrics_enabled() {
                     holix_telemetry::counter!("cracking_refinements_total").inc();
-                    holix_telemetry::counter!("cracking_piece_splits_total").inc();
                 }
                 RefineOutcome::Refined { piece_len: touched }
             }
@@ -1091,10 +1095,15 @@ impl CrackerColumn {
     fn crack_scan_bounds(&self, pred: Predicate, scratch: &mut CrackScratch) {
         self.merge_past_backlog();
         let shared = self.structure.read();
+        let mut cracks = 0;
         for (v, sentinel) in [(pred.lo, i64::MIN), (pred.hi, i64::MAX)] {
             if v != sentinel {
-                self.crack_bound(&shared, v, false, scratch);
+                let crack = self.crack_bound(&shared, v, false, scratch);
+                cracks += matches!(crack, Latched::Piece(_)) as u64;
             }
+        }
+        if cracks > 0 && holix_telemetry::metrics_enabled() {
+            holix_telemetry::counter!("cracking_cracks_total").add(cracks);
         }
     }
 
@@ -1765,6 +1774,31 @@ mod tests {
             }
             col.check_invariants(None);
         }
+    }
+
+    /// A snapshot read whose edges filter at least
+    /// [`CrackerColumn::REFRESH_FILTER_MIN`] values cracks its bounds, and
+    /// counts its cracks and piece splits as a select does. The counters
+    /// are process-wide and other tests run beside this one, so they are
+    /// checked to rise by at least the pieces this read made.
+    #[test]
+    fn a_snapshot_reads_cracks_and_splits_are_counted() {
+        holix_telemetry::set_metrics_enabled(true);
+        let registry = holix_telemetry::registry();
+        let cracks = registry.counter("cracking_cracks_total");
+        let splits = registry.counter("cracking_piece_splits_total");
+        let (base, col) = column(50_000, 33);
+        let pred = Predicate::range(333, 777);
+        let (pieces, cracked, split) = (col.piece_count(), cracks.get(), splits.get());
+        let scan = col.snapshot_scan(pred, &mut CrackScratch::new());
+        let want = scan_stats(&base, pred);
+        assert_eq!((scan.count, scan.sum), (want.count, want.sum));
+        assert!(scan.filtered >= CrackerColumn::REFRESH_FILTER_MIN);
+        let grown = (col.piece_count() - pieces) as u64;
+        assert_eq!(grown, 2, "the read cracked both bounds");
+        assert!(cracks.get() - cracked >= grown);
+        assert!(splits.get() - split >= grown);
+        col.check_invariants(None);
     }
 
     /// A snapshot read whose edge piece a crack holds latches the other

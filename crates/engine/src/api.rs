@@ -78,6 +78,10 @@ pub trait QueryEngine: Send + Sync {
     fn execute(&self, q: &QuerySpec) -> u64;
 
     /// Count plus checksum for verification (may be slower; tests only).
+    /// An engine may answer it through the same path as
+    /// [`QueryEngine::execute`]: the holistic engine's verified read runs
+    /// its one per-shard read loop, cold scans under a budget included,
+    /// with the checksum from each shard's locked select.
     fn execute_verified(&self, q: &QuerySpec) -> (u64, i128);
 
     /// Stable dispatch-affinity key: queries sharing a key touch the same

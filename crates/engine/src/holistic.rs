@@ -37,7 +37,9 @@
 //! filters. A read-only count or sum whose shard would have to evict to
 //! come in reads the base zones that can hold its range instead, until
 //! the zones such reads have scanned for that shard reach what building
-//! it reads; then it builds.
+//! it reads; then it builds. Every count and sum (locked, verified,
+//! snapshot, a point probe's unit range) runs the one per-shard loop that
+//! takes this branch; a conjunction's driver needs row ids, so it builds.
 //!
 //! ## Versioned shard plans
 //!
@@ -161,6 +163,17 @@ impl Route {
 struct Scanned {
     shards: Vec<usize>,
     stats: RangeStats,
+}
+
+/// What [`HolisticEngine::read`] asks of each live shard.
+#[derive(Clone, Copy)]
+enum ShardRead {
+    /// A count off [`CrackerColumn::select`].
+    Count,
+    /// Count and sum off [`CrackerColumn::select_verified`].
+    Verified,
+    /// Count and sum off [`CrackerColumn::snapshot_scan`].
+    Snapshot,
 }
 
 /// The plan-versioned state a replan mutates, shared with the replanner
@@ -298,8 +311,8 @@ impl HolisticEngine {
 
     /// [`HolisticEngine::touch`] for a read-only count or sum of `pred`,
     /// which may leave a shard unbuilt and answer it from the base instead
-    /// ([`ShardedColumn::scan_cold`]); the fan-out skips the shards listed
-    /// in the returned [`Scanned`] and adds their stats.
+    /// ([`ShardedColumn::scan_cold`]); [`HolisticEngine::read`] skips the
+    /// shards listed in the returned [`Scanned`] and adds their stats.
     ///
     /// The third branch of the admission rule, decided shard by shard once
     /// an attribute is not built whole: a shard that is not live is
@@ -308,25 +321,25 @@ impl HolisticEngine {
     /// ([`ShardedColumn::cold_scan_pays`]: this read's base zones plus
     /// those scanned since its cell emptied stay below the zones the build
     /// reads); otherwise it is built as [`HolisticEngine::admit`] builds
-    /// it. Without a budget nothing is scanned. A scan registers no record,
-    /// but the dropped cells of the attribute are vacated all the same, so
-    /// an evicted column is freed by the next read that misses a shard of
-    /// its attribute.
+    /// it. A scan registers no record, but the dropped cells of the
+    /// attribute are vacated all the same, so an evicted column is freed by
+    /// the next read that misses a shard of its attribute. Without a
+    /// budget, or with every shard routed to live, this is `touch`.
     fn touch_read(
         &self,
         attr: usize,
         pred: Predicate,
     ) -> Option<(Arc<Shards>, usize, usize, Scanned)> {
         let route = Route::Range(pred.lo, pred.hi);
-        let Some(budget) = self.cfg.holistic.storage_budget else {
+        let budget = self.cfg.holistic.storage_budget.filter(|_| {
+            let col = self.shared.cols[attr].read();
+            let missing = |(first, last)| (first..=last).any(|k| live(&col, k).is_none());
+            route.shards(col.plan()).is_some_and(missing)
+        });
+        let Some(budget) = budget else {
             let (col, first, last) = self.touch(attr, route)?;
             return Some((col, first, last, Scanned::default()));
         };
-        let col = Arc::clone(&self.shared.cols[attr].read());
-        let (first, last) = route.shards(col.plan())?;
-        if (first..=last).all(|k| live(&col, k).is_some()) {
-            return Some((col, first, last, Scanned::default()));
-        }
         let col = self.vacate_dropped(attr);
         let (first, last) = route.shards(col.plan())?;
         // A fresh shard stores values only, and at most the attribute's
@@ -588,57 +601,54 @@ impl HolisticEngine {
         apply_replan_action(&self.shared, &self.space, attr, &col, action)
     }
 
-    /// Fans a predicate out to the intersecting shards, records per-shard
-    /// statistics and folds each shard's selection through `fold`. With
-    /// `scan`, a read-only count or sum, shards that are not live may be
-    /// answered from the base zones ([`HolisticEngine::touch_read`]):
-    /// `merge` then also takes their stats, through `scan`. Without it
-    /// every shard routed to is built.
-    fn fan_out<T>(
-        &self,
-        q: &QuerySpec,
-        scan: Option<fn(RangeStats) -> T>,
-        mut fold: impl FnMut(
-            &CrackerColumn,
-            Predicate,
-            &mut CrackScratch,
-        ) -> (holix_cracking::Selection, T),
-        mut merge: impl FnMut(T),
-    ) {
+    /// The one per-shard loop of every count and sum (no allocation: it
+    /// runs per query): routes `q` through [`HolisticEngine::touch_read`],
+    /// asks each live shard routed to for `kind` and records `f_I`, and
+    /// `f_Ih` where the shard cracked and filtered nothing, on its record;
+    /// a shard answered from the base zones records nothing.
+    fn read(&self, q: &QuerySpec, kind: ShardRead) -> RangeStats {
         let _task = self.accountant.begin_task(self.cfg.user_threads);
         let pred = Predicate::range(q.lo, q.hi);
-        let touched = match scan {
-            Some(_) => self.touch_read(q.attr, pred),
-            None => self
-                .touch(q.attr, Route::Range(pred.lo, pred.hi))
-                .map(|(col, first, last)| (col, first, last, Scanned::default())),
+        let Some((col, first, last, scanned)) = self.touch_read(q.attr, pred) else {
+            return RangeStats::default();
         };
-        let Some((col, first, last, scanned)) = touched else {
-            return;
-        };
-        if let Some(scan) = scan {
-            merge(scan(scanned.stats));
-        }
         let plan = col.plan();
+        let mut stats = scanned.stats;
         SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();
-            // Inline fan-out (no intermediate Vec: this runs per query).
             for k in (first..=last).filter(|k| !scanned.shards.contains(k)) {
                 let (shard, slot) = col.resident(k).expect("touched above");
-                let (sel, out) = fold(shard, plan.clamp(k, pred), scratch);
-                let cracked = (!sel.hit_lo) as u64 + (!sel.hit_hi) as u64;
-                slot.record_user_query(sel.exact_hit(), cracked);
-                merge(out);
+                let pred = plan.clamp(k, pred);
+                let (count, sum, exact_hit) = match kind {
+                    ShardRead::Count => {
+                        let sel = shard.select(pred, scratch);
+                        (sel.count(), 0, sel.exact_hit())
+                    }
+                    ShardRead::Verified => {
+                        let (sel, part) = shard.select_verified(pred, scratch);
+                        (part.count, part.sum, sel.exact_hit())
+                    }
+                    // A snapshot read that filtered no edge value met
+                    // piece boundaries exactly (the `f_Ih` analogue); its
+                    // record keeps the daemon refining what it touches.
+                    ShardRead::Snapshot => {
+                        let scan = shard.snapshot_scan(pred, scratch);
+                        (scan.count, scan.sum, scan.filtered == 0)
+                    }
+                };
+                slot.record_user_query(exact_hit);
+                stats.merge(RangeStats { count, sum });
             }
         });
+        stats
     }
 
     /// Point-probe screening: `Some(0)` when the owning shard's membership
     /// filter **proves** `v` absent — the probe answers empty having
     /// touched no piece and cracked nothing (recorded as an exact hit, the
     /// paper's `f_Ih` statistic extended to point traffic). `None` when
-    /// the value may be present or screening is disabled; the caller runs
-    /// the normal unit-range fan-out, which cracks at most one shard.
+    /// the value may be present or screening is disabled; the caller reads
+    /// the unit range, which cracks at most one shard.
     /// Screening must inspect the *original* bounds: `ShardPlan::clamp`
     /// widens a unit range ending exactly at a shard cut to the `MAX`
     /// sentinel, which no longer reads as a point.
@@ -653,27 +663,10 @@ impl HolisticEngine {
         let (shard, slot) = col.resident(k).expect("touched above");
         shard.ensure_point_filter();
         if shard.probe_point(v) == Some(false) {
-            slot.record_user_query(true, 0);
+            slot.record_user_query(true);
             return Some(0);
         }
         None
-    }
-
-    /// The locked range fan-out shared by [`QueryEngine::execute`] and the
-    /// unit-range fallbacks of the point paths (which have already probed
-    /// the filter and must not probe again).
-    fn execute_range(&self, q: &QuerySpec) -> u64 {
-        let mut count = 0u64;
-        self.fan_out(
-            q,
-            Some(|stats| stats.count),
-            |shard, pred, scratch| {
-                let sel = shard.select(pred, scratch);
-                (sel, sel.count())
-            },
-            |c| count += c,
-        );
-        count
     }
 }
 
@@ -704,20 +697,11 @@ impl QueryEngine for HolisticEngine {
                 return n;
             }
         }
-        self.execute_range(q)
+        self.read(q, ShardRead::Count).count
     }
 
     fn execute_verified(&self, q: &QuerySpec) -> (u64, i128) {
-        let mut stats = RangeStats::default();
-        self.fan_out(
-            q,
-            Some(|stats| stats),
-            |shard, pred, scratch| {
-                let (sel, s) = shard.select_verified(pred, scratch);
-                (sel, s)
-            },
-            |s| stats.merge(s),
-        );
+        let stats = self.read(q, ShardRead::Verified);
         (stats.count, stats.sum)
     }
 
@@ -796,29 +780,8 @@ impl QueryEngine for HolisticEngine {
     }
 
     fn execute_snapshot(&self, q: &QuerySpec) -> Option<(u64, i128)> {
-        let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let pred = Predicate::range(q.lo, q.hi);
-        let Some((col, first, last, scanned)) = self.touch_read(q.attr, pred) else {
-            return Some((0, 0));
-        };
-        let plan = col.plan();
-        SCRATCH.with(|s| {
-            let scratch = &mut s.borrow_mut();
-            let mut count = scanned.stats.count;
-            let mut sum = scanned.stats.sum;
-            for k in (first..=last).filter(|k| !scanned.shards.contains(k)) {
-                let (shard, slot) = col.resident(k).expect("touched above");
-                let scan = shard.snapshot_scan(plan.clamp(k, pred), scratch);
-                // A scan that needed no edge filtering hit piece
-                // boundaries exactly (the `f_Ih` analogue). Recording
-                // keeps the shard's weight hot so the daemon still refines
-                // what snapshot traffic touches.
-                slot.record_user_query(scan.filtered == 0, 0);
-                count += scan.count;
-                sum += scan.sum;
-            }
-            Some((count, sum))
-        })
+        let stats = self.read(q, ShardRead::Snapshot);
+        Some((stats.count, stats.sum))
     }
 
     fn execute_exact(&self, q: &QuerySpec) -> Option<ExactAnswer> {
@@ -829,7 +792,7 @@ impl QueryEngine for HolisticEngine {
         let col = Arc::clone(&self.shared.cols[q.attr].read());
         if let Some(v) = pred.as_point().filter(|_| self.cfg.point_filters) {
             if let Some(slot) = screened_by_published_filter(&col, v) {
-                slot.record_user_query(true, 0);
+                slot.record_user_query(true);
                 return Some(ExactAnswer::Screened);
             }
         }
@@ -846,7 +809,7 @@ impl QueryEngine for HolisticEngine {
             col.resident(k)
                 .expect("counted above")
                 .1
-                .record_user_query(true, 0);
+                .record_user_query(true);
         }
         Some(ExactAnswer::Hit(count))
     }
@@ -866,14 +829,15 @@ impl QueryEngine for HolisticEngine {
                 total += n; // filter-negative: zero cracks, zero touches
                 continue;
             }
-            // Maybe-present: the unit-range fan-out cracks (at most) the
-            // one shard owning `v`. Bypasses `execute` so a probe that
-            // already failed screening is not screened twice.
-            total += self.execute_range(&QuerySpec {
+            // Maybe-present: the unit-range read cracks (at most) the one
+            // shard owning `v`. Bypasses `execute` so a probe that already
+            // failed screening is not screened twice.
+            let q = QuerySpec {
                 attr,
                 lo: v,
                 hi: v + 1,
-            });
+            };
+            total += self.read(&q, ShardRead::Count).count;
         }
         Some(total)
     }
@@ -910,36 +874,33 @@ impl QueryEngine for HolisticEngine {
         // (select cracks the bounds, then `collect_row_ids` re-locates
         // them under the shard's exclusive structure lock, so a Ripple
         // merge racing the select cannot make the copy serve a stale
-        // window). Once any shard overflowed the cap or failed to locate
-        // its bounds the result is `None` — further copies are skipped
-        // (each would take an exclusive lock for nothing); the selects
-        // still run for their cracking side effect.
+        // window), so every shard routed to is built. Once any shard
+        // overflowed the cap or failed to locate its bounds the answer is
+        // `None` — further copies are skipped (each would take an exclusive
+        // lock for nothing); the selects still run to crack.
+        let _task = self.accountant.begin_task(self.cfg.user_threads);
+        let pred = Predicate::range(driver.lo, driver.hi);
+        let (col, first, last) = self.touch(driver.attr, Route::Range(pred.lo, pred.hi))?;
+        let plan = col.plan();
         let mut rows: Option<Vec<RowId>> = Some(Vec::new());
         let mut total = 0u64;
-        let mut doomed = false;
-        self.fan_out(
-            driver,
-            None,
-            |shard, pred, scratch| {
+        SCRATCH.with(|s| {
+            let scratch = &mut s.borrow_mut();
+            for k in first..=last {
+                let (shard, slot) = col.resident(k).expect("touched above");
+                let pred = plan.clamp(k, pred);
                 let sel = shard.select(pred, scratch);
+                slot.record_user_query(sel.exact_hit());
                 total += sel.count();
-                let ids = if !doomed && total <= DRIVER_CAP {
-                    shard.collect_row_ids(pred)
-                } else {
-                    None
-                };
-                doomed |= ids.is_none();
-                (sel, ids)
-            },
-            |ids: Option<Vec<RowId>>| match ids {
-                Some(ids) => {
-                    if let Some(rows) = rows.as_mut() {
-                        rows.extend(ids);
-                    }
-                }
-                None => rows = None,
-            },
-        );
+                rows = rows
+                    .take()
+                    .filter(|_| total <= DRIVER_CAP)
+                    .and_then(|mut rows| {
+                        rows.extend(shard.collect_row_ids(pred)?);
+                        Some(rows)
+                    });
+            }
+        });
         let rows = rows?;
         // Conjunctions are answered over the *base table*: row ids at or
         // past `data.rows()` belong to queued inserts, whose other-attribute
@@ -947,7 +908,6 @@ impl QueryEngine for HolisticEngine {
         // definition, so results stay exact under concurrent updates that
         // only add or delete their own inserted rows.
         let base_rows = self.data.rows();
-        let _task = self.accountant.begin_task(self.cfg.user_threads);
         let others: Vec<(usize, Predicate)> = terms
             .iter()
             .enumerate()
@@ -1130,6 +1090,7 @@ fn spawn_replanner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holix_cracking::BoundLookup;
     use holix_storage::select::scan_stats;
     use holix_workloads::data::uniform_table;
     use rand::prelude::*;
@@ -1174,15 +1135,15 @@ mod tests {
         cfg.holistic.storage_budget = Some(50_000 * TUPLE * 13 / 10);
         let e = HolisticEngine::new(data, cfg);
         for attr in 0..2 {
-            let q = QuerySpec {
-                attr,
-                lo: 10_000,
-                hi: 20_000,
-            };
+            let q = query(attr, 10_000, 20_000);
             let oracle = scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi));
             assert_eq!(e.execute(&q), oracle.count);
         }
         e
+    }
+
+    fn query(attr: usize, lo: i64, hi: i64) -> QuerySpec {
+        QuerySpec { attr, lo, hi }
     }
 
     /// The attribute's current column, nothing built.
@@ -1234,11 +1195,7 @@ mod tests {
             let attr = rng.random_range(0..3);
             let a = rng.random_range(0..1_000_000);
             let b = rng.random_range(0..1_000_000);
-            let q = QuerySpec {
-                attr,
-                lo: a.min(b),
-                hi: a.max(b).max(a.min(b) + 1),
-            };
+            let q = query(attr, a.min(b), a.max(b).max(a.min(b) + 1));
             let oracle = scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi));
             assert_eq!(e.execute(&q), oracle.count);
         }
@@ -1254,11 +1211,7 @@ mod tests {
             let attr = rng.random_range(0..2);
             let a = rng.random_range(0..1_000_000);
             let b = rng.random_range(0..1_000_000);
-            let q = QuerySpec {
-                attr,
-                lo: a.min(b),
-                hi: a.max(b).max(a.min(b) + 1),
-            };
+            let q = query(attr, a.min(b), a.max(b).max(a.min(b) + 1));
             let oracle = scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi));
             assert_eq!(e.execute(&q), oracle.count);
             let (count, sum) = e.execute_verified(&q);
@@ -1272,17 +1225,18 @@ mod tests {
 
     #[test]
     fn engine_cracks_exactly_like_a_bare_column() {
-        // One shard, one user thread, no workers: the engine is a cracker
-        // column behind an API. It must go through the same build and crack
-        // path as a bare one-shard `ShardedColumn` under the same plan —
-        // coarse buckets at first touch, fused three-way kernel on the
-        // caller's scratch — so the Selections *and* the cracker arrays
-        // come out identical, not merely the counts.
+        // One shard, one user thread, no workers, no point screening: the
+        // engine is a cracker column behind `execute`. It must go through
+        // the same build and crack path as a bare one-shard `ShardedColumn`
+        // under the same plan — coarse buckets at first touch, fused
+        // three-way kernel on the caller's scratch — so each count and each
+        // exact hit *and* the cracker arrays come out identical.
         let rows = 50_000;
         let data = Dataset::new(uniform_table(1, rows, 1_000_000, 3));
         let mut cfg = HolisticEngineConfig {
             shards: 1,
             user_threads: 1,
+            point_filters: false,
             ..HolisticEngineConfig::split_half(2)
         };
         cfg.holistic.max_workers = Some(0);
@@ -1291,24 +1245,21 @@ mod tests {
         let bare = ShardedColumn::from_base_with_plan("bare", data.column(0), plan);
         let bare = bare.shard(0);
         assert!(bare.piece_count() > 1, "big enough for coarse buckets");
+        let exact_hits = || {
+            let col = peek(&e, 0);
+            live(&col, 0).map_or(0, |(_, slot)| slot.stats().exact_hits())
+        };
         let mut scratch = CrackScratch::new();
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..200 {
             let a = rng.random_range(0..1_000_000);
             let b = rng.random_range(0..1_000_000);
-            let (lo, hi) = (a.min(b), a.max(b));
-            let mut got = None;
-            e.fan_out(
-                &QuerySpec { attr: 0, lo, hi },
-                None,
-                |col, pred, s| {
-                    let sel = col.select(pred, s);
-                    (sel, sel)
-                },
-                |sel| got = Some(sel),
-            );
+            let (lo, hi) = (a.min(b), a.max(b) + 1);
+            let hits = exact_hits();
+            let got = e.execute(&query(0, lo, hi));
             let want = bare.select(Predicate::range(lo, hi), &mut scratch);
-            assert_eq!(got, Some(want), "selection for [{lo}, {hi})");
+            assert_eq!(got, want.count(), "count for [{lo}, {hi})");
+            assert_eq!(exact_hits() - hits, want.exact_hit() as u64, "[{lo}, {hi})");
         }
         let col = e.column(0);
         assert_eq!(col.snapshot_range(0, rows), bare.snapshot_range(0, rows));
@@ -1333,11 +1284,7 @@ mod tests {
         assert!(born.iter().all(|p| (3..=4).contains(p)), "{born:?}");
 
         // A narrow first query inside shard 0 cracks one bucket in three.
-        let first = QuerySpec {
-            attr: 0,
-            lo: 1_000,
-            hi: 2_000,
-        };
+        let first = query(0, 1_000, 2_000);
         let oracle = |q: &QuerySpec| scan_stats(&base, Predicate::range(q.lo, q.hi)).count;
         assert_eq!(e.execute(&first), oracle(&first));
         let col = peek(&e, 0);
@@ -1356,11 +1303,7 @@ mod tests {
         for _ in 0..200 {
             let a = rng.random_range(0..1_000_000);
             let b = rng.random_range(0..1_000_000);
-            let q = QuerySpec {
-                attr: 0,
-                lo: a.min(b),
-                hi: a.max(b),
-            };
+            let q = query(0, a.min(b), a.max(b));
             assert_eq!(e.execute(&q), oracle(&q), "[{}, {})", q.lo, q.hi);
         }
         e.stop();
@@ -1378,27 +1321,13 @@ mod tests {
         // Warm the filters with one probe per shard region, then snapshot
         // the piece count: further absent probes must not crack.
         for v in [1i64, 6_001, 12_001, 18_001] {
-            assert_eq!(
-                e.execute(&QuerySpec {
-                    attr: 0,
-                    lo: v,
-                    hi: v + 1
-                }),
-                0
-            );
+            assert_eq!(e.execute(&query(0, v, v + 1)), 0);
         }
         let col = e.sharded(0);
         let pieces = col.piece_count();
         for i in 0..500 {
             let v = i * 39 * 2 % 20_000 + 1; // odd → absent
-            assert_eq!(
-                e.execute(&QuerySpec {
-                    attr: 0,
-                    lo: v,
-                    hi: v + 1
-                }),
-                0
-            );
+            assert_eq!(e.execute(&query(0, v, v + 1)), 0);
         }
         assert_eq!(
             col.piece_count(),
@@ -1407,14 +1336,7 @@ mod tests {
         );
         // Present values still count exactly (4 copies of each even value).
         for v in [0i64, 5_000, 19_998] {
-            assert_eq!(
-                e.execute(&QuerySpec {
-                    attr: 0,
-                    lo: v,
-                    hi: v + 1
-                }),
-                4
-            );
+            assert_eq!(e.execute(&query(0, v, v + 1)), 4);
         }
         e.stop();
     }
@@ -1427,11 +1349,7 @@ mod tests {
         let mut cfg = HolisticEngineConfig::split_half_sharded(4, 4);
         cfg.holistic.max_workers = Some(0);
         let e = HolisticEngine::new(data, cfg);
-        let point = |v| QuerySpec {
-            attr: 0,
-            lo: v,
-            hi: v + 1,
-        };
+        let point = |v| query(0, v, v + 1);
         // Converge on the present probes' bounds with range reads, which
         // build no filter: their point probes then crack nothing.
         let present: Vec<i64> = (0..40).map(|i| i * 498).collect();
@@ -1464,7 +1382,6 @@ mod tests {
     fn execute_exact_answers_converged_reads_and_builds_nothing() {
         // Even values only: every odd point is provably absent.
         let base: Vec<i64> = (0..40_000).map(|i| (i % 10_000) * 2).collect();
-        let q = |attr, lo, hi| QuerySpec { attr, lo, hi };
         for shards in [1, 4] {
             let data = Dataset::new(vec![base.clone(), base.clone()]);
             // No workers: every boundary is a query's.
@@ -1478,7 +1395,7 @@ mod tests {
                     .map(|(_, slot)| slot.stats().exact_hits())
                     .sum::<u64>()
             };
-            let span = q(0, 3_001, 17_001);
+            let span = query(0, 3_001, 17_001);
             // A cold attribute has nothing to answer from, and stays cold.
             assert_eq!(e.execute_exact(&span), None, "S={shards}");
             assert!(
@@ -1487,7 +1404,7 @@ mod tests {
             );
             assert_eq!(records(&e), 0, "S={shards}");
             // Built, but the bounds still have to crack.
-            e.execute(&q(0, 101, 201));
+            e.execute(&query(0, 101, 201));
             let pieces = e.sharded(0).piece_count();
             assert_eq!(e.execute_exact(&span), None, "S={shards}");
             assert_eq!(e.sharded(0).piece_count(), pieces, "S={shards}: it cracked");
@@ -1514,10 +1431,10 @@ mod tests {
             // A point probe builds its shard's filter; an absent key the
             // published filter screens is answered, a present one whose
             // bounds are not boundaries is not.
-            assert_eq!(e.execute(&q(0, 1_001, 1_002)), 0);
+            assert_eq!(e.execute(&query(0, 1_001, 1_002)), 0);
             let absent: Vec<_> = (1_003..1_203)
                 .step_by(2)
-                .map(|v| e.execute_exact(&q(0, v, v + 1)))
+                .map(|v| e.execute_exact(&query(0, v, v + 1)))
                 .collect();
             assert!(
                 absent
@@ -1527,9 +1444,9 @@ mod tests {
             );
             let screened = absent.iter().filter(|a| a.is_some()).count();
             assert!(screened >= 90, "S={shards}: {screened} of 100 screened");
-            assert_eq!(e.execute_exact(&q(0, 1_004, 1_005)), None, "S={shards}");
+            assert_eq!(e.execute_exact(&query(0, 1_004, 1_005)), None, "S={shards}");
             // Attribute 1 was never touched.
-            assert_eq!(e.execute_exact(&q(1, 1_003, 1_004)), None, "S={shards}");
+            assert_eq!(e.execute_exact(&query(1, 1_003, 1_004)), None, "S={shards}");
             assert!(
                 cold(&peek(&e, 1)),
                 "S={shards}: execute_exact built attribute 1"
@@ -1568,11 +1485,7 @@ mod tests {
                 .map(|attr| {
                     let a = rng.random_range(0..1_000_000);
                     let b = rng.random_range(0..1_000_000);
-                    QuerySpec {
-                        attr,
-                        lo: a.min(b),
-                        hi: a.max(b).max(a.min(b) + 1),
-                    }
+                    query(attr, a.min(b), a.max(b).max(a.min(b) + 1))
                 })
                 .collect();
             let got = e.execute_conjunction(&terms);
@@ -1588,41 +1501,95 @@ mod tests {
             assert_eq!(got, Some(want));
         }
         // One empty term empties the conjunction.
-        let terms = vec![
-            QuerySpec {
-                attr: 0,
-                lo: 0,
-                hi: 1_000_000,
-            },
-            QuerySpec {
-                attr: 1,
-                lo: 500,
-                hi: 500,
-            },
-        ];
+        let terms = vec![query(0, 0, 1_000_000), query(1, 500, 500)];
         assert_eq!(e.execute_conjunction(&terms), Some(0));
         assert_eq!(e.execute_conjunction(&[]), Some(0));
         e.stop();
     }
 
+    /// Runs `read` of `q` on a built attribute and asserts what it recorded
+    /// on each shard: 1 to `f_I` on every shard `q` routes to, and 1 to
+    /// `f_Ih` where both clamped bounds are boundaries — for a snapshot
+    /// read, where it filters no value (every bound that is not a boundary
+    /// lies in an empty piece). `execute_exact` (`kind` `None`) records on
+    /// every shard, or on none when one would crack.
+    fn recorded<T>(
+        e: &HolisticEngine,
+        q: &QuerySpec,
+        kind: Option<ShardRead>,
+        read: impl FnOnce() -> T,
+    ) -> T {
+        let col = peek(e, q.attr);
+        let (plan, pred) = (col.plan(), Predicate::range(q.lo, q.hi));
+        let (first, last) = plan.shard_range(q.lo, q.hi).expect("a non-empty range");
+        let stats = |k| live(&col, k).map(|(_, s)| (s.stats().queries(), s.stats().exact_hits()));
+        let hit = |k| {
+            let pred = plan.clamp(k, pred);
+            let bounds = [
+                (pred.lo != i64::MIN, pred.lo),
+                (pred.hi != i64::MAX, pred.hi),
+            ];
+            let (shard, _) = live(&col, k).expect("built");
+            shard.with_index(|idx| {
+                let mut bounds = bounds.into_iter().filter(|&(bound, _)| bound);
+                bounds.all(|(_, v)| match idx.locate(v) {
+                    BoundLookup::Exact(_) => true,
+                    BoundLookup::Piece { start, end, .. } => {
+                        matches!(kind, Some(ShardRead::Snapshot)) && start == end
+                    }
+                })
+            })
+        };
+        let answered = kind.is_some() || (first..=last).all(hit);
+        let want: Vec<_> = (0..col.shard_count())
+            .map(|k| {
+                let (queries, hits) = stats(k).expect("built");
+                let gain = answered && (first..=last).contains(&k);
+                (queries + gain as u64, hits + (gain && hit(k)) as u64)
+            })
+            .collect();
+        let out = read();
+        let got: Option<Vec<_>> = (0..col.shard_count()).map(stats).collect();
+        assert_eq!(got, Some(want), "{q:?}");
+        out
+    }
+
     #[test]
     fn snapshot_execution_matches_locked_path_and_oracle() {
-        let e = sharded_engine(2, 80_000, 4);
+        // No workers: every boundary is a read's, so what each entry point
+        // records is known before it runs.
+        let e = quiet_engine(2, 80_000, 4);
+        for attr in 0..2 {
+            e.sharded(attr);
+        }
         let mut rng = StdRng::seed_from_u64(99);
         for i in 0..60 {
             let attr = rng.random_range(0..2);
             let a = rng.random_range(0..1_000_000);
             let b = rng.random_range(0..1_000_000);
-            let q = QuerySpec {
-                attr,
-                lo: a.min(b),
-                hi: a.max(b).max(a.min(b) + 1),
-            };
+            let q = query(attr, a.min(b), a.max(b).max(a.min(b) + 1));
             let oracle = scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi));
-            let (count, sum) = e.execute_snapshot(&q).expect("holistic supports snapshots");
-            assert_eq!((count, sum), (oracle.count, oracle.sum), "i={i}");
+            let (hit, stats) = (ExactAnswer::Hit(oracle.count), (oracle.count, oracle.sum));
+            let exact = recorded(&e, &q, None, || e.execute_exact(&q));
+            assert!(exact.is_none_or(|a| a == hit), "i={i}");
+            let snapshot = Some(ShardRead::Snapshot);
+            let got = recorded(&e, &q, snapshot, || e.execute_snapshot(&q));
+            assert_eq!(got, Some(stats), "i={i}");
             // Interleave locked executions so cracks/merges race snapshots.
-            assert_eq!(e.execute(&q), oracle.count, "i={i}");
+            let count = Some(ShardRead::Count);
+            assert_eq!(recorded(&e, &q, count, || e.execute(&q)), oracle.count);
+            let verified = Some(ShardRead::Verified);
+            assert_eq!(recorded(&e, &q, verified, || e.execute_verified(&q)), stats);
+            let exact = recorded(&e, &q, None, || e.execute_exact(&q));
+            assert_eq!(exact, Some(hit), "i={i}");
+            // A present value is never screened: its unit range is read.
+            let v = e.data.column(attr)[rng.random_range(0..80_000)];
+            let point = query(attr, v, v + 1);
+            let n = scan_stats(e.data.column(attr), Predicate::range(v, v + 1)).count;
+            assert_eq!(
+                recorded(&e, &point, count, || e.execute_points(attr, &[v])),
+                Some(n)
+            );
         }
         e.stop();
     }
@@ -1630,11 +1597,7 @@ mod tests {
     #[test]
     fn snapshot_execution_sees_queued_updates() {
         let e = sharded_engine(1, 40_000, 3);
-        let q = QuerySpec {
-            attr: 0,
-            lo: 0,
-            hi: 1_000_000,
-        };
+        let q = query(0, 0, 1_000_000);
         let oracle = scan_stats(e.data.column(0), Predicate::range(q.lo, q.hi));
         let (count, _) = e.execute_snapshot(&q).unwrap();
         assert_eq!(count, oracle.count);
@@ -1662,11 +1625,7 @@ mod tests {
         cfg.holistic.monitor_interval = Duration::from_millis(1);
         cfg.holistic.max_workers = max_workers;
         let e = HolisticEngine::new(data, cfg);
-        let everything = QuerySpec {
-            attr: 0,
-            lo: 0,
-            hi: 1_000_000,
-        };
+        let everything = query(0, 0, 1_000_000);
         assert!(e.execute_snapshot(&everything).is_some());
         let col = peek(&e, 0);
         for k in 0..col.shard_count() {
@@ -1684,11 +1643,7 @@ mod tests {
             .filter(|&&v| col.plan().shard_of(v) == 0)
             .take(8)
         {
-            let q = QuerySpec {
-                attr: 0,
-                lo: v,
-                hi: v + 1_000,
-            };
+            let q = query(0, v, v + 1_000);
             let want = base.iter().filter(|&&x| q.lo <= x && x < q.hi).count();
             assert_eq!(e.execute(&q), want as u64);
         }
@@ -1735,11 +1690,7 @@ mod tests {
                 rng.random_range(0..1_000_000),
                 rng.random_range(0..1_000_000),
             );
-            let q = QuerySpec {
-                attr: 0,
-                lo: a.min(b),
-                hi: a.max(b) + 1,
-            };
+            let q = query(0, a.min(b), a.max(b) + 1);
             let at = |x: i64| values.partition_point(|&v| v < x);
             let (i, j) = (at(q.lo), at(q.hi));
             let want = (j - i) as u64;
@@ -1797,13 +1748,7 @@ mod tests {
         let e = sharded_engine(2, 50_000, 4);
         let keys: Vec<u64> = [0i64, 300_000, 600_000, 900_000]
             .iter()
-            .map(|&lo| {
-                e.routing_key(&QuerySpec {
-                    attr: 1,
-                    lo,
-                    hi: lo + 10,
-                })
-            })
+            .map(|&lo| e.routing_key(&query(1, lo, lo + 10)))
             .collect();
         // Distinct shards for spread-out lows, all in attr 1's key range.
         let mut uniq = keys.clone();
@@ -1814,13 +1759,7 @@ mod tests {
         // Stable across eviction/rebuild: keys derive from the plan only.
         let again: Vec<u64> = [0i64, 300_000, 600_000, 900_000]
             .iter()
-            .map(|&lo| {
-                e.routing_key(&QuerySpec {
-                    attr: 1,
-                    lo,
-                    hi: lo + 10,
-                })
-            })
+            .map(|&lo| e.routing_key(&query(1, lo, lo + 10)))
             .collect();
         assert_eq!(keys, again);
         e.stop();
@@ -1834,11 +1773,7 @@ mod tests {
             let attr = rng.random_range(0..2);
             let a = rng.random_range(0..1_000_000);
             let b = rng.random_range(0..1_000_000);
-            let q = QuerySpec {
-                attr,
-                lo: a.min(b),
-                hi: a.max(b).max(a.min(b) + 1),
-            };
+            let q = query(attr, a.min(b), a.max(b).max(a.min(b) + 1));
             let oracle = scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi));
             match e.decompose(&q) {
                 Some(parts) => {
@@ -1873,11 +1808,7 @@ mod tests {
         // Workers on: refinements only add boundaries, so a cracked
         // bound stays an exact hit whatever they do.
         let e = sharded_engine(2, 50_000, 4);
-        let q = QuerySpec {
-            attr: 1,
-            lo: 200_000,
-            hi: 700_000,
-        };
+        let q = query(1, 200_000, 700_000);
         // Cold attribute: expensive, and the estimate must NOT have
         // materialised the cracker column (no registry slot appears).
         let cold = e.estimate_cost(&q).unwrap();
@@ -1900,11 +1831,7 @@ mod tests {
         let col = peek(&e, 1);
         let empty_rows: usize = (1..4).map(|k| col.shard_rows(k).unwrap()).sum();
         let registered = e.space().membership_counts();
-        let all = QuerySpec {
-            attr: 1,
-            lo: 0,
-            hi: 1_000_000,
-        };
+        let all = query(1, 0, 1_000_000);
         let cost = e.estimate_cost(&all).unwrap();
         assert_eq!(cost.shards_touched, 4);
         assert!(
@@ -1928,7 +1855,7 @@ mod tests {
         let e = quiet_engine(1, 40_000, 4);
         let cut = e.sharded(0).plan().cuts()[1];
         for (lo, hi) in [(cut + 1_000, cut + 9_000), (cut - 7_000, cut + 5_000)] {
-            let q = QuerySpec { attr: 0, lo, hi };
+            let q = query(0, lo, hi);
             assert!(!e.estimate_cost(&q).unwrap().exact_hit, "{q:?}");
             e.execute(&q);
             let cost = e.estimate_cost(&q).unwrap();
@@ -1946,11 +1873,7 @@ mod tests {
         // live: updates queued beside the held lock are merge debt at
         // once.
         let e = Arc::new(sharded_engine(1, 40_000, 4));
-        let q = QuerySpec {
-            attr: 0,
-            lo: 0,
-            hi: 1_000_000,
-        };
+        let q = query(0, 0, 1_000_000);
         e.execute(&q); // build
         let col = e.sharded(0);
         let shard = col.shard(1);
@@ -2000,11 +1923,7 @@ mod tests {
 
     #[test]
     fn daemon_refines_beyond_query_driven_cracks() {
-        let q = QuerySpec {
-            attr: 0,
-            lo: 100,
-            hi: 200_000,
-        };
+        let q = query(0, 100, 200_000);
         // What the query makes by itself (first-touch buckets plus its two
         // cracks), read where no worker can add to it: the bound must not
         // depend on whether the daemon or this thread ran first.
@@ -2054,11 +1973,7 @@ mod tests {
         // First query on a potential attr promotes it to actual — unless the
         // daemon already drove it all the way to optimal, which also removes
         // it from C_potential.
-        e.execute(&QuerySpec {
-            attr: 2,
-            lo: 0,
-            hi: 500,
-        });
+        e.execute(&query(2, 0, 500));
         let (actual, potential, optimal, _) = e.space().membership_counts();
         assert!(
             actual + optimal >= 1,
@@ -2080,11 +1995,7 @@ mod tests {
         // meets them, so each builds its attribute (one at the domain's
         // edge meets about half the zones, and would scan them instead).
         for attr in 0..3 {
-            let q = QuerySpec {
-                attr,
-                lo: 400_000,
-                hi: 401_000,
-            };
+            let q = query(attr, 400_000, 401_000);
             assert_eq!(
                 e.execute(&q),
                 scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi)).count
@@ -2094,11 +2005,7 @@ mod tests {
         assert!(dropped >= 2, "budget never evicted (dropped={dropped})");
         // Queries on evicted attributes still answer correctly (re-created).
         for attr in 0..3 {
-            let q = QuerySpec {
-                attr,
-                lo: 500_000,
-                hi: 600_000,
-            };
+            let q = query(attr, 500_000, 600_000);
             assert_eq!(
                 e.execute(&q),
                 scan_stats(e.data.column(attr), Predicate::range(500_000, 600_000)).count
@@ -2123,11 +2030,7 @@ mod tests {
         // The next narrow query, on another cold shard, costs the budget
         // about one shard — not the four of its attribute.
         let before = e.space().bytes_used();
-        let q = QuerySpec {
-            attr: 1,
-            lo: 900_000,
-            hi: 910_000,
-        };
+        let q = query(1, 900_000, 910_000);
         let oracle = scan_stats(e.data.column(1), Predicate::range(q.lo, q.hi));
         assert_eq!(e.execute(&q), oracle.count);
         // (Making room for it may have evicted an untouched shard.)
@@ -2160,17 +2063,9 @@ mod tests {
         };
         // Three reads crack attribute 0's lower shard and make it hot.
         for lo in [10_000, 30_000, 50_000] {
-            exact(QuerySpec {
-                attr: 0,
-                lo,
-                hi: lo + 10_000,
-            });
+            exact(query(0, lo, lo + 10_000));
         }
-        exact(QuerySpec {
-            attr: 1,
-            lo: 10_000,
-            hi: 20_000,
-        });
+        exact(query(1, 10_000, 20_000));
         let before = peek(&e, 0);
         let (survivor, survivor_slot) = live(&before, 0).expect("the hot shard survives");
         let (_, dropped_slot) = before.resident(1).expect("attribute 0 was built whole");
@@ -2184,11 +2079,7 @@ mod tests {
         // survivor keeps its column (cracks, prefix sums, filters), its
         // record and its pieces; only the dropped shard gets a new column
         // and a new registry record.
-        exact(QuerySpec {
-            attr: 0,
-            lo: 900_000,
-            hi: 910_000,
-        });
+        exact(query(0, 900_000, 910_000));
         let after = peek(&e, 0);
         let (kept, kept_slot) = live(&after, 0).expect("survivor still live");
         assert!(Arc::ptr_eq(kept, survivor), "the survivor was rebuilt");
@@ -2203,11 +2094,7 @@ mod tests {
         for i in 0..6 {
             for attr in 0..2 {
                 let lo = 100_000 + ((i * 450_007 + attr as i64 * 200_003) % 800_000);
-                exact(QuerySpec {
-                    attr,
-                    lo,
-                    hi: lo + 5_000,
-                });
+                exact(query(attr, lo, lo + 5_000));
             }
         }
         assert_eq!(records(&e), live_cells(&e));
@@ -2247,7 +2134,7 @@ mod tests {
             let e = HolisticEngine::new(data, cfg);
             let exact = |attr: usize, lo: i64, hi: i64| {
                 let oracle = scan_stats(e.data.column(attr), Predicate::range(lo, hi));
-                let q = QuerySpec { attr, lo, hi };
+                let q = query(attr, lo, hi);
                 assert_eq!(e.execute(&q), oracle.count, "{q:?} clustered={clustered}");
             };
             for lo in [10_000, 30_000, 50_000] {
@@ -2297,28 +2184,13 @@ mod tests {
         cfg.holistic.storage_budget = Some(50_000 * TUPLE * 14 / 10);
         let e = HolisticEngine::new(data, cfg);
         let read = |attr: usize, lo: i64| {
-            let q = QuerySpec {
-                attr,
-                lo,
-                hi: lo + 5_000,
-            };
+            let q = query(attr, lo, lo + 5_000);
             let oracle = scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi));
             assert_eq!(e.execute(&q), oracle.count, "{q:?}");
         };
         // Driven by its first, narrow term: attribute 0's lower shard.
         let conjunction = || {
-            let terms = [
-                QuerySpec {
-                    attr: 0,
-                    lo: 10_000,
-                    hi: 15_000,
-                },
-                QuerySpec {
-                    attr: 1,
-                    lo: 0,
-                    hi: 600_000,
-                },
-            ];
+            let terms = [query(0, 10_000, 15_000), query(1, 0, 600_000)];
             let want = (0..e.data.rows())
                 .filter(|&r| {
                     terms
@@ -2387,49 +2259,68 @@ mod tests {
     fn cold_reads_under_the_budget_scan_until_a_build_pays_and_free_evicted_columns() {
         // Three 400 KB attributes in four shards under a budget of one:
         // attribute 0 (uniform) fills it; attribute 1 holds the same kind
-        // of values in sorted runs, attribute 2 shuffled.
+        // of values in sorted runs, attribute 2 shuffled. Point screening
+        // is off, so a point probe reads its unit range like any count
+        // (a screen builds the owning shard).
         let rows = 50_000;
         let mut rng = StdRng::seed_from_u64(51);
         let mut table = uniform_table(3, rows, 1_000_000, 11);
         table[1] = sorted_runs(&table[1], &mut rng);
         let data = Dataset::new(table);
         let mut cfg = HolisticEngineConfig::split_half_sharded(2, 4);
+        cfg.point_filters = false;
         cfg.holistic.max_workers = Some(0);
         cfg.holistic.storage_budget = Some(rows * TUPLE);
         let e = HolisticEngine::new(data, cfg);
-        let exact = |attr: usize, lo: i64, hi: i64| {
+        // One read of `[lo, hi)` through entry point `entry` against the
+        // oracle: verified, locked, snapshot, or the point `lo` (`hi` is
+        // `lo + 1`); `entries` lists all four in turn, each with its range.
+        let read = |entry: usize, attr: usize, lo: i64, hi: i64| {
             let oracle = scan_stats(e.data.column(attr), Predicate::range(lo, hi));
-            let q = QuerySpec { attr, lo, hi };
-            assert_eq!(e.execute_verified(&q), (oracle.count, oracle.sum), "{q:?}");
+            let (q, stats) = (query(attr, lo, hi), (oracle.count, oracle.sum));
+            match entry {
+                0 => assert_eq!(e.execute_verified(&q), stats, "{q:?}"),
+                1 => assert_eq!(e.execute(&q), oracle.count, "{q:?}"),
+                2 => assert_eq!(e.execute_snapshot(&q), Some(stats), "{q:?}"),
+                _ => assert_eq!(e.execute_points(attr, &[lo]), Some(oracle.count), "{q:?}"),
+            }
+        };
+        let entries = |lo: i64, hi: i64| [(0, hi), (1, hi), (2, hi), (3, lo + 1)];
+        let exact = |attr: usize, lo: i64, hi: i64| {
+            for (entry, hi) in entries(lo, hi) {
+                read(entry, attr, lo, hi);
+            }
         };
         for _ in 0..3 {
             exact(0, 0, 1_000_000);
         }
         assert_eq!(records(&e), 4, "attribute 0 went in whole");
-        // Narrow reads inside shard 1 of the clustered attribute meet one
-        // or two of the zones its build reads: they are answered from the
-        // base and register nothing, until the read whose zones would take
-        // the scanned total to the build's.
+        // Narrow reads inside shard 1 of the clustered attribute meet a few
+        // of the zones its build reads: they are answered from the base
+        // and register nothing, until the read whose zones would take the
+        // scanned total to the build's.
         let cuts = peek(&e, 1).plan().cuts().to_vec();
         let clustered = e.data.column(1);
         let build = zones_meeting(clustered, cuts[0], cuts[1]);
         assert!(build >= 8, "the shard's build reads {build} zones");
         let (mut scanned, mut reads) = (0, 0);
-        loop {
+        'steps: loop {
             let lo = rng.random_range(cuts[0] + 1_000..cuts[1] - 3_000);
-            let read = zones_meeting(clustered, lo, lo + 2_000);
-            let before = registrations(&e);
-            exact(1, lo, lo + 2_000);
-            reads += 1;
-            if scanned + read < build {
-                scanned += read;
-                assert_eq!(registrations(&e), before, "read {reads} registered");
-                assert!(peek(&e, 1).resident(1).is_none(), "read {reads} built");
-                continue;
+            for (entry, hi) in entries(lo, lo + 2_000) {
+                let zones = zones_meeting(clustered, lo, hi);
+                let before = registrations(&e);
+                read(entry, 1, lo, hi);
+                reads += 1;
+                if scanned + zones < build {
+                    scanned += zones;
+                    assert_eq!(registrations(&e), before, "read {reads} registered");
+                    assert!(peek(&e, 1).resident(1).is_none(), "read {reads} built");
+                    continue;
+                }
+                assert_eq!(registrations(&e), before + 1, "the break-even read");
+                assert!(live(&peek(&e, 1), 1).is_some());
+                break 'steps;
             }
-            assert_eq!(registrations(&e), before + 1, "the break-even read");
-            assert!(live(&peek(&e, 1), 1).is_some());
-            break;
         }
         assert!(reads > 2, "{reads} reads to break even");
         assert_eq!(records(&e), live_cells(&e));
@@ -2447,14 +2338,22 @@ mod tests {
             .1
             .is_dropped());
         assert!(evicted.upgrade().is_some(), "the cell holds the column");
-        // The next read of attribute 1 scans, and frees the evicted column.
+        // The next read of attribute 1 scans, and frees the evicted column;
+        // the reads after it scan on until their zones reach the build's.
         let lo = cuts[0] + 5_000;
-        exact(1, lo, lo + 2_000);
-        assert_eq!(registrations(&e), before + 1, "the scan registered");
-        assert!(evicted.upgrade().is_none(), "the evicted column lives on");
+        let (mut scanned, mut built) = (0, false);
+        for (entry, hi) in entries(lo, lo + 2_000) {
+            let zones = zones_meeting(clustered, lo, hi);
+            read(entry, 1, lo, hi);
+            assert!(evicted.upgrade().is_none(), "the evicted column lives on");
+            built |= scanned + zones >= build;
+            scanned += zones;
+            assert_eq!(registrations(&e), before + 1 + built as usize, "{entry}");
+        }
         // A read covering the clustered shard reads every zone of its build,
-        // so it builds, and evicts the uniform shard; the next read of the
-        // uniform attribute rebuilds that, and frees the evicted column.
+        // so it builds unless the reads above did, and either build evicts
+        // the uniform shard; the next read of the uniform attribute
+        // rebuilds that, and frees the evicted column.
         let evicted = Arc::downgrade(peek(&e, 2).shard(1));
         exact(1, cuts[0], cuts[1]);
         assert!(peek(&e, 2)
@@ -2533,11 +2432,7 @@ mod tests {
                             // (the equi-depth cuts of a uniform column
                             // sit near the quarter points).
                             let lo = t * 250_000 + rng.random_range(20_000..200_000);
-                            let q = QuerySpec {
-                                attr: i % 3,
-                                lo,
-                                hi: lo + rng.random_range(1..20_000),
-                            };
+                            let q = query(i % 3, lo, lo + rng.random_range(1..20_000));
                             let want = count_in(sorted, &q);
                             let got = match i % 4 {
                                 0 => e.execute_snapshot(&q).unwrap().0,
@@ -2606,11 +2501,7 @@ mod tests {
                 "soak at op {i} of {OPS} after 300 s"
             );
             let lo = rng.random_range(0..990_000);
-            let q = QuerySpec {
-                attr: i % attrs,
-                lo,
-                hi: lo + rng.random_range(1..10_000),
-            };
+            let q = query(i % attrs, lo, lo + rng.random_range(1..10_000));
             let want = count_in(&sorted, &q);
             let (a, p, o, d) = e.space().membership_counts();
             let t0 = std::time::Instant::now();
@@ -2699,11 +2590,7 @@ mod tests {
         // meets them, so each builds its attribute (one at the domain's
         // edge meets about half the zones, and would scan them instead).
         for attr in 0..3 {
-            let q = QuerySpec {
-                attr,
-                lo: 400_000,
-                hi: 401_000,
-            };
+            let q = query(attr, 400_000, 401_000);
             assert_eq!(
                 e.execute(&q),
                 scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi)).count
@@ -2722,11 +2609,7 @@ mod tests {
     #[test]
     fn forced_split_and_merge_preserve_results_across_plan_versions() {
         let e = sharded_engine(1, 40_000, 4);
-        let q = QuerySpec {
-            attr: 0,
-            lo: 100_000,
-            hi: 900_000,
-        };
+        let q = query(0, 100_000, 900_000);
         let oracle = scan_stats(e.data.column(0), Predicate::range(q.lo, q.hi)).count;
         assert_eq!(e.execute(&q), oracle);
         assert_eq!(e.plan_version(0), 0);
@@ -2768,11 +2651,7 @@ mod tests {
     #[test]
     fn replan_policy_splits_a_pending_hot_spot() {
         let e = sharded_engine(1, 40_000, 4);
-        let q = QuerySpec {
-            attr: 0,
-            lo: 0,
-            hi: 1_000_000,
-        };
+        let q = query(0, 0, 1_000_000);
         let oracle = scan_stats(e.data.column(0), Predicate::range(q.lo, q.hi)).count;
         assert_eq!(e.execute(&q), oracle);
         assert_eq!(e.maybe_replan(0), None, "balanced plan: policy is quiet");
@@ -2818,11 +2697,7 @@ mod tests {
                 .collect();
             holix_planner::load_skew(&loads)
         };
-        let q = QuerySpec {
-            attr: 0,
-            lo: 0,
-            hi: 1_000_000,
-        };
+        let q = query(0, 0, 1_000_000);
         let oracle = scan_stats(e.data.column(0), Predicate::range(q.lo, q.hi)).count;
         assert_eq!(e.execute(&q), oracle);
         assert_eq!(frozen.execute(&q), oracle);

@@ -19,6 +19,8 @@
 //! serving (§5.8) lives in `holix-server`: the engines stay the execution
 //! interface, the service layer owns sessions, admission and scheduling.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod api;
 pub mod holistic;

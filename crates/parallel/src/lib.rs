@@ -18,6 +18,8 @@
 //! - [`ccgi`] — modified Parallel Chunked Coarse-Granular Index (mP-CCGI,
 //!   from \[8\] extended with result consolidation as §5.2 describes).
 
+#![forbid(unsafe_code)]
+
 pub mod ccgi;
 
 pub use ccgi::ChunkedCrackerColumn;

@@ -42,6 +42,8 @@
 //! of the shard it prices, which the read it prices waits for too. The
 //! rest of the crate is pure functions of its inputs.
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod cost;
 pub mod decompose;

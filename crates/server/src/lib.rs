@@ -24,6 +24,8 @@
 //! - [`harness`] — the §5.8 multi-client driver, superseding
 //!   `holix_engine::session`.
 
+#![forbid(unsafe_code)]
+
 pub mod batcher;
 pub mod dispatcher;
 pub mod harness;

@@ -17,6 +17,8 @@
 //! The adaptive-indexing crates build on these primitives; nothing in this
 //! crate knows about cracking or holistic tuning.
 
+#![forbid(unsafe_code)]
+
 pub mod column;
 pub mod pscan;
 pub mod psort;

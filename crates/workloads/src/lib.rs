@@ -17,6 +17,8 @@
 //! - [`traffic`] — multi-client traffic for the service layer: closed-loop
 //!   sessions over per-client hot regions (§5.8 scaled to many sessions).
 
+#![forbid(unsafe_code)]
+
 pub mod data;
 pub mod patterns;
 pub mod skyserver;
