@@ -12,8 +12,8 @@
 //! learn whether it can be answered on the submitting thread
 //! (`QueryEngine::execute_exact`), for an exact hit and for a miss; and the
 //! first point-filter build on a converged shard; and 32 Ripple drains into
-//! a converged, summed shard, a crack of a shard with piece sums, and a
-//! summed shard's snapshot reads. The first line names the kernel family the
+//! a converged, summed shard, a crack of a shard with piece sums, a
+//! summed shard's snapshot reads, and IN-lists on a converged attribute. The first line names the kernel family the
 //! crack and filter kernels dispatched to (`HOLIX_NO_SIMD=1` forces the
 //! portable one).
 
@@ -408,8 +408,11 @@ fn bench_crack_three(c: &mut Criterion) {
 /// of the zones do). Beside each, the same read answered without the
 /// shard (`zone_scan`, `zone_scan_clustered`): a count and sum over the
 /// base zones whose extremes meet it (every zone of the shuffled base, one
-/// or two of the clustered one), what a cold read under the storage budget
-/// pays until a rebuild pays for itself.
+/// or two of the clustered one) through `kernels::filter_count`, what a
+/// cold read under the storage budget pays until a rebuild pays for
+/// itself. On a 2-vCPU AVX-512 box, three alternating runs each:
+/// `zone_scan` 62–113 µs on the AVX2 body, 39–41 µs on the AVX-512 one,
+/// beside `filter_then_crack` at 79–102 µs.
 fn bench_shard_rebuild(c: &mut Criterion) {
     const ROWS: usize = 1 << 17;
     const RUN: usize = 1 << 10;
@@ -786,6 +789,84 @@ fn bench_snapshot_reads(c: &mut Criterion) {
     g.finish();
 }
 
+/// 1,000 IN-lists of 1–8 keys, half of them absent, on a 2^20-row
+/// attribute in four shards (`HolisticEngine::execute_points`, no daemon
+/// workers): every base value is even and every absent key odd. The
+/// attribute is converged first: 4,096 random range reads and one run of
+/// the same lists (which builds the point filters and cracks the present
+/// keys' unit ranges), then 64 pending inserts of present keys queued in
+/// every shard, below the backlog a read merges at. Divide by 10³ for ns
+/// per IN-list. On a 2-vCPU AVX-512 box, three alternating runs each:
+/// 2.6–3.3 ms key by key (an accountant task, a column load and a touch
+/// for the screen, and again for each maybe-present key's read), 1.5–2.2
+/// ms in one pass.
+fn bench_in_lists(c: &mut Criterion) {
+    const ROWS: usize = 1 << 20;
+    const DOMAIN: i64 = 1 << 22;
+    let mut rng = StdRng::seed_from_u64(50);
+    let base: Vec<i64> = (0..ROWS)
+        .map(|_| rng.random_range(0..DOMAIN / 2) * 2)
+        .collect();
+    let lists: Vec<Vec<i64>> = (0..1_000)
+        .map(|_| {
+            let len = rng.random_range(1..=8);
+            (0..len)
+                .map(|i| match i % 2 {
+                    0 => base[rng.random_range(0..ROWS)],
+                    _ => rng.random_range(0..DOMAIN / 2) * 2 + 1,
+                })
+                .collect()
+        })
+        .collect();
+    let mut cfg = HolisticEngineConfig::split_half_sharded(2, 4);
+    cfg.holistic.max_workers = Some(0);
+    let engine = HolisticEngine::new(Dataset::new(vec![base.clone()]), cfg);
+    for _ in 0..4_096 {
+        let (a, b) = (rng.random_range(0..DOMAIN), rng.random_range(0..DOMAIN));
+        engine.execute(&QuerySpec {
+            attr: 0,
+            lo: a.min(b),
+            hi: a.max(b),
+        });
+    }
+    let run = || {
+        let counts = lists.iter().map(|keys| engine.execute_points(0, keys));
+        counts
+            .map(|n| n.expect("an IN-list is answered"))
+            .sum::<u64>()
+    };
+    run();
+    let shards = engine.sharded(0);
+    let (mut row, mut sorted) = (ROWS as u32, base);
+    for k in 0..shards.shard_count() {
+        let mine = lists.iter().flat_map(|keys| keys.iter().step_by(2));
+        let mine = mine.filter(|&&v| shards.plan().shard_of(v) == k);
+        for &v in mine.take(64) {
+            engine.queue_insert(0, v, row);
+            sorted.push(v);
+            row += 1;
+        }
+        assert!(shards.shard(k).pending_len() < CrackerColumn::MERGE_BACKLOG);
+    }
+    sorted.sort_unstable();
+    let count = |v: i64| sorted.partition_point(|&x| x <= v) - sorted.partition_point(|&x| x < v);
+    let want: usize = lists
+        .iter()
+        .map(|keys| {
+            let mut keys = keys.clone();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.into_iter().map(count).sum::<usize>()
+        })
+        .sum();
+    assert_eq!(run(), want as u64, "the IN-lists answer wrongly");
+    let mut g = c.benchmark_group("points");
+    g.sample_size(30);
+    g.bench_function("in_list", |b| b.iter(run));
+    g.finish();
+    engine.stop();
+}
+
 fn print_isa(_: &mut Criterion) {
     println!("# kernels: {:?}", kernels::active_isa());
 }
@@ -805,6 +886,7 @@ criterion_group!(
     bench_drains,
     bench_snapshot_reads,
     bench_exact_hits,
-    bench_point_filter
+    bench_point_filter,
+    bench_in_lists
 );
 criterion_main!(benches);

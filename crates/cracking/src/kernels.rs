@@ -15,20 +15,21 @@
 //! was removed.
 //!
 //! [`filter_count`] (unsorted i64 lanes: branchless compare + masked
-//! split-lane accumulate) is the edge filter of every snapshot read; its
-//! explicit AVX2 body ([`avx2`]) is selected once per process by
-//! [`active_isa`] (`is_x86_feature_detected!`), with the portable loop as
-//! fallback.
+//! split-lane accumulate) is the edge filter of every snapshot read and
+//! the zone scan of a cold read (`ShardedColumn::scan_cold`). It has three
+//! bodies, one selected once per process by [`active_isa`]
+//! (`is_x86_feature_detected!`): eight lanes under mask registers
+//! ([`avx512::filter_count`]), four under AVX2 compares ([`avx2`]), and
+//! the portable loop.
 //!
 //! Beside them sits the compress-store layer, [`avx512`]: `vpcompressq`
 //! bodies for the value-lane loops a cold read and every sequential crack
 //! run — the one-shard filter pass (`sharding.rs`) and the partition passes
 //! of the out-of-place cracks ([`crate::vectorized`]) — with the row lane
 //! carried through the [`crate::vectorized::RowLane`] hook. [`active_isa`]
-//! alone picks them: [`Isa::Avx512`] on a CPU with AVX-512F and AVX-512VL
-//! (which still runs the AVX2 [`filter_count`]); other CPUs keep the
-//! portable scalar loops, which the compress bodies match slot for slot.
-//! `HOLIX_NO_SIMD=1` forces the portable paths.
+//! alone picks them: [`Isa::Avx512`] on a CPU with AVX-512F and AVX-512VL;
+//! other CPUs keep the portable scalar loops, which the compress bodies
+//! match slot for slot. `HOLIX_NO_SIMD=1` forces the portable paths.
 
 use std::sync::OnceLock;
 
@@ -148,8 +149,8 @@ pub enum Isa {
     Portable,
     /// Explicit `core::arch::x86_64` AVX2 kernels.
     Avx2,
-    /// The AVX2 kernels, plus the AVX-512 compress-store crack and filter
-    /// kernels of [`avx512`].
+    /// The AVX-512 kernels of [`avx512`]: compress-store cracks and
+    /// filter pass, and the eight-lane [`filter_count`].
     Avx512,
 }
 
@@ -172,10 +173,17 @@ pub fn active_isa() -> Isa {
     })
 }
 
+/// Values the explicit [`filter_count`] bodies sum in their i64 lanes
+/// before folding to i128: at most 2^16 masked low halves (< 2^32) and
+/// high halves (|·| ≤ 2^31) a lane, far inside it.
+#[cfg(target_arch = "x86_64")]
+const STRIPE: usize = 1 << 18;
+
 /// Explicit AVX2 kernels. Safe wrappers verify feature presence; the
 /// `#[target_feature]` bodies hold the intrinsics.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
+    use super::STRIPE;
     use core::arch::x86_64::*;
 
     /// AVX2 fused filter over unsorted i64 lanes: branchless two-sided
@@ -191,10 +199,6 @@ pub mod avx2 {
         // (`avx2_paths_agree_with_portable`).
         unsafe { filter_count_inner(vals, lo, hi) }
     }
-
-    /// Fold lane accumulators to i128 at least every `STRIPE` values so
-    /// the split-lane partial sums can never overflow their i64 lanes.
-    const STRIPE: usize = 1 << 18;
 
     /// # Safety
     /// The CPU has AVX2. Every load is one whole `chunks_exact(4)` chunk
@@ -267,7 +271,8 @@ pub mod avx2 {
 /// eight long loads under a mask (the full chunks under a constant one: a
 /// mask computed per chunk measured the filter 2–3× slower). The safe
 /// wrappers panic without the CPU features and check the lengths the raw
-/// stores rely on.
+/// stores rely on. Beside them sits the eight-lane [`filter_count`]
+/// (`avx512::filter_count`), which stores nothing.
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
     use crate::vectorized::RowLane;
@@ -374,6 +379,59 @@ pub mod avx512 {
             _mm512_reduce_max_epi64(max_v),
         );
         (kept, domain)
+    }
+
+    /// [`super::filter_count`] eight lanes at a time: count and exact
+    /// widened sum of the values of `vals` in `[lo, hi)` (`None` =
+    /// unbounded). The compares give a lane mask, counted by its popcount;
+    /// the kept lanes add their low 32 bits and their arithmetic high half
+    /// (`srai` 32) into two accumulators under the same mask, folded to
+    /// `i128` once per 2^18 values. Panics without the CPU features.
+    pub fn filter_count(vals: &[i64], lo: Option<i64>, hi: Option<i64>) -> (u64, i128) {
+        require();
+        // SAFETY: the CPU has the features (checked above); every load is
+        // masked to `vals` (`avx512_filter_count_matches_portable` at every
+        // tail length, under AddressSanitizer in CI).
+        unsafe { filter_count_inner(vals, lo, hi) }
+    }
+
+    /// # Safety
+    /// The CPU has AVX-512F and POPCNT. Each load reads the lanes of its
+    /// mask from `vals` and no other (`avx512_filter_count_matches_portable`).
+    #[target_feature(enable = "avx512f,popcnt")]
+    unsafe fn filter_count_inner(vals: &[i64], lo: Option<i64>, hi: Option<i64>) -> (u64, i128) {
+        // As in `avx2::filter_count`: no lane is below i64::MIN, and an
+        // unbounded upper bound (MAX itself qualifies) admits every lane.
+        let lo_v = _mm512_set1_epi64(lo.unwrap_or(i64::MIN));
+        let hi_v = _mm512_set1_epi64(hi.unwrap_or(0));
+        let hi_all: __mmask8 = if hi.is_some() { 0 } else { u8::MAX };
+        let low32 = _mm512_set1_epi64(0xFFFF_FFFF);
+        let (mut count, mut sum) = (0u64, 0i128);
+        for stripe in vals.chunks(super::STRIPE) {
+            let src = stripe.as_ptr();
+            let (mut acc_lo, mut acc_hi) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+            let mut step = |i: usize, valid: __mmask8| {
+                // SAFETY: the lanes of `valid` are `stripe[i..]`'s first
+                // values.
+                let v = _mm512_maskz_loadu_epi64(valid, src.add(i));
+                let keep = _mm512_mask_cmpge_epi64_mask(valid, v, lo_v)
+                    & (_mm512_cmplt_epi64_mask(v, hi_v) | hi_all);
+                count += keep.count_ones() as u64;
+                acc_lo = _mm512_mask_add_epi64(acc_lo, keep, acc_lo, _mm512_and_si512(v, low32));
+                acc_hi = _mm512_mask_add_epi64(acc_hi, keep, acc_hi, _mm512_srai_epi64::<32>(v));
+            };
+            let full = stripe.len() - stripe.len() % 8;
+            for i in (0..full).step_by(8) {
+                step(i, FULL.0);
+            }
+            if full < stripe.len() {
+                step(full, tail(stripe.len() - full).0);
+            }
+            // Eight lanes of at most 2^15 halves each: both totals fit i64.
+            sum += _mm512_reduce_add_epi64(acc_lo) as i128
+                + ((_mm512_reduce_add_epi64(acc_hi) as i128) << 32);
+        }
+        (count, sum)
     }
 
     /// The partition pass of the two-way crack: the values of `vals` below
@@ -604,8 +662,10 @@ pub fn filter_count_portable(vals: &[i64], lo: Option<i64>, hi: Option<i64>) -> 
 /// widened sum of values in `[lo, hi)` (`None` = unbounded).
 pub fn filter_count(vals: &[i64], lo: Option<i64>, hi: Option<i64>) -> (u64, i128) {
     #[cfg(target_arch = "x86_64")]
-    if matches!(active_isa(), Isa::Avx2 | Isa::Avx512) {
-        return avx2::filter_count(vals, lo, hi);
+    match active_isa() {
+        Isa::Avx512 => return avx512::filter_count(vals, lo, hi),
+        Isa::Avx2 => return avx2::filter_count(vals, lo, hi),
+        Isa::Portable => {}
     }
     filter_count_portable(vals, lo, hi)
 }
@@ -729,6 +789,67 @@ mod tests {
                 "lo={lo:?} hi={hi:?}"
             );
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_filter_count_matches_portable() {
+        if !avx512::available() {
+            eprintln!("skipping: no AVX-512 on this CPU");
+            return;
+        }
+        let mut s = 0x512_u64;
+        let mut bounds: Vec<(Option<i64>, Option<i64>)> = vec![
+            (None, None),
+            (Some(i64::MIN), None),
+            (None, Some(i64::MAX)),
+            (Some(i64::MIN), Some(i64::MAX)),
+            (Some(i64::MAX), None),
+            (Some(i64::MAX - 1), Some(i64::MAX)),
+            (None, Some(i64::MIN + 1)),
+            (Some(0), Some(0)),
+            (Some(-(1 << 40)), Some(1 << 40)),
+        ];
+        bounds.extend((0..8).map(|_| {
+            let (a, b) = (splitmix(&mut s) as i64, splitmix(&mut s) as i64);
+            (Some(a.min(b)), Some(a.max(b)))
+        }));
+        // Random lanes with the extremes mixed in, so the sums reach ±2^63
+        // and past i64.
+        let mut lanes = |len: usize| -> Vec<i64> {
+            (0..len)
+                .map(|_| match splitmix(&mut s) % 4 {
+                    0 => i64::MIN + (splitmix(&mut s) % 3) as i64,
+                    1 => i64::MAX - (splitmix(&mut s) % 3) as i64,
+                    _ => splitmix(&mut s) as i64,
+                })
+                .collect()
+        };
+        // Every tail length, from an unaligned start as well, and a slice
+        // past one stripe.
+        let long = lanes((1 << 18) + 7);
+        for len in 0..=64 {
+            let vals = lanes(len + 1);
+            for vals in [&vals[..len], &vals[1..]] {
+                for &(lo, hi) in &bounds {
+                    assert_eq!(
+                        avx512::filter_count(vals, lo, hi),
+                        filter_count_portable(vals, lo, hi),
+                        "len={len} lo={lo:?} hi={hi:?}"
+                    );
+                }
+            }
+        }
+        for &(lo, hi) in &bounds {
+            assert_eq!(
+                avx512::filter_count(&long, lo, hi),
+                filter_count_portable(&long, lo, hi),
+                "len={} lo={lo:?} hi={hi:?}",
+                long.len()
+            );
+        }
+        let all = avx512::filter_count(&long, None, None).1;
+        assert!(all.abs() > i64::MAX as i128, "the long sum stays in i64");
     }
 
     mod prop {

@@ -38,8 +38,8 @@
 //! come in reads the base zones that can hold its range instead, until
 //! the zones such reads have scanned for that shard reach what building
 //! it reads; then it builds. Every count and sum (locked, verified,
-//! snapshot, a point probe's unit range) runs the one per-shard loop that
-//! takes this branch; a conjunction's driver needs row ids, so it builds.
+//! snapshot, an unscreened point's unit range) takes this branch; point
+//! screens and a conjunction's driver need the shard, so they build.
 //!
 //! ## Versioned shard plans
 //!
@@ -601,8 +601,8 @@ impl HolisticEngine {
         apply_replan_action(&self.shared, &self.space, attr, &col, action)
     }
 
-    /// The one per-shard loop of every count and sum (no allocation: it
-    /// runs per query): routes `q` through [`HolisticEngine::touch_read`],
+    /// The one per-shard loop of every range count and sum (no allocation:
+    /// it runs per query): routes `q` through [`HolisticEngine::touch_read`],
     /// asks each live shard routed to for `kind` and records `f_I`, and
     /// `f_Ih` where the shard cracked and filtered nothing, on its record;
     /// a shard answered from the base zones records nothing.
@@ -643,30 +643,48 @@ impl HolisticEngine {
         stats
     }
 
-    /// Point-probe screening: `Some(0)` when the owning shard's membership
-    /// filter **proves** `v` absent — the probe answers empty having
-    /// touched no piece and cracked nothing (recorded as an exact hit, the
-    /// paper's `f_Ih` statistic extended to point traffic). `None` when
-    /// the value may be present or screening is disabled; the caller reads
-    /// the unit range, which cracks at most one shard.
-    /// Screening must inspect the *original* bounds: `ShardPlan::clamp`
-    /// widens a unit range ending exactly at a shard cut to the `MAX`
-    /// sentinel, which no longer reads as a point.
-    fn screen_point(&self, attr: usize, v: i64) -> Option<u64> {
-        if !self.cfg.point_filters {
-            return None;
-        }
-        // User work that can first-touch the attribute; released before
-        // the caller's fallback fan-out takes its own.
+    /// The one pass of every point read (`execute`'s unit range, a whole
+    /// IN-list) under one accountant task and one column load: counts the
+    /// tuples equal to each of `keys` (sorted, deduplicated, no `i64::MAX`).
+    /// A key's owner shard is built as `touch` builds it (unscreened, as
+    /// `touch_read` builds or scans it; a scanned key records nothing);
+    /// then the owner's point filter, built on first use, may prove the key
+    /// absent, cracking nothing and recording an exact hit (`f_Ih` for point
+    /// traffic). Any other key records its unit-range selection's `f_Ih`.
+    fn read_points(&self, attr: usize, keys: impl IntoIterator<Item = i64>) -> u64 {
         let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let (col, k) = self.touch_owner(attr, v);
-        let (shard, slot) = col.resident(k).expect("touched above");
-        shard.ensure_point_filter();
-        if shard.probe_point(v) == Some(false) {
-            slot.record_user_query(true);
-            return Some(0);
-        }
-        None
+        let screen = self.cfg.point_filters;
+        let mut col = Arc::clone(&self.shared.cols[attr].read());
+        let mut total = 0;
+        SCRATCH.with(|s| {
+            let scratch = &mut s.borrow_mut();
+            for v in keys {
+                let unit = Predicate::range(v, v + 1);
+                let mut k = col.plan().shard_of(v);
+                if live(&col, k).is_none() && screen {
+                    (col, k) = self.touch_owner(attr, v);
+                } else if live(&col, k).is_none() {
+                    let (c, owner, _, scanned) = self.touch_read(attr, unit).expect("an owner");
+                    (col, k) = (c, owner);
+                    if !scanned.shards.is_empty() {
+                        total += scanned.stats.count;
+                        continue;
+                    }
+                }
+                let (shard, slot) = col.resident(k).expect("live or touched above");
+                if screen {
+                    shard.ensure_point_filter();
+                    if shard.probe_point(v) == Some(false) {
+                        slot.record_user_query(true);
+                        continue;
+                    }
+                }
+                let sel = shard.select(col.plan().clamp(k, unit), scratch);
+                slot.record_user_query(sel.exact_hit());
+                total += sel.count();
+            }
+        });
+        total
     }
 }
 
@@ -692,12 +710,10 @@ impl QueryEngine for HolisticEngine {
     }
 
     fn execute(&self, q: &QuerySpec) -> u64 {
-        if let Some(v) = Predicate::range(q.lo, q.hi).as_point() {
-            if let Some(n) = self.screen_point(q.attr, v) {
-                return n;
-            }
+        match Predicate::range(q.lo, q.hi).as_point() {
+            Some(v) => self.read_points(q.attr, [v]),
+            None => self.read(q, ShardRead::Count).count,
         }
-        self.read(q, ShardRead::Count).count
     }
 
     fn execute_verified(&self, q: &QuerySpec) -> (u64, i128) {
@@ -816,30 +832,13 @@ impl QueryEngine for HolisticEngine {
 
     fn execute_points(&self, attr: usize, values: &[i64]) -> Option<u64> {
         // Dedupe: an IN list counts each qualifying tuple once, however
-        // often the list repeats its value.
-        let mut vals: Vec<i64> = values.to_vec();
-        vals.sort_unstable();
-        vals.dedup();
-        let mut total = 0u64;
-        for v in vals {
-            if v == i64::MAX {
-                continue; // the sentinel cannot be probed (empty unit range)
-            }
-            if let Some(n) = self.screen_point(attr, v) {
-                total += n; // filter-negative: zero cracks, zero touches
-                continue;
-            }
-            // Maybe-present: the unit-range read cracks (at most) the one
-            // shard owning `v`. Bypasses `execute` so a probe that already
-            // failed screening is not screened twice.
-            let q = QuerySpec {
-                attr,
-                lo: v,
-                hi: v + 1,
-            };
-            total += self.read(&q, ShardRead::Count).count;
-        }
-        Some(total)
+        // often the list repeats its value. The sentinel cannot be probed
+        // (its unit range is empty).
+        let mut keys = values.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.retain(|&v| v != i64::MAX);
+        Some(self.read_points(attr, keys))
     }
 
     fn execute_conjunction(&self, terms: &[QuerySpec]) -> Option<u64> {
@@ -1093,7 +1092,9 @@ mod tests {
     use holix_cracking::BoundLookup;
     use holix_storage::select::scan_stats;
     use holix_workloads::data::uniform_table;
+    use proptest::prelude::*;
     use rand::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::time::Duration;
 
     fn engine(attrs: usize, rows: usize) -> HolisticEngine {
@@ -1474,6 +1475,190 @@ mod tests {
             assert_eq!(got, want);
         }
         e.stop();
+    }
+
+    /// Values of the point-read property test: base values are even and
+    /// below this, so odd keys and keys past it are absent until inserted.
+    const POINT_DOMAIN: i64 = 6_000;
+
+    /// One IN-list of 0–10 keys on `attr`: base values (maybe deleted
+    /// since), odd and out-of-domain keys, the shard cuts and the values
+    /// just below them, the sentinels, and repeats.
+    fn in_list(e: &HolisticEngine, attr: usize, rng: &mut StdRng) -> Vec<i64> {
+        let (base, cuts) = (e.data.column(attr), peek(e, attr).plan().cuts().to_vec());
+        let mut keys: Vec<i64> = Vec::new();
+        for _ in 0..rng.random_range(0..=10) {
+            let key = match rng.random_range(0..8) {
+                0..=2 => base[rng.random_range(0..base.len())],
+                3 => rng.random_range(0..POINT_DOMAIN) | 1,
+                4 => cuts[rng.random_range(0..cuts.len())] - rng.random_range(0..2),
+                5 => [-7, POINT_DOMAIN + 13, i64::MIN, i64::MAX][rng.random_range(0..4)],
+                _ => match keys.choose(rng) {
+                    Some(&v) => v,
+                    None => rng.random_range(0..POINT_DOMAIN),
+                },
+            };
+            keys.push(key);
+        }
+        keys
+    }
+
+    /// Runs IN-lists and unit-range `execute`s on `attr` against the
+    /// multiset `tuples` (value → copies). Each IN-list builds no shard but
+    /// the owners of its keys (all of them when the attribute was cold and
+    /// fits whole), and, with `records`, adds 1 to `f_I` on a key's owner
+    /// per distinct key.
+    fn point_reads_match(
+        e: &HolisticEngine,
+        attr: usize,
+        tuples: &BTreeMap<i64, u64>,
+        records: bool,
+        rng: &mut StdRng,
+    ) {
+        let distinct = |keys: &[i64]| -> BTreeSet<i64> {
+            keys.iter().copied().filter(|&v| v != i64::MAX).collect()
+        };
+        let oracle = |keys: &[i64]| -> u64 {
+            let count = |v| tuples.get(v).copied().unwrap_or(0);
+            distinct(keys).iter().map(count).sum()
+        };
+        let shards = |col: &Shards| -> Vec<Option<u64>> {
+            let stats = |k| live(col, k).map(|(_, slot)| slot.stats().queries());
+            (0..col.shard_count()).map(stats).collect()
+        };
+        for _ in 0..10 {
+            let keys = in_list(e, attr, rng);
+            let whole = cold(&peek(e, attr)) && e.whole_attribute_fits();
+            let before = shards(&peek(e, attr));
+            assert_eq!(
+                e.execute_points(attr, &keys),
+                Some(oracle(&keys)),
+                "{keys:?}"
+            );
+            let col = peek(e, attr);
+            let owners: BTreeSet<usize> = distinct(&keys)
+                .iter()
+                .map(|&v| col.plan().shard_of(v))
+                .collect();
+            let after = shards(&col);
+            for k in 0..col.shard_count() {
+                let built = before[k].is_none() && after[k].is_some();
+                assert!(!built || whole || owners.contains(&k), "{keys:?} built {k}");
+            }
+            if records {
+                for (k, (was, is)) in before.iter().zip(&after).enumerate() {
+                    let mine = distinct(&keys)
+                        .iter()
+                        .filter(|&&v| col.plan().shard_of(v) == k)
+                        .count();
+                    assert_eq!(
+                        is.unwrap_or(0) - was.unwrap_or(0),
+                        mine as u64,
+                        "{keys:?} on {k}"
+                    );
+                }
+            }
+            for v in keys.into_iter().filter(|&v| v < i64::MAX - 1) {
+                assert_eq!(e.execute(&query(attr, v, v + 1)), oracle(&[v]), "{v}");
+            }
+        }
+    }
+
+    /// The one-pass point read against a multiset oracle, screened and
+    /// not, with and without a storage budget of one attribute, on a
+    /// four-shard engine with no workers. Attribute 0 (shuffled) is read
+    /// cold, with pending inserts and deletes, and after a drain; then,
+    /// under the budget, attribute 1 (sorted: a unit range meets one or
+    /// two of a shard's zones, so unscreened reads scan before they build)
+    /// is read while attribute 0 holds the budget, and again once building
+    /// attribute 0 whole evicted every shard of it. Eviction discards a
+    /// shard's updates, so attribute 1 takes none.
+    fn check_point_reads(seed: u64, point_filters: bool, budget: bool) {
+        let rows = 16_384;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut table: Vec<Vec<i64>> = (0..2)
+            .map(|_| {
+                (0..rows)
+                    .map(|_| rng.random_range(0..POINT_DOMAIN / 2) * 2)
+                    .collect()
+            })
+            .collect();
+        table[1].sort_unstable();
+        let data = Dataset::new(table.clone());
+        let mut cfg = HolisticEngineConfig::split_half_sharded(2, 4);
+        cfg.point_filters = point_filters;
+        cfg.holistic.max_workers = Some(0);
+        cfg.holistic.storage_budget = budget.then_some(rows * TUPLE);
+        let e = HolisticEngine::new(data, cfg);
+        let mut tuples: Vec<BTreeMap<i64, u64>> = vec![BTreeMap::new(); 2];
+        for (attr, col) in table.iter().enumerate() {
+            for &v in col {
+                *tuples[attr].entry(v).or_default() += 1;
+            }
+        }
+        let records = !budget;
+        point_reads_match(&e, 0, &tuples[0], records, &mut rng);
+        // Inserts of present, odd and out-of-domain values; deletes of base
+        // rows and of some of the inserts.
+        let mut inserted = Vec::new();
+        for row in rows..rows + 200 {
+            let v = match rng.random_range(0..3) {
+                0 => table[0][rng.random_range(0..rows)],
+                1 => rng.random_range(0..POINT_DOMAIN) | 1,
+                _ => POINT_DOMAIN + rng.random_range(0..50),
+            };
+            e.queue_insert(0, v, row as RowId);
+            *tuples[0].entry(v).or_default() += 1;
+            inserted.push((v, row as RowId));
+        }
+        let mut deleted = BTreeSet::new();
+        for _ in 0..100 {
+            let row = rng.random_range(0..rows);
+            if deleted.insert(row) {
+                e.queue_delete(0, table[0][row], row as RowId);
+                *tuples[0].get_mut(&table[0][row]).unwrap() -= 1;
+            }
+        }
+        for &(v, row) in inserted.iter().step_by(3) {
+            e.queue_delete(0, v, row);
+            *tuples[0].get_mut(&v).unwrap() -= 1;
+        }
+        let col = peek(&e, 0);
+        assert!((0..4).any(|k| live(&col, k).is_some_and(|(s, _)| s.pending_len() > 0)));
+        point_reads_match(&e, 0, &tuples[0], records, &mut rng);
+        for k in 0..4 {
+            if let Some((shard, _)) = live(&peek(&e, 0), k) {
+                shard.merge_pending();
+                assert_eq!(shard.pending_len(), 0);
+            }
+        }
+        point_reads_match(&e, 0, &tuples[0], records, &mut rng);
+        if budget {
+            let scans = holix_telemetry::registry().counter("cracking_cold_scans_total");
+            let before = scans.get();
+            point_reads_match(&e, 1, &tuples[1], false, &mut rng);
+            let scanned = scans.get() > before;
+            assert!(point_filters || scanned || !holix_telemetry::metrics_enabled());
+            e.sharded(0);
+            let col = peek(&e, 1);
+            assert!(
+                (0..4).all(|k| live(&col, k).is_none()),
+                "attribute 1 kept a shard"
+            );
+            point_reads_match(&e, 1, &tuples[1], false, &mut rng);
+        }
+        e.stop();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn prop_point_reads_match_a_multiset_oracle(seed in any::<u64>()) {
+            for (point_filters, budget) in [(true, false), (false, false), (true, true), (false, true)] {
+                check_point_reads(seed, point_filters, budget);
+            }
+        }
     }
 
     #[test]
