@@ -102,15 +102,6 @@ impl LoadAccountant {
         })
     }
 
-    /// Tracker sized to the machine.
-    pub fn for_machine() -> Arc<Self> {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
     fn now_ns(&self) -> i64 {
         self.epoch.elapsed().as_nanos() as i64
     }

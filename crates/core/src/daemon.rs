@@ -36,8 +36,6 @@ pub struct CycleRecord {
     pub refinements: u64,
     /// Attempts aborted on latched pieces.
     pub busy: u64,
-    /// Point membership filters rebuilt after delete churn this cycle.
-    pub filter_rebuilds: u64,
 }
 
 /// Cycle records a daemon keeps: the newest ones (≈ 1.2 MB of them), so
@@ -194,7 +192,6 @@ fn daemon_loop(
             merges: reports.iter().map(|r| r.merges).sum(),
             refinements: reports.iter().map(|r| r.refinements).sum(),
             busy: reports.iter().map(|r| r.busy).sum(),
-            filter_rebuilds: reports.iter().map(|r| r.filter_rebuilds).sum(),
         };
         total_refinements.fetch_add(record.refinements, Ordering::Relaxed);
         // Mirror the cycle record into the process-wide registry so a live
@@ -352,7 +349,6 @@ mod tests {
             merges: 0,
             refinements: i as u64,
             busy: 0,
-            filter_rebuilds: 0,
         };
         let mut log = VecDeque::new();
         let pushed = 3 * CYCLE_LOG_CAP + 5;

@@ -1,9 +1,9 @@
 //! What holistic tuning needs from an adaptive index.
 //!
 //! [`RefinableIndex`] is the index space's view of an index: piece
-//! statistics for Equation (1), random-pivot refinement and background
-//! upkeep. [`CrackerColumn`] implements it directly; the index-space tests
-//! substitute fakes through it.
+//! statistics for Equation (1), random-pivot refinement and the background
+//! drain of its update queue. [`CrackerColumn`] implements it directly;
+//! the index-space tests substitute fakes through it.
 
 use holix_cracking::{CrackScratch, CrackerColumn, RefineOutcome};
 use rand::RngCore;
@@ -44,13 +44,6 @@ pub trait RefinableIndex: Send + Sync {
     fn drain_in_background(&self) -> bool {
         false
     }
-    /// Background membership-filter maintenance: rebuild the point filter
-    /// when delete churn has degraded its false-positive rate (deletes
-    /// stay in a Bloom filter until rebuilt). Returns `true` when a
-    /// rebuild ran. Default: no filter surface.
-    fn maybe_rebuild_filter(&self) -> bool {
-        false
-    }
 }
 
 impl RefinableIndex for CrackerColumn {
@@ -85,10 +78,6 @@ impl RefinableIndex for CrackerColumn {
 
     fn drain_in_background(&self) -> bool {
         CrackerColumn::drain_in_background(self)
-    }
-
-    fn maybe_rebuild_filter(&self) -> bool {
-        self.maybe_rebuild_point_filter()
     }
 }
 

@@ -23,9 +23,6 @@ pub struct WorkerReport {
     pub busy: u64,
     /// Pivots that already were boundaries.
     pub already_bound: u64,
-    /// Point membership filters rebuilt after delete churn degraded
-    /// their false-positive rate.
-    pub filter_rebuilds: u64,
     /// Wall time spent in the IdleFunction.
     pub duration: Duration,
     /// Whether an index was available to refine.
@@ -35,8 +32,8 @@ pub struct WorkerReport {
 /// Runs one IdleFunction instance: drain the update queues that are due
 /// (§4.2's "merge updates", on every live index — a converged one
 /// included, which is never picked to refine), then pick an index, refine
-/// it `x` times with random pivots, refresh its distance, stop early once it
-/// turns optimal, and finish with the picked index's maintenance.
+/// it `x` times with random pivots, refresh its distance and stop early once
+/// it turns optimal.
 pub fn idle_function(
     space: &IndexSpace,
     refinements_per_worker: usize,
@@ -75,11 +72,6 @@ pub fn idle_function(
         if slot.membership() == Membership::Optimal {
             break;
         }
-    }
-    // End-of-activation maintenance: rebuild the point membership filter
-    // if delete churn degraded it.
-    if handle.maybe_rebuild_filter() {
-        report.filter_rebuilds += 1;
     }
     report.duration = start.elapsed();
     report
@@ -151,40 +143,6 @@ mod tests {
         // Once optimal, nothing remains pickable.
         let r = idle_function(&space, 16, 8, &mut rng);
         assert!(!r.picked);
-    }
-
-    #[test]
-    fn idle_function_rebuilds_a_churned_point_filter() {
-        // A published point filter over a column that then absorbs heavy
-        // delete churn: end-of-activation maintenance must rebuild the
-        // filter (deleted keys never leave a Bloom filter) and reset the
-        // churn accounting.
-        let space = IndexSpace::new(HolisticConfig::default());
-        let base: Vec<i64> = (0..100_000i64).rev().collect();
-        let col = Arc::new(CrackerColumn::from_base("a", &base));
-        col.ensure_point_filter();
-        for v in 0..30_000i64 {
-            col.queue_delete(v, v as u32);
-        }
-        assert!(col.point_filter_staleness() >= 30_000);
-        register(&space, &col);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut rebuilds = 0;
-        for _ in 0..50 {
-            let r = idle_function(&space, 8, 8, &mut rng);
-            rebuilds += r.filter_rebuilds;
-            if !r.picked {
-                break;
-            }
-        }
-        assert!(rebuilds > 0, "workers never rebuilt the churned filter");
-        assert_eq!(
-            col.point_filter_staleness(),
-            0,
-            "rebuild did not reset the churn accounting"
-        );
-        // The fresh filter still proves absence for never-inserted values.
-        assert_eq!(col.probe_point(-5), Some(false));
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //!    *under* an exclusive hold, so batches apply in the order they leave
 //!    the queue and none is in flight under a shared one.
 //!
-//! Below all three sits the point filter's `PublishedCell`: a *leaf* lock
-//! held for one pointer copy. The planner prices a query from the live
-//! index ([`CrackerColumn::with_index`], then
-//! [`CrackerColumn::pending_len`]), never nested and never under a hold, so
-//! an estimate waits out a Ripple walk (which holds `index` for writing)
-//! and nothing else.
+//! The point filter is written once, under `pending`, and read with no
+//! lock. The planner prices a query from the live index
+//! ([`CrackerColumn::with_index`], then [`CrackerColumn::pending_len`]),
+//! never nested and never under a hold, so an estimate waits out a Ripple
+//! walk (which holds `index` for writing) and nothing else.
 //!
 //! Under a shared hold a piece is reached only latched (`holds::Piece`):
 //! for writing to crack it, for reading to read it. An operation latches
@@ -81,7 +80,6 @@
 //! point filter stay valid) and drops the log. The state flips once; from
 //! then on merges move the ids along and match a delete by `(value, row)`.
 
-use crate::cell::PublishedCell;
 use crate::filter::PointFilter;
 use crate::holds::{Exclusive, Latched, Piece, Shared, Structure, Write};
 use crate::index::{sum_of, CrackerIndex};
@@ -94,8 +92,8 @@ use holix_storage::select::{Predicate, RangeStats};
 use holix_storage::types::RowId;
 use parking_lot::Mutex;
 use rand::Rng;
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+use std::sync::OnceLock;
 
 /// The row lane of a crack over `len` values of a column without row ids:
 /// a slice of `()` (a length, no memory — see [`crate::RowLane`]).
@@ -211,14 +209,11 @@ pub struct CrackerColumn {
     select_threads: usize,
     /// Thread budget of background refinements (one per idle context).
     refine_threads: usize,
-    /// Point-membership filter, built by the first equality/IN query.
-    filter: PublishedCell<PointFilter>,
+    /// Point-membership filter, built by the first equality/IN query and
+    /// never replaced.
+    filter: OnceLock<PointFilter>,
     /// Serialises filter builds, so racing probes pay one walk.
     filter_build: Mutex<()>,
-    /// Deletes absorbed since the point filter was last (re)built: stale
-    /// keys never leave a Bloom filter, so this counts false-positive
-    /// pressure until a rebuild resets it.
-    filter_deletes: AtomicUsize,
 }
 
 impl CrackerColumn {
@@ -304,9 +299,8 @@ impl CrackerColumn {
             },
             select_threads: 1,
             refine_threads: 1,
-            filter: PublishedCell::new(),
+            filter: OnceLock::new(),
             filter_build: Mutex::new(()),
-            filter_deletes: AtomicUsize::new(0),
         }
     }
 
@@ -709,11 +703,11 @@ impl CrackerColumn {
                 return false;
             }
             p.queue_insert(v, row);
-            // Same critical section that the filter build's catch-up +
-            // publish runs in, so this insert lands in the filter exactly
-            // once: either the build's `for_each_unmerged` pass sees it
-            // queued, or the publish happened first and the OR below does.
-            if let Some(f) = self.filter.load() {
+            // Same critical section that the filter build's catch-up and
+            // `set` run in, so this insert lands in the filter: either the
+            // build's `for_each_unmerged` pass sees it queued, or the set
+            // happened first and the OR below does.
+            if let Some(f) = self.filter.get() {
                 f.insert(v);
             }
         }
@@ -727,18 +721,11 @@ impl CrackerColumn {
     /// an absent one, which reads count until then). Returns `false`,
     /// queueing nothing, once the column is sealed for shard migration.
     pub fn queue_delete(&self, v: i64, row: RowId) -> bool {
-        {
-            let mut p = self.pending.lock();
-            if p.is_sealed() {
-                return false;
-            }
-            p.queue_delete(v, row);
+        let mut p = self.pending.lock();
+        if p.is_sealed() {
+            return false;
         }
-        // Deletes never leave a Bloom filter: account the churn so idle
-        // workers can rebuild once it overwhelms the published filter.
-        if self.filter.is_published() {
-            self.filter_deletes.fetch_add(1, Relaxed);
-        }
+        p.queue_delete(v, row);
         true
     }
 
@@ -974,97 +961,44 @@ impl CrackerColumn {
     // Point-membership filter (equality / IN fast path)
     // ------------------------------------------------------------------
 
-    /// Has a point filter been built and published for this column?
-    pub fn point_filter_published(&self) -> bool {
-        self.filter.is_published()
-    }
-
-    /// The published point filter, if any.
-    pub fn point_filter(&self) -> Option<Arc<PointFilter>> {
-        self.filter.load()
-    }
-
-    /// Point-membership probe (no column lock). `Some(false)` **proves** no tuple
-    /// with value `v` exists in this column — merged, pending, or queued
-    /// concurrently — so an equality probe can answer "empty" without
-    /// cracking anything. `Some(true)` means "maybe present" (Bloom false
-    /// positives included); `None` means no filter is built yet and the
-    /// caller must fall back (or pay [`CrackerColumn::ensure_point_filter`]).
+    /// Point-membership probe (one atomic load, no lock). `Some(false)`
+    /// **proves** no tuple with value `v` exists in this column — merged,
+    /// pending, or queued concurrently — so an equality probe can answer
+    /// "empty" without cracking anything. `Some(true)` means "maybe
+    /// present" (Bloom false positives included); `None` means no filter is
+    /// built yet and the caller must fall back (or pay
+    /// [`CrackerColumn::ensure_point_filter`]).
     pub fn probe_point(&self, v: i64) -> Option<bool> {
-        Some(self.filter.load()?.contains(v))
+        Some(self.filter.get()?.contains(v))
     }
 
-    /// Builds and publishes the point filter from the live column plus the
-    /// unmerged pending inserts. No-op once published. Copies nothing.
+    /// The point filter, built on the first call from the live column plus
+    /// the unmerged pending inserts and never replaced. Copies nothing.
     ///
     /// Race-freedom: the build runs under a shared hold, which excludes
     /// Ripple merges — the only operation that moves values from the queue
     /// into the column. Racing cracks only permute values inside pieces,
     /// and the walk reads each piece under its read latch
     /// (`Shared::for_each_piece`), so it sees every merged value once. The
-    /// pending catch-up and the publish share the `pending` critical
-    /// section [`CrackerColumn::queue_insert`] ORs new values in under, so
-    /// every insert reaches the filter once (deletes only raise the
-    /// false-positive rate).
-    pub fn ensure_point_filter(&self) {
-        if self.filter.is_published() {
-            return;
+    /// pending catch-up and the `set` share the `pending` critical section
+    /// [`CrackerColumn::queue_insert`] ORs new values in under, so every
+    /// insert reaches the filter. Deletes never leave it: a deleted key
+    /// keeps probing "maybe present", so delete churn only raises the
+    /// false-positive rate.
+    pub fn ensure_point_filter(&self) -> &PointFilter {
+        if let Some(f) = self.filter.get() {
+            return f;
         }
         let _build = self.filter_build.lock();
-        if self.filter.is_published() {
-            return; // lost the build race
+        if let Some(f) = self.filter.get() {
+            return f; // lost the build race
         }
-        self.build_and_publish_filter();
-    }
-
-    /// Deletes absorbed since the point filter was last (re)built (stale
-    /// keys never leave a Bloom filter, so this measures accumulated
-    /// false-positive pressure).
-    pub fn point_filter_staleness(&self) -> usize {
-        self.filter_deletes.load(Relaxed)
-    }
-
-    /// Delete-churn floor below which a filter rebuild is never attempted.
-    pub const FILTER_REBUILD_MIN_DELETES: usize = 64;
-
-    /// Rebuilds the published point filter once delete churn since the last
-    /// (re)build reaches a quarter of the merged column (deleted keys stay
-    /// in a Bloom filter), merging the queue first: the walk ignores
-    /// unmerged deletes. Idle workers call this; `true` when it published.
-    pub fn maybe_rebuild_point_filter(&self) -> bool {
-        if !self.filter.is_published() {
-            return false;
-        }
-        let d = self.filter_deletes.load(Relaxed);
-        if d < Self::FILTER_REBUILD_MIN_DELETES || d * 4 < self.len() {
-            return false;
-        }
-        let Some(_build) = self.filter_build.try_lock() else {
-            return false; // a (re)build is already running
-        };
-        self.merge_pending();
-        self.build_and_publish_filter();
-        if holix_telemetry::metrics_enabled() {
-            holix_telemetry::counter!("cracking_filter_rebuilds_total").inc();
-        }
-        true
-    }
-
-    /// The shared filter (re)build: walks the live pieces, then folds the
-    /// unmerged pending inserts in and publishes the filter in one
-    /// `pending` critical section. Until the publish the filter is this
-    /// thread's alone, so the build sets its bits with plain stores;
-    /// inserts after it `fetch_or`. Caller holds `filter_build`.
-    fn build_and_publish_filter(&self) {
         let timed = holix_telemetry::metrics_enabled().then(std::time::Instant::now);
-        // Deletes queued from here on count against the *new* filter.
-        self.filter_deletes.store(0, Relaxed);
         let shared = self.structure.read();
-        // Slack covers the pending backlog plus a churn allowance; a filter
-        // overwhelmed by delete churn is replaced wholesale by
-        // [`CrackerColumn::maybe_rebuild_point_filter`], never resized.
+        // Slack covers the pending backlog plus later inserts; the filter
+        // is never resized.
         let capacity = self.len() + self.pending_len() + 1024;
-        // Private until the publish: plain word ORs, no atomics.
+        // Private until the set: plain word ORs, no atomics.
         let mut filter = PointFilter::with_capacity(capacity);
         shared.for_each_piece(None, None, |vals| {
             vals.iter().for_each(|&v| filter.insert_unshared(v));
@@ -1078,13 +1012,14 @@ impl CrackerColumn {
                 }
             },
         );
-        self.filter.publish(Arc::new(filter));
+        let filter = self.filter.get_or_init(|| filter);
         drop(p);
         if let Some(t0) = timed {
             holix_telemetry::counter!("cracking_filter_builds_total").inc();
             holix_telemetry::histogram!("cracking_filter_build_ns")
                 .record(t0.elapsed().as_nanos() as u64);
         }
+        filter
     }
 
     /// A snapshot read's cracks after an expensive edge filter: merges the
@@ -1257,7 +1192,7 @@ mod tests {
     use crate::{BoundLookup, ShardPlan, ShardedColumn};
     use holix_storage::select::scan_stats;
     use rand::prelude::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn column(n: usize, seed: u64) -> (Vec<i64>, CrackerColumn) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1879,41 +1814,6 @@ mod tests {
         col.check_invariants(None);
     }
 
-    #[test]
-    fn point_filter_rebuild_recovers_fpr_after_mass_deletes() {
-        let n = 4_096usize;
-        let base: Vec<i64> = (0..n as i64).map(|i| i * 2).collect();
-        let col = CrackerColumn::from_base("f", &base);
-        col.ensure_point_filter();
-        assert!(!col.maybe_rebuild_point_filter(), "no churn yet");
-        // Delete the top three quarters of the keys.
-        let cut = (n as i64 / 4) * 2;
-        for (i, &v) in base.iter().enumerate() {
-            if v >= cut {
-                assert!(col.queue_delete(v, i as RowId));
-            }
-        }
-        // The stale filter still claims every deleted key is present.
-        assert_eq!(col.probe_point(cut), Some(true));
-        assert!(col.point_filter_staleness() * 4 >= col.len());
-        assert!(col.maybe_rebuild_point_filter());
-        assert_eq!(col.point_filter_staleness(), 0);
-        // Surviving keys keep probing present (no false negatives) …
-        for &v in &base[..n / 4] {
-            assert_eq!(col.probe_point(v), Some(true));
-        }
-        // … and the deleted keys' false-positive rate collapses.
-        let fp = base[n / 4..]
-            .iter()
-            .filter(|&&v| col.probe_point(v) == Some(true))
-            .count();
-        assert!(
-            fp * 10 < n - n / 4,
-            "rebuild left {fp}/{} stale keys probing present",
-            n - n / 4
-        );
-    }
-
     /// The filter is built from the live column: it sums nothing, charges
     /// no byte, and every merged value and every pending insert probes
     /// present — on a plain column and on every shard of a 4-shard column
@@ -2002,6 +1902,78 @@ mod tests {
                 );
             }
             shard.check_invariants(Some(&base));
+        }
+    }
+
+    /// Two writers queue fresh values while the shard's first
+    /// `ensure_point_filter` runs, and a reader probes throughout: no probe
+    /// reports absent a value whose insert returned before the probe
+    /// began, and after the joins every inserted value probes present.
+    /// Only a build whose pending catch-up and `set` share one `pending`
+    /// critical section can pass every round: an insert between the two
+    /// would reach neither the catch-up nor the OR.
+    #[test]
+    fn point_filter_build_races_inserts_on_the_same_shard() {
+        let base: Vec<i64> = (0..1 << 13).map(|i| i * 2).collect();
+        let plan = ShardPlan::from_values(&base, 2);
+        // Odd values: none is in the base.
+        let fresh = |t: usize, i: usize| (base.len() * 2 + (i * 2 + t) * 2 + 1) as i64;
+        for round in 0..32u64 {
+            let col = ShardedColumn::from_base_with_plan("a", &base, plan.clone());
+            let shard = col.shard(1);
+            let done = [AtomicUsize::new(0), AtomicUsize::new(0)];
+            let stop = AtomicBool::new(false);
+            let least = || {
+                done.iter()
+                    .map(|d| d.load(Ordering::Acquire))
+                    .min()
+                    .unwrap()
+            };
+            std::thread::scope(|s| {
+                for (t, done) in done.iter().enumerate() {
+                    let stop = &stop;
+                    s.spawn(move || {
+                        let mut i = 0;
+                        while !stop.load(Relaxed) {
+                            assert!(
+                                shard.queue_insert(fresh(t, i), ((1 << 20) + i * 2 + t) as RowId)
+                            );
+                            i += 1;
+                            done.store(i, Ordering::Release);
+                        }
+                    });
+                }
+                s.spawn(|| {
+                    let mut rng = StdRng::seed_from_u64(round);
+                    while !stop.load(Relaxed) {
+                        let t = rng.random_range(0..2);
+                        let returned = done[t].load(Ordering::Acquire);
+                        if returned > 0 {
+                            let v = fresh(t, rng.random_range(0..returned));
+                            assert_ne!(shard.probe_point(v), Some(false), "round {round}: {v}");
+                        }
+                    }
+                });
+                while least() < 64 {
+                    std::thread::yield_now();
+                }
+                shard.ensure_point_filter();
+                let built = least();
+                while least() < built + 64 {
+                    std::thread::yield_now();
+                }
+                stop.store(true, Relaxed);
+            });
+            for (t, done) in done.iter().enumerate() {
+                for i in 0..done.load(Relaxed) {
+                    let v = fresh(t, i);
+                    assert_eq!(
+                        shard.probe_point(v),
+                        Some(true),
+                        "round {round}: {v} dropped"
+                    );
+                }
+            }
         }
     }
 

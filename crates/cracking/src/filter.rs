@@ -16,12 +16,12 @@
 //!   never cleared, so concurrent inserts cannot introduce a false
 //!   negative. A filter nobody else sees yet — one being built — takes
 //!   plain word ORs instead ([`PointFilter::insert_unshared`]). A racing
-//!   `contains` may miss an in-flight insert; callers order inserts
-//!   against publication (the column ORs pending inserts in under the
-//!   same `pending` mutex that serialises queue/merge).
-//! - Deletes are ignored: a deleted value stays "maybe present", which
-//!   only raises the false-positive rate, never breaks soundness. Filter
-//!   rebuild under heavy deletes is a ROADMAP follow-up.
+//!   `contains` may miss an in-flight insert; the column sets its filter
+//!   and ORs inserts in under the one `pending` mutex.
+//! - A column's filter is write-once, never rebuilt or resized. Deletes
+//!   are ignored (a deleted value stays "maybe present"), so delete churn
+//!   only raises the false-positive rate: a long-lived shard screens
+//!   fewer absent keys, and never answers wrong.
 //!
 //! Sizing is ~[`BITS_PER_KEY`] bits per expected key rounded up to a
 //! power of two, probed with [`HASHES`] derived hashes (double hashing

@@ -16,8 +16,9 @@
 //!   per-piece latches; it is also the only plan-time statistic:
 //!   `holix-planner` prices a query from two of its lookups under one
 //!   read ([`CrackerColumn::with_index`]),
-//! - [`range_cell`] — the single `unsafe` building block: disjoint-range
-//!   mutable access into one shared vector, guarded by piece latches,
+//! - [`range_cell`] — disjoint-range mutable access into one shared
+//!   vector, guarded by piece latches: the `unsafe` building block of the
+//!   column's cells, reached only through `holds`,
 //! - [`latch`] — piece-level read/write latches ([16, 17] in the paper):
 //!   user queries block on a busy piece, holistic workers `try_lock` and
 //!   re-pick a random pivot instead,
@@ -40,16 +41,15 @@
 //!   replans ([`ReplanAction`]) that rebuild only the split or merged
 //!   shards,
 //! - [`filter`] — per-shard point-membership Bloom filters: a lazily built
-//!   [`PointFilter`] published through a leaf-locked cell, so equality/IN
+//!   [`PointFilter`], set once and probed without a lock, so equality/IN
 //!   probes on non-containing shards answer "empty" without cracking
 //!   anything,
 //! - [`kernels`] — the lane filter of a snapshot read's edge pieces
-//!   (portable and AVX2 behind one-time runtime dispatch), the
+//!   (portable, AVX2 and AVX-512 behind one-time runtime dispatch), the
 //!   AVX-512 compress-store bodies of the one-shard filter pass and the
 //!   out-of-place crack passes, behind the same dispatch, and the
 //!   bit-packing unpack and filter kernels the micro-benchmarks probe.
 
-mod cell;
 pub mod column;
 pub mod crack;
 pub mod filter;

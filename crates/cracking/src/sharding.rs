@@ -1267,22 +1267,6 @@ impl<T> ShardedColumn<T> {
         out
     }
 
-    /// Point-membership probe (no column lock), routed to the one shard owning
-    /// `v`'s value range. `Some(false)` proves no tuple with value `v`
-    /// exists anywhere in the attribute; `None` means the owning shard has
-    /// no filter yet (callers fall back or pay
-    /// [`ShardedColumn::ensure_point_filter`] on that shard).
-    pub fn probe_point(&self, v: i64) -> Option<bool> {
-        self.shard(self.plan.shard_of(v)).probe_point(v)
-    }
-
-    /// Builds the point filter of the shard owning `v` (no-op once built).
-    /// Lazy by value, not per-column: a point probe only pays the build on
-    /// the single shard it routes to, cold shards stay untouched.
-    pub fn ensure_point_filter(&self, v: i64) {
-        self.shard(self.plan.shard_of(v)).ensure_point_filter();
-    }
-
     /// Routes an insertion to the shard owning `v`'s value range. `false`
     /// when that shard is sealed for migration — the caller retries
     /// against the successor plan.
@@ -1650,6 +1634,11 @@ mod tests {
         }
     }
 
+    /// The shard of `col` owning `v`'s value range.
+    fn owner(col: &ShardedColumn, v: i64) -> &CrackerColumn {
+        col.shard(col.plan().shard_of(v))
+    }
+
     #[test]
     fn point_filter_screens_absent_values_without_cracking() {
         // Base holds only even values: every odd probe is filter-negative
@@ -1658,18 +1647,17 @@ mod tests {
         let plan = ShardPlan::from_values(&b, 4);
         let col = ShardedColumn::from_base_with_plan("a", &b, plan);
         for v in [1i64, 10_001, 39_999] {
-            assert_eq!(col.probe_point(v), None, "filter built eagerly");
-            col.ensure_point_filter(v);
+            assert_eq!(owner(&col, v).probe_point(v), None, "filter built eagerly");
+            owner(&col, v).ensure_point_filter();
         }
         let pieces_before = col.piece_count();
         let mut negatives = 0;
         for i in 0..1_000 {
-            let v = i * 40 + 1; // odd → absent
-            col.ensure_point_filter(v); // no-op once the owning shard built
-            match col.probe_point(v) {
-                Some(false) => negatives += 1,
-                Some(true) => {}
-                None => panic!("filter missing after ensure_point_filter({v})"),
+            // Odd, so absent. The owner builds its filter once; later
+            // calls return it.
+            let v = i * 40 + 1;
+            if !owner(&col, v).ensure_point_filter().contains(v) {
+                negatives += 1;
             }
         }
         assert_eq!(
@@ -1683,8 +1671,10 @@ mod tests {
         );
         // Present values are never screened out.
         for v in [0i64, 10_000, 39_998] {
-            col.ensure_point_filter(v);
-            assert_eq!(col.probe_point(v), Some(true), "present value {v} screened");
+            assert!(
+                owner(&col, v).ensure_point_filter().contains(v),
+                "present value {v} screened"
+            );
         }
     }
 
@@ -1695,10 +1685,9 @@ mod tests {
         let col = Arc::new(ShardedColumn::from_base_with_plan("a", &b, plan));
         // Queued before the build: the catch-up pass must see it.
         col.queue_insert(4_001, 10_000);
-        col.ensure_point_filter(4_001);
-        assert_eq!(col.probe_point(4_001), Some(true));
-        // Racing inserts after publish: queue_insert ORs them in under the
-        // pending mutex, so none may be reported absent.
+        assert!(owner(&col, 4_001).ensure_point_filter().contains(4_001));
+        // Racing inserts after the build: queue_insert ORs them in under
+        // the pending mutex, so none may be reported absent.
         let writers: Vec<_> = (0..2)
             .map(|t| {
                 let col = Arc::clone(&col);
@@ -1714,7 +1703,8 @@ mod tests {
         let reader = std::thread::spawn(move || {
             for i in 0..2_000i64 {
                 // Values no writer ever inserts; screening stays sound.
-                let _ = col2.probe_point(i * 2 + 1);
+                let v = i * 2 + 1;
+                let _ = owner(&col2, v).probe_point(v);
             }
         });
         for w in writers {
@@ -1724,8 +1714,8 @@ mod tests {
         for t in 0..2i64 {
             for i in 0..500i64 {
                 let v = 100_001 + t * 1_000 + i * 2;
-                col.ensure_point_filter(v);
-                assert_eq!(col.probe_point(v), Some(true), "racing insert {v} dropped");
+                let present = owner(&col, v).ensure_point_filter().contains(v);
+                assert!(present, "racing insert {v} dropped");
             }
         }
     }

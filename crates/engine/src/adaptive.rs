@@ -9,11 +9,10 @@ use holix_cracking::stochastic::select_stochastic;
 use holix_cracking::{CrackScratch, CrackerColumn, Selection};
 use holix_storage::select::Predicate;
 use holix_workloads::QuerySpec;
-use parking_lot::RwLock;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 thread_local! {
     static SCRATCH: RefCell<CrackScratch> = RefCell::new(CrackScratch::new());
@@ -48,38 +47,26 @@ impl CrackMode {
 pub struct AdaptiveEngine {
     data: Dataset,
     mode: CrackMode,
-    cols: Vec<RwLock<Option<Arc<CrackerColumn>>>>,
+    cols: Vec<OnceLock<CrackerColumn>>,
 }
 
 impl AdaptiveEngine {
     /// Adaptive engine over `data`.
     pub fn new(data: Dataset, mode: CrackMode) -> Self {
-        let cols = (0..data.attrs()).map(|_| RwLock::new(None)).collect();
+        let cols = (0..data.attrs()).map(|_| OnceLock::new()).collect();
         AdaptiveEngine { data, mode, cols }
     }
 
     /// Gets (or lazily creates) the cracker column for an attribute.
-    pub fn column(&self, attr: usize) -> Arc<CrackerColumn> {
-        {
-            let guard = self.cols[attr].read();
-            if let Some(c) = guard.as_ref() {
-                return Arc::clone(c);
-            }
-        }
-        let mut guard = self.cols[attr].write();
-        if let Some(c) = guard.as_ref() {
-            return Arc::clone(c);
-        }
-        let threads = match self.mode {
-            CrackMode::Sequential => 1,
-            CrackMode::Pvdc { threads } | CrackMode::Pvsdc { threads } => threads,
-        };
-        let col = Arc::new(
+    pub fn column(&self, attr: usize) -> &CrackerColumn {
+        self.cols[attr].get_or_init(|| {
+            let threads = match self.mode {
+                CrackMode::Sequential => 1,
+                CrackMode::Pvdc { threads } | CrackMode::Pvsdc { threads } => threads,
+            };
             CrackerColumn::from_base(format!("attr{attr}"), self.data.column(attr))
-                .with_threads(threads, 1),
-        );
-        *guard = Some(Arc::clone(&col));
-        col
+                .with_threads(threads, 1)
+        })
     }
 
     /// Select with the mode's crack behaviour; exposed so the holistic
@@ -92,7 +79,7 @@ impl AdaptiveEngine {
             match self.mode {
                 CrackMode::Sequential | CrackMode::Pvdc { .. } => col.select(pred, scratch),
                 CrackMode::Pvsdc { .. } => {
-                    RNG.with(|r| select_stochastic(&col, pred, &mut *r.borrow_mut(), scratch))
+                    RNG.with(|r| select_stochastic(col, pred, &mut *r.borrow_mut(), scratch))
                 }
             }
         })
@@ -102,7 +89,7 @@ impl AdaptiveEngine {
     pub fn total_pieces(&self) -> usize {
         self.cols
             .iter()
-            .map(|c| c.read().as_ref().map_or(0, |col| col.piece_count()))
+            .map(|c| c.get().map_or(0, CrackerColumn::piece_count))
             .sum()
     }
 }
@@ -142,14 +129,13 @@ impl QueryEngine for AdaptiveEngine {
         let mut vals: Vec<i64> = values.to_vec();
         vals.sort_unstable();
         vals.dedup();
-        let col = self.column(attr);
-        col.ensure_point_filter();
+        let filter = self.column(attr).ensure_point_filter();
         let mut total = 0u64;
         for v in vals {
             if v == i64::MAX {
                 continue; // the sentinel cannot be probed (empty unit range)
             }
-            if col.probe_point(v) == Some(false) {
+            if !filter.contains(v) {
                 continue; // filter-negative: zero cracks, zero touches
             }
             // Maybe-present: a unit-range crack confined to the one piece
@@ -214,8 +200,8 @@ mod tests {
             hi: 20,
         });
         // Only attribute 1 materialised.
-        assert!(e.cols[0].read().is_none());
-        assert!(e.cols[1].read().is_some());
+        assert!(e.cols[0].get().is_none());
+        assert!(e.cols[1].get().is_some());
         assert!(e.total_pieces() >= 2);
     }
 

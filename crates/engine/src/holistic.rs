@@ -672,12 +672,9 @@ impl HolisticEngine {
                     }
                 }
                 let (shard, slot) = col.resident(k).expect("live or touched above");
-                if screen {
-                    shard.ensure_point_filter();
-                    if shard.probe_point(v) == Some(false) {
-                        slot.record_user_query(true);
-                        continue;
-                    }
+                if screen && !shard.ensure_point_filter().contains(v) {
+                    slot.record_user_query(true);
+                    continue;
                 }
                 let sel = shard.select(col.plan().clamp(k, unit), scratch);
                 slot.record_user_query(sel.exact_hit());
@@ -942,9 +939,9 @@ fn live(col: &Shards, k: usize) -> Option<(&Arc<CrackerColumn>, &Arc<IndexSlot>)
     col.resident(k).filter(|(_, slot)| !slot.is_dropped())
 }
 
-/// The live owner of `v` when its *published* point filter proves `v`
-/// absent: one `Arc` load plus k bit probes. `ensure_point_filter` takes
-/// locks, so the plan-time and submit-time screens never call it; an
+/// The live owner of `v` when its *built* point filter proves `v` absent:
+/// one atomic load plus k bit probes. A build takes locks, so the
+/// plan-time and submit-time screens never call `ensure_point_filter`; an
 /// unbuilt filter (or shard) screens nothing.
 fn screened_by_published_filter(col: &Shards, v: i64) -> Option<&Arc<IndexSlot>> {
     let (shard, slot) = live(col, col.plan().shard_of(v))?;
@@ -1365,14 +1362,14 @@ mod tests {
             });
         }
         let col = e.sharded(0);
-        assert!(col.resident_shards().all(|s| !s.point_filter_published()));
+        assert!(col.resident_shards().all(|s| s.probe_point(0).is_none()));
         let (bytes, pieces) = (e.space().bytes_used(), col.piece_count());
         // The first probe of each shard builds its filter.
         for &v in &present {
             assert_eq!(e.execute(&point(v)), 4);
             assert_eq!(e.execute(&point(v + 1)), 0);
         }
-        assert!(col.resident_shards().all(|s| s.point_filter_published()));
+        assert!(col.resident_shards().all(|s| s.probe_point(0).is_some()));
         assert!(col.resident_shards().all(|s| s.piece_sums().is_none()));
         assert_eq!(col.piece_count(), pieces, "a converged probe cracked");
         assert_eq!(e.space().bytes_used(), bytes, "point filters charged bytes");

@@ -10,13 +10,13 @@ use holix_storage::psort::parallel_sort;
 use holix_storage::select::Predicate;
 use holix_storage::sort::SortedColumn;
 use holix_workloads::QuerySpec;
-use parking_lot::RwLock;
+use std::sync::OnceLock;
 
 /// Fully sorted engine.
 pub struct OfflineEngine {
     data: Dataset,
     threads: usize,
-    sorted: RwLock<Option<Vec<SortedColumn>>>,
+    sorted: OnceLock<Vec<SortedColumn>>,
 }
 
 impl OfflineEngine {
@@ -26,32 +26,23 @@ impl OfflineEngine {
         OfflineEngine {
             data,
             threads: threads.max(1),
-            sorted: RwLock::new(None),
+            sorted: OnceLock::new(),
         }
     }
 
     /// Sorts all columns now (used when a harness wants to exclude the
     /// indexing cost from per-query times, e.g. Fig 14's "pre-sorted" rows).
     pub fn prepare(&self) {
-        let mut guard = self.sorted.write();
-        if guard.is_none() {
-            let cols = (0..self.data.attrs())
-                .map(|a| parallel_sort(self.data.column(a), self.threads))
-                .collect();
-            *guard = Some(cols);
-        }
+        self.sorted();
     }
 
-    fn with_sorted<R>(&self, attr: usize, f: impl FnOnce(&SortedColumn) -> R) -> R {
-        {
-            let guard = self.sorted.read();
-            if let Some(cols) = guard.as_ref() {
-                return f(&cols[attr]);
-            }
-        }
-        self.prepare();
-        let guard = self.sorted.read();
-        f(&guard.as_ref().expect("prepared")[attr])
+    /// Every sorted column, sorted on first use.
+    fn sorted(&self) -> &[SortedColumn] {
+        self.sorted.get_or_init(|| {
+            (0..self.data.attrs())
+                .map(|a| parallel_sort(self.data.column(a), self.threads))
+                .collect()
+        })
     }
 }
 
@@ -73,17 +64,13 @@ impl QueryEngine for OfflineEngine {
     }
 
     fn execute(&self, q: &QuerySpec) -> u64 {
-        self.with_sorted(q.attr, |s| {
-            let (a, b) = s.locate(Predicate::range(q.lo, q.hi));
-            (b - a) as u64
-        })
+        let (a, b) = self.sorted()[q.attr].locate(Predicate::range(q.lo, q.hi));
+        (b - a) as u64
     }
 
     fn execute_verified(&self, q: &QuerySpec) -> (u64, i128) {
-        self.with_sorted(q.attr, |s| {
-            let st = s.select_stats(Predicate::range(q.lo, q.hi));
-            (st.count, st.sum)
-        })
+        let st = self.sorted()[q.attr].select_stats(Predicate::range(q.lo, q.hi));
+        (st.count, st.sum)
     }
 }
 
@@ -95,14 +82,14 @@ mod tests {
     fn first_query_pays_for_sorting_then_all_match() {
         let data = Dataset::new(vec![(0..10_000).rev().collect(), (0..10_000).collect()]);
         let e = OfflineEngine::new(data, 2);
-        assert!(e.sorted.read().is_none());
+        assert!(e.sorted.get().is_none());
         let q = QuerySpec {
             attr: 0,
             lo: 10,
             hi: 30,
         };
         assert_eq!(e.execute(&q), 20);
-        assert!(e.sorted.read().is_some());
+        assert!(e.sorted.get().is_some());
         let (c, s) = e.execute_verified(&q);
         assert_eq!(c, 20);
         assert_eq!(s, (10..30).sum::<i64>() as i128);

@@ -10,9 +10,8 @@ use holix_storage::psort::parallel_sort;
 use holix_storage::select::Predicate;
 use holix_storage::sort::SortedColumn;
 use holix_workloads::QuerySpec;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Scan-then-sort engine.
 pub struct OnlineEngine {
@@ -22,62 +21,50 @@ pub struct OnlineEngine {
     /// (paper: 100).
     monitor_queries: usize,
     executed: AtomicUsize,
-    sorted: RwLock<Option<Vec<SortedColumn>>>,
+    sorted: OnceLock<Vec<SortedColumn>>,
     /// Lazily built per-attribute point-membership filters: the base table
     /// is immutable here, so one Bloom pass per attribute screens every
     /// later provably-absent equality/IN probe without a scan — in either
     /// phase (the monitoring scans *and* the sorted binary searches).
-    filters: Vec<RwLock<Option<Arc<PointFilter>>>>,
+    filters: Vec<OnceLock<PointFilter>>,
 }
 
 impl OnlineEngine {
     /// Online engine that reorganises after `monitor_queries` queries.
     pub fn new(data: Dataset, threads: usize, monitor_queries: usize) -> Self {
-        let filters = (0..data.attrs()).map(|_| RwLock::new(None)).collect();
+        let filters = (0..data.attrs()).map(|_| OnceLock::new()).collect();
         OnlineEngine {
             data,
             threads: threads.max(1),
             monitor_queries,
             executed: AtomicUsize::new(0),
-            sorted: RwLock::new(None),
+            sorted: OnceLock::new(),
             filters,
         }
     }
 
     /// Gets (or builds on first probe) the attribute's point filter.
-    fn filter(&self, attr: usize) -> Arc<PointFilter> {
-        {
-            let guard = self.filters[attr].read();
-            if let Some(f) = guard.as_ref() {
-                return Arc::clone(f);
-            }
-        }
-        let mut guard = self.filters[attr].write();
-        if let Some(f) = guard.as_ref() {
-            return Arc::clone(f);
-        }
-        let col = self.data.column(attr);
-        let f = Arc::new(PointFilter::with_capacity(col.len()));
-        for &v in col {
-            f.insert(v);
-        }
-        *guard = Some(Arc::clone(&f));
-        f
+    fn filter(&self, attr: usize) -> &PointFilter {
+        self.filters[attr].get_or_init(|| {
+            let col = self.data.column(attr);
+            let mut f = PointFilter::with_capacity(col.len());
+            col.iter().for_each(|&v| f.insert_unshared(v));
+            f
+        })
     }
 
-    fn maybe_reorganize(&self) -> bool {
+    /// The sorted columns once the monitoring phase is over (sorting them
+    /// on the first query past it), `None` before.
+    fn maybe_reorganize(&self) -> Option<&[SortedColumn]> {
         let n = self.executed.fetch_add(1, Ordering::SeqCst) + 1;
         if n <= self.monitor_queries {
-            return false;
+            return None;
         }
-        let mut guard = self.sorted.write();
-        if guard.is_none() {
-            let cols = (0..self.data.attrs())
+        Some(self.sorted.get_or_init(|| {
+            (0..self.data.attrs())
                 .map(|a| parallel_sort(self.data.column(a), self.threads))
-                .collect();
-            *guard = Some(cols);
-        }
-        true
+                .collect()
+        }))
     }
 }
 
@@ -100,23 +87,19 @@ impl QueryEngine for OnlineEngine {
 
     fn execute(&self, q: &QuerySpec) -> u64 {
         let pred = Predicate::range(q.lo, q.hi);
-        if !self.maybe_reorganize() {
+        let Some(sorted) = self.maybe_reorganize() else {
             return parallel_scan_count(self.data.column(q.attr), pred, self.threads);
-        }
-        let guard = self.sorted.read();
-        let s = &guard.as_ref().expect("sorted after reorganization")[q.attr];
-        let (a, b) = s.locate(pred);
+        };
+        let (a, b) = sorted[q.attr].locate(pred);
         (b - a) as u64
     }
 
     fn execute_verified(&self, q: &QuerySpec) -> (u64, i128) {
         let pred = Predicate::range(q.lo, q.hi);
-        if !self.maybe_reorganize() {
-            let s = parallel_scan_stats(self.data.column(q.attr), pred, self.threads);
-            return (s.count, s.sum);
-        }
-        let guard = self.sorted.read();
-        let s = guard.as_ref().expect("sorted after reorganization")[q.attr].select_stats(pred);
+        let s = match self.maybe_reorganize() {
+            None => parallel_scan_stats(self.data.column(q.attr), pred, self.threads),
+            Some(sorted) => sorted[q.attr].select_stats(pred),
+        };
         (s.count, s.sum)
     }
 
@@ -162,10 +145,10 @@ mod tests {
         };
         for i in 0..5 {
             assert_eq!(e.execute(&q), 200, "query {i}");
-            assert!(e.sorted.read().is_none(), "sorted too early at {i}");
+            assert!(e.sorted.get().is_none(), "sorted too early at {i}");
         }
         assert_eq!(e.execute(&q), 200); // 6th query triggers the sort
-        assert!(e.sorted.read().is_some());
+        assert!(e.sorted.get().is_some());
         assert_eq!(e.execute(&q), 200);
     }
 
@@ -178,7 +161,7 @@ mod tests {
         let odds: Vec<i64> = (0..100).map(|i| i * 2 + 1).collect();
         assert_eq!(e.execute_points(0, &odds).unwrap(), 0);
         assert_eq!(e.executed.load(Ordering::SeqCst), 0);
-        assert!(e.sorted.read().is_none());
+        assert!(e.sorted.get().is_none());
         // Present values fall through to ordinary unit ranges (which do
         // tick the monitor) and count exactly once despite duplicates.
         assert_eq!(e.execute_points(0, &[4, 4, 5, 19_998]).unwrap(), 2);
@@ -191,7 +174,7 @@ mod tests {
                 hi: 10,
             });
         }
-        assert!(e.sorted.read().is_some());
+        assert!(e.sorted.get().is_some());
         let before = e.executed.load(Ordering::SeqCst);
         assert_eq!(e.execute_points(0, &odds).unwrap(), 0);
         assert_eq!(e.executed.load(Ordering::SeqCst), before);

@@ -16,7 +16,6 @@ use holix_storage::types::RowId;
 use holix_workloads::data::uniform_table;
 use holix_workloads::QuerySpec;
 use rand::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Count and sum of a multiset over `0..domain` under inserts and
@@ -97,12 +96,6 @@ impl Fenwick {
 /// taken against the piece table at that read: the first quartile of
 /// time per piece may at most double from the first half to the second.
 /// Both floors' ratios are printed (`--nocapture`).
-///
-/// The point filters' rebuild cadence rides along: a shard rebuilds its
-/// filter once the deletes queued since the last build reach a quarter of
-/// its length, so rebuilds are at most linear in deletes. (On this mix —
-/// two inserts per delete and the bursts — no shard ever gets there: the
-/// bound holds at zero rebuilds.)
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing assertion: run with --release")]
 fn write_soak_drains_grow_no_faster_than_the_piece_table() {
@@ -130,12 +123,7 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
     let mut inserted: Vec<Vec<(i64, RowId)>> = vec![Vec::new(); attrs];
     let mut recent: Vec<Vec<i64>> = vec![Vec::new(); attrs];
     let mut next_row = rows as RowId;
-    let mut deletes = 0usize;
 
-    // The published filter of every shard, by address: a change after
-    // the first is a rebuild.
-    let mut filters: Vec<Option<Arc<holix_cracking::PointFilter>>> = vec![None; attrs * shards];
-    let mut rebuilds = 0usize;
     // Per window: the drains it held and their first quartile.
     let mut windows: Vec<(u64, u64)> = Vec::with_capacity(OPS / WINDOW);
     // The snapshot reads of the current half after the first window (ns
@@ -231,23 +219,9 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
                 };
                 oracle[attr].add(v, -1);
                 e.queue_delete(attr, v, row);
-                deletes += 1;
             }
         }
         i += 1;
-        if i % 64 == 0 {
-            for a in 0..attrs {
-                let col = e.sharded(a);
-                for k in 0..col.shard_count() {
-                    let now = col.resident(k).and_then(|(shard, _)| shard.point_filter());
-                    let seen = &mut filters[a * shards + k];
-                    if let (Some(old), Some(new)) = (seen.as_ref(), now.as_ref()) {
-                        rebuilds += usize::from(!Arc::ptr_eq(old, new));
-                    }
-                    *seen = now;
-                }
-            }
-        }
         if i == WINDOW {
             first_pieces = e.total_pieces();
         }
@@ -304,12 +278,5 @@ fn write_soak_drains_grow_no_faster_than_the_piece_table() {
         last <= SLOPE as f64 * first,
         "a snapshot read costs {last:.3} ns per piece in the second half, \
          {first:.3} in the first"
-    );
-    // A rebuild needs a quarter of its shard's length in deletes, and
-    // no shard ever holds less than half of what it was born with.
-    let born = rows / shards;
-    assert!(
-        rebuilds * (born / 2 / 4) <= deletes,
-        "{rebuilds} filter rebuilds for {deletes} deletes on shards of {born}"
     );
 }

@@ -97,11 +97,6 @@ impl Column {
     pub fn payload_bytes(&self) -> usize {
         self.data.len() * size_of::<i64>()
     }
-
-    /// Consumes the column, returning the raw data.
-    pub fn into_vec(self) -> Vec<i64> {
-        self.data
-    }
 }
 
 #[cfg(test)]
@@ -138,11 +133,5 @@ mod tests {
     fn payload_bytes_tracks_length() {
         let c = Column::from_vec("a", vec![1i64, 2, 3]);
         assert_eq!(c.payload_bytes(), 24);
-    }
-
-    #[test]
-    fn into_vec_round_trips() {
-        let c = Column::from_vec("a", vec![1i64, 2]);
-        assert_eq!(c.into_vec(), vec![1, 2]);
     }
 }

@@ -4,7 +4,7 @@
 //! `lo <= v < hi`; the paper's `A < v` queries become `[i64::MIN, v)` and its
 //! `low <= A < high` queries map directly.
 
-use crate::types::{succ, RowId};
+use crate::types::succ;
 
 /// Half-open range predicate `lo <= v < hi`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,19 +117,6 @@ pub fn scan_stats(values: &[i64], pred: Predicate) -> RangeStats {
     RangeStats { count, sum }
 }
 
-/// Scans `values` and materialises the positions of qualifying values — the
-/// intermediate "candidate list" a column-store select produces for later
-/// positional operators.
-pub fn scan_positions(values: &[i64], pred: Predicate) -> Vec<RowId> {
-    let mut out = Vec::new();
-    for (i, &v) in values.iter().enumerate() {
-        if pred.matches(v) {
-            out.push(i as RowId);
-        }
-    }
-    out
-}
-
 /// Count-only scan (used where the sum checksum is not needed).
 pub fn scan_count(values: &[i64], pred: Predicate) -> u64 {
     values.iter().filter(|&&v| pred.matches(v)).count() as u64
@@ -215,16 +202,6 @@ mod tests {
         let s = scan_stats(&vals, Predicate::range(3, 9));
         assert_eq!(s.count, 3); // 5, 3, 5
         assert_eq!(s.sum, 13);
-    }
-
-    #[test]
-    fn scan_positions_matches_scan_stats() {
-        let vals = [10i64, 2, 7, 7, 1];
-        let pred = Predicate::range(2, 8);
-        let pos = scan_positions(&vals, pred);
-        assert_eq!(pos, vec![1, 2, 3]);
-        assert_eq!(scan_stats(&vals, pred).count as usize, pos.len());
-        assert_eq!(scan_count(&vals, pred) as usize, pos.len());
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! # holix-telemetry — lock-free metrics + per-query tracing
 //!
-//! The paper's holistic daemon is driven entirely by continuous
-//! self-observation (`f_I` access frequencies, idle-time integrals,
-//! per-cycle refinement budgets). This crate makes that observation a
-//! first-class, process-wide facility instead of four disconnected harness
-//! printouts:
+//! The paper's holistic daemon is driven by continuous self-observation
+//! (`f_I` access frequencies, idle-time integrals, per-cycle refinement
+//! budgets). This crate makes that observation one process-wide facility:
 //!
 //! - [`Counter`] — striped atomic counter (one cache-line-padded stripe per
 //!   slot, threads hash to stripes) so concurrent completions never bounce
@@ -15,10 +13,9 @@
 //!   128, then 64 sub-buckets per power of two (≤ ~0.8% relative error,
 //!   within the ≤2% spec), with windowed snapshots that mirror the
 //!   `reset_window`/`summary` discipline of `ServiceStats`.
-//! - [`TraceRing`] — bounded lock-free (seqlock-slotted) ring of
-//!   [`QueryTrace`] records: one per query lifecycle, carrying admit
-//!   decision, queue wait, batch context, route taken, plan
-//!   version and the predicted-vs-actual `PlanCost` residual.
+//! - [`TraceRing`] — bounded non-blocking ring of [`QueryTrace`] records,
+//!   one per query lifecycle: admit decision, queue wait, batch context,
+//!   route, plan version and the predicted-vs-actual `PlanCost` residual.
 //! - [`Registry`] — the process-wide name → instrument map behind
 //!   [`registry()`], with a Prometheus-style text [`Registry::expose`]
 //!   (`name{label="v"} value`).
@@ -33,6 +30,8 @@
 //! Registration is the cold path (a mutex-guarded map); hot paths cache
 //! `Arc` handles — the [`counter!`]/[`gauge!`]/[`float_gauge!`]/
 //! [`histogram!`] macros do this per call site with a `OnceLock`.
+
+#![forbid(unsafe_code)]
 
 pub mod histogram;
 pub mod metrics;

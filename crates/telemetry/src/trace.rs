@@ -1,17 +1,17 @@
-//! Bounded lock-free per-query trace ring.
+//! Bounded non-blocking per-query trace ring.
 //!
 //! One [`QueryTrace`] per query lifecycle: admit outcome → queue wait →
 //! batch → route taken → crack/decode estimate → completion, with
 //! the shard-plan version and the predicted-vs-actual `PlanCost` residual
-//! attached. The ring is a fixed array of seqlock slots: a writer claims a
-//! ticket with one `fetch_add`, marks the slot's sequence odd, copies the
-//! `Copy` record in, and publishes the even sequence. Readers validate the
-//! sequence pair and simply skip torn slots — tracing never blocks or
-//! allocates on the query path, and memory is bounded at
-//! `capacity × size_of::<QueryTrace>()`.
+//! attached. The ring is a fixed array of slots, each a mutex around one
+//! record: a writer claims a ticket with one `fetch_add` and `try_lock`s
+//! its slot; readers `try_lock` each slot in turn. Nobody waits for a
+//! slot — a writer that finds its slot held drops its record, a reader
+//! skips it — so tracing never blocks or allocates on the query path, and
+//! memory is bounded at `capacity` slots.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Where the query was executed relative to the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +35,7 @@ pub enum TraceRoute {
     Screened,
 }
 
-/// One query's lifecycle record. `Copy` so seqlock slots can tear-check a
-/// plain memcpy.
+/// One query's lifecycle record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryTrace {
     /// Monotone ticket (global order of completion records).
@@ -68,85 +67,35 @@ impl QueryTrace {
     }
 }
 
-const EMPTY: QueryTrace = QueryTrace {
-    seq: 0,
-    attr: 0,
-    admit: AdmitOutcome::Queued,
-    queue_wait_ns: 0,
-    batch_len: 0,
-    route: TraceRoute::Locked,
-    plan_version: 0,
-    predicted_ns: 0,
-    actual_ns: 0,
-    crack_values: 0,
-};
-
-struct Slot {
-    /// 0 = never written; odd = write in progress; even = ticket*2+2.
-    seq: AtomicU64,
-    data: UnsafeCell<QueryTrace>,
-}
-
-/// Bounded lock-free ring of [`QueryTrace`] records.
+/// Bounded ring of [`QueryTrace`] records; `None` marks a slot never
+/// written. Nothing under a slot's lock can panic, so no slot is ever
+/// poisoned.
 pub struct TraceRing {
-    slots: Box<[Slot]>,
+    slots: Box<[Mutex<Option<QueryTrace>>]>,
     head: AtomicU64,
 }
-
-// SAFETY: every field but the slots' `data` is an atomic. `data` is an
-// `UnsafeCell<QueryTrace>` of plain `Copy` data (no pointer, no `Drop`)
-// that threads reach only through `record` and `snapshot`: writers store
-// into it between an odd and an even mark of the slot's sequence, and
-// readers keep a copy only when the even sequence was unchanged across
-// it, so no torn record escapes. `concurrent_writers_and_readers_never_tear`
-// checks it with four writers lapping a 64-slot ring beside a reader.
-unsafe impl Sync for TraceRing {}
-// SAFETY: the ring owns its slots outright, and `QueryTrace` is `Send`
-// (plain data); moving the ring moves nothing any other thread points to.
-// Backed by `concurrent_writers_and_readers_never_tear`, which moves the
-// ring into an `Arc` shared by its threads.
-unsafe impl Send for TraceRing {}
 
 impl TraceRing {
     /// `capacity` is rounded up to a power of two (min 8).
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.max(8).next_power_of_two();
         TraceRing {
-            slots: (0..cap)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    data: UnsafeCell::new(EMPTY),
-                })
-                .collect(),
+            slots: (0..cap).map(|_| Mutex::new(None)).collect(),
             head: AtomicU64::new(0),
         }
     }
 
     /// Records one trace; `trace.seq` is overwritten with the claimed
-    /// ticket. Wait-free for writers (one `fetch_add`, two stores, one
-    /// memcpy). A writer stalled for a full ring revolution can race
-    /// another writer on the same slot; readers detect the torn slot via
-    /// the sequence pair and skip it.
+    /// ticket. Never waits: one `fetch_add` and one `try_lock`. The record
+    /// is dropped when its slot is held, by a snapshot copying it or by a
+    /// writer a full ring revolution ahead or behind.
     pub fn record(&self, mut trace: QueryTrace) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         trace.seq = ticket;
         let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
-        slot.seq.store(ticket * 2 + 1, Ordering::Release);
-        // Order the payload store after the odd mark.
-        std::sync::atomic::fence(Ordering::Release);
-        // SAFETY: the pointer is the slot's own cell, valid for the ring's
-        // life. The slot's sequence is odd from the store above to the
-        // even store below, so a reader that overlaps this write sees an
-        // odd or changed sequence and drops its copy. A writer stalled
-        // for a full ring revolution can race this store on the same
-        // slot (the limit `record` documents); both store whole records
-        // of plain data. `QueryTrace` is `Copy` with no `Drop`: overwriting it
-        // frees nothing. `concurrent_writers_and_readers_never_tear`
-        // fails on any torn record a reader keeps.
-        unsafe {
-            *slot.data.get() = trace;
+        if let Ok(mut held) = slot.try_lock() {
+            *held = Some(trace);
         }
-        slot.seq.store(ticket * 2 + 2, Ordering::Release);
     }
 
     /// Tickets issued so far (= traces ever recorded).
@@ -154,30 +103,14 @@ impl TraceRing {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of currently readable records, oldest first. Torn or
-    /// never-written slots are skipped.
+    /// Snapshot of currently readable records, oldest first. Slots never
+    /// written or held by a writer are skipped.
     pub fn snapshot(&self) -> Vec<QueryTrace> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 % 2 == 1 {
-                continue;
-            }
-            std::sync::atomic::fence(Ordering::Acquire);
-            // SAFETY: the pointer is the slot's own cell, valid for the
-            // ring's life; the read copies plain `Copy` data out (every
-            // field an integer or a fieldless enum, each written whole).
-            // A copy that overlaps a write is discarded below: the
-            // sequence must be even and unchanged across it and match the
-            // copied ticket. `concurrent_writers_and_readers_never_tear`
-            // fails on any torn record this keeps.
-            let data = unsafe { *slot.data.get() };
-            std::sync::atomic::fence(Ordering::Acquire);
-            let s2 = slot.seq.load(Ordering::Acquire);
-            if s1 == s2 && data.seq * 2 + 2 == s2 {
-                out.push(data);
-            }
-        }
+        let mut out: Vec<QueryTrace> = self
+            .slots
+            .iter()
+            .filter_map(|slot| *slot.try_lock().ok()?)
+            .collect();
         out.sort_by_key(|t| t.seq);
         out
     }
@@ -205,6 +138,19 @@ impl std::fmt::Debug for TraceRing {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    const EMPTY: QueryTrace = QueryTrace {
+        seq: 0,
+        attr: 0,
+        admit: AdmitOutcome::Queued,
+        queue_wait_ns: 0,
+        batch_len: 0,
+        route: TraceRoute::Locked,
+        plan_version: 0,
+        predicted_ns: 0,
+        actual_ns: 0,
+        crack_values: 0,
+    };
 
     fn t(attr: u32, actual: u64) -> QueryTrace {
         QueryTrace {
@@ -245,11 +191,12 @@ mod tests {
 
     #[test]
     fn concurrent_writers_and_readers_never_tear() {
-        // Writers stamp attr == low bits of actual_ns; any torn read would
-        // break the invariant. Readers continuously snapshot meanwhile.
-        let ring = Arc::new(TraceRing::new(64));
+        // Writers stamp attr == high bits of actual_ns; any torn read would
+        // break the invariant. Eight writers lap an 8-slot ring, so writers
+        // meet on one slot all the time; a reader snapshots meanwhile.
+        let ring = Arc::new(TraceRing::new(8));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writers: Vec<_> = (0..4)
+        let writers: Vec<_> = (0..8)
             .map(|w| {
                 let ring = Arc::clone(&ring);
                 let stop = Arc::clone(&stop);
@@ -270,15 +217,23 @@ mod tests {
             .collect();
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(150);
         while std::time::Instant::now() < deadline {
-            for tr in ring.snapshot() {
+            let snap = ring.snapshot();
+            assert!(snap.len() <= 8);
+            for tr in &snap {
                 assert_eq!(tr.actual_ns, tr.predicted_ns, "torn record: {tr:?}");
                 assert_eq!(tr.attr as u64, tr.actual_ns >> 32, "torn record: {tr:?}");
+                assert!(tr.seq < ring.recorded(), "ticket never issued: {tr:?}");
             }
+            assert!(
+                snap.windows(2).all(|w| w[0].seq < w[1].seq),
+                "a ticket twice"
+            );
         }
         stop.store(true, Ordering::Relaxed);
         for w in writers {
             w.join().unwrap();
         }
+        assert_eq!(ring.snapshot().len(), 8, "a slot never written");
     }
 
     #[test]

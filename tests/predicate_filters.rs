@@ -244,13 +244,14 @@ fn point_filter_false_positive_rate_is_bounded_at_the_column_layer() {
     for k in 0..col.shard_count() {
         col.shard(k).ensure_point_filter();
     }
+    let probe = |v: i64| col.shard(col.plan().shard_of(v)).probe_point(v);
     let pieces = col.piece_count();
     let mut rng = StdRng::seed_from_u64(32);
     let trials = 20_000;
     let mut fp = 0u64;
     for _ in 0..trials {
         let v = rng.random_range(0..half_domain) * 2 + 1; // odd → absent
-        match col.probe_point(v) {
+        match probe(v) {
             Some(false) => {}
             Some(true) => fp += 1,
             None => panic!("filter missing on a built shard"),
@@ -265,7 +266,7 @@ fn point_filter_false_positive_rate_is_bounded_at_the_column_layer() {
     assert_eq!(col.piece_count(), pieces, "screening probes cracked");
     // Soundness: present keys never probe negative.
     for &v in base.iter().step_by(97) {
-        assert_eq!(col.probe_point(v), Some(true), "false negative on {v}");
+        assert_eq!(probe(v), Some(true), "false negative on {v}");
     }
 }
 
