@@ -4,7 +4,8 @@
 //! bit-packed values ("Batched decode kernels"), the cracker index's
 //! `locate` (the lookup a crack pays), Ripple insertion
 //! vs naive re-cracking, the whole-attribute first touch (push routing +
-//! first crack vs the coarse-granular build), what row ids cost: the two-
+//! first crack vs the coarse-granular build, and the build's bucket-id
+//! pass alone), what row ids cost: the two-
 //! and three-way crack kernels with and without them, and building a shard's
 //! ids on demand, and what a narrow read of an evicted shard pays: its
 //! one-shard rebuild and first crack, or a scan of the base zones it
@@ -599,6 +600,27 @@ fn bench_first_touch(c: &mut Criterion) {
                 black_box(col.select_verified(pred, &mut scratch));
                 col
             })
+        });
+    }
+    // Pass 1 of the coarse build alone, on the caller: every value's
+    // bucket id and the histogram, with the kernel `kernels::active_isa`
+    // picks and with the portable loop (the same ids, checked here).
+    let col: ShardedColumn = ShardedColumn::lazy("a", Arc::clone(&base), plan.clone());
+    let mut portable = vec![0u8; ROWS];
+    let want = col.whole_build_ids(kernels::Isa::Portable, &mut portable);
+    let mut ids = vec![0u8; ROWS];
+    assert_eq!(
+        col.whole_build_ids(kernels::active_isa(), &mut ids),
+        want,
+        "the bucket-id kernels count differently"
+    );
+    assert!(ids == portable, "the bucket-id kernels disagree");
+    for (name, isa) in [
+        ("bucket_ids", kernels::active_isa()),
+        ("bucket_ids_portable", kernels::Isa::Portable),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(col.whole_build_ids(isa, &mut ids)))
         });
     }
     g.finish();

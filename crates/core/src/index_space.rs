@@ -154,6 +154,13 @@ struct Table {
     dropped: usize,
 }
 
+impl Table {
+    /// Materialised bytes across the live indices.
+    fn bytes_used(&self) -> usize {
+        self.live.iter().map(|(_, h)| h.payload_bytes()).sum()
+    }
+}
+
 /// Registry of the live adaptive indices with memberships, distances and
 /// budget, behind one lock. The query side ([`IndexSlot`]) never takes it.
 pub struct IndexSpace {
@@ -358,8 +365,14 @@ impl IndexSpace {
 
     /// Materialised bytes across live indices.
     pub fn bytes_used(&self) -> usize {
-        let table = self.table.read();
-        table.live.iter().map(|(_, h)| h.payload_bytes()).sum()
+        self.table.read().bytes_used()
+    }
+
+    /// [`IndexSpace::bytes_used`] without waiting: `None` while
+    /// registration, eviction or retirement holds the registry or waits
+    /// for it, so a plan-time price never queues behind maintenance.
+    pub fn try_bytes_used(&self) -> Option<usize> {
+        Some(self.table.try_read()?.bytes_used())
     }
 
     /// Fraction of the storage budget currently charged: `0.0` with no

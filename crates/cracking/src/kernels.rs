@@ -1,5 +1,5 @@
-//! Lane filters, compress-store crack bodies, and a block-at-a-time unpack
-//! of bit-packed data.
+//! Lane filters, compress-store crack bodies, the bucket-id pass of the
+//! whole-attribute build, and a block-at-a-time unpack of bit-packed data.
 //!
 //! No column stores bit-packed data: [`pack_bits`], [`decode_blocks`] and
 //! [`get`] remain as the unpack probe of the micro-benchmarks and of the
@@ -30,6 +30,14 @@
 //! alone picks them: [`Isa::Avx512`] on a CPU with AVX-512F and AVX-512VL;
 //! other CPUs keep the portable scalar loops, which the compress bodies
 //! match slot for slot. `HOLIX_NO_SIMD=1` forces the portable paths.
+//!
+//! The same layer holds pass 1 of the whole-attribute build
+//! (`avx512::bucket_ids`, picked in `sharding.rs` on [`Isa::Avx512`] for
+//! plans of up to 16 shards): every value's one-byte (shard, bucket) id
+//! and their histogram, eight values a step. The shard is a mask add per
+//! cut, its bucket geometry a permute from register tables; the ids and
+//! counts are the portable loop's, slot for slot, so the scatter that
+//! follows is the same on every path.
 
 use std::sync::OnceLock;
 
@@ -150,7 +158,8 @@ pub enum Isa {
     /// Explicit `core::arch::x86_64` AVX2 kernels.
     Avx2,
     /// The AVX-512 kernels of [`avx512`]: compress-store cracks and
-    /// filter pass, and the eight-lane [`filter_count`].
+    /// filter pass, the eight-lane [`filter_count`], and the bucket ids of
+    /// a whole-attribute build.
     Avx512,
 }
 
@@ -271,10 +280,12 @@ pub mod avx2 {
 /// eight long loads under a mask (the full chunks under a constant one: a
 /// mask computed per chunk measured the filter 2–3× slower). The safe
 /// wrappers panic without the CPU features and check the lengths the raw
-/// stores rely on. Beside them sits the eight-lane [`filter_count`]
-/// (`avx512::filter_count`), which stores nothing.
+/// stores rely on. Beside them sit the eight-lane [`filter_count`]
+/// (`avx512::filter_count`), which stores nothing, and the whole build's
+/// bucket-id pass (`avx512::bucket_ids`), which stores a byte a value.
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
+    use crate::sharding::{Buckets, MAX_BUCKETS};
     use crate::vectorized::RowLane;
     use core::arch::x86_64::*;
     use std::mem::MaybeUninit;
@@ -432,6 +443,119 @@ pub mod avx512 {
                 + ((_mm512_reduce_add_epi64(acc_hi) as i128) << 32);
         }
         (count, sum)
+    }
+
+    /// Most shards [`bucket_ids`] takes: its per-shard lookups are two
+    /// eight-lane tables.
+    pub(crate) const BUCKET_ID_SHARDS: usize = 16;
+
+    /// Pass 1 of a whole build (`count_chunk_portable` in `sharding.rs`)
+    /// eight values at a time: each value's bucket id into `ids` and the
+    /// histogram of the ids. A value's shard `k` is the number of `cuts` at
+    /// or below it, counted as a masked add per cut; `k` picks the shard's
+    /// `(lo, shift, last, first_id)` from two register tables
+    /// (`vpermt2q`), and the id is `min((max(v, lo) - lo) >> shift, last) +
+    /// first_id` (`vpsrlvq`, `vpminuq`), as `Buckets::id_of` computes it,
+    /// narrowed to a byte (`vpmovqb`). The histogram counts in four
+    /// interleaved sub-histograms, so two equal ids in a row do not wait on
+    /// each other's increment. Panics without the CPU features, when `ids`
+    /// is not as long as `base`, or when `geometry` is not one shard per
+    /// cut and one more, or is more than [`BUCKET_ID_SHARDS`] shards.
+    pub(crate) fn bucket_ids(
+        base: &[i64],
+        ids: &mut [u8],
+        cuts: &[i64],
+        geometry: &[Buckets],
+    ) -> [usize; MAX_BUCKETS] {
+        require();
+        assert_eq!(ids.len(), base.len(), "one id slot per value");
+        assert!(
+            geometry.len() == cuts.len() + 1 && geometry.len() <= BUCKET_ID_SHARDS,
+            "one geometry per shard, at most {BUCKET_ID_SHARDS} shards"
+        );
+        // SAFETY: the CPU has the features and the lengths are checked
+        // above (`avx512_bucket_ids_match_portable_*`: every tail length
+        // from aligned and unaligned starts, 1 to 16 shards, under
+        // AddressSanitizer in CI).
+        unsafe { bucket_ids_inner(base, ids, cuts, geometry) }
+    }
+
+    /// # Safety
+    /// The CPU has AVX-512F; `ids` is as long as `base`, and `cuts` holds
+    /// fewer than [`BUCKET_ID_SHARDS`] values. Full chunks load and store
+    /// eight whole slots, the last chunk only the lanes of its mask
+    /// (`avx512_bucket_ids_match_portable_at_every_tail`).
+    #[target_feature(enable = "avx512f")]
+    unsafe fn bucket_ids_inner(
+        base: &[i64],
+        ids: &mut [u8],
+        cuts: &[i64],
+        geometry: &[Buckets],
+    ) -> [usize; MAX_BUCKETS] {
+        // Lane `k` of a pair of tables is shard `k`'s field: `vpermt2q`
+        // reads an index's low four bits, bit 3 picking the second table.
+        let table = |field: fn(&Buckets) -> i64| {
+            let mut t = [0i64; BUCKET_ID_SHARDS];
+            t.iter_mut().zip(geometry).for_each(|(t, g)| *t = field(g));
+            // SAFETY: `t` holds two tables of eight lanes.
+            unsafe {
+                (
+                    _mm512_loadu_epi64(t.as_ptr()),
+                    _mm512_loadu_epi64(t.as_ptr().add(8)),
+                )
+            }
+        };
+        let lo = table(|g| g.lo);
+        let shift = table(|g| g.shift as i64);
+        let last = table(|g| g.last as i64);
+        let first_id = table(|g| g.first_id as i64);
+        let mut cut_v = [_mm512_setzero_si512(); BUCKET_ID_SHARDS - 1];
+        cut_v
+            .iter_mut()
+            .zip(cuts)
+            .for_each(|(v, &c)| *v = _mm512_set1_epi64(c));
+        let cut_v = &cut_v[..cuts.len()];
+        let one = _mm512_set1_epi64(1);
+        let ids_of = |v: __m512i| {
+            let mut k = _mm512_setzero_si512();
+            for &c in cut_v {
+                k = _mm512_mask_add_epi64(k, _mm512_cmple_epi64_mask(c, v), k, one);
+            }
+            let pick = |(a, b): (__m512i, __m512i)| _mm512_permutex2var_epi64(a, k, b);
+            let lo = pick(lo);
+            let d = _mm512_srlv_epi64(_mm512_sub_epi64(_mm512_max_epi64(v, lo), lo), pick(shift));
+            _mm512_add_epi64(_mm512_min_epu64(d, pick(last)), pick(first_id))
+        };
+        let mut hist = [[0usize; MAX_BUCKETS]; 4];
+        let (src, dst) = (base.as_ptr(), ids.as_mut_ptr());
+        let full = base.len() - base.len() % 8;
+        for i in (0..full).step_by(8) {
+            // SAFETY: `base[i..i + 8]` and `ids[i..i + 8]` are in bounds
+            // (`i + 8 <= full`, and `ids` is as long as `base`).
+            let id = unsafe {
+                let id = _mm512_cvtepi64_epi8(ids_of(_mm512_loadu_epi64(src.add(i))));
+                _mm_storel_epi64(dst.add(i).cast(), id);
+                id
+            };
+            let bytes = _mm_cvtsi128_si64(id) as u64;
+            for lane in 0..8 {
+                hist[lane % 4][(bytes >> (8 * lane)) as u8 as usize] += 1;
+            }
+        }
+        if full < base.len() {
+            let valid = tail(base.len() - full).0;
+            // SAFETY: the lanes of `valid` are the last values of `base`
+            // and the last slots of `ids`; no other lane is read or
+            // written.
+            unsafe {
+                let id = ids_of(_mm512_maskz_loadu_epi64(valid, src.add(full)));
+                _mm512_mask_cvtepi64_storeu_epi8(dst.add(full).cast(), valid, id);
+            }
+            for (lane, &id) in ids[full..].iter().enumerate() {
+                hist[lane % 4][id as usize] += 1;
+            }
+        }
+        std::array::from_fn(|id| hist.iter().map(|h| h[id]).sum())
     }
 
     /// The partition pass of the two-way crack: the values of `vals` below
@@ -673,6 +797,8 @@ pub fn filter_count(vals: &[i64], lo: Option<i64>, hi: Option<i64>) -> (u64, i12
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharding::{coarse_buckets, count_chunk, count_chunk_portable, Buckets};
+    use crate::ShardPlan;
 
     /// Deterministic value stream (no rand dev-dep needed here).
     fn splitmix(state: &mut u64) -> u64 {
@@ -850,6 +976,135 @@ mod tests {
         }
         let all = avx512::filter_count(&long, None, None).1;
         assert!(all.abs() > i64::MAX as i128, "the long sum stays in i64");
+    }
+
+    /// The plans the bucket-id kernel is held to at `shards` shards:
+    /// equi-depth over `base` and over samples of 64 values at each end of
+    /// `i64` (so values past a sample's extremes land in its edge buckets,
+    /// offsets at and past 2^63 among them), and cuts spread over `i64`
+    /// without a sample (edge shards of one bucket), then with the first
+    /// cut at `i64::MIN` and with the last at `i64::MAX`.
+    fn id_plans(base: &[i64], shards: usize) -> Vec<ShardPlan> {
+        let near_min: Vec<i64> = (0..64).map(|i| i64::MIN + i).collect();
+        let near_max: Vec<i64> = (0..64).map(|i| i64::MAX - i).collect();
+        let spread: Vec<i64> = (1..shards as u64)
+            .map(|i| i64::MIN.wrapping_add((u64::MAX / shards as u64 * i) as i64))
+            .collect();
+        let mut plans = vec![
+            ShardPlan::from_values(base, shards),
+            ShardPlan::from_values(&near_min, shards),
+            ShardPlan::from_values(&near_max, shards),
+            ShardPlan::from_cuts(spread.clone()),
+        ];
+        if !spread.is_empty() {
+            let (mut at_min, mut at_max) = (spread.clone(), spread);
+            at_min[0] = i64::MIN;
+            *at_max.last_mut().unwrap() = i64::MAX;
+            plans.extend([ShardPlan::from_cuts(at_min), ShardPlan::from_cuts(at_max)]);
+        }
+        plans
+    }
+
+    /// Bucket geometries of `plan` for a whole build: buckets of two
+    /// values, the most buckets the ids allow, and one bucket a shard.
+    fn id_geometries(plan: &ShardPlan, rows: usize) -> Vec<Vec<Buckets>> {
+        [(rows, 1), (1 << 26, 4096), (rows, 1 << 20)]
+            .into_iter()
+            .map(|(rows, floor)| coarse_buckets(plan, rows, floor))
+            .collect()
+    }
+
+    /// `base`'s ids and histogram from the portable pass 1 and from the
+    /// AVX-512 one (the kernel itself up to 16 shards, the dispatched pass
+    /// past them), into slots followed by guard bytes the kernel must not
+    /// write.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_ids_match(base: &[i64], plan: &ShardPlan, geometry: &[Buckets], what: &str) {
+        let n = base.len();
+        let mut want = vec![0u8; n];
+        let want_hist = count_chunk_portable(base, &mut want, plan.cuts(), geometry);
+        let mut got = vec![0xA5u8; n + 8];
+        let got_hist = if geometry.len() <= avx512::BUCKET_ID_SHARDS {
+            avx512::bucket_ids(base, &mut got[..n], plan.cuts(), geometry)
+        } else {
+            count_chunk(Isa::Avx512, base, &mut got[..n], plan.cuts(), geometry)
+        };
+        assert_eq!(&got[..n], &want[..], "ids: {what}, {plan:?}");
+        assert_eq!(got_hist, want_hist, "histogram: {what}, {plan:?}");
+        assert!(
+            got[n..].iter().all(|&b| b == 0xA5),
+            "wrote past the ids: {what}"
+        );
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_bucket_ids_match_portable_at_every_tail() {
+        if !avx512::available() {
+            eprintln!("skipping: no AVX-512 on this CPU");
+            return;
+        }
+        let mut s = 0x1D5_u64;
+        let mut vals: Vec<i64> = (0..64).map(|_| splitmix(&mut s) as i64).collect();
+        vals[3] = i64::MIN;
+        vals[12] = i64::MAX;
+        for shards in [1, 4, 16] {
+            for plan in id_plans(&vals, shards) {
+                for geometry in id_geometries(&plan, vals.len()) {
+                    for len in 0..=15 {
+                        for start in [0, 1, 8, 13] {
+                            let base = &vals[start..start + len];
+                            assert_ids_match(base, &plan, &geometry, &format!("{start}+{len}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_bucket_ids_match_portable_on_every_plan() {
+        if !avx512::available() {
+            eprintln!("skipping: no AVX-512 on this CPU");
+            return;
+        }
+        let mut s = 0xB0C4_u64;
+        let n = 517;
+        let mut spread: Vec<i64> = (0..n).map(|_| splitmix(&mut s) as i64).collect();
+        spread[7] = i64::MIN;
+        spread[100] = i64::MAX;
+        let mut sorted = spread.clone();
+        sorted.sort_unstable();
+        let bases = [
+            ("spread", spread.clone()),
+            ("sorted", sorted),
+            ("three values", (0..n).map(|i| [-7, 0, 7][i % 3]).collect()),
+            ("one value", vec![i64::MAX; n]),
+            (
+                "both ends",
+                (0..n as i64)
+                    .map(|i| match i % 2 {
+                        0 => i64::MIN + i % 50,
+                        _ => i64::MAX - i % 50,
+                    })
+                    .collect(),
+            ),
+        ];
+        for shards in 1..=avx512::BUCKET_ID_SHARDS + 1 {
+            assert_eq!(
+                ShardPlan::from_values(&spread, shards).shards(),
+                shards,
+                "the spread base makes every shard count"
+            );
+            for (name, base) in &bases {
+                for plan in id_plans(base, shards) {
+                    for geometry in id_geometries(&plan, base.len()) {
+                        assert_ids_match(base, &plan, &geometry, name);
+                    }
+                }
+            }
+        }
     }
 
     mod prop {

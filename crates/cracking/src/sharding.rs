@@ -72,7 +72,7 @@ const PLAN_SAMPLE: usize = 1 << 16;
 
 /// Most coarse buckets a whole-attribute build makes, over all shards: a
 /// tuple's bucket id fits a byte.
-const MAX_BUCKETS: usize = 256;
+pub(crate) const MAX_BUCKETS: usize = 256;
 
 /// L1 data cache assumed for the piece floor of a column nobody handed one
 /// to ([`ShardedColumn::with_piece_floor`]): the paper's 32 KiB.
@@ -282,15 +282,15 @@ pub struct ShardedColumn<T = ()> {
 /// value too, so the arithmetic is total on `i64` and a value outside the
 /// sampled extremes lands in an edge bucket.
 #[derive(Debug, Clone, Copy)]
-struct Buckets {
+pub(crate) struct Buckets {
     /// Lower edge of bucket 0.
-    lo: i64,
+    pub(crate) lo: i64,
     /// log2 of the bucket width.
-    shift: u32,
+    pub(crate) shift: u32,
     /// Index of the last bucket.
-    last: u64,
+    pub(crate) last: u64,
     /// Id of bucket 0 among the attribute's buckets (shards in order).
-    first_id: usize,
+    pub(crate) first_id: usize,
 }
 
 impl Buckets {
@@ -321,7 +321,7 @@ impl Buckets {
 /// upper one, the plan's sampled extremes standing in at the two edges; a
 /// range narrower than the bucket count gets fewer buckets, an edge shard
 /// of a plan without a sample gets one.
-fn coarse_buckets(plan: &ShardPlan, rows: usize, piece_floor: usize) -> Vec<Buckets> {
+pub(crate) fn coarse_buckets(plan: &ShardPlan, rows: usize, piece_floor: usize) -> Vec<Buckets> {
     let s = plan.shards();
     let per_shard = (rows / s / (2 * piece_floor.max(1))).clamp(1, (MAX_BUCKETS / s).max(1));
     let log2 = per_shard.ilog2();
@@ -461,10 +461,33 @@ fn on_gang<T: Send, R: Send>(
     })
 }
 
-/// Pass 1 over one chunk of the base, branch-free: each value's bucket id
-/// into `ids` (its shard is the number of cuts at or below it, its bucket
-/// a subtraction and a shift), and the chunk's histogram.
-fn count_chunk(
+/// Pass 1 over one chunk of the base with the kernel of `isa`: each
+/// value's bucket id into `ids` and the chunk's histogram. On
+/// [`Isa::Avx512`], plans of up to [`kernels::avx512::BUCKET_ID_SHARDS`]
+/// shards take the eight-lane kernel ([`kernels::avx512::bucket_ids`]),
+/// which writes the same ids and counts as the portable loop; every other
+/// plan and ISA takes [`count_chunk_portable`].
+pub(crate) fn count_chunk(
+    isa: Isa,
+    base: &[i64],
+    ids: &mut [u8],
+    cuts: &[i64],
+    geometry: &[Buckets],
+) -> [usize; MAX_BUCKETS] {
+    if isa == Isa::Avx512 {
+        #[cfg(target_arch = "x86_64")]
+        if geometry.len() <= kernels::avx512::BUCKET_ID_SHARDS {
+            return kernels::avx512::bucket_ids(base, ids, cuts, geometry);
+        }
+    }
+    count_chunk_portable(base, ids, cuts, geometry)
+}
+
+/// The portable pass 1 over one chunk of the base, branch-free: each
+/// value's bucket id into `ids` (its shard is the number of cuts at or
+/// below it, its bucket a subtraction and a shift), and the chunk's
+/// histogram.
+pub(crate) fn count_chunk_portable(
     base: &[i64],
     ids: &mut [u8],
     cuts: &[i64],
@@ -588,13 +611,20 @@ unsafe fn scatter_chunk(
 /// thread fences its streamed lines before it returns, and the join orders
 /// them before the caller reads. Values only: a shard re-derives its row
 /// ids from the base when something first reads one ([`crate::row_ids`]).
-/// At most [`MAX_BUCKETS`] shards.
+/// At most [`MAX_BUCKETS`] shards. Pass 1 runs the kernel of `isa`
+/// ([`count_chunk`]); either kernel gives every value the same id.
 ///
 /// With metrics on, each build counts `cracking_whole_builds_total` and its
 /// helper threads into `cracking_whole_build_helpers_total`, and times the
 /// wall time of each pass, across all its threads, into
 /// `cracking_whole_build_count_ns` and `cracking_whole_build_scatter_ns`.
-fn route_all(base: &[i64], plan: &ShardPlan, piece_floor: usize, threads: usize) -> Vec<Routed> {
+fn route_all(
+    isa: Isa,
+    base: &[i64],
+    plan: &ShardPlan,
+    piece_floor: usize,
+    threads: usize,
+) -> Vec<Routed> {
     let width = std::mem::size_of::<i64>();
     let geometry = coarse_buckets(plan, base.len(), piece_floor);
     let buckets = geometry.last().map_or(0, |g| g.ids().end() + 1);
@@ -610,7 +640,7 @@ fn route_all(base: &[i64], plan: &ShardPlan, piece_floor: usize, threads: usize)
         // Pass 1, one histogram per chunk.
         let hists = on_gang(
             base.chunks(chunk).zip(ids.chunks_mut(chunk)),
-            |(base, ids)| count_chunk(base, ids, &plan.cuts, &geometry),
+            |(base, ids)| count_chunk(isa, base, ids, &plan.cuts, &geometry),
         );
         let mut hist = [0usize; MAX_BUCKETS];
         for h in &hists {
@@ -710,7 +740,7 @@ fn route_all(base: &[i64], plan: &ShardPlan, piece_floor: usize, threads: usize)
 }
 
 /// Base rows a zone of the zone map covers (the last zone may be shorter).
-const ZONE: usize = 1024;
+pub const ZONE: usize = 1024;
 
 /// A base's zone map: the smallest and largest value of each [`ZONE`]-row
 /// block, in base order.
@@ -1084,21 +1114,30 @@ impl<T> ShardedColumn<T> {
         hi.is_none_or(|hi| lo < hi).then_some((Some(lo), hi))
     }
 
-    /// Whether [`ShardedColumn::scan_cold`] of `pred` on shard `k` still
-    /// costs less than building the shard, counted in base zones read: the
-    /// zones the scan would read, plus those scans have read for the
-    /// shard's cell so far, stay below the zones a one-shard build of it
-    /// reads. Once they would not, scanning on has cost about as much as
-    /// the build would have (the break-even rule of renting against
-    /// buying), and the shard is worth building.
-    pub fn cold_scan_pays(&self, k: usize, pred: Predicate) -> bool {
+    /// The base zones [`ShardedColumn::scan_cold`] of `pred` on shard `k`
+    /// reads, while that still costs less than building the shard, counted
+    /// in zones read: the zones the scan would read, plus those scans have
+    /// read for the shard's cell so far, stay below the zones a one-shard
+    /// build of it reads. `None` once they would not: scanning on has cost
+    /// about as much as the build would have (the break-even rule of
+    /// renting against buying), and the shard is worth building. Maps the
+    /// base's zones if nothing has ([`ShardedColumn::is_mapped`]).
+    pub fn cold_scan_zones(&self, k: usize, pred: Predicate) -> Option<usize> {
         let (_, zones) = self.mapped();
         let (lo, hi) = self.shard_range(k);
         let rebuild = zones.iter().filter(|z| zone_meets(z, lo, hi)).count();
         let read = self.cold_bounds(k, pred).map_or(0, |(lo, hi)| {
             zones.iter().filter(|z| zone_meets(z, lo, hi)).count()
         });
-        self.cells[k].scanned.load(Relaxed) + read < rebuild
+        (self.cells[k].scanned.load(Relaxed) + read < rebuild).then_some(read)
+    }
+
+    /// Whether a build or a cold read has counted the plan's shards and
+    /// mapped the base's zones, so [`ShardedColumn::cold_rows`] and
+    /// [`ShardedColumn::cold_scan_zones`] read them without a pass over the
+    /// base.
+    pub fn is_mapped(&self) -> bool {
+        self.counts.get().is_some() && self.zones.get().is_some()
     }
 
     /// Count and sum of the base values a read of `pred` (clamped to shard
@@ -1106,7 +1145,7 @@ impl<T> ShardedColumn<T> {
     /// shard is built: a scan of the base zones whose minimum and maximum
     /// meet the predicate, answering what a shard built from the base
     /// would. Adds the zones it read to the cell's count
-    /// ([`ShardedColumn::cold_scan_pays`]). The first cold read of a base
+    /// ([`ShardedColumn::cold_scan_zones`]). The first cold read of a base
     /// maps its zones as the first one-shard build does. With metrics on,
     /// each scan counts `cracking_cold_scans_total` and the zones it read
     /// into `cracking_cold_scan_zones_total`.
@@ -1130,6 +1169,18 @@ impl<T> ShardedColumn<T> {
     /// its spawn, and at least the caller.
     pub fn whole_build_threads(&self, offered: usize) -> usize {
         offered.min(self.base.len() / DEFAULT_MIN_PARALLEL).max(1)
+    }
+
+    /// Pass 1 of the whole build [`ShardedColumn::admit`] makes of this
+    /// column, alone and on the calling thread, with the kernel of `isa`:
+    /// every base value's bucket id into `ids` (one slot per base row);
+    /// returns how many values each bucket id got. The micro-benchmarks
+    /// time it as `first_touch/bucket_ids*`. Panics on an `isa` the CPU
+    /// lacks.
+    #[doc(hidden)]
+    pub fn whole_build_ids(&self, isa: Isa, ids: &mut [u8]) -> [usize; MAX_BUCKETS] {
+        let geometry = coarse_buckets(&self.plan, self.base.len(), self.piece_floor);
+        count_chunk(isa, &self.base, ids, &self.plan.cuts, &geometry)
     }
 
     /// Makes shards `first..=last` resident. The empty cells among them
@@ -1165,7 +1216,8 @@ impl<T> ShardedColumn<T> {
         let whole = missing.len() == self.cells.len() && self.cells.len() <= MAX_BUCKETS;
         let fresh: Vec<Arc<CrackerColumn>> = if whole {
             let threads = self.whole_build_threads(threads);
-            let routed = route_all(&self.base, &self.plan, self.piece_floor, threads);
+            let isa = kernels::active_isa();
+            let routed = route_all(isa, &self.base, &self.plan, self.piece_floor, threads);
             self.counts
                 .get_or_init(|| routed.iter().map(|shard| shard.vals.len()).collect());
             routed
@@ -1809,7 +1861,7 @@ mod tests {
         let hi = if narrow { lo + 40 } else { i64::MAX };
         let base: Vec<i64> = (0..n).map(|_| rng.random_range(lo..=hi)).collect();
         let plan = ShardPlan::from_values(&base, shards);
-        let routed = route_all(&base, &plan, floor, 1);
+        let routed = route_all(Isa::Portable, &base, &plan, floor, 1);
         for (k, (shard, want)) in routed
             .iter()
             .zip(counting_sort(&base, &plan, floor))
@@ -1825,12 +1877,13 @@ mod tests {
         assert_same_build(&routed, &base, &plan, floor);
     }
 
-    /// `route_all` at 2, 3 and 4 threads lays out every shard of `base`
-    /// as `one_thread` (its 1-thread build) does: slot for slot, with the
-    /// same bucket bounds and domains.
+    /// `route_all` at 1 to 4 threads, with the pass-1 kernel
+    /// `kernels::active_isa` picks, lays out every shard of `base` as
+    /// `one_thread` (its portable 1-thread build) does: slot for slot,
+    /// with the same bucket bounds and domains.
     fn assert_same_build(one_thread: &[Routed], base: &[i64], plan: &ShardPlan, floor: usize) {
-        for threads in 2..=4 {
-            let routed = route_all(base, plan, floor, threads);
+        for threads in 1..=4 {
+            let routed = route_all(kernels::active_isa(), base, plan, floor, threads);
             assert_eq!(routed.len(), one_thread.len());
             for (k, (got, want)) in routed.iter().zip(one_thread).enumerate() {
                 assert_eq!(got.vals, want.vals, "{threads} threads, shard {k}");
@@ -1856,8 +1909,8 @@ mod tests {
         let (first, second) = base.split_at(1001);
         let mut ids = vec![0u8; base.len()];
         let (first_ids, second_ids) = ids.split_at_mut(1001);
-        let hist = count_chunk(first, first_ids, &plan.cuts, &geometry);
-        count_chunk(second, second_ids, &plan.cuts, &geometry);
+        let hist = count_chunk_portable(first, first_ids, &plan.cuts, &geometry);
+        count_chunk_portable(second, second_ids, &plan.cuts, &geometry);
         assert!(
             first_ids.iter().chain(&*second_ids).all(|&id| id == 0),
             "one bucket"
@@ -1977,7 +2030,7 @@ mod tests {
             _ => spread,
         };
         let reference = push_routing(&base, &plan);
-        let routed = route_all(&base, &plan, floor, 1);
+        let routed = route_all(Isa::Portable, &base, &plan, floor, 1);
         assert_eq!(routed.len(), plan.shards());
         assert_same_build(&routed, &base, &plan, floor);
         for (k, (shard, want)) in routed
@@ -3135,13 +3188,16 @@ mod tests {
             "{rebuild} zones hold shard {k}"
         );
         let whole = Predicate::range(i64::MIN, i64::MAX);
-        assert!(!col.cold_scan_pays(k, plan.clamp(k, whole)));
+        assert!(!col.is_mapped());
+        assert_eq!(col.cold_scan_zones(k, plan.clamp(k, whole)), None);
+        assert!(col.is_mapped(), "the first cold read maps the zones");
         // Two zones a read: it pays for `rebuild / 2 - 1` reads, then not.
         let pred = Predicate::range(lo, lo + ZONE as i64 * 2);
         let read = meeting(&zones, Some(pred.lo), Some(pred.hi));
         assert!((2..=3).contains(&read), "{read}");
         let mut scans = 0;
-        while col.cold_scan_pays(k, pred) {
+        while let Some(zones) = col.cold_scan_zones(k, pred) {
+            assert_eq!(zones, read);
             assert_eq!(col.scan_cold(k, pred), scan_stats(&b, pred));
             scans += 1;
         }
@@ -3152,14 +3208,20 @@ mod tests {
         );
         assert_eq!(col.cells[k].scanned.load(Relaxed), scans * read);
         // The other shards' cells count on their own.
-        assert!(col.cold_scan_pays(
-            k + 1,
-            plan.clamp(k + 1, Predicate::range(plan.cuts()[1], plan.cuts()[1] + 1))
-        ));
+        assert!(col
+            .cold_scan_zones(
+                k + 1,
+                plan.clamp(k + 1, Predicate::range(plan.cuts()[1], plan.cuts()[1] + 1))
+            )
+            .is_some());
         col.scan_cold(2, Predicate::range(plan.cuts()[1], plan.cuts()[1] + 1));
         col.admit(k, k, 1, |fresh| vec![(); fresh.len()]);
         let next = col.vacated(&[k]);
-        assert!(next.cold_scan_pays(k, pred), "a vacated cell counts from 0");
+        assert_eq!(
+            next.cold_scan_zones(k, pred),
+            Some(read),
+            "a vacated cell counts from 0"
+        );
         assert_eq!(
             next.cells[2].scanned.load(Relaxed),
             col.cells[2].scanned.load(Relaxed)

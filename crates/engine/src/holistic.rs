@@ -62,6 +62,7 @@ use crate::api::{Capabilities, Dataset, ExactAnswer, QueryEngine};
 use holix_core::cpu::LoadAccountant;
 use holix_core::index_space::{IndexSlot, IndexSpace, Membership};
 use holix_core::{CpuMonitor, CycleRecord, HolisticConfig, HolisticDaemon, RefinableIndex};
+use holix_cracking::sharding::ZONE;
 use holix_cracking::{CrackScratch, CrackerColumn, ReplanAction, ShardPlan, ShardedColumn};
 use holix_planner::{propose_replan, PlanCost, ReplanPolicy, ShardLoad};
 use holix_storage::select::{Predicate, RangeStats};
@@ -316,15 +317,12 @@ impl HolisticEngine {
     ///
     /// The third branch of the admission rule, decided shard by shard once
     /// an attribute is not built whole: a shard that is not live is
-    /// scanned when admitting it would evict (`bytes_used` plus its bytes
-    /// past the budget) and the scan still costs less than building it
-    /// ([`ShardedColumn::cold_scan_pays`]: this read's base zones plus
-    /// those scanned since its cell emptied stay below the zones the build
-    /// reads); otherwise it is built as [`HolisticEngine::admit`] builds
-    /// it. A scan registers no record, but the dropped cells of the
-    /// attribute are vacated all the same, so an evicted column is freed by
-    /// the next read that misses a shard of its attribute. Without a
-    /// budget, or with every shard routed to live, this is `touch`.
+    /// scanned when [`HolisticEngine::scans_cold`] says so, otherwise built
+    /// as [`HolisticEngine::admit`] builds it. A scan registers no record,
+    /// but the dropped cells of the attribute are vacated all the same, so
+    /// an evicted column is freed by the next read that misses a shard of
+    /// its attribute. Without a budget, or with every shard routed to live,
+    /// this is `touch`.
     fn touch_read(
         &self,
         attr: usize,
@@ -342,20 +340,14 @@ impl HolisticEngine {
         };
         let col = self.vacate_dropped(attr);
         let (first, last) = route.shards(col.plan())?;
-        // A fresh shard stores values only, and at most the attribute's
-        // rows: its own are counted only when the whole would not fit.
-        let (used, tuple) = (self.space.bytes_used(), CrackerColumn::tuple_bytes(false));
-        let evicts = |k| {
-            used + self.data.rows() * tuple > budget && used + col.cold_rows(k) * tuple > budget
-        };
-        let plan = col.plan();
+        let (plan, used) = (col.plan(), self.space.bytes_used());
         let mut scanned = Scanned::default();
         // The shards to build (`build` builds the whole attribute when that
         // evicts nothing).
         let mut build = None;
         for k in (first..=last).filter(|&k| live(&col, k).is_none()) {
             let pred = plan.clamp(k, pred);
-            if evicts(k) && col.cold_scan_pays(k, pred) {
+            if self.scans_cold(&col, k, pred, budget, used).is_some() {
                 scanned.shards.push(k);
                 scanned.stats.merge(col.scan_cold(k, pred));
             } else {
@@ -366,6 +358,104 @@ impl HolisticEngine {
             self.build(&col, b, e, Membership::Actual);
         }
         Some((col, first, last, scanned))
+    }
+
+    /// Whether a count or sum of `pred` (clamped to shard `k`) answers
+    /// shard `k` of `col`, which is not live, from the base instead of
+    /// building it, and then the base zones that scan reads: admitting the
+    /// shard would evict (`used`, the index space's bytes, plus its bytes
+    /// past `budget`) and the scan still costs less than the build
+    /// ([`ShardedColumn::cold_scan_zones`]: this read's base zones plus
+    /// those scanned since its cell emptied stay below the zones the build
+    /// reads). The one rule by which [`HolisticEngine::touch_read`] scans
+    /// and `estimate_cost` prices the scan.
+    fn scans_cold(
+        &self,
+        col: &Shards,
+        k: usize,
+        pred: Predicate,
+        budget: usize,
+        used: usize,
+    ) -> Option<usize> {
+        // A fresh shard stores values only, and at most the attribute's
+        // rows: its own are counted only when the whole would not fit.
+        let tuple = CrackerColumn::tuple_bytes(false);
+        let evicts =
+            used + self.data.rows() * tuple > budget && used + col.cold_rows(k) * tuple > budget;
+        evicts.then(|| col.cold_scan_zones(k, pred)).flatten()
+    }
+
+    /// [`QueryEngine::estimate_cost`] of `q` as read by a path that may
+    /// answer a shard from the base (`may_scan`: `touch_read`'s counts and
+    /// sums) or by one that builds every shard it reads (a conjunction's
+    /// driver), each priced by the path it takes.
+    fn price(&self, q: &QuerySpec, may_scan: bool) -> Option<PlanCost> {
+        let pred = Predicate::range(q.lo, q.hi);
+        // Read-only peek at the attribute's column: nothing is built here
+        // (admission control prices queries before anything commits to
+        // paying the O(N) pass over the base) — the price of an attribute
+        // no build has counted yet is exactly that copy-and-crack. One
+        // whose shards were all evicted since is priced shard by shard
+        // below, each at its own rebuild, like any dropped shard.
+        let col = Arc::clone(&self.shared.cols[q.attr].read());
+        if cold(&col) && col.shard_rows(0).is_none() {
+            return Some(PlanCost::cold(self.data.rows()));
+        }
+        let plan = col.plan();
+        // Point screening at plan time, from the published filter only
+        // (the same screen `execute_exact` answers at submit, so it fires
+        // here only for a filter published after the probe queued). A
+        // negative probe prices the query Screened and drains ahead of
+        // cracks; unbuilt filters fall through to range pricing.
+        if let Some(v) = pred.as_point().filter(|_| self.cfg.point_filters) {
+            if screened_by_published_filter(&col, v).is_some() {
+                return Some(PlanCost::screened_point());
+            }
+        }
+        let Some((first, last)) = plan.shard_range(pred.lo, pred.hi) else {
+            // Empty predicate: free.
+            return Some(PlanCost {
+                exact_hit: true,
+                ..PlanCost::default()
+            });
+        };
+        // Under a budget, a shard that is not live is priced by the rule
+        // `touch_read` follows, once the column has mapped its zones and
+        // while the registry is free: pricing maps nothing and waits on no
+        // maintenance lock.
+        let scans = |k| {
+            let budget = self
+                .cfg
+                .holistic
+                .storage_budget
+                .filter(|_| may_scan && col.is_mapped())?;
+            let used = self.space.try_bytes_used()?;
+            self.scans_cold(&col, k, plan.clamp(k, pred), budget, used)
+        };
+        let mut cost = PlanCost::default();
+        for k in first..=last {
+            // A live shard is priced from its index: two lookups under its
+            // index read lock and its queue length under the pending
+            // mutex — no structure or maintenance lock. One a read would
+            // scan in the base costs the zones it reads. A shard the
+            // budget dropped, or a replan retired while this column was
+            // read, costs its own rebuild, not the attribute's: its rows.
+            // So does an empty cell: the base rows it holds, counted by
+            // the attribute's first build (`data.rows()` before any).
+            let resident = col.resident(k);
+            let shard_cost = match resident {
+                Some((shard, slot)) if !slot.is_dropped() => {
+                    holix_planner::estimate(shard, plan.clamp(k, pred))
+                }
+                _ => PlanCost::cold(match (scans(k), resident) {
+                    (Some(zones), _) => zones * ZONE,
+                    (None, Some((shard, _))) => shard.len(),
+                    (None, None) => col.shard_rows(k).unwrap_or(self.data.rows()),
+                }),
+            };
+            cost.merge(shard_cost);
+        }
+        Some(cost)
     }
 
     /// [`HolisticEngine::touch`] for the one shard owning `v`.
@@ -733,54 +823,7 @@ impl QueryEngine for HolisticEngine {
     }
 
     fn estimate_cost(&self, q: &QuerySpec) -> Option<PlanCost> {
-        let pred = Predicate::range(q.lo, q.hi);
-        // Read-only peek at the attribute's column: nothing is built here
-        // (admission control prices queries before anything commits to
-        // paying the O(N) pass over the base) — the price of an attribute
-        // no build has counted yet is exactly that copy-and-crack. One
-        // whose shards were all evicted since is priced shard by shard
-        // below, each at its own rebuild, like any dropped shard.
-        let col = Arc::clone(&self.shared.cols[q.attr].read());
-        if cold(&col) && col.shard_rows(0).is_none() {
-            return Some(PlanCost::cold(self.data.rows()));
-        }
-        let plan = col.plan();
-        // Point screening at plan time, from the published filter only
-        // (the same screen `execute_exact` answers at submit, so it fires
-        // here only for a filter published after the probe queued). A
-        // negative probe prices the query Screened and drains ahead of
-        // cracks; unbuilt filters fall through to range pricing.
-        if let Some(v) = pred.as_point().filter(|_| self.cfg.point_filters) {
-            if screened_by_published_filter(&col, v).is_some() {
-                return Some(PlanCost::screened_point());
-            }
-        }
-        let Some((first, last)) = plan.shard_range(pred.lo, pred.hi) else {
-            // Empty predicate: free.
-            return Some(PlanCost {
-                exact_hit: true,
-                ..PlanCost::default()
-            });
-        };
-        let mut cost = PlanCost::default();
-        for k in first..=last {
-            // A live shard is priced from its index: two lookups under its
-            // index read lock and its queue length under the pending
-            // mutex — no structure or maintenance lock. A shard the budget
-            // dropped, or a replan retired while this column was read,
-            // costs its own rebuild, not the attribute's: its rows. So does
-            // an empty cell: the base rows it holds, counted by the
-            // attribute's first build (`data.rows()` before any).
-            let shard_cost = match col.resident(k) {
-                Some((shard, slot)) if !slot.is_dropped() => {
-                    holix_planner::estimate(shard, plan.clamp(k, pred))
-                }
-                Some((shard, _)) => PlanCost::cold(shard.len()),
-                None => PlanCost::cold(col.shard_rows(k).unwrap_or(self.data.rows())),
-            };
-            cost.merge(shard_cost);
-        }
-        Some(cost)
+        self.price(q, true)
     }
 
     fn decompose(&self, q: &QuerySpec) -> Option<Vec<QuerySpec>> {
@@ -859,11 +902,12 @@ impl QueryEngine for HolisticEngine {
         // and would lose a selective term the histogram can see. Ties and
         // cold attributes (est = full length) fall back to first-wins,
         // exactly as before. Priced from the live indexes, so a term
-        // cracked a moment ago is seen exactly.
+        // cracked a moment ago is seen exactly, and a term that is not
+        // live at its build: a driver is built, never scanned in the base.
         let di = terms
             .iter()
             .enumerate()
-            .min_by_key(|(_, t)| self.estimate_cost(t).map_or(u64::MAX, |c| c.est_rows))
+            .min_by_key(|(_, t)| self.price(t, false).map_or(u64::MAX, |c| c.est_rows))
             .map(|(i, _)| i)?;
         let driver = &terms[di];
         // Collect the driver's qualifying *base row ids* shard by shard
